@@ -44,23 +44,29 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const RULE_DURABILITY: &str = "durability-order";
 pub const RULE_FAILPOINT: &str = "failpoint-bypass";
 
-/// Entry points of the save/commit/GC protocol, the serving layer's
-/// resume-token writer, the maintenance passes (manifest snapshot,
-/// chain compaction), and the replication surface (cursor writes on
-/// push, verified imports on the receiving side) — all bound to the
-/// same tmp → fsync → rename contract.
+/// Entry points of the save/commit/GC protocol, the maintenance passes
+/// (manifest snapshot, chain compaction), and the replication surface
+/// (cursor writes on push, verified imports on the receiving side) —
+/// all bound to the same tmp → fsync → rename contract. Whole-file
+/// metadata replacements (snapshot, cursor, the serving layer's resume
+/// token) share one spelled-out sequence, `layout::durable_replace`,
+/// which the snapshot and cursor roots reach and inline.
 pub const STORE_ROOTS: &[&str] = &[
     "save_full",
     "save_full_streamed",
     "save_increment",
     "save",
     "gc",
-    "write_token",
     "compact_manifest",
     "compact_chains",
     "push_to",
     "import_generation",
 ];
+
+/// The shared replace-a-file helper. Its staging file is a parameter,
+/// so the staging contract is checked on the path each call site
+/// passes.
+const DURABLE_REPLACE: &str = "durable_replace";
 
 /// Call names never inlined: `open` collides between `Store::open`
 /// (recovery, which legitimately rewrites the manifest) and
@@ -196,16 +202,20 @@ fn extract_ops(file: &ScannedFile, ff: &FileFunctions, fi: usize) -> Vec<Op> {
         let path_head = text(i.wrapping_sub(3));
         let chain = receiver_chain(file, i);
         let fp_recv = chain.iter().any(|c| FP_RECEIVERS.contains(&c.as_str()));
+        let staged = || {
+            let (lo, hi) = arg_range(file, i);
+            args_mention(file, ff, fi, lo, hi, "tmp_path")
+                || args_mention(file, ff, fi, lo, hi, "meta_tmp_path")
+        };
         let kind = match t {
             "create" if fs_qualified && path_head == "File" => {
-                let (lo, hi) = arg_range(file, i);
-                if args_mention(file, ff, fi, lo, hi, "tmp_path")
-                    || args_mention(file, ff, fi, lo, hi, "meta_tmp_path")
-                {
-                    Some(OpKind::TmpCreate)
-                } else {
-                    Some(OpKind::CreateOther)
+                Some(if staged() { OpKind::TmpCreate } else { OpKind::CreateOther })
+            }
+            DURABLE_REPLACE => {
+                if !staged() {
+                    out.push(Op { kind: OpKind::CreateOther, line });
                 }
+                Some(OpKind::Call(t.to_string()))
             }
             "rename" if fs_qualified && path_head == "fs" => {
                 let (lo, hi) = arg_range(file, i);
@@ -786,6 +796,43 @@ fn push_to(fp: &FailPoint) -> Result<()> {
                 .any(|v| v.rule == RULE_DURABILITY && v.message.contains("outside tmp/ staging")),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn durable_replace_is_inlined_and_its_call_sites_must_stage() {
+        // The helper's sequence is audited through the root that calls
+        // it; the staging contract is checked on the argument.
+        let helper = r#"
+fn durable_replace(tmp_path: &Path, dst: &Path, bytes: &[u8], fp: &FailPoint) -> Result<()> {
+    let f = File::create(tmp_path)?;
+    fp.write_all(&mut f, bytes)?;
+    fp.check()?;
+    f.sync_all()?;
+    fp.check()?;
+    fs::rename(tmp_path, dst)?;
+    fsync_dir(dir)?;
+    fp.check()?;
+    Ok(())
+}
+"#;
+        let staged = r#"
+fn push_to(fp: &FailPoint) -> Result<()> {
+    let tmp = layout.meta_tmp_path(CURSOR_FILE);
+    durable_replace(&tmp, &layout.cursor, &bytes, fp)
+}
+"#;
+        let v = run(&format!("{staged}{helper}"));
+        assert!(v.is_empty(), "{v:?}");
+
+        let v = run(&format!("{staged}{}", helper.replace("    f.sync_all()?;\n", "")));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("rename before fsync"));
+        assert_eq!(v[0].symbol.as_deref(), Some("push_to"));
+
+        let unstaged = staged.replace("&tmp,", "&layout.cursor,");
+        let v = run(&format!("{unstaged}{helper}"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("outside tmp/ staging"));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   be reached through a feature-detect guard (DESIGN.md §16).
 //!
 //! Suppression only via checked-in `lint-allow.toml` entries, each with
-//! a non-empty justification; unused entries are errors.
+//! a non-empty justification; unused entries are errors, and so are
+//! root names (decode entry points, store roots) no function defines.
 
 pub mod allow;
 pub mod callgraph;
@@ -72,9 +73,8 @@ pub const ENTRY_POINTS: &[&str] = &[
     "parse_stream",
     "strip_container",
     "decompress",
-    "decompress_parallel",
+    "decompress_with",
     "decompress_with_limit",
-    "decompress_timed",
     "from_bytes",
     "read_from",
     "restore",
@@ -131,6 +131,18 @@ impl Report {
 /// or an invariant explaining why Relaxed suffices.
 pub fn justification_needed(rule: &str) -> bool {
     rule == concurrency::RULE_SEND_SYNC || rule == concurrency::RULE_RELAXED
+}
+
+/// Root names that resolve to no function in `graph`. A root list that
+/// outlives the functions it names silently audits less than it says,
+/// so — like an allowlist entry that matches nothing — a stale root is
+/// an error: deleting an entry point forces its list to shrink too.
+fn stale_roots(list: &str, roots: &[&str], graph: &CallGraph) -> Vec<String> {
+    roots
+        .iter()
+        .filter(|r| !graph.by_name.contains_key(**r))
+        .map(|r| format!("{list} names `{r}`, which no function in scope defines — remove it"))
+        .collect()
 }
 
 /// Recursively collects workspace-relative `.rs` paths under `root`.
@@ -200,6 +212,7 @@ pub fn run(root: &Path) -> Report {
     let graph_input: Vec<(&ScannedFile, &FileFunctions)> =
         decode.iter().map(|&i| (&scanned[i], &all_ff[i])).collect();
     let graph = CallGraph::build(&graph_input);
+    report.errors.extend(stale_roots("ENTRY_POINTS", ENTRY_POINTS, &graph));
     let reachable = graph.reachable(ENTRY_POINTS);
 
     let mut violations: Vec<Violation> = Vec::new();
@@ -232,6 +245,11 @@ pub fn run(root: &Path) -> Report {
         .copied()
         .filter(|(f, _)| STORE_SRC_PREFIXES.iter().any(|p| f.path.starts_with(p)))
         .collect();
+    report.errors.extend(stale_roots(
+        "STORE_ROOTS",
+        durability::STORE_ROOTS,
+        &CallGraph::build(&store_input),
+    ));
     violations.extend(durability::check(&store_input));
 
     // spec-drift needs the raw text of both sides.
@@ -302,6 +320,17 @@ pub fn run(root: &Path) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_root_naming_no_function_is_reported() {
+        let f = scan("t.rs", "fn decompress() { helper(); }\nfn helper() {}");
+        let ff = extract(&f);
+        let graph = CallGraph::build(&[(&f, &ff)]);
+        assert!(stale_roots("ROOTS", &["decompress", "helper"], &graph).is_empty());
+        let errors = stale_roots("ROOTS", &["decompress", "decompress_gone"], &graph);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("ROOTS names `decompress_gone`"), "{errors:?}");
+    }
 
     #[test]
     fn decode_scope_paths_exist_in_this_repo() {

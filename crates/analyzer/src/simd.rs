@@ -21,7 +21,7 @@
 //! Same-file scoping is sound for this workspace: the tier modules are
 //! `pub(super)`, so kernels cannot be named outside their defining
 //! file. Names with both a scalar and a tier definition (the
-//! `scalar::foo` / `sse2::foo` convention) are ambiguous to a
+//! `scalar::foo` / `avx2::foo` convention) are ambiguous to a
 //! name-based check and are skipped — their call sites are the
 //! dispatchers, which the guard closure covers anyway.
 

@@ -1,8 +1,8 @@
 //! # ckpt-bench
 //!
 //! Shared harness for the figure/table reproduction binaries (one per
-//! figure of the paper's evaluation, see DESIGN.md §4) and the criterion
-//! benches.
+//! figure of the paper's evaluation, see DESIGN.md §4). Throughput is
+//! measured by the `e2e/` benchmark, not here.
 //!
 //! Binaries (`cargo run --release -p ckpt-bench --bin <name>`):
 //!

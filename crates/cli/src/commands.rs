@@ -195,7 +195,8 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
     let input = args.one_positional("input file")?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let threads = args.get_or("threads", 1usize)?;
-    let tensor = Compressor::decompress_parallel(&bytes, threads).map_err(|e| e.to_string())?;
+    let tensor = Compressor::decompress_with(&bytes, threads, usize::MAX)
+        .map_err(|e| e.to_string())?;
     let out_path = args
         .get("out")
         .map(str::to_string)

@@ -171,7 +171,7 @@ mod tests {
             // threads_per_rank > 1 switches to the chunked container, so
             // bytes differ; the decompressed values must not.
             let sv = Compressor::decompress(&s.bytes).unwrap();
-            let nv = Compressor::decompress_parallel(&n.bytes, 4).unwrap();
+            let nv = Compressor::decompress_with(&n.bytes, 4, usize::MAX).unwrap();
             assert_eq!(sv.as_slice(), nv.as_slice());
         }
     }

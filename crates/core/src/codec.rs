@@ -241,47 +241,28 @@ impl Compressor {
         Ok((formatted, timings, coverage_milli))
     }
 
-    /// Decompresses bytes produced by [`Compressor::compress`]. The
-    /// stream is self-describing; no configuration is needed.
+    /// Decompresses bytes produced by [`Compressor::compress`] on one
+    /// thread with no size limit. The stream is self-describing; no
+    /// configuration is needed.
     pub fn decompress(bytes: &[u8]) -> Result<Tensor<f64>> {
-        Self::decompress_parallel(bytes, 1)
+        Self::decompress_with(bytes, 1, usize::MAX)
     }
 
     /// Like [`Compressor::decompress`], inflating the chunks of a
     /// chunked container and inverting the wavelet on `threads`
-    /// workers. The decompressed tensor is identical for every thread
-    /// count; single-member streams fall back to the serial path.
-    pub fn decompress_parallel(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
-        let formatted = strip_container(bytes, usize::MAX, threads)?;
-        parse_stream(&formatted, threads)
-    }
-
-    /// Decompresses with a wall-clock breakdown (container strip vs
-    /// parse/dequantize vs inverse transform) — the restart-side cost
-    /// the paper's recovery story depends on.
-    pub fn decompress_timed(bytes: &[u8]) -> Result<(Tensor<f64>, StageTimings)> {
-        let mut timings = StageTimings::new();
-        let formatted =
-            timed(&mut timings.gzip, || strip_container(bytes, usize::MAX, 1))?;
-        // parse_stream internally dequantizes then inverts; time the
-        // whole reassembly as quantize_encode + wavelet is not separable
-        // without replanning, so attribute it to format+wavelet jointly.
-        let tensor = timed(&mut timings.wavelet, || parse_stream(&formatted, 1))?;
-        Ok((tensor, timings))
-    }
-
-    /// Like [`Compressor::decompress`], but refuses to materialize more
-    /// than `max_bytes` of formatted data — the guard to use on
-    /// checkpoint files from untrusted storage.
-    pub fn decompress_with_limit(bytes: &[u8], max_bytes: usize) -> Result<Tensor<f64>> {
-        let formatted = strip_container(bytes, max_bytes, 1)?;
+    /// workers, and refusing to materialize more than `max_bytes` of
+    /// formatted data — the guard to use on checkpoint files from
+    /// untrusted storage. The decompressed tensor is identical for
+    /// every thread count; single-member streams inflate serially.
+    pub fn decompress_with(bytes: &[u8], threads: usize, max_bytes: usize) -> Result<Tensor<f64>> {
+        let formatted = strip_container(bytes, max_bytes, threads)?;
         if formatted.len() > max_bytes {
             return Err(CkptError::Format(format!(
                 "formatted stream of {} bytes exceeds limit {max_bytes}",
                 formatted.len()
             )));
         }
-        parse_stream(&formatted, 1)
+        parse_stream(&formatted, threads)
     }
 }
 
@@ -778,7 +759,7 @@ mod parallel_tests {
             let par = Compressor::new(cfg).unwrap();
             let packed = par.compress(&t).unwrap();
             // Parallel decompression of the chunked stream.
-            let pv = Compressor::decompress_parallel(&packed.bytes, threads).unwrap();
+            let pv = Compressor::decompress_with(&packed.bytes, threads, usize::MAX).unwrap();
             assert_eq!(pv.as_slice(), sv.as_slice(), "threads={threads}");
             // Serial decompression of the same chunked stream.
             let pv1 = Compressor::decompress(&packed.bytes).unwrap();
@@ -851,7 +832,7 @@ mod parallel_tests {
         let packed =
             Compressor::new(CompressorConfig::paper_proposed()).unwrap().compress(&t).unwrap();
         let a = Compressor::decompress(&packed.bytes).unwrap();
-        let b = Compressor::decompress_parallel(&packed.bytes, 8).unwrap();
+        let b = Compressor::decompress_with(&packed.bytes, 8, usize::MAX).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
     }
 }
@@ -913,7 +894,7 @@ mod limit_tests {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 1));
         let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         let packed = c.compress(&t).unwrap();
-        let back = Compressor::decompress_with_limit(&packed.bytes, 64 << 20).unwrap();
+        let back = Compressor::decompress_with(&packed.bytes, 1, 64 << 20).unwrap();
         assert_eq!(back.dims(), t.dims());
     }
 
@@ -922,7 +903,7 @@ mod limit_tests {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 2));
         let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         let packed = c.compress(&t).unwrap();
-        assert!(Compressor::decompress_with_limit(&packed.bytes, 1024).is_err());
+        assert!(Compressor::decompress_with(&packed.bytes, 1, 1024).is_err());
     }
 
     #[test]
@@ -930,8 +911,8 @@ mod limit_tests {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 3));
         let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
         let packed = Compressor::new(cfg).unwrap().compress(&t).unwrap();
-        assert!(Compressor::decompress_with_limit(&packed.bytes, 100).is_err());
-        assert!(Compressor::decompress_with_limit(&packed.bytes, 64 << 20).is_ok());
+        assert!(Compressor::decompress_with(&packed.bytes, 1, 100).is_err());
+        assert!(Compressor::decompress_with(&packed.bytes, 1, 64 << 20).is_ok());
     }
 }
 
@@ -981,22 +962,5 @@ mod kernel_tests {
         let (rate_c, err_c) = measure(Kernel::Cdf53);
         assert!(rate_c < 100.0 && rate_h < 100.0);
         assert!(err_c < 1e-3);
-    }
-}
-
-#[cfg(test)]
-mod decompress_timing_tests {
-    use super::*;
-    use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
-
-    #[test]
-    fn timed_decompress_matches_untimed() {
-        let t = generate(&FieldSpec::small(FieldKind::Temperature, 71));
-        let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-        let packed = c.compress(&t).unwrap();
-        let plain = Compressor::decompress(&packed.bytes).unwrap();
-        let (timed_out, timings) = Compressor::decompress_timed(&packed.bytes).unwrap();
-        assert_eq!(plain.as_slice(), timed_out.as_slice());
-        assert!(timings.total() > std::time::Duration::ZERO);
     }
 }

@@ -108,7 +108,7 @@ impl Bitmap {
 
     /// Builds a bitmap from one flag per bit using the SIMD pack kernel.
     /// Equivalent to `set(i, flags[i])` for every `i`, much faster for
-    /// long streams (16–32 flags per instruction on SSE2/AVX2).
+    /// long streams (32 flags per instruction on AVX2).
     pub fn from_bools(flags: &[bool]) -> Self {
         // pack_bools emits exactly len.div_ceil(64) words with the tail
         // bits clear, so the canonical-tail invariant holds by

@@ -6,11 +6,22 @@
 //! to the last partition (a closed final interval), matching the usual
 //! histogram convention and keeping every value inside some partition.
 
-/// Streams `values` through the SIMD binning kernel in fixed-size
-/// chunks, invoking `f(value, bin)` in stream order. Bit-identical to
-/// calling [`Histogram::bin_of`] per element — the kernel replicates
-/// the same formula (including the degenerate-range and NaN → bin 0
-/// cases) — while the chunking bounds the index scratch buffer.
+/// The bin of `v` in a `k`-bin equal-width histogram over `[lo, hi]`:
+/// values outside the range clamp to the first/last bin, NaN and a
+/// degenerate range (`hi <= lo`) land in bin 0.
+#[inline]
+fn bin_index(v: f64, lo: f64, hi: f64, k: usize) -> usize {
+    if hi <= lo {
+        return 0;
+    }
+    let t = (v - lo) / (hi - lo);
+    let b = (t * k as f64) as isize;
+    b.clamp(0, k as isize - 1) as usize
+}
+
+/// Invokes `f(value, bin)` for each value in stream order, with the
+/// bin [`Histogram::bin_of`] computes for a `k`-bin histogram over
+/// `[lo, hi]` — usable before the histogram exists.
 pub(crate) fn for_each_bin(
     values: &[f64],
     lo: f64,
@@ -18,28 +29,8 @@ pub(crate) fn for_each_bin(
     k: usize,
     mut f: impl FnMut(f64, usize),
 ) {
-    if k > u32::MAX as usize {
-        // The kernel's u32 index type can't express such bins; nothing
-        // in the pipeline gets here (k <= 256), but keep the scalar
-        // formula as a correctness backstop.
-        for &v in values {
-            let b = if hi <= lo {
-                0
-            } else {
-                let t = (v - lo) / (hi - lo);
-                (t * k as f64) as isize
-            };
-            f(v, b.clamp(0, k as isize - 1) as usize);
-        }
-        return;
-    }
-    const CHUNK: usize = 1024;
-    let mut bins = [0u32; CHUNK];
-    for chunk in values.chunks(CHUNK) {
-        ckpt_simd::quant::bin_indices(chunk, lo, hi, k, &mut bins[..chunk.len()]);
-        for (&v, &b) in chunk.iter().zip(&bins[..chunk.len()]) {
-            f(v, b as usize);
-        }
+    for &v in values {
+        f(v, bin_index(v, lo, hi, k));
     }
 }
 
@@ -121,8 +112,7 @@ impl Histogram {
         }
         // Sums stay serial in stream order: f64 addition is not
         // associative, and serial-identical averages are part of the
-        // determinism contract. (Only the bin *indices* come from the
-        // SIMD kernel; the accumulation order is untouched.)
+        // determinism contract.
         for_each_bin(values, lo, hi, k, |v, b| h.sums[b] += v);
         Some(h)
     }
@@ -150,13 +140,7 @@ impl Histogram {
     /// on different data).
     #[inline]
     pub fn bin_of(&self, v: f64) -> usize {
-        let k = self.counts.len();
-        if self.hi <= self.lo {
-            return 0;
-        }
-        let t = (v - self.lo) / (self.hi - self.lo);
-        let b = (t * k as f64) as isize;
-        b.clamp(0, k as isize - 1) as usize
+        bin_index(v, self.lo, self.hi, self.counts.len())
     }
 
     /// Average of the values in a bin; `None` for empty bins.

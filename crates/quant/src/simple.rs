@@ -56,8 +56,8 @@ pub fn quantize_threaded(
         }
     }
 
-    // Index encoding runs the SIMD binning kernel (identical to
-    // `hist.bin_of` per element) and applies the remap table per bin.
+    // Index encoding bins each value (as `hist.bin_of` does) and
+    // applies the remap table per bin.
     let encode = |shard: &[f64]| {
         let mut out = Vec::with_capacity(shard.len());
         crate::histogram::for_each_bin(shard, hist.lo(), hist.hi(), n, |_, bin| {

@@ -89,10 +89,9 @@ pub fn quantize_with_threshold_threaded(
     };
 
     // Split the stream into detected (to be quantized) and pass-through
-    // populations, remembering positions via the bitmap. Bin membership
-    // runs the SIMD binning kernel (identical to `hist.bin_of` per
-    // element) and the membership flags are packed into bitmap words by
-    // the SIMD pack kernel instead of one `set` call per bit.
+    // populations, remembering positions via the bitmap. The
+    // membership flags are packed into bitmap words by the SIMD pack
+    // kernel instead of one `set` call per bit.
     let mut detected = Vec::new();
     let mut raw = Vec::new();
     let workers = ckpt_pool::clamp_workers(threads, values.len());

@@ -13,10 +13,7 @@ use ckpt_simd::quant;
 use proptest::prelude::*;
 
 fn available_tiers() -> Vec<Level> {
-    [Level::Scalar, Level::Sse2, Level::Avx2]
-        .into_iter()
-        .filter(|l| l.is_available())
-        .collect()
+    Level::ALL.into_iter().filter(|l| l.is_available()).collect()
 }
 
 /// Serial reference: strict-compare first-seen min/max from element 0.
@@ -33,16 +30,6 @@ fn ref_min_max(values: &[f64]) -> Option<(f64, f64)> {
         }
     }
     Some((lo, hi))
-}
-
-/// Serial reference: the histogram `bin_of` formula.
-fn ref_bin(v: f64, lo: f64, hi: f64, k: usize) -> u32 {
-    if hi <= lo {
-        return 0;
-    }
-    let t = (v - lo) / (hi - lo);
-    let b = (t * k as f64) as isize;
-    b.clamp(0, k as isize - 1) as u32
 }
 
 fn lcg_values(seed: u64, len: usize, with_specials: bool) -> Vec<f64> {
@@ -79,24 +66,6 @@ proptest! {
         for level in available_tiers() {
             let got = quant::min_max_at(level, &values).map(|(a, b)| (a.to_bits(), b.to_bits()));
             prop_assert_eq!(got, want, "level={:?} len={}", level, len);
-        }
-    }
-
-    #[test]
-    fn bin_indices_matches_reference(
-        len in 0usize..300, k in 1usize..300, seed in any::<u64>(), degenerate in any::<bool>(),
-    ) {
-        let values = lcg_values(seed, len, true);
-        let (lo, hi) = if degenerate {
-            (2.5, 2.5) // hi <= lo: everything lands in bin 0
-        } else {
-            ref_min_max(&lcg_values(seed ^ 7, len.max(2), false)).unwrap()
-        };
-        let want: Vec<u32> = values.iter().map(|&v| ref_bin(v, lo, hi, k)).collect();
-        for level in available_tiers() {
-            let mut got = vec![u32::MAX; len];
-            quant::bin_indices_at(level, &values, lo, hi, k, &mut got);
-            prop_assert_eq!(&got, &want, "level={:?} len={} k={}", level, len, k);
         }
     }
 

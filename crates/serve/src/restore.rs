@@ -510,21 +510,10 @@ fn token_tmp_path(token_path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Durably replaces the resume token: create the staging file, write
-/// through the fail point, fsync, rename over the old token, fsync the
-/// directory. A kill at any byte leaves either the previous token or
-/// the new one — never a torn mix — so resume always has a valid
-/// starting point.
+/// Durably replaces the resume token. A kill at any byte leaves either
+/// the previous token or the new one — never a torn mix — so resume
+/// always has a valid starting point.
 fn write_token(token_path: &Path, bytes: &[u8], fp: &FailPoint) -> Result<()> {
-    let dir = token_path.parent().map(Path::to_path_buf).unwrap_or_else(|| PathBuf::from("."));
     let tmp_path = token_tmp_path(token_path);
-    let mut file = fs::File::create(&tmp_path)?;
-    fp.write_all(&mut file, bytes)?;
-    fp.check()?;
-    file.sync_all()?;
-    drop(file);
-    fp.check()?;
-    fs::rename(&tmp_path, token_path)?;
-    layout::fsync_dir(&dir)?;
-    Ok(())
+    Ok(layout::durable_replace(&tmp_path, token_path, bytes, fp)?)
 }

@@ -14,10 +14,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// How long the accept loop sleeps between polls of the non-blocking
-/// listener; bounds shutdown latency.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
 /// Upper bound on one rank's payload accepted over the wire — a put
 /// buffers every rank in memory until commit, so a hostile (or buggy)
 /// `total_len` must be refused before any allocation grows to meet it.
@@ -46,7 +42,13 @@ impl Server {
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The accept loop blocks in `accept()`; a connection to our
+            // own socket wakes it to see the flag. If the socket file
+            // no longer leads to this listener nothing can wake the
+            // thread, so it is left detached rather than joined.
+            if UnixStream::connect(&self.socket_path).is_ok() {
+                let _ = h.join();
+            }
         }
         let _ = std::fs::remove_file(&self.socket_path);
     }
@@ -68,7 +70,6 @@ impl Drop for Server {
 pub fn serve_unix(store: Arc<Mutex<Store>>, socket_path: &Path) -> io::Result<Server> {
     let _ = std::fs::remove_file(socket_path);
     let listener = UnixListener::bind(socket_path)?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let served = Arc::new(AtomicU64::new(0));
 
@@ -76,20 +77,18 @@ pub fn serve_unix(store: Arc<Mutex<Store>>, socket_path: &Path) -> io::Result<Se
         let shutdown = Arc::clone(&shutdown);
         let served = Arc::clone(&served);
         thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _addr)) => {
-                        served.fetch_add(1, Ordering::SeqCst);
-                        let store = Arc::clone(&store);
-                        thread::spawn(move || {
-                            let _ = handle_connection(stream, &store);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
+            for stream in listener.incoming() {
+                // Checked after every wake-up: the connection that
+                // `Server::stop` makes to end the loop is not served.
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
+                let Ok(stream) = stream else { break };
+                served.fetch_add(1, Ordering::SeqCst);
+                let store = Arc::clone(&store);
+                thread::spawn(move || {
+                    let _ = handle_connection(stream, &store);
+                });
             }
         })
     };

@@ -7,8 +7,7 @@
 //!   `0`) pins the process to the portable scalar tier, so CI can
 //!   exercise the fallback path on any host;
 //! - [`set_override`] swaps the tier at runtime, which the equivalence
-//!   harness and the `kernel_throughput` bench use to measure both
-//!   tiers inside one process.
+//!   harnesses use to run both tiers inside one process.
 //!
 //! Every tier produces bit-identical output (see the module docs in
 //! [`crate::wavelet`] and [`crate::quant`]), so which tier runs is
@@ -17,23 +16,26 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Kernel tier, ordered from portable to widest.
+/// Kernel tier, ordered from portable to widest. The discriminants
+/// are what the `e2e` benchmark reports as `simd.tier`, so they are
+/// pinned (1 was the retired SSE2 tier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// Portable scalar reference — always available.
-    Scalar,
-    /// 128-bit SSE2 (2×f64 per op). Baseline on x86_64.
-    Sse2,
+    Scalar = 0,
     /// 256-bit AVX2 (4×f64 per op).
-    Avx2,
+    Avx2 = 2,
 }
 
 impl Level {
-    /// Stable lowercase name for logs and bench JSON.
+    /// Every tier, for harnesses that compare them (filter with
+    /// [`Level::is_available`]).
+    pub const ALL: [Level; 2] = [Level::Scalar, Level::Avx2];
+
+    /// Stable lowercase name for logs and benchmark output.
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
-            Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
         }
     }
@@ -43,11 +45,9 @@ impl Level {
         match self {
             Level::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Level::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             Level::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            Level::Avx2 => false,
         }
     }
 
@@ -70,8 +70,6 @@ fn detect() -> Level {
     }
     if Level::Avx2.is_available() {
         Level::Avx2
-    } else if Level::Sse2.is_available() {
-        Level::Sse2
     } else {
         Level::Scalar
     }
@@ -81,14 +79,13 @@ static DETECTED: OnceLock<Level> = OnceLock::new();
 
 /// Runtime override: 0 = none (use detection), else `Level as u8 + 1`.
 /// Acquire/Release so a tier set on one thread is seen by kernel calls
-/// on another (tests and the bench flip it around threaded sections).
+/// on another (tests flip it around threaded sections).
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// The tier kernels run at right now.
 pub fn level() -> Level {
     match OVERRIDE.load(Ordering::Acquire) {
         1 => Level::Scalar,
-        2 => Level::Sse2,
         3 => Level::Avx2,
         _ => *DETECTED.get_or_init(detect),
     }
@@ -135,9 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn names_are_stable() {
+    fn names_and_tier_numbers_are_stable() {
         assert_eq!(Level::Scalar.name(), "scalar");
-        assert_eq!(Level::Sse2.name(), "sse2");
         assert_eq!(Level::Avx2.name(), "avx2");
+        assert_eq!((Level::Scalar as u8, Level::Avx2 as u8), (0, 2));
     }
 }

@@ -1,11 +1,10 @@
 //! ckpt-simd: runtime-dispatched SIMD kernels for the checkpoint
 //! compression hot paths (DESIGN.md §16).
 //!
-//! Three tiers — AVX2, SSE2, portable scalar — selected once per
-//! process by CPU feature detection ([`dispatch::level`]), overridable
-//! with the `CKPT_FORCE_SCALAR` environment variable (CI fallback
-//! coverage) or [`dispatch::set_override`] (equivalence harness and
-//! benches).
+//! Two tiers — AVX2 and portable scalar — selected once per process by
+//! CPU feature detection ([`dispatch::level`]), overridable with the
+//! `CKPT_FORCE_SCALAR` environment variable (CI fallback coverage) or
+//! [`dispatch::set_override`] (equivalence harnesses).
 //!
 //! The contract every kernel in this crate obeys: **all tiers produce
 //! bit-identical output**. The pipeline's determinism guarantees

@@ -1,12 +1,10 @@
 //! Vectorized quantizer scans.
 //!
-//! Four kernels, each bit-identical to the scalar loops they replace in
+//! Kernels bit-identical to the scalar loops they replace in
 //! `crates/quant` (pinned by `crates/quant/tests/simd_equivalence.rs`):
 //!
 //! - [`min_max`] — the histogram/spike range scan, with the serial
 //!   first-seen semantics for NaN and signed zero preserved;
-//! - [`bin_indices`] — `Histogram::bin_of` over a slice (the binning,
-//!   encoding, and spike-split hot loop);
 //! - [`count_le`] — `boundaries.partition_point(|&b| b <= v)` for a
 //!   sorted boundary table (the Lloyd-Max assignment loop);
 //! - [`pack_bools`] / [`unpack_bools`] — bitmap pack/unpack between one
@@ -14,10 +12,7 @@
 //!
 //! Float kernels never reassociate: `min_max` reduces per-lane
 //! accumulators in lane order with the same strict comparisons the
-//! serial scan uses (plus a signed-zero fixup, see below), and
-//! `bin_indices` evaluates the exact scalar expression
-//! `((v - lo) / (hi - lo) * k) as isize` per element — SIMD covers the
-//! sub/div/mul, the cast and clamp stay scalar per element.
+//! serial scan uses (plus a signed-zero fixup, see below).
 
 use crate::dispatch::{self, Level};
 
@@ -38,13 +33,10 @@ pub fn min_max_at(level: Level, values: &[f64]) -> Option<(f64, f64)> {
     let (lo, hi) = match level {
         Level::Scalar => scalar::min_max(values),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified SSE2 is present.
-        Level::Sse2 => unsafe { sse2::min_max(values) },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: assert_available above verified AVX2 is present.
         Level::Avx2 => unsafe { avx2::min_max(values) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::min_max(values),
+        Level::Avx2 => scalar::min_max(values),
     };
     // Signed-zero fixup: a blocked reduction can surface a later ±0.0
     // than the serial first-seen scan would (−0.0 == 0.0 but the bits
@@ -57,39 +49,6 @@ pub fn min_max_at(level: Level, values: &[f64]) -> Option<(f64, f64)> {
     let lo = if lo == 0.0 { first_zero(lo) } else { lo };
     let hi = if hi == 0.0 { first_zero(hi) } else { hi };
     Some((lo, hi))
-}
-
-/// Writes the histogram bin of each value into `out`, replicating
-/// `Histogram::bin_of` bit for bit: bin `((v-lo)/(hi-lo)*k) as isize`
-/// clamped to `[0, k-1]`, everything in bin 0 when `hi <= lo`.
-///
-/// Panics if `out.len() != values.len()` or `k == 0` / `k > u32::MAX`.
-pub fn bin_indices(values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u32]) {
-    bin_indices_at(dispatch::level(), values, lo, hi, k, out);
-}
-
-/// [`bin_indices`] at an explicit tier.
-pub fn bin_indices_at(level: Level, values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u32]) {
-    assert_eq!(values.len(), out.len(), "bin_indices buffers must match");
-    assert!(k >= 1 && k <= u32::MAX as usize, "bin count {k} out of range");
-    if hi.partial_cmp(&lo) != Some(core::cmp::Ordering::Greater) {
-        // `hi <= lo` (or either bound NaN, where the quotient is NaN
-        // and the cast saturates to 0): bin_of returns 0 everywhere.
-        out.fill(0);
-        return;
-    }
-    level.assert_available();
-    match level {
-        Level::Scalar => scalar::bin_indices(values, lo, hi, k, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified SSE2 is present.
-        Level::Sse2 => unsafe { sse2::bin_indices(values, lo, hi, k, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified AVX2 is present.
-        Level::Avx2 => unsafe { avx2::bin_indices(values, lo, hi, k, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::bin_indices(values, lo, hi, k, out),
-    }
 }
 
 /// Number of elements `<= v`. For a sorted-ascending `boundaries` table
@@ -106,13 +65,10 @@ pub fn count_le_at(level: Level, boundaries: &[f64], v: f64) -> usize {
     match level {
         Level::Scalar => scalar::count_le(boundaries, v),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified SSE2 is present.
-        Level::Sse2 => unsafe { sse2::count_le(boundaries, v) },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: assert_available above verified AVX2 is present.
         Level::Avx2 => unsafe { avx2::count_le(boundaries, v) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::count_le(boundaries, v),
+        Level::Avx2 => scalar::count_le(boundaries, v),
     }
 }
 
@@ -130,14 +86,10 @@ pub fn pack_bools_at(level: Level, flags: &[bool]) -> Vec<u64> {
     match level {
         Level::Scalar => scalar::pack_bools(flags),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified SSE2 is present.
-        Level::Sse2 => unsafe { sse2::pack_bools(flags) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified AVX2 is present
-        // (which implies SSE2 for the 128-bit unpack path).
+        // SAFETY: assert_available above verified AVX2 is present.
         Level::Avx2 => unsafe { avx2::pack_bools(flags) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::pack_bools(flags),
+        Level::Avx2 => scalar::pack_bools(flags),
     }
 }
 
@@ -156,11 +108,10 @@ pub fn unpack_bools_at(level: Level, words: &[u64], len: usize) -> Vec<bool> {
     match level {
         Level::Scalar => scalar::unpack_bools(words, len),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available verified SSE2 (directly, or implied
-        // by AVX2) — the 128-bit expand covers both tiers.
-        Level::Sse2 | Level::Avx2 => unsafe { sse2::unpack_bools(words, len) },
+        // SAFETY: assert_available above verified AVX2 is present.
+        Level::Avx2 => unsafe { avx2::unpack_bools(words, len) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::unpack_bools(words, len),
+        Level::Avx2 => scalar::unpack_bools(words, len),
     }
 }
 
@@ -178,14 +129,6 @@ mod scalar {
             }
         }
         (lo, hi)
-    }
-
-    pub(super) fn bin_indices(values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u32]) {
-        for (o, &v) in out.iter_mut().zip(values) {
-            let t = (v - lo) / (hi - lo);
-            let b = (t * k as f64) as isize;
-            *o = b.clamp(0, k as isize - 1) as u32;
-        }
     }
 
     pub(super) fn count_le(boundaries: &[f64], v: f64) -> usize {
@@ -208,188 +151,18 @@ mod scalar {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod sse2 {
+mod avx2 {
     use core::arch::x86_64::*;
 
     /// # Safety
-    /// SSE2 must be available; `values` is non-empty.
+    /// AVX2 must be available; `values` is non-empty.
     ///
-    /// `_mm_min_pd(v, acc)` returns `v` iff `v < acc` and `acc`
+    /// `_mm256_min_pd(v, acc)` returns `v` iff `v < acc` and `acc`
     /// otherwise (equal operands and NaNs yield the second operand), so
     /// each lane keeps the serial scan's strict-compare first-seen
     /// semantics; the lane-order reduction below uses the same strict
     /// compares. The caller's signed-zero fixup handles cross-lane
     /// `±0.0` ties.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn min_max(values: &[f64]) -> (f64, f64) {
-        let n = values.len();
-        if n < 4 {
-            return super::scalar::min_max(values);
-        }
-        let p = values.as_ptr();
-        let mut vlo = _mm_loadu_pd(p);
-        let mut vhi = vlo;
-        let mut i = 2;
-        while i + 2 <= n {
-            let v = _mm_loadu_pd(p.add(i));
-            vlo = _mm_min_pd(v, vlo);
-            vhi = _mm_max_pd(v, vhi);
-            i += 2;
-        }
-        let mut lanes_lo = [0.0f64; 2];
-        let mut lanes_hi = [0.0f64; 2];
-        _mm_storeu_pd(lanes_lo.as_mut_ptr(), vlo);
-        _mm_storeu_pd(lanes_hi.as_mut_ptr(), vhi);
-        let mut lo = lanes_lo[0];
-        if lanes_lo[1] < lo {
-            lo = lanes_lo[1];
-        }
-        let mut hi = lanes_hi[0];
-        if lanes_hi[1] > hi {
-            hi = lanes_hi[1];
-        }
-        while i < n {
-            let v = *p.add(i);
-            if v < lo {
-                lo = v;
-            }
-            if v > hi {
-                hi = v;
-            }
-            i += 1;
-        }
-        (lo, hi)
-    }
-
-    /// # Safety
-    /// SSE2 available; `out.len() == values.len()`; `hi > lo`;
-    /// `1 <= k <= u32::MAX`.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn bin_indices(
-        values: &[f64],
-        lo: f64,
-        hi: f64,
-        k: usize,
-        out: &mut [u32],
-    ) {
-        let vlo = _mm_set1_pd(lo);
-        let vrange = _mm_set1_pd(hi - lo);
-        let vk = _mm_set1_pd(k as f64);
-        let kmax = k as isize - 1;
-        let p = values.as_ptr();
-        let mut buf = [0.0f64; 2];
-        let mut i = 0;
-        while i + 2 <= values.len() {
-            let t = _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(p.add(i)), vlo), vrange);
-            _mm_storeu_pd(buf.as_mut_ptr(), _mm_mul_pd(t, vk));
-            out[i] = (buf[0] as isize).clamp(0, kmax) as u32;
-            out[i + 1] = (buf[1] as isize).clamp(0, kmax) as u32;
-            i += 2;
-        }
-        while i < values.len() {
-            let t = (*p.add(i) - lo) / (hi - lo);
-            out[i] = ((t * k as f64) as isize).clamp(0, kmax) as u32;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// SSE2 must be available. `_mm_cmple_pd` is false on NaN in either
-    /// operand, matching the scalar `b <= v`.
-    ///
-    /// The compare mask is all-ones (-1 as i64) per satisfied lane, so
-    /// subtracting it from an integer accumulator counts matches
-    /// without a per-iteration movemask round-trip to scalar.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn count_le(boundaries: &[f64], v: f64) -> usize {
-        let vv = _mm_set1_pd(v);
-        let p = boundaries.as_ptr();
-        let n = boundaries.len();
-        let mut acc = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 2 <= n {
-            let m = _mm_castpd_si128(_mm_cmple_pd(_mm_loadu_pd(p.add(i)), vv));
-            acc = _mm_sub_epi64(acc, m);
-            i += 2;
-        }
-        let mut lanes = [0i64; 2];
-        _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), acc);
-        let mut count = (lanes[0] + lanes[1]) as usize;
-        while i < n {
-            if *p.add(i) <= v {
-                count += 1;
-            }
-            i += 1;
-        }
-        count
-    }
-
-    /// # Safety
-    /// SSE2 must be available. `bool` is guaranteed to be one byte
-    /// holding 0 or 1, so `cmpgt(v, 0)` marks exactly the true flags
-    /// and `movemask` collects them 16 at a time; `i` stays a multiple
-    /// of 16, so each mask lands inside one u64 word.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn pack_bools(flags: &[bool]) -> Vec<u64> {
-        let len = flags.len();
-        let mut words = vec![0u64; len.div_ceil(64)];
-        let p = flags.as_ptr().cast::<u8>();
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 16 <= len {
-            let v = _mm_loadu_si128(p.add(i).cast::<__m128i>());
-            let m = _mm_movemask_epi8(_mm_cmpgt_epi8(v, zero)) as u64;
-            words[i / 64] |= m << (i % 64);
-            i += 16;
-        }
-        while i < len {
-            if flags[i] {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-            i += 1;
-        }
-        words
-    }
-
-    /// # Safety
-    /// SSE2 available; `words.len() == len.div_ceil(64)`. Expands one
-    /// mask byte to 8 bool bytes: broadcast the byte, AND against the
-    /// per-lane bit masks, compare-equal, mask to 0/1 — writing 0/1
-    /// bytes into `Vec<bool>` storage is valid. `i` stays a multiple
-    /// of 8 so each byte comes from a single word.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn unpack_bools(words: &[u64], len: usize) -> Vec<bool> {
-        let mut out = vec![false; len];
-        #[allow(overflowing_literals)]
-        let bits = _mm_set_epi8(
-            0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04,
-            0x02, 0x01,
-        );
-        let one = _mm_set1_epi8(1);
-        let p = out.as_mut_ptr().cast::<u8>();
-        let mut i = 0;
-        while i + 8 <= len {
-            let byte = ((words[i / 64] >> (i % 64)) & 0xFF) as i8;
-            let sel = _mm_and_si128(_mm_set1_epi8(byte), bits);
-            let booleans = _mm_and_si128(_mm_cmpeq_epi8(sel, bits), one);
-            _mm_storel_epi64(p.add(i).cast::<__m128i>(), booleans);
-            i += 8;
-        }
-        while i < len {
-            out[i] = words[i / 64] & (1u64 << (i % 64)) != 0;
-            i += 1;
-        }
-        out
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use core::arch::x86_64::*;
-
-    /// # Safety
-    /// AVX2 must be available; `values` is non-empty. Same per-lane
-    /// first-seen argument as the SSE2 tier, four lanes wide.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn min_max(values: &[f64]) -> (f64, f64) {
         let n = values.len();
@@ -434,39 +207,6 @@ mod avx2 {
     }
 
     /// # Safety
-    /// AVX2 available; `out.len() == values.len()`; `hi > lo`;
-    /// `1 <= k <= u32::MAX`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bin_indices(
-        values: &[f64],
-        lo: f64,
-        hi: f64,
-        k: usize,
-        out: &mut [u32],
-    ) {
-        let vlo = _mm256_set1_pd(lo);
-        let vrange = _mm256_set1_pd(hi - lo);
-        let vk = _mm256_set1_pd(k as f64);
-        let kmax = k as isize - 1;
-        let p = values.as_ptr();
-        let mut buf = [0.0f64; 4];
-        let mut i = 0;
-        while i + 4 <= values.len() {
-            let t = _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(p.add(i)), vlo), vrange);
-            _mm256_storeu_pd(buf.as_mut_ptr(), _mm256_mul_pd(t, vk));
-            for (j, &x) in buf.iter().enumerate() {
-                out[i + j] = (x as isize).clamp(0, kmax) as u32;
-            }
-            i += 4;
-        }
-        while i < values.len() {
-            let t = (*p.add(i) - lo) / (hi - lo);
-            out[i] = ((t * k as f64) as isize).clamp(0, kmax) as u32;
-            i += 1;
-        }
-    }
-
-    /// # Safety
     /// AVX2 must be available. `_CMP_LE_OQ` is false on NaN, matching
     /// the scalar `b <= v`.
     ///
@@ -507,9 +247,10 @@ mod avx2 {
     }
 
     /// # Safety
-    /// AVX2 must be available. Same argument as the SSE2 pack, 32 flags
-    /// per iteration; `i` stays a multiple of 32 so each mask lands
-    /// inside one u64 word.
+    /// AVX2 must be available. `bool` is guaranteed to be one byte
+    /// holding 0 or 1, so `cmpgt(v, 0)` marks exactly the true flags
+    /// and `movemask` collects them 32 at a time; `i` stays a multiple
+    /// of 32, so each mask lands inside one u64 word.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn pack_bools(flags: &[bool]) -> Vec<u64> {
         let len = flags.len();
@@ -531,6 +272,37 @@ mod avx2 {
         }
         words
     }
+
+    /// # Safety
+    /// AVX2 available; `words.len() == len.div_ceil(64)`. Expands one
+    /// mask byte to 8 bool bytes: broadcast the byte, AND against the
+    /// per-lane bit masks, compare-equal, mask to 0/1 — writing 0/1
+    /// bytes into `Vec<bool>` storage is valid. `i` stays a multiple
+    /// of 8 so each byte comes from a single word.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn unpack_bools(words: &[u64], len: usize) -> Vec<bool> {
+        let mut out = vec![false; len];
+        #[allow(overflowing_literals)]
+        let bits = _mm_set_epi8(
+            0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04,
+            0x02, 0x01,
+        );
+        let one = _mm_set1_epi8(1);
+        let p = out.as_mut_ptr().cast::<u8>();
+        let mut i = 0;
+        while i + 8 <= len {
+            let byte = ((words[i / 64] >> (i % 64)) & 0xFF) as i8;
+            let sel = _mm_and_si128(_mm_set1_epi8(byte), bits);
+            let booleans = _mm_and_si128(_mm_cmpeq_epi8(sel, bits), one);
+            _mm_storel_epi64(p.add(i).cast::<__m128i>(), booleans);
+            i += 8;
+        }
+        while i < len {
+            out[i] = words[i / 64] & (1u64 << (i % 64)) != 0;
+            i += 1;
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -538,10 +310,7 @@ mod tests {
     use super::*;
 
     fn tiers() -> Vec<Level> {
-        [Level::Scalar, Level::Sse2, Level::Avx2]
-            .into_iter()
-            .filter(|l| l.is_available())
-            .collect()
+        Level::ALL.into_iter().filter(|l| l.is_available()).collect()
     }
 
     #[test]
@@ -599,24 +368,5 @@ mod tests {
             }
         }
         words
-    }
-
-    #[test]
-    fn bin_indices_matches_scalar_formula() {
-        let vals: Vec<f64> = (0..101).map(|i| (i as f64 * 0.37).sin() * 12.0).collect();
-        let (lo, hi) = min_max_at(Level::Scalar, &vals).unwrap();
-        for k in [1usize, 2, 64, 255] {
-            let mut want = vec![0u32; vals.len()];
-            bin_indices_at(Level::Scalar, &vals, lo, hi, k, &mut want);
-            for level in tiers() {
-                let mut got = vec![0u32; vals.len()];
-                bin_indices_at(level, &vals, lo, hi, k, &mut got);
-                assert_eq!(got, want, "{} k={k}", level.name());
-            }
-            // Degenerate range: everything in bin 0.
-            let mut got = vec![9u32; vals.len()];
-            bin_indices_at(Level::Scalar, &vals, 1.0, 1.0, k, &mut got);
-            assert!(got.iter().all(|&b| b == 0));
-        }
     }
 }

@@ -63,19 +63,7 @@ pub enum WaveletOp {
 }
 
 impl WaveletOp {
-    /// Stable name for bench JSON rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            WaveletOp::HaarForward => "haar_forward",
-            WaveletOp::HaarInverse => "haar_inverse",
-            WaveletOp::Cdf53Forward => "cdf53_forward",
-            WaveletOp::Cdf53Inverse => "cdf53_inverse",
-            WaveletOp::Cdf97Forward => "cdf97_forward",
-            WaveletOp::Cdf97Inverse => "cdf97_inverse",
-        }
-    }
-
-    /// All ops, for harnesses and benches.
+    /// All ops, for the equivalence harnesses.
     pub const ALL: [WaveletOp; 6] = [
         WaveletOp::HaarForward,
         WaveletOp::HaarInverse,
@@ -92,7 +80,7 @@ pub fn apply(op: WaveletOp, src: &[f64], dst: &mut [f64], n: usize, w: usize) {
     apply_at(dispatch::level(), op, src, dst, n, w);
 }
 
-/// Applies `op` at an explicit tier (harness/bench entry point).
+/// Applies `op` at an explicit tier (equivalence-harness entry point).
 ///
 /// Panics if the buffers are not `n * w` long or the tier is not
 /// available on this CPU.
@@ -106,13 +94,10 @@ pub fn apply_at(level: Level, op: WaveletOp, src: &[f64], dst: &mut [f64], n: us
     match level {
         Level::Scalar => scalar::apply(op, src, dst, n, w),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified SSE2 is present.
-        Level::Sse2 => unsafe { sse2::apply(op, src, dst, n, w) },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: assert_available above verified AVX2 is present.
         Level::Avx2 => unsafe { avx2::apply(op, src, dst, n, w) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::apply(op, src, dst, n, w),
+        Level::Avx2 => scalar::apply(op, src, dst, n, w),
     }
 }
 
@@ -309,457 +294,447 @@ mod scalar {
     }
 }
 
-/// Generates one SIMD tier: identical kernel structure, parameterized
-/// only by vector width and intrinsic names. All arithmetic rewrites
-/// relative to the scalar reference are the value-preserving ones
-/// listed in the module docs.
+/// The AVX2 tier: the scalar kernels' structure with each row
+/// operation four lanes wide. All arithmetic rewrites relative to the
+/// scalar reference are the value-preserving ones listed in the module
+/// docs.
 #[cfg(target_arch = "x86_64")]
-macro_rules! simd_tier {
-    ($modname:ident, $feature:literal, $lanes:literal,
-     $loadu:ident, $storeu:ident, $add:ident, $sub:ident, $mul:ident, $div:ident,
-     $set1:ident) => {
-        pub(super) mod $modname {
-            use super::{reflect, WaveletOp, ALPHA, BETA, DELTA, GAMMA, K};
-            use core::arch::x86_64::*;
+mod avx2 {
+    use super::{reflect, WaveletOp, ALPHA, BETA, DELTA, GAMMA, K};
+    use core::arch::x86_64::*;
 
-            const L: usize = $lanes;
+    const L: usize = 4;
 
-            /// # Safety
-            /// Caller must have verified the `$feature` CPU feature is
-            /// available (the dispatcher's `assert_available`) and that
-            /// `src.len() == dst.len() == n * w` with `n, w > 0`.
-            #[target_feature(enable = $feature)]
-            pub(in super::super) unsafe fn apply(
-                op: WaveletOp,
-                src: &[f64],
-                dst: &mut [f64],
-                n: usize,
-                w: usize,
-            ) {
-                match op {
-                    WaveletOp::HaarForward => haar_forward(src, dst, n, w),
-                    WaveletOp::HaarInverse => haar_inverse(src, dst, n, w),
-                    WaveletOp::Cdf53Forward => cdf53_forward(src, dst, n, w),
-                    WaveletOp::Cdf53Inverse => cdf53_inverse(src, dst, n, w),
-                    WaveletOp::Cdf97Forward => cdf97_forward(src, dst, n, w),
-                    WaveletOp::Cdf97Inverse => cdf97_inverse(src, dst, n, w),
-                }
-            }
-
-            /// `out[j] = (a[j] + b[j]) * c` — with `c = 0.5` this is the
-            /// reference `(a + b) / 2.0` (power-of-two scale).
-            ///
-            /// # Safety
-            /// `a`, `b`, `out` each point at `w` f64s; `out` does not
-            /// overlap `a` or `b`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn sum_scale_row(a: *const f64, b: *const f64, out: *mut f64, c: f64, w: usize) {
-                let vc = $set1(c);
-                let mut j = 0;
-                while j + L <= w {
-                    $storeu(out.add(j), $mul($add($loadu(a.add(j)), $loadu(b.add(j))), vc));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = (*a.add(j) + *b.add(j)) * c;
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = (a[j] - b[j]) * c` — with `c = 0.5` this is the
-            /// reference `(a - b) / 2.0`.
-            ///
-            /// # Safety
-            /// Same contract as `sum_scale_row`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn diff_scale_row(
-                a: *const f64,
-                b: *const f64,
-                out: *mut f64,
-                c: f64,
-                w: usize,
-            ) {
-                let vc = $set1(c);
-                let mut j = 0;
-                while j + L <= w {
-                    $storeu(out.add(j), $mul($sub($loadu(a.add(j)), $loadu(b.add(j))), vc));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = (*a.add(j) - *b.add(j)) * c;
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = a[j] + b[j]`.
-            ///
-            /// # Safety
-            /// Same contract as `sum_scale_row`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn add_row(a: *const f64, b: *const f64, out: *mut f64, w: usize) {
-                let mut j = 0;
-                while j + L <= w {
-                    $storeu(out.add(j), $add($loadu(a.add(j)), $loadu(b.add(j))));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = *a.add(j) + *b.add(j);
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = a[j] - b[j]`.
-            ///
-            /// # Safety
-            /// Same contract as `sum_scale_row`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn sub_row(a: *const f64, b: *const f64, out: *mut f64, w: usize) {
-                let mut j = 0;
-                while j + L <= w {
-                    $storeu(out.add(j), $sub($loadu(a.add(j)), $loadu(b.add(j))));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = *a.add(j) - *b.add(j);
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = base[j] + (x[j] + y[j]) * c` — the lifting
-            /// step. The reference writes `base + C*(x+y)` (cdf97) and
-            /// `base + (x+y)/4.0` (cdf53, `c = 0.25`); both are this
-            /// expression verbatim.
-            ///
-            /// # Safety
-            /// `base`, `x`, `y`, `out` each point at `w` f64s; `out`
-            /// may alias `base` (in-place lifting) but not `x` or `y`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn fused_add_row(
-                base: *const f64,
-                x: *const f64,
-                y: *const f64,
-                c: f64,
-                out: *mut f64,
-                w: usize,
-            ) {
-                let vc = $set1(c);
-                let mut j = 0;
-                while j + L <= w {
-                    let t = $mul($add($loadu(x.add(j)), $loadu(y.add(j))), vc);
-                    $storeu(out.add(j), $add($loadu(base.add(j)), t));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = *base.add(j) + (*x.add(j) + *y.add(j)) * c;
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = base[j] - (x[j] + y[j]) * c` — the inverse
-            /// lifting step (`base - C*(x+y)` / `base - (x+y)/2.0`).
-            ///
-            /// # Safety
-            /// Same contract as `fused_add_row`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn fused_sub_row(
-                base: *const f64,
-                x: *const f64,
-                y: *const f64,
-                c: f64,
-                out: *mut f64,
-                w: usize,
-            ) {
-                let vc = $set1(c);
-                let mut j = 0;
-                while j + L <= w {
-                    let t = $mul($add($loadu(x.add(j)), $loadu(y.add(j))), vc);
-                    $storeu(out.add(j), $sub($loadu(base.add(j)), t));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = *base.add(j) - (*x.add(j) + *y.add(j)) * c;
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = a[j] / c` — kept as a true division because the
-            /// 9/7 gain `K` is not a power of two.
-            ///
-            /// # Safety
-            /// `a`, `out` each point at `w` f64s.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn div_scalar_row(a: *const f64, c: f64, out: *mut f64, w: usize) {
-                let vc = $set1(c);
-                let mut j = 0;
-                while j + L <= w {
-                    $storeu(out.add(j), $div($loadu(a.add(j)), vc));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = *a.add(j) / c;
-                    j += 1;
-                }
-            }
-
-            /// `out[j] = a[j] * c`.
-            ///
-            /// # Safety
-            /// `a`, `out` each point at `w` f64s.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn mul_scalar_row(a: *const f64, c: f64, out: *mut f64, w: usize) {
-                let vc = $set1(c);
-                let mut j = 0;
-                while j + L <= w {
-                    $storeu(out.add(j), $mul($loadu(a.add(j)), vc));
-                    j += L;
-                }
-                while j < w {
-                    *out.add(j) = *a.add(j) * c;
-                    j += 1;
-                }
-            }
-
-            /// # Safety
-            /// See `apply`; row indices are all `< n` by the band-length
-            /// arithmetic, so every `.add(row * w)` stays in bounds.
-            #[target_feature(enable = $feature)]
-            unsafe fn haar_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-                let h = n.div_ceil(2);
-                let sp = src.as_ptr();
-                let dp = dst.as_mut_ptr();
-                for i in 0..n / 2 {
-                    let a = sp.add(2 * i * w);
-                    let b = sp.add((2 * i + 1) * w);
-                    sum_scale_row(a, b, dp.add(i * w), 0.5, w);
-                    diff_scale_row(a, b, dp.add((h + i) * w), 0.5, w);
-                }
-                if n % 2 == 1 {
-                    core::ptr::copy_nonoverlapping(sp.add((n - 1) * w), dp.add((h - 1) * w), w);
-                }
-            }
-
-            /// # Safety
-            /// See `apply`.
-            #[target_feature(enable = $feature)]
-            unsafe fn haar_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-                let h = n.div_ceil(2);
-                let sp = src.as_ptr();
-                let dp = dst.as_mut_ptr();
-                for i in 0..n / 2 {
-                    let l = sp.add(i * w);
-                    let hi = sp.add((h + i) * w);
-                    add_row(l, hi, dp.add(2 * i * w), w);
-                    sub_row(l, hi, dp.add((2 * i + 1) * w), w);
-                }
-                if n % 2 == 1 {
-                    core::ptr::copy_nonoverlapping(sp.add((h - 1) * w), dp.add((n - 1) * w), w);
-                }
-            }
-
-            /// # Safety
-            /// See `apply`. Predict writes high rows reading only `src`;
-            /// update writes low rows reading `src` plus already-written
-            /// high rows of `dst` — no row aliases its inputs.
-            #[target_feature(enable = $feature)]
-            unsafe fn cdf53_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-                if n == 1 {
-                    dst.copy_from_slice(src);
-                    return;
-                }
-                let h = n.div_ceil(2);
-                let pairs = n / 2;
-                let sp = src.as_ptr();
-                let dp = dst.as_mut_ptr();
-                for i in 0..pairs {
-                    let r = reflect(2 * i as isize + 2, n);
-                    fused_sub_row(
-                        sp.add((2 * i + 1) * w),
-                        sp.add(2 * i * w),
-                        sp.add(r * w),
-                        0.5,
-                        dp.add((h + i) * w),
-                        w,
-                    );
-                }
-                for i in 0..h {
-                    let dprev = if i == 0 { h } else { h + i - 1 };
-                    let dhere = if i < pairs { h + i } else { dprev };
-                    fused_add_row(
-                        sp.add(2 * i * w),
-                        dp.add(dprev * w),
-                        dp.add(dhere * w),
-                        0.25,
-                        dp.add(i * w),
-                        w,
-                    );
-                }
-            }
-
-            /// # Safety
-            /// See `apply`. The undo-update pass writes even rows
-            /// reading only `src`; undo-predict writes odd rows reading
-            /// `src` plus the even `dst` rows written by the first pass.
-            #[target_feature(enable = $feature)]
-            unsafe fn cdf53_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-                if n == 1 {
-                    dst.copy_from_slice(src);
-                    return;
-                }
-                let h = n.div_ceil(2);
-                let pairs = n / 2;
-                let sp = src.as_ptr();
-                let dp = dst.as_mut_ptr();
-                for i in 0..h {
-                    let dprev = if i == 0 { h } else { h + i - 1 };
-                    let dhere = if i < pairs { h + i } else { dprev };
-                    fused_sub_row(
-                        sp.add(i * w),
-                        sp.add(dprev * w),
-                        sp.add(dhere * w),
-                        0.25,
-                        dp.add(2 * i * w),
-                        w,
-                    );
-                }
-                for i in 0..pairs {
-                    let r = reflect(2 * i as isize + 2, n);
-                    fused_add_row(
-                        sp.add((h + i) * w),
-                        dp.add(2 * i * w),
-                        dp.add(r * w),
-                        0.5,
-                        dp.add((2 * i + 1) * w),
-                        w,
-                    );
-                }
-            }
-
-            /// # Safety
-            /// See `apply`. Lifting passes alternate between the `s` and
-            /// `d` scratch buffers; within a pass each written row reads
-            /// only rows of the *other* buffer, so in-place
-            /// `fused_add_row` (out == base) never aliases `x`/`y`.
-            #[target_feature(enable = $feature)]
-            unsafe fn cdf97_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-                let ns = n.div_ceil(2);
-                let nd = n / 2;
-                if nd == 0 {
-                    dst.copy_from_slice(src);
-                    return;
-                }
-                let mut s = vec![0.0f64; ns * w];
-                let mut d = vec![0.0f64; nd * w];
-                let sp = src.as_ptr();
-                for i in 0..ns {
-                    core::ptr::copy_nonoverlapping(sp.add(2 * i * w), s.as_mut_ptr().add(i * w), w);
-                }
-                for i in 0..nd {
-                    core::ptr::copy_nonoverlapping(
-                        sp.add((2 * i + 1) * w),
-                        d.as_mut_ptr().add(i * w),
-                        w,
-                    );
-                }
-                let spp = s.as_mut_ptr();
-                let dpp = d.as_mut_ptr();
-                for i in 0..nd {
-                    let k2 = (i + 1).min(ns - 1);
-                    let row = dpp.add(i * w);
-                    fused_add_row(row, spp.add(i * w), spp.add(k2 * w), ALPHA, row, w);
-                }
-                for i in 0..ns {
-                    let a = i.saturating_sub(1);
-                    let b = i.min(nd - 1);
-                    let row = spp.add(i * w);
-                    fused_add_row(row, dpp.add(a * w), dpp.add(b * w), BETA, row, w);
-                }
-                for i in 0..nd {
-                    let k2 = (i + 1).min(ns - 1);
-                    let row = dpp.add(i * w);
-                    fused_add_row(row, spp.add(i * w), spp.add(k2 * w), GAMMA, row, w);
-                }
-                for i in 0..ns {
-                    let a = i.saturating_sub(1);
-                    let b = i.min(nd - 1);
-                    let row = spp.add(i * w);
-                    fused_add_row(row, dpp.add(a * w), dpp.add(b * w), DELTA, row, w);
-                }
-                let dp = dst.as_mut_ptr();
-                div_scalar_row(spp, K, dp, ns * w);
-                mul_scalar_row(dpp, K, dp.add(ns * w), nd * w);
-            }
-
-            /// # Safety
-            /// See `apply` and `cdf97_forward` (same aliasing argument,
-            /// lifting steps reversed with `fused_sub_row`).
-            #[target_feature(enable = $feature)]
-            unsafe fn cdf97_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-                let ns = n.div_ceil(2);
-                let nd = n / 2;
-                if nd == 0 {
-                    dst.copy_from_slice(src);
-                    return;
-                }
-                let mut s = vec![0.0f64; ns * w];
-                let mut d = vec![0.0f64; nd * w];
-                let sp = src.as_ptr();
-                mul_scalar_row(sp, K, s.as_mut_ptr(), ns * w);
-                div_scalar_row(sp.add(ns * w), K, d.as_mut_ptr(), nd * w);
-                let spp = s.as_mut_ptr();
-                let dpp = d.as_mut_ptr();
-                for i in 0..ns {
-                    let a = i.saturating_sub(1);
-                    let b = i.min(nd - 1);
-                    let row = spp.add(i * w);
-                    fused_sub_row(row, dpp.add(a * w), dpp.add(b * w), DELTA, row, w);
-                }
-                for i in 0..nd {
-                    let k2 = (i + 1).min(ns - 1);
-                    let row = dpp.add(i * w);
-                    fused_sub_row(row, spp.add(i * w), spp.add(k2 * w), GAMMA, row, w);
-                }
-                for i in 0..ns {
-                    let a = i.saturating_sub(1);
-                    let b = i.min(nd - 1);
-                    let row = spp.add(i * w);
-                    fused_sub_row(row, dpp.add(a * w), dpp.add(b * w), BETA, row, w);
-                }
-                for i in 0..nd {
-                    let k2 = (i + 1).min(ns - 1);
-                    let row = dpp.add(i * w);
-                    fused_sub_row(row, spp.add(i * w), spp.add(k2 * w), ALPHA, row, w);
-                }
-                let dp = dst.as_mut_ptr();
-                for i in 0..ns {
-                    core::ptr::copy_nonoverlapping(spp.add(i * w), dp.add(2 * i * w), w);
-                }
-                for i in 0..nd {
-                    core::ptr::copy_nonoverlapping(dpp.add(i * w), dp.add((2 * i + 1) * w), w);
-                }
-            }
+    /// # Safety
+    /// Caller must have verified the AVX2 CPU feature is
+    /// available (the dispatcher's `assert_available`) and that
+    /// `src.len() == dst.len() == n * w` with `n, w > 0`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn apply(op: WaveletOp, src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        match op {
+            WaveletOp::HaarForward => haar_forward(src, dst, n, w),
+            WaveletOp::HaarInverse => haar_inverse(src, dst, n, w),
+            WaveletOp::Cdf53Forward => cdf53_forward(src, dst, n, w),
+            WaveletOp::Cdf53Inverse => cdf53_inverse(src, dst, n, w),
+            WaveletOp::Cdf97Forward => cdf97_forward(src, dst, n, w),
+            WaveletOp::Cdf97Inverse => cdf97_inverse(src, dst, n, w),
         }
-    };
+    }
+
+    /// `out[j] = (a[j] + b[j]) * c` — with `c = 0.5` this is the
+    /// reference `(a + b) / 2.0` (power-of-two scale).
+    ///
+    /// # Safety
+    /// `a`, `b`, `out` each point at `w` f64s; `out` does not
+    /// overlap `a` or `b`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sum_scale_row(a: *const f64, b: *const f64, out: *mut f64, c: f64, w: usize) {
+        let vc = _mm256_set1_pd(c);
+        let mut j = 0;
+        while j + L <= w {
+            _mm256_storeu_pd(
+                out.add(j),
+                _mm256_mul_pd(
+                    _mm256_add_pd(_mm256_loadu_pd(a.add(j)), _mm256_loadu_pd(b.add(j))),
+                    vc,
+                ),
+            );
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = (*a.add(j) + *b.add(j)) * c;
+            j += 1;
+        }
+    }
+
+    /// `out[j] = (a[j] - b[j]) * c` — with `c = 0.5` this is the
+    /// reference `(a - b) / 2.0`.
+    ///
+    /// # Safety
+    /// Same contract as `sum_scale_row`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn diff_scale_row(a: *const f64, b: *const f64, out: *mut f64, c: f64, w: usize) {
+        let vc = _mm256_set1_pd(c);
+        let mut j = 0;
+        while j + L <= w {
+            _mm256_storeu_pd(
+                out.add(j),
+                _mm256_mul_pd(
+                    _mm256_sub_pd(_mm256_loadu_pd(a.add(j)), _mm256_loadu_pd(b.add(j))),
+                    vc,
+                ),
+            );
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = (*a.add(j) - *b.add(j)) * c;
+            j += 1;
+        }
+    }
+
+    /// `out[j] = a[j] + b[j]`.
+    ///
+    /// # Safety
+    /// Same contract as `sum_scale_row`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_row(a: *const f64, b: *const f64, out: *mut f64, w: usize) {
+        let mut j = 0;
+        while j + L <= w {
+            _mm256_storeu_pd(
+                out.add(j),
+                _mm256_add_pd(_mm256_loadu_pd(a.add(j)), _mm256_loadu_pd(b.add(j))),
+            );
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = *a.add(j) + *b.add(j);
+            j += 1;
+        }
+    }
+
+    /// `out[j] = a[j] - b[j]`.
+    ///
+    /// # Safety
+    /// Same contract as `sum_scale_row`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sub_row(a: *const f64, b: *const f64, out: *mut f64, w: usize) {
+        let mut j = 0;
+        while j + L <= w {
+            _mm256_storeu_pd(
+                out.add(j),
+                _mm256_sub_pd(_mm256_loadu_pd(a.add(j)), _mm256_loadu_pd(b.add(j))),
+            );
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = *a.add(j) - *b.add(j);
+            j += 1;
+        }
+    }
+
+    /// `out[j] = base[j] + (x[j] + y[j]) * c` — the lifting
+    /// step. The reference writes `base + C*(x+y)` (cdf97) and
+    /// `base + (x+y)/4.0` (cdf53, `c = 0.25`); both are this
+    /// expression verbatim.
+    ///
+    /// # Safety
+    /// `base`, `x`, `y`, `out` each point at `w` f64s; `out`
+    /// may alias `base` (in-place lifting) but not `x` or `y`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fused_add_row(
+        base: *const f64,
+        x: *const f64,
+        y: *const f64,
+        c: f64,
+        out: *mut f64,
+        w: usize,
+    ) {
+        let vc = _mm256_set1_pd(c);
+        let mut j = 0;
+        while j + L <= w {
+            let t = _mm256_mul_pd(
+                _mm256_add_pd(_mm256_loadu_pd(x.add(j)), _mm256_loadu_pd(y.add(j))),
+                vc,
+            );
+            _mm256_storeu_pd(out.add(j), _mm256_add_pd(_mm256_loadu_pd(base.add(j)), t));
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = *base.add(j) + (*x.add(j) + *y.add(j)) * c;
+            j += 1;
+        }
+    }
+
+    /// `out[j] = base[j] - (x[j] + y[j]) * c` — the inverse
+    /// lifting step (`base - C*(x+y)` / `base - (x+y)/2.0`).
+    ///
+    /// # Safety
+    /// Same contract as `fused_add_row`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fused_sub_row(
+        base: *const f64,
+        x: *const f64,
+        y: *const f64,
+        c: f64,
+        out: *mut f64,
+        w: usize,
+    ) {
+        let vc = _mm256_set1_pd(c);
+        let mut j = 0;
+        while j + L <= w {
+            let t = _mm256_mul_pd(
+                _mm256_add_pd(_mm256_loadu_pd(x.add(j)), _mm256_loadu_pd(y.add(j))),
+                vc,
+            );
+            _mm256_storeu_pd(out.add(j), _mm256_sub_pd(_mm256_loadu_pd(base.add(j)), t));
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = *base.add(j) - (*x.add(j) + *y.add(j)) * c;
+            j += 1;
+        }
+    }
+
+    /// `out[j] = a[j] / c` — kept as a true division because the
+    /// 9/7 gain `K` is not a power of two.
+    ///
+    /// # Safety
+    /// `a`, `out` each point at `w` f64s.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn div_scalar_row(a: *const f64, c: f64, out: *mut f64, w: usize) {
+        let vc = _mm256_set1_pd(c);
+        let mut j = 0;
+        while j + L <= w {
+            _mm256_storeu_pd(out.add(j), _mm256_div_pd(_mm256_loadu_pd(a.add(j)), vc));
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = *a.add(j) / c;
+            j += 1;
+        }
+    }
+
+    /// `out[j] = a[j] * c`.
+    ///
+    /// # Safety
+    /// `a`, `out` each point at `w` f64s.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul_scalar_row(a: *const f64, c: f64, out: *mut f64, w: usize) {
+        let vc = _mm256_set1_pd(c);
+        let mut j = 0;
+        while j + L <= w {
+            _mm256_storeu_pd(out.add(j), _mm256_mul_pd(_mm256_loadu_pd(a.add(j)), vc));
+            j += L;
+        }
+        while j < w {
+            *out.add(j) = *a.add(j) * c;
+            j += 1;
+        }
+    }
+
+    /// # Safety
+    /// See `apply`; row indices are all `< n` by the band-length
+    /// arithmetic, so every `.add(row * w)` stays in bounds.
+    #[target_feature(enable = "avx2")]
+    unsafe fn haar_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        let h = n.div_ceil(2);
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        for i in 0..n / 2 {
+            let a = sp.add(2 * i * w);
+            let b = sp.add((2 * i + 1) * w);
+            sum_scale_row(a, b, dp.add(i * w), 0.5, w);
+            diff_scale_row(a, b, dp.add((h + i) * w), 0.5, w);
+        }
+        if n % 2 == 1 {
+            core::ptr::copy_nonoverlapping(sp.add((n - 1) * w), dp.add((h - 1) * w), w);
+        }
+    }
+
+    /// # Safety
+    /// See `apply`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn haar_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        let h = n.div_ceil(2);
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        for i in 0..n / 2 {
+            let l = sp.add(i * w);
+            let hi = sp.add((h + i) * w);
+            add_row(l, hi, dp.add(2 * i * w), w);
+            sub_row(l, hi, dp.add((2 * i + 1) * w), w);
+        }
+        if n % 2 == 1 {
+            core::ptr::copy_nonoverlapping(sp.add((h - 1) * w), dp.add((n - 1) * w), w);
+        }
+    }
+
+    /// # Safety
+    /// See `apply`. Predict writes high rows reading only `src`;
+    /// update writes low rows reading `src` plus already-written
+    /// high rows of `dst` — no row aliases its inputs.
+    #[target_feature(enable = "avx2")]
+    unsafe fn cdf53_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        if n == 1 {
+            dst.copy_from_slice(src);
+            return;
+        }
+        let h = n.div_ceil(2);
+        let pairs = n / 2;
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        for i in 0..pairs {
+            let r = reflect(2 * i as isize + 2, n);
+            fused_sub_row(
+                sp.add((2 * i + 1) * w),
+                sp.add(2 * i * w),
+                sp.add(r * w),
+                0.5,
+                dp.add((h + i) * w),
+                w,
+            );
+        }
+        for i in 0..h {
+            let dprev = if i == 0 { h } else { h + i - 1 };
+            let dhere = if i < pairs { h + i } else { dprev };
+            fused_add_row(
+                sp.add(2 * i * w),
+                dp.add(dprev * w),
+                dp.add(dhere * w),
+                0.25,
+                dp.add(i * w),
+                w,
+            );
+        }
+    }
+
+    /// # Safety
+    /// See `apply`. The undo-update pass writes even rows
+    /// reading only `src`; undo-predict writes odd rows reading
+    /// `src` plus the even `dst` rows written by the first pass.
+    #[target_feature(enable = "avx2")]
+    unsafe fn cdf53_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        if n == 1 {
+            dst.copy_from_slice(src);
+            return;
+        }
+        let h = n.div_ceil(2);
+        let pairs = n / 2;
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        for i in 0..h {
+            let dprev = if i == 0 { h } else { h + i - 1 };
+            let dhere = if i < pairs { h + i } else { dprev };
+            fused_sub_row(
+                sp.add(i * w),
+                sp.add(dprev * w),
+                sp.add(dhere * w),
+                0.25,
+                dp.add(2 * i * w),
+                w,
+            );
+        }
+        for i in 0..pairs {
+            let r = reflect(2 * i as isize + 2, n);
+            fused_add_row(
+                sp.add((h + i) * w),
+                dp.add(2 * i * w),
+                dp.add(r * w),
+                0.5,
+                dp.add((2 * i + 1) * w),
+                w,
+            );
+        }
+    }
+
+    /// # Safety
+    /// See `apply`. Lifting passes alternate between the `s` and
+    /// `d` scratch buffers; within a pass each written row reads
+    /// only rows of the *other* buffer, so in-place
+    /// `fused_add_row` (out == base) never aliases `x`/`y`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn cdf97_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        let ns = n.div_ceil(2);
+        let nd = n / 2;
+        if nd == 0 {
+            dst.copy_from_slice(src);
+            return;
+        }
+        let mut s = vec![0.0f64; ns * w];
+        let mut d = vec![0.0f64; nd * w];
+        let sp = src.as_ptr();
+        for i in 0..ns {
+            core::ptr::copy_nonoverlapping(sp.add(2 * i * w), s.as_mut_ptr().add(i * w), w);
+        }
+        for i in 0..nd {
+            core::ptr::copy_nonoverlapping(sp.add((2 * i + 1) * w), d.as_mut_ptr().add(i * w), w);
+        }
+        let spp = s.as_mut_ptr();
+        let dpp = d.as_mut_ptr();
+        for i in 0..nd {
+            let k2 = (i + 1).min(ns - 1);
+            let row = dpp.add(i * w);
+            fused_add_row(row, spp.add(i * w), spp.add(k2 * w), ALPHA, row, w);
+        }
+        for i in 0..ns {
+            let a = i.saturating_sub(1);
+            let b = i.min(nd - 1);
+            let row = spp.add(i * w);
+            fused_add_row(row, dpp.add(a * w), dpp.add(b * w), BETA, row, w);
+        }
+        for i in 0..nd {
+            let k2 = (i + 1).min(ns - 1);
+            let row = dpp.add(i * w);
+            fused_add_row(row, spp.add(i * w), spp.add(k2 * w), GAMMA, row, w);
+        }
+        for i in 0..ns {
+            let a = i.saturating_sub(1);
+            let b = i.min(nd - 1);
+            let row = spp.add(i * w);
+            fused_add_row(row, dpp.add(a * w), dpp.add(b * w), DELTA, row, w);
+        }
+        let dp = dst.as_mut_ptr();
+        div_scalar_row(spp, K, dp, ns * w);
+        mul_scalar_row(dpp, K, dp.add(ns * w), nd * w);
+    }
+
+    /// # Safety
+    /// See `apply` and `cdf97_forward` (same aliasing argument,
+    /// lifting steps reversed with `fused_sub_row`).
+    #[target_feature(enable = "avx2")]
+    unsafe fn cdf97_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
+        let ns = n.div_ceil(2);
+        let nd = n / 2;
+        if nd == 0 {
+            dst.copy_from_slice(src);
+            return;
+        }
+        let mut s = vec![0.0f64; ns * w];
+        let mut d = vec![0.0f64; nd * w];
+        let sp = src.as_ptr();
+        mul_scalar_row(sp, K, s.as_mut_ptr(), ns * w);
+        div_scalar_row(sp.add(ns * w), K, d.as_mut_ptr(), nd * w);
+        let spp = s.as_mut_ptr();
+        let dpp = d.as_mut_ptr();
+        for i in 0..ns {
+            let a = i.saturating_sub(1);
+            let b = i.min(nd - 1);
+            let row = spp.add(i * w);
+            fused_sub_row(row, dpp.add(a * w), dpp.add(b * w), DELTA, row, w);
+        }
+        for i in 0..nd {
+            let k2 = (i + 1).min(ns - 1);
+            let row = dpp.add(i * w);
+            fused_sub_row(row, spp.add(i * w), spp.add(k2 * w), GAMMA, row, w);
+        }
+        for i in 0..ns {
+            let a = i.saturating_sub(1);
+            let b = i.min(nd - 1);
+            let row = spp.add(i * w);
+            fused_sub_row(row, dpp.add(a * w), dpp.add(b * w), BETA, row, w);
+        }
+        for i in 0..nd {
+            let k2 = (i + 1).min(ns - 1);
+            let row = dpp.add(i * w);
+            fused_sub_row(row, spp.add(i * w), spp.add(k2 * w), ALPHA, row, w);
+        }
+        let dp = dst.as_mut_ptr();
+        for i in 0..ns {
+            core::ptr::copy_nonoverlapping(spp.add(i * w), dp.add(2 * i * w), w);
+        }
+        for i in 0..nd {
+            core::ptr::copy_nonoverlapping(dpp.add(i * w), dp.add((2 * i + 1) * w), w);
+        }
+    }
 }
-
-#[cfg(target_arch = "x86_64")]
-simd_tier!(
-    sse2, "sse2", 2, _mm_loadu_pd, _mm_storeu_pd, _mm_add_pd, _mm_sub_pd, _mm_mul_pd, _mm_div_pd,
-    _mm_set1_pd
-);
-
-#[cfg(target_arch = "x86_64")]
-simd_tier!(
-    avx2, "avx2", 4, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_add_pd, _mm256_sub_pd,
-    _mm256_mul_pd, _mm256_div_pd, _mm256_set1_pd
-);
 
 #[cfg(test)]
 mod tests {
@@ -783,10 +758,7 @@ mod tests {
             for op in WaveletOp::ALL {
                 let mut want = vec![0.0; n * w];
                 apply_at(Level::Scalar, op, &src, &mut want, n, w);
-                for level in [Level::Sse2, Level::Avx2] {
-                    if !level.is_available() {
-                        continue;
-                    }
+                for level in Level::ALL.into_iter().filter(|l| l.is_available()) {
                     let mut got = vec![0.0; n * w];
                     apply_at(level, op, &src, &mut got, n, w);
                     let wb: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();

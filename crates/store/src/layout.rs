@@ -1,5 +1,6 @@
 //! On-disk layout: paths, file naming, and durability helpers.
 
+use crate::failpoint::FailPoint;
 use crate::Result;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -110,6 +111,29 @@ pub fn fsync_dir(dir: &Path) -> Result<()> {
     if let Ok(f) = fs::File::open(dir) {
         f.sync_all()?;
     }
+    Ok(())
+}
+
+/// Durably replaces the file at `dst` with `bytes`: write a staging
+/// file, fsync it, rename it over `dst`, fsync `dst`'s directory. A
+/// kill at any byte leaves either the previous `dst` or the new one,
+/// never a torn mix. A `fp` kill barrier precedes the fsync and the
+/// rename, and one follows the directory fsync.
+///
+/// `tmp_path` must be on `dst`'s filesystem; store metadata stages
+/// under [`Layout::meta_tmp_path`], which open-time recovery sweeps.
+pub fn durable_replace(tmp_path: &Path, dst: &Path, bytes: &[u8], fp: &FailPoint) -> Result<()> {
+    let mut f = fs::File::create(tmp_path)?;
+    fp.write_all(&mut f, bytes)?;
+    fp.check()?;
+    f.sync_all()?;
+    drop(f);
+    fp.check()?;
+    fs::rename(tmp_path, dst)?;
+    // A bare file name has an empty parent: the current directory.
+    let dir = dst.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    fsync_dir(dir)?;
+    fp.check()?;
     Ok(())
 }
 

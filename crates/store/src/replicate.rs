@@ -126,19 +126,11 @@ impl Store {
         fs::read(&self.layout().cursor).ok().as_deref().and_then(parse_cursor)
     }
 
-    /// Durably records `gen` as pushed: tmp → fsync → rename, through
-    /// the fail point, like every other metadata write.
+    /// Durably records `gen` as pushed, through the fail point like
+    /// every other metadata write.
     fn write_cursor(&self, gen: u64) -> Result<()> {
         let tmp = self.layout().meta_tmp_path(CURSOR_FILE);
-        let mut f = fs::File::create(&tmp)?;
-        self.failpoint.write_all(&mut f, &encode_cursor(gen))?;
-        self.failpoint.check()?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, &self.layout().cursor)?;
-        layout::fsync_dir(&self.layout().root)?;
-        self.failpoint.check()?;
-        Ok(())
+        layout::durable_replace(&tmp, &self.layout().cursor, &encode_cursor(gen), &self.failpoint)
     }
 
     /// Pushes every live generation above the replication cursor to

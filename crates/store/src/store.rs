@@ -682,13 +682,7 @@ impl Store {
     /// Returns the log bytes reclaimed.
     fn write_snapshot(&self, bytes: &[u8]) -> Result<u64> {
         let tmp = self.layout.meta_tmp_path(layout::SNAPSHOT_FILE);
-        let mut f = fs::File::create(&tmp)?;
-        self.failpoint.write_all(&mut f, bytes)?;
-        self.failpoint.check()?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, &self.layout.snapshot)?;
-        layout::fsync_dir(&self.layout.root)?;
+        layout::durable_replace(&tmp, &self.layout.snapshot, bytes, &self.failpoint)?;
         self.failpoint.check()?;
 
         // The snapshot is durable; the log records it subsumes can go.

@@ -61,10 +61,7 @@ fn comparison_bits(values: &[f64]) -> Vec<u64> {
 
 /// Every runtime-available tier (always includes Scalar).
 fn available_tiers() -> Vec<Level> {
-    [Level::Scalar, Level::Sse2, Level::Avx2]
-        .into_iter()
-        .filter(|l| l.is_available())
-        .collect()
+    Level::ALL.into_iter().filter(|l| l.is_available()).collect()
 }
 
 proptest! {

@@ -299,7 +299,7 @@ proptest! {
         for threads in [2usize, 4, 8] {
             let cfg = base.with_threads(threads).with_chunk_bytes(4096);
             let packed = Compressor::new(cfg).unwrap().compress(&t).unwrap();
-            let pv = Compressor::decompress_parallel(&packed.bytes, threads).unwrap();
+            let pv = Compressor::decompress_with(&packed.bytes, threads, usize::MAX).unwrap();
             prop_assert_eq!(pv.dims(), sv.dims());
             for (a, b) in pv.as_slice().iter().zip(sv.as_slice()) {
                 // Bit-identical values, not approximately equal.

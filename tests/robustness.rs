@@ -112,12 +112,65 @@ fn truncated_and_mangled_checkpoint_images_fail_cleanly() {
 fn decompression_bomb_guard_holds_under_mutation() {
     let stream = valid_stream(Container::Gzip);
     let mut rng = Lcg(17);
-    for _ in 0..100 {
+    for round in 0..100 {
         let mut bad = stream.clone();
         let pos = rng.below(bad.len());
         bad[pos] ^= (rng.next() as u8) | 1;
         // With a tight limit, even a mangled stream may not materialize
-        // more than the cap.
-        let _ = Compressor::decompress_with_limit(&bad, 1 << 20);
+        // more than the cap — on any thread count.
+        let _ = Compressor::decompress_with(&bad, 1 + round % 4, 1 << 20);
+    }
+}
+
+#[test]
+fn decompress_with_limit_is_exact_on_every_container_and_thread_count() {
+    use lossy_ckpt::core::CkptError;
+    use lossy_ckpt::deflate::DeflateError;
+
+    let t = generate(&FieldSpec::small(FieldKind::Temperature, 99));
+    // (container, compressor threads): two threads on the gzip
+    // container is what produces a chunked WPK1 stream.
+    let cases =
+        [(Container::Gzip, 1), (Container::Gzip, 2), (Container::Zlib, 1), (Container::None, 1)];
+    for (container, enc_threads) in cases {
+        let label = format!("{container:?} written on {enc_threads} thread(s)");
+        let cfg =
+            CompressorConfig::paper_proposed().with_threads(enc_threads).with_chunk_bytes(4096);
+        let pack = |c| Compressor::new(cfg.with_container(c)).unwrap().compress(&t).unwrap().bytes;
+        let stream = pack(container);
+        // The limit counts formatted bytes: what `Container::None` emits.
+        let exact = pack(Container::None).len();
+        assert_eq!(
+            lossy_ckpt::deflate::chunked::is_chunked(&stream),
+            enc_threads > 1,
+            "{label}: unexpected container framing"
+        );
+
+        let reference = Compressor::decompress(&stream).unwrap();
+        for threads in [1usize, 2, 4] {
+            for limit in [exact, usize::MAX] {
+                let got = Compressor::decompress_with(&stream, threads, limit)
+                    .unwrap_or_else(|e| panic!("{label} threads={threads} limit={limit}: {e}"));
+                assert_eq!(got.dims(), reference.dims());
+                let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+                assert!(
+                    got.as_slice().iter().zip(reference.as_slice()).all(same_bits),
+                    "{label}: threads={threads} limit={limit} changed the restored values"
+                );
+            }
+            // One byte under: refused by the container's own limit
+            // check (before the output is allocated), or — with no
+            // container — by the formatted-length check.
+            match Compressor::decompress_with(&stream, threads, exact - 1) {
+                Err(CkptError::Deflate(DeflateError::OutputLimit { limit })) => {
+                    assert_eq!(limit, exact - 1, "{label} threads={threads}");
+                    assert_ne!(container, Container::None);
+                }
+                Err(CkptError::Format(why)) => {
+                    assert_eq!(container, Container::None, "{label} threads={threads}: {why}");
+                }
+                other => panic!("{label} threads={threads}: expected a limit error, got {other:?}"),
+            }
+        }
     }
 }

@@ -12,10 +12,7 @@ use ckpt_simd::{set_override, Level};
 use lossy_ckpt::prelude::*;
 
 fn tiers() -> Vec<Level> {
-    [Level::Scalar, Level::Sse2, Level::Avx2]
-        .into_iter()
-        .filter(|l| l.is_available())
-        .collect()
+    Level::ALL.into_iter().filter(|l| l.is_available()).collect()
 }
 
 #[test]

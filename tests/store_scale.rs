@@ -6,9 +6,8 @@
 //! bit-exactly.
 //!
 //! Tier-1 runs this at a few hundred generations so debug builds stay
-//! fast; `STORE_SCALE_GENS` raises the horizon, and the release-mode
-//! `store_scale` bench bin drives the full 10k-generation run with
-//! wall-clock measurements (BENCH_store_scale.json).
+//! fast; `STORE_SCALE_GENS` raises the horizon. Open and maintenance
+//! wall-clock is measured by the `e2e` benchmark (`store_churn`).
 
 use lossy_ckpt::core::{incremental, Compressor, CompressorConfig};
 use lossy_ckpt::deflate::Level;
