@@ -10,8 +10,8 @@
 //!   indexing in those same functions.
 //! - `unsafe-needs-safety-comment` — every `unsafe` must carry a
 //!   `// SAFETY:` comment (workspace-wide, tests included).
-//! - `spec-drift` — the WPK1 layout table in DESIGN.md §7 must match
-//!   the constants in `crates/deflate/src/chunked.rs`.
+//! - `spec-drift` — every format section of docs/FORMAT.md must match
+//!   its row in `ckpt_deflate::frame::FORMATS`.
 //! - concurrency family (`sendptr-unpartitioned-index`,
 //!   `unsafe-send-sync-impl`, `relaxed-cross-thread-flag`) — the
 //!   static side of the `SendPtr` fan-out contract, over the
@@ -51,12 +51,12 @@ use std::path::{Path, PathBuf};
 /// over this set; crates above it (quant, wavelet, tensor) only see
 /// counts the decoder has already validated.
 pub const DECODE_FILES: &[&str] = &[
-    "crates/core/src/wire.rs",
     "crates/core/src/codec.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/incremental.rs",
     "crates/deflate/src/lib.rs",
     "crates/deflate/src/chunked.rs",
+    "crates/deflate/src/frame.rs",
     "crates/deflate/src/gzip.rs",
     "crates/deflate/src/zlib.rs",
     "crates/deflate/src/inflate.rs",
@@ -64,35 +64,39 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/deflate/src/huffman.rs",
     "crates/deflate/src/resume.rs",
     "crates/store/src/manifest.rs",
+    "crates/store/src/replicate.rs",
+    "crates/store/src/segment.rs",
     "crates/serve/src/proto.rs",
     "crates/serve/src/restore.rs",
 ];
 
-/// Functions that receive bytes from disk/network: the BFS roots.
-pub const ENTRY_POINTS: &[&str] = &[
-    "parse_stream",
+/// Functions that receive bytes from disk/network, beyond each
+/// format's own decoder (`frame::FORMATS[..].decoder`).
+pub const EXTRA_ENTRY_POINTS: &[&str] = &[
     "strip_container",
     "decompress",
     "decompress_with",
     "decompress_with_limit",
-    "from_bytes",
     "read_from",
     "restore",
-    "apply",
     "decompress_chunked",
-    "decompress_chunked_with_limit",
     "inspect",
-    "parse_manifest",
     "decompress_member",
     "inflate",
     "inflate_with_limit",
     "inflate_with_limit_consumed",
-    "restore_from_checkpoint",
     "inflate_step",
     "decode_request",
     "decode_response",
-    "parse_token",
+    "verify_payload",
+    "is_increment",
 ];
+
+/// The BFS roots: one decoder per format in the table, plus the rest.
+pub fn entry_points() -> Vec<&'static str> {
+    let formats = ckpt_deflate::frame::FORMATS.iter().map(|f| f.decoder);
+    formats.chain(EXTRA_ENTRY_POINTS.iter().copied()).collect()
+}
 
 /// Directories never scanned: build output, vendored shims (the shims
 /// mirror external crates; their code style is not ours to lint), and
@@ -212,8 +216,9 @@ pub fn run(root: &Path) -> Report {
     let graph_input: Vec<(&ScannedFile, &FileFunctions)> =
         decode.iter().map(|&i| (&scanned[i], &all_ff[i])).collect();
     let graph = CallGraph::build(&graph_input);
-    report.errors.extend(stale_roots("ENTRY_POINTS", ENTRY_POINTS, &graph));
-    let reachable = graph.reachable(ENTRY_POINTS);
+    let roots = entry_points();
+    report.errors.extend(stale_roots("ENTRY_POINTS", &roots, &graph));
+    let reachable = graph.reachable(&roots);
 
     let mut violations: Vec<Violation> = Vec::new();
     for (di, &si) in decode.iter().enumerate() {
@@ -252,21 +257,9 @@ pub fn run(root: &Path) -> Report {
     ));
     violations.extend(durability::check(&store_input));
 
-    // spec-drift needs the raw text of both sides.
-    let chunked_rel = "crates/deflate/src/chunked.rs";
-    match (
-        fs::read_to_string(root.join("DESIGN.md")),
-        fs::read_to_string(root.join(chunked_rel)),
-    ) {
-        (Ok(md), Ok(rs)) => violations.extend(spec::check(&md, &rs, chunked_rel)),
-        (md, rs) => {
-            if md.is_err() {
-                report.errors.push("cannot read DESIGN.md for spec-drift check".to_string());
-            }
-            if rs.is_err() {
-                report.errors.push(format!("cannot read {chunked_rel} for spec-drift check"));
-            }
-        }
+    match fs::read_to_string(root.join("docs/FORMAT.md")) {
+        Ok(md) => violations.extend(spec::check(&md, &ckpt_deflate::frame::FORMATS)),
+        Err(_) => report.errors.push("cannot read docs/FORMAT.md for spec-drift check".into()),
     }
 
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

@@ -134,7 +134,7 @@ fn print_rules() {
     println!("unchecked-cast            no `as` numeric casts in decoder-reachable functions");
     println!("panic-in-decoder          no unwrap/expect/panics/unchecked indexing in decoder-reachable functions");
     println!("unsafe-needs-safety-comment  every `unsafe` carries a // SAFETY: comment");
-    println!("spec-drift                DESIGN.md §7 WPK1 table must match chunked.rs constants");
+    println!("spec-drift                docs/FORMAT.md sections must match frame::FORMATS");
     println!("sendptr-unpartitioned-index  SendPtr indexes must derive from a disjoint-partition source (call sites checked interprocedurally)");
     println!("unsafe-send-sync-impl     every `unsafe impl Send/Sync` needs a justified lint-allow.toml entry");
     println!("relaxed-cross-thread-flag Ordering::Relaxed reachable from a thread fan-out needs strengthening or a justification");

@@ -1,250 +1,82 @@
-//! Rule `spec-drift`: the WPK1 container layout is specified twice —
-//! prose table in DESIGN.md §7 and constants in
-//! `crates/deflate/src/chunked.rs`. This rule parses both and fails on
-//! any divergence (magic, version, field offsets/sizes, header size),
-//! so neither can drift without the other being updated in the same
-//! commit.
+//! Rule `spec-drift`: every magic-tagged format is specified twice —
+//! its row in `ckpt_deflate::frame::FORMATS`, which the code reads its
+//! constants from, and its `## \`MAGIC\`` section in docs/FORMAT.md.
+//! This rule fails when the two disagree on which formats exist, on a
+//! format's magic, version, `header8` or envelope, so neither can drift
+//! without the other being updated in the same commit.
 
 use crate::rules::{Violation, RULE_SPEC};
+use ckpt_deflate::frame::{Envelope, Format};
 
-/// One field row of the WPK1 layout table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecRow {
-    pub offset: usize,
-    pub size: usize,
-    pub field: String,
+const DOC: &str = "docs/FORMAT.md";
+
+/// One `## \`XXXX\` …` section of docs/FORMAT.md.
+struct Section<'a> {
+    name: &'a str,
+    /// 1-based line of the heading.
+    line: usize,
+    body: String,
 }
 
-/// The DESIGN.md side of the spec.
-#[derive(Debug)]
-pub struct DesignSpec {
-    pub magic: String,
-    pub version: u64,
-    pub rows: Vec<SpecRow>,
-    /// Offset of the `8×N` member-length index == header size.
-    pub header_bytes: usize,
-    /// 1-based line of the table header (for diagnostics).
-    pub table_line: usize,
-}
-
-/// Constants extracted from chunked.rs by text scan.
-#[derive(Debug, Default)]
-pub struct CodeSpec {
-    pub magic: Option<String>,
-    pub version: Option<u64>,
-    pub header_bytes: Option<u64>,
-    /// `OFF_*` constants: (name, value, line).
-    pub offsets: Vec<(String, u64, usize)>,
-}
-
-/// Parses the `### WPK1 layout` table out of DESIGN.md text.
-pub fn parse_design(md: &str) -> Result<DesignSpec, String> {
-    let lines: Vec<&str> = md.lines().collect();
-    let start = lines
-        .iter()
-        .position(|l| l.contains("WPK1 layout"))
-        .ok_or("DESIGN.md: no `WPK1 layout` section found")?;
-    let mut rows = Vec::new();
-    let mut header_bytes = None;
-    let mut magic = None;
-    let mut version = None;
-    let mut table_line = 0usize;
-    for (k, line) in lines.iter().enumerate().skip(start) {
-        let t = line.trim();
-        if !t.starts_with('|') {
-            if !rows.is_empty() && header_bytes.is_some() {
-                break;
+/// Splits the document at its backticked four-character `##` headings;
+/// prose sections (other `##` headings) end a format section without
+/// starting one.
+fn sections(md: &str) -> Vec<Section<'_>> {
+    let mut out: Vec<Section<'_>> = Vec::new();
+    let mut open = false;
+    for (k, line) in md.lines().enumerate() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            let name =
+                heading.strip_prefix('`').and_then(|h| h.split('`').next()).filter(|n| n.len() == 4);
+            open = name.is_some();
+            if let Some(name) = name {
+                out.push(Section { name, line: k + 1, body: String::new() });
             }
-            continue;
-        }
-        let cells: Vec<&str> = t.trim_matches('|').split('|').map(str::trim).collect();
-        if cells.len() < 3 {
-            continue;
-        }
-        if cells[0] == "offset" {
-            table_line = k + 1;
-            continue;
-        }
-        if cells[0].chars().all(|c| c == '-' || c == ':') {
-            continue;
-        }
-        let field = cells[2].to_string();
-        let Ok(offset) = cells[0].parse::<usize>() else {
-            // The `…` body row — end of fixed header.
-            continue;
-        };
-        if cells[1].contains('N') {
-            // `8×N` member-length index: its offset is the header size.
-            header_bytes = Some(offset);
-            continue;
-        }
-        let size: usize =
-            cells[1].parse().map_err(|_| format!("DESIGN.md table: bad size `{}`", cells[1]))?;
-        if field.contains("magic") {
-            magic = field.split('"').nth(1).map(str::to_string);
-        }
-        if field.contains("version") {
-            version = field
-                .chars()
-                .skip_while(|c| !c.is_ascii_digit())
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse::<u64>()
-                .ok();
-        }
-        rows.push(SpecRow { offset, size, field });
-    }
-    Ok(DesignSpec {
-        magic: magic.ok_or("DESIGN.md table: no magic row")?,
-        version: version.ok_or("DESIGN.md table: no version row")?,
-        rows,
-        header_bytes: header_bytes.ok_or("DESIGN.md table: no `8×N` index row")?,
-        table_line,
-    })
-}
-
-/// Extracts the layout constants from chunked.rs source text.
-pub fn parse_code(src: &str) -> CodeSpec {
-    let mut spec = CodeSpec::default();
-    for (k, line) in src.lines().enumerate() {
-        let t = line.trim();
-        let Some(rest) = t.strip_prefix("pub const ").or_else(|| t.strip_prefix("const "))
-        else {
-            continue;
-        };
-        let Some((name, value)) = rest.split_once('=') else { continue };
-        let name = name.split(':').next().unwrap_or("").trim();
-        let value = value.trim().trim_end_matches(';').trim();
-        match name {
-            "MAGIC" => {
-                spec.magic = value.split('"').nth(1).map(str::to_string);
-            }
-            "VERSION" => {
-                spec.version = value.parse().ok();
-            }
-            "HEADER_BYTES" => {
-                spec.header_bytes = value.parse().ok();
-            }
-            _ if name.starts_with("OFF_") => {
-                if let Ok(v) = value.parse::<u64>() {
-                    spec.offsets.push((name.to_string(), v, k + 1));
-                }
-            }
-            _ => {}
+        } else if let (true, Some(section)) = (open, out.last_mut()) {
+            section.body.push_str(line);
+            section.body.push('\n');
         }
     }
-    spec
+    out
 }
 
-/// Field-name → code constant mapping: the table row whose field text
-/// contains the key must sit at the code offset named by the value.
-const FIELD_TO_CONST: &[(&str, &str)] = &[
-    ("chunk_count", "OFF_CHUNK_COUNT"),
-    ("total uncompressed", "OFF_TOTAL"),
-    ("chunk_bytes", "OFF_CHUNK_BYTES"),
-    ("CRC-32", "OFF_CRC"),
-];
+/// What a format's section must spell out, given its table row.
+fn expectations(f: &Format) -> Vec<String> {
+    let mut want = Vec::new();
+    // SRV1 frames are untagged: its magic is a name, not wire bytes.
+    if f.header8 {
+        want.push(format!("header8(\"{}\", {})", f.name(), f.version));
+    } else if f.version != 0 {
+        want.push(format!("magic \"{}\"", f.name()));
+        want.push(format!("version (= {})", f.version));
+    } else if f.envelope == Envelope::Bespoke {
+        want.push(format!("magic \"{}\"", f.name()));
+    }
+    want.push(format!("Envelope: `{}`", f.envelope.doc_name()));
+    want
+}
 
-/// Cross-checks the two spec sources.
-pub fn check(design_md: &str, chunked_rs: &str, chunked_path: &str) -> Vec<Violation> {
+/// Cross-checks docs/FORMAT.md text against the format table.
+pub fn check(format_md: &str, formats: &[Format]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut fail = |path: &str, line: usize, message: String| {
-        out.push(Violation { rule: RULE_SPEC, path: path.to_string(), line, symbol: None, message });
+    let mut fail = |line: usize, message: String| {
+        out.push(Violation { rule: RULE_SPEC, path: DOC.to_string(), line, symbol: None, message });
     };
-
-    let design = match parse_design(design_md) {
-        Ok(d) => d,
-        Err(e) => {
-            fail("DESIGN.md", 1, e);
-            return out;
+    let sections = sections(format_md);
+    for s in &sections {
+        if !formats.iter().any(|f| f.name() == s.name) {
+            fail(s.line, format!("section `{}` names no format in frame::FORMATS", s.name));
         }
-    };
-    let code = parse_code(chunked_rs);
-
-    // Internal contiguity of the documented header.
-    let mut expect = 0usize;
-    for row in &design.rows {
-        if row.offset != expect {
-            fail(
-                "DESIGN.md",
-                design.table_line,
-                format!(
-                    "WPK1 table: field `{}` at offset {} but previous fields end at {}",
-                    row.field, row.offset, expect
-                ),
-            );
-        }
-        expect = row.offset + row.size;
     }
-    if design.header_bytes != expect {
-        fail(
-            "DESIGN.md",
-            design.table_line,
-            format!(
-                "WPK1 table: member index at offset {} but fixed fields end at {}",
-                design.header_bytes, expect
-            ),
-        );
-    }
-
-    // Code ↔ spec.
-    match &code.magic {
-        Some(m) if *m == design.magic => {}
-        other => fail(
-            chunked_path,
-            1,
-            format!("MAGIC is {:?} in code but `\"{}\"` in DESIGN.md", other, design.magic),
-        ),
-    }
-    match code.version {
-        Some(v) if v == design.version => {}
-        other => fail(
-            chunked_path,
-            1,
-            format!("VERSION is {:?} in code but {} in DESIGN.md", other, design.version),
-        ),
-    }
-    match code.header_bytes {
-        Some(h) if h as usize == design.header_bytes => {}
-        other => fail(
-            chunked_path,
-            1,
-            format!(
-                "HEADER_BYTES is {:?} in code but the DESIGN.md index starts at {}",
-                other, design.header_bytes
-            ),
-        ),
-    }
-    for (field_key, const_name) in FIELD_TO_CONST {
-        let doc = design.rows.iter().find(|r| r.field.contains(field_key));
-        let code_off = code.offsets.iter().find(|(n, _, _)| n == const_name);
-        match (doc, code_off) {
-            (Some(row), Some((_, v, line))) => {
-                if row.offset as u64 != *v {
-                    fail(
-                        chunked_path,
-                        *line,
-                        format!(
-                            "{const_name} = {v} but DESIGN.md places `{}` at offset {}",
-                            row.field, row.offset
-                        ),
-                    );
-                }
+    for f in formats {
+        let Some(s) = sections.iter().find(|s| s.name == f.name()) else {
+            fail(1, format!("frame::FORMATS lists `{}` but no section documents it", f.name()));
+            continue;
+        };
+        for want in expectations(f) {
+            if !s.body.contains(&want) {
+                fail(s.line, format!("section `{}` does not state `{want}`", f.name()));
             }
-            (Some(row), None) => fail(
-                chunked_path,
-                1,
-                format!(
-                    "no `{const_name}` constant in code for documented field `{}` \
-                     (offset {})",
-                    row.field, row.offset
-                ),
-            ),
-            (None, _) => fail(
-                "DESIGN.md",
-                design.table_line,
-                format!("WPK1 table has no row matching `{field_key}`"),
-            ),
         }
     }
     out
@@ -253,56 +85,54 @@ pub fn check(design_md: &str, chunked_rs: &str, chunked_path: &str) -> Vec<Viola
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_deflate::frame::{CSM2, ICK1, SRV1};
 
-    const DOC: &str = r#"
-### WPK1 layout
+    const DOC_TEXT: &str = r#"
+# Wire formats
 
-| offset | size | field |
-|-------:|-----:|-------|
-| 0      | 4    | magic `"WPK1"` |
-| 4      | 1    | version (currently 1) |
-| 5      | 1    | reserved (0) |
-| 6      | 4    | `chunk_count: u32` |
-| 10     | 8    | total uncompressed length: `u64` |
-| 18     | 8    | `chunk_bytes`: `u64` |
-| 26     | 4    | CRC-32 of the payload |
-| 30     | 8×N  | compressed length of each member: `u64` |
-| …      |      | N concatenated gzip members |
+## Envelopes and version policy
+
+prose, not a format section: magic "ZZZZ"
+
+## `CSM2` — manifest snapshot
+
+Envelope: `len | crc | body` behind header8("CSM2", 1).
+
+## `ICK1` — inflate checkpoint
+
+Envelope: `body | crc32`.
+
+```
+0  4  magic "ICK1"
+4  1  version (= 1)
+```
+
+## `SRV1` — socket framing
+
+Envelope: `len | crc | body`, untagged.
 "#;
 
-    const CODE: &str = r#"
-pub const MAGIC: [u8; 4] = *b"WPK1";
-pub const VERSION: u8 = 1;
-const OFF_CHUNK_COUNT: usize = 6;
-const OFF_TOTAL: usize = 10;
-const OFF_CHUNK_BYTES: usize = 18;
-const OFF_CRC: usize = 26;
-const HEADER_BYTES: usize = 30;
-"#;
-
     #[test]
-    fn matching_spec_is_clean() {
-        assert!(check(DOC, CODE, "chunked.rs").is_empty());
+    fn matching_doc_is_clean() {
+        let v = check(DOC_TEXT, &[CSM2, ICK1, SRV1]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn divergent_offset_is_flagged() {
-        let drift = CODE.replace("OFF_CRC: usize = 26", "OFF_CRC: usize = 22");
-        let v = check(DOC, &drift, "chunked.rs");
-        assert!(v.iter().any(|v| v.message.contains("OFF_CRC")), "{v:?}");
+    fn version_and_envelope_drift_are_flagged() {
+        let v = check(&DOC_TEXT.replace("version (= 1)", "version (= 2)"), &[CSM2, ICK1, SRV1]);
+        assert!(v.iter().any(|v| v.message.contains("version (= 1)")), "{v:?}");
+        let v = check(&DOC_TEXT.replace("`body | crc32`", "`len | crc | body`"), &[ICK1]);
+        assert!(v.iter().any(|v| v.message.contains("body | crc32")), "{v:?}");
+        let v = check(&DOC_TEXT.replace("header8(\"CSM2\", 1)", "an 8-byte header"), &[CSM2]);
+        assert!(v.iter().any(|v| v.message.contains("header8")), "{v:?}");
     }
 
     #[test]
-    fn doc_gap_is_flagged() {
-        let gapped = DOC.replace("| 10     | 8", "| 12     | 8");
-        let v = check(&gapped, CODE, "chunked.rs");
-        assert!(v.iter().any(|v| v.message.contains("previous fields end")), "{v:?}");
-    }
-
-    #[test]
-    fn magic_mismatch_is_flagged() {
-        let bad = CODE.replace("WPK1", "WPK2");
-        let v = check(DOC, &bad, "chunked.rs");
-        assert!(v.iter().any(|v| v.message.contains("MAGIC")), "{v:?}");
+    fn a_format_missing_on_either_side_is_flagged() {
+        let v = check(DOC_TEXT, &[CSM2, ICK1]);
+        assert!(v.iter().any(|v| v.message.contains("section `SRV1` names no format")), "{v:?}");
+        let v = check(&DOC_TEXT.replace("## `SRV1`", "## SRV1"), &[CSM2, ICK1, SRV1]);
+        assert!(v.iter().any(|v| v.message.contains("lists `SRV1`")), "{v:?}");
     }
 }

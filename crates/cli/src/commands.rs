@@ -267,7 +267,7 @@ fn find_chunked_container(bytes: &[u8]) -> Option<usize> {
     // magic is unambiguous enough to locate by scanning.
     bytes
         .windows(4)
-        .position(|w| w == ckpt_deflate::chunked::MAGIC)
+        .position(|w| w == ckpt_deflate::frame::WPK1.magic)
         .filter(|&at| ckpt_deflate::chunked::inspect(&bytes[at..]).is_ok())
 }
 

@@ -84,10 +84,11 @@ pub(crate) fn open(dir: &str) -> Result<Store, String> {
 }
 
 /// Guesses the segment format from the payload's leading magic.
-fn sniff_format(payload: &[u8]) -> SegmentFormat {
-    match payload.get(..4) {
-        Some(b"CKPT") => SegmentFormat::Checkpoint,
-        _ => SegmentFormat::Array, // WCK1/WPK1/raw all save as arrays
+fn sniff_format(head: &[u8]) -> SegmentFormat {
+    if head.starts_with(&ckpt_deflate::frame::CKPT.magic) {
+        SegmentFormat::Checkpoint
+    } else {
+        SegmentFormat::Array // WCK1/WPK1/raw all save as arrays
     }
 }
 
@@ -179,11 +180,7 @@ fn save_streamed(
                 .read(&mut magic)
                 .map_err(|e| format!("reading {}: {e}", files[0]))?;
             handles[0].seek(SeekFrom::Start(0)).map_err(|e| e.to_string())?;
-            if &magic[..n] == b"CKPT" {
-                SegmentFormat::Checkpoint
-            } else {
-                SegmentFormat::Array // WCK1/WPK1/raw all save as arrays
-            }
+            sniff_format(&magic[..n])
         }
         other => return Err(format!("unknown --format {other:?}")),
     };
@@ -256,15 +253,6 @@ fn save_bounded(
     Ok(())
 }
 
-/// True when the payload is already a packed `INC1` increment: a gzip
-/// member whose inner stream leads with the INC1 magic. (The gzip
-/// header alone does not discriminate — full WCK1 arrays are gzip
-/// members too.)
-fn is_packed_increment(bytes: &[u8]) -> bool {
-    bytes.starts_with(&[0x1f, 0x8b])
-        && matches!(ckpt_deflate::gzip::decompress(bytes), Ok(inner) if inner.starts_with(b"INC1"))
-}
-
 /// Prepares one rank's payload for an incremental save. A payload that
 /// is already a packed `INC1` increment passes through untouched;
 /// anything else is taken to be the rank's full current array, and the
@@ -277,7 +265,7 @@ fn build_increment(
     bytes: Vec<u8>,
     level: Level,
 ) -> Result<Vec<u8>, String> {
-    if is_packed_increment(&bytes) {
+    if ckpt_core::incremental::is_increment(&bytes) {
         return Ok(bytes);
     }
     let rank_u32 =

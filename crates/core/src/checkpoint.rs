@@ -9,13 +9,10 @@
 
 use crate::codec::{Compressed, Compressor};
 use crate::timing::StageTimings;
-use crate::wire::{self, ByteReader, ByteWriter};
 use crate::{CkptError, Result};
+use ckpt_deflate::frame::{self, Reader, Writer, CKPT};
 use ckpt_tensor::Tensor;
 use std::io::{Read, Write};
-
-const MAGIC: u32 = u32::from_le_bytes(*b"CKPT");
-const VERSION: u8 = 1;
 
 /// Storage mode of one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +65,7 @@ impl CheckpointBuilder {
     /// choice for non-smooth arrays the pipeline would not help).
     pub fn add_raw(&mut self, name: &str, tensor: &Tensor<f64>) -> Result<()> {
         self.check_name(name)?;
-        let mut w = ByteWriter::with_capacity(16 + tensor.len() * 8);
+        let mut w = Writer::with_capacity(16 + tensor.len() * 8);
         w.put_u8(tensor.ndim() as u8);
         for &d in tensor.dims() {
             w.put_u64(d as u64);
@@ -114,9 +111,9 @@ impl CheckpointBuilder {
 
     /// Serializes the checkpoint image.
     pub fn into_bytes(self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u32(MAGIC);
-        w.put_u8(VERSION);
+        let mut w = Writer::new();
+        w.put_bytes(&CKPT.magic);
+        w.put_u8(CKPT.version);
         w.put_u64(self.step);
         w.put_u16(self.entries.len() as u16);
         for e in &self.entries {
@@ -168,14 +165,9 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Parses a checkpoint image from bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        if r.get_u32()? != MAGIC {
-            return Err(CkptError::Format("bad checkpoint magic".into()));
-        }
-        let version = r.get_u8()?;
-        if version != VERSION {
-            return Err(CkptError::Format(format!("unsupported checkpoint version {version}")));
-        }
+        let mut r = Reader::new(bytes);
+        r.expect_magic(&CKPT)?;
+        r.expect_version(&CKPT)?;
         let step = r.get_u64()?;
         let count = usize::from(r.get_u16()?);
         let mut entries = Vec::with_capacity(count);
@@ -186,7 +178,7 @@ impl Checkpoint {
                 1 => VarMode::Raw,
                 m => return Err(CkptError::Format(format!("unknown variable mode {m}"))),
             };
-            let len = wire::usize_len(r.get_u64()?)?;
+            let len = frame::usize_len(r.get_u64()?)?;
             let payload = r.get_bytes(len)?.to_vec();
             entries.push(Entry { name, mode, payload });
         }
@@ -226,11 +218,11 @@ impl Checkpoint {
         match entry.mode {
             VarMode::Lossy => Compressor::decompress(&entry.payload),
             VarMode::Raw => {
-                let mut r = ByteReader::new(&entry.payload);
+                let mut r = Reader::new(&entry.payload);
                 let ndim = usize::from(r.get_u8()?);
                 let mut dims = Vec::with_capacity(ndim);
                 for _ in 0..ndim {
-                    dims.push(wire::usize_len(r.get_u64()?)?);
+                    dims.push(frame::usize_len(r.get_u64()?)?);
                 }
                 let volume = dims
                     .iter()

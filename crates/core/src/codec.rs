@@ -8,16 +8,12 @@
 
 use crate::config::{CompressorConfig, Container};
 use crate::timing::{timed, StageTimings};
-use crate::wire::{self, ByteReader, ByteWriter};
 use crate::{CkptError, Result};
+use ckpt_deflate::frame::{self, Reader, Writer, WCK1};
 use ckpt_deflate::{chunked, gzip, zlib};
 use ckpt_quant::{Bitmap, Method, Quantized};
 use ckpt_tensor::Tensor;
 use ckpt_wavelet::{Kernel, MultiLevel, SubbandKind, WaveletPlan};
-
-/// Magic bytes of the formatted stream: "WCK1".
-const MAGIC: u32 = u32::from_le_bytes(*b"WCK1");
-const VERSION: u8 = 1;
 
 /// Size accounting for one compressed array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,11 +357,11 @@ fn format_stream(
     low_values: &[f64],
     q: &Quantized,
 ) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(
+    let mut w = Writer::with_capacity(
         64 + low_values.len() * 8 + q.raw.len() * 8 + q.indexes.len() + q.len / 8,
     );
-    w.put_u32(MAGIC);
-    w.put_u8(VERSION);
+    w.put_bytes(&WCK1.magic);
+    w.put_u8(WCK1.version);
     w.put_u8(match cfg.quant.method {
         Method::Simple => 0,
         Method::Proposed => 1,
@@ -393,7 +389,7 @@ fn format_stream(
     w.put_u64(q.indexes.len() as u64);
     // The floating-point sections, optionally byte-shuffled as one
     // region so gzip sees grouped exponent/mantissa bytes.
-    let mut f64_region = ByteWriter::with_capacity(
+    let mut f64_region = Writer::with_capacity(
         (low_values.len() + q.raw.len() + q.averages.len()) * 8,
     );
     f64_region.put_f64_slice(low_values);
@@ -411,14 +407,9 @@ fn format_stream(
 }
 
 fn parse_stream(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u32()? != MAGIC {
-        return Err(CkptError::Format("bad magic (not a WCK1 stream)".into()));
-    }
-    let version = r.get_u8()?;
-    if version != VERSION {
-        return Err(CkptError::Format(format!("unsupported version {version}")));
-    }
+    let mut r = Reader::new(bytes);
+    r.expect_magic(&WCK1)?;
+    r.expect_version(&WCK1)?;
     let _method = r.get_u8()?;
     let flags = r.get_u8()?;
     let quantize_low = flags & 1 != 0;
@@ -437,12 +428,12 @@ fn parse_stream(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
     let ndim = usize::from(r.get_u8()?);
     let mut dims = Vec::with_capacity(ndim);
     for _ in 0..ndim {
-        dims.push(wire::usize_len(r.get_u64()?)?);
+        dims.push(frame::usize_len(r.get_u64()?)?);
     }
     let avg_count = usize::from(r.get_u16()?);
-    let low_count = wire::usize_len(r.get_u64()?)?;
-    let raw_count = wire::usize_len(r.get_u64()?)?;
-    let index_count = wire::usize_len(r.get_u64()?)?;
+    let low_count = frame::usize_len(r.get_u64()?)?;
+    let raw_count = frame::usize_len(r.get_u64()?)?;
+    let index_count = frame::usize_len(r.get_u64()?)?;
 
     // Every count below comes from untrusted bytes: all size
     // arithmetic must be checked so corrupt input errors instead of
@@ -474,7 +465,7 @@ fn parse_stream(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
         } else {
             region
         };
-        let mut rr = ByteReader::new(region);
+        let mut rr = Reader::new(region);
         let low = rr.get_f64_slice(low_count)?;
         let raw = rr.get_f64_slice(raw_count)?;
         let avg = rr.get_f64_slice(avg_count)?;

@@ -1,6 +1,6 @@
 //! Unified error type for the compression pipeline.
 
-use crate::wire::WireError;
+use ckpt_deflate::frame::FrameError;
 use ckpt_deflate::DeflateError;
 use ckpt_quant::QuantError;
 use ckpt_tensor::TensorError;
@@ -18,8 +18,8 @@ pub enum CkptError {
     /// Malformed compressed-array or checkpoint framing.
     Format(String),
     /// Byte-level framing errors (truncation, length overflow, bad
-    /// UTF-8) from the wire reader/writer.
-    Wire(WireError),
+    /// magic or version, bad UTF-8) from the frame reader/writer.
+    Wire(FrameError),
     /// Filesystem I/O during checkpoint read/write or temp-file gzip.
     Io(std::io::Error),
     /// Error-bound search could not meet the requested bound.
@@ -80,8 +80,8 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
-impl From<WireError> for CkptError {
-    fn from(e: WireError) -> Self {
+impl From<FrameError> for CkptError {
+    fn from(e: FrameError) -> Self {
         CkptError::Wire(e)
     }
 }

@@ -15,12 +15,11 @@
 //! Restoring needs the base checkpoint plus the increment, mirroring
 //! the recovery-chain cost the paper cites from Naksinehaboon et al.
 
-use crate::wire::{self, ByteReader, ByteWriter};
 use crate::{CkptError, Result};
+use ckpt_deflate::frame::{self, Reader, Writer, INC1};
 use ckpt_deflate::{gzip, Level};
+use ckpt_quant::Bitmap;
 use ckpt_tensor::Tensor;
-
-const MAGIC: u32 = u32::from_le_bytes(*b"INC1");
 
 /// Page size used for the dirty map, in elements (4096 bytes of f64).
 pub const PAGE_ELEMS: usize = 512;
@@ -86,14 +85,14 @@ pub fn increment(
         }
     }
 
-    let mut w = ByteWriter::with_capacity(payload.len() + pages / 8 + 64);
-    w.put_u32(MAGIC);
+    let mut w = Writer::with_capacity(payload.len() + pages / 8 + 64);
+    w.put_bytes(&INC1.magic);
     w.put_u8(current.ndim() as u8);
     for &d in current.dims() {
         w.put_u64(d as u64);
     }
     w.put_u64(pages as u64);
-    let mut bits = ckpt_quant::Bitmap::zeros(pages);
+    let mut bits = Bitmap::zeros(pages);
     for (i, &d) in dirty.iter().enumerate() {
         bits.set(i, d);
     }
@@ -111,45 +110,99 @@ pub fn increment(
     Ok((packed, stats))
 }
 
+/// The `INC1` header: everything ahead of the XOR payload.
+struct Header {
+    dims: Vec<usize>,
+    /// Product of `dims`.
+    volume: usize,
+    pages: usize,
+    dirty: Bitmap,
+}
+
+/// Parses the header of a decompressed increment, leaving `r` at the
+/// XOR payload. The one `INC1` header walk: [`apply`] and the
+/// base-free [`check_structure`] both start here, so the dims, the
+/// page count and the dirty map are known to agree before either
+/// touches the payload.
+fn parse_header(r: &mut Reader<'_>) -> Result<Header> {
+    r.expect_magic(&INC1)?;
+    let ndim = usize::from(r.get_u8()?);
+    let mut dims = Vec::with_capacity(ndim);
+    let mut volume = 1usize;
+    for _ in 0..ndim {
+        let d = frame::usize_len(r.get_u64()?)?;
+        volume = volume
+            .checked_mul(d)
+            .ok_or_else(|| CkptError::Format("increment volume overflows usize".into()))?;
+        dims.push(d);
+    }
+    let pages = frame::usize_len(r.get_u64()?)?;
+    if pages != volume.div_ceil(PAGE_ELEMS) {
+        return Err(CkptError::Format(format!(
+            "increment page count {pages} inconsistent with volume {volume}"
+        )));
+    }
+    let dirty = Bitmap::from_bytes(r.get_bytes(pages.div_ceil(8))?, pages)
+        .ok_or_else(|| CkptError::Format("corrupt dirty map".into()))?;
+    Ok(Header { dims, volume, pages, dirty })
+}
+
+/// Element range of page `p` in an array of `volume` elements.
+fn page_range(p: usize, volume: usize) -> std::ops::Range<usize> {
+    let lo = p.saturating_mul(PAGE_ELEMS);
+    lo..lo.saturating_add(PAGE_ELEMS).min(volume)
+}
+
 /// Applies an increment to its base checkpoint, reconstructing the
 /// current state exactly.
 pub fn apply(base: &Tensor<f64>, packed: &[u8]) -> Result<Tensor<f64>> {
     let bytes = gzip::decompress(packed)?;
-    let mut r = ByteReader::new(&bytes);
-    if r.get_u32()? != MAGIC {
-        return Err(CkptError::Format("bad incremental magic".into()));
-    }
-    let ndim = usize::from(r.get_u8()?);
-    let mut dims = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        dims.push(wire::usize_len(r.get_u64()?)?);
-    }
-    if dims != base.dims() {
+    let mut r = Reader::new(&bytes);
+    let h = parse_header(&mut r)?;
+    if h.dims != base.dims() {
         return Err(CkptError::Format("incremental dims mismatch".into()));
     }
-    let pages = wire::usize_len(r.get_u64()?)?;
-    let n = base.len();
-    if pages != n.div_ceil(PAGE_ELEMS) {
-        return Err(CkptError::Format("incremental page count mismatch".into()));
-    }
-    let bitmap_bytes = r.get_bytes(pages.div_ceil(8))?;
-    let dirty = ckpt_quant::Bitmap::from_bytes(bitmap_bytes, pages)
-        .ok_or_else(|| CkptError::Format("corrupt dirty map".into()))?;
-
     let mut out = base.as_slice().to_vec();
-    for p in 0..pages {
-        if !dirty.get(p) {
-            continue;
-        }
-        let lo = p * PAGE_ELEMS;
-        let hi = (lo + PAGE_ELEMS).min(n);
-        for slot in out.iter_mut().take(hi).skip(lo) {
+    for p in (0..h.pages).filter(|&p| h.dirty.get(p)) {
+        let page = out
+            .get_mut(page_range(p, h.volume))
+            .ok_or_else(|| CkptError::Format("increment page outside the base".into()))?;
+        for slot in page {
             let xor = r.get_u64()?;
             *slot = f64::from_bits(slot.to_bits() ^ xor);
         }
     }
     r.expect_end()?;
-    Ok(Tensor::from_vec(&dims, out)?)
+    Ok(Tensor::from_vec(&h.dims, out)?)
+}
+
+/// Checks everything about a packed increment that can be checked
+/// without its base: the gzip container CRC, the header, and that the
+/// dirty map and the XOR payload (8 bytes per element of every dirty
+/// page) are mutually consistent.
+pub fn check_structure(packed: &[u8]) -> Result<()> {
+    let bytes = gzip::decompress(packed)?;
+    let mut r = Reader::new(&bytes);
+    let h = parse_header(&mut r)?;
+    let expect: usize = (0..h.pages)
+        .filter(|&p| h.dirty.get(p))
+        .map(|p| page_range(p, h.volume).len().saturating_mul(8))
+        .fold(0, usize::saturating_add);
+    if r.remaining() != expect {
+        return Err(CkptError::Format(format!(
+            "increment XOR payload {} bytes, dirty map implies {expect}",
+            r.remaining()
+        )));
+    }
+    Ok(())
+}
+
+/// True when `packed` is a gzip member whose inner stream leads with
+/// the `INC1` magic. (The gzip header alone does not discriminate —
+/// full `WCK1` arrays are gzip members too.)
+pub fn is_increment(packed: &[u8]) -> bool {
+    packed.starts_with(&[0x1f, 0x8b])
+        && gzip::decompress(packed).is_ok_and(|inner| inner.starts_with(&INC1.magic))
 }
 
 #[cfg(test)]

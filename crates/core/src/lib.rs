@@ -9,7 +9,8 @@
 //!    ([`ckpt_quant`]),
 //! 3. **Encoding** — one-byte indexes into the average table plus a
 //!    bitmap of quantized positions,
-//! 4. **Formatting** — the Figure 5 byte layout ([`wire`]/[`codec`]),
+//! 4. **Formatting** — the Figure 5 byte layout ([`codec`], over the
+//!    shared [`ckpt_deflate::frame`] cursor),
 //! 5. **gzip** — DEFLATE over the formatted output ([`ckpt_deflate`]),
 //!    optionally via a temporary file to reproduce the paper's measured
 //!    "temporal file write" overhead.
@@ -42,7 +43,6 @@ pub mod incremental;
 pub mod metrics;
 pub mod shuffle;
 pub mod timing;
-pub mod wire;
 
 pub use codec::{
     compress_exact, CompressStats, Compressed, Compressor, StreamError, StreamedCompressed,

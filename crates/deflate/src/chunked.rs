@@ -33,21 +33,15 @@
 //! format debuggable with standard tooling.
 
 use crate::crc32::crc32_combine;
+use crate::frame::{Reader, Writer, WPK1};
 use crate::{gzip, DeflateError, Level};
 
-/// Container magic.
-pub const MAGIC: [u8; 4] = *b"WPK1";
-/// Current container version.
-pub const VERSION: u8 = 1;
 /// Default uncompressed chunk size: 1 MiB balances parallel grain
 /// against per-member header/trailer and match-window reset costs.
 pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
-/// Byte offsets of the fixed header fields. `ckpt-lint`'s spec-drift
-/// rule cross-checks these against the DESIGN.md §7 table.
-const OFF_CHUNK_COUNT: usize = 6;
-const OFF_TOTAL: usize = 10;
-const OFF_CHUNK_BYTES: usize = 18;
+/// Offset of the combined-CRC field and size of the fixed header (the
+/// layout table above); the streamed writer patches both regions.
 const OFF_CRC: usize = 26;
 const HEADER_BYTES: usize = 30;
 
@@ -56,21 +50,16 @@ const HEADER_BYTES: usize = 30;
 /// a decompression bomb and is rejected before the output allocation.
 const MAX_EXPANSION: usize = 1032;
 
-/// Bounds-checked little-endian field read.
-fn le_bytes<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N], DeflateError> {
-    crate::array_at(data, at)
-}
-
 /// The CRC-32 stored in a gzip member's trailer (last 8 bytes: CRC
 /// then ISIZE).
 fn member_stored_crc(member: &[u8]) -> Result<u32, DeflateError> {
     let at = member.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
-    Ok(u32::from_le_bytes(le_bytes(member, at)?))
+    Ok(Reader::at(member, at).get_u32()?)
 }
 
 /// True if `data` starts with the chunked-container magic.
 pub fn is_chunked(data: &[u8]) -> bool {
-    data.get(..MAGIC.len()).is_some_and(|head| head == MAGIC)
+    data.starts_with(&WPK1.magic)
 }
 
 /// Compresses `data` into a WPK1 chunked container, fanning chunks out
@@ -110,21 +99,27 @@ pub fn compress_chunked(
         "chunk count exceeds the u32 header field"
     );
     let body_len: usize = members.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(HEADER_BYTES + 8 * members.len() + body_len);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(0);
-    out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(chunk_bytes as u64).to_le_bytes());
-    out.extend_from_slice(&combined.to_le_bytes());
+    let mut out = Writer::with_capacity(HEADER_BYTES + 8 * members.len() + body_len);
+    put_header(&mut out, members.len(), data.len(), chunk_bytes, combined);
     for member in &members {
-        out.extend_from_slice(&(member.len() as u64).to_le_bytes());
+        out.put_u64(member.len() as u64);
     }
     for member in &members {
-        out.extend_from_slice(member);
+        out.put_bytes(member);
     }
-    out
+    out.into_bytes()
+}
+
+/// The 30-byte fixed header (layout in the module docs).
+fn put_header(out: &mut Writer, chunks: usize, total: usize, chunk_bytes: usize, crc: u32) {
+    out.put_bytes(&WPK1.magic);
+    out.put_u8(WPK1.version);
+    out.put_u8(0);
+    out.put_count(chunks);
+    out.put_u64(total as u64);
+    out.put_u64(chunk_bytes as u64);
+    out.put_u32(crc);
+    debug_assert_eq!(out.len(), HEADER_BYTES);
 }
 
 /// Destination for a streamed container write: sequential appends plus
@@ -226,15 +221,9 @@ pub fn compress_chunked_stream<S: StreamSink>(
     // store's streaming segment writer) hold exactly the patchable
     // prefix. Both placeholder regions are patched after the last
     // member, when their values are known.
-    let mut header = Vec::with_capacity(HEADER_BYTES + 8 * chunks.len());
-    header.extend_from_slice(&MAGIC);
-    header.push(VERSION);
-    header.push(0);
-    header.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    header.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    header.extend_from_slice(&(chunk_bytes as u64).to_le_bytes());
-    header.extend_from_slice(&0u32.to_le_bytes());
-    debug_assert_eq!(header.len(), HEADER_BYTES);
+    let mut header = Writer::with_capacity(HEADER_BYTES + 8 * chunks.len());
+    put_header(&mut header, chunks.len(), data.len(), chunk_bytes, 0);
+    let mut header = header.into_bytes();
     header.resize(HEADER_BYTES + 8 * chunks.len(), 0);
     sink.write(&header)?;
 
@@ -291,28 +280,20 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<Parsed<'_>, Deflate
     if data.len() < HEADER_BYTES {
         return Err(DeflateError::BadContainer("too short for chunked container"));
     }
-    if le_bytes::<4>(data, 0)? != MAGIC {
-        return Err(DeflateError::BadContainer("bad chunked magic"));
-    }
-    let [version] = le_bytes::<1>(data, 4)?;
-    if version != VERSION {
-        return Err(DeflateError::BadContainer("unsupported chunked version"));
-    }
-    let chunk_count = usize::try_from(u32::from_le_bytes(le_bytes(data, OFF_CHUNK_COUNT)?))
+    let mut r = Reader::new(data);
+    r.expect_magic(&WPK1)?;
+    r.expect_version(&WPK1)?;
+    r.get_u8()?; // reserved
+    let chunk_count = usize::try_from(r.get_u32()?)
         .map_err(|_| DeflateError::BadContainer("chunk count exceeds address space"))?;
-    let total = u64::from_le_bytes(le_bytes(data, OFF_TOTAL)?);
-    let chunk_bytes = u64::from_le_bytes(le_bytes(data, OFF_CHUNK_BYTES)?);
-    let stored_crc = u32::from_le_bytes(le_bytes(data, OFF_CRC)?);
-
-    let total: usize = total
-        .try_into()
+    let total = usize::try_from(r.get_u64()?)
         .map_err(|_| DeflateError::BadContainer("payload length exceeds address space"))?;
+    let chunk_bytes = usize::try_from(r.get_u64()?)
+        .map_err(|_| DeflateError::BadContainer("chunk size exceeds address space"))?;
+    let stored_crc = r.get_u32()?;
     if total > max_output {
         return Err(DeflateError::OutputLimit { limit: max_output });
     }
-    let chunk_bytes: usize = chunk_bytes
-        .try_into()
-        .map_err(|_| DeflateError::BadContainer("chunk size exceeds address space"))?;
     // Cross-check the geometry before trusting any of it.
     let expect_chunks = if total == 0 { 0 } else { total.div_ceil(chunk_bytes.max(1)) };
     if chunk_bytes == 0 && total != 0 {
@@ -323,23 +304,16 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<Parsed<'_>, Deflate
     }
 
     // Chunk index: N compressed lengths, then exactly that many bytes.
-    let index_end = HEADER_BYTES
-        .checked_add(chunk_count.checked_mul(8).ok_or(DeflateError::UnexpectedEof)?)
-        .ok_or(DeflateError::UnexpectedEof)?;
-    if data.len() < index_end {
-        return Err(DeflateError::UnexpectedEof);
-    }
+    let index_len = chunk_count.checked_mul(8).ok_or(DeflateError::UnexpectedEof)?;
+    let mut index = Reader::new(r.get_bytes(index_len)?);
+    let index_end = r.position();
     let mut members: Vec<&[u8]> = Vec::with_capacity(chunk_count);
-    let mut cursor = index_end;
-    for i in 0..chunk_count {
-        let at = HEADER_BYTES + 8 * i;
-        let len = usize::try_from(u64::from_le_bytes(le_bytes(data, at)?))
+    for _ in 0..chunk_count {
+        let len = usize::try_from(index.get_u64()?)
             .map_err(|_| DeflateError::BadContainer("member length exceeds address space"))?;
-        let end = cursor.checked_add(len).ok_or(DeflateError::UnexpectedEof)?;
-        members.push(data.get(cursor..end).ok_or(DeflateError::UnexpectedEof)?);
-        cursor = end;
+        members.push(r.get_bytes(len)?);
     }
-    if cursor != data.len() {
+    if r.remaining() != 0 {
         return Err(DeflateError::BadContainer("member lengths do not span the body"));
     }
 

@@ -2,6 +2,7 @@
 //! formatted lossy output and uses as the lossless baseline.
 
 use crate::crc32::crc32;
+use crate::frame::Reader;
 use crate::{deflate, inflate, DeflateError, Level};
 
 const MAGIC: [u8; 2] = [0x1F, 0x8B];
@@ -71,9 +72,9 @@ pub fn decompress_member(
     let body = data.get(pos..body_end).ok_or(DeflateError::UnexpectedEof)?;
     let (out, body_consumed) = inflate::inflate_with_limit_consumed(body, max_output)?;
     let trailer = pos.checked_add(body_consumed).ok_or(DeflateError::UnexpectedEof)?;
-    let stored_crc = u32::from_le_bytes(crate::array_at(data, trailer)?);
-    let stored_size =
-        u32::from_le_bytes(crate::array_at(data, trailer.saturating_add(4))?);
+    let mut t = Reader::at(data, trailer);
+    let stored_crc = t.get_u32()?;
+    let stored_size = t.get_u32()?;
     let computed_crc = crc32(&out);
     if stored_crc != computed_crc {
         return Err(DeflateError::ChecksumMismatch { stored: stored_crc, computed: computed_crc });
@@ -108,7 +109,7 @@ pub fn member_body_offset(data: &[u8]) -> Result<usize, DeflateError> {
     let mut pos = 10usize;
     // FEXTRA
     if flg & 0x04 != 0 {
-        let xlen = usize::from(u16::from_le_bytes(crate::array_at(data, pos)?));
+        let xlen = usize::from(Reader::at(data, pos).get_u16()?);
         pos = pos.checked_add(2 + xlen).ok_or(DeflateError::UnexpectedEof)?;
     }
     // FNAME, FCOMMENT: zero-terminated strings.

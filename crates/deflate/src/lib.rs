@@ -18,7 +18,9 @@
 //! * [`gzip`] / [`zlib`] — container framing with CRC-32 / Adler-32,
 //! * [`chunked`] — a multi-member gzip container whose chunks compress
 //!   and decompress in parallel,
-//! * [`crc32`], [`adler32`] — the checksums.
+//! * [`crc32`], [`adler32`] — the checksums,
+//! * [`frame`] — the workspace's one byte cursor, its three frame
+//!   envelopes, and the table of every magic-tagged format.
 //!
 //! ## Quick use
 //!
@@ -36,6 +38,7 @@ pub mod chunked;
 pub mod crc32;
 pub mod deflate;
 pub mod fpc;
+pub mod frame;
 pub mod gzip;
 pub mod huffman;
 pub mod inflate;
@@ -112,6 +115,23 @@ impl fmt::Display for DeflateError {
 
 impl std::error::Error for DeflateError {}
 
+impl From<frame::FrameError> for DeflateError {
+    fn from(e: frame::FrameError) -> Self {
+        use frame::FrameError as F;
+        match e {
+            F::Truncated { .. } | F::LengthOverflow { .. } => DeflateError::UnexpectedEof,
+            F::Checksum { stored, computed } => DeflateError::ChecksumMismatch { stored, computed },
+            F::BadMagic { .. } => DeflateError::BadContainer("bad magic"),
+            F::BadVersion { .. } => DeflateError::BadContainer("unsupported version"),
+            F::ReservedNotZero => DeflateError::BadContainer("nonzero reserved header bytes"),
+            F::TrailingBytes { .. } => DeflateError::BadContainer("trailing bytes"),
+            F::BodyTooLarge { .. } => DeflateError::BadContainer("frame body exceeds its bound"),
+            F::CountTooLarge { .. } => DeflateError::BadContainer("count exceeds the input"),
+            F::StringTooLong { .. } | F::InvalidUtf8 => DeflateError::BadContainer("bad string"),
+        }
+    }
+}
+
 // Every target this crate supports has at least 32-bit pointers, so
 // u32 -> usize widening below is lossless.
 const _USIZE_HOLDS_U32: () = assert!(usize::BITS >= 32);
@@ -129,20 +149,6 @@ pub(crate) fn usize_from_u32(v: u32) -> usize {
 #[inline]
 pub(crate) fn u64_from_usize(v: usize) -> u64 {
     v as u64
-}
-
-/// Reads `N` bytes at offset `at` as a fixed array, erroring — never
-/// panicking — when the range runs past the end. The shared
-/// bounds-checked read for container header/trailer parsing.
-#[inline]
-pub(crate) fn array_at<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N], DeflateError> {
-    let s = at
-        .checked_add(N)
-        .and_then(|end| data.get(at..end))
-        .ok_or(DeflateError::UnexpectedEof)?;
-    let mut a = [0u8; N];
-    a.copy_from_slice(s);
-    Ok(a)
 }
 
 /// Compresses a raw DEFLATE stream (no container).

@@ -16,14 +16,11 @@
 use crate::bitio::BitReader;
 use crate::crc32::{crc32, crc32_combine};
 use crate::deflate::{fixed_dist_lengths, fixed_litlen_lengths, DIST_TABLE, LENGTH_TABLE};
+use crate::frame::{self, Reader, Writer, ICK1};
 use crate::huffman::Decoder;
 use crate::inflate::read_dynamic_lengths;
 use crate::DeflateError;
 
-/// Magic prefix of a serialized inflate checkpoint.
-pub const MAGIC: [u8; 4] = *b"ICK1";
-/// Current blob version; restore rejects anything else.
-pub const VERSION: u8 = 1;
 /// DEFLATE's maximum back-reference distance: the window the engine
 /// must retain between steps.
 pub const WINDOW_BYTES: usize = 32 * 1024;
@@ -248,9 +245,9 @@ impl ResumableInflate {
     /// Call only between steps — the window invariant
     /// (`len == min(out_len, 32 KiB)`) holds exactly there.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(40 + self.window.len() + 320);
-        b.extend_from_slice(&MAGIC);
-        b.push(VERSION);
+        let mut b = Writer::with_capacity(40 + self.window.len() + 320);
+        b.put_bytes(&ICK1.magic);
+        b.put_u8(ICK1.version);
         let mut flags = 0u8;
         if self.done {
             flags |= FLAG_DONE;
@@ -258,33 +255,31 @@ impl ResumableInflate {
         if self.final_block {
             flags |= FLAG_FINAL_BLOCK;
         }
-        b.push(flags);
-        b.extend_from_slice(&self.bit_pos.to_le_bytes());
-        b.extend_from_slice(&self.out_len.to_le_bytes());
-        b.extend_from_slice(&self.crc.to_le_bytes());
+        b.put_u8(flags);
+        b.put_u64(self.bit_pos);
+        b.put_u64(self.out_len);
+        b.put_u32(self.crc);
         match &self.block {
-            Block::Boundary => b.push(0),
+            Block::Boundary => b.put_u8(0),
             Block::Stored { remaining } => {
-                b.push(1);
-                b.extend_from_slice(&remaining.to_le_bytes());
+                b.put_u8(1);
+                b.put_u32(*remaining);
             }
-            Block::Fixed => b.push(2),
+            Block::Fixed => b.put_u8(2),
             Block::Dynamic { lit_lens, dist_lens } => {
-                b.push(3);
+                b.put_u8(3);
                 // Lengths are bounded (<= 286 / <= 30) by the header
                 // parser, so the u16 conversions cannot truncate; a
                 // zero fallback would be rejected on restore anyway.
-                b.extend_from_slice(&u16::try_from(lit_lens.len()).unwrap_or(0).to_le_bytes());
-                b.extend_from_slice(&u16::try_from(dist_lens.len()).unwrap_or(0).to_le_bytes());
-                b.extend_from_slice(lit_lens);
-                b.extend_from_slice(dist_lens);
+                b.put_u16(u16::try_from(lit_lens.len()).unwrap_or(0));
+                b.put_u16(u16::try_from(dist_lens.len()).unwrap_or(0));
+                b.put_bytes(lit_lens);
+                b.put_bytes(dist_lens);
             }
         }
-        b.extend_from_slice(&u32::try_from(self.window.len()).unwrap_or(0).to_le_bytes());
-        b.extend_from_slice(&self.window);
-        let frame_crc = crc32(&b);
-        b.extend_from_slice(&frame_crc.to_le_bytes());
-        b
+        b.put_count(self.window.len());
+        b.put_bytes(&self.window);
+        b.seal(ICK1.max_body).expect("the window is trimmed to 32 KiB between steps")
     }
 
     /// Deserializes an `ICK1` blob back into a live engine, validating
@@ -295,22 +290,10 @@ impl ResumableInflate {
     /// error cleanly — never panic, never yield an engine that would
     /// silently produce wrong bytes.
     pub fn restore_from_checkpoint(blob: &[u8]) -> Result<ResumableInflate, DeflateError> {
-        let body_end =
-            blob.len().checked_sub(4).ok_or(DeflateError::BadContainer("resume blob too short"))?;
-        let stored = u32::from_le_bytes(crate::array_at(blob, body_end)?);
-        let body = blob.get(..body_end).ok_or(DeflateError::UnexpectedEof)?;
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(DeflateError::ChecksumMismatch { stored, computed });
-        }
-        let mut cur = Cursor { data: body, at: 0 };
-        if cur.take::<4>()? != MAGIC {
-            return Err(DeflateError::BadContainer("resume blob lacks ICK1 magic"));
-        }
-        if cur.u8()? != VERSION {
-            return Err(DeflateError::BadContainer("unsupported resume blob version"));
-        }
-        let flags = cur.u8()?;
+        let mut cur = Reader::new(frame::unseal(blob, ICK1.max_body)?);
+        cur.expect_magic(&ICK1)?;
+        cur.expect_version(&ICK1)?;
+        let flags = cur.get_u8()?;
         if flags & !(FLAG_DONE | FLAG_FINAL_BLOCK) != 0 {
             return Err(DeflateError::BadContainer("resume blob has unknown flags"));
         }
@@ -319,13 +302,13 @@ impl ResumableInflate {
         if done && !final_block {
             return Err(DeflateError::BadContainer("resume blob done without final block"));
         }
-        let bit_pos = cur.u64()?;
-        let out_len = cur.u64()?;
-        let crc = cur.u32()?;
-        let block = match cur.u8()? {
+        let bit_pos = cur.get_u64()?;
+        let out_len = cur.get_u64()?;
+        let crc = cur.get_u32()?;
+        let block = match cur.get_u8()? {
             0 => Block::Boundary,
             1 => {
-                let remaining = cur.u32()?;
+                let remaining = cur.get_u32()?;
                 if remaining > 0xFFFF {
                     return Err(DeflateError::BadContainer("resume blob stored length too large"));
                 }
@@ -336,13 +319,13 @@ impl ResumableInflate {
             }
             2 => Block::Fixed,
             3 => {
-                let nlit = usize::from(cur.u16()?);
-                let ndist = usize::from(cur.u16()?);
+                let nlit = usize::from(cur.get_u16()?);
+                let ndist = usize::from(cur.get_u16()?);
                 if !(257..=286).contains(&nlit) || !(1..=30).contains(&ndist) {
                     return Err(DeflateError::BadContainer("resume blob table size out of range"));
                 }
-                let lit_lens = cur.bytes(nlit)?.to_vec();
-                let dist_lens = cur.bytes(ndist)?.to_vec();
+                let lit_lens = cur.get_bytes(nlit)?.to_vec();
+                let dist_lens = cur.get_bytes(ndist)?.to_vec();
                 Block::Dynamic { lit_lens, dist_lens }
             }
             _ => return Err(DeflateError::BadContainer("resume blob has bad block state")),
@@ -350,15 +333,13 @@ impl ResumableInflate {
         if done && block != Block::Boundary {
             return Err(DeflateError::BadContainer("resume blob done inside a block"));
         }
-        let window_len = crate::usize_from_u32(cur.u32()?);
+        let window_len = crate::usize_from_u32(cur.get_u32()?);
         let expect = u64::min(out_len, crate::u64_from_usize(WINDOW_BYTES));
         if crate::u64_from_usize(window_len) != expect {
             return Err(DeflateError::BadContainer("resume blob window length mismatch"));
         }
-        let window = cur.bytes(window_len)?.to_vec();
-        if cur.at != body.len() {
-            return Err(DeflateError::BadContainer("resume blob has trailing bytes"));
-        }
+        let window = cur.get_bytes(window_len)?.to_vec();
+        cur.expect_end()?;
         let mut engine = ResumableInflate {
             bit_pos,
             block,
@@ -375,44 +356,6 @@ impl ResumableInflate {
             engine.decoders = Some(engine.build_decoders()?);
         }
         Ok(engine)
-    }
-}
-
-/// Bounds-checked little-endian read cursor over a blob body.
-struct Cursor<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], DeflateError> {
-        let v = crate::array_at(self.data, self.at)?;
-        self.at = self.at.checked_add(N).ok_or(DeflateError::UnexpectedEof)?;
-        Ok(v)
-    }
-
-    fn u8(&mut self) -> Result<u8, DeflateError> {
-        let [b] = self.take::<1>()?;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, DeflateError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, DeflateError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, DeflateError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DeflateError> {
-        let end = self.at.checked_add(n).ok_or(DeflateError::UnexpectedEof)?;
-        let v = self.data.get(self.at..end).ok_or(DeflateError::UnexpectedEof)?;
-        self.at = end;
-        Ok(v)
     }
 }
 
@@ -559,42 +502,6 @@ mod tests {
             if engine.inflate_step(&stream, &mut out, 512).unwrap() {
                 break;
             }
-        }
-    }
-
-    #[test]
-    fn truncated_blobs_all_error() {
-        let data = lcg_bytes(3000, 9);
-        let stream = compress(&data, Level::Default);
-        let mut engine = ResumableInflate::new();
-        let mut out = Vec::new();
-        engine.inflate_step(&stream, &mut out, 1000).unwrap();
-        let blob = engine.checkpoint();
-        for n in 0..blob.len() {
-            assert!(
-                ResumableInflate::restore_from_checkpoint(&blob[..n]).is_err(),
-                "truncation to {n} bytes must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn flipped_bytes_all_error() {
-        let data = b"abcd".repeat(200);
-        let stream = compress(&data, Level::Default);
-        let mut engine = ResumableInflate::new();
-        let mut out = Vec::new();
-        engine.inflate_step(&stream, &mut out, 300).unwrap();
-        let blob = engine.checkpoint();
-        // Any single-byte corruption is caught by the frame CRC (and a
-        // flip inside the CRC field itself mismatches the body).
-        for i in 0..blob.len() {
-            let mut bad = blob.clone();
-            bad[i] ^= 0x41;
-            assert!(
-                ResumableInflate::restore_from_checkpoint(&bad).is_err(),
-                "flip at byte {i} must fail"
-            );
         }
     }
 

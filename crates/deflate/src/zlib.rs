@@ -2,6 +2,7 @@
 //! Section IV-D names as the fix for its temp-file gzip overhead.
 
 use crate::adler32::adler32;
+use crate::frame::Reader;
 use crate::{deflate, inflate, DeflateError, Level};
 
 /// Compresses `data` into a zlib stream (CM=8, 32 KiB window).
@@ -56,7 +57,7 @@ fn decompress_inner(data: &[u8], max_output: usize) -> Result<Vec<u8>, DeflateEr
     let trailer_at = data.len().checked_sub(4).ok_or(DeflateError::UnexpectedEof)?;
     let body = data.get(2..trailer_at).ok_or(DeflateError::UnexpectedEof)?;
     let out = inflate::inflate_with_limit(body, max_output)?;
-    let stored = u32::from_be_bytes(crate::array_at(data, trailer_at)?);
+    let stored = u32::from_be_bytes(Reader::at(data, trailer_at).get_array()?);
     let computed = adler32(&out);
     if stored != computed {
         return Err(DeflateError::ChecksumMismatch { stored, computed });

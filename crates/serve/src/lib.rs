@@ -111,6 +111,12 @@ impl From<DeflateError> for ServeError {
     }
 }
 
+impl From<ckpt_deflate::frame::FrameError> for ServeError {
+    fn from(e: ckpt_deflate::frame::FrameError) -> Self {
+        ServeError::Proto(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)

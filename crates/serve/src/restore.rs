@@ -25,9 +25,9 @@
 //! frame crc32 over everything before it
 //! ```
 
-use crate::proto::Cursor;
 use crate::{Result, ServeError};
 use ckpt_deflate::crc32::{crc32, crc32_combine};
+use ckpt_deflate::frame::{self, Reader, Writer, RST1};
 use ckpt_deflate::gzip;
 use ckpt_deflate::resume::ResumableInflate;
 use ckpt_store::layout;
@@ -36,10 +36,6 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// Magic tag of a resume token file.
-pub const TOKEN_MAGIC: [u8; 4] = *b"RST1";
-/// Current token version.
-pub const TOKEN_VERSION: u8 = 1;
 /// Fixed token size before the variable ICK1 blob and the frame CRC.
 const TOKEN_FIXED: usize = 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 8 + 4 + 8 + 4 + 4;
 
@@ -101,23 +97,22 @@ pub struct Token {
 
 /// Serializes a token, framing CRC included.
 pub fn encode_token(tok: &Token) -> Vec<u8> {
-    let mut out = Vec::with_capacity(TOKEN_FIXED + tok.ick.len() + 4);
-    out.extend_from_slice(&TOKEN_MAGIC);
-    out.push(TOKEN_VERSION);
-    out.extend_from_slice(&tok.gen.to_le_bytes());
-    out.extend_from_slice(&tok.rank.to_le_bytes());
-    out.extend_from_slice(&tok.payload_len.to_le_bytes());
-    out.extend_from_slice(&tok.payload_crc.to_le_bytes());
-    out.extend_from_slice(&tok.member_at.to_le_bytes());
-    out.extend_from_slice(&tok.member_count.to_le_bytes());
-    out.extend_from_slice(&tok.prefix_len.to_le_bytes());
-    out.extend_from_slice(&tok.prefix_crc.to_le_bytes());
-    out.extend_from_slice(&tok.out_len.to_le_bytes());
-    out.extend_from_slice(&tok.out_crc.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(tok.ick.len()).unwrap_or(u32::MAX).to_le_bytes());
-    out.extend_from_slice(&tok.ick);
-    out.extend_from_slice(&crc32(&out).to_le_bytes());
-    out
+    let mut out = Writer::with_capacity(TOKEN_FIXED + tok.ick.len() + 4);
+    out.put_bytes(&RST1.magic);
+    out.put_u8(RST1.version);
+    out.put_u64(tok.gen);
+    out.put_u32(tok.rank);
+    out.put_u64(tok.payload_len);
+    out.put_u32(tok.payload_crc);
+    out.put_u32(tok.member_at);
+    out.put_u32(tok.member_count);
+    out.put_u64(tok.prefix_len);
+    out.put_u32(tok.prefix_crc);
+    out.put_u64(tok.out_len);
+    out.put_u32(tok.out_crc);
+    out.put_count(tok.ick.len());
+    out.put_bytes(&tok.ick);
+    out.seal(RST1.max_body).expect("a token carries at most one ICK1 blob")
 }
 
 /// Parses and structurally validates a token. The frame CRC is checked
@@ -125,48 +120,22 @@ pub fn encode_token(tok: &Token) -> Vec<u8> {
 /// from a torn write (which the atomic rename should prevent anyway)
 /// dies here cleanly.
 pub fn parse_token(bytes: &[u8]) -> Result<Token> {
-    let body_len = bytes
-        .len()
-        .checked_sub(4)
-        .ok_or_else(|| ServeError::Proto("resume token too short".into()))?;
-    let body = bytes
-        .get(..body_len)
-        .ok_or_else(|| ServeError::Proto("resume token too short".into()))?;
-    let declared = bytes.get(body_len..).ok_or_else(|| ServeError::Proto("token crc".into()))?;
-    let declared = u32::from_le_bytes(
-        <[u8; 4]>::try_from(declared).map_err(|_| ServeError::Proto("token crc".into()))?,
-    );
-    let computed = crc32(body);
-    if computed != declared {
-        return Err(ServeError::Proto(format!(
-            "resume token CRC {computed:08x} != recorded {declared:08x}"
-        )));
-    }
-    let mut c = Cursor::new(body);
-    let magic = c.take::<4>()?;
-    if magic != TOKEN_MAGIC {
-        return Err(ServeError::Proto("resume token lacks RST1 magic".into()));
-    }
-    let version = c.u8()?;
-    if version != TOKEN_VERSION {
-        return Err(ServeError::Proto(format!(
-            "resume token version {version}, this build reads {TOKEN_VERSION}"
-        )));
-    }
-    let gen = c.u64()?;
-    let rank = c.u32()?;
-    let payload_len = c.u64()?;
-    let payload_crc = c.u32()?;
-    let member_at = c.u32()?;
-    let member_count = c.u32()?;
-    let prefix_len = c.u64()?;
-    let prefix_crc = c.u32()?;
-    let out_len = c.u64()?;
-    let out_crc = c.u32()?;
-    let ick_len = c.u32()?;
-    let ick_len = usize::try_from(ick_len).map_err(|_| ServeError::Proto("ick length".into()))?;
-    let ick = c.bytes(ick_len)?.to_vec();
-    c.finish()?;
+    let mut c = Reader::new(frame::unseal(bytes, RST1.max_body)?);
+    c.expect_magic(&RST1)?;
+    c.expect_version(&RST1)?;
+    let gen = c.get_u64()?;
+    let rank = c.get_u32()?;
+    let payload_len = c.get_u64()?;
+    let payload_crc = c.get_u32()?;
+    let member_at = c.get_u32()?;
+    let member_count = c.get_u32()?;
+    let prefix_len = c.get_u64()?;
+    let prefix_crc = c.get_u32()?;
+    let out_len = c.get_u64()?;
+    let out_crc = c.get_u32()?;
+    let ick_len = c.get_count(1)?;
+    let ick = c.get_bytes(ick_len)?.to_vec();
+    c.expect_end()?;
 
     if member_count == 0 || member_at >= member_count {
         return Err(ServeError::Proto(format!(
@@ -426,8 +395,9 @@ fn drive(
 /// Checks a finished member's gzip trailer (CRC32 + ISIZE) against
 /// what the engine actually produced.
 fn verify_member_trailer(member: &[u8], body_end: usize, engine: &ResumableInflate) -> Result<()> {
-    let stored_crc = le_u32_at(member, body_end)?;
-    let stored_size = le_u32_at(member, body_end.saturating_add(4))?;
+    let mut trailer = Reader::at(member, body_end);
+    let stored_crc = trailer.get_u32()?;
+    let stored_size = trailer.get_u32()?;
     if stored_crc != engine.output_crc() {
         return Err(ServeError::Proto(format!(
             "member CRC {stored_crc:08x} != decoded {:08x}",
@@ -442,16 +412,6 @@ fn verify_member_trailer(member: &[u8], body_end: usize, engine: &ResumableInfla
         )));
     }
     Ok(())
-}
-
-fn le_u32_at(bytes: &[u8], at: usize) -> Result<u32> {
-    let end = at.checked_add(4).ok_or_else(|| ServeError::Proto("offset overflow".into()))?;
-    let slice = bytes
-        .get(at..end)
-        .ok_or_else(|| ServeError::Proto("trailer out of range".into()))?;
-    Ok(u32::from_le_bytes(
-        <[u8; 4]>::try_from(slice).map_err(|_| ServeError::Proto("trailer out of range".into()))?,
-    ))
 }
 
 /// The rank's committed metadata and member index.

@@ -159,6 +159,12 @@ impl std::error::Error for StoreError {
     }
 }
 
+impl From<ckpt_deflate::frame::FrameError> for StoreError {
+    fn from(e: ckpt_deflate::frame::FrameError) -> Self {
+        StoreError::Corrupt(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)

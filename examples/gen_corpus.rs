@@ -1,30 +1,32 @@
 //! Regenerates the corrupt-input corpus under `tests/corpus/`.
 //!
-//! Each file is a deliberately damaged checkpoint artifact exercising a
-//! distinct decoder failure path; `tests/corrupt_corpus.rs` asserts
-//! every one of them decodes to an `Err` — never a panic and never
-//! silently wrong data. The generator is deterministic (fixed seeds,
-//! fixed corruption sites) so re-running it reproduces the checked-in
-//! bytes exactly.
+//! `<magic>_*.bin` is a deliberately damaged artifact of that format
+//! exercising a distinct decoder failure path, and `valid_<magic>.bin`
+//! one intact sample per format; `tests/corrupt_corpus.rs` walks
+//! `frame::FORMATS` and asserts every damaged file is refused by its
+//! format's decoder — never a panic and never silently wrong data —
+//! and every valid one still decodes and still equals what this build
+//! writes. The generator is deterministic (fixed seeds, fixed
+//! corruption sites) so re-running it reproduces the checked-in bytes
+//! exactly.
 //!
 //! Run with: `cargo run --example gen_corpus`
 
-use lossy_ckpt::deflate::{chunked, gzip, resume, Level};
-use lossy_ckpt::prelude::*;
-use std::fs;
-use std::path::Path;
+#[path = "../tests/common/mod.rs"]
+mod common;
 
-fn lcg_bytes(n: usize, mut state: u64) -> Vec<u8> {
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect()
-}
+use common::lcg_bytes;
+use lossy_ckpt::deflate::frame::{self, Writer, FORMATS};
+use lossy_ckpt::deflate::{chunked, gzip, Level};
+use lossy_ckpt::prelude::*;
+use lossy_ckpt::serve::restore::encode_token;
+use std::fs;
+
+/// The length every `*_claim_1gib.bin` entry claims.
+const GIB: u32 = 1 << 30;
 
 fn main() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = common::corpus_dir();
     fs::create_dir_all(&dir).expect("create tests/corpus");
     let write = |name: &str, bytes: &[u8]| {
         let path = dir.join(name);
@@ -98,11 +100,7 @@ fn main() {
 
     // INC1 increments against the deterministic base the corpus tests
     // rebuild (Pressure field, seed 11, every 7th element perturbed).
-    let base = generate(&FieldSpec::small(FieldKind::Pressure, 11));
-    let mut cur = base.clone();
-    for i in (0..cur.len()).step_by(7) {
-        cur.as_mut_slice()[i] += 1.5;
-    }
+    let (base, cur) = common::inc_pair();
     let (inc, _) =
         lossy_ckpt::core::incremental::increment(&base, &cur, Level::Default).unwrap();
 
@@ -127,19 +125,13 @@ fn main() {
     // ICK1 resumable-inflate checkpoints: a real mid-stream engine
     // state over the deterministic gzip stream from entry 5, then four
     // distinct damage modes `restore_from_checkpoint` must refuse.
-    let body = &gz[gzip::member_body_offset(&gz).unwrap()..gz.len() - 8];
-    let mut engine = resume::ResumableInflate::new();
-    let mut sink = Vec::new();
-    let done = engine.inflate_step(body, &mut sink, 5_000).unwrap();
-    assert!(!done, "corpus engine must stop mid-stream");
-    let ick = engine.checkpoint();
-    let reframe = |mut b: Vec<u8>| -> Vec<u8> {
+    let (ick, _, _) = common::ick_fixture(5_000);
+    let reframe = |b: Vec<u8>| -> Vec<u8> {
         // Recompute the frame CRC so the damage under test — not the
         // checksum — is what the decoder has to catch.
-        let body_end = b.len() - 4;
-        let crc = lossy_ckpt::deflate::crc32::crc32(&b[..body_end]).to_le_bytes();
-        b[body_end..].copy_from_slice(&crc);
-        b
+        let mut body = Writer::new();
+        body.put_bytes(&b[..b.len() - 4]);
+        body.seal(usize::MAX).unwrap()
     };
 
     // 14. ICK1 truncated mid-window.
@@ -202,4 +194,101 @@ fn main() {
     let mut snap_ver = snap.clone();
     snap_ver[4] = 9;
     write("csm2_bad_version.bin", &snap_ver);
+
+    // One intact sample per format. The checked-in copies were written
+    // by the commit before the formats moved onto `frame`; this build
+    // regenerating them byte-identically is the compatibility check.
+    let samples = common::valid_samples();
+    for (f, (magic, bytes)) in FORMATS.iter().zip(&samples) {
+        assert_eq!(f.magic, *magic, "valid_samples() follows the table's order");
+        fs::write(common::valid_path(f), bytes).expect("write corpus file");
+        println!("{:>6} bytes  {}", bytes.len(), common::valid_path(f).display());
+    }
+    let sample = |f: &frame::Format| -> Vec<u8> {
+        samples.iter().find(|(magic, _)| *magic == f.magic).expect("sample").1.clone()
+    };
+
+    // Resource totality: one entry per length-prefixed format claiming
+    // 1 GiB in a file of a few dozen bytes. Each must be refused
+    // without the claimed size ever being allocated.
+
+    // 21. CSM1 record claiming a 1 GiB body: ends the valid prefix at
+    //     the header.
+    let mut csm1 = Writer::new();
+    csm1.put_bytes(&frame::header8(&frame::CSM1));
+    csm1.put_u32(GIB);
+    csm1.put_u32(0);
+    write("csm1_claim_1gib.bin", &csm1.into_bytes());
+
+    // 22. CSM2 frame claiming a 1 GiB body.
+    let mut csm2 = Writer::new();
+    csm2.put_bytes(&frame::header8(&frame::CSM2));
+    csm2.put_u32(GIB);
+    csm2.put_u32(0);
+    write("csm2_claim_1gib.bin", &csm2.into_bytes());
+
+    // 23. SRV1 frame claiming a 1 GiB body.
+    let mut srv1 = Writer::new();
+    srv1.put_u32(GIB);
+    srv1.put_u32(0);
+    write("srv1_claim_1gib.bin", &srv1.into_bytes());
+
+    // 24. RST1 token whose `ick_len` claims 1 GiB (resealed, so the
+    //     claim — not the CRC — is what parse_token has to refuse).
+    let mut tok = common::valid_token();
+    tok.ick = Vec::new();
+    let mut rst1 = encode_token(&tok);
+    let at = rst1.len() - 8; // ick_len, then the frame CRC
+    rst1[at..at + 4].copy_from_slice(&GIB.to_le_bytes());
+    write("rst1_claim_1gib.bin", &reframe(rst1));
+
+    // 25. ICK1 blob whose `window_len` claims 1 GiB (resealed): a fresh
+    //     engine's blob is 27 fixed bytes, window_len, CRC.
+    let mut ick_claim = lossy_ckpt::deflate::resume::ResumableInflate::new().checkpoint();
+    let at = ick_claim.len() - 8;
+    ick_claim[at..at + 4].copy_from_slice(&GIB.to_le_bytes());
+    write("ick1_claim_1gib.bin", &reframe(ick_claim));
+
+    // 26. INC1 claiming 2^30 pages over a matching 2^39-element shape,
+    //     so the claim survives the header's own consistency check and
+    //     it is the 128 MiB dirty map that is not there.
+    let mut inc_claim = Writer::new();
+    inc_claim.put_bytes(&frame::INC1.magic);
+    inc_claim.put_u8(1);
+    inc_claim.put_u64(u64::from(GIB) * 512);
+    inc_claim.put_u64(u64::from(GIB));
+    write("inc1_claim_1gib.bin", &gzip::compress(&inc_claim.into_bytes(), Level::Default));
+
+    // First damaged entries for the three formats that had unit tests
+    // only.
+
+    // 27. RPC1 cursor with a flipped byte in the generation field.
+    let mut rpc1 = sample(&frame::RPC1);
+    rpc1[9] ^= 0x04;
+    write("rpc1_crc_flip.bin", &rpc1);
+
+    // 28. RPC1 cursor with a nonzero reserved header byte.
+    let mut rpc1 = sample(&frame::RPC1);
+    rpc1[6] = 1;
+    write("rpc1_reserved_nonzero.bin", &rpc1);
+
+    // 29. RST1 token claiming an unknown version (resealed).
+    let mut rst1 = sample(&frame::RST1);
+    rst1[4] = 9;
+    write("rst1_bad_version.bin", &reframe(rst1));
+
+    // 30. RST1 boundary token (no ICK1 blob) whose output accounting
+    //     says it is mid-member.
+    let mut tok = common::valid_token();
+    tok.ick = Vec::new();
+    write("rst1_boundary_mismatch.bin", &encode_token(&tok));
+
+    // 31. SRV1 frame torn inside its body.
+    let srv1 = sample(&frame::SRV1);
+    write("srv1_torn_body.bin", &srv1[..srv1.len() - 5]);
+
+    // 32. SRV1 frame with a flipped body byte.
+    let mut srv1 = sample(&frame::SRV1);
+    srv1[12] ^= 0x80;
+    write("srv1_crc_flip.bin", &srv1);
 }

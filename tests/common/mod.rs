@@ -1,0 +1,182 @@
+//! Deterministic inputs shared by `examples/gen_corpus.rs` (which
+//! writes them under `tests/corpus/`) and `tests/corrupt_corpus.rs`
+//! (which rebuilds them to compare): one valid sample per format in
+//! `frame::FORMATS`, and the bases the damaged entries derive from.
+
+#![allow(dead_code)] // each includer uses its own subset
+
+use lossy_ckpt::core::checkpoint::CheckpointBuilder;
+use lossy_ckpt::core::incremental;
+use lossy_ckpt::deflate::frame::Format;
+use lossy_ckpt::deflate::resume::ResumableInflate;
+use lossy_ckpt::deflate::{chunked, gzip, Level};
+use lossy_ckpt::prelude::*;
+use lossy_ckpt::serve::proto::{self, Request};
+use lossy_ckpt::serve::restore::{encode_token, Token};
+use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store};
+use std::fs;
+use std::path::{Path, PathBuf};
+
+pub fn lcg_bytes(n: usize, mut state: u64) -> Vec<u8> {
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        })
+        .collect()
+}
+
+pub fn corpus_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
+}
+
+/// `tests/corpus/valid_<magic>.bin`.
+pub fn valid_path(f: &Format) -> PathBuf {
+    corpus_dir().join(format!("valid_{}.bin", f.name().to_lowercase()))
+}
+
+/// The base and current state the `INC1` entries are built from.
+pub fn inc_pair() -> (Tensor<f64>, Tensor<f64>) {
+    let base = generate(&FieldSpec::small(FieldKind::Pressure, 11));
+    let mut cur = base.clone();
+    for i in (0..cur.len()).step_by(7) {
+        cur.as_mut_slice()[i] += 1.5;
+    }
+    (base, cur)
+}
+
+/// A 16×8 field: big enough for every pipeline stage, small enough to
+/// check in and to damage at every byte.
+pub fn tiny_field(seed: u64) -> Tensor<f64> {
+    let spec = FieldSpec { dims: vec![16, 8], ..FieldSpec::small(FieldKind::Temperature, seed) };
+    generate(&spec)
+}
+
+/// The store's three states of one rank: the packed lossy array, what
+/// it restores to, and that state nine elements later — the valid
+/// `INC1` sample is the increment between the last two.
+pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+    let full = comp.compress(&tiny_field(1)).unwrap().bytes;
+    let base = Compressor::decompress(&full).unwrap();
+    let mut next = base.clone();
+    for v in next.as_mut_slice().iter_mut().take(9) {
+        *v += 0.25;
+    }
+    (full, base, next)
+}
+
+/// A mid-stream `ICK1` blob, the deflate body it checkpoints, and the
+/// payload that body decodes to. `step` is how far the engine ran.
+pub fn ick_fixture(step: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let payload = lcg_bytes(20_000, 42);
+    let gz = gzip::compress(&payload, Level::Default);
+    let body = gz[gzip::member_body_offset(&gz).unwrap()..gz.len() - 8].to_vec();
+    let mut engine = ResumableInflate::new();
+    let mut sink = Vec::new();
+    assert!(!engine.inflate_step(&body, &mut sink, step).unwrap(), "must stop mid-stream");
+    (engine.checkpoint(), body, payload)
+}
+
+/// A mid-member token around the small `ICK1` sample.
+pub fn valid_token() -> Token {
+    let (ick, _, _) = ick_fixture(300);
+    let engine = ResumableInflate::restore_from_checkpoint(&ick).unwrap();
+    Token {
+        gen: 3,
+        rank: 0,
+        payload_len: 12_345,
+        payload_crc: 0xC0FF_EE00,
+        member_at: 1,
+        member_count: 4,
+        prefix_len: 4096,
+        prefix_crc: 0x1234_5678,
+        out_len: 4096 + engine.output_len(),
+        out_crc: lossy_ckpt::deflate::crc32::crc32_combine(
+            0x1234_5678,
+            engine.output_crc(),
+            engine.output_len(),
+        ),
+        ick,
+    }
+}
+
+/// The files of a deterministic three-generation store — a full array,
+/// an increment on it, a manifest compaction, one more full under an
+/// error bound, then a push to a buddy: `(manifest, manifest.snap,
+/// replication.cursor, [segment of gen 1, of gen 2, of gen 3])`.
+pub struct StoreFiles {
+    pub manifest: Vec<u8>,
+    pub snapshot: Vec<u8>,
+    pub cursor: Vec<u8>,
+    pub segments: [Vec<u8>; 3],
+}
+
+pub fn store_files() -> StoreFiles {
+    let dir = std::env::temp_dir().join(format!(
+        "ckpt-corpus-store-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let (full, base, next) = tiny_states();
+    let (inc, _) = incremental::increment(&base, &next, Level::Default).unwrap();
+
+    let mut store = Store::open(dir.join("primary")).unwrap();
+    let g1 = store.save_full(10, SegmentFormat::Array, &[&full], 1).unwrap();
+    store.save_increment(20, g1, &[&inc], 1).unwrap();
+    store.compact_manifest().unwrap();
+    store.save_full_bounded(30, SegmentFormat::Array, &[&full], 1, 1e-3).unwrap();
+    let mut buddy = Store::open(dir.join("buddy")).unwrap();
+    store.push_to(&mut LocalReplica(&mut buddy)).unwrap();
+    drop((store, buddy));
+
+    let read = |rel: &str| fs::read(dir.join("primary").join(rel)).unwrap();
+    let files = StoreFiles {
+        manifest: read("manifest"),
+        snapshot: read("manifest.snap"),
+        cursor: read("replication.cursor"),
+        segments: [1, 2, 3].map(|g| read(&format!("segments/{g:08}.0.seg"))),
+    };
+    let _ = fs::remove_dir_all(&dir);
+    files
+}
+
+/// Lays `files` out as a store directory.
+pub fn plant_store(dir: &Path, files: &StoreFiles) {
+    let _ = fs::remove_dir_all(dir);
+    fs::create_dir_all(dir.join("segments")).unwrap();
+    fs::write(dir.join("manifest"), &files.manifest).unwrap();
+    fs::write(dir.join("manifest.snap"), &files.snapshot).unwrap();
+    fs::write(dir.join("replication.cursor"), &files.cursor).unwrap();
+    for (seg, gen) in files.segments.iter().zip(1..) {
+        fs::write(dir.join(format!("segments/{gen:08}.0.seg")), seg).unwrap();
+    }
+}
+
+/// One valid encoded sample per format, keyed by magic. What
+/// `gen_corpus` writes to [`valid_path`]; the files checked in were
+/// written by the commit before the formats moved onto
+/// `ckpt_deflate::frame`, so a rebuild that still equals them shows
+/// the bytes did not move.
+pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
+    let store = store_files();
+    let [wck1, inc1, _] = store.segments;
+    let mut ckpt = CheckpointBuilder::new(7);
+    ckpt.add_raw("t", &tiny_field(2)).unwrap();
+    let mut srv1 = Vec::new();
+    let fetch = Request::Fetch { gen: 3, rank: 0, offset: 4096, len: 512 };
+    proto::write_frame(&mut srv1, &proto::encode_request(&fetch)).unwrap();
+    vec![
+        (*b"WCK1", wck1),
+        (*b"CKPT", ckpt.into_bytes()),
+        (*b"WPK1", chunked::compress_chunked(&lcg_bytes(3000, 5), Level::Fast, 1024, 1)),
+        (*b"INC1", inc1),
+        (*b"CSM1", store.manifest),
+        (*b"CSM2", store.snapshot),
+        (*b"RPC1", store.cursor),
+        (*b"ICK1", ick_fixture(300).0),
+        (*b"RST1", encode_token(&valid_token())),
+        (*b"SRV1", srv1),
+    ]
+}

@@ -1,317 +1,476 @@
-//! Corrupt-input corpus: every checked-in artifact under
-//! `tests/corpus/` (regenerate with `cargo run --example gen_corpus`)
-//! must decode to an `Err` — never a panic, never silently wrong data.
-//! The property tests extend the same guarantee to arbitrary
-//! single-byte corruption and to pure noise.
+//! Hostile bytes against every format in `frame::FORMATS`.
+//!
+//! One harness per format (its owner's decoder, reduced to the bytes
+//! it vouches for) drives the table-driven checks: every damaged
+//! artifact under `tests/corpus/` (regenerate with `cargo run
+//! --example gen_corpus`) is refused by its format's decoder, the
+//! 1 GiB claims on the guard that spares the allocation; every
+//! checked-in valid sample — written by the commit before the formats
+//! moved onto `frame` — still decodes and still equals what this build
+//! writes; and a valid sample cut at any byte or flipped at any byte
+//! is refused too. A format added to the table without a harness fails
+//! here, not silently.
 
 #![allow(clippy::needless_update)]
 
+mod common;
+
 use lossy_ckpt::core::checkpoint::Checkpoint;
 use lossy_ckpt::core::incremental;
+use lossy_ckpt::deflate::frame::{Format, FORMATS};
 use lossy_ckpt::deflate::resume::ResumableInflate;
-use lossy_ckpt::deflate::{chunked, gzip, zlib, DeflateError, Level};
+use lossy_ckpt::deflate::{chunked, gzip, zlib, Level};
 use lossy_ckpt::prelude::*;
+use lossy_ckpt::serve::{proto, restore};
+use lossy_ckpt::store::{manifest, replicate, SegmentFormat, Store};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use std::fs;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// The deterministic base tensor the INC1 corpus entries were built
-/// against (must match `examples/gen_corpus.rs`).
-fn inc_base() -> &'static Tensor<f64> {
-    static BASE: OnceLock<Tensor<f64>> = OnceLock::new();
-    BASE.get_or_init(|| generate(&FieldSpec::small(FieldKind::Pressure, 11)))
+/// How a format's decoder must treat a damaged byte.
+#[derive(Clone, Copy, PartialEq)]
+enum Policy {
+    /// Every byte is validated or under a checksum: damage is refused,
+    /// or — a byte no field depends on, like gzip's MTIME — decodes to
+    /// exactly what the undamaged input does.
+    Strict,
+    /// `CSM1`'s tolerant scan: the records accepted are exactly those
+    /// that end before the damage.
+    PrefixBeforeDamage,
+    /// `CKPT` headers and raw payloads carry no checksum at this
+    /// layer: the decoder need only return.
+    Total,
 }
 
-/// Decodes `bytes` through every untrusted-input entry point and
-/// asserts each returns (it may error, it must not panic or hang).
+struct Harness {
+    /// The owner's decoder: `Ok` carries the decoded value's canonical
+    /// bytes, `Err` the rejection.
+    decode: fn(&[u8]) -> Result<Vec<u8>, String>,
+    policy: Policy,
+}
+
+/// A fresh per-thread directory under the system temp dir.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "ckpt-corpus-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+fn tensor_bytes(t: &Tensor<f64>) -> Vec<u8> {
+    let mut out = format!("{:?}", t.dims()).into_bytes();
+    out.extend(t.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+    out
+}
+
+fn err<E: std::fmt::Display>(e: E) -> String {
+    e.to_string()
+}
+
+fn decode_ckpt(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    let ck = Checkpoint::from_bytes(bytes).map_err(err)?;
+    let mut out = ck.step().to_le_bytes().to_vec();
+    for name in ck.names() {
+        out.extend(name.as_bytes());
+        out.extend(tensor_bytes(&ck.restore(name).map_err(err)?));
+    }
+    Ok(out)
+}
+
+/// Structure first (the base-free check the store's verify runs), then
+/// `apply` against whichever corpus base the increment was built on.
+fn decode_inc1(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    static BASES: OnceLock<[Tensor<f64>; 2]> = OnceLock::new();
+    let [corpus_base, sample_base] =
+        BASES.get_or_init(|| [common::inc_pair().0, common::tiny_states().1]);
+    incremental::check_structure(bytes).map_err(err)?;
+    incremental::apply(corpus_base, bytes)
+        .or_else(|_| incremental::apply(sample_base, bytes))
+        .map(|t| tensor_bytes(&t))
+        .map_err(err)
+}
+
+fn decode_csm1(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    let scan = manifest::parse_manifest(bytes).map_err(err)?;
+    Ok(format!("{:?} valid_len={}", scan.records, scan.valid_len).into_bytes())
+}
+
+/// `parse_snapshot` as `Store::open` runs it: the bytes planted as a
+/// fresh store's `manifest.snap` either seed recovery or are
+/// quarantined.
+fn decode_csm2(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    let dir = scratch_dir("csm2");
+    fs::create_dir_all(&dir).map_err(err)?;
+    fs::write(dir.join("manifest.snap"), bytes).map_err(err)?;
+    let store = Store::open(&dir).map_err(err)?;
+    let used = store.open_report().snapshot_used;
+    assert_ne!(used, store.open_report().snapshot_fallback, "used xor quarantined");
+    let gens = format!("{:?}", store.generations()).into_bytes();
+    let _ = fs::remove_dir_all(&dir);
+    if used {
+        Ok(gens)
+    } else {
+        Err("snapshot quarantined, recovery fell back to log replay".into())
+    }
+}
+
+fn decode_srv1(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    proto::read_frame(&mut &bytes[..]).map_err(err)?.ok_or_else(|| "clean EOF: no frame".into())
+}
+
+fn harness(f: &Format) -> Harness {
+    let strict = |decode| Harness { decode, policy: Policy::Strict };
+    match &f.magic {
+        b"WCK1" => strict(|b| Compressor::decompress(b).map(|t| tensor_bytes(&t)).map_err(err)),
+        b"CKPT" => Harness { decode: decode_ckpt, policy: Policy::Total },
+        b"WPK1" => strict(|b| chunked::decompress_chunked(b, 2).map_err(err)),
+        b"INC1" => strict(decode_inc1),
+        b"CSM1" => Harness { decode: decode_csm1, policy: Policy::PrefixBeforeDamage },
+        b"CSM2" => strict(decode_csm2),
+        b"RPC1" => strict(|b| {
+            let gen = replicate::parse_cursor(b).ok_or("no cursor")?;
+            Ok(gen.to_le_bytes().to_vec())
+        }),
+        b"ICK1" => strict(|b| {
+            ResumableInflate::restore_from_checkpoint(b).map(|e| e.checkpoint()).map_err(err)
+        }),
+        b"RST1" => {
+            strict(|b| restore::parse_token(b).map(|t| restore::encode_token(&t)).map_err(err))
+        }
+        b"SRV1" => strict(decode_srv1),
+        _ => panic!("frame::FORMATS lists {}; give it a harness here", f.name()),
+    }
+}
+
+/// `common::valid_samples()`, built once: one valid sample per format,
+/// in the table's order.
+fn samples() -> &'static [([u8; 4], Vec<u8>)] {
+    static SAMPLES: OnceLock<Vec<([u8; 4], Vec<u8>)>> = OnceLock::new();
+    SAMPLES.get_or_init(common::valid_samples)
+}
+
+/// `(file name, bytes)` of every corpus entry whose name starts with
+/// `prefix`, sorted.
+fn corpus_files(prefix: &str) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = fs::read_dir(common::corpus_dir())
+        .expect("tests/corpus")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with(prefix) && name.ends_with(".bin"))
+        .map(|name| {
+            let bytes = fs::read(common::corpus_dir().join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Entries that must die on one particular check, as a substring of
+/// the refusal — the 1 GiB claims on the guard that refuses them before
+/// anything is allocated, the resealed entries on the field validation
+/// behind the CRC.
+const DIES_ON: &[(&str, &str)] = &[
+    ("wpk1_bomb_total.bin", "bad container"),
+    ("wck1_corrupt_body.bin", "checksum mismatch"),
+    ("inc1_crc_flip.bin", "checksum mismatch"),
+    ("inc1_bad_page_map.bin", "dirty map implies"),
+    ("inc1_claim_1gib.bin", "need 134217728 bytes"),
+    ("csm1_claim_1gib.bin", "valid prefix ends at byte 8"),
+    ("ick1_crc_flip.bin", "checksum mismatch"),
+    ("ick1_bad_version.bin", "version"),
+    ("ick1_bad_state.bin", "block state"),
+    ("ick1_claim_1gib.bin", "window length"),
+    ("rst1_bad_version.bin", "version"),
+    ("rst1_boundary_mismatch.bin", "boundary token"),
+    ("rst1_claim_1gib.bin", "declared count 1073741824"),
+    ("srv1_claim_1gib.bin", "exceeds the 67108864-byte bound"),
+    ("srv1_torn_body.bin", "truncated"),
+    ("srv1_crc_flip.bin", "CRC mismatch"),
+];
+
+/// Asserts `f`'s decoder refuses the corpus entry `name`, on the check
+/// [`DIES_ON`] names for it if any. The tolerant `CSM1` scanner refuses
+/// by ending the valid prefix short of the file.
+fn assert_refused(f: &Format, name: &str, bytes: &[u8]) {
+    let h = harness(f);
+    let why = match (h.decode)(bytes) {
+        Err(why) => why,
+        Ok(_) if h.policy == Policy::PrefixBeforeDamage => {
+            let scan = manifest::parse_manifest(bytes).unwrap();
+            assert!(scan.valid_len < bytes.len(), "{name}: nothing was refused");
+            assert!(scan.records.is_empty(), "{name}");
+            format!("valid prefix ends at byte {}", scan.valid_len)
+        }
+        Ok(_) => panic!("{name}: accepted by the {} decoder", f.name()),
+    };
+    if let Some((_, needle)) = DIES_ON.iter().find(|(n, _)| *n == name) {
+        assert!(why.contains(needle), "{name}: died on `{why}`, not `{needle}`");
+    }
+}
+
+#[test]
+fn every_damaged_corpus_entry_is_refused_by_its_formats_decoder() {
+    for f in &FORMATS {
+        let damaged = corpus_files(&format!("{}_", f.name().to_lowercase()));
+        assert!(!damaged.is_empty(), "{}: no damaged corpus entry", f.name());
+        for (name, bytes) in damaged {
+            assert_refused(f, &name, &bytes);
+        }
+    }
+    for (name, _) in DIES_ON {
+        assert!(common::corpus_dir().join(name).exists(), "DIES_ON names no corpus file: {name}");
+    }
+    // The lying dirty map decompresses fine at the container layer —
+    // it is the increment parser that rejects it.
+    let lying = fs::read(common::corpus_dir().join("inc1_bad_page_map.bin")).unwrap();
+    assert!(gzip::decompress(&lying).is_ok());
+}
+
+/// Resource totality: every format with a length or count prefix has
+/// an entry claiming 1 GiB in a file of a few dozen bytes, refused by
+/// the guard ahead of the allocation ([`DIES_ON`]) rather than by
+/// whatever would trip over the missing bytes afterwards.
+#[test]
+fn every_gibibyte_claim_is_refused_on_its_guard() {
+    for magic in [b"CSM1", b"CSM2", b"SRV1", b"RST1", b"ICK1", b"INC1"] {
+        let f = FORMATS.iter().find(|f| &f.magic == magic).unwrap();
+        let name = format!("{}_claim_1gib.bin", f.name().to_lowercase());
+        let bytes = fs::read(common::corpus_dir().join(&name))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(bytes.len() < 80, "{name}: {} bytes is not a tiny file", bytes.len());
+        assert_refused(f, &name, &bytes);
+    }
+}
+
+/// The RFC 1952 container is not a table format but wraps most of them.
+#[test]
+fn corpus_gzip_files_all_error() {
+    for (name, bytes) in corpus_files("gzip_") {
+        assert!(gzip::decompress(&bytes).is_err(), "{name} must fail");
+    }
+    assert!(matches!(
+        gzip::decompress(&fs::read(common::corpus_dir().join("gzip_bad_isize.bin")).unwrap()),
+        Err(lossy_ckpt::deflate::DeflateError::SizeMismatch { .. })
+    ));
+}
+
+/// Every damaged `CSM2` entry, planted over a healthy log: `Store::open`
+/// quarantines it and falls back to `CSM1` replay — same state, nothing
+/// lost — and the next compaction installs a healthy snapshot again.
+#[test]
+fn corpus_csm2_snapshots_fall_back_to_log_replay() {
+    let (full, _, _) = common::tiny_states();
+    for (name, bytes) in corpus_files("csm2_") {
+        let dir = scratch_dir("fallback");
+        let mut store = Store::open(&dir).unwrap();
+        for step in 1..=2 {
+            store.save_full(step, SegmentFormat::Array, &[&full], 1).unwrap();
+        }
+        let gens_before = store.generations();
+        drop(store);
+
+        fs::write(dir.join("manifest.snap"), &bytes).unwrap();
+        let mut store = Store::open(&dir).unwrap();
+        let report = store.open_report();
+        assert!(report.snapshot_fallback && !report.snapshot_used, "{name}");
+        assert!(!dir.join("manifest.snap").exists(), "{name}: snapshot not quarantined");
+        assert_eq!(store.generations(), gens_before, "{name}: log replay lost state");
+        assert!(store.verify().unwrap().clean(), "{name}");
+
+        store.compact_manifest().unwrap_or_else(|e| panic!("{name}: recompact: {e}"));
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert!(store.open_report().snapshot_used, "{name}: recompaction ignored");
+        assert_eq!(store.generations(), gens_before, "{name}: recompaction lost state");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Feeds `bytes` to every untrusted-input entry point and asserts each
+/// returns (it may error, it must not panic or hang).
 fn all_decoders_return(bytes: &[u8]) {
-    let _ = chunked::decompress_chunked(bytes, 2);
+    // CSM2's harness opens a store per call; its caller decides.
+    for f in FORMATS.iter().filter(|f| &f.magic != b"CSM2") {
+        let _ = (harness(f).decode)(bytes);
+    }
     let _ = chunked::decompress_chunked_with_limit(bytes, 2, 1 << 24);
     let _ = chunked::inspect(bytes);
     let _ = gzip::decompress(bytes);
     let _ = gzip::decompress_with_limit(bytes, 1 << 24);
     let _ = zlib::decompress(bytes);
     let _ = lossy_ckpt::deflate::decompress(bytes);
-    let _ = Compressor::decompress(bytes);
-    let _ = Checkpoint::from_bytes(bytes);
-    let _ = incremental::apply(inc_base(), bytes);
-    let _ = ResumableInflate::restore_from_checkpoint(bytes);
+    let _ = proto::decode_request(bytes);
+    let _ = proto::decode_response(bytes);
 }
 
 #[test]
-fn corpus_wpk1_files_all_error() {
-    for (name, bytes) in [
-        (
-            "wpk1_truncated_index",
-            &include_bytes!("corpus/wpk1_truncated_index.bin")[..],
-        ),
-        ("wpk1_bad_member_crc", &include_bytes!("corpus/wpk1_bad_member_crc.bin")[..]),
-        ("wpk1_bomb_total", &include_bytes!("corpus/wpk1_bomb_total.bin")[..]),
-        ("wpk1_zero_member", &include_bytes!("corpus/wpk1_zero_member.bin")[..]),
-    ] {
-        assert!(chunked::is_chunked(bytes), "{name}: corpus file lost its magic");
-        assert!(chunked::decompress_chunked(bytes, 2).is_err(), "{name} must fail");
-        assert!(chunked::decompress_chunked(bytes, 1).is_err(), "{name} must fail serially");
-        all_decoders_return(bytes);
-    }
-}
-
-#[test]
-fn corpus_bomb_errors_without_allocating_claimed_size() {
-    // The header claims 8 GiB; rejection must come from the expansion
-    // guard (BadContainer), not from an OutputLimit the caller set.
-    let bytes = &include_bytes!("corpus/wpk1_bomb_total.bin")[..];
-    match chunked::decompress_chunked(bytes, 2) {
-        Err(lossy_ckpt::deflate::DeflateError::BadContainer(_)) => {}
-        other => panic!("expected BadContainer for bomb header, got {other:?}"),
-    }
-}
-
-#[test]
-fn corpus_gzip_files_all_error() {
-    for (name, bytes) in [
-        ("gzip_truncated", &include_bytes!("corpus/gzip_truncated.bin")[..]),
-        ("gzip_bad_isize", &include_bytes!("corpus/gzip_bad_isize.bin")[..]),
-    ] {
-        assert!(gzip::decompress(bytes).is_err(), "{name} must fail");
-        all_decoders_return(bytes);
-    }
-    assert!(matches!(
-        gzip::decompress(include_bytes!("corpus/gzip_bad_isize.bin")),
-        Err(lossy_ckpt::deflate::DeflateError::SizeMismatch { .. })
-    ));
-}
-
-#[test]
-fn corpus_checkpoint_files_all_error() {
-    for (name, bytes) in [
-        ("ckpt_bad_mode", &include_bytes!("corpus/ckpt_bad_mode.bin")[..]),
-        ("ckpt_truncated", &include_bytes!("corpus/ckpt_truncated.bin")[..]),
-        ("wck1_corrupt_body", &include_bytes!("corpus/wck1_corrupt_body.bin")[..]),
-        ("noise", &include_bytes!("corpus/noise.bin")[..]),
-    ] {
-        assert!(Checkpoint::from_bytes(bytes).is_err(), "{name} must fail as a checkpoint");
-        all_decoders_return(bytes);
-    }
-    assert!(Compressor::decompress(include_bytes!("corpus/wck1_corrupt_body.bin")).is_err());
-}
-
-#[test]
-fn corpus_increment_files_all_error() {
-    for (name, bytes) in [
-        ("inc1_truncated", &include_bytes!("corpus/inc1_truncated.bin")[..]),
-        ("inc1_bad_page_map", &include_bytes!("corpus/inc1_bad_page_map.bin")[..]),
-        ("inc1_crc_flip", &include_bytes!("corpus/inc1_crc_flip.bin")[..]),
-    ] {
-        assert!(incremental::apply(inc_base(), bytes).is_err(), "{name} must fail to apply");
-        all_decoders_return(bytes);
-    }
-    // The damaged CRC is caught by the gzip checksum cross-check, not
-    // by accident further in.
-    assert!(matches!(
-        gzip::decompress(include_bytes!("corpus/inc1_crc_flip.bin")),
-        Err(lossy_ckpt::deflate::DeflateError::ChecksumMismatch { .. })
-    ));
-    // The lying dirty map decompresses fine at the container layer —
-    // it is the increment parser that must reject it.
-    assert!(gzip::decompress(include_bytes!("corpus/inc1_bad_page_map.bin")).is_ok());
-
-    // Sanity: an undamaged increment against the same base applies.
-    let base = inc_base();
-    let mut cur = base.clone();
-    for i in (0..cur.len()).step_by(7) {
-        cur.as_mut_slice()[i] += 1.5;
-    }
-    let (inc, _) = incremental::increment(base, &cur, Level::Default).unwrap();
-    assert_eq!(incremental::apply(base, &inc).unwrap(), cur);
-}
-
-/// Every damaged CSM2 snapshot must make `Store::open` quarantine the
-/// file and fall back to CSM1 log replay — same state, nothing lost,
-/// and the next manifest compaction installs a healthy snapshot again.
-#[test]
-fn corpus_csm2_snapshots_fall_back_to_log_replay() {
-    use lossy_ckpt::core::{Compressor, CompressorConfig};
-    use lossy_ckpt::store::{SegmentFormat, Store};
-
-    for (name, bytes) in [
-        ("csm2_truncated", &include_bytes!("corpus/csm2_truncated.bin")[..]),
-        ("csm2_crc_flip", &include_bytes!("corpus/csm2_crc_flip.bin")[..]),
-        ("csm2_bad_version", &include_bytes!("corpus/csm2_bad_version.bin")[..]),
-    ] {
-        let dir = std::env::temp_dir()
-            .join(format!("ckpt-corpus-csm2-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-        let mut store = Store::open(&dir).unwrap();
-        for step in 1..=2u64 {
-            let t = generate(&FieldSpec::small(FieldKind::Temperature, step));
-            let packed = comp.compress(&t).unwrap().bytes;
-            store.save_full(step, SegmentFormat::Array, &[&packed], 1).unwrap();
+fn every_corpus_file_returns_from_every_decoder() {
+    for (name, bytes) in corpus_files("") {
+        all_decoders_return(&bytes);
+        if decode_csm2(&bytes).is_ok() {
+            assert_eq!(name, "valid_csm2.bin", "{name} opened as a manifest snapshot");
         }
-        let gens_before = store.generations();
-        let latest = store.latest_committed().unwrap();
-        let tip_before = store.read_segment(latest, 0).unwrap();
-        drop(store);
-
-        // Plant the damaged snapshot over the healthy log.
-        std::fs::write(dir.join("manifest.snap"), bytes).unwrap();
-        let store = Store::open(&dir)
-            .unwrap_or_else(|e| panic!("{name}: open must fall back, got {e}"));
-        assert!(store.open_report().snapshot_fallback, "{name}: fallback not reported");
-        assert!(!store.open_report().snapshot_used, "{name}: damaged snapshot used");
-        assert!(!dir.join("manifest.snap").exists(), "{name}: snapshot not quarantined");
-        assert_eq!(store.generations(), gens_before, "{name}: log replay lost state");
-        assert_eq!(store.read_segment(latest, 0).unwrap(), tip_before, "{name}");
-        assert!(store.verify().unwrap().clean(), "{name}");
-        drop(store);
-
-        // A retried compaction installs a healthy snapshot again.
-        let mut store = Store::open(&dir).unwrap();
-        store.compact_manifest().unwrap_or_else(|e| panic!("{name}: recompact: {e}"));
-        drop(store);
-        let store = Store::open(&dir).unwrap();
-        assert!(store.open_report().snapshot_used, "{name}: recompaction ignored");
-        assert_eq!(store.generations(), gens_before, "{name}: recompaction lost state");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// The deterministic mid-stream `ICK1` blob the corpus entries damage
-/// (must match `examples/gen_corpus.rs`: LCG payload 42, gzip Default,
-/// one 5000-byte inflate step), plus the stream it came from.
-fn ick_fixture() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let mut state = 42u64;
-    let payload: Vec<u8> = (0..20_000)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect();
-    let gz = gzip::compress(&payload, Level::Default);
-    let body = gz[gzip::member_body_offset(&gz).unwrap()..gz.len() - 8].to_vec();
-    let mut engine = ResumableInflate::new();
-    let mut sink = Vec::new();
-    assert!(!engine.inflate_step(&body, &mut sink, 5_000).unwrap());
-    (engine.checkpoint(), body, payload)
+/// The checked-in valid sample of the format tagged `magic`.
+fn parent_sample(magic: &[u8; 4]) -> Vec<u8> {
+    let f = FORMATS.iter().find(|f| &f.magic == magic).expect("a table format");
+    fs::read(common::valid_path(f)).unwrap_or_else(|e| panic!("{}: {e}", f.name()))
 }
 
+/// The compatibility contract: bytes are what both commits agree on.
 #[test]
-fn corpus_ick1_files_all_error() {
-    for (name, bytes) in [
-        ("ick1_truncated", &include_bytes!("corpus/ick1_truncated.bin")[..]),
-        ("ick1_crc_flip", &include_bytes!("corpus/ick1_crc_flip.bin")[..]),
-        ("ick1_bad_version", &include_bytes!("corpus/ick1_bad_version.bin")[..]),
-        ("ick1_bad_state", &include_bytes!("corpus/ick1_bad_state.bin")[..]),
-    ] {
-        assert!(
-            ResumableInflate::restore_from_checkpoint(bytes).is_err(),
-            "{name} must fail to restore"
-        );
-        all_decoders_return(bytes);
+fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
+    for (f, (magic, ours)) in FORMATS.iter().zip(common::valid_samples()) {
+        assert_eq!(f.magic, magic, "valid_samples() follows the table's order");
+        let on_disk = parent_sample(&f.magic);
+        (harness(f).decode)(&on_disk)
+            .unwrap_or_else(|why| panic!("valid {} sample refused: {why}", f.name()));
+        assert!(ours == on_disk, "{}: this build no longer writes the checked-in bytes", f.name());
     }
-    // Each entry dies on its intended check: flipped window bytes on
-    // the frame CRC, the reframed entries on the field validations.
-    assert!(matches!(
-        ResumableInflate::restore_from_checkpoint(include_bytes!("corpus/ick1_crc_flip.bin")),
-        Err(DeflateError::ChecksumMismatch { .. })
-    ));
-    assert!(matches!(
-        ResumableInflate::restore_from_checkpoint(include_bytes!("corpus/ick1_bad_version.bin")),
-        Err(DeflateError::BadContainer(why)) if why.contains("version")
-    ));
-    assert!(matches!(
-        ResumableInflate::restore_from_checkpoint(include_bytes!("corpus/ick1_bad_state.bin")),
-        Err(DeflateError::BadContainer(why)) if why.contains("block state")
-    ));
+    assert_eq!(
+        proto::decode_request(&decode_srv1(&parent_sample(b"SRV1")).unwrap()).unwrap(),
+        proto::Request::Fetch { gen: 3, rank: 0, offset: 4096, len: 512 }
+    );
+}
 
-    // Sanity: the undamaged blob restores and finishes the stream with
-    // exactly the bytes an uninterrupted inflate produces.
-    let (ick, body, payload) = ick_fixture();
-    let mut engine = ResumableInflate::restore_from_checkpoint(&ick).unwrap();
+/// A whole store written by the parent opens, verifies and restores.
+#[test]
+fn parent_written_store_opens_verifies_and_restores() {
+    let files = common::StoreFiles {
+        manifest: parent_sample(b"CSM1"),
+        snapshot: parent_sample(b"CSM2"),
+        cursor: parent_sample(b"RPC1"),
+        segments: [parent_sample(b"WCK1"), parent_sample(b"INC1"), parent_sample(b"WCK1")],
+    };
+    let dir = scratch_dir("parent-store");
+    common::plant_store(&dir, &files);
+    let store = Store::open(&dir).unwrap();
+    assert!(store.open_report().snapshot_used && !store.open_report().snapshot_fallback);
+    assert_eq!(store.open_report().truncated_bytes, 0);
+    assert!(store.verify().unwrap().clean());
+    let gens = store.generations();
+    assert_eq!(gens.iter().map(|g| g.gen).collect::<Vec<_>>(), [1, 2, 3]);
+    assert_eq!(gens[2].error_bound, Some(1e-3), "the Bound record in the log tail");
+    assert_eq!(store.replication_cursor(), Some(3));
+    assert_eq!(store.restore_array(2, 0).unwrap(), common::tiny_states().2);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The parent-written token's embedded engine state resumes the stream
+/// it was cut from, bit-identically.
+#[test]
+fn parent_written_token_resumes_its_stream() {
+    let tok = restore::parse_token(&parent_sample(b"RST1")).unwrap();
+    assert_eq!(tok.ick, parent_sample(b"ICK1"));
+    let (_, body, payload) = common::ick_fixture(300);
+    let mut engine = ResumableInflate::restore_from_checkpoint(&tok.ick).unwrap();
     let mut tail = Vec::new();
     while !engine.inflate_step(&body, &mut tail, usize::MAX).unwrap() {}
     assert_eq!(engine.output_len(), payload.len() as u64);
     assert_eq!(tail, payload[payload.len() - tail.len()..]);
 }
 
+/// `bad` is `good` with the byte at `at` flipped (`cut == false`) or
+/// with everything from `at` on cut off (`cut == true`).
+fn assert_damage_refused(f: &Format, good: &[u8], bad: &[u8], at: usize, cut: bool) {
+    let h = harness(f);
+    let what = format!("{} {} at byte {at}", f.name(), if cut { "cut" } else { "flip" });
+    match h.policy {
+        Policy::Total => {
+            let _ = (h.decode)(bad);
+        }
+        Policy::Strict => {
+            if let Ok(decoded) = (h.decode)(bad) {
+                assert!(!cut, "{what}: accepted");
+                assert!(Ok(decoded) == (h.decode)(good), "{what}: decoded to something else");
+            }
+        }
+        Policy::PrefixBeforeDamage => {
+            let full = manifest::parse_manifest(good).unwrap();
+            match manifest::parse_manifest(bad) {
+                Err(_) => assert!(at < manifest::HEADER_LEN, "{what}: only header damage is fatal"),
+                Ok(scan) => {
+                    // Records are back to back: record `i` ends where
+                    // record `i + 1` (or the file) starts.
+                    let ends = full.offsets.iter().copied().skip(1).chain([good.len()]);
+                    let keep = ends.take_while(|&end| end <= at).count();
+                    assert_eq!(scan.records, full.records[..keep], "{what}");
+                    let valid = full.offsets.get(keep).copied().unwrap_or(good.len());
+                    assert_eq!(scan.valid_len, valid, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// Every truncation of every format's valid sample — all cut points,
+/// not a sample of them.
+#[test]
+fn every_truncation_of_every_format_is_refused() {
+    for (f, (_, good)) in FORMATS.iter().zip(samples()) {
+        for cut in 0..good.len() {
+            assert_damage_refused(f, good, &good[..cut], cut, true);
+        }
+    }
+}
+
+/// One flipped bit at every byte of every format's valid sample — all
+/// positions under a fixed mask; the proptest below varies the mask.
+#[test]
+fn a_flip_at_every_byte_of_every_format_is_refused() {
+    for (f, (_, good)) in FORMATS.iter().zip(samples()) {
+        let mut bad = good.clone();
+        for at in 0..good.len() {
+            bad[at] ^= 0x10;
+            assert_damage_refused(f, good, &bad, at, false);
+            bad[at] = good[at];
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Any single-byte corruption of a WPK1 container either fails or
-    /// still yields exactly the original payload (some header bytes —
-    /// reserved, gzip XFL/OS — are not semantically load-bearing).
+    /// Any single-byte corruption of any format's valid sample is
+    /// refused, or changes nothing the decoder reports.
     #[test]
-    fn chunked_single_byte_flip_never_panics_or_lies(
+    fn single_byte_flip_of_every_format_never_panics_or_lies(site in any::<(usize, u8)>()) {
+        for (f, (_, good)) in FORMATS.iter().zip(samples()) {
+            let mut bad = good.clone();
+            let pos = site.0 % bad.len();
+            bad[pos] ^= site.1 | 1; // non-zero flip
+            assert_damage_refused(f, good, &bad, pos, false);
+        }
+    }
+
+    /// The same two properties over arbitrary `WPK1` payloads: the one
+    /// format whose geometry (chunk count, member index) varies with
+    /// its input.
+    #[test]
+    fn chunked_damage_never_panics_or_lies(
         data in pvec(any::<u8>(), 1..8_000),
         site in any::<(usize, u8)>(),
     ) {
         let packed = chunked::compress_chunked(&data, Level::Fast, 1024, 2);
+        let pos = site.0 % packed.len();
         let mut bad = packed.clone();
-        let pos = site.0 % bad.len();
-        bad[pos] ^= site.1 | 1; // non-zero flip
+        bad[pos] ^= site.1 | 1;
         if let Ok(out) = chunked::decompress_chunked(&bad, 2) {
             prop_assert_eq!(&out, &data, "flip at {} must not alter the payload", pos);
         }
-    }
-
-    /// Same property for checkpoint images: a flipped byte must never
-    /// panic the parser, and a successful restore must be bit-exact.
-    #[test]
-    fn checkpoint_single_byte_flip_never_panics(
-        seed in any::<u64>(),
-        site in any::<(usize, u8)>(),
-    ) {
-        let field = generate(&FieldSpec::small(FieldKind::Pressure, seed));
-        let mut b = lossy_ckpt::core::checkpoint::CheckpointBuilder::new(1);
-        b.add_raw("p", &field).unwrap();
-        let img = b.into_bytes();
-        let mut bad = img.clone();
-        let pos = site.0 % bad.len();
-        bad[pos] ^= site.1 | 1;
-        if let Ok(ck) = Checkpoint::from_bytes(&bad) {
-            if let Ok(t) = ck.restore("p") {
-                // Raw payload bytes are not checksummed at this layer;
-                // the shape must still be coherent.
-                prop_assert_eq!(t.len(), field.len());
-            }
-        }
-    }
-
-    /// Truncating a WPK1 container at any point must error, not panic.
-    #[test]
-    fn chunked_truncation_always_errors(
-        data in pvec(any::<u8>(), 1..4_000),
-        cut in any::<usize>(),
-    ) {
-        let packed = chunked::compress_chunked(&data, Level::Fast, 512, 1);
-        let keep = cut % packed.len(); // strictly shorter than the container
-        prop_assert!(chunked::decompress_chunked(&packed[..keep], 2).is_err());
+        prop_assert!(chunked::decompress_chunked(&packed[..pos], 2).is_err());
     }
 
     /// Arbitrary bytes fed to every decoder entry point must return.
     #[test]
     fn noise_never_panics_any_decoder(data in pvec(any::<u8>(), 0..4_096)) {
         all_decoders_return(&data);
-    }
-
-    /// Any single-byte corruption of a valid ICK1 blob must be
-    /// refused: every field sits under the frame CRC, so no flip can
-    /// smuggle a divergent engine state past restore.
-    #[test]
-    fn ick1_single_byte_flip_always_errors(site in any::<(usize, u8)>()) {
-        let (ick, _, _) = ick_fixture();
-        let mut bad = ick.clone();
-        let pos = site.0 % bad.len();
-        bad[pos] ^= site.1 | 1;
-        prop_assert!(ResumableInflate::restore_from_checkpoint(&bad).is_err());
-    }
-
-    /// Truncating an ICK1 blob at any point must error, not panic.
-    #[test]
-    fn ick1_truncation_always_errors(cut in any::<usize>()) {
-        let (ick, _, _) = ick_fixture();
-        let keep = cut % ick.len();
-        prop_assert!(ResumableInflate::restore_from_checkpoint(&ick[..keep]).is_err());
     }
 }
