@@ -406,8 +406,8 @@ fn fill(buf: &mut [f64], workers: usize) {
         let src = r#"
 fn fill(slots: &mut [u8], workers: usize) {
     let ptr = SendPtr::new(slots.as_mut_ptr(), slots.len());
-    run_stealing(workers, slots.len(), |t| {
-        // SAFETY: task indexes are unique.
+    map_shards(items, workers, |t, _| {
+        // SAFETY: shard indexes are unique.
         unsafe { ptr.write(t, 1) };
     });
 }

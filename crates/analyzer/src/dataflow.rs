@@ -48,8 +48,7 @@ pub const PARTITION_SOURCES: &[&str] = &[
 
 /// Fan-out primitives whose closure parameter is a unique task/worker
 /// index (each index is dispatched to exactly one closure invocation).
-pub const FANOUT_FNS: &[&str] =
-    &["run_workers", "map_shards", "run_stealing", "run_stealing_map", "ordered_pipeline"];
+pub const FANOUT_FNS: &[&str] = &["map_shards", "ordered_pipeline"];
 
 /// Recursion cap for derivation chains (`let a = b; let b = c; …`).
 const MAX_DEPTH: usize = 6;
@@ -159,7 +158,7 @@ pub fn is_partition_expr(file: &ScannedFile, lo: usize, hi: usize) -> bool {
 
 /// Closure-parameter names of fan-out calls inside `tokens[lo..hi]`.
 ///
-/// For `run_stealing(w, n, |t| …)` this yields `t`. All closures
+/// For `map_shards(items, w, |t, shard| …)` this yields `t` and `shard`. All closures
 /// lexically inside the fan-out call's parens contribute (the nested
 /// `.map(|x| …)` case over-approximates toward *not* flagging, which
 /// matches the fan-out contract: those closures still run under a
@@ -602,7 +601,7 @@ fn f(n: usize, w: usize) {
     fn fanout_closure_param_derives() {
         let src = r#"
 fn f(workers: usize, tasks: usize) {
-    run_stealing(workers, tasks, |t| {
+    map_shards(items, workers, |t, _| {
         use_index(t);
     });
 }
@@ -671,7 +670,7 @@ fn fill(ptr: SendPtr<f64>, i: usize, v: f64) {
     fn spawn_detection() {
         let src = r#"
 fn spawner() { std::thread::scope(|s| { s.spawn(|| {}); }); }
-fn fanout(w: usize) { run_workers(w, 4, |r| r); }
+fn fanout(w: usize) { map_shards(items, w, |r, _| r); }
 fn quiet() { helper(); }
 "#;
         let (f, ff) = setup(src);

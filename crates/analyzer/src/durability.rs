@@ -44,24 +44,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const RULE_DURABILITY: &str = "durability-order";
 pub const RULE_FAILPOINT: &str = "failpoint-bypass";
 
-/// Entry points of the save/commit/GC protocol, the maintenance passes
-/// (manifest snapshot, chain compaction), and the replication surface
-/// (cursor writes on push, verified imports on the receiving side) —
-/// all bound to the same tmp → fsync → rename contract. Whole-file
-/// metadata replacements (snapshot, cursor, the serving layer's resume
-/// token) share one spelled-out sequence, `layout::durable_replace`,
-/// which the snapshot and cursor roots reach and inline.
-pub const STORE_ROOTS: &[&str] = &[
-    "save_full",
-    "save_full_streamed",
-    "save_increment",
-    "save",
-    "gc",
-    "compact_manifest",
-    "compact_chains",
-    "push_to",
-    "import_generation",
-];
+/// The public entry points whose durable sequences differ: the two
+/// phase-1 shapes of a save (slice-fed `save_full`, producer-fed
+/// `save_full_streamed`; every other save, compaction's rewrites and
+/// `import_generation` run `save_full`'s sequence), GC, the two
+/// maintenance passes and the push side of replication. Every staged
+/// file (segment, snapshot, cursor, resume token) is published by one
+/// ordering, `layout::sync_then_rename`, inlined at each use.
+pub const STORE_ROOTS: &[&str] =
+    &["save_full", "save_full_streamed", "gc", "compact_manifest", "compact_chains", "push_to"];
 
 /// The shared replace-a-file helper. Its staging file is a parameter,
 /// so the staging contract is checked on the path each call site
@@ -318,7 +309,9 @@ impl<'a> Scope<'a> {
 
     /// Depth-first flattening of a root's transitive op sequence; each
     /// function inlines at most once per root (cycle guard — the
-    /// protocol state it establishes persists anyway).
+    /// protocol state it establishes persists anyway), except a leaf,
+    /// which cannot recurse: the shared ordering helper inlines at
+    /// every staged file.
     fn flatten(&self, root: (usize, usize)) -> Vec<(usize, Op)> {
         let mut out = Vec::new();
         let mut visited = BTreeSet::new();
@@ -332,7 +325,10 @@ impl<'a> Scope<'a> {
         visited: &mut BTreeSet<(usize, usize)>,
         out: &mut Vec<(usize, Op)>,
     ) {
-        if !visited.insert(id) {
+        let leaf = !self.ops[id.0][id.1]
+            .iter()
+            .any(|op| matches!(&op.kind, OpKind::Call(n) if self.by_name.contains_key(n)));
+        if !leaf && !visited.insert(id) {
             return;
         }
         for op in &self.ops[id.0][id.1] {

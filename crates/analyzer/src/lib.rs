@@ -237,6 +237,7 @@ pub fn run(root: &Path) -> Report {
     }
 
     // Concurrency family over the workspace graph.
+    report.errors.extend(stale_roots("FANOUT_FNS", dataflow::FANOUT_FNS, &ws_graph));
     violations.extend(concurrency::check_sendptr(&workspace, &ws_graph));
     violations.extend(concurrency::check_relaxed(&workspace, &ws_graph));
 
@@ -323,6 +324,9 @@ mod tests {
         let errors = stale_roots("ROOTS", &["decompress", "decompress_gone"], &graph);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("ROOTS names `decompress_gone`"), "{errors:?}");
+        // A fan-out list that outlives a pool function is the same error.
+        let errors = stale_roots("FANOUT_FNS", dataflow::FANOUT_FNS, &graph);
+        assert_eq!(errors.len(), dataflow::FANOUT_FNS.len(), "{errors:?}");
     }
 
     #[test]

@@ -17,8 +17,8 @@ fn fill(buf: &mut [f64], workers: usize) {
 
 fn fanout(slots: &mut [u8], workers: usize) {
     let ptr = SendPtr::new(slots.as_mut_ptr(), slots.len());
-    run_workers(workers, |t| {
-        // SAFETY: each task id is handed to exactly one worker.
+    map_shards(items, workers, |t, _| {
+        // SAFETY: each shard id is handed to exactly one worker.
         unsafe { ptr.write(t, 1) };
     });
 }

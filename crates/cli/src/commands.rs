@@ -119,8 +119,9 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
 }
 
 /// A [`StreamSink`](ckpt_deflate::chunked::StreamSink) over a plain
-/// file, so `ckpt compress --threads N` writes finished gzip members
-/// to disk while later chunks are still compressing.
+/// file: `ckpt compress` writes through it at every `--threads`, and
+/// with more than one, finished gzip members reach the disk while
+/// later chunks are still compressing.
 struct FileSink {
     file: std::fs::File,
     len: u64,
@@ -161,23 +162,15 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
         std::fs::write(&out_path, &r.compressed.bytes)
             .map_err(|e| format!("writing {out_path}: {e}"))?;
         (r.compressed.bytes.len(), r.compressed.stats.compression_rate(), Some(r.error))
-    } else if cfg.threads > 1 {
-        // Pipelined path: stream members to the file as they finish
-        // compressing. Bytes are identical to the buffered path.
+    } else {
         let compressor = Compressor::new(cfg).map_err(|e| e.to_string())?;
         let file = std::fs::File::create(&out_path)
             .map_err(|e| format!("creating {out_path}: {e}"))?;
         let mut sink = FileSink { file, len: 0 };
         let streamed = compressor
             .compress_stream(&tensor, &mut sink)
-            .map_err(|e| format!("streaming to {out_path}: {e}"))?;
-        (sink.len as usize, streamed.stats.compression_rate(), None)
-    } else {
-        let compressor = Compressor::new(cfg).map_err(|e| e.to_string())?;
-        let packed = compressor.compress(&tensor).map_err(|e| e.to_string())?;
-        std::fs::write(&out_path, &packed.bytes)
             .map_err(|e| format!("writing {out_path}: {e}"))?;
-        (packed.bytes.len(), packed.stats.compression_rate(), None)
+        (sink.len as usize, streamed.stats.compression_rate(), None)
     };
 
     eprintln!(
@@ -399,30 +392,57 @@ mod tests {
     }
 
     #[test]
-    fn streamed_cli_output_is_byte_identical_to_buffered_compress() {
+    fn the_output_file_holds_the_bytes_compress_returns() {
         let raw = tempfile("s.f64");
         let wck = tempfile("s.wck");
         gen(&["--dims".into(), "64x16x2".into(), "-o".into(), raw.clone()]).unwrap();
-        compress(&[
-            raw.clone(),
-            "--dims".into(),
-            "64x16x2".into(),
-            "--threads".into(),
-            "4".into(),
-            "--chunk-bytes".into(),
-            "4096".into(),
-            "-o".into(),
-            wck.clone(),
-        ])
-        .unwrap();
-
         let tensor = read_raw_tensor(&raw, &[64, 16, 2]).unwrap();
-        let cfg = CompressorConfig::paper_proposed().with_threads(4).with_chunk_bytes(4096);
-        let buffered = Compressor::new(cfg).unwrap().compress(&tensor).unwrap();
-        assert_eq!(std::fs::read(&wck).unwrap(), buffered.bytes);
-
+        for threads in [1usize, 4] {
+            compress(&[
+                raw.clone(),
+                "--dims".into(),
+                "64x16x2".into(),
+                "--threads".into(),
+                threads.to_string(),
+                "--chunk-bytes".into(),
+                "4096".into(),
+                "-o".into(),
+                wck.clone(),
+            ])
+            .unwrap();
+            let cfg =
+                CompressorConfig::paper_proposed().with_threads(threads).with_chunk_bytes(4096);
+            let in_memory = Compressor::new(cfg).unwrap().compress(&tensor).unwrap();
+            assert_eq!(std::fs::read(&wck).unwrap(), in_memory.bytes, "threads={threads}");
+        }
         let _ = std::fs::remove_file(raw);
         let _ = std::fs::remove_file(wck);
+    }
+
+    /// The file sink's share of the WPK1 byte anchor: the golden
+    /// container was written by the buffered encoder this one replaced
+    /// (see `examples/gen_corpus.rs`); its own payload, re-encoded into
+    /// a file, must give the same bytes back at every thread count.
+    #[test]
+    fn file_sink_reproduces_the_golden_wpk1_container() {
+        use ckpt_deflate::chunked;
+        let golden = std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/golden_wpk1_multichunk.bin"
+        ))
+        .unwrap();
+        let payload = chunked::decompress_chunked(&golden, 1).unwrap();
+        let chunk_bytes = chunked::parse_header(&golden).unwrap().chunk_bytes;
+        for threads in [1usize, 2, 4] {
+            let path = tempfile("golden.wpk1");
+            let mut sink = FileSink { file: std::fs::File::create(&path).unwrap(), len: 0 };
+            chunked::compress_chunked_stream(&payload, Level::Default, chunk_bytes, threads, &mut sink)
+                .unwrap();
+            assert_eq!(sink.len, golden.len() as u64, "threads={threads}");
+            drop(sink);
+            assert_eq!(std::fs::read(&path).unwrap(), golden, "threads={threads}");
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

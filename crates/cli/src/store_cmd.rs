@@ -30,7 +30,10 @@ by whatever built the increment offline). With --error-bound the
 payload files are instead raw little-endian f64 arrays of --dims: each
 rank is compressed with the smallest division number meeting the bound
 (average relative error <= EPS), and the bound is recorded durably in
-the generation's manifest. restore materializes the latest committed
+the generation's manifest. A plain full save streams each payload file
+into its segment in 1 MiB appends whatever --threads says; --threads
+fans out the rank segment writes of --base and --error-bound saves,
+whose payloads are built in memory. restore materializes the latest committed
 generation (or --gen): a checkpoint image is written verbatim, an
 array chain is decompressed, increments applied, and written as raw
 little-endian f64 (--raw true copies the segment bytes instead).
@@ -119,47 +122,30 @@ fn save(argv: &[String]) -> Result<(), String> {
         let eps: f64 = raw.parse().map_err(|_| format!("invalid --error-bound {raw:?}"))?;
         return save_bounded(&mut store, &args, files, step, threads, level, eps);
     }
-    if base.is_none() && threads <= 1 {
-        // Serial full save: stream each payload file straight into its
-        // segment instead of buffering every rank in memory first.
+    let Some(base) = base else {
         return save_streamed(&mut store, args.get("format"), files, step);
-    }
-    let payloads: Vec<Vec<u8>> = files
+    };
+    let payloads = files
         .iter()
-        .map(|f| std::fs::read(f).map_err(|e| format!("reading {f}: {e}")))
-        .collect::<Result<_, _>>()?;
-    let payloads = match base {
-        Some(base) => payloads
-            .into_iter()
-            .enumerate()
-            .map(|(rank, bytes)| build_increment(&store, base, rank, bytes, level))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => payloads,
-    };
+        .enumerate()
+        .map(|(rank, f)| {
+            let bytes = std::fs::read(f).map_err(|e| format!("reading {f}: {e}"))?;
+            build_increment(&store, base, rank, bytes, level)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-    let gen = if let Some(base) = base {
-        store
-            .save_increment(step, base, &refs, threads)
-            .map_err(|e| e.to_string())?
-    } else {
-        let format = match args.get("format").unwrap_or("auto") {
-            "checkpoint" => SegmentFormat::Checkpoint,
-            "array" => SegmentFormat::Array,
-            "auto" => sniff_format(&payloads[0]),
-            other => return Err(format!("unknown --format {other:?}")),
-        };
-        store.save_full(step, format, &refs, threads).map_err(|e| e.to_string())?
-    };
+    let gen = store.save_increment(step, base, &refs, threads).map_err(|e| e.to_string())?;
     let total: usize = payloads.iter().map(Vec::len).sum();
     eprintln!("committed generation {gen} (step {step}, {} ranks, {total} bytes)", files.len());
     Ok(())
 }
 
-/// Full save that streams each rank's payload file into its segment
-/// through the store's [`ckpt_store::SegmentWriter`] in bounded
-/// chunks, never holding a whole payload in memory. Payload files are
-/// opened (and the format sniffed) before the save starts, so argv
-/// mistakes fail cleanly instead of poisoning the store mid-save.
+/// Full save, the one path at every `--threads`: streams each rank's
+/// payload file into its segment through the store's
+/// [`ckpt_store::SegmentWriter`] in bounded chunks, never holding a
+/// whole payload in memory. Payload files are opened (and the format
+/// sniffed) before the save starts, so argv mistakes fail cleanly
+/// instead of poisoning the store mid-save.
 fn save_streamed(
     store: &mut Store,
     format_flag: Option<&str>,
@@ -203,7 +189,7 @@ fn save_streamed(
         })
         .map_err(|e| e.to_string())?;
     eprintln!(
-        "committed generation {gen} (step {step}, {} ranks, {total} bytes, streamed)",
+        "committed generation {gen} (step {step}, {} ranks, {total} bytes)",
         files.len()
     );
     Ok(())

@@ -12,7 +12,7 @@ use crate::timing::StageTimings;
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, CKPT};
 use ckpt_tensor::Tensor;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Storage mode of one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,33 +126,6 @@ impl CheckpointBuilder {
             w.put_bytes(&e.payload);
         }
         w.into_bytes()
-    }
-
-    /// Writes the checkpoint image to a sink; returns bytes written.
-    pub fn write_to<W: Write>(self, sink: &mut W) -> Result<usize> {
-        let bytes = self.into_bytes();
-        sink.write_all(&bytes)?;
-        Ok(bytes.len())
-    }
-
-    /// Streams the checkpoint image into a [`StreamSink`] in
-    /// `chunk_bytes`-sized appends, so file-backed sinks (the store's
-    /// streaming segment writer) start their I/O before the last slice
-    /// is handed over and byte-budget kill points land mid-image. The
-    /// bytes are identical to [`CheckpointBuilder::into_bytes`];
-    /// returns the total written.
-    ///
-    /// [`StreamSink`]: ckpt_deflate::chunked::StreamSink
-    pub fn write_stream<S: ckpt_deflate::chunked::StreamSink>(
-        self,
-        chunk_bytes: usize,
-        sink: &mut S,
-    ) -> std::result::Result<usize, S::Error> {
-        let bytes = self.into_bytes();
-        for slice in bytes.chunks(chunk_bytes.max(1)) {
-            sink.write(slice)?;
-        }
-        Ok(bytes.len())
     }
 }
 
@@ -279,23 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn write_stream_matches_into_bytes_for_any_chunking() {
-        let (_, t) = fields().remove(0);
-        let build = || {
-            let mut b = CheckpointBuilder::new(9);
-            b.add_raw("v", &t).unwrap();
-            b
-        };
-        let reference = build().into_bytes();
-        for chunk_bytes in [0usize, 1, 7, 4096, usize::MAX] {
-            let mut sink: Vec<u8> = Vec::new();
-            let n = build().write_stream(chunk_bytes, &mut sink).unwrap();
-            assert_eq!(n, reference.len(), "chunk_bytes={chunk_bytes}");
-            assert_eq!(sink, reference, "chunk_bytes={chunk_bytes}");
-        }
-    }
-
-    #[test]
     fn raw_variables_are_bit_exact() {
         let (_, t) = fields().remove(0);
         let mut b = CheckpointBuilder::new(1);
@@ -335,9 +291,7 @@ mod tests {
         let (_, t) = fields().remove(0);
         let mut b = CheckpointBuilder::new(3);
         b.add_raw("v", &t).unwrap();
-        let mut buf = Vec::new();
-        let written = b.write_to(&mut buf).unwrap();
-        assert_eq!(written, buf.len());
+        let buf = b.into_bytes();
         let ck = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(ck.step(), 3);
     }

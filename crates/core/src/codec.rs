@@ -116,33 +116,24 @@ impl Compressor {
         &self.cfg
     }
 
-    /// Compresses one f64 mesh array.
+    /// Compresses one f64 mesh array in memory:
+    /// [`Compressor::compress_stream`] into a `Vec`.
     pub fn compress(&self, tensor: &Tensor<f64>) -> Result<Compressed> {
-        let (formatted, mut timings, coverage_milli) = self.formatted_stages(tensor)?;
-        let formatted_len = formatted.len();
-
-        // 5. Final container.
-        let bytes = apply_container(&self.cfg, formatted, &mut timings)?;
-
-        Ok(Compressed {
-            stats: CompressStats {
-                original_bytes: tensor.len() * 8,
-                formatted_bytes: formatted_len,
-                compressed_bytes: bytes.len(),
-                coverage_milli,
-            },
-            bytes,
-            timings,
-        })
+        let mut bytes = Vec::new();
+        match self.compress_stream(tensor, &mut bytes) {
+            Ok(StreamedCompressed { timings, stats }) => Ok(Compressed { bytes, timings, stats }),
+            Err(StreamError::Ckpt(e)) => Err(e),
+            Err(StreamError::Sink(never)) => match never {},
+        }
     }
 
-    /// Compresses one array directly into `sink`, overlapping the
-    /// container stage with the sink's I/O: with `Container::Gzip` and
-    /// `threads > 1`, finished WPK1 members are written as they
-    /// complete while later chunks still compress. The bytes that
-    /// reach the sink are **identical** to [`Compressor::compress`]
-    /// with the same configuration — streaming changes wall-clock, not
-    /// content. Other configurations compress fully, then write once.
+    /// Compresses one array into `sink` — the one compress path. With
+    /// `Container::Gzip` and `threads > 1` the container stage
+    /// overlaps the sink's I/O: finished WPK1 members are written as
+    /// they complete while later chunks still compress. Other
+    /// configurations compress fully, then write once. The bytes that
+    /// reach the sink depend only on the tensor and the configuration,
+    /// never on the sink.
     ///
     /// On [`StreamError::Sink`] the sink holds a truncated container
     /// and must be discarded (the store's tmp/rename protocol does this
@@ -153,32 +144,15 @@ impl Compressor {
         sink: &mut S,
     ) -> std::result::Result<StreamedCompressed, StreamError<S::Error>> {
         let (formatted, mut timings, coverage_milli) = self.formatted_stages(tensor)?;
-        let formatted_len = formatted.len();
-        let cfg = self.cfg;
+        let formatted_bytes = formatted.len();
 
-        let compressed_bytes = if matches!(cfg.container, Container::Gzip) && cfg.threads > 1 {
-            let stats = timed(&mut timings.gzip, || {
-                chunked::compress_chunked_stream(
-                    &formatted,
-                    cfg.level,
-                    cfg.chunk_bytes,
-                    cfg.threads,
-                    sink,
-                )
-            })
-            .map_err(StreamError::Sink)?;
-            stats.container_len
-        } else {
-            // Reference path: buffer, then a single ordered write.
-            let bytes = apply_container(&cfg, formatted, &mut timings)?;
-            sink.write(&bytes).map_err(StreamError::Sink)?;
-            bytes.len()
-        };
+        // 5. Final container.
+        let compressed_bytes = write_container(&self.cfg, formatted, &mut timings, sink)?;
 
         Ok(StreamedCompressed {
             stats: CompressStats {
                 original_bytes: tensor.len() * 8,
-                formatted_bytes: formatted_len,
+                formatted_bytes,
                 compressed_bytes,
                 coverage_milli,
             },
@@ -187,9 +161,9 @@ impl Compressor {
     }
 
     /// Stages 1–4 (transform, quantize, encode, format): everything up
-    /// to — but not including — the container, shared by the buffered
-    /// and streamed paths. Returns the formatted stream, the timings so
-    /// far, and the quantizer coverage in milli-units.
+    /// to — but not including — the container. Returns the formatted
+    /// stream, the timings so far, and the quantizer coverage in
+    /// milli-units.
     fn formatted_stages(&self, tensor: &Tensor<f64>) -> Result<(Vec<u8>, StageTimings, u32)> {
         let mut timings = StageTimings::new();
         let cfg = self.cfg;
@@ -288,23 +262,30 @@ pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Vec<u
     gzip::compress(&formatted, level)
 }
 
-fn apply_container(
+/// Wraps the formatted stream in the configured container and writes
+/// it to `sink`; returns the bytes written.
+fn write_container<S: chunked::StreamSink>(
     cfg: &CompressorConfig,
     formatted: Vec<u8>,
     timings: &mut StageTimings,
-) -> Result<Vec<u8>> {
+    sink: &mut S,
+) -> std::result::Result<usize, StreamError<S::Error>> {
     let level = cfg.level;
-    match cfg.container {
-        Container::None => Ok(formatted),
-        Container::Zlib => Ok(timed(&mut timings.gzip, || zlib::compress(&formatted, level))),
+    let bytes = match cfg.container {
+        // With more than one thread the chunked multi-member container
+        // both compresses and decompresses in parallel, and its members
+        // reach the sink as they finish.
+        Container::Gzip if cfg.threads > 1 => {
+            return timed(&mut timings.gzip, || {
+                chunked::compress_chunked_stream(&formatted, level, cfg.chunk_bytes, cfg.threads, sink)
+            })
+            .map_err(StreamError::Sink);
+        }
         // With one thread the original single-member gzip path runs,
-        // keeping the output byte-identical to earlier versions. With
-        // more, the chunked multi-member container both compresses and
-        // decompresses in parallel.
-        Container::Gzip if cfg.threads > 1 => Ok(timed(&mut timings.gzip, || {
-            chunked::compress_chunked(&formatted, level, cfg.chunk_bytes, cfg.threads)
-        })),
-        Container::Gzip => Ok(timed(&mut timings.gzip, || gzip::compress(&formatted, level))),
+        // keeping the output byte-identical to earlier versions.
+        Container::Gzip => timed(&mut timings.gzip, || gzip::compress(&formatted, level)),
+        Container::Zlib => timed(&mut timings.gzip, || zlib::compress(&formatted, level)),
+        Container::None => formatted,
         Container::TempFileGzip => {
             // The paper's implementation writes the formatted checkpoint
             // to a temporary file and gzips it through the filesystem;
@@ -319,9 +300,11 @@ fn apply_container(
                 Ok(gzip::compress(&data, level))
             });
             let _ = std::fs::remove_file(&path);
-            out
+            out?
         }
-    }
+    };
+    sink.write(&bytes).map_err(StreamError::Sink)?;
+    Ok(bytes.len())
 }
 
 fn temp_path() -> std::path::PathBuf {
@@ -781,38 +764,61 @@ mod parallel_tests {
         }
     }
 
-    #[test]
-    fn streamed_compress_is_byte_identical_to_buffered() {
-        let t = field();
-        for threads in [1usize, 2, 4] {
-            let cfg = CompressorConfig::paper_proposed()
-                .with_threads(threads)
-                .with_chunk_bytes(16 << 10);
-            let c = Compressor::new(cfg).unwrap();
-            let buffered = c.compress(&t).unwrap();
-            let mut sink = Vec::new();
-            let streamed = c.compress_stream(&t, &mut sink).unwrap();
-            assert_eq!(sink, buffered.bytes, "threads={threads}");
-            assert_eq!(
-                streamed.stats.compressed_bytes, buffered.stats.compressed_bytes,
-                "threads={threads}"
-            );
-            assert_eq!(streamed.stats.formatted_bytes, buffered.stats.formatted_bytes);
-            let back = Compressor::decompress(&sink).unwrap();
-            assert_eq!(back.dims(), t.dims());
+    /// A sink that is not a `Vec`: every append and patch is recorded,
+    /// and the bytes are assembled only when asked for.
+    #[derive(Default)]
+    struct Recording {
+        appends: Vec<Vec<u8>>,
+        patches: Vec<(u64, Vec<u8>)>,
+    }
+    impl chunked::StreamSink for Recording {
+        type Error = std::convert::Infallible;
+        fn write(&mut self, bytes: &[u8]) -> std::result::Result<(), Self::Error> {
+            self.appends.push(bytes.to_vec());
+            Ok(())
+        }
+        fn patch(&mut self, offset: u64, bytes: &[u8]) -> std::result::Result<(), Self::Error> {
+            self.patches.push((offset, bytes.to_vec()));
+            Ok(())
+        }
+    }
+    impl Recording {
+        fn bytes(&self) -> Vec<u8> {
+            let mut out = self.appends.concat();
+            for (offset, bytes) in &self.patches {
+                let at = *offset as usize;
+                out[at..at + bytes.len()].copy_from_slice(bytes);
+            }
+            out
         }
     }
 
     #[test]
-    fn streamed_compress_covers_non_gzip_containers() {
+    fn every_sink_receives_the_same_bytes() {
         let t = field();
-        for container in [Container::Zlib, Container::None] {
-            let cfg = CompressorConfig::paper_proposed().with_container(container);
+        let base = CompressorConfig::paper_proposed().with_chunk_bytes(16 << 10);
+        let configs = [
+            base.with_threads(1),
+            base.with_threads(2),
+            base.with_threads(4),
+            base.with_container(Container::Zlib),
+            base.with_container(Container::None),
+        ];
+        for cfg in configs {
             let c = Compressor::new(cfg).unwrap();
-            let buffered = c.compress(&t).unwrap();
-            let mut sink = Vec::new();
-            c.compress_stream(&t, &mut sink).unwrap();
-            assert_eq!(sink, buffered.bytes, "{container:?}");
+            let in_memory = c.compress(&t).unwrap();
+            let mut sink = Recording::default();
+            let streamed = c.compress_stream(&t, &mut sink).unwrap();
+            assert_eq!(sink.bytes(), in_memory.bytes, "{cfg:?}");
+            assert_eq!(streamed.stats, in_memory.stats, "{cfg:?}");
+            assert_eq!(in_memory.stats.compressed_bytes, in_memory.bytes.len());
+            // Only the chunked container streams: everything else is
+            // one append and no patch.
+            let chunked = cfg.threads > 1 && cfg.container == Container::Gzip;
+            assert_eq!(sink.appends.len() > 1, chunked, "{cfg:?}");
+            assert_eq!(sink.patches.is_empty(), !chunked, "{cfg:?}");
+            let back = Compressor::decompress(&in_memory.bytes).unwrap();
+            assert_eq!(back.dims(), t.dims());
         }
     }
 

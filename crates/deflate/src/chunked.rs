@@ -40,10 +40,12 @@ use crate::{gzip, DeflateError, Level};
 /// against per-member header/trailer and match-window reset costs.
 pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
-/// Offset of the combined-CRC field and size of the fixed header (the
-/// layout table above); the streamed writer patches both regions.
+/// Offset of the combined-CRC field (the layout table above); the
+/// encoder patches it and the chunk index once the last member lands.
 const OFF_CRC: usize = 26;
-const HEADER_BYTES: usize = 30;
+/// Size of the fixed header: what [`parse_header`] needs, and where the
+/// chunk index starts.
+pub const HEADER_BYTES: usize = 30;
 
 /// DEFLATE's worst-case expansion is ~1032:1 (one bit per 258-byte
 /// match run); a header claiming more than this over the body size is
@@ -62,52 +64,19 @@ pub fn is_chunked(data: &[u8]) -> bool {
     data.starts_with(&WPK1.magic)
 }
 
-/// Compresses `data` into a WPK1 chunked container, fanning chunks out
-/// over `threads` workers. The output is byte-identical for any
-/// `threads` value; only wall-clock time changes.
+/// Compresses `data` into a WPK1 chunked container in memory:
+/// [`compress_chunked_stream`] into a `Vec`. The output is
+/// byte-identical for any `threads` value; only wall-clock time
+/// changes.
 pub fn compress_chunked(
     data: &[u8],
     level: Level,
     chunk_bytes: usize,
     threads: usize,
 ) -> Vec<u8> {
-    let chunk_bytes = chunk_bytes.max(1);
-    let chunks: Vec<&[u8]> = if data.is_empty() {
-        Vec::new()
-    } else {
-        data.chunks(chunk_bytes).collect()
-    };
-    // Work-stealing over individual chunks: mixed-entropy regions make
-    // member costs uneven, and stealing keeps every worker busy until
-    // the queue drains. Spawn count is clamped to the host's cores;
-    // the output bytes depend only on input/level/chunk_bytes.
-    let workers = ckpt_pool::clamp_workers(threads, chunks.len());
-    let members: Vec<Vec<u8>> =
-        ckpt_pool::run_stealing_map(workers, chunks.len(), |i| gzip::compress(chunks[i], level));
-    debug_assert_eq!(members.len(), chunks.len());
-
-    // Whole-payload CRC from the per-member CRCs already sitting in
-    // each gzip trailer — no second pass over the data.
-    let mut combined = 0u32;
-    for (member, chunk) in members.iter().zip(&chunks) {
-        let crc = member_stored_crc(member).expect("compressor emits complete gzip members");
-        combined = crc32_combine(combined, crc, chunk.len() as u64);
-    }
-
-    assert!(
-        u32::try_from(members.len()).is_ok(),
-        "chunk count exceeds the u32 header field"
-    );
-    let body_len: usize = members.iter().map(Vec::len).sum();
-    let mut out = Writer::with_capacity(HEADER_BYTES + 8 * members.len() + body_len);
-    put_header(&mut out, members.len(), data.len(), chunk_bytes, combined);
-    for member in &members {
-        out.put_u64(member.len() as u64);
-    }
-    for member in &members {
-        out.put_bytes(member);
-    }
-    out.into_bytes()
+    let mut out = Vec::new();
+    let Ok(_) = compress_chunked_stream(data, level, chunk_bytes, threads, &mut out);
+    out
 }
 
 /// The 30-byte fixed header (layout in the module docs).
@@ -167,32 +136,19 @@ pub fn patchable_prefix(len: usize, chunk_bytes: usize) -> usize {
     HEADER_BYTES + 8 * chunks
 }
 
-/// Summary of a completed [`compress_chunked_stream`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Gzip members emitted.
-    pub chunk_count: usize,
-    /// Uncompressed payload length.
-    pub payload_len: usize,
-    /// Total container bytes written to the sink (appends only;
-    /// patches rewrite bytes already counted).
-    pub container_len: usize,
-    /// Combined CRC-32 of the uncompressed payload (the header field).
-    pub crc: u32,
-}
-
 /// Streams a WPK1 container into `sink` while chunks are still being
-/// compressed: finished gzip members flow through a bounded in-order
-/// channel from `threads` work-stealing workers to the calling thread,
-/// which writes each one as soon as it (and all its predecessors) is
-/// ready. The header goes out first with zeroed CRC/index
-/// placeholders; both are patched once the last member lands, so the
-/// final sink contents are **byte-identical** to
-/// [`compress_chunked`] with the same arguments.
+/// compressed — the one WPK1 encoder. Finished gzip members flow
+/// through a bounded in-order channel from `threads` work-stealing
+/// workers to the calling thread, which writes each one as soon as it
+/// (and all its predecessors) is ready. The header goes out first with
+/// zeroed CRC/index placeholders; both are patched once the last
+/// member lands. The sink contents depend only on `data`, `level` and
+/// `chunk_bytes` — never on `threads` or the sink. Returns the
+/// container length.
 ///
-/// Unlike the buffered path, `threads == 1` still spawns one producer
-/// thread: the caller thread is busy driving the sink, and overlapping
-/// compression with sink I/O is the point of streaming.
+/// `threads == 1` still spawns one producer thread: the caller thread
+/// drives the sink, and overlapping compression with sink I/O is the
+/// point of streaming.
 ///
 /// On a sink error the remaining production is abandoned and the error
 /// is returned; the sink is left mid-stream (callers with durability
@@ -204,7 +160,7 @@ pub fn compress_chunked_stream<S: StreamSink>(
     chunk_bytes: usize,
     threads: usize,
     sink: &mut S,
-) -> Result<StreamStats, S::Error> {
+) -> Result<usize, S::Error> {
     let chunk_bytes = chunk_bytes.max(1);
     let chunks: Vec<&[u8]> = if data.is_empty() {
         Vec::new()
@@ -234,7 +190,6 @@ pub fn compress_chunked_stream<S: StreamSink>(
     ckpt_pool::ordered_pipeline(
         chunks.len(),
         workers,
-        0,
         |i| gzip::compress(chunks[i], level),
         |i, member: Vec<u8>| {
             let crc = member_stored_crc(&member).expect("compressor emits complete gzip members");
@@ -251,12 +206,7 @@ pub fn compress_chunked_stream<S: StreamSink>(
         sink.patch(HEADER_BYTES as u64, &index)?;
     }
     sink.patch(OFF_CRC as u64, &combined.to_le_bytes())?;
-    Ok(StreamStats {
-        chunk_count: chunks.len(),
-        payload_len: data.len(),
-        container_len: HEADER_BYTES + index.len() + body_len,
-        crc: combined,
-    })
+    Ok(HEADER_BYTES + index.len() + body_len)
 }
 
 /// Decompresses a WPK1 container using `threads` workers.
@@ -264,23 +214,41 @@ pub fn decompress_chunked(data: &[u8], threads: usize) -> Result<Vec<u8>, Deflat
     decompress_chunked_with_limit(data, threads, usize::MAX)
 }
 
-/// Parsed header + member slices of a WPK1 container; the shared front
-/// half of [`decompress_chunked_with_limit`] and [`inspect`].
-struct Parsed<'a> {
-    chunk_count: usize,
-    total: usize,
-    chunk_bytes: usize,
-    stored_crc: u32,
-    members: Vec<&'a [u8]>,
+/// The fixed header of a WPK1 container, cross-checked: the one parser
+/// of bytes `0..HEADER_BYTES`, shared by the decoder, [`inspect`] and
+/// the store's range index (which fetches only this prefix and the
+/// chunk index of a segment on disk).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Member count (== chunk count).
+    pub chunk_count: usize,
+    /// Total uncompressed payload length.
+    pub total: usize,
+    /// Uncompressed size of every chunk but the last.
+    pub chunk_bytes: usize,
+    /// Whole-payload CRC-32.
+    pub stored_crc: u32,
 }
 
-/// Validates the header, geometry, chunk index, and bomb guard without
-/// inflating anything.
-fn parse_container(data: &[u8], max_output: usize) -> Result<Parsed<'_>, DeflateError> {
-    if data.len() < HEADER_BYTES {
+/// Byte range of one gzip member inside a WPK1 container.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemberRange {
+    /// Offset of the member's first byte within the container.
+    pub offset: u64,
+    /// Compressed length of the member.
+    pub compressed_len: u64,
+    /// Uncompressed chunk length the member decodes to.
+    pub uncompressed_len: u64,
+}
+
+/// Parses and cross-checks the fixed header from the first
+/// [`HEADER_BYTES`] of a container: magic, version, and a chunk count
+/// that matches `ceil(total / chunk_bytes)`.
+pub fn parse_header(prefix: &[u8]) -> Result<Header, DeflateError> {
+    if prefix.len() < HEADER_BYTES {
         return Err(DeflateError::BadContainer("too short for chunked container"));
     }
-    let mut r = Reader::new(data);
+    let mut r = Reader::new(prefix);
     r.expect_magic(&WPK1)?;
     r.expect_version(&WPK1)?;
     r.get_u8()?; // reserved
@@ -291,9 +259,6 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<Parsed<'_>, Deflate
     let chunk_bytes = usize::try_from(r.get_u64()?)
         .map_err(|_| DeflateError::BadContainer("chunk size exceeds address space"))?;
     let stored_crc = r.get_u32()?;
-    if total > max_output {
-        return Err(DeflateError::OutputLimit { limit: max_output });
-    }
     // Cross-check the geometry before trusting any of it.
     let expect_chunks = if total == 0 { 0 } else { total.div_ceil(chunk_bytes.max(1)) };
     if chunk_bytes == 0 && total != 0 {
@@ -302,31 +267,81 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<Parsed<'_>, Deflate
     if chunk_count != expect_chunks {
         return Err(DeflateError::BadContainer("chunk count does not match geometry"));
     }
+    Ok(Header { chunk_count, total, chunk_bytes, stored_crc })
+}
 
-    // Chunk index: N compressed lengths, then exactly that many bytes.
-    let index_len = chunk_count.checked_mul(8).ok_or(DeflateError::UnexpectedEof)?;
-    let mut index = Reader::new(r.get_bytes(index_len)?);
-    let index_end = r.position();
-    let mut members: Vec<&[u8]> = Vec::with_capacity(chunk_count);
-    for _ in 0..chunk_count {
-        let len = usize::try_from(index.get_u64()?)
-            .map_err(|_| DeflateError::BadContainer("member length exceeds address space"))?;
+impl Header {
+    /// Length of the chunk index that follows the fixed header (one
+    /// u64 compressed length per member).
+    pub fn index_bytes(&self) -> usize {
+        // chunk_count came from a u32.
+        self.chunk_count.saturating_mul(8)
+    }
+
+    /// Member byte ranges from the chunk index — the `index_bytes()`
+    /// bytes at offset [`HEADER_BYTES`] of a container `container_len`
+    /// bytes long. The members must span the body exactly and the
+    /// claimed payload must be one the body can physically inflate to.
+    /// Nothing is decompressed.
+    pub fn members(
+        &self,
+        index: &[u8],
+        container_len: u64,
+    ) -> Result<Vec<MemberRange>, DeflateError> {
+        if index.len() != self.index_bytes() {
+            return Err(DeflateError::UnexpectedEof);
+        }
+        let mut index = Reader::new(index);
+        let body_start = crate::u64_from_usize(HEADER_BYTES + self.index_bytes());
+        let mut at = body_start;
+        let mut remaining = self.total;
+        let mut out = Vec::with_capacity(self.chunk_count);
+        for _ in 0..self.chunk_count {
+            let compressed_len = index.get_u64()?;
+            let uncompressed_len = remaining.min(self.chunk_bytes);
+            remaining -= uncompressed_len;
+            out.push(MemberRange {
+                offset: at,
+                compressed_len,
+                uncompressed_len: crate::u64_from_usize(uncompressed_len),
+            });
+            at = at.checked_add(compressed_len).ok_or(DeflateError::UnexpectedEof)?;
+        }
+        if at != container_len {
+            return Err(DeflateError::BadContainer("member lengths do not span the body"));
+        }
+
+        // Decompression-bomb guard: the members physically cannot expand
+        // past MAX_EXPANSION× their stored size, so a header claiming more
+        // is corrupt or adversarial. Checked before the output allocation
+        // so a forged `total` cannot drive an over-allocation even when the
+        // caller passed no output limit.
+        let body_len = usize::try_from(container_len - body_start).unwrap_or(usize::MAX);
+        if self.total > body_len.saturating_mul(MAX_EXPANSION).saturating_add(64) {
+            return Err(DeflateError::BadContainer("claimed size exceeds maximum expansion"));
+        }
+        Ok(out)
+    }
+}
+
+/// Validates the header, geometry, chunk index, and bomb guard of an
+/// in-memory container and slices out its members, without inflating
+/// anything.
+fn parse_container(data: &[u8], max_output: usize) -> Result<(Header, Vec<&[u8]>), DeflateError> {
+    let header = parse_header(data)?;
+    if header.total > max_output {
+        return Err(DeflateError::OutputLimit { limit: max_output });
+    }
+    let mut r = Reader::at(data, HEADER_BYTES);
+    let index = r.get_bytes(header.index_bytes())?;
+    let ranges = header.members(index, crate::u64_from_usize(data.len()))?;
+    // The ranges tile the rest of `data` exactly, so every length fits.
+    let mut members = Vec::with_capacity(ranges.len());
+    for m in &ranges {
+        let len = usize::try_from(m.compressed_len).map_err(|_| DeflateError::UnexpectedEof)?;
         members.push(r.get_bytes(len)?);
     }
-    if r.remaining() != 0 {
-        return Err(DeflateError::BadContainer("member lengths do not span the body"));
-    }
-
-    // Decompression-bomb guard: the members physically cannot expand
-    // past MAX_EXPANSION× their stored size, so a header claiming more
-    // is corrupt or adversarial. Checked before the output allocation
-    // so a forged `total` cannot drive an over-allocation even when the
-    // caller passed no output limit.
-    let body_len = data.len().saturating_sub(index_end);
-    if total > body_len.saturating_mul(MAX_EXPANSION).saturating_add(64) {
-        return Err(DeflateError::BadContainer("claimed size exceeds maximum expansion"));
-    }
-    Ok(Parsed { chunk_count, total, chunk_bytes, stored_crc, members })
+    Ok((header, members))
 }
 
 /// Decompresses a WPK1 container, erroring with
@@ -337,7 +352,7 @@ pub fn decompress_chunked_with_limit(
     threads: usize,
     max_output: usize,
 ) -> Result<Vec<u8>, DeflateError> {
-    let Parsed { chunk_count, total, chunk_bytes, stored_crc, members } =
+    let (Header { chunk_count, total, chunk_bytes, stored_crc }, members) =
         parse_container(data, max_output)?;
 
     /// Inflates one run of members into their (disjoint) output slots
@@ -472,7 +487,7 @@ impl ChunkedInfo {
 /// hide the state of the others — this is the diagnostic surface
 /// behind `ckpt info`.
 pub fn inspect(data: &[u8]) -> Result<ChunkedInfo, DeflateError> {
-    let Parsed { chunk_count, total, chunk_bytes, stored_crc, members } =
+    let (Header { chunk_count, total, chunk_bytes, stored_crc }, members) =
         parse_container(data, usize::MAX)?;
     let stride = chunk_bytes.max(1);
     let mut infos = Vec::with_capacity(chunk_count);
@@ -539,42 +554,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn output_is_independent_of_thread_count() {
-        let data = lcg_bytes(50_000, 9);
-        let reference = compress_chunked(&data, Level::Default, 8192, 1);
-        for threads in [2usize, 3, 4, 8, 16] {
-            assert_eq!(
-                compress_chunked(&data, Level::Default, 8192, threads),
-                reference,
-                "threads={threads}"
-            );
+    /// A sink that is not a `Vec`: appends and patches land in a
+    /// buffer of its own, and the highest patched offset is recorded.
+    struct Tracking {
+        buf: Vec<u8>,
+        max_patch_end: u64,
+    }
+    impl StreamSink for Tracking {
+        type Error = std::convert::Infallible;
+        fn write(&mut self, bytes: &[u8]) -> Result<(), Self::Error> {
+            self.buf.extend_from_slice(bytes);
+            Ok(())
+        }
+        fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error> {
+            self.max_patch_end = self.max_patch_end.max(offset + bytes.len() as u64);
+            self.buf.patch(offset, bytes)
         }
     }
 
     #[test]
-    fn streamed_output_is_byte_identical_to_buffered() {
+    fn every_sink_and_thread_count_receives_the_same_bytes() {
         for len in [0usize, 1, 4096, 4097, 50_000] {
             let data = lcg_bytes(len, len as u64 + 3);
             for chunk_bytes in [1000usize, 4096, 1 << 20] {
-                let buffered = compress_chunked(&data, Level::Default, chunk_bytes, 1);
-                for threads in [1usize, 2, 4, 8] {
-                    let mut streamed = Vec::new();
-                    let stats = compress_chunked_stream(
-                        &data,
-                        Level::Default,
-                        chunk_bytes,
-                        threads,
-                        &mut streamed,
-                    )
-                    .unwrap();
+                let reference = compress_chunked(&data, Level::Default, chunk_bytes, 1);
+                assert_eq!(decompress_chunked(&reference, 2).unwrap(), data);
+                for threads in [2usize, 3, 4, 8, 16] {
+                    let what = format!("len={len} chunk_bytes={chunk_bytes} threads={threads}");
                     assert_eq!(
-                        streamed, buffered,
-                        "len={len} chunk_bytes={chunk_bytes} threads={threads}"
+                        compress_chunked(&data, Level::Default, chunk_bytes, threads),
+                        reference,
+                        "{what}"
                     );
-                    assert_eq!(stats.container_len, streamed.len());
-                    assert_eq!(stats.payload_len, len);
-                    assert_eq!(decompress_chunked(&streamed, 2).unwrap(), data);
+                    let mut sink = Tracking { buf: Vec::new(), max_patch_end: 0 };
+                    let written =
+                        compress_chunked_stream(&data, Level::Default, chunk_bytes, threads, &mut sink)
+                            .unwrap();
+                    assert_eq!(sink.buf, reference, "{what}");
+                    assert_eq!(written, reference.len(), "{what}");
                 }
             }
         }
@@ -582,22 +599,6 @@ mod tests {
 
     #[test]
     fn stream_patches_stay_inside_the_declared_prefix() {
-        // A sink that records the highest patched offset.
-        struct Tracking {
-            buf: Vec<u8>,
-            max_patch_end: u64,
-        }
-        impl StreamSink for Tracking {
-            type Error = std::convert::Infallible;
-            fn write(&mut self, bytes: &[u8]) -> Result<(), Self::Error> {
-                self.buf.extend_from_slice(bytes);
-                Ok(())
-            }
-            fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error> {
-                self.max_patch_end = self.max_patch_end.max(offset + bytes.len() as u64);
-                self.buf.patch(offset, bytes)
-            }
-        }
         let data = lcg_bytes(30_000, 21);
         let mut sink = Tracking { buf: Vec::new(), max_patch_end: 0 };
         compress_chunked_stream(&data, Level::Default, 4096, 4, &mut sink).unwrap();

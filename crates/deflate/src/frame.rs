@@ -165,6 +165,18 @@ impl Format {
     pub fn name(&self) -> &str {
         std::str::from_utf8(&self.magic).unwrap_or("????")
     }
+
+    /// Bytes of a one-frame file that are not body: the `header8` if
+    /// the format has one, and the envelope's own fields.
+    fn framing_len(&self) -> u64 {
+        let header = if self.header8 { 8 } else { 0 };
+        header
+            + match self.envelope {
+                Envelope::Bespoke => 0,
+                Envelope::LenCrcBody => 8,
+                Envelope::BodyCrc => 4,
+            }
+    }
 }
 
 const fn bespoke(magic: &[u8; 4], version: u8, decoder: &'static str) -> Format {
@@ -569,6 +581,24 @@ pub fn unseal(bytes: &[u8], max_body: usize) -> Result<&[u8], FrameError> {
     Ok(body)
 }
 
+/// Reads a whole single-frame file of `format` (a cursor, a snapshot,
+/// a resume token). A file longer than any the format can fill is
+/// refused on its length, before a byte of it is read, so the parser's
+/// `max_body` bound also bounds what reaching the parser costs; the
+/// read itself is capped the same way in case the file grows.
+pub fn read_file_bounded(path: &std::path::Path, format: &Format) -> io::Result<Vec<u8>> {
+    let file = std::fs::File::open(path)?;
+    let max_len = (format.max_body as u64).saturating_add(format.framing_len());
+    let len = file.metadata()?.len();
+    if len > max_len {
+        let body = usize::try_from(len - format.framing_len()).unwrap_or(usize::MAX);
+        return Err(FrameError::BodyTooLarge { len: body, max: format.max_body }.into());
+    }
+    let mut bytes = Vec::new();
+    file.take(max_len).read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
 /// Writes one `len | crc | body` frame to `w` and flushes it.
 pub fn write_len_crc_body<W, E>(w: &mut W, body: &[u8], max_body: usize) -> Result<(), E>
 where
@@ -617,6 +647,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_file_longer_than_its_format_allows_is_refused_unread() {
+        let path = std::env::temp_dir().join(format!("ckpt-frame-bounded-{}", std::process::id()));
+        let cursor = [header8(&RPC1).as_slice(), &[0u8; 12]].concat();
+        std::fs::write(&path, &cursor).unwrap();
+        assert_eq!(read_file_bounded(&path, &RPC1).unwrap(), cursor, "the longest valid file reads");
+
+        // A sparse 1 GiB file: reading it would cost a 1 GiB buffer.
+        // The refusal names the bound, which only the length check
+        // ahead of the read can know was crossed.
+        std::fs::File::create(&path).unwrap().set_len(1 << 30).unwrap();
+        let err = read_file_bounded(&path, &RPC1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds the 8-byte bound"), "{err}");
+
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_file_bounded(&path, &RPC1).unwrap_err().kind(), io::ErrorKind::NotFound);
+    }
 
     #[test]
     fn all_types_roundtrip() {

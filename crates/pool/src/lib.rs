@@ -13,10 +13,9 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 pub mod pipeline;
-pub mod steal;
+mod steal;
 
 pub use pipeline::ordered_pipeline;
-pub use steal::{run_stealing, run_stealing_map, Seed, StealQueue};
 
 /// Clamps a requested thread count to something sane: zero is treated
 /// as "unspecified" and becomes 1, and the count is capped by `work`
@@ -68,31 +67,6 @@ pub fn partition_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, n);
     out
-}
-
-/// Runs `f(worker_index)` once per worker on scoped threads and
-/// returns the results in worker order. With one worker the closure
-/// runs inline on the calling thread.
-///
-/// A panic in any worker propagates to the caller.
-pub fn run_workers<T, F>(workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.max(1);
-    if workers == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn({ let f = &f; move || f(w) }))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
 }
 
 /// Maps `f` over contiguous shards of `items` on scoped threads,
@@ -254,14 +228,6 @@ mod tests {
                     assert!(max - min <= 1, "uneven split {lens:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn run_workers_returns_in_worker_order() {
-        for workers in [1usize, 2, 4, 7] {
-            let out = run_workers(workers, |w| w * 10);
-            assert_eq!(out, (0..workers).map(|w| w * 10).collect::<Vec<_>>());
         }
     }
 

@@ -15,12 +15,12 @@
 //! segment by the caller while later chunks still compress, turning
 //! `compress + write` wall-clock into roughly `max(compress, write)`.
 //!
-//! Unlike the buffered helpers in the crate root, a single worker is
+//! Unlike the shard helpers in the crate root, a single worker is
 //! still spawned as a real thread: overlap with the consumer is the
 //! whole point, and it pays even on one core whenever `consume` blocks
 //! on I/O rather than burning CPU.
 
-use crate::steal::{Seed, StealQueue};
+use crate::steal::StealQueue;
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 
@@ -40,14 +40,10 @@ struct Reorder<T> {
 /// abandoned (already-running tasks finish, their results are
 /// dropped).
 ///
-/// `window == 0` selects the default window of `2 * workers + 2`
-/// outstanding tasks.
-///
 /// A panic inside `produce` aborts the pipeline and propagates.
 pub fn ordered_pipeline<T, E, P, C>(
     tasks: usize,
     workers: usize,
-    window: usize,
     produce: P,
     mut consume: C,
 ) -> Result<(), E>
@@ -60,8 +56,8 @@ where
         return Ok(());
     }
     let workers = crate::effective_workers(workers, tasks);
-    let window = if window == 0 { 2 * workers + 2 } else { window };
-    let queue = StealQueue::new(tasks, workers, Seed::Interleaved);
+    let window = reorder_window(workers);
+    let queue = StealQueue::new(tasks, workers);
     let shared: Mutex<Reorder<T>> =
         Mutex::new(Reorder { done: BTreeMap::new(), next: 0, aborted: false });
     let ready = Condvar::new();
@@ -137,6 +133,13 @@ where
     out
 }
 
+/// Finished-but-unconsumed tasks the producers may run ahead by: every
+/// worker can have one task in flight and one parked, plus slack for
+/// the consumer's hand-off.
+fn reorder_window(workers: usize) -> usize {
+    2 * workers + 2
+}
+
 /// Sets `aborted` and wakes both sides if the owning producer unwinds.
 struct WakeOnUnwind<'a, T> {
     shared: &'a Mutex<Reorder<T>>,
@@ -167,7 +170,6 @@ mod tests {
             let r: Result<(), Infallible> = ordered_pipeline(
                 97,
                 workers,
-                0,
                 |i| i * 2,
                 |i, v| {
                     assert_eq!(v, i * 2);
@@ -183,7 +185,7 @@ mod tests {
     #[test]
     fn zero_tasks_is_a_no_op() {
         let r: Result<(), Infallible> =
-            ordered_pipeline(0, 4, 0, |_| unreachable!(), |_, ()| Ok(()));
+            ordered_pipeline(0, 4, |_| unreachable!(), |_, ()| Ok(()));
         r.unwrap();
     }
 
@@ -192,7 +194,6 @@ mod tests {
         let produced = AtomicUsize::new(0);
         let r: Result<(), &'static str> = ordered_pipeline(
             if cfg!(miri) { 500 } else { 10_000 },
-            4,
             4,
             |i| {
                 produced.fetch_add(1, Ordering::Relaxed);
@@ -213,13 +214,12 @@ mod tests {
     fn window_bounds_outstanding_results() {
         // With a slow consumer, producers must never run more than
         // `window + workers` tasks ahead of consumption.
-        let window = 3usize;
         let workers = 4usize;
+        let window = reorder_window(workers);
         let produced = AtomicUsize::new(0);
         let r: Result<(), Infallible> = ordered_pipeline(
             if cfg!(miri) { 60 } else { 200 },
             workers,
-            window,
             |i| {
                 produced.fetch_add(1, Ordering::Relaxed);
                 i
@@ -248,7 +248,6 @@ mod tests {
             let _: Result<(), Infallible> = ordered_pipeline(
                 50,
                 3,
-                0,
                 |i| {
                     if i == 20 {
                         panic!("boom");

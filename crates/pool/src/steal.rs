@@ -1,14 +1,13 @@
-//! Work-stealing task scheduler for coarse-grained chunk work.
+//! Work-stealing task queue for coarse-grained chunk work.
 //!
 //! The static shard fan-out in the crate root hands every worker one
 //! contiguous range up front, which load-balances badly when task
-//! costs vary (gzip members over mixed-entropy regions, wavelet lanes
-//! of different lengths after clamping). [`StealQueue`] keeps one
-//! deque per worker instead: a worker pops from the *front* of its own
-//! deque and, when that runs dry, steals from the *back* of the
-//! fullest victim. Tasks are plain `usize` indexes, so the queue stays
-//! allocation-light and the caller keeps full control of what a task
-//! means.
+//! costs vary (gzip members over mixed-entropy regions). [`StealQueue`]
+//! keeps one deque per worker instead: a worker pops from the *front*
+//! of its own deque and, when that runs dry, steals from the *back* of
+//! the fullest victim. Tasks are plain `usize` indexes, so the queue
+//! stays allocation-light and the caller keeps full control of what a
+//! task means.
 //!
 //! Tasks here are coarse (a 1 MiB gzip member costs milliseconds), so
 //! the deques are plain `Mutex<VecDeque>`s — the lock is taken once
@@ -18,41 +17,23 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// How the task indexes are seeded across the per-worker deques.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Seed {
-    /// Contiguous blocks per worker (cache-friendly; the right choice
-    /// for data-parallel sweeps like wavelet lanes).
-    Blocked,
-    /// Round-robin (worker `w` gets `w`, `w + workers`, …) so the
-    /// globally smallest pending task is always at the front of some
-    /// deque — the right choice for ordered pipelines, which want
-    /// tasks finished roughly in index order.
-    Interleaved,
-}
-
 /// Per-worker deques of pending task indexes with stealing.
-pub struct StealQueue {
+pub(crate) struct StealQueue {
     deques: Vec<Mutex<VecDeque<usize>>>,
 }
 
 impl StealQueue {
-    /// Seeds `tasks` indexes (`0..tasks`) across `workers` deques.
-    pub fn new(tasks: usize, workers: usize, seed: Seed) -> Self {
+    /// Seeds `tasks` indexes (`0..tasks`) round-robin across `workers`
+    /// deques (worker `w` gets `w`, `w + workers`, …), so the globally
+    /// smallest pending task is always at the front of some deque —
+    /// the ordered pipeline wants tasks finished roughly in index
+    /// order.
+    pub(crate) fn new(tasks: usize, workers: usize) -> Self {
         let workers = workers.max(1);
         let mut deques: Vec<VecDeque<usize>> =
             (0..workers).map(|_| VecDeque::new()).collect();
-        match seed {
-            Seed::Blocked => {
-                for (w, range) in crate::partition_ranges(tasks, workers).into_iter().enumerate() {
-                    deques[w].extend(range);
-                }
-            }
-            Seed::Interleaved => {
-                for t in 0..tasks {
-                    deques[t % workers].push_back(t);
-                }
-            }
+        for t in 0..tasks {
+            deques[t % workers].push_back(t);
         }
         StealQueue { deques: deques.into_iter().map(Mutex::new).collect() }
     }
@@ -61,7 +42,7 @@ impl StealQueue {
     /// steal from the back of the fullest other deque. `None` means
     /// every deque is empty — with all tasks seeded up front, that is
     /// a permanent condition, so workers can exit on it.
-    pub fn pop(&self, worker: usize) -> Option<usize> {
+    pub(crate) fn pop(&self, worker: usize) -> Option<usize> {
         if let Some(t) = self.deques[worker].lock().expect("deque lock").pop_front() {
             return Some(t);
         }
@@ -88,118 +69,32 @@ impl StealQueue {
     }
 }
 
-/// Runs tasks `0..tasks` across `workers` scoped threads with work
-/// stealing. With one worker (or fewer tasks than the spawn is worth)
-/// the loop runs inline on the calling thread — no threads, no
-/// allocation beyond the queue.
-///
-/// A panic in any task propagates to the caller.
-pub fn run_stealing<F>(workers: usize, tasks: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let workers = crate::effective_workers(workers, tasks);
-    if workers == 1 {
-        for t in 0..tasks {
-            f(t);
-        }
-        return;
-    }
-    let queue = StealQueue::new(tasks, workers, Seed::Blocked);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queue = &queue;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(t) = queue.pop(w) {
-                    f(t);
-                }
-            });
-        }
-    });
-}
-
-/// [`run_stealing`] that collects one result per task, in task order.
-/// Results land in disjoint slots, so no ordering pass is needed.
-pub fn run_stealing_map<T, F>(workers: usize, tasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(tasks, || None);
-    {
-        let ptr = crate::SendPtr::new(slots.as_mut_ptr(), tasks);
-        run_stealing(workers, tasks, |t| {
-            // SAFETY: task indexes are unique (each is popped from the
-            // queue exactly once), so concurrent workers write disjoint
-            // slots; `slots` outlives the scoped threads inside
-            // `run_stealing`. Overwriting the pre-seeded `None` leaks
-            // nothing.
-            unsafe { ptr.write(t, Some(f(t))) };
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task index was executed exactly once"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn every_task_runs_exactly_once() {
-        for seed in [Seed::Blocked, Seed::Interleaved] {
-            for (tasks, workers) in [(0usize, 3usize), (1, 1), (7, 3), (100, 4), (5, 16)] {
-                let queue = StealQueue::new(tasks, workers, seed);
-                let mut seen = vec![false; tasks];
-                for w in (0..workers.max(1)).cycle() {
-                    match queue.pop(w) {
-                        Some(t) => {
-                            assert!(!seen[t], "task {t} popped twice");
-                            seen[t] = true;
-                        }
-                        None => break,
+        for (tasks, workers) in [(0usize, 3usize), (1, 1), (7, 3), (100, 4), (5, 16)] {
+            let queue = StealQueue::new(tasks, workers);
+            let mut seen = vec![false; tasks];
+            for w in (0..workers.max(1)).cycle() {
+                match queue.pop(w) {
+                    Some(t) => {
+                        assert!(!seen[t], "task {t} popped twice");
+                        seen[t] = true;
                     }
+                    None => break,
                 }
-                assert!(seen.iter().all(|&s| s), "{tasks} tasks {workers} workers");
             }
-        }
-    }
-
-    /// Miri executes these tests orders of magnitude slower, and the
-    /// interleavings it explores don't need large task counts.
-    const TASKS: usize = if cfg!(miri) { 48 } else { 1000 };
-    const MAP_TASKS: usize = if cfg!(miri) { 23 } else { 137 };
-
-    #[test]
-    fn run_stealing_covers_all_tasks_concurrently() {
-        let hits = AtomicUsize::new(0);
-        run_stealing(4, TASKS, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), TASKS);
-    }
-
-    #[test]
-    fn map_returns_results_in_task_order() {
-        for workers in [1usize, 2, 4, 9] {
-            let out = run_stealing_map(workers, MAP_TASKS, |t| t * 3);
-            assert_eq!(
-                out,
-                (0..MAP_TASKS).map(|t| t * 3).collect::<Vec<_>>(),
-                "workers={workers}"
-            );
+            assert!(seen.iter().all(|&s| s), "{tasks} tasks {workers} workers");
         }
     }
 
     #[test]
     fn stealing_drains_an_idle_victim() {
         // Worker 1 never pops; the other workers must steal its seeds.
-        let queue = StealQueue::new(64, 4, Seed::Blocked);
+        let queue = StealQueue::new(64, 4);
         let mut count = 0;
         while queue.pop(0).is_some() {
             count += 1;

@@ -212,7 +212,7 @@ pub fn resume_restore(
     opts: &RestoreOptions,
     fp: &FailPoint,
 ) -> Result<RestoreOutcome> {
-    let tok = parse_token(&fs::read(token_path)?)?;
+    let tok = parse_token(&frame::read_file_bounded(token_path, &RST1)?)?;
     let ri = rank_of(snap, tok.gen, tok.rank)?;
     if ri.payload_len != tok.payload_len || ri.crc != tok.payload_crc {
         return Err(ServeError::Proto(format!(

@@ -114,6 +114,20 @@ pub fn fsync_dir(dir: &Path) -> Result<()> {
     Ok(())
 }
 
+/// The one ordering every staged file is published by: kill barrier,
+/// fsync the staged bytes, kill barrier, rename into place. Shared by
+/// [`durable_replace`] (whole-file metadata) and
+/// `SegmentWriter::finish` (streamed segments); the caller fsyncs the
+/// destination's directory.
+pub(crate) fn sync_then_rename(staged: fs::File, tmp: &Path, dst: &Path, fp: &FailPoint) -> Result<()> {
+    fp.check()?;
+    staged.sync_all()?;
+    drop(staged);
+    fp.check()?;
+    fs::rename(tmp, dst)?;
+    Ok(())
+}
+
 /// Durably replaces the file at `dst` with `bytes`: write a staging
 /// file, fsync it, rename it over `dst`, fsync `dst`'s directory. A
 /// kill at any byte leaves either the previous `dst` or the new one,
@@ -125,11 +139,7 @@ pub fn fsync_dir(dir: &Path) -> Result<()> {
 pub fn durable_replace(tmp_path: &Path, dst: &Path, bytes: &[u8], fp: &FailPoint) -> Result<()> {
     let mut f = fs::File::create(tmp_path)?;
     fp.write_all(&mut f, bytes)?;
-    fp.check()?;
-    f.sync_all()?;
-    drop(f);
-    fp.check()?;
-    fs::rename(tmp_path, dst)?;
+    sync_then_rename(f, tmp_path, dst, fp)?;
     // A bare file name has an empty parent: the current directory.
     let dir = dst.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
     fsync_dir(dir)?;

@@ -32,11 +32,10 @@
 
 use crate::layout::{self, CURSOR_FILE};
 use crate::manifest::SegmentFormat;
-use crate::store::{GenState, SegMeta, Store};
+use crate::store::{GenHead, SegMeta, Store};
 use crate::{Result, StoreError};
 use ckpt_deflate::crc32::crc32;
 use ckpt_deflate::frame::{self, Reader, Writer, RPC1};
-use std::fs;
 
 /// One generation handed to a [`ReplicaSink`]: the metadata the
 /// replica's manifest needs plus every rank's committed payload bytes.
@@ -110,7 +109,10 @@ impl Store {
     /// as `None` — the next push re-sends from the start, which the
     /// idempotent import absorbs.
     pub fn replication_cursor(&self) -> Option<u64> {
-        fs::read(&self.layout().cursor).ok().as_deref().and_then(parse_cursor)
+        frame::read_file_bounded(&self.layout().cursor, &RPC1)
+            .ok()
+            .as_deref()
+            .and_then(parse_cursor)
     }
 
     /// Durably records `gen` as pushed, through the fail point like
@@ -186,17 +188,16 @@ impl Store {
         if put.payloads.is_empty() {
             return Err(StoreError::NotFound("an import needs at least one rank payload".into()));
         }
-        let incoming: Vec<SegMeta> = put
-            .payloads
-            .iter()
-            .map(|p| SegMeta { payload_len: p.len() as u64, crc: crc32(p) })
-            .collect();
-        if let Some(existing) = self.gens_mut().get(&put.gen) {
+        if let Ok(existing) = self.gen_state(put.gen) {
+            let incoming = put
+                .payloads
+                .iter()
+                .map(|p| Some(SegMeta { payload_len: p.len() as u64, crc: crc32(p) }));
             let same = existing.live()
                 && existing.step == put.step
                 && existing.format == put.format
                 && existing.base_gen == put.base_gen
-                && existing.segs.iter().map(|s| s.as_ref()).eq(incoming.iter().map(Some));
+                && existing.segs.iter().copied().eq(incoming);
             if same {
                 return Ok(false);
             }
@@ -221,33 +222,14 @@ impl Store {
         }
 
         let refs: Vec<&[u8]> = put.payloads.iter().map(Vec::as_slice).collect();
-        let write = self.write_generation(
-            put.gen,
-            put.step,
-            put.format,
-            put.base_gen,
-            &refs,
-            1,
-            put.error_bound,
-        );
-        if let Err(e) = write {
-            self.poisoned = true;
-            return Err(e);
-        }
-        let next = self.next_gen().max(put.gen + 1);
-        self.gens_mut().insert(
-            put.gen,
-            GenState {
-                step: put.step,
-                format: put.format,
-                base_gen: put.base_gen,
-                segs: incoming.into_iter().map(Some).collect(),
-                committed: true,
-                retired: None,
-                error_bound: put.error_bound,
-            },
-        );
-        self.set_next_gen(next);
+        let head = GenHead {
+            gen: put.gen,
+            step: put.step,
+            format: put.format,
+            base_gen: put.base_gen,
+            error_bound: put.error_bound,
+        };
+        self.commit_payloads(head, &refs, 1)?;
         Ok(true)
     }
 

@@ -7,8 +7,9 @@
 //! All metadata lives in the manifest.
 
 use crate::failpoint::FailPoint;
-use crate::layout::Layout;
+use crate::layout::{self, Layout};
 use crate::manifest::SegmentFormat;
+use crate::store::SegMeta;
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::{incremental, Compressor};
@@ -25,10 +26,22 @@ pub fn write_segment(
     payload: &[u8],
     fp: &FailPoint,
 ) -> Result<()> {
+    write_payload(layout, gen, rank, payload, fp).map(|_| ())
+}
+
+/// [`write_segment`] for the commit engine: one unmirrored append, so
+/// the payload is neither copied nor read a second time — the `Seg`
+/// record's CRC is the one the append computed.
+pub(crate) fn write_payload(
+    layout: &Layout,
+    gen: u64,
+    rank: u32,
+    payload: &[u8],
+    fp: &FailPoint,
+) -> Result<SegMeta> {
     let mut w = SegmentWriter::create(layout, gen, rank, fp, false)?;
     w.append(payload)?;
-    w.finish()?;
-    Ok(())
+    w.finish()
 }
 
 /// Incrementally writes one rank's segment under the same crash
@@ -71,8 +84,10 @@ impl<'a> SegmentWriter<'a> {
     /// Opens the staging file for `(gen, rank)`. With `patchable` the
     /// first append is mirrored in memory and may later be rewritten
     /// with [`SegmentWriter::patch`]; without it, patches error and no
-    /// mirror is kept.
-    pub fn create(
+    /// mirror is kept. Which one a save gets follows from its phase 1
+    /// (producer-fed: patchable; slice-fed: not), so only the store
+    /// chooses.
+    pub(crate) fn create(
         layout: &'a Layout,
         gen: u64,
         rank: u32,
@@ -140,21 +155,17 @@ impl<'a> SegmentWriter<'a> {
     }
 
     /// Completes the segment: fsync the staging file, rename it into
-    /// `segments/`, and return `(payload_len, crc)` for the manifest's
-    /// `Seg` record. The kill-point sequence (write → barrier → fsync
-    /// → barrier → rename) is byte-for-byte the one [`write_segment`]
-    /// has always exercised.
-    pub fn finish(self) -> Result<(u64, u32)> {
-        self.fp.check()?;
-        self.file.sync_all()?;
-        drop(self.file);
-        self.fp.check()?;
-        fs::rename(
-            self.layout.tmp_path(self.gen, self.rank),
-            self.layout.segment_path(self.gen, self.rank),
+    /// `segments/` (the ordering `durable_replace` shares), and return
+    /// the length and CRC for the manifest's `Seg` record.
+    pub(crate) fn finish(self) -> Result<SegMeta> {
+        layout::sync_then_rename(
+            self.file,
+            &self.layout.tmp_path(self.gen, self.rank),
+            &self.layout.segment_path(self.gen, self.rank),
+            self.fp,
         )?;
         let crc = crc32_combine(crc32(&self.mirror), self.tail_crc, self.tail_len);
-        Ok((self.len, crc))
+        Ok(SegMeta { payload_len: self.len, crc })
     }
 }
 
@@ -282,7 +293,7 @@ mod tests {
         for slice in payload.chunks(777) {
             w.append(slice).unwrap();
         }
-        let (len, crc) = w.finish().unwrap();
+        let SegMeta { payload_len: len, crc } = w.finish().unwrap();
         assert_eq!(len, payload.len() as u64);
         assert_eq!(crc, crc32(&payload));
         assert_eq!(fs::read(l.segment_path(4, 0)).unwrap(), payload);
@@ -300,7 +311,7 @@ mod tests {
         w.patch(4, b"\xAA\xBB\xCC\xDD").unwrap();
         // Patching past the first append is a protocol violation.
         assert!(w.patch(30, b"xxxx").is_err());
-        let (len, crc) = w.finish().unwrap();
+        let SegMeta { payload_len: len, crc } = w.finish().unwrap();
         let on_disk = fs::read(l.segment_path(5, 2)).unwrap();
         assert_eq!(on_disk.len() as u64, len);
         assert_eq!(&on_disk[4..8], b"\xAA\xBB\xCC\xDD");

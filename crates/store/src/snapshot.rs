@@ -15,7 +15,6 @@ use crate::layout::Layout;
 use crate::store::{self, GenInfo, GenState};
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
-use ckpt_deflate::frame::Reader;
 use ckpt_deflate::{chunked, gzip};
 use ckpt_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
@@ -70,15 +69,7 @@ impl PinSet {
 }
 
 /// Byte range of one gzip member inside a `WPK1` segment payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemberRange {
-    /// Offset of the member's first byte within the segment payload.
-    pub offset: u64,
-    /// Compressed length of the member.
-    pub compressed_len: u64,
-    /// Uncompressed chunk length the member decodes to.
-    pub uncompressed_len: u64,
-}
+pub use ckpt_deflate::chunked::MemberRange;
 
 /// Range-read index for one rank's segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,13 +198,15 @@ impl Snapshot {
         })
     }
 
-    /// Member byte ranges of a `WPK1` segment, from its chunk index
-    /// (30-byte header, then one u64 compressed length per chunk, then
-    /// the members back to back). Non-`WPK1` payloads yield an empty
-    /// list. Only the header and index prefix are fetched — nothing is
-    /// decompressed, which is the whole point of the range index.
+    /// Member byte ranges of a `WPK1` segment, from its header and
+    /// chunk index as `chunked::parse_header` reads them — the checks
+    /// the decoder will apply on restore, so the index never advertises
+    /// members of a container the decoder refuses. Non-`WPK1` payloads
+    /// yield an empty list. Only the header and index prefix are
+    /// fetched — nothing is decompressed, which is the whole point of
+    /// the range index.
     fn member_ranges(&self, gen: u64, rank: u32) -> Result<Vec<MemberRange>> {
-        const HEADER: u64 = 30;
+        const HEADER: u64 = chunked::HEADER_BYTES as u64;
         let meta = {
             let g = self
                 .gens
@@ -228,48 +221,17 @@ impl Snapshot {
         if !chunked::is_chunked(&head) {
             return Ok(Vec::new());
         }
-        // Magic, version and the reserved byte were vouched for by
-        // `is_chunked`; the payload decoder re-checks them on restore.
-        let mut r = Reader::at(&head, 6);
-        let chunk_count = u64::from(r.get_u32()?);
-        let total = r.get_u64()?;
-        let chunk_bytes = r.get_u64()?;
-        if chunk_bytes == 0 && total != 0 {
+        let corrupt =
+            |e| StoreError::Corrupt(format!("gen {gen} rank {rank}: WPK1 chunk index: {e}"));
+        let header = chunked::parse_header(&head).map_err(corrupt)?;
+        let index_len = header.index_bytes() as u64;
+        if index_len > meta.payload_len - HEADER {
             return Err(StoreError::Corrupt(format!(
-                "gen {gen} rank {rank}: WPK1 header has zero chunk size"
+                "gen {gen} rank {rank}: WPK1 chunk index exceeds the payload"
             )));
         }
-        let index_len = chunk_count
-            .checked_mul(8)
-            .ok_or_else(|| StoreError::Corrupt("WPK1 chunk count overflow".into()))?;
-        let index_end = HEADER
-            .checked_add(index_len)
-            .filter(|&e| e <= meta.payload_len)
-            .ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "gen {gen} rank {rank}: WPK1 chunk index exceeds the payload"
-                ))
-            })?;
         let index = self.read_segment_range(gen, rank, HEADER, index_len)?;
-        let mut out = Vec::new();
-        let mut at = index_end;
-        let mut remaining = total;
-        let mut index = Reader::new(&index);
-        while index.remaining() >= 8 {
-            let clen = index.get_u64()?;
-            let ulen = remaining.min(chunk_bytes);
-            out.push(MemberRange { offset: at, compressed_len: clen, uncompressed_len: ulen });
-            at = at.checked_add(clen).ok_or_else(|| {
-                StoreError::Corrupt("WPK1 member lengths overflow the payload".into())
-            })?;
-            remaining -= ulen;
-        }
-        if at != meta.payload_len || remaining != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "gen {gen} rank {rank}: WPK1 chunk index does not span the payload"
-            )));
-        }
-        Ok(out)
+        header.members(&index, meta.payload_len).map_err(corrupt)
     }
 
     /// Reads `len` bytes of one committed segment starting at `offset`

@@ -10,7 +10,7 @@ use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::incremental;
 use ckpt_core::Compressor;
-use ckpt_deflate::crc32::crc32;
+use ckpt_deflate::frame;
 use ckpt_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fs;
@@ -38,6 +38,18 @@ pub(crate) struct GenState {
     pub retired: Option<RetireReason>,
     /// Lossy error bound the generation was compressed under, from a
     /// `Bound` manifest record (`ckpt store save --error-bound`).
+    pub error_bound: Option<f64>,
+}
+
+/// What a generation about to be committed says about itself: the
+/// fields of its `Begin` and `Bound` records.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GenHead {
+    pub gen: u64,
+    pub step: u64,
+    pub format: SegmentFormat,
+    /// Base generation (== `gen` for full generations).
+    pub base_gen: u64,
     pub error_bound: Option<f64>,
 }
 
@@ -163,7 +175,7 @@ impl Store {
         let mut gens: BTreeMap<u64, GenState> = BTreeMap::new();
         let mut snap_next_gen = 0u64;
         if layout.snapshot.exists() {
-            let parsed = fs::read(&layout.snapshot)
+            let parsed = frame::read_file_bounded(&layout.snapshot, &frame::CSM2)
                 .map_err(StoreError::from)
                 .and_then(|b| manifest::parse_snapshot(&b));
             match parsed {
@@ -417,10 +429,10 @@ impl Store {
     /// [`SegmentWriter`](segment::SegmentWriter) and streams the
     /// payload into it (e.g. via `Compressor::compress_stream`), so
     /// store I/O for early chunks overlaps compression of later ones.
-    /// The two-phase commit contract is unchanged — every segment
-    /// still goes tmp → fsync → rename before the single manifest
-    /// append commits the generation — and the committed bytes are
-    /// exactly what the producer streamed.
+    /// Only phase 1 differs from [`Store::save_full`] — every segment
+    /// still goes tmp → fsync → rename before the one commit engine
+    /// appends the generation — and the committed bytes are exactly
+    /// what the producer streamed.
     ///
     /// Any producer or I/O error (including an injected kill) poisons
     /// the store, like a failed [`Store::save_full`].
@@ -444,68 +456,27 @@ impl Store {
             return Err(StoreError::NotFound("a save needs at least one rank payload".into()));
         }
         let gen = self.next_gen;
-
-        let mut write_all = || -> Result<Vec<SegMeta>> {
-            // Phase 1: stream each rank's segment; the producer drives
-            // its own intra-rank parallelism.
-            let mut metas = Vec::with_capacity(ranks as usize);
-            for rank in 0..ranks {
-                let mut w =
-                    segment::SegmentWriter::create(&self.layout, gen, rank, &self.failpoint, true)?;
-                producer(rank, &mut w)?;
-                if w.is_empty() {
-                    return Err(StoreError::NotFound(format!(
-                        "streamed save produced an empty payload for rank {rank}"
-                    )));
-                }
-                let (payload_len, crc) = w.finish()?;
-                metas.push(SegMeta { payload_len, crc });
-            }
-            self.failpoint.check()?;
-            layout::fsync_dir(&self.layout.segments)?;
-
-            // Phase 2: one buffered manifest append, then fsync.
-            let mut records = Vec::with_capacity(metas.len() + 2);
-            records.push(Record::Begin { gen, step, format, base_gen: gen, ranks });
-            for (rank, meta) in metas.iter().enumerate() {
-                records.push(Record::Seg {
-                    gen,
-                    rank: rank as u32,
-                    payload_len: meta.payload_len,
-                    crc: meta.crc,
-                });
-            }
-            records.push(Record::Commit { gen });
-            self.append_records(&records)?;
-            Ok(metas)
+        // Phase 1: stream each rank's segment; the producer drives its
+        // own intra-rank parallelism.
+        let stream_segments = |layout: &Layout, fp: &FailPoint| {
+            (0..ranks)
+                .map(|rank| {
+                    let mut w = segment::SegmentWriter::create(layout, gen, rank, fp, true)?;
+                    producer(rank, &mut w)?;
+                    if w.is_empty() {
+                        return Err(StoreError::NotFound(format!(
+                            "streamed save produced an empty payload for rank {rank}"
+                        )));
+                    }
+                    w.finish()
+                })
+                .collect()
         };
-
-        let metas = match write_all() {
-            Ok(metas) => metas,
-            Err(e) => {
-                // A failed save is a simulated crash: run no cleanup,
-                // require a reopen (which performs real recovery).
-                self.poisoned = true;
-                return Err(e);
-            }
-        };
-
-        self.gens.insert(
-            gen,
-            GenState {
-                step,
-                format,
-                base_gen: gen,
-                segs: metas.into_iter().map(Some).collect(),
-                committed: true,
-                retired: None,
-                error_bound: None,
-            },
-        );
-        self.next_gen = gen + 1;
-        Ok(gen)
+        let head = GenHead { gen, step, format, base_gen: gen, error_bound: None };
+        self.commit_generation(head, stream_segments)
     }
 
+    /// Commits slice-fed payloads under a fresh generation id.
     pub(crate) fn save(
         &mut self,
         step: u64,
@@ -515,6 +486,18 @@ impl Store {
         threads: usize,
         error_bound: Option<f64>,
     ) -> Result<u64> {
+        let gen = self.next_gen;
+        let base_gen = if format == SegmentFormat::Increment { base_gen } else { gen };
+        self.commit_payloads(GenHead { gen, step, format, base_gen, error_bound }, payloads, threads)
+    }
+
+    /// Commits one payload slice per rank as generation `head.gen`.
+    pub(crate) fn commit_payloads(
+        &mut self,
+        head: GenHead,
+        payloads: &[&[u8]],
+        threads: usize,
+    ) -> Result<u64> {
         self.guard()?;
         if payloads.is_empty() {
             return Err(StoreError::NotFound("a save needs at least one rank payload".into()));
@@ -522,93 +505,83 @@ impl Store {
         if payloads.len() > u32::MAX as usize {
             return Err(StoreError::Chain("rank count exceeds the u32 manifest field".into()));
         }
-        let gen = self.next_gen;
-        let base_gen = if format == SegmentFormat::Increment { base_gen } else { gen };
+        let gen = head.gen;
+        // Phase 1: one segment per rank, fanned over pool workers
+        // (clamped to the host so oversubscription never pays for idle
+        // threads). Each payload is handed to its writer as the slice
+        // it is: one append, one CRC pass.
+        let write_segments = |layout: &Layout, fp: &FailPoint| {
+            let ranks: Vec<(u32, &[u8])> = (0u32..).zip(payloads.iter().copied()).collect();
+            let workers = ckpt_pool::clamp_workers(threads, ranks.len());
+            let shards = ckpt_pool::map_shards(&ranks, workers, |_, shard| {
+                shard
+                    .iter()
+                    .map(|&(rank, payload)| segment::write_payload(layout, gen, rank, payload, fp))
+                    .collect::<Result<Vec<SegMeta>>>()
+            });
+            let mut metas = Vec::with_capacity(ranks.len());
+            for shard in shards {
+                metas.extend(shard?);
+            }
+            Ok(metas)
+        };
+        self.commit_generation(head, write_segments)
+    }
 
-        match self.write_generation(gen, step, format, base_gen, payloads, threads, error_bound) {
-            Ok(()) => {}
+    /// The one generation-commit body. `write_segments` is phase 1: it
+    /// publishes every rank's segment file (tmp → fsync → rename) and
+    /// returns their `Seg` metadata in rank order. Everything after is
+    /// here, once: kill barrier, segments-directory fsync, the
+    /// `Begin`/`Seg`…/`Bound`/`Commit` records in a single manifest
+    /// append + fsync, and — only once disk is durable — the in-memory
+    /// view. Any error poisons the store: a failed save is a simulated
+    /// crash, so it runs no cleanup and requires a reopen (which
+    /// performs real recovery).
+    fn commit_generation(
+        &mut self,
+        head: GenHead,
+        write_segments: impl FnOnce(&Layout, &FailPoint) -> Result<Vec<SegMeta>>,
+    ) -> Result<u64> {
+        let GenHead { gen, step, format, base_gen, error_bound } = head;
+        let durable = || -> Result<Vec<SegMeta>> {
+            let metas = write_segments(&self.layout, &self.failpoint)?;
+            self.failpoint.check()?;
+            layout::fsync_dir(&self.layout.segments)?;
+
+            // Phase 2: one buffered manifest append, then fsync.
+            let mut records = Vec::with_capacity(metas.len() + 3);
+            records.push(Record::Begin { gen, step, format, base_gen, ranks: metas.len() as u32 });
+            for (rank, meta) in (0u32..).zip(&metas) {
+                records.push(Record::Seg { gen, rank, payload_len: meta.payload_len, crc: meta.crc });
+            }
+            if let Some(eps) = error_bound {
+                records.push(Record::Bound { gen, eps_bits: eps.to_bits() });
+            }
+            records.push(Record::Commit { gen });
+            self.append_records(&records)?;
+            Ok(metas)
+        };
+        let metas = match durable() {
+            Ok(metas) => metas,
             Err(e) => {
-                // A failed save is a simulated crash: run no cleanup,
-                // require a reopen (which performs real recovery).
                 self.poisoned = true;
                 return Err(e);
             }
-        }
-
-        // Disk is durable; only now update the in-memory view.
+        };
         self.gens.insert(
             gen,
             GenState {
                 step,
                 format,
                 base_gen,
-                segs: payloads
-                    .iter()
-                    .map(|p| Some(SegMeta { payload_len: p.len() as u64, crc: crc32(p) }))
-                    .collect(),
+                segs: metas.into_iter().map(Some).collect(),
                 committed: true,
                 retired: None,
                 error_bound,
             },
         );
-        self.next_gen = gen + 1;
+        self.next_gen = self.next_gen.max(gen + 1);
         Ok(gen)
-    }
-
-    /// Phase 1 + 2 of the commit protocol (see crate docs).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn write_generation(
-        &mut self,
-        gen: u64,
-        step: u64,
-        format: SegmentFormat,
-        base_gen: u64,
-        payloads: &[&[u8]],
-        threads: usize,
-        error_bound: Option<f64>,
-    ) -> Result<()> {
-        // Phase 1: segments, fanned over pool workers (clamped to the
-        // host so oversubscription never pays for idle threads).
-        let ranges = ckpt_pool::partition_ranges(
-            payloads.len(),
-            ckpt_pool::clamp_workers(threads, payloads.len()),
-        );
-        let layout = &self.layout;
-        let fp = &self.failpoint;
-        let results: Vec<Result<()>> = ckpt_pool::run_workers(ranges.len(), |w| {
-            for rank in ranges[w].clone() {
-                segment::write_segment(layout, gen, rank as u32, payloads[rank], fp)?;
-            }
-            Ok(())
-        });
-        for r in results {
-            r?;
-        }
-        self.failpoint.check()?;
-        layout::fsync_dir(&self.layout.segments)?;
-
-        // Phase 2: one buffered manifest append, then fsync.
-        let mut records = Vec::with_capacity(payloads.len() + 2);
-        records.push(Record::Begin {
-            gen,
-            step,
-            format,
-            base_gen,
-            ranks: payloads.len() as u32,
-        });
-        for (rank, payload) in payloads.iter().enumerate() {
-            records.push(Record::Seg {
-                gen,
-                rank: rank as u32,
-                payload_len: payload.len() as u64,
-                crc: crc32(payload),
-            });
-        }
-        if let Some(eps) = error_bound {
-            records.push(Record::Bound { gen, eps_bits: eps.to_bits() });
-        }
-        records.push(Record::Commit { gen });
-        self.append_records(&records)
     }
 
     /// Appends records to the manifest in a single write + fsync,
@@ -739,14 +712,6 @@ impl Store {
 
     pub(crate) fn gens_mut(&mut self) -> &mut BTreeMap<u64, GenState> {
         &mut self.gens
-    }
-
-    pub(crate) fn next_gen(&self) -> u64 {
-        self.next_gen
-    }
-
-    pub(crate) fn set_next_gen(&mut self, next: u64) {
-        self.next_gen = next;
     }
 
     pub(crate) fn layout(&self) -> &Layout {

@@ -63,6 +63,29 @@ fn main() {
     zeroed[30..38].copy_from_slice(&0u64.to_le_bytes());
     write("wpk1_zero_member.bin", &zeroed);
 
+    // The byte anchor of the one WPK1 encoder: written by the buffered
+    // `compress_chunked` of the commit before the streamed encoder
+    // became the only one, reproduced by every build since at every
+    // thread count and through every sink (`tests/golden_wpk1.rs`).
+    let golden = chunked::compress_chunked(
+        &common::golden_wpk1_input(),
+        Level::Default,
+        common::GOLDEN_WPK1_CHUNK,
+        1,
+    );
+    write("golden_wpk1_multichunk.bin", &golden);
+
+    // 33. WPK1 whose chunk count lies but whose index still spans the
+    //     body: a sixth, zero-length member behind the real five. The
+    //     lengths add up; only the `chunk_count == ceil(total /
+    //     chunk_bytes)` cross-check refuses it.
+    let mut lying = wpk1[..30].to_vec();
+    lying[6..10].copy_from_slice(&6u32.to_le_bytes());
+    lying.extend_from_slice(&wpk1[30..index_end]);
+    lying.extend_from_slice(&0u64.to_le_bytes());
+    lying.extend_from_slice(&wpk1[index_end..]);
+    write("wpk1_lying_chunk_count.bin", &lying);
+
     // 5. gzip stream truncated mid-body.
     let gz = gzip::compress(&payload, Level::Default);
     write("gzip_truncated.bin", &gz[..gz.len() / 2]);

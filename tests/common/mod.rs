@@ -26,6 +26,20 @@ pub fn lcg_bytes(n: usize, mut state: u64) -> Vec<u8> {
         .collect()
 }
 
+/// Input of `tests/corpus/golden_wpk1_multichunk.bin`: alternating
+/// incompressible and periodic stretches, so the members' sizes differ,
+/// and a length that leaves an odd tail chunk.
+pub fn golden_wpk1_input() -> Vec<u8> {
+    let noise = lcg_bytes(GOLDEN_WPK1_LEN, 77);
+    (0..GOLDEN_WPK1_LEN)
+        .map(|i| if (i / 1500) % 2 == 0 { noise[i] } else { (i % 97) as u8 })
+        .collect()
+}
+
+/// Six chunks: five of [`GOLDEN_WPK1_CHUNK`] bytes and a 521-byte tail.
+pub const GOLDEN_WPK1_LEN: usize = 21_001;
+pub const GOLDEN_WPK1_CHUNK: usize = 4096;
+
 pub fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }

@@ -176,6 +176,7 @@ fn corpus_files(prefix: &str) -> Vec<(String, Vec<u8>)> {
 /// behind the CRC.
 const DIES_ON: &[(&str, &str)] = &[
     ("wpk1_bomb_total.bin", "bad container"),
+    ("wpk1_lying_chunk_count.bin", "chunk count does not match geometry"),
     ("wck1_corrupt_body.bin", "checksum mismatch"),
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
@@ -229,6 +230,69 @@ fn every_damaged_corpus_entry_is_refused_by_its_formats_decoder() {
     // it is the increment parser that rejects it.
     let lying = fs::read(common::corpus_dir().join("inc1_bad_page_map.bin")).unwrap();
     assert!(gzip::decompress(&lying).is_ok());
+}
+
+/// The store's range index reads a `WPK1` segment's header and chunk
+/// index through the decoder's own geometry parser, so it advertises
+/// members of no container the decoder refuses: of the damaged `WPK1`
+/// entries, only the one whose damage is inside a member (past the
+/// index) gets an index at all.
+#[test]
+fn the_range_index_refuses_every_geometry_the_decoder_refuses() {
+    let dir = scratch_dir("wpk1-index");
+    let mut store = Store::open(&dir).unwrap();
+    for (name, bytes) in corpus_files("wpk1_") {
+        let gen = store.save_full(0, SegmentFormat::Array, &[&bytes], 1).unwrap();
+        let index = store.snapshot().unwrap().segment_index(gen);
+        if name == "wpk1_bad_member_crc.bin" {
+            assert_eq!(index.unwrap().ranks[0].members.len(), 5, "{name}");
+        } else {
+            assert!(index.is_err(), "{name}: indexed as {index:?}");
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Resource totality one level up: a sparse 1 GiB file planted where a
+/// cursor, a snapshot or a resume token belongs is refused on its
+/// length (`frame::read_file_bounded`), and what follows is what
+/// follows any other damaged file there — the cursor reads as absent
+/// and the next push re-sends, the snapshot is quarantined and the log
+/// replayed, the resume is refused.
+#[test]
+fn a_gibibyte_file_at_each_metadata_path_is_treated_as_damage() {
+    use lossy_ckpt::serve::restore::{resume_restore, RestoreOptions};
+    use lossy_ckpt::store::{FailPoint, LocalReplica};
+    let plant = |path: &std::path::Path| {
+        fs::File::create(path).unwrap().set_len(1 << 30).unwrap();
+    };
+    let dir = scratch_dir("gib-files");
+    common::plant_store(&dir.join("primary"), &common::store_files());
+
+    plant(&dir.join("primary/manifest.snap"));
+    let mut store = Store::open(dir.join("primary")).unwrap();
+    assert!(store.open_report().snapshot_fallback && !store.open_report().snapshot_used);
+    assert!(dir.join("primary/quarantine/manifest.snap").exists());
+    assert_eq!(store.latest_committed(), Some(3), "the log tail replays");
+
+    plant(&dir.join("primary/replication.cursor"));
+    assert_eq!(store.replication_cursor(), None);
+    let mut buddy = Store::open(dir.join("buddy")).unwrap();
+    let report = store.push_to(&mut LocalReplica(&mut buddy)).unwrap();
+    assert_eq!((report.cursor, store.replication_cursor()), (Some(3), Some(3)));
+
+    let token = dir.join("out.resume");
+    plant(&token);
+    let refused = resume_restore(
+        &store.snapshot().unwrap(),
+        &token,
+        &dir.join("out"),
+        &RestoreOptions::default(),
+        &FailPoint::unlimited(),
+    );
+    let why = refused.expect_err("a 1 GiB token resumes nothing").to_string();
+    assert!(why.contains("byte bound"), "refused on `{why}`, not on its length");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Resource totality: every format with a length or count prefix has

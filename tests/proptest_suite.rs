@@ -309,26 +309,9 @@ proptest! {
     }
 
     #[test]
-    fn streamed_chunked_container_matches_buffered_bytes(
-        data in pvec(any::<u8>(), 0..40_000),
-        chunk_bytes in 1usize..10_000,
-    ) {
-        use lossy_ckpt::deflate::chunked;
-        let level = lossy_ckpt::deflate::Level::Fast;
-        let reference = chunked::compress_chunked(&data, level, chunk_bytes, 1);
-        for threads in [1usize, 2, 4, 8] {
-            let mut out = Vec::new();
-            let stats = chunked::compress_chunked_stream(&data, level, chunk_bytes, threads, &mut out)
-                .unwrap();
-            prop_assert_eq!(&out, &reference, "streamed bytes must not depend on threads ({})", threads);
-            prop_assert_eq!(stats.container_len, out.len());
-        }
-    }
-
-    #[test]
-    fn streamed_compress_matches_buffered_for_any_threads_and_chunks(
+    fn every_sink_receives_the_bytes_compress_returns(
         seed in any::<u64>(),
-        threads in 2usize..=8,
+        threads in 1usize..=8,
         chunk_kib in 1usize..32,
     ) {
         let t = generate(&FieldSpec { dims: vec![20, 12, 2], kind: FieldKind::Temperature,
@@ -337,14 +320,15 @@ proptest! {
             .with_threads(threads)
             .with_chunk_bytes(chunk_kib * 1024);
         let comp = Compressor::new(cfg).unwrap();
-        let buffered = comp.compress(&t).unwrap();
-        let mut sink: Vec<u8> = Vec::new();
-        comp.compress_stream(&t, &mut sink).unwrap();
-        prop_assert_eq!(&sink, &buffered.bytes, "threads={} chunk_kib={}", threads, chunk_kib);
+        let in_memory = comp.compress(&t).unwrap();
+        let mut sink = Scattered::default();
+        let streamed = comp.compress_stream(&t, &mut sink).unwrap();
+        prop_assert_eq!(&sink.bytes(), &in_memory.bytes, "threads={} chunk_kib={}", threads, chunk_kib);
+        prop_assert_eq!(streamed.stats, in_memory.stats);
     }
 
     #[test]
-    fn chunked_container_roundtrips_and_is_thread_count_invariant(
+    fn chunked_container_roundtrips_and_is_thread_count_and_sink_invariant(
         data in pvec(any::<u8>(), 0..40_000),
         chunk_bytes in 1usize..10_000,
     ) {
@@ -356,8 +340,47 @@ proptest! {
             prop_assert_eq!(&packed, &reference, "compressed bytes must not depend on threads");
             let back = chunked::decompress_chunked(&packed, threads).unwrap();
             prop_assert_eq!(&back, &data);
+            let mut sink = Scattered::default();
+            let written =
+                chunked::compress_chunked_stream(&data, level, chunk_bytes, threads, &mut sink)
+                    .unwrap();
+            prop_assert_eq!(&sink.bytes(), &reference, "nor on the sink (threads={})", threads);
+            prop_assert_eq!(written, reference.len());
         }
         prop_assert_eq!(&chunked::decompress_chunked(&reference, 1).unwrap(), &data);
+    }
+}
+
+/// A stream sink that is not a `Vec`: appends and patches are kept
+/// apart until the bytes are asked for.
+#[derive(Default)]
+struct Scattered {
+    appends: Vec<Vec<u8>>,
+    patches: Vec<(u64, Vec<u8>)>,
+}
+
+impl lossy_ckpt::deflate::chunked::StreamSink for Scattered {
+    type Error = std::convert::Infallible;
+
+    fn write(&mut self, bytes: &[u8]) -> Result<(), Self::Error> {
+        self.appends.push(bytes.to_vec());
+        Ok(())
+    }
+
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error> {
+        self.patches.push((offset, bytes.to_vec()));
+        Ok(())
+    }
+}
+
+impl Scattered {
+    fn bytes(&self) -> Vec<u8> {
+        let mut out = self.appends.concat();
+        for (offset, bytes) in &self.patches {
+            let at = *offset as usize;
+            out[at..at + bytes.len()].copy_from_slice(bytes);
+        }
+        out
     }
 }
 

@@ -21,10 +21,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Two small real compressed-array payloads (distinct per rank).
-fn rank_payloads() -> Vec<Vec<u8>> {
+/// Small real compressed-array payloads, distinct per rank.
+fn rank_payloads(ranks: u64) -> Vec<Vec<u8>> {
     let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-    (0..2u64)
+    (0..ranks)
         .map(|r| {
             let t = Tensor::from_fn(&[16, 4], |ix| {
                 ((ix[0] * 4 + ix[1]) as f64 * 0.25 + r as f64).sin() * 50.0 + 200.0
@@ -37,19 +37,28 @@ fn rank_payloads() -> Vec<Vec<u8>> {
 
 /// The exhaustive sweep: for every kill byte `k` of gen 2's save, the
 /// store must reopen with gen 1 intact and bit-exact; gen 2 is either
-/// absent or fully committed and bit-exact — never half-present.
+/// absent or fully committed and bit-exact — never half-present. Run
+/// once serially over two ranks and once with three ranks fanned over
+/// two writer threads, where which rank the budget tears is up to the
+/// scheduler and the invariants are not.
 #[test]
 fn kill_at_every_byte_preserves_previous_generation() {
-    let payloads = rank_payloads();
+    for (ranks, threads) in [(2u64, 1usize), (3, 2)] {
+        kill_sweep_full_save(ranks, threads);
+    }
+}
+
+fn kill_sweep_full_save(ranks: u64, threads: usize) {
+    let payloads = rank_payloads(ranks);
     let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
 
     // Measure how many bytes one save writes (segments + manifest).
     let total = {
         let dir = scratch("measure");
         let mut store = Store::open(&dir).unwrap();
-        store.save_full(1, SegmentFormat::Array, &refs, 1).unwrap();
+        store.save_full(1, SegmentFormat::Array, &refs, threads).unwrap();
         store.set_failpoint(None);
-        store.save_full(2, SegmentFormat::Array, &refs, 1).unwrap();
+        store.save_full(2, SegmentFormat::Array, &refs, threads).unwrap();
         let total = store.bytes_written();
         let _ = fs::remove_dir_all(&dir);
         total
@@ -60,9 +69,9 @@ fn kill_at_every_byte_preserves_previous_generation() {
     for k in 0..=total {
         let _ = fs::remove_dir_all(&dir);
         let mut store = Store::open(&dir).unwrap();
-        let g1 = store.save_full(1, SegmentFormat::Array, &refs, 1).unwrap();
+        let g1 = store.save_full(1, SegmentFormat::Array, &refs, threads).unwrap();
         store.set_failpoint(Some(k));
-        let outcome = store.save_full(2, SegmentFormat::Array, &refs, 1);
+        let outcome = store.save_full(2, SegmentFormat::Array, &refs, threads);
         drop(store);
 
         // The store must reopen whatever happened.
