@@ -6,11 +6,13 @@
 //! * wavelet depth 1..3 (the paper uses a single level),
 //! * spike partition count `d` (the paper fixes 64),
 //! * spike threshold multiplier (Equation 4 uses 1.0),
-//! * byte-shuffle preconditioning (the paper's "more appropriate than
-//!   gzip" future work),
+//! * byte transposition of the f64 region (the paper's "more
+//!   appropriate than gzip" future work, and the product default since
+//!   PR 15 — every other row toggles its one choice against the paper's
+//!   untransposed stream),
 //! * final container (gzip vs temp-file gzip vs in-memory zlib).
 
-use ckpt_bench::{compress_and_measure, temperature_nicam};
+use ckpt_bench::{compress_and_measure, paper_stream, temperature_nicam};
 use ckpt_core::{Compressor, CompressorConfig, Container};
 use ckpt_quant::spike;
 use ckpt_tensor::Tensor;
@@ -24,24 +26,29 @@ fn measure(t: &Tensor<f64>, cfg: CompressorConfig, label: &str) {
     line(label, packed.stats.compression_rate(), err.average_percent(), err.max_percent());
 }
 
+/// The paper's configuration, writing the paper's stream.
+fn proposed() -> CompressorConfig {
+    paper_stream(CompressorConfig::paper_proposed())
+}
+
 fn main() {
     let t = temperature_nicam();
     println!("=== Ablations (temperature, 1156 x 82 x 2, n = 128, d = 64 unless noted) ===");
     println!();
 
     println!("-- quantizer (paper: simple & proposed; Lloyd-Max = MSE-optimal extension) --");
-    measure(&t, CompressorConfig::paper_simple(), "simple (equal-width)");
-    measure(&t, CompressorConfig::paper_proposed(), "proposed (spike detection)");
+    measure(&t, paper_stream(CompressorConfig::paper_simple()), "simple (equal-width)");
+    measure(&t, proposed(), "proposed (spike detection)");
     measure(
         &t,
-        CompressorConfig::paper_proposed().with_method(ckpt_quant::Method::Lloyd),
+        proposed().with_method(ckpt_quant::Method::Lloyd),
         "Lloyd-Max",
     );
     println!();
 
     println!("-- low band: exact (paper) vs quantized --");
-    measure(&t, CompressorConfig::paper_proposed(), "low band exact (paper)");
-    let mut crush = CompressorConfig::paper_proposed();
+    measure(&t, proposed(), "low band exact (paper)");
+    let mut crush = proposed();
     crush.quantize_low_band = true;
     measure(&t, crush, "low band quantized");
     println!();
@@ -50,7 +57,7 @@ fn main() {
     for levels in [1usize, 2, 3] {
         measure(
             &t,
-            CompressorConfig::paper_proposed().with_levels(levels),
+            proposed().with_levels(levels),
             &format!("levels = {levels}"),
         );
     }
@@ -58,7 +65,7 @@ fn main() {
 
     println!("-- spike partition count d (paper: 64) --");
     for d in [16usize, 64, 256, 1024] {
-        measure(&t, CompressorConfig::paper_proposed().with_d(d), &format!("d = {d}"));
+        measure(&t, proposed().with_d(d), &format!("d = {d}"));
     }
     println!();
 
@@ -90,26 +97,22 @@ fn main() {
     println!();
 
     println!("-- wavelet kernel (paper: Haar; CDF 5/3 = JPEG 2000's) --");
-    measure(&t, CompressorConfig::paper_proposed(), "Haar (paper)");
+    measure(&t, proposed(), "Haar (paper)");
     measure(
         &t,
-        CompressorConfig::paper_proposed().with_kernel(ckpt_wavelet::Kernel::Cdf53),
+        proposed().with_kernel(ckpt_wavelet::Kernel::Cdf53),
         "CDF 5/3",
     );
     measure(
         &t,
-        CompressorConfig::paper_proposed().with_kernel(ckpt_wavelet::Kernel::Cdf97),
+        proposed().with_kernel(ckpt_wavelet::Kernel::Cdf97),
         "CDF 9/7",
     );
     println!();
 
-    println!("-- byte shuffle of f64 sections (paper future work) --");
-    measure(&t, CompressorConfig::paper_proposed(), "shuffle off (paper)");
-    measure(
-        &t,
-        CompressorConfig::paper_proposed().with_byte_shuffle(true),
-        "shuffle on",
-    );
+    println!("-- byte shuffle of f64 sections (paper future work; product default) --");
+    measure(&t, proposed(), "shuffle off (paper's stream)");
+    measure(&t, CompressorConfig::paper_proposed(), "shuffle on (product default)");
     println!();
 
     println!("-- container (timings on this host) --");
@@ -118,7 +121,7 @@ fn main() {
         ("gzip via temp file (paper impl)", Container::TempFileGzip),
         ("zlib in memory (paper's fix)", Container::Zlib),
     ] {
-        let cfg = CompressorConfig::paper_proposed().with_container(container);
+        let cfg = proposed().with_container(container);
         let packed = Compressor::new(cfg).unwrap().compress(&t).unwrap();
         println!(
             "{label:<44} cr {:>6.2}%   compression {:>8.2} ms",

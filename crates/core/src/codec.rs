@@ -172,7 +172,7 @@ impl Compressor {
 
         // 1. Wavelet transformation (includes the working copy, which is
         //    part of the transform cost in the paper's implementation).
-        let mut work = timed(&mut timings.wavelet, || -> Result<Tensor<f64>> {
+        let work = timed(&mut timings.wavelet, || -> Result<Tensor<f64>> {
             let mut w = tensor.clone();
             ml.forward(&mut w)?;
             Ok(w)
@@ -199,8 +199,7 @@ impl Compressor {
                 Ok((low_values, quantized))
             })?;
         // Free the transformed copy before formatting.
-        work = Tensor::full(&[1], 0.0)?;
-        let _ = &work;
+        drop(work);
 
         // 4. Formatting (Figure 5 layout).
         let formatted = timed(&mut timings.format, || {
@@ -245,8 +244,8 @@ impl Compressor {
 ///
 /// The store's chain compaction uses this to rewrite an increment
 /// chain into one full segment without changing a single bit of the
-/// restored array; the byte shuffle stays on so the f64 region still
-/// gzips well.
+/// restored array; the f64 region is byte-transposed like every
+/// default stream, so it still gzips well.
 pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Vec<u8> {
     let dims = tensor.dims();
     let plan = WaveletPlan::clamped(0, dims);
@@ -257,7 +256,7 @@ pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Vec<u
         averages: Vec::new(),
         raw: Vec::new(),
     };
-    let cfg = CompressorConfig::paper_proposed().with_byte_shuffle(true);
+    let cfg = CompressorConfig::paper_proposed();
     let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q);
     gzip::compress(&formatted, level)
 }
@@ -341,7 +340,10 @@ fn format_stream(
     q: &Quantized,
 ) -> Vec<u8> {
     let mut w = Writer::with_capacity(
-        64 + low_values.len() * 8 + q.raw.len() * 8 + q.indexes.len() + q.len / 8,
+        64 + dims.len() * 8
+            + (low_values.len() + q.raw.len() + q.averages.len()) * 8
+            + q.indexes.len()
+            + q.len / 8,
     );
     w.put_bytes(&WCK1.magic);
     w.put_u8(WCK1.version);
@@ -370,19 +372,21 @@ fn format_stream(
     w.put_u64(low_values.len() as u64);
     w.put_u64(q.raw.len() as u64);
     w.put_u64(q.indexes.len() as u64);
-    // The floating-point sections, optionally byte-shuffled as one
-    // region so gzip sees grouped exponent/mantissa bytes.
-    let mut f64_region = Writer::with_capacity(
-        (low_values.len() + q.raw.len() + q.averages.len()) * 8,
-    );
-    f64_region.put_f64_slice(low_values);
-    f64_region.put_f64_slice(&q.raw);
-    f64_region.put_f64_slice(&q.averages);
-    let f64_bytes = f64_region.into_bytes();
+    // The floating-point sections (low band, raw values, average
+    // table), written straight into the stream: as the eight byte
+    // planes of one transposed region, or value by value.
+    let sections = [low_values, q.raw.as_slice(), q.averages.as_slice()];
     if cfg.byte_shuffle {
-        w.put_bytes(&crate::shuffle::shuffle(&f64_bytes, 8));
+        let region = w.put_region(sections.iter().map(|s| s.len() * 8).sum());
+        let mut at = 0;
+        for section in sections {
+            crate::shuffle::write_planes(region, at, section);
+            at += section.len();
+        }
     } else {
-        w.put_bytes(&f64_bytes);
+        for section in sections {
+            w.put_f64_slice(section);
+        }
     }
     w.put_bytes(&q.indexes);
     w.put_bytes(&q.bitmap.to_bytes());
@@ -439,21 +443,12 @@ fn parse_stream(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
     let region_bytes = f64_total
         .checked_mul(8)
         .ok_or_else(|| CkptError::Format("value region overflows".into()))?;
-    let (low_values, raw, averages) = {
+    let (low_values, raw, averages) = if shuffled {
         let region = r.get_bytes(region_bytes)?;
-        let unshuffled;
-        let region: &[u8] = if shuffled {
-            unshuffled = crate::shuffle::unshuffle(region, 8);
-            &unshuffled
-        } else {
-            region
-        };
-        let mut rr = Reader::new(region);
-        let low = rr.get_f64_slice(low_count)?;
-        let raw = rr.get_f64_slice(raw_count)?;
-        let avg = rr.get_f64_slice(avg_count)?;
-        rr.expect_end()?;
-        (low, raw, avg)
+        let planes = |at, n| crate::shuffle::read_planes(region, at, n);
+        (planes(0, low_count), planes(low_count, raw_count), planes(low_count + raw_count, avg_count))
+    } else {
+        (r.get_f64_slice(low_count)?, r.get_f64_slice(raw_count)?, r.get_f64_slice(avg_count)?)
     };
     let indexes = r.get_bytes(index_count)?.to_vec();
     let bitmap_bytes = r.get_bytes(stream_len.div_ceil(8))?;
@@ -841,9 +836,9 @@ mod shuffle_tests {
     use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
 
     #[test]
-    fn shuffled_streams_roundtrip() {
+    fn untransposed_streams_roundtrip() {
         let t = generate(&FieldSpec::small(FieldKind::Pressure, 21));
-        let cfg = CompressorConfig::paper_proposed().with_byte_shuffle(true);
+        let cfg = CompressorConfig::paper_proposed().with_byte_shuffle(false);
         let c = Compressor::new(cfg).unwrap();
         let packed = c.compress(&t).unwrap();
         let back = Compressor::decompress(&packed.bytes).unwrap();
@@ -855,8 +850,11 @@ mod shuffle_tests {
     fn shuffle_changes_bytes_but_not_values() {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 22));
         let base = CompressorConfig::paper_proposed().with_container(Container::None);
-        let plain = Compressor::new(base).unwrap().compress(&t).unwrap().bytes;
-        let shuf = Compressor::new(base.with_byte_shuffle(true)).unwrap().compress(&t).unwrap().bytes;
+        let plain =
+            Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap().bytes;
+        let shuf = Compressor::new(base).unwrap().compress(&t).unwrap().bytes;
+        assert_eq!(plain[6] & 2, 0, "flags bit 1 clear");
+        assert_eq!(shuf[6] & 2, 2, "the default writer sets flags bit 1");
         assert_ne!(plain, shuf);
         assert_eq!(plain.len(), shuf.len(), "shuffle is a permutation");
         let a = Compressor::decompress(&plain).unwrap();
@@ -866,12 +864,12 @@ mod shuffle_tests {
 
     #[test]
     fn shuffle_reduces_gzipped_size_on_smooth_fields() {
-        // The whole point of the ablation: the f64 sections (low band +
-        // pass-through values) gzip better shuffled.
+        // Why the default transposes: the f64 sections (low band +
+        // pass-through values) gzip better that way.
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 23));
         let base = CompressorConfig::paper_proposed();
-        let plain = Compressor::new(base).unwrap().compress(&t).unwrap();
-        let shuf = Compressor::new(base.with_byte_shuffle(true)).unwrap().compress(&t).unwrap();
+        let plain = Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap();
+        let shuf = Compressor::new(base).unwrap().compress(&t).unwrap();
         assert!(
             shuf.stats.compressed_bytes < plain.stats.compressed_bytes,
             "shuffled {} vs plain {}",

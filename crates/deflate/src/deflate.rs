@@ -627,16 +627,29 @@ mod tests {
 
     #[test]
     fn incompressible_data_falls_back_to_stored() {
-        let mut state = 1u64;
-        let data: Vec<u8> = (0..10_000)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 56) as u8
-            })
-            .collect();
-        let packed = compress(&data, Level::Best);
-        assert!(packed.len() <= data.len() + 64, "no expansion beyond block overhead");
-        assert_eq!(crate::inflate::inflate(&packed).unwrap(), data);
+        // Whatever the matcher samples or skips, noise is never larger
+        // than stored: 5 bytes per stored block, three blocks (65 535,
+        // 65 535, 2) per segment.
+        for (n, level) in [
+            (10_000usize, Level::Best),
+            (10_000, Level::Fast),
+            (300_000, Level::Fast),
+            (300_000, Level::Default),
+            (300_000, Level::Best),
+        ] {
+            let mut state = 1u64;
+            let data: Vec<u8> = (0..n)
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 56) as u8
+                })
+                .collect();
+            let packed = compress(&data, level);
+            let blocks = 3 * n.div_ceil(SEGMENT_BYTES);
+            assert!(packed.len() <= n + 5 * blocks + 1, "{level:?}, {n}: {} bytes", packed.len());
+            assert_eq!(crate::inflate::inflate(&packed).unwrap(), data);
+        }
     }
 
     #[test]

@@ -312,6 +312,14 @@ impl Writer {
         }
     }
 
+    /// Appends `n` zero bytes and returns them, for a section the
+    /// caller lays out in place.
+    pub fn put_region(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
     /// A length-prefixed UTF-8 string (u16 length). Errors if the
     /// string does not fit the prefix.
     pub fn put_str(&mut self, s: &str) -> Result<(), FrameError> {

@@ -63,10 +63,11 @@ fn main() {
     zeroed[30..38].copy_from_slice(&0u64.to_le_bytes());
     write("wpk1_zero_member.bin", &zeroed);
 
-    // The byte anchor of the one WPK1 encoder: written by the buffered
-    // `compress_chunked` of the commit before the streamed encoder
-    // became the only one, reproduced by every build since at every
+    // The byte anchor of the one WPK1 encoder, reproduced at every
     // thread count and through every sink (`tests/golden_wpk1.rs`).
+    // `decode_only_*.bin` are this file and `valid_wck1.bin` as the
+    // encoder wrote them before the LZ77 miss stride and the transposed
+    // default: kept by hand, read by the tests, written by no build.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,
@@ -218,9 +219,8 @@ fn main() {
     snap_ver[4] = 9;
     write("csm2_bad_version.bin", &snap_ver);
 
-    // One intact sample per format. The checked-in copies were written
-    // by the commit before the formats moved onto `frame`; this build
-    // regenerating them byte-identically is the compatibility check.
+    // One intact sample per format; this build regenerating the
+    // checked-in copies byte-identically is the compatibility check.
     let samples = common::valid_samples();
     for (f, (magic, bytes)) in FORMATS.iter().zip(&samples) {
         assert_eq!(f.magic, *magic, "valid_samples() follows the table's order");

@@ -169,10 +169,10 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 }
 
 /// One valid encoded sample per format, keyed by magic. What
-/// `gen_corpus` writes to [`valid_path`]; the files checked in were
-/// written by the commit before the formats moved onto
-/// `ckpt_deflate::frame`, so a rebuild that still equals them shows
-/// the bytes did not move.
+/// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
+/// the files checked in shows the bytes did not move. (They last moved
+/// with the LZ77 miss stride and the transposed `WCK1` default: the
+/// `WCK1` sample, and the manifest and snapshot that carry its CRC.)
 pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
     let store = store_files();
     let [wck1, inc1, _] = store.segments;

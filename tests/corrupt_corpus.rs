@@ -5,11 +5,12 @@
 //! artifact under `tests/corpus/` (regenerate with `cargo run
 //! --example gen_corpus`) is refused by its format's decoder, the
 //! 1 GiB claims on the guard that spares the allocation; every
-//! checked-in valid sample — written by the commit before the formats
-//! moved onto `frame` — still decodes and still equals what this build
-//! writes; and a valid sample cut at any byte or flipped at any byte
-//! is refused too. A format added to the table without a harness fails
-//! here, not silently.
+//! checked-in valid sample still decodes and still equals what this
+//! build writes (the gzip-written ones last moved with the LZ77 miss
+//! stride and the transposed default; `decode_only_wck1_untransposed.bin`
+//! is the `WCK1` sample from before both); and a valid sample cut at
+//! any byte or flipped at any byte is refused too. A format added to
+//! the table without a harness fails here, not silently.
 
 #![allow(clippy::needless_update)]
 
@@ -425,6 +426,26 @@ fn parent_written_store_opens_verifies_and_restores() {
     assert_eq!(store.replication_cursor(), Some(3));
     assert_eq!(store.restore_array(2, 0).unwrap(), common::tiny_states().2);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Old archives keep restoring: the `WCK1` sample as the previous
+/// default wrote it — flags bit 1 clear, gzipped by the matcher without
+/// the miss stride — decodes to the values today's transposed sample
+/// decodes to, bit for bit, and `with_byte_shuffle(false)` still writes
+/// its formatted stream byte for byte.
+#[test]
+fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
+    let old = fs::read(common::corpus_dir().join("decode_only_wck1_untransposed.bin")).unwrap();
+    let formatted = gzip::decompress(&old).unwrap();
+    assert_eq!(formatted[6] & 2, 0, "flags bit 1 clear: the untransposed read path");
+    assert_eq!(gzip::decompress(&parent_sample(b"WCK1")).unwrap()[6] & 2, 2);
+    let restored = Compressor::decompress(&old).unwrap();
+    assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::tiny_states().1));
+    let cfg = CompressorConfig::paper_proposed()
+        .with_byte_shuffle(false)
+        .with_container(Container::None);
+    let rewritten = Compressor::new(cfg).unwrap().compress(&common::tiny_field(1)).unwrap();
+    assert!(rewritten.bytes == formatted, "the untransposed writer moved a byte");
 }
 
 /// The parent-written token's embedded engine state resumes the stream

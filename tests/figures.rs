@@ -11,8 +11,10 @@ fn temperature() -> Tensor<f64> {
     generate(&FieldSpec::small(FieldKind::Temperature, 2015))
 }
 
+/// Rate and error of `cfg` on the stream the paper measured
+/// (untransposed; the product default is not what its figures show).
 fn rate_and_error(cfg: CompressorConfig, t: &Tensor<f64>) -> (f64, f64) {
-    let c = Compressor::new(cfg).unwrap();
+    let c = Compressor::new(ckpt_bench::paper_stream(cfg)).unwrap();
     let packed = c.compress(t).unwrap();
     let restored = Compressor::decompress(&packed.bytes).unwrap();
     let err = relative_error(t, &restored).unwrap();
@@ -108,7 +110,7 @@ fn equation_1_viability_condition() {
     // C + T_comp < T_orig at large P — the premise of Section II-A,
     // checked with real measured quantities at small scale.
     let t = temperature();
-    let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+    let c = Compressor::new(ckpt_bench::paper_stream(CompressorConfig::paper_proposed())).unwrap();
     let packed = c.compress(&t).unwrap();
     let io = IoModel::paper();
     let profile = CompressionProfile {

@@ -1,13 +1,17 @@
 //! The byte anchor of the one WPK1 encoder.
 //!
-//! `tests/corpus/golden_wpk1_multichunk.bin` was written by the
-//! buffered `compress_chunked` of the last commit that had one (six
-//! chunks, the last a 521-byte tail; `examples/gen_corpus.rs`). The
-//! streamed encoder that replaced it must reproduce the file bit for
-//! bit at every thread count and through every kind of sink: a `Vec`,
-//! the store's `SegmentWriter` (mirrored prefix, patches, rename), and
-//! the CLI's file sink (`ckpt-cli`'s `commands::tests`, which cannot be
+//! `tests/corpus/golden_wpk1_multichunk.bin` (six chunks, the last a
+//! 521-byte tail; `examples/gen_corpus.rs`) is what the encoder writes
+//! at one thread into a `Vec`; it must write the same file bit for bit
+//! at every thread count and through every kind of sink: a `Vec`, the
+//! store's `SegmentWriter` (mirrored prefix, patches, rename), and the
+//! CLI's file sink (`ckpt-cli`'s `commands::tests`, which cannot be
 //! reached from here).
+//!
+//! `decode_only_wpk1_multichunk.bin` is the same input as the encoder
+//! wrote it before the LZ77 matcher gained its miss stride — itself
+//! reproduced bit for bit by the buffered encoder the streamed one
+//! replaced. No build writes it any more; every build must read it.
 
 mod common;
 
@@ -26,6 +30,16 @@ fn the_golden_container_is_what_its_generator_says() {
     assert_eq!(header.chunk_count, 6);
     assert_eq!(header.chunk_bytes, common::GOLDEN_WPK1_CHUNK);
     assert_eq!(chunked::decompress_chunked(&golden, 2).unwrap(), common::golden_wpk1_input());
+}
+
+#[test]
+fn the_container_of_the_previous_matcher_still_decodes_bit_exact() {
+    let old = fs::read(common::corpus_dir().join("decode_only_wpk1_multichunk.bin")).unwrap();
+    assert_ne!(old, golden(), "a decode-only fixture the encoder still writes is not one");
+    assert_eq!(chunked::parse_header(&old).unwrap().chunk_count, 6);
+    for threads in [1usize, 2] {
+        assert_eq!(chunked::decompress_chunked(&old, threads).unwrap(), common::golden_wpk1_input());
+    }
 }
 
 #[test]
