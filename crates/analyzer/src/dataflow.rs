@@ -35,6 +35,9 @@ use std::collections::BTreeSet;
 /// Calls that hand out disjoint index ranges or unique items: deriving
 /// an index from one of these makes it safe to use as a `SendPtr`
 /// offset (each worker sees a disjoint slice of the index space).
+/// `enumerate` is not one: every worker's counter starts at 0, and with
+/// it listed the rule could not see the wavelet fan-out lose its
+/// partition (`tests/real_tree.rs`).
 pub const PARTITION_SOURCES: &[&str] = &[
     "partition_ranges",
     "chunks",
@@ -42,7 +45,6 @@ pub const PARTITION_SOURCES: &[&str] = &[
     "chunks_exact",
     "chunks_exact_mut",
     "split_at_mut",
-    "enumerate",
     "pop",
 ];
 

@@ -1,8 +1,7 @@
 //! ckpt-lint: repo-specific static analysis for the checkpoint
 //! compression workspace.
 //!
-//! Seven rule families, all deny-by-default (DESIGN.md §9, §13 and
-//! §16):
+//! Six rule families, all deny-by-default (DESIGN.md §9 and §13):
 //!
 //! - `unchecked-cast` — no `as` numeric casts in functions reachable
 //!   from the untrusted-input decode entry points.
@@ -20,8 +19,6 @@
 //!   `failpoint-bypass`) — the store's tmp-write → fsync → rename →
 //!   dir-fsync → manifest-append → manifest-fsync protocol, checked
 //!   on every path reachable from the save/GC roots.
-//! - `simd-unguarded-dispatch` — every `#[target_feature]` kernel must
-//!   be reached through a feature-detect guard (DESIGN.md §16).
 //!
 //! Suppression only via checked-in `lint-allow.toml` entries, each with
 //! a non-empty justification; unused entries are errors, and so are
@@ -35,7 +32,6 @@ pub mod durability;
 pub mod functions;
 pub mod lexer;
 pub mod rules;
-pub mod simd;
 pub mod spec;
 
 use callgraph::CallGraph;
@@ -58,7 +54,6 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/deflate/src/chunked.rs",
     "crates/deflate/src/frame.rs",
     "crates/deflate/src/gzip.rs",
-    "crates/deflate/src/zlib.rs",
     "crates/deflate/src/inflate.rs",
     "crates/deflate/src/bitio.rs",
     "crates/deflate/src/huffman.rs",
@@ -170,24 +165,41 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) {
     }
 }
 
-/// Runs all rules against the workspace at `root`.
-pub fn run(root: &Path) -> Report {
-    let mut report = Report::default();
-
+/// Every `.rs` file under `root` the rules look at, as
+/// (workspace-relative path, text), and the files that could not be
+/// read.
+pub fn read_sources(root: &Path) -> (Vec<(String, String)>, Vec<String>) {
     let mut rel_paths = Vec::new();
     collect_rs(root, root, &mut rel_paths);
-    if rel_paths.is_empty() {
+    let mut sources = Vec::new();
+    let mut errors = Vec::new();
+    for rel in rel_paths {
+        match fs::read_to_string(root.join(&rel)) {
+            Ok(src) => sources.push((rel, src)),
+            Err(e) => errors.push(format!("{rel}: {e}")),
+        }
+    }
+    (sources, errors)
+}
+
+/// Runs all rules against the workspace at `root`.
+pub fn run(root: &Path) -> Report {
+    let (sources, errors) = read_sources(root);
+    let mut report = run_sources(root, &sources);
+    report.errors.extend(errors);
+    report
+}
+
+/// [`run`] over source text already in memory (`tests/real_tree.rs`
+/// seeds one defect into the real tree this way); `root` supplies
+/// docs/FORMAT.md and lint-allow.toml.
+pub fn run_sources(root: &Path, sources: &[(String, String)]) -> Report {
+    let mut report = Report::default();
+    if sources.is_empty() {
         report.errors.push(format!("no .rs files found under {}", root.display()));
         return report;
     }
-
-    let mut scanned: Vec<ScannedFile> = Vec::new();
-    for rel in &rel_paths {
-        match fs::read_to_string(root.join(rel)) {
-            Ok(src) => scanned.push(scan(rel, &src)),
-            Err(e) => report.errors.push(format!("{rel}: {e}")),
-        }
-    }
+    let scanned: Vec<ScannedFile> = sources.iter().map(|(rel, src)| scan(rel, src)).collect();
     report.files_scanned = scanned.len();
 
     // Functions + workspace call graph for every scanned file: the
@@ -240,10 +252,6 @@ pub fn run(root: &Path) -> Report {
     report.errors.extend(stale_roots("FANOUT_FNS", dataflow::FANOUT_FNS, &ws_graph));
     violations.extend(concurrency::check_sendptr(&workspace, &ws_graph));
     violations.extend(concurrency::check_relaxed(&workspace, &ws_graph));
-
-    // SIMD dispatch rule: guards close over the whole workspace (the
-    // dispatch helpers live in a different file than the kernels).
-    violations.extend(simd::check(&workspace));
 
     // Crash-consistency family over the store sources.
     let store_input: Vec<(&ScannedFile, &FileFunctions)> = workspace

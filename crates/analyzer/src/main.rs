@@ -140,5 +140,4 @@ fn print_rules() {
     println!("relaxed-cross-thread-flag Ordering::Relaxed reachable from a thread fan-out needs strengthening or a justification");
     println!("durability-order          store save/GC paths must follow tmp-write -> fsync -> rename -> dir-fsync -> manifest append -> manifest fsync");
     println!("failpoint-bypass          store writes/renames/removes must route through (or be barriered by) the FailPoint layer");
-    println!("simd-unguarded-dispatch   #[target_feature] kernels must be reached through a feature-detect guard");
 }

@@ -12,7 +12,7 @@ use ckpt_analyzer::callgraph::CallGraph;
 use ckpt_analyzer::functions::extract;
 use ckpt_analyzer::lexer::scan;
 use ckpt_analyzer::rules::Violation;
-use ckpt_analyzer::{concurrency, durability, rules, simd};
+use ckpt_analyzer::{concurrency, durability, rules};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
@@ -34,7 +34,6 @@ fn lint_fixture(name: &str) -> Vec<Violation> {
     v.extend(concurrency::check_sendptr(&files, &graph));
     v.extend(concurrency::check_relaxed(&files, &graph));
     v.extend(durability::check(&files));
-    v.extend(simd::check(&files));
     v
 }
 
@@ -104,21 +103,6 @@ fn raw_write_caught_by_exactly_failpoint_bypass() {
 }
 
 #[test]
-fn unguarded_target_feature_call_caught_by_exactly_its_rule() {
-    let v = lint_fixture("simd_unguarded.rs");
-    assert_eq!(rule_set(&v), BTreeSet::from([simd::RULE_SIMD]), "{v:?}");
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].symbol.as_deref(), Some("sum"), "the violation sits at the call site");
-    assert!(v[0].message.contains("sum_avx2"));
-}
-
-#[test]
-fn guarded_target_feature_calls_are_clean() {
-    let v = lint_fixture("simd_guarded.rs");
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
 fn every_fixture_on_disk_has_a_test() {
     // Adding a fixture without wiring it here would silently skip it.
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -131,8 +115,6 @@ fn every_fixture_on_disk_has_a_test() {
         "durability_rename_before_fsync.rs",
         "durability_ok.rs",
         "failpoint_bypass.rs",
-        "simd_unguarded.rs",
-        "simd_guarded.rs",
     ]);
     let on_disk: BTreeSet<String> = fs::read_dir(&dir)
         .unwrap()

@@ -1,0 +1,86 @@
+//! Seeded defects in the real tree: `fixtures.rs` proves each rule on
+//! a synthetic file; these patch the source the rule exists to guard —
+//! in memory, one defect at a time — run the whole lint over the
+//! patched tree and demand exactly that finding. The unpatched tree is
+//! clean (`repo_lint.rs`), so anything reported is the seeded defect. A
+//! rule that cannot see its defect here guards nothing and is deleted:
+//! `simd-unguarded-dispatch` went that way — `quant::min_max` calling
+//! `avx2::min_max` with no tier check drew no finding, because every
+//! kernel is a `scalar::foo` / `avx2::foo` twin and the rule skipped
+//! twin names (EXPERIMENTS.md, earn-its-keep ledger, pass 4).
+
+use ckpt_analyzer::rules::Violation;
+use ckpt_analyzer::{concurrency, durability, rules};
+use std::path::Path;
+
+/// Lints the workspace with the one occurrence of `from` in `path`
+/// replaced by `to`.
+fn lint_with(path: &str, from: &str, to: &str) -> Vec<Violation> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut sources, errors) = ckpt_analyzer::read_sources(&root);
+    assert!(errors.is_empty(), "{errors:?}");
+    let (_, src) = sources.iter_mut().find(|(p, _)| p == path).unwrap_or_else(|| panic!("{path}"));
+    assert_eq!(src.matches(from).count(), 1, "{path}: `{from}` must occur exactly once");
+    *src = src.replace(from, to);
+    ckpt_analyzer::run_sources(&root, &sources).violations
+}
+
+/// At least one finding, and every one of `rule`, in `path`, blamed on
+/// `symbol`.
+fn assert_all(v: &[Violation], rule: &str, path: &str, symbol: Option<&str>) {
+    assert!(!v.is_empty(), "the seeded defect was not found");
+    for f in v {
+        assert_eq!((f.rule, f.path.as_str(), f.symbol.as_deref()), (rule, path, symbol), "{v:?}");
+    }
+}
+
+const TRANSFORM: &str = "crates/wavelet/src/transform.rs";
+
+#[test]
+fn a_sendptr_read_without_its_safety_comment_is_found() {
+    let v = lint_with(
+        TRANSFORM,
+        "// SAFETY: a lane's index set {start + k·stride,",
+        "// a lane's index set {start + k·stride,",
+    );
+    assert_all(&v, rules::RULE_UNSAFE, TRANSFORM, None);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn sendptr_accesses_that_lost_their_partition_are_found() {
+    // Every worker walking every lane instead of its own range: the
+    // two reads and two writes no longer index what the worker owns.
+    let v = lint_with(TRANSFORM, "let my_lanes = &lanes[range];", "let my_lanes = &lanes[..];");
+    assert_all(&v, concurrency::RULE_SENDPTR, TRANSFORM, Some("transform_axis_threaded"));
+    assert_eq!(v.len(), 4, "{v:?}");
+}
+
+#[test]
+fn a_rename_hoisted_above_the_fsync_is_found() {
+    let path = "crates/store/src/layout.rs";
+    let v = lint_with(
+        path,
+        "    staged.sync_all()?;\n    drop(staged);\n    fp.check()?;\n    fs::rename(tmp, dst)?;\n",
+        "    fp.check()?;\n    fs::rename(tmp, dst)?;\n    staged.sync_all()?;\n    drop(staged);\n",
+    );
+    // Once per store root that publishes through `sync_then_rename`
+    // (and `compact_manifest`'s log truncate, now ahead of any durable
+    // write, as a consequence).
+    assert!(v.iter().all(|f| f.rule == durability::RULE_DURABILITY), "{v:?}");
+    let at_the_rename: Vec<_> =
+        v.iter().filter(|f| f.path == path && f.message.contains("rename before fsync")).collect();
+    assert!(at_the_rename.len() >= 4, "{v:?}");
+}
+
+#[test]
+fn a_segment_append_that_bypasses_the_fail_point_is_found() {
+    let path = "crates/store/src/segment.rs";
+    let v = lint_with(
+        path,
+        "self.fp.write_all(&mut self.file, bytes)?;",
+        "self.file.write_all(bytes)?;",
+    );
+    assert_all(&v, durability::RULE_FAILPOINT, path, Some("append"));
+    assert_eq!(v.len(), 1, "{v:?}");
+}

@@ -10,7 +10,7 @@
 //!   appropriate than gzip" future work, and the product default since
 //!   PR 15 — every other row toggles its one choice against the paper's
 //!   untransposed stream),
-//! * final container (gzip vs temp-file gzip vs in-memory zlib).
+//! * final container (in-memory gzip vs the paper's temp-file gzip).
 
 use ckpt_bench::{compress_and_measure, paper_stream, temperature_nicam};
 use ckpt_core::{Compressor, CompressorConfig, Container};
@@ -36,14 +36,9 @@ fn main() {
     println!("=== Ablations (temperature, 1156 x 82 x 2, n = 128, d = 64 unless noted) ===");
     println!();
 
-    println!("-- quantizer (paper: simple & proposed; Lloyd-Max = MSE-optimal extension) --");
+    println!("-- quantizer (paper: simple & proposed) --");
     measure(&t, paper_stream(CompressorConfig::paper_simple()), "simple (equal-width)");
     measure(&t, proposed(), "proposed (spike detection)");
-    measure(
-        &t,
-        proposed().with_method(ckpt_quant::Method::Lloyd),
-        "Lloyd-Max",
-    );
     println!();
 
     println!("-- low band: exact (paper) vs quantized --");
@@ -119,7 +114,6 @@ fn main() {
     for (label, container) in [
         ("gzip in memory", Container::Gzip),
         ("gzip via temp file (paper impl)", Container::TempFileGzip),
-        ("zlib in memory (paper's fix)", Container::Zlib),
     ] {
         let cfg = proposed().with_container(container);
         let packed = Compressor::new(cfg).unwrap().compress(&t).unwrap();

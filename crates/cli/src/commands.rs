@@ -14,10 +14,10 @@ pub const USAGE: &str = "\
 ckpt — wavelet-based lossy checkpoint compression (IPDPS'15 reproduction)
 
 USAGE:
-  ckpt compress   <in.f64> --dims AxBxC [--method proposed|simple|lloyd] [--n 1..256]
+  ckpt compress   <in.f64> --dims AxBxC [--method proposed|simple] [--n 1..256]
                   [--d 64] [--levels 1] [--kernel haar|cdf53|cdf97]
-                  [--container gzip|zlib|tempfile|none]
-                  [--level store|fast|default|best]
+                  [--container gzip|tempfile|none]
+                  [--level store|fast|default]
                   [--threads N] [--chunk-bytes BYTES]
                   [--bound FRACTION] [-o out.wck]
   ckpt decompress <in.wck> [--threads N] [-o out.f64]
@@ -78,8 +78,7 @@ pub(crate) fn parse_level(name: &str) -> Result<Level, String> {
         "store" => Ok(Level::Store),
         "fast" => Ok(Level::Fast),
         "default" => Ok(Level::Default),
-        "best" => Ok(Level::Best),
-        other => Err(format!("unknown --level {other:?} (store|fast|default|best)")),
+        other => Err(format!("unknown --level {other:?} (store|fast|default)")),
     }
 }
 
@@ -88,8 +87,7 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
     cfg = match args.get("method").unwrap_or("proposed") {
         "proposed" => cfg.with_method(Method::Proposed),
         "simple" => cfg.with_method(Method::Simple),
-        "lloyd" => cfg.with_method(Method::Lloyd),
-        other => return Err(format!("unknown --method {other:?}")),
+        other => return Err(format!("unknown --method {other:?} (proposed|simple)")),
     };
     cfg = cfg.with_n(args.get_or("n", 128usize)?);
     cfg = cfg.with_d(args.get_or("d", 64usize)?);
@@ -102,10 +100,9 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
     };
     cfg = match args.get("container").unwrap_or("gzip") {
         "gzip" => cfg.with_container(Container::Gzip),
-        "zlib" => cfg.with_container(Container::Zlib),
         "tempfile" => cfg.with_container(Container::TempFileGzip),
         "none" => cfg.with_container(Container::None),
-        other => return Err(format!("unknown --container {other:?}")),
+        other => return Err(format!("unknown --container {other:?} (gzip|tempfile|none)")),
     };
     cfg = cfg.with_level(parse_level(args.get("level").unwrap_or("default"))?);
     cfg = cfg.with_threads(args.get_or("threads", 1usize)?);
@@ -223,10 +220,11 @@ pub fn info(argv: &[String]) -> Result<(), String> {
 /// For WPK1 chunked streams, a per-member table: stored size, expected
 /// inflated size, and whether each member's CRC checks out.
 fn print_chunked_breakdown(bytes: &[u8]) {
-    // The WPK1 container may sit behind the WCK1 stream header; scan
-    // for the magic at the container boundary the codec uses.
-    let Some(at) = find_chunked_container(bytes) else { return };
-    let Ok(info) = ckpt_deflate::chunked::inspect(&bytes[at..]) else { return };
+    // The container is always outermost: it wraps the WCK1 stream.
+    if !ckpt_deflate::chunked::is_chunked(bytes) {
+        return;
+    }
+    let Ok(info) = ckpt_deflate::chunked::inspect(bytes) else { return };
     println!("container       : WPK1 chunked, {} members", info.chunk_count);
     println!(
         "chunk bytes     : {} ({} total uncompressed)",
@@ -248,20 +246,6 @@ fn print_chunked_breakdown(bytes: &[u8]) {
             if m.crc_ok { "ok" } else { "BAD" }
         );
     }
-}
-
-/// Finds the offset of an embedded WPK1 container, if any: either the
-/// whole file is one, or it is the payload of a WCK1 stream.
-fn find_chunked_container(bytes: &[u8]) -> Option<usize> {
-    if ckpt_deflate::chunked::is_chunked(bytes) {
-        return Some(0);
-    }
-    // WCK1 streams put the compressed payload last; the container
-    // magic is unambiguous enough to locate by scanning.
-    bytes
-        .windows(4)
-        .position(|w| w == ckpt_deflate::frame::WPK1.magic)
-        .filter(|&at| ckpt_deflate::chunked::inspect(&bytes[at..]).is_ok())
 }
 
 pub fn gen(argv: &[String]) -> Result<(), String> {
@@ -463,8 +447,8 @@ mod tests {
         ])
         .unwrap();
         let bytes = std::fs::read(&wck).unwrap();
-        let at = find_chunked_container(&bytes).expect("threaded stream embeds WPK1");
-        let breakdown = ckpt_deflate::chunked::inspect(&bytes[at..]).unwrap();
+        assert!(ckpt_deflate::chunked::is_chunked(&bytes), "a threaded stream is a WPK1 container");
+        let breakdown = ckpt_deflate::chunked::inspect(&bytes).unwrap();
         assert!(breakdown.chunk_count > 1, "expected multiple members");
         assert!(breakdown.all_ok());
         // The print path runs end to end on a real file.
@@ -473,7 +457,7 @@ mod tests {
         let wck_s = tempfile("m.serial.wck");
         compress(&[raw.clone(), "--dims".into(), "64x16x2".into(), "-o".into(), wck_s.clone()])
             .unwrap();
-        assert!(find_chunked_container(&std::fs::read(&wck_s).unwrap()).is_none());
+        assert!(!ckpt_deflate::chunked::is_chunked(&std::fs::read(&wck_s).unwrap()));
         for p in [raw, wck, wck_s] {
             let _ = std::fs::remove_file(p);
         }
@@ -500,9 +484,31 @@ mod tests {
     }
 
     #[test]
+    fn retired_values_fail_with_the_surviving_ones() {
+        for (flag, retired, survivors) in [
+            ("--level", "best", "(store|fast|default)"),
+            ("--container", "zlib", "(gzip|tempfile|none)"),
+            ("--method", "lloyd", "(proposed|simple)"),
+        ] {
+            let err = config_from(&Args::parse(&[flag.into(), retired.into()]).unwrap())
+                .expect_err(retired);
+            assert!(err.contains(retired) && err.contains(survivors), "{flag} {retired}: {err}");
+        }
+    }
+
+    #[test]
+    fn d_is_bounded_by_its_header_field() {
+        let d = |v: &str| config_from(&Args::parse(&["--d".into(), v.into()]).unwrap());
+        assert_eq!(d("65535").unwrap().quant.d, 65_535);
+        for too_big in ["65536", "65600", "1000000000000"] {
+            assert!(d(too_big).unwrap_err().contains("outside 1..=65535"), "--d {too_big}");
+        }
+    }
+
+    #[test]
     fn level_flag_reaches_the_compressor_config() {
         for (name, level) in
-            [("store", Level::Store), ("fast", Level::Fast), ("best", Level::Best)]
+            [("store", Level::Store), ("fast", Level::Fast), ("default", Level::Default)]
         {
             let cfg =
                 config_from(&Args::parse(&["--level".into(), name.into()]).unwrap()).unwrap();

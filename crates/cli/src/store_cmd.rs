@@ -8,7 +8,7 @@ pub const STORE_USAGE: &str = "\
 USAGE:
   ckpt store save    <dir> <rank0-file> [rank1-file ...] [--step N]
                      [--format checkpoint|array|auto] [--base GEN]
-                     [--level store|fast|default|best] [--threads N]
+                     [--level store|fast|default] [--threads N]
                      [--error-bound EPS --dims AxBxC]
   ckpt store restore <dir> [--gen N] [--rank N] [--raw true] -o out
   ckpt store restore <dir> --stream true [--gen N] [--rank N]

@@ -16,14 +16,10 @@
 //! crate reproduces that estimation procedure so the bench harness can
 //! regenerate the figure from *our* measured stage times.
 
-pub mod interval;
 pub mod model;
-pub mod multilevel;
 pub mod parallel;
 pub mod pfs;
 
-pub use interval::{IntervalComparison, IntervalModel};
 pub use model::{CompressionProfile, CostEstimate, IoModel, ScalingTable};
-pub use multilevel::TwoLevelModel;
 pub use parallel::compress_ranks;
 pub use pfs::{simulate_wave, uniform_wave, WaveResult, WriteRequest};

@@ -4,13 +4,13 @@
 //! The formatted layout follows Figure 5 of the paper: the low band and
 //! pass-through high-band values as doubles, the one-byte indexes, the
 //! bitmap, and the average table, behind a self-describing header. The
-//! container (gzip/zlib/none) wraps the whole formatted buffer.
+//! container (gzip or none) wraps the whole formatted buffer.
 
 use crate::config::{CompressorConfig, Container};
 use crate::timing::{timed, StageTimings};
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, WCK1};
-use ckpt_deflate::{chunked, gzip, zlib};
+use ckpt_deflate::{chunked, gzip};
 use ckpt_quant::{Bitmap, Method, Quantized};
 use ckpt_tensor::Tensor;
 use ckpt_wavelet::{Kernel, MultiLevel, SubbandKind, WaveletPlan};
@@ -194,7 +194,7 @@ impl Compressor {
                         stream.extend(vals);
                     }
                 }
-                let quantized = ckpt_quant::quantize_threaded(&stream, &cfg.quant, cfg.threads)?;
+                let quantized = ckpt_quant::quantize(&stream, &cfg.quant)?;
                 quantized.validate()?;
                 Ok((low_values, quantized))
             })?;
@@ -283,21 +283,18 @@ fn write_container<S: chunked::StreamSink>(
         // With one thread the original single-member gzip path runs,
         // keeping the output byte-identical to earlier versions.
         Container::Gzip => timed(&mut timings.gzip, || gzip::compress(&formatted, level)),
-        Container::Zlib => timed(&mut timings.gzip, || zlib::compress(&formatted, level)),
         Container::None => formatted,
         Container::TempFileGzip => {
             // The paper's implementation writes the formatted checkpoint
             // to a temporary file and gzips it through the filesystem;
             // Figure 9 shows that write as its own bar.
             let path = temp_path();
-            timed(&mut timings.temp_file_write, || -> Result<()> {
-                std::fs::write(&path, &formatted)?;
-                Ok(())
-            })?;
-            let out = timed(&mut timings.gzip, || -> Result<Vec<u8>> {
-                let data = std::fs::read(&path)?;
-                Ok(gzip::compress(&data, level))
-            });
+            let out = (|| -> Result<Vec<u8>> {
+                timed(&mut timings.temp_file_write, || std::fs::write(&path, &formatted))?;
+                timed(&mut timings.gzip, || Ok(gzip::compress(&std::fs::read(&path)?, level)))
+            })();
+            // A failed write can leave a partial file behind: remove
+            // it on every exit.
             let _ = std::fs::remove_file(&path);
             out?
         }
@@ -326,7 +323,9 @@ fn strip_container(bytes: &[u8], max_output: usize, threads: usize) -> Result<Ve
             return Ok(gzip::decompress_with_limit(bytes, max_output)?);
         }
         if b0 & 0x0F == 8 && (u16::from(b0) * 256 + u16::from(b1)).is_multiple_of(31) {
-            return Ok(zlib::decompress_with_limit(bytes, max_output)?);
+            return Err(CkptError::Format(
+                "zlib (RFC 1950) container: retired, no build reads or writes it".into(),
+            ));
         }
     }
     Ok(bytes.to_vec())
@@ -350,7 +349,6 @@ fn format_stream(
     w.put_u8(match cfg.quant.method {
         Method::Simple => 0,
         Method::Proposed => 1,
-        Method::Lloyd => 2,
     });
     let kernel_bits: u8 = match cfg.kernel {
         Kernel::Haar => 0,
@@ -363,7 +361,7 @@ fn format_stream(
     w.put_u8(flags);
     w.put_u8(plan.levels as u8);
     w.put_u16(cfg.quant.n as u16);
-    w.put_u16(cfg.quant.d as u16);
+    w.put_u16(u16::try_from(cfg.quant.d).expect("validated: d fits the u16 header field"));
     w.put_u8(dims.len() as u8);
     for &d in dims {
         w.put_u64(d as u64);
@@ -541,9 +539,7 @@ mod tests {
     #[test]
     fn all_containers_roundtrip() {
         let t = field();
-        for container in
-            [Container::Gzip, Container::Zlib, Container::TempFileGzip, Container::None]
-        {
+        for container in [Container::Gzip, Container::TempFileGzip, Container::None] {
             let cfg = CompressorConfig::paper_proposed().with_container(container);
             let c = Compressor::new(cfg).unwrap();
             let packed = c.compress(&t).unwrap();
@@ -796,7 +792,7 @@ mod parallel_tests {
             base.with_threads(1),
             base.with_threads(2),
             base.with_threads(4),
-            base.with_container(Container::Zlib),
+            base.with_container(Container::TempFileGzip),
             base.with_container(Container::None),
         ];
         for cfg in configs {

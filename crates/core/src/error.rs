@@ -13,7 +13,7 @@ pub enum CkptError {
     Tensor(TensorError),
     /// Quantizer parameter or stream errors.
     Quant(QuantError),
-    /// DEFLATE/gzip/zlib errors.
+    /// DEFLATE/gzip errors.
     Deflate(DeflateError),
     /// Malformed compressed-array or checkpoint framing.
     Format(String),

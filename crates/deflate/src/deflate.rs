@@ -631,11 +631,10 @@ mod tests {
         // than stored: 5 bytes per stored block, three blocks (65 535,
         // 65 535, 2) per segment.
         for (n, level) in [
-            (10_000usize, Level::Best),
+            (10_000usize, Level::Default),
             (10_000, Level::Fast),
             (300_000, Level::Fast),
             (300_000, Level::Default),
-            (300_000, Level::Best),
         ] {
             let mut state = 1u64;
             let data: Vec<u8> = (0..n)
@@ -654,7 +653,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        for level in [Level::Store, Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Store, Level::Fast, Level::Default] {
             let packed = compress(&[], level);
             assert!(!packed.is_empty());
             assert_eq!(crate::inflate::inflate(&packed).unwrap(), Vec::<u8>::new());
@@ -675,7 +674,7 @@ mod tests {
                 data.extend_from_slice(&state.to_le_bytes());
             }
         }
-        for level in [Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Fast, Level::Default] {
             let packed = compress(&data, level);
             assert_eq!(crate::inflate::inflate(&packed).unwrap(), data, "{level:?}");
         }

@@ -18,7 +18,6 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
     out.push(0); // FLG: no extra fields
     out.extend_from_slice(&[0, 0, 0, 0]); // MTIME: unset
     out.push(match level {
-        Level::Best => 2,
         Level::Fast | Level::Store => 4,
         Level::Default => 0,
     }); // XFL
@@ -138,7 +137,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let data = b"checkpoint data checkpoint data checkpoint data".repeat(100);
-        for level in [Level::Store, Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Store, Level::Fast, Level::Default] {
             let packed = compress(&data, level);
             assert_eq!(decompress(&packed).unwrap(), data, "{level:?}");
         }
@@ -209,7 +208,7 @@ mod tests {
         let mut stream = Vec::new();
         let mut expect = Vec::new();
         for (i, p) in parts.iter().enumerate() {
-            let level = [Level::Store, Level::Fast, Level::Default, Level::Best][i % 4];
+            let level = [Level::Store, Level::Fast, Level::Default][i % 3];
             stream.extend_from_slice(&compress(p, level));
             expect.extend_from_slice(p);
         }
@@ -219,7 +218,7 @@ mod tests {
     #[test]
     fn member_parse_reports_exact_size() {
         let a = compress(b"first member", Level::Default);
-        let b = compress(b"second member", Level::Best);
+        let b = compress(b"second member", Level::Fast);
         let mut stream = a.clone();
         stream.extend_from_slice(&b);
         let (payload, consumed) = decompress_member(&stream, usize::MAX).unwrap();

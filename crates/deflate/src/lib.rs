@@ -1,12 +1,11 @@
 //! # ckpt-deflate
 //!
 //! A from-scratch DEFLATE (RFC 1951) compressor and decompressor with
-//! gzip (RFC 1952) and zlib (RFC 1950) containers.
+//! the gzip (RFC 1952) container.
 //!
 //! The paper pipes its formatted lossy output through gzip and uses gzip
-//! as the lossless baseline of Figure 6; it also notes the follow-up plan
-//! of moving to in-memory zlib. This crate provides both, built from
-//! first principles as a reproduction substrate:
+//! as the lossless baseline of Figure 6. This crate provides it, built
+//! from first principles as a reproduction substrate:
 //!
 //! * [`bitio`] — LSB-first bit streams (DEFLATE's bit order),
 //! * [`huffman`] — canonical, length-limited Huffman codes
@@ -15,10 +14,10 @@
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
 //!   per-block cost selection),
 //! * [`inflate`] — decoder for all block types,
-//! * [`gzip`] / [`zlib`] — container framing with CRC-32 / Adler-32,
+//! * [`gzip`] — container framing with CRC-32,
 //! * [`chunked`] — a multi-member gzip container whose chunks compress
 //!   and decompress in parallel,
-//! * [`crc32`], [`adler32`] — the checksums,
+//! * [`crc32`] — the checksum,
 //! * [`frame`] — the workspace's one byte cursor, its three frame
 //!   envelopes, and the table of every magic-tagged format.
 //!
@@ -32,7 +31,6 @@
 //! assert_eq!(gzip::decompress(&packed).unwrap(), data);
 //! ```
 
-pub mod adler32;
 pub mod bitio;
 pub mod chunked;
 pub mod crc32;
@@ -44,7 +42,6 @@ pub mod huffman;
 pub mod inflate;
 pub mod lz77;
 pub mod resume;
-pub mod zlib;
 
 use std::fmt;
 
@@ -58,8 +55,6 @@ pub enum Level {
     Fast,
     /// Lazy matching with deeper chains — roughly `gzip -6` effort.
     Default,
-    /// Lazy matching with the deepest chains — roughly `gzip -9` effort.
-    Best,
 }
 
 /// Errors produced while decoding DEFLATE streams or containers.
@@ -168,7 +163,7 @@ mod tests {
     #[test]
     fn doc_example_roundtrip() {
         let data = b"abcabcabcabc".to_vec();
-        for level in [Level::Store, Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Store, Level::Fast, Level::Default] {
             let packed = compress(&data, level);
             assert_eq!(decompress(&packed).unwrap(), data, "{level:?}");
         }

@@ -88,10 +88,11 @@ struct Effort {
     /// beaten by one starting a byte later, and the probe is the
     /// second-most expensive step on compressible data.
     max_lazy: usize,
-    /// When lazily probing against a current match at least this long,
-    /// walk only a quarter of the chain (zlib's `good_length`).
-    good_length: usize,
 }
+
+/// When lazily probing against a current match at least this long, walk
+/// only a quarter of the chain (zlib's `good_length`).
+const GOOD_LENGTH: usize = 8;
 
 impl Effort {
     fn for_level(level: Level) -> Option<Effort> {
@@ -102,21 +103,12 @@ impl Effort {
                 lazy: false,
                 good_enough: 32,
                 max_lazy: 0,
-                good_length: 8,
             }),
             Level::Default => Some(Effort {
                 max_chain: 32,
                 lazy: true,
                 good_enough: 64,
                 max_lazy: 16,
-                good_length: 8,
-            }),
-            Level::Best => Some(Effort {
-                max_chain: 1024,
-                lazy: true,
-                good_enough: MAX_MATCH,
-                max_lazy: MAX_MATCH,
-                good_length: 32,
             }),
         }
     }
@@ -313,7 +305,7 @@ pub fn tokenize_into<S: TokenSink>(data: &[u8], level: Level, sink: &mut S) {
             probed = true;
             // A match that is already good only merits a quarter of the
             // chain budget on the probe.
-            let budget = if (len as usize) >= effort.good_length {
+            let budget = if (len as usize) >= GOOD_LENGTH {
                 effort.max_chain >> 2
             } else {
                 effort.max_chain
@@ -419,7 +411,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs() {
-        for level in [Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Fast, Level::Default] {
             roundtrip(b"", level);
             roundtrip(b"a", level);
             roundtrip(b"ab", level);
@@ -460,7 +452,7 @@ mod tests {
     #[test]
     fn match_length_capped_at_258() {
         let data = vec![b'x'; 10_000];
-        for t in tokenize(&data, Level::Best) {
+        for t in tokenize(&data, Level::Default) {
             if let Token::Match { len, .. } = t {
                 assert!(len as usize <= MAX_MATCH);
                 assert!(len as usize >= MIN_MATCH);
@@ -483,7 +475,7 @@ mod tests {
         let mut data = chunk.clone();
         data.extend_from_slice(&filler);
         data.extend_from_slice(&chunk);
-        let tokens = tokenize(&data, Level::Best);
+        let tokens = tokenize(&data, Level::Default);
         assert_eq!(resolve(&tokens), data);
         for t in &tokens {
             if let Token::Match { dist, .. } = t {
@@ -500,7 +492,7 @@ mod tests {
             let v = (i as f64 * 0.001).sin() * 300.0;
             data.extend_from_slice(&v.to_le_bytes());
         }
-        for level in [Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Fast, Level::Default] {
             roundtrip(&data, level);
         }
     }
@@ -518,10 +510,10 @@ mod tests {
             .map(|i| if i % 17 < 9 { (i % 61) as u8 } else { b'z' })
             .collect();
         let fast = tokenize(&data, Level::Fast).len();
-        let best = tokenize(&data, Level::Best).len();
-        assert!(best <= fast + fast / 10, "best {best} much worse than fast {fast}");
+        let default = tokenize(&data, Level::Default).len();
+        assert!(default <= fast + fast / 10, "default {default} much worse than fast {fast}");
         assert_eq!(resolve(&tokenize(&data, Level::Fast)), data);
-        assert_eq!(resolve(&tokenize(&data, Level::Best)), data);
+        assert_eq!(resolve(&tokenize(&data, Level::Default)), data);
     }
 
     #[test]
@@ -592,7 +584,7 @@ mod tests {
             }
             (lits, matches)
         };
-        for level in [Level::Fast, Level::Default, Level::Best] {
+        for level in [Level::Fast, Level::Default] {
             roundtrip(&both, level);
             let (alone_lits, alone_matches) = census(&pattern, 0, level);
             let (lits, matches) = census(&both, noise.len(), level);

@@ -62,7 +62,7 @@ fn matches_crossing_segment_boundaries_resolve() {
     while data.len() < SEGMENT_BYTES * 2 + 500 {
         data.extend_from_slice(&motif);
     }
-    for level in [Level::Fast, Level::Default, Level::Best] {
+    for level in [Level::Fast, Level::Default] {
         let packed = compress(&data, level);
         assert_eq!(inflate(&packed).unwrap(), data, "{level:?}");
         assert!(packed.len() < data.len() / 10, "{level:?}: repeats must compress");
@@ -72,7 +72,7 @@ fn matches_crossing_segment_boundaries_resolve() {
 #[test]
 fn incompressible_multi_segment_falls_back_to_stored_per_segment() {
     let data = lcg(SEGMENT_BYTES * 2 + 7777, 5);
-    let packed = compress(&data, Level::Best);
+    let packed = compress(&data, Level::Default);
     // Expansion bounded by stored-block overhead (~5 bytes per 64 KiB).
     assert!(packed.len() <= data.len() + 64);
     assert_eq!(inflate(&packed).unwrap(), data);

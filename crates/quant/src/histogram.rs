@@ -52,68 +52,19 @@ impl Histogram {
     /// A degenerate range (`min == max`) is allowed: every value falls in
     /// bin 0.
     pub fn build(values: &[f64], k: usize) -> Option<Self> {
-        Self::build_threaded(values, k, 1)
-    }
-
-    /// [`Histogram::build`] with the min/max scan and bin counting
-    /// fanned out over `threads` scoped workers.
-    ///
-    /// The result is identical to the serial build for any thread count
-    /// (assuming finite inputs, the pipeline's domain): min/max and
-    /// integer counts are exact under shard-order merging, and the
-    /// per-bin f64 sums — whose rounding *would* depend on association
-    /// order — are deliberately accumulated serially in stream order.
-    pub fn build_threaded(values: &[f64], k: usize, threads: usize) -> Option<Self> {
         if values.is_empty() || k == 0 {
             return None;
         }
-        let workers = ckpt_pool::clamp_workers(threads, values.len());
-        if workers == 1 {
-            // The SIMD scan preserves the serial strict-compare
-            // first-seen semantics bit for bit (including NaN and
-            // signed-zero ties), so lo/hi — and therefore the whole
-            // histogram geometry — are unchanged by dispatch.
-            let (lo, hi) = ckpt_simd::quant::min_max(values).expect("non-empty values");
-            let mut h = Histogram { lo, hi, counts: vec![0; k], sums: vec![0.0; k] };
-            for_each_bin(values, lo, hi, k, |v, b| {
-                h.counts[b] += 1;
-                h.sums[b] += v;
-            });
-            return Some(h);
-        }
-
-        // Per-shard min/max, merged in shard order with strict
-        // comparisons — first-seen semantics, exactly as the serial scan.
-        let minmax = ckpt_pool::map_shards(values, workers, |_, shard| {
-            ckpt_simd::quant::min_max(shard).expect("shards are non-empty")
-        });
-        let (mut lo, mut hi) = minmax[0];
-        for &(slo, shi) in &minmax[1..] {
-            if slo < lo {
-                lo = slo;
-            }
-            if shi > hi {
-                hi = shi;
-            }
-        }
-
+        // The SIMD scan preserves the scalar strict-compare first-seen
+        // semantics bit for bit (including NaN and signed-zero ties),
+        // so lo/hi — and therefore the whole histogram geometry — are
+        // unchanged by dispatch.
+        let (lo, hi) = ckpt_simd::quant::min_max(values).expect("non-empty values");
         let mut h = Histogram { lo, hi, counts: vec![0; k], sums: vec![0.0; k] };
-        // Per-shard integer counts over the shared geometry, merged by
-        // addition (exact).
-        let partials = ckpt_pool::map_shards(values, workers, |_, shard| {
-            let mut counts = vec![0usize; k];
-            for_each_bin(shard, lo, hi, k, |_, b| counts[b] += 1);
-            counts
+        for_each_bin(values, lo, hi, k, |v, b| {
+            h.counts[b] += 1;
+            h.sums[b] += v;
         });
-        for partial in partials {
-            for (c, p) in h.counts.iter_mut().zip(partial) {
-                *c += p;
-            }
-        }
-        // Sums stay serial in stream order: f64 addition is not
-        // associative, and serial-identical averages are part of the
-        // determinism contract.
-        for_each_bin(values, lo, hi, k, |v, b| h.sums[b] += v);
         Some(h)
     }
 
@@ -269,26 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_build_is_identical_to_serial() {
-        let values: Vec<f64> =
-            (0..4099).map(|i| ((i as f64) * 0.0137).sin() * 42.0 + (i % 13) as f64).collect();
-        for k in [1usize, 2, 64, 128] {
-            let serial = Histogram::build(&values, k).unwrap();
-            for threads in [2usize, 3, 4, 8] {
-                let par = Histogram::build_threaded(&values, k, threads).unwrap();
-                assert_eq!(par.lo(), serial.lo(), "k={k} threads={threads}");
-                assert_eq!(par.hi(), serial.hi(), "k={k} threads={threads}");
-                assert_eq!(par.counts, serial.counts, "k={k} threads={threads}");
-                // Bit-identical sums, not approximate: the parallel build
-                // must keep the serial accumulation order.
-                let sb: Vec<u64> = serial.sums.iter().map(|s| s.to_bits()).collect();
-                let pb: Vec<u64> = par.sums.iter().map(|s| s.to_bits()).collect();
-                assert_eq!(pb, sb, "k={k} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn for_each_bin_matches_bin_of() {
         let values: Vec<f64> = (0..3001)
             .map(|i| ((i as f64) * 0.0213).sin() * 7.0)
@@ -307,15 +238,4 @@ mod tests {
         assert!(got.iter().all(|&b| b == 0));
     }
 
-    #[test]
-    fn threaded_build_handles_tiny_inputs() {
-        for len in 1..=5usize {
-            let values: Vec<f64> = (0..len).map(|i| i as f64).collect();
-            let serial = Histogram::build(&values, 4).unwrap();
-            let par = Histogram::build_threaded(&values, 4, 8).unwrap();
-            assert_eq!(par.counts, serial.counts, "len={len}");
-            assert_eq!(par.lo(), serial.lo());
-            assert_eq!(par.hi(), serial.hi());
-        }
-    }
 }

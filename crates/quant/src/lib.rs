@@ -19,9 +19,7 @@
 //! the partition average for quantized ones.
 
 pub mod bitmap;
-pub mod entropy;
 pub mod histogram;
-pub mod lloyd;
 pub mod simple;
 pub mod spike;
 pub mod types;
@@ -35,23 +33,22 @@ pub use types::{Method, QuantConfig, QuantError, Quantized};
 /// This is the single entry point the pipeline uses; it dispatches to
 /// [`simple::quantize`] or [`spike::quantize`].
 pub fn quantize(values: &[f64], config: &QuantConfig) -> Result<Quantized, QuantError> {
-    quantize_threaded(values, config, 1)
+    match config.method {
+        Method::Simple => simple::quantize(values, config.n),
+        Method::Proposed => spike::quantize(values, config.n, config.d),
+    }
 }
 
-/// [`quantize`] with the histogram, population split and index encoding
-/// fanned out over `threads` scoped workers. Output is identical to the
-/// serial quantizer for every thread count (Lloyd's iterative refinement
-/// stays serial — it is inherently sequential across iterations).
+/// Alias of [`quantize`]: the quantizer is serial at every thread count
+/// (EXPERIMENTS.md, pass 4 — the fan-out was slower on two threads) and
+/// `threads` is ignored. Kept only because the frozen `e2e/` probe
+/// calls this name; it goes with the next benchmark-only PR (ROADMAP).
 pub fn quantize_threaded(
     values: &[f64],
     config: &QuantConfig,
-    threads: usize,
+    _threads: usize,
 ) -> Result<Quantized, QuantError> {
-    match config.method {
-        Method::Simple => simple::quantize_threaded(values, config.n, threads),
-        Method::Proposed => spike::quantize_threaded(values, config.n, config.d, threads),
-        Method::Lloyd => lloyd::quantize(values, config.n),
-    }
+    quantize(values, config)
 }
 
 #[cfg(test)]
@@ -70,39 +67,5 @@ mod tests {
         let a = quantize(&values, &cfg).unwrap();
         let b = spike::quantize(&values, 8, 64).unwrap();
         assert_eq!(a.reconstruct(), b.reconstruct());
-    }
-
-    #[test]
-    fn threaded_quantize_is_bit_identical_to_serial() {
-        // Spiky field: heavy mass near zero plus sparse tails, like a
-        // wavelet high band.
-        let values: Vec<f64> = (0..10_007)
-            .map(|i| {
-                if i % 11 == 0 {
-                    (1.0 + (i % 5) as f64 * 0.7) * if i % 22 == 0 { 1.0 } else { -1.0 }
-                } else {
-                    ((i * 31 % 200) as f64 - 100.0) / 8000.0
-                }
-            })
-            .collect();
-        for method in [Method::Simple, Method::Proposed] {
-            let cfg = QuantConfig { method, n: 128, d: 64 };
-            let serial = quantize(&values, &cfg).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let par = quantize_threaded(&values, &cfg, threads).unwrap();
-                assert_eq!(par.len, serial.len, "{method:?} threads={threads}");
-                assert_eq!(par.indexes, serial.indexes, "{method:?} threads={threads}");
-                assert_eq!(par.raw, serial.raw, "{method:?} threads={threads}");
-                assert_eq!(
-                    par.bitmap.to_bytes(),
-                    serial.bitmap.to_bytes(),
-                    "{method:?} threads={threads}"
-                );
-                // Averages must match bit for bit, not approximately.
-                let sa: Vec<u64> = serial.averages.iter().map(|a| a.to_bits()).collect();
-                let pa: Vec<u64> = par.averages.iter().map(|a| a.to_bits()).collect();
-                assert_eq!(pa, sa, "{method:?} threads={threads}");
-            }
-        }
     }
 }

@@ -16,19 +16,6 @@ use crate::types::{QuantError, Quantized};
 
 /// Runs simple quantization with division number `n` (`1..=256`).
 pub fn quantize(values: &[f64], n: usize) -> Result<Quantized, QuantError> {
-    quantize_threaded(values, n, 1)
-}
-
-/// [`quantize`] with the histogram build and index encoding fanned out
-/// over `threads` scoped workers. Output is identical to the serial
-/// quantizer for every thread count: the per-value index is a pure
-/// function of the (serial-identical) histogram geometry, and shards
-/// are concatenated in stream order.
-pub fn quantize_threaded(
-    values: &[f64],
-    n: usize,
-    threads: usize,
-) -> Result<Quantized, QuantError> {
     if n == 0 || n > 256 {
         return Err(QuantError::BadDivisionNumber(n));
     }
@@ -41,7 +28,7 @@ pub fn quantize_threaded(
             raw: Vec::new(),
         });
     }
-    let hist = Histogram::build_threaded(values, n, threads).expect("non-empty values, n >= 1");
+    let hist = Histogram::build(values, n).expect("non-empty values, n >= 1");
 
     // Compact the average table: empty partitions get no entry. The
     // sentinel must live outside u8 range — with n = 256 every index
@@ -58,25 +45,11 @@ pub fn quantize_threaded(
 
     // Index encoding bins each value (as `hist.bin_of` does) and
     // applies the remap table per bin.
-    let encode = |shard: &[f64]| {
-        let mut out = Vec::with_capacity(shard.len());
-        crate::histogram::for_each_bin(shard, hist.lo(), hist.hi(), n, |_, bin| {
-            debug_assert_ne!(remap[bin], EMPTY, "value must land in a non-empty bin");
-            out.push(remap[bin] as u8);
-        });
-        out
-    };
-    let workers = ckpt_pool::clamp_workers(threads, values.len());
-    let indexes: Vec<u8> = if workers == 1 {
-        encode(values)
-    } else {
-        let shards = ckpt_pool::map_shards(values, workers, |_, shard| encode(shard));
-        let mut out = Vec::with_capacity(values.len());
-        for shard in shards {
-            out.extend_from_slice(&shard);
-        }
-        out
-    };
+    let mut indexes = Vec::with_capacity(values.len());
+    crate::histogram::for_each_bin(values, hist.lo(), hist.hi(), n, |_, bin| {
+        debug_assert_ne!(remap[bin], EMPTY, "value must land in a non-empty bin");
+        indexes.push(remap[bin] as u8);
+    });
 
     Ok(Quantized {
         len: values.len(),

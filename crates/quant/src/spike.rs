@@ -25,18 +25,6 @@ pub fn quantize(values: &[f64], n: usize, d: usize) -> Result<Quantized, QuantEr
     quantize_with_threshold(values, n, d, 1.0)
 }
 
-/// [`quantize`] with its histogram, population split and inner simple
-/// quantization fanned out over `threads` scoped workers. Output is
-/// identical to the serial quantizer for every thread count.
-pub fn quantize_threaded(
-    values: &[f64],
-    n: usize,
-    d: usize,
-    threads: usize,
-) -> Result<Quantized, QuantError> {
-    quantize_with_threshold_threaded(values, n, d, 1.0, threads)
-}
-
 /// The proposed quantization with an adjustable spike threshold:
 /// partitions with `count >= multiplier × N_total / d` are detected.
 /// `multiplier = 1.0` is the paper's Equation 4; the ablation bench
@@ -47,23 +35,6 @@ pub fn quantize_with_threshold(
     n: usize,
     d: usize,
     multiplier: f64,
-) -> Result<Quantized, QuantError> {
-    quantize_with_threshold_threaded(values, n, d, multiplier, 1)
-}
-
-/// [`quantize_with_threshold`] over `threads` scoped workers.
-///
-/// The detected/raw split is computed per contiguous shard and
-/// concatenated in shard order, which reproduces the serial stream
-/// order exactly; spike membership is a pure function of the
-/// (serial-identical) histogram, so the output matches the serial
-/// quantizer bit for bit at any thread count.
-pub fn quantize_with_threshold_threaded(
-    values: &[f64],
-    n: usize,
-    d: usize,
-    multiplier: f64,
-    threads: usize,
 ) -> Result<Quantized, QuantError> {
     if n == 0 || n > 256 {
         return Err(QuantError::BadDivisionNumber(n));
@@ -81,7 +52,7 @@ pub fn quantize_with_threshold_threaded(
         });
     }
 
-    let hist = Histogram::build_threaded(values, d, threads).expect("non-empty values, d >= 1");
+    let hist = Histogram::build(values, d).expect("non-empty values, d >= 1");
     let spiked = if multiplier == 1.0 {
         hist.detect_spikes()
     } else {
@@ -94,40 +65,20 @@ pub fn quantize_with_threshold_threaded(
     // kernel instead of one `set` call per bit.
     let mut detected = Vec::new();
     let mut raw = Vec::new();
-    let workers = ckpt_pool::clamp_workers(threads, values.len());
-    let split = |shard: &[f64], det: &mut Vec<f64>, r: &mut Vec<f64>| {
-        let mut flags = Vec::with_capacity(shard.len());
-        crate::histogram::for_each_bin(shard, hist.lo(), hist.hi(), d, |v, b| {
-            let hit = spiked[b];
-            flags.push(hit);
-            if hit {
-                det.push(v);
-            } else {
-                r.push(v);
-            }
-        });
-        flags
-    };
-    let bitmap = if workers == 1 {
-        Bitmap::from_bools(&split(values, &mut detected, &mut raw))
-    } else {
-        let shards = ckpt_pool::map_shards(values, workers, |_, shard| {
-            let mut det = Vec::new();
-            let mut r = Vec::new();
-            let flags = split(shard, &mut det, &mut r);
-            (flags, det, r)
-        });
-        let mut flags = Vec::with_capacity(values.len());
-        for (f, det, r) in shards {
-            flags.extend_from_slice(&f);
-            detected.extend_from_slice(&det);
-            raw.extend_from_slice(&r);
+    let mut flags = Vec::with_capacity(values.len());
+    crate::histogram::for_each_bin(values, hist.lo(), hist.hi(), d, |v, b| {
+        let hit = spiked[b];
+        flags.push(hit);
+        if hit {
+            detected.push(v);
+        } else {
+            raw.push(v);
         }
-        Bitmap::from_bools(&flags)
-    };
+    });
+    let bitmap = Bitmap::from_bools(&flags);
 
     // Simple quantization over the detected values only.
-    let inner = simple::quantize_threaded(&detected, n, threads)?;
+    let inner = simple::quantize(&detected, n)?;
     debug_assert_eq!(inner.indexes.len(), detected.len());
 
     Ok(Quantized { len: values.len(), bitmap, indexes: inner.indexes, averages: inner.averages, raw })

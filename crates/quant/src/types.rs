@@ -11,9 +11,6 @@ pub enum Method {
     /// Proposed quantization: quantize only values inside detected spike
     /// partitions.
     Proposed,
-    /// Lloyd-Max quantization: MSE-optimal codebook (extension beyond
-    /// the paper; see [`crate::lloyd`]).
-    Lloyd,
 }
 
 impl Method {
@@ -22,7 +19,6 @@ impl Method {
         match self {
             Method::Simple => "simple",
             Method::Proposed => "proposed",
-            Method::Lloyd => "lloyd",
         }
     }
 }
@@ -39,7 +35,8 @@ pub struct QuantConfig {
     /// Division number: number of quantization partitions, `1..=256`
     /// (indexes must fit one byte, Section III-C).
     pub n: usize,
-    /// Spike-detection partition count (ignored by [`Method::Simple`]).
+    /// Spike-detection partition count, at most `u16::MAX` (the `WCK1`
+    /// header field's width); [`Method::Simple`] records but ignores it.
     pub d: usize,
 }
 
@@ -60,7 +57,7 @@ impl QuantConfig {
         if self.n == 0 || self.n > 256 {
             return Err(QuantError::BadDivisionNumber(self.n));
         }
-        if self.method == Method::Proposed && self.d == 0 {
+        if (self.method == Method::Proposed && self.d == 0) || self.d > usize::from(u16::MAX) {
             return Err(QuantError::BadSpikePartitions(self.d));
         }
         Ok(())
@@ -72,7 +69,8 @@ impl QuantConfig {
 pub enum QuantError {
     /// Division number outside `1..=256`.
     BadDivisionNumber(usize),
-    /// Spike partition count of zero.
+    /// Spike partition count of zero, or too large for the header's
+    /// `u16` field.
     BadSpikePartitions(usize),
     /// A [`Quantized`] stream failed its internal consistency check.
     CorruptStream(&'static str),
@@ -84,7 +82,9 @@ impl fmt::Display for QuantError {
             QuantError::BadDivisionNumber(n) => {
                 write!(f, "division number {n} outside 1..=256")
             }
-            QuantError::BadSpikePartitions(d) => write!(f, "spike partition count {d} invalid"),
+            QuantError::BadSpikePartitions(d) => {
+                write!(f, "spike partition count {d} outside 1..=65535")
+            }
             QuantError::CorruptStream(why) => write!(f, "corrupt quantized stream: {why}"),
         }
     }
@@ -213,6 +213,14 @@ mod tests {
         assert!(QuantConfig { method: Method::Proposed, n: 8, d: 0 }.validate().is_err());
         // d = 0 is fine for the simple method (unused).
         assert!(QuantConfig { method: Method::Simple, n: 8, d: 0 }.validate().is_ok());
+        // The header records d in a u16 whatever the method.
+        for method in [Method::Simple, Method::Proposed] {
+            assert!(QuantConfig { method, n: 8, d: 65_535 }.validate().is_ok());
+            assert_eq!(
+                QuantConfig { method, n: 8, d: 65_536 }.validate(),
+                Err(QuantError::BadSpikePartitions(65_536))
+            );
+        }
     }
 
     #[test]

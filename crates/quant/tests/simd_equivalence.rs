@@ -70,29 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn count_le_matches_partition_point(
-        nb in 0usize..256, seed in any::<u64>(), probe_special in any::<bool>(),
-    ) {
-        // Sorted boundary table, as Lloyd-Max builds it.
-        let mut boundaries = lcg_values(seed, nb, false);
-        boundaries.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let probes = if probe_special {
-            vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0]
-        } else {
-            lcg_values(seed ^ 3, 16, false)
-        };
-        for &v in &probes {
-            let want = boundaries.partition_point(|&b| b <= v);
-            for level in available_tiers() {
-                prop_assert_eq!(
-                    quant::count_le_at(level, &boundaries, v), want,
-                    "level={:?} v={} nb={}", level, v, nb
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pack_unpack_matches_reference(len in 0usize..520, seed in any::<u64>()) {
         let mut state = seed | 1;
         let flags: Vec<bool> = (0..len)

@@ -5,8 +5,6 @@
 //!
 //! - [`min_max`] — the histogram/spike range scan, with the serial
 //!   first-seen semantics for NaN and signed zero preserved;
-//! - [`count_le`] — `boundaries.partition_point(|&b| b <= v)` for a
-//!   sorted boundary table (the Lloyd-Max assignment loop);
 //! - [`pack_bools`] / [`unpack_bools`] — bitmap pack/unpack between one
 //!   bool per element and LSB-first u64 words.
 //!
@@ -49,27 +47,6 @@ pub fn min_max_at(level: Level, values: &[f64]) -> Option<(f64, f64)> {
     let lo = if lo == 0.0 { first_zero(lo) } else { lo };
     let hi = if hi == 0.0 { first_zero(hi) } else { hi };
     Some((lo, hi))
-}
-
-/// Number of elements `<= v`. For a sorted-ascending `boundaries` table
-/// this equals `boundaries.partition_point(|&b| b <= v)` — the
-/// Lloyd-Max cell assignment. NaN boundaries and NaN `v` compare false,
-/// as in the scalar comparison.
-pub fn count_le(boundaries: &[f64], v: f64) -> usize {
-    count_le_at(dispatch::level(), boundaries, v)
-}
-
-/// [`count_le`] at an explicit tier.
-pub fn count_le_at(level: Level, boundaries: &[f64], v: f64) -> usize {
-    level.assert_available();
-    match level {
-        Level::Scalar => scalar::count_le(boundaries, v),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified AVX2 is present.
-        Level::Avx2 => unsafe { avx2::count_le(boundaries, v) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => scalar::count_le(boundaries, v),
-    }
 }
 
 /// Packs one bool per bit into LSB-first u64 words (bit `i` of the
@@ -129,10 +106,6 @@ mod scalar {
             }
         }
         (lo, hi)
-    }
-
-    pub(super) fn count_le(boundaries: &[f64], v: f64) -> usize {
-        boundaries.iter().filter(|&&b| b <= v).count()
     }
 
     pub(super) fn pack_bools(flags: &[bool]) -> Vec<u64> {
@@ -204,46 +177,6 @@ mod avx2 {
             i += 1;
         }
         (lo, hi)
-    }
-
-    /// # Safety
-    /// AVX2 must be available. `_CMP_LE_OQ` is false on NaN, matching
-    /// the scalar `b <= v`.
-    ///
-    /// Two independent accumulators (compare mask is -1 per satisfied
-    /// lane; subtracting accumulates in-register) hide the sub latency
-    /// and skip the per-iteration movemask round-trip to scalar.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn count_le(boundaries: &[f64], v: f64) -> usize {
-        let vv = _mm256_set1_pd(v);
-        let p = boundaries.as_ptr();
-        let n = boundaries.len();
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 8 <= n {
-            let m0 = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(i)), vv));
-            let m1 =
-                _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(i + 4)), vv));
-            acc0 = _mm256_sub_epi64(acc0, m0);
-            acc1 = _mm256_sub_epi64(acc1, m1);
-            i += 8;
-        }
-        while i + 4 <= n {
-            let m = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(i)), vv));
-            acc0 = _mm256_sub_epi64(acc0, m);
-            i += 4;
-        }
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), _mm256_add_epi64(acc0, acc1));
-        let mut count = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as usize;
-        while i < n {
-            if *p.add(i) <= v {
-                count += 1;
-            }
-            i += 1;
-        }
-        count
     }
 
     /// # Safety
@@ -333,17 +266,6 @@ mod tests {
             assert_eq!((lo, hi), (1.0, 9.0), "{}", level.name());
         }
         assert_eq!(min_max_at(Level::Scalar, &[]), None);
-    }
-
-    #[test]
-    fn count_le_matches_partition_point() {
-        let sorted: Vec<f64> = (0..37).map(|i| i as f64 * 0.5 - 3.0).collect();
-        for v in [-10.0, -3.0, -2.75, 0.0, 7.3, 100.0, f64::NAN] {
-            let want = sorted.partition_point(|&b| b <= v);
-            for level in tiers() {
-                assert_eq!(count_le_at(level, &sorted, v), want, "{} v={v}", level.name());
-            }
-        }
     }
 
     #[test]

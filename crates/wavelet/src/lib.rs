@@ -30,7 +30,6 @@
 pub mod cdf53;
 pub mod cdf97;
 pub mod haar;
-pub mod lifting;
 pub mod multilevel;
 pub mod subband;
 pub mod transform;

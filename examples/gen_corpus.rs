@@ -68,6 +68,9 @@ fn main() {
     // `decode_only_*.bin` are this file and `valid_wck1.bin` as the
     // encoder wrote them before the LZ77 miss stride and the transposed
     // default: kept by hand, read by the tests, written by no build.
+    // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
+    // to) and `retired_zlib_container.bin`, from the last build that
+    // had a Lloyd-Max quantizer and a zlib container.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,

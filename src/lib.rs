@@ -10,7 +10,7 @@
 //! * [`tensor`] — N-d arrays and synthetic mesh fields,
 //! * [`wavelet`] — Haar transforms,
 //! * [`quant`] — simple and spike-detecting quantizers,
-//! * [`deflate`] — from-scratch DEFLATE/gzip/zlib,
+//! * [`deflate`] — from-scratch DEFLATE/gzip,
 //! * [`core`] — the lossy checkpoint compression pipeline,
 //! * [`sim`] — the NICAM-substitute climate proxy with
 //!   checkpoint/restart,

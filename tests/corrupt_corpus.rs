@@ -10,7 +10,10 @@
 //! stride and the transposed default; `decode_only_wck1_untransposed.bin`
 //! is the `WCK1` sample from before both); and a valid sample cut at
 //! any byte or flipped at any byte is refused too. A format added to
-//! the table without a harness fails here, not silently.
+//! the table without a harness fails here, not silently. Two files were
+//! written by the last build that had their writer: a Lloyd-Max `WCK1`
+//! stream, which must keep decoding, and a zlib-wrapped one, which must
+//! be refused by name.
 
 #![allow(clippy::needless_update)]
 
@@ -20,7 +23,7 @@ use lossy_ckpt::core::checkpoint::Checkpoint;
 use lossy_ckpt::core::incremental;
 use lossy_ckpt::deflate::frame::{Format, FORMATS};
 use lossy_ckpt::deflate::resume::ResumableInflate;
-use lossy_ckpt::deflate::{chunked, gzip, zlib, Level};
+use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::serve::{proto, restore};
 use lossy_ckpt::store::{manifest, replicate, SegmentFormat, Store};
@@ -367,7 +370,6 @@ fn all_decoders_return(bytes: &[u8]) {
     let _ = chunked::inspect(bytes);
     let _ = gzip::decompress(bytes);
     let _ = gzip::decompress_with_limit(bytes, 1 << 24);
-    let _ = zlib::decompress(bytes);
     let _ = lossy_ckpt::deflate::decompress(bytes);
     let _ = proto::decode_request(bytes);
     let _ = proto::decode_response(bytes);
@@ -446,6 +448,40 @@ fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
         .with_container(Container::None);
     let rewritten = Compressor::new(cfg).unwrap().compress(&common::tiny_field(1)).unwrap();
     assert!(rewritten.bytes == formatted, "the untransposed writer moved a byte");
+}
+
+/// Retired writer, old bytes: a `WCK1` stream the Lloyd-Max quantizer
+/// wrote (method byte 2) before it was deleted decodes to the values
+/// that build recorded beside it, bit for bit — the decoder never reads
+/// the method byte.
+#[test]
+fn the_lloyd_written_sample_still_decodes_bit_exact() {
+    let old = fs::read(common::corpus_dir().join("decode_only_wck1_lloyd.bin")).unwrap();
+    assert_eq!(gzip::decompress(&old).unwrap()[5], 2, "method byte 2: the retired writer");
+    let recorded = fs::read(common::corpus_dir().join("decode_only_wck1_lloyd.values")).unwrap();
+    let restored = Compressor::decompress(&old).unwrap();
+    assert_eq!(restored.dims(), common::tiny_field(1).dims());
+    let values: Vec<u8> = restored.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert!(values == recorded, "the Lloyd-written stream no longer restores its recorded values");
+}
+
+/// Retired container: the zlib (RFC 1950) wrapping is refused by name,
+/// whole, cut at any byte, or with any byte flipped — never decoded,
+/// never a panic, and never mistaken for a bare `WCK1` stream.
+#[test]
+fn the_zlib_wrapped_sample_is_refused_as_a_retired_container() {
+    let old = fs::read(common::corpus_dir().join("retired_zlib_container.bin")).unwrap();
+    let why = Compressor::decompress(&old).expect_err("zlib is retired").to_string();
+    assert!(why.contains("format error") && why.contains("zlib"), "refused on `{why}`");
+    for cut in 0..old.len() {
+        assert!(Compressor::decompress(&old[..cut]).is_err(), "cut at byte {cut}: accepted");
+    }
+    let mut bad = old.clone();
+    for at in 0..old.len() {
+        bad[at] ^= 0x10;
+        assert!(Compressor::decompress(&bad).is_err(), "flip at byte {at}: accepted");
+        bad[at] = old[at];
+    }
 }
 
 /// The parent-written token's embedded engine state resumes the stream

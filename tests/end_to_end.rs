@@ -178,7 +178,7 @@ fn extension_configs_all_roundtrip_end_to_end() {
     use lossy_ckpt::wavelet::Kernel;
     let field = generate(&FieldSpec::small(FieldKind::Temperature, 88));
     for kernel in [Kernel::Haar, Kernel::Cdf53, Kernel::Cdf97] {
-        for method in [Method::Simple, Method::Proposed, Method::Lloyd] {
+        for method in [Method::Simple, Method::Proposed] {
             let cfg = CompressorConfig::paper_proposed()
                 .with_kernel(kernel)
                 .with_method(method)

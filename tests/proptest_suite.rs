@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants:
 //!
-//! * DEFLATE/gzip/zlib roundtrip on arbitrary byte strings,
+//! * DEFLATE/gzip roundtrip on arbitrary byte strings,
 //! * Haar transforms invert exactly on integer-valued tensors and
 //!   within tolerance on arbitrary floats,
 //! * quantizer error bounds and stream reassembly,
@@ -50,19 +50,16 @@ proptest! {
         }
         for level in [lossy_ckpt::deflate::Level::Store,
                       lossy_ckpt::deflate::Level::Fast,
-                      lossy_ckpt::deflate::Level::Default,
-                      lossy_ckpt::deflate::Level::Best] {
+                      lossy_ckpt::deflate::Level::Default] {
             let packed = lossy_ckpt::deflate::compress(&data, level);
             prop_assert_eq!(&lossy_ckpt::deflate::decompress(&packed).unwrap(), &data);
         }
     }
 
     #[test]
-    fn gzip_and_zlib_containers_roundtrip(data in pvec(any::<u8>(), 0..10_000)) {
+    fn gzip_container_roundtrips(data in pvec(any::<u8>(), 0..10_000)) {
         let g = lossy_ckpt::deflate::gzip::compress(&data, lossy_ckpt::deflate::Level::Default);
         prop_assert_eq!(&lossy_ckpt::deflate::gzip::decompress(&g).unwrap(), &data);
-        let z = lossy_ckpt::deflate::zlib::compress(&data, lossy_ckpt::deflate::Level::Fast);
-        prop_assert_eq!(&lossy_ckpt::deflate::zlib::decompress(&z).unwrap(), &data);
     }
 
     #[test]
@@ -217,18 +214,6 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn integer_s_transform_is_bit_exact(
-        data in pvec(-1_000_000_000i64..1_000_000_000, 1..600),
-    ) {
-        let n = data.len();
-        let t = Tensor::from_vec(&[n], data.clone()).unwrap();
-        let mut w = t.clone();
-        lossy_ckpt::wavelet::lifting::forward_i64(&mut w).unwrap();
-        lossy_ckpt::wavelet::lifting::inverse_i64(&mut w).unwrap();
-        prop_assert_eq!(w.as_slice(), t.as_slice());
-    }
-
-    #[test]
     fn byte_shuffle_is_a_permutation(
         bits in pvec(any::<u64>(), 0..700),
         cuts in any::<(usize, usize)>(),
@@ -293,18 +278,6 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         prop_assert!(stats.dirty_fraction() <= 1.0);
-    }
-
-    #[test]
-    fn index_entropy_bounded_by_table_size(
-        data in pvec(-50.0f64..50.0, 2..1_500),
-        n in 1usize..=256,
-    ) {
-        use lossy_ckpt::quant::simple;
-        let q = simple::quantize(&data, n).unwrap();
-        let h = q.index_entropy();
-        prop_assert!(h >= 0.0);
-        prop_assert!(h <= (n as f64).log2() + 1e-9, "entropy {h} exceeds log2({n})");
     }
 }
 
