@@ -77,9 +77,10 @@ pub const EXTRA_ENTRY_POINTS: &[&str] = &[
     "decompress_chunked",
     "inspect",
     "decompress_member",
+    // `gzip::Member::step`: the member decoder as the streamed restore
+    // drives it (its one-shot form is `decompress_member`).
+    "step",
     "inflate",
-    "inflate_with_limit",
-    "inflate_with_limit_consumed",
     "inflate_step",
     "decode_request",
     "decode_response",

@@ -52,7 +52,7 @@ fn sendptr_accesses_that_lost_their_partition_are_found() {
     // Every worker walking every lane instead of its own range: the
     // two reads and two writes no longer index what the worker owns.
     let v = lint_with(TRANSFORM, "let my_lanes = &lanes[range];", "let my_lanes = &lanes[..];");
-    assert_all(&v, concurrency::RULE_SENDPTR, TRANSFORM, Some("transform_axis_threaded"));
+    assert_all(&v, concurrency::RULE_SENDPTR, TRANSFORM, Some("transform_axis"));
     assert_eq!(v.len(), 4, "{v:?}");
 }
 
@@ -82,5 +82,20 @@ fn a_segment_append_that_bypasses_the_fail_point_is_found() {
         "self.file.write_all(bytes)?;",
     );
     assert_all(&v, durability::RULE_FAILPOINT, path, Some("append"));
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn an_unchecked_index_into_the_history_buffer_is_found() {
+    // The workspace has one literal/match loop; a byte-wise match copy
+    // that indexes the window instead of `extend_from_within` would
+    // panic on a crafted distance, and the decode rules must see it.
+    let path = "crates/deflate/src/resume.rs";
+    let v = lint_with(
+        path,
+        "window.extend_from_within(start..start + take);",
+        "for k in start..start + take { let byte = window[k]; window.push(byte); }",
+    );
+    assert_all(&v, rules::RULE_PANIC, path, Some("decode_symbols"));
     assert_eq!(v.len(), 1, "{v:?}");
 }

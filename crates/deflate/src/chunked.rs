@@ -344,6 +344,25 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<(Header, Vec<&[u8]>
     Ok((header, members))
 }
 
+/// Decodes the gzip member that is one slot of a container: beyond its
+/// own CRC-32 and ISIZE it must end where the slot ends and inflate to
+/// exactly the `len` bytes the geometry gives its chunk. The streamed
+/// restore (`ckpt_serve::restore`) holds its members to the same two
+/// conditions, step by step.
+fn decode_slot(member: &[u8], len: usize) -> Result<Vec<u8>, DeflateError> {
+    let (payload, size) = gzip::decompress_member(member, len)?;
+    if size != member.len() {
+        return Err(DeflateError::BadContainer("trailing bytes inside a member slot"));
+    }
+    if payload.len() != len {
+        return Err(DeflateError::SizeMismatch {
+            stored: u32::try_from(len).unwrap_or(u32::MAX),
+            computed: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+        });
+    }
+    Ok(payload)
+}
+
 /// Decompresses a WPK1 container, erroring with
 /// [`DeflateError::OutputLimit`] if the header claims more than
 /// `max_output` bytes (checked before any allocation).
@@ -360,19 +379,9 @@ pub fn decompress_chunked_with_limit(
     fn inflate_run(slots: &mut [&mut [u8]], members: &[&[u8]]) -> Result<Vec<u32>, DeflateError> {
         let mut crcs = Vec::with_capacity(slots.len());
         for (slot, member) in slots.iter_mut().zip(members) {
-            let (payload, consumed) = gzip::decompress_member(member, slot.len())?;
-            if consumed != member.len() {
-                return Err(DeflateError::BadContainer("trailing bytes inside a member slot"));
-            }
-            if payload.len() != slot.len() {
-                return Err(DeflateError::SizeMismatch {
-                    stored: u32::try_from(slot.len()).unwrap_or(u32::MAX),
-                    computed: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-                });
-            }
-            slot.copy_from_slice(&payload);
-            // Per-member CRC was just verified by decompress_member;
-            // reuse the stored value.
+            slot.copy_from_slice(&decode_slot(member, slot.len())?);
+            // decode_slot just verified the member's CRC; reuse the
+            // stored value.
             crcs.push(member_stored_crc(member)?);
         }
         Ok(crcs)
@@ -498,13 +507,7 @@ pub fn inspect(data: &[u8]) -> Result<ChunkedInfo, DeflateError> {
         let uncompressed_len = remaining.min(stride);
         remaining -= uncompressed_len;
         let stored = member_stored_crc(member).unwrap_or(0);
-        // decompress_member verifies the member's own CRC and ISIZE.
-        let crc_ok = match gzip::decompress_member(member, uncompressed_len) {
-            Ok((payload, consumed)) => {
-                consumed == member.len() && payload.len() == uncompressed_len
-            }
-            Err(_) => false,
-        };
+        let crc_ok = decode_slot(member, uncompressed_len).is_ok();
         if crc_ok {
             combined = crc32_combine(combined, stored, crate::u64_from_usize(uncompressed_len));
         } else {

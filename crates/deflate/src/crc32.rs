@@ -89,7 +89,13 @@ impl Crc32 {
 
 /// One-shot CRC-32 of a buffer.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
+    crc32_extend(0, data)
+}
+
+/// `crc32(A ‖ data)` from `crc = crc32(A)`: a finalized checksum is the
+/// register complemented, so complementing it back resumes the stream.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let mut c = Crc32 { state: crc ^ 0xFFFF_FFFF };
     c.update(data);
     c.finalize()
 }
@@ -216,6 +222,7 @@ mod tests {
             let (a, b) = data.split_at(split);
             let combined = crc32_combine(crc32(a), crc32(b), b.len() as u64);
             assert_eq!(combined, whole, "split at {split}");
+            assert_eq!(crc32_extend(crc32(a), b), whole, "split at {split}");
         }
     }
 

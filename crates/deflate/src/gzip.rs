@@ -3,7 +3,8 @@
 
 use crate::crc32::crc32;
 use crate::frame::Reader;
-use crate::{deflate, inflate, DeflateError, Level};
+use crate::resume::ResumableInflate;
+use crate::{deflate, DeflateError, Level};
 
 const MAGIC: [u8; 2] = [0x1F, 0x8B];
 const CM_DEFLATE: u8 = 8;
@@ -66,33 +67,93 @@ pub fn decompress_member(
     data: &[u8],
     max_output: usize,
 ) -> Result<(Vec<u8>, usize), DeflateError> {
-    let pos = member_body_offset(data)?;
-    let body_end = data.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
-    let body = data.get(pos..body_end).ok_or(DeflateError::UnexpectedEof)?;
-    let (out, body_consumed) = inflate::inflate_with_limit_consumed(body, max_output)?;
-    let trailer = pos.checked_add(body_consumed).ok_or(DeflateError::UnexpectedEof)?;
+    let Member { data, body_off, body, engine } = Member::new(data, ResumableInflate::new())?;
+    let done = engine.finish(body, max_output)?;
+    let len = crate::u64_from_usize(done.bytes.len());
+    let size = check_trailer(data, body_off, done.consumed, done.crc, len)?;
+    Ok((done.bytes, size))
+}
+
+/// One gzip member on its way through the decoder — the crate's one
+/// member walk: the header is parsed, the engine sits somewhere in the
+/// DEFLATE body, and reaching the end of the body checks the trailer's
+/// CRC-32 and ISIZE against the engine's own running accounts, so no
+/// second pass over the output is needed to verify it.
+#[derive(Debug)]
+pub struct Member<'a> {
+    data: &'a [u8],
+    /// Where the DEFLATE body starts in `data`, and the body itself
+    /// (everything up to the last 8 bytes, which can only be trailer).
+    body_off: usize,
+    body: &'a [u8],
+    engine: ResumableInflate,
+}
+
+impl<'a> Member<'a> {
+    /// The member at the front of `data`, with `engine` at the start of
+    /// its body (a fresh one) or part-way through it (one restored from
+    /// an `ICK1` blob).
+    pub fn new(data: &'a [u8], engine: ResumableInflate) -> Result<Self, DeflateError> {
+        let body_off = member_body_offset(data)?;
+        let body_end = data.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
+        let body = data.get(body_off..body_end).ok_or(DeflateError::UnexpectedEof)?;
+        Ok(Member { data, body_off, body, engine })
+    }
+
+    /// The engine's state: what a progress token checkpoints.
+    pub fn engine(&self) -> &ResumableInflate {
+        &self.engine
+    }
+
+    /// Appends at least `min_out` more payload bytes to `out` (fewer
+    /// only at the end of the member). `Some(size)` — the member's
+    /// total size in bytes — once the body has ended and the trailer
+    /// checked out.
+    pub fn step(
+        &mut self,
+        out: &mut Vec<u8>,
+        min_out: usize,
+    ) -> Result<Option<usize>, DeflateError> {
+        if !self.engine.inflate_step(self.body, out, min_out)? {
+            return Ok(None);
+        }
+        let e = &self.engine;
+        check_trailer(self.data, self.body_off, e.bytes_consumed(), e.output_crc(), e.output_len())
+            .map(Some)
+    }
+}
+
+/// Checks the trailer that follows a body of `consumed` bytes — CRC-32,
+/// then ISIZE — against the `crc` and `len` of what the body decoded
+/// to, and returns the offset just past it: the member's size.
+fn check_trailer(
+    data: &[u8],
+    body_off: usize,
+    consumed: usize,
+    crc: u32,
+    len: u64,
+) -> Result<usize, DeflateError> {
+    let trailer = body_off.checked_add(consumed).ok_or(DeflateError::UnexpectedEof)?;
     let mut t = Reader::at(data, trailer);
     let stored_crc = t.get_u32()?;
     let stored_size = t.get_u32()?;
-    let computed_crc = crc32(&out);
-    if stored_crc != computed_crc {
-        return Err(DeflateError::ChecksumMismatch { stored: stored_crc, computed: computed_crc });
+    if stored_crc != crc {
+        return Err(DeflateError::ChecksumMismatch { stored: stored_crc, computed: crc });
     }
     // ISIZE is the payload length mod 2^32 (RFC 1952), so the
     // truncating cast is the field's defined semantics.
-    let computed_size = out.len() as u32;
+    let computed_size = len as u32;
     if stored_size != computed_size {
         return Err(DeflateError::SizeMismatch { stored: stored_size, computed: computed_size });
     }
-    Ok((out, trailer.saturating_add(8)))
+    Ok(trailer.saturating_add(8))
 }
 
 /// Parses one member's gzip header and returns the offset at which its
 /// DEFLATE body begins. Validates the magic and compression method and
 /// walks the optional FEXTRA/FNAME/FCOMMENT/FHCRC fields, but does not
-/// touch the body — the resumable restore driver uses this to position
-/// the inflate engine without decompressing anything.
-pub fn member_body_offset(data: &[u8]) -> Result<usize, DeflateError> {
+/// touch the body.
+fn member_body_offset(data: &[u8]) -> Result<usize, DeflateError> {
     if data.len() < 18 {
         return Err(DeflateError::BadContainer("too short for gzip"));
     }

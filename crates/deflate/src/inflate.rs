@@ -1,22 +1,23 @@
-//! DEFLATE decoder (RFC 1951) for stored, fixed and dynamic blocks.
+//! DEFLATE decoding (RFC 1951) in one call, and the block-header
+//! tables the engine in [`crate::resume`] decodes with.
 
 use crate::bitio::BitReader;
-use crate::deflate::{
-    fixed_dist_lengths, fixed_litlen_lengths, CLCODE_ORDER, DIST_TABLE, LENGTH_TABLE,
-};
+use crate::deflate::{fixed_dist_lengths, fixed_litlen_lengths, CLCODE_ORDER};
 use crate::huffman::Decoder;
+use crate::resume::ResumableInflate;
 use crate::DeflateError;
 
-/// Decompresses a raw DEFLATE stream with no output-size cap.
+/// Decompresses a raw DEFLATE stream with no output-size cap: the
+/// engine run to the end of the stream.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
-    inflate_with_limit(data, usize::MAX)
+    Ok(ResumableInflate::new().finish(data, usize::MAX)?.bytes)
 }
 
 /// The fixed-Huffman decoders (RFC 1951 §3.2.6) never change, so they
 /// are built once per process instead of once per block — fixed blocks
 /// are common in small checkpoint sections and table construction was
 /// visible in profiles.
-fn fixed_decoders() -> Result<(&'static Decoder, &'static Decoder), DeflateError> {
+pub(crate) fn fixed_decoders() -> Result<(&'static Decoder, &'static Decoder), DeflateError> {
     use std::sync::OnceLock;
     static FIXED: OnceLock<Result<(Decoder, Decoder), DeflateError>> = OnceLock::new();
     let cached = FIXED.get_or_init(|| {
@@ -30,77 +31,10 @@ fn fixed_decoders() -> Result<(&'static Decoder, &'static Decoder), DeflateError
     }
 }
 
-/// Decompresses a raw DEFLATE stream, aborting with
-/// [`DeflateError::OutputLimit`] once the output would exceed
-/// `max_output` bytes — the decompression-bomb guard for streams from
-/// untrusted storage (DEFLATE expands up to ~1032×, so a small
-/// checkpoint file can claim gigabytes).
-pub fn inflate_with_limit(data: &[u8], max_output: usize) -> Result<Vec<u8>, DeflateError> {
-    inflate_with_limit_consumed(data, max_output).map(|(out, _)| out)
-}
-
-/// Like [`inflate_with_limit`], but also reports how many input bytes
-/// the DEFLATE stream occupied (the final partial byte counts as
-/// consumed). Multi-member gzip parsing needs this to find where one
-/// member's trailer — and the next member — begins.
-pub fn inflate_with_limit_consumed(
-    data: &[u8],
-    max_output: usize,
-) -> Result<(Vec<u8>, usize), DeflateError> {
-    let mut r = BitReader::new(data);
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3).min(max_output).min(1 << 24));
-    loop {
-        let bfinal = r.read_bits(1)? == 1;
-        match r.read_bits(2)? {
-            0b00 => stored_block(&mut r, &mut out, max_output)?,
-            0b01 => {
-                let (lit, dist) = fixed_decoders()?;
-                coded_block(&mut r, &mut out, lit, dist, max_output)?;
-            }
-            0b10 => {
-                let (lit, dist) = read_dynamic_tables(&mut r)?;
-                coded_block(&mut r, &mut out, &lit, &dist, max_output)?;
-            }
-            _ => return Err(DeflateError::BadBlockType),
-        }
-        if bfinal {
-            let consumed = r.bytes_consumed();
-            return Ok((out, consumed));
-        }
-    }
-}
-
-fn stored_block(
-    r: &mut BitReader<'_>,
-    out: &mut Vec<u8>,
-    max_output: usize,
-) -> Result<(), DeflateError> {
-    r.align_byte();
-    let len = r.read_bits(16)?;
-    let nlen = r.read_bits(16)?;
-    if len ^ nlen != 0xFFFF {
-        return Err(DeflateError::BadStoredLength);
-    }
-    // A 16-bit read is < 2^16, so the conversion cannot fail.
-    let len = usize::try_from(len).map_err(|_| DeflateError::BadStoredLength)?;
-    if out.len().saturating_add(len) > max_output {
-        return Err(DeflateError::OutputLimit { limit: max_output });
-    }
-    out.extend(r.read_bytes(len)?);
-    Ok(())
-}
-
-fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), DeflateError> {
-    let (lit_lens, dist_lens) = read_dynamic_lengths(r)?;
-    let lit = Decoder::from_lengths(&lit_lens)?;
-    let dist = Decoder::from_lengths(&dist_lens)?;
-    Ok((lit, dist))
-}
-
 /// Reads a dynamic block's header and returns the raw (litlen, dist)
-/// code-length vectors. The resumable engine serializes these — a
-/// [`Decoder`] is rebuildable from lengths alone — so the split from
-/// [`read_dynamic_tables`] keeps one parser for both paths.
+/// code-length vectors. The engine keeps these beside the tables it
+/// builds from them — a [`Decoder`] is rebuildable from lengths alone,
+/// so they are what an `ICK1` blob carries.
 pub(crate) fn read_dynamic_lengths(
     r: &mut BitReader<'_>,
 ) -> Result<(Vec<u8>, Vec<u8>), DeflateError> {
@@ -149,61 +83,6 @@ pub(crate) fn read_dynamic_lengths(
         .split_at_checked(hlit)
         .ok_or(DeflateError::BadHuffmanTable("code length underrun"))?;
     Ok((lit_lens.to_vec(), dist_lens.to_vec()))
-}
-
-fn coded_block(
-    r: &mut BitReader<'_>,
-    out: &mut Vec<u8>,
-    lit: &Decoder,
-    dist: &Decoder,
-    max_output: usize,
-) -> Result<(), DeflateError> {
-    loop {
-        let sym = lit.read(r)?;
-        match sym {
-            0..=255 => {
-                if out.len() >= max_output {
-                    return Err(DeflateError::OutputLimit { limit: max_output });
-                }
-                // In-range by the match arm.
-                out.push(u8::try_from(sym).unwrap_or(0))
-            }
-            256 => return Ok(()),
-            257..=285 => {
-                let (base, extra) = LENGTH_TABLE
-                    .get(usize::from(sym) - 257)
-                    .copied()
-                    .ok_or(DeflateError::BadSymbol(sym))?;
-                let len = usize::from(base) + r.read_bits_usize(u32::from(extra))?;
-                if out.len().saturating_add(len) > max_output {
-                    return Err(DeflateError::OutputLimit { limit: max_output });
-                }
-                let dsym = dist.read(r)?;
-                let (dbase, dextra) = DIST_TABLE
-                    .get(usize::from(dsym))
-                    .copied()
-                    .ok_or(DeflateError::BadSymbol(dsym))?;
-                let d = usize::from(dbase) + r.read_bits_usize(u32::from(dextra))?;
-                if d == 0 || d > out.len() {
-                    return Err(DeflateError::BadDistance { dist: d, avail: out.len() });
-                }
-                // Chunked copy: each pass appends up to the whole span
-                // available so far, so an overlapping match (dist <
-                // len) doubles the replicated region per pass instead
-                // of copying byte-by-byte. `take <= out.len() - start`
-                // keeps every source range in bounds.
-                let start = out.len() - d;
-                let mut copied = 0usize;
-                while copied < len {
-                    let avail = out.len() - start;
-                    let take = (len - copied).min(avail);
-                    out.extend_from_within(start..start + take);
-                    copied += take;
-                }
-            }
-            s => return Err(DeflateError::BadSymbol(s)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -324,13 +203,19 @@ mod tests {
 #[cfg(test)]
 mod limit_tests {
     use super::*;
+    use crate::resume::Inflated;
     use crate::{compress, Level};
+
+    /// The one engine, run to the end of the stream under a cap.
+    fn inflate_with_limit(data: &[u8], max_output: usize) -> Result<Inflated, DeflateError> {
+        ResumableInflate::new().finish(data, max_output)
+    }
 
     #[test]
     fn limit_allows_exact_size() {
         let data = vec![5u8; 10_000];
         let packed = compress(&data, Level::Default);
-        assert_eq!(inflate_with_limit(&packed, 10_000).unwrap(), data);
+        assert_eq!(inflate_with_limit(&packed, 10_000).unwrap().bytes, data);
     }
 
     #[test]
@@ -339,7 +224,7 @@ mod limit_tests {
         let data = vec![0u8; 10_000_000];
         let packed = compress(&data, Level::Default);
         assert!(packed.len() < 20_000, "bomb setup: {} bytes", packed.len());
-        let err = inflate_with_limit(&packed, 1_000_000);
+        let err = inflate_with_limit(&packed, 1_000_000).map(|done| done.bytes.len());
         assert_eq!(err, Err(DeflateError::OutputLimit { limit: 1_000_000 }));
     }
 

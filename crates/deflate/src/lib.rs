@@ -13,8 +13,10 @@
 //! * [`lz77`] — hash-chain match finder producing literal/match tokens,
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
 //!   per-block cost selection),
-//! * [`inflate`] — decoder for all block types,
-//! * [`gzip`] — container framing with CRC-32,
+//! * [`resume`] — the decoder for all block types: one resumable
+//!   engine, stepped (with `ICK1` checkpoints) or run to the end,
+//! * [`inflate`] — that engine in one call, and its block-header tables,
+//! * [`gzip`] — container framing with CRC-32 and the one member decoder,
 //! * [`chunked`] — a multi-member gzip container whose chunks compress
 //!   and decompress in parallel,
 //! * [`crc32`] — the checksum,

@@ -1,24 +1,28 @@
-//! Resumable streaming inflate.
+//! The DEFLATE decoder (RFC 1951): one resumable engine under every
+//! reader.
 //!
-//! [`ResumableInflate`] decodes a raw DEFLATE stream incrementally and
-//! can serialize its complete decoder state into a versioned `ICK1`
-//! blob (see docs/FORMAT.md) at any step boundary: the exact bit position,
-//! the active block's Huffman code lengths (tables are rebuilt from
+//! [`ResumableInflate`] decodes a raw DEFLATE stream in steps and can
+//! serialize its complete state into a versioned `ICK1` blob (see
+//! docs/FORMAT.md) at any step boundary: the exact bit position, the
+//! active block's Huffman code lengths (tables are rebuilt from
 //! lengths on restore), the 32 KiB LZ77 window, the running CRC-32 and
 //! the output offset. A restore killed mid-stream resumes from the
 //! last blob instead of re-inflating from byte zero — the design the
-//! store's `ckpt store restore --resume` path is built on.
+//! store's `ckpt store restore --resume` path is built on. A one-shot
+//! decode ([`crate::inflate::inflate`], every gzip member) is the same
+//! engine run to the end of the stream by [`ResumableInflate::finish`],
+//! which hands its buffer over as the output.
 //!
 //! Safe checkpoint points are symbol boundaries: the engine only stops
 //! between literals/matches, between stored-block chunks, or at block
 //! boundaries, so a checkpoint never splits a Huffman code.
 
 use crate::bitio::BitReader;
-use crate::crc32::{crc32, crc32_combine};
-use crate::deflate::{fixed_dist_lengths, fixed_litlen_lengths, DIST_TABLE, LENGTH_TABLE};
+use crate::crc32::crc32_extend;
+use crate::deflate::{DIST_TABLE, LENGTH_TABLE};
 use crate::frame::{self, Reader, Writer, ICK1};
 use crate::huffman::Decoder;
-use crate::inflate::read_dynamic_lengths;
+use crate::inflate::{fixed_decoders, read_dynamic_lengths};
 use crate::DeflateError;
 
 /// DEFLATE's maximum back-reference distance: the window the engine
@@ -30,22 +34,30 @@ const FLAG_DONE: u8 = 1;
 const FLAG_FINAL_BLOCK: u8 = 2;
 
 /// Where the engine is inside the block structure. Everything needed
-/// to re-enter a block is here — decode tables are derived state,
-/// rebuilt from the code lengths on demand.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// to re-enter a block is here — a dynamic block's decode tables are
+/// derived state, rebuilt from its code lengths on restore.
+#[derive(Debug, Default)]
 enum Block {
     /// Between blocks: the next bits are a BFINAL/BTYPE header.
+    #[default]
     Boundary,
     /// Inside a stored block with `remaining` raw bytes left to copy.
     Stored { remaining: u32 },
     /// Inside a fixed-Huffman block (RFC 1951 static code lengths).
     Fixed,
     /// Inside a dynamic-Huffman block with these code lengths.
-    Dynamic { lit_lens: Vec<u8>, dist_lens: Vec<u8> },
+    Dynamic { lit_lens: Vec<u8>, dist_lens: Vec<u8>, lit: Decoder, dist: Decoder },
+}
+
+impl Block {
+    fn dynamic(lit_lens: Vec<u8>, dist_lens: Vec<u8>) -> Result<Block, DeflateError> {
+        let (lit, dist) = (Decoder::from_lengths(&lit_lens)?, Decoder::from_lengths(&dist_lens)?);
+        Ok(Block::Dynamic { lit_lens, dist_lens, lit, dist })
+    }
 }
 
 /// Incremental DEFLATE decoder with serializable state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ResumableInflate {
     /// Absolute bit offset into the DEFLATE stream of the next unread
     /// bit. Always a symbol boundary between steps.
@@ -56,45 +68,32 @@ pub struct ResumableInflate {
     /// The final block finished: the stream is fully decoded.
     done: bool,
     /// Trailing `min(out_len, 32 KiB)` of the output — the LZ77 match
-    /// window. Grows during a step; trimmed back at step boundaries.
+    /// window. A step decodes onto its end and trims it back on
+    /// return; [`ResumableInflate::finish`] never trims, so the buffer
+    /// it hands over is the whole output.
     window: Vec<u8>,
     /// Total bytes decoded so far.
     out_len: u64,
-    /// CRC-32 of all output so far (finalized form, extended per step
-    /// via `crc32_combine`).
+    /// CRC-32 of all output so far (finalized form).
     crc: u32,
-    /// Cached decode tables for the active coded block; never
-    /// serialized — rebuilt from `block`'s lengths when absent.
-    decoders: Option<(Decoder, Decoder)>,
 }
 
-impl Default for ResumableInflate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Dispatch tag: lets the step loop decide which arm to run before
-/// taking any borrow of the block state.
-enum Arm {
-    Boundary,
-    Stored,
-    Coded,
+/// A stream decoded to its end by [`ResumableInflate::finish`].
+#[derive(Debug)]
+pub struct Inflated {
+    /// Everything the call decoded.
+    pub bytes: Vec<u8>,
+    /// CRC-32 of the stream's whole output.
+    pub crc: u32,
+    /// Input bytes the stream occupied, the final partial byte
+    /// included: where a gzip member's trailer begins.
+    pub consumed: usize,
 }
 
 impl ResumableInflate {
     /// Fresh engine positioned at the start of a DEFLATE stream.
     pub fn new() -> Self {
-        ResumableInflate {
-            bit_pos: 0,
-            block: Block::Boundary,
-            final_block: false,
-            done: false,
-            window: Vec::new(),
-            out_len: 0,
-            crc: 0,
-            decoders: None,
-        }
+        Self::default()
     }
 
     /// True once the final block has fully decoded.
@@ -112,9 +111,10 @@ impl ResumableInflate {
         self.crc
     }
 
-    /// Absolute bit offset of the next unread bit in the stream.
-    pub fn bit_position(&self) -> u64 {
-        self.bit_pos
+    /// Input bytes read so far, a partly read byte included: once the
+    /// stream is done, where what follows it (a gzip trailer) begins.
+    pub fn bytes_consumed(&self) -> usize {
+        usize::try_from(self.bit_pos.div_ceil(8)).unwrap_or(usize::MAX)
     }
 
     /// Decodes from `data` (the complete DEFLATE stream, or any slice
@@ -133,42 +133,53 @@ impl ResumableInflate {
         out: &mut Vec<u8>,
         min_out: usize,
     ) -> Result<bool, DeflateError> {
+        let from = self.window.len();
+        self.advance(data, from.saturating_add(min_out.max(1)))?;
+        out.extend_from_slice(self.window.get(from..).unwrap_or_default());
+        let cut = self.window.len().saturating_sub(WINDOW_BYTES);
+        self.window.drain(..cut);
+        Ok(self.done)
+    }
+
+    /// Runs the engine to the end of the stream and hands its buffer
+    /// over as the output, so a fresh engine's bytes are never copied.
+    /// Fails with [`DeflateError::OutputLimit`] once the call has
+    /// produced more than `max_output` bytes — the decompression-bomb
+    /// guard for streams from untrusted storage (DEFLATE expands up to
+    /// ~1032×, so a small checkpoint file can claim gigabytes).
+    pub fn finish(mut self, data: &[u8], max_output: usize) -> Result<Inflated, DeflateError> {
+        let from = self.window.len();
+        self.window.reserve(data.len().saturating_mul(3).min(max_output).min(1 << 24));
+        self.advance(data, from.saturating_add(max_output).saturating_add(1))?;
+        if !self.done {
+            return Err(DeflateError::OutputLimit { limit: max_output });
+        }
+        self.window.drain(..from);
+        Ok(Inflated { consumed: self.bytes_consumed(), crc: self.crc, bytes: self.window })
+    }
+
+    /// Decodes from the saved bit position until the window holds
+    /// `stop_len` bytes or the stream ends — the crate's one
+    /// BFINAL/BTYPE walk — then books what it appended into the output
+    /// length and CRC.
+    fn advance(&mut self, data: &[u8], stop_len: usize) -> Result<(), DeflateError> {
         if self.done {
-            return Ok(true);
+            return Ok(());
         }
         let start_byte = usize::try_from(self.bit_pos / 8).map_err(|_| DeflateError::UnexpectedEof)?;
-        let skip = u32::try_from(self.bit_pos % 8).unwrap_or(0);
-        let tail = data.get(start_byte..).ok_or(DeflateError::UnexpectedEof)?;
-        let mut r = BitReader::new(tail);
-        if skip > 0 {
-            r.read_bits(skip)?;
-        }
-        let base_bits = crate::u64_from_usize(start_byte) * 8;
-
-        let win_start = self.window.len();
-        let target = win_start.saturating_add(min_out.max(1));
-        while !self.done && self.window.len() < target {
-            let arm = match &self.block {
-                Block::Boundary => Arm::Boundary,
-                Block::Stored { .. } => Arm::Stored,
-                Block::Fixed | Block::Dynamic { .. } => Arm::Coded,
-            };
-            match arm {
-                Arm::Boundary => {
-                    if self.final_block {
-                        self.done = true;
-                        break;
-                    }
-                    let bfinal = r.read_bits(1)? == 1;
-                    let btype = r.read_bits(2)?;
-                    self.final_block = bfinal;
-                    self.decoders = None;
-                    self.block = match btype {
+        let mut r = BitReader::new(data.get(start_byte..).ok_or(DeflateError::UnexpectedEof)?);
+        r.read_bits(u32::try_from(self.bit_pos % 8).unwrap_or(0))?;
+        let from = self.window.len();
+        while !self.done && self.window.len() < stop_len {
+            match &mut self.block {
+                Block::Boundary if self.final_block => self.done = true,
+                Block::Boundary => {
+                    self.final_block = r.read_bits(1)? == 1;
+                    self.block = match r.read_bits(2)? {
                         0 => {
                             r.align_byte();
                             let len = r.read_bits(16)?;
-                            let nlen = r.read_bits(16)?;
-                            if len != (!nlen & 0xFFFF) {
+                            if len ^ r.read_bits(16)? != 0xFFFF {
                                 return Err(DeflateError::BadStoredLength);
                             }
                             // In range by the 16-bit read.
@@ -177,68 +188,37 @@ impl ResumableInflate {
                         1 => Block::Fixed,
                         2 => {
                             let (lit_lens, dist_lens) = read_dynamic_lengths(&mut r)?;
-                            Block::Dynamic { lit_lens, dist_lens }
+                            Block::dynamic(lit_lens, dist_lens)?
                         }
                         _ => return Err(DeflateError::BadBlockType),
                     };
                 }
-                Arm::Stored => {
-                    let Block::Stored { remaining } = &mut self.block else {
-                        return Err(DeflateError::BadBlockType);
-                    };
-                    if *remaining == 0 {
-                        self.block = Block::Boundary;
-                        continue;
-                    }
-                    let need = target - self.window.len();
+                Block::Stored { remaining } => {
+                    let need = stop_len - self.window.len();
                     let take = need.min(crate::usize_from_u32(*remaining));
-                    let bytes = r.read_bytes(take)?;
-                    self.window.extend_from_slice(&bytes);
+                    self.window.extend_from_slice(&r.read_bytes(take)?);
                     // `take <= remaining` so the subtraction is exact.
                     *remaining -= u32::try_from(take).unwrap_or(0);
                     if *remaining == 0 {
                         self.block = Block::Boundary;
                     }
                 }
-                Arm::Coded => {
-                    if self.decoders.is_none() {
-                        self.decoders = Some(self.build_decoders()?);
-                    }
-                    let (lit, dist) =
-                        self.decoders.as_ref().ok_or(DeflateError::BadBlockType)?;
-                    let ended = decode_symbols(&mut r, lit, dist, &mut self.window, target)?;
-                    if ended {
+                coded => {
+                    let (lit, dist) = match coded {
+                        Block::Dynamic { lit, dist, .. } => (&*lit, &*dist),
+                        _ => fixed_decoders()?,
+                    };
+                    if decode_symbols(&mut r, lit, dist, &mut self.window, stop_len)? {
                         self.block = Block::Boundary;
-                        self.decoders = None;
                     }
                 }
             }
         }
-
-        self.bit_pos = base_bits + r.bit_position();
-        let produced = self.window.get(win_start..).ok_or(DeflateError::UnexpectedEof)?;
-        self.crc = crc32_combine(self.crc, crc32(produced), crate::u64_from_usize(produced.len()));
+        self.bit_pos = crate::u64_from_usize(start_byte) * 8 + r.bit_position();
+        let produced = self.window.get(from..).unwrap_or_default();
+        self.crc = crc32_extend(self.crc, produced);
         self.out_len += crate::u64_from_usize(produced.len());
-        out.extend_from_slice(produced);
-        if self.window.len() > WINDOW_BYTES {
-            let cut = self.window.len() - WINDOW_BYTES;
-            self.window.drain(..cut);
-        }
-        Ok(self.done)
-    }
-
-    /// Rebuilds the decode tables for the active coded block.
-    fn build_decoders(&self) -> Result<(Decoder, Decoder), DeflateError> {
-        match &self.block {
-            Block::Fixed => Ok((
-                Decoder::from_lengths(&fixed_litlen_lengths())?,
-                Decoder::from_lengths(&fixed_dist_lengths())?,
-            )),
-            Block::Dynamic { lit_lens, dist_lens } => {
-                Ok((Decoder::from_lengths(lit_lens)?, Decoder::from_lengths(dist_lens)?))
-            }
-            Block::Boundary | Block::Stored { .. } => Err(DeflateError::BadBlockType),
-        }
+        Ok(())
     }
 
     /// Serializes the engine into an `ICK1` blob (layout in docs/FORMAT.md).
@@ -266,7 +246,7 @@ impl ResumableInflate {
                 b.put_u32(*remaining);
             }
             Block::Fixed => b.put_u8(2),
-            Block::Dynamic { lit_lens, dist_lens } => {
+            Block::Dynamic { lit_lens, dist_lens, .. } => {
                 b.put_u8(3);
                 // Lengths are bounded (<= 286 / <= 30) by the header
                 // parser, so the u16 conversions cannot truncate; a
@@ -285,8 +265,8 @@ impl ResumableInflate {
     /// Deserializes an `ICK1` blob back into a live engine, validating
     /// every field: the frame CRC, version, flag bits, block-state
     /// bounds, window-length invariant and the Huffman lengths (the
-    /// decode tables are rebuilt eagerly so a blob carrying an invalid
-    /// code fails here, not mid-stream). Corrupt or truncated blobs
+    /// decode tables are rebuilt here, so a blob carrying an invalid
+    /// code fails now, not mid-stream). Corrupt or truncated blobs
     /// error cleanly — never panic, never yield an engine that would
     /// silently produce wrong bytes.
     pub fn restore_from_checkpoint(blob: &[u8]) -> Result<ResumableInflate, DeflateError> {
@@ -324,13 +304,11 @@ impl ResumableInflate {
                 if !(257..=286).contains(&nlit) || !(1..=30).contains(&ndist) {
                     return Err(DeflateError::BadContainer("resume blob table size out of range"));
                 }
-                let lit_lens = cur.get_bytes(nlit)?.to_vec();
-                let dist_lens = cur.get_bytes(ndist)?.to_vec();
-                Block::Dynamic { lit_lens, dist_lens }
+                Block::dynamic(cur.get_bytes(nlit)?.to_vec(), cur.get_bytes(ndist)?.to_vec())?
             }
             _ => return Err(DeflateError::BadContainer("resume blob has bad block state")),
         };
-        if done && block != Block::Boundary {
+        if done && !matches!(block, Block::Boundary) {
             return Err(DeflateError::BadContainer("resume blob done inside a block"));
         }
         let window_len = crate::usize_from_u32(cur.get_u32()?);
@@ -340,30 +318,16 @@ impl ResumableInflate {
         }
         let window = cur.get_bytes(window_len)?.to_vec();
         cur.expect_end()?;
-        let mut engine = ResumableInflate {
-            bit_pos,
-            block,
-            final_block,
-            done,
-            window,
-            out_len,
-            crc,
-            decoders: None,
-        };
-        // Validate the carried Huffman lengths now: a blob with an
-        // undecodable table must fail at restore, not later.
-        if matches!(engine.block, Block::Fixed | Block::Dynamic { .. }) {
-            engine.decoders = Some(engine.build_decoders()?);
-        }
-        Ok(engine)
+        Ok(ResumableInflate { bit_pos, block, final_block, done, window, out_len, crc })
     }
 }
 
-/// Decodes literal/match symbols into `window` until end-of-block
-/// (returns `true`) or `window` reaches `stop_len` (returns `false`).
-/// Back-references resolve against `window`, which holds the trailing
-/// output — at least 32 KiB of it whenever more than that exists, so
-/// every valid distance is in range.
+/// Decodes literal/match symbols onto the end of `window` until
+/// end-of-block (returns `true`) or `window` reaches `stop_len`
+/// (returns `false`) — the crate's one symbol loop. Back-references
+/// resolve against `window`, which holds the trailing output — at
+/// least 32 KiB of it whenever more than that exists, so every valid
+/// distance is in range.
 fn decode_symbols(
     r: &mut BitReader<'_>,
     lit: &Decoder,
@@ -394,8 +358,11 @@ fn decode_symbols(
                 if d == 0 || d > window.len() {
                     return Err(DeflateError::BadDistance { dist: d, avail: window.len() });
                 }
-                // Chunked overlap copy, same scheme as the one-shot
-                // inflate kernel.
+                // Chunked copy: each pass appends up to the whole span
+                // available so far, so an overlapping match (dist <
+                // len) doubles the replicated region per pass instead
+                // of copying byte-by-byte. `take <= window.len() -
+                // start` keeps every source range in bounds.
                 let start = window.len() - d;
                 let mut copied = 0usize;
                 while copied < len {
@@ -414,7 +381,10 @@ fn decode_symbols(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress, inflate::inflate, Level};
+    use crate::crc32::crc32;
+    use crate::{compress, Level};
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
     fn lcg_bytes(n: usize, mut state: u64) -> Vec<u8> {
         (0..n)
@@ -437,27 +407,41 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn stepwise_matches_one_shot_inflate() {
-        for data in shapes() {
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48 })]
+
+        /// One engine, two ways to drive it: any schedule of steps
+        /// produces what running to the end of the stream produces —
+        /// bytes, CRC, and the input position it stops at. Repeating
+        /// the seed past 32 KiB makes the steps trim the window under
+        /// long-range matches.
+        #[test]
+        fn any_step_schedule_equals_completion(
+            seed in pvec(any::<u8>(), 0..12_000),
+            reps in 1usize..6,
+            schedule in pvec(1usize..40_000, 1..6),
+        ) {
+            let data = seed.repeat(reps);
             for level in [Level::Store, Level::Fast, Level::Default] {
                 let stream = compress(&data, level);
-                let reference = inflate(&stream).unwrap();
-                assert_eq!(reference, data);
+                let whole = ResumableInflate::new().finish(&stream, data.len()).unwrap();
+                prop_assert_eq!(&whole.bytes, &data, "{:?}", level);
+                prop_assert_eq!(whole.crc, crc32(&data));
+                prop_assert_eq!(whole.consumed, stream.len());
 
                 let mut engine = ResumableInflate::new();
                 let mut out = Vec::new();
-                let mut steps = 0usize;
-                while !engine.inflate_step(&stream, &mut out, 997).unwrap() {
-                    steps += 1;
-                    assert!(steps < 1_000_000, "engine made no progress");
+                let mut steps = schedule.iter().cycle();
+                while !engine.inflate_step(&stream, &mut out, *steps.next().unwrap()).unwrap() {
+                    prop_assert!(engine.window.len() <= WINDOW_BYTES);
                 }
-                assert_eq!(out, data, "{level:?} len {}", data.len());
-                assert_eq!(engine.output_len(), u64::try_from(data.len()).unwrap());
-                assert_eq!(engine.output_crc(), crc32(&data), "{level:?}");
+                prop_assert_eq!(&out, &data, "{:?} by {:?}", level, &schedule);
+                prop_assert_eq!(engine.output_len(), u64::try_from(data.len()).unwrap());
+                prop_assert_eq!(engine.output_crc(), whole.crc);
+                prop_assert_eq!(engine.bytes_consumed(), whole.consumed);
                 // A finished engine keeps reporting done.
-                assert!(engine.inflate_step(&stream, &mut out, 1).unwrap());
-                assert_eq!(out, data);
+                prop_assert!(engine.inflate_step(&stream, &mut out, 1).unwrap());
+                prop_assert_eq!(out.len(), data.len());
             }
         }
     }
@@ -548,7 +532,7 @@ mod tests {
         assert!(blobs.len() > 10, "expected many mid-stream checkpoints");
         for (blob, at) in blobs.iter().step_by(7) {
             let mut resumed = ResumableInflate::restore_from_checkpoint(blob).unwrap();
-            assert_eq!(resumed.bit_position() % 8, 0, "stored checkpoints are byte-aligned");
+            assert_eq!(resumed.bit_pos % 8, 0, "stored checkpoints are byte-aligned");
             let mut tail = Vec::new();
             while !resumed.inflate_step(&stream, &mut tail, 65536).unwrap() {}
             assert_eq!(&tail, &data[*at..]);

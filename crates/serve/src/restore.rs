@@ -4,10 +4,12 @@
 //!
 //! The driver walks the payload's gzip members (one member for a plain
 //! gzip payload, the chunk index's members for a `WPK1` container) and
-//! inflates each with the [`ResumableInflate`] engine, appending
-//! decompressed bytes to the output file. At every `interval_bytes` of
-//! output it makes the progress durable in strict order — output
-//! bytes, `fdatasync`, then the token via the same
+//! steps each through the deflate crate's one member decoder
+//! ([`gzip::Member`]), appending decompressed bytes to the output file;
+//! it holds a `WPK1` container to every check the in-memory decoder
+//! makes, so both restore paths refuse the same bytes. At every
+//! `interval_bytes` of output it makes the progress durable in strict
+//! order — output bytes, `fdatasync`, then the token via the same
 //! tmp → write → fsync → rename protocol segments use — so the token
 //! never references bytes the output file might not have. Killing the
 //! restore at *any* byte leaves either no token (restart from zero) or
@@ -26,10 +28,11 @@
 //! ```
 
 use crate::{Result, ServeError};
-use ckpt_deflate::crc32::{crc32, crc32_combine};
+use ckpt_deflate::crc32::{crc32_combine, crc32_extend};
 use ckpt_deflate::frame::{self, Reader, Writer, RST1};
-use ckpt_deflate::gzip;
 use ckpt_deflate::resume::ResumableInflate;
+use ckpt_deflate::chunked::{self, MemberRange};
+use ckpt_deflate::{gzip, DeflateError};
 use ckpt_store::layout;
 use ckpt_store::{FailPoint, RankIndex, Snapshot, StoreError};
 use std::fs;
@@ -167,11 +170,14 @@ pub fn parse_token(bytes: &[u8]) -> Result<Token> {
     })
 }
 
-/// One member's compressed byte range inside the payload.
-#[derive(Debug, Clone)]
-struct MemberPlan {
-    offset: u64,
-    len: u64,
+/// The payload's gzip members and, for a `WPK1` container, its header:
+/// the geometry gives each member the length it must inflate to, the
+/// header the CRC-32 of the whole output. A plain gzip payload is one
+/// member whose `uncompressed_len` is unknown and unused.
+#[derive(Debug)]
+struct Plan {
+    members: Vec<MemberRange>,
+    container: Option<chunked::Header>,
 }
 
 /// Streams `gen`/`rank` from scratch into `out_path`, checkpointing
@@ -221,7 +227,7 @@ pub fn resume_restore(
         )));
     }
     let plan = plan_members(snap, tok.gen, tok.rank, &ri)?;
-    if u32::try_from(plan.len()).unwrap_or(u32::MAX) != tok.member_count {
+    if u32::try_from(plan.members.len()).unwrap_or(u32::MAX) != tok.member_count {
         return Err(ServeError::Proto("stale resume token: member count changed".into()));
     }
     let member_at =
@@ -286,7 +292,7 @@ fn drive(
     gen: u64,
     rank: u32,
     ri: &RankIndex,
-    plan: &[MemberPlan],
+    plan: &Plan,
     out: &mut fs::File,
     mut st: DriveState,
     token_path: &Path,
@@ -294,84 +300,80 @@ fn drive(
     fp: &FailPoint,
 ) -> Result<RestoreOutcome> {
     let interval = usize::try_from(opts.interval_bytes.max(1)).unwrap_or(usize::MAX);
-    let member_count = u32::try_from(plan.len()).unwrap_or(u32::MAX);
-    while st.member_at < plan.len() {
-        let mp = plan
-            .get(st.member_at)
-            .ok_or_else(|| ServeError::Proto("member index out of plan".into()))?;
-        let member = snap.read_segment_range(gen, rank, mp.offset, mp.len)?;
-        let body_off = gzip::member_body_offset(&member)?;
-        let body_end = member
-            .len()
-            .checked_sub(8)
-            .filter(|&e| e >= body_off)
-            .ok_or_else(|| ServeError::Proto("gzip member too short for its trailer".into()))?;
-        let body = member
-            .get(body_off..body_end)
-            .ok_or_else(|| ServeError::Proto("gzip member body out of range".into()))?;
-        let mut engine = st.engine.take().unwrap_or_default();
-
-        loop {
+    // The token at a durable point: mid-member it carries the engine,
+    // at a member boundary (`None`) the next member starts fresh.
+    let token = |st: &DriveState, engine: Option<&ResumableInflate>| {
+        let (len, crc) = engine.map_or((0, 0), |e| (e.output_len(), e.output_crc()));
+        Token {
+            gen,
+            rank,
+            payload_len: ri.payload_len,
+            payload_crc: ri.crc,
+            member_at: u32::try_from(st.member_at).unwrap_or(u32::MAX),
+            member_count: u32::try_from(plan.members.len()).unwrap_or(u32::MAX),
+            prefix_len: st.prefix_len,
+            prefix_crc: st.prefix_crc,
+            out_len: st.prefix_len.saturating_add(len),
+            out_crc: crc32_combine(st.prefix_crc, crc, len),
+            ick: engine.map_or_else(Vec::new, ResumableInflate::checkpoint),
+        }
+    };
+    while let Some(mp) = plan.members.get(st.member_at) {
+        // A range read is not CRC-checked by the store: the member's
+        // own trailer, checked by the decoder against what it decoded,
+        // is where corruption surfaces.
+        let bytes = snap.read_segment_range(gen, rank, mp.offset, mp.compressed_len)?;
+        let mut member = gzip::Member::new(&bytes, st.engine.take().unwrap_or_default())?;
+        let size = loop {
             let mut produced = Vec::new();
-            let done = engine.inflate_step(body, &mut produced, interval)?;
+            let ended = member.step(&mut produced, interval)?;
+            // A container's member inflates to exactly its chunk of
+            // the geometry; one that runs past it is refused before
+            // the excess reaches the file.
+            let (want, got) = (mp.uncompressed_len, member.engine().output_len());
+            if plan.container.is_some() && (got > want || (ended.is_some() && got != want)) {
+                return Err(DeflateError::SizeMismatch {
+                    stored: u32::try_from(want).unwrap_or(u32::MAX),
+                    computed: u32::try_from(got).unwrap_or(u32::MAX),
+                }
+                .into());
+            }
             fp.write_all(out, &produced)?;
-            if done {
-                break;
+            if let Some(size) = ended {
+                break size;
             }
             // Durability order: output bytes first, then the token
             // referencing them. A kill between the two leaves a token
             // one interval behind — correct, just slower to resume.
             fp.check()?;
             out.sync_data()?;
-            let tok = Token {
-                gen,
-                rank,
-                payload_len: ri.payload_len,
-                payload_crc: ri.crc,
-                member_at: u32::try_from(st.member_at).unwrap_or(u32::MAX),
-                member_count,
-                prefix_len: st.prefix_len,
-                prefix_crc: st.prefix_crc,
-                out_len: st.prefix_len.saturating_add(engine.output_len()),
-                out_crc: crc32_combine(st.prefix_crc, engine.output_crc(), engine.output_len()),
-                ick: engine.checkpoint(),
-            };
-            write_token(token_path, &encode_token(&tok), fp)?;
+            write_token(token_path, &encode_token(&token(&st, Some(member.engine()))), fp)?;
             st.checkpoints += 1;
+        };
+        if bytes.len() != size {
+            return Err(DeflateError::BadContainer("bytes after the end of a gzip member").into());
         }
-
-        // The member's trailer is the independent truth about what it
-        // should have decoded to; a range read is not CRC-checked by
-        // the store, so this is where corruption surfaces.
-        verify_member_trailer(&member, body_end, &engine)?;
-        st.prefix_crc =
-            crc32_combine(st.prefix_crc, engine.output_crc(), engine.output_len());
+        let engine = member.engine();
+        st.prefix_crc = crc32_combine(st.prefix_crc, engine.output_crc(), engine.output_len());
         st.prefix_len = st.prefix_len.saturating_add(engine.output_len());
         st.member_at += 1;
 
-        if st.member_at < plan.len() {
+        if st.member_at < plan.members.len() {
             // Boundary token: a kill while fetching the next member
             // resumes here instead of re-inflating this one.
             fp.check()?;
             out.sync_data()?;
-            let tok = Token {
-                gen,
-                rank,
-                payload_len: ri.payload_len,
-                payload_crc: ri.crc,
-                member_at: u32::try_from(st.member_at).unwrap_or(u32::MAX),
-                member_count,
-                prefix_len: st.prefix_len,
-                prefix_crc: st.prefix_crc,
-                out_len: st.prefix_len,
-                out_crc: st.prefix_crc,
-                ick: Vec::new(),
-            };
-            write_token(token_path, &encode_token(&tok), fp)?;
+            write_token(token_path, &encode_token(&token(&st, None)), fp)?;
             st.checkpoints += 1;
         }
     }
 
+    // The member CRCs combined are the CRC of the whole output: the
+    // cross-check that ties the members to the container's header.
+    if let Some(h) = plan.container.filter(|h| h.stored_crc != st.prefix_crc) {
+        return Err(DeflateError::ChecksumMismatch { stored: h.stored_crc, computed: st.prefix_crc }
+            .into());
+    }
     out.sync_all()?;
     // Completion: the token is obsolete the moment the full output is
     // durable. Removing it is not failure-ordered — a crash right here
@@ -392,28 +394,6 @@ fn drive(
     })
 }
 
-/// Checks a finished member's gzip trailer (CRC32 + ISIZE) against
-/// what the engine actually produced.
-fn verify_member_trailer(member: &[u8], body_end: usize, engine: &ResumableInflate) -> Result<()> {
-    let mut trailer = Reader::at(member, body_end);
-    let stored_crc = trailer.get_u32()?;
-    let stored_size = trailer.get_u32()?;
-    if stored_crc != engine.output_crc() {
-        return Err(ServeError::Proto(format!(
-            "member CRC {stored_crc:08x} != decoded {:08x}",
-            engine.output_crc()
-        )));
-    }
-    // ISIZE is the length mod 2^32 by definition (RFC 1952).
-    let produced = u32::try_from(engine.output_len() & 0xFFFF_FFFF).unwrap_or(0);
-    if stored_size != produced {
-        return Err(ServeError::Proto(format!(
-            "member ISIZE {stored_size} != decoded length {produced}"
-        )));
-    }
-    Ok(())
-}
-
 /// The rank's committed metadata and member index.
 fn rank_of(snap: &Snapshot, gen: u64, rank: u32) -> Result<RankIndex> {
     let ix = snap.segment_index(gen)?;
@@ -427,18 +407,16 @@ fn rank_of(snap: &Snapshot, gen: u64, rank: u32) -> Result<RankIndex> {
 /// whole-payload member for plain gzip, a clean refusal for anything
 /// else (raw payloads have no deflate stream to resume inside — use
 /// the store's plain restore).
-fn plan_members(snap: &Snapshot, gen: u64, rank: u32, ri: &RankIndex) -> Result<Vec<MemberPlan>> {
-    if !ri.members.is_empty() {
-        return Ok(ri
-            .members
-            .iter()
-            .map(|m| MemberPlan { offset: m.offset, len: m.compressed_len })
-            .collect());
-    }
-    let head_len = ri.payload_len.min(2);
+fn plan_members(snap: &Snapshot, gen: u64, rank: u32, ri: &RankIndex) -> Result<Plan> {
+    let head_len = ri.payload_len.min(chunked::HEADER_BYTES as u64);
     let head = snap.read_segment_range(gen, rank, 0, head_len)?;
-    if head.as_slice() == [0x1f, 0x8b] {
-        return Ok(vec![MemberPlan { offset: 0, len: ri.payload_len }]);
+    if chunked::is_chunked(&head) {
+        let container = Some(chunked::parse_header(&head)?);
+        return Ok(Plan { members: ri.members.clone(), container });
+    }
+    if head.starts_with(&[0x1f, 0x8b]) {
+        let whole = MemberRange { offset: 0, compressed_len: ri.payload_len, uncompressed_len: 0 };
+        return Ok(Plan { members: vec![whole], container: None });
     }
     Err(ServeError::Unsupported(format!(
         "gen {gen} rank {rank}: payload is not gzip-framed; stream restore needs a gzip or WPK1 segment"
@@ -457,7 +435,7 @@ fn crc_of_prefix(f: &mut fs::File, len: u64) -> Result<u32> {
             .get_mut(..take)
             .ok_or_else(|| ServeError::Proto("prefix chunk".into()))?;
         f.read_exact(slice)?;
-        crc = crc32_combine(crc, crc32(slice), u64::try_from(take).unwrap_or(0));
+        crc = crc32_extend(crc, slice);
         remaining -= u64::try_from(take).unwrap_or(0);
     }
     Ok(crc)

@@ -15,7 +15,7 @@ use crate::layout::Layout;
 use crate::store::{self, GenInfo, GenState};
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
-use ckpt_deflate::{chunked, gzip};
+use ckpt_deflate::chunked;
 use ckpt_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -274,13 +274,6 @@ impl Snapshot {
         let mut buf = vec![0u8; n];
         f.read_exact(&mut buf).map_err(seg_io)?;
         Ok(buf)
-    }
-
-    /// Whole-payload fetch of the first gzip member's body offset —
-    /// convenience for resumable drivers working on plain gzip
-    /// segments.
-    pub fn member_body_offset(payload: &[u8]) -> Result<usize> {
-        Ok(gzip::member_body_offset(payload)?)
     }
 }
 

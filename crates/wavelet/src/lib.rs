@@ -36,4 +36,4 @@ pub mod transform;
 
 pub use multilevel::{MultiLevel, WaveletPlan};
 pub use subband::{Subband, SubbandKind};
-pub use transform::{forward, forward_axes, inverse, inverse_axes, Kernel};
+pub use transform::{forward, inverse, Kernel};

@@ -112,12 +112,12 @@ impl MultiLevel {
             }
             let axes: Vec<usize> = (0..dims.len()).collect();
             if region == dims {
-                transform::forward_axes_threaded(t, &axes, self.kernel, self.threads)?;
+                transform::forward_axes(t, &axes, self.kernel, self.threads)?;
             } else {
                 let zeros = vec![0usize; dims.len()];
                 let vals = t.read_block(&zeros, &region)?;
                 let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::forward_axes_threaded(&mut sub, &axes, self.kernel, self.threads)?;
+                transform::forward_axes(&mut sub, &axes, self.kernel, self.threads)?;
                 t.write_block(&zeros, &region, sub.as_slice())?;
             }
         }
@@ -134,12 +134,12 @@ impl MultiLevel {
             }
             let axes: Vec<usize> = (0..dims.len()).collect();
             if region == dims {
-                transform::inverse_axes_threaded(t, &axes, self.kernel, self.threads)?;
+                transform::inverse_axes(t, &axes, self.kernel, self.threads)?;
             } else {
                 let zeros = vec![0usize; dims.len()];
                 let vals = t.read_block(&zeros, &region)?;
                 let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::inverse_axes_threaded(&mut sub, &axes, self.kernel, self.threads)?;
+                transform::inverse_axes(&mut sub, &axes, self.kernel, self.threads)?;
                 t.write_block(&zeros, &region, sub.as_slice())?;
             }
         }

@@ -2,9 +2,9 @@
 //!
 //! The paper transforms a 2-d array by applying the 1-d kernel to every
 //! row (x-axis) and then every column (y-axis); a 3-d array additionally
-//! along z (Section III-A). [`forward`] does exactly that for all axes;
-//! [`forward_axes`] lets callers pick a subset (e.g. skipping a length-2
-//! axis is sometimes useful for ablations).
+//! along z (Section III-A). [`forward`] does exactly that for all axes
+//! with the paper's Haar kernel; [`forward_axes`] takes the axes, the
+//! kernel and a thread count, which is what [`crate::MultiLevel`] needs.
 //!
 //! The transform is in place: after `forward`, the low band occupies the
 //! low half of every transformed axis and the high bands the high halves,
@@ -95,21 +95,12 @@ fn run_width(lanes: &[Lane], i: usize) -> usize {
     w
 }
 
-/// Applies the chosen 1-d kernel along every lane of `axis`, in place.
+/// Applies the chosen 1-d kernel along every lane of `axis`, in place,
+/// fanning lanes out over `threads` scoped workers. Lanes partition the
+/// tensor's elements, so workers read and write disjoint index sets;
+/// per-lane arithmetic is the serial code, so output is bit-identical
+/// for every thread count.
 fn transform_axis(
-    t: &mut Tensor<f64>,
-    axis: usize,
-    kernel: Kernel,
-    forward_dir: bool,
-) -> Result<()> {
-    transform_axis_threaded(t, axis, kernel, forward_dir, 1)
-}
-
-/// Same as [`transform_axis`] but fanning lanes out over `threads`
-/// scoped workers. Lanes partition the tensor's elements, so workers
-/// read and write disjoint index sets; per-lane arithmetic is the
-/// serial code, so output is bit-identical for every thread count.
-fn transform_axis_threaded(
     t: &mut Tensor<f64>,
     axis: usize,
     kernel: Kernel,
@@ -260,29 +251,11 @@ fn process_lanes(buf: &mut [f64], lanes: &[Lane], len: usize, kernel: Kernel, fo
     }
 }
 
-/// Single-level forward transform along the given axes with the chosen
-/// kernel.
-pub fn forward_axes_with(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
-    validate_axes(t, axes)?;
-    for &axis in axes {
-        transform_axis(t, axis, kernel, true)?;
-    }
-    Ok(())
-}
-
-/// Inverse of [`forward_axes_with`] (reverse axis order).
-pub fn inverse_axes_with(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
-    validate_axes(t, axes)?;
-    for &axis in axes.iter().rev() {
-        transform_axis(t, axis, kernel, false)?;
-    }
-    Ok(())
-}
-
-/// [`forward_axes_with`] with lanes fanned out over `threads` scoped
-/// workers. Output is bit-identical to the serial transform for every
-/// thread count; `threads <= 1` runs the serial loop inline.
-pub fn forward_axes_threaded(
+/// Single-level forward transform with `kernel` along the given axes,
+/// in order; any subset of `0..ndim`, each at most once. Lanes fan out
+/// over `threads` scoped workers: output is bit-identical for every
+/// thread count, and `threads <= 1` runs the serial loop inline.
+pub fn forward_axes(
     t: &mut Tensor<f64>,
     axes: &[usize],
     kernel: Kernel,
@@ -290,14 +263,15 @@ pub fn forward_axes_threaded(
 ) -> Result<()> {
     validate_axes(t, axes)?;
     for &axis in axes {
-        transform_axis_threaded(t, axis, kernel, true, threads)?;
+        transform_axis(t, axis, kernel, true, threads)?;
     }
     Ok(())
 }
 
-/// Inverse of [`forward_axes_threaded`] (reverse axis order), with the
-/// same bit-identical-to-serial guarantee.
-pub fn inverse_axes_threaded(
+/// Undoes [`forward_axes`] called with the same `axes` and `kernel`
+/// (reverse axis order), with the same bit-identical-to-serial
+/// guarantee.
+pub fn inverse_axes(
     t: &mut Tensor<f64>,
     axes: &[usize],
     kernel: Kernel,
@@ -305,35 +279,22 @@ pub fn inverse_axes_threaded(
 ) -> Result<()> {
     validate_axes(t, axes)?;
     for &axis in axes.iter().rev() {
-        transform_axis_threaded(t, axis, kernel, false, threads)?;
+        transform_axis(t, axis, kernel, false, threads)?;
     }
     Ok(())
-}
-
-/// Single-level forward Haar transform along the given axes, in order.
-///
-/// Axes may be any subset of `0..ndim`, each at most once.
-pub fn forward_axes(t: &mut Tensor<f64>, axes: &[usize]) -> Result<()> {
-    forward_axes_with(t, axes, Kernel::Haar)
-}
-
-/// Single-level inverse Haar transform; undoes [`forward_axes`] called
-/// with the same `axes`.
-pub fn inverse_axes(t: &mut Tensor<f64>, axes: &[usize]) -> Result<()> {
-    inverse_axes_with(t, axes, Kernel::Haar)
 }
 
 /// Single-level forward Haar transform along *all* axes (the paper's
 /// 2-d/3-d procedure).
 pub fn forward(t: &mut Tensor<f64>) -> Result<()> {
     let axes: Vec<usize> = (0..t.ndim()).collect();
-    forward_axes(t, &axes)
+    forward_axes(t, &axes, Kernel::Haar, 1)
 }
 
 /// Inverse of [`forward`].
 pub fn inverse(t: &mut Tensor<f64>) -> Result<()> {
     let axes: Vec<usize> = (0..t.ndim()).collect();
-    inverse_axes(t, &axes)
+    inverse_axes(t, &axes, Kernel::Haar, 1)
 }
 
 fn validate_axes(t: &Tensor<f64>, axes: &[usize]) -> Result<()> {
@@ -383,7 +344,8 @@ mod tests {
         // Col transform:  L=[4.5 -1.5], H=[-2.5 0.5]
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 3.0, 5.0, 9.0]).unwrap();
         let mut w = t.clone();
-        forward_axes(&mut w, &[1, 0]).unwrap(); // x (rows) then y (cols), as the paper
+        // x (rows) then y (cols), as the paper.
+        forward_axes(&mut w, &[1, 0], Kernel::Haar, 1).unwrap();
         assert_eq!(w.get(&[0, 0]).unwrap(), 4.5); // LL
         assert_eq!(w.get(&[0, 1]).unwrap(), -1.5); // LH (high along x)
         assert_eq!(w.get(&[1, 0]).unwrap(), -2.5); // HL (high along y)
@@ -412,9 +374,9 @@ mod tests {
     fn subset_of_axes_roundtrips() {
         let t = ramp(&[6, 4, 2]);
         let mut w = t.clone();
-        forward_axes(&mut w, &[0, 2]).unwrap();
+        forward_axes(&mut w, &[0, 2], Kernel::Haar, 1).unwrap();
         assert_ne!(w.as_slice(), t.as_slice());
-        inverse_axes(&mut w, &[0, 2]).unwrap();
+        inverse_axes(&mut w, &[0, 2], Kernel::Haar, 1).unwrap();
         assert_eq!(w.as_slice(), t.as_slice());
     }
 
@@ -454,8 +416,8 @@ mod tests {
     #[test]
     fn duplicate_or_invalid_axes_rejected() {
         let mut t = ramp(&[4, 4]);
-        assert!(forward_axes(&mut t, &[0, 0]).is_err());
-        assert!(forward_axes(&mut t, &[2]).is_err());
+        assert!(forward_axes(&mut t, &[0, 0], Kernel::Haar, 1).is_err());
+        assert!(forward_axes(&mut t, &[2], Kernel::Haar, 1).is_err());
     }
 
     #[test]
@@ -465,18 +427,18 @@ mod tests {
             let axes: Vec<usize> = (0..dims.len()).collect();
             for kernel in [Kernel::Haar, Kernel::Cdf53, Kernel::Cdf97] {
                 let mut serial = t.clone();
-                forward_axes_with(&mut serial, &axes, kernel).unwrap();
+                forward_axes(&mut serial, &axes, kernel, 1).unwrap();
                 for threads in [1usize, 2, 4, 8] {
                     let mut par = t.clone();
-                    forward_axes_threaded(&mut par, &axes, kernel, threads).unwrap();
+                    forward_axes(&mut par, &axes, kernel, threads).unwrap();
                     assert_eq!(
                         par.as_slice(),
                         serial.as_slice(),
                         "forward dims={dims:?} kernel={kernel:?} threads={threads}"
                     );
-                    inverse_axes_threaded(&mut par, &axes, kernel, threads).unwrap();
+                    inverse_axes(&mut par, &axes, kernel, threads).unwrap();
                     let mut undone = serial.clone();
-                    inverse_axes_with(&mut undone, &axes, kernel).unwrap();
+                    inverse_axes(&mut undone, &axes, kernel, 1).unwrap();
                     assert_eq!(
                         par.as_slice(),
                         undone.as_slice(),
@@ -490,8 +452,8 @@ mod tests {
     #[test]
     fn threaded_rejects_bad_axes_too() {
         let mut t = ramp(&[4, 4]);
-        assert!(forward_axes_threaded(&mut t, &[0, 0], Kernel::Haar, 4).is_err());
-        assert!(inverse_axes_threaded(&mut t, &[2], Kernel::Haar, 4).is_err());
+        assert!(forward_axes(&mut t, &[0, 0], Kernel::Haar, 4).is_err());
+        assert!(inverse_axes(&mut t, &[2], Kernel::Haar, 4).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use lossy_ckpt::core::checkpoint::CheckpointBuilder;
 use lossy_ckpt::core::incremental;
 use lossy_ckpt::deflate::frame::Format;
 use lossy_ckpt::deflate::resume::ResumableInflate;
-use lossy_ckpt::deflate::{chunked, gzip, Level};
+use lossy_ckpt::deflate::{chunked, Level};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::serve::proto::{self, Request};
 use lossy_ckpt::serve::restore::{encode_token, Token};
@@ -84,8 +84,7 @@ pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
 /// payload that body decodes to. `step` is how far the engine ran.
 pub fn ick_fixture(step: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let payload = lcg_bytes(20_000, 42);
-    let gz = gzip::compress(&payload, Level::Default);
-    let body = gz[gzip::member_body_offset(&gz).unwrap()..gz.len() - 8].to_vec();
+    let body = lossy_ckpt::deflate::compress(&payload, Level::Default);
     let mut engine = ResumableInflate::new();
     let mut sink = Vec::new();
     assert!(!engine.inflate_step(&body, &mut sink, step).unwrap(), "must stop mid-stream");

@@ -257,6 +257,77 @@ fn the_range_index_refuses_every_geometry_the_decoder_refuses() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The streamed restore steps the decoder's own member decoder and
+/// makes the decoder's container-level checks, so it writes out no
+/// `WPK1` segment the in-memory decoder refuses — cold, or resumed from
+/// the last token before the refusal (a boundary token at member 0 for
+/// the ones refused before anything was durable) — and a refused
+/// restore leaves its token where it is: the output is not complete.
+#[test]
+fn the_streamed_restore_refuses_every_container_the_decoder_refuses() {
+    use lossy_ckpt::serve::restore::{restore_streamed, resume_restore, RestoreOptions, Token};
+    use lossy_ckpt::serve::ServeError;
+    use lossy_ckpt::store::{FailPoint, StoreError};
+    // Three chunks of 1024, 1024 and 952 bytes.
+    let good = parent_sample(b"WPK1");
+    let mut header_crc_flip = good.clone();
+    header_crc_flip[26] ^= 0x55;
+    let mut total_one_short = good.clone();
+    total_one_short[10..18].copy_from_slice(&2999u64.to_le_bytes());
+    let mut planted = vec![
+        ("a flipped header CRC".to_string(), header_crc_flip),
+        ("a total one byte short of the last member".to_string(), total_one_short),
+    ];
+    planted.extend(corpus_files("wpk1_").into_iter().filter(|(name, _)| {
+        ["wpk1_bad_member_crc.bin", "wpk1_zero_member.bin", "wpk1_bomb_total.bin"]
+            .contains(&name.as_str())
+    }));
+    assert_eq!(planted.len(), 5);
+
+    let dir = scratch_dir("wpk1-stream");
+    let mut store = Store::open(dir.join("store")).unwrap();
+    let (out, token) = (dir.join("out"), dir.join("out.resume"));
+    let opts = RestoreOptions { interval_bytes: 256 };
+    for (name, bytes) in planted {
+        assert!(chunked::decompress_chunked(&bytes, 2).is_err(), "{name}: decoded in memory");
+        let gen = store.save_full(0, SegmentFormat::Array, &[&bytes], 1).unwrap();
+        let snap = store.snapshot().unwrap();
+        let _ = fs::remove_file(&token);
+
+        let fp = FailPoint::unlimited();
+        let cold = restore_streamed(&snap, gen, 0, &out, &token, &opts, &fp);
+        assert!(cold.is_err(), "{name}: streamed to {cold:?}");
+        if fp.bytes_written() > 0 {
+            // Killed on the last byte written before the refusal: the
+            // token left behind is the last one a real run would have.
+            let last = FailPoint::after_bytes(fp.bytes_written() - 1);
+            let killed = restore_streamed(&snap, gen, 0, &out, &token, &opts, &last);
+            assert!(matches!(killed, Err(ServeError::Store(StoreError::Killed))), "{name}");
+            assert!(token.exists(), "{name}: no token within 256 bytes of the refusal");
+        } else {
+            let at_member_0 = Token {
+                gen,
+                rank: 0,
+                payload_len: bytes.len() as u64,
+                payload_crc: lossy_ckpt::deflate::crc32::crc32(&bytes),
+                member_at: 0,
+                member_count: 5,
+                prefix_len: 0,
+                prefix_crc: 0,
+                out_len: 0,
+                out_crc: 0,
+                ick: Vec::new(),
+            };
+            fs::write(&token, restore::encode_token(&at_member_0)).unwrap();
+            fs::write(&out, b"").unwrap();
+        }
+        let resumed = resume_restore(&snap, &token, &out, &opts, &FailPoint::unlimited());
+        assert!(resumed.is_err(), "{name}: resumed to {resumed:?}");
+        assert!(token.exists(), "{name}: refused, yet the token is gone as if the file were whole");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Resource totality one level up: a sparse 1 GiB file planted where a
 /// cursor, a snapshot or a resume token belongs is refused on its
 /// length (`frame::read_file_bounded`), and what follows is what

@@ -1,0 +1,71 @@
+//! The reference for the one DEFLATE engine is bytes no build writes
+//! any more, not a second decoder.
+//!
+//! Every gzip member of every parent-written fixture under
+//! `tests/corpus/` — `golden_*.gz` (the pre-rewrite encoder, whose
+//! plaintext `golden_bitstream.rs` pins through the same member
+//! decoder) and `decode_only_*.bin` (the encoder before the miss stride
+//! and the transposed default, and the retired Lloyd-Max writer) —
+//! stepped by 1 byte, 997 bytes, 64 KiB or straight to its end gives
+//! the same bytes, and those bytes have the CRC-32 and ISIZE the
+//! member's own trailer records, checked here by the stand-alone
+//! `crc32`, not by the engine's running one.
+
+mod common;
+
+use lossy_ckpt::deflate::crc32::crc32;
+use lossy_ckpt::deflate::resume::ResumableInflate;
+use lossy_ckpt::deflate::{chunked, gzip};
+
+/// The gzip members of a fixture: the file itself, or the slots of a
+/// `WPK1` container.
+fn members_of(fixture: &[u8]) -> Vec<&[u8]> {
+    if !chunked::is_chunked(fixture) {
+        return vec![fixture];
+    }
+    let header = chunked::parse_header(fixture).unwrap();
+    let index = &fixture[chunked::HEADER_BYTES..][..header.index_bytes()];
+    let ranges = header.members(index, fixture.len() as u64).unwrap();
+    ranges.iter().map(|m| &fixture[m.offset as usize..][..m.compressed_len as usize]).collect()
+}
+
+#[test]
+fn every_parent_written_stream_decodes_the_same_at_every_step_size() {
+    let mut seen = 0;
+    for entry in std::fs::read_dir(common::corpus_dir()).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if !(name.ends_with(".gz") || name.starts_with("decode_only_") && name.ends_with(".bin")) {
+            continue;
+        }
+        seen += 1;
+        let fixture = std::fs::read(common::corpus_dir().join(&name)).unwrap();
+        let mut whole = Vec::new();
+        for member in members_of(&fixture) {
+            let (reference, size) = gzip::decompress_member(member, usize::MAX).unwrap();
+            assert_eq!(size, member.len(), "{name}");
+            let trailer = &member[member.len() - 8..];
+            assert_eq!(crc32(&reference).to_le_bytes(), trailer[..4], "{name}: recorded CRC-32");
+            assert_eq!((reference.len() as u32).to_le_bytes(), trailer[4..], "{name}: ISIZE");
+            for step in [1usize, 997, 64 << 10, usize::MAX] {
+                let mut stepped = gzip::Member::new(member, ResumableInflate::new()).unwrap();
+                let mut out = Vec::new();
+                let size = loop {
+                    let before = out.len();
+                    match stepped.step(&mut out, step).unwrap() {
+                        Some(size) => break size,
+                        None => assert!(out.len() > before, "{name}: a step made no progress"),
+                    }
+                    assert!(out.len() - before < step.saturating_add(259), "{name}: step {step}");
+                };
+                assert_eq!(size, member.len(), "{name}: step {step}");
+                assert!(out == reference, "{name}: step {step} decoded something else");
+                assert_eq!(stepped.engine().output_crc(), crc32(&reference), "{name}: step {step}");
+            }
+            whole.extend(reference);
+        }
+        if name == "decode_only_wpk1_multichunk.bin" {
+            assert!(whole == common::golden_wpk1_input(), "{name}: not its generator's bytes");
+        }
+    }
+    assert_eq!(seen, 7, "golden_{{store,fast,default,best}}.gz and three decode_only_*.bin");
+}
