@@ -23,6 +23,10 @@
 //!   state before its replacement is safe — the manifest-log truncate
 //!   in `compact_manifest` is only sound once the snapshot that
 //!   subsumes the log is durable;
+//! - an **apply** (`manifest::apply`, the one place the in-memory
+//!   generation map changes) with unsynced bytes outstanding lets
+//!   memory hold a record a power cut discards — the map may only ever
+//!   mirror what is already durable;
 //! - a path **ending dirty** leaves manifest bytes that a power cut
 //!   discards after the caller was told the save committed;
 //! - a **file create outside staging** (`tmp_path` / `meta_tmp_path`)
@@ -50,7 +54,11 @@ pub const RULE_FAILPOINT: &str = "failpoint-bypass";
 /// `import_generation` run `save_full`'s sequence), GC, the two
 /// maintenance passes and the push side of replication. Every staged
 /// file (segment, snapshot, cursor, resume token) is published by one
-/// ordering, `layout::sync_then_rename`, inlined at each use.
+/// ordering, `layout::sync_then_rename`, inlined at each use; every
+/// manifest append is `Store::log` and every file disposal
+/// `Store::retire`. The poison gate (`Store::gated`) takes each body as
+/// a closure, whose tokens sit in the root's own body, so the inliner
+/// sees through it.
 pub const STORE_ROOTS: &[&str] =
     &["save_full", "save_full_streamed", "gc", "compact_manifest", "compact_chains", "push_to"];
 
@@ -96,6 +104,8 @@ enum OpKind {
     Truncate,
     /// `FailPoint::check` kill barrier.
     Barrier,
+    /// `manifest::apply`: the in-memory map takes a record.
+    Apply,
     /// A call to a store-internal function (inlined when resolvable).
     Call(String),
 }
@@ -224,6 +234,7 @@ fn extract_ops(file: &ScannedFile, ff: &FileFunctions, fi: usize) -> Vec<Op> {
             }
             "sync_all" if text(i.wrapping_sub(1)) == "." => Some(OpKind::Fsync),
             "fsync_dir" => Some(OpKind::DirFsync),
+            "apply" if fs_qualified && path_head == "manifest" => Some(OpKind::Apply),
             "check" if text(i.wrapping_sub(1)) == "." && fp_recv => Some(OpKind::Barrier),
             name if name.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
                 && !is_keyword(name)
@@ -455,6 +466,21 @@ pub fn check(files: &[(&ScannedFile, &FileFunctions)]) -> Vec<Violation> {
                             );
                         }
                     }
+                    OpKind::Apply => {
+                        if let Some(wline) = dirty {
+                            push(
+                                RULE_DURABILITY,
+                                *fi,
+                                op.line,
+                                root_name,
+                                format!(
+                                    "in-memory view updated before the manifest fsync (unsynced \
+                                     write at line {wline}) on the `{root_name}` path: memory would \
+                                     hold a record a power cut discards"
+                                ),
+                            );
+                        }
+                    }
                     OpKind::TmpCreate | OpKind::CleanupRename | OpKind::Barrier => {}
                     OpKind::Call(_) => {}
                 }
@@ -547,6 +573,30 @@ fn save_full(fp: &FailPoint) -> Result<()> {
     #[test]
     fn protocol_order_is_clean() {
         assert!(run(GOOD).is_empty(), "{:?}", run(GOOD));
+    }
+
+    #[test]
+    fn memory_may_only_apply_what_is_already_durable() {
+        let log = r#"
+fn save_full(fp: &FailPoint) -> Result<()> {
+    fp.write_all(&mut manifest, records)?;
+    fp.check()?;
+    manifest.sync_all()?;
+    manifest::apply(&mut gens, record);
+    Ok(())
+}
+"#;
+        assert!(run(log).is_empty(), "{:?}", run(log));
+        let hoisted = log.replace(
+            "    manifest.sync_all()?;\n    manifest::apply(&mut gens, record);\n",
+            "    manifest::apply(&mut gens, record);\n    manifest.sync_all()?;\n",
+        );
+        let v = run(&hoisted);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, RULE_DURABILITY);
+        assert!(v[0].message.contains("before the manifest fsync"));
+        // A payload decoder that happens to share the name is not it.
+        assert!(run(&hoisted.replace("manifest::apply", "incremental::apply")).is_empty());
     }
 
     #[test]

@@ -16,12 +16,21 @@ use std::path::Path;
 /// Lints the workspace with the one occurrence of `from` in `path`
 /// replaced by `to`.
 fn lint_with(path: &str, from: &str, to: &str) -> Vec<Violation> {
+    lint_with_all(&[(path, from, to)])
+}
+
+/// Lints the workspace with every `(path, from, to)` patch applied,
+/// each `from` occurring exactly once in its file.
+fn lint_with_all(patches: &[(&str, &str, &str)]) -> Vec<Violation> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let (mut sources, errors) = ckpt_analyzer::read_sources(&root);
     assert!(errors.is_empty(), "{errors:?}");
-    let (_, src) = sources.iter_mut().find(|(p, _)| p == path).unwrap_or_else(|| panic!("{path}"));
-    assert_eq!(src.matches(from).count(), 1, "{path}: `{from}` must occur exactly once");
-    *src = src.replace(from, to);
+    for &(path, from, to) in patches {
+        let (_, src) =
+            sources.iter_mut().find(|(p, _)| p == path).unwrap_or_else(|| panic!("{path}"));
+        assert_eq!(src.matches(from).count(), 1, "{path}: `{from}` must occur exactly once");
+        *src = src.replace(from, to);
+    }
     ckpt_analyzer::run_sources(&root, &sources).violations
 }
 
@@ -98,4 +107,52 @@ fn an_unchecked_index_into_the_history_buffer_is_found() {
     );
     assert_all(&v, rules::RULE_PANIC, path, Some("decode_symbols"));
     assert_eq!(v.len(), 1, "{v:?}");
+}
+
+const STORE: &str = "crates/store/src/store.rs";
+
+#[test]
+fn a_retire_that_lost_its_barrier_is_found_under_gc_and_under_compaction() {
+    // `Store::retire` is the one place a committed segment file dies;
+    // without the barrier between the durable `Retire` records and the
+    // disposal loop the kill sweep can never land there. The rule
+    // audits every function a root reaches, so the finding must
+    // survive cutting either caller off: GC alone reaches it, and so
+    // does chain compaction alone.
+    let barrier = ("        self.log(&records)?;\n        self.failpoint.check()?;\n", "        self.log(&records)?;\n");
+    let gc_call = ("crates/store/src/gc.rs", "s.retire(&retire)?", "0");
+    let compact_call = ("crates/store/src/compact.rs", "s.retire(&retire)?", "0");
+    for other_caller in [None, Some(gc_call), Some(compact_call)] {
+        let mut patches = vec![(STORE, barrier.0, barrier.1)];
+        patches.extend(other_caller);
+        let v = lint_with_all(&patches);
+        assert_all(&v, durability::RULE_FAILPOINT, STORE, Some("retire"));
+        // The delete and the quarantine move.
+        assert_eq!(v.len(), 2, "{other_caller:?}: {v:?}");
+    }
+    // With neither caller nothing reaches it: the rule is silent, which
+    // is what shows the two callers above are how it was found.
+    let v = lint_with_all(&[(STORE, barrier.0, barrier.1), gc_call, compact_call]);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
+fn an_apply_hoisted_above_the_manifest_fsync_is_found() {
+    // `Store::log` is the one manifest append and the one place the
+    // generation map changes; applying before the fsync would let
+    // memory run ahead of what a reopen replays.
+    let v = lint_with(
+        STORE,
+        "        f.sync_all()?;\n        for r in records {\n            manifest::apply(&mut self.view.gens, r);\n            self.next_gen = self.next_gen.max(r.gen() + 1);\n        }\n",
+        "        for r in records {\n            manifest::apply(&mut self.view.gens, r);\n            self.next_gen = self.next_gen.max(r.gen() + 1);\n        }\n        f.sync_all()?;\n",
+    );
+    assert!(!v.is_empty(), "the seeded defect was not found");
+    for f in &v {
+        assert_eq!((f.rule, f.path.as_str()), (durability::RULE_DURABILITY, STORE), "{v:?}");
+        assert!(f.message.contains("before the manifest fsync"), "{v:?}");
+    }
+    // Blamed on every root that logs, the plain save among them.
+    for root in ["save_full", "save_full_streamed", "gc", "compact_chains"] {
+        assert!(v.iter().any(|f| f.symbol.as_deref() == Some(root)), "{root}: {v:?}");
+    }
 }

@@ -3,7 +3,6 @@
 //! process, and keep a buddy store in sync.
 
 use crate::args::Args;
-use ckpt_deflate::crc32::{crc32, crc32_combine};
 use ckpt_serve::{Client, RemoteReplica};
 use ckpt_store::{LocalReplica, Store};
 use std::path::Path;
@@ -130,26 +129,18 @@ pub fn fetch(argv: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("generation {gen} has no rank {rank}"))?;
 
     let mut file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-    let mut offset = 0u64;
-    let mut crc = 0u32;
-    while offset < ri.payload_len {
-        let len = chunk.min(ri.payload_len - offset);
-        let bytes = client.fetch(gen, rank, offset, len).map_err(|e| e.to_string())?;
-        use std::io::Write;
-        file.write_all(&bytes).map_err(|e| format!("writing {out}: {e}"))?;
-        crc = crc32_combine(crc, crc32(&bytes), len);
-        offset += len;
-    }
-    if crc != ri.crc {
-        return Err(format!(
-            "fetched payload CRC {crc:08x} != committed {:08x}; refusing to keep {out}",
-            ri.crc
-        ));
+    let mut reads = 0u64;
+    let fetched = client.fetch_segment(gen, ri, chunk, |bytes| {
+        reads += 1;
+        std::io::Write::write_all(&mut file, bytes)
+    });
+    if let Err(e) = fetched {
+        let _ = std::fs::remove_file(out);
+        return Err(format!("{e}; refusing to keep {out}"));
     }
     eprintln!(
-        "fetched gen {gen} rank {rank} ({} bytes, {} ranged reads, crc ok) -> {out}",
-        ri.payload_len,
-        ri.payload_len.div_ceil(chunk)
+        "fetched gen {gen} rank {rank} ({} bytes, {reads} ranged reads, crc ok) -> {out}",
+        ri.payload_len
     );
     Ok(())
 }

@@ -6,8 +6,8 @@
 
 use crate::proto::{self, Request, Response, MAX_FETCH};
 use crate::{Result, ServeError};
-use ckpt_deflate::crc32::crc32;
-use ckpt_store::{GenIndex, GenInfo, PutGen, ReplicaSink, Store, StoreError};
+use ckpt_deflate::crc32::{crc32, crc32_extend};
+use ckpt_store::{GenIndex, GenInfo, PutGen, RankIndex, ReplicaSink, Store, StoreError};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -142,6 +142,37 @@ impl Client {
         Ok(already)
     }
 
+    /// The one verified ranged fetch: reads rank `ri` of generation
+    /// `gen` in ranges of at most `chunk_bytes` (clamped to what one
+    /// frame carries), hands each to `sink` in order, and checks the
+    /// running CRC-32 of everything delivered against the committed
+    /// one. The sink has seen the whole payload by the time a mismatch
+    /// is reported; a caller that keeps what it was fed must drop it.
+    pub fn fetch_segment(
+        &mut self,
+        gen: u64,
+        ri: &RankIndex,
+        chunk_bytes: u64,
+        mut sink: impl FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> Result<()> {
+        let chunk = chunk_bytes.clamp(1, MAX_FETCH);
+        let (mut offset, mut crc) = (0u64, 0u32);
+        while offset < ri.payload_len {
+            let len = chunk.min(ri.payload_len - offset);
+            let bytes = self.fetch(gen, ri.rank, offset, len)?;
+            sink(&bytes)?;
+            crc = crc32_extend(crc, &bytes);
+            offset += len;
+        }
+        if crc != ri.crc {
+            return Err(ServeError::Proto(format!(
+                "generation {gen} rank {}: fetched payload CRC {crc:08x} != committed {:08x}",
+                ri.rank, ri.crc
+            )));
+        }
+        Ok(())
+    }
+
     /// Pulls one generation's metadata and payloads off the server's
     /// pinned snapshot, CRC-verified against the served manifest.
     pub fn pull_gen(&mut self, gen: u64) -> Result<PutGen> {
@@ -149,18 +180,10 @@ impl Client {
         let mut payloads = Vec::with_capacity(ix.ranks.len());
         for r in &ix.ranks {
             let mut payload = Vec::with_capacity(r.payload_len as usize);
-            let mut offset = 0u64;
-            while offset < r.payload_len {
-                let len = (r.payload_len - offset).min(TRANSFER_CHUNK).min(MAX_FETCH);
-                payload.extend_from_slice(&self.fetch(gen, r.rank, offset, len)?);
-                offset += len;
-            }
-            if crc32(&payload) != r.crc {
-                return Err(ServeError::Proto(format!(
-                    "pulled payload for generation {gen} rank {} fails its manifest CRC",
-                    r.rank
-                )));
-            }
+            self.fetch_segment(gen, r, TRANSFER_CHUNK, |bytes| {
+                payload.extend_from_slice(bytes);
+                Ok(())
+            })?;
             payloads.push(payload);
         }
         Ok(PutGen {

@@ -178,6 +178,55 @@ fn reads_on_a_pushing_connection_stay_pinned_to_their_snapshot() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The one verified ranged fetch behind `pull_gen` and `ckpt fetch`:
+/// whatever the range size, the sink receives the payload in order and
+/// whole, and an index whose CRC the bytes do not hash to is refused —
+/// after the sink was fed, which is why callers drop what they kept.
+#[test]
+fn fetch_segment_feeds_the_sink_in_order_and_checks_the_committed_crc() {
+    let dir = scratch("fetch-segment");
+    let mut store = Store::open(dir.join("store")).unwrap();
+    let payload = packed(5);
+    let gen = store.save_full(1, SegmentFormat::Array, &[&payload], 1).unwrap();
+    let socket = dir.join("s.sock");
+    let server = serve_unix(Arc::new(Mutex::new(store)), &socket).unwrap();
+
+    let mut client = Client::connect(&socket).unwrap();
+    let index = client.index(gen).unwrap();
+    let ri = &index.ranks[0];
+    assert_eq!(ri.crc, crc32(&payload));
+    for chunk in [1, 7, payload.len() as u64, u64::MAX] {
+        let (mut got, mut reads) = (Vec::new(), 0u64);
+        client
+            .fetch_segment(gen, ri, chunk, |bytes| {
+                reads += 1;
+                got.extend_from_slice(bytes);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(got, payload, "chunk {chunk}");
+        assert_eq!(reads, (payload.len() as u64).div_ceil(chunk), "chunk {chunk}");
+    }
+
+    let lying = ckpt_store::RankIndex { crc: ri.crc ^ 1, ..ri.clone() };
+    let mut fed = 0usize;
+    let err = client
+        .fetch_segment(gen, &lying, 64, |bytes| {
+            fed += bytes.len();
+            Ok(())
+        })
+        .unwrap_err();
+    assert!(err.to_string().contains("!= committed"), "{err}");
+    assert_eq!(fed, payload.len(), "the mismatch is only known at the end");
+
+    let full = std::io::Error::other("disk full");
+    let err = client.fetch_segment(gen, ri, 64, |_| Err(std::io::Error::other("disk full")));
+    assert!(err.unwrap_err().to_string().contains(&full.to_string()));
+
+    drop(server);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Raw-frame misuse: every protocol violation answers with an error
 /// frame (never a closed connection or a store write), and a violation
 /// clears the in-flight put.

@@ -9,8 +9,8 @@
 //! (exactly the bytes `restore_array` would produce), re-encoded as a
 //! **lossless** full `WCK1` stream ([`ckpt_core::compress_exact`]),
 //! and committed as a new generation through the ordinary two-phase
-//! save path. The old chain is then retired under the same durable
-//! record-first contract GC uses.
+//! save path. The old chain is then retired through
+//! [`Store::retire`], the one path GC's victims die by too.
 //!
 //! Three invariants the tests pin down:
 //!
@@ -34,7 +34,6 @@ use crate::store::Store;
 use crate::Result;
 use ckpt_deflate::Level;
 use std::collections::BTreeSet;
-use std::fs;
 
 /// What one [`Store::compact_chains`] pass did.
 #[derive(Debug, Clone, Default)]
@@ -61,204 +60,141 @@ impl Store {
         max_depth: usize,
         threads: usize,
     ) -> Result<ChainCompactReport> {
-        self.guard()?;
-        match self.compact_chains_inner(max_depth, threads) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                // A failed compaction is a simulated crash: the
-                // manifest may hold a torn tail the in-memory view
-                // does not reflect. Poison and require a reopen.
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
+        self.gated(|s| {
+            let max_depth = max_depth.max(1);
+            let mut report = ChainCompactReport::default();
+            // Sampled once, like GC: a snapshot taken later sees only
+            // what this pass leaves behind.
+            let pinned = s.pins.pinned();
 
-    fn compact_chains_inner(
-        &mut self,
-        max_depth: usize,
-        threads: usize,
-    ) -> Result<ChainCompactReport> {
-        let max_depth = max_depth.max(1);
-        let mut report = ChainCompactReport::default();
-        // Sampled once, like GC: a snapshot taken later sees only what
-        // this pass leaves behind.
-        let pinned = self.pins().pinned();
-
-        // A chain is rewritten at its *tips* — live increments no other
-        // live generation chains onto. Rewriting interior links would
-        // leave their descendants chained onto a retired generation.
-        let live: Vec<u64> = self
-            .generations()
-            .into_iter()
-            .filter(|g| g.committed && g.retired.is_none())
-            .map(|g| g.gen)
-            .collect();
-        let bases: BTreeSet<u64> = live
-            .iter()
-            .filter_map(|&g| {
-                let s = self.gen_state(g).ok()?;
-                (s.format == SegmentFormat::Increment).then_some(s.base_gen)
-            })
-            .collect();
-        let mut tips = Vec::new();
-        let mut chains: Vec<Vec<u64>> = Vec::new();
-        for &g in &live {
-            if self.gen_state(g)?.format != SegmentFormat::Increment || bases.contains(&g) {
-                continue;
+            // A chain is rewritten at its *tips* — live increments no
+            // other live generation chains onto. Rewriting interior
+            // links would leave their descendants chained onto a
+            // retired generation.
+            let bases: BTreeSet<u64> = s
+                .view
+                .live()
+                .filter(|(_, g)| g.format == SegmentFormat::Increment)
+                .map(|(_, g)| g.base_gen)
+                .collect();
+            let mut tips = Vec::new();
+            let mut chains: Vec<Vec<u64>> = Vec::new();
+            for (gen, g) in s.view.live() {
+                if g.format != SegmentFormat::Increment || bases.contains(&gen) {
+                    continue;
+                }
+                let chain = s.view.resolve_chain(gen)?;
+                if chain.len() <= max_depth {
+                    continue;
+                }
+                if chain.iter().any(|c| pinned.contains(c)) {
+                    // A snapshot is reading somewhere in this chain:
+                    // retiring any member would strand it. Skip the
+                    // whole chain; the next unpinned pass compacts it.
+                    report.pinned.extend(chain.iter().filter(|c| pinned.contains(c)));
+                    continue;
+                }
+                tips.push(gen);
+                chains.push(chain);
             }
-            let chain = self.resolve_chain(g)?;
-            if chain.len() <= max_depth {
-                continue;
-            }
-            if chain.iter().any(|c| pinned.contains(c)) {
-                // A snapshot is reading somewhere in this chain:
-                // retiring any member would strand it. Skip the whole
-                // chain; the next unpinned pass compacts it.
-                report.pinned.extend(chain.iter().filter(|c| pinned.contains(c)));
-                continue;
-            }
-            tips.push(g);
-            chains.push(chain);
-        }
-        report.pinned.sort_unstable();
-        report.pinned.dedup();
-
-        // Rewrites take fresh — highest — generation ids, and id order
-        // is what `latest_committed` (and every restore-latest reader)
-        // means by "newest". The newest *application state* is the
-        // live generation with the highest step (ties to the highest
-        // id) — call it g*. The pass must end with g*'s state holding
-        // the highest id:
-        //
-        // * g* is itself a rewritten tip — order the rewrites so g*'s
-        //   commits last; the invariant then holds for free.
-        // * otherwise — re-anchor: copy g* byte-for-byte under a fresh
-        //   id as the pass's final save and retire the original.
-        //
-        // The check runs even with no tips to rewrite: a crash between
-        // an earlier pass's rewrites and its re-anchor can leave an
-        // old chain's rewrite holding the highest id, and the next
-        // pass heals that inversion here. A pinned g* can't be
-        // retired, so a pass that needs the copy defers instead.
-        let mut g_star = None;
-        for &g in &live {
-            let step = self.gen_state(g)?.step;
-            if g_star.is_none_or(|(s, id)| (step, g) > (s, id)) {
-                g_star = Some((step, g));
-            }
-        }
-        let Some((_, g_star)) = g_star else {
-            return Ok(report);
-        };
-        if let Some(pos) = tips.iter().position(|&t| t == g_star) {
-            let t = tips.remove(pos);
-            let c = chains.remove(pos);
-            tips.push(t);
-            chains.push(c);
-        }
-        let reanchor = if tips.last() == Some(&g_star) {
-            false
-        } else if !tips.is_empty() {
-            true
-        } else {
-            *live.last().expect("g_star exists, so live is non-empty") != g_star
-        };
-        if !reanchor && tips.is_empty() {
-            return Ok(report);
-        }
-        if reanchor && pinned.contains(&g_star) {
-            report.pinned.push(g_star);
             report.pinned.sort_unstable();
             report.pinned.dedup();
-            return Ok(report);
-        }
 
-        // Rewrite each tip: materialize what the chain replays to and
-        // commit it as a lossless full generation (same step; the
-        // effective error bound is the chain base's — deltas are
-        // exact, so the rewrite carries the base's loss and no more).
-        for (tip, chain) in tips.iter().zip(&chains) {
-            let (step, ranks) = {
-                let s = self.gen_state(*tip)?;
-                (s.step, s.segs.len() as u32)
+            // Rewrites take fresh — highest — generation ids, and id
+            // order is what `latest_committed` (and every
+            // restore-latest reader) means by "newest". The newest
+            // *application state* is the live generation with the
+            // highest step (ties to the highest id) — call it g*. The
+            // pass must end with g*'s state holding the highest id:
+            //
+            // * g* is itself a rewritten tip — order the rewrites so
+            //   g*'s commits last; the invariant then holds for free.
+            // * otherwise — re-anchor: copy g* byte-for-byte under a
+            //   fresh id as the pass's final save and retire the
+            //   original.
+            //
+            // The check runs even with no tips to rewrite: a crash
+            // between an earlier pass's rewrites and its re-anchor can
+            // leave an old chain's rewrite holding the highest id, and
+            // the next pass heals that inversion here. A pinned g*
+            // can't be retired, so a pass that needs the copy defers
+            // instead.
+            let Some(g_star) = s.view.live().max_by_key(|&(gen, g)| (g.step, gen)).map(|(gen, _)| gen)
+            else {
+                return Ok(report);
             };
-            let bound = self.gen_state(chain[0])?.error_bound;
-            let mut payloads = Vec::with_capacity(ranks as usize);
-            for rank in 0..ranks {
-                let tensor = self.restore_array(*tip, rank)?;
-                payloads.push(ckpt_core::compress_exact(&tensor, Level::Default));
+            if let Some(pos) = tips.iter().position(|&t| t == g_star) {
+                let t = tips.remove(pos);
+                let c = chains.remove(pos);
+                tips.push(t);
+                chains.push(c);
             }
-            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let new_gen = self.save(step, SegmentFormat::Array, 0, &refs, threads, bound)?;
-            report.rewritten.push((*tip, new_gen));
-        }
-
-        let mut candidates: BTreeSet<u64> = chains.iter().flatten().copied().collect();
-        if reanchor {
-            let (step, format, base_gen, bound, ranks) = {
-                let s = self.gen_state(g_star)?;
-                (s.step, s.format, s.base_gen, s.error_bound, s.segs.len() as u32)
+            let reanchor = if tips.last() == Some(&g_star) {
+                false
+            } else {
+                !tips.is_empty() || s.view.latest_committed() != Some(g_star)
             };
-            let payloads = (0..ranks)
-                .map(|rank| self.read_segment(g_star, rank))
-                .collect::<Result<Vec<_>>>()?;
-            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let new_gen = self.save(step, format, base_gen, &refs, threads, bound)?;
-            report.rewritten.push((g_star, new_gen));
-            candidates.insert(g_star);
-        }
-
-        // Retire what the rewrites made redundant: chain members no
-        // surviving live generation's chain passes through. A branch
-        // tip outside the compacted set keeps its prefix alive.
-        let live_now: Vec<u64> = self
-            .generations()
-            .into_iter()
-            .filter(|g| g.committed && g.retired.is_none())
-            .map(|g| g.gen)
-            .collect();
-        let mut needed = BTreeSet::new();
-        for &g in &live_now {
-            if !candidates.contains(&g) {
-                needed.extend(self.resolve_chain(g)?);
+            if !reanchor && tips.is_empty() {
+                return Ok(report);
             }
-        }
-        let mut retire: Vec<(u64, RetireReason)> = candidates
-            .iter()
-            .copied()
-            .filter(|g| !needed.contains(g))
-            .map(|g| (g, RetireReason::Gc))
-            .collect();
-        // A torn retire append leaves a durable *prefix* of these
-        // records. Within a chain, dependents always have higher ids
-        // than their bases, so writing newest-first means any prefix
-        // retires dependents before bases — a crash can never strand
-        // a live increment on a retired base.
-        retire.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
-        if !retire.is_empty() {
-            // Retire records become durable before any file dies (the
-            // barrier is the kill-sweep landing spot), exactly like GC:
-            // a crash mid-delete leaves retired leftovers recovery
-            // sweeps, never a live generation missing files.
-            self.append_retires(&retire)?;
-            self.failpoint.check()?;
-            for &(gen, reason) in &retire {
-                let ranks = {
-                    let g = self.gens_mut().get_mut(&gen).expect("retired gen is live");
-                    g.retired = Some(reason);
-                    g.segs.len() as u32
+            if reanchor && pinned.contains(&g_star) {
+                report.pinned.push(g_star);
+                report.pinned.sort_unstable();
+                report.pinned.dedup();
+                return Ok(report);
+            }
+
+            // Rewrite each tip: materialize what the chain replays to
+            // and commit it as a lossless full generation (same step;
+            // the effective error bound is the chain base's — deltas
+            // are exact, so the rewrite carries the base's loss and no
+            // more).
+            for (&tip, chain) in tips.iter().zip(&chains) {
+                let (step, ranks) = {
+                    let g = s.view.state(tip)?;
+                    (g.step, g.segs.len() as u32)
                 };
+                let bound = s.view.state(chain[0])?.error_bound;
+                let mut payloads = Vec::with_capacity(ranks as usize);
                 for rank in 0..ranks {
-                    if fs::remove_file(self.layout().segment_path(gen, rank)).is_ok() {
-                        report.files_deleted += 1;
-                    }
+                    let tensor = s.view.restore_array(tip, rank)?;
+                    payloads.push(ckpt_core::compress_exact(&tensor, Level::Default));
                 }
-                report.retired.push(gen);
+                let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+                let new_gen = s.save(step, SegmentFormat::Array, 0, &refs, threads, bound)?;
+                report.rewritten.push((tip, new_gen));
             }
-            report.retired.sort_unstable();
-        }
-        Ok(report)
+
+            let mut candidates: BTreeSet<u64> = chains.iter().flatten().copied().collect();
+            if reanchor {
+                let (step, format, base_gen, bound, ranks) = {
+                    let g = s.view.state(g_star)?;
+                    (g.step, g.format, g.base_gen, g.error_bound, g.segs.len() as u32)
+                };
+                let payloads = (0..ranks)
+                    .map(|rank| s.view.read_segment(g_star, rank))
+                    .collect::<Result<Vec<_>>>()?;
+                let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+                let new_gen = s.save(step, format, base_gen, &refs, threads, bound)?;
+                report.rewritten.push((g_star, new_gen));
+                candidates.insert(g_star);
+            }
+
+            // Retire what the rewrites made redundant: chain members no
+            // surviving live generation's chain passes through. A
+            // branch tip outside the compacted set keeps its prefix
+            // alive.
+            let mut needed = BTreeSet::new();
+            for (gen, _) in s.view.live() {
+                if !candidates.contains(&gen) {
+                    needed.extend(s.view.resolve_chain(gen)?);
+                }
+            }
+            report.retired = candidates.into_iter().filter(|g| !needed.contains(g)).collect();
+            let retire: Vec<_> = report.retired.iter().map(|&g| (g, RetireReason::Gc)).collect();
+            report.files_deleted = s.retire(&retire)?;
+            Ok(report)
+        })
     }
 }
 
@@ -267,6 +203,7 @@ mod tests {
     use super::*;
     use ckpt_core::{incremental, Compressor, CompressorConfig};
     use ckpt_tensor::Tensor;
+    use std::fs;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {

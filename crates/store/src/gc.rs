@@ -9,14 +9,13 @@
 //!   increment chains onto it.
 //! * Unreadable segments are **moved** to `quarantine/`, never
 //!   deleted; only the retention policy deletes files, and only after
-//!   the matching `Retire` record is durably in the manifest.
+//!   the matching `Retire` record is durably in the manifest — both
+//!   through [`Store::retire`], the one path a generation dies by.
 
-use crate::layout::segment_name;
 use crate::manifest::{RetireReason, SegmentFormat};
 use crate::store::Store;
 use crate::Result;
 use std::collections::BTreeSet;
-use std::fs;
 
 /// What one GC pass did.
 #[derive(Debug, Clone, Default)]
@@ -39,141 +38,74 @@ pub struct GcReport {
 
 impl Store {
     /// Runs one GC pass: first a readability scan (CRC against the
-    /// manifest) that quarantines damaged generations, then retention
-    /// keeping the newest `keep_fulls` full generations plus every
-    /// increment whose whole chain is retained. `keep_fulls` is
-    /// clamped to at least 1 so GC can never empty a non-empty store.
+    /// manifest) that marks damaged generations for quarantine, then
+    /// retention keeping the newest `keep_fulls` full generations plus
+    /// every increment whose whole chain is retained; both sets die in
+    /// one [`Store::retire`]. `keep_fulls` is clamped to at least 1 so
+    /// GC can never empty a non-empty store. Like a failed save, an
+    /// error poisons the store.
     pub fn gc(&mut self, keep_fulls: usize) -> Result<GcReport> {
-        self.guard()?;
-        match self.gc_inner(keep_fulls) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                // Like a failed save, a failed GC is a simulated
-                // crash: the manifest may hold a torn retire tail the
-                // in-memory view does not reflect. Run no cleanup;
-                // poison and require a reopen (which recovers).
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
+        self.gated(|s| {
+            let keep_fulls = keep_fulls.max(1);
+            let mut report = GcReport::default();
 
-    fn gc_inner(&mut self, keep_fulls: usize) -> Result<GcReport> {
-        let keep_fulls = keep_fulls.max(1);
-        let mut report = GcReport::default();
+            // Live snapshots pin generations: GC must not retire (or
+            // even quarantine) a generation a reader may be mid-restore
+            // on. The pin set is sampled once — a snapshot taken after
+            // this point sees only what this pass leaves behind.
+            let pinned = s.pins.pinned();
 
-        // Live snapshots pin generations: GC must not retire (or even
-        // quarantine) a generation a reader may be mid-restore on. The
-        // pin set is sampled once — a snapshot taken after this point
-        // sees only what this pass leaves behind.
-        let pinned = self.pins().pinned();
-
-        // Phase 1: quarantine generations with unreadable segments.
-        let live: Vec<u64> = self
-            .generations()
-            .into_iter()
-            .filter(|g| g.committed && g.retired.is_none())
-            .map(|g| g.gen)
-            .collect();
-        report.pinned = live.iter().copied().filter(|g| pinned.contains(g)).collect();
-        let mut damaged = Vec::new();
-        for &gen in &live {
-            if pinned.contains(&gen) {
-                // A pinned generation stays where it is even if damaged:
-                // moving its files would break an in-flight range read.
-                // The next unpinned pass quarantines it.
-                continue;
-            }
-            let ranks = self.gen_state(gen)?.segs.len() as u32;
-            if (0..ranks).any(|rank| self.read_segment(gen, rank).is_err()) {
-                damaged.push((gen, RetireReason::Quarantine));
-            }
-        }
-        if !damaged.is_empty() {
-            // Record first: if we crash mid-move, recovery sees the
-            // retired generation and sweeps the leftovers itself. The
-            // barrier lets the kill sweep land between the durable
-            // retire and the file moves.
-            self.append_retires(&damaged)?;
-            self.failpoint.check()?;
-            for &(gen, reason) in &damaged {
-                let ranks = {
-                    let g = self.gens_mut().get_mut(&gen).expect("damaged gen is live");
-                    g.retired = Some(reason);
-                    g.segs.len() as u32
-                };
-                for rank in 0..ranks {
-                    let src = self.layout().segment_path(gen, rank);
-                    if src.exists() {
-                        let dst = self.layout().quarantine_path(&segment_name(gen, rank));
-                        let _ = fs::rename(&src, &dst);
-                    }
+            // Phase 1: the readability scan. A pinned generation stays
+            // where it is even if damaged: moving its files would break
+            // an in-flight range read. The next unpinned pass
+            // quarantines it.
+            let mut survivors = Vec::new();
+            for (gen, g) in s.view.live() {
+                let is_pinned = pinned.contains(&gen);
+                if is_pinned {
+                    report.pinned.push(gen);
                 }
-                report.quarantined.push(gen);
-            }
-        }
-
-        // Phase 2: retention over the survivors.
-        let survivors: Vec<u64> =
-            live.iter().copied().filter(|g| !report.quarantined.contains(g)).collect();
-        let fulls: Vec<u64> = survivors
-            .iter()
-            .copied()
-            .filter(|&g| {
-                self.gen_state(g).map(|s| s.format != SegmentFormat::Increment).unwrap_or(false)
-            })
-            .collect();
-        let mut retained: BTreeSet<u64> =
-            fulls.iter().rev().take(keep_fulls).copied().collect();
-        // Pinned survivors are retained outright — a snapshot is
-        // reading them — and seeding them before the chain pass keeps
-        // any increment chaining onto a pinned base alive too.
-        retained.extend(survivors.iter().copied().filter(|g| pinned.contains(g)));
-        // Ascending order: a base generation always precedes its
-        // increments, so one pass settles every chain.
-        for &gen in &survivors {
-            let s = self.gen_state(gen)?;
-            if s.format == SegmentFormat::Increment && retained.contains(&s.base_gen) {
-                retained.insert(gen);
-            }
-        }
-
-        let pruned: Vec<(u64, RetireReason)> = survivors
-            .iter()
-            .copied()
-            .filter(|g| !retained.contains(g))
-            .map(|g| (g, RetireReason::Gc))
-            .collect();
-        if !pruned.is_empty() {
-            // Retire records become durable before any file dies, so a
-            // crash mid-delete leaves retired leftovers recovery can
-            // sweep, never a committed generation missing files.
-            self.append_retires(&pruned)?;
-            self.failpoint.check()?;
-            for &(gen, reason) in &pruned {
-                let ranks = {
-                    let g = self.gens_mut().get_mut(&gen).expect("pruned gen is live");
-                    g.retired = Some(reason);
-                    g.segs.len() as u32
-                };
-                for rank in 0..ranks {
-                    if fs::remove_file(self.layout().segment_path(gen, rank)).is_ok() {
-                        report.files_deleted += 1;
-                    }
+                let unreadable = |rank| s.view.read_segment(gen, rank).is_err();
+                if !is_pinned && (0..g.segs.len() as u32).any(unreadable) {
+                    report.quarantined.push(gen);
+                } else {
+                    survivors.push((gen, g));
                 }
-                report.pruned.push(gen);
             }
-        }
 
-        report.retained = retained.into_iter().collect();
-        Ok(report)
+            // Phase 2: retention over the survivors.
+            let fulls = survivors.iter().filter(|(_, g)| g.format != SegmentFormat::Increment);
+            let mut retained: BTreeSet<u64> =
+                fulls.rev().take(keep_fulls).map(|&(gen, _)| gen).collect();
+            // Pinned survivors are retained outright — a snapshot is
+            // reading them — and seeding them before the chain pass
+            // keeps any increment chaining onto a pinned base alive too.
+            retained.extend(&report.pinned);
+            // Ascending order: a base generation always precedes its
+            // increments, so one pass settles every chain.
+            for &(gen, g) in &survivors {
+                if g.format == SegmentFormat::Increment && retained.contains(&g.base_gen) {
+                    retained.insert(gen);
+                }
+            }
+            report.pruned =
+                survivors.iter().map(|&(gen, _)| gen).filter(|g| !retained.contains(g)).collect();
+
+            let quarantine = report.quarantined.iter().map(|&g| (g, RetireReason::Quarantine));
+            let prune = report.pruned.iter().map(|&g| (g, RetireReason::Gc));
+            let retire: Vec<_> = quarantine.chain(prune).collect();
+            report.files_deleted = s.retire(&retire)?;
+            report.retained = retained.into_iter().collect();
+            Ok(report)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::SegmentFormat;
+    use crate::layout::segment_name;
+    use std::fs;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {

@@ -37,6 +37,19 @@
 //! performs exactly this recovery; [`failpoint::FailPoint`] lets tests
 //! inject a byte-accurate kill into every write of the save path.
 //!
+//! ## One lifecycle engine
+//!
+//! The in-memory generation map changes only by [`manifest`]'s `apply`
+//! of a record that is already durable — `Store::log` is the one
+//! manifest append, and it runs the interpreter [`Store::open`] replays
+//! the log with, so memory always equals what a reopen would rebuild.
+//! Files die only in `Store::retire`, after their `Retire` record is
+//! durable, dependents before bases. Every operation that writes this
+//! store's disk runs inside one poison gate (refuse when poisoned,
+//! poison on any error), and every read goes through one [`View`] —
+//! the store's own after the poison guard, a [`Snapshot`]'s pinned
+//! clone without one.
+//!
 //! ## Generation chains
 //!
 //! A generation is either *full* (a `CKPT` checkpoint image or a
@@ -64,7 +77,7 @@ pub use manifest::{RetireReason, SegmentFormat};
 pub use snapshot::{GenIndex, MemberRange, RankIndex, Snapshot};
 pub use compact::ChainCompactReport;
 pub use replicate::{LocalReplica, PushReport, PutGen, ReplicaSink};
-pub use store::{CompactManifestReport, GenInfo, OpenReport, Store, VerifyReport};
+pub use store::{CompactManifestReport, GenInfo, OpenReport, Store, VerifyReport, View};
 
 use std::fmt;
 

@@ -236,6 +236,59 @@ fn decode_body(body: &[u8]) -> Option<Record> {
     Some(rec)
 }
 
+/// The one interpreter of a record: how a generation map comes to
+/// mirror the log. [`Store::open`](crate::Store::open) replays the
+/// valid log prefix through it, and every live operation runs it on the
+/// records it has just made durable, so the in-memory map is by
+/// construction what a reopen would rebuild. Idempotent, so a log tail
+/// replays cleanly over a snapshot that already captured it; a record
+/// naming a generation or rank the map does not hold is ignored.
+pub(crate) fn apply(gens: &mut BTreeMap<u64, GenState>, rec: &Record) {
+    match *rec {
+        Record::Begin { gen, step, format, base_gen, ranks } => {
+            // A log tail replayed over a snapshot keeps the entry the
+            // snapshot seeded.
+            if let (None, Ok(ranks)) = (gens.get(&gen), usize::try_from(ranks)) {
+                let fresh = GenState {
+                    step,
+                    format,
+                    base_gen,
+                    segs: vec![None; ranks],
+                    committed: false,
+                    retired: None,
+                    error_bound: None,
+                };
+                gens.insert(gen, fresh);
+            }
+        }
+        Record::Seg { gen, rank, payload_len, crc } => {
+            let slot = usize::try_from(rank)
+                .ok()
+                .and_then(|rank| gens.get_mut(&gen)?.segs.get_mut(rank));
+            if let Some(slot) = slot {
+                *slot = Some(SegMeta { payload_len, crc });
+            }
+        }
+        Record::Commit { gen } => {
+            if let Some(g) = gens.get_mut(&gen) {
+                if g.segs.iter().all(Option::is_some) {
+                    g.committed = true;
+                }
+            }
+        }
+        Record::Retire { gen, reason } => {
+            if let Some(g) = gens.get_mut(&gen) {
+                g.retired = Some(reason);
+            }
+        }
+        Record::Bound { gen, eps_bits } => {
+            if let Some(g) = gens.get_mut(&gen) {
+                g.error_bound = Some(f64::from_bits(eps_bits));
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // CSM2 manifest snapshot
 //

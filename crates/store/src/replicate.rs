@@ -14,8 +14,8 @@
 //!   cursor** and hands each to a [`ReplicaSink`] (a local store for
 //!   tests and same-host buddies, the `SRV1` client for remote ones).
 //!   After each durable put the cursor file (`RPC1`) is rewritten
-//!   tmp → fsync → rename, so a crashed push resumes where it left
-//!   off instead of starting over.
+//!   tmp → fsync → rename, so a crashed push — or one whose buddy
+//!   went away — resumes where it left off instead of starting over.
 //! * [`Store::import_generation`] is the receiving half: an explicit
 //!   generation id committed through the ordinary two-phase save path.
 //!   It is **idempotent** — re-importing a generation the replica
@@ -115,36 +115,22 @@ impl Store {
             .and_then(parse_cursor)
     }
 
-    /// Durably records `gen` as pushed, through the fail point like
-    /// every other metadata write.
-    fn write_cursor(&self, gen: u64) -> Result<()> {
-        let tmp = self.layout().meta_tmp_path(CURSOR_FILE);
-        layout::durable_replace(&tmp, &self.layout().cursor, &encode_cursor(gen), &self.failpoint)
-    }
-
     /// Pushes every live generation above the replication cursor to
     /// `sink`, ascending, advancing the cursor after each delivered
-    /// generation. Like a failed save, an error poisons the store
-    /// (disk may hold a torn cursor staging write); reopen to recover.
+    /// generation. A buddy that is down must not take the primary
+    /// down: a sink or export error returns as it is and the store
+    /// stays usable — the local disk has not been written since the
+    /// last durable cursor, and the next push resumes from it. Only a
+    /// failed cursor write (a torn staging file on *this* disk)
+    /// poisons; reopen to recover.
     pub fn push_to(&mut self, sink: &mut dyn ReplicaSink) -> Result<PushReport> {
         self.guard()?;
-        match self.push_to_inner(sink) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn push_to_inner(&mut self, sink: &mut dyn ReplicaSink) -> Result<PushReport> {
         let mut report =
             PushReport { cursor: self.replication_cursor(), ..PushReport::default() };
         let todo: Vec<u64> = self
-            .generations()
-            .into_iter()
-            .filter(|g| g.committed && g.retired.is_none())
-            .map(|g| g.gen)
+            .view
+            .live()
+            .map(|(gen, _)| gen)
             .filter(|&g| report.cursor.is_none_or(|c| g > c))
             .collect();
         for gen in todo {
@@ -156,7 +142,12 @@ impl Store {
             }
             let put = self.export_generation(gen)?;
             sink.put(&put)?;
-            self.write_cursor(gen)?;
+            // Durably record `gen` as pushed, through the fail point
+            // like every other metadata write.
+            self.gated(|s| {
+                let tmp = s.layout().meta_tmp_path(CURSOR_FILE);
+                layout::durable_replace(&tmp, &s.layout().cursor, &encode_cursor(gen), &s.failpoint)
+            })?;
             report.cursor = Some(gen);
             report.pushed.push(gen);
         }
@@ -168,7 +159,7 @@ impl Store {
     pub fn export_generation(&self, gen: u64) -> Result<PutGen> {
         self.guard()?;
         let (step, format, base_gen, error_bound, ranks) = {
-            let s = self.gen_state(gen)?;
+            let s = self.view.state(gen)?;
             (s.step, s.format, s.base_gen, s.error_bound, s.segs.len() as u32)
         };
         let payloads = (0..ranks)
@@ -188,7 +179,7 @@ impl Store {
         if put.payloads.is_empty() {
             return Err(StoreError::NotFound("an import needs at least one rank payload".into()));
         }
-        if let Ok(existing) = self.gen_state(put.gen) {
+        if let Ok(existing) = self.view.state(put.gen) {
             let incoming = put
                 .payloads
                 .iter()
@@ -207,7 +198,7 @@ impl Store {
             )));
         }
         if put.format == SegmentFormat::Increment {
-            let base = self.gen_state(put.base_gen).map_err(|_| {
+            let base = self.view.state(put.base_gen).map_err(|_| {
                 StoreError::Chain(format!(
                     "increment {} needs base generation {} first",
                     put.gen, put.base_gen
@@ -239,13 +230,7 @@ impl Store {
     pub fn adopt_from(&mut self, src: &Store) -> Result<Vec<u64>> {
         self.guard()?;
         let mut imported = Vec::new();
-        let live: Vec<u64> = src
-            .generations()
-            .into_iter()
-            .filter(|g| g.committed && g.retired.is_none())
-            .map(|g| g.gen)
-            .collect();
-        for gen in live {
+        for (gen, _) in src.view.live() {
             if src.resolve_chain(gen).is_err() {
                 continue;
             }

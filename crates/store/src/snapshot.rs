@@ -11,15 +11,13 @@
 //! so a consistent view only requires that nothing the snapshot can
 //! name gets deleted underneath it.
 
-use crate::layout::Layout;
-use crate::store::{self, GenInfo, GenState};
+use crate::store::{self, View};
 use crate::{Result, StoreError};
-use ckpt_core::checkpoint::Checkpoint;
 use ckpt_deflate::chunked;
-use ckpt_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 /// Registry of generations pinned by live snapshots. Shared between a
@@ -97,7 +95,9 @@ pub struct GenIndex {
     pub ranks: Vec<RankIndex>,
 }
 
-/// An immutable view of the committed store state at one instant.
+/// An immutable view of the committed store state at one instant: a
+/// pinned [`View`], which every read (`read_segment`, `resolve_chain`,
+/// `restore_array`, `generations`, …) goes through.
 ///
 /// Owns a clone of the live generation map, so it stays valid (and
 /// all its reads stay consistent) regardless of what the originating
@@ -105,8 +105,7 @@ pub struct GenIndex {
 /// releases its GC pins.
 #[derive(Debug)]
 pub struct Snapshot {
-    layout: Layout,
-    gens: BTreeMap<u64, GenState>,
+    view: View,
     pins: Arc<PinSet>,
     pin_id: u64,
 }
@@ -117,60 +116,26 @@ impl Drop for Snapshot {
     }
 }
 
+impl Deref for Snapshot {
+    type Target = View;
+
+    fn deref(&self) -> &View {
+        &self.view
+    }
+}
+
 impl Snapshot {
-    /// Pins `gens` in `pins` and wraps them into a snapshot. Called by
+    /// Pins every generation of `view` (all live by construction) in
+    /// `pins` and wraps it into a snapshot. Called by
     /// [`Store::snapshot`](crate::Store::snapshot).
-    pub(crate) fn pin(
-        layout: Layout,
-        gens: BTreeMap<u64, GenState>,
-        pins: Arc<PinSet>,
-    ) -> Snapshot {
-        let pin_id = pins.register(gens.keys().copied().collect());
-        Snapshot { layout, gens, pins, pin_id }
+    pub(crate) fn pin(view: View, pins: Arc<PinSet>) -> Snapshot {
+        let pin_id = pins.register(view.gens.keys().copied().collect());
+        Snapshot { view, pins, pin_id }
     }
 
     /// The generations this snapshot pinned, ascending.
     pub fn pinned_gens(&self) -> Vec<u64> {
-        self.gens.keys().copied().collect()
-    }
-
-    /// Lists the snapshot's generations (all live by construction).
-    pub fn generations(&self) -> Vec<GenInfo> {
-        store::gen_infos(&self.gens)
-    }
-
-    /// The newest generation in the snapshot, if any.
-    pub fn latest_committed(&self) -> Option<u64> {
-        self.gens.keys().next_back().copied()
-    }
-
-    /// The newest full (chain-free) generation in the snapshot.
-    pub fn latest_full(&self) -> Option<u64> {
-        self.gens
-            .iter()
-            .rev()
-            .find(|(_, g)| g.format != crate::manifest::SegmentFormat::Increment)
-            .map(|(&gen, _)| gen)
-    }
-
-    /// Reads one committed segment, CRC-checked against the manifest.
-    pub fn read_segment(&self, gen: u64, rank: u32) -> Result<Vec<u8>> {
-        store::read_segment_in(&self.layout, &self.gens, gen, rank)
-    }
-
-    /// Resolves the recovery chain of `gen`, base-first.
-    pub fn resolve_chain(&self, gen: u64) -> Result<Vec<u64>> {
-        store::resolve_chain_in(&self.gens, gen)
-    }
-
-    /// Restores a full checkpoint image (format `Checkpoint`).
-    pub fn restore_checkpoint(&self, gen: u64, rank: u32) -> Result<Checkpoint> {
-        store::restore_checkpoint_in(&self.layout, &self.gens, gen, rank)
-    }
-
-    /// Materializes an array generation, replaying its chain.
-    pub fn restore_array(&self, gen: u64, rank: u32) -> Result<Tensor<f64>> {
-        store::restore_array_in(&self.layout, &self.gens, gen, rank)
+        self.view.gens.keys().copied().collect()
     }
 
     /// Builds the range-read index for `gen`: per-rank committed
@@ -178,10 +143,7 @@ impl Snapshot {
     /// Member ranges come from the container's header and chunk index
     /// alone — nothing is decompressed.
     pub fn segment_index(&self, gen: u64) -> Result<GenIndex> {
-        let g = self
-            .gens
-            .get(&gen)
-            .ok_or_else(|| StoreError::NotFound(format!("generation {gen}")))?;
+        let g = self.state(gen)?;
         let mut ranks = Vec::with_capacity(g.segs.len());
         for rank in 0..u32::try_from(g.segs.len()).unwrap_or(u32::MAX) {
             let meta = store::seg_meta(g, gen, rank)?;
@@ -207,13 +169,7 @@ impl Snapshot {
     /// the range index.
     fn member_ranges(&self, gen: u64, rank: u32) -> Result<Vec<MemberRange>> {
         const HEADER: u64 = chunked::HEADER_BYTES as u64;
-        let meta = {
-            let g = self
-                .gens
-                .get(&gen)
-                .ok_or_else(|| StoreError::NotFound(format!("generation {gen}")))?;
-            store::seg_meta(g, gen, rank)?
-        };
+        let meta = store::seg_meta(self.state(gen)?, gen, rank)?;
         if meta.payload_len < HEADER {
             return Ok(Vec::new());
         }
@@ -248,11 +204,7 @@ impl Snapshot {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>> {
-        let g = self
-            .gens
-            .get(&gen)
-            .ok_or_else(|| StoreError::NotFound(format!("generation {gen}")))?;
-        let meta = store::seg_meta(g, gen, rank)?;
+        let meta = store::seg_meta(self.state(gen)?, gen, rank)?;
         let end = offset
             .checked_add(len)
             .ok_or_else(|| StoreError::NotFound(format!("range overflow at offset {offset}")))?;
@@ -262,7 +214,7 @@ impl Snapshot {
                 meta.payload_len
             )));
         }
-        let path = self.layout.segment_path(gen, rank);
+        let path = self.view.layout.segment_path(gen, rank);
         let seg_io = |e: std::io::Error| StoreError::SegmentIo {
             path: path.display().to_string(),
             source: e,

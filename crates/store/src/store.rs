@@ -6,6 +6,7 @@ use crate::layout::{self, Layout};
 use crate::manifest::{self, Record, RetireReason, SegmentFormat};
 use crate::segment;
 use crate::snapshot::{PinSet, Snapshot};
+use std::cmp::Reverse;
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::incremental;
@@ -129,15 +130,17 @@ impl VerifyReport {
 /// A crash-consistent checkpoint repository rooted at one directory.
 #[derive(Debug)]
 pub struct Store {
-    layout: Layout,
-    gens: BTreeMap<u64, GenState>,
+    /// What reads see: the layout and the generation map, which changes
+    /// only in [`Store::log`] — by [`manifest::apply`] of records that
+    /// are already durable — so it always equals what a reopen replays.
+    pub(crate) view: View,
     next_gen: u64,
-    pub(crate) poisoned: bool,
+    poisoned: bool,
     pub(crate) failpoint: FailPoint,
     open_report: OpenReport,
     /// Generations pinned by live [`Snapshot`]s; GC refuses to retire
     /// them (see `crate::snapshot`).
-    pins: Arc<PinSet>,
+    pub(crate) pins: Arc<PinSet>,
 }
 
 impl Store {
@@ -192,49 +195,14 @@ impl Store {
             }
         }
 
-        // 2b. Interpret the valid log prefix on top. Replay is
-        // idempotent over snapshot state: `Begin` keeps an existing
-        // entry, the rest re-apply what the snapshot already captured.
+        // 2b. Interpret the valid log prefix on top, through the one
+        // interpreter every live operation runs after its append.
+        // Replay is idempotent over snapshot state: `Begin` keeps an
+        // existing entry, the rest re-apply what the snapshot captured.
         let mut max_gen = 0u64;
         for rec in &scan.records {
             max_gen = max_gen.max(rec.gen());
-            match *rec {
-                Record::Begin { gen, step, format, base_gen, ranks } => {
-                    gens.entry(gen).or_insert_with(|| GenState {
-                        step,
-                        format,
-                        base_gen,
-                        segs: vec![None; ranks as usize],
-                        committed: false,
-                        retired: None,
-                        error_bound: None,
-                    });
-                }
-                Record::Seg { gen, rank, payload_len, crc } => {
-                    if let Some(g) = gens.get_mut(&gen) {
-                        if let Some(slot) = g.segs.get_mut(rank as usize) {
-                            *slot = Some(SegMeta { payload_len, crc });
-                        }
-                    }
-                }
-                Record::Commit { gen } => {
-                    if let Some(g) = gens.get_mut(&gen) {
-                        if g.segs.iter().all(Option::is_some) {
-                            g.committed = true;
-                        }
-                    }
-                }
-                Record::Retire { gen, reason } => {
-                    if let Some(g) = gens.get_mut(&gen) {
-                        g.retired = Some(reason);
-                    }
-                }
-                Record::Bound { gen, eps_bits } => {
-                    if let Some(g) = gens.get_mut(&gen) {
-                        g.error_bound = Some(f64::from_bits(eps_bits));
-                    }
-                }
-            }
+            manifest::apply(&mut gens, rec);
         }
 
         // 3. Roll back uncommitted generations. The single-writer save
@@ -296,8 +264,7 @@ impl Store {
         report.rolled_back_gens.sort_unstable();
         report.quarantined_files.sort_unstable();
         Ok(Store {
-            layout,
-            gens,
+            view: View { layout, gens },
             next_gen: snap_next_gen.max(max_gen + 1),
             poisoned: false,
             failpoint: FailPoint::unlimited(),
@@ -313,7 +280,7 @@ impl Store {
 
     /// The store's root directory.
     pub fn root(&self) -> &std::path::Path {
-        &self.layout.root
+        &self.layout().root
     }
 
     /// Arms (or disarms, with `None`) the kill fail point for
@@ -343,6 +310,21 @@ impl Store {
             return Err(StoreError::Poisoned);
         }
         Ok(())
+    }
+
+    /// The one poison gate every operation that writes this store's
+    /// disk runs inside: refuse when poisoned, and poison on any error.
+    /// A failed durable operation is a simulated crash — disk may hold
+    /// a torn write the in-memory view does not know about — so it
+    /// runs no cleanup and every later call refuses until a reopen has
+    /// performed real recovery.
+    pub(crate) fn gated<T>(&mut self, op: impl FnOnce(&mut Store) -> Result<T>) -> Result<T> {
+        self.guard()?;
+        let outcome = op(self);
+        if outcome.is_err() {
+            self.poisoned = true;
+        }
+        outcome
     }
 
     /// Saves a full generation (one payload per rank) and commits it
@@ -401,6 +383,7 @@ impl Store {
     ) -> Result<u64> {
         self.guard()?;
         let base = self
+            .view
             .gens
             .get(&base_gen)
             .ok_or_else(|| StoreError::Chain(format!("base generation {base_gen} not found")))?;
@@ -531,24 +514,20 @@ impl Store {
     /// The one generation-commit body. `write_segments` is phase 1: it
     /// publishes every rank's segment file (tmp → fsync → rename) and
     /// returns their `Seg` metadata in rank order. Everything after is
-    /// here, once: kill barrier, segments-directory fsync, the
-    /// `Begin`/`Seg`…/`Bound`/`Commit` records in a single manifest
-    /// append + fsync, and — only once disk is durable — the in-memory
-    /// view. Any error poisons the store: a failed save is a simulated
-    /// crash, so it runs no cleanup and requires a reopen (which
-    /// performs real recovery).
+    /// here, once: kill barrier, segments-directory fsync, and the
+    /// `Begin`/`Seg`…/`Bound`/`Commit` records through [`Store::log`].
     fn commit_generation(
         &mut self,
         head: GenHead,
         write_segments: impl FnOnce(&Layout, &FailPoint) -> Result<Vec<SegMeta>>,
     ) -> Result<u64> {
         let GenHead { gen, step, format, base_gen, error_bound } = head;
-        let durable = || -> Result<Vec<SegMeta>> {
-            let metas = write_segments(&self.layout, &self.failpoint)?;
-            self.failpoint.check()?;
-            layout::fsync_dir(&self.layout.segments)?;
+        self.gated(|s| {
+            let metas = write_segments(s.layout(), &s.failpoint)?;
+            s.failpoint.check()?;
+            layout::fsync_dir(&s.layout().segments)?;
 
-            // Phase 2: one buffered manifest append, then fsync.
+            // Phase 2: the generation's records, one append.
             let mut records = Vec::with_capacity(metas.len() + 3);
             records.push(Record::Begin { gen, step, format, base_gen, ranks: metas.len() as u32 });
             for (rank, meta) in (0u32..).zip(&metas) {
@@ -558,44 +537,67 @@ impl Store {
                 records.push(Record::Bound { gen, eps_bits: eps.to_bits() });
             }
             records.push(Record::Commit { gen });
-            self.append_records(&records)?;
-            Ok(metas)
-        };
-        let metas = match durable() {
-            Ok(metas) => metas,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(e);
-            }
-        };
-        self.gens.insert(
-            gen,
-            GenState {
-                step,
-                format,
-                base_gen,
-                segs: metas.into_iter().map(Some).collect(),
-                committed: true,
-                retired: None,
-                error_bound,
-            },
-        );
-        self.next_gen = self.next_gen.max(gen + 1);
-        Ok(gen)
+            s.log(&records)?;
+            Ok(gen)
+        })
     }
 
-    /// Appends records to the manifest in a single write + fsync,
-    /// through the fail point.
-    fn append_records(&self, records: &[Record]) -> Result<()> {
+    /// The one manifest append, and the one place the in-memory map
+    /// changes: `records` go to the log in a single write through the
+    /// fail point, a kill barrier, an fsync — and only then are applied
+    /// to memory, by the interpreter [`Store::open`] replays them with.
+    /// Callers run inside [`Store::gated`]: an error here leaves a tail
+    /// on disk that memory does not reflect.
+    fn log(&mut self, records: &[Record]) -> Result<()> {
         let mut buf = Vec::new();
         for r in records {
             buf.extend_from_slice(&manifest::encode_record(r));
         }
-        let mut f = fs::OpenOptions::new().append(true).open(&self.layout.manifest)?;
+        let mut f = fs::OpenOptions::new().append(true).open(&self.layout().manifest)?;
         self.failpoint.write_all(&mut f, &buf)?;
         self.failpoint.check()?;
         f.sync_all()?;
+        for r in records {
+            manifest::apply(&mut self.view.gens, r);
+            self.next_gen = self.next_gen.max(r.gen() + 1);
+        }
         Ok(())
+    }
+
+    /// The one way a generation dies: its `Retire` record becomes
+    /// durable, a kill barrier, then its segment files are disposed of
+    /// by reason — `Gc` deletes them, `Quarantine` moves them to
+    /// `quarantine/`. A crash mid-disposal leaves retired leftovers
+    /// recovery sweeps, never a live generation missing files.
+    ///
+    /// Records are logged **dependents before bases**: an increment's
+    /// id is always above its base's, and a torn append leaves a
+    /// durable *prefix*, so with the newest first no kill point leaves
+    /// a live increment on a retired base. Returns how many files were
+    /// deleted (quarantined files are kept, so not counted).
+    pub(crate) fn retire(&mut self, gens: &[(u64, RetireReason)]) -> Result<usize> {
+        if gens.is_empty() {
+            return Ok(0);
+        }
+        let mut records: Vec<Record> =
+            gens.iter().map(|&(gen, reason)| Record::Retire { gen, reason }).collect();
+        records.sort_unstable_by_key(|r| Reverse(r.gen()));
+        self.log(&records)?;
+        self.failpoint.check()?;
+        let mut deleted = 0;
+        for &(gen, reason) in gens {
+            for rank in 0..self.view.state(gen)?.segs.len() as u32 {
+                let src = self.layout().segment_path(gen, rank);
+                match reason {
+                    RetireReason::Gc => deleted += usize::from(fs::remove_file(&src).is_ok()),
+                    RetireReason::Quarantine => {
+                        let dst = self.layout().quarantine_path(&layout::segment_name(gen, rank));
+                        let _ = fs::rename(&src, &dst);
+                    }
+                }
+            }
+        }
+        Ok(deleted)
     }
 
     /// Writes a `CSM2` snapshot of the live store state and truncates
@@ -610,58 +612,47 @@ impl Store {
     /// Crash-safe at every byte: the snapshot goes tmp → fsync →
     /// rename before the log is touched, so a kill leaves either the
     /// old state (log intact) or the new snapshot plus a log tail that
-    /// replays idempotently on top of it. Like a failed save, an error
-    /// poisons the store.
+    /// replays idempotently on top of it. Like a failed save, a write
+    /// error poisons the store.
     pub fn compact_manifest(&mut self) -> Result<CompactManifestReport> {
         self.guard()?;
 
         // Stage the pruned map without touching `self` yet: nothing is
         // mutated (memory or disk) until the size guard passes.
-        let mut live_map = self.gens.clone();
+        let mut live_map = self.view.gens.clone();
         live_map.retain(|&gen, g| {
             g.retired.is_none()
-                || (0..g.segs.len() as u32).any(|rank| self.layout.segment_path(gen, rank).exists())
+                || (0..g.segs.len() as u32).any(|rank| self.layout().segment_path(gen, rank).exists())
         });
-        let pruned_gens = self.gens.len() - live_map.len();
+        let pruned_gens = self.view.gens.len() - live_map.len();
         let bytes = manifest::encode_snapshot(self.next_gen, &live_map)?;
 
-        match self.write_snapshot(&bytes) {
-            Ok(log_bytes_truncated) => {
-                self.gens = live_map;
-                Ok(CompactManifestReport {
-                    snapshot_gens: self.gens.len(),
-                    pruned_gens,
-                    snapshot_bytes: bytes.len() as u64,
-                    log_bytes_truncated,
-                })
-            }
-            Err(e) => {
-                // A failed compaction is a simulated crash: run no
-                // cleanup, require a reopen (which performs recovery).
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
+        let log_bytes_truncated = self.gated(|s| {
+            let tmp = s.layout().meta_tmp_path(layout::SNAPSHOT_FILE);
+            layout::durable_replace(&tmp, &s.layout().snapshot, &bytes, &s.failpoint)?;
+            s.failpoint.check()?;
 
-    /// Durably installs a snapshot image, then truncates the log.
-    /// Returns the log bytes reclaimed.
-    fn write_snapshot(&self, bytes: &[u8]) -> Result<u64> {
-        let tmp = self.layout.meta_tmp_path(layout::SNAPSHOT_FILE);
-        layout::durable_replace(&tmp, &self.layout.snapshot, bytes, &self.failpoint)?;
-        self.failpoint.check()?;
-
-        // The snapshot is durable; the log records it subsumes can go.
-        let log_len = fs::metadata(&self.layout.manifest)?.len();
-        let f = fs::OpenOptions::new().write(true).open(&self.layout.manifest)?;
-        f.set_len(manifest::HEADER_LEN as u64)?;
-        f.sync_all()?;
-        Ok(log_len.saturating_sub(manifest::HEADER_LEN as u64))
+            // The snapshot is durable; the log records it subsumes can go.
+            let log_len = fs::metadata(&s.layout().manifest)?.len();
+            let f = fs::OpenOptions::new().write(true).open(&s.layout().manifest)?;
+            f.set_len(manifest::HEADER_LEN as u64)?;
+            f.sync_all()?;
+            Ok(log_len.saturating_sub(manifest::HEADER_LEN as u64))
+        })?;
+        // The durable snapshot no longer names the fully-dead
+        // generations; memory forgets them with it.
+        self.view.gens = live_map;
+        Ok(CompactManifestReport {
+            snapshot_gens: self.view.gens.len(),
+            pruned_gens,
+            snapshot_bytes: bytes.len() as u64,
+            log_bytes_truncated,
+        })
     }
 
     /// Lists every generation the manifest knows, ascending.
     pub fn generations(&self) -> Vec<GenInfo> {
-        gen_infos(&self.gens)
+        self.view.generations()
     }
 
     /// Opens an immutable epoch-pinned snapshot of the committed state:
@@ -671,18 +662,9 @@ impl Store {
     /// this store keeps saving.
     pub fn snapshot(&self) -> Result<Snapshot> {
         self.guard()?;
-        let live: BTreeMap<u64, GenState> = self
-            .gens
-            .iter()
-            .filter(|(_, g)| g.live())
-            .map(|(&gen, g)| (gen, g.clone()))
-            .collect();
-        Ok(Snapshot::pin(self.layout.clone(), live, Arc::clone(&self.pins)))
-    }
-
-    /// The pin registry shared with this store's snapshots.
-    pub(crate) fn pins(&self) -> &Arc<PinSet> {
-        &self.pins
+        let live = self.view.live().map(|(gen, g)| (gen, g.clone())).collect();
+        let view = View { layout: self.layout().clone(), gens: live };
+        Ok(Snapshot::pin(view, Arc::clone(&self.pins)))
     }
 
     /// Number of snapshots currently holding pins.
@@ -692,49 +674,29 @@ impl Store {
 
     /// The newest live generation, if any.
     pub fn latest_committed(&self) -> Option<u64> {
-        self.gens.iter().rev().find(|(_, g)| g.live()).map(|(&gen, _)| gen)
+        self.view.latest_committed()
     }
 
     /// The newest live *full* generation (restorable without a chain).
     pub fn latest_full(&self) -> Option<u64> {
-        self.gens
-            .iter()
-            .rev()
-            .find(|(_, g)| g.live() && g.format != SegmentFormat::Increment)
-            .map(|(&gen, _)| gen)
-    }
-
-    pub(crate) fn gen_state(&self, gen: u64) -> Result<&GenState> {
-        self.gens
-            .get(&gen)
-            .ok_or_else(|| StoreError::NotFound(format!("generation {gen}")))
-    }
-
-    pub(crate) fn gens_mut(&mut self) -> &mut BTreeMap<u64, GenState> {
-        &mut self.gens
+        self.view.latest_full()
     }
 
     pub(crate) fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    pub(crate) fn append_retires(&self, gens: &[(u64, RetireReason)]) -> Result<()> {
-        let records: Vec<Record> =
-            gens.iter().map(|&(gen, reason)| Record::Retire { gen, reason }).collect();
-        self.append_records(&records)
+        &self.view.layout
     }
 
     /// Reads one committed segment, CRC-checked against the manifest.
     pub fn read_segment(&self, gen: u64, rank: u32) -> Result<Vec<u8>> {
         self.guard()?;
-        read_segment_in(&self.layout, &self.gens, gen, rank)
+        self.view.read_segment(gen, rank)
     }
 
     /// Resolves the recovery chain of `(gen, rank)`: the generations
     /// to replay, base-first (a full generation resolves to itself).
     pub fn resolve_chain(&self, gen: u64) -> Result<Vec<u64>> {
         self.guard()?;
-        resolve_chain_in(&self.gens, gen)
+        self.view.resolve_chain(gen)
     }
 
     /// Reads every payload of the recovery chain, base-first.
@@ -748,14 +710,14 @@ impl Store {
     /// Restores a full checkpoint image (format `Checkpoint`).
     pub fn restore_checkpoint(&self, gen: u64, rank: u32) -> Result<Checkpoint> {
         self.guard()?;
-        restore_checkpoint_in(&self.layout, &self.gens, gen, rank)
+        self.view.restore_checkpoint(gen, rank)
     }
 
     /// Materializes an array generation: decompresses the chain's base
     /// `WCK1` stream and applies each `INC1` increment in order.
     pub fn restore_array(&self, gen: u64, rank: u32) -> Result<Tensor<f64>> {
         self.guard()?;
-        restore_array_in(&self.layout, &self.gens, gen, rank)
+        self.view.restore_array(gen, rank)
     }
 
     /// Checks every live generation's segments against the manifest
@@ -764,13 +726,11 @@ impl Store {
     pub fn verify(&self) -> Result<VerifyReport> {
         self.guard()?;
         let mut report = VerifyReport::default();
-        for (&gen, g) in &self.gens {
-            if !g.live() {
-                continue;
-            }
+        for (gen, g) in self.view.live() {
             for rank in 0..g.segs.len() as u32 {
                 report.segments_checked += 1;
                 let check = self
+                    .view
                     .read_segment(gen, rank)
                     .and_then(|bytes| segment::verify_payload(g.format, &bytes));
                 if let Err(e) = check {
@@ -782,45 +742,114 @@ impl Store {
     }
 }
 
-// Read-path logic shared between `Store` (which guards on poison) and
-// `Snapshot` (which owns an immutable clone of the live state and
-// needs no store reference at all): both views are just a layout plus
-// a generation map.
-
-/// Listing over any generation map.
-pub(crate) fn gen_infos(gens: &BTreeMap<u64, GenState>) -> Vec<GenInfo> {
-    gens.iter()
-        .map(|(&gen, g)| GenInfo {
-            gen,
-            step: g.step,
-            format: g.format,
-            base_gen: g.base_gen,
-            ranks: g.segs.len() as u32,
-            bytes: g.segs.iter().flatten().map(|s| s.payload_len).sum(),
-            committed: g.committed,
-            retired: g.retired,
-            error_bound: g.error_bound,
-        })
-        .collect()
+/// The one read view: a layout plus a generation map is everything a
+/// read needs. A [`Store`] reads through the view it keeps current
+/// (after its poison guard); a [`Snapshot`] *is* a pinned clone of the
+/// live part of one and needs no store reference at all.
+#[derive(Debug)]
+pub struct View {
+    pub(crate) layout: Layout,
+    pub(crate) gens: BTreeMap<u64, GenState>,
 }
 
-fn state_of(gens: &BTreeMap<u64, GenState>, gen: u64) -> Result<&GenState> {
-    gens.get(&gen).ok_or_else(|| StoreError::NotFound(format!("generation {gen}")))
-}
-
-/// Reads one committed segment, CRC-checked against the manifest view.
-pub(crate) fn read_segment_in(
-    layout: &Layout,
-    gens: &BTreeMap<u64, GenState>,
-    gen: u64,
-    rank: u32,
-) -> Result<Vec<u8>> {
-    let g = state_of(gens, gen)?;
-    if !g.live() {
-        return Err(StoreError::NotFound(format!("generation {gen} is not committed and live")));
+impl View {
+    pub(crate) fn state(&self, gen: u64) -> Result<&GenState> {
+        self.gens.get(&gen).ok_or_else(|| StoreError::NotFound(format!("generation {gen}")))
     }
-    let meta = seg_meta(g, gen, rank)?;
-    segment::read_segment(layout, gen, rank, meta.payload_len, meta.crc)
+
+    /// The live set — committed and not retired — ascending.
+    pub(crate) fn live(&self) -> impl DoubleEndedIterator<Item = (u64, &GenState)> + '_ {
+        self.gens.iter().filter(|(_, g)| g.live()).map(|(&gen, g)| (gen, g))
+    }
+
+    /// Lists every generation in the view, ascending.
+    pub fn generations(&self) -> Vec<GenInfo> {
+        self.gens
+            .iter()
+            .map(|(&gen, g)| GenInfo {
+                gen,
+                step: g.step,
+                format: g.format,
+                base_gen: g.base_gen,
+                ranks: g.segs.len() as u32,
+                bytes: g.segs.iter().flatten().map(|s| s.payload_len).sum(),
+                committed: g.committed,
+                retired: g.retired,
+                error_bound: g.error_bound,
+            })
+            .collect()
+    }
+
+    /// The newest live generation, if any.
+    pub fn latest_committed(&self) -> Option<u64> {
+        self.live().next_back().map(|(gen, _)| gen)
+    }
+
+    /// The newest live *full* generation (restorable without a chain).
+    pub fn latest_full(&self) -> Option<u64> {
+        self.live().rev().find(|(_, g)| g.format != SegmentFormat::Increment).map(|(gen, _)| gen)
+    }
+
+    /// Reads one committed segment, CRC-checked against the manifest.
+    pub fn read_segment(&self, gen: u64, rank: u32) -> Result<Vec<u8>> {
+        let g = self.state(gen)?;
+        if !g.live() {
+            return Err(StoreError::NotFound(format!("generation {gen} is not committed and live")));
+        }
+        let meta = seg_meta(g, gen, rank)?;
+        segment::read_segment(&self.layout, gen, rank, meta.payload_len, meta.crc)
+    }
+
+    /// Resolves the recovery chain of `gen`: the generations to replay,
+    /// base-first (a full generation resolves to itself).
+    pub fn resolve_chain(&self, gen: u64) -> Result<Vec<u64>> {
+        let mut chain = vec![];
+        let mut cur = gen;
+        for _ in 0..MAX_CHAIN {
+            let g = self.state(cur)?;
+            if !g.live() {
+                return Err(StoreError::Chain(format!(
+                    "chain for generation {gen} needs generation {cur}, which is not live"
+                )));
+            }
+            chain.push(cur);
+            if g.format != SegmentFormat::Increment {
+                chain.reverse();
+                return Ok(chain);
+            }
+            cur = g.base_gen;
+        }
+        Err(StoreError::Chain(format!("chain for generation {gen} exceeds {MAX_CHAIN} links")))
+    }
+
+    /// Restores a full checkpoint image (format `Checkpoint`).
+    pub fn restore_checkpoint(&self, gen: u64, rank: u32) -> Result<Checkpoint> {
+        let g = self.state(gen)?;
+        if g.format != SegmentFormat::Checkpoint {
+            return Err(StoreError::Chain(format!(
+                "generation {gen} holds {} payloads, not checkpoint images",
+                g.format.name()
+            )));
+        }
+        Ok(Checkpoint::from_bytes(&self.read_segment(gen, rank)?)?)
+    }
+
+    /// Materializes an array generation: decompresses the chain's base
+    /// `WCK1` stream and applies each `INC1` increment in order.
+    pub fn restore_array(&self, gen: u64, rank: u32) -> Result<Tensor<f64>> {
+        let chain = self.resolve_chain(gen)?;
+        let base_gen = *chain.first().ok_or_else(|| StoreError::Chain("empty chain".into()))?;
+        if self.state(base_gen)?.format != SegmentFormat::Array {
+            return Err(StoreError::Chain(format!(
+                "chain base generation {base_gen} is not an array generation"
+            )));
+        }
+        let mut tensor = Compressor::decompress(&self.read_segment(base_gen, rank)?)?;
+        for &g in chain.get(1..).unwrap_or(&[]) {
+            tensor = incremental::apply(&tensor, &self.read_segment(g, rank)?)?;
+        }
+        Ok(tensor)
+    }
 }
 
 /// The `Seg` metadata for one rank of a generation.
@@ -829,63 +858,4 @@ pub(crate) fn seg_meta(g: &GenState, gen: u64, rank: u32) -> Result<SegMeta> {
         .get(rank as usize)
         .and_then(|s| *s)
         .ok_or_else(|| StoreError::NotFound(format!("gen {gen} rank {rank}")))
-}
-
-/// Chain resolution over any generation map, base-first.
-pub(crate) fn resolve_chain_in(gens: &BTreeMap<u64, GenState>, gen: u64) -> Result<Vec<u64>> {
-    let mut chain = vec![];
-    let mut cur = gen;
-    for _ in 0..MAX_CHAIN {
-        let g = state_of(gens, cur)?;
-        if !g.live() {
-            return Err(StoreError::Chain(format!(
-                "chain for generation {gen} needs generation {cur}, which is not live"
-            )));
-        }
-        chain.push(cur);
-        if g.format != SegmentFormat::Increment {
-            chain.reverse();
-            return Ok(chain);
-        }
-        cur = g.base_gen;
-    }
-    Err(StoreError::Chain(format!("chain for generation {gen} exceeds {MAX_CHAIN} links")))
-}
-
-/// Checkpoint-image restore over any generation map.
-pub(crate) fn restore_checkpoint_in(
-    layout: &Layout,
-    gens: &BTreeMap<u64, GenState>,
-    gen: u64,
-    rank: u32,
-) -> Result<Checkpoint> {
-    let g = state_of(gens, gen)?;
-    if g.format != SegmentFormat::Checkpoint {
-        return Err(StoreError::Chain(format!(
-            "generation {gen} holds {} payloads, not checkpoint images",
-            g.format.name()
-        )));
-    }
-    Ok(Checkpoint::from_bytes(&read_segment_in(layout, gens, gen, rank)?)?)
-}
-
-/// Array restore (chain replay) over any generation map.
-pub(crate) fn restore_array_in(
-    layout: &Layout,
-    gens: &BTreeMap<u64, GenState>,
-    gen: u64,
-    rank: u32,
-) -> Result<Tensor<f64>> {
-    let chain = resolve_chain_in(gens, gen)?;
-    let base_gen = *chain.first().ok_or_else(|| StoreError::Chain("empty chain".into()))?;
-    if state_of(gens, base_gen)?.format != SegmentFormat::Array {
-        return Err(StoreError::Chain(format!(
-            "chain base generation {base_gen} is not an array generation"
-        )));
-    }
-    let mut tensor = Compressor::decompress(&read_segment_in(layout, gens, base_gen, rank)?)?;
-    for &g in chain.get(1..).unwrap_or(&[]) {
-        tensor = incremental::apply(&tensor, &read_segment_in(layout, gens, g, rank)?)?;
-    }
-    Ok(tensor)
 }

@@ -265,15 +265,17 @@ fn failed_push_resumes_from_the_cursor() {
 
     let mut flaky = FlakySink { inner: LocalReplica(&mut replica), ok: 2, puts: 0 };
     assert!(primary.push_to(&mut flaky).is_err());
-    // The sink failure poisons (the push was cut mid-protocol); reopen
-    // and observe the cursor held the last *delivered* generation.
-    assert!(primary.poisoned());
-    drop(primary);
-    let mut primary = Store::open(&pdir).unwrap();
+    // A buddy that is down must not take the primary down: the local
+    // disk was last written by a durable cursor update, so nothing is
+    // poisoned, the next checkpoint saves, and the cursor holds the
+    // last *delivered* generation.
+    assert!(!primary.poisoned());
     assert_eq!(primary.replication_cursor(), Some(gens[1]));
+    let after = primary.save_full(9, SegmentFormat::Array, &[&packed(9)], 1).unwrap();
 
+    // The retry resumes from the cursor — no reopen in between.
     let report = primary.push_to(&mut LocalReplica(&mut replica)).unwrap();
-    assert_eq!(report.pushed, gens[2..].to_vec(), "resumed, not restarted");
+    assert_eq!(report.pushed, [gens[2], gens[3], after], "resumed, not restarted");
     assert_mirrored(&primary, &replica);
     let _ = fs::remove_dir_all(&pdir);
     let _ = fs::remove_dir_all(&rdir);

@@ -222,6 +222,13 @@ fn main() {
     snap_ver[4] = 9;
     write("csm2_bad_version.bin", &snap_ver);
 
+    // The store's record stream as the commit before the lifecycle
+    // engine wrote it: every later build must reproduce both images
+    // byte for byte (`common::golden_store_images` is the script).
+    let (log, snap) = common::golden_store_images();
+    write("golden_store_log.bin", &log);
+    write("golden_store_snap.bin", &snap);
+
     // One intact sample per format; this build regenerating the
     // checked-in copies byte-identically is the compatibility check.
     let samples = common::valid_samples();

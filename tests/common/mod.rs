@@ -155,6 +155,48 @@ pub fn store_files() -> StoreFiles {
     files
 }
 
+/// The `CSM1` log and, after `compact_manifest`, the `CSM2` snapshot of
+/// a store driven through every record-writing operation: three fulls
+/// (the second saved under an error bound and grown into a depth-3
+/// chain), `gc(2)` pruning the first, `compact_chains(2, 1)` rewriting
+/// the chain (the rewrite carries the base's `Bound`) and re-anchoring
+/// the newest full above it. `tests/corpus/golden_store_{log,snap}.bin`
+/// were written from this script by the commit *before* the store's
+/// lifecycle engine (`Store::log`/`apply`/`retire`) existed.
+pub fn golden_store_images() -> (Vec<u8>, Vec<u8>) {
+    let dir = std::env::temp_dir().join(format!(
+        "ckpt-golden-store-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let (full, base, next) = tiny_states();
+    let mut last = next.clone();
+    for v in last.as_mut_slice().iter_mut().skip(20).take(5) {
+        *v -= 0.5;
+    }
+    let (inc_a, _) = incremental::increment(&base, &next, Level::Default).unwrap();
+    let (inc_b, _) = incremental::increment(&next, &last, Level::Default).unwrap();
+
+    let mut store = Store::open(&dir).unwrap();
+    store.save_full(10, SegmentFormat::Array, &[&full], 1).unwrap();
+    let f2 = store.save_full_bounded(20, SegmentFormat::Array, &[&full], 1, 1e-3).unwrap();
+    let i3 = store.save_increment(21, f2, &[&inc_a], 1).unwrap();
+    store.save_increment(22, i3, &[&inc_b], 1).unwrap();
+    store.save_full(30, SegmentFormat::Array, &[&full], 1).unwrap();
+    assert_eq!(store.gc(2).unwrap().pruned, [1]);
+    let report = store.compact_chains(2, 1).unwrap();
+    assert_eq!(report.rewritten, [(4, 6), (5, 7)], "one rewrite, one re-anchor");
+    assert_eq!(report.retired, [2, 3, 4, 5]);
+    assert!(store.restore_array(6, 0).unwrap() == last);
+    let log = fs::read(dir.join("manifest")).unwrap();
+    store.compact_manifest().unwrap();
+    let snap = fs::read(dir.join("manifest.snap")).unwrap();
+    drop(store);
+    let _ = fs::remove_dir_all(&dir);
+    (log, snap)
+}
+
 /// Lays `files` out as a store directory.
 pub fn plant_store(dir: &Path, files: &StoreFiles) {
     let _ = fs::remove_dir_all(dir);

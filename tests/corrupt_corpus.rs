@@ -451,7 +451,10 @@ fn every_corpus_file_returns_from_every_decoder() {
     for (name, bytes) in corpus_files("") {
         all_decoders_return(&bytes);
         if decode_csm2(&bytes).is_ok() {
-            assert_eq!(name, "valid_csm2.bin", "{name} opened as a manifest snapshot");
+            assert!(
+                name == "valid_csm2.bin" || name == "golden_store_snap.bin",
+                "{name} opened as a manifest snapshot"
+            );
         }
     }
 }
@@ -499,6 +502,29 @@ fn parent_written_store_opens_verifies_and_restores() {
     assert_eq!(store.replication_cursor(), Some(3));
     assert_eq!(store.restore_array(2, 0).unwrap(), common::tiny_states().2);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The record stream is a contract too: the log and snapshot images the
+/// commit before the lifecycle engine wrote for `golden_store_images`'
+/// script (every record kind; retires from GC and from compaction) are
+/// what this build writes, byte for byte — and they replay to the state
+/// the script left in memory.
+#[test]
+fn the_parent_written_store_log_is_what_this_build_writes() {
+    let read = |name: &str| fs::read(common::corpus_dir().join(name)).unwrap();
+    let (log, snap) = common::golden_store_images();
+    assert!(log == read("golden_store_log.bin"), "the CSM1 record stream moved");
+    assert!(snap == read("golden_store_snap.bin"), "the CSM2 snapshot moved");
+
+    let scan = manifest::parse_manifest(&log).unwrap();
+    assert_eq!(scan.valid_len, log.len());
+    let retires: Vec<u64> = scan
+        .records
+        .iter()
+        .filter(|r| matches!(r, manifest::Record::Retire { .. }))
+        .map(|r| r.gen())
+        .collect();
+    assert_eq!(retires, [1, 5, 4, 3, 2], "gc's victim, then compaction's: dependents first");
 }
 
 /// Old archives keep restoring: the `WCK1` sample as the previous

@@ -403,7 +403,7 @@ impl Scattered {
 mod store_equivalence {
     use lossy_ckpt::core::{incremental, Compressor, CompressorConfig};
     use lossy_ckpt::deflate::Level;
-    use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store};
+    use lossy_ckpt::store::{LocalReplica, PutGen, SegmentFormat, Store};
     use lossy_ckpt::tensor::Tensor;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
@@ -426,10 +426,42 @@ mod store_equivalence {
     /// with `bump`-derived deltas onto the previous generation.
     type Op = (bool, u8);
 
+    /// One step of a generation's life, every kind that appends records
+    /// or rewrites the map.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Full,
+        Bounded,
+        Increment(u8),
+        Import,
+        Gc(usize),
+        CompactChains(usize),
+        CompactManifest,
+    }
+
     /// Applies `ops` starting at `step0` (the first save is always a
     /// full, so a later phase stands alone), returning the expected
     /// tensor per committed step.
     fn apply_ops(store: &mut Store, ops: &[Op], seed: u64, step0: u64) -> Vec<(u64, Tensor<f64>)> {
+        let steps: Vec<Step> =
+            ops.iter().map(|&(full, bump)| if full { Step::Full } else { Step::Increment(bump) }).collect();
+        drive(store, &steps, seed, step0)
+    }
+
+    /// Memory equals replay: what the live store believes is exactly
+    /// what a second open of the same directory rebuilds from disk —
+    /// retired entries and error bounds included.
+    fn assert_memory_equals_replay(store: &Store, after: Step) {
+        let reopened = Store::open(store.root()).unwrap();
+        assert_eq!(store.generations(), reopened.generations(), "after {after:?}");
+        assert_eq!(store.latest_committed(), reopened.latest_committed(), "after {after:?}");
+        assert_eq!(store.latest_full(), reopened.latest_full(), "after {after:?}");
+    }
+
+    /// Runs `steps` (the first is forced to a save that stands alone),
+    /// checking memory against a reopen after every one. Returns the
+    /// expected tensor per saved application step.
+    fn drive(store: &mut Store, steps: &[Step], seed: u64, step0: u64) -> Vec<(u64, Tensor<f64>)> {
         let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         let mut state = Tensor::from_fn(&[11, 4], |ix| {
             ((ix[0] * 4 + ix[1]) as f64 * 0.29 + (seed as f64 + step0 as f64) * 0.01).sin() * 45.0
@@ -438,23 +470,62 @@ mod store_equivalence {
         .unwrap();
         let mut prev_gen = 0;
         let mut expected = Vec::new();
-        for (step, &(full, bump)) in ops.iter().enumerate() {
+        for (step, &op) in steps.iter().enumerate() {
             let step = step0 + step as u64;
-            if full || step == step0 {
-                let packed = comp.compress(&state).unwrap().bytes;
-                state = Compressor::decompress(&packed).unwrap();
-                prev_gen =
-                    store.save_full(step, SegmentFormat::Array, &[&packed], 1).unwrap();
-            } else {
-                let mut next = state.clone();
-                for i in (0..next.len()).step_by(1 + (bump as usize % 9)) {
-                    next.as_mut_slice()[i] += bump as f64 * 0.0625;
+            let stands_alone = matches!(op, Step::Full | Step::Bounded | Step::Import);
+            let op = if step == step0 && !stands_alone { Step::Full } else { op };
+            match op {
+                Step::Full | Step::Bounded | Step::Import => {
+                    let packed = comp.compress(&state).unwrap().bytes;
+                    state = Compressor::decompress(&packed).unwrap();
+                    let format = SegmentFormat::Array;
+                    prev_gen = match op {
+                        Step::Full => store.save_full(step, format, &[&packed], 1).unwrap(),
+                        Step::Bounded => {
+                            store.save_full_bounded(step, format, &[&packed], 1, 1e-3).unwrap()
+                        }
+                        _ => {
+                            // An explicit id, as a replica receives it.
+                            let gen = store.generations().last().map_or(1, |g| g.gen) + 3;
+                            let put = PutGen {
+                                gen,
+                                step,
+                                format,
+                                base_gen: gen,
+                                error_bound: Some(0.5),
+                                payloads: vec![packed],
+                            };
+                            assert!(store.import_generation(&put).unwrap());
+                            gen
+                        }
+                    };
+                    expected.push((step, state.clone()));
                 }
-                let (delta, _) = incremental::increment(&state, &next, Level::Fast).unwrap();
-                prev_gen = store.save_increment(step, prev_gen, &[&delta], 1).unwrap();
-                state = next;
+                Step::Increment(bump) => {
+                    let mut next = state.clone();
+                    for i in (0..next.len()).step_by(1 + (bump as usize % 9)) {
+                        next.as_mut_slice()[i] += bump as f64 * 0.0625;
+                    }
+                    let (delta, _) = incremental::increment(&state, &next, Level::Fast).unwrap();
+                    prev_gen = store.save_increment(step, prev_gen, &[&delta], 1).unwrap();
+                    state = next;
+                    expected.push((step, state.clone()));
+                }
+                Step::Gc(keep) => {
+                    store.gc(keep).unwrap();
+                }
+                Step::CompactChains(depth) => {
+                    // The newest state may move to a fresh id.
+                    let report = store.compact_chains(depth, 1).unwrap();
+                    if let Some(&(_, new)) = report.rewritten.iter().find(|(old, _)| *old == prev_gen) {
+                        prev_gen = new;
+                    }
+                }
+                Step::CompactManifest => {
+                    store.compact_manifest().unwrap();
+                }
             }
-            expected.push((step, state.clone()));
+            assert_memory_equals_replay(store, op);
         }
         expected
     }
@@ -511,6 +582,42 @@ mod store_equivalence {
                 prop_assert!(store.restore_array(info.gen, 0).unwrap() == *want,
                              "step {} diverged after compaction", info.step);
             }
+            prop_assert!(store.verify().unwrap().clean());
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        /// Memory equals replay after every operation of a generation's
+        /// life — save, bounded save, increment, import, `gc`,
+        /// `compact_chains`, `compact_manifest` in any order (`drive`
+        /// compares against a reopen after each) — and the newest state
+        /// survives the whole history bit for bit.
+        #[test]
+        fn memory_equals_replay_after_every_operation(
+            ops in pvec((0u8..10, any::<u8>()), 2..16),
+            seed in any::<u64>(),
+        ) {
+            let steps: Vec<Step> = ops
+                .iter()
+                .map(|&(kind, arg)| match kind {
+                    0 => Step::Full,
+                    1 => Step::Bounded,
+                    2 => Step::Import,
+                    3 => Step::Gc(1 + arg as usize % 3),
+                    4 => Step::CompactChains(1 + arg as usize % 3),
+                    5 => Step::CompactManifest,
+                    _ => Step::Increment(arg),
+                })
+                .collect();
+            let dir = scratch("replay");
+            let mut store = Store::open(&dir).unwrap();
+            let expected = drive(&mut store, &steps, seed, 0);
+
+            let (last_step, last_tensor) = expected.last().unwrap();
+            let latest = store.latest_committed().unwrap();
+            let info = store.generations().into_iter().find(|g| g.gen == latest).unwrap();
+            prop_assert_eq!(info.step, *last_step);
+            prop_assert!(store.restore_array(latest, 0).unwrap() == *last_tensor,
+                         "the newest state diverged");
             prop_assert!(store.verify().unwrap().clean());
             let _ = fs::remove_dir_all(&dir);
         }

@@ -393,6 +393,114 @@ fn kill_at_every_byte_of_chain_compaction() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Builds the GC sweep's fixture: a full with a flipped segment byte
+/// (the quarantine phase's work), the chain `f1 ← i1 ← i2` retention
+/// will prune as a unit, and the chain `f2 ← i3` it keeps. Returns the
+/// store, the damaged generation, the kept chain and the tensor its
+/// tip restores to.
+fn gc_fixture(dir: &Path) -> (Store, u64, [u64; 2], Tensor<f64>) {
+    let _ = fs::remove_dir_all(dir);
+    let mut store = Store::open(dir).unwrap();
+    let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+    let field = Tensor::from_fn(&[10, 3], |ix| {
+        ((ix[0] * 3 + ix[1]) as f64 * 0.31).sin() * 70.0 + 300.0
+    })
+    .unwrap();
+    let packed = comp.compress(&field).unwrap().bytes;
+    let base = Compressor::decompress(&packed).unwrap();
+    let bump = |t: &Tensor<f64>, by: f64| {
+        let mut cur = t.clone();
+        for i in (0..cur.len()).step_by(5) {
+            cur.as_mut_slice()[i] += by;
+        }
+        cur
+    };
+    let chain = |store: &mut Store, step: u64, incs: u64| {
+        let mut gen = store.save_full(step, SegmentFormat::Array, &[&packed], 1).unwrap();
+        let (mut gens, mut prev) = (vec![gen], base.clone());
+        for k in 1..=incs {
+            let cur = bump(&prev, k as f64 * 0.125);
+            let (delta, _) = incremental::increment(&prev, &cur, Level::Fast).unwrap();
+            gen = store.save_increment(step + k, gen, &[&delta], 1).unwrap();
+            gens.push(gen);
+            prev = cur;
+        }
+        (gens, prev)
+    };
+
+    let damaged = store.save_full(0, SegmentFormat::Array, &[&packed], 1).unwrap();
+    chain(&mut store, 10, 2);
+    let (kept, kept_tensor) = chain(&mut store, 20, 1);
+    let seg = dir.join(format!("segments/{damaged:08}.0.seg"));
+    let mut bytes = fs::read(&seg).unwrap();
+    bytes[7] ^= 0x40;
+    fs::write(&seg, bytes).unwrap();
+    (store, damaged, [kept[0], kept[1]], kept_tensor)
+}
+
+fn live_gens(store: &Store) -> Vec<u64> {
+    let live = store.generations().into_iter().filter(|g| g.committed && g.retired.is_none());
+    live.map(|g| g.gen).collect()
+}
+
+/// Kill-at-every-byte sweep over `gc`: the retire append, the barrier
+/// behind it and the file disposal each die at every byte. Whatever
+/// prefix of the retire records became durable, the newest state
+/// restores bit-exactly, **every live generation's chain resolves** (a
+/// retire never outlives a dependent's: dependents are logged before
+/// their bases), and a second pass converges to the unkilled result.
+#[test]
+fn kill_at_every_byte_of_gc() {
+    let dir = scratch("gc-measure");
+    let (mut store, damaged, kept, _) = gc_fixture(&dir);
+    store.set_failpoint(None);
+    let report = store.gc(1).unwrap();
+    assert_eq!(report.quarantined, [damaged], "fixture must run the quarantine phase");
+    assert_eq!(report.pruned.len(), 3, "fixture must prune the chain f1 <- i1 <- i2");
+    assert_eq!(report.retained, kept);
+    let total = store.bytes_written();
+    assert_eq!(total, 4 * 18, "four 18-byte Retire records");
+    drop(store);
+    let _ = fs::remove_dir_all(&dir);
+
+    let dir = scratch("gc-sweep");
+    let mut stranded_at = Vec::new();
+    for k in 0..=total {
+        let (mut store, damaged, kept, kept_t) = gc_fixture(&dir);
+        store.set_failpoint(Some(k));
+        let outcome = store.gc(1);
+        if outcome.is_err() {
+            assert!(store.poisoned(), "k={k}: a failed gc must poison");
+        }
+        drop(store);
+
+        let store = Store::open(&dir).unwrap_or_else(|e| panic!("k={k}: reopen failed: {e}"));
+        assert_newest_intact(&store, 21, &kept_t, &format!("k={k}"));
+        // Only the generation the fixture damaged may fail verification,
+        // and only while its quarantine record is not durable yet.
+        for (gen, rank, what) in store.verify().unwrap().problems {
+            assert_eq!((gen, rank), (damaged, 0), "k={k}: {what}");
+        }
+        if live_gens(&store).iter().any(|&g| store.resolve_chain(g).is_err()) {
+            stranded_at.push(k);
+        }
+        drop(store);
+
+        // A second pass converges to what the unkilled pass leaves.
+        let mut store = Store::open(&dir).unwrap();
+        store.gc(1).unwrap_or_else(|e| panic!("k={k}: retry failed: {e}"));
+        assert_eq!(live_gens(&store), kept, "k={k}: retried gc must converge");
+        assert!(store.verify().unwrap().clean(), "k={k}: post-retry verify");
+        assert!(store.restore_array(kept[1], 0).unwrap() == kept_t, "k={k}: kept chain tip");
+        assert_eq!(fs::read_dir(dir.join("tmp")).unwrap().count(), 0, "k={k}: tmp/ litter");
+    }
+    assert!(
+        stranded_at.is_empty(),
+        "live increments stranded on a retired base after a kill at bytes {stranded_at:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Kill-at-every-byte sweep over the replication push: the primary's
 /// durable cursor writes die at every byte. The cursor file is always
 /// whole-or-absent (its parser is total), the replica never holds a
