@@ -1,11 +1,6 @@
-//! Concurrency rule family: the static side of the `SendPtr` fan-out
-//! contract (the dynamic side is Miri/TSan in CI — DESIGN.md §13).
+//! Concurrency rule family (the dynamic side is Miri/TSan in CI —
+//! DESIGN.md §13).
 //!
-//! - `sendptr-unpartitioned-index` — every `ptr.write(i, ..)` /
-//!   `ptr.read(i)` on a `SendPtr` must derive `i` from a
-//!   disjoint-partition source (see [`crate::dataflow`]); when the
-//!   index is a function parameter, every call site is checked
-//!   instead (interprocedural, via the name-based call graph).
 //! - `unsafe-send-sync-impl` — every `unsafe impl Send/Sync` is a
 //!   finding by construction: the only way to ship one is a
 //!   `lint-allow.toml` entry naming the invariant. Together with
@@ -26,14 +21,8 @@ use crate::lexer::ScannedFile;
 use crate::rules::Violation;
 use std::collections::BTreeSet;
 
-pub const RULE_SENDPTR: &str = "sendptr-unpartitioned-index";
 pub const RULE_SEND_SYNC: &str = "unsafe-send-sync-impl";
 pub const RULE_RELAXED: &str = "relaxed-cross-thread-flag";
-
-/// Method names never traced interprocedurally: they collide with
-/// `SendPtr`'s own accessors and std raw-pointer methods, so the
-/// name-based graph cannot resolve them to one definition.
-const PTR_METHODS: &[&str] = &["write", "read", "add", "offset"];
 
 /// Atomic operations that take an `Ordering` argument.
 const ATOMIC_OPS: &[&str] = &[
@@ -49,164 +38,6 @@ const ATOMIC_OPS: &[&str] = &[
     "compare_exchange",
     "compare_exchange_weak",
 ];
-
-/// Rule `sendptr-unpartitioned-index` over the whole file set.
-pub fn check_sendptr(
-    files: &[(&ScannedFile, &FileFunctions)],
-    graph: &CallGraph,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (file, ff) in files {
-        for fi in 0..ff.functions.len() {
-            for site in dataflow::sendptr_sites(file, ff, fi) {
-                check_site(files, graph, file, ff, fi, &site, &mut out);
-            }
-        }
-    }
-    // Interprocedural checks can reach the same call site from several
-    // obligations; report each location once.
-    out.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
-    out.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.message == b.message);
-    out
-}
-
-fn check_site(
-    files: &[(&ScannedFile, &FileFunctions)],
-    graph: &CallGraph,
-    file: &ScannedFile,
-    ff: &FileFunctions,
-    fi: usize,
-    site: &dataflow::PtrSite,
-    out: &mut Vec<Violation>,
-) {
-    let func = &ff.functions[fi];
-    let idents = dataflow::expr_idents(file, site.idx.0, site.idx.1);
-    // Any partition-derived identifier (or a direct partition call in
-    // the index expression) clears the site.
-    if dataflow::is_partition_expr(file, site.idx.0, site.idx.1) {
-        return;
-    }
-    for name in &idents {
-        let mut visited = BTreeSet::new();
-        if dataflow::ident_derived(file, ff, fi, name, &mut visited, 0) {
-            return;
-        }
-    }
-    // Underived index naming a parameter: the obligation moves to the
-    // call sites — unless the function's name cannot be resolved
-    // uniquely, in which case flag here (restructure or allowlist).
-    let params = dataflow::param_names(file, func);
-    let param_positions: Vec<usize> = idents
-        .iter()
-        .filter_map(|name| params.iter().position(|seg| seg.iter().any(|p| p == name)))
-        .collect();
-    if !param_positions.is_empty() {
-        if PTR_METHODS.contains(&func.name.as_str()) {
-            // `SendPtr::write`'s own body: the rule fires at outer
-            // call sites, which are themselves SendPtr sites.
-            return;
-        }
-        if graph.by_name.get(&func.name).map(|v| v.len()) == Some(1) {
-            let n = check_call_sites(files, file, ff, func, &param_positions, site, out);
-            if n > 0 {
-                return;
-            }
-            // No call site found: fall through and flag the site
-            // itself — an entry point trusting an unproven index.
-        }
-    }
-    out.push(Violation {
-        rule: RULE_SENDPTR,
-        path: file.path.clone(),
-        line: site.line,
-        symbol: Some(func.name.clone()),
-        message: format!(
-            "SendPtr `.{}({})` index is not derived from a disjoint-partition source \
-             (partition_ranges / chunks / fan-out task id); prove disjointness or allowlist \
-             with the invariant",
-            site.method,
-            idents.join(" "),
-        ),
-    });
-}
-
-/// Checks every `name(…)` call site for the obligated argument
-/// positions; returns how many call sites were found.
-fn check_call_sites(
-    files: &[(&ScannedFile, &FileFunctions)],
-    def_file: &ScannedFile,
-    def_ff: &FileFunctions,
-    func: &crate::functions::Function,
-    positions: &[usize],
-    site: &dataflow::PtrSite,
-    out: &mut Vec<Violation>,
-) -> usize {
-    let _ = (def_file, def_ff, site);
-    let mut found = 0usize;
-    for (file, ff) in files {
-        let tokens = &file.tokens;
-        let text = |i: usize| tokens.get(i).map(|t| t.text.as_str()).unwrap_or("");
-        for i in 0..tokens.len() {
-            if text(i) != func.name || text(i + 1) != "(" || text(i.wrapping_sub(1)) == "fn" {
-                continue;
-            }
-            let Some(caller) = ff.owner.get(i).copied().flatten() else { continue };
-            // Method calls supply `self` positionally before the paren
-            // args; free calls don't. The obligated positions were
-            // computed against the declared parameter list, which for
-            // methods includes the receiver — shift accordingly.
-            let is_method_call = text(i.wrapping_sub(1)) == ".";
-            let has_receiver_param =
-                dataflow::param_names(file, func).first().is_some_and(|seg| seg.is_empty());
-            let shift = usize::from(is_method_call && has_receiver_param);
-            found += 1;
-            // Split args at depth-1 commas.
-            let mut args: Vec<(usize, usize)> = Vec::new();
-            let mut depth = 1isize;
-            let mut start = i + 2;
-            let mut k = start;
-            while k < tokens.len() {
-                match text(k) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            if k > start {
-                                args.push((start, k));
-                            }
-                            break;
-                        }
-                    }
-                    "," if depth == 1 => {
-                        args.push((start, k));
-                        start = k + 1;
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            for &pos in positions {
-                let Some(&(alo, ahi)) = args.get(pos.wrapping_sub(shift)) else { continue };
-                let mut visited = BTreeSet::new();
-                if dataflow::expr_derived(file, ff, caller, alo, ahi, &mut visited, 0) {
-                    continue;
-                }
-                out.push(Violation {
-                    rule: RULE_SENDPTR,
-                    path: file.path.clone(),
-                    line: tokens[i].line,
-                    symbol: Some(ff.functions[caller].name.clone()),
-                    message: format!(
-                        "call passes a non-partition-derived index into `{}`, which writes it \
-                         to a SendPtr; prove disjointness at this call site or allowlist",
-                        func.name
-                    ),
-                });
-            }
-        }
-    }
-    found
-}
 
 /// Rule `unsafe-send-sync-impl`: every `unsafe impl Send/Sync` is
 /// reported; shipping one requires a `lint-allow.toml` entry naming
@@ -378,98 +209,19 @@ mod tests {
         (f, ff)
     }
 
-    fn run_sendptr(src: &str) -> Vec<Violation> {
-        let (f, ff) = setup(src);
-        let files = vec![(&f, &ff)];
-        let graph = CallGraph::build(&files);
-        check_sendptr(&files, &graph)
-    }
-
-    #[test]
-    fn partitioned_write_is_clean() {
-        let src = r#"
-fn fill(buf: &mut [f64], workers: usize) {
-    let ptr = SendPtr::new(buf.as_mut_ptr(), buf.len());
-    for range in partition_ranges(buf.len(), workers) {
-        for i in range {
-            // SAFETY: ranges are disjoint.
-            unsafe { ptr.write(i, 0.0) };
-        }
-    }
-}
-"#;
-        assert!(run_sendptr(src).is_empty());
-    }
-
-    #[test]
-    fn fanout_task_index_is_clean() {
-        let src = r#"
-fn fill(slots: &mut [u8], workers: usize) {
-    let ptr = SendPtr::new(slots.as_mut_ptr(), slots.len());
-    map_shards(items, workers, |t, _| {
-        // SAFETY: shard indexes are unique.
-        unsafe { ptr.write(t, 1) };
-    });
-}
-"#;
-        assert!(run_sendptr(src).is_empty());
-    }
-
-    #[test]
-    fn unpartitioned_index_is_flagged() {
-        let src = r#"
-fn fill(buf: &mut [f64]) {
-    let ptr = SendPtr::new(buf.as_mut_ptr(), buf.len());
-    let i = next_slot();
-    // SAFETY: (bogus)
-    unsafe { ptr.write(i, 0.0) };
-}
-"#;
-        let v = run_sendptr(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RULE_SENDPTR);
-        assert_eq!(v[0].symbol.as_deref(), Some("fill"));
-    }
-
-    #[test]
-    fn param_index_checked_at_call_sites() {
-        let src = r#"
-fn write_slot(ptr: SendPtr<f64>, i: usize) {
-    // SAFETY: caller proves disjointness.
-    unsafe { ptr.write(i, 0.0) };
-}
-fn good(buf: &mut [f64], workers: usize) {
-    let ptr = SendPtr::new(buf.as_mut_ptr(), buf.len());
-    for range in partition_ranges(buf.len(), workers) {
-        for i in range {
-            write_slot(ptr, i);
-        }
-    }
-}
-fn bad(buf: &mut [f64]) {
-    let ptr = SendPtr::new(buf.as_mut_ptr(), buf.len());
-    write_slot(ptr, global_cursor());
-}
-"#;
-        let v = run_sendptr(src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].symbol.as_deref(), Some("bad"));
-        assert!(v[0].message.contains("write_slot"));
-    }
-
     #[test]
     fn send_sync_impls_always_reported() {
         let src = r#"
 // SAFETY: raw pointer with caller-enforced disjointness.
-unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Send for RawHandle<T> {}
 // SAFETY: same.
-unsafe impl<T: Sync> Sync for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> { fn clone(&self) -> Self { *self } }
+unsafe impl<T: Sync> Sync for RawHandle<T> {}
+impl<T> Clone for RawHandle<T> { fn clone(&self) -> Self { *self } }
 "#;
         let f = scan("t.rs", src);
         let v = check_send_sync(&f);
         assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|v| v.symbol.as_deref() == Some("SendPtr")));
+        assert!(v.iter().all(|v| v.symbol.as_deref() == Some("RawHandle")));
         assert!(v[0].message.contains("Send"));
         assert!(v[1].message.contains("Sync"));
     }

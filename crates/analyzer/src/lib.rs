@@ -11,10 +11,9 @@
 //!   `// SAFETY:` comment (workspace-wide, tests included).
 //! - `spec-drift` — every format section of docs/FORMAT.md must match
 //!   its row in `ckpt_deflate::frame::FORMATS`.
-//! - concurrency family (`sendptr-unpartitioned-index`,
-//!   `unsafe-send-sync-impl`, `relaxed-cross-thread-flag`) — the
-//!   static side of the `SendPtr` fan-out contract, over the
-//!   workspace call graph plus per-function dataflow facts.
+//! - concurrency family (`unsafe-send-sync-impl`,
+//!   `relaxed-cross-thread-flag`) — what crosses a thread boundary,
+//!   over the workspace call graph.
 //! - crash-consistency family (`durability-order`,
 //!   `failpoint-bypass`) — the store's tmp-write → fsync → rename →
 //!   dir-fsync → manifest-append → manifest-fsync protocol, checked
@@ -251,7 +250,6 @@ pub fn run_sources(root: &Path, sources: &[(String, String)]) -> Report {
 
     // Concurrency family over the workspace graph.
     report.errors.extend(stale_roots("FANOUT_FNS", dataflow::FANOUT_FNS, &ws_graph));
-    violations.extend(concurrency::check_sendptr(&workspace, &ws_graph));
     violations.extend(concurrency::check_relaxed(&workspace, &ws_graph));
 
     // Crash-consistency family over the store sources.

@@ -135,7 +135,6 @@ fn print_rules() {
     println!("panic-in-decoder          no unwrap/expect/panics/unchecked indexing in decoder-reachable functions");
     println!("unsafe-needs-safety-comment  every `unsafe` carries a // SAFETY: comment");
     println!("spec-drift                docs/FORMAT.md sections must match frame::FORMATS");
-    println!("sendptr-unpartitioned-index  SendPtr indexes must derive from a disjoint-partition source (call sites checked interprocedurally)");
     println!("unsafe-send-sync-impl     every `unsafe impl Send/Sync` needs a justified lint-allow.toml entry");
     println!("relaxed-cross-thread-flag Ordering::Relaxed reachable from a thread fan-out needs strengthening or a justification");
     println!("durability-order          store save/GC paths must follow tmp-write -> fsync -> rename -> dir-fsync -> manifest append -> manifest fsync");

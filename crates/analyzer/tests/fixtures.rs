@@ -31,7 +31,6 @@ fn lint_fixture(name: &str) -> Vec<Violation> {
     let mut v = Vec::new();
     v.extend(rules::check_unsafe(&file));
     v.extend(concurrency::check_send_sync(&file));
-    v.extend(concurrency::check_sendptr(&files, &graph));
     v.extend(concurrency::check_relaxed(&files, &graph));
     v.extend(durability::check(&files));
     v
@@ -39,29 +38,6 @@ fn lint_fixture(name: &str) -> Vec<Violation> {
 
 fn rule_set(v: &[Violation]) -> BTreeSet<&'static str> {
     v.iter().map(|v| v.rule).collect()
-}
-
-#[test]
-fn sendptr_unpartitioned_caught_by_exactly_its_rule() {
-    let v = lint_fixture("sendptr_unpartitioned.rs");
-    assert_eq!(rule_set(&v), BTreeSet::from([concurrency::RULE_SENDPTR]), "{v:?}");
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].symbol.as_deref(), Some("fill"));
-}
-
-#[test]
-fn sendptr_partitioned_is_clean() {
-    let v = lint_fixture("sendptr_partitioned.rs");
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn sendptr_interprocedural_blames_the_bad_call_site() {
-    let v = lint_fixture("sendptr_interprocedural.rs");
-    assert_eq!(rule_set(&v), BTreeSet::from([concurrency::RULE_SENDPTR]), "{v:?}");
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].symbol.as_deref(), Some("bad"), "the violation sits at the call site");
-    assert!(v[0].message.contains("write_slot"));
 }
 
 #[test]
@@ -107,9 +83,6 @@ fn every_fixture_on_disk_has_a_test() {
     // Adding a fixture without wiring it here would silently skip it.
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let covered: BTreeSet<&str> = BTreeSet::from([
-        "sendptr_unpartitioned.rs",
-        "sendptr_partitioned.rs",
-        "sendptr_interprocedural.rs",
         "send_sync_impl.rs",
         "relaxed_flag.rs",
         "durability_rename_before_fsync.rs",

@@ -7,10 +7,13 @@
 //! `simd-unguarded-dispatch` went that way — `quant::min_max` calling
 //! `avx2::min_max` with no tier check drew no finding, because every
 //! kernel is a `scalar::foo` / `avx2::foo` twin and the rule skipped
-//! twin names (EXPERIMENTS.md, earn-its-keep ledger, pass 4).
+//! twin names (EXPERIMENTS.md, earn-its-keep ledger, pass 4) — and
+//! `sendptr-unpartitioned-index` went when its subject did: it found
+//! its seeded defect here until the wavelet fan-out, the only user of
+//! the pool's raw-pointer wrapper, was measured out (pass 7).
 
 use ckpt_analyzer::rules::Violation;
-use ckpt_analyzer::{concurrency, durability, rules};
+use ckpt_analyzer::{durability, rules};
 use std::path::Path;
 
 /// Lints the workspace with the one occurrence of `from` in `path`
@@ -43,26 +46,17 @@ fn assert_all(v: &[Violation], rule: &str, path: &str, symbol: Option<&str>) {
     }
 }
 
-const TRANSFORM: &str = "crates/wavelet/src/transform.rs";
-
 #[test]
-fn a_sendptr_read_without_its_safety_comment_is_found() {
+fn a_kernel_dispatch_without_its_safety_comment_is_found() {
+    // The one `unsafe` call the transform's axis walk reaches.
+    let path = "crates/simd/src/wavelet.rs";
     let v = lint_with(
-        TRANSFORM,
-        "// SAFETY: a lane's index set {start + k·stride,",
-        "// a lane's index set {start + k·stride,",
+        path,
+        "// SAFETY: assert_available above verified AVX2 is present.",
+        "// assert_available above verified AVX2 is present.",
     );
-    assert_all(&v, rules::RULE_UNSAFE, TRANSFORM, None);
+    assert_all(&v, rules::RULE_UNSAFE, path, None);
     assert_eq!(v.len(), 1, "{v:?}");
-}
-
-#[test]
-fn sendptr_accesses_that_lost_their_partition_are_found() {
-    // Every worker walking every lane instead of its own range: the
-    // two reads and two writes no longer index what the worker owns.
-    let v = lint_with(TRANSFORM, "let my_lanes = &lanes[range];", "let my_lanes = &lanes[..];");
-    assert_all(&v, concurrency::RULE_SENDPTR, TRANSFORM, Some("transform_axis"));
-    assert_eq!(v.len(), 4, "{v:?}");
 }
 
 #[test]

@@ -26,25 +26,16 @@ fn repository_is_lint_clean() {
 }
 
 #[test]
-fn send_sync_impls_ride_on_justified_suppressions() {
-    // `unsafe impl Send/Sync` is a violation by construction; the only
-    // sanctioned way to ship one is a lint-allow.toml entry naming the
-    // invariant. SendPtr's two impls must therefore show up as
-    // *suppressed* findings — if they vanish entirely, either the rule
-    // or the allowlist plumbing broke.
+fn findings_ride_on_justified_suppressions() {
+    // The allowlist is the only way to ship a finding, so the tree's
+    // justified ones (three audited casts, four Relaxed counters) must
+    // show up as *suppressed* — if they vanish entirely, either their
+    // rules or the allowlist plumbing broke.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = ckpt_analyzer::run(&root);
-    let send_sync: Vec<_> = report
-        .suppressed
-        .iter()
-        .filter(|(v, _)| v.rule == "unsafe-send-sync-impl")
-        .collect();
-    assert_eq!(
-        send_sync.len(),
-        2,
-        "expected SendPtr's Send + Sync impls as suppressed findings, got {send_sync:?}"
-    );
-    assert!(send_sync.iter().all(|(v, _)| v.path == "crates/pool/src/lib.rs"));
+    for rule in ["unchecked-cast", "relaxed-cross-thread-flag"] {
+        assert!(report.suppressed.iter().any(|(v, _)| v.rule == rule), "{rule}");
+    }
     for (_, justification) in &report.suppressed {
         assert!(!justification.trim().is_empty(), "allow entries must carry a justification");
     }

@@ -8,7 +8,7 @@ use ckpt_core::{Compressor, CompressorConfig, Container};
 use ckpt_deflate::Level;
 use ckpt_quant::Method;
 use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
-use ckpt_tensor::Tensor;
+use ckpt_tensor::{Shape, Tensor};
 
 pub const USAGE: &str = "\
 ckpt — wavelet-based lossy checkpoint compression (IPDPS'15 reproduction)
@@ -44,19 +44,20 @@ generation from a running server with CRC-verified ranged reads.
 dir or served socket) behind a durable replication cursor, or rebuilds
 a lost primary by adopting the buddy's contents.
 
---threads 1 (the default) uses the exact serial pipeline; more threads
-parallelize the wavelet, quantize and gzip stages inside one array
-(gzip switches to a chunked multi-member stream so decompression
-parallelizes too; decompressed values are identical either way).";
+--threads 1 (the default) writes one gzip member; more threads deflate
+one array's chunks in parallel (gzip switches to a chunked multi-member
+stream so decompression parallelizes too; the wavelet and the quantizer
+are serial, and decompressed values are identical either way).";
 
 pub(crate) fn read_raw_tensor(path: &str, dims: &[usize]) -> Result<Tensor<f64>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let volume: usize = dims.iter().product();
-    if bytes.len() != volume * 8 {
+    // `--dims` comes from argv: the volume and the byte count are
+    // checked products, not `usize` arithmetic that wraps.
+    let volume = Shape::new(dims).map_err(|e| e.to_string())?.volume();
+    if volume.checked_mul(8) != Some(bytes.len()) {
         return Err(format!(
-            "{path}: {} bytes but dims {dims:?} imply {}",
-            bytes.len(),
-            volume * 8
+            "{path}: {} bytes but dims {dims:?} imply {volume} doubles",
+            bytes.len()
         ));
     }
     let data: Vec<f64> =
@@ -469,6 +470,12 @@ mod tests {
         std::fs::write(&raw, [0u8; 24]).unwrap();
         let err = compress(&[raw.clone(), "--dims".into(), "2x2".into()]).unwrap_err();
         assert!(err.contains("imply"), "{err}");
+        // Extents whose product (2^64) or byte count (2^61 · 8) does
+        // not fit a usize are a mismatch too, not a wrapped 0.
+        for dims in ["4294967296x4294967296", "2305843009213693952"] {
+            let err = compress(&[raw.clone(), "--dims".into(), dims.into()]).unwrap_err();
+            assert!(err.contains("overflow") || err.contains("imply"), "{dims}: {err}");
+        }
         let _ = std::fs::remove_file(raw);
     }
 

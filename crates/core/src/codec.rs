@@ -168,7 +168,7 @@ impl Compressor {
         let mut timings = StageTimings::new();
         let cfg = self.cfg;
         let plan = WaveletPlan::clamped(cfg.plan.levels, tensor.dims());
-        let ml = MultiLevel::with_kernel(plan, cfg.kernel).with_threads(cfg.threads);
+        let ml = MultiLevel::with_kernel(plan, cfg.kernel);
 
         // 1. Wavelet transformation (includes the working copy, which is
         //    part of the transform cost in the paper's implementation).
@@ -218,8 +218,8 @@ impl Compressor {
     }
 
     /// Like [`Compressor::decompress`], inflating the chunks of a
-    /// chunked container and inverting the wavelet on `threads`
-    /// workers, and refusing to materialize more than `max_bytes` of
+    /// chunked container on `threads` workers, and refusing to
+    /// materialize more than `max_bytes` of
     /// formatted data — the guard to use on checkpoint files from
     /// untrusted storage. The decompressed tensor is identical for
     /// every thread count; single-member streams inflate serially.
@@ -231,7 +231,7 @@ impl Compressor {
                 formatted.len()
             )));
         }
-        parse_stream(&formatted, threads)
+        parse_stream(&formatted)
     }
 }
 
@@ -391,7 +391,7 @@ fn format_stream(
     w.into_bytes()
 }
 
-fn parse_stream(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
+fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
     let mut r = Reader::new(bytes);
     r.expect_magic(&WCK1)?;
     r.expect_version(&WCK1)?;
@@ -460,7 +460,7 @@ fn parse_stream(bytes: &[u8], threads: usize) -> Result<Tensor<f64>> {
 
     // Rebuild the transformed tensor band by band, then invert.
     let plan = WaveletPlan::clamped(levels, &dims);
-    let ml = MultiLevel::with_kernel(plan, kernel).with_threads(threads);
+    let ml = MultiLevel::with_kernel(plan, kernel);
     let mut work = Tensor::zeros(&dims)?;
     let bands = ml.all_subbands(work.shape())?;
     let mut cursor = 0usize;

@@ -42,12 +42,11 @@ pub struct CompressorConfig {
     /// lossless kernel) as the "improved algorithm" extension.
     pub kernel: Kernel,
     /// Worker threads for intra-array parallelism. `1` (the default)
-    /// uses the exact serial code path and produces byte-identical
-    /// output to earlier versions; `> 1` fans the wavelet, quantize and
-    /// deflate stages out over scoped threads, and a gzip container
-    /// switches to the chunked multi-member format so decompression
-    /// parallelizes too. Decompressed *values* are identical either
-    /// way.
+    /// writes the single-member gzip container; `> 1` switches a gzip
+    /// container to the chunked multi-member format and deflates its
+    /// chunks on scoped threads, so decompression parallelizes too.
+    /// The wavelet and the quantizer are serial at every count.
+    /// Decompressed *values* are identical either way.
     pub threads: usize,
     /// Uncompressed bytes per chunk of the chunked gzip container
     /// (used only when `threads > 1` and the container is gzip). The

@@ -99,94 +99,6 @@ where
     })
 }
 
-/// A raw mutable pointer, paired with its allocation length, that may
-/// cross thread boundaries.
-///
-/// # Safety contract
-///
-/// The wrapper itself does nothing unsafe; it only asserts `Send` and
-/// `Sync` so scoped workers can share one output buffer. Callers must
-/// guarantee that concurrent workers dereference **disjoint** index
-/// sets (e.g. whole wavelet lanes, which partition the tensor), and
-/// that the pointed-to allocation outlives the scope. The recorded
-/// length lets debug builds catch out-of-bounds indices before they
-/// become undefined behavior.
-pub struct SendPtr<T> {
-    ptr: *mut T,
-    /// Element count of the wrapped allocation (debug bounds checks).
-    len: usize,
-}
-
-// Manual impls: the derive would add an unwanted `T: Copy` bound, but
-// copying the wrapper never copies the pointee.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: moving the raw pointer to another thread is sound because
-// the wrapper exposes access only through `unsafe` methods whose
-// contract requires disjoint per-thread index sets and an allocation
-// that outlives the sharing scope.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: same argument as `Send` — a shared `&SendPtr` offers no safe
-// mutation, and the unsafe accessors' contract forbids two threads
-// touching the same index concurrently.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Wraps a pointer to a buffer of `len` elements that workers will
-    /// access disjointly.
-    pub fn new(ptr: *mut T, len: usize) -> Self {
-        SendPtr { ptr, len }
-    }
-
-    /// The wrapped pointer.
-    pub fn as_ptr(self) -> *mut T {
-        self.ptr
-    }
-
-    /// Element count of the wrapped allocation.
-    pub fn len(self) -> usize {
-        self.len
-    }
-
-    /// True when the wrapped allocation holds no elements.
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes `value` at `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds of the wrapped allocation and no
-    /// other thread may concurrently access the same index.
-    pub unsafe fn write(self, index: usize, value: T) {
-        debug_assert!(index < self.len, "SendPtr write at {index} outside len {}", self.len);
-        // SAFETY: the caller guarantees `index` is in bounds of the
-        // allocation (debug-checked against `len` above) and that no
-        // other thread concurrently accesses this index.
-        unsafe { self.ptr.add(index).write(value) }
-    }
-
-    /// Reads the value at `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds and no other thread may concurrently
-    /// write the same index.
-    pub unsafe fn read(self, index: usize) -> T {
-        debug_assert!(index < self.len, "SendPtr read at {index} outside len {}", self.len);
-        // SAFETY: the caller guarantees `index` is in bounds
-        // (debug-checked above) and that no concurrent writer touches
-        // this index.
-        unsafe { self.ptr.add(index).read() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,26 +153,5 @@ mod tests {
             });
             assert_eq!(partials.iter().sum::<u64>(), serial);
         }
-    }
-
-    #[test]
-    fn send_ptr_disjoint_writes_land() {
-        let mut buf = vec![0usize; 64];
-        let len = buf.len();
-        let ptr = SendPtr::new(buf.as_mut_ptr(), len);
-        let ranges = partition_ranges(len, 4);
-        std::thread::scope(|scope| {
-            for r in ranges {
-                scope.spawn(move || {
-                    for i in r {
-                        // SAFETY: partition_ranges yields disjoint
-                        // in-bounds ranges, and `buf` outlives the
-                        // scope.
-                        unsafe { ptr.write(i, i * 2) };
-                    }
-                });
-            }
-        });
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == i * 2));
     }
 }

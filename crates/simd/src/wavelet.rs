@@ -25,7 +25,7 @@
 //! `crates/wavelet/tests/simd_equivalence.rs` pin every tier to the
 //! reference kernels on arbitrary bit patterns.
 
-use crate::dispatch::{self, Level};
+use crate::dispatch::Level;
 
 // CDF 9/7 lifting constants — must match crates/wavelet/src/cdf97.rs
 // exactly (the equivalence harness pins this).
@@ -75,12 +75,8 @@ impl WaveletOp {
 }
 
 /// Applies `op` to a batch of `w` interleaved lanes of length `n` at
-/// the process-wide dispatch tier.
-pub fn apply(op: WaveletOp, src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-    apply_at(dispatch::level(), op, src, dst, n, w);
-}
-
-/// Applies `op` at an explicit tier (equivalence-harness entry point).
+/// tier `level`: the caller resolves [`crate::dispatch::level`] once
+/// per axis pass, the equivalence harnesses name each tier in turn.
 ///
 /// Panics if the buffers are not `n * w` long or the tier is not
 /// available on this CPU.
@@ -780,8 +776,9 @@ mod tests {
         ] {
             let mut mid = vec![0.0; n * w];
             let mut back = vec![0.0; n * w];
-            apply(fwd, &src, &mut mid, n, w);
-            apply(inv, &mid, &mut back, n, w);
+            let level = crate::dispatch::level();
+            apply_at(level, fwd, &src, &mut mid, n, w);
+            apply_at(level, inv, &mid, &mut back, n, w);
             for (a, b) in src.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-9, "{fwd:?}: {a} vs {b}");
             }

@@ -95,13 +95,6 @@ impl Shape {
         }
         idx
     }
-
-    /// Number of independent 1-d lanes along `axis` (volume divided by the
-    /// axis extent).
-    pub fn lane_count(&self, axis: usize) -> Result<usize> {
-        let d = self.dim(axis)?;
-        Ok(self.volume / d)
-    }
 }
 
 #[cfg(test)]
@@ -148,15 +141,6 @@ mod tests {
         let s = Shape::new(&[2, 2]).unwrap();
         assert!(matches!(s.offset(&[0, 2]), Err(TensorError::OutOfBounds { axis: 1, .. })));
         assert!(matches!(s.offset(&[0]), Err(TensorError::RankMismatch { .. })));
-    }
-
-    #[test]
-    fn lane_count_divides_volume() {
-        let s = Shape::new(&[4, 6, 5]).unwrap();
-        assert_eq!(s.lane_count(0).unwrap(), 30);
-        assert_eq!(s.lane_count(1).unwrap(), 20);
-        assert_eq!(s.lane_count(2).unwrap(), 24);
-        assert!(s.lane_count(3).is_err());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The owned, contiguous N-d array.
 
-use crate::lanes::LaneIter;
 use crate::shape::Shape;
 use crate::{Result, TensorError};
 
@@ -101,36 +100,6 @@ impl<T: Copy> Tensor<T> {
         Ok(())
     }
 
-    /// Iterates the 1-d lanes running along `axis`.
-    ///
-    /// Every element belongs to exactly one lane; a lane is described by a
-    /// `(start, stride, len)` triple into the flat buffer. Separable
-    /// transforms (like the per-axis Haar step) gather a lane, transform
-    /// it, and scatter it back.
-    pub fn lanes(&self, axis: usize) -> Result<LaneIter> {
-        LaneIter::new(&self.shape, axis)
-    }
-
-    /// Copies one lane into `out` (which must have the lane's length).
-    pub fn read_lane(&self, lane: crate::lanes::Lane, out: &mut [T]) {
-        debug_assert_eq!(out.len(), lane.len);
-        let mut off = lane.start;
-        for slot in out.iter_mut() {
-            *slot = self.data[off];
-            off += lane.stride;
-        }
-    }
-
-    /// Writes `src` back into one lane.
-    pub fn write_lane(&mut self, lane: crate::lanes::Lane, src: &[T]) {
-        debug_assert_eq!(src.len(), lane.len);
-        let mut off = lane.start;
-        for &v in src {
-            self.data[off] = v;
-            off += lane.stride;
-        }
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
         for v in &mut self.data {
@@ -171,21 +140,6 @@ mod tests {
     fn from_fn_sees_every_index_once() {
         let t = Tensor::from_fn(&[2, 3], |idx| (idx[0] * 10 + idx[1]) as f64).unwrap();
         assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn lane_read_write_roundtrip() {
-        let mut t = Tensor::from_fn(&[2, 3], |idx| (idx[0] * 3 + idx[1]) as f64).unwrap();
-        // Lanes along axis 0 are columns of the 2x3 matrix.
-        let lanes: Vec<_> = t.lanes(0).unwrap().collect();
-        assert_eq!(lanes.len(), 3);
-        let mut buf = vec![0.0; 2];
-        t.read_lane(lanes[1], &mut buf);
-        assert_eq!(buf, vec![1.0, 4.0]);
-        buf.reverse();
-        t.write_lane(lanes[1], &buf);
-        assert_eq!(t.get(&[0, 1]).unwrap(), 4.0);
-        assert_eq!(t.get(&[1, 1]).unwrap(), 1.0);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! the last entry of the low band, so `low_len(n) = ceil(n/2)` and
 //! `high_len(n) = floor(n/2)`. This keeps the transform defined for any
 //! mesh extent, not just even ones.
+//!
+//! [`forward_1d`] / [`inverse_1d`] are the reference, not the product
+//! path: `transform` runs every lane through the batched kernels of
+//! `ckpt-simd`, which the equivalence harness and the transform's own
+//! lane-by-lane test pin to these functions bit for bit.
 
 /// Length of the low band for a lane of length `n`.
 #[inline]
@@ -60,20 +65,6 @@ pub fn inverse_1d(src: &[f64], dst: &mut [f64]) {
     if n % 2 == 1 {
         dst[n - 1] = src[h - 1];
     }
-}
-
-/// In-place convenience: forward transform using a scratch buffer.
-pub fn forward_1d_inplace(lane: &mut [f64], scratch: &mut Vec<f64>) {
-    scratch.clear();
-    scratch.extend_from_slice(lane);
-    forward_1d(scratch, lane);
-}
-
-/// In-place convenience: inverse transform using a scratch buffer.
-pub fn inverse_1d_inplace(lane: &mut [f64], scratch: &mut Vec<f64>) {
-    scratch.clear();
-    scratch.extend_from_slice(lane);
-    inverse_1d(scratch, lane);
 }
 
 #[cfg(test)]
@@ -156,19 +147,6 @@ mod tests {
         let mut back = [0.0];
         inverse_1d(&dst, &mut back);
         assert_eq!(back, src);
-    }
-
-    #[test]
-    fn inplace_variants_match() {
-        let src: Vec<f64> = (0..37).map(|i| i as f64 * 1.5 - 3.0).collect();
-        let mut dst = vec![0.0; 37];
-        forward_1d(&src, &mut dst);
-        let mut lane = src.clone();
-        let mut scratch = Vec::new();
-        forward_1d_inplace(&mut lane, &mut scratch);
-        assert_eq!(lane, dst);
-        inverse_1d_inplace(&mut lane, &mut scratch);
-        assert_eq!(lane, src);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! ```
 //!
 //! * [`haar`] — the 1-d forward/inverse kernels (odd lengths supported by
-//!   passing the trailing element through to the low band),
+//!   passing the trailing element through to the low band); with
+//!   [`cdf53`] and [`cdf97`], the reference the batched `ckpt-simd`
+//!   kernels are pinned to,
 //! * [`transform`] — separable single-level transforms over any subset of
-//!   axes of an N-d [`ckpt_tensor::Tensor`], in place,
+//!   axes of an N-d [`ckpt_tensor::Tensor`], in place: one tiled walk
+//!   per axis through the batched kernels,
 //! * [`subband`] — the axis-aligned block layout of the `2^k` subbands a
 //!   `k`-axis transform produces (`LL…L` plus `2^k − 1` high bands),
 //! * [`multilevel`] — recursive decomposition of the low band (an
@@ -26,6 +29,8 @@
 //! errors many orders of magnitude larger, so the paper calls this
 //! transform "lossless" — tests in this crate pin down the precise
 //! contract.
+
+#![forbid(unsafe_code)]
 
 pub mod cdf53;
 pub mod cdf97;

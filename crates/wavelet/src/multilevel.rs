@@ -63,26 +63,25 @@ pub fn low_dims_at_level(dims: &[usize], level: usize) -> Vec<usize> {
 pub struct MultiLevel {
     plan: WaveletPlan,
     kernel: transform::Kernel,
-    threads: usize,
 }
 
 impl MultiLevel {
     /// Creates a transformer for the given plan (Haar kernel, as the
     /// paper).
     pub fn new(plan: WaveletPlan) -> Self {
-        MultiLevel { plan, kernel: transform::Kernel::Haar, threads: 1 }
+        MultiLevel { plan, kernel: transform::Kernel::Haar }
     }
 
     /// Creates a transformer with an explicit kernel.
     pub fn with_kernel(plan: WaveletPlan, kernel: transform::Kernel) -> Self {
-        MultiLevel { plan, kernel, threads: 1 }
+        MultiLevel { plan, kernel }
     }
 
-    /// Fans each level's lanes out over `threads` scoped workers.
-    /// Output is bit-identical to the serial transform for every
-    /// thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Does nothing: the transform is serial at every thread count
+    /// (a lane fan-out existed and bought nothing on two threads —
+    /// EXPERIMENTS.md pass 7). Kept only because the frozen `e2e/`
+    /// probe calls it; it goes in the next benchmark-only PR.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -96,11 +95,6 @@ impl MultiLevel {
         self.kernel
     }
 
-    /// The worker-thread count in use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Forward transform: `levels` recursive applications, each on the
     /// previous level's low region.
     pub fn forward(&self, t: &mut Tensor<f64>) -> Result<()> {
@@ -112,12 +106,12 @@ impl MultiLevel {
             }
             let axes: Vec<usize> = (0..dims.len()).collect();
             if region == dims {
-                transform::forward_axes(t, &axes, self.kernel, self.threads)?;
+                transform::forward_axes(t, &axes, self.kernel)?;
             } else {
                 let zeros = vec![0usize; dims.len()];
                 let vals = t.read_block(&zeros, &region)?;
                 let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::forward_axes(&mut sub, &axes, self.kernel, self.threads)?;
+                transform::forward_axes(&mut sub, &axes, self.kernel)?;
                 t.write_block(&zeros, &region, sub.as_slice())?;
             }
         }
@@ -134,12 +128,12 @@ impl MultiLevel {
             }
             let axes: Vec<usize> = (0..dims.len()).collect();
             if region == dims {
-                transform::inverse_axes(t, &axes, self.kernel, self.threads)?;
+                transform::inverse_axes(t, &axes, self.kernel)?;
             } else {
                 let zeros = vec![0usize; dims.len()];
                 let vals = t.read_block(&zeros, &region)?;
                 let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::inverse_axes(&mut sub, &axes, self.kernel, self.threads)?;
+                transform::inverse_axes(&mut sub, &axes, self.kernel)?;
                 t.write_block(&zeros, &region, sub.as_slice())?;
             }
         }
@@ -305,31 +299,5 @@ mod kernel_tests {
         let ml = MultiLevel::with_kernel(WaveletPlan::SINGLE, Kernel::Cdf53);
         assert_eq!(ml.kernel(), Kernel::Cdf53);
         assert_eq!(MultiLevel::new(WaveletPlan::SINGLE).kernel(), Kernel::Haar);
-    }
-
-    #[test]
-    fn threaded_multilevel_is_bit_identical_to_serial() {
-        let t = Tensor::from_fn(&[40, 18, 3], |i| {
-            ((i[0] * 7 + i[1] * 3 + i[2]) as f64 * 0.13).sin() * 90.0 + 300.0
-        })
-        .unwrap();
-        for kernel in [Kernel::Haar, Kernel::Cdf53] {
-            for levels in 1..=3 {
-                let serial = MultiLevel::with_kernel(WaveletPlan { levels }, kernel);
-                let mut sw = t.clone();
-                serial.forward(&mut sw).unwrap();
-                for threads in [2usize, 4, 8] {
-                    let ml = serial.with_threads(threads);
-                    assert_eq!(ml.threads(), threads);
-                    let mut w = t.clone();
-                    ml.forward(&mut w).unwrap();
-                    assert_eq!(w.as_slice(), sw.as_slice(), "levels={levels} threads={threads}");
-                    ml.inverse(&mut w).unwrap();
-                    let mut su = sw.clone();
-                    serial.inverse(&mut su).unwrap();
-                    assert_eq!(w.as_slice(), su.as_slice(), "levels={levels} threads={threads}");
-                }
-            }
-        }
     }
 }

@@ -3,16 +3,15 @@
 //! The paper transforms a 2-d array by applying the 1-d kernel to every
 //! row (x-axis) and then every column (y-axis); a 3-d array additionally
 //! along z (Section III-A). [`forward`] does exactly that for all axes
-//! with the paper's Haar kernel; [`forward_axes`] takes the axes, the
-//! kernel and a thread count, which is what [`crate::MultiLevel`] needs.
+//! with the paper's Haar kernel; [`forward_axes`] takes the axes and the
+//! kernel, which is what [`crate::MultiLevel`] needs.
 //!
 //! The transform is in place: after `forward`, the low band occupies the
 //! low half of every transformed axis and the high bands the high halves,
 //! in the block layout described by [`crate::subband`].
 
-use crate::{cdf53, haar};
 use ckpt_simd::wavelet::WaveletOp;
-use ckpt_tensor::{lanes::Lane, Result, Tensor, TensorError};
+use ckpt_tensor::{Result, Tensor, TensorError};
 
 /// How many lanes a batched kernel call processes at once. Eight f64
 /// columns are two AVX2 vectors per row — wide enough to amortize the
@@ -35,27 +34,9 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    #[inline]
-    fn forward_lane(self, src: &[f64], dst: &mut [f64]) {
-        match self {
-            Kernel::Haar => haar::forward_1d(src, dst),
-            Kernel::Cdf53 => cdf53::forward_1d(src, dst),
-            Kernel::Cdf97 => crate::cdf97::forward_1d(src, dst),
-        }
-    }
-
-    #[inline]
-    fn inverse_lane(self, src: &[f64], dst: &mut [f64]) {
-        match self {
-            Kernel::Haar => haar::inverse_1d(src, dst),
-            Kernel::Cdf53 => cdf53::inverse_1d(src, dst),
-            Kernel::Cdf97 => crate::cdf97::inverse_1d(src, dst),
-        }
-    }
-
     /// The batched multi-lane form of this kernel/direction in
-    /// `ckpt-simd` (bit-identical to the per-lane fns above).
-    #[inline]
+    /// `ckpt-simd` (bit-identical to the 1-d reference kernels of this
+    /// crate).
     fn batch_op(self, forward_dir: bool) -> WaveletOp {
         match (self, forward_dir) {
             (Kernel::Haar, true) => WaveletOp::HaarForward,
@@ -68,218 +49,64 @@ impl Kernel {
     }
 }
 
-/// Length of the maximal run of batchable lanes starting at `lanes[i]`:
-/// same stride and length, starts increasing by exactly 1. For a
-/// non-last axis the lane iterator yields runs of `dims[last]` such
-/// lanes, whose element `k` sits at `start + j + k·stride` — `w`
-/// *contiguous* values per row, which is what the batched kernels eat.
-/// Contiguous (stride-1) lanes never batch — they are already
-/// cache-friendly and their starts are `len` apart anyway.
+/// Applies `op` along every lane of `axis`, in place.
 ///
-/// Runs are capped at the stride: lanes partition the tensor, so a
-/// longer run would alias row 0 of one lane with row 1 of another.
-fn run_width(lanes: &[Lane], i: usize) -> usize {
-    let base = lanes[i];
-    if base.stride <= 1 {
-        return 1;
-    }
-    let mut w = 1;
-    while i + w < lanes.len()
-        && w < base.stride
-        && lanes[i + w].stride == base.stride
-        && lanes[i + w].len == base.len
-        && lanes[i + w].start == base.start + w
-    {
-        w += 1;
-    }
-    w
-}
-
-/// Applies the chosen 1-d kernel along every lane of `axis`, in place,
-/// fanning lanes out over `threads` scoped workers. Lanes partition the
-/// tensor's elements, so workers read and write disjoint index sets;
-/// per-lane arithmetic is the serial code, so output is bit-identical
-/// for every thread count.
-fn transform_axis(
-    t: &mut Tensor<f64>,
-    axis: usize,
-    kernel: Kernel,
-    forward_dir: bool,
-    threads: usize,
-) -> Result<()> {
-    let lanes: Vec<_> = t.lanes(axis)?.collect();
-    let len = t.shape().dim(axis)?;
-    let workers = ckpt_pool::clamp_workers(threads, lanes.len());
-    if workers == 1 {
-        process_lanes(t.as_mut_slice(), &lanes, len, kernel, forward_dir);
-        return Ok(());
-    }
-    let ranges = ckpt_pool::partition_ranges(lanes.len(), workers);
+/// Around the axis the tensor is `[outer][n][inner]`: element `k` of
+/// lane `j` of a block sits at `base + k·row_pitch + j·lane_pitch`. For
+/// every axis but the last a block is one `outer` index and its lanes
+/// are the `inner` unit-pitched columns; the last axis (`inner == 1`) is
+/// the same loop with the two pitches swapped — one block whose lanes
+/// are the `outer` contiguous rows. Tiles of at most [`LANE_BATCH`]
+/// lanes are gathered into batch layout (`tile[k·w + j]`), run through
+/// the batched kernel and scattered back, so per-lane arithmetic is the
+/// batched kernels' on every axis.
+fn transform_axis(t: &mut Tensor<f64>, axis: usize, op: WaveletOp) -> Result<()> {
+    let n = t.shape().dim(axis)?;
+    let outer: usize = t.dims()[..axis].iter().product();
+    let inner: usize = t.dims()[axis + 1..].iter().product();
+    let (blocks, lanes, row_pitch, lane_pitch) =
+        if inner == 1 { (1, outer, 1, n) } else { (outer, inner, inner, 1) };
+    let level = ckpt_simd::dispatch::level();
     let buf = t.as_mut_slice();
-    let buf_len = buf.len();
-    let ptr = ckpt_pool::SendPtr::new(buf.as_mut_ptr(), buf_len);
-    let lanes = &lanes;
-    let op = kernel.batch_op(forward_dir);
-    std::thread::scope(|scope| {
-        for range in ranges {
-            scope.spawn(move || {
-                let mut gather = vec![0.0f64; len];
-                let mut result = vec![0.0f64; len];
-                let mut batch_in = vec![0.0f64; len * LANE_BATCH];
-                let mut batch_out = vec![0.0f64; len * LANE_BATCH];
-                let my_lanes = &lanes[range];
-                let mut i = 0;
-                while i < my_lanes.len() {
-                    let w = run_width(my_lanes, i).min(LANE_BATCH);
-                    if w >= 2 {
-                        let lane = my_lanes[i];
-                        for k in 0..lane.len {
-                            for (j, slot) in
-                                batch_in[k * w..(k + 1) * w].iter_mut().enumerate()
-                            {
-                                // SAFETY: lanes partition the tensor
-                                // and this worker owns a disjoint lane
-                                // range; start + j + k·stride
-                                // enumerates exactly the elements of
-                                // the w owned lanes starting at
-                                // `lane`, all in bounds.
-                                *slot = unsafe { ptr.read(lane.start + j + k * lane.stride) };
-                            }
-                        }
-                        ckpt_simd::wavelet::apply(
-                            op,
-                            &batch_in[..lane.len * w],
-                            &mut batch_out[..lane.len * w],
-                            lane.len,
-                            w,
-                        );
-                        for k in 0..lane.len {
-                            for (j, &r) in batch_out[k * w..(k + 1) * w].iter().enumerate() {
-                                // SAFETY: same disjoint-lane argument
-                                // as the read above; this worker
-                                // exclusively owns these w lanes.
-                                unsafe { ptr.write(lane.start + j + k * lane.stride, r) };
-                            }
-                        }
-                        i += w;
-                        continue;
-                    }
-                    let lane = my_lanes[i];
-                    for (k, g) in gather.iter_mut().enumerate().take(lane.len) {
-                        // SAFETY: a lane's index set {start + k·stride,
-                        // k < len} lies in bounds of the tensor buffer,
-                        // lanes partition the tensor, and each worker
-                        // owns a disjoint lane range — so no other
-                        // thread touches these indices.
-                        *g = unsafe { ptr.read(lane.start + k * lane.stride) };
-                    }
-                    if forward_dir {
-                        kernel.forward_lane(&gather, &mut result);
-                    } else {
-                        kernel.inverse_lane(&gather, &mut result);
-                    }
-                    for (k, &r) in result.iter().enumerate().take(lane.len) {
-                        // SAFETY: same disjoint-lane argument as the
-                        // read above; this worker exclusively owns
-                        // every index of this lane.
-                        unsafe { ptr.write(lane.start + k * lane.stride, r) };
-                    }
-                    i += 1;
+    let mut tile = vec![0.0f64; n * LANE_BATCH.min(lanes)];
+    let mut done = tile.clone();
+    for block in 0..blocks {
+        for first in (0..lanes).step_by(LANE_BATCH) {
+            let w = LANE_BATCH.min(lanes - first);
+            let base = block * n * lanes + first * lane_pitch;
+            let (tile, done) = (&mut tile[..n * w], &mut done[..n * w]);
+            for (k, row) in tile.chunks_exact_mut(w).enumerate() {
+                for (j, slot) in row.iter_mut().enumerate() {
+                    *slot = buf[base + k * row_pitch + j * lane_pitch];
                 }
-            });
+            }
+            ckpt_simd::wavelet::apply_at(level, op, tile, done, n, w);
+            for (k, row) in done.chunks_exact(w).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    buf[base + k * row_pitch + j * lane_pitch] = v;
+                }
+            }
         }
-    });
+    }
     Ok(())
 }
 
-/// Serial lane walk: maximal runs of batchable lanes go through the
-/// `ckpt-simd` batched kernels (contiguous row reads instead of the
-/// cache-hostile per-element strided gather); stride-1 and isolated
-/// lanes keep the 1-d kernel path. Output is bit-identical to the
-/// per-lane loop for every input — the batched kernels perform the
-/// same per-lane arithmetic in the same order.
-fn process_lanes(buf: &mut [f64], lanes: &[Lane], len: usize, kernel: Kernel, forward_dir: bool) {
-    let op = kernel.batch_op(forward_dir);
-    let mut gather = vec![0.0f64; len];
-    let mut result = vec![0.0f64; len];
-    let mut batch_in = vec![0.0f64; len * LANE_BATCH];
-    let mut batch_out = vec![0.0f64; len * LANE_BATCH];
-    let mut i = 0;
-    while i < lanes.len() {
-        let w = run_width(lanes, i).min(LANE_BATCH);
-        if w >= 2 {
-            let lane = lanes[i];
-            for k in 0..lane.len {
-                let row = lane.start + k * lane.stride;
-                batch_in[k * w..(k + 1) * w].copy_from_slice(&buf[row..row + w]);
-            }
-            ckpt_simd::wavelet::apply(
-                op,
-                &batch_in[..lane.len * w],
-                &mut batch_out[..lane.len * w],
-                lane.len,
-                w,
-            );
-            for k in 0..lane.len {
-                let row = lane.start + k * lane.stride;
-                buf[row..row + w].copy_from_slice(&batch_out[k * w..(k + 1) * w]);
-            }
-            i += w;
-            continue;
-        }
-        let lane = lanes[i];
-        if lane.stride == 1 {
-            gather.copy_from_slice(&buf[lane.start..lane.start + lane.len]);
-        } else {
-            for (k, g) in gather.iter_mut().enumerate().take(lane.len) {
-                *g = buf[lane.start + k * lane.stride];
-            }
-        }
-        if forward_dir {
-            kernel.forward_lane(&gather, &mut result);
-        } else {
-            kernel.inverse_lane(&gather, &mut result);
-        }
-        if lane.stride == 1 {
-            buf[lane.start..lane.start + lane.len].copy_from_slice(&result);
-        } else {
-            for (k, &r) in result.iter().enumerate().take(lane.len) {
-                buf[lane.start + k * lane.stride] = r;
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Single-level forward transform with `kernel` along the given axes,
-/// in order; any subset of `0..ndim`, each at most once. Lanes fan out
-/// over `threads` scoped workers: output is bit-identical for every
-/// thread count, and `threads <= 1` runs the serial loop inline.
-pub fn forward_axes(
-    t: &mut Tensor<f64>,
-    axes: &[usize],
-    kernel: Kernel,
-    threads: usize,
-) -> Result<()> {
+/// in order; any subset of `0..ndim`, each at most once.
+pub fn forward_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
     validate_axes(t, axes)?;
     for &axis in axes {
-        transform_axis(t, axis, kernel, true, threads)?;
+        transform_axis(t, axis, kernel.batch_op(true))?;
     }
     Ok(())
 }
 
 /// Undoes [`forward_axes`] called with the same `axes` and `kernel`
-/// (reverse axis order), with the same bit-identical-to-serial
-/// guarantee.
-pub fn inverse_axes(
-    t: &mut Tensor<f64>,
-    axes: &[usize],
-    kernel: Kernel,
-    threads: usize,
-) -> Result<()> {
+/// (reverse axis order).
+pub fn inverse_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
     validate_axes(t, axes)?;
     for &axis in axes.iter().rev() {
-        transform_axis(t, axis, kernel, false, threads)?;
+        transform_axis(t, axis, kernel.batch_op(false))?;
     }
     Ok(())
 }
@@ -288,13 +115,13 @@ pub fn inverse_axes(
 /// 2-d/3-d procedure).
 pub fn forward(t: &mut Tensor<f64>) -> Result<()> {
     let axes: Vec<usize> = (0..t.ndim()).collect();
-    forward_axes(t, &axes, Kernel::Haar, 1)
+    forward_axes(t, &axes, Kernel::Haar)
 }
 
 /// Inverse of [`forward`].
 pub fn inverse(t: &mut Tensor<f64>) -> Result<()> {
     let axes: Vec<usize> = (0..t.ndim()).collect();
-    inverse_axes(t, &axes, Kernel::Haar, 1)
+    inverse_axes(t, &axes, Kernel::Haar)
 }
 
 fn validate_axes(t: &Tensor<f64>, axes: &[usize]) -> Result<()> {
@@ -345,7 +172,7 @@ mod tests {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 3.0, 5.0, 9.0]).unwrap();
         let mut w = t.clone();
         // x (rows) then y (cols), as the paper.
-        forward_axes(&mut w, &[1, 0], Kernel::Haar, 1).unwrap();
+        forward_axes(&mut w, &[1, 0], Kernel::Haar).unwrap();
         assert_eq!(w.get(&[0, 0]).unwrap(), 4.5); // LL
         assert_eq!(w.get(&[0, 1]).unwrap(), -1.5); // LH (high along x)
         assert_eq!(w.get(&[1, 0]).unwrap(), -2.5); // HL (high along y)
@@ -374,9 +201,9 @@ mod tests {
     fn subset_of_axes_roundtrips() {
         let t = ramp(&[6, 4, 2]);
         let mut w = t.clone();
-        forward_axes(&mut w, &[0, 2], Kernel::Haar, 1).unwrap();
+        forward_axes(&mut w, &[0, 2], Kernel::Haar).unwrap();
         assert_ne!(w.as_slice(), t.as_slice());
-        inverse_axes(&mut w, &[0, 2], Kernel::Haar, 1).unwrap();
+        inverse_axes(&mut w, &[0, 2], Kernel::Haar).unwrap();
         assert_eq!(w.as_slice(), t.as_slice());
     }
 
@@ -416,44 +243,66 @@ mod tests {
     #[test]
     fn duplicate_or_invalid_axes_rejected() {
         let mut t = ramp(&[4, 4]);
-        assert!(forward_axes(&mut t, &[0, 0], Kernel::Haar, 1).is_err());
-        assert!(forward_axes(&mut t, &[2], Kernel::Haar, 1).is_err());
+        assert!(forward_axes(&mut t, &[0, 0], Kernel::Haar).is_err());
+        assert!(forward_axes(&mut t, &[2], Kernel::Haar).is_err());
+        assert!(inverse_axes(&mut t, &[2], Kernel::Haar).is_err());
     }
 
-    #[test]
-    fn threaded_transform_is_bit_identical_to_serial() {
-        for dims in [&[64usize, 32][..], &[13, 7, 5], &[1156, 82, 2], &[3], &[1, 1]] {
-            let t = ramp(dims);
-            let axes: Vec<usize> = (0..dims.len()).collect();
-            for kernel in [Kernel::Haar, Kernel::Cdf53, Kernel::Cdf97] {
-                let mut serial = t.clone();
-                forward_axes(&mut serial, &axes, kernel, 1).unwrap();
-                for threads in [1usize, 2, 4, 8] {
-                    let mut par = t.clone();
-                    forward_axes(&mut par, &axes, kernel, threads).unwrap();
-                    assert_eq!(
-                        par.as_slice(),
-                        serial.as_slice(),
-                        "forward dims={dims:?} kernel={kernel:?} threads={threads}"
-                    );
-                    inverse_axes(&mut par, &axes, kernel, threads).unwrap();
-                    let mut undone = serial.clone();
-                    inverse_axes(&mut undone, &axes, kernel, 1).unwrap();
-                    assert_eq!(
-                        par.as_slice(),
-                        undone.as_slice(),
-                        "inverse dims={dims:?} kernel={kernel:?} threads={threads}"
-                    );
-                }
+    /// The reference an axis pass is held to: every lane read element
+    /// by element with `Tensor::get`, run through the 1-d kernel, and
+    /// written back.
+    fn lane_by_lane(t: &mut Tensor<f64>, axis: usize, kernel: Kernel, forward_dir: bool) {
+        use crate::{cdf53, cdf97, haar};
+        let n = t.dims()[axis];
+        let (mut lane, mut out) = (vec![0.0; n], vec![0.0; n]);
+        for off in 0..t.len() {
+            let mut idx = t.shape().unravel(off);
+            if idx[axis] != 0 {
+                continue;
+            }
+            for (k, v) in lane.iter_mut().enumerate() {
+                idx[axis] = k;
+                *v = t.get(&idx).unwrap();
+            }
+            match (kernel, forward_dir) {
+                (Kernel::Haar, true) => haar::forward_1d(&lane, &mut out),
+                (Kernel::Haar, false) => haar::inverse_1d(&lane, &mut out),
+                (Kernel::Cdf53, true) => cdf53::forward_1d(&lane, &mut out),
+                (Kernel::Cdf53, false) => cdf53::inverse_1d(&lane, &mut out),
+                (Kernel::Cdf97, true) => cdf97::forward_1d(&lane, &mut out),
+                (Kernel::Cdf97, false) => cdf97::inverse_1d(&lane, &mut out),
+            }
+            for (k, &v) in out.iter().enumerate() {
+                idx[axis] = k;
+                t.set(&idx, v).unwrap();
             }
         }
     }
 
     #[test]
-    fn threaded_rejects_bad_axes_too() {
-        let mut t = ramp(&[4, 4]);
-        assert!(forward_axes(&mut t, &[0, 0], Kernel::Haar, 4).is_err());
-        assert!(inverse_axes(&mut t, &[2], Kernel::Haar, 4).is_err());
+    fn every_axis_pass_is_the_1d_reference_applied_lane_by_lane() {
+        let bits = |t: &Tensor<f64>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for dims in
+            [&[1156usize, 82, 2][..], &[13, 7, 5], &[64, 32], &[3], &[1, 1], &[2, 3, 4, 5]]
+        {
+            // A ramp under a non-linear term, so no high band is constant.
+            let t = Tensor::from_fn(dims, |idx| {
+                let r: usize = idx.iter().enumerate().map(|(a, &i)| (a + 1) * i).sum();
+                5.0 + r as f64 * 0.7 + ((r * r) % 17) as f64 / 3.0
+            })
+            .unwrap();
+            for kernel in [Kernel::Haar, Kernel::Cdf53, Kernel::Cdf97] {
+                for axis in 0..dims.len() {
+                    let (mut got, mut want) = (t.clone(), t.clone());
+                    forward_axes(&mut got, &[axis], kernel).unwrap();
+                    lane_by_lane(&mut want, axis, kernel, true);
+                    assert_eq!(bits(&got), bits(&want), "forward {kernel:?} {dims:?} axis {axis}");
+                    inverse_axes(&mut got, &[axis], kernel).unwrap();
+                    lane_by_lane(&mut want, axis, kernel, false);
+                    assert_eq!(bits(&got), bits(&want), "inverse {kernel:?} {dims:?} axis {axis}");
+                }
+            }
+        }
     }
 
     #[test]

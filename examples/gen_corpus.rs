@@ -229,6 +229,11 @@ fn main() {
     write("golden_store_log.bin", &log);
     write("golden_store_snap.bin", &snap);
 
+    // The N-d transform's coefficients as the commit before the one
+    // tiled axis walk computed them, as CRCs per kernel, shape and
+    // depth (`common::golden_wavelet_cases`).
+    write("golden_wavelet_coeffs.bin", &common::golden_wavelet_coeffs());
+
     // One intact sample per format; this build regenerating the
     // checked-in copies byte-identically is the compatibility check.
     let samples = common::valid_samples();

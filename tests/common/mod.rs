@@ -14,6 +14,7 @@ use lossy_ckpt::prelude::*;
 use lossy_ckpt::serve::proto::{self, Request};
 use lossy_ckpt::serve::restore::{encode_token, Token};
 use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store};
+use lossy_ckpt::wavelet::{Kernel, MultiLevel};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -195,6 +196,55 @@ pub fn golden_store_images() -> (Vec<u8>, Vec<u8>) {
     drop(store);
     let _ = fs::remove_dir_all(&dir);
     (log, snap)
+}
+
+/// The shapes `golden_wavelet_coeffs.bin` covers: the paper's mesh, odd
+/// extents on every axis, a plain 2-d array, a lone short lane, a
+/// single element, and a 4-d array.
+pub const GOLDEN_WAVELET_DIMS: [&[usize]; 6] =
+    [&[1156, 82, 2], &[13, 7, 5], &[64, 32], &[3], &[1, 1], &[2, 3, 4, 5]];
+
+/// Every case of `golden_wavelet_coeffs.bin`, in file order.
+pub fn golden_wavelet_cases() -> Vec<(Kernel, &'static [usize], usize)> {
+    let mut cases = Vec::new();
+    for kernel in [Kernel::Haar, Kernel::Cdf53, Kernel::Cdf97] {
+        for dims in GOLDEN_WAVELET_DIMS {
+            for levels in [1, 2] {
+                cases.push((kernel, dims, levels));
+            }
+        }
+    }
+    cases
+}
+
+/// `tests/corpus/golden_wavelet_coeffs.bin`: per case of
+/// [`golden_wavelet_cases`], the CRC-32 of the little-endian forward
+/// coefficients and of the inverse of that forward transform, each a
+/// little-endian `u32`. The input is a ramp under LCG noise — integer
+/// arithmetic only, so no libm decides a bit. The checked-in file was
+/// written by the commit *before* the one tiled axis walk replaced the
+/// lane iterator and its two walkers.
+pub fn golden_wavelet_coeffs() -> Vec<u8> {
+    let crc = |t: &Tensor<f64>| {
+        let bytes: Vec<u8> = t.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+        lossy_ckpt::deflate::crc32::crc32(&bytes).to_le_bytes()
+    };
+    let mut out = Vec::new();
+    for (kernel, dims, levels) in golden_wavelet_cases() {
+        let volume: usize = dims.iter().product();
+        let mut noise = lcg_bytes(volume, 0x5EED + volume as u64).into_iter();
+        let mut t = Tensor::from_fn(dims, |idx| {
+            let ramp: usize = idx.iter().enumerate().map(|(a, &i)| (a + 1) * i).sum();
+            250.0 + ramp as f64 * 0.375 + f64::from(noise.next().unwrap()) / 64.0
+        })
+        .unwrap();
+        let ml = MultiLevel::with_kernel(WaveletPlan { levels }, kernel);
+        ml.forward(&mut t).unwrap();
+        out.extend_from_slice(&crc(&t));
+        ml.inverse(&mut t).unwrap();
+        out.extend_from_slice(&crc(&t));
+    }
+    out
 }
 
 /// Lays `files` out as a store directory.

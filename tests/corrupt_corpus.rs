@@ -527,6 +527,22 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
     assert_eq!(retires, [1, 5, 4, 3, 2], "gc's victim, then compaction's: dependents first");
 }
 
+/// Restored values are a contract as much as bytes are: the forward
+/// coefficients and their inverse for every kernel, shape and depth of
+/// `golden_wavelet_cases` are what the commit before the one tiled axis
+/// walk computed, bit for bit.
+#[test]
+fn the_parent_written_wavelet_coefficients_are_what_this_build_computes() {
+    let on_disk = fs::read(common::corpus_dir().join("golden_wavelet_coeffs.bin")).unwrap();
+    let ours = common::golden_wavelet_coeffs();
+    let cases = common::golden_wavelet_cases();
+    assert_eq!(on_disk.len(), cases.len() * 8, "two CRCs per case");
+    for (case, (want, got)) in cases.iter().zip(on_disk.chunks(8).zip(ours.chunks(8))) {
+        assert_eq!(want[..4], got[..4], "forward coefficients moved: {case:?}");
+        assert_eq!(want[4..], got[4..], "inverse of forward moved: {case:?}");
+    }
+}
+
 /// Old archives keep restoring: the `WCK1` sample as the previous
 /// default wrote it — flags bit 1 clear, gzipped by the matcher without
 /// the miss stride — decodes to the values today's transposed sample
