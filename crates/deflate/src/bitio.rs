@@ -3,9 +3,10 @@
 //! each byte; Huffman codes are packed most-significant-bit first *of the
 //! code*, which callers handle by reversing code bits before writing.
 //!
-//! Both ends run on a 64-bit accumulator. The writer drains whole bytes
-//! with a single `extend_from_slice` of the accumulator's little-endian
-//! image per call; the reader refills with one unaligned 8-byte load
+//! Both ends run on a 64-bit accumulator. The writer stores the whole
+//! accumulator's little-endian image at its write position — one
+//! fixed-width store whatever the field width — and advances by the
+//! complete bytes; the reader refills with one unaligned 8-byte load
 //! and branch-free arithmetic whenever at least 8 input bytes remain.
 
 use crate::DeflateError;
@@ -13,17 +14,43 @@ use crate::DeflateError;
 /// Bit writer accumulating into a byte vector, LSB-first.
 #[derive(Debug, Default)]
 pub struct BitWriter {
+    /// Zero-filled up to `len()`; the stream so far is `out[..pos]`.
     out: Vec<u8>,
+    /// Write position: complete bytes emitted.
+    pos: usize,
     /// Bit accumulator; bits fill from the LSB upward.
     acc: u64,
     /// Number of valid bits in `acc` (< 8 after a flush).
     nbits: u32,
 }
 
+/// How far the writable region is extended (zero-filled) at a time.
+/// Within the capacity reserved up front this touches memory only just
+/// ahead of the write position.
+const GROW_STEP: usize = 64 * 1024;
+
 impl BitWriter {
     /// New empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// New empty writer with room reserved (not touched) for `bytes` of
+    /// output, so a caller that can bound its stream never reallocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter { out: Vec::with_capacity(bytes), ..Self::default() }
+    }
+
+    /// Makes `out[pos..pos + need]` writable: zero-fills a step ahead,
+    /// inside the reservation while it holds what is needed.
+    #[cold]
+    fn grow(&mut self, need: usize) {
+        let want = self.pos + need;
+        let mut len = want.max(self.out.len() + GROW_STEP);
+        if want <= self.out.capacity() {
+            len = len.min(self.out.capacity());
+        }
+        self.out.resize(len, 0);
     }
 
     /// Writes the low `count` bits of `bits` (count <= 56 per call).
@@ -37,11 +64,16 @@ impl BitWriter {
         debug_assert!(count == 64 || bits < (1u64 << count), "extraneous high bits");
         self.acc |= bits << self.nbits;
         self.nbits += count;
-        // Flush every complete byte in one shot. `nbits` stays < 8
-        // between calls, so `nbits + count <= 63` and the shift below
-        // is always in range.
-        let bytes = (self.nbits / 8) as usize;
-        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+        // Store all eight bytes, keep the complete ones. `nbits` stays
+        // < 8 between calls, so `nbits + count <= 63` and the shift
+        // below is always in range; the bytes past the complete ones
+        // are rewritten by the next store.
+        if self.pos + 8 > self.out.len() {
+            self.grow(8);
+        }
+        self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
+        let bytes = self.nbits / 8;
+        self.pos += bytes as usize;
         self.acc >>= bytes * 8;
         self.nbits &= 7;
     }
@@ -49,8 +81,11 @@ impl BitWriter {
     /// Pads with zero bits to the next byte boundary.
     pub fn align_byte(&mut self) {
         if self.nbits > 0 {
+            // Every store writes the whole accumulator, so the partial
+            // byte already sits at `pos`: keep it.
             let [low, ..] = self.acc.to_le_bytes();
-            self.out.push(low);
+            debug_assert_eq!(self.out.get(self.pos), Some(&low));
+            self.pos += 1;
             self.acc = 0;
             self.nbits = 0;
         }
@@ -60,17 +95,22 @@ impl BitWriter {
     /// stored blocks).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         assert_eq!(self.nbits, 0, "write_bytes requires byte alignment");
-        self.out.extend_from_slice(bytes);
+        if self.pos + bytes.len() > self.out.len() {
+            self.grow(bytes.len());
+        }
+        self.out[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
     }
 
     /// Current length in bits (for cost accounting).
     pub fn bit_len(&self) -> usize {
-        self.out.len() * 8 + self.nbits as usize
+        self.pos * 8 + self.nbits as usize
     }
 
     /// Finishes the stream, padding the final partial byte with zeros.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_byte();
+        self.out.truncate(self.pos);
         self.out
     }
 }
@@ -246,6 +286,90 @@ pub fn reverse_bits(code: u32, n: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    /// The sink this crate shipped before the fixed-width store, kept
+    /// as the oracle: complete bytes are appended a variable-length
+    /// slice at a time.
+    #[derive(Default)]
+    struct ReferenceWriter {
+        out: Vec<u8>,
+        acc: u64,
+        nbits: u32,
+    }
+
+    impl ReferenceWriter {
+        fn write_bits(&mut self, bits: u64, count: u32) {
+            self.acc |= bits << self.nbits;
+            self.nbits += count;
+            let bytes = (self.nbits / 8) as usize;
+            self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+            self.acc >>= bytes * 8;
+            self.nbits &= 7;
+        }
+
+        fn align_byte(&mut self) {
+            if self.nbits > 0 {
+                self.out.push(self.acc.to_le_bytes()[0]);
+                self.acc = 0;
+                self.nbits = 0;
+            }
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            self.align_byte();
+            self.out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        /// The sink is a pure speed-up: any interleaving of fields up to
+        /// 56 bits wide, alignments and aligned byte runs gives the
+        /// bytes (and, on the way, the bit length) the old sink gave —
+        /// from an empty writer, which grows as it goes, and from one
+        /// whose reservation the stream outruns.
+        #[test]
+        fn stream_equals_the_reference_sink(
+            ops in pvec((any::<u64>(), 0u32..=56, 0u8..12), 0..600),
+            reserve in 0usize..4096,
+        ) {
+            let mut reference = ReferenceWriter::default();
+            let mut sinks = [BitWriter::new(), BitWriter::with_capacity(reserve)];
+            for &(value, count, kind) in &ops {
+                match kind {
+                    0 => {
+                        reference.align_byte();
+                        sinks.iter_mut().for_each(BitWriter::align_byte);
+                    }
+                    1 => {
+                        // A stored block's shape: align, then raw bytes
+                        // (up to 2 KiB, so runs cross the reservation).
+                        let run = value.to_le_bytes().repeat(value as usize % 256);
+                        reference.align_byte();
+                        reference.out.extend_from_slice(&run);
+                        for w in &mut sinks {
+                            w.align_byte();
+                            w.write_bytes(&run);
+                        }
+                    }
+                    _ => {
+                        let field = if count == 0 { 0 } else { value >> (64 - count) };
+                        reference.write_bits(field, count);
+                        sinks.iter_mut().for_each(|w| w.write_bits(field, count));
+                    }
+                }
+                let bits = reference.out.len() * 8 + reference.nbits as usize;
+                prop_assert!(sinks.iter().all(|w| w.bit_len() == bits));
+            }
+            let want = reference.finish();
+            for w in sinks {
+                prop_assert_eq!(&w.finish(), &want);
+            }
+        }
+    }
 
     #[test]
     fn write_read_roundtrip() {

@@ -1,15 +1,22 @@
 //! DEFLATE block encoder (RFC 1951).
 //!
-//! Tokens stream from the LZ77 matcher straight into a segment encoder
-//! (fused tokenize→encode: no whole-input `Vec<Token>`). The encoder
-//! buffers one segment of roughly [`SEGMENT_BYTES`] source bytes as
-//! packed `u32` tokens while accumulating symbol histograms and
+//! Before the matcher sees anything, a noise gate classifies every full
+//! [`GATE_BLOCK`] of the input by two byte histograms, of its bytes and
+//! of their first differences: a run of blocks an ideal order-0 code
+//! could shrink by 1.5% through neither — the mantissa planes of a
+//! transposed f64 region — is written as stored blocks and is never
+//! searched, indexed or tokenized. The ranges between go
+//! through the LZ77 matcher, whose tokens stream straight into a segment
+//! encoder (fused tokenize→encode: no whole-input `Vec<Token>`). The
+//! encoder buffers one segment of at most [`SEGMENT_BYTES`] source bytes
+//! as packed `u32` tokens while accumulating symbol histograms and
 //! extra-bit counts, then emits the segment as whichever block type is
 //! cheapest — stored, fixed-Huffman, or dynamic-Huffman (stored blocks
-//! chunk at the 65 535-byte limit). Per-segment Huffman tables matter
-//! for checkpoint streams, whose sections have very different
-//! statistics (f64 low band, then one-byte quantizer indexes, then a
-//! bitmap).
+//! chunk at the 65 535-byte limit). A segment also ends where a gated
+//! run begins, so block cuts fall where the statistics change.
+//! Per-segment Huffman tables matter for checkpoint streams, whose
+//! sections have very different statistics (f64 byte planes, then
+//! one-byte quantizer indexes, then a bitmap).
 //!
 //! Length and distance symbols resolve through precomputed tables
 //! (`LEN_CODE`, `DIST_SYM_LO`/`DIST_SYM_HI`) instead of per-token
@@ -19,8 +26,9 @@
 
 use crate::bitio::BitWriter;
 use crate::huffman::{code_lengths, Encoder};
-use crate::lz77::{self, TokenSink};
+use crate::lz77::{Matcher, TokenSink};
 use crate::Level;
+use std::sync::OnceLock;
 
 /// Number of literal/length symbols (0..=285, 286/287 reserved).
 pub const NUM_LITLEN: usize = 286;
@@ -145,20 +153,32 @@ pub fn dist_symbol(dist: u16) -> (usize, u8, u16) {
 }
 
 /// The fixed literal/length code lengths (RFC 1951 §3.2.6).
-pub fn fixed_litlen_lengths() -> Vec<u8> {
-    let mut lens = vec![8u8; 288];
-    for l in lens.iter_mut().take(256).skip(144) {
-        *l = 9;
+pub const fn fixed_litlen_lengths() -> [u8; 288] {
+    let mut lens = [8u8; 288];
+    let mut s = 144;
+    while s < 256 {
+        lens[s] = 9;
+        s += 1;
     }
-    for l in lens.iter_mut().take(280).skip(256) {
-        *l = 7;
+    while s < 280 {
+        lens[s] = 7;
+        s += 1;
     }
     lens
 }
 
 /// The fixed distance code lengths: thirty-two 5-bit codes.
-pub fn fixed_dist_lengths() -> Vec<u8> {
-    vec![5u8; 32]
+pub const fn fixed_dist_lengths() -> [u8; 32] {
+    [5u8; 32]
+}
+
+const FIXED_LITLEN: [u8; 288] = fixed_litlen_lengths();
+const FIXED_DIST: [u8; 32] = fixed_dist_lengths();
+
+/// The fixed-block encoders `(literal/length, distance)`, built once.
+fn fixed_encoders() -> &'static (Encoder, Encoder) {
+    static FIXED: OnceLock<(Encoder, Encoder)> = OnceLock::new();
+    FIXED.get_or_init(|| (Encoder::from_lengths(&FIXED_LITLEN), Encoder::from_lengths(&FIXED_DIST)))
 }
 
 /// Packed token: literals are the byte value; matches set bit 31 and
@@ -264,30 +284,33 @@ fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u8, u8)> {
     out
 }
 
-/// A prepared dynamic block header.
+/// A prepared dynamic block header. The two tables are whole alphabets
+/// (what the encoders index); the header transmits their first `hlit`
+/// and `hdist` lengths.
 struct DynamicPlan {
     lit_lens: Vec<u8>,
     dist_lens: Vec<u8>,
+    hlit: usize,
+    hdist: usize,
     rle: Vec<(u8, u8, u8)>,
     cl_lens: Vec<u8>,
     hclen: usize,
     header_bits: usize,
 }
 
-fn plan_dynamic(lit_freq: &[u64], dist_freq: &[u64]) -> DynamicPlan {
-    let mut lit_lens = code_lengths(lit_freq, 15);
-    let mut dist_lens = code_lengths(dist_freq, 15);
-    // HLIT >= 257, HDIST >= 1: trim trailing zeros down to the minima.
+fn plan_dynamic(lit_freq: &[u64; NUM_LITLEN], dist_freq: &[u64; NUM_DIST]) -> DynamicPlan {
+    let lit_lens = code_lengths(lit_freq, 15);
+    let dist_lens = code_lengths(dist_freq, 15);
+    // HLIT >= 257, HDIST >= 1: trailing zeros are cut down to the minima.
     let hlit = (257..=NUM_LITLEN).rev().find(|&k| k == 257 || lit_lens[k - 1] != 0).unwrap();
     let hdist = (1..=NUM_DIST).rev().find(|&k| k == 1 || dist_lens[k - 1] != 0).unwrap();
-    lit_lens.truncate(hlit.max(257));
-    dist_lens.truncate(hdist.max(1));
 
-    let mut all = lit_lens.clone();
-    all.extend_from_slice(&dist_lens);
-    let rle = rle_code_lengths(&all);
+    let mut all = [0u8; NUM_LITLEN + NUM_DIST];
+    all[..hlit].copy_from_slice(&lit_lens[..hlit]);
+    all[hlit..hlit + hdist].copy_from_slice(&dist_lens[..hdist]);
+    let rle = rle_code_lengths(&all[..hlit + hdist]);
 
-    let mut cl_freq = vec![0u64; 19];
+    let mut cl_freq = [0u64; 19];
     for &(sym, _, _) in &rle {
         cl_freq[sym as usize] += 1;
     }
@@ -301,14 +324,14 @@ fn plan_dynamic(lit_freq: &[u64], dist_freq: &[u64]) -> DynamicPlan {
     for &(sym, extra, _) in &rle {
         header_bits += cl_lens[sym as usize] as usize + extra as usize;
     }
-    DynamicPlan { lit_lens, dist_lens, rle, cl_lens, hclen, header_bits }
+    DynamicPlan { lit_lens, dist_lens, hlit, hdist, rle, cl_lens, hclen, header_bits }
 }
 
 fn write_dynamic_block(w: &mut BitWriter, plan: &DynamicPlan, tokens: &[u32], bfinal: bool) {
     w.write_bits(bfinal as u64, 1);
     w.write_bits(0b10, 2);
-    w.write_bits((plan.lit_lens.len() - 257) as u64, 5);
-    w.write_bits((plan.dist_lens.len() - 1) as u64, 5);
+    w.write_bits((plan.hlit - 257) as u64, 5);
+    w.write_bits((plan.hdist - 1) as u64, 5);
     w.write_bits((plan.hclen - 4) as u64, 4);
     for &ord in CLCODE_ORDER.iter().take(plan.hclen) {
         w.write_bits(plan.cl_lens[ord] as u64, 3);
@@ -320,40 +343,35 @@ fn write_dynamic_block(w: &mut BitWriter, plan: &DynamicPlan, tokens: &[u32], bf
             w.write_bits(val as u64, extra as u32);
         }
     }
-    // Pad the tables so the encoder can index any symbol.
-    let mut lit_lens = plan.lit_lens.clone();
-    lit_lens.resize(NUM_LITLEN, 0);
-    let mut dist_lens = plan.dist_lens.clone();
-    dist_lens.resize(NUM_DIST, 0);
-    let lit = Encoder::from_lengths(&lit_lens);
-    let dist = Encoder::from_lengths(&dist_lens);
+    let lit = Encoder::from_lengths(&plan.lit_lens);
+    let dist = Encoder::from_lengths(&plan.dist_lens);
     write_body(w, tokens, &lit, &dist);
 }
 
 fn write_fixed_block(w: &mut BitWriter, tokens: &[u32], bfinal: bool) {
     w.write_bits(bfinal as u64, 1);
     w.write_bits(0b01, 2);
-    let lit = Encoder::from_lengths(&fixed_litlen_lengths());
-    let dist = Encoder::from_lengths(&fixed_dist_lengths());
-    write_body(w, tokens, &lit, &dist);
+    let (lit, dist) = fixed_encoders();
+    write_body(w, tokens, lit, dist);
 }
 
 /// Writes `data` as stored blocks (chunked at 65 535 bytes); the last
 /// chunk carries BFINAL = `bfinal`.
 fn write_stored_chunks(w: &mut BitWriter, data: &[u8], bfinal: bool) {
-    let mut chunks: Vec<&[u8]> = data.chunks(65_535).collect();
-    if chunks.is_empty() {
-        chunks.push(&[]);
-    }
-    let last = chunks.len() - 1;
-    for (i, chunk) in chunks.iter().enumerate() {
-        w.write_bits((bfinal && i == last) as u64, 1);
+    let mut rest = data;
+    loop {
+        let (chunk, later) = rest.split_at(rest.len().min(65_535));
+        w.write_bits((bfinal && later.is_empty()) as u64, 1);
         w.write_bits(0b00, 2);
         w.align_byte();
         let len = chunk.len() as u16;
         w.write_bits(len as u64, 16);
         w.write_bits((!len) as u64, 16);
         w.write_bytes(chunk);
+        if later.is_empty() {
+            break;
+        }
+        rest = later;
     }
 }
 
@@ -361,6 +379,90 @@ fn write_stored_chunks(w: &mut BitWriter, data: &[u8], bfinal: bool) {
 /// headers, small enough that sections with different statistics get
 /// their own Huffman tables.
 pub const SEGMENT_BYTES: usize = 128 * 1024;
+
+/// The noise gate's unit: every full, aligned block of this many source
+/// bytes is classified by its histograms before the matcher sees it.
+pub const GATE_BLOCK: usize = 16 * 1024;
+
+/// A block is noise when coding its bytes with an ideal order-0 code
+/// would still cost at least this many thousandths of storing them.
+const GATE_PER_MILLE: u64 = 985;
+
+/// No symbol of a noise block is this frequent: with one byte value on
+/// a sixteenth of the block, the flattest histogram left costs 7.83
+/// bits a byte, under the gate's 7.88. It bounds [`LOG2_Q16`].
+const GATE_MAX_COUNT: usize = GATE_BLOCK / 16;
+
+/// `LOG2_Q16[f]` = log2(f) in 16.16 fixed point, by repeated squaring of
+/// the mantissa — integer arithmetic, so the gate decides the same on
+/// every host. Entry 0 is unused (an absent symbol costs nothing).
+const LOG2_Q16: [u32; GATE_MAX_COUNT] = build_log2_q16();
+
+const fn build_log2_q16() -> [u32; GATE_MAX_COUNT] {
+    let mut t = [0u32; GATE_MAX_COUNT];
+    let mut f = 1usize;
+    while f < GATE_MAX_COUNT {
+        let e = (f as u32).ilog2();
+        // Mantissa in [1, 2) as 1.31 fixed point.
+        let mut y = (f as u64) << (31 - e);
+        let mut log = e << 16;
+        let mut bit = 16;
+        while bit > 0 {
+            bit -= 1;
+            y = (y * y) >> 31;
+            if y >= 1 << 32 {
+                y >>= 1;
+                log |= 1 << bit;
+            }
+        }
+        t[f] = log;
+        f += 1;
+    }
+    t
+}
+
+/// Would an ideal order-0 code save less than 1.5% of these bytes?
+fn order0_flat(bytes: &[u8; GATE_BLOCK]) -> bool {
+    // Four histograms, so runs of one value do not serialize on a
+    // single counter.
+    let mut lanes = [[0u32; 256]; 4];
+    for quad in bytes.chunks_exact(4) {
+        for (lane, &b) in lanes.iter_mut().zip(quad) {
+            lane[b as usize] += 1;
+        }
+    }
+    // Σ f·(log2 N − log2 f), in 16.16 bits.
+    let log_n = u64::from(GATE_BLOCK.ilog2()) << 16;
+    let mut cost = 0u64;
+    let [a, b, c, d] = &lanes;
+    for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+        let f = (a + b + c + d) as usize;
+        let Some(&log_f) = LOG2_Q16.get(f) else { return false };
+        cost += f as u64 * (log_n - u64::from(log_f));
+    }
+    cost * 1000 >= ((8 * GATE_BLOCK as u64) << 16) * GATE_PER_MILLE
+}
+
+/// The gate rule: a block is noise when neither its bytes nor their
+/// first differences have a histogram an order-0 code could use. Such a
+/// block is stored without being searched — the mantissa planes of a
+/// transposed f64 region are the case that pays. The differences are
+/// what tells those from the plane just above them, where a smooth
+/// field leaves a slow ramp through all 256 values: flat as bytes, and
+/// a few percent to a few fold smaller through the matcher. The accepted
+/// trade: a flat block that repeats inside the window is stored too,
+/// since only the search that is being skipped could tell.
+fn is_noise(block: &[u8]) -> bool {
+    let block: &[u8; GATE_BLOCK] = block.try_into().expect("the gate's unit");
+    if !order0_flat(block) {
+        return false;
+    }
+    let mut steps = *block;
+    for (step, before) in steps[1..].iter_mut().zip(block) {
+        *step = step.wrapping_sub(*before);
+    }
+    order0_flat(&steps)
+}
 
 /// Streaming segment encoder: the [`TokenSink`] the LZ77 matcher feeds.
 /// Buffers packed tokens for the current segment and keeps histograms
@@ -380,20 +482,25 @@ struct SegmentEncoder<'a> {
     /// Segment reached SEGMENT_BYTES: flush before the next token so
     /// the final segment (whatever its size) carries BFINAL.
     boundary: bool,
+    /// A stored run carried BFINAL: the stream is complete.
+    ended: bool,
 }
 
 impl<'a> SegmentEncoder<'a> {
     fn new(data: &'a [u8]) -> Self {
         SegmentEncoder {
-            w: BitWriter::new(),
+            // No block costs more than storing it would: 5 bytes and an
+            // alignment per stored chunk. A reservation, not a limit.
+            w: BitWriter::with_capacity(data.len() + data.len() / 1024 + 64),
             data,
-            tokens: Vec::with_capacity(SEGMENT_BYTES / 4),
+            tokens: Vec::with_capacity(data.len().min(SEGMENT_BYTES)),
             lit_freq: [0; NUM_LITLEN],
             dist_freq: [0; NUM_DIST],
             extra_bits: 0,
             seg_start: 0,
             covered: 0,
             boundary: false,
+            ended: false,
         }
     }
 
@@ -404,30 +511,30 @@ impl<'a> SegmentEncoder<'a> {
         }
     }
 
-    /// Emits the buffered segment as the cheapest block type.
+    /// Emits the buffered segment as the cheapest block type. An empty
+    /// segment is a block only where the stream needs one to end on.
     fn flush(&mut self, bfinal: bool) {
+        if self.covered == 0 && !bfinal {
+            return;
+        }
         self.lit_freq[END_OF_BLOCK] += 1;
         let src = &self.data[self.seg_start..self.seg_start + self.covered];
         let plan = plan_dynamic(&self.lit_freq, &self.dist_freq);
-        let mut lit_padded = plan.lit_lens.clone();
-        lit_padded.resize(NUM_LITLEN, 0);
-        let mut dist_padded = plan.dist_lens.clone();
-        dist_padded.resize(NUM_DIST, 0);
         let dynamic_cost = 3
             + plan.header_bits as u64
             + body_cost_from_freqs(
                 &self.lit_freq,
                 &self.dist_freq,
                 self.extra_bits,
-                &lit_padded,
-                &dist_padded,
+                &plan.lit_lens,
+                &plan.dist_lens,
             );
         let fixed_cost = 3 + body_cost_from_freqs(
             &self.lit_freq,
             &self.dist_freq,
             self.extra_bits,
-            &fixed_litlen_lengths(),
-            &fixed_dist_lengths(),
+            &FIXED_LITLEN,
+            &FIXED_DIST,
         );
         let stored_cost = (src.chunks(65_535).count().max(1) * (3 + 32) + src.len() * 8 + 7) as u64;
 
@@ -448,8 +555,19 @@ impl<'a> SegmentEncoder<'a> {
         self.extra_bits = 0;
     }
 
+    /// Ends the pending segment and stores `data[seg_start..end]` — a
+    /// run of gated blocks the matcher never saw — behind it.
+    fn store_until(&mut self, end: usize) {
+        self.flush(false);
+        self.ended = end == self.data.len();
+        write_stored_chunks(&mut self.w, &self.data[self.seg_start..end], self.ended);
+        self.seg_start = end;
+    }
+
     fn finish(mut self) -> Vec<u8> {
-        self.flush(true);
+        if !self.ended {
+            self.flush(true);
+        }
         self.w.finish()
     }
 }
@@ -509,14 +627,39 @@ impl TokenSink for SegmentEncoder<'_> {
 }
 
 /// Compresses `data` into a raw DEFLATE stream.
+///
+/// The input is walked in runs of [`GATE_BLOCK`]-sized blocks of one
+/// kind: a run the gate calls noise goes out as stored blocks, unseen by
+/// the matcher; everything else (the tail shorter than a block
+/// included) is matched, with the window — noise and all — behind it.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    if level == Level::Store {
-        let mut w = BitWriter::new();
+    let Some(mut matcher) = Matcher::new(level) else {
+        let mut w = BitWriter::with_capacity(data.len() + 5 * data.len().div_ceil(65_535).max(1));
         write_stored_chunks(&mut w, data, true);
         return w.finish();
-    }
+    };
     let mut enc = SegmentEncoder::new(data);
-    lz77::tokenize_into(data, level, &mut enc);
+    let noise_at = |at: usize| data.get(at..at + GATE_BLOCK).is_some_and(is_noise);
+    let (mut at, mut noise) = (0, noise_at(0));
+    while at < data.len() {
+        // Extend the run to the first block of the other kind.
+        let mut end = at + GATE_BLOCK;
+        let mut next = noise;
+        while end < data.len() {
+            next = noise_at(end);
+            if next != noise {
+                break;
+            }
+            end += GATE_BLOCK;
+        }
+        let end = end.min(data.len());
+        if noise {
+            enc.store_until(end);
+        } else {
+            matcher.tokenize_into(&data[..end], at, &mut enc);
+        }
+        (at, noise) = (end, next);
+    }
     enc.finish()
 }
 
@@ -625,30 +768,73 @@ mod tests {
         assert!(packed.len() < data.len() + 32);
     }
 
+    fn lcg(n: usize, mut state: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn incompressible_data_falls_back_to_stored() {
-        // Whatever the matcher samples or skips, noise is never larger
-        // than stored: 5 bytes per stored block, three blocks (65 535,
-        // 65 535, 2) per segment.
-        for (n, level) in [
-            (10_000usize, Level::Default),
-            (10_000, Level::Fast),
-            (300_000, Level::Fast),
-            (300_000, Level::Default),
-        ] {
-            let mut state = 1u64;
-            let data: Vec<u8> = (0..n)
-                .map(|_| {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (state >> 56) as u8
-                })
-                .collect();
-            let packed = compress(&data, level);
-            let blocks = 3 * n.div_ceil(SEGMENT_BYTES);
-            assert!(packed.len() <= n + 5 * blocks + 1, "{level:?}, {n}: {} bytes", packed.len());
-            assert_eq!(crate::inflate::inflate(&packed).unwrap(), data);
+        // Noise of any length costs its bytes and 5 per stored chunk:
+        // the gated run in 65 535-byte chunks, then the tail that is
+        // shorter than a block as one more.
+        for n in [1usize, 10_000, GATE_BLOCK - 1, GATE_BLOCK, GATE_BLOCK + 1, 65_536, 300_000] {
+            let data = lcg(n, n as u64);
+            for level in [Level::Fast, Level::Default] {
+                let run = n - n % GATE_BLOCK;
+                let chunks = run.div_ceil(65_535) + usize::from(n > run);
+                let packed = compress(&data, level);
+                assert!(packed.len() <= n + 5 * chunks, "{level:?}, {n}: {} bytes", packed.len());
+                assert_eq!(crate::inflate::inflate(&packed).unwrap(), data);
+            }
         }
+    }
+
+    #[test]
+    fn the_gate_passes_noise_and_nothing_an_order0_code_could_shrink() {
+        assert!(is_noise(&lcg(GATE_BLOCK, 1)));
+        assert!(!is_noise(&[0u8; GATE_BLOCK]));
+        let text: Vec<u8> = b"the quick brown fox ".iter().copied().cycle().take(GATE_BLOCK).collect();
+        assert!(!is_noise(&text));
+        // 7 bits of noise a byte is 87.5% of raw: under the gate.
+        let seven: Vec<u8> = lcg(GATE_BLOCK, 2).iter().map(|b| b & 0x7F).collect();
+        assert!(!is_noise(&seven));
+        // Ramps through all 256 values — the byte plane above the
+        // mantissa noise of a smooth field — are flat as bytes and
+        // anything but in their steps.
+        for (num, den) in [(1usize, 5usize), (9, 2)] {
+            let ramp: Vec<u8> = (0..GATE_BLOCK).map(|i| (i * num / den) as u8).collect();
+            let block: &[u8; GATE_BLOCK] = ramp.as_slice().try_into().unwrap();
+            assert!(order0_flat(block) && !is_noise(&ramp), "slope {num}/{den}");
+        }
+        // Flat but for one value on a sixteenth of the block — the
+        // least skew the log table does not cover — is already under it.
+        let mut skewed = lcg(GATE_BLOCK, 3);
+        skewed.iter_mut().step_by(16).for_each(|b| *b = 0);
+        assert!(!is_noise(&skewed));
+        let ideal = |p: f64, others: f64| -(p * p.log2() + (1.0 - p) * ((1.0 - p) / others).log2());
+        assert!(ideal(GATE_MAX_COUNT as f64 / GATE_BLOCK as f64, 255.0) < 8.0 * GATE_PER_MILLE as f64 / 1000.0);
+    }
+
+    #[test]
+    fn the_log_table_is_log2_to_sixteen_bits() {
+        for (f, &q16) in LOG2_Q16.iter().enumerate().skip(1) {
+            let exact = (f as f64).log2() * 65536.0;
+            assert!((f64::from(q16) - exact).abs() < 2.0, "log2({f}) = {q16} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn flushing_an_empty_segment_writes_a_block_only_to_end_the_stream() {
+        let mut enc = SegmentEncoder::new(&[]);
+        enc.flush(false);
+        assert_eq!(enc.w.bit_len(), 0);
+        enc.flush(true);
+        assert_eq!(enc.w.bit_len(), 10, "an empty fixed block: header and end-of-block");
     }
 
     #[test]

@@ -24,60 +24,69 @@ pub const MAX_BITS: u32 = 15;
 /// frequency get length 0 (absent). A single active symbol gets length 1
 /// (DEFLATE cannot express 0-bit codes). Panics if the number of active
 /// symbols exceeds `2^max_len` (impossible for DEFLATE alphabets).
+///
+/// O(m·L) for `m` active symbols and limit `L`: a level keeps, per item
+/// of its merged list, only whether it is a leaf or a package — leaves
+/// enter every list in sorted order and package `j` is items `2j` and
+/// `2j + 1` of the list below, so "the first `k` items" of a list is a
+/// count of leaves and a count of packages, and the lengths fall out of
+/// walking those counts from the last list down.
 pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
-    let active: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+    // (weight, symbol), lightest first, ties by symbol.
+    let mut leaves: Vec<(u64, usize)> =
+        freqs.iter().enumerate().filter(|&(_, &f)| f > 0).map(|(s, &f)| (f, s)).collect();
     let mut lengths = vec![0u8; freqs.len()];
-    match active.len() {
+    let m = leaves.len();
+    match m {
         0 => return lengths,
         1 => {
-            lengths[active[0]] = 1;
+            lengths[leaves[0].1] = 1;
             return lengths;
         }
-        m => assert!(m as u64 <= 1u64 << max_len, "alphabet too large for length limit"),
+        _ => assert!(m as u64 <= 1u64 << max_len, "alphabet too large for length limit"),
     }
+    leaves.sort_unstable();
 
-    // Package-merge. A node is either a leaf (one symbol) or a package of
-    // two lower-level nodes; we only need, per node, the *count of leaves
-    // per symbol*, which we store as a flat index list (small alphabets).
-    #[derive(Clone)]
-    struct Node {
-        weight: u64,
-        /// Indexes into `active` of the leaves under this node.
-        leaves: Vec<u32>,
-    }
-
-    let mut leaves: Vec<Node> = active
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| Node { weight: freqs[s], leaves: vec![i as u32] })
-        .collect();
-    leaves.sort_by_key(|n| n.weight);
-
-    let mut list = leaves.clone();
-    for _ in 1..max_len {
-        // Package adjacent pairs of the previous list...
-        let mut packages: Vec<Node> = list
-            .chunks_exact(2)
-            .map(|pair| {
-                let mut leaves_union = pair[0].leaves.clone();
-                leaves_union.extend_from_slice(&pair[1].leaves);
-                Node { weight: pair[0].weight + pair[1].weight, leaves: leaves_union }
-            })
-            .collect();
-        // ...and merge with the original leaves.
-        packages.extend(leaves.iter().cloned());
-        packages.sort_by_key(|n| n.weight);
-        list = packages;
-    }
-
-    // The optimal solution selects the first 2m-2 nodes of the final
-    // list; each time a symbol's leaf appears, its code length grows by
-    // one.
-    let take = 2 * active.len() - 2;
-    for node in &list[..take] {
-        for &leaf in &node.leaves {
-            lengths[active[leaf as usize]] += 1;
+    // `is_leaf[level]` flags the items of that level's list, lightest
+    // first; the first list is the leaves alone. Only the weights of
+    // the list below are needed to build the next one.
+    let levels = max_len as usize;
+    let mut is_leaf: Vec<Vec<bool>> = Vec::with_capacity(levels);
+    is_leaf.push(vec![true; m]);
+    let mut below: Vec<u64> = leaves.iter().map(|&(w, _)| w).collect();
+    let mut weights: Vec<u64> = Vec::with_capacity(2 * m);
+    for _ in 1..levels {
+        let packages = below.len() / 2;
+        let mut flags = Vec::with_capacity(m + packages);
+        let (mut p, mut l) = (0usize, 0usize);
+        while p < packages || l < m {
+            let package = if p < packages { below[2 * p] + below[2 * p + 1] } else { 0 };
+            // A package goes ahead of a leaf of the same weight.
+            let leaf = p == packages || (l < m && leaves[l].0 < package);
+            if leaf {
+                weights.push(leaves[l].0);
+                l += 1;
+            } else {
+                weights.push(package);
+                p += 1;
+            }
+            flags.push(leaf);
         }
+        is_leaf.push(flags);
+        std::mem::swap(&mut below, &mut weights);
+        weights.clear();
+    }
+
+    // The optimal solution selects the first 2m-2 items of the last
+    // list. Each leaf among the items taken from a list adds one bit to
+    // its symbol; each package takes two more items from the list below.
+    let mut take = 2 * m - 2;
+    for flags in is_leaf.iter().rev() {
+        let taken = flags[..take].iter().filter(|&&leaf| leaf).count();
+        for &(_, s) in &leaves[..taken] {
+            lengths[s] += 1;
+        }
+        take = 2 * (take - taken);
     }
     debug_assert!(lengths.iter().all(|&l| l as u32 <= max_len));
     lengths
@@ -334,6 +343,129 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    /// The package-merge this crate shipped before the O(m·L) form, kept
+    /// as the oracle: every node carries the list of leaves under it and
+    /// each level is re-sorted whole.
+    fn reference_code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
+        let active: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        let mut lengths = vec![0u8; freqs.len()];
+        match active.len() {
+            0 => return lengths,
+            1 => {
+                lengths[active[0]] = 1;
+                return lengths;
+            }
+            m => assert!(m as u64 <= 1u64 << max_len, "alphabet too large for length limit"),
+        }
+        #[derive(Clone)]
+        struct Node {
+            weight: u64,
+            leaves: Vec<u32>,
+        }
+        let mut leaves: Vec<Node> = active
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Node { weight: freqs[s], leaves: vec![i as u32] })
+            .collect();
+        leaves.sort_by_key(|n| n.weight);
+        let mut list = leaves.clone();
+        for _ in 1..max_len {
+            let mut packages: Vec<Node> = list
+                .chunks_exact(2)
+                .map(|pair| {
+                    let mut leaves_union = pair[0].leaves.clone();
+                    leaves_union.extend_from_slice(&pair[1].leaves);
+                    Node { weight: pair[0].weight + pair[1].weight, leaves: leaves_union }
+                })
+                .collect();
+            packages.extend(leaves.iter().cloned());
+            packages.sort_by_key(|n| n.weight);
+            list = packages;
+        }
+        let take = 2 * active.len() - 2;
+        for node in &list[..take] {
+            for &leaf in &node.leaves {
+                lengths[active[leaf as usize]] += 1;
+            }
+        }
+        lengths
+    }
+
+    /// A frequency table of `symbols` entries: `shape` picks how skewed
+    /// (0 = few distinct values, so ties everywhere; 1 = byte counts;
+    /// 2 = geometric, so the limit binds), `zero_every` thins it out.
+    fn table(raw: &[u64], symbols: usize, shape: u8, zero_every: usize) -> Vec<u64> {
+        (0..symbols)
+            .map(|s| {
+                let r = raw[s % raw.len()];
+                if zero_every > 1 && s % zero_every != 0 {
+                    return 0;
+                }
+                match shape % 3 {
+                    0 => 1 + r % 3,
+                    1 => r % 4096,
+                    _ => 1u64 << ((s as u64 + r % 2) % 40),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The planner is a pure speed-up: on the three alphabets DEFLATE
+        /// plans (286 literal/length and 30 distance symbols under 15
+        /// bits, 19 code-length symbols under 7) it assigns every symbol
+        /// the length the old package-merge did, ties included.
+        #[test]
+        fn lengths_equal_the_reference_package_merge(
+            raw in pvec(any::<u64>(), 1..64),
+            shape in any::<u8>(),
+            zero_every in 1usize..9,
+        ) {
+            for (symbols, max_len) in [(286usize, 15u32), (30, 15), (19, 7)] {
+                let freqs = table(&raw, symbols, shape, zero_every);
+                let got = code_lengths(&freqs, max_len);
+                prop_assert_eq!(&got, &reference_code_lengths(&freqs, max_len), "{:?}", &freqs);
+                prop_assert!(got.iter().all(|&l| u32::from(l) <= max_len));
+            }
+        }
+    }
+
+    #[test]
+    fn lengths_equal_the_reference_where_the_limit_binds_and_at_the_edges() {
+        let same = |freqs: &[u64], max_len: u32| {
+            let got = code_lengths(freqs, max_len);
+            assert_eq!(got, reference_code_lengths(freqs, max_len), "{freqs:?} under {max_len}");
+            got
+        };
+        // One and two active symbols, anywhere in the table.
+        same(&[0, 0, 9, 0], 15);
+        assert_eq!(same(&[0, 4, 0, 4], 15), [0, 1, 0, 1]);
+        assert_eq!(same(&[1, 1 << 40], 7), [1, 1]);
+        // Limit 7 binding on the 19-symbol code-length alphabet: a
+        // Fibonacci table wants depth 18.
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 19 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        let lens = same(&fib, 7);
+        assert_eq!(lens.iter().copied().max(), Some(7));
+        assert!(check_kraft(&lens).unwrap());
+        // Limit 15 binding on a skewed 286-symbol table: doubling
+        // weights over the literals, a flat floor under the rest.
+        let skewed: Vec<u64> =
+            (0..286u32).map(|s| if s < 40 { 1u64 << s } else { 3 }).collect();
+        let lens = same(&skewed, 15);
+        assert_eq!(lens.iter().copied().max(), Some(15));
+        assert!(check_kraft(&lens).unwrap());
+        // All equal: every item of every list ties.
+        same(&[7; 286], 15);
+        same(&[7; 19], 7);
+    }
 
     #[test]
     fn canonical_codes_rfc_example() {

@@ -11,8 +11,9 @@
 //!   `trailing_zeros` on the XOR;
 //! * lazy evaluation keeps the probe result for the next position
 //!   instead of re-searching it after a deferral;
-//! * a capped miss-driven stride samples incompressible stretches
-//!   instead of searching every byte of them;
+//! * a capped miss-driven stride thins the search where it keeps
+//!   missing (whole blocks of noise never get here: the encoder's gate
+//!   stores them unsearched, and hands this module the ranges between);
 //! * tokens stream into a [`TokenSink`] (the DEFLATE encoder feeds them
 //!   straight into Huffman coding) instead of materializing a
 //!   `Vec<Token>` for the whole input.
@@ -33,15 +34,18 @@ const WMASK: usize = WINDOW - 1;
 /// Skip-on-miss (the LZ4/zstd rule): after a run of consecutive
 /// positions with no match the search advances by
 /// `min(1 + (misses >> MISS_SHIFT), MAX_STRIDE)` and drops back to 1 on
-/// the first match, so incompressible stretches — the mantissa planes of
-/// a transposed f64 region — are sampled instead of searched byte by
-/// byte. The stride grows by one per 32 misses. Stepped-over positions
-/// are still hashed into the chains (no chain walk), and the stride is
-/// capped: both keep re-entry into structured data cheap. Uncapped and
-/// unindexed, the search is ~10% faster on a checkpoint payload but
-/// steps over the first matches of the few-KB planes of small exact
-/// segments (+1.25% stored size there); as set, the loss is under 0.05%
-/// everywhere measured (sweep in DESIGN.md).
+/// the first match. The stride grows by one per 32 misses. Stepped-over
+/// positions are still hashed into the chains (no chain walk), and the
+/// stride is capped: both keep re-entry into structured data cheap.
+/// Uncapped and unindexed, the search is ~10% faster on a checkpoint
+/// payload but steps over the first matches of the few-KB planes of
+/// small exact segments (+1.25% stored size there); as set, the loss is
+/// under 0.05% everywhere measured (sweep in DESIGN.md). Since the
+/// encoder's noise gate took the mantissa planes of a transposed f64
+/// region away from the matcher, what the stride thins is the rest —
+/// poorly matching stretches shorter than a gate block or not flat at
+/// order 0 (the index plane, an untransposed f64 region): still 8% of
+/// the stage's time on a checkpoint stream (EXPERIMENTS.md, pass 8).
 const MISS_SHIFT: u32 = 5;
 const MAX_STRIDE: usize = 8;
 
@@ -248,94 +252,108 @@ impl Chains {
     }
 }
 
-/// Streams the token stream for `data` at the given level into `sink`.
-/// [`Level::Store`] yields all literals (the caller normally
-/// special-cases it into stored blocks).
-pub fn tokenize_into<S: TokenSink>(data: &[u8], level: Level, sink: &mut S) {
-    let Some(effort) = Effort::for_level(level) else {
-        sink.literals(data);
-        return;
-    };
-    // Positions are stored +1 in u32 chains.
-    assert!(data.len() < u32::MAX as usize, "input too large for u32 hash chains");
-    let n = data.len();
-    // Positions below this bound have a full 3-byte hash.
-    let hash_end = n.saturating_sub(MIN_MATCH - 1);
-    let mut chains = Chains::new();
-    let mut i = 0usize;
-    // Start of the literal run not yet handed to the sink — literals
-    // batch into one `literals` call per run instead of one call per
-    // byte.
-    let mut lit_start = 0usize;
-    // Match found at position i by last iteration's lazy probe (i is
-    // already inserted in the chains).
-    let mut pending: Option<(u32, u32)> = None;
-    // Consecutive searched positions that found no match.
-    let mut misses = 0usize;
-    while i < n {
-        let found = match pending.take() {
-            Some(m) => Some(m),
-            None if i < hash_end => {
-                let first = chains.insert(hash3(data, i), i);
-                chains.longest_from(data, i, first, &effort, effort.max_chain, MIN_MATCH - 1)
+/// The match finder: an effort and the hash chains, which live across
+/// calls so that one input can be tokenized a range at a time.
+pub struct Matcher {
+    effort: Effort,
+    chains: Chains,
+}
+
+impl Matcher {
+    /// A matcher with empty chains; `None` at [`Level::Store`], which
+    /// has nothing to search.
+    pub fn new(level: Level) -> Option<Matcher> {
+        Effort::for_level(level).map(|effort| Matcher { effort, chains: Chains::new() })
+    }
+
+    /// Streams the tokens for `data[start..]` into `sink`. Matches reach
+    /// back into `data[..start]` wherever an earlier call indexed it and
+    /// never run past the end of `data`, so a caller that tokenizes
+    /// ranges in ascending order — handing the bytes in between to the
+    /// decoder some other way — passes `&data[..end]` for each.
+    pub fn tokenize_into<S: TokenSink>(&mut self, data: &[u8], start: usize, sink: &mut S) {
+        let Matcher { effort, chains } = self;
+        let effort = *effort;
+        // Positions are stored +1 in u32 chains.
+        assert!(data.len() < u32::MAX as usize, "input too large for u32 hash chains");
+        let n = data.len();
+        // Positions below this bound have a full 3-byte hash.
+        let hash_end = n.saturating_sub(MIN_MATCH - 1);
+        let mut i = start;
+        // Start of the literal run not yet handed to the sink — literals
+        // batch into one `literals` call per run instead of one call per
+        // byte.
+        let mut lit_start = start;
+        // Match found at position i by last iteration's lazy probe (i is
+        // already inserted in the chains).
+        let mut pending: Option<(u32, u32)> = None;
+        // Consecutive searched positions that found no match.
+        let mut misses = 0usize;
+        while i < n {
+            let found = match pending.take() {
+                Some(m) => Some(m),
+                None if i < hash_end => {
+                    let first = chains.insert(hash3(data, i), i);
+                    chains.longest_from(data, i, first, &effort, effort.max_chain, MIN_MATCH - 1)
+                }
+                None => None,
+            };
+            let Some((len, dist)) = found else {
+                // The positions stepped over join the literal run unsearched,
+                // but are indexed: a match that starts right behind the
+                // noise must still find its source.
+                misses += 1;
+                let next = i + (1 + (misses >> MISS_SHIFT)).min(MAX_STRIDE);
+                for p in i + 1..next.min(hash_end) {
+                    chains.insert(hash3(data, p), p);
+                }
+                i = next;
+                continue;
+            };
+            misses = 0;
+            // Lazy evaluation: if the next position matches longer, defer
+            // (position i joins the literal run). The probe inserts i+1 (it
+            // gets inserted exactly once either way) and its result is
+            // reused as the next iteration's match — the old implementation
+            // searched every deferred position twice.
+            let mut probed = false;
+            if effort.lazy && (len as usize) < effort.max_lazy && i + 1 < hash_end {
+                let first = chains.insert(hash3(data, i + 1), i + 1);
+                probed = true;
+                // A match that is already good only merits a quarter of the
+                // chain budget on the probe.
+                let budget = if (len as usize) >= GOOD_LENGTH {
+                    effort.max_chain >> 2
+                } else {
+                    effort.max_chain
+                };
+                // Seeding with the pending length means the probe can only
+                // return a strictly longer match.
+                if let Some((len2, dist2)) =
+                    chains.longest_from(data, i + 1, first, &effort, budget, len as usize)
+                {
+                    i += 1;
+                    pending = Some((len2, dist2));
+                    continue;
+                }
             }
-            None => None,
-        };
-        let Some((len, dist)) = found else {
-            // The positions stepped over join the literal run unsearched,
-            // but are indexed: a match that starts right behind the
-            // noise must still find its source.
-            misses += 1;
-            let next = i + (1 + (misses >> MISS_SHIFT)).min(MAX_STRIDE);
-            for p in i + 1..next.min(hash_end) {
+            if lit_start < i {
+                sink.literals(&data[lit_start..i]);
+            }
+            sink.backref(len, dist);
+            lit_start = i + len as usize;
+            // Index the skipped positions so later matches can refer into
+            // this region; the hash is one masked u32 load per position.
+            let from = if probed { i + 2 } else { i + 1 };
+            let end = (i + len as usize).min(hash_end);
+            for p in from..end {
                 chains.insert(hash3(data, p), p);
             }
-            i = next;
-            continue;
-        };
-        misses = 0;
-        // Lazy evaluation: if the next position matches longer, defer
-        // (position i joins the literal run). The probe inserts i+1 (it
-        // gets inserted exactly once either way) and its result is
-        // reused as the next iteration's match — the old implementation
-        // searched every deferred position twice.
-        let mut probed = false;
-        if effort.lazy && (len as usize) < effort.max_lazy && i + 1 < hash_end {
-            let first = chains.insert(hash3(data, i + 1), i + 1);
-            probed = true;
-            // A match that is already good only merits a quarter of the
-            // chain budget on the probe.
-            let budget = if (len as usize) >= GOOD_LENGTH {
-                effort.max_chain >> 2
-            } else {
-                effort.max_chain
-            };
-            // Seeding with the pending length means the probe can only
-            // return a strictly longer match.
-            if let Some((len2, dist2)) =
-                chains.longest_from(data, i + 1, first, &effort, budget, len as usize)
-            {
-                i += 1;
-                pending = Some((len2, dist2));
-                continue;
-            }
+            i += len as usize;
         }
-        if lit_start < i {
-            sink.literals(&data[lit_start..i]);
+        if lit_start < n {
+            sink.literals(&data[lit_start..n]);
         }
-        sink.backref(len, dist);
-        lit_start = i + len as usize;
-        // Index the skipped positions so later matches can refer into
-        // this region; the hash is one masked u32 load per position.
-        let start = if probed { i + 2 } else { i + 1 };
-        let end = (i + len as usize).min(hash_end);
-        for p in start..end {
-            chains.insert(hash3(data, p), p);
-        }
-        i += len as usize;
-    }
-    if lit_start < n {
-        sink.literals(&data[lit_start..n]);
     }
 }
 
@@ -356,11 +374,15 @@ impl TokenSink for Collector {
 }
 
 /// Tokenizes `data` at the given level into a materialized token
-/// vector. The compressor proper uses [`tokenize_into`]; this exists
-/// for tests and tools that inspect the token stream.
+/// vector ([`Level::Store`] yields all literals). The compressor proper
+/// drives a [`Matcher`]; this exists for tests and tools that inspect
+/// the token stream.
 pub fn tokenize(data: &[u8], level: Level) -> Vec<Token> {
     let mut sink = Collector { tokens: Vec::with_capacity(data.len() / 2) };
-    tokenize_into(data, level, &mut sink);
+    match Matcher::new(level) {
+        Some(mut matcher) => matcher.tokenize_into(data, 0, &mut sink),
+        None => sink.literals(data),
+    }
     sink.tokens
 }
 
@@ -549,6 +571,44 @@ mod tests {
         ];
         let out = resolve(&tokens);
         assert_eq!(out, vec![1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 1, 2, 3, 1]);
+    }
+
+    #[test]
+    fn a_later_range_matches_into_an_earlier_one_and_stops_at_its_own_end() {
+        // motif | 16 KiB handed to the decoder some other way | motif |
+        // more: tokenized as 0..a and b..c of one input, the second range
+        // finds the first across the gap and leaves `more` alone.
+        let mut state = 7u32;
+        let motif: Vec<u8> = (0..1000)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                (state >> 24) as u8
+            })
+            .collect();
+        let gap = vec![0xEEu8; 16 * 1024];
+        let data = [motif.as_slice(), &gap, &motif, &motif[..300]].concat();
+        let (a, b, c) = (motif.len(), motif.len() + gap.len(), 2 * motif.len() + gap.len());
+        for level in [Level::Fast, Level::Default] {
+            let mut matcher = Matcher::new(level).unwrap();
+            let mut sink = Collector { tokens: Vec::new() };
+            matcher.tokenize_into(&data[..a], 0, &mut sink);
+            let first = sink.tokens.len();
+            matcher.tokenize_into(&data[..c], b, &mut sink);
+            let second = &sink.tokens[first..];
+            let covered: usize = second
+                .iter()
+                .map(|t| match t {
+                    Token::Literal(_) => 1,
+                    Token::Match { len, .. } => *len as usize,
+                })
+                .sum();
+            assert_eq!(covered, c - b, "{level:?}: the range's bytes, no more");
+            assert!(second.len() <= 8, "{level:?}: {} tokens for a copy", second.len());
+            assert!(
+                second.iter().all(|t| matches!(t, Token::Match { dist, .. } if *dist as usize == b)),
+                "{level:?}: {second:?}"
+            );
+        }
     }
 
     #[test]

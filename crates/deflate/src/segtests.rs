@@ -1,8 +1,11 @@
-//! Segmentation-boundary tests for the multi-block encoder.
+//! Segmentation-boundary tests for the multi-block encoder, and the
+//! noise gate's: where a stored run may begin and end, what it costs,
+//! and that every reader of the crate decodes a stream that has them.
 
-use crate::deflate::{compress, SEGMENT_BYTES};
+use crate::deflate::{compress, GATE_BLOCK, SEGMENT_BYTES};
 use crate::inflate::inflate;
-use crate::Level;
+use crate::resume::ResumableInflate;
+use crate::{chunked, gzip, Level};
 
 fn lcg(n: usize, mut s: u64) -> Vec<u8> {
     (0..n)
@@ -76,4 +79,109 @@ fn incompressible_multi_segment_falls_back_to_stored_per_segment() {
     // Expansion bounded by stored-block overhead (~5 bytes per 64 KiB).
     assert!(packed.len() <= data.len() + 64);
     assert_eq!(inflate(&packed).unwrap(), data);
+}
+
+/// Low-entropy bytes with matches to find: a period-97 ramp.
+fn ramp(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i % 97) as u8).collect()
+}
+
+/// structured | noise | structured (| a noise tail shorter than a block):
+/// the noise begins `lead` bytes in and ends `edge` bytes past a block
+/// boundary (negative: short of it).
+fn sandwich(lead: usize, edge: i64, noise_tail: bool) -> Vec<u8> {
+    let noise_end = (4 * GATE_BLOCK as i64 + edge) as usize;
+    let mut data = ramp(lead);
+    data.extend(lcg(noise_end - lead, lead as u64));
+    data.extend(ramp(5000));
+    if noise_tail {
+        data.extend(lcg(GATE_BLOCK / 3, 3));
+    }
+    data
+}
+
+/// Every decoder of the crate reads `packed` back as `data`: the
+/// one-shot inflate, and the resumable engine at the given step.
+fn decodes_everywhere(packed: &[u8], data: &[u8], step: usize, what: &str) {
+    assert!(inflate(packed).unwrap() == data, "{what}: inflate");
+    let mut engine = ResumableInflate::new();
+    let mut out = Vec::new();
+    while !engine.inflate_step(packed, &mut out, step).unwrap() {}
+    assert!(out == data, "{what}: stepped by {step}");
+    assert_eq!(engine.bytes_consumed(), packed.len(), "{what}: stepped by {step}");
+}
+
+#[test]
+fn stored_runs_beginning_and_ending_around_block_boundaries_decode_everywhere() {
+    let block = GATE_BLOCK as i64;
+    for lead in [block - 1, block, block + 1] {
+        for edge in [-1i64, 0, 1] {
+            for noise_tail in [false, true] {
+                let data = sandwich(lead as usize, edge, noise_tail);
+                let what = format!("lead {lead}, edge {edge}, tail {noise_tail}");
+                for level in [Level::Fast, Level::Default] {
+                    let packed = compress(&data, level);
+                    // The two whole blocks inside the noise are stored
+                    // unsearched; the ramps still compress.
+                    assert!(packed.len() < data.len() - 4000, "{what}: {} bytes", packed.len());
+                    for step in [7, 4096] {
+                        decodes_everywhere(&packed, &data, step, &what);
+                    }
+                }
+                let packed = compress(&data, Level::Default);
+                if edge == 0 {
+                    decodes_everywhere(&packed, &data, 1, &what);
+                }
+                // The member decoder, stepped, and the chunked container
+                // on two threads (40 000-byte chunks put the gate's grid
+                // somewhere else in every chunk).
+                let member = gzip::compress(&data, Level::Default);
+                let mut stepped = gzip::Member::new(&member, ResumableInflate::new()).unwrap();
+                let mut out = Vec::new();
+                let size = loop {
+                    if let Some(size) = stepped.step(&mut out, 4096).unwrap() {
+                        break size;
+                    }
+                };
+                assert_eq!(size, member.len(), "{what}");
+                assert!(out == data, "{what}: gzip member");
+                let container = chunked::compress_chunked(&data, Level::Default, 40_000, 2);
+                assert!(chunked::decompress_chunked(&container, 2).unwrap() == data, "{what}: WPK1");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_stream_that_ends_on_a_stored_run_has_no_trailer_block() {
+    // Structure, then noise to the last byte on a block boundary: the
+    // run's last chunk carries BFINAL, so the stream is the coded block,
+    // 5 bytes of stored header and the noise — nothing behind it.
+    let mut data = ramp(GATE_BLOCK);
+    data.extend(lcg(2 * GATE_BLOCK, 8));
+    let head = compress(&data[..GATE_BLOCK], Level::Default).len();
+    let packed = compress(&data, Level::Default);
+    assert!(packed.len() <= head + 5 + 2 * GATE_BLOCK, "{} vs {head}", packed.len());
+    assert_eq!(&packed[packed.len() - 2 * GATE_BLOCK..], &data[GATE_BLOCK..]);
+    decodes_everywhere(&packed, &data, 4096, "noise to the end");
+}
+
+/// The accepted trade, in words: the gate looks at a block's byte
+/// histogram and nothing else, so a block that is flat at order 0 is
+/// stored even when it is a copy of the block before it — only the
+/// search the gate exists to skip could have told. Checkpoint planes do
+/// not repeat at that scale; what the rule guarantees instead is that
+/// such input is never *expanded* beyond the stored-block overhead.
+#[test]
+fn an_order0_flat_block_that_repeats_inside_the_window_is_stored_not_searched() {
+    let block = lcg(GATE_BLOCK, 21);
+    let data = [block.as_slice(), &block].concat();
+    for level in [Level::Fast, Level::Default] {
+        let packed = compress(&data, level);
+        assert_eq!(packed.len(), data.len() + 5, "{level:?}: one stored chunk");
+        assert!(inflate(&packed).unwrap() == data);
+    }
+    // Below the gate's unit the copy is the matcher's again.
+    let short = [&block[..GATE_BLOCK / 2 - 1], &block[..GATE_BLOCK / 2 - 1]].concat();
+    assert!(compress(&short, Level::Default).len() < GATE_BLOCK / 2 + 300);
 }

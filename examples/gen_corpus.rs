@@ -70,7 +70,9 @@ fn main() {
     // default: kept by hand, read by the tests, written by no build.
     // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
     // to) and `retired_zlib_container.bin`, from the last build that
-    // had a Lloyd-Max quantizer and a zlib container.
+    // had a Lloyd-Max quantizer and a zlib container, and
+    // `decode_only_{ick1,rst1}.bin`: `valid_ick1.bin` / `valid_rst1.bin`
+    // as cut from the stream the encoder wrote before its noise gate.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,

@@ -262,8 +262,11 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the LZ77 miss stride and the transposed `WCK1` default: the
-/// `WCK1` sample, and the manifest and snapshot that carry its CRC.)
+/// with the deflate encoder's noise gate: the `ICK1` state and the
+/// `RST1` token around it, both cut from a stream of 20 000 noise bytes.
+/// Before that, with the LZ77 miss stride and the transposed `WCK1`
+/// default: the `WCK1` sample, and the manifest and snapshot that carry
+/// its CRC.)
 pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
     let store = store_files();
     let [wck1, inc1, _] = store.segments;

@@ -8,7 +8,9 @@
 //! checked-in valid sample still decodes and still equals what this
 //! build writes (the gzip-written ones last moved with the LZ77 miss
 //! stride and the transposed default; `decode_only_wck1_untransposed.bin`
-//! is the `WCK1` sample from before both); and a valid sample cut at
+//! is the `WCK1` sample from before both, and `decode_only_ick1.bin` /
+//! `decode_only_rst1.bin` the engine state and token cut from the stream
+//! the encoder wrote before its noise gate); and a valid sample cut at
 //! any byte or flipped at any byte is refused too. A format added to
 //! the table without a harness fails here, not silently. Two files were
 //! written by the last build that had their writer: a Lloyd-Max `WCK1`
@@ -474,6 +476,14 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
         (harness(f).decode)(&on_disk)
             .unwrap_or_else(|why| panic!("valid {} sample refused: {why}", f.name()));
         assert!(ours == on_disk, "{}: this build no longer writes the checked-in bytes", f.name());
+        // The sample as the build before the encoder's last byte move
+        // wrote it, where one is kept: no build writes it, all read it.
+        let kept = common::corpus_dir().join(format!("decode_only_{}.bin", f.name().to_lowercase()));
+        if let Ok(old) = fs::read(&kept) {
+            assert!(old != on_disk, "{}: the decode-only sample is the current one", f.name());
+            (harness(f).decode)(&old)
+                .unwrap_or_else(|why| panic!("decode-only {} sample refused: {why}", f.name()));
+        }
     }
     assert_eq!(
         proto::decode_request(&decode_srv1(&parent_sample(b"SRV1")).unwrap()).unwrap(),
@@ -597,18 +607,31 @@ fn the_zlib_wrapped_sample_is_refused_as_a_retired_container() {
     }
 }
 
-/// The parent-written token's embedded engine state resumes the stream
-/// it was cut from, bit-identically.
+/// A checked-in token's embedded engine state resumes the stream it was
+/// cut from, bit-identically: the current pair against the body this
+/// build writes, and the pair kept from before the noise gate against
+/// the body that build wrote — its 20 000 noise bytes in one stored
+/// block, which is what `Level::Store` writes (the gate stores the first
+/// 16 KiB unsearched and the rest as a second block).
 #[test]
 fn parent_written_token_resumes_its_stream() {
-    let tok = restore::parse_token(&parent_sample(b"RST1")).unwrap();
-    assert_eq!(tok.ick, parent_sample(b"ICK1"));
     let (_, body, payload) = common::ick_fixture(300);
-    let mut engine = ResumableInflate::restore_from_checkpoint(&tok.ick).unwrap();
-    let mut tail = Vec::new();
-    while !engine.inflate_step(&body, &mut tail, usize::MAX).unwrap() {}
-    assert_eq!(engine.output_len(), payload.len() as u64);
-    assert_eq!(tail, payload[payload.len() - tail.len()..]);
+    let old_body = lossy_ckpt::deflate::compress(&payload, Level::Store);
+    assert!(body != old_body, "the gate moved this stream");
+    let kept = |name: &str| fs::read(common::corpus_dir().join(name)).unwrap();
+    for (rst1, ick1, body) in [
+        (parent_sample(b"RST1"), parent_sample(b"ICK1"), &body),
+        (kept("decode_only_rst1.bin"), kept("decode_only_ick1.bin"), &old_body),
+    ] {
+        let tok = restore::parse_token(&rst1).unwrap();
+        assert_eq!(tok.ick, ick1);
+        let mut engine = ResumableInflate::restore_from_checkpoint(&tok.ick).unwrap();
+        let mut tail = Vec::new();
+        while !engine.inflate_step(body, &mut tail, usize::MAX).unwrap() {}
+        assert_eq!(engine.output_len(), payload.len() as u64);
+        assert_eq!(tail, payload[payload.len() - tail.len()..]);
+        assert_eq!(engine.output_crc(), lossy_ckpt::deflate::crc32::crc32(&payload));
+    }
 }
 
 /// `bad` is `good` with the byte at `at` flipped (`cut == false`) or

@@ -37,8 +37,12 @@ fn every_parent_written_stream_decodes_the_same_at_every_step_size() {
         if !(name.ends_with(".gz") || name.starts_with("decode_only_") && name.ends_with(".bin")) {
             continue;
         }
-        seen += 1;
         let fixture = std::fs::read(common::corpus_dir().join(&name)).unwrap();
+        if !(fixture.starts_with(&[0x1F, 0x8B]) || chunked::is_chunked(&fixture)) {
+            // `decode_only_{ick1,rst1}.bin`: engine states, not streams.
+            continue;
+        }
+        seen += 1;
         let mut whole = Vec::new();
         for member in members_of(&fixture) {
             let (reference, size) = gzip::decompress_member(member, usize::MAX).unwrap();

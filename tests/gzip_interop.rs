@@ -103,3 +103,51 @@ fn compressed_checkpoint_streams_survive_system_gzip_roundtrip() {
     let err = relative_error(&field, &restored).unwrap();
     assert!(err.average < 0.01);
 }
+
+#[test]
+fn system_gzip_decodes_a_checkpoint_stream_with_stored_runs_that_start_mid_byte() {
+    // The product's own output: the mantissa planes of the transposed
+    // f64 region go out as stored runs the matcher never saw, each
+    // behind a coded block that ends wherever its last code ends.
+    if !system_gzip_available() {
+        eprintln!("skipping: no system gzip");
+        return;
+    }
+    use lossy_ckpt::deflate::deflate::GATE_BLOCK;
+    use lossy_ckpt::prelude::*;
+    let spec = FieldSpec { dims: vec![600, 82, 2], ..FieldSpec::small(FieldKind::Temperature, 5) };
+    let field = generate(&spec);
+    let none = CompressorConfig::paper_proposed().with_container(Container::None);
+    let formatted = Compressor::new(none).unwrap().compress(&field).unwrap().bytes;
+    let cfg = CompressorConfig::paper_proposed();
+    let packed = Compressor::new(cfg).unwrap().compress(&field).unwrap().bytes;
+
+    // A stored run holds its source verbatim behind LEN and NLEN; find
+    // the first gate block that does, and look at the byte its 3-bit
+    // block header sits in: 0 or 1 only if the header starts the byte.
+    let find = |needle: &[u8]| packed.windows(needle.len()).position(|w| w == needle);
+    let run_at = formatted
+        .chunks_exact(GATE_BLOCK)
+        .find_map(|block| find(&block[..64]))
+        .expect("no block of the stream was stored");
+    let (len, nlen) = (&packed[run_at - 4..run_at - 2], &packed[run_at - 2..run_at]);
+    assert!(len.iter().zip(nlen).all(|(l, n)| l ^ n == 0xFF), "not a stored block header");
+    assert!(packed[run_at - 5] > 1, "the stored run begins on a byte boundary");
+
+    let mut child = Command::new("gzip")
+        .arg("-dc")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn gzip");
+    // Fed from a thread: the output outgrows the pipe before the input ends.
+    let mut stdin = child.stdin.take().unwrap();
+    let feed = packed.clone();
+    let writer = std::thread::spawn(move || stdin.write_all(&feed));
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap().unwrap();
+    assert!(out.status.success(), "gzip -dc rejected a stream with stored runs");
+    assert!(out.stdout == formatted, "system gzip decoded something else");
+    assert!(gzip::decompress(&packed).unwrap() == formatted);
+}
