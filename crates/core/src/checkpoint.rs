@@ -7,7 +7,7 @@
 //! name and the application step recorded so a restart can rebind
 //! variables by name.
 
-use crate::codec::{Compressed, Compressor};
+use crate::codec::{put_dims, Compressed, Compressor};
 use crate::timing::StageTimings;
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, CKPT};
@@ -66,10 +66,7 @@ impl CheckpointBuilder {
     pub fn add_raw(&mut self, name: &str, tensor: &Tensor<f64>) -> Result<()> {
         self.check_name(name)?;
         let mut w = Writer::with_capacity(16 + tensor.len() * 8);
-        w.put_u8(tensor.ndim() as u8);
-        for &d in tensor.dims() {
-            w.put_u64(d as u64);
-        }
+        put_dims(&mut w, tensor.dims())?;
         w.put_f64_slice(tensor.as_slice());
         self.entries.push(Entry { name: name.to_string(), mode: VarMode::Raw, payload: w.into_bytes() });
         Ok(())

@@ -204,7 +204,7 @@ impl Compressor {
         // 4. Formatting (Figure 5 layout).
         let formatted = timed(&mut timings.format, || {
             format_stream(&self.cfg, tensor.dims(), plan, &low_values, &quantized)
-        });
+        })?;
 
         let coverage_milli = (quantized.coverage() * 1000.0).round() as u32;
         Ok((formatted, timings, coverage_milli))
@@ -246,7 +246,7 @@ impl Compressor {
 /// chain into one full segment without changing a single bit of the
 /// restored array; the f64 region is byte-transposed like every
 /// default stream, so it still gzips well.
-pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Vec<u8> {
+pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Result<Vec<u8>> {
     let dims = tensor.dims();
     let plan = WaveletPlan::clamped(0, dims);
     let q = Quantized {
@@ -257,8 +257,8 @@ pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Vec<u
         raw: Vec::new(),
     };
     let cfg = CompressorConfig::paper_proposed();
-    let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q);
-    gzip::compress(&formatted, level)
+    let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q)?;
+    Ok(gzip::compress(&formatted, level))
 }
 
 /// Wraps the formatted stream in the configured container and writes
@@ -337,7 +337,7 @@ fn format_stream(
     plan: WaveletPlan,
     low_values: &[f64],
     q: &Quantized,
-) -> Vec<u8> {
+) -> Result<Vec<u8>> {
     let mut w = Writer::with_capacity(
         64 + dims.len() * 8
             + (low_values.len() + q.raw.len() + q.averages.len()) * 8
@@ -362,10 +362,7 @@ fn format_stream(
     w.put_u8(plan.levels as u8);
     w.put_u16(cfg.quant.n as u16);
     w.put_u16(u16::try_from(cfg.quant.d).expect("validated: d fits the u16 header field"));
-    w.put_u8(dims.len() as u8);
-    for &d in dims {
-        w.put_u64(d as u64);
-    }
+    put_dims(&mut w, dims)?;
     w.put_u16(q.averages.len() as u16);
     w.put_u64(low_values.len() as u64);
     w.put_u64(q.raw.len() as u64);
@@ -388,7 +385,21 @@ fn format_stream(
     }
     w.put_bytes(&q.indexes);
     w.put_bytes(&q.bitmap.to_bytes());
-    w.into_bytes()
+    Ok(w.into_bytes())
+}
+
+/// Writes a shape as every format with one stores it: a `u8` axis
+/// count, then one `u64` extent per axis. A shape of more than 255 axes
+/// is refused rather than written with a count its parser would misread.
+pub(crate) fn put_dims(w: &mut Writer, dims: &[usize]) -> Result<()> {
+    let ndim = u8::try_from(dims.len()).map_err(|_| {
+        CkptError::Format(format!("{} axes do not fit the u8 axis count (max 255)", dims.len()))
+    })?;
+    w.put_u8(ndim);
+    for &d in dims {
+        w.put_u64(d as u64);
+    }
+    Ok(())
 }
 
 fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
@@ -673,7 +684,7 @@ mod exact_tests {
     fn compress_exact_roundtrips_bit_identically() {
         for (kind, seed) in [(FieldKind::Temperature, 9), (FieldKind::WindU, 10)] {
             let t = generate(&FieldSpec::small(kind, seed));
-            let packed = compress_exact(&t, ckpt_deflate::Level::Default);
+            let packed = compress_exact(&t, ckpt_deflate::Level::Default).unwrap();
             let back = Compressor::decompress(&packed).unwrap();
             assert_eq!(back.dims(), t.dims());
             let same = t
@@ -694,10 +705,59 @@ mod exact_tests {
             _ => (i[0] as f64).exp(),
         })
         .unwrap();
-        let back = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Fast)).unwrap();
+        let packed = compress_exact(&t, ckpt_deflate::Level::Fast).unwrap();
+        let back = Compressor::decompress(&packed).unwrap();
         for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+}
+
+#[cfg(test)]
+mod axis_count_tests {
+    use super::*;
+    use crate::checkpoint::{Checkpoint, CheckpointBuilder};
+    use crate::incremental;
+
+    /// `ndim` axes, all of extent 1 but the first two (extent 2 and 3).
+    fn many_axes(ndim: usize) -> Tensor<f64> {
+        let mut dims = vec![1usize; ndim];
+        dims[0] = 2;
+        dims[1] = 3;
+        Tensor::from_fn(&dims, |i| (i[0] * 3 + i[1]) as f64 * 0.25 + 1.0).unwrap()
+    }
+
+    #[test]
+    fn a_255_axis_tensor_round_trips_through_every_writer() {
+        let t = many_axes(255);
+        let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+        let back = Compressor::decompress(&c.compress(&t).unwrap().bytes).unwrap();
+        assert_eq!(back.dims(), t.dims());
+        let exact = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Fast).unwrap());
+        assert_eq!(exact.unwrap(), t);
+
+        let mut next = t.clone();
+        next.as_mut_slice()[4] += 1.0;
+        let (inc, _) = incremental::increment(&t, &next, ckpt_deflate::Level::Fast).unwrap();
+        assert_eq!(incremental::apply(&t, &inc).unwrap(), next);
+
+        let mut b = CheckpointBuilder::new(1);
+        b.add_raw("t", &t).unwrap();
+        assert_eq!(Checkpoint::from_bytes(&b.into_bytes()).unwrap().restore("t").unwrap(), t);
+    }
+
+    #[test]
+    fn a_256_axis_tensor_is_refused_at_encode_by_every_writer() {
+        let t = many_axes(256);
+        let refused = |r: Result<()>| {
+            let why = r.expect_err("256 axes written with a u8 axis count").to_string();
+            assert!(why.contains("256 axes"), "refused on `{why}`");
+        };
+        let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+        refused(c.compress(&t).map(drop));
+        refused(compress_exact(&t, ckpt_deflate::Level::Fast).map(drop));
+        refused(incremental::increment(&t, &t, ckpt_deflate::Level::Fast).map(drop));
+        refused(CheckpointBuilder::new(1).add_raw("t", &t));
     }
 }
 

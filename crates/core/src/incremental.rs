@@ -14,7 +14,13 @@
 //!
 //! Restoring needs the base checkpoint plus the increment, mirroring
 //! the recovery-chain cost the paper cites from Naksinehaboon et al.
+//! [`decode`] is the one `INC1` parser and [`Decoded::xor_into`] the one
+//! way its payload reaches an array. Decoding needs no base, and XOR is
+//! commutative and associative, so the links of a chain can be decoded
+//! in any order, concurrently (the store does), and only the XORs need
+//! an array to land in.
 
+use crate::codec::put_dims;
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, INC1};
 use ckpt_deflate::{gzip, Level};
@@ -87,10 +93,7 @@ pub fn increment(
 
     let mut w = Writer::with_capacity(payload.len() + pages / 8 + 64);
     w.put_bytes(&INC1.magic);
-    w.put_u8(current.ndim() as u8);
-    for &d in current.dims() {
-        w.put_u64(d as u64);
-    }
+    put_dims(&mut w, current.dims())?;
     w.put_u64(pages as u64);
     let mut bits = Bitmap::zeros(pages);
     for (i, &d) in dirty.iter().enumerate() {
@@ -110,21 +113,27 @@ pub fn increment(
     Ok((packed, stats))
 }
 
-/// The `INC1` header: everything ahead of the XOR payload.
-struct Header {
+/// A packed increment, decoded as far as it can be without its base:
+/// the gzip container CRC, the header, and a dirty map and XOR payload
+/// (8 bytes per element of every dirty page) known to agree. All that
+/// is left is [`Decoded::xor_into`].
+pub struct Decoded {
     dims: Vec<usize>,
     /// Product of `dims`.
     volume: usize,
     pages: usize,
     dirty: Bitmap,
+    /// The gunzipped stream; the XOR payload starts at `payload`.
+    inner: Vec<u8>,
+    payload: usize,
 }
 
-/// Parses the header of a decompressed increment, leaving `r` at the
-/// XOR payload. The one `INC1` header walk: [`apply`] and the
-/// base-free [`check_structure`] both start here, so the dims, the
-/// page count and the dirty map are known to agree before either
-/// touches the payload.
-fn parse_header(r: &mut Reader<'_>) -> Result<Header> {
+/// Decodes a packed increment: the one `INC1` parser. The store's
+/// verify runs it alone (it needs no base); [`apply`] and the store's
+/// chain restore follow it with [`Decoded::xor_into`].
+pub fn decode(packed: &[u8]) -> Result<Decoded> {
+    let inner = gzip::decompress(packed)?;
+    let mut r = Reader::new(&inner);
     r.expect_magic(&INC1)?;
     let ndim = usize::from(r.get_u8()?);
     let mut dims = Vec::with_capacity(ndim);
@@ -144,7 +153,40 @@ fn parse_header(r: &mut Reader<'_>) -> Result<Header> {
     }
     let dirty = Bitmap::from_bytes(r.get_bytes(pages.div_ceil(8))?, pages)
         .ok_or_else(|| CkptError::Format("corrupt dirty map".into()))?;
-    Ok(Header { dims, volume, pages, dirty })
+    let expect: usize = (0..pages)
+        .filter(|&p| dirty.get(p))
+        .map(|p| page_range(p, volume).len().saturating_mul(8))
+        .fold(0, usize::saturating_add);
+    if r.remaining() != expect {
+        return Err(CkptError::Format(format!(
+            "increment XOR payload {} bytes, dirty map implies {expect}",
+            r.remaining()
+        )));
+    }
+    let payload = r.position();
+    Ok(Decoded { dims, volume, pages, dirty, inner, payload })
+}
+
+impl Decoded {
+    /// XORs every dirty page's payload into `state`, turning the base
+    /// state into the increment's. Refuses (before touching `state`) an
+    /// array whose dims are not this increment's.
+    pub fn xor_into(&self, state: &mut Tensor<f64>) -> Result<()> {
+        if self.dims != state.dims() {
+            return Err(CkptError::Format("incremental dims mismatch".into()));
+        }
+        let out = state.as_mut_slice();
+        let mut r = Reader::at(&self.inner, self.payload);
+        for p in (0..self.pages).filter(|&p| self.dirty.get(p)) {
+            let page = out
+                .get_mut(page_range(p, self.volume))
+                .ok_or_else(|| CkptError::Format("increment page outside the base".into()))?;
+            for slot in page {
+                *slot = f64::from_bits(slot.to_bits() ^ r.get_u64()?);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Element range of page `p` in an array of `volume` elements.
@@ -154,47 +196,12 @@ fn page_range(p: usize, volume: usize) -> std::ops::Range<usize> {
 }
 
 /// Applies an increment to its base checkpoint, reconstructing the
-/// current state exactly.
+/// current state exactly: [`decode`], then XOR into one copy of `base`.
 pub fn apply(base: &Tensor<f64>, packed: &[u8]) -> Result<Tensor<f64>> {
-    let bytes = gzip::decompress(packed)?;
-    let mut r = Reader::new(&bytes);
-    let h = parse_header(&mut r)?;
-    if h.dims != base.dims() {
-        return Err(CkptError::Format("incremental dims mismatch".into()));
-    }
-    let mut out = base.as_slice().to_vec();
-    for p in (0..h.pages).filter(|&p| h.dirty.get(p)) {
-        let page = out
-            .get_mut(page_range(p, h.volume))
-            .ok_or_else(|| CkptError::Format("increment page outside the base".into()))?;
-        for slot in page {
-            let xor = r.get_u64()?;
-            *slot = f64::from_bits(slot.to_bits() ^ xor);
-        }
-    }
-    r.expect_end()?;
-    Ok(Tensor::from_vec(&h.dims, out)?)
-}
-
-/// Checks everything about a packed increment that can be checked
-/// without its base: the gzip container CRC, the header, and that the
-/// dirty map and the XOR payload (8 bytes per element of every dirty
-/// page) are mutually consistent.
-pub fn check_structure(packed: &[u8]) -> Result<()> {
-    let bytes = gzip::decompress(packed)?;
-    let mut r = Reader::new(&bytes);
-    let h = parse_header(&mut r)?;
-    let expect: usize = (0..h.pages)
-        .filter(|&p| h.dirty.get(p))
-        .map(|p| page_range(p, h.volume).len().saturating_mul(8))
-        .fold(0, usize::saturating_add);
-    if r.remaining() != expect {
-        return Err(CkptError::Format(format!(
-            "increment XOR payload {} bytes, dirty map implies {expect}",
-            r.remaining()
-        )));
-    }
-    Ok(())
+    let inc = decode(packed)?;
+    let mut out = base.clone();
+    inc.xor_into(&mut out)?;
+    Ok(out)
 }
 
 /// True when `packed` is a gzip member whose inner stream leads with

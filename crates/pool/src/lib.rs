@@ -1,13 +1,15 @@
 //! Scoped worker-thread helpers for intra-array parallelism.
 //!
 //! Every parallel stage in the pipeline follows the same shape: split
-//! a known amount of work into `workers` contiguous shards, run one
-//! scoped thread per shard (`std::thread::scope`, so borrowed slices
-//! work without `'static` bounds), and combine the per-shard results
-//! in shard order so the outcome is independent of scheduling.
+//! a known amount of work into `workers` contiguous shards, run each
+//! shard on its own thread (scoped — `std::thread::scope` — so borrowed
+//! slices work without `'static` bounds), and combine the per-shard
+//! results in shard order so the outcome is independent of scheduling.
 //!
-//! `workers == 1` never spawns: the closure runs inline on the calling
-//! thread, which keeps the serial path allocation- and syscall-free.
+//! The calling thread always runs shard 0 itself, so `workers == 1`
+//! never spawns (the serial path stays allocation- and syscall-free)
+//! and `workers == n` spawns `n - 1` threads, not `n` with the caller
+//! idle in a join holding its own working set.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -69,10 +71,11 @@ pub fn partition_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Maps `f` over contiguous shards of `items` on scoped threads,
-/// returning one result per shard in shard order. The shard layout
-/// depends only on `items.len()` and `workers`, so combining results
-/// in order is deterministic.
+/// Maps `f` over contiguous shards of `items`, returning one result per
+/// shard in shard order. Shard 0 runs on the calling thread; every
+/// other shard gets a scoped thread. The shard layout depends only on
+/// `items.len()` and `workers`, so combining results in order is
+/// deterministic.
 pub fn map_shards<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -83,19 +86,21 @@ where
     if ranges.len() == 1 {
         return vec![f(0, items)];
     }
+    let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .iter()
             .enumerate()
+            .skip(1)
             .map(|(w, r)| {
                 let shard = &items[r.clone()];
-                scope.spawn({ let f = &f; move || f(w, shard) })
+                scope.spawn(move || f(w, shard))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+        let mut out = Vec::with_capacity(ranges.len());
+        out.push(f(0, &items[ranges[0].clone()]));
+        out.extend(handles.into_iter().map(|h| h.join().expect("worker thread panicked")));
+        out
     })
 }
 
@@ -152,6 +157,24 @@ mod tests {
                 shard.iter().sum::<u64>()
             });
             assert_eq!(partials.iter().sum::<u64>(), serial);
+        }
+    }
+
+    #[test]
+    fn map_shards_runs_shard_0_on_the_caller_and_keeps_shard_order() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        for workers in 1..=8 {
+            let shards = map_shards(&items, workers, |w, shard| {
+                (w, shard.to_vec(), std::thread::current().id())
+            });
+            assert_eq!(shards.len(), workers);
+            let ranges = partition_ranges(items.len(), workers);
+            for (i, ((w, shard, thread), r)) in shards.iter().zip(&ranges).enumerate() {
+                assert_eq!(*w, i, "workers={workers}: result {i} is shard {w}'s");
+                assert_eq!(shard[..], items[r.clone()], "workers={workers}, shard {i}");
+                assert_eq!(*thread == caller, i == 0, "workers={workers}, shard {i}");
+            }
         }
     }
 }

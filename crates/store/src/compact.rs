@@ -158,7 +158,7 @@ impl Store {
                 let mut payloads = Vec::with_capacity(ranks as usize);
                 for rank in 0..ranks {
                     let tensor = s.view.restore_array(tip, rank)?;
-                    payloads.push(ckpt_core::compress_exact(&tensor, Level::Default));
+                    payloads.push(ckpt_core::compress_exact(&tensor, Level::Default)?);
                 }
                 let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
                 let new_gen = s.save(step, SegmentFormat::Array, 0, &refs, threads, bound)?;

@@ -232,7 +232,10 @@ pub fn verify_payload(format: SegmentFormat, bytes: &[u8]) -> Result<()> {
             Compressor::decompress(bytes)?;
             Ok(())
         }
-        SegmentFormat::Increment => Ok(incremental::check_structure(bytes)?),
+        SegmentFormat::Increment => {
+            incremental::decode(bytes)?;
+            Ok(())
+        }
     }
 }
 

@@ -835,8 +835,34 @@ impl View {
     }
 
     /// Materializes an array generation: decompresses the chain's base
-    /// `WCK1` stream and applies each `INC1` increment in order.
+    /// `WCK1` stream and XORs in every `INC1` increment, its links read,
+    /// CRC-checked and decoded on `min(host cores, links)` workers. A
+    /// restore shapes no bytes, so it keys on the host's cores, not on
+    /// a `threads` setting; a one-link chain spawns no thread.
     pub fn restore_array(&self, gen: u64, rank: u32) -> Result<Tensor<f64>> {
+        self.restore_array_on(gen, rank, ckpt_pool::host_parallelism())
+    }
+
+    /// [`View::restore_array`] on at most `workers` contiguous shards of
+    /// the chain (the seam tests force 1, 2 and 3 workers through).
+    /// Shard 0 runs on the calling thread: it decompresses the full and
+    /// XORs its own increments straight into it. Every other shard only
+    /// decodes, and the caller XORs what it decoded into the full in
+    /// shard order. XOR over GF(2) is commutative and associative, so
+    /// the tensor is the serial walk's bit for bit; and since shards are
+    /// contiguous and each stops at its first failure, the first error
+    /// met in shard order is the earliest failing link's.
+    ///
+    /// The other shards hand back decoded increments rather than a
+    /// dense XOR accumulator: an accumulator would be sized from an
+    /// increment's own dims before the full could vouch for them, so a
+    /// hostile header declaring a huge clean array would allocate it.
+    pub(crate) fn restore_array_on(
+        &self,
+        gen: u64,
+        rank: u32,
+        workers: usize,
+    ) -> Result<Tensor<f64>> {
         let chain = self.resolve_chain(gen)?;
         let base_gen = *chain.first().ok_or_else(|| StoreError::Chain("empty chain".into()))?;
         if self.state(base_gen)?.format != SegmentFormat::Array {
@@ -844,11 +870,49 @@ impl View {
                 "chain base generation {base_gen} is not an array generation"
             )));
         }
-        let mut tensor = Compressor::decompress(&self.read_segment(base_gen, rank)?)?;
-        for &g in chain.get(1..).unwrap_or(&[]) {
-            tensor = incremental::apply(&tensor, &self.read_segment(g, rank)?)?;
+        let shards = ckpt_pool::map_shards(&chain, workers, |shard, links| {
+            let mut pending = Vec::new();
+            let outcome = self.restore_shard(links, rank, shard == 0, &mut pending);
+            (pending, outcome)
+        });
+        let mut shards = shards.into_iter();
+        let (_, outcome) = shards.next().ok_or_else(|| StoreError::Chain("empty chain".into()))?;
+        let mut tensor = outcome?.ok_or_else(|| StoreError::Chain("empty chain".into()))?;
+        for (pending, outcome) in shards {
+            for inc in pending {
+                inc.xor_into(&mut tensor)?;
+            }
+            outcome?;
         }
         Ok(tensor)
+    }
+
+    /// One shard of a chain restore, `links` in chain order, stopping at
+    /// the shard's first failure. In the first shard the first link is
+    /// the full: it is decompressed and every increment after it XORed
+    /// straight in, and the state is returned. Any other shard has no
+    /// full to XOR into, so its increments are decoded into `pending`.
+    fn restore_shard(
+        &self,
+        links: &[u64],
+        rank: u32,
+        first: bool,
+        pending: &mut Vec<incremental::Decoded>,
+    ) -> Result<Option<Tensor<f64>>> {
+        let (mut state, increments) = match links.split_first() {
+            Some((&full, rest)) if first => {
+                (Some(Compressor::decompress(&self.read_segment(full, rank)?)?), rest)
+            }
+            _ => (None, links),
+        };
+        for &g in increments {
+            let inc = incremental::decode(&self.read_segment(g, rank)?)?;
+            match &mut state {
+                Some(tensor) => inc.xor_into(tensor)?,
+                None => pending.push(inc),
+            }
+        }
+        Ok(state)
     }
 }
 
@@ -858,4 +922,221 @@ pub(crate) fn seg_meta(g: &GenState, gen: u64, rank: u32) -> Result<SegMeta> {
         .get(rank as usize)
         .and_then(|s| *s)
         .ok_or_else(|| StoreError::NotFound(format!("gen {gen} rank {rank}")))
+}
+
+#[cfg(test)]
+mod chain_restore_tests {
+    //! The concurrent chain restore against the serial walk it replaced
+    //! (kept here verbatim as the oracle), at 1, 2 and 3 forced workers.
+
+    #![allow(clippy::needless_update)]
+
+    use super::*;
+    use ckpt_deflate::Level;
+    use incremental::PAGE_ELEMS;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static CASE: AtomicU64 = AtomicU64::new(0);
+
+    fn scratch() -> PathBuf {
+        let n = CASE.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("ckpt-store-chain-{}-{n}", std::process::id()))
+    }
+
+    /// The parent's `restore_array`: decompress the full, then
+    /// `incremental::apply` link by link.
+    fn serial_walk(view: &View, gen: u64, rank: u32) -> Result<Tensor<f64>> {
+        let chain = view.resolve_chain(gen)?;
+        if view.state(chain[0])?.format != SegmentFormat::Array {
+            return Err(StoreError::Chain(format!(
+                "chain base generation {} is not an array generation",
+                chain[0]
+            )));
+        }
+        let mut tensor = Compressor::decompress(&view.read_segment(chain[0], rank)?)?;
+        for &g in &chain[1..] {
+            tensor = incremental::apply(&tensor, &view.read_segment(g, rank)?)?;
+        }
+        Ok(tensor)
+    }
+
+    fn bit_equal(a: &Tensor<f64>, b: &Tensor<f64>) -> bool {
+        a.dims() == b.dims()
+            && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A full of `dims` and `masks.len()` increments on it, increment
+    /// `k` dirtying page `p` (one element of it) when bit `p % 8` of
+    /// `masks[k]` is set — mask 0 is a clean increment. Returns the
+    /// store, the tip and the tip's state.
+    fn build_chain(dims: &[usize], masks: &[u8], seed: u64) -> (Store, u64, Tensor<f64>) {
+        let dir = scratch();
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = Store::open(&dir).unwrap();
+        let mut state = Tensor::from_fn(dims, |i| {
+            i.iter().fold(seed as f64, |a, &v| a * 1.37 + v as f64).sin() * 300.0
+        })
+        .unwrap();
+        let full = ckpt_core::compress_exact(&state, Level::Fast).unwrap();
+        let mut gen = store.save_full(0, SegmentFormat::Array, &[&full], 1).unwrap();
+        let volume = state.len();
+        for (k, &mask) in masks.iter().enumerate() {
+            let mut next = state.clone();
+            for p in 0..volume.div_ceil(PAGE_ELEMS) {
+                if mask >> (p % 8) & 1 == 1 {
+                    let page_len = PAGE_ELEMS.min(volume - p * PAGE_ELEMS);
+                    let at = p * PAGE_ELEMS + (seed as usize + 7 * k) % page_len;
+                    next.as_mut_slice()[at] += 1.0 + k as f64;
+                }
+            }
+            let (inc, _) = incremental::increment(&state, &next, Level::Fast).unwrap();
+            gen = store.save_increment(k as u64 + 1, gen, &[&inc], 1).unwrap();
+            state = next;
+        }
+        (store, gen, state)
+    }
+
+    fn drop_store(store: Store) {
+        let root = store.root().to_path_buf();
+        drop(store);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    /// Every forced worker count restores what the serial walk does —
+    /// the tensor bit for bit, or the same error.
+    fn assert_matches_serial(store: &Store, tip: u64) -> Result<Tensor<f64>> {
+        let serial = serial_walk(&store.view, tip, 0);
+        for workers in 1..=3 {
+            let concurrent = store.view.restore_array_on(tip, 0, workers);
+            match (&serial, &concurrent) {
+                (Ok(a), Ok(b)) => assert!(bit_equal(a, b), "{workers} workers: tensors differ"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{workers} workers"),
+                _ => panic!("{workers} workers: {concurrent:?} where the serial walk gave {serial:?}"),
+            }
+        }
+        serial
+    }
+
+    /// How a link of a chain is damaged after it was committed.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        FlipByte,
+        Truncate,
+        MissingFile,
+        /// An increment built against a shape one row longer (saved
+        /// intact: the damage is in what it says, not in its bytes).
+        WrongDims,
+    }
+
+    /// Damage codes as the proptest draws them: 0–2 none, 3–6 a kind.
+    fn damage_from(code: u8) -> Option<Damage> {
+        [Damage::FlipByte, Damage::Truncate, Damage::MissingFile, Damage::WrongDims]
+            .get(usize::from(code).checked_sub(3)?)
+            .copied()
+    }
+
+    /// A depth-`damage.len() - 1` chain of all-dirty increments with
+    /// `damage[i]` done to link `i` (wrong dims only lands on
+    /// increments; on the full it reads as a flipped byte).
+    fn build_damaged(damage: &[Option<Damage>]) -> (Store, u64) {
+        let dims = [37usize, 29];
+        let (mut store, _, _) = build_chain(&dims, &[], 3);
+        let mut gen = store.latest_committed().unwrap();
+        let mut state = serial_walk(&store.view, gen, 0).unwrap();
+        let other = Tensor::<f64>::zeros(&[dims[0] + 1, dims[1]]).unwrap();
+        for (k, d) in damage.iter().enumerate().skip(1) {
+            let mut next = state.clone();
+            next.map_inplace(|v| v * 1.0001 + 1.0);
+            let (inc, _) = match d {
+                Some(Damage::WrongDims) => incremental::increment(&other, &other, Level::Fast),
+                _ => incremental::increment(&state, &next, Level::Fast),
+            }
+            .unwrap();
+            gen = store.save_increment(k as u64, gen, &[&inc], 1).unwrap();
+            state = next;
+        }
+        let chain = store.resolve_chain(gen).unwrap();
+        for (&g, d) in chain.iter().zip(damage) {
+            let path = store.layout().segment_path(g, 0);
+            match d {
+                None | Some(Damage::WrongDims) if g != chain[0] => {}
+                None => {}
+                Some(Damage::FlipByte | Damage::WrongDims) => {
+                    let mut bytes = fs::read(&path).unwrap();
+                    let at = bytes.len() / 3;
+                    bytes[at] ^= 0x40;
+                    fs::write(&path, bytes).unwrap();
+                }
+                Some(Damage::Truncate) => {
+                    let len = fs::metadata(&path).unwrap().len();
+                    fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len / 2).unwrap();
+                }
+                Some(Damage::MissingFile) => fs::remove_file(&path).unwrap(),
+            }
+        }
+        (store, gen)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Random chains of depth 0–8 over shapes that are mostly not a
+        /// whole number of pages, with random dirty pages and clean
+        /// increments: every worker count restores the serial walk's
+        /// tensor, which is the tip's state.
+        #[test]
+        fn the_concurrent_restore_is_the_serial_walk(
+            dims in (1usize..=70, 1usize..=50),
+            masks in proptest::collection::vec(any::<u8>(), 0..=8),
+            seed in 0u64..1000,
+        ) {
+            let (store, tip, want) = build_chain(&[dims.0, dims.1], &masks, seed);
+            let restored = assert_matches_serial(&store, tip).unwrap();
+            prop_assert!(bit_equal(&restored, &want));
+            prop_assert!(bit_equal(&store.restore_array(tip, 0).unwrap(), &want));
+            drop_store(store);
+        }
+
+        /// Damage anywhere in a chain: every worker count refuses, with
+        /// the error of the earliest damaged link in chain order.
+        #[test]
+        fn a_damaged_chain_fails_on_its_earliest_damaged_link(
+            codes in proptest::collection::vec(0u8..7, 1..=6),
+        ) {
+            let damage: Vec<Option<Damage>> = codes.into_iter().map(damage_from).collect();
+            let (store, tip) = build_damaged(&damage);
+            let serial = assert_matches_serial(&store, tip);
+            prop_assert_eq!(serial.is_err(), damage.iter().any(Option::is_some));
+            drop_store(store);
+        }
+    }
+
+    #[test]
+    fn each_kind_of_damage_names_the_earliest_link() {
+        use Damage::*;
+        for (damage, needle) in [
+            (vec![None, None, Some(FlipByte), Some(MissingFile)], "gen 3 rank 0: CRC"),
+            (vec![None, Some(Truncate), None, Some(FlipByte)], "segment gen 2 rank 0"),
+            (vec![None, None, None, Some(WrongDims)], "incremental dims mismatch"),
+            (vec![None, Some(WrongDims), Some(MissingFile), None], "incremental dims mismatch"),
+            (vec![Some(MissingFile), None, Some(FlipByte)], "00000001.0.seg"),
+        ] {
+            let (store, tip) = build_damaged(&damage);
+            let why = assert_matches_serial(&store, tip).expect_err("damaged").to_string();
+            assert!(why.contains(needle), "{damage:?}: `{why}` is not `{needle}`");
+            drop_store(store);
+        }
+    }
+
+    #[test]
+    fn a_chain_on_a_non_array_base_is_refused_at_every_worker_count() {
+        let (mut store, tip, _) = build_chain(&[40, 30], &[0xFF, 0x01, 0], 5);
+        let base = store.resolve_chain(tip).unwrap()[0];
+        store.view.gens.get_mut(&base).unwrap().format = SegmentFormat::Checkpoint;
+        let why = assert_matches_serial(&store, tip).expect_err("non-array base").to_string();
+        assert!(why.contains("is not an array generation"), "{why}");
+        drop_store(store);
+    }
 }

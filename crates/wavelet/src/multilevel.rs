@@ -153,7 +153,6 @@ impl MultiLevel {
         // level-0 low block; when it breaks immediately (all dims < 2)
         // the two coincide, since `low_len(d) == d` for `d < 2`.
         let mut deepest_low = Subband {
-            mask: 0,
             kind: SubbandKind::Low,
             start: vec![0; dims.len()],
             size: dims.clone(),

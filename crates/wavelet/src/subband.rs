@@ -5,10 +5,10 @@
 //! axis. For 2-d these are the paper's `LL`, `LH`, `HL`, `HH` (Figure 3);
 //! for 3-d, one low block plus seven high blocks.
 //!
-//! A subband is identified by a bitmask: bit `a` set means High along
-//! axis `a`. Axes whose extent is 1 have no high half; masks selecting a
-//! high half of such an axis denote empty bands and are omitted from
-//! [`subbands`].
+//! A subband is identified by which axes it takes the high half of.
+//! Axes whose extent is 1 have no high half, so only the axes of extent
+//! ≥ 2 — at most `log2(volume)` of them — split; every other axis is
+//! low in every band.
 
 use crate::haar;
 use ckpt_tensor::{Result, Shape};
@@ -22,13 +22,12 @@ pub enum SubbandKind {
     High,
 }
 
-/// One subband: its identity and its block coordinates in the transformed
-/// tensor.
+/// One subband: its kind and its block coordinates in the transformed
+/// tensor. A band is high along axis `a` exactly when `start[a] != 0`:
+/// a low half starts at 0 and a high half after a non-empty low half.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subband {
-    /// Bitmask over axes; bit `a` set ⇒ high half along axis `a`.
-    pub mask: u32,
-    /// Low for mask 0, High otherwise.
+    /// Low for the all-low block, High otherwise.
     pub kind: SubbandKind,
     /// Block start per axis.
     pub start: Vec<usize>,
@@ -44,46 +43,34 @@ impl Subband {
 
     /// A short name like `LL`, `HL`, `LHH` (first axis first).
     pub fn name(&self) -> String {
-        (0..self.start.len())
-            .map(|a| if self.mask & (1 << a) != 0 { 'H' } else { 'L' })
-            .collect()
+        self.start.iter().map(|&s| if s != 0 { 'H' } else { 'L' }).collect()
     }
-}
-
-/// Computes the block for one mask, or `None` if the mask selects the
-/// high half of a length-1 axis (an empty band).
-pub fn subband_block(shape: &Shape, mask: u32) -> Option<Subband> {
-    let ndim = shape.ndim();
-    debug_assert!(ndim <= 32, "mask type limits rank to 32");
-    let mut start = Vec::with_capacity(ndim);
-    let mut size = Vec::with_capacity(ndim);
-    for (a, &d) in shape.dims().iter().enumerate() {
-        let lo = haar::low_len(d);
-        let hi = haar::high_len(d);
-        if mask & (1 << a) != 0 {
-            if hi == 0 {
-                return None;
-            }
-            start.push(lo);
-            size.push(hi);
-        } else {
-            start.push(0);
-            size.push(lo);
-        }
-    }
-    let kind = if mask == 0 { SubbandKind::Low } else { SubbandKind::High };
-    Some(Subband { mask, kind, start, size })
 }
 
 /// Enumerates all non-empty subbands of a transformed shape, low band
-/// first, then high bands in ascending mask order.
+/// first, then high bands in ascending mask order (bit `a` set ⇒ high
+/// along axis `a`). Masks run over the axes of extent ≥ 2 alone — a mask
+/// with the bit of a length-1 axis set would denote an empty band — so
+/// there are `2^k` of them for `k` such axes, and `2^k ≤ volume` keeps
+/// the count within the tensor's own size however many axes of extent 1
+/// the shape declares. The order is the full-mask order: dropping
+/// always-clear bits preserves it.
 pub fn subbands(shape: &Shape) -> Result<Vec<Subband>> {
-    let ndim = shape.ndim();
-    let mut out = Vec::with_capacity(1usize << ndim);
-    for mask in 0..(1u32 << ndim) {
-        if let Some(b) = subband_block(shape, mask) {
-            out.push(b);
+    let dims = shape.dims();
+    let split: Vec<usize> = (0..dims.len()).filter(|&a| haar::high_len(dims[a]) > 0).collect();
+    let low = low_subband(shape);
+    let count = 1usize << split.len();
+    let mut out = Vec::with_capacity(count);
+    out.push(low.clone());
+    for mask in 1..count {
+        let mut band = Subband { kind: SubbandKind::High, ..low.clone() };
+        for (bit, &a) in split.iter().enumerate() {
+            if mask >> bit & 1 == 1 {
+                band.start[a] = haar::low_len(dims[a]);
+                band.size[a] = haar::high_len(dims[a]);
+            }
         }
+        out.push(band);
     }
     Ok(out)
 }
@@ -95,7 +82,11 @@ pub fn high_subbands(shape: &Shape) -> Result<Vec<Subband>> {
 
 /// The single low band.
 pub fn low_subband(shape: &Shape) -> Subband {
-    subband_block(shape, 0).expect("mask 0 is never empty")
+    Subband {
+        kind: SubbandKind::Low,
+        start: vec![0; shape.ndim()],
+        size: shape.dims().iter().map(|&d| haar::low_len(d)).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -185,5 +176,28 @@ mod tests {
         // cannot go below cr = 12.5% while the low band stays f64 — which
         // is why the paper's best rates hover at 11-16% after gzip.
         assert_eq!(low.volume() * 8, shape.volume());
+    }
+
+    #[test]
+    fn length_one_axes_cost_nothing_however_many() {
+        // 40 axes (the parent reserved and walked 2^40 masks here): one
+        // axis splits, so two bands come back, in the order and with
+        // the blocks the full-mask enumeration gives.
+        let mut dims = vec![1usize; 40];
+        dims[0] = 2;
+        let bands = subbands(&Shape::new(&dims).unwrap()).unwrap();
+        assert_eq!(bands.len(), 2);
+        assert_eq!(bands[0].kind, SubbandKind::Low);
+        assert_eq!((bands[1].start[0], bands[1].size[0]), (1, 1));
+        assert_eq!(bands[1].name(), format!("H{}", "L".repeat(39)));
+        // Extent-1 axes between split ones keep the full-mask order.
+        let spread = Shape::new(&[4, 1, 3, 1, 1, 2]).unwrap();
+        let names: Vec<String> = subbands(&spread).unwrap().iter().map(|b| b.name()).collect();
+        assert_eq!(
+            names,
+            ["LLLLLL", "HLLLLL", "LLHLLL", "HLHLLL", "LLLLLH", "HLLLLH", "LLHLLH", "HLHLLH"]
+        );
+        let dims = vec![1usize; 255];
+        assert_eq!(subbands(&Shape::new(&dims).unwrap()).unwrap().len(), 1);
     }
 }

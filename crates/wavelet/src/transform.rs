@@ -234,8 +234,8 @@ mod tests {
             let max_abs = vals.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
             assert!(
                 max_abs < 0.2 * range,
-                "band {:?} max {max_abs} vs range {range}",
-                band.mask
+                "band {} max {max_abs} vs range {range}",
+                band.name()
             );
         }
     }

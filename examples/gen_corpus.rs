@@ -331,4 +331,30 @@ fn main() {
     let mut srv1 = sample(&frame::SRV1);
     srv1[12] ^= 0x80;
     write("srv1_crc_flip.bin", &srv1);
+
+    // 34. Bare WCK1 stream declaring 40 axes, [2, 1, …, 1], whose counts
+    //     all agree with that volume of 2 — but with both elements in the
+    //     low band, which the band walk gives one. The decoder reaches
+    //     the subband enumeration, where a build that walked all 2^40
+    //     axis masks aborted on the allocation; now only axis 0 splits
+    //     and the walk refuses the missing high-band value.
+    let mut many = Writer::new();
+    many.put_bytes(&frame::WCK1.magic);
+    many.put_u8(frame::WCK1.version);
+    many.put_u8(1); // method: proposed
+    many.put_u8(0); // flags: Haar, untransposed, low band exact
+    many.put_u8(1); // levels
+    many.put_u16(128); // n
+    many.put_u16(1); // d
+    many.put_u8(40);
+    many.put_u64(2);
+    for _ in 1..40 {
+        many.put_u64(1);
+    }
+    many.put_u16(0); // averages
+    many.put_u64(2); // low band values
+    many.put_u64(0); // raw values
+    many.put_u64(0); // indexes
+    many.put_f64_slice(&[1.0, 2.0]);
+    write("wck1_many_axes.bin", &many.into_bytes());
 }

@@ -88,13 +88,13 @@ fn decode_ckpt(bytes: &[u8]) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Structure first (the base-free check the store's verify runs), then
-/// `apply` against whichever corpus base the increment was built on.
+/// The base-free decode the store's verify runs, then `apply` against
+/// whichever corpus base the increment was built on.
 fn decode_inc1(bytes: &[u8]) -> Result<Vec<u8>, String> {
     static BASES: OnceLock<[Tensor<f64>; 2]> = OnceLock::new();
     let [corpus_base, sample_base] =
         BASES.get_or_init(|| [common::inc_pair().0, common::tiny_states().1]);
-    incremental::check_structure(bytes).map_err(err)?;
+    incremental::decode(bytes).map_err(err)?;
     incremental::apply(corpus_base, bytes)
         .or_else(|_| incremental::apply(sample_base, bytes))
         .map(|t| tensor_bytes(&t))
@@ -184,6 +184,7 @@ const DIES_ON: &[(&str, &str)] = &[
     ("wpk1_bomb_total.bin", "bad container"),
     ("wpk1_lying_chunk_count.bin", "chunk count does not match geometry"),
     ("wck1_corrupt_body.bin", "checksum mismatch"),
+    ("wck1_many_axes.bin", "subband stream overrun"),
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
     ("inc1_claim_1gib.bin", "need 134217728 bytes"),

@@ -720,6 +720,6 @@ fn the_miss_stride_costs_small_exact_payloads_under_three_permille() {
     assert!(within(inc.len(), INC1_BEFORE), "INC1 {} vs {INC1_BEFORE}", inc.len());
 
     let spec = FieldSpec { dims: vec![96, 16, 2], ..FieldSpec::small(FieldKind::Temperature, 5) };
-    let exact = compress_exact(&generate(&spec), Level::Default);
+    let exact = compress_exact(&generate(&spec), Level::Default).unwrap();
     assert!(within(exact.len(), EXACT_BEFORE), "exact full {} vs {EXACT_BEFORE}", exact.len());
 }
