@@ -84,7 +84,6 @@ pub const EXTRA_ENTRY_POINTS: &[&str] = &[
     "decode_request",
     "decode_response",
     "verify_payload",
-    "is_increment",
 ];
 
 /// The BFS roots: one decoder per format in the table, plus the rest.

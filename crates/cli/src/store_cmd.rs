@@ -21,9 +21,10 @@ USAGE:
                      [--threads N]
 
 save sniffs the payload format from its magic (CKPT image vs WCK1/WPK1
-array) unless --format is given; --base GEN saves the files as INC1
+array) unless --format is given; --base GEN saves the files as INC2
 increments chained onto generation GEN. A --base payload that is not
-already a packed INC1 increment is treated as the full current array:
+already a packed increment (INC2, or the older INC1) of GEN's shape is
+treated as the full current array:
 the store materializes the base generation, computes the increment
 itself, and compresses it at --level (previously the level was fixed
 by whatever built the increment offline). With --error-bound the
@@ -45,7 +46,7 @@ generations plus every increment whose whole chain survives;
 unreadable segments are moved to quarantine/, never deleted.
 
 compact bounds the store's open and restore cost as generations
-accumulate: INC1 chains deeper than --max-depth (default 8) are
+accumulate: increment chains deeper than --max-depth (default 8) are
 rewritten into fresh full generations (bit-exact with chain replay)
 and the old links retired, then the live state is written as a CSM2
 manifest snapshot and the CSM1 log truncated, making reopen cost
@@ -240,7 +241,9 @@ fn save_bounded(
 }
 
 /// Prepares one rank's payload for an incremental save. A payload that
-/// is already a packed `INC1` increment passes through untouched;
+/// is already a packed increment passes through untouched if it applies
+/// to the base generation — it decodes, and its XOR lands on the base's
+/// shape — so the store never commits a link its own restore refuses;
 /// anything else is taken to be the rank's full current array, and the
 /// increment is computed here against the base generation and
 /// compressed at `level`.
@@ -251,17 +254,20 @@ fn build_increment(
     bytes: Vec<u8>,
     level: Level,
 ) -> Result<Vec<u8>, String> {
-    if ckpt_core::incremental::is_increment(&bytes) {
-        return Ok(bytes);
-    }
+    use ckpt_core::incremental;
     let rank_u32 =
         u32::try_from(rank).map_err(|_| format!("rank {rank} exceeds the u32 manifest field"))?;
-    let current = ckpt_core::Compressor::decompress(&bytes)
-        .map_err(|e| format!("rank {rank}: payload is neither an INC1 increment nor a decodable array: {e}"))?;
-    let base = store
+    let mut base = store
         .restore_array(base_gen, rank_u32)
         .map_err(|e| format!("rank {rank}: materializing base generation {base_gen}: {e}"))?;
-    let (packed, stats) = ckpt_core::incremental::increment(&base, &current, level)
+    // `xor_into` refuses a wrong shape before touching `base`, so a
+    // refused payload leaves the base intact for the array path.
+    if incremental::decode(&bytes).and_then(|inc| inc.xor_into(&mut base)).is_ok() {
+        return Ok(bytes);
+    }
+    let current = ckpt_core::Compressor::decompress(&bytes)
+        .map_err(|e| format!("rank {rank}: payload is neither an increment nor a decodable array: {e}"))?;
+    let (packed, stats) = incremental::increment(&base, &current, level)
         .map_err(|e| format!("rank {rank}: building increment: {e}"))?;
     eprintln!(
         "rank {rank}: built increment against gen {base_gen} ({}/{} pages dirty, {} bytes)",
@@ -592,7 +598,7 @@ mod tests {
         dispatch(&argv(&["save", &dir, &wck2, "--step", "2", "--base", "1", "--level", "fast"]))
             .unwrap();
 
-        // The stored segment is a packed INC1 increment, and the chain
+        // The stored segment is a packed INC2 increment, and the chain
         // restores to the lossy image the full array decodes to.
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.generations()[1].format, SegmentFormat::Increment);
@@ -613,6 +619,35 @@ mod tests {
         .is_err());
 
         for p in [raw, wck, rawf, wck2, out] {
+            let _ = std::fs::remove_file(p);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_base_refuses_increments_its_restore_would_refuse() {
+        let dir = tempdir("refuse");
+        let raw = tempfile("refuse.f64");
+        let wck = tempfile("refuse.wck");
+        crate::commands::gen(&argv(&["--dims", "64x16x2", "-o", &raw])).unwrap();
+        crate::commands::compress(&argv(&[&raw, "--dims", "64x16x2", "-o", &wck])).unwrap();
+        dispatch(&argv(&["save", &dir, &wck, "--step", "1"])).unwrap();
+        let before = Store::open(&dir).unwrap().generations();
+
+        // A lying dirty map (the increment parser refuses it), and an
+        // intact 16x8 increment on a 64x16x2 base (its XOR would not
+        // land): neither is an increment of gen 1, nor an array.
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/");
+        for name in ["inc1_bad_page_map.bin", "valid_inc1.bin"] {
+            let payload = format!("{corpus}{name}");
+            let err = dispatch(&argv(&["save", &dir, &payload, "--step", "2", "--base", "1"]))
+                .unwrap_err();
+            assert!(err.contains("neither an increment nor a decodable array"), "{name}: {err}");
+        }
+        dispatch(&argv(&["verify", &dir])).unwrap();
+        assert_eq!(Store::open(&dir).unwrap().generations(), before, "nothing was committed");
+
+        for p in [raw, wck] {
             let _ = std::fs::remove_file(p);
         }
         let _ = std::fs::remove_dir_all(&dir);

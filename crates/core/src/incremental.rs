@@ -10,19 +10,23 @@
 //! * a page-granular dirty map (like `mprotect`-based incremental
 //!   checkpointers: only pages whose content changed are stored),
 //! * delta encoding (XOR against the previous checkpoint, which turns
-//!   small numeric drift into low-entropy bytes), with gzip behind it.
+//!   small numeric drift into low-entropy bytes), laid out as eight
+//!   byte planes with gzip behind it.
 //!
 //! Restoring needs the base checkpoint plus the increment, mirroring
 //! the recovery-chain cost the paper cites from Naksinehaboon et al.
-//! [`decode`] is the one `INC1` parser and [`Decoded::xor_into`] the one
-//! way its payload reaches an array. Decoding needs no base, and XOR is
+//! [`increment`] writes `INC2`. `INC1`, the same increment with its XOR
+//! words interleaved, is written by no build but still read: [`decode`]
+//! is the one parser of both and [`Decoded::xor_into`] the one way
+//! either payload reaches an array. Decoding needs no base, and XOR is
 //! commutative and associative, so the links of a chain can be decoded
 //! in any order, concurrently (the store does), and only the XORs need
 //! an array to land in.
 
 use crate::codec::put_dims;
+use crate::shuffle::write_planes;
 use crate::{CkptError, Result};
-use ckpt_deflate::frame::{self, Reader, Writer, INC1};
+use ckpt_deflate::frame::{self, FrameError, Reader, Writer, INC1, INC2};
 use ckpt_deflate::{gzip, Level};
 use ckpt_quant::Bitmap;
 use ckpt_tensor::Tensor;
@@ -59,10 +63,14 @@ impl IncrementStats {
     }
 }
 
-/// Builds an incremental checkpoint of `current` against `base`
-/// (element counts must match). The increment stores, per dirty page,
-/// the XOR of the new bytes against the base — the standard trick that
-/// makes slowly-drifting floats compressible.
+/// Builds an `INC2` incremental checkpoint of `current` against `base`
+/// (shapes must match). The increment stores, per dirty page, the XOR
+/// of the new bits against the base — the standard trick that makes
+/// slowly-drifting floats compressible — as eight byte planes. Between
+/// two nearby doubles the sign/exponent and top mantissa bytes barely
+/// change, so their planes are near zero; the low mantissa planes are
+/// noise, which the deflate encoder's noise gate stores unsearched and
+/// a restore inflates as a copy.
 pub fn increment(
     base: &Tensor<f64>,
     current: &Tensor<f64>,
@@ -71,46 +79,60 @@ pub fn increment(
     if base.dims() != current.dims() {
         return Err(CkptError::Format("incremental base shape mismatch".into()));
     }
-    let n = current.len();
+    let (old, new) = (base.as_slice(), current.as_slice());
+    let n = new.len();
     let pages = n.div_ceil(PAGE_ELEMS);
 
-    let mut dirty = Vec::with_capacity(pages);
-    let mut payload = Vec::new();
+    // Dirty means a bit changed: a float compare would call 0.0 -> -0.0
+    // clean and a page holding a NaN always dirty.
+    let mut dirty = Bitmap::zeros(pages);
+    let mut count = 0;
     for p in 0..pages {
-        let lo = p * PAGE_ELEMS;
-        let hi = (lo + PAGE_ELEMS).min(n);
-        let a = &base.as_slice()[lo..hi];
-        let b = &current.as_slice()[lo..hi];
-        let is_dirty = a != b;
-        dirty.push(is_dirty);
-        if is_dirty {
-            for (x, y) in a.iter().zip(b) {
-                let xor = x.to_bits() ^ y.to_bits();
-                payload.extend_from_slice(&xor.to_le_bytes());
-            }
+        let r = page_range(p, n);
+        let (a, b) = (&old[r.clone()], &new[r.clone()]);
+        if a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
+            dirty.set(p, true);
+            count += r.len();
         }
     }
 
-    let mut w = Writer::with_capacity(payload.len() + pages / 8 + 64);
-    w.put_bytes(&INC1.magic);
+    let mut w = Writer::with_capacity(8 * count + pages / 8 + 64);
+    w.put_bytes(&INC2.magic);
+    w.put_u8(INC2.version);
     put_dims(&mut w, current.dims())?;
     w.put_u64(pages as u64);
-    let mut bits = Bitmap::zeros(pages);
-    for (i, &d) in dirty.iter().enumerate() {
-        bits.set(i, d);
+    w.put_bytes(&dirty.to_bytes());
+    let planes = w.put_region(8 * count);
+    let mut xor = [0.0f64; PAGE_ELEMS];
+    let mut col = 0;
+    for p in (0..pages).filter(|&p| dirty.get(p)) {
+        let r = page_range(p, n);
+        let page = &mut xor[..r.len()];
+        for ((x, a), b) in page.iter_mut().zip(&old[r.clone()]).zip(&new[r]) {
+            *x = f64::from_bits(a.to_bits() ^ b.to_bits());
+        }
+        write_planes(planes, col, page);
+        col += page.len();
     }
-    w.put_bytes(&bits.to_bytes());
-    w.put_bytes(&payload);
     let packed = gzip::compress(&w.into_bytes(), level);
 
-    let dirty_pages = dirty.iter().filter(|&&d| d).count();
     let stats = IncrementStats {
         pages,
-        dirty_pages,
+        dirty_pages: dirty.count_ones(),
         compressed_bytes: packed.len(),
         full_bytes: n * 8,
     };
     Ok((packed, stats))
+}
+
+/// How a decoded increment lays out its XOR payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `INC1`: one little-endian XOR word per dirty element, in order.
+    Words,
+    /// `INC2`: eight planes of one byte per dirty element; plane `j`
+    /// holds little-endian byte `j` of every XOR word, pages in order.
+    Planes,
 }
 
 /// A packed increment, decoded as far as it can be without its base:
@@ -118,23 +140,36 @@ pub fn increment(
 /// (8 bytes per element of every dirty page) known to agree. All that
 /// is left is [`Decoded::xor_into`].
 pub struct Decoded {
+    layout: Layout,
     dims: Vec<usize>,
     /// Product of `dims`.
     volume: usize,
     pages: usize,
     dirty: Bitmap,
+    /// Elements in dirty pages: the payload's word count, and in
+    /// `INC2` the length of each plane.
+    elems: usize,
     /// The gunzipped stream; the XOR payload starts at `payload`.
     inner: Vec<u8>,
     payload: usize,
 }
 
-/// Decodes a packed increment: the one `INC1` parser. The store's
-/// verify runs it alone (it needs no base); [`apply`] and the store's
-/// chain restore follow it with [`Decoded::xor_into`].
+/// Decodes a packed increment: the one parser of `INC1` and `INC2`,
+/// which differ only in the magic (`INC2` adds a version byte) and in
+/// how the payload lays out its XOR words. The store's verify runs it
+/// alone (it needs no base); [`apply`] and the store's chain restore
+/// follow it with [`Decoded::xor_into`].
 pub fn decode(packed: &[u8]) -> Result<Decoded> {
     let inner = gzip::decompress(packed)?;
     let mut r = Reader::new(&inner);
-    r.expect_magic(&INC1)?;
+    let layout = match r.get_array::<4>()? {
+        magic if magic == INC2.magic => {
+            r.expect_version(&INC2)?;
+            Layout::Planes
+        }
+        magic if magic == INC1.magic => Layout::Words,
+        _ => return Err(FrameError::BadMagic { want: INC2.magic }.into()),
+    };
     let ndim = usize::from(r.get_u8()?);
     let mut dims = Vec::with_capacity(ndim);
     let mut volume = 1usize;
@@ -153,10 +188,11 @@ pub fn decode(packed: &[u8]) -> Result<Decoded> {
     }
     let dirty = Bitmap::from_bytes(r.get_bytes(pages.div_ceil(8))?, pages)
         .ok_or_else(|| CkptError::Format("corrupt dirty map".into()))?;
-    let expect: usize = (0..pages)
+    let elems: usize = (0..pages)
         .filter(|&p| dirty.get(p))
-        .map(|p| page_range(p, volume).len().saturating_mul(8))
+        .map(|p| page_range(p, volume).len())
         .fold(0, usize::saturating_add);
+    let expect = elems.saturating_mul(8);
     if r.remaining() != expect {
         return Err(CkptError::Format(format!(
             "increment XOR payload {} bytes, dirty map implies {expect}",
@@ -164,10 +200,15 @@ pub fn decode(packed: &[u8]) -> Result<Decoded> {
         )));
     }
     let payload = r.position();
-    Ok(Decoded { dims, volume, pages, dirty, inner, payload })
+    Ok(Decoded { layout, dims, volume, pages, dirty, elems, inner, payload })
 }
 
 impl Decoded {
+    /// Which layout the payload was written in.
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
     /// XORs every dirty page's payload into `state`, turning the base
     /// state into the increment's. Refuses (before touching `state`) an
     /// array whose dims are not this increment's.
@@ -176,17 +217,47 @@ impl Decoded {
             return Err(CkptError::Format("incremental dims mismatch".into()));
         }
         let out = state.as_mut_slice();
-        let mut r = Reader::at(&self.inner, self.payload);
+        let payload = self.inner.get(self.payload..).unwrap_or_default();
+        let mut words = Reader::new(payload);
+        let mut col = 0;
         for p in (0..self.pages).filter(|&p| self.dirty.get(p)) {
             let page = out
                 .get_mut(page_range(p, self.volume))
                 .ok_or_else(|| CkptError::Format("increment page outside the base".into()))?;
-            for slot in page {
-                *slot = f64::from_bits(slot.to_bits() ^ r.get_u64()?);
+            let len = page.len();
+            match self.layout {
+                Layout::Words => {
+                    for slot in page {
+                        *slot = f64::from_bits(slot.to_bits() ^ words.get_u64()?);
+                    }
+                }
+                Layout::Planes => xor_planes(page, payload, self.elems, col)?,
             }
+            col += len;
         }
         Ok(())
     }
+}
+
+/// XORs columns `col..col + page.len()` of the eight byte planes of
+/// `count` columns each in `planes` into `page` (at most one page, so
+/// the gathered words stay on the stack and the page in L1). No offset
+/// overflows: [`decode`] held `8 * count` to the bytes in memory.
+fn xor_planes(page: &mut [f64], planes: &[u8], count: usize, col: usize) -> Result<()> {
+    let outside = || CkptError::Format("increment page outside its planes".into());
+    let mut gathered = [0u64; PAGE_ELEMS];
+    let xor = gathered.get_mut(..page.len()).ok_or_else(outside)?;
+    for j in 0..8 {
+        let at = j * count + col;
+        let bytes = planes.get(at..at + xor.len()).ok_or_else(outside)?;
+        for (x, &b) in xor.iter_mut().zip(bytes) {
+            *x |= u64::from(b) << (8 * j);
+        }
+    }
+    for (slot, &x) in page.iter_mut().zip(xor.iter()) {
+        *slot = f64::from_bits(slot.to_bits() ^ x);
+    }
+    Ok(())
 }
 
 /// Element range of page `p` in an array of `volume` elements.
@@ -202,14 +273,6 @@ pub fn apply(base: &Tensor<f64>, packed: &[u8]) -> Result<Tensor<f64>> {
     let mut out = base.clone();
     inc.xor_into(&mut out)?;
     Ok(out)
-}
-
-/// True when `packed` is a gzip member whose inner stream leads with
-/// the `INC1` magic. (The gzip header alone does not discriminate —
-/// full `WCK1` arrays are gzip members too.)
-pub fn is_increment(packed: &[u8]) -> bool {
-    packed.starts_with(&[0x1f, 0x8b])
-        && gzip::decompress(packed).is_ok_and(|inner| inner.starts_with(&INC1.magic))
 }
 
 #[cfg(test)]
@@ -275,6 +338,61 @@ mod tests {
         for (a, b) in restored.as_slice().iter().zip(cur.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn a_change_only_a_bit_compare_sees_is_stored() {
+        // 0.0 -> -0.0 compares equal as floats; a NaN page compares
+        // unequal to itself. Dirtiness is about bits.
+        let mut base = Tensor::<f64>::zeros(&[3, PAGE_ELEMS]).unwrap();
+        base.as_mut_slice()[2 * PAGE_ELEMS] = f64::NAN;
+        let mut cur = base.clone();
+        cur.as_mut_slice()[5] = -0.0;
+        let (packed, stats) = increment(&base, &cur, Level::Fast).unwrap();
+        assert_eq!(stats.dirty_pages, 1, "only the signed zero's page");
+        let restored = apply(&base, &packed).unwrap();
+        assert!(restored.as_slice()[5].is_sign_negative());
+    }
+
+    #[test]
+    fn the_writer_lays_the_xor_out_as_planes_and_the_words_layout_reads_the_same() {
+        let base = field(6);
+        let mut cur = base.clone();
+        for v in cur.as_mut_slice().iter_mut().step_by(3) {
+            *v *= 1.0001;
+        }
+        let (packed, _) = increment(&base, &cur, Level::Fast).unwrap();
+        let inc = decode(&packed).unwrap();
+        assert_eq!(inc.layout(), Layout::Planes);
+        let inner = gzip::decompress(&packed).unwrap();
+        assert_eq!(&inner[..5], b"INC2\x01");
+
+        // The same header without the version byte, the planes turned
+        // back into words, under the INC1 magic.
+        let words = crate::shuffle::read_planes(&inner[inc.payload..], 0, inc.elems);
+        let mut inc1 = b"INC1".to_vec();
+        inc1.extend_from_slice(&inner[5..inc.payload]);
+        inc1.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        let old = decode(&gzip::compress(&inc1, Level::Fast)).unwrap();
+        assert_eq!(old.layout(), Layout::Words);
+        let (mut a, mut b) = (base.clone(), base.clone());
+        inc.xor_into(&mut a).unwrap();
+        old.xor_into(&mut b).unwrap();
+        assert!(a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert_eq!(a.as_slice(), cur.as_slice());
+    }
+
+    #[test]
+    fn an_unknown_version_or_magic_is_refused() {
+        let t = field(7);
+        let (packed, _) = increment(&t, &t, Level::Fast).unwrap();
+        let mut inner = gzip::decompress(&packed).unwrap();
+        inner[4] = 2;
+        let why = decode(&gzip::compress(&inner, Level::Fast)).err().unwrap().to_string();
+        assert!(why.contains("unsupported version 2"), "{why}");
+        inner[..5].copy_from_slice(b"INC3\x01");
+        let why = decode(&gzip::compress(&inner, Level::Fast)).err().unwrap().to_string();
+        assert!(why.contains("bad magic"), "{why}");
     }
 
     #[test]

@@ -196,8 +196,12 @@ pub const WCK1: Format = bespoke(b"WCK1", 1, "parse_stream");
 pub const CKPT: Format = bespoke(b"CKPT", 1, "from_bytes");
 /// Chunked multi-member gzip pack (`ckpt_deflate::chunked`).
 pub const WPK1: Format = bespoke(b"WPK1", 1, "decompress_chunked_with_limit");
-/// Dirty-page increment inside a gzip member (`ckpt_core::incremental`).
+/// Dirty-page increment inside a gzip member, XOR words interleaved
+/// (`ckpt_core::incremental`). Decode-only: no build writes it.
 pub const INC1: Format = bespoke(b"INC1", 0, "apply");
+/// Dirty-page increment inside a gzip member, XOR words as eight byte
+/// planes (`ckpt_core::incremental`).
+pub const INC2: Format = bespoke(b"INC2", 1, "decode");
 /// Store manifest log: `header8`, then a run of records
 /// (`ckpt_store::manifest`).
 pub const CSM1: Format = Format {
@@ -259,7 +263,8 @@ pub const SRV1: Format = Format {
 };
 
 /// Every magic-tagged format in the workspace.
-pub const FORMATS: [Format; 10] = [WCK1, CKPT, WPK1, INC1, CSM1, CSM2, RPC1, ICK1, RST1, SRV1];
+pub const FORMATS: [Format; 11] =
+    [WCK1, CKPT, WPK1, INC1, INC2, CSM1, CSM2, RPC1, ICK1, RST1, SRV1];
 
 // ----------------------------------------------------------------- writer
 
@@ -374,7 +379,7 @@ impl Writer {
 // ----------------------------------------------------------------- reader
 
 /// Checked little-endian reader over a byte slice. The scalar
-/// accessors are `#[inline]`: `incremental::apply` and the codecs call
+/// accessors are `#[inline]`: the `INC1` read path and the codecs call
 /// them per element from other crates.
 #[derive(Debug)]
 pub struct Reader<'a> {

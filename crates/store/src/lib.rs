@@ -54,11 +54,11 @@
 //!
 //! A generation is either *full* (a `CKPT` checkpoint image or a
 //! `WCK1`/`WPK1` compressed array per rank) or *incremental* (an
-//! `INC1` increment per rank against a base generation, see
-//! `ckpt_core::incremental`). Restore resolves the chain base-first;
-//! GC retains the last K fulls plus every increment whose entire chain
-//! is retained, and quarantines unreadable segments instead of
-//! deleting them.
+//! `INC2` increment per rank against a base generation — or an `INC1`
+//! one an older build wrote — see `ckpt_core::incremental`). Restore
+//! resolves the chain base-first; GC retains the last K fulls plus
+//! every increment whose entire chain is retained, and quarantines
+//! unreadable segments instead of deleting them.
 
 pub mod compact;
 mod failpoint;

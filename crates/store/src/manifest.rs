@@ -39,7 +39,7 @@ pub enum SegmentFormat {
     /// A full compressed array (`WCK1`, possibly in a gzip/`WPK1`
     /// container) or raw bytes.
     Array,
-    /// An `INC1` increment against `base_gen`.
+    /// An `INC2` (or older `INC1`) increment against `base_gen`.
     Increment,
 }
 

@@ -78,7 +78,7 @@ pub struct RankIndex {
     /// Committed payload CRC-32 from the manifest.
     pub crc: u32,
     /// Per-member byte ranges for `WPK1` chunked payloads; empty for
-    /// every other payload kind (plain gzip, raw, `CKPT`, `INC1`…),
+    /// every other payload kind (plain gzip, raw, `CKPT`, `INC2`…),
     /// which have no cheaply addressable sub-structure.
     pub members: Vec<MemberRange>,
 }

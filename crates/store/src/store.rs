@@ -370,7 +370,7 @@ impl Store {
         self.save(step, format, 0, payloads, threads, Some(error_bound))
     }
 
-    /// Saves an incremental generation whose per-rank `INC1` payloads
+    /// Saves an incremental generation whose per-rank increment payloads
     /// were built against generation `base_gen` (which must be live
     /// and itself an array or increment generation with the same rank
     /// count).
@@ -714,7 +714,7 @@ impl Store {
     }
 
     /// Materializes an array generation: decompresses the chain's base
-    /// `WCK1` stream and applies each `INC1` increment in order.
+    /// `WCK1` stream and applies each increment in order.
     pub fn restore_array(&self, gen: u64, rank: u32) -> Result<Tensor<f64>> {
         self.guard()?;
         self.view.restore_array(gen, rank)
@@ -835,7 +835,7 @@ impl View {
     }
 
     /// Materializes an array generation: decompresses the chain's base
-    /// `WCK1` stream and XORs in every `INC1` increment, its links read,
+    /// `WCK1` stream and XORs in every increment, its links read,
     /// CRC-checked and decoded on `min(host cores, links)` workers. A
     /// restore shapes no bytes, so it keys on the host's cores, not on
     /// a `threads` setting; a one-link chain spawns no thread.

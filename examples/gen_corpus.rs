@@ -128,10 +128,10 @@ fn main() {
     write("noise.bin", &lcg_bytes(4096, 1234));
 
     // INC1 increments against the deterministic base the corpus tests
-    // rebuild (Pressure field, seed 11, every 7th element perturbed).
+    // rebuild (Pressure field, seed 11, every 7th element perturbed),
+    // through the writer no build has any more (`common::inc1_increment`).
     let (base, cur) = common::inc_pair();
-    let (inc, _) =
-        lossy_ckpt::core::incremental::increment(&base, &cur, Level::Default).unwrap();
+    let inc = common::inc1_increment(&base, &cur, Level::Default);
 
     // 11. INC1 truncated mid-stream: the gzip layer must error.
     write("inc1_truncated.bin", &inc[..inc.len() / 2]);
@@ -150,6 +150,33 @@ fn main() {
     let n = inc_crc.len();
     inc_crc[n - 8] ^= 0xFF;
     write("inc1_crc_flip.bin", &inc_crc);
+
+    // The same four damage modes on the INC2 increment this build
+    // writes for the same pair, plus the version byte INC1 lacks.
+    let (inc, _) =
+        lossy_ckpt::core::incremental::increment(&base, &cur, Level::Default).unwrap();
+
+    // 35. INC2 truncated mid-stream.
+    write("inc2_truncated.bin", &inc[..inc.len() / 2]);
+
+    // 36. INC2 with a lying dirty-page map (magic, version, ndim, dims,
+    //     pages, then the map), re-packed.
+    let mut inner = gzip::decompress(&inc).unwrap();
+    let bitmap_at = 4 + 1 + 1 + 8 * base.ndim() + 8;
+    inner[bitmap_at] ^= 0x01;
+    write("inc2_bad_page_map.bin", &gzip::compress(&inner, Level::Default));
+
+    // 37. INC2 with a flipped byte in the gzip trailer CRC.
+    let mut inc_crc = inc.clone();
+    let n = inc_crc.len();
+    inc_crc[n - 8] ^= 0xFF;
+    write("inc2_crc_flip.bin", &inc_crc);
+
+    // 38. INC2 claiming an unknown version, re-packed so the version
+    //     check, not the container CRC, refuses it.
+    let mut inner = gzip::decompress(&inc).unwrap();
+    inner[4] = 9;
+    write("inc2_bad_version.bin", &gzip::compress(&inner, Level::Default));
 
     // ICK1 resumable-inflate checkpoints: a real mid-stream engine
     // state over the deterministic gzip stream from entry 5, then four
@@ -298,6 +325,15 @@ fn main() {
     inc_claim.put_u64(u64::from(GIB) * 512);
     inc_claim.put_u64(u64::from(GIB));
     write("inc1_claim_1gib.bin", &gzip::compress(&inc_claim.into_bytes(), Level::Default));
+
+    // 39. The same claim behind INC2's magic and version.
+    let mut inc_claim = Writer::new();
+    inc_claim.put_bytes(&frame::INC2.magic);
+    inc_claim.put_u8(frame::INC2.version);
+    inc_claim.put_u8(1);
+    inc_claim.put_u64(u64::from(GIB) * 512);
+    inc_claim.put_u64(u64::from(GIB));
+    write("inc2_claim_1gib.bin", &gzip::compress(&inc_claim.into_bytes(), Level::Default));
 
     // First damaged entries for the three formats that had unit tests
     // only.

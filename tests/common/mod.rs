@@ -7,10 +7,11 @@
 
 use lossy_ckpt::core::checkpoint::CheckpointBuilder;
 use lossy_ckpt::core::incremental;
-use lossy_ckpt::deflate::frame::Format;
+use lossy_ckpt::deflate::frame::{self, Format, Writer};
 use lossy_ckpt::deflate::resume::ResumableInflate;
-use lossy_ckpt::deflate::{chunked, Level};
+use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
+use lossy_ckpt::quant::Bitmap;
 use lossy_ckpt::serve::proto::{self, Request};
 use lossy_ckpt::serve::restore::{encode_token, Token};
 use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store};
@@ -50,7 +51,51 @@ pub fn valid_path(f: &Format) -> PathBuf {
     corpus_dir().join(format!("valid_{}.bin", f.name().to_lowercase()))
 }
 
-/// The base and current state the `INC1` entries are built from.
+/// The `INC1` writer as the last build that had one wrote it, kept as a
+/// test oracle: no build writes `INC1` any more, every build reads it.
+/// The `INC1` corpus entries and the store images that carry an
+/// increment are built through it, so they regenerate byte for byte,
+/// and chains can mix both layouts.
+pub fn inc1_increment(base: &Tensor<f64>, current: &Tensor<f64>, level: Level) -> Vec<u8> {
+    assert_eq!(base.dims(), current.dims(), "incremental base shape mismatch");
+    let n = current.len();
+    let pages = n.div_ceil(incremental::PAGE_ELEMS);
+
+    let mut dirty = Vec::with_capacity(pages);
+    let mut payload = Vec::new();
+    for p in 0..pages {
+        let lo = p * incremental::PAGE_ELEMS;
+        let hi = (lo + incremental::PAGE_ELEMS).min(n);
+        let a = &base.as_slice()[lo..hi];
+        let b = &current.as_slice()[lo..hi];
+        let is_dirty = a != b;
+        dirty.push(is_dirty);
+        if is_dirty {
+            for (x, y) in a.iter().zip(b) {
+                let xor = x.to_bits() ^ y.to_bits();
+                payload.extend_from_slice(&xor.to_le_bytes());
+            }
+        }
+    }
+
+    let mut w = Writer::with_capacity(payload.len() + pages / 8 + 64);
+    w.put_bytes(&frame::INC1.magic);
+    w.put_u8(u8::try_from(current.ndim()).expect("at most 255 axes"));
+    for &d in current.dims() {
+        w.put_u64(d as u64);
+    }
+    w.put_u64(pages as u64);
+    let mut bits = Bitmap::zeros(pages);
+    for (i, &d) in dirty.iter().enumerate() {
+        bits.set(i, d);
+    }
+    w.put_bytes(&bits.to_bytes());
+    w.put_bytes(&payload);
+    gzip::compress(&w.into_bytes(), level)
+}
+
+/// The base and current state the `INC1` and `INC2` entries are built
+/// from.
 pub fn inc_pair() -> (Tensor<f64>, Tensor<f64>) {
     let base = generate(&FieldSpec::small(FieldKind::Pressure, 11));
     let mut cur = base.clone();
@@ -116,7 +161,8 @@ pub fn valid_token() -> Token {
 }
 
 /// The files of a deterministic three-generation store — a full array,
-/// an increment on it, a manifest compaction, one more full under an
+/// an `INC1` increment on it (through [`inc1_increment`], so the files
+/// are the ones checked in), a manifest compaction, one more full under an
 /// error bound, then a push to a buddy: `(manifest, manifest.snap,
 /// replication.cursor, [segment of gen 1, of gen 2, of gen 3])`.
 pub struct StoreFiles {
@@ -134,7 +180,7 @@ pub fn store_files() -> StoreFiles {
     ));
     let _ = fs::remove_dir_all(&dir);
     let (full, base, next) = tiny_states();
-    let (inc, _) = incremental::increment(&base, &next, Level::Default).unwrap();
+    let inc = inc1_increment(&base, &next, Level::Default);
 
     let mut store = Store::open(dir.join("primary")).unwrap();
     let g1 = store.save_full(10, SegmentFormat::Array, &[&full], 1).unwrap();
@@ -163,7 +209,8 @@ pub fn store_files() -> StoreFiles {
 /// the chain (the rewrite carries the base's `Bound`) and re-anchoring
 /// the newest full above it. `tests/corpus/golden_store_{log,snap}.bin`
 /// were written from this script by the commit *before* the store's
-/// lifecycle engine (`Store::log`/`apply`/`retire`) existed.
+/// lifecycle engine (`Store::log`/`apply`/`retire`) existed; its two
+/// increments are `INC1`, as that commit wrote them.
 pub fn golden_store_images() -> (Vec<u8>, Vec<u8>) {
     let dir = std::env::temp_dir().join(format!(
         "ckpt-golden-store-{}-{:?}",
@@ -176,8 +223,8 @@ pub fn golden_store_images() -> (Vec<u8>, Vec<u8>) {
     for v in last.as_mut_slice().iter_mut().skip(20).take(5) {
         *v -= 0.5;
     }
-    let (inc_a, _) = incremental::increment(&base, &next, Level::Default).unwrap();
-    let (inc_b, _) = incremental::increment(&next, &last, Level::Default).unwrap();
+    let inc_a = inc1_increment(&base, &next, Level::Default);
+    let inc_b = inc1_increment(&next, &last, Level::Default);
 
     let mut store = Store::open(&dir).unwrap();
     store.save_full(10, SegmentFormat::Array, &[&full], 1).unwrap();
@@ -266,10 +313,13 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// `RST1` token around it, both cut from a stream of 20 000 noise bytes.
 /// Before that, with the LZ77 miss stride and the transposed `WCK1`
 /// default: the `WCK1` sample, and the manifest and snapshot that carry
-/// its CRC.)
+/// its CRC.) The `INC1` sample is the store's increment, written by the
+/// oracle; the `INC2` one is the same increment as this build writes it.
 pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
     let store = store_files();
     let [wck1, inc1, _] = store.segments;
+    let (_, base, next) = tiny_states();
+    let (inc2, _) = incremental::increment(&base, &next, Level::Default).unwrap();
     let mut ckpt = CheckpointBuilder::new(7);
     ckpt.add_raw("t", &tiny_field(2)).unwrap();
     let mut srv1 = Vec::new();
@@ -280,6 +330,7 @@ pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
         (*b"CKPT", ckpt.into_bytes()),
         (*b"WPK1", chunked::compress_chunked(&lcg_bytes(3000, 5), Level::Fast, 1024, 1)),
         (*b"INC1", inc1),
+        (*b"INC2", inc2),
         (*b"CSM1", store.manifest),
         (*b"CSM2", store.snapshot),
         (*b"RPC1", store.cursor),

@@ -10,7 +10,9 @@
 //! stride and the transposed default; `decode_only_wck1_untransposed.bin`
 //! is the `WCK1` sample from before both, and `decode_only_ick1.bin` /
 //! `decode_only_rst1.bin` the engine state and token cut from the stream
-//! the encoder wrote before its noise gate); and a valid sample cut at
+//! the encoder wrote before its noise gate; the `INC1` sample and
+//! entries come from the test-only copy of the writer no build has any
+//! more, `common::inc1_increment`); and a valid sample cut at
 //! any byte or flipped at any byte is refused too. A format added to
 //! the table without a harness fails here, not silently. Two files were
 //! written by the last build that had their writer: a Lloyd-Max `WCK1`
@@ -22,7 +24,7 @@
 mod common;
 
 use lossy_ckpt::core::checkpoint::Checkpoint;
-use lossy_ckpt::core::incremental;
+use lossy_ckpt::core::incremental::{self, Layout};
 use lossy_ckpt::deflate::frame::{Format, FORMATS};
 use lossy_ckpt::deflate::resume::ResumableInflate;
 use lossy_ckpt::deflate::{chunked, gzip, Level};
@@ -88,13 +90,16 @@ fn decode_ckpt(bytes: &[u8]) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// The base-free decode the store's verify runs, then `apply` against
-/// whichever corpus base the increment was built on.
-fn decode_inc1(bytes: &[u8]) -> Result<Vec<u8>, String> {
+/// The base-free decode the store's verify runs — which must find the
+/// harness's own layout, since one parser reads both magics — then
+/// `apply` against whichever corpus base the increment was built on.
+fn decode_increment(bytes: &[u8], layout: Layout) -> Result<Vec<u8>, String> {
     static BASES: OnceLock<[Tensor<f64>; 2]> = OnceLock::new();
     let [corpus_base, sample_base] =
         BASES.get_or_init(|| [common::inc_pair().0, common::tiny_states().1]);
-    incremental::decode(bytes).map_err(err)?;
+    if incremental::decode(bytes).map_err(err)?.layout() != layout {
+        return Err(format!("not a {layout:?} increment"));
+    }
     incremental::apply(corpus_base, bytes)
         .or_else(|_| incremental::apply(sample_base, bytes))
         .map(|t| tensor_bytes(&t))
@@ -135,7 +140,8 @@ fn harness(f: &Format) -> Harness {
         b"WCK1" => strict(|b| Compressor::decompress(b).map(|t| tensor_bytes(&t)).map_err(err)),
         b"CKPT" => Harness { decode: decode_ckpt, policy: Policy::Total },
         b"WPK1" => strict(|b| chunked::decompress_chunked(b, 2).map_err(err)),
-        b"INC1" => strict(decode_inc1),
+        b"INC1" => strict(|b| decode_increment(b, Layout::Words)),
+        b"INC2" => strict(|b| decode_increment(b, Layout::Planes)),
         b"CSM1" => Harness { decode: decode_csm1, policy: Policy::PrefixBeforeDamage },
         b"CSM2" => strict(decode_csm2),
         b"RPC1" => strict(|b| {
@@ -188,6 +194,10 @@ const DIES_ON: &[(&str, &str)] = &[
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
     ("inc1_claim_1gib.bin", "need 134217728 bytes"),
+    ("inc2_crc_flip.bin", "checksum mismatch"),
+    ("inc2_bad_page_map.bin", "dirty map implies"),
+    ("inc2_bad_version.bin", "unsupported version 9"),
+    ("inc2_claim_1gib.bin", "need 134217728 bytes"),
     ("csm1_claim_1gib.bin", "valid prefix ends at byte 8"),
     ("ick1_crc_flip.bin", "checksum mismatch"),
     ("ick1_bad_version.bin", "version"),
@@ -233,10 +243,12 @@ fn every_damaged_corpus_entry_is_refused_by_its_formats_decoder() {
     for (name, _) in DIES_ON {
         assert!(common::corpus_dir().join(name).exists(), "DIES_ON names no corpus file: {name}");
     }
-    // The lying dirty map decompresses fine at the container layer —
-    // it is the increment parser that rejects it.
-    let lying = fs::read(common::corpus_dir().join("inc1_bad_page_map.bin")).unwrap();
-    assert!(gzip::decompress(&lying).is_ok());
+    // The lying dirty maps decompress fine at the container layer — it
+    // is the increment parser that rejects them.
+    for name in ["inc1_bad_page_map.bin", "inc2_bad_page_map.bin"] {
+        let lying = fs::read(common::corpus_dir().join(name)).unwrap();
+        assert!(gzip::decompress(&lying).is_ok(), "{name}");
+    }
 }
 
 /// The store's range index reads a `WPK1` segment's header and chunk
@@ -379,7 +391,7 @@ fn a_gibibyte_file_at_each_metadata_path_is_treated_as_damage() {
 /// whatever would trip over the missing bytes afterwards.
 #[test]
 fn every_gibibyte_claim_is_refused_on_its_guard() {
-    for magic in [b"CSM1", b"CSM2", b"SRV1", b"RST1", b"ICK1", b"INC1"] {
+    for magic in [b"CSM1", b"CSM2", b"SRV1", b"RST1", b"ICK1", b"INC1", b"INC2"] {
         let f = FORMATS.iter().find(|f| &f.magic == magic).unwrap();
         let name = format!("{}_claim_1gib.bin", f.name().to_lowercase());
         let bytes = fs::read(common::corpus_dir().join(&name))
@@ -492,17 +504,24 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
     );
 }
 
-/// A whole store written by the parent opens, verifies and restores.
-#[test]
-fn parent_written_store_opens_verifies_and_restores() {
+/// Plants the store the checked-in samples were cut from — a full, an
+/// `INC1` link on it, a bounded full — in a fresh directory.
+fn plant_parent_store(tag: &str) -> PathBuf {
     let files = common::StoreFiles {
         manifest: parent_sample(b"CSM1"),
         snapshot: parent_sample(b"CSM2"),
         cursor: parent_sample(b"RPC1"),
         segments: [parent_sample(b"WCK1"), parent_sample(b"INC1"), parent_sample(b"WCK1")],
     };
-    let dir = scratch_dir("parent-store");
+    let dir = scratch_dir(tag);
     common::plant_store(&dir, &files);
+    dir
+}
+
+/// A whole store written by the parent opens, verifies and restores.
+#[test]
+fn parent_written_store_opens_verifies_and_restores() {
+    let dir = plant_parent_store("parent-store");
     let store = Store::open(&dir).unwrap();
     assert!(store.open_report().snapshot_used && !store.open_report().snapshot_fallback);
     assert_eq!(store.open_report().truncated_bytes, 0);
@@ -512,6 +531,29 @@ fn parent_written_store_opens_verifies_and_restores() {
     assert_eq!(gens[2].error_bound, Some(1e-3), "the Bound record in the log tail");
     assert_eq!(store.replication_cursor(), Some(3));
     assert_eq!(store.restore_array(2, 0).unwrap(), common::tiny_states().2);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Old chains grow in the new format: `INC2` links this build writes,
+/// saved on top of the parent-written `INC1` link, restore bit for bit
+/// at every depth, and the store still verifies.
+#[test]
+fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
+    let dir = plant_parent_store("mixed-chain");
+    let mut store = Store::open(&dir).unwrap();
+    let mut state = common::tiny_states().2;
+    let mut tip = 2;
+    for k in 0..3u32 {
+        let mut next = state.clone();
+        next.map_inplace(|v| v * 1.0001 + f64::from(k));
+        let (inc, _) = incremental::increment(&state, &next, Level::Default).unwrap();
+        tip = store.save_increment(40 + u64::from(k), tip, &[&inc], 1).unwrap();
+        state = next;
+        let restored = store.restore_array(tip, 0).unwrap();
+        assert_eq!(tensor_bytes(&restored), tensor_bytes(&state), "depth {}", k + 2);
+    }
+    assert_eq!(store.resolve_chain(tip).unwrap(), [1, 2, 4, 5, 6]);
+    assert!(store.verify().unwrap().clean());
     let _ = fs::remove_dir_all(&dir);
 }
 

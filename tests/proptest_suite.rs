@@ -279,6 +279,58 @@ proptest! {
         }
         prop_assert!(stats.dirty_fraction() <= 1.0);
     }
+
+    /// `INC2` round-trips bit for bit whatever the dirty pattern: page
+    /// `p` is clean, has one changed element, has every element changed,
+    /// or a random half (`modes[p % len]`), over arbitrary bit patterns
+    /// (NaNs and signed zeros included) and shapes whose last page is
+    /// partial and whose dirty-element count is seldom a multiple of the
+    /// 256-value transposition block or of a page.
+    #[test]
+    fn inc2_roundtrips_bit_exactly_over_any_dirty_pattern(
+        dims in (1usize..=45, 1usize..=60),
+        modes in pvec(0u8..4, 1..=6),
+        seed in any::<u64>(),
+    ) {
+        use lossy_ckpt::core::incremental::{self, Layout, PAGE_ELEMS};
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        };
+        let volume = dims.0 * dims.1;
+        let data: Vec<f64> = (0..volume).map(|_| f64::from_bits(next())).collect();
+        let base = Tensor::from_vec(&[dims.0, dims.1], data).unwrap();
+        let mut cur = base.clone();
+        for (p, page) in cur.as_mut_slice().chunks_mut(PAGE_ELEMS).enumerate() {
+            let mode = modes[p % modes.len()];
+            let one = next() as usize % page.len();
+            for (k, v) in page.iter_mut().enumerate() {
+                let change = match mode {
+                    0 => false,
+                    1 => k == one,
+                    2 => true,
+                    _ => next() >> 63 == 1,
+                };
+                if change {
+                    *v = f64::from_bits(v.to_bits() ^ (next() | 1));
+                }
+            }
+        }
+        let dirty = base.as_slice().chunks(PAGE_ELEMS).zip(cur.as_slice().chunks(PAGE_ELEMS))
+            .filter(|(a, b)| a.iter().zip(*b).any(|(x, y)| x.to_bits() != y.to_bits()))
+            .count();
+
+        let (packed, stats) = incremental::increment(&base, &cur, lossy_ckpt::deflate::Level::Fast).unwrap();
+        prop_assert_eq!(stats.dirty_pages, dirty);
+        let inc = incremental::decode(&packed).unwrap();
+        prop_assert_eq!(inc.layout(), Layout::Planes);
+        let mut restored = base.clone();
+        inc.xor_into(&mut restored).unwrap();
+        for (a, b) in restored.as_slice().iter().zip(cur.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
 }
 
 proptest! {
@@ -699,27 +751,112 @@ mod store_equivalence {
             let _ = fs::remove_dir_all(&pdir);
             let _ = fs::remove_dir_all(&bdir);
         }
+
+        /// A chain whose links mix both increment layouts — `INC1` from
+        /// the test-only writer, `INC2` from this build's — restores
+        /// bit for bit what the serial `apply` walk does; with links
+        /// damaged on disk, both refuse with the earliest damaged
+        /// link's error.
+        #[test]
+        fn a_chain_of_mixed_inc1_and_inc2_links_restores_as_the_serial_apply_walk(
+            links in pvec((any::<bool>(), 0u8..8), 1..=7),
+            seed in any::<u64>(),
+        ) {
+            let dir = scratch("mixed");
+            let mut store = Store::open(&dir).unwrap();
+            let mut state = Tensor::from_fn(&[37, 29], |ix| {
+                ((ix[0] * 29 + ix[1]) as f64 * 0.13 + seed as f64 * 1e-3).cos() * 80.0 + 300.0
+            })
+            .unwrap();
+            let full = lossy_ckpt::core::compress_exact(&state, Level::Fast).unwrap();
+            let mut tip = store.save_full(0, SegmentFormat::Array, &[&full], 1).unwrap();
+            for (k, &(inc1, _)) in links.iter().enumerate() {
+                let mut next = state.clone();
+                next.map_inplace(|v| v * (1.0 + 1e-4 * (k + 1) as f64));
+                let delta = if inc1 {
+                    crate::common::inc1_increment(&state, &next, Level::Fast)
+                } else {
+                    incremental::increment(&state, &next, Level::Fast).unwrap().0
+                };
+                tip = store.save_increment(k as u64 + 1, tip, &[&delta], 1).unwrap();
+                state = next;
+            }
+            let restored = store.restore_array(tip, 0).unwrap();
+            let walked = serial_apply_walk(&store, tip).unwrap();
+            prop_assert!(bits(&restored) == bits(&walked) && bits(&walked) == bits(&state));
+
+            // Damage code 0 flips a byte of that link's segment; the
+            // full is link 0 of the chain and is never damaged here.
+            let chain = store.resolve_chain(tip).unwrap();
+            for (&g, &(_, code)) in chain[1..].iter().zip(&links) {
+                if code == 0 {
+                    let path = store.root().join(format!("segments/{g:08}.0.seg"));
+                    let mut bytes = fs::read(&path).unwrap();
+                    let at = bytes.len() / 2;
+                    bytes[at] ^= 0x08;
+                    fs::write(&path, bytes).unwrap();
+                }
+            }
+            let earliest = chain[1..].iter().zip(&links).find(|(_, &(_, code))| code == 0);
+            match (store.restore_array(tip, 0), serial_apply_walk(&store, tip), earliest) {
+                (Ok(a), Ok(b), None) => prop_assert!(bits(&a) == bits(&b)),
+                (Err(a), Err(b), Some((g, _))) => {
+                    prop_assert_eq!(a.to_string(), b.to_string());
+                    prop_assert!(a.to_string().contains(&format!("gen {g} rank 0")), "{}", a);
+                }
+                (a, b, _) => prop_assert!(false, "restore {:?}, walk {:?}", a.map(|_| ()), b.map(|_| ())),
+            }
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The chain restore before links were decoded concurrently:
+    /// decompress the full, then `incremental::apply` link by link.
+    fn serial_apply_walk(store: &Store, tip: u64) -> lossy_ckpt::store::Result<Tensor<f64>> {
+        let chain = store.resolve_chain(tip)?;
+        let mut tensor = Compressor::decompress(&store.read_segment(chain[0], 0)?)?;
+        for &g in &chain[1..] {
+            tensor = incremental::apply(&tensor, &store.read_segment(g, 0)?)?;
+        }
+        Ok(tensor)
+    }
+
+    fn bits(t: &Tensor<f64>) -> Vec<u64> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 }
 
-/// Size guards for the matcher's miss stride on the two small exact
-/// payloads the store writes — an `INC1` increment and a
+/// Size guards for the matcher's miss stride on two small exact
+/// payloads — an `INC1` increment (through the test-only writer) and a
 /// `compress_exact` full, where a few-KB structured plane follows noise.
 /// The constants are what the commit before the stride wrote for the
 /// same inputs; the stride may cost at most the benchmark's 0.3%.
 #[test]
 fn the_miss_stride_costs_small_exact_payloads_under_three_permille() {
-    use lossy_ckpt::core::{compress_exact, incremental};
+    use lossy_ckpt::core::compress_exact;
     use lossy_ckpt::deflate::Level;
     const INC1_BEFORE: usize = 637;
     const EXACT_BEFORE: usize = 19_070;
     let within = |now: usize, before: usize| now * 1000 <= before * 1003;
 
     let (base, cur) = common::inc_pair();
-    let (inc, _) = incremental::increment(&base, &cur, Level::Default).unwrap();
+    let inc = common::inc1_increment(&base, &cur, Level::Default);
     assert!(within(inc.len(), INC1_BEFORE), "INC1 {} vs {INC1_BEFORE}", inc.len());
 
     let spec = FieldSpec { dims: vec![96, 16, 2], ..FieldSpec::small(FieldKind::Temperature, 5) };
     let exact = compress_exact(&generate(&spec), Level::Default).unwrap();
     assert!(within(exact.len(), EXACT_BEFORE), "exact full {} vs {EXACT_BEFORE}", exact.len());
+}
+
+/// The increment the store writes now, on the same sparse pair: its
+/// byte planes cost no more than the `INC1` words did.
+#[test]
+fn an_inc2_increment_is_no_larger_than_the_inc1_one_on_the_small_payload() {
+    use lossy_ckpt::core::incremental;
+    use lossy_ckpt::deflate::Level;
+    let (base, cur) = common::inc_pair();
+    let (inc2, _) = incremental::increment(&base, &cur, Level::Default).unwrap();
+    let inc1 = common::inc1_increment(&base, &cur, Level::Default);
+    assert!(inc2.len() <= inc1.len(), "INC2 {} vs INC1 {}", inc2.len(), inc1.len());
 }

@@ -1,4 +1,4 @@
-//! Long-horizon store scalability: hundreds of mixed full/INC1
+//! Long-horizon store scalability: hundreds of mixed full/INC2
 //! generations with periodic GC, chain compaction, and manifest
 //! snapshots, asserting the structures that keep open cost O(live
 //! generations) — a truncated log, a bounded live set, and bounded
@@ -30,7 +30,7 @@ fn horizon(default: usize) -> usize {
 }
 
 /// Drives `n` generations: every `full_every`-th save starts a fresh
-/// full, the rest chain INC1 increments onto the previous generation.
+/// full, the rest chain INC2 increments onto the previous generation.
 /// Every `cycle` saves runs gc + chain compaction + manifest snapshot.
 /// Returns the expected tensor of the final generation.
 fn drive(store: &mut Store, n: usize, full_every: usize, cycle: usize) -> Tensor<f64> {
