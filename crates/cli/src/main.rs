@@ -12,6 +12,8 @@
 //! Raw array files are little-endian f64, row-major — the layout a
 //! Fortran/C application's checkpoint write produces for one variable.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod serve_cmd;

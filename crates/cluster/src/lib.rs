@@ -16,6 +16,8 @@
 //! crate reproduces that estimation procedure so the bench harness can
 //! regenerate the figure from *our* measured stage times.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod parallel;
 pub mod pfs;

@@ -34,6 +34,8 @@
 //! assert!(packed.stats.compression_rate() < 60.0); // way below gzip's ~85%
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bound;
 pub mod checkpoint;
 pub mod codec;

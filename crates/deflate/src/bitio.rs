@@ -243,19 +243,23 @@ impl<'a> BitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Reads `len` whole bytes after alignment.
-    pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, DeflateError> {
+    /// Appends `len` whole bytes, read after alignment, to `out` — a
+    /// stored block lands in the inflate window with no staging buffer.
+    /// On error `out` is unchanged.
+    pub fn read_bytes(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), DeflateError> {
         debug_assert_eq!(self.nbits % 8, 0, "read_bytes requires byte alignment");
         if self.bits_remaining() / 8 < len {
             return Err(DeflateError::UnexpectedEof);
         }
-        let mut out = Vec::with_capacity(len);
+        out.reserve(len);
         // Drain whole bytes buffered in the accumulator first…
-        while out.len() < len && self.nbits >= 8 {
+        let mut need = len;
+        while need > 0 && self.nbits >= 8 {
             let [low, ..] = self.acc.to_le_bytes();
             out.push(low);
             self.acc >>= 8;
             self.nbits -= 8;
+            need -= 1;
         }
         // The wide refill loads 8 bytes but advances `pos` by 7, so the
         // accumulator may hold uncounted bits above `nbits` that mirror
@@ -267,12 +271,11 @@ impl<'a> BitReader<'a> {
             self.acc &= (1u64 << self.nbits) - 1;
         }
         // …then bulk-copy the rest straight from the input.
-        let need = len - out.len();
         let end = self.pos.checked_add(need).ok_or(DeflateError::UnexpectedEof)?;
         let tail = self.data.get(self.pos..end).ok_or(DeflateError::UnexpectedEof)?;
         out.extend_from_slice(tail);
         self.pos = end;
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -408,7 +411,10 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_byte();
-        assert_eq!(r.read_bytes(2).unwrap(), vec![0xAB, 0xCD]);
+        // Appended after what the caller's buffer already holds.
+        let mut out = vec![0x01];
+        r.read_bytes(2, &mut out).unwrap();
+        assert_eq!(out, vec![0x01, 0xAB, 0xCD]);
     }
 
     #[test]
@@ -440,8 +446,12 @@ mod tests {
         r.read_bits(3).unwrap();
         r.align_byte();
         assert_eq!(r.bit_position(), 8);
-        r.read_bytes(2).unwrap();
+        let mut out = Vec::new();
+        r.read_bytes(2, &mut out).unwrap();
         assert_eq!(r.bit_position(), 24);
+        // Too few bytes left: an error, and nothing appended.
+        assert_eq!(r.read_bytes(2, &mut out), Err(DeflateError::UnexpectedEof));
+        assert_eq!(out, vec![0xBB, 0xCC]);
     }
 
     #[test]

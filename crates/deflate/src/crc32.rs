@@ -1,91 +1,11 @@
 //! CRC-32 (IEEE 802.3, polynomial 0xEDB88320), as gzip stores it.
+//!
+//! The byte loop is `ckpt_simd::crc32`: a carry-less-multiply fold on
+//! the AVX2 tier, slicing-by-16 tables on the scalar tier and for short
+//! inputs (DESIGN.md §16). It lives there because that is the one crate
+//! allowed `unsafe`; every tier returns the same 32 bits.
 
-/// Lazily-built slicing-by-16 tables. `TABLES[0]` is the classic
-/// byte-at-a-time table; `TABLES[k][i]` advances the register by `k`
-/// additional zero bytes (`t[k][i] = t[0][t[k-1][i] & 0xFF] ^
-/// (t[k-1][i] >> 8)`), which lets the hot loop fold 16 input bytes per
-/// iteration with 16 independent table lookups and no loop-carried
-/// byte-by-byte dependency.
-fn tables() -> &'static [[u32; 256]; 16] {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<Box<[[u32; 256]; 16]>> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut t = Box::new([[0u32; 256]; 16]);
-        for i in 0..256usize {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            t[0][i] = c;
-        }
-        for k in 1..16 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            }
-        }
-        t
-    })
-}
-
-/// Incremental CRC-32 state.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh checksum state.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds bytes into the checksum. Processes 16 bytes per iteration
-    /// (slicing-by-16): the current register is XORed into the first
-    /// four input bytes and each of the sixteen bytes indexes the table
-    /// that advances it the right number of positions, so the lookups
-    /// are independent and pipeline well.
-    pub fn update(&mut self, data: &[u8]) {
-        let t = tables();
-        let mut c = self.state;
-        let mut chunks = data.chunks_exact(16);
-        for chunk in &mut chunks {
-            // chunks_exact guarantees 16 bytes.
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-            c = t[15][(lo & 0xFF) as usize]
-                ^ t[14][((lo >> 8) & 0xFF) as usize]
-                ^ t[13][((lo >> 16) & 0xFF) as usize]
-                ^ t[12][(lo >> 24) as usize]
-                ^ t[11][chunk[4] as usize]
-                ^ t[10][chunk[5] as usize]
-                ^ t[9][chunk[6] as usize]
-                ^ t[8][chunk[7] as usize]
-                ^ t[7][chunk[8] as usize]
-                ^ t[6][chunk[9] as usize]
-                ^ t[5][chunk[10] as usize]
-                ^ t[4][chunk[11] as usize]
-                ^ t[3][chunk[12] as usize]
-                ^ t[2][chunk[13] as usize]
-                ^ t[1][chunk[14] as usize]
-                ^ t[0][chunk[15] as usize];
-        }
-        for &b in chunks.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    /// Final checksum value.
-    pub fn finalize(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
+use ckpt_simd::crc32::POLY;
 
 /// One-shot CRC-32 of a buffer.
 pub fn crc32(data: &[u8]) -> u32 {
@@ -95,96 +15,242 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// `crc32(A ‖ data)` from `crc = crc32(A)`: a finalized checksum is the
 /// register complemented, so complementing it back resumes the stream.
 pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
-    let mut c = Crc32 { state: crc ^ 0xFFFF_FFFF };
-    c.update(data);
-    c.finalize()
+    ckpt_simd::crc32::extend(crc, data)
 }
 
 /// Combines `crc32(A)` and `crc32(B)` into `crc32(A ‖ B)` given only
-/// `len(B)`, without touching the data again (zlib's GF(2) matrix
-/// technique). This is what lets independently-compressed chunks report
-/// a whole-payload checksum: workers compute per-chunk CRCs in
-/// parallel and the header combines them in chunk order.
+/// `len(B)`, without touching the data again. This is what lets
+/// independently-compressed chunks report a whole-payload checksum:
+/// workers compute per-chunk CRCs in parallel and the header combines
+/// them in chunk order.
 ///
-/// CRC-32 is linear over GF(2): appending `len2` zero bytes to A's
-/// message multiplies its CRC state by the 32×32 "advance one zero
-/// byte" matrix `len2` times, and XOR then merges in B's CRC. The
-/// matrix power is computed by squaring, so cost is O(log len2).
+/// CRC-32 is linear over GF(2): appending `len2` zero bytes to A
+/// multiplies its register by `x^(8·len2) mod P`, and XOR then merges in
+/// B's CRC. zlib's (1.2.12) polynomial form: the power is a product of
+/// the precomputed `x^(2^k) mod P` for the set bits of `8·len2`, so the
+/// cost is one 32-step multiply per set bit of `len2`.
 pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
     if len2 == 0 {
         return crc1;
     }
-    // Matrix for advancing the CRC register over one zero *bit*:
-    // row i holds the register after shifting in a zero when only bit i
-    // was set. Bit 0 applies the polynomial; others just shift.
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320;
-    let mut row = 1u32;
-    for entry in odd.iter_mut().skip(1) {
-        *entry = row;
-        row <<= 1;
-    }
-    let mut even = [0u32; 32];
+    multmodp(x2nmodp(len2, 3), crc1) ^ crc2
+}
 
-    // Square to one zero byte (8 bits), then keep squaring while
-    // walking the bits of len2, applying the matrix for each set bit.
-    gf2_matrix_square(&mut even, &odd); // 2 bits
-    gf2_matrix_square(&mut odd, &even); // 4 bits
-    gf2_matrix_square(&mut even, &odd); // 8 bits = 1 byte
-
-    let mut crc = crc1;
-    let mut len = len2;
-    // `even` currently advances 1 byte; alternate buffers as we square.
-    let mut apply_even = true;
+/// `a · b mod P` in the reflected representation (bit 31 is `x^0`).
+/// `a` must be nonzero, which every caller's is: a power of x mod P
+/// (P has an `x^0` term, so it divides no `x^n`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
     loop {
-        if apply_even {
-            if len & 1 != 0 {
-                crc = gf2_matrix_times(&even, crc);
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
             }
-            len >>= 1;
-            if len == 0 {
-                break;
-            }
-            gf2_matrix_square(&mut odd, &even);
-        } else {
-            if len & 1 != 0 {
-                crc = gf2_matrix_times(&odd, crc);
-            }
-            len >>= 1;
-            if len == 0 {
-                break;
-            }
-            gf2_matrix_square(&mut even, &odd);
         }
-        apply_even = !apply_even;
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
     }
-    crc ^ crc2
 }
 
-/// Multiplies the CRC register `vec` by `mat` over GF(2).
-fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0u32;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
+/// `X2N[k] = x^(2^k) mod P`, reflected.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    t[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        t[k] = p;
+        k += 1;
     }
-    sum
-}
+    t
+};
 
-/// `square = mat * mat` over GF(2).
-fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for i in 0..32 {
-        square[i] = gf2_matrix_times(mat, mat[i]);
+/// `x^(n · 2^k) mod P`. The table repeats with period 32 because the
+/// multiplicative order of x divides 2^32 - 1.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
     }
+    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_simd::{set_override, Level};
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    /// The combine this crate shipped before the polynomial form (zlib's
+    /// GF(2) matrix technique), kept as the oracle: appending one zero
+    /// bit is a 32×32 matrix, squared up to a byte and then once per bit
+    /// of `len2`, applying the matrix for each set bit. O(log len2)
+    /// matrix squarings, 1024 word operations each.
+    fn reference_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
+        if len2 == 0 {
+            return crc1;
+        }
+        // Row i holds the register after shifting in a zero when only
+        // bit i was set. Bit 0 applies the polynomial; others just shift.
+        let mut odd = [0u32; 32];
+        odd[0] = POLY;
+        let mut row = 1u32;
+        for entry in odd.iter_mut().skip(1) {
+            *entry = row;
+            row <<= 1;
+        }
+        let mut even = [0u32; 32];
+
+        gf2_matrix_square(&mut even, &odd); // 2 bits
+        gf2_matrix_square(&mut odd, &even); // 4 bits
+        gf2_matrix_square(&mut even, &odd); // 8 bits = 1 byte
+
+        let mut crc = crc1;
+        let mut len = len2;
+        // `even` currently advances 1 byte; alternate buffers as we square.
+        let mut apply_even = true;
+        loop {
+            if apply_even {
+                if len & 1 != 0 {
+                    crc = gf2_matrix_times(&even, crc);
+                }
+                len >>= 1;
+                if len == 0 {
+                    break;
+                }
+                gf2_matrix_square(&mut odd, &even);
+            } else {
+                if len & 1 != 0 {
+                    crc = gf2_matrix_times(&odd, crc);
+                }
+                len >>= 1;
+                if len == 0 {
+                    break;
+                }
+                gf2_matrix_square(&mut even, &odd);
+            }
+            apply_even = !apply_even;
+        }
+        crc ^ crc2
+    }
+
+    /// Multiplies the CRC register `vec` by `mat` over GF(2).
+    fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+        let mut sum = 0u32;
+        let mut i = 0;
+        while vec != 0 {
+            if vec & 1 != 0 {
+                sum ^= mat[i];
+            }
+            vec >>= 1;
+            i += 1;
+        }
+        sum
+    }
+
+    /// `square = mat * mat` over GF(2).
+    fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
+        for i in 0..32 {
+            square[i] = gf2_matrix_times(mat, mat[i]);
+        }
+    }
+
+    fn tiers() -> Vec<Level> {
+        Level::ALL.into_iter().filter(|l| l.is_available()).collect()
+    }
+
+    /// Deterministic bytes that are neither periodic nor flat.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 33) as u8
+            })
+            .collect()
+    }
+
+    /// Every tier, through the public entry point with the tier forced
+    /// and at that tier explicitly, against the table loop.
+    fn assert_tiers_agree(crc: u32, bytes: &[u8]) {
+        let want = ckpt_simd::crc32::extend_at(Level::Scalar, crc, bytes);
+        for level in tiers() {
+            set_override(Some(level));
+            let public = crc32_extend(crc, bytes);
+            set_override(None);
+            let at = ckpt_simd::crc32::extend_at(level, crc, bytes);
+            assert_eq!((public, at), (want, want), "{} len {}", level.name(), bytes.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The fold equals the table loop at any length up to 8 KiB, any
+        /// start offset within a 16-byte block, and any running CRC.
+        #[test]
+        fn kernel_equals_the_table_loop_on_every_tier(
+            len in 0usize..=8192,
+            start in 0usize..16,
+            crc in any::<u32>(),
+            seed in any::<u64>(),
+        ) {
+            let data = noise(seed, start + len);
+            assert_tiers_agree(crc, &data[start..]);
+        }
+
+        /// The polynomial combine equals the matrix oracle at any
+        /// `len2` up to 2^40, and `crc32(A ‖ B)` on real splits.
+        #[test]
+        fn combine_equals_the_matrix_oracle(
+            crc1 in any::<u32>(),
+            crc2 in any::<u32>(),
+            len2 in 0u64..=1 << 40,
+            data in pvec(any::<u8>(), 0..3000),
+            split in 0usize..3000,
+        ) {
+            prop_assert_eq!(crc32_combine(crc1, crc2, len2), reference_combine(crc1, crc2, len2));
+            let (a, b) = data.split_at(split.min(data.len()));
+            let len_b = b.len() as u64;
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), len_b), crc32(&data));
+            prop_assert_eq!(reference_combine(crc32(a), crc32(b), len_b), crc32(&data));
+        }
+    }
+
+    #[test]
+    fn kernel_equals_the_table_loop_at_the_fold_boundaries_and_past_a_mebibyte() {
+        let data = noise(7, (1 << 20) + 4096);
+        for len in [0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 191, 192, 255, 256, 257] {
+            for start in 0..16 {
+                assert_tiers_agree(0, &data[start..start + len]);
+                assert_tiers_agree(0x9E37_79B9, &data[start..start + len]);
+            }
+        }
+        for len in [1 << 20, (1 << 20) + 1, (1 << 20) + 63, (1 << 20) + 4000] {
+            assert_tiers_agree(0, &data[..len]);
+            assert_tiers_agree(0xFFFF_FFFF, &data[3..3 + len]);
+        }
+    }
+
+    #[test]
+    fn combine_equals_the_oracle_at_every_power_of_two() {
+        for bit in 0..64 {
+            for len2 in [1u64 << bit, (1u64 << bit) - 1, (1u64 << bit) | 1] {
+                let want = reference_combine(0x1234_5678, 0x9ABC_DEF0, len2);
+                assert_eq!(crc32_combine(0x1234_5678, 0x9ABC_DEF0, len2), want, "len2 {len2}");
+            }
+        }
+    }
 
     #[test]
     fn known_vectors() {
@@ -196,14 +262,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_equals_oneshot() {
+    fn extend_in_pieces_equals_oneshot() {
         let data: Vec<u8> = (0..=255).cycle().take(10_000).collect();
         let whole = crc32(&data);
-        let mut c = Crc32::new();
+        let mut c = 0;
         for chunk in data.chunks(77) {
-            c.update(chunk);
+            c = crc32_extend(c, chunk);
         }
-        assert_eq!(c.finalize(), whole);
+        assert_eq!(c, whole);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`gzip`] — container framing with CRC-32 and the one member decoder,
 //! * [`chunked`] — a multi-member gzip container whose chunks compress
 //!   and decompress in parallel,
-//! * [`crc32`] — the checksum,
+//! * [`crc32`] — the checksum (its byte loop is `ckpt_simd::crc32`) and
+//!   the log-time combine,
 //! * [`frame`] — the workspace's one byte cursor, its three frame
 //!   envelopes, and the table of every magic-tagged format.
 //!
@@ -32,6 +33,8 @@
 //! assert!(packed.len() < data.len());
 //! assert_eq!(gzip::decompress(&packed).unwrap(), data);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod bitio;
 pub mod chunked;

@@ -196,7 +196,7 @@ impl ResumableInflate {
                 Block::Stored { remaining } => {
                     let need = stop_len - self.window.len();
                     let take = need.min(crate::usize_from_u32(*remaining));
-                    self.window.extend_from_slice(&r.read_bytes(take)?);
+                    r.read_bytes(take, &mut self.window)?;
                     // `take <= remaining` so the subtraction is exact.
                     *remaining -= u32::try_from(take).unwrap_or(0);
                     if *remaining == 0 {

@@ -11,6 +11,8 @@
 //! and `workers == n` spawns `n - 1` threads, not `n` with the caller
 //! idle in a join holding its own working set.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 use std::sync::OnceLock;
 

@@ -18,6 +18,8 @@
 //! ([`Quantized::reconstruct`]) is exact for raw positions and returns
 //! the partition average for quantized ones.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod histogram;
 pub mod simple;

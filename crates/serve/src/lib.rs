@@ -18,6 +18,8 @@
 //!   N bytes, so a restore killed at any point re-runs only the tail
 //!   of the stream instead of starting over.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod proto;
 pub mod restore;

@@ -10,8 +10,8 @@
 //!   harnesses use to run both tiers inside one process.
 //!
 //! Every tier produces bit-identical output (see the module docs in
-//! [`crate::wavelet`] and [`crate::quant`]), so which tier runs is
-//! purely a throughput decision — never a correctness one.
+//! [`crate::wavelet`], [`crate::quant`] and [`crate::crc32`]), so which
+//! tier runs is purely a throughput decision — never a correctness one.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -23,7 +23,8 @@ use std::sync::OnceLock;
 pub enum Level {
     /// Portable scalar reference — always available.
     Scalar = 0,
-    /// 256-bit AVX2 (4×f64 per op).
+    /// 256-bit AVX2 (4×f64 per op), with PCLMULQDQ and SSE4.1 for the
+    /// CRC-32 fold.
     Avx2 = 2,
 }
 
@@ -45,7 +46,11 @@ impl Level {
         match self {
             Level::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Level::Avx2 => is_x86_feature_detected!("avx2"),
+            Level::Avx2 => {
+                is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("pclmulqdq")
+                    && is_x86_feature_detected!("sse4.1")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             Level::Avx2 => false,
         }

@@ -10,12 +10,19 @@
 //! bit-identical output**. The pipeline's determinism guarantees
 //! (serial ↔ threaded bit-identity, reproducible containers) survive
 //! kernel dispatch because which tier runs is never observable in the
-//! output, only in the wall clock. See the module docs in [`wavelet`]
-//! and [`quant`] for the per-kernel arguments, and the proptest
-//! harnesses in `crates/wavelet/tests/simd_equivalence.rs` /
-//! `crates/quant/tests/simd_equivalence.rs` for the machine-checked
-//! version.
+//! output, only in the wall clock. See the module docs in [`wavelet`],
+//! [`quant`] and [`crc32`] for the per-kernel arguments, and the
+//! proptest harnesses in `crates/wavelet/tests/simd_equivalence.rs` /
+//! `crates/quant/tests/simd_equivalence.rs` / `ckpt_deflate::crc32`'s
+//! tests for the machine-checked version.
+//!
+//! This is the one crate in the workspace allowed `unsafe` (every other
+//! product crate is `#![forbid(unsafe_code)]`), and every `unsafe`
+//! block here states its invariant in a `// SAFETY:` comment.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+pub mod crc32;
 pub mod dispatch;
 pub mod quant;
 pub mod wavelet;

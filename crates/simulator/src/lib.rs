@@ -26,6 +26,8 @@
 //! stepper), [`restart`] (checkpoint/restore + the Figure 10 divergence
 //! experiment), [`failure`] (MTBF-driven failure injection).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod diagnostics;
 pub mod failure;

@@ -60,6 +60,8 @@
 //! every increment whose entire chain is retained, and quarantines
 //! unreadable segments instead of deleting them.
 
+#![forbid(unsafe_code)]
+
 pub mod compact;
 mod failpoint;
 pub mod gc;

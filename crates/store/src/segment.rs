@@ -13,7 +13,7 @@ use crate::store::SegMeta;
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::{incremental, Compressor};
-use ckpt_deflate::crc32::{crc32, crc32_combine};
+use ckpt_deflate::crc32::{crc32, crc32_combine, crc32_extend};
 use std::fs;
 
 /// Writes one rank's payload crash-consistently: create in `tmp/`,
@@ -57,8 +57,8 @@ pub(crate) fn write_payload(
 /// buffering the whole payload, a patchable writer mirrors its *first*
 /// append in memory (by protocol that append is exactly the patchable
 /// prefix: a small header plus 8 bytes per chunk) and requires every
-/// patch to land inside it; all later appends fold into a running tail
-/// CRC via `crc32_combine`.
+/// patch to land inside it; all later appends extend a running tail CRC,
+/// which `finish` joins to the mirror's with `crc32_combine`.
 ///
 /// Dropping the writer without calling `finish` leaves only tmp/
 /// litter, exactly like a killed [`write_segment`]; open-time recovery
@@ -127,7 +127,7 @@ impl<'a> SegmentWriter<'a> {
         if self.patchable && self.len == 0 {
             self.mirror = bytes.to_vec();
         } else {
-            self.tail_crc = crc32_combine(self.tail_crc, crc32(bytes), bytes.len() as u64);
+            self.tail_crc = crc32_extend(self.tail_crc, bytes);
             self.tail_len += bytes.len() as u64;
         }
         self.len += bytes.len() as u64;

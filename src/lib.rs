@@ -22,6 +22,8 @@
 //! See `README.md` for a tour and `DESIGN.md` for the paper-to-module
 //! map.
 
+#![forbid(unsafe_code)]
+
 pub use ckpt_cluster as cluster;
 pub use ckpt_core as core;
 pub use ckpt_deflate as deflate;
