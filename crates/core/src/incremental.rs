@@ -24,7 +24,7 @@
 //! an array to land in.
 
 use crate::codec::put_dims;
-use crate::shuffle::write_planes;
+use crate::shuffle::{gather_words, write_planes};
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, FrameError, Reader, Writer, INC1, INC2};
 use ckpt_deflate::{gzip, Level};
@@ -146,10 +146,8 @@ pub struct Decoded {
     volume: usize,
     pages: usize,
     dirty: Bitmap,
-    /// Elements in dirty pages: the payload's word count, and in
-    /// `INC2` the length of each plane.
-    elems: usize,
-    /// The gunzipped stream; the XOR payload starts at `payload`.
+    /// The gunzipped stream; the XOR payload starts at `payload` and
+    /// runs to its end.
     inner: Vec<u8>,
     payload: usize,
 }
@@ -200,7 +198,7 @@ pub fn decode(packed: &[u8]) -> Result<Decoded> {
         )));
     }
     let payload = r.position();
-    Ok(Decoded { layout, dims, volume, pages, dirty, elems, inner, payload })
+    Ok(Decoded { layout, dims, volume, pages, dirty, inner, payload })
 }
 
 impl Decoded {
@@ -231,7 +229,7 @@ impl Decoded {
                         *slot = f64::from_bits(slot.to_bits() ^ words.get_u64()?);
                     }
                 }
-                Layout::Planes => xor_planes(page, payload, self.elems, col)?,
+                Layout::Planes => xor_planes(page, payload, col)?,
             }
             col += len;
         }
@@ -239,21 +237,18 @@ impl Decoded {
     }
 }
 
-/// XORs columns `col..col + page.len()` of the eight byte planes of
-/// `count` columns each in `planes` into `page` (at most one page, so
-/// the gathered words stay on the stack and the page in L1). No offset
-/// overflows: [`decode`] held `8 * count` to the bytes in memory.
-fn xor_planes(page: &mut [f64], planes: &[u8], count: usize, col: usize) -> Result<()> {
+/// XORs columns `col..col + page.len()` of the eight byte planes in
+/// `planes` into `page` (at most one page, so the gathered words stay
+/// on the stack and the page in L1). The planes are gathered by the
+/// transpose kernel; this only checks the columns and XORs.
+fn xor_planes(page: &mut [f64], planes: &[u8], col: usize) -> Result<()> {
     let outside = || CkptError::Format("increment page outside its planes".into());
     let mut gathered = [0u64; PAGE_ELEMS];
     let xor = gathered.get_mut(..page.len()).ok_or_else(outside)?;
-    for j in 0..8 {
-        let at = j * count + col;
-        let bytes = planes.get(at..at + xor.len()).ok_or_else(outside)?;
-        for (x, &b) in xor.iter_mut().zip(bytes) {
-            *x |= u64::from(b) << (8 * j);
-        }
+    if !planes.len().is_multiple_of(8) || col.saturating_add(xor.len()) > planes.len() / 8 {
+        return Err(outside());
     }
+    gather_words(planes, col, xor);
     for (slot, &x) in page.iter_mut().zip(xor.iter()) {
         *slot = f64::from_bits(slot.to_bits() ^ x);
     }
@@ -369,7 +364,8 @@ mod tests {
 
         // The same header without the version byte, the planes turned
         // back into words, under the INC1 magic.
-        let words = crate::shuffle::read_planes(&inner[inc.payload..], 0, inc.elems);
+        let planes = &inner[inc.payload..];
+        let words = crate::shuffle::read_planes(planes, 0, planes.len() / 8);
         let mut inc1 = b"INC1".to_vec();
         inc1.extend_from_slice(&inner[5..inc.payload]);
         inc1.extend(words.iter().flat_map(|w| w.to_le_bytes()));

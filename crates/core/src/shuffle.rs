@@ -14,54 +14,255 @@
 //! directions work on columns of that region in place — the codec
 //! writes its three f64 sections straight into the formatted stream and
 //! reads them straight back out, with no intermediate region buffer.
+//!
+//! Eight columns of the region are an 8×8 byte matrix: eight values as
+//! rows one way, eight 8-byte plane runs as rows the other. Both
+//! directions move whole words through one kernel, [`transpose8`],
+//! which transposes that matrix in twelve masked swaps; columns past
+//! the last multiple of 8 go byte by byte. A transposition only moves
+//! bytes, so each plane holds exactly the bytes a byte-at-a-time copy
+//! puts there, and it is its own inverse, so reading applies the same
+//! kernel the writer did.
 
-/// Values per block: the block's 2 KiB of doubles stay in L1 while the
-/// eight plane passes over it run, and each pass is a contiguous
-/// byte-gather the compiler vectorizes.
-const BLOCK: usize = 256;
+/// Transposes the 8×8 byte matrix whose row `r` is `rows[r]` (byte `c`
+/// of a row is bits `8c..8c + 8`): byte `c` of output row `r` is byte
+/// `r` of input row `c`. Three stages swap the off-diagonal blocks of
+/// 1×1 bytes, 2×2 and 4×4 bytes, four masked swaps each; each stage
+/// exchanges one bit of the row index with the same bit of the byte
+/// index, so the three together are the transpose, and the transpose
+/// is an involution.
+fn transpose8(mut rows: [u64; 8]) -> [u64; 8] {
+    for (shift, mask, pairs) in [
+        (8, 0x00FF_00FF_00FF_00FF, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        (16, 0x0000_FFFF_0000_FFFF, [(0, 2), (1, 3), (4, 6), (5, 7)]),
+        (32, 0x0000_0000_FFFF_FFFF, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+    ] {
+        for (lo, hi) in pairs {
+            let t = ((rows[lo] >> shift) ^ rows[hi]) & mask;
+            rows[lo] ^= t << shift;
+            rows[hi] ^= t;
+        }
+    }
+    rows
+}
+
+/// Checks that a region of `region_len` bytes is whole doubles with
+/// columns `at..at + n` in it, and returns its column count.
+fn columns(region_len: usize, at: usize, n: usize) -> usize {
+    assert_eq!(region_len % 8, 0, "region must be whole doubles");
+    let count = region_len / 8;
+    assert!(at + n <= count, "columns out of range");
+    count
+}
 
 /// Writes `values` as columns `at..at + values.len()` of the eight byte
 /// planes of `region` (`region.len()` must be a multiple of 8 and hold
 /// those columns).
 pub fn write_planes(region: &mut [u8], at: usize, values: &[f64]) {
-    assert_eq!(region.len() % 8, 0, "region must be whole doubles");
-    let count = region.len() / 8;
-    assert!(at + values.len() <= count, "columns out of range");
-    for (b, block) in values.chunks(BLOCK).enumerate() {
-        let col = at + b * BLOCK;
-        for (j, plane) in region.chunks_exact_mut(count).enumerate() {
-            for (dst, v) in plane[col..col + block.len()].iter_mut().zip(block) {
-                *dst = (v.to_bits() >> (8 * j)) as u8;
-            }
+    let n = values.len();
+    let count = columns(region.len(), at, n);
+    // An empty region's planes are zero-wide, which `chunks_exact` refuses.
+    if n == 0 {
+        return;
+    }
+    let mut planes = region.chunks_exact_mut(count).map(|plane| &mut plane[at..at + n]);
+    let mut planes: [&mut [u8]; 8] = std::array::from_fn(|_| planes.next().expect("eight planes"));
+    let mut cols = 0;
+    for eight in values.chunks_exact(8) {
+        let words = transpose8(std::array::from_fn(|k| eight[k].to_bits()));
+        for (plane, word) in planes.iter_mut().zip(words) {
+            plane[cols..cols + 8].copy_from_slice(&word.to_le_bytes());
         }
+        cols += 8;
+    }
+    for (c, v) in values.iter().enumerate().skip(cols) {
+        for (j, plane) in planes.iter_mut().enumerate() {
+            plane[c] = (v.to_bits() >> (8 * j)) as u8;
+        }
+    }
+}
+
+/// Gathers columns `at..at + words.len()` of the eight byte planes of
+/// `region` back into the words they hold: the inverse of
+/// [`write_planes`], into the caller's buffer.
+pub(crate) fn gather_words(region: &[u8], at: usize, words: &mut [u64]) {
+    let n = words.len();
+    let count = columns(region.len(), at, n);
+    // As in `write_planes`: no zero-wide planes for `chunks_exact`.
+    if n == 0 {
+        return;
+    }
+    let mut planes = region.chunks_exact(count).map(|plane| &plane[at..at + n]);
+    let planes: [&[u8]; 8] = std::array::from_fn(|_| planes.next().expect("eight planes"));
+    let mut cols = 0;
+    let mut eights = words.chunks_exact_mut(8);
+    for eight in &mut eights {
+        let rows = std::array::from_fn(|j| {
+            u64::from_le_bytes(planes[j][cols..cols + 8].try_into().expect("eight bytes"))
+        });
+        eight.copy_from_slice(&transpose8(rows));
+        cols += 8;
+    }
+    for (c, word) in eights.into_remainder().iter_mut().enumerate() {
+        *word = planes.iter().rev().fold(0, |acc, plane| acc << 8 | u64::from(plane[cols + c]));
     }
 }
 
 /// Reads columns `at..at + n` of the eight byte planes of `region` back
 /// into doubles: the inverse of [`write_planes`].
 pub fn read_planes(region: &[u8], at: usize, n: usize) -> Vec<f64> {
-    assert_eq!(region.len() % 8, 0, "region must be whole doubles");
-    let count = region.len() / 8;
-    assert!(at + n <= count, "columns out of range");
-    let mut out = Vec::with_capacity(n);
-    let mut block = [0u64; BLOCK];
-    for col in (at..at + n).step_by(BLOCK) {
-        let len = BLOCK.min(at + n - col);
-        let bits = &mut block[..len];
-        bits.fill(0);
-        for (j, plane) in region.chunks_exact(count).enumerate() {
-            for (acc, &byte) in bits.iter_mut().zip(&plane[col..col + len]) {
-                *acc |= u64::from(byte) << (8 * j);
-            }
-        }
-        out.extend(bits.iter().map(|&b| f64::from_bits(b)));
-    }
-    out
+    let mut words = vec![0u64; n];
+    gather_words(region, at, &mut words);
+    words.into_iter().map(f64::from_bits).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The writer this module shipped before the transpose kernel, kept
+    /// as the oracle: 256 values at a time, one pass per plane, one byte
+    /// per value and pass.
+    fn reference_write_planes(region: &mut [u8], at: usize, values: &[f64]) {
+        const BLOCK: usize = 256;
+        assert_eq!(region.len() % 8, 0, "region must be whole doubles");
+        let count = region.len() / 8;
+        assert!(at + values.len() <= count, "columns out of range");
+        for (b, block) in values.chunks(BLOCK).enumerate() {
+            let col = at + b * BLOCK;
+            for (j, plane) in region.chunks_exact_mut(count).enumerate() {
+                for (dst, v) in plane[col..col + block.len()].iter_mut().zip(block) {
+                    *dst = (v.to_bits() >> (8 * j)) as u8;
+                }
+            }
+        }
+    }
+
+    /// The reader that went with [`reference_write_planes`]: a shift-or
+    /// of each plane's byte into a block of 256 words.
+    fn reference_read_planes(region: &[u8], at: usize, n: usize) -> Vec<f64> {
+        const BLOCK: usize = 256;
+        assert_eq!(region.len() % 8, 0, "region must be whole doubles");
+        let count = region.len() / 8;
+        assert!(at + n <= count, "columns out of range");
+        let mut out = Vec::with_capacity(n);
+        let mut block = [0u64; BLOCK];
+        for col in (at..at + n).step_by(BLOCK) {
+            let len = BLOCK.min(at + n - col);
+            let bits = &mut block[..len];
+            bits.fill(0);
+            for (j, plane) in region.chunks_exact(count).enumerate() {
+                for (acc, &byte) in bits.iter_mut().zip(&plane[col..col + len]) {
+                    *acc |= u64::from(byte) << (8 * j);
+                }
+            }
+            out.extend(bits.iter().map(|&b| f64::from_bits(b)));
+        }
+        out
+    }
+
+    /// NaN payloads (quiet, signalling, negative), ±0, the subnormal
+    /// extremes and ±∞.
+    const SPECIALS: [u64; 11] = [
+        0x7FF8_0000_0000_0001,
+        0x7FF0_0000_0000_0001,
+        0xFFFF_FFFF_FFFF_FFFF,
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x000F_FFFF_FFFF_FFFF,
+        0x800F_FFFF_FFFF_FFFF,
+        0x7FF0_0000_0000_0000,
+        0xFFF0_0000_0000_0000,
+        0x0010_0000_0000_0000,
+    ];
+
+    /// A deterministic LCG stream.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed | 1;
+        move || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            s
+        }
+    }
+
+    /// `n` values, about one in four of them a special bit pattern.
+    fn values(seed: u64, n: usize) -> Vec<f64> {
+        let mut next = lcg(seed);
+        (0..n)
+            .map(|_| match next() {
+                r if r >> 62 == 0 => f64::from_bits(SPECIALS[(r % SPECIALS.len() as u64) as usize]),
+                _ => f64::from_bits(next()),
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Columns `at..at + n` of a region `pad` columns wider than them,
+    /// filled with noise: the kernel and the oracle write the same
+    /// bytes, leave every other byte alone, and read the same bits back.
+    fn assert_matches_the_loops(seed: u64, n: usize, at: usize, pad: usize) {
+        let vals = values(seed, n);
+        let mut next = lcg(!seed);
+        let before: Vec<u8> = (0..(at + n + pad) * 8).map(|_| (next() >> 56) as u8).collect();
+        let count = before.len() / 8;
+
+        let mut kernel = before.clone();
+        write_planes(&mut kernel, at, &vals);
+        let mut oracle = before.clone();
+        reference_write_planes(&mut oracle, at, &vals);
+        assert!(kernel == oracle, "write differs: n {n} at {at} pad {pad}");
+        for (i, (&now, &was)) in kernel.iter().zip(&before).enumerate() {
+            if !(at..at + n).contains(&(i % count)) {
+                assert_eq!(now, was, "byte {i} outside the columns moved: n {n} at {at}");
+            }
+        }
+
+        let back = read_planes(&before, at, n);
+        assert_eq!(bits(&back), bits(&reference_read_planes(&before, at, n)), "n {n} at {at}");
+        assert_eq!(bits(&read_planes(&kernel, at, n)), bits(&vals), "n {n} at {at}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// Both directions equal the byte loops at every length up to
+        /// 300 and every column offset up to 17 inside a wider region.
+        #[test]
+        fn the_kernel_equals_the_byte_loops(
+            n in 0usize..=300,
+            at in 0usize..=17,
+            pad in 0usize..=17,
+            seed in any::<u64>(),
+        ) {
+            assert_matches_the_loops(seed, n, at, pad);
+        }
+    }
+
+    #[test]
+    fn the_kernel_equals_the_byte_loops_on_a_nicam_array() {
+        for at in [0, 5, 8, 17] {
+            assert_matches_the_loops(at as u64, 189_584, at, 3);
+        }
+    }
+
+    #[test]
+    fn transpose8_is_the_index_transpose_and_its_own_inverse() {
+        let mut next = lcg(8);
+        for _ in 0..1000 {
+            let rows: [u64; 8] = std::array::from_fn(|_| next());
+            let byte = |w: u64, c: usize| (w >> (8 * c)) as u8;
+            let naive: [u64; 8] = std::array::from_fn(|r| {
+                (0..8).fold(0, |acc, c| acc | u64::from(byte(rows[c], r)) << (8 * c))
+            });
+            assert_eq!(transpose8(rows), naive);
+            assert_eq!(transpose8(transpose8(rows)), rows);
+        }
+    }
 
     fn transposed(values: &[f64]) -> Vec<u8> {
         let mut region = vec![0u8; values.len() * 8];
@@ -70,16 +271,13 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_across_block_boundaries() {
-        for n in [0usize, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5] {
+    fn roundtrip_across_kernel_and_tail_boundaries() {
+        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 255, 256, 257, 773] {
             let values: Vec<f64> =
                 (0..n).map(|i| f64::from_bits((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
             let region = transposed(&values);
             let back = read_planes(&region, 0, n);
-            assert!(
-                values.iter().zip(&back).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "n = {n}"
-            );
+            assert_eq!(bits(&back), bits(&values), "n = {n}");
         }
     }
 
@@ -91,6 +289,14 @@ mod tests {
             f64::from_le_bytes(*b"abcdefgh"),
         ];
         assert_eq!(transposed(&values), b"AaBbCcDdEeFfGgHh");
+        // Eight doubles go through the kernel: byte j of value k is
+        // 16k + j, and lands in column k of plane j.
+        let rows: Vec<f64> =
+            (0..8u8).map(|k| f64::from_le_bytes(std::array::from_fn(|j| 16 * k + j as u8))).collect();
+        let region = transposed(&rows);
+        for (j, plane) in region.chunks_exact(8).enumerate() {
+            assert_eq!(plane, (0..8u8).map(|k| 16 * k + j as u8).collect::<Vec<_>>(), "plane {j}");
+        }
     }
 
     #[test]

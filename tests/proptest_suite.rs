@@ -331,6 +331,56 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+
+    /// An `INC2` increment's planes, gathered by the transpose kernel,
+    /// XOR into a base exactly as the `INC1` oracle's words do. Shapes
+    /// include 13×7×5 (one page of 455 values) and 13×7×5×3 (a last
+    /// page of 341), so the final page's tail is no multiple of 8, and
+    /// dirty maps run from one touched page to every page. Every value
+    /// keeps its low bit set, so no page's change is a `0.0 → -0.0` the
+    /// oracle's float compare would miss.
+    #[test]
+    fn inc2_xor_equals_the_inc1_oracle_bit_for_bit(
+        shape in 0usize..4,
+        every in 1usize..=5,
+        density in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        use lossy_ckpt::core::incremental::{self, Layout, PAGE_ELEMS};
+        use lossy_ckpt::deflate::Level;
+        let dims: &[usize] = [&[13, 7, 5][..], &[13, 7, 5, 3], &[1156, 3], &[9, 8]][shape];
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        };
+        let volume: usize = dims.iter().product();
+        let data: Vec<f64> = (0..volume).map(|_| f64::from_bits(next() | 1)).collect();
+        let base = Tensor::from_vec(dims, data).unwrap();
+        let mut cur = base.clone();
+        for (p, page) in cur.as_mut_slice().chunks_mut(PAGE_ELEMS).enumerate() {
+            if p % every != 0 {
+                continue;
+            }
+            for v in page.iter_mut() {
+                if next() % 4 <= density {
+                    *v = f64::from_bits(v.to_bits() ^ (next() & !1 | 2));
+                }
+            }
+        }
+
+        let (inc2, _) = incremental::increment(&base, &cur, Level::Fast).unwrap();
+        let inc1 = common::inc1_increment(&base, &cur, Level::Fast);
+        let (planes, words) = (incremental::decode(&inc2).unwrap(), incremental::decode(&inc1).unwrap());
+        prop_assert_eq!((planes.layout(), words.layout()), (Layout::Planes, Layout::Words));
+        let (mut a, mut b) = (base.clone(), base.clone());
+        planes.xor_into(&mut a).unwrap();
+        words.xor_into(&mut b).unwrap();
+        for ((x, y), z) in a.as_slice().iter().zip(b.as_slice()).zip(cur.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+            prop_assert_eq!(x.to_bits(), z.to_bits());
+        }
+    }
 }
 
 proptest! {
