@@ -90,16 +90,6 @@ impl CallGraph {
                 }
             }
         }
-        self.bfs(seen, queue)
-    }
-
-    /// Functions reachable from a concrete seed set (the seeds are
-    /// included in the result).
-    pub fn reachable_from(&self, seeds: &BTreeSet<FnId>) -> BTreeSet<FnId> {
-        self.bfs(seeds.clone(), seeds.iter().copied().collect())
-    }
-
-    fn bfs(&self, mut seen: BTreeSet<FnId>, mut queue: VecDeque<FnId>) -> BTreeSet<FnId> {
         while let Some(id) = queue.pop_front() {
             for callee in self.calls.get(&id).into_iter().flatten() {
                 for &next in self.by_name.get(callee).into_iter().flatten() {

@@ -1,5 +1,5 @@
 //! Function-span extraction over the token stream: every `fn` item's
-//! name, body token range, and line span, with `#[cfg(test)] mod`
+//! name and body token range, with `#[cfg(test)] mod`
 //! ranges excluded (test code exercises panics on purpose).
 
 use crate::lexer::{ScannedFile, Token};
@@ -9,16 +9,9 @@ use crate::lexer::{ScannedFile, Token};
 #[derive(Debug, Clone)]
 pub struct Function {
     pub name: String,
-    /// Line of the `fn` keyword.
-    pub sig_line: usize,
-    /// Token index of the `fn` keyword (signature tokens are
-    /// `sig_start .. body.0`; the dataflow layer parses parameter
-    /// names out of this range).
-    pub sig_start: usize,
     /// Token index of the body's opening `{` (exclusive start: the
     /// body tokens are `body.0 + 1 .. body.1`).
     pub body: (usize, usize),
-    pub end_line: usize,
 }
 
 /// Extraction result: functions plus, per token, the index of the
@@ -131,7 +124,6 @@ pub fn extract(file: &ScannedFile) -> FileFunctions {
         match text(i) {
             "fn" if !text(i + 1).is_empty() && !is_keyword(text(i + 1)) => {
                 let name = text(i + 1).to_string();
-                let sig_line = tokens[i].line;
                 // Scan to the body `{` (or `;` for bodiless signatures),
                 // ignoring braces inside default generic params etc. by
                 // tracking (), [], <> nesting lightly: a `{` at nesting 0
@@ -151,18 +143,9 @@ pub fn extract(file: &ScannedFile) -> FileFunctions {
                 };
                 if let Some(open) = body_open {
                     let idx = functions.len();
-                    functions.push(Function {
-                        name,
-                        sig_line,
-                        sig_start: i,
-                        body: (open, open), // end patched on close
-                        end_line: sig_line,
-                    });
-                    // Attribute signature tokens between `fn` and `{` to
-                    // nothing (they are types, not executable code).
-                    for k in i..open {
-                        let _ = k;
-                    }
+                    // Signature tokens between `fn` and `{` stay ownerless
+                    // (they are types, not executable code).
+                    functions.push(Function { name, body: (open, open) }); // end patched on close
                     // Advance to the body open brace; the `{` itself is
                     // processed by the depth tracking below.
                     depth += 1;
@@ -180,7 +163,6 @@ pub fn extract(file: &ScannedFile) -> FileFunctions {
                 if let Some(&(idx, open_depth)) = stack.last() {
                     if depth == open_depth {
                         functions[idx].body.1 = i;
-                        functions[idx].end_line = tokens[i].line;
                         stack.pop();
                     }
                 }

@@ -1,8 +1,7 @@
 //! A line-aware Rust token scanner: just enough lexing to drive the
 //! lint rules — identifiers, punctuation and brace structure, with
-//! comments and string/char literals stripped from the token stream
-//! but comment *text* retained per line (the SAFETY-comment rule needs
-//! it). This is deliberately not a full parser: the rules are
+//! comments and string/char literals stripped from the token stream.
+//! This is deliberately not a full parser: the rules are
 //! token-pattern checks, and an over-approximation that errs toward
 //! flagging is acceptable for a deny-by-default lint with a
 //! justification-gated allowlist.
@@ -25,20 +24,12 @@ pub struct ScannedFile {
     pub tokens: Vec<Token>,
     /// Raw source lines (1-based access via `line(n)`).
     pub lines: Vec<String>,
-    /// Comment text per line: `comments[i]` holds the concatenated
-    /// comment content appearing on line `i + 1`, if any.
-    pub comments: Vec<String>,
 }
 
 impl ScannedFile {
     /// The raw text of 1-based line `n` (empty if out of range).
     pub fn line(&self, n: usize) -> &str {
         n.checked_sub(1).and_then(|i| self.lines.get(i)).map(String::as_str).unwrap_or("")
-    }
-
-    /// Comment text on 1-based line `n` (empty if none).
-    pub fn comment_on(&self, n: usize) -> &str {
-        n.checked_sub(1).and_then(|i| self.comments.get(i)).map(String::as_str).unwrap_or("")
     }
 }
 
@@ -53,7 +44,6 @@ fn is_ident_continue(c: char) -> bool {
 /// Scans `src` into tokens; `path` is recorded verbatim.
 pub fn scan(path: &str, src: &str) -> ScannedFile {
     let lines: Vec<String> = src.lines().map(str::to_string).collect();
-    let mut comments = vec![String::new(); lines.len()];
     let mut tokens = Vec::new();
 
     let chars: Vec<char> = src.chars().collect();
@@ -76,14 +66,8 @@ pub fn scan(path: &str, src: &str) -> ScannedFile {
         }
         // Line comment (also doc comments `///`, `//!`).
         if c == '/' && i + 1 < n && chars[i + 1] == '/' {
-            let start = i;
             while i < n && chars[i] != '\n' {
                 i += 1;
-            }
-            let text: String = chars[start..i].iter().collect();
-            if let Some(slot) = comments.get_mut(line - 1) {
-                slot.push_str(&text);
-                slot.push(' ');
             }
             continue;
         }
@@ -91,7 +75,6 @@ pub fn scan(path: &str, src: &str) -> ScannedFile {
         if c == '/' && i + 1 < n && chars[i + 1] == '*' {
             let mut depth = 1;
             i += 2;
-            let mut text = String::new();
             while i < n && depth > 0 {
                 if chars[i] == '/' && i + 1 < n && chars[i + 1] == '*' {
                     depth += 1;
@@ -101,21 +84,10 @@ pub fn scan(path: &str, src: &str) -> ScannedFile {
                     i += 2;
                 } else {
                     if chars[i] == '\n' {
-                        if let Some(slot) = comments.get_mut(line - 1) {
-                            slot.push_str(&text);
-                            slot.push(' ');
-                        }
-                        text.clear();
                         line += 1;
-                    } else {
-                        text.push(chars[i]);
                     }
                     i += 1;
                 }
-            }
-            if let Some(slot) = comments.get_mut(line - 1) {
-                slot.push_str(&text);
-                slot.push(' ');
             }
             continue;
         }
@@ -171,7 +143,7 @@ pub fn scan(path: &str, src: &str) -> ScannedFile {
         i += 1;
     }
 
-    ScannedFile { path: path.to_string(), tokens, lines, comments }
+    ScannedFile { path: path.to_string(), tokens, lines }
 }
 
 /// True if `chars[i..]` begins a raw string (`r"`, `r#"`, `r##"` …).
@@ -265,11 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn strips_comments_but_keeps_their_text() {
-        let f = scan("t.rs", "// SAFETY: fine\nlet x = 1; // trailing\n");
-        assert!(f.comment_on(1).contains("SAFETY:"));
-        assert!(f.comment_on(2).contains("trailing"));
-        assert!(f.tokens.iter().all(|t| !t.text.contains("SAFETY")));
+    fn strips_comments() {
+        let f = scan("t.rs", "// SAFETY: fine\nlet x = 1; // trailing unwrap()\n");
+        assert!(f.tokens.iter().all(|t| !t.text.contains("SAFETY") && t.text != "unwrap"));
+        assert_eq!(f.tokens.last().map(|t| t.line), Some(2));
     }
 
     #[test]
@@ -297,7 +268,7 @@ mod tests {
     #[test]
     fn block_comment_lines_tracked() {
         let f = scan("t.rs", "/* one\n SAFETY: two */\nfn f() {}");
-        assert!(f.comment_on(2).contains("SAFETY:"));
+        assert!(f.tokens.iter().all(|t| t.text != "SAFETY"));
         let tok = f.tokens.iter().find(|t| t.text == "fn").unwrap();
         assert_eq!(tok.line, 3);
     }
@@ -353,7 +324,7 @@ mod tests {
     #[test]
     fn lifetime_annotated_unsafe_fn_signature_scans_clean() {
         use crate::functions::extract;
-        let src = "// SAFETY: caller upholds aliasing for 'a.\n\
+        let src = "// caller upholds aliasing for 'a.\n\
                    pub unsafe fn raw_view<'a>(x: &'a mut [u8], n: usize) -> &'a [u8] { &x[..n] }\n\
                    fn plain() {}";
         let f = scan("t.rs", src);
@@ -368,6 +339,5 @@ mod tests {
             .position(|t| t.text == "[")
             .unwrap();
         assert_eq!(ff.owner[sig_bracket], None);
-        assert!(crate::rules::check_unsafe(&f).is_empty(), "SAFETY comment above must cover");
     }
 }

@@ -1,33 +1,27 @@
 //! ckpt-lint: repo-specific static analysis for the checkpoint
 //! compression workspace.
 //!
-//! Six rule families, all deny-by-default (DESIGN.md §9 and §13):
+//! Three rules, all deny-by-default (DESIGN.md §9) — what neither the
+//! compiler nor clippy can check here:
 //!
 //! - `unchecked-cast` — no `as` numeric casts in functions reachable
 //!   from the untrusted-input decode entry points.
 //! - `panic-in-decoder` — no unwrap/expect/panicking macros/unchecked
 //!   indexing in those same functions.
-//! - `unsafe-needs-safety-comment` — every `unsafe` must carry a
-//!   `// SAFETY:` comment (workspace-wide, tests included).
 //! - `spec-drift` — every format section of docs/FORMAT.md must match
 //!   its row in `ckpt_deflate::frame::FORMATS`.
-//! - concurrency family (`unsafe-send-sync-impl`,
-//!   `relaxed-cross-thread-flag`) — what crosses a thread boundary,
-//!   over the workspace call graph.
-//! - crash-consistency family (`durability-order`,
-//!   `failpoint-bypass`) — the store's tmp-write → fsync → rename →
-//!   dir-fsync → manifest-append → manifest-fsync protocol, checked
-//!   on every path reachable from the save/GC roots.
+//!
+//! `unsafe` is the compiler's (`[lints.rust] unsafe_code = "forbid"`,
+//! and `clippy::undocumented_unsafe_blocks` in `ckpt-simd`), and the
+//! store's crash-consistency protocol is the disk seam's types and
+//! clippy's `disallowed-methods` lists (DESIGN.md §13).
 //!
 //! Suppression only via checked-in `lint-allow.toml` entries, each with
 //! a non-empty justification; unused entries are errors, and so are
-//! root names (decode entry points, store roots) no function defines.
+//! decode entry points no function defines.
 
 pub mod allow;
 pub mod callgraph;
-pub mod concurrency;
-pub mod dataflow;
-pub mod durability;
 pub mod functions;
 pub mod lexer;
 pub mod rules;
@@ -92,15 +86,9 @@ pub fn entry_points() -> Vec<&'static str> {
     formats.chain(EXTRA_ENTRY_POINTS.iter().copied()).collect()
 }
 
-/// Directories never scanned: build output, vendored shims (the shims
-/// mirror external crates; their code style is not ours to lint), and
-/// the analyzer's own deliberately-broken rule fixtures.
-const SKIP_DIRS: &[&str] =
-    &["target", ".git", "crates/shims", "tests/corpus", "crates/analyzer/tests/fixtures"];
-
-/// Files the crash-consistency family audits: the store itself plus
-/// the serving layer (snapshot pinning, resume-token writes).
-const STORE_SRC_PREFIXES: &[&str] = &["crates/store/src/", "crates/serve/src/"];
+/// Directories never scanned: build output and vendored shims (the
+/// shims mirror external crates; their code style is not ours to lint).
+const SKIP_DIRS: &[&str] = &["target", ".git", "crates/shims", "tests/corpus"];
 
 /// Result of a full lint run.
 #[derive(Debug, Default)]
@@ -120,15 +108,6 @@ impl Report {
     pub fn clean(&self) -> bool {
         self.violations.is_empty() && self.errors.is_empty()
     }
-}
-
-/// True for rules whose findings are resolved by *justifying* rather
-/// than by rewriting code: `unsafe impl Send/Sync` is a finding by
-/// construction (the allowlist entry is the approval record), and a
-/// Relaxed atomic crossing a fan-out either gets a stronger ordering
-/// or an invariant explaining why Relaxed suffices.
-pub fn justification_needed(rule: &str) -> bool {
-    rule == concurrency::RULE_SEND_SYNC || rule == concurrency::RULE_RELAXED
 }
 
 /// Root names that resolve to no function in `graph`. A root list that
@@ -201,14 +180,6 @@ pub fn run_sources(root: &Path, sources: &[(String, String)]) -> Report {
     let scanned: Vec<ScannedFile> = sources.iter().map(|(rel, src)| scan(rel, src)).collect();
     report.files_scanned = scanned.len();
 
-    // Functions + workspace call graph for every scanned file: the
-    // concurrency family reasons about the whole workspace, the decode
-    // rules about their file subset.
-    let all_ff: Vec<FileFunctions> = scanned.iter().map(extract).collect();
-    let workspace: Vec<(&ScannedFile, &FileFunctions)> =
-        scanned.iter().zip(all_ff.iter()).collect();
-    let ws_graph = CallGraph::build(&workspace);
-
     // Decode-layer scope: compute the reachable set over its subgraph.
     let decode: Vec<usize> = scanned
         .iter()
@@ -224,8 +195,9 @@ pub fn run_sources(root: &Path, sources: &[(String, String)]) -> Report {
             ));
         }
     }
+    let decode_ff: Vec<FileFunctions> = decode.iter().map(|&i| extract(&scanned[i])).collect();
     let graph_input: Vec<(&ScannedFile, &FileFunctions)> =
-        decode.iter().map(|&i| (&scanned[i], &all_ff[i])).collect();
+        decode.iter().zip(&decode_ff).map(|(&i, ff)| (&scanned[i], ff)).collect();
     let graph = CallGraph::build(&graph_input);
     let roots = entry_points();
     report.errors.extend(stale_roots("ENTRY_POINTS", &roots, &graph));
@@ -239,30 +211,9 @@ pub fn run_sources(root: &Path, sources: &[(String, String)]) -> Report {
             .map(|&(_, gi)| gi)
             .collect();
         let scope_fn = |gi: usize| in_scope.contains(&gi);
-        violations.extend(rules::check_casts(&scanned[si], &all_ff[si], &scope_fn));
-        violations.extend(rules::check_panics(&scanned[si], &all_ff[si], &scope_fn));
+        violations.extend(rules::check_casts(&scanned[si], &decode_ff[di], &scope_fn));
+        violations.extend(rules::check_panics(&scanned[si], &decode_ff[di], &scope_fn));
     }
-    for file in &scanned {
-        violations.extend(rules::check_unsafe(file));
-        violations.extend(concurrency::check_send_sync(file));
-    }
-
-    // Concurrency family over the workspace graph.
-    report.errors.extend(stale_roots("FANOUT_FNS", dataflow::FANOUT_FNS, &ws_graph));
-    violations.extend(concurrency::check_relaxed(&workspace, &ws_graph));
-
-    // Crash-consistency family over the store sources.
-    let store_input: Vec<(&ScannedFile, &FileFunctions)> = workspace
-        .iter()
-        .copied()
-        .filter(|(f, _)| STORE_SRC_PREFIXES.iter().any(|p| f.path.starts_with(p)))
-        .collect();
-    report.errors.extend(stale_roots(
-        "STORE_ROOTS",
-        durability::STORE_ROOTS,
-        &CallGraph::build(&store_input),
-    ));
-    violations.extend(durability::check(&store_input));
 
     match fs::read_to_string(root.join("docs/FORMAT.md")) {
         Ok(md) => violations.extend(spec::check(&md, &ckpt_deflate::frame::FORMATS)),
@@ -330,9 +281,6 @@ mod tests {
         let errors = stale_roots("ROOTS", &["decompress", "decompress_gone"], &graph);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("ROOTS names `decompress_gone`"), "{errors:?}");
-        // A fan-out list that outlives a pool function is the same error.
-        let errors = stale_roots("FANOUT_FNS", dataflow::FANOUT_FNS, &graph);
-        assert_eq!(errors.len(), dataflow::FANOUT_FNS.len(), "{errors:?}");
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn json_escape(s: &str) -> String {
 
 fn json_violation(v: &ckpt_analyzer::rules::Violation) -> String {
     format!(
-        r#"{{"rule":"{}","path":"{}","line":{},"symbol":{},"justification_needed":{},"message":"{}"}}"#,
+        r#"{{"rule":"{}","path":"{}","line":{},"symbol":{},"message":"{}"}}"#,
         v.rule,
         json_escape(&v.path),
         v.line,
@@ -101,7 +101,6 @@ fn json_violation(v: &ckpt_analyzer::rules::Violation) -> String {
             .as_deref()
             .map(|s| format!(r#""{}""#, json_escape(s)))
             .unwrap_or_else(|| "null".to_string()),
-        ckpt_analyzer::justification_needed(v.rule),
         json_escape(&v.message)
     )
 }
@@ -131,12 +130,7 @@ fn print_json(report: &ckpt_analyzer::Report) {
 }
 
 fn print_rules() {
-    println!("unchecked-cast            no `as` numeric casts in decoder-reachable functions");
-    println!("panic-in-decoder          no unwrap/expect/panics/unchecked indexing in decoder-reachable functions");
-    println!("unsafe-needs-safety-comment  every `unsafe` carries a // SAFETY: comment");
-    println!("spec-drift                docs/FORMAT.md sections must match frame::FORMATS");
-    println!("unsafe-send-sync-impl     every `unsafe impl Send/Sync` needs a justified lint-allow.toml entry");
-    println!("relaxed-cross-thread-flag Ordering::Relaxed reachable from a thread fan-out needs strengthening or a justification");
-    println!("durability-order          store save/GC paths must follow tmp-write -> fsync -> rename -> dir-fsync -> manifest append -> manifest fsync");
-    println!("failpoint-bypass          store writes/renames/removes must route through (or be barriered by) the FailPoint layer");
+    println!("unchecked-cast    no `as` numeric casts in decoder-reachable functions");
+    println!("panic-in-decoder  no unwrap/expect/panics/unchecked indexing in decoder-reachable functions");
+    println!("spec-drift        docs/FORMAT.md sections must match frame::FORMATS");
 }

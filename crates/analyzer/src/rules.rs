@@ -8,7 +8,6 @@ use crate::lexer::ScannedFile;
 /// Rule identifiers (also the `rule = "…"` keys in lint-allow.toml).
 pub const RULE_CAST: &str = "unchecked-cast";
 pub const RULE_PANIC: &str = "panic-in-decoder";
-pub const RULE_UNSAFE: &str = "unsafe-needs-safety-comment";
 pub const RULE_SPEC: &str = "spec-drift";
 
 /// One rule violation, pre-suppression.
@@ -118,67 +117,6 @@ pub fn check_panics(
     out
 }
 
-/// Rule `unsafe-needs-safety-comment`: every `unsafe` keyword must be
-/// covered by a `// SAFETY:` comment on the same line or in the
-/// contiguous comment/attribute block directly above (`# Safety` doc
-/// sections also count for `unsafe fn`/`unsafe impl` items).
-pub fn check_unsafe(file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut last_flagged_line = 0usize;
-    for tok in &file.tokens {
-        if tok.text != "unsafe" {
-            continue;
-        }
-        // One finding per line even if `unsafe` appears twice.
-        if tok.line == last_flagged_line {
-            continue;
-        }
-        if has_safety_comment(file, tok.line) {
-            continue;
-        }
-        last_flagged_line = tok.line;
-        out.push(Violation {
-            rule: RULE_UNSAFE,
-            path: file.path.clone(),
-            line: tok.line,
-            symbol: None,
-            message: "`unsafe` without a `// SAFETY:` comment documenting the invariants"
-                .to_string(),
-        });
-    }
-    out
-}
-
-/// Looks for `SAFETY:` (or a `# Safety` doc section) on `line` or in
-/// the contiguous comment/attribute block above it.
-fn has_safety_comment(file: &ScannedFile, line: usize) -> bool {
-    let covers = |n: usize| {
-        let c = file.comment_on(n);
-        c.contains("SAFETY:") || c.contains("# Safety")
-    };
-    if covers(line) {
-        return true;
-    }
-    let mut n = line;
-    while n > 1 {
-        n -= 1;
-        let raw = file.line(n);
-        let trimmed = raw.trim();
-        let is_comment = trimmed.starts_with("//")
-            || trimmed.starts_with("/*")
-            || trimmed.starts_with('*')
-            || trimmed.ends_with("*/");
-        let is_attr = trimmed.starts_with("#[") || trimmed.starts_with("#!");
-        if !(is_comment || is_attr) {
-            return false;
-        }
-        if covers(n) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,19 +157,5 @@ fn f(d: &[u8]) -> u8 {
         assert!(msgs.iter().any(|m| m.contains("assert!")));
         assert!(msgs.iter().any(|m| m.contains("unwrap")));
         assert!(msgs.iter().any(|m| m.contains("indexing")));
-    }
-
-    #[test]
-    fn safety_comments_satisfy_unsafe_rule() {
-        let good = "// SAFETY: ptr is valid for len elements.\nunsafe { core::ptr::read(p) }";
-        let bad = "unsafe { core::ptr::read(p) }";
-        assert!(check_unsafe(&scan("t.rs", good)).is_empty());
-        assert_eq!(check_unsafe(&scan("t.rs", bad)).len(), 1);
-    }
-
-    #[test]
-    fn doc_safety_section_counts_for_items() {
-        let src = "/// Reads raw memory.\n///\n/// # Safety\n/// Caller upholds aliasing.\npub unsafe fn read_it() {}";
-        assert!(check_unsafe(&scan("t.rs", src)).is_empty());
     }
 }

@@ -306,6 +306,7 @@ fn write_container<S: chunked::StreamSink>(
 fn temp_path() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
+    // Only the RMW's atomicity makes names unique; it guards no memory.
     let id = COUNTER.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
         "ckpt-tmp-{}-{}.bin",

@@ -33,11 +33,10 @@ use ckpt_deflate::frame::{self, Reader, Writer, RST1};
 use ckpt_deflate::resume::ResumableInflate;
 use ckpt_deflate::chunked::{self, MemberRange};
 use ckpt_deflate::{gzip, DeflateError};
-use ckpt_store::layout;
-use ckpt_store::{FailPoint, RankIndex, Snapshot, StoreError};
+use ckpt_store::{FailPoint, RankIndex, Snapshot, Staged, Staging, StoreError};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Fixed token size before the variable ICK1 blob and the frame CRC.
 const TOKEN_FIXED: usize = 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 8 + 4 + 8 + 4 + 4;
@@ -194,7 +193,7 @@ pub fn restore_streamed(
 ) -> Result<RestoreOutcome> {
     let ri = rank_of(snap, gen, rank)?;
     let plan = plan_members(snap, gen, rank, &ri)?;
-    let mut out = fs::File::create(out_path)?;
+    let out = fp.create_in_place(out_path)?;
     let state = DriveState {
         member_at: 0,
         prefix_len: 0,
@@ -203,7 +202,7 @@ pub fn restore_streamed(
         checkpoints: 0,
         resumed: false,
     };
-    drive(snap, gen, rank, &ri, &plan, &mut out, state, token_path, opts, fp)
+    drive(snap, gen, rank, &ri, &plan, out, state, token_path, opts, fp)
 }
 
 /// Continues a killed restore from its token. The token names the
@@ -233,15 +232,15 @@ pub fn resume_restore(
     let member_at =
         usize::try_from(tok.member_at).map_err(|_| ServeError::Proto("member index".into()))?;
 
-    let mut out = fs::OpenOptions::new().read(true).write(true).open(out_path)?;
-    let disk_len = out.metadata()?.len();
+    let mut on_disk = fs::File::open(out_path)?;
+    let disk_len = on_disk.metadata()?.len();
     if disk_len < tok.out_len {
         return Err(ServeError::Proto(format!(
             "output file holds {disk_len} bytes, the token promised {}",
             tok.out_len
         )));
     }
-    let prefix_crc_on_disk = crc_of_prefix(&mut out, tok.out_len)?;
+    let prefix_crc_on_disk = crc_of_prefix(&mut on_disk, tok.out_len)?;
     if prefix_crc_on_disk != tok.out_crc {
         return Err(ServeError::Proto(format!(
             "output prefix CRC {prefix_crc_on_disk:08x} != token's {:08x}",
@@ -249,8 +248,7 @@ pub fn resume_restore(
         )));
     }
     // Drop any torn tail the kill left past the last durable point.
-    out.set_len(tok.out_len)?;
-    out.seek(SeekFrom::End(0))?;
+    let out = fp.reopen_at(out_path, tok.out_len)?;
 
     let engine = if tok.ick.is_empty() {
         None
@@ -273,7 +271,7 @@ pub fn resume_restore(
         checkpoints: 0,
         resumed: true,
     };
-    drive(snap, tok.gen, tok.rank, &ri, &plan, &mut out, state, token_path, opts, fp)
+    drive(snap, tok.gen, tok.rank, &ri, &plan, out, state, token_path, opts, fp)
 }
 
 /// Mid-run progress threaded through [`drive`].
@@ -293,7 +291,7 @@ fn drive(
     rank: u32,
     ri: &RankIndex,
     plan: &Plan,
-    out: &mut fs::File,
+    mut out: Staged<'_>,
     mut st: DriveState,
     token_path: &Path,
     opts: &RestoreOptions,
@@ -338,14 +336,13 @@ fn drive(
                 }
                 .into());
             }
-            fp.write_all(out, &produced)?;
+            out.append(&produced)?;
             if let Some(size) = ended {
                 break size;
             }
             // Durability order: output bytes first, then the token
             // referencing them. A kill between the two leaves a token
             // one interval behind — correct, just slower to resume.
-            fp.check()?;
             out.sync_data()?;
             write_token(token_path, &encode_token(&token(&st, Some(member.engine()))), fp)?;
             st.checkpoints += 1;
@@ -361,7 +358,6 @@ fn drive(
         if st.member_at < plan.members.len() {
             // Boundary token: a kill while fetching the next member
             // resumes here instead of re-inflating this one.
-            fp.check()?;
             out.sync_data()?;
             write_token(token_path, &encode_token(&token(&st, None)), fp)?;
             st.checkpoints += 1;
@@ -374,12 +370,12 @@ fn drive(
         return Err(DeflateError::ChecksumMismatch { stored: h.stored_crc, computed: st.prefix_crc }
             .into());
     }
-    out.sync_all()?;
+    let done = out.sync()?.in_place();
     // Completion: the token is obsolete the moment the full output is
-    // durable. Removing it is not failure-ordered — a crash right here
-    // leaves a valid token and a complete file, and a resume just
-    // re-verifies the prefix and finds nothing left to do.
-    match fs::remove_file(token_path) {
+    // durable. A crash right here leaves a valid token and a complete
+    // file, and a resume just re-verifies the prefix and finds nothing
+    // left to do.
+    match fp.remove(token_path, &done)? {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(ServeError::Io(e)),
@@ -441,17 +437,10 @@ fn crc_of_prefix(f: &mut fs::File, len: u64) -> Result<u32> {
     Ok(crc)
 }
 
-/// Staging path for the token's atomic write.
-fn token_tmp_path(token_path: &Path) -> PathBuf {
-    let mut name = token_path.as_os_str().to_os_string();
-    name.push(".tmp");
-    PathBuf::from(name)
-}
-
-/// Durably replaces the resume token. A kill at any byte leaves either
-/// the previous token or the new one — never a torn mix — so resume
-/// always has a valid starting point.
+/// Durably replaces the resume token, staged at `<token>.tmp`. A kill at
+/// any byte leaves either the previous token or the new one — never a
+/// torn mix — so resume always has a valid starting point.
 fn write_token(token_path: &Path, bytes: &[u8], fp: &FailPoint) -> Result<()> {
-    let tmp_path = token_tmp_path(token_path);
-    Ok(layout::durable_replace(&tmp_path, token_path, bytes, fp)?)
+    fp.durable_replace(&Staging::beside(token_path), token_path, bytes)?;
+    Ok(())
 }

@@ -50,6 +50,7 @@ impl Server {
                 let _ = h.join();
             }
         }
+        #[expect(clippy::disallowed_methods, reason = "a socket file is not store state")]
         let _ = std::fs::remove_file(&self.socket_path);
     }
 }
@@ -68,6 +69,7 @@ impl Drop for Server {
 /// released — the writer saves and GCs concurrently, and GC cannot
 /// retire anything the connection can still name.
 pub fn serve_unix(store: Arc<Mutex<Store>>, socket_path: &Path) -> io::Result<Server> {
+    #[expect(clippy::disallowed_methods, reason = "a stale socket file is not store state")]
     let _ = std::fs::remove_file(socket_path);
     let listener = UnixListener::bind(socket_path)?;
     let shutdown = Arc::new(AtomicBool::new(false));

@@ -146,8 +146,9 @@ fn kill_sweep(payload: &[u8], data: &[u8], interval: u64, budget_step: u64) {
     let mut resumed_with_token = 0u64;
     let mut budget = 0u64;
     while budget <= total {
-        let out_path = dir.join(format!("out-{budget}"));
-        let token_path = dir.join(format!("tok-{budget}"));
+        let run = dir.join(format!("run-{budget}"));
+        fs::create_dir_all(&run).unwrap();
+        let (out_path, token_path) = (run.join("out"), run.join("tok"));
         let fp = FailPoint::after_bytes(budget);
         match restore_streamed(&snap, gen, 0, &out_path, &token_path, &opts(interval), &fp) {
             Ok(outcome) => {
@@ -193,7 +194,7 @@ fn kill_sweep(payload: &[u8], data: &[u8], interval: u64, budget_step: u64) {
                 assert!(!token_path.exists(), "budget {budget}: completion removes the token");
             }
         }
-        let _ = fs::remove_file(&out_path);
+        let _ = fs::remove_dir_all(&run);
         budget += budget_step;
     }
     assert!(kills > 0, "the sweep must actually kill some runs");
@@ -340,6 +341,7 @@ fn concurrent_socket_restores_complete_while_saves_commit() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test plants stale tokens and a damaged output on purpose")]
 fn stale_and_mismatched_tokens_are_refused() {
     let dir = scratch("stale");
     let data = test_data(120_000);

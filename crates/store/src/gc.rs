@@ -174,6 +174,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test damages a committed segment on purpose")]
     fn unreadable_segments_are_quarantined_not_deleted() {
         let dir = scratch("quarantine");
         let mut store = Store::open(&dir).unwrap();
@@ -336,6 +337,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test damages a committed segment on purpose")]
     fn damaged_pinned_generation_is_not_quarantined_until_released() {
         let dir = scratch("pin-damaged");
         let mut store = Store::open(&dir).unwrap();
@@ -362,6 +364,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test damages a committed segment on purpose")]
     fn increment_onto_quarantined_base_is_pruned() {
         let dir = scratch("orphan-inc");
         let mut store = Store::open(&dir).unwrap();

@@ -1,6 +1,6 @@
-//! On-disk layout: paths, file naming, and durability helpers.
+//! On-disk layout: paths and file naming.
 
-use crate::failpoint::FailPoint;
+use crate::failpoint::Staging;
 use crate::Result;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,8 +53,8 @@ impl Layout {
     /// Staging path for an atomic rewrite of a root-level metadata file
     /// (snapshot, cursor): same name, `tmp/` directory — open-time
     /// recovery sweeps abandoned staging files automatically.
-    pub fn meta_tmp_path(&self, name: &str) -> PathBuf {
-        self.tmp.join(name)
+    pub fn meta_tmp_path(&self, name: &str) -> Staging {
+        Staging::new(self.tmp.join(name))
     }
 
     /// Creates the directory tree (idempotent).
@@ -72,8 +72,8 @@ impl Layout {
     }
 
     /// `tmp/<gen:08>.<rank>.seg` (same name, staging directory).
-    pub fn tmp_path(&self, gen: u64, rank: u32) -> PathBuf {
-        self.tmp.join(segment_name(gen, rank))
+    pub fn tmp_path(&self, gen: u64, rank: u32) -> Staging {
+        Staging::new(self.tmp.join(segment_name(gen, rank)))
     }
 
     /// A free path under `quarantine/` for this segment; appends a
@@ -105,48 +105,6 @@ pub fn parse_segment_name(name: &str) -> Option<(u64, u32)> {
     Some((gen_s.parse().ok()?, rank_s.parse().ok()?))
 }
 
-/// Fsyncs a directory so a just-renamed entry survives power loss.
-/// Best-effort on platforms where directories cannot be opened.
-pub fn fsync_dir(dir: &Path) -> Result<()> {
-    if let Ok(f) = fs::File::open(dir) {
-        f.sync_all()?;
-    }
-    Ok(())
-}
-
-/// The one ordering every staged file is published by: kill barrier,
-/// fsync the staged bytes, kill barrier, rename into place. Shared by
-/// [`durable_replace`] (whole-file metadata) and
-/// `SegmentWriter::finish` (streamed segments); the caller fsyncs the
-/// destination's directory.
-pub(crate) fn sync_then_rename(staged: fs::File, tmp: &Path, dst: &Path, fp: &FailPoint) -> Result<()> {
-    fp.check()?;
-    staged.sync_all()?;
-    drop(staged);
-    fp.check()?;
-    fs::rename(tmp, dst)?;
-    Ok(())
-}
-
-/// Durably replaces the file at `dst` with `bytes`: write a staging
-/// file, fsync it, rename it over `dst`, fsync `dst`'s directory. A
-/// kill at any byte leaves either the previous `dst` or the new one,
-/// never a torn mix. A `fp` kill barrier precedes the fsync and the
-/// rename, and one follows the directory fsync.
-///
-/// `tmp_path` must be on `dst`'s filesystem; store metadata stages
-/// under [`Layout::meta_tmp_path`], which open-time recovery sweeps.
-pub fn durable_replace(tmp_path: &Path, dst: &Path, bytes: &[u8], fp: &FailPoint) -> Result<()> {
-    let mut f = fs::File::create(tmp_path)?;
-    fp.write_all(&mut f, bytes)?;
-    sync_then_rename(f, tmp_path, dst, fp)?;
-    // A bare file name has an empty parent: the current directory.
-    let dir = dst.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
-    fsync_dir(dir)?;
-    fp.check()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +120,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test plants a file in quarantine/")]
     fn layout_paths_and_dirs() {
         let dir = std::env::temp_dir().join(format!("ckpt-store-layout-{}", std::process::id()));
         let l = Layout::new(&dir);

@@ -34,15 +34,25 @@
 //! open, same sweep), or a fully committed generation. Previously
 //! committed generations are never touched by the save path, so the
 //! last committed generation is always restorable. [`Store::open`]
-//! performs exactly this recovery; [`failpoint::FailPoint`] lets tests
-//! inject a byte-accurate kill into every write of the save path.
+//! performs exactly this recovery.
+//!
+//! ## One disk seam
+//!
+//! Every filesystem mutation goes through [`FailPoint`], which lets
+//! tests inject a byte-accurate kill into every write and a kill barrier
+//! before every metadata operation, and whose types carry the protocol's
+//! order: a rename takes only a [`Synced`] file, a `Seg` record is built
+//! only from the [`SegMeta`] the directory fsync returns, and removal,
+//! quarantine and truncation each demand a [`Durable`] witness.
+//! `clippy.toml` refuses `std::fs` mutations anywhere else.
 //!
 //! ## One lifecycle engine
 //!
 //! The in-memory generation map changes only by [`manifest`]'s `apply`
-//! of a record that is already durable — `Store::log` is the one
-//! manifest append, and it runs the interpreter [`Store::open`] replays
-//! the log with, so memory always equals what a reopen would rebuild.
+//! of records that are already durable — `Store::log` is the one
+//! manifest append, it returns the `Durable<[Record]>` that `apply`
+//! demands, and `apply` is the interpreter [`Store::open`] replays the
+//! log with, so memory always equals what a reopen would rebuild.
 //! Files die only in `Store::retire`, after their `Retire` record is
 //! durable, dependents before bases. Every operation that writes this
 //! store's disk runs inside one poison gate (refuse when poisoned,
@@ -72,7 +82,7 @@ pub mod segment;
 pub mod snapshot;
 pub mod store;
 
-pub use failpoint::FailPoint;
+pub use failpoint::{Durable, FailPoint, Renamed, SegMeta, Staged, Staging, Synced};
 pub use segment::SegmentWriter;
 pub use gc::GcReport;
 pub use manifest::{RetireReason, SegmentFormat};

@@ -23,7 +23,8 @@
 //! to that point. The parser is panic-free on arbitrary bytes — it is
 //! part of `ckpt-lint`'s decoder scope.
 
-use crate::store::{GenState, SegMeta};
+use crate::failpoint::Durable;
+use crate::store::{GenState, SegRecord};
 use crate::{Result, StoreError};
 use ckpt_deflate::frame::{self, Reader, Writer, CSM1, CSM2};
 use std::collections::BTreeMap;
@@ -236,54 +237,57 @@ fn decode_body(body: &[u8]) -> Option<Record> {
     Some(rec)
 }
 
-/// The one interpreter of a record: how a generation map comes to
+/// The one interpreter of records: how a generation map comes to
 /// mirror the log. [`Store::open`](crate::Store::open) replays the
 /// valid log prefix through it, and every live operation runs it on the
-/// records it has just made durable, so the in-memory map is by
-/// construction what a reopen would rebuild. Idempotent, so a log tail
-/// replays cleanly over a snapshot that already captured it; a record
-/// naming a generation or rank the map does not hold is ignored.
-pub(crate) fn apply(gens: &mut BTreeMap<u64, GenState>, rec: &Record) {
-    match *rec {
-        Record::Begin { gen, step, format, base_gen, ranks } => {
-            // A log tail replayed over a snapshot keeps the entry the
-            // snapshot seeded.
-            if let (None, Ok(ranks)) = (gens.get(&gen), usize::try_from(ranks)) {
-                let fresh = GenState {
-                    step,
-                    format,
-                    base_gen,
-                    segs: vec![None; ranks],
-                    committed: false,
-                    retired: None,
-                    error_bound: None,
-                };
-                gens.insert(gen, fresh);
-            }
-        }
-        Record::Seg { gen, rank, payload_len, crc } => {
-            let slot = usize::try_from(rank)
-                .ok()
-                .and_then(|rank| gens.get_mut(&gen)?.segs.get_mut(rank));
-            if let Some(slot) = slot {
-                *slot = Some(SegMeta { payload_len, crc });
-            }
-        }
-        Record::Commit { gen } => {
-            if let Some(g) = gens.get_mut(&gen) {
-                if g.segs.iter().all(Option::is_some) {
-                    g.committed = true;
+/// records it has just made durable — it takes nothing else — so the
+/// in-memory map is by construction what a reopen would rebuild.
+/// Idempotent, so a log tail replays cleanly over a snapshot that
+/// already captured it; a record naming a generation or rank the map
+/// does not hold is ignored.
+pub(crate) fn apply(gens: &mut BTreeMap<u64, GenState>, records: &Durable<[Record]>) {
+    for rec in records.iter() {
+        match *rec {
+            Record::Begin { gen, step, format, base_gen, ranks } => {
+                // A log tail replayed over a snapshot keeps the entry
+                // the snapshot seeded.
+                if let (None, Ok(ranks)) = (gens.get(&gen), usize::try_from(ranks)) {
+                    let fresh = GenState {
+                        step,
+                        format,
+                        base_gen,
+                        segs: vec![None; ranks],
+                        committed: false,
+                        retired: None,
+                        error_bound: None,
+                    };
+                    gens.insert(gen, fresh);
                 }
             }
-        }
-        Record::Retire { gen, reason } => {
-            if let Some(g) = gens.get_mut(&gen) {
-                g.retired = Some(reason);
+            Record::Seg { gen, rank, payload_len, crc } => {
+                let slot = usize::try_from(rank)
+                    .ok()
+                    .and_then(|rank| gens.get_mut(&gen)?.segs.get_mut(rank));
+                if let Some(slot) = slot {
+                    *slot = Some(SegRecord { payload_len, crc });
+                }
             }
-        }
-        Record::Bound { gen, eps_bits } => {
-            if let Some(g) = gens.get_mut(&gen) {
-                g.error_bound = Some(f64::from_bits(eps_bits));
+            Record::Commit { gen } => {
+                if let Some(g) = gens.get_mut(&gen) {
+                    if g.segs.iter().all(Option::is_some) {
+                        g.committed = true;
+                    }
+                }
+            }
+            Record::Retire { gen, reason } => {
+                if let Some(g) = gens.get_mut(&gen) {
+                    g.retired = Some(reason);
+                }
+            }
+            Record::Bound { gen, eps_bits } => {
+                if let Some(g) = gens.get_mut(&gen) {
+                    g.error_bound = Some(f64::from_bits(eps_bits));
+                }
             }
         }
     }
@@ -419,7 +423,7 @@ pub(crate) fn parse_snapshot(bytes: &[u8]) -> Result<(u64, BTreeMap<u64, GenStat
         for _ in 0..ranks {
             segs.push(match r.get_u8()? {
                 0 => None,
-                1 => Some(SegMeta {
+                1 => Some(SegRecord {
                     payload_len: r.get_u64()?,
                     crc: r.get_u32()?,
                 }),
@@ -547,7 +551,7 @@ mod tests {
                 step: 30,
                 format: SegmentFormat::Array,
                 base_gen: 0,
-                segs: vec![Some(SegMeta { payload_len: 512, crc: 0xDEAD_BEEF }), None],
+                segs: vec![Some(SegRecord { payload_len: 512, crc: 0xDEAD_BEEF }), None],
                 committed: true,
                 retired: None,
                 error_bound: Some(1e-3),
@@ -559,7 +563,7 @@ mod tests {
                 step: 70,
                 format: SegmentFormat::Increment,
                 base_gen: 3,
-                segs: vec![Some(SegMeta { payload_len: 64, crc: 7 })],
+                segs: vec![Some(SegRecord { payload_len: 64, crc: 7 })],
                 committed: true,
                 retired: Some(RetireReason::Gc),
                 error_bound: None,

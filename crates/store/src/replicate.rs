@@ -30,9 +30,9 @@
 //! never an error: the worst case is redundant work the idempotent
 //! import absorbs.
 
-use crate::layout::{self, CURSOR_FILE};
+use crate::layout::CURSOR_FILE;
 use crate::manifest::SegmentFormat;
-use crate::store::{GenHead, SegMeta, Store};
+use crate::store::{GenHead, SegRecord, Store};
 use crate::{Result, StoreError};
 use ckpt_deflate::crc32::crc32;
 use ckpt_deflate::frame::{self, Reader, Writer, RPC1};
@@ -145,8 +145,8 @@ impl Store {
             // Durably record `gen` as pushed, through the fail point
             // like every other metadata write.
             self.gated(|s| {
-                let tmp = s.layout().meta_tmp_path(CURSOR_FILE);
-                layout::durable_replace(&tmp, &s.layout().cursor, &encode_cursor(gen), &s.failpoint)
+                let staging = s.layout().meta_tmp_path(CURSOR_FILE);
+                s.failpoint.durable_replace(&staging, &s.layout().cursor, &encode_cursor(gen))
             })?;
             report.cursor = Some(gen);
             report.pushed.push(gen);
@@ -183,7 +183,7 @@ impl Store {
             let incoming = put
                 .payloads
                 .iter()
-                .map(|p| Some(SegMeta { payload_len: p.len() as u64, crc: crc32(p) }));
+                .map(|p| Some(SegRecord { payload_len: p.len() as u64, crc: crc32(p) }));
             let same = existing.live()
                 && existing.step == put.step
                 && existing.format == put.format

@@ -6,10 +6,9 @@
 //! a `WCK1` stream stays directly usable with `ckpt info` and friends.
 //! All metadata lives in the manifest.
 
-use crate::failpoint::FailPoint;
-use crate::layout::{self, Layout};
+use crate::failpoint::{FailPoint, Renamed, Staged};
+use crate::layout::Layout;
 use crate::manifest::SegmentFormat;
-use crate::store::SegMeta;
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::{incremental, Compressor};
@@ -26,7 +25,7 @@ pub fn write_segment(
     payload: &[u8],
     fp: &FailPoint,
 ) -> Result<()> {
-    write_payload(layout, gen, rank, payload, fp).map(|_| ())
+    write_payload(layout, gen, rank, payload, fp).map(drop)
 }
 
 /// [`write_segment`] for the commit engine: one unmirrored append, so
@@ -38,7 +37,7 @@ pub(crate) fn write_payload(
     rank: u32,
     payload: &[u8],
     fp: &FailPoint,
-) -> Result<SegMeta> {
+) -> Result<Renamed> {
     let mut w = SegmentWriter::create(layout, gen, rank, fp, false)?;
     w.append(payload)?;
     w.finish()
@@ -65,10 +64,9 @@ pub(crate) fn write_payload(
 /// removes it.
 pub struct SegmentWriter<'a> {
     layout: &'a Layout,
-    fp: &'a FailPoint,
     gen: u64,
     rank: u32,
-    file: fs::File,
+    file: Staged<'a>,
     /// In-memory copy of the first append (empty when `patchable` is
     /// false): the only region patches may touch.
     mirror: Vec<u8>,
@@ -76,8 +74,6 @@ pub struct SegmentWriter<'a> {
     /// Running CRC over everything after the mirrored prefix.
     tail_crc: u32,
     tail_len: u64,
-    /// Total bytes appended.
-    len: u64,
 }
 
 impl<'a> SegmentWriter<'a> {
@@ -94,10 +90,9 @@ impl<'a> SegmentWriter<'a> {
         fp: &'a FailPoint,
         patchable: bool,
     ) -> Result<Self> {
-        let file = fs::File::create(layout.tmp_path(gen, rank))?;
+        let file = fp.create(&layout.tmp_path(gen, rank))?;
         Ok(SegmentWriter {
             layout,
-            fp,
             gen,
             rank,
             file,
@@ -105,32 +100,31 @@ impl<'a> SegmentWriter<'a> {
             patchable,
             tail_crc: 0,
             tail_len: 0,
-            len: 0,
         })
     }
 
     /// Bytes appended so far.
     pub fn len(&self) -> u64 {
-        self.len
+        self.file.len()
     }
 
     /// True before the first append.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.file.is_empty()
     }
 
     /// Appends `bytes` at the end of the segment, through the fail
     /// point (a kill mid-append tears the file exactly where the
     /// budget ran out).
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.fp.write_all(&mut self.file, bytes)?;
-        if self.patchable && self.len == 0 {
+        let first = self.file.is_empty();
+        self.file.append(bytes)?;
+        if self.patchable && first {
             self.mirror = bytes.to_vec();
         } else {
             self.tail_crc = crc32_extend(self.tail_crc, bytes);
             self.tail_len += bytes.len() as u64;
         }
-        self.len += bytes.len() as u64;
         Ok(())
     }
 
@@ -148,24 +142,18 @@ impl<'a> SegmentWriter<'a> {
                 self.mirror.len()
             )));
         }
-        self.fp.write_all_at(&mut self.file, offset, bytes)?;
+        self.file.write_at(offset, bytes)?;
         let at = offset as usize;
         self.mirror[at..at + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
-    /// Completes the segment: fsync the staging file, rename it into
-    /// `segments/` (the ordering `durable_replace` shares), and return
-    /// the length and CRC for the manifest's `Seg` record.
-    pub(crate) fn finish(self) -> Result<SegMeta> {
-        layout::sync_then_rename(
-            self.file,
-            &self.layout.tmp_path(self.gen, self.rank),
-            &self.layout.segment_path(self.gen, self.rank),
-            self.fp,
-        )?;
+    /// Completes the segment: fsync the staging file and rename it into
+    /// `segments/`, carrying the length and CRC its `Seg` record will
+    /// state once the directory fsync makes them a `SegMeta`.
+    pub(crate) fn finish(self) -> Result<Renamed> {
         let crc = crc32_combine(crc32(&self.mirror), self.tail_crc, self.tail_len);
-        Ok(SegMeta { payload_len: self.len, crc })
+        self.file.sync()?.rename(&self.layout.segment_path(self.gen, self.rank), crc)
     }
 }
 
@@ -296,7 +284,8 @@ mod tests {
         for slice in payload.chunks(777) {
             w.append(slice).unwrap();
         }
-        let SegMeta { payload_len: len, crc } = w.finish().unwrap();
+        let meta = fp.sync_dir(&l.segments, vec![w.finish().unwrap()]).unwrap()[0];
+        let (len, crc) = (meta.payload_len(), meta.crc());
         assert_eq!(len, payload.len() as u64);
         assert_eq!(crc, crc32(&payload));
         assert_eq!(fs::read(l.segment_path(4, 0)).unwrap(), payload);
@@ -314,7 +303,8 @@ mod tests {
         w.patch(4, b"\xAA\xBB\xCC\xDD").unwrap();
         // Patching past the first append is a protocol violation.
         assert!(w.patch(30, b"xxxx").is_err());
-        let SegMeta { payload_len: len, crc } = w.finish().unwrap();
+        let meta = fp.sync_dir(&l.segments, vec![w.finish().unwrap()]).unwrap()[0];
+        let (len, crc) = (meta.payload_len(), meta.crc());
         let on_disk = fs::read(l.segment_path(5, 2)).unwrap();
         assert_eq!(on_disk.len() as u64, len);
         assert_eq!(&on_disk[4..8], b"\xAA\xBB\xCC\xDD");

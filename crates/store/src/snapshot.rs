@@ -146,7 +146,7 @@ impl Snapshot {
         let g = self.state(gen)?;
         let mut ranks = Vec::with_capacity(g.segs.len());
         for rank in 0..u32::try_from(g.segs.len()).unwrap_or(u32::MAX) {
-            let meta = store::seg_meta(g, gen, rank)?;
+            let meta = store::seg_record(g, gen, rank)?;
             let members = self.member_ranges(gen, rank)?;
             ranks.push(RankIndex { rank, payload_len: meta.payload_len, crc: meta.crc, members });
         }
@@ -169,7 +169,7 @@ impl Snapshot {
     /// the range index.
     fn member_ranges(&self, gen: u64, rank: u32) -> Result<Vec<MemberRange>> {
         const HEADER: u64 = chunked::HEADER_BYTES as u64;
-        let meta = store::seg_meta(self.state(gen)?, gen, rank)?;
+        let meta = store::seg_record(self.state(gen)?, gen, rank)?;
         if meta.payload_len < HEADER {
             return Ok(Vec::new());
         }
@@ -204,7 +204,7 @@ impl Snapshot {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>> {
-        let meta = store::seg_meta(self.state(gen)?, gen, rank)?;
+        let meta = store::seg_record(self.state(gen)?, gen, rank)?;
         let end = offset
             .checked_add(len)
             .ok_or_else(|| StoreError::NotFound(format!("range overflow at offset {offset}")))?;
@@ -334,6 +334,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test damages a committed segment on purpose")]
     fn missing_segment_preserves_io_error_kind() {
         let dir = scratch("io-kind");
         let mut store = Store::open(&dir).unwrap();

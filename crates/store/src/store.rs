@@ -1,7 +1,7 @@
 //! The checkpoint repository: open-time recovery, atomic multi-rank
 //! saves, chain-resolving restores, and verification.
 
-use crate::failpoint::FailPoint;
+use crate::failpoint::{Durable, FailPoint, Renamed};
 use crate::layout::{self, Layout};
 use crate::manifest::{self, Record, RetireReason, SegmentFormat};
 use crate::segment;
@@ -15,15 +15,15 @@ use ckpt_deflate::frame;
 use ckpt_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::sync::Arc;
 
 /// Longest base chain restore will follow before declaring a cycle.
 const MAX_CHAIN: usize = 1024;
 
-/// Per-rank metadata from a committed `Seg` record.
+/// What one rank's `Seg` record states: the committed payload's length
+/// and CRC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegMeta {
+pub(crate) struct SegRecord {
     pub payload_len: u64,
     pub crc: u32,
 }
@@ -34,7 +34,7 @@ pub(crate) struct GenState {
     pub step: u64,
     pub format: SegmentFormat,
     pub base_gen: u64,
-    pub segs: Vec<Option<SegMeta>>,
+    pub segs: Vec<Option<SegRecord>>,
     pub committed: bool,
     pub retired: Option<RetireReason>,
     /// Lossy error bound the generation was compressed under, from a
@@ -148,26 +148,33 @@ impl Store {
     /// any torn manifest tail, roll back uncommitted generations,
     /// sweep orphaned segments to quarantine, and clear `tmp/`.
     pub fn open(root: impl AsRef<std::path::Path>) -> Result<Store> {
+        Store::open_with(root, &FailPoint::unlimited())
+    }
+
+    /// [`Store::open`] with every disk operation through `fp`, so tests
+    /// can kill the open itself.
+    pub(crate) fn open_with(root: impl AsRef<std::path::Path>, fp: &FailPoint) -> Result<Store> {
         let layout = Layout::new(root);
         layout.create_dirs()?;
         let mut report = OpenReport::default();
 
-        // Create the manifest header durably before anything else.
+        // Create the manifest header durably before anything else,
+        // staged: a kill leaves no manifest or a whole header, never a
+        // torn one.
         if !layout.manifest.exists() {
-            let mut f = fs::File::create(&layout.manifest)?;
-            f.write_all(&manifest::header_bytes())?;
-            f.sync_all()?;
-            layout::fsync_dir(&layout.root)?;
+            let staging = layout.meta_tmp_path(layout::MANIFEST_FILE);
+            fp.durable_replace(&staging, &layout.manifest, &manifest::header_bytes())?;
         }
-        let bytes = fs::read(&layout.manifest)?;
-        let scan = manifest::parse_manifest(&bytes)?;
+        let mut on_disk = 0;
+        let scan = Durable::read(&layout.manifest, |bytes| {
+            on_disk = bytes.len();
+            manifest::parse_manifest(bytes)
+        })?;
 
         // 1. Torn tail → truncate back to the last valid record.
-        if scan.valid_len < bytes.len() {
-            report.truncated_bytes = (bytes.len() - scan.valid_len) as u64;
-            let f = fs::OpenOptions::new().write(true).open(&layout.manifest)?;
-            f.set_len(scan.valid_len as u64)?;
-            f.sync_all()?;
+        if scan.valid_len < on_disk {
+            report.truncated_bytes = (on_disk - scan.valid_len) as u64;
+            fp.truncate(&layout.manifest, scan.valid_len as u64, &scan)?;
         }
 
         // 2a. Seed state from the `CSM2` snapshot when one exists, so
@@ -189,7 +196,7 @@ impl Store {
                 }
                 Err(_) => {
                     let dst = layout.quarantine_path(layout::SNAPSHOT_FILE);
-                    let _ = fs::rename(&layout.snapshot, &dst);
+                    let _ = fp.quarantine(&layout.snapshot, &dst, &scan)?;
                     report.snapshot_fallback = true;
                 }
             }
@@ -199,11 +206,10 @@ impl Store {
         // interpreter every live operation runs after its append.
         // Replay is idempotent over snapshot state: `Begin` keeps an
         // existing entry, the rest re-apply what the snapshot captured.
-        let mut max_gen = 0u64;
-        for rec in &scan.records {
-            max_gen = max_gen.max(rec.gen());
-            manifest::apply(&mut gens, rec);
-        }
+        let offsets = scan.offsets.clone();
+        let records = scan.map(|scan| scan.records.into_boxed_slice());
+        manifest::apply(&mut gens, &records);
+        let max_gen = records.iter().map(Record::gen).max().unwrap_or(0);
 
         // 3. Roll back uncommitted generations. The single-writer save
         // path appends a generation's records in one write, so
@@ -212,18 +218,14 @@ impl Store {
         let dead: Vec<u64> =
             gens.iter().filter(|(_, g)| !g.committed).map(|(&gen, _)| gen).collect();
         if !dead.is_empty() {
-            let mut cut = scan.records.len();
-            while cut > 0 && dead.contains(&scan.records[cut - 1].gen()) {
+            let mut cut = records.len();
+            while cut > 0 && dead.contains(&records[cut - 1].gen()) {
                 cut -= 1;
             }
-            let tail_only =
-                scan.records[cut..].iter().all(|r| dead.contains(&r.gen()))
-                    && scan.records[..cut].iter().all(|r| !dead.contains(&r.gen()));
-            if tail_only && cut < scan.records.len() {
-                let keep = scan.offsets[cut] as u64;
-                let f = fs::OpenOptions::new().write(true).open(&layout.manifest)?;
-                f.set_len(keep)?;
-                f.sync_all()?;
+            let tail_only = records[cut..].iter().all(|r| dead.contains(&r.gen()))
+                && records[..cut].iter().all(|r| !dead.contains(&r.gen()));
+            if tail_only && cut < records.len() {
+                fp.truncate(&layout.manifest, offsets[cut] as u64, &records)?;
             }
             for gen in &dead {
                 gens.remove(gen);
@@ -244,7 +246,7 @@ impl Store {
                 });
                 if !known {
                     let dst = layout.quarantine_path(&name);
-                    if fs::rename(entry.path(), &dst).is_ok() {
+                    if fp.quarantine(&entry.path(), &dst, &records)?.is_ok() {
                         report.quarantined_files.push(name);
                     }
                 }
@@ -255,7 +257,7 @@ impl Store {
         // them; remove them outright.
         if let Ok(entries) = fs::read_dir(&layout.tmp) {
             for entry in entries.flatten() {
-                if fs::remove_file(entry.path()).is_ok() {
+                if fp.remove(&entry.path(), &records)?.is_ok() {
                     report.tmp_files_removed += 1;
                 }
             }
@@ -500,73 +502,72 @@ impl Store {
                 shard
                     .iter()
                     .map(|&(rank, payload)| segment::write_payload(layout, gen, rank, payload, fp))
-                    .collect::<Result<Vec<SegMeta>>>()
+                    .collect::<Result<Vec<Renamed>>>()
             });
-            let mut metas = Vec::with_capacity(ranks.len());
+            let mut renamed = Vec::with_capacity(ranks.len());
             for shard in shards {
-                metas.extend(shard?);
+                renamed.extend(shard?);
             }
-            Ok(metas)
+            Ok(renamed)
         };
         self.commit_generation(head, write_segments)
     }
 
     /// The one generation-commit body. `write_segments` is phase 1: it
-    /// publishes every rank's segment file (tmp → fsync → rename) and
-    /// returns their `Seg` metadata in rank order. Everything after is
-    /// here, once: kill barrier, segments-directory fsync, and the
+    /// publishes every rank's segment file (tmp → fsync → rename) in
+    /// rank order. Everything after is here, once: the segments-directory
+    /// fsync that turns the renames into their `SegMeta`, and the
     /// `Begin`/`Seg`…/`Bound`/`Commit` records through [`Store::log`].
     fn commit_generation(
         &mut self,
         head: GenHead,
-        write_segments: impl FnOnce(&Layout, &FailPoint) -> Result<Vec<SegMeta>>,
+        write_segments: impl FnOnce(&Layout, &FailPoint) -> Result<Vec<Renamed>>,
     ) -> Result<u64> {
         let GenHead { gen, step, format, base_gen, error_bound } = head;
         self.gated(|s| {
-            let metas = write_segments(s.layout(), &s.failpoint)?;
-            s.failpoint.check()?;
-            layout::fsync_dir(&s.layout().segments)?;
+            let renamed = write_segments(s.layout(), &s.failpoint)?;
+            let metas = s.failpoint.sync_dir(&s.layout().segments, renamed)?;
 
             // Phase 2: the generation's records, one append.
             let mut records = Vec::with_capacity(metas.len() + 3);
             records.push(Record::Begin { gen, step, format, base_gen, ranks: metas.len() as u32 });
             for (rank, meta) in (0u32..).zip(&metas) {
-                records.push(Record::Seg { gen, rank, payload_len: meta.payload_len, crc: meta.crc });
+                let (payload_len, crc) = (meta.payload_len(), meta.crc());
+                records.push(Record::Seg { gen, rank, payload_len, crc });
             }
             if let Some(eps) = error_bound {
                 records.push(Record::Bound { gen, eps_bits: eps.to_bits() });
             }
             records.push(Record::Commit { gen });
-            s.log(&records)?;
+            s.log(records)?;
             Ok(gen)
         })
     }
 
     /// The one manifest append, and the one place the in-memory map
     /// changes: `records` go to the log in a single write through the
-    /// fail point, a kill barrier, an fsync — and only then are applied
-    /// to memory, by the interpreter [`Store::open`] replays them with.
-    /// Callers run inside [`Store::gated`]: an error here leaves a tail
-    /// on disk that memory does not reflect.
-    fn log(&mut self, records: &[Record]) -> Result<()> {
+    /// fail point, a kill barrier, an fsync — and only the [`Durable`]
+    /// that returns is applied to memory, by the interpreter
+    /// [`Store::open`] replays the log with. Callers run inside
+    /// [`Store::gated`]: an error here leaves a tail on disk that memory
+    /// does not reflect.
+    fn log(&mut self, records: Vec<Record>) -> Result<Durable<[Record]>> {
         let mut buf = Vec::new();
-        for r in records {
+        for r in &records {
             buf.extend_from_slice(&manifest::encode_record(r));
         }
-        let mut f = fs::OpenOptions::new().append(true).open(&self.layout().manifest)?;
-        self.failpoint.write_all(&mut f, &buf)?;
-        self.failpoint.check()?;
-        f.sync_all()?;
-        for r in records {
-            manifest::apply(&mut self.view.gens, r);
-            self.next_gen = self.next_gen.max(r.gen() + 1);
+        let logged =
+            self.failpoint.log(&self.layout().manifest, &buf, records.into_boxed_slice())?;
+        manifest::apply(&mut self.view.gens, &logged);
+        if let Some(top) = logged.iter().map(Record::gen).max() {
+            self.next_gen = self.next_gen.max(top + 1);
         }
-        Ok(())
+        Ok(logged)
     }
 
     /// The one way a generation dies: its `Retire` record becomes
-    /// durable, a kill barrier, then its segment files are disposed of
-    /// by reason — `Gc` deletes them, `Quarantine` moves them to
+    /// durable, then its segment files are disposed of, each behind its
+    /// own kill barrier, by reason — `Gc` deletes them, `Quarantine` moves them to
     /// `quarantine/`. A crash mid-disposal leaves retired leftovers
     /// recovery sweeps, never a live generation missing files.
     ///
@@ -582,17 +583,18 @@ impl Store {
         let mut records: Vec<Record> =
             gens.iter().map(|&(gen, reason)| Record::Retire { gen, reason }).collect();
         records.sort_unstable_by_key(|r| Reverse(r.gen()));
-        self.log(&records)?;
-        self.failpoint.check()?;
+        let logged = self.log(records)?;
         let mut deleted = 0;
         for &(gen, reason) in gens {
             for rank in 0..self.view.state(gen)?.segs.len() as u32 {
                 let src = self.layout().segment_path(gen, rank);
                 match reason {
-                    RetireReason::Gc => deleted += usize::from(fs::remove_file(&src).is_ok()),
+                    RetireReason::Gc => {
+                        deleted += usize::from(self.failpoint.remove(&src, &logged)?.is_ok());
+                    }
                     RetireReason::Quarantine => {
                         let dst = self.layout().quarantine_path(&layout::segment_name(gen, rank));
-                        let _ = fs::rename(&src, &dst);
+                        let _ = self.failpoint.quarantine(&src, &dst, &logged)?;
                     }
                 }
             }
@@ -628,16 +630,15 @@ impl Store {
         let bytes = manifest::encode_snapshot(self.next_gen, &live_map)?;
 
         let log_bytes_truncated = self.gated(|s| {
-            let tmp = s.layout().meta_tmp_path(layout::SNAPSHOT_FILE);
-            layout::durable_replace(&tmp, &s.layout().snapshot, &bytes, &s.failpoint)?;
-            s.failpoint.check()?;
+            let staging = s.layout().meta_tmp_path(layout::SNAPSHOT_FILE);
+            let installed =
+                s.failpoint.durable_replace(&staging, &s.layout().snapshot, &bytes)?;
 
             // The snapshot is durable; the log records it subsumes can go.
             let log_len = fs::metadata(&s.layout().manifest)?.len();
-            let f = fs::OpenOptions::new().write(true).open(&s.layout().manifest)?;
-            f.set_len(manifest::HEADER_LEN as u64)?;
-            f.sync_all()?;
-            Ok(log_len.saturating_sub(manifest::HEADER_LEN as u64))
+            let header = manifest::HEADER_LEN as u64;
+            s.failpoint.truncate(&s.layout().manifest, header, &installed)?;
+            Ok(log_len.saturating_sub(header))
         })?;
         // The durable snapshot no longer names the fully-dead
         // generations; memory forgets them with it.
@@ -796,7 +797,7 @@ impl View {
         if !g.live() {
             return Err(StoreError::NotFound(format!("generation {gen} is not committed and live")));
         }
-        let meta = seg_meta(g, gen, rank)?;
+        let meta = seg_record(g, gen, rank)?;
         segment::read_segment(&self.layout, gen, rank, meta.payload_len, meta.crc)
     }
 
@@ -916,12 +917,50 @@ impl View {
     }
 }
 
-/// The `Seg` metadata for one rank of a generation.
-pub(crate) fn seg_meta(g: &GenState, gen: u64, rank: u32) -> Result<SegMeta> {
+/// The `Seg` record of one rank of a generation.
+pub(crate) fn seg_record(g: &GenState, gen: u64, rank: u32) -> Result<SegRecord> {
     g.segs
         .get(rank as usize)
         .and_then(|s| *s)
         .ok_or_else(|| StoreError::NotFound(format!("gen {gen} rank {rank}")))
+}
+
+#[cfg(test)]
+mod first_open_tests {
+    use super::*;
+
+    /// Kills a store's first open at every byte of the manifest header and
+    /// at every barrier, and demands that the next open makes a clean,
+    /// empty store of whatever was left. Before the header was staged,
+    /// `open` created `manifest` in place and wrote the header outside
+    /// the fail point: a kill between the two left a 0–7-byte `manifest`,
+    /// which every later open refused (`parse_manifest` errors on a short
+    /// header), so those states had no recovery path.
+    #[test]
+    fn a_kill_anywhere_in_the_first_open_reopens_as_an_empty_store() {
+        let dir = std::env::temp_dir().join(format!("ckpt-store-first-open-{}", std::process::id()));
+        let header = manifest::header_bytes();
+        let bytes = (0..=header.len() as u64).map(FailPoint::after_bytes);
+        let barriers = (0..).map(FailPoint::at_barrier);
+        let mut kills = 0;
+        for fp in bytes.chain(barriers) {
+            let _ = fs::remove_dir_all(&dir);
+            match Store::open_with(&dir, &fp) {
+                Err(StoreError::Killed) => kills += 1,
+                Err(e) => panic!("kill {kills}: {e}"),
+                // Past the last barrier: every kill point has been seen.
+                Ok(_) => break,
+            }
+            let store = Store::open(&dir).unwrap_or_else(|e| panic!("kill {kills}: reopen: {e}"));
+            assert!(store.generations().is_empty(), "kill {kills}");
+            assert_eq!(fs::read(&store.layout().manifest).unwrap(), header, "kill {kills}");
+            assert_eq!(fs::read_dir(&store.layout().tmp).unwrap().count(), 0, "kill {kills}");
+        }
+        // Nine byte budgets, then a barrier before each of the staged
+        // header's fsync, rename and directory fsync.
+        assert_eq!(kills, header.len() + 1 + 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[cfg(test)]
@@ -1040,6 +1079,7 @@ mod chain_restore_tests {
     /// A depth-`damage.len() - 1` chain of all-dirty increments with
     /// `damage[i]` done to link `i` (wrong dims only lands on
     /// increments; on the full it reads as a flipped byte).
+    #[expect(clippy::disallowed_methods, reason = "the test damages committed segments on purpose")]
     fn build_damaged(damage: &[Option<Damage>]) -> (Store, u64) {
         let dims = [37usize, 29];
         let (mut store, _, _) = build_chain(&dims, &[], 3);

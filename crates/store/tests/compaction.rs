@@ -133,6 +133,7 @@ fn compaction_is_idempotent_and_composes_with_new_saves() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test damages the manifest snapshot on purpose")]
 fn damaged_snapshot_falls_back_to_log_replay() {
     let dir = scratch("fallback");
     let mut store = Store::open(&dir).unwrap();
@@ -170,6 +171,7 @@ fn damaged_snapshot_falls_back_to_log_replay() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test damages the manifest snapshot on purpose")]
 fn truncated_snapshot_file_falls_back_too() {
     let dir = scratch("truncated");
     let mut store = Store::open(&dir).unwrap();

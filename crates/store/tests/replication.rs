@@ -112,6 +112,7 @@ fn push_mirrors_generations_and_advances_cursor() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test damages the replication cursor on purpose")]
 fn damaged_cursor_causes_repush_not_divergence() {
     let pdir = scratch("cursor-primary");
     let rdir = scratch("cursor-replica");
