@@ -116,34 +116,6 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
     Ok(cfg)
 }
 
-/// A [`StreamSink`](ckpt_deflate::chunked::StreamSink) over a plain
-/// file: `ckpt compress` writes through it at every `--threads`, and
-/// with more than one, finished gzip members reach the disk while
-/// later chunks are still compressing.
-struct FileSink {
-    file: std::fs::File,
-    len: u64,
-}
-
-impl ckpt_deflate::chunked::StreamSink for FileSink {
-    type Error = std::io::Error;
-
-    fn write(&mut self, bytes: &[u8]) -> Result<(), std::io::Error> {
-        use std::io::Write;
-        self.file.write_all(bytes)?;
-        self.len += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), std::io::Error> {
-        use std::io::{Seek, SeekFrom, Write};
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(bytes)?;
-        self.file.seek(SeekFrom::End(0))?;
-        Ok(())
-    }
-}
-
 pub fn compress(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let input = args.one_positional("input file")?;
@@ -152,28 +124,23 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     let cfg = config_from(&args)?;
     let out_path = args.get("out").map(str::to_string).unwrap_or(format!("{input}.wck"));
 
-    let (out_len, rate, err) = if let Some(bound_raw) = args.get("bound") {
+    let (compressed, err) = if let Some(bound_raw) = args.get("bound") {
         let bound: f64 =
             bound_raw.parse().map_err(|_| format!("invalid --bound {bound_raw:?}"))?;
         let r = compress_bounded(&tensor, cfg, bound).map_err(|e| e.to_string())?;
         eprintln!("bound {bound} met with n = {} ({} probes)", r.n, r.probes);
-        std::fs::write(&out_path, &r.compressed.bytes)
-            .map_err(|e| format!("writing {out_path}: {e}"))?;
-        (r.compressed.bytes.len(), r.compressed.stats.compression_rate(), Some(r.error))
+        (r.compressed, Some(r.error))
     } else {
         let compressor = Compressor::new(cfg).map_err(|e| e.to_string())?;
-        let file = std::fs::File::create(&out_path)
-            .map_err(|e| format!("creating {out_path}: {e}"))?;
-        let mut sink = FileSink { file, len: 0 };
-        let streamed = compressor
-            .compress_stream(&tensor, &mut sink)
-            .map_err(|e| format!("writing {out_path}: {e}"))?;
-        (sink.len as usize, streamed.stats.compression_rate(), None)
+        (compressor.compress(&tensor).map_err(|e| e.to_string())?, None)
     };
+    std::fs::write(&out_path, &compressed.bytes).map_err(|e| format!("writing {out_path}: {e}"))?;
 
     eprintln!(
-        "{input} ({} bytes) -> {out_path} ({out_len} bytes), compression rate {rate:.2}%",
+        "{input} ({} bytes) -> {out_path} ({} bytes), compression rate {:.2}%",
         tensor.len() * 8,
+        compressed.bytes.len(),
+        compressed.stats.compression_rate(),
     );
     if let Some(e) = err {
         eprintln!("measured avg relative error {:.6}%", e.average_percent());
@@ -402,32 +369,6 @@ mod tests {
         }
         let _ = std::fs::remove_file(raw);
         let _ = std::fs::remove_file(wck);
-    }
-
-    /// The file sink's share of the WPK1 byte anchor: the golden
-    /// container was written by the buffered encoder this one replaced
-    /// (see `examples/gen_corpus.rs`); its own payload, re-encoded into
-    /// a file, must give the same bytes back at every thread count.
-    #[test]
-    fn file_sink_reproduces_the_golden_wpk1_container() {
-        use ckpt_deflate::chunked;
-        let golden = std::fs::read(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/corpus/golden_wpk1_multichunk.bin"
-        ))
-        .unwrap();
-        let payload = chunked::decompress_chunked(&golden, 1).unwrap();
-        let chunk_bytes = chunked::parse_header(&golden).unwrap().chunk_bytes;
-        for threads in [1usize, 2, 4] {
-            let path = tempfile("golden.wpk1");
-            let mut sink = FileSink { file: std::fs::File::create(&path).unwrap(), len: 0 };
-            chunked::compress_chunked_stream(&payload, Level::Default, chunk_bytes, threads, &mut sink)
-                .unwrap();
-            assert_eq!(sink.len, golden.len() as u64, "threads={threads}");
-            drop(sink);
-            assert_eq!(std::fs::read(&path).unwrap(), golden, "threads={threads}");
-            let _ = std::fs::remove_file(path);
-        }
     }
 
     #[test]

@@ -10,27 +10,20 @@
 use ckpt_core::{Compressed, Compressor, Result};
 use ckpt_tensor::Tensor;
 
-/// Compresses one array per rank on `threads` work-stealing workers
-/// (`ckpt_pool::ordered_pipeline`, the fan-out the chunked container
-/// uses). Results come back in rank order; the first error (if any) is
-/// returned and abandons the ranks not yet started.
+/// Compresses one array per rank on `threads` workers, the calling
+/// thread among them, each claiming the next rank as it finishes one
+/// (`ckpt_pool::map_tasks`, the fan-out the chunked container uses).
+/// Results come back in rank order; the first error in rank order (if
+/// any) is returned.
 pub fn compress_ranks(
     ranks: &[Tensor<f64>],
     compressor: &Compressor,
     threads: usize,
 ) -> Result<Vec<Compressed>> {
     assert!(threads >= 1, "need at least one worker");
-    let mut out = Vec::with_capacity(ranks.len());
-    ckpt_pool::ordered_pipeline(
-        ranks.len(),
-        threads,
-        |i| compressor.compress(&ranks[i]),
-        |_, compressed: Result<Compressed>| {
-            out.push(compressed?);
-            Ok(())
-        },
-    )
-    .map(|()| out)
+    ckpt_pool::map_tasks(ranks.len(), threads, |i| compressor.compress(&ranks[i]))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]

@@ -56,8 +56,9 @@ pub struct Compressed {
 /// only the measurement side-channels come back.
 #[derive(Debug, Clone)]
 pub struct StreamedCompressed {
-    /// Wall-clock breakdown of the compression stages (the gzip slot
-    /// covers the overlapped compress+write window, not CPU time).
+    /// Wall-clock breakdown of the compression stages (for a chunked
+    /// container the gzip slot covers its compression and its write to
+    /// the sink, not CPU time).
     pub timings: StageTimings,
     /// Size accounting; `compressed_bytes` is what reached the sink.
     pub stats: CompressStats,
@@ -69,8 +70,8 @@ pub struct StreamedCompressed {
 pub enum StreamError<E> {
     /// The compressor failed before or between sink writes.
     Ckpt(CkptError),
-    /// The sink rejected a write or patch; the stream is mid-container
-    /// and must be discarded by the caller.
+    /// The sink rejected a write; the stream is mid-container and must
+    /// be discarded by the caller.
     Sink(E),
 }
 
@@ -127,13 +128,13 @@ impl Compressor {
         }
     }
 
-    /// Compresses one array into `sink` — the one compress path. With
-    /// `Container::Gzip` and `threads > 1` the container stage
-    /// overlaps the sink's I/O: finished WPK1 members are written as
-    /// they complete while later chunks still compress. Other
-    /// configurations compress fully, then write once. The bytes that
-    /// reach the sink depend only on the tensor and the configuration,
-    /// never on the sink.
+    /// Compresses one array into `sink` — the one compress path. Every
+    /// configuration compresses fully, then writes: with
+    /// `Container::Gzip` and `threads > 1` the WPK1 members deflate on
+    /// the workers and reach the sink as the header and index, then one
+    /// append per member; every other configuration is one append. The
+    /// bytes that reach the sink depend only on the tensor and the
+    /// configuration, never on the sink.
     ///
     /// On [`StreamError::Sink`] the sink holds a truncated container
     /// and must be discarded (the store's tmp/rename protocol does this
@@ -272,8 +273,7 @@ fn write_container<S: chunked::StreamSink>(
     let level = cfg.level;
     let bytes = match cfg.container {
         // With more than one thread the chunked multi-member container
-        // both compresses and decompresses in parallel, and its members
-        // reach the sink as they finish.
+        // both compresses and decompresses in parallel.
         Container::Gzip if cfg.threads > 1 => {
             return timed(&mut timings.gzip, || {
                 chunked::compress_chunked_stream(&formatted, level, cfg.chunk_bytes, cfg.threads, sink)
@@ -816,32 +816,17 @@ mod parallel_tests {
         }
     }
 
-    /// A sink that is not a `Vec`: every append and patch is recorded,
-    /// and the bytes are assembled only when asked for.
+    /// A sink that is not a `Vec`: every append is recorded, and the
+    /// bytes are assembled only when asked for.
     #[derive(Default)]
     struct Recording {
         appends: Vec<Vec<u8>>,
-        patches: Vec<(u64, Vec<u8>)>,
     }
     impl chunked::StreamSink for Recording {
         type Error = std::convert::Infallible;
         fn write(&mut self, bytes: &[u8]) -> std::result::Result<(), Self::Error> {
             self.appends.push(bytes.to_vec());
             Ok(())
-        }
-        fn patch(&mut self, offset: u64, bytes: &[u8]) -> std::result::Result<(), Self::Error> {
-            self.patches.push((offset, bytes.to_vec()));
-            Ok(())
-        }
-    }
-    impl Recording {
-        fn bytes(&self) -> Vec<u8> {
-            let mut out = self.appends.concat();
-            for (offset, bytes) in &self.patches {
-                let at = *offset as usize;
-                out[at..at + bytes.len()].copy_from_slice(bytes);
-            }
-            out
         }
     }
 
@@ -861,14 +846,13 @@ mod parallel_tests {
             let in_memory = c.compress(&t).unwrap();
             let mut sink = Recording::default();
             let streamed = c.compress_stream(&t, &mut sink).unwrap();
-            assert_eq!(sink.bytes(), in_memory.bytes, "{cfg:?}");
+            assert_eq!(sink.appends.concat(), in_memory.bytes, "{cfg:?}");
             assert_eq!(streamed.stats, in_memory.stats, "{cfg:?}");
             assert_eq!(in_memory.stats.compressed_bytes, in_memory.bytes.len());
-            // Only the chunked container streams: everything else is
-            // one append and no patch.
+            // Only the chunked container takes more than one append:
+            // its header and index, then one per member.
             let chunked = cfg.threads > 1 && cfg.container == Container::Gzip;
             assert_eq!(sink.appends.len() > 1, chunked, "{cfg:?}");
-            assert_eq!(sink.patches.is_empty(), !chunked, "{cfg:?}");
             let back = Compressor::decompress(&in_memory.bytes).unwrap();
             assert_eq!(back.dims(), t.dims());
         }

@@ -4,10 +4,11 @@
 //! The payload is split into fixed-size chunks (independent of the
 //! worker count, so the output bytes depend only on the input, the
 //! level, and `chunk_bytes`). Each chunk is compressed into a complete
-//! gzip member (RFC 1952) on whichever worker picks it up, and the
-//! members are concatenated behind a small header that records where
-//! each member starts. Decompression reads the chunk index and inflates
-//! members concurrently into disjoint regions of the output buffer.
+//! gzip member (RFC 1952) on whichever worker claims it, and once every
+//! member is finished they are written back to back behind a small
+//! header that records where each one starts. Decompression reads the
+//! chunk index and inflates members concurrently into disjoint regions
+//! of the output buffer.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -35,14 +36,12 @@
 use crate::crc32::crc32_combine;
 use crate::frame::{Reader, Writer, WPK1};
 use crate::{gzip, DeflateError, Level};
+use std::sync::{Mutex, PoisonError};
 
 /// Default uncompressed chunk size: 1 MiB balances parallel grain
 /// against per-member header/trailer and match-window reset costs.
 pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
-/// Offset of the combined-CRC field (the layout table above); the
-/// encoder patches it and the chunk index once the last member lands.
-const OFF_CRC: usize = 26;
 /// Size of the fixed header: what [`parse_header`] needs, and where the
 /// chunk index starts.
 pub const HEADER_BYTES: usize = 30;
@@ -91,24 +90,14 @@ fn put_header(out: &mut Writer, chunks: usize, total: usize, chunk_bytes: usize,
     debug_assert_eq!(out.len(), HEADER_BYTES);
 }
 
-/// Destination for a streamed container write: sequential appends plus
-/// in-place patches of bytes that were already appended.
-///
-/// [`compress_chunked_stream`] appends the header (with zeroed CRC and
-/// index placeholders) and then each gzip member in chunk order, and
-/// finally patches the index and CRC once every member's size is
-/// known. The patched region is always within the first
-/// [`patchable_prefix`] bytes of the stream, so file-backed sinks only
-/// need to keep that prefix reachable (a seek) — everything after it
-/// is written exactly once, strictly in order.
+/// Destination for a container write: sequential appends, each byte
+/// written once.
 pub trait StreamSink {
     /// Sink-side failure (I/O, injected kill, …). Infallible for
     /// in-memory sinks.
     type Error;
     /// Appends `bytes` at the current end of the stream.
     fn write(&mut self, bytes: &[u8]) -> Result<(), Self::Error>;
-    /// Overwrites previously-written bytes starting at `offset`.
-    fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error>;
 }
 
 impl StreamSink for Vec<u8> {
@@ -118,40 +107,18 @@ impl StreamSink for Vec<u8> {
         self.extend_from_slice(bytes);
         Ok(())
     }
-
-    fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error> {
-        let at = usize::try_from(offset).expect("patch offset fits in memory");
-        self[at..at + bytes.len()].copy_from_slice(bytes);
-        Ok(())
-    }
 }
 
-/// Upper bound on the stream offset any [`StreamSink::patch`] can
-/// touch for a payload of `len` bytes: the fixed header plus the chunk
-/// index. Sinks that mirror the patchable region (to keep a running
-/// CRC over patched bytes) can size the mirror from this.
-pub fn patchable_prefix(len: usize, chunk_bytes: usize) -> usize {
-    let chunk_bytes = chunk_bytes.max(1);
-    let chunks = if len == 0 { 0 } else { len.div_ceil(chunk_bytes) };
-    HEADER_BYTES + 8 * chunks
-}
-
-/// Streams a WPK1 container into `sink` while chunks are still being
-/// compressed — the one WPK1 encoder. Finished gzip members flow
-/// through a bounded in-order channel from `threads` work-stealing
-/// workers to the calling thread, which writes each one as soon as it
-/// (and all its predecessors) is ready. The header goes out first with
-/// zeroed CRC/index placeholders; both are patched once the last
-/// member lands. The sink contents depend only on `data`, `level` and
-/// `chunk_bytes` — never on `threads` or the sink. Returns the
+/// Compresses `data` into a WPK1 container and writes it into `sink` —
+/// the one WPK1 encoder. Every chunk is deflated into a gzip member
+/// first, on `threads` workers that claim chunks in index order; then
+/// the header and chunk index go out as one append, followed by one
+/// append per member. The sink contents depend only on `data`, `level`
+/// and `chunk_bytes` — never on `threads` or the sink. Returns the
 /// container length.
 ///
-/// `threads == 1` still spawns one producer thread: the caller thread
-/// drives the sink, and overlapping compression with sink I/O is the
-/// point of streaming.
-///
-/// On a sink error the remaining production is abandoned and the error
-/// is returned; the sink is left mid-stream (callers with durability
+/// On a sink error the remaining members are not written and the error
+/// is returned; the sink is left mid-container (callers with durability
 /// needs discard the partial artifact, as the store's tmp/rename
 /// protocol does).
 pub fn compress_chunked_stream<S: StreamSink>(
@@ -162,51 +129,30 @@ pub fn compress_chunked_stream<S: StreamSink>(
     sink: &mut S,
 ) -> Result<usize, S::Error> {
     let chunk_bytes = chunk_bytes.max(1);
-    let chunks: Vec<&[u8]> = if data.is_empty() {
-        Vec::new()
-    } else {
-        data.chunks(chunk_bytes).collect()
-    };
+    let chunks: Vec<&[u8]> = data.chunks(chunk_bytes).collect();
     assert!(
         u32::try_from(chunks.len()).is_ok(),
         "chunk count exceeds the u32 header field"
     );
-
-    // Header with zeroed CRC, then a zeroed index — emitted as a
-    // single append so sinks that mirror their first append (the
-    // store's streaming segment writer) hold exactly the patchable
-    // prefix. Both placeholder regions are patched after the last
-    // member, when their values are known.
-    let mut header = Writer::with_capacity(HEADER_BYTES + 8 * chunks.len());
-    put_header(&mut header, chunks.len(), data.len(), chunk_bytes, 0);
-    let mut header = header.into_bytes();
-    header.resize(HEADER_BYTES + 8 * chunks.len(), 0);
-    sink.write(&header)?;
-
-    let mut index = Vec::with_capacity(8 * chunks.len());
-    let mut combined = 0u32;
-    let mut body_len = 0usize;
     let workers = ckpt_pool::clamp_workers(threads, chunks.len());
-    ckpt_pool::ordered_pipeline(
-        chunks.len(),
-        workers,
-        |i| gzip::compress(chunks[i], level),
-        |i, member: Vec<u8>| {
-            let crc = member_stored_crc(&member).expect("compressor emits complete gzip members");
-            combined = crc32_combine(combined, crc, crate::u64_from_usize(chunks[i].len()));
-            index.extend_from_slice(&(member.len() as u64).to_le_bytes());
-            body_len += member.len();
-            sink.write(&member)
-        },
-    )?;
+    let members = ckpt_pool::map_tasks(chunks.len(), workers, |i| gzip::compress(chunks[i], level));
 
-    // Back-patch the chunk index and the combined CRC; every patched
-    // byte is inside `patchable_prefix(data.len(), chunk_bytes)`.
-    if !index.is_empty() {
-        sink.patch(HEADER_BYTES as u64, &index)?;
+    let mut combined = 0u32;
+    for (chunk, member) in chunks.iter().zip(&members) {
+        let crc = member_stored_crc(member).expect("compressor emits complete gzip members");
+        combined = crc32_combine(combined, crc, crate::u64_from_usize(chunk.len()));
     }
-    sink.patch(OFF_CRC as u64, &combined.to_le_bytes())?;
-    Ok(HEADER_BYTES + index.len() + body_len)
+    let mut head = Writer::with_capacity(HEADER_BYTES + 8 * members.len());
+    put_header(&mut head, chunks.len(), data.len(), chunk_bytes, combined);
+    for member in &members {
+        head.put_u64(crate::u64_from_usize(member.len()));
+    }
+    let head = head.into_bytes();
+    sink.write(&head)?;
+    for member in &members {
+        sink.write(member)?;
+    }
+    Ok(head.len() + members.iter().map(Vec::len).sum::<usize>())
 }
 
 /// Decompresses a WPK1 container using `threads` workers.
@@ -374,72 +320,36 @@ pub fn decompress_chunked_with_limit(
     let (Header { chunk_count, total, chunk_bytes, stored_crc }, members) =
         parse_container(data, max_output)?;
 
-    /// Inflates one run of members into their (disjoint) output slots
-    /// and returns the verified per-member CRCs.
-    fn inflate_run(slots: &mut [&mut [u8]], members: &[&[u8]]) -> Result<Vec<u32>, DeflateError> {
-        let mut crcs = Vec::with_capacity(slots.len());
-        for (slot, member) in slots.iter_mut().zip(members) {
-            slot.copy_from_slice(&decode_slot(member, slot.len())?);
-            // decode_slot just verified the member's CRC; reuse the
-            // stored value.
-            crcs.push(member_stored_crc(member)?);
-        }
-        Ok(crcs)
-    }
-
     let mut out = vec![0u8; total];
-    let crcs = {
-        // Hand each worker a contiguous run of chunks; output regions
-        // are disjoint `chunk_bytes`-strided slices of `out`.
-        let mut slots: Vec<&mut [u8]> = if total == 0 {
-            Vec::new()
-        } else {
-            out.chunks_mut(chunk_bytes).collect()
+    // One disjoint `chunk_bytes`-strided slot of `out` per member. Each
+    // lock is taken once, by the one task that fills its slot, so it is
+    // never contended and a poisoned guard is never seen by anyone else.
+    let slots: Vec<Mutex<&mut [u8]>> = out.chunks_mut(chunk_bytes.max(1)).map(Mutex::new).collect();
+    debug_assert_eq!(slots.len(), chunk_count);
+    // Clamp to the host: spawning past the core count only adds
+    // scheduling overhead, and one effective worker runs inline with no
+    // thread at all.
+    let workers = ckpt_pool::clamp_workers(threads, chunk_count);
+    let crcs = ckpt_pool::map_tasks(chunk_count, workers, |i| {
+        let (Some(member), Some(slot)) = (members.get(i), slots.get(i)) else {
+            return Err(DeflateError::BadContainer("member index outside the container"));
         };
-        debug_assert_eq!(slots.len(), chunk_count);
-        // Clamp to the host: spawning past the core count only adds
-        // scheduling overhead, and one effective worker runs inline
-        // with no thread at all.
-        let workers = ckpt_pool::clamp_workers(threads, chunk_count);
-        let ranges = ckpt_pool::partition_ranges(chunk_count, workers);
-        let mut results: Vec<Result<Vec<u32>, DeflateError>> = Vec::new();
-        if ranges.len() == 1 {
-            results.push(inflate_run(&mut slots, &members));
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(ranges.len());
-                let mut rest = slots.as_mut_slice();
-                let mut members_rest = members.as_slice();
-                for r in &ranges {
-                    let (mine, tail) = rest.split_at_mut(r.len());
-                    rest = tail;
-                    let (my_members, members_tail) = members_rest.split_at(r.len());
-                    members_rest = members_tail;
-                    handles.push(scope.spawn(move || inflate_run(mine, my_members)));
-                }
-                for h in handles {
-                    match h.join() {
-                        Ok(res) => results.push(res),
-                        // A worker panic is a programming error, not an
-                        // input error: propagate it unchanged.
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-            });
-        }
-        let mut crcs = Vec::with_capacity(chunk_count);
-        for r in results {
-            crcs.extend(r?);
-        }
-        crcs
-    };
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let payload = decode_slot(member, slot.len())?;
+        slot.copy_from_slice(&payload);
+        // decode_slot just verified the member's CRC; reuse the stored
+        // value.
+        member_stored_crc(member)
+    });
+    drop(slots);
 
-    // Combined-CRC cross-check ties the members to the header.
+    // Combined-CRC cross-check ties the members to the header; the
+    // first damaged member, in index order, is the error reported.
     let mut combined = 0u32;
     let mut remaining = total;
-    for crc in &crcs {
+    for crc in crcs {
         let len = remaining.min(chunk_bytes.max(1));
-        combined = crc32_combine(combined, *crc, crate::u64_from_usize(len));
+        combined = crc32_combine(combined, crc?, crate::u64_from_usize(len));
         remaining -= len;
     }
     if combined != stored_crc {
@@ -557,21 +467,14 @@ mod tests {
         }
     }
 
-    /// A sink that is not a `Vec`: appends and patches land in a
-    /// buffer of its own, and the highest patched offset is recorded.
-    struct Tracking {
-        buf: Vec<u8>,
-        max_patch_end: u64,
-    }
-    impl StreamSink for Tracking {
+    /// A sink that is not a `Vec`: every append is kept on its own.
+    #[derive(Default)]
+    struct Appends(Vec<Vec<u8>>);
+    impl StreamSink for Appends {
         type Error = std::convert::Infallible;
         fn write(&mut self, bytes: &[u8]) -> Result<(), Self::Error> {
-            self.buf.extend_from_slice(bytes);
+            self.0.push(bytes.to_vec());
             Ok(())
-        }
-        fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error> {
-            self.max_patch_end = self.max_patch_end.max(offset + bytes.len() as u64);
-            self.buf.patch(offset, bytes)
         }
     }
 
@@ -589,11 +492,11 @@ mod tests {
                         reference,
                         "{what}"
                     );
-                    let mut sink = Tracking { buf: Vec::new(), max_patch_end: 0 };
+                    let mut sink = Appends::default();
                     let written =
                         compress_chunked_stream(&data, Level::Default, chunk_bytes, threads, &mut sink)
                             .unwrap();
-                    assert_eq!(sink.buf, reference, "{what}");
+                    assert_eq!(sink.0.concat(), reference, "{what}");
                     assert_eq!(written, reference.len(), "{what}");
                 }
             }
@@ -601,13 +504,51 @@ mod tests {
     }
 
     #[test]
-    fn stream_patches_stay_inside_the_declared_prefix() {
-        let data = lcg_bytes(30_000, 21);
-        let mut sink = Tracking { buf: Vec::new(), max_patch_end: 0 };
-        compress_chunked_stream(&data, Level::Default, 4096, 4, &mut sink).unwrap();
-        assert!(sink.max_patch_end > 0);
-        assert!(sink.max_patch_end <= patchable_prefix(data.len(), 4096) as u64);
-        assert_eq!(decompress_chunked(&sink.buf, 1).unwrap(), data);
+    fn a_sink_sees_the_header_and_index_then_one_append_per_member() {
+        for (len, chunks) in [(0usize, 0usize), (1, 1), (30_000, 8)] {
+            let data = lcg_bytes(len, 21);
+            for threads in [1usize, 2, 4] {
+                let mut sink = Appends::default();
+                compress_chunked_stream(&data, Level::Default, 4096, threads, &mut sink).unwrap();
+                let what = format!("len={len} threads={threads}");
+                assert_eq!(sink.0.len(), 1 + chunks, "{what}");
+                assert_eq!(sink.0[0].len(), HEADER_BYTES + 8 * chunks, "{what}");
+                let packed = sink.0.concat();
+                let ranges = parse_header(&packed)
+                    .unwrap()
+                    .members(&sink.0[0][HEADER_BYTES..], packed.len() as u64)
+                    .unwrap();
+                for (member, range) in sink.0[1..].iter().zip(&ranges) {
+                    assert_eq!(member.len() as u64, range.compressed_len, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_damaged_member_in_index_order_is_the_error() {
+        let data = lcg_bytes(30_000, 23);
+        let packed = compress_chunked(&data, Level::Default, 4096, 2);
+        let ranges = parse_header(&packed)
+            .unwrap()
+            .members(&packed[HEADER_BYTES..HEADER_BYTES + 8 * 8], packed.len() as u64)
+            .unwrap();
+        // Flipping a member's stored CRC gives an error naming that CRC,
+        // so the errors of members 2 and 5 differ.
+        let flip = |bytes: &mut Vec<u8>, member: usize| {
+            let r = &ranges[member];
+            bytes[(r.offset + r.compressed_len - 8) as usize] ^= 0x5A;
+        };
+        let error_of = |bytes: &[u8], threads| format!("{:?}", decompress_chunked(bytes, threads).unwrap_err());
+        let (mut only_2, mut only_5) = (packed.clone(), packed.clone());
+        flip(&mut only_2, 2);
+        flip(&mut only_5, 5);
+        let mut both = only_2.clone();
+        flip(&mut both, 5);
+        assert_ne!(error_of(&only_2, 1), error_of(&only_5, 1));
+        for threads in [1usize, 2, 4] {
+            assert_eq!(error_of(&both, threads), error_of(&only_2, 1), "threads={threads}");
+        }
     }
 
     #[test]
@@ -623,9 +564,6 @@ mod tests {
                 }
                 self.writes_left -= 1;
                 Ok(())
-            }
-            fn patch(&mut self, _offset: u64, _bytes: &[u8]) -> Result<(), Self::Error> {
-                Err("sink died")
             }
         }
         let data = lcg_bytes(20_000, 22);

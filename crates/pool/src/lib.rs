@@ -1,25 +1,27 @@
 //! Scoped worker-thread helpers for intra-array parallelism.
 //!
-//! Every parallel stage in the pipeline follows the same shape: split
-//! a known amount of work into `workers` contiguous shards, run each
-//! shard on its own thread (scoped — `std::thread::scope` — so borrowed
-//! slices work without `'static` bounds), and combine the per-shard
-//! results in shard order so the outcome is independent of scheduling.
+//! Every parallel stage runs its work on scoped threads
+//! (`std::thread::scope`, so borrowed slices work without `'static`
+//! bounds) in one of two shapes, and combines the results in index
+//! order so the outcome is independent of scheduling:
 //!
-//! The calling thread always runs shard 0 itself, so `workers == 1`
-//! never spawns (the serial path stays allocation- and syscall-free)
-//! and `workers == n` spawns `n - 1` threads, not `n` with the caller
-//! idle in a join holding its own working set.
+//! - [`map_shards`] splits the work into `workers` contiguous shards up
+//!   front — for work of even cost (a rank's segment, a chain's links);
+//! - [`map_tasks`] lets every worker claim the next task index from one
+//!   counter — for tasks of uneven cost (gzip members over planes that
+//!   deflate at very different speeds), where a static split would
+//!   leave one worker idle behind another's slow shard.
+//!
+//! The calling thread is always worker 0, so `workers == 1` never
+//! spawns (the serial path stays allocation- and syscall-free) and
+//! `workers == n` spawns `n - 1` threads, not `n` with the caller idle
+//! in a join holding its own working set.
 
 #![forbid(unsafe_code)]
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-pub mod pipeline;
-mod steal;
-
-pub use pipeline::ordered_pipeline;
 
 /// Clamps a requested thread count to something sane: zero is treated
 /// as "unspecified" and becomes 1, and the count is capped by `work`
@@ -106,6 +108,46 @@ where
     })
 }
 
+/// Runs `f(i)` for every `i in 0..tasks` on `workers` threads and
+/// returns the results in index order. Workers claim indexes in
+/// ascending order from one shared counter, so a slow task holds up
+/// only the worker running it. The caller is worker 0 and runs task 0,
+/// so `workers == 1` spawns nothing; a panic in any task reaches the
+/// caller with its original payload once the other workers finish.
+pub fn map_tasks<U, F>(tasks: usize, workers: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    let workers = effective_workers(workers, tasks);
+    // Task 0 is the caller's. The counter hands out unique indexes only
+    // (its RMWs are totally ordered); results travel by the joins.
+    let next = AtomicUsize::new(1);
+    let run = |mut i: usize| {
+        let mut done = Vec::new();
+        while i < tasks {
+            done.push((i, f(i)));
+            i = next.fetch_add(1, Ordering::Relaxed);
+        }
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(|| run(next.fetch_add(1, Ordering::Relaxed))))
+            .collect();
+        let mut done = run(0);
+        for h in handles {
+            match h.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, u)| u).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,5 +220,49 @@ mod tests {
                 assert_eq!(*thread == caller, i == 0, "workers={workers}, shard {i}");
             }
         }
+    }
+
+    #[test]
+    fn map_tasks_runs_every_index_once_and_returns_them_in_order() {
+        for tasks in [0usize, 1, 97] {
+            for workers in [1usize, 2, 3, 8] {
+                let runs: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
+                let out = map_tasks(tasks, workers, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                });
+                let what = format!("tasks={tasks} workers={workers}");
+                assert_eq!(out, (0..tasks).map(|i| i * 3).collect::<Vec<_>>(), "{what}");
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_tasks_runs_a_task_on_the_caller() {
+        let caller = std::thread::current().id();
+        for (tasks, workers) in [(1usize, 1usize), (1, 4), (2, 2), (64, 8)] {
+            let threads = map_tasks(tasks, workers, |_| std::thread::current().id());
+            assert!(threads.contains(&caller), "tasks={tasks} workers={workers}");
+        }
+    }
+
+    #[test]
+    fn map_tasks_with_more_workers_than_tasks() {
+        assert_eq!(map_tasks(3, 16, |i| i + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn map_tasks_propagates_a_task_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            map_tasks(50, 3, |i| {
+                if i == 20 {
+                    panic!("task 20");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 20"));
     }
 }

@@ -179,7 +179,9 @@ impl Client {
         let ix = self.index(gen)?;
         let mut payloads = Vec::with_capacity(ix.ranks.len());
         for r in &ix.ranks {
-            let mut payload = Vec::with_capacity(r.payload_len as usize);
+            // The length is the server's claim: pre-size for one chunk at
+            // most, and let the bytes that do arrive grow the buffer.
+            let mut payload = Vec::with_capacity(r.payload_len.min(TRANSFER_CHUNK) as usize);
             self.fetch_segment(gen, r, TRANSFER_CHUNK, |bytes| {
                 payload.extend_from_slice(bytes);
                 Ok(())
@@ -243,5 +245,60 @@ impl ReplicaSink for RemoteReplica {
             .push_gen(put)
             .map(|_| ())
             .map_err(|e| StoreError::Io(std::io::Error::other(format!("buddy push: {e}"))))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ckpt_store::SegmentFormat;
+    use std::os::unix::net::UnixListener;
+
+    /// A buddy whose index claims a petabyte-sized rank and whose first
+    /// fetch fails: the pull must end in that error, with no allocation
+    /// sized by the claim.
+    #[test]
+    fn pull_gen_does_not_presize_from_the_claimed_length() {
+        let dir = std::env::temp_dir().join(format!("ckpt-client-claim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("buddy.sock");
+        let listener = UnixListener::bind(&socket).unwrap();
+        let buddy = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut answer = |expect: fn(&Request) -> bool, resp: Response| {
+                let body = proto::read_frame(&mut conn).unwrap().unwrap();
+                let req = proto::decode_request(&body).unwrap();
+                assert!(expect(&req), "unexpected request {req:?}");
+                proto::write_frame(&mut conn, &proto::encode_response(&resp)).unwrap();
+            };
+            let rank = RankIndex { rank: 0, payload_len: 1 << 50, crc: 0, members: Vec::new() };
+            answer(
+                |r| matches!(r, Request::Index { gen: 7 }),
+                Response::Index(GenIndex {
+                    gen: 7,
+                    step: 1,
+                    format: SegmentFormat::Array,
+                    base_gen: 7,
+                    error_bound: None,
+                    ranks: vec![rank],
+                }),
+            );
+            answer(
+                |r| matches!(r, Request::Fetch { gen: 7, rank: 0, offset: 0, .. }),
+                Response::Error {
+                    retryable: false,
+                    not_found: false,
+                    message: "segment unreadable".into(),
+                },
+            );
+        });
+        let err = Client::connect(&socket).unwrap().pull_gen(7).map(drop).unwrap_err();
+        buddy.join().unwrap();
+        assert!(
+            matches!(&err, ServeError::Remote { message, .. } if message == "segment unreadable"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

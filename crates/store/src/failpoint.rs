@@ -327,7 +327,7 @@ impl AsRef<Path> for Staging {
 
 /// A file being written through the seam's budget. It holds no public
 /// `File` and implements no `std::io::Write`, so a byte reaches it only
-/// through [`Staged::append`] or [`Staged::write_at`]:
+/// through [`Staged::append`]:
 ///
 /// ```compile_fail,E0599
 /// # use ckpt_store::{layout::Layout, FailPoint};
@@ -399,17 +399,6 @@ impl<'a> Staged<'a> {
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
         self.fp.write_all(&mut self.file, bytes)?;
         self.len += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Overwrites `bytes` at `offset` through the same budget: a kill
-    /// mid-patch leaves the prefix overwritten and the rest as it was —
-    /// the torn state a crash during a pwrite leaves. The handle then
-    /// returns to the end, so appends continue.
-    pub fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.fp.write_all(&mut self.file, bytes)?;
-        self.file.seek(SeekFrom::End(0))?;
         Ok(())
     }
 
@@ -589,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_tears_the_write_at_the_exact_byte() {
+    fn budget_tears_the_write_on_the_exact_byte() {
         let fp = FailPoint::after_bytes(3);
         let mut out = Vec::new();
         assert!(matches!(fp.write_all(&mut out, b"hello"), Err(StoreError::Killed)));

@@ -12,7 +12,7 @@ use crate::manifest::SegmentFormat;
 use crate::{Result, StoreError};
 use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::{incremental, Compressor};
-use ckpt_deflate::crc32::{crc32, crc32_combine, crc32_extend};
+use ckpt_deflate::crc32::{crc32, crc32_extend};
 use std::fs;
 
 /// Writes one rank's payload crash-consistently: create in `tmp/`,
@@ -28,9 +28,9 @@ pub fn write_segment(
     write_payload(layout, gen, rank, payload, fp).map(drop)
 }
 
-/// [`write_segment`] for the commit engine: one unmirrored append, so
-/// the payload is neither copied nor read a second time — the `Seg`
-/// record's CRC is the one the append computed.
+/// [`write_segment`] for the commit engine: one append, so the payload
+/// is neither copied nor read a second time — the `Seg` record's CRC is
+/// the one the append computed.
 pub(crate) fn write_payload(
     layout: &Layout,
     gen: u64,
@@ -38,26 +38,16 @@ pub(crate) fn write_payload(
     payload: &[u8],
     fp: &FailPoint,
 ) -> Result<Renamed> {
-    let mut w = SegmentWriter::create(layout, gen, rank, fp, false)?;
+    let mut w = SegmentWriter::create(layout, gen, rank, fp)?;
     w.append(payload)?;
     w.finish()
 }
 
 /// Incrementally writes one rank's segment under the same crash
-/// contract as [`write_segment`]: bytes stream into `tmp/` through the
-/// fail point as they arrive, and [`SegmentWriter::finish`] performs
-/// the fsync + rename that makes the file eligible for commit. Store
-/// I/O for early bytes thus overlaps whatever computation produces the
-/// later ones.
-///
-/// The writer also supports **patching** previously appended bytes —
-/// the WPK1 streaming protocol back-fills its header CRC and chunk
-/// index after the last member. To keep an exact running CRC without
-/// buffering the whole payload, a patchable writer mirrors its *first*
-/// append in memory (by protocol that append is exactly the patchable
-/// prefix: a small header plus 8 bytes per chunk) and requires every
-/// patch to land inside it; all later appends extend a running tail CRC,
-/// which `finish` joins to the mirror's with `crc32_combine`.
+/// contract as [`write_segment`]: bytes are appended into `tmp/`
+/// through the fail point as they arrive, each exactly once, with a
+/// running CRC-32 over them, and [`SegmentWriter::finish`] performs the
+/// fsync + rename that makes the file eligible for commit.
 ///
 /// Dropping the writer without calling `finish` leaves only tmp/
 /// litter, exactly like a killed [`write_segment`]; open-time recovery
@@ -67,40 +57,15 @@ pub struct SegmentWriter<'a> {
     gen: u64,
     rank: u32,
     file: Staged<'a>,
-    /// In-memory copy of the first append (empty when `patchable` is
-    /// false): the only region patches may touch.
-    mirror: Vec<u8>,
-    patchable: bool,
-    /// Running CRC over everything after the mirrored prefix.
-    tail_crc: u32,
-    tail_len: u64,
+    /// CRC-32 of every byte appended so far.
+    crc: u32,
 }
 
 impl<'a> SegmentWriter<'a> {
-    /// Opens the staging file for `(gen, rank)`. With `patchable` the
-    /// first append is mirrored in memory and may later be rewritten
-    /// with [`SegmentWriter::patch`]; without it, patches error and no
-    /// mirror is kept. Which one a save gets follows from its phase 1
-    /// (producer-fed: patchable; slice-fed: not), so only the store
-    /// chooses.
-    pub(crate) fn create(
-        layout: &'a Layout,
-        gen: u64,
-        rank: u32,
-        fp: &'a FailPoint,
-        patchable: bool,
-    ) -> Result<Self> {
+    /// Opens the staging file for `(gen, rank)`.
+    pub(crate) fn create(layout: &'a Layout, gen: u64, rank: u32, fp: &'a FailPoint) -> Result<Self> {
         let file = fp.create(&layout.tmp_path(gen, rank))?;
-        Ok(SegmentWriter {
-            layout,
-            gen,
-            rank,
-            file,
-            mirror: Vec::new(),
-            patchable,
-            tail_crc: 0,
-            tail_len: 0,
-        })
+        Ok(SegmentWriter { layout, gen, rank, file, crc: 0 })
     }
 
     /// Bytes appended so far.
@@ -117,34 +82,8 @@ impl<'a> SegmentWriter<'a> {
     /// point (a kill mid-append tears the file exactly where the
     /// budget ran out).
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        let first = self.file.is_empty();
         self.file.append(bytes)?;
-        if self.patchable && first {
-            self.mirror = bytes.to_vec();
-        } else {
-            self.tail_crc = crc32_extend(self.tail_crc, bytes);
-            self.tail_len += bytes.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Rewrites bytes inside the mirrored first append. The patch must
-    /// stay within that region — patching beyond it is a protocol
-    /// violation by the producer, reported as corruption rather than
-    /// silently computing a wrong CRC.
-    pub fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
-        let end = offset
-            .checked_add(bytes.len() as u64)
-            .ok_or_else(|| StoreError::Corrupt("segment patch range overflows".into()))?;
-        if !self.patchable || end > self.mirror.len() as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "segment patch [{offset}, {end}) outside the patchable prefix of {} bytes",
-                self.mirror.len()
-            )));
-        }
-        self.file.write_at(offset, bytes)?;
-        let at = offset as usize;
-        self.mirror[at..at + bytes.len()].copy_from_slice(bytes);
+        self.crc = crc32_extend(self.crc, bytes);
         Ok(())
     }
 
@@ -152,23 +91,18 @@ impl<'a> SegmentWriter<'a> {
     /// `segments/`, carrying the length and CRC its `Seg` record will
     /// state once the directory fsync makes them a `SegMeta`.
     pub(crate) fn finish(self) -> Result<Renamed> {
-        let crc = crc32_combine(crc32(&self.mirror), self.tail_crc, self.tail_len);
-        self.file.sync()?.rename(&self.layout.segment_path(self.gen, self.rank), crc)
+        self.file.sync()?.rename(&self.layout.segment_path(self.gen, self.rank), self.crc)
     }
 }
 
 /// A [`SegmentWriter`] is a WPK1 stream sink: `ckpt-core`'s
-/// `compress_stream` writes finished gzip members straight into the
-/// staging file while later chunks still compress.
+/// `compress_stream` appends the finished container straight into the
+/// staging file.
 impl ckpt_deflate::chunked::StreamSink for SegmentWriter<'_> {
     type Error = StoreError;
 
     fn write(&mut self, bytes: &[u8]) -> Result<()> {
         self.append(bytes)
-    }
-
-    fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
-        SegmentWriter::patch(self, offset, bytes)
     }
 }
 
@@ -280,7 +214,7 @@ mod tests {
         let l = scratch("stream");
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
         let fp = FailPoint::unlimited();
-        let mut w = SegmentWriter::create(&l, 4, 0, &fp, false).unwrap();
+        let mut w = SegmentWriter::create(&l, 4, 0, &fp).unwrap();
         for slice in payload.chunks(777) {
             w.append(slice).unwrap();
         }
@@ -294,39 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writer_patches_inside_the_first_append() {
-        let l = scratch("patch");
-        let fp = FailPoint::unlimited();
-        let mut w = SegmentWriter::create(&l, 5, 2, &fp, true).unwrap();
-        w.append(&[0u8; 32]).unwrap(); // placeholder prefix
-        w.append(b"body bytes that never change").unwrap();
-        w.patch(4, b"\xAA\xBB\xCC\xDD").unwrap();
-        // Patching past the first append is a protocol violation.
-        assert!(w.patch(30, b"xxxx").is_err());
-        let meta = fp.sync_dir(&l.segments, vec![w.finish().unwrap()]).unwrap()[0];
-        let (len, crc) = (meta.payload_len(), meta.crc());
-        let on_disk = fs::read(l.segment_path(5, 2)).unwrap();
-        assert_eq!(on_disk.len() as u64, len);
-        assert_eq!(&on_disk[4..8], b"\xAA\xBB\xCC\xDD");
-        assert_eq!(crc, crc32(&on_disk), "CRC must cover the patched bytes");
-        let _ = fs::remove_dir_all(&l.root);
-    }
-
-    #[test]
-    fn unpatchable_writer_rejects_patches() {
-        let l = scratch("nopatch");
-        let fp = FailPoint::unlimited();
-        let mut w = SegmentWriter::create(&l, 6, 0, &fp, false).unwrap();
-        w.append(b"0123456789").unwrap();
-        assert!(w.patch(0, b"x").is_err());
-        let _ = fs::remove_dir_all(&l.root);
-    }
-
-    #[test]
     fn killed_stream_leaves_only_tmp_litter() {
         let l = scratch("stream-kill");
         let fp = FailPoint::after_bytes(40);
-        let mut w = SegmentWriter::create(&l, 7, 1, &fp, true).unwrap();
+        let mut w = SegmentWriter::create(&l, 7, 1, &fp).unwrap();
         w.append(&[1u8; 32]).unwrap();
         assert!(matches!(w.append(&[2u8; 32]), Err(StoreError::Killed)));
         // The writer is dead; dropping it without finish leaves the
@@ -334,19 +239,6 @@ mod tests {
         drop(w);
         assert!(!l.segment_path(7, 1).exists());
         assert_eq!(fs::read(l.tmp_path(7, 1)).unwrap().len(), 40);
-        let _ = fs::remove_dir_all(&l.root);
-    }
-
-    #[test]
-    fn kill_mid_patch_tears_the_patch() {
-        let l = scratch("patch-kill");
-        let fp = FailPoint::after_bytes(34);
-        let mut w = SegmentWriter::create(&l, 8, 0, &fp, true).unwrap();
-        w.append(&[0u8; 32]).unwrap();
-        // Budget leaves 2 bytes: the 4-byte patch tears after 2.
-        assert!(matches!(w.patch(8, b"\xDE\xAD\xBE\xEF"), Err(StoreError::Killed)));
-        let tmp = fs::read(l.tmp_path(8, 0)).unwrap();
-        assert_eq!(&tmp[8..12], b"\xDE\xAD\x00\x00", "torn patch");
         let _ = fs::remove_dir_all(&l.root);
     }
 

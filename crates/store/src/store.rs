@@ -410,10 +410,11 @@ impl Store {
     }
 
     /// Saves a full generation whose per-rank payloads are **produced
-    /// while they are written**: for each rank, `producer` receives a
-    /// [`SegmentWriter`](segment::SegmentWriter) and streams the
-    /// payload into it (e.g. via `Compressor::compress_stream`), so
-    /// store I/O for early chunks overlaps compression of later ones.
+    /// into their segments**: for each rank, `producer` receives a
+    /// [`SegmentWriter`](segment::SegmentWriter) and appends the
+    /// payload to it (e.g. via `Compressor::compress_stream`, or a
+    /// payload file read in bounded chunks), so no caller has to hold
+    /// a rank's payload before the save starts.
     /// Only phase 1 differs from [`Store::save_full`] — every segment
     /// still goes tmp → fsync → rename before the one commit engine
     /// appends the generation — and the committed bytes are exactly
@@ -441,12 +442,12 @@ impl Store {
             return Err(StoreError::NotFound("a save needs at least one rank payload".into()));
         }
         let gen = self.next_gen;
-        // Phase 1: stream each rank's segment; the producer drives its
+        // Phase 1: produce each rank's segment; the producer drives its
         // own intra-rank parallelism.
         let stream_segments = |layout: &Layout, fp: &FailPoint| {
             (0..ranks)
                 .map(|rank| {
-                    let mut w = segment::SegmentWriter::create(layout, gen, rank, fp, true)?;
+                    let mut w = segment::SegmentWriter::create(layout, gen, rank, fp)?;
                     producer(rank, &mut w)?;
                     if w.is_empty() {
                         return Err(StoreError::NotFound(format!(

@@ -3,10 +3,10 @@
 //! `tests/corpus/golden_wpk1_multichunk.bin` (six chunks, the last a
 //! 521-byte tail; `examples/gen_corpus.rs`) is what the encoder writes
 //! at one thread into a `Vec`; it must write the same file bit for bit
-//! at every thread count and through every kind of sink: a `Vec`, the
-//! store's `SegmentWriter` (mirrored prefix, patches, rename), and the
-//! CLI's file sink (`ckpt-cli`'s `commands::tests`, which cannot be
-//! reached from here).
+//! at every thread count and through both kinds of sink: a `Vec`, and
+//! the store's `SegmentWriter` (appends, running CRC, rename). The CLI
+//! writes the bytes `Compressor::compress` returns, which `ckpt-cli`'s
+//! `the_output_file_holds_the_bytes_compress_returns` holds it to.
 //!
 //! `decode_only_wpk1_multichunk.bin` is the same input as the encoder
 //! wrote it before the LZ77 matcher gained its miss stride — itself
@@ -66,8 +66,8 @@ fn every_sink_reproduces_the_golden_container_at_every_thread_count() {
             golden,
             "SegmentWriter file, threads={threads}"
         );
-        // The manifest CRC came from the writer's mirror + running
-        // tail: a CRC-checked read vouches for it.
+        // The manifest CRC came from the writer's running CRC: a
+        // CRC-checked read vouches for it.
         assert_eq!(store.read_segment(gen, 0).unwrap(), golden, "threads={threads}");
     }
     let _ = fs::remove_dir_all(&dir);

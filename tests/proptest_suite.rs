@@ -436,7 +436,7 @@ proptest! {
         let in_memory = comp.compress(&t).unwrap();
         let mut sink = Scattered::default();
         let streamed = comp.compress_stream(&t, &mut sink).unwrap();
-        prop_assert_eq!(&sink.bytes(), &in_memory.bytes, "threads={} chunk_kib={}", threads, chunk_kib);
+        prop_assert_eq!(&sink.0.concat(), &in_memory.bytes, "threads={} chunk_kib={}", threads, chunk_kib);
         prop_assert_eq!(streamed.stats, in_memory.stats);
     }
 
@@ -457,43 +457,24 @@ proptest! {
             let written =
                 chunked::compress_chunked_stream(&data, level, chunk_bytes, threads, &mut sink)
                     .unwrap();
-            prop_assert_eq!(&sink.bytes(), &reference, "nor on the sink (threads={})", threads);
+            prop_assert_eq!(&sink.0.concat(), &reference, "nor on the sink (threads={})", threads);
             prop_assert_eq!(written, reference.len());
         }
         prop_assert_eq!(&chunked::decompress_chunked(&reference, 1).unwrap(), &data);
     }
 }
 
-/// A stream sink that is not a `Vec`: appends and patches are kept
-/// apart until the bytes are asked for.
+/// A stream sink that is not a `Vec`: appends are kept apart until the
+/// bytes are asked for.
 #[derive(Default)]
-struct Scattered {
-    appends: Vec<Vec<u8>>,
-    patches: Vec<(u64, Vec<u8>)>,
-}
+struct Scattered(Vec<Vec<u8>>);
 
 impl lossy_ckpt::deflate::chunked::StreamSink for Scattered {
     type Error = std::convert::Infallible;
 
     fn write(&mut self, bytes: &[u8]) -> Result<(), Self::Error> {
-        self.appends.push(bytes.to_vec());
+        self.0.push(bytes.to_vec());
         Ok(())
-    }
-
-    fn patch(&mut self, offset: u64, bytes: &[u8]) -> Result<(), Self::Error> {
-        self.patches.push((offset, bytes.to_vec()));
-        Ok(())
-    }
-}
-
-impl Scattered {
-    fn bytes(&self) -> Vec<u8> {
-        let mut out = self.appends.concat();
-        for (offset, bytes) in &self.patches {
-            let at = *offset as usize;
-            out[at..at + bytes.len()].copy_from_slice(bytes);
-        }
-        out
     }
 }
 

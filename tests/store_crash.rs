@@ -111,20 +111,20 @@ fn kill_sweep_full_save(ranks: u64, threads: usize) {
 }
 
 /// The same exhaustive sweep over the *streamed* save path: each
-/// rank's WPK1 container is produced by the pipelined compressor
-/// directly into the store's [`SegmentWriter`], so the write stream
-/// contains header, members, and the end-of-stream index/CRC patches
-/// (kills land mid-append *and* mid-patch). The crash contract must
-/// hold byte-for-byte, and a committed streamed segment must be
-/// identical to the buffered container.
+/// rank's WPK1 container is compressed on two threads and appended
+/// directly into the store's [`SegmentWriter`] — header and chunk index
+/// in one append, then one append per member, every byte written once
+/// (there are no patches left to tear). The crash contract must hold
+/// byte-for-byte, and a committed streamed segment must be identical
+/// to the buffered container.
 #[test]
 fn kill_at_every_byte_of_streamed_save_preserves_previous_generation() {
     use lossy_ckpt::core::StreamError;
 
     // Chunked (threads > 1) config with small chunks so each rank's
     // segment is a WCK1 stream whose WPK1 container has several
-    // members — the write stream then holds header, members, and the
-    // end-of-stream index/CRC patches.
+    // members — kills land inside the header/index append and inside
+    // and between the members.
     let cfg = CompressorConfig::paper_proposed().with_threads(2).with_chunk_bytes(128);
     let comp = Compressor::new(cfg).unwrap();
     let tensors: Vec<Tensor<f64>> = (0..2u64)
