@@ -29,8 +29,8 @@ impl Block {
             if s == 0 {
                 return Err(TensorError::EmptyShape);
             }
-            if b + s > d {
-                return Err(TensorError::OutOfBounds { axis, index: b + s - 1, dim: d });
+            if b.checked_add(s).is_none_or(|end| end > d) {
+                return Err(TensorError::OutOfBounds { axis, index: b.saturating_add(s - 1), dim: d });
             }
         }
         Ok(Block { start: start.to_vec(), size: size.to_vec() })
@@ -41,19 +41,31 @@ impl Block {
         self.size.iter().product()
     }
 
-    /// Enumerates the flat offsets of the block in row-major order of the
-    /// block-local index, calling `f(flat_offset)` for each.
-    pub fn for_each_offset(&self, shape: &Shape, mut f: impl FnMut(usize)) {
-        let ndim = self.start.len();
+    /// The shape of one plane of the block's last two axes: `rows` runs
+    /// of `run` contiguous elements, each `pitch` past the one before.
+    /// A 1-d block is a plane of one row.
+    fn plane(&self, shape: &Shape) -> (usize, usize, usize) {
+        let ndim = self.size.len();
+        let run = self.size[ndim - 1];
+        match ndim {
+            1 => (1, run, run),
+            _ => (self.size[ndim - 2], shape.strides()[ndim - 2], run),
+        }
+    }
+
+    /// Calls `f(offset)` with the flat offset of the first element of
+    /// every plane of the block (see [`Block::plane`]), one per index of
+    /// the leading axes, in row-major order of the block-local index.
+    fn for_each_plane(&self, shape: &Shape, mut f: impl FnMut(usize)) {
+        let lead = self.size.len().saturating_sub(2);
         let strides = shape.strides();
-        let mut local = vec![0usize; ndim];
-        let base: usize = self.start.iter().zip(strides).map(|(&b, &s)| b * s).sum();
-        let mut off = base;
+        let mut local = vec![0usize; lead];
+        let mut off: usize = self.start.iter().zip(strides).map(|(&b, &s)| b * s).sum();
         loop {
             f(off);
-            // Row-major advance of the block-local cursor, updating the
+            // Row-major advance of the leading-axes cursor, updating the
             // flat offset incrementally.
-            let mut axis = ndim;
+            let mut axis = lead;
             loop {
                 if axis == 0 {
                     return;
@@ -76,9 +88,19 @@ impl<T: Copy> Tensor<T> {
     /// in row-major order of the block-local index.
     pub fn read_block(&self, start: &[usize], size: &[usize]) -> Result<Vec<T>> {
         let block = Block::new(self.shape(), start, size)?;
+        let (rows, pitch, run) = block.plane(self.shape());
         let mut out = Vec::with_capacity(block.volume());
         let data = self.as_slice();
-        block.for_each_offset(self.shape(), |off| out.push(data[off]));
+        block.for_each_plane(self.shape(), |off| {
+            let plane = data[off..].chunks(pitch).take(rows);
+            if run == 1 {
+                out.extend(plane.map(|row| row[0]));
+            } else {
+                for row in plane {
+                    out.extend_from_slice(&row[..run]);
+                }
+            }
+        });
         Ok(out)
     }
 
@@ -90,11 +112,20 @@ impl<T: Copy> Tensor<T> {
             return Err(TensorError::LengthMismatch { expected: block.volume(), got: src.len() });
         }
         let shape = self.shape().clone();
+        let (rows, pitch, run) = block.plane(&shape);
         let data = self.as_mut_slice();
-        let mut i = 0;
-        block.for_each_offset(&shape, |off| {
-            data[off] = src[i];
-            i += 1;
+        let mut src = src.chunks_exact(run);
+        block.for_each_plane(&shape, |off| {
+            let plane = data[off..].chunks_mut(pitch).zip(src.by_ref().take(rows));
+            if run == 1 {
+                for (row, v) in plane {
+                    row[0] = v[0];
+                }
+            } else {
+                for (row, v) in plane {
+                    row[..run].copy_from_slice(v);
+                }
+            }
         });
         Ok(())
     }
@@ -103,6 +134,98 @@ impl<T: Copy> Tensor<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    impl Block {
+        /// The oracle the row copies are held to: every flat offset of
+        /// the block, one at a time, in row-major order of the
+        /// block-local index.
+        fn for_each_offset(&self, shape: &Shape, mut f: impl FnMut(usize)) {
+            let ndim = self.start.len();
+            let strides = shape.strides();
+            let mut local = vec![0usize; ndim];
+            let mut off: usize = self.start.iter().zip(strides).map(|(&b, &s)| b * s).sum();
+            loop {
+                f(off);
+                let mut axis = ndim;
+                loop {
+                    if axis == 0 {
+                        return;
+                    }
+                    axis -= 1;
+                    local[axis] += 1;
+                    off += strides[axis];
+                    if local[axis] < self.size[axis] {
+                        break;
+                    }
+                    off -= strides[axis] * self.size[axis];
+                    local[axis] = 0;
+                }
+            }
+        }
+    }
+
+    /// `read_block` and `write_block` on `t` against the per-element
+    /// walk; `fresh` makes the values written.
+    fn rows_match_the_walk<T: Copy + PartialEq + std::fmt::Debug>(
+        t: &Tensor<T>,
+        start: &[usize],
+        size: &[usize],
+        fresh: impl Fn(usize) -> T,
+    ) -> std::result::Result<(), TestCaseError> {
+        let block = Block::new(t.shape(), start, size).unwrap();
+        let mut want = Vec::new();
+        block.for_each_offset(t.shape(), |off| want.push(t.as_slice()[off]));
+        prop_assert_eq!(t.read_block(start, size).unwrap(), want);
+
+        let src: Vec<T> = (0..block.volume()).map(fresh).collect();
+        let mut got = t.clone();
+        got.write_block(start, size, &src).unwrap();
+        let mut want = t.clone();
+        let mut values = src.iter();
+        block.for_each_offset(t.shape(), |off| want.as_mut_slice()[off] = *values.next().unwrap());
+        prop_assert_eq!(got, want);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn row_copies_equal_the_per_element_walk(
+            axes in prop::collection::vec((1usize..=9, 0usize..9, 1usize..=9), 1..=5),
+            seed in 0u64..1 << 20,
+        ) {
+            // Per axis: the extent, then a start and a size folded into it.
+            let dims: Vec<usize> = axes.iter().map(|a| a.0).collect();
+            let start: Vec<usize> = axes.iter().map(|&(d, s, _)| s % d).collect();
+            let size: Vec<usize> =
+                axes.iter().zip(&start).map(|(&(d, _, z), &b)| 1 + (z - 1) % (d - b)).collect();
+            let f = Tensor::from_fn(&dims, |i| {
+                i.iter().fold(seed as f64, |acc, &v| acc * 10.0 + v as f64)
+            })
+            .unwrap();
+            rows_match_the_walk(&f, &start, &size, |k| -(k as f64) - 0.5)?;
+            let b = Tensor::from_fn(&dims, |i| {
+                i.iter().fold(seed as u8, |acc, &v| acc.wrapping_mul(31).wrapping_add(v as u8))
+            })
+            .unwrap();
+            rows_match_the_walk(&b, &start, &size, |k| (k as u8).wrapping_mul(7) ^ 0x5A)?;
+        }
+    }
+
+    #[test]
+    fn a_start_near_usize_max_is_out_of_bounds() {
+        let mut t = Tensor::<f64>::zeros(&[2, 2]).unwrap();
+        assert!(matches!(
+            t.read_block(&[usize::MAX, 0], &[2, 1]),
+            Err(TensorError::OutOfBounds { axis: 0, dim: 2, .. })
+        ));
+        assert!(matches!(
+            t.write_block(&[0, usize::MAX], &[1, 2], &[1.0, 2.0]),
+            Err(TensorError::OutOfBounds { axis: 1, dim: 2, .. })
+        ));
+        assert_eq!(t.as_slice(), &[0.0; 4]);
+    }
 
     #[test]
     fn block_validation() {

@@ -13,6 +13,9 @@ pub enum TensorError {
     LengthMismatch { expected: usize, got: usize },
     /// An axis index was out of range for the tensor's dimensionality.
     AxisOutOfRange { axis: usize, ndim: usize },
+    /// An axis was named more than once where each may appear at most
+    /// once.
+    DuplicateAxis { axis: usize },
     /// A multi-dimensional index or block exceeded the tensor bounds.
     OutOfBounds { axis: usize, index: usize, dim: usize },
     /// A block descriptor had a different rank than the tensor.
@@ -31,6 +34,7 @@ impl fmt::Display for TensorError {
             TensorError::AxisOutOfRange { axis, ndim } => {
                 write!(f, "axis {axis} out of range for {ndim}-dimensional tensor")
             }
+            TensorError::DuplicateAxis { axis } => write!(f, "axis {axis} given more than once"),
             TensorError::OutOfBounds { axis, index, dim } => {
                 write!(f, "index {index} out of bounds for axis {axis} with extent {dim}")
             }

@@ -13,8 +13,8 @@
 //!   [`cdf53`] and [`cdf97`], the reference the batched `ckpt-simd`
 //!   kernels are pinned to,
 //! * [`transform`] — separable single-level transforms over any subset of
-//!   axes of an N-d [`ckpt_tensor::Tensor`], in place: one tiled walk
-//!   per axis through the batched kernels,
+//!   axes of an N-d [`ckpt_tensor::Tensor`], in place: each axis pass
+//!   runs the batched kernels over whole rows,
 //! * [`subband`] — the axis-aligned block layout of the `2^k` subbands a
 //!   `k`-axis transform produces (`LL…L` plus `2^k − 1` high bands),
 //! * [`multilevel`] — recursive decomposition of the low band (an

@@ -9,15 +9,25 @@
 //! The transform is in place: after `forward`, the low band occupies the
 //! low half of every transformed axis and the high bands the high halves,
 //! in the block layout described by [`crate::subband`].
+//!
+//! Every axis pass runs the batched `ckpt-simd` kernels over whole rows.
+//! On a leading axis the tensor already is their batch layout, so the
+//! kernel reads the tensor and writes a second buffer of its size, and
+//! the two swap; only the last axis, whose lanes are contiguous, gathers
+//! tiles (see `transform_axis`).
 
 use ckpt_simd::wavelet::WaveletOp;
 use ckpt_tensor::{Result, Tensor, TensorError};
 
-/// How many lanes a batched kernel call processes at once. Eight f64
-/// columns are two AVX2 vectors per row — wide enough to amortize the
-/// batch gather, narrow enough that the interleaved scratch stays in
-/// L1 for the lane lengths the pipeline uses.
-const LANE_BATCH: usize = 8;
+/// How many values a last-axis tile holds at least: `ceil(512 / n)`
+/// lanes of `n`. A short axis (the mesh's n = 2) then takes a few
+/// hundred kernel calls per pass, each long enough to pay for its
+/// set-up, and each tile row is gathered in one sweep over the lanes.
+const TILE_VALUES: usize = 512;
+
+/// The fewest lanes in a last-axis tile, so a long axis still fills
+/// two AVX2 vectors per tile row.
+const MIN_TILE_LANES: usize = 8;
 
 /// Which 1-d wavelet kernel to apply per lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,42 +59,56 @@ impl Kernel {
     }
 }
 
-/// Applies `op` along every lane of `axis`, in place.
+/// Applies `op` along every lane of `axis`; `scratch` is a buffer the
+/// passes of one call share.
 ///
-/// Around the axis the tensor is `[outer][n][inner]`: element `k` of
-/// lane `j` of a block sits at `base + k·row_pitch + j·lane_pitch`. For
-/// every axis but the last a block is one `outer` index and its lanes
-/// are the `inner` unit-pitched columns; the last axis (`inner == 1`) is
-/// the same loop with the two pitches swapped — one block whose lanes
-/// are the `outer` contiguous rows. Tiles of at most [`LANE_BATCH`]
-/// lanes are gathered into batch layout (`tile[k·w + j]`), run through
-/// the batched kernel and scattered back, so per-lane arithmetic is the
-/// batched kernels' on every axis.
-fn transform_axis(t: &mut Tensor<f64>, axis: usize, op: WaveletOp) -> Result<()> {
+/// Around the axis the tensor is `[outer][n][inner]`. For every axis
+/// but the last, a block (one `outer` index) *is* batch layout with
+/// `w = inner`: element `k` of lane `j` sits at `block[k·inner + j]`.
+/// So the kernel reads each block where it lies and writes it, whole
+/// rows at a time, into the same place of a tensor-sized `scratch`,
+/// which then becomes the tensor's buffer (the old buffer becomes
+/// `scratch`). The last axis (`inner == 1`) has contiguous lanes
+/// instead: tiles of at least [`TILE_VALUES`] values are gathered into
+/// batch layout, run through the kernel and scattered back in place.
+/// Lanes are independent, so per-lane arithmetic is the batched
+/// kernels' on every axis, whatever the tile width.
+fn transform_axis(
+    t: &mut Tensor<f64>,
+    axis: usize,
+    op: WaveletOp,
+    scratch: &mut Vec<f64>,
+) -> Result<()> {
     let n = t.shape().dim(axis)?;
     let outer: usize = t.dims()[..axis].iter().product();
     let inner: usize = t.dims()[axis + 1..].iter().product();
-    let (blocks, lanes, row_pitch, lane_pitch) =
-        if inner == 1 { (1, outer, 1, n) } else { (outer, inner, inner, 1) };
     let level = ckpt_simd::dispatch::level();
     let buf = t.as_mut_slice();
-    let mut tile = vec![0.0f64; n * LANE_BATCH.min(lanes)];
-    let mut done = tile.clone();
-    for block in 0..blocks {
-        for first in (0..lanes).step_by(LANE_BATCH) {
-            let w = LANE_BATCH.min(lanes - first);
-            let base = block * n * lanes + first * lane_pitch;
-            let (tile, done) = (&mut tile[..n * w], &mut done[..n * w]);
-            for (k, row) in tile.chunks_exact_mut(w).enumerate() {
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot = buf[base + k * row_pitch + j * lane_pitch];
-                }
+    if inner > 1 {
+        scratch.resize(buf.len(), 0.0);
+        for (src, dst) in buf.chunks_exact(n * inner).zip(scratch.chunks_exact_mut(n * inner)) {
+            ckpt_simd::wavelet::apply_at(level, op, src, dst, n, inner);
+        }
+        let dims = t.dims().to_vec();
+        let done = Tensor::from_vec(&dims, std::mem::take(scratch))?;
+        *scratch = std::mem::replace(t, done).into_vec();
+        return Ok(());
+    }
+    let lanes = TILE_VALUES.div_ceil(n).max(MIN_TILE_LANES).min(outer);
+    scratch.resize(2 * n * lanes, 0.0);
+    let (tile, done) = scratch.split_at_mut(n * lanes);
+    for rows in buf.chunks_mut(n * lanes) {
+        let w = rows.len() / n;
+        let (tile, done) = (&mut tile[..n * w], &mut done[..n * w]);
+        for (k, tile_row) in tile.chunks_exact_mut(w).enumerate() {
+            for (slot, lane) in tile_row.iter_mut().zip(rows.chunks_exact(n)) {
+                *slot = lane[k];
             }
-            ckpt_simd::wavelet::apply_at(level, op, tile, done, n, w);
-            for (k, row) in done.chunks_exact(w).enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    buf[base + k * row_pitch + j * lane_pitch] = v;
-                }
+        }
+        ckpt_simd::wavelet::apply_at(level, op, tile, done, n, w);
+        for (k, done_row) in done.chunks_exact(w).enumerate() {
+            for (&v, lane) in done_row.iter().zip(rows.chunks_exact_mut(n)) {
+                lane[k] = v;
             }
         }
     }
@@ -95,8 +119,9 @@ fn transform_axis(t: &mut Tensor<f64>, axis: usize, op: WaveletOp) -> Result<()>
 /// in order; any subset of `0..ndim`, each at most once.
 pub fn forward_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
     validate_axes(t, axes)?;
+    let mut scratch = Vec::new();
     for &axis in axes {
-        transform_axis(t, axis, kernel.batch_op(true))?;
+        transform_axis(t, axis, kernel.batch_op(true), &mut scratch)?;
     }
     Ok(())
 }
@@ -105,8 +130,9 @@ pub fn forward_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Resu
 /// (reverse axis order).
 pub fn inverse_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
     validate_axes(t, axes)?;
+    let mut scratch = Vec::new();
     for &axis in axes.iter().rev() {
-        transform_axis(t, axis, kernel.batch_op(false))?;
+        transform_axis(t, axis, kernel.batch_op(false), &mut scratch)?;
     }
     Ok(())
 }
@@ -132,7 +158,7 @@ fn validate_axes(t: &Tensor<f64>, axes: &[usize]) -> Result<()> {
             return Err(TensorError::AxisOutOfRange { axis: a, ndim });
         }
         if seen[a] {
-            return Err(TensorError::AxisOutOfRange { axis: a, ndim });
+            return Err(TensorError::DuplicateAxis { axis: a });
         }
         seen[a] = true;
     }
@@ -243,9 +269,14 @@ mod tests {
     #[test]
     fn duplicate_or_invalid_axes_rejected() {
         let mut t = ramp(&[4, 4]);
-        assert!(forward_axes(&mut t, &[0, 0], Kernel::Haar).is_err());
-        assert!(forward_axes(&mut t, &[2], Kernel::Haar).is_err());
+        let err = forward_axes(&mut t, &[0, 0], Kernel::Haar).unwrap_err();
+        assert_eq!(err, TensorError::DuplicateAxis { axis: 0 });
+        assert_eq!(err.to_string(), "axis 0 given more than once");
+        let err = forward_axes(&mut t, &[2], Kernel::Haar).unwrap_err();
+        assert_eq!(err.to_string(), "axis 2 out of range for 2-dimensional tensor");
+        assert!(inverse_axes(&mut t, &[1, 1], Kernel::Haar).is_err());
         assert!(inverse_axes(&mut t, &[2], Kernel::Haar).is_err());
+        assert_eq!(t, ramp(&[4, 4]));
     }
 
     /// The reference an axis pass is held to: every lane read element
@@ -282,9 +313,24 @@ mod tests {
     #[test]
     fn every_axis_pass_is_the_1d_reference_applied_lane_by_lane() {
         let bits = |t: &Tensor<f64>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for dims in
-            [&[1156usize, 82, 2][..], &[13, 7, 5], &[64, 32], &[3], &[1, 1], &[2, 3, 4, 5]]
-        {
+        for dims in [
+            &[1156usize, 82, 2][..],
+            &[13, 7, 5],
+            &[64, 32],
+            &[3],
+            &[1, 1],
+            &[2, 3, 4, 5],
+            // An n = 2 last axis whose 3471 lanes are not a whole number
+            // of 256-lane tiles.
+            &[1157, 3, 2],
+            // A long last axis: one tile, narrower than the 8-lane minimum.
+            &[3, 1000],
+            // A wide inner run (axis 0's rows are 300 lanes) and a last
+            // axis whose 2-lane tile is all SIMD tail.
+            &[2, 300],
+            // An extent-1 axis in the middle.
+            &[5, 1, 7],
+        ] {
             // A ramp under a non-linear term, so no high band is constant.
             let t = Tensor::from_fn(dims, |idx| {
                 let r: usize = idx.iter().enumerate().map(|(a, &i)| (a + 1) * i).sum();
