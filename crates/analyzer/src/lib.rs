@@ -55,7 +55,6 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/store/src/replicate.rs",
     "crates/store/src/segment.rs",
     "crates/serve/src/proto.rs",
-    "crates/serve/src/restore.rs",
 ];
 
 /// Functions that receive bytes from disk/network, beyond each
@@ -70,11 +69,7 @@ pub const EXTRA_ENTRY_POINTS: &[&str] = &[
     "decompress_chunked",
     "inspect",
     "decompress_member",
-    // `gzip::Member::step`: the member decoder as the streamed restore
-    // drives it (its one-shot form is `decompress_member`).
-    "step",
     "inflate",
-    "inflate_step",
     "decode_request",
     "decode_response",
     "verify_payload",

@@ -85,7 +85,7 @@ pub fn check(format_md: &str, formats: &[Format]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_deflate::frame::{CSM2, ICK1, SRV1};
+    use ckpt_deflate::frame::{CSM2, RPC1, SRV1};
 
     const DOC_TEXT: &str = r#"
 # Wire formats
@@ -98,14 +98,9 @@ prose, not a format section: magic "ZZZZ"
 
 Envelope: `len | crc | body` behind header8("CSM2", 1).
 
-## `ICK1` — inflate checkpoint
+## `RPC1` — replication cursor
 
-Envelope: `body | crc32`.
-
-```
-0  4  magic "ICK1"
-4  1  version (= 1)
-```
+Envelope: `body | crc32` behind header8("RPC1", 1).
 
 ## `SRV1` — socket framing
 
@@ -114,15 +109,16 @@ Envelope: `len | crc | body`, untagged.
 
     #[test]
     fn matching_doc_is_clean() {
-        let v = check(DOC_TEXT, &[CSM2, ICK1, SRV1]);
+        let v = check(DOC_TEXT, &[CSM2, RPC1, SRV1]);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn version_and_envelope_drift_are_flagged() {
-        let v = check(&DOC_TEXT.replace("version (= 1)", "version (= 2)"), &[CSM2, ICK1, SRV1]);
-        assert!(v.iter().any(|v| v.message.contains("version (= 1)")), "{v:?}");
-        let v = check(&DOC_TEXT.replace("`body | crc32`", "`len | crc | body`"), &[ICK1]);
+        let drifted = DOC_TEXT.replace("header8(\"RPC1\", 1)", "header8(\"RPC1\", 2)");
+        let v = check(&drifted, &[CSM2, RPC1, SRV1]);
+        assert!(v.iter().any(|v| v.message.contains("header8(\"RPC1\", 1)")), "{v:?}");
+        let v = check(&DOC_TEXT.replace("`body | crc32`", "`len | crc | body`"), &[RPC1]);
         assert!(v.iter().any(|v| v.message.contains("body | crc32")), "{v:?}");
         let v = check(&DOC_TEXT.replace("header8(\"CSM2\", 1)", "an 8-byte header"), &[CSM2]);
         assert!(v.iter().any(|v| v.message.contains("header8")), "{v:?}");
@@ -130,9 +126,9 @@ Envelope: `len | crc | body`, untagged.
 
     #[test]
     fn a_format_missing_on_either_side_is_flagged() {
-        let v = check(DOC_TEXT, &[CSM2, ICK1]);
+        let v = check(DOC_TEXT, &[CSM2, RPC1]);
         assert!(v.iter().any(|v| v.message.contains("section `SRV1` names no format")), "{v:?}");
-        let v = check(&DOC_TEXT.replace("## `SRV1`", "## SRV1"), &[CSM2, ICK1, SRV1]);
+        let v = check(&DOC_TEXT.replace("## `SRV1`", "## SRV1"), &[CSM2, RPC1, SRV1]);
         assert!(v.iter().any(|v| v.message.contains("lists `SRV1`")), "{v:?}");
     }
 }

@@ -1,5 +1,6 @@
 //! A small, dependency-free flag parser: `--key value` pairs, `-o`
-//! shorthand, and positional arguments.
+//! shorthand, and positional arguments. Each verb names the flags it
+//! takes; any other flag is an error, never silently ignored.
 
 use std::collections::HashMap;
 
@@ -11,19 +12,20 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses raw arguments. Every `--flag` (and `-o`, an alias for
-    /// `--out`) must be followed by a value.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses the raw arguments of `ckpt <verb>`, which takes the flags
+    /// named in `accepted` (`out` covers `-o` too). Every flag must be
+    /// followed by a value; a flag `verb` does not take is an error that
+    /// names both.
+    pub fn parse(argv: &[String], verb: &str, accepted: &[&str]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if a == "-o" || a == "--out" {
-                let v = it.next().ok_or("missing value after -o/--out")?;
-                out.flags.insert("out".into(), v.clone());
-            } else if let Some(name) = a.strip_prefix("--") {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("missing value after --{name}"))?;
+            let name = if a == "-o" { Some("out") } else { a.strip_prefix("--") };
+            if let Some(name) = name {
+                if !accepted.contains(&name) {
+                    return Err(format!("unknown flag --{name} for ckpt {verb}"));
+                }
+                let v = it.next().ok_or_else(|| format!("missing value after {a}"))?;
                 out.flags.insert(name.to_string(), v.clone());
             } else {
                 out.positional.push(a.clone());
@@ -75,9 +77,13 @@ mod tests {
         s.iter().map(|v| v.to_string()).collect()
     }
 
+    fn parse(s: &[&str]) -> Result<Args, String> {
+        Args::parse(&argv(s), "test", &["n", "d", "out"])
+    }
+
     #[test]
     fn parses_flags_and_positionals() {
-        let a = Args::parse(&argv(&["in.f64", "--n", "64", "-o", "out.wck"])).unwrap();
+        let a = parse(&["in.f64", "--n", "64", "-o", "out.wck"]).unwrap();
         assert_eq!(a.one_positional("input").unwrap(), "in.f64");
         assert_eq!(a.get("n"), Some("64"));
         assert_eq!(a.get("out"), Some("out.wck"));
@@ -87,21 +93,28 @@ mod tests {
 
     #[test]
     fn missing_value_is_error() {
-        assert!(Args::parse(&argv(&["--n"])).is_err());
-        assert!(Args::parse(&argv(&["-o"])).is_err());
+        assert!(parse(&["--n"]).is_err());
+        assert!(parse(&["-o"]).is_err());
+    }
+
+    #[test]
+    fn a_flag_the_verb_does_not_take_is_refused_by_name() {
+        assert_eq!(parse(&["--thread", "4"]).unwrap_err(), "unknown flag --thread for ckpt test");
+        let err = Args::parse(&argv(&["x", "-o", "y"]), "info", &[]).unwrap_err();
+        assert_eq!(err, "unknown flag --out for ckpt info");
     }
 
     #[test]
     fn bad_typed_value_is_error() {
-        let a = Args::parse(&argv(&["--n", "lots"])).unwrap();
+        let a = parse(&["--n", "lots"]).unwrap();
         assert!(a.get_or("n", 128usize).is_err());
     }
 
     #[test]
     fn positional_arity_checked() {
-        let a = Args::parse(&argv(&[])).unwrap();
+        let a = parse(&[]).unwrap();
         assert!(a.one_positional("input").is_err());
-        let a = Args::parse(&argv(&["x", "y"])).unwrap();
+        let a = parse(&["x", "y"]).unwrap();
         assert!(a.one_positional("input").is_err());
     }
 

@@ -35,8 +35,7 @@ Raw array files are row-major little-endian f64.
 breakdown (member count, compressed/uncompressed bytes, per-member CRC
 status). `ckpt store` manages a crash-consistent on-disk checkpoint
 repository with atomic commit, full+incremental generation chains, and
-GC; `ckpt store restore --stream`/`--resume` runs a resumable
-streaming restore with durable progress tokens. `ckpt serve` exports a
+GC. `ckpt serve` exports a
 store's committed generations over a Unix socket against epoch-pinned
 snapshots (saves and GC keep running underneath); `ckpt fetch` pulls a
 generation from a running server with CRC-verified ranged reads.
@@ -83,6 +82,22 @@ pub(crate) fn parse_level(name: &str) -> Result<Level, String> {
     }
 }
 
+/// The flags `ckpt compress` takes.
+const COMPRESS_FLAGS: &[&str] = &[
+    "dims",
+    "method",
+    "n",
+    "d",
+    "levels",
+    "kernel",
+    "container",
+    "level",
+    "threads",
+    "chunk-bytes",
+    "bound",
+    "out",
+];
+
 fn config_from(args: &Args) -> Result<CompressorConfig, String> {
     let mut cfg = CompressorConfig::paper_proposed();
     cfg = match args.get("method").unwrap_or("proposed") {
@@ -117,7 +132,7 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
 }
 
 pub fn compress(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "compress", COMPRESS_FLAGS)?;
     let input = args.one_positional("input file")?;
     let dims = parse_dims(args.get("dims").ok_or("--dims is required for compress")?)?;
     let tensor = read_raw_tensor(input, &dims)?;
@@ -149,7 +164,7 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
 }
 
 pub fn decompress(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "decompress", &["threads", "out"])?;
     let input = args.one_positional("input file")?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let threads = args.get_or("threads", 1usize)?;
@@ -165,7 +180,7 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
 }
 
 pub fn info(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "info", &[])?;
     let input = args.one_positional("input file")?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let tensor = Compressor::decompress(&bytes).map_err(|e| e.to_string())?;
@@ -217,7 +232,7 @@ fn print_chunked_breakdown(bytes: &[u8]) {
 }
 
 pub fn gen(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "gen", &["dims", "kind", "seed", "out"])?;
     let dims = parse_dims(args.get("dims").ok_or("--dims is required for gen")?)?;
     let out = args.get("out").ok_or("-o/--out is required for gen")?;
     let kind = match args.get("kind").unwrap_or("temperature") {
@@ -247,6 +262,12 @@ pub fn roundtrip_error(t: &Tensor<f64>, cfg: CompressorConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `config_from` over the given `ckpt compress` flags.
+    fn cfg(flags: &[&str]) -> Result<CompressorConfig, String> {
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        config_from(&Args::parse(&argv, "compress", COMPRESS_FLAGS)?)
+    }
 
     fn tempfile(name: &str) -> String {
         std::env::temp_dir()
@@ -337,7 +358,7 @@ mod tests {
         let restored = read_raw_tensor(&back, &[48, 12, 2]).unwrap();
         assert_eq!(serial.as_slice(), restored.as_slice());
 
-        assert!(config_from(&Args::parse(&["--threads".into(), "0".into()]).unwrap()).is_err());
+        assert!(cfg(&["--threads", "0"]).is_err());
         for p in [raw, wck_s, wck_p, back] {
             let _ = std::fs::remove_file(p);
         }
@@ -422,12 +443,12 @@ mod tests {
 
     #[test]
     fn bad_flags_rejected() {
-        assert!(config_from(&Args::parse(&["--method".into(), "magic".into()]).unwrap()).is_err());
-        assert!(config_from(&Args::parse(&["--n".into(), "0".into()]).unwrap()).is_err());
+        assert!(cfg(&["--method", "magic"]).is_err());
+        assert!(cfg(&["--n", "0"]).is_err());
         assert!(
-            config_from(&Args::parse(&["--container".into(), "7z".into()]).unwrap()).is_err()
+            cfg(&["--container", "7z"]).is_err()
         );
-        assert!(config_from(&Args::parse(&["--level".into(), "turbo".into()]).unwrap()).is_err());
+        assert!(cfg(&["--level", "turbo"]).is_err());
         assert!(gen(&["--dims".into(), "4x4".into()]).is_err()); // missing -o
     }
 
@@ -438,7 +459,7 @@ mod tests {
             ("--container", "zlib", "(gzip|tempfile|none)"),
             ("--method", "lloyd", "(proposed|simple)"),
         ] {
-            let err = config_from(&Args::parse(&[flag.into(), retired.into()]).unwrap())
+            let err = cfg(&[flag, retired])
                 .expect_err(retired);
             assert!(err.contains(retired) && err.contains(survivors), "{flag} {retired}: {err}");
         }
@@ -446,7 +467,7 @@ mod tests {
 
     #[test]
     fn d_is_bounded_by_its_header_field() {
-        let d = |v: &str| config_from(&Args::parse(&["--d".into(), v.into()]).unwrap());
+        let d = |v: &str| cfg(&["--d", v]);
         assert_eq!(d("65535").unwrap().quant.d, 65_535);
         for too_big in ["65536", "65600", "1000000000000"] {
             assert!(d(too_big).unwrap_err().contains("outside 1..=65535"), "--d {too_big}");
@@ -459,25 +480,19 @@ mod tests {
             [("store", Level::Store), ("fast", Level::Fast), ("default", Level::Default)]
         {
             let cfg =
-                config_from(&Args::parse(&["--level".into(), name.into()]).unwrap()).unwrap();
+                cfg(&["--level", name]).unwrap();
             assert_eq!(cfg.level, level);
         }
-        let default = config_from(&Args::parse(&[]).unwrap()).unwrap();
+        let default = cfg(&[]).unwrap();
         assert_eq!(default.level, Level::Default);
     }
 
     #[test]
     fn simple_and_proposed_both_reachable_from_cli_config() {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 5));
-        let simple = config_from(
-            &Args::parse(&["--method".into(), "simple".into(), "--n".into(), "16".into()])
-                .unwrap(),
-        )
+        let simple = cfg(&["--method", "simple", "--n", "16"])
         .unwrap();
-        let proposed = config_from(
-            &Args::parse(&["--method".into(), "proposed".into(), "--n".into(), "16".into()])
-                .unwrap(),
-        )
+        let proposed = cfg(&["--method", "proposed", "--n", "16"])
         .unwrap();
         assert!(roundtrip_error(&t, proposed) <= roundtrip_error(&t, simple));
     }

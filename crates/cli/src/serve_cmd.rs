@@ -47,7 +47,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         println!("{SERVE_USAGE}");
         return Ok(());
     }
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "serve", &["socket", "for-ms"])?;
     let dir = args.one_positional("store dir")?;
     let socket = args.get("socket").ok_or("--socket is required for serve")?;
     let for_ms: Option<u64> = match args.get("for-ms") {
@@ -82,7 +82,7 @@ pub fn fetch(argv: &[String]) -> Result<(), String> {
         println!("{SERVE_USAGE}");
         return Ok(());
     }
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "fetch", &["list", "gen", "rank", "chunk-bytes", "out"])?;
     let socket = args.one_positional("server socket path")?;
     let mut client =
         Client::connect(Path::new(socket)).map_err(|e| format!("connecting to {socket}: {e}"))?;
@@ -150,7 +150,7 @@ pub fn replicate(argv: &[String]) -> Result<(), String> {
         println!("{SERVE_USAGE}");
         return Ok(());
     }
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "replicate", &["to", "to-dir", "adopt"])?;
     let dir = args.one_positional("store dir")?;
     let modes = [args.get("to"), args.get("to-dir"), args.get("adopt")];
     if modes.iter().flatten().count() != 1 {

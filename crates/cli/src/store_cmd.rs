@@ -11,9 +11,6 @@ USAGE:
                      [--level store|fast|default] [--threads N]
                      [--error-bound EPS --dims AxBxC]
   ckpt store restore <dir> [--gen N] [--rank N] [--raw true] -o out
-  ckpt store restore <dir> --stream true [--gen N] [--rank N]
-                     [--resume-interval MiB] -o out
-  ckpt store restore <dir> --resume TOKEN [--resume-interval MiB] -o out
   ckpt store list    <dir>
   ckpt store verify  <dir>
   ckpt store gc      <dir> [--keep N]
@@ -38,10 +35,7 @@ whose payloads are built in memory. restore materializes the latest committed
 generation (or --gen): a checkpoint image is written verbatim, an
 array chain is decompressed, increments applied, and written as raw
 little-endian f64 (--raw true copies the segment bytes instead).
-restore --stream inflates a gzip/WPK1 segment payload straight to -o,
-fsyncing a resume token next to it (out.resume) every --resume-interval
-MiB (default 8); a killed streamed restore continues bit-identically
-with --resume TOKEN. gc keeps the newest --keep (default 2) full
+gc keeps the newest --keep (default 2) full
 generations plus every increment whose whole chain survives;
 unreadable segments are moved to quarantine/, never deleted.
 
@@ -97,7 +91,8 @@ fn sniff_format(head: &[u8]) -> SegmentFormat {
 }
 
 fn save(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let flags = ["step", "format", "base", "level", "threads", "error-bound", "dims"];
+    let args = Args::parse(argv, "store save", &flags)?;
     let [dir, files @ ..] = args.positional.as_slice() else {
         return Err("save needs a store dir and at least one payload file".into());
     };
@@ -279,16 +274,13 @@ fn build_increment(
 }
 
 fn restore(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "store restore", &["gen", "rank", "raw", "out"])?;
     let dir = args.one_positional("store dir")?;
     let out = args.get("out").ok_or("-o/--out is required for restore")?;
     let rank = args.get_or("rank", 0u32)?;
     let raw = args.get_or("raw", false)?;
 
     let store = open(dir)?;
-    if args.get_or("stream", false)? || args.get("resume").is_some() {
-        return stream_restore(&store, &args, out, rank);
-    }
     let gen = match args.get("gen") {
         Some(g) => g.parse().map_err(|_| format!("invalid --gen {g:?}"))?,
         None => store
@@ -321,57 +313,8 @@ fn restore(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Resumable streaming restore: inflates the segment's gzip/WPK1
-/// payload to `out` through the [`ckpt_serve::restore`] driver, which
-/// fsyncs a progress token (`<out>.resume`, or the `--resume` path)
-/// at every interval so a kill re-runs only the tail.
-fn stream_restore(store: &Store, args: &Args, out: &str, rank: u32) -> Result<(), String> {
-    use std::path::Path;
-    let interval_mib = args.get_or("resume-interval", 8.0f64)?;
-    if !interval_mib.is_finite() || interval_mib <= 0.0 {
-        return Err(format!("--resume-interval {interval_mib} must be a positive MiB count"));
-    }
-    let opts = ckpt_serve::RestoreOptions {
-        interval_bytes: ((interval_mib * (1u64 << 20) as f64) as u64).max(1),
-    };
-    let snap = store.snapshot().map_err(|e| e.to_string())?;
-    let fp = ckpt_store::FailPoint::unlimited();
-    let outcome = if let Some(token) = args.get("resume") {
-        ckpt_serve::restore::resume_restore(&snap, Path::new(token), Path::new(out), &opts, &fp)
-            .map_err(|e| format!("resuming from {token}: {e}"))?
-    } else {
-        let gen = match args.get("gen") {
-            Some(g) => g.parse().map_err(|_| format!("invalid --gen {g:?}"))?,
-            None => store
-                .latest_committed()
-                .ok_or("store has no committed generation to restore")?,
-        };
-        let token = format!("{out}.resume");
-        ckpt_serve::restore::restore_streamed(
-            &snap,
-            gen,
-            rank,
-            Path::new(out),
-            Path::new(&token),
-            &opts,
-            &fp,
-        )
-        .map_err(|e| e.to_string())?
-    };
-    eprintln!(
-        "restored gen {} rank {} ({} bytes, crc {:08x}, {} progress tokens{}) -> {out}",
-        outcome.gen,
-        outcome.rank,
-        outcome.out_len,
-        outcome.out_crc,
-        outcome.checkpoints,
-        if outcome.resumed { ", resumed" } else { "" }
-    );
-    Ok(())
-}
-
 fn list(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "store list", &[])?;
     let dir = args.one_positional("store dir")?;
     let store = open(dir)?;
     let gens = store.generations();
@@ -407,7 +350,7 @@ fn list(argv: &[String]) -> Result<(), String> {
 }
 
 fn verify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "store verify", &[])?;
     let dir = args.one_positional("store dir")?;
     let store = open(dir)?;
     let report = store.verify().map_err(|e| e.to_string())?;
@@ -424,7 +367,7 @@ fn verify(argv: &[String]) -> Result<(), String> {
 }
 
 fn gc(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "store gc", &["keep"])?;
     let dir = args.one_positional("store dir")?;
     let keep = args.get_or("keep", 2usize)?;
     let mut store = open(dir)?;
@@ -437,7 +380,7 @@ fn gc(argv: &[String]) -> Result<(), String> {
 }
 
 fn compact(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "store compact", &["max-depth", "manifest-only", "threads"])?;
     let dir = args.one_positional("store dir")?;
     let max_depth = args.get_or("max-depth", 8usize)?;
     let threads = args.get_or("threads", 1usize)?;
@@ -720,77 +663,6 @@ mod tests {
         .is_err());
 
         for p in [raw, out] {
-            let _ = std::fs::remove_file(p);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn streamed_restore_resumes_after_a_kill() {
-        let dir = tempdir("stream");
-        let data: Vec<u8> = (0..150_000usize).map(|i| ((i % 251) ^ (i / 997)) as u8).collect();
-        let payload = ckpt_deflate::gzip::compress(&data, Level::Fast);
-        let pf = tempfile("stream.gz");
-        std::fs::write(&pf, &payload).unwrap();
-        dispatch(&argv(&["save", &dir, &pf, "--step", "1"])).unwrap();
-
-        // Uninterrupted streamed restore: bit-identical, token gone.
-        let out = tempfile("stream.out");
-        dispatch(&argv(&[
-            "restore", &dir, "--stream", "true", "--resume-interval", "0.03", "-o", &out,
-        ]))
-        .unwrap();
-        assert_eq!(std::fs::read(&out).unwrap(), data);
-        assert!(!std::path::Path::new(&format!("{out}.resume")).exists());
-
-        // Kill a streamed restore mid-flight (byte-budget fail point),
-        // then finish it through the CLI's --resume path.
-        let out2 = tempfile("stream.out2");
-        let token = format!("{out2}.resume");
-        let store = Store::open(&dir).unwrap();
-        let snap = store.snapshot().unwrap();
-        let opts = ckpt_serve::RestoreOptions { interval_bytes: 30_000 };
-        let killed = ckpt_serve::restore::restore_streamed(
-            &snap,
-            1,
-            0,
-            std::path::Path::new(&out2),
-            std::path::Path::new(&token),
-            &opts,
-            // Budget past the first token (whose ICK1 blob carries the
-            // ~30 KB window) so the kill leaves a resumable state.
-            &ckpt_store::FailPoint::after_bytes(100_000),
-        );
-        assert!(killed.is_err(), "budgeted restore must die");
-        assert!(std::path::Path::new(&token).exists(), "kill left a resume token");
-        drop(snap);
-        drop(store);
-
-        dispatch(&argv(&[
-            "restore", &dir, "--resume", &token, "--resume-interval", "0.03", "-o", &out2,
-        ]))
-        .unwrap();
-        assert_eq!(std::fs::read(&out2).unwrap(), data);
-        assert!(!std::path::Path::new(&token).exists(), "completion removes the token");
-
-        // A non-gzip payload is refused cleanly by the stream path.
-        let rawf = tempfile("stream.raw");
-        std::fs::write(&rawf, b"plain raw bytes, not gzip").unwrap();
-        dispatch(&argv(&["save", &dir, &rawf, "--step", "2"])).unwrap();
-        let err = dispatch(&argv(&[
-            "restore", &dir, "--stream", "true", "--gen", "2", "-o", &out,
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unsupported"), "{err}");
-        assert!(
-            dispatch(&argv(&[
-                "restore", &dir, "--stream", "true", "--resume-interval", "-3", "-o", &out,
-            ]))
-            .is_err(),
-            "negative interval refused"
-        );
-
-        for p in [pf, out, out2, rawf] {
             let _ = std::fs::remove_file(p);
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -121,3 +121,23 @@ fn corrupt_input_reports_cleanly() {
     assert!(stderr.contains("error"), "{stderr}");
     let _ = std::fs::remove_file(bad);
 }
+
+/// A flag the verb does not take fails the run and is named, instead of
+/// being ignored: `--thread 4` would have compressed on one thread, and
+/// `store restore --resume` would have overwritten `-o` with a plain
+/// restore.
+#[test]
+fn a_flag_the_verb_does_not_take_fails_by_name() {
+    let out = tmp("unknown-flag.out");
+    for (args, flag, verb) in [
+        (vec!["compress", "in.f64", "--dims", "16x8x2", "--thread", "4"], "--thread", "compress"),
+        (vec!["store", "restore", "st", "--stream", "true"], "--stream", "store restore"),
+        (vec!["store", "restore", "st", "--resume", "TOKEN"], "--resume", "store restore"),
+    ] {
+        let run = bin().args(&args).arg("-o").arg(&out).output().unwrap();
+        assert!(!run.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag} for ckpt {verb}")), "{stderr}");
+        assert!(!out.exists(), "{args:?} wrote its output");
+    }
+}

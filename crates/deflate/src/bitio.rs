@@ -230,7 +230,7 @@ impl<'a> BitReader<'a> {
     /// bits the caller has not read back out are not counted, so the
     /// value is a precise stream position a fresh reader can seek to
     /// (skip `bit_position / 8` bytes, then read `bit_position % 8`
-    /// bits). The resumable inflate engine checkpoints this.
+    /// bits). The inflate engine records where a stream ends with this.
     pub fn bit_position(&self) -> u64 {
         crate::u64_from_usize(self.pos) * 8 - u64::from(self.nbits)
     }

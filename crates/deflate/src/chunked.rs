@@ -292,9 +292,7 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<(Header, Vec<&[u8]>
 
 /// Decodes the gzip member that is one slot of a container: beyond its
 /// own CRC-32 and ISIZE it must end where the slot ends and inflate to
-/// exactly the `len` bytes the geometry gives its chunk. The streamed
-/// restore (`ckpt_serve::restore`) holds its members to the same two
-/// conditions, step by step.
+/// exactly the `len` bytes the geometry gives its chunk.
 fn decode_slot(member: &[u8], len: usize) -> Result<Vec<u8>, DeflateError> {
     let (payload, size) = gzip::decompress_member(member, len)?;
     if size != member.len() {

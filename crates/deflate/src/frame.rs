@@ -231,27 +231,6 @@ pub const RPC1: Format = Format {
     max_body: 8,
     decoder: "parse_cursor",
 };
-/// Resumable-inflate engine checkpoint (`ckpt_deflate::resume`). The
-/// body is 27 fixed bytes, at most 321 of Huffman lengths and the
-/// 32 KiB window.
-pub const ICK1: Format = Format {
-    magic: *b"ICK1",
-    version: 1,
-    header8: false,
-    envelope: Envelope::BodyCrc,
-    max_body: 1 << 16,
-    decoder: "restore_from_checkpoint",
-};
-/// Streaming-restore progress token: 65 fixed bytes plus one `ICK1`
-/// blob (`ckpt_serve::restore`).
-pub const RST1: Format = Format {
-    magic: *b"RST1",
-    version: 1,
-    header8: false,
-    envelope: Envelope::BodyCrc,
-    max_body: ICK1.max_body + 128,
-    decoder: "parse_token",
-};
 /// Socket request/response frames (`ckpt_serve::proto`).
 pub const SRV1: Format = Format {
     magic: *b"SRV1",
@@ -263,8 +242,7 @@ pub const SRV1: Format = Format {
 };
 
 /// Every magic-tagged format in the workspace.
-pub const FORMATS: [Format; 11] =
-    [WCK1, CKPT, WPK1, INC1, INC2, CSM1, CSM2, RPC1, ICK1, RST1, SRV1];
+pub const FORMATS: [Format; 9] = [WCK1, CKPT, WPK1, INC1, INC2, CSM1, CSM2, RPC1, SRV1];
 
 // ----------------------------------------------------------------- writer
 
@@ -594,8 +572,8 @@ pub fn unseal(bytes: &[u8], max_body: usize) -> Result<&[u8], FrameError> {
     Ok(body)
 }
 
-/// Reads a whole single-frame file of `format` (a cursor, a snapshot,
-/// a resume token). A file longer than any the format can fill is
+/// Reads a whole single-frame file of `format` (a cursor, a snapshot).
+/// A file longer than any the format can fill is
 /// refused on its length, before a byte of it is read, so the parser's
 /// `max_body` bound also bounds what reaching the parser costs; the
 /// read itself is capped the same way in case the file grows.

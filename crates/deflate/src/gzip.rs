@@ -60,67 +60,24 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
 }
 
 /// Decompresses exactly one gzip member from the front of `data`,
-/// returning its payload and the member's total size in bytes.
-/// Trailing bytes after the member are left for the caller (the next
-/// member of a concatenated stream, typically).
+/// returning its payload and the member's total size in bytes — the
+/// crate's one member decoder. The trailer's CRC-32 and ISIZE are
+/// checked against the engine's own running accounts, so no second
+/// pass over the output is needed to verify it. Trailing bytes after
+/// the member are left for the caller (the next member of a
+/// concatenated stream, typically).
 pub fn decompress_member(
     data: &[u8],
     max_output: usize,
 ) -> Result<(Vec<u8>, usize), DeflateError> {
-    let Member { data, body_off, body, engine } = Member::new(data, ResumableInflate::new())?;
-    let done = engine.finish(body, max_output)?;
+    let body_off = member_body_offset(data)?;
+    // The body runs at most to the last 8 bytes, which can only be trailer.
+    let body_end = data.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
+    let body = data.get(body_off..body_end).ok_or(DeflateError::UnexpectedEof)?;
+    let done = ResumableInflate::new().finish(body, max_output)?;
     let len = crate::u64_from_usize(done.bytes.len());
     let size = check_trailer(data, body_off, done.consumed, done.crc, len)?;
     Ok((done.bytes, size))
-}
-
-/// One gzip member on its way through the decoder — the crate's one
-/// member walk: the header is parsed, the engine sits somewhere in the
-/// DEFLATE body, and reaching the end of the body checks the trailer's
-/// CRC-32 and ISIZE against the engine's own running accounts, so no
-/// second pass over the output is needed to verify it.
-#[derive(Debug)]
-pub struct Member<'a> {
-    data: &'a [u8],
-    /// Where the DEFLATE body starts in `data`, and the body itself
-    /// (everything up to the last 8 bytes, which can only be trailer).
-    body_off: usize,
-    body: &'a [u8],
-    engine: ResumableInflate,
-}
-
-impl<'a> Member<'a> {
-    /// The member at the front of `data`, with `engine` at the start of
-    /// its body (a fresh one) or part-way through it (one restored from
-    /// an `ICK1` blob).
-    pub fn new(data: &'a [u8], engine: ResumableInflate) -> Result<Self, DeflateError> {
-        let body_off = member_body_offset(data)?;
-        let body_end = data.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
-        let body = data.get(body_off..body_end).ok_or(DeflateError::UnexpectedEof)?;
-        Ok(Member { data, body_off, body, engine })
-    }
-
-    /// The engine's state: what a progress token checkpoints.
-    pub fn engine(&self) -> &ResumableInflate {
-        &self.engine
-    }
-
-    /// Appends at least `min_out` more payload bytes to `out` (fewer
-    /// only at the end of the member). `Some(size)` — the member's
-    /// total size in bytes — once the body has ended and the trailer
-    /// checked out.
-    pub fn step(
-        &mut self,
-        out: &mut Vec<u8>,
-        min_out: usize,
-    ) -> Result<Option<usize>, DeflateError> {
-        if !self.engine.inflate_step(self.body, out, min_out)? {
-            return Ok(None);
-        }
-        let e = &self.engine;
-        check_trailer(self.data, self.body_off, e.bytes_consumed(), e.output_crc(), e.output_len())
-            .map(Some)
-    }
 }
 
 /// Checks the trailer that follows a body of `consumed` bytes — CRC-32,

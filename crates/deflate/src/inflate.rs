@@ -32,9 +32,7 @@ pub(crate) fn fixed_decoders() -> Result<(&'static Decoder, &'static Decoder), D
 }
 
 /// Reads a dynamic block's header and returns the raw (litlen, dist)
-/// code-length vectors. The engine keeps these beside the tables it
-/// builds from them — a [`Decoder`] is rebuildable from lengths alone,
-/// so they are what an `ICK1` blob carries.
+/// code-length vectors the engine builds the block's tables from.
 pub(crate) fn read_dynamic_lengths(
     r: &mut BitReader<'_>,
 ) -> Result<(Vec<u8>, Vec<u8>), DeflateError> {

@@ -13,8 +13,8 @@
 //! * [`lz77`] — hash-chain match finder producing literal/match tokens,
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
 //!   per-block cost selection),
-//! * [`resume`] — the decoder for all block types: one resumable
-//!   engine, stepped (with `ICK1` checkpoints) or run to the end,
+//! * [`resume`] — the decoder for all block types: one engine, run to
+//!   the end of the stream,
 //! * [`inflate`] — that engine in one call, and its block-header tables,
 //! * [`gzip`] — container framing with CRC-32 and the one member decoder,
 //! * [`chunked`] — a multi-member gzip container whose chunks compress

@@ -2,7 +2,7 @@
 //!
 //! The store itself is a single-writer object; this crate turns it
 //! into a multi-session service without giving up any of its crash
-//! guarantees, in three layers:
+//! guarantees, in two layers:
 //!
 //! * [`session`] — an in-process [`ServeSession`](session::ServeSession)
 //!   wraps an epoch-pinned [`Snapshot`](ckpt_store::Snapshot) and
@@ -13,25 +13,18 @@
 //!   over a Unix-domain socket in `SRV1` length-prefixed frames, for
 //!   restores running in a different process than the writer
 //!   (`ckpt serve` / `ckpt fetch`).
-//! * [`restore`] — a resumable streaming restore driver: decompressed
-//!   output streams to disk with a durable `RST1` progress token every
-//!   N bytes, so a restore killed at any point re-runs only the tail
-//!   of the stream instead of starting over.
 
 #![forbid(unsafe_code)]
 
 pub mod client;
 pub mod proto;
-pub mod restore;
 pub mod server;
 pub mod session;
 
 pub use client::{Client, RemoteReplica};
-pub use restore::{RestoreOptions, RestoreOutcome};
 pub use server::Server;
 pub use session::ServeSession;
 
-use ckpt_deflate::DeflateError;
 use ckpt_store::StoreError;
 use std::fmt;
 
@@ -40,11 +33,9 @@ use std::fmt;
 pub enum ServeError {
     /// The underlying store refused or failed the operation.
     Store(StoreError),
-    /// Decompression failure while streaming a payload.
-    Deflate(DeflateError),
     /// Socket/file I/O outside the store's own paths.
     Io(std::io::Error),
-    /// Malformed wire frame, request, response, or resume token.
+    /// Malformed wire frame, request or response.
     Proto(String),
     /// The peer answered a request with an error response.
     Remote {
@@ -55,8 +46,6 @@ pub enum ServeError {
         /// Human-readable cause.
         message: String,
     },
-    /// The payload kind cannot be streamed (not gzip-framed).
-    Unsupported(String),
 }
 
 impl ServeError {
@@ -81,11 +70,9 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Store(e) => write!(f, "store: {e}"),
-            ServeError::Deflate(e) => write!(f, "deflate: {e}"),
             ServeError::Io(e) => write!(f, "io: {e}"),
             ServeError::Proto(why) => write!(f, "protocol: {why}"),
             ServeError::Remote { message, .. } => write!(f, "remote: {message}"),
-            ServeError::Unsupported(why) => write!(f, "unsupported: {why}"),
         }
     }
 }
@@ -94,7 +81,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Store(e) => Some(e),
-            ServeError::Deflate(e) => Some(e),
             ServeError::Io(e) => Some(e),
             _ => None,
         }
@@ -104,12 +90,6 @@ impl std::error::Error for ServeError {
 impl From<StoreError> for ServeError {
     fn from(e: StoreError) -> Self {
         ServeError::Store(e)
-    }
-}
-
-impl From<DeflateError> for ServeError {
-    fn from(e: DeflateError) -> Self {
-        ServeError::Deflate(e)
     }
 }
 

@@ -9,8 +9,8 @@ use ckpt_store::{Snapshot, StoreError};
 ///
 /// The session is the single place requests are interpreted: the
 /// socket server decodes frames into [`Request`]s and feeds them here,
-/// and in-process callers (tests, the resumable restore driver's
-/// future remote mode) call [`ServeSession::handle`] directly. Either
+/// and in-process callers (tests) call [`ServeSession::handle`]
+/// directly. Either
 /// way the answer is computed against the same immutable view, so a
 /// concurrent writer can never tear a response.
 pub struct ServeSession {

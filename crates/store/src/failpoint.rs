@@ -17,15 +17,14 @@
 //! mid-parallel-save. Production uses [`FailPoint::unlimited`].
 //!
 //! **The protocol as types.** A file is created only at a [`Staging`]
-//! path (or, for an output written where it lies, explicitly in place)
-//! and written only as a [`Staged`], which exposes no `File` and no
+//! path and written only as a [`Staged`], which exposes no `File` and no
 //! `std::io::Write`. Only [`Staged::sync`] makes a [`Synced`], and only
 //! a `Synced` renames. A segment renamed into place is a [`Renamed`];
 //! only the directory fsync after a generation's renames,
 //! [`FailPoint::sync_dir`], turns those into the [`SegMeta`] its `Seg`
 //! records are built from. Only the log append [`FailPoint::log`] (after
-//! its fsync), a durable replace, an in-place sync or a read of what is
-//! on disk makes a [`Durable`] witness, and every destructive operation
+//! its fsync), a durable replace or a read of what is on disk makes a
+//! [`Durable`] witness, and every destructive operation
 //! — [`FailPoint::remove`], [`FailPoint::quarantine`],
 //! [`FailPoint::truncate`] — demands one, as does `manifest::apply`.
 //!
@@ -40,7 +39,7 @@
 
 use crate::{Result, StoreError};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -127,24 +126,6 @@ impl FailPoint {
     /// Creates (or truncates) the staging file `at`.
     pub fn create(&self, at: &Staging) -> Result<Staged<'_>> {
         Ok(Staged::new(self, File::create(&at.0)?, at.0.clone()))
-    }
-
-    /// Creates (or truncates) a file that is written where it lies: an
-    /// output whose progress tokens make it resumable, never a file the
-    /// store publishes.
-    pub fn create_in_place(&self, path: &Path) -> Result<Staged<'_>> {
-        Ok(Staged::new(self, File::create(path)?, path.to_path_buf()))
-    }
-
-    /// Reopens an in-place file to continue writing it: behind a
-    /// barrier, drops everything past `len` (a torn tail) and positions
-    /// the handle there.
-    pub fn reopen_at(&self, path: &Path, len: u64) -> Result<Staged<'_>> {
-        self.barrier()?;
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(len)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Staged::new(self, file, path.to_path_buf()))
     }
 
     /// Appends `bytes` to the log at `path` in one write through the
@@ -294,20 +275,13 @@ fn fsync_dir(dir: &Path) -> Result<()> {
 /// Where a file is staged before its rename into place: under a store's
 /// `tmp/` ([`Layout::tmp_path`](crate::layout::Layout::tmp_path),
 /// [`Layout::meta_tmp_path`](crate::layout::Layout::meta_tmp_path)),
-/// which recovery sweeps, or [`Staging::beside`] its destination.
+/// which recovery sweeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Staging(PathBuf);
 
 impl Staging {
     pub(crate) fn new(path: PathBuf) -> Self {
         Staging(path)
-    }
-
-    /// `<dst>.tmp`: staging on `dst`'s filesystem, outside any store.
-    pub fn beside(dst: &Path) -> Self {
-        let mut name = dst.as_os_str().to_os_string();
-        name.push(".tmp");
-        Staging(PathBuf::from(name))
     }
 }
 
@@ -402,14 +376,6 @@ impl<'a> Staged<'a> {
         Ok(())
     }
 
-    /// Makes the data written so far durable without ending the write,
-    /// behind a barrier: the point a progress token may then name.
-    pub fn sync_data(&mut self) -> Result<()> {
-        self.fp.barrier()?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
     /// Barrier, then fsync: the only way to a [`Synced`].
     pub fn sync(self) -> Result<Synced<'a>> {
         self.fp.barrier()?;
@@ -420,7 +386,7 @@ impl<'a> Staged<'a> {
 
 /// A written file whose bytes are durable.
 #[derive(Debug)]
-#[must_use = "a synced file is published by its rename, or kept in place"]
+#[must_use = "a synced file is published by its rename"]
 pub struct Synced<'a> {
     fp: &'a FailPoint,
     path: PathBuf,
@@ -441,11 +407,6 @@ impl Synced<'_> {
         self.fp.barrier()?;
         fs::rename(&self.path, dst)?;
         Ok(())
-    }
-
-    /// A file written in place is where it belongs once synced.
-    pub fn in_place(self) -> Durable<()> {
-        Durable(Box::new(()))
     }
 }
 
@@ -506,9 +467,8 @@ impl SegMeta {
 }
 
 /// Witness that a `T` is on disk for a restart to read. Made only by
-/// [`FailPoint::log`] after its fsync, [`FailPoint::durable_replace`],
-/// [`Synced::in_place`] and [`Durable::read`] (what recovery finds on
-/// disk). `manifest::apply`, the one way the store's generation map
+/// [`FailPoint::log`] after its fsync, [`FailPoint::durable_replace`]
+/// and [`Durable::read`] (what recovery finds on disk). `manifest::apply`, the one way the store's generation map
 /// changes, takes a `Durable<[Record]>`, so memory never runs ahead of
 /// what a reopen replays:
 ///

@@ -19,7 +19,6 @@ use common::lcg_bytes;
 use lossy_ckpt::deflate::frame::{self, Writer, FORMATS};
 use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
-use lossy_ckpt::serve::restore::encode_token;
 use std::fs;
 
 /// The length every `*_claim_1gib.bin` entry claims.
@@ -70,9 +69,7 @@ fn main() {
     // default: kept by hand, read by the tests, written by no build.
     // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
     // to) and `retired_zlib_container.bin`, from the last build that
-    // had a Lloyd-Max quantizer and a zlib container, and
-    // `decode_only_{ick1,rst1}.bin`: `valid_ick1.bin` / `valid_rst1.bin`
-    // as cut from the stream the encoder wrote before its noise gate.
+    // had a Lloyd-Max quantizer and a zlib container.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,
@@ -178,40 +175,6 @@ fn main() {
     inner[4] = 9;
     write("inc2_bad_version.bin", &gzip::compress(&inner, Level::Default));
 
-    // ICK1 resumable-inflate checkpoints: a real mid-stream engine
-    // state over the deterministic gzip stream from entry 5, then four
-    // distinct damage modes `restore_from_checkpoint` must refuse.
-    let (ick, _, _) = common::ick_fixture(5_000);
-    let reframe = |b: Vec<u8>| -> Vec<u8> {
-        // Recompute the frame CRC so the damage under test — not the
-        // checksum — is what the decoder has to catch.
-        let mut body = Writer::new();
-        body.put_bytes(&b[..b.len() - 4]);
-        body.seal(usize::MAX).unwrap()
-    };
-
-    // 14. ICK1 truncated mid-window.
-    write("ick1_truncated.bin", &ick[..ick.len() / 2]);
-
-    // 15. ICK1 with a flipped byte inside the window: the frame CRC
-    //     must catch it.
-    let mut ick_flip = ick.clone();
-    let mid = ick.len() / 2;
-    ick_flip[mid] ^= 0xFF;
-    write("ick1_crc_flip.bin", &ick_flip);
-
-    // 16. ICK1 claiming an unknown version (frame CRC recomputed, so
-    //     rejection comes from the version check itself).
-    let mut ick_ver = ick.clone();
-    ick_ver[4] = 9;
-    write("ick1_bad_version.bin", &reframe(ick_ver));
-
-    // 17. ICK1 with an out-of-range block-state tag (offset 26: after
-    //     magic, version, flags, bit_pos, out_len, crc).
-    let mut ick_state = ick.clone();
-    ick_state[26] = 7;
-    write("ick1_bad_state.bin", &reframe(ick_state));
-
     // CSM2 manifest snapshots: a real snapshot written by
     // `compact_manifest` over a deterministic two-generation store,
     // then the three damage modes `Store::open` must refuse —
@@ -300,22 +263,6 @@ fn main() {
     srv1.put_u32(0);
     write("srv1_claim_1gib.bin", &srv1.into_bytes());
 
-    // 24. RST1 token whose `ick_len` claims 1 GiB (resealed, so the
-    //     claim — not the CRC — is what parse_token has to refuse).
-    let mut tok = common::valid_token();
-    tok.ick = Vec::new();
-    let mut rst1 = encode_token(&tok);
-    let at = rst1.len() - 8; // ick_len, then the frame CRC
-    rst1[at..at + 4].copy_from_slice(&GIB.to_le_bytes());
-    write("rst1_claim_1gib.bin", &reframe(rst1));
-
-    // 25. ICK1 blob whose `window_len` claims 1 GiB (resealed): a fresh
-    //     engine's blob is 27 fixed bytes, window_len, CRC.
-    let mut ick_claim = lossy_ckpt::deflate::resume::ResumableInflate::new().checkpoint();
-    let at = ick_claim.len() - 8;
-    ick_claim[at..at + 4].copy_from_slice(&GIB.to_le_bytes());
-    write("ick1_claim_1gib.bin", &reframe(ick_claim));
-
     // 26. INC1 claiming 2^30 pages over a matching 2^39-element shape,
     //     so the claim survives the header's own consistency check and
     //     it is the 128 MiB dirty map that is not there.
@@ -335,8 +282,7 @@ fn main() {
     inc_claim.put_u64(u64::from(GIB));
     write("inc2_claim_1gib.bin", &gzip::compress(&inc_claim.into_bytes(), Level::Default));
 
-    // First damaged entries for the three formats that had unit tests
-    // only.
+    // First damaged entries for the formats that had unit tests only.
 
     // 27. RPC1 cursor with a flipped byte in the generation field.
     let mut rpc1 = sample(&frame::RPC1);
@@ -347,17 +293,6 @@ fn main() {
     let mut rpc1 = sample(&frame::RPC1);
     rpc1[6] = 1;
     write("rpc1_reserved_nonzero.bin", &rpc1);
-
-    // 29. RST1 token claiming an unknown version (resealed).
-    let mut rst1 = sample(&frame::RST1);
-    rst1[4] = 9;
-    write("rst1_bad_version.bin", &reframe(rst1));
-
-    // 30. RST1 boundary token (no ICK1 blob) whose output accounting
-    //     says it is mid-member.
-    let mut tok = common::valid_token();
-    tok.ick = Vec::new();
-    write("rst1_boundary_mismatch.bin", &encode_token(&tok));
 
     // 31. SRV1 frame torn inside its body.
     let srv1 = sample(&frame::SRV1);

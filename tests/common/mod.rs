@@ -8,12 +8,10 @@
 use lossy_ckpt::core::checkpoint::CheckpointBuilder;
 use lossy_ckpt::core::incremental;
 use lossy_ckpt::deflate::frame::{self, Format, Writer};
-use lossy_ckpt::deflate::resume::ResumableInflate;
 use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::quant::Bitmap;
 use lossy_ckpt::serve::proto::{self, Request};
-use lossy_ckpt::serve::restore::{encode_token, Token};
 use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store};
 use lossy_ckpt::wavelet::{Kernel, MultiLevel};
 use std::fs;
@@ -124,40 +122,6 @@ pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
         *v += 0.25;
     }
     (full, base, next)
-}
-
-/// A mid-stream `ICK1` blob, the deflate body it checkpoints, and the
-/// payload that body decodes to. `step` is how far the engine ran.
-pub fn ick_fixture(step: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let payload = lcg_bytes(20_000, 42);
-    let body = lossy_ckpt::deflate::compress(&payload, Level::Default);
-    let mut engine = ResumableInflate::new();
-    let mut sink = Vec::new();
-    assert!(!engine.inflate_step(&body, &mut sink, step).unwrap(), "must stop mid-stream");
-    (engine.checkpoint(), body, payload)
-}
-
-/// A mid-member token around the small `ICK1` sample.
-pub fn valid_token() -> Token {
-    let (ick, _, _) = ick_fixture(300);
-    let engine = ResumableInflate::restore_from_checkpoint(&ick).unwrap();
-    Token {
-        gen: 3,
-        rank: 0,
-        payload_len: 12_345,
-        payload_crc: 0xC0FF_EE00,
-        member_at: 1,
-        member_count: 4,
-        prefix_len: 4096,
-        prefix_crc: 0x1234_5678,
-        out_len: 4096 + engine.output_len(),
-        out_crc: lossy_ckpt::deflate::crc32::crc32_combine(
-            0x1234_5678,
-            engine.output_crc(),
-            engine.output_len(),
-        ),
-        ick,
-    }
 }
 
 /// The files of a deterministic three-generation store — a full array,
@@ -309,11 +273,8 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the deflate encoder's noise gate: the `ICK1` state and the
-/// `RST1` token around it, both cut from a stream of 20 000 noise bytes.
-/// Before that, with the LZ77 miss stride and the transposed `WCK1`
-/// default: the `WCK1` sample, and the manifest and snapshot that carry
-/// its CRC.) The `INC1` sample is the store's increment, written by the
+/// with the LZ77 miss stride and the transposed `WCK1` default: the
+/// `WCK1` sample, and the manifest and snapshot that carry its CRC.) The `INC1` sample is the store's increment, written by the
 /// oracle; the `INC2` one is the same increment as this build writes it.
 pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
     let store = store_files();
@@ -334,8 +295,6 @@ pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
         (*b"CSM1", store.manifest),
         (*b"CSM2", store.snapshot),
         (*b"RPC1", store.cursor),
-        (*b"ICK1", ick_fixture(300).0),
-        (*b"RST1", encode_token(&valid_token())),
         (*b"SRV1", srv1),
     ]
 }

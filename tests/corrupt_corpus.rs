@@ -8,9 +8,7 @@
 //! checked-in valid sample still decodes and still equals what this
 //! build writes (the gzip-written ones last moved with the LZ77 miss
 //! stride and the transposed default; `decode_only_wck1_untransposed.bin`
-//! is the `WCK1` sample from before both, and `decode_only_ick1.bin` /
-//! `decode_only_rst1.bin` the engine state and token cut from the stream
-//! the encoder wrote before its noise gate; the `INC1` sample and
+//! is the `WCK1` sample from before both; the `INC1` sample and
 //! entries come from the test-only copy of the writer no build has any
 //! more, `common::inc1_increment`); and a valid sample cut at
 //! any byte or flipped at any byte is refused too. A format added to
@@ -26,10 +24,9 @@ mod common;
 use lossy_ckpt::core::checkpoint::Checkpoint;
 use lossy_ckpt::core::incremental::{self, Layout};
 use lossy_ckpt::deflate::frame::{Format, FORMATS};
-use lossy_ckpt::deflate::resume::ResumableInflate;
 use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
-use lossy_ckpt::serve::{proto, restore};
+use lossy_ckpt::serve::proto;
 use lossy_ckpt::store::{manifest, replicate, SegmentFormat, Store};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -148,12 +145,6 @@ fn harness(f: &Format) -> Harness {
             let gen = replicate::parse_cursor(b).ok_or("no cursor")?;
             Ok(gen.to_le_bytes().to_vec())
         }),
-        b"ICK1" => strict(|b| {
-            ResumableInflate::restore_from_checkpoint(b).map(|e| e.checkpoint()).map_err(err)
-        }),
-        b"RST1" => {
-            strict(|b| restore::parse_token(b).map(|t| restore::encode_token(&t)).map_err(err))
-        }
         b"SRV1" => strict(decode_srv1),
         _ => panic!("frame::FORMATS lists {}; give it a harness here", f.name()),
     }
@@ -199,13 +190,6 @@ const DIES_ON: &[(&str, &str)] = &[
     ("inc2_bad_version.bin", "unsupported version 9"),
     ("inc2_claim_1gib.bin", "need 134217728 bytes"),
     ("csm1_claim_1gib.bin", "valid prefix ends at byte 8"),
-    ("ick1_crc_flip.bin", "checksum mismatch"),
-    ("ick1_bad_version.bin", "version"),
-    ("ick1_bad_state.bin", "block state"),
-    ("ick1_claim_1gib.bin", "window length"),
-    ("rst1_bad_version.bin", "version"),
-    ("rst1_boundary_mismatch.bin", "boundary token"),
-    ("rst1_claim_1gib.bin", "declared count 1073741824"),
     ("srv1_claim_1gib.bin", "exceeds the 67108864-byte bound"),
     ("srv1_torn_body.bin", "truncated"),
     ("srv1_crc_flip.bin", "CRC mismatch"),
@@ -272,87 +256,14 @@ fn the_range_index_refuses_every_geometry_the_decoder_refuses() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The streamed restore steps the decoder's own member decoder and
-/// makes the decoder's container-level checks, so it writes out no
-/// `WPK1` segment the in-memory decoder refuses — cold, or resumed from
-/// the last token before the refusal (a boundary token at member 0 for
-/// the ones refused before anything was durable) — and a refused
-/// restore leaves its token where it is: the output is not complete.
-#[test]
-fn the_streamed_restore_refuses_every_container_the_decoder_refuses() {
-    use lossy_ckpt::serve::restore::{restore_streamed, resume_restore, RestoreOptions, Token};
-    use lossy_ckpt::serve::ServeError;
-    use lossy_ckpt::store::{FailPoint, StoreError};
-    // Three chunks of 1024, 1024 and 952 bytes.
-    let good = parent_sample(b"WPK1");
-    let mut header_crc_flip = good.clone();
-    header_crc_flip[26] ^= 0x55;
-    let mut total_one_short = good.clone();
-    total_one_short[10..18].copy_from_slice(&2999u64.to_le_bytes());
-    let mut planted = vec![
-        ("a flipped header CRC".to_string(), header_crc_flip),
-        ("a total one byte short of the last member".to_string(), total_one_short),
-    ];
-    planted.extend(corpus_files("wpk1_").into_iter().filter(|(name, _)| {
-        ["wpk1_bad_member_crc.bin", "wpk1_zero_member.bin", "wpk1_bomb_total.bin"]
-            .contains(&name.as_str())
-    }));
-    assert_eq!(planted.len(), 5);
-
-    let dir = scratch_dir("wpk1-stream");
-    let mut store = Store::open(dir.join("store")).unwrap();
-    let (out, token) = (dir.join("out"), dir.join("out.resume"));
-    let opts = RestoreOptions { interval_bytes: 256 };
-    for (name, bytes) in planted {
-        assert!(chunked::decompress_chunked(&bytes, 2).is_err(), "{name}: decoded in memory");
-        let gen = store.save_full(0, SegmentFormat::Array, &[&bytes], 1).unwrap();
-        let snap = store.snapshot().unwrap();
-        let _ = fs::remove_file(&token);
-
-        let fp = FailPoint::unlimited();
-        let cold = restore_streamed(&snap, gen, 0, &out, &token, &opts, &fp);
-        assert!(cold.is_err(), "{name}: streamed to {cold:?}");
-        if fp.bytes_written() > 0 {
-            // Killed on the last byte written before the refusal: the
-            // token left behind is the last one a real run would have.
-            let last = FailPoint::after_bytes(fp.bytes_written() - 1);
-            let killed = restore_streamed(&snap, gen, 0, &out, &token, &opts, &last);
-            assert!(matches!(killed, Err(ServeError::Store(StoreError::Killed))), "{name}");
-            assert!(token.exists(), "{name}: no token within 256 bytes of the refusal");
-        } else {
-            let at_member_0 = Token {
-                gen,
-                rank: 0,
-                payload_len: bytes.len() as u64,
-                payload_crc: lossy_ckpt::deflate::crc32::crc32(&bytes),
-                member_at: 0,
-                member_count: 5,
-                prefix_len: 0,
-                prefix_crc: 0,
-                out_len: 0,
-                out_crc: 0,
-                ick: Vec::new(),
-            };
-            fs::write(&token, restore::encode_token(&at_member_0)).unwrap();
-            fs::write(&out, b"").unwrap();
-        }
-        let resumed = resume_restore(&snap, &token, &out, &opts, &FailPoint::unlimited());
-        assert!(resumed.is_err(), "{name}: resumed to {resumed:?}");
-        assert!(token.exists(), "{name}: refused, yet the token is gone as if the file were whole");
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// Resource totality one level up: a sparse 1 GiB file planted where a
-/// cursor, a snapshot or a resume token belongs is refused on its
-/// length (`frame::read_file_bounded`), and what follows is what
-/// follows any other damaged file there — the cursor reads as absent
-/// and the next push re-sends, the snapshot is quarantined and the log
-/// replayed, the resume is refused.
+/// cursor or a snapshot belongs is refused on its length
+/// (`frame::read_file_bounded`), and what follows is what follows any
+/// other damaged file there — the cursor reads as absent and the next
+/// push re-sends, the snapshot is quarantined and the log replayed.
 #[test]
 fn a_gibibyte_file_at_each_metadata_path_is_treated_as_damage() {
-    use lossy_ckpt::serve::restore::{resume_restore, RestoreOptions};
-    use lossy_ckpt::store::{FailPoint, LocalReplica};
+    use lossy_ckpt::store::LocalReplica;
     let plant = |path: &std::path::Path| {
         fs::File::create(path).unwrap().set_len(1 << 30).unwrap();
     };
@@ -370,18 +281,6 @@ fn a_gibibyte_file_at_each_metadata_path_is_treated_as_damage() {
     let mut buddy = Store::open(dir.join("buddy")).unwrap();
     let report = store.push_to(&mut LocalReplica(&mut buddy)).unwrap();
     assert_eq!((report.cursor, store.replication_cursor()), (Some(3), Some(3)));
-
-    let token = dir.join("out.resume");
-    plant(&token);
-    let refused = resume_restore(
-        &store.snapshot().unwrap(),
-        &token,
-        &dir.join("out"),
-        &RestoreOptions::default(),
-        &FailPoint::unlimited(),
-    );
-    let why = refused.expect_err("a 1 GiB token resumes nothing").to_string();
-    assert!(why.contains("byte bound"), "refused on `{why}`, not on its length");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -391,7 +290,7 @@ fn a_gibibyte_file_at_each_metadata_path_is_treated_as_damage() {
 /// whatever would trip over the missing bytes afterwards.
 #[test]
 fn every_gibibyte_claim_is_refused_on_its_guard() {
-    for magic in [b"CSM1", b"CSM2", b"SRV1", b"RST1", b"ICK1", b"INC1", b"INC2"] {
+    for magic in [b"CSM1", b"CSM2", b"SRV1", b"INC1", b"INC2"] {
         let f = FORMATS.iter().find(|f| &f.magic == magic).unwrap();
         let name = format!("{}_claim_1gib.bin", f.name().to_lowercase());
         let bytes = fs::read(common::corpus_dir().join(&name))
@@ -647,33 +546,6 @@ fn the_zlib_wrapped_sample_is_refused_as_a_retired_container() {
         bad[at] ^= 0x10;
         assert!(Compressor::decompress(&bad).is_err(), "flip at byte {at}: accepted");
         bad[at] = old[at];
-    }
-}
-
-/// A checked-in token's embedded engine state resumes the stream it was
-/// cut from, bit-identically: the current pair against the body this
-/// build writes, and the pair kept from before the noise gate against
-/// the body that build wrote — its 20 000 noise bytes in one stored
-/// block, which is what `Level::Store` writes (the gate stores the first
-/// 16 KiB unsearched and the rest as a second block).
-#[test]
-fn parent_written_token_resumes_its_stream() {
-    let (_, body, payload) = common::ick_fixture(300);
-    let old_body = lossy_ckpt::deflate::compress(&payload, Level::Store);
-    assert!(body != old_body, "the gate moved this stream");
-    let kept = |name: &str| fs::read(common::corpus_dir().join(name)).unwrap();
-    for (rst1, ick1, body) in [
-        (parent_sample(b"RST1"), parent_sample(b"ICK1"), &body),
-        (kept("decode_only_rst1.bin"), kept("decode_only_ick1.bin"), &old_body),
-    ] {
-        let tok = restore::parse_token(&rst1).unwrap();
-        assert_eq!(tok.ick, ick1);
-        let mut engine = ResumableInflate::restore_from_checkpoint(&tok.ick).unwrap();
-        let mut tail = Vec::new();
-        while !engine.inflate_step(body, &mut tail, usize::MAX).unwrap() {}
-        assert_eq!(engine.output_len(), payload.len() as u64);
-        assert_eq!(tail, payload[payload.len() - tail.len()..]);
-        assert_eq!(engine.output_crc(), lossy_ckpt::deflate::crc32::crc32(&payload));
     }
 }
 
