@@ -185,42 +185,41 @@ pub fn info(argv: &[String]) -> Result<(), String> {
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let tensor = Compressor::decompress(&bytes).map_err(|e| e.to_string())?;
     let (lo, hi) = tensor.min_max();
-    println!("file            : {input}");
-    println!("compressed bytes: {}", bytes.len());
-    println!("dims            : {:?}", tensor.dims());
-    println!("elements        : {}", tensor.len());
-    println!("raw bytes       : {}", tensor.len() * 8);
-    println!(
+    say!("file            : {input}");
+    say!("compressed bytes: {}", bytes.len());
+    say!("dims            : {:?}", tensor.dims());
+    say!("elements        : {}", tensor.len());
+    say!("raw bytes       : {}", tensor.len() * 8);
+    say!(
         "compression rate: {:.2}%",
         100.0 * bytes.len() as f64 / (tensor.len() * 8) as f64
     );
-    println!("value range     : [{lo}, {hi}]");
-    println!("mean            : {}", tensor.mean());
-    print_chunked_breakdown(&bytes);
-    Ok(())
+    say!("value range     : [{lo}, {hi}]");
+    say!("mean            : {}", tensor.mean());
+    print_chunked_breakdown(&bytes)
 }
 
 /// For WPK1 chunked streams, a per-member table: stored size, expected
 /// inflated size, and whether each member's CRC checks out.
-fn print_chunked_breakdown(bytes: &[u8]) {
+fn print_chunked_breakdown(bytes: &[u8]) -> Result<(), String> {
     // The container is always outermost: it wraps the WCK1 stream.
     if !ckpt_deflate::chunked::is_chunked(bytes) {
-        return;
+        return Ok(());
     }
-    let Ok(info) = ckpt_deflate::chunked::inspect(bytes) else { return };
-    println!("container       : WPK1 chunked, {} members", info.chunk_count);
-    println!(
+    let Ok(info) = ckpt_deflate::chunked::inspect(bytes) else { return Ok(()) };
+    say!("container       : WPK1 chunked, {} members", info.chunk_count);
+    say!(
         "chunk bytes     : {} ({} total uncompressed)",
         info.chunk_bytes, info.total_uncompressed
     );
-    println!(
+    say!(
         "combined crc    : {:08x} ({})",
         info.stored_crc,
         if info.combined_crc_ok { "ok" } else { "MISMATCH" }
     );
-    println!("{:>7} {:>12} {:>14} {:>10} crc", "member", "compressed", "uncompressed", "crc32");
+    say!("{:>7} {:>12} {:>14} {:>10} crc", "member", "compressed", "uncompressed", "crc32");
     for m in &info.members {
-        println!(
+        say!(
             "{:>7} {:>12} {:>14} {:>10} {}",
             m.index,
             m.compressed_len,
@@ -229,6 +228,7 @@ fn print_chunked_breakdown(bytes: &[u8]) {
             if m.crc_ok { "ok" } else { "BAD" }
         );
     }
+    Ok(())
 }
 
 pub fn gen(argv: &[String]) -> Result<(), String> {

@@ -14,6 +14,16 @@
 
 #![forbid(unsafe_code)]
 
+/// Prints one line of a verb's report on stdout: the CLI's one stdout
+/// writer. A reader that closed the pipe early (`ckpt info x | head -1`)
+/// ends the report quietly, and the verb's work and exit status stand;
+/// any other failure to write is the verb's error.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        $crate::say_line(format_args!($($arg)*))?
+    };
+}
+
 mod args;
 mod commands;
 mod serve_cmd;
@@ -32,6 +42,14 @@ fn main() -> ExitCode {
     }
 }
 
+fn say_line(line: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::{ErrorKind, Write};
+    match writeln!(std::io::stdout(), "{line}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing to stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 fn run(argv: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{}", commands::USAGE);
@@ -47,7 +65,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         "fetch" => serve_cmd::fetch(rest),
         "replicate" => serve_cmd::replicate(rest),
         "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
+            say!("{}", commands::USAGE);
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}; try `ckpt help`")),

@@ -44,7 +44,7 @@ const DEFAULT_CHUNK: u64 = 4 << 20;
 
 pub fn serve(argv: &[String]) -> Result<(), String> {
     if argv.first().map(String::as_str) == Some("help") {
-        println!("{SERVE_USAGE}");
+        say!("{SERVE_USAGE}");
         return Ok(());
     }
     let args = Args::parse(argv, "serve", &["socket", "for-ms"])?;
@@ -79,7 +79,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
 
 pub fn fetch(argv: &[String]) -> Result<(), String> {
     if argv.first().map(String::as_str) == Some("help") {
-        println!("{SERVE_USAGE}");
+        say!("{SERVE_USAGE}");
         return Ok(());
     }
     let args = Args::parse(argv, "fetch", &["list", "gen", "rank", "chunk-bytes", "out"])?;
@@ -90,12 +90,12 @@ pub fn fetch(argv: &[String]) -> Result<(), String> {
     if args.get_or("list", false)? {
         let gens = client.list().map_err(|e| e.to_string())?;
         if gens.is_empty() {
-            println!("(empty store)");
+            say!("(empty store)");
             return Ok(());
         }
-        println!("{:>8} {:>8} {:<10} {:>5} {:>12}", "gen", "step", "format", "ranks", "bytes");
+        say!("{:>8} {:>8} {:<10} {:>5} {:>12}", "gen", "step", "format", "ranks", "bytes");
         for g in &gens {
-            println!(
+            say!(
                 "{:>8} {:>8} {:<10} {:>5} {:>12}",
                 g.gen,
                 g.step,
@@ -105,7 +105,7 @@ pub fn fetch(argv: &[String]) -> Result<(), String> {
             );
         }
         if let Some(latest) = client.latest().map_err(|e| e.to_string())? {
-            println!("latest committed: generation {latest}");
+            say!("latest committed: generation {latest}");
         }
         return Ok(());
     }
@@ -147,7 +147,7 @@ pub fn fetch(argv: &[String]) -> Result<(), String> {
 
 pub fn replicate(argv: &[String]) -> Result<(), String> {
     if argv.first().map(String::as_str) == Some("help") {
-        println!("{SERVE_USAGE}");
+        say!("{SERVE_USAGE}");
         return Ok(());
     }
     let args = Args::parse(argv, "replicate", &["to", "to-dir", "adopt"])?;

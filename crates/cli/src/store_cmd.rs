@@ -59,7 +59,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "gc" => gc(rest),
         "compact" => compact(rest),
         "help" => {
-            println!("{STORE_USAGE}");
+            say!("{STORE_USAGE}");
             Ok(())
         }
         other => Err(format!("unknown store subcommand {other:?}; try `ckpt store help`")),
@@ -319,10 +319,10 @@ fn list(argv: &[String]) -> Result<(), String> {
     let store = open(dir)?;
     let gens = store.generations();
     if gens.is_empty() {
-        println!("(empty store)");
+        say!("(empty store)");
         return Ok(());
     }
-    println!("{:>8} {:>8} {:<10} {:>8} {:>5} {:>12} status", "gen", "step", "format", "base", "ranks", "bytes");
+    say!("{:>8} {:>8} {:<10} {:>8} {:>5} {:>12} status", "gen", "step", "format", "base", "ranks", "bytes");
     for g in &gens {
         let status = match (g.committed, g.retired) {
             (_, Some(r)) => match r {
@@ -333,7 +333,7 @@ fn list(argv: &[String]) -> Result<(), String> {
             (false, None) => "uncommitted",
         };
         let base = if g.base_gen == g.gen { "-".to_string() } else { g.base_gen.to_string() };
-        println!(
+        say!(
             "{:>8} {:>8} {:<10} {:>8} {:>5} {:>12} {status}",
             g.gen,
             g.step,
@@ -344,7 +344,7 @@ fn list(argv: &[String]) -> Result<(), String> {
         );
     }
     if let Some(latest) = store.latest_committed() {
-        println!("latest committed: generation {latest}");
+        say!("latest committed: generation {latest}");
     }
     Ok(())
 }
@@ -354,13 +354,13 @@ fn verify(argv: &[String]) -> Result<(), String> {
     let dir = args.one_positional("store dir")?;
     let store = open(dir)?;
     let report = store.verify().map_err(|e| e.to_string())?;
-    println!("checked {} segments", report.segments_checked);
+    say!("checked {} segments", report.segments_checked);
     if report.clean() {
-        println!("store is clean");
+        say!("store is clean");
         Ok(())
     } else {
         for (gen, rank, what) in &report.problems {
-            println!("PROBLEM gen {gen} rank {rank}: {what}");
+            say!("PROBLEM gen {gen} rank {rank}: {what}");
         }
         Err(format!("{} problems found", report.problems.len()))
     }
@@ -372,7 +372,7 @@ fn gc(argv: &[String]) -> Result<(), String> {
     let keep = args.get_or("keep", 2usize)?;
     let mut store = open(dir)?;
     let report = store.gc(keep).map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "retained {:?}, pruned {:?} ({} files deleted), quarantined {:?}",
         report.retained, report.pruned, report.files_deleted, report.quarantined
     );
@@ -389,9 +389,9 @@ fn compact(argv: &[String]) -> Result<(), String> {
     if !manifest_only {
         let report = store.compact_chains(max_depth, threads).map_err(|e| e.to_string())?;
         for (old_tip, new_gen) in &report.rewritten {
-            println!("rewrote chain tip {old_tip} as full generation {new_gen}");
+            say!("rewrote chain tip {old_tip} as full generation {new_gen}");
         }
-        println!(
+        say!(
             "chains: {} rewritten, {} links retired ({} files deleted), {} skipped pinned",
             report.rewritten.len(),
             report.retired.len(),
@@ -400,7 +400,7 @@ fn compact(argv: &[String]) -> Result<(), String> {
         );
     }
     let report = store.compact_manifest().map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "manifest: {} live generations snapshotted ({} pruned), {} snapshot bytes, \
          {} log bytes truncated",
         report.snapshot_gens, report.pruned_gens, report.snapshot_bytes, report.log_bytes_truncated

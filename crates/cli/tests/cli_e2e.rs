@@ -141,3 +141,42 @@ fn a_flag_the_verb_does_not_take_fails_by_name() {
         assert!(!out.exists(), "{args:?} wrote its output");
     }
 }
+
+/// `ckpt info x | head -1`: the reader takes one line and closes the
+/// pipe. The member table of a many-member WPK1 file is far larger than
+/// a pipe buffer, so the verb's later writes fail with a broken pipe;
+/// it must end its report quietly and exit 0, not panic.
+#[test]
+fn a_reader_that_closes_stdout_early_ends_the_report_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let raw = tmp("pipe.f64");
+    let wck = tmp("pipe.wck");
+    assert!(bin().args(["gen", "--dims", "64x16", "-o"]).arg(&raw).status().unwrap().success());
+    let st = bin()
+        .arg("compress")
+        .arg(&raw)
+        .args(["--dims", "64x16", "--threads", "2", "--chunk-bytes", "1", "-o"])
+        .arg(&wck)
+        .status()
+        .unwrap();
+    assert!(st.success());
+
+    let mut child = bin()
+        .arg("info")
+        .arg(&wck)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.starts_with("file"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    for p in [raw, wck] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -7,6 +7,11 @@
 //! name and the application step recorded so a restart can rebind
 //! variables by name.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::codec::{put_dims, Compressed, Compressor};
 use crate::timing::StageTimings;
 use crate::{CkptError, Result};
@@ -107,19 +112,24 @@ impl CheckpointBuilder {
     }
 
     /// Serializes the checkpoint image.
+    #[expect(
+        clippy::expect_used,
+        clippy::missing_panics_doc,
+        reason = "encoder: `check_name` bounded every name and the variable count on the way in"
+    )]
     pub fn into_bytes(self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_bytes(&CKPT.magic);
         w.put_u8(CKPT.version);
         w.put_u64(self.step);
-        w.put_u16(self.entries.len() as u16);
+        w.put_u16(u16::try_from(self.entries.len()).expect("count validated by check_name"));
         for e in &self.entries {
             w.put_str(&e.name).expect("name length validated by check_name");
             w.put_u8(match e.mode {
                 VarMode::Lossy => 0,
                 VarMode::Raw => 1,
             });
-            w.put_u64(e.payload.len() as u64);
+            w.put_u64(frame::u64_from_usize(e.payload.len()));
             w.put_bytes(&e.payload);
         }
         w.into_bytes()

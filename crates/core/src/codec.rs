@@ -6,6 +6,11 @@
 //! bitmap, and the average table, behind a self-describing header. The
 //! container (gzip or none) wraps the whole formatted buffer.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::config::{CompressorConfig, Container};
 use crate::timing::{timed, StageTimings};
 use crate::{CkptError, Result};
@@ -37,7 +42,7 @@ impl CompressStats {
 
     /// Fraction of high-band values that were quantized.
     pub fn coverage(&self) -> f64 {
-        self.coverage_milli as f64 / 1000.0
+        f64::from(self.coverage_milli) / 1000.0
     }
 }
 
@@ -207,6 +212,7 @@ impl Compressor {
             format_stream(&self.cfg, tensor.dims(), plan, &low_values, &quantized)
         })?;
 
+        #[expect(clippy::as_conversions, reason = "statistics: a fraction in [0, 1], in thousandths")]
         let coverage_milli = (quantized.coverage() * 1000.0).round() as u32;
         Ok((formatted, timings, coverage_milli))
     }
@@ -356,18 +362,17 @@ fn format_stream(
         Kernel::Cdf53 => 1,
         Kernel::Cdf97 => 2,
     };
-    let flags = (cfg.quantize_low_band as u8)
-        | ((cfg.byte_shuffle as u8) << 1)
-        | (kernel_bits << 2);
+    let flags =
+        u8::from(cfg.quantize_low_band) | (u8::from(cfg.byte_shuffle) << 1) | (kernel_bits << 2);
     w.put_u8(flags);
-    w.put_u8(plan.levels as u8);
-    w.put_u16(cfg.quant.n as u16);
-    w.put_u16(u16::try_from(cfg.quant.d).expect("validated: d fits the u16 header field"));
+    w.put_u8(header_field(plan.levels, "wavelet levels")?);
+    w.put_u16(header_field(cfg.quant.n, "division number n")?);
+    w.put_u16(header_field(cfg.quant.d, "spike partition count d")?);
     put_dims(&mut w, dims)?;
-    w.put_u16(q.averages.len() as u16);
-    w.put_u64(low_values.len() as u64);
-    w.put_u64(q.raw.len() as u64);
-    w.put_u64(q.indexes.len() as u64);
+    w.put_u16(header_field(q.averages.len(), "average count")?);
+    w.put_u64(frame::u64_from_usize(low_values.len()));
+    w.put_u64(frame::u64_from_usize(q.raw.len()));
+    w.put_u64(frame::u64_from_usize(q.indexes.len()));
     // The floating-point sections (low band, raw values, average
     // table), written straight into the stream: as the eight byte
     // planes of one transposed region, or value by value.
@@ -389,6 +394,12 @@ fn format_stream(
     Ok(w.into_bytes())
 }
 
+/// `v` as a `WCK1` header field of type `T`. Validated configurations
+/// always fit; anything else is refused rather than truncated.
+fn header_field<T: TryFrom<usize>>(v: usize, what: &str) -> Result<T> {
+    T::try_from(v).map_err(|_| CkptError::Format(format!("{what} = {v} overflows its header field")))
+}
+
 /// Writes a shape as every format with one stores it: a `u8` axis
 /// count, then one `u64` extent per axis. A shape of more than 255 axes
 /// is refused rather than written with a count its parser would misread.
@@ -398,7 +409,7 @@ pub(crate) fn put_dims(w: &mut Writer, dims: &[usize]) -> Result<()> {
     })?;
     w.put_u8(ndim);
     for &d in dims {
-        w.put_u64(d as u64);
+        w.put_u64(frame::u64_from_usize(d));
     }
     Ok(())
 }

@@ -23,6 +23,11 @@
 //! in any order, concurrently (the store does), and only the XORs need
 //! an array to land in.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::codec::put_dims;
 use crate::shuffle::{gather_words, write_planes};
 use crate::{CkptError, Result};
@@ -50,6 +55,7 @@ pub struct IncrementStats {
 impl IncrementStats {
     /// Fraction of pages dirty — the paper's claim is that this is ~1
     /// for mesh codes.
+    #[expect(clippy::as_conversions, reason = "statistics: a ratio of page counts")]
     pub fn dirty_fraction(&self) -> f64 {
         if self.pages == 0 {
             return 0.0;
@@ -71,6 +77,11 @@ impl IncrementStats {
 /// change, so their planes are near zero; the low mantissa planes are
 /// noise, which the deflate encoder's noise gate stores unsearched and
 /// a restore inflates as a copy.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encoder: the page loop indexes both arrays by `page_range`, which the shape check \
+              bounds, and `xor` by a page length of at most PAGE_ELEMS"
+)]
 pub fn increment(
     base: &Tensor<f64>,
     current: &Tensor<f64>,
@@ -100,7 +111,7 @@ pub fn increment(
     w.put_bytes(&INC2.magic);
     w.put_u8(INC2.version);
     put_dims(&mut w, current.dims())?;
-    w.put_u64(pages as u64);
+    w.put_u64(frame::u64_from_usize(pages));
     w.put_bytes(&dirty.to_bytes());
     let planes = w.put_region(8 * count);
     let mut xor = [0.0f64; PAGE_ELEMS];

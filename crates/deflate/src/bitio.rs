@@ -9,6 +9,11 @@
 //! complete bytes; the reader refills with one unaligned 8-byte load
 //! and branch-free arithmetic whenever at least 8 input bytes remain.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::DeflateError;
 
 /// Bit writer accumulating into a byte vector, LSB-first.
@@ -29,6 +34,13 @@ pub struct BitWriter {
 /// ahead of the write position.
 const GROW_STEP: usize = 64 * 1024;
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::as_conversions,
+    clippy::missing_panics_doc,
+    reason = "encoder: the hot bit writer; `grow` keeps `pos + 8` in bounds, and alignment is \
+              the caller's invariant, not a property of untrusted bytes"
+)]
 impl BitWriter {
     /// New empty writer.
     pub fn new() -> Self {

@@ -33,6 +33,11 @@
 //! `&data[30 + 8 * n…]` recovers the payload serially, which keeps the
 //! format debuggable with standard tooling.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::crc32::crc32_combine;
 use crate::frame::{Reader, Writer, WPK1};
 use crate::{gzip, DeflateError, Level};
@@ -84,8 +89,8 @@ fn put_header(out: &mut Writer, chunks: usize, total: usize, chunk_bytes: usize,
     out.put_u8(WPK1.version);
     out.put_u8(0);
     out.put_count(chunks);
-    out.put_u64(total as u64);
-    out.put_u64(chunk_bytes as u64);
+    out.put_u64(crate::u64_from_usize(total));
+    out.put_u64(crate::u64_from_usize(chunk_bytes));
     out.put_u32(crc);
     debug_assert_eq!(out.len(), HEADER_BYTES);
 }
@@ -121,6 +126,13 @@ impl StreamSink for Vec<u8> {
 /// is returned; the sink is left mid-container (callers with durability
 /// needs discard the partial artifact, as the store's tmp/rename
 /// protocol does).
+#[expect(
+    clippy::panic_in_result_fn,
+    clippy::missing_panics_doc,
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "encoder: the chunk count and the members are this build's own output"
+)]
 pub fn compress_chunked_stream<S: StreamSink>(
     data: &[u8],
     level: Level,

@@ -23,9 +23,14 @@
 //! ([`FrameError::BadVersion`]) — never a best-effort read of a layout
 //! it does not know.
 //!
-//! All reader paths are panic-free on arbitrary input (enforced by
-//! `ckpt-lint`): out-of-range reads, length overflows, and bad UTF-8
-//! surface as [`FrameError`] values, never as panics.
+//! All reader paths are panic-free on arbitrary input (enforced by the
+//! clippy lints below): out-of-range reads, length overflows, and bad
+//! UTF-8 surface as [`FrameError`] values, never as panics.
+
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
 
 use crate::crc32::crc32;
 use std::fmt;
@@ -110,6 +115,37 @@ pub fn usize_len(v: u64) -> Result<usize, FrameError> {
     usize::try_from(v).map_err(|_| FrameError::CountTooLarge { count: v })
 }
 
+// Every target this workspace supports has at least 32-bit pointers, so
+// u32 -> usize widening below is lossless.
+const _USIZE_HOLDS_U32: () = assert!(usize::BITS >= 32);
+
+/// Lossless `u32 -> usize` widening. The standard library provides no
+/// `From` impl (16-bit targets exist in the abstract); the module-level
+/// const assertion above pins the assumption this helper relies on.
+#[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "audited widening helper: u32 -> usize is lossless on every supported target; a \
+              module-level const assertion pins usize::BITS >= 32, and all decoder u32->usize \
+              conversions are routed through this one function"
+)]
+pub const fn usize_from_u32(v: u32) -> usize {
+    v as usize
+}
+
+/// Lossless `usize -> u64` widening (no target has pointers wider than
+/// 64 bits); the standard library provides no `From` impl.
+#[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "audited widening helper: usize -> u64 is lossless (no supported target has \
+              pointers wider than 64 bits); all decoder usize->u64 conversions are routed \
+              through this one function"
+)]
+pub const fn u64_from_usize(v: usize) -> u64 {
+    v as u64
+}
+
 // ---------------------------------------------------------------- formats
 
 /// Which envelope wraps a format's body.
@@ -124,8 +160,8 @@ pub enum Envelope {
 }
 
 impl Envelope {
-    /// The spelling docs/FORMAT.md uses for this envelope (`spec-drift`
-    /// requires it in every format's section).
+    /// The spelling docs/FORMAT.md uses for this envelope
+    /// (`tests/format_doc.rs` requires it in every format's section).
     pub fn doc_name(self) -> &'static str {
         match self {
             Envelope::Bespoke => "bespoke",
@@ -137,9 +173,9 @@ impl Envelope {
 
 /// The facts about one magic-tagged format that more than its owner
 /// needs: the owners read their constants from here, the corpus and
-/// hostile-bytes tests iterate [`FORMATS`], `ckpt-lint` roots its
-/// decoder scope at `decoder`, and `spec-drift` holds docs/FORMAT.md
-/// to `magic`, `version`, `header8` and `envelope`.
+/// hostile-bytes tests iterate [`FORMATS`], and `tests/format_doc.rs`
+/// holds docs/FORMAT.md to `magic`, `version`, `header8` and
+/// `envelope`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Format {
     /// The four-byte tag, also the format's name. On the wire for
@@ -155,9 +191,6 @@ pub struct Format {
     /// Largest envelope body; `usize::MAX` for bespoke layouts, which
     /// bound their own allocations.
     pub max_body: usize,
-    /// The function that receives this format's bytes from disk or a
-    /// socket — its `ckpt-lint` entry point.
-    pub decoder: &'static str,
 }
 
 impl Format {
@@ -179,29 +212,23 @@ impl Format {
     }
 }
 
-const fn bespoke(magic: &[u8; 4], version: u8, decoder: &'static str) -> Format {
-    Format {
-        magic: *magic,
-        version,
-        header8: false,
-        envelope: Envelope::Bespoke,
-        max_body: usize::MAX,
-        decoder,
-    }
+const fn bespoke(magic: &[u8; 4], version: u8) -> Format {
+    let envelope = Envelope::Bespoke;
+    Format { magic: *magic, version, header8: false, envelope, max_body: usize::MAX }
 }
 
 /// Lossy wavelet container (`ckpt_core::codec`).
-pub const WCK1: Format = bespoke(b"WCK1", 1, "parse_stream");
+pub const WCK1: Format = bespoke(b"WCK1", 1);
 /// Multi-variable checkpoint image (`ckpt_core::checkpoint`).
-pub const CKPT: Format = bespoke(b"CKPT", 1, "from_bytes");
+pub const CKPT: Format = bespoke(b"CKPT", 1);
 /// Chunked multi-member gzip pack (`ckpt_deflate::chunked`).
-pub const WPK1: Format = bespoke(b"WPK1", 1, "decompress_chunked_with_limit");
+pub const WPK1: Format = bespoke(b"WPK1", 1);
 /// Dirty-page increment inside a gzip member, XOR words interleaved
 /// (`ckpt_core::incremental`). Decode-only: no build writes it.
-pub const INC1: Format = bespoke(b"INC1", 0, "apply");
+pub const INC1: Format = bespoke(b"INC1", 0);
 /// Dirty-page increment inside a gzip member, XOR words as eight byte
 /// planes (`ckpt_core::incremental`).
-pub const INC2: Format = bespoke(b"INC2", 1, "decode");
+pub const INC2: Format = bespoke(b"INC2", 1);
 /// Store manifest log: `header8`, then a run of records
 /// (`ckpt_store::manifest`).
 pub const CSM1: Format = Format {
@@ -210,7 +237,6 @@ pub const CSM1: Format = Format {
     header8: true,
     envelope: Envelope::LenCrcBody,
     max_body: 1 << 16,
-    decoder: "parse_manifest",
 };
 /// Manifest snapshot: `header8`, then one frame (`ckpt_store::manifest`).
 pub const CSM2: Format = Format {
@@ -219,7 +245,6 @@ pub const CSM2: Format = Format {
     header8: true,
     envelope: Envelope::LenCrcBody,
     max_body: 64 << 20,
-    decoder: "parse_snapshot",
 };
 /// Replication cursor: `header8`, then a sealed u64
 /// (`ckpt_store::replicate`).
@@ -229,7 +254,6 @@ pub const RPC1: Format = Format {
     header8: true,
     envelope: Envelope::BodyCrc,
     max_body: 8,
-    decoder: "parse_cursor",
 };
 /// Socket request/response frames (`ckpt_serve::proto`).
 pub const SRV1: Format = Format {
@@ -238,7 +262,6 @@ pub const SRV1: Format = Format {
     header8: false,
     envelope: Envelope::LenCrcBody,
     max_body: 64 << 20,
-    decoder: "read_frame",
 };
 
 /// Every magic-tagged format in the workspace.
@@ -297,6 +320,7 @@ impl Writer {
 
     /// Appends `n` zero bytes and returns them, for a section the
     /// caller lays out in place.
+    #[expect(clippy::indexing_slicing, reason = "encoder: `start` is the length before the resize")]
     pub fn put_region(&mut self, n: usize) -> &mut [u8] {
         let start = self.buf.len();
         self.buf.resize(start + n, 0);
@@ -579,7 +603,7 @@ pub fn unseal(bytes: &[u8], max_body: usize) -> Result<&[u8], FrameError> {
 /// read itself is capped the same way in case the file grows.
 pub fn read_file_bounded(path: &std::path::Path, format: &Format) -> io::Result<Vec<u8>> {
     let file = std::fs::File::open(path)?;
-    let max_len = (format.max_body as u64).saturating_add(format.framing_len());
+    let max_len = u64_from_usize(format.max_body).saturating_add(format.framing_len());
     let len = file.metadata()?.len();
     if len > max_len {
         let body = usize::try_from(len - format.framing_len()).unwrap_or(usize::MAX);
@@ -903,7 +927,6 @@ mod tests {
     fn the_format_table_is_consistent() {
         for (i, f) in FORMATS.iter().enumerate() {
             assert_eq!(f.name().as_bytes(), f.magic);
-            assert!(!f.decoder.is_empty());
             assert!(FORMATS.iter().skip(i + 1).all(|g| g.magic != f.magic), "{}", f.name());
             // Envelope formats state a real bound; bespoke ones none.
             assert_eq!(f.envelope == Envelope::Bespoke, f.max_body == usize::MAX, "{}", f.name());

@@ -1,6 +1,11 @@
 //! gzip container (RFC 1952): the format the paper applies to its
 //! formatted lossy output and uses as the lossless baseline.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::crc32::crc32;
 use crate::frame::Reader;
 use crate::resume::ResumableInflate;
@@ -25,6 +30,7 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
     out.push(OS_UNKNOWN);
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc32(data).to_le_bytes());
+    #[expect(clippy::as_conversions, reason = "encoder: ISIZE is the length mod 2^32 (RFC 1952)")]
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out
 }
@@ -97,8 +103,11 @@ fn check_trailer(
     if stored_crc != crc {
         return Err(DeflateError::ChecksumMismatch { stored: stored_crc, computed: crc });
     }
-    // ISIZE is the payload length mod 2^32 (RFC 1952), so the
-    // truncating cast is the field's defined semantics.
+    #[expect(
+        clippy::as_conversions,
+        reason = "RFC 1952 defines ISIZE as the uncompressed length modulo 2^32, so the truncating \
+                  cast implements the field's specified semantics rather than losing information"
+    )]
     let computed_size = len as u32;
     if stored_size != computed_size {
         return Err(DeflateError::SizeMismatch { stored: stored_size, computed: computed_size });

@@ -12,6 +12,11 @@
 //!   code up to 9 bits in one peek, with per-prefix subtables for the
 //!   rare longer codes, so no decode ever walks bits one at a time.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::bitio::{reverse_bits, BitReader, BitWriter};
 use crate::DeflateError;
 
@@ -31,6 +36,13 @@ pub const MAX_BITS: u32 = 15;
 /// `2j + 1` of the list below, so "the first `k` items" of a list is a
 /// count of leaves and a count of packages, and the lengths fall out of
 /// walking those counts from the last list down.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::as_conversions,
+    clippy::missing_panics_doc,
+    reason = "encoder: package-merge over this build's own symbol counts; every index is below \
+              a length the loop itself set"
+)]
 pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
     // (weight, symbol), lightest first, ties by symbol.
     let mut leaves: Vec<(u64, usize)> =
@@ -162,6 +174,12 @@ pub struct Encoder {
     entries: Vec<u32>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::missing_panics_doc,
+    reason = "encoder: symbols come from the block's own frequency count, so a miss is an \
+              accounting bug, not a data error"
+)]
 impl Encoder {
     /// Builds an encoder from code lengths.
     pub fn from_lengths(lengths: &[u8]) -> Self {

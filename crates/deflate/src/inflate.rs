@@ -1,6 +1,11 @@
 //! DEFLATE decoding (RFC 1951) in one call, and the block-header
 //! tables the engine in [`crate::resume`] decodes with.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::bitio::BitReader;
 use crate::deflate::{fixed_dist_lengths, fixed_litlen_lengths, CLCODE_ORDER};
 use crate::huffman::Decoder;

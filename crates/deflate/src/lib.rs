@@ -132,24 +132,7 @@ impl From<frame::FrameError> for DeflateError {
     }
 }
 
-// Every target this crate supports has at least 32-bit pointers, so
-// u32 -> usize widening below is lossless.
-const _USIZE_HOLDS_U32: () = assert!(usize::BITS >= 32);
-
-/// Lossless `u32 -> usize` widening. The standard library provides no
-/// `From` impl (16-bit targets exist in the abstract); the module-level
-/// const assertion above pins the assumption this helper relies on.
-#[inline]
-pub(crate) fn usize_from_u32(v: u32) -> usize {
-    v as usize
-}
-
-/// Lossless `usize -> u64` widening (no target has pointers wider than
-/// 64 bits); the standard library provides no `From` impl.
-#[inline]
-pub(crate) fn u64_from_usize(v: usize) -> u64 {
-    v as u64
-}
+pub(crate) use frame::{u64_from_usize, usize_from_u32};
 
 /// Compresses a raw DEFLATE stream (no container).
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {

@@ -9,6 +9,11 @@
 //! (The engine no longer resumes; it kept its name, EXPERIMENTS.md
 //! pass 16.)
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::bitio::BitReader;
 use crate::crc32::crc32_extend;
 use crate::deflate::{DIST_TABLE, LENGTH_TABLE};
@@ -54,8 +59,6 @@ pub struct ResumableInflate {
     /// resolve against, and the buffer [`ResumableInflate::finish`]
     /// hands over as the output.
     window: Vec<u8>,
-    /// Total bytes decoded so far.
-    out_len: u64,
     /// CRC-32 of all output so far (finalized form).
     crc: u32,
 }
@@ -98,8 +101,7 @@ impl ResumableInflate {
 
     /// Decodes from the saved bit position until the window holds
     /// `stop_len` bytes or the stream ends — the crate's one
-    /// BFINAL/BTYPE walk — then books what it appended into the output
-    /// length and CRC.
+    /// BFINAL/BTYPE walk — then folds what it appended into the CRC.
     fn advance(&mut self, data: &[u8], stop_len: usize) -> Result<(), DeflateError> {
         if self.done {
             return Ok(());
@@ -155,7 +157,6 @@ impl ResumableInflate {
         self.bit_pos = crate::u64_from_usize(start_byte) * 8 + r.bit_position();
         let produced = self.window.get(from..).unwrap_or_default();
         self.crc = crc32_extend(self.crc, produced);
-        self.out_len += crate::u64_from_usize(produced.len());
         Ok(())
     }
 }

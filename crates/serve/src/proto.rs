@@ -42,6 +42,11 @@
 //! two-phase protocol. `PutAck { already: 1 }` means the replica held
 //! an identical copy — the idempotent-import case a resumed push hits.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::{Result, ServeError};
 use ckpt_deflate::frame::{self, Reader, Writer, SRV1};
 use ckpt_store::{GenIndex, GenInfo, MemberRange, RankIndex, SegmentFormat};
@@ -52,7 +57,7 @@ pub const MAX_FRAME: usize = SRV1.max_body;
 
 /// Largest `len` a `Fetch` request may ask for, so `Data` responses
 /// always fit a frame with room for the tag and length prefix.
-pub const MAX_FETCH: u64 = (MAX_FRAME as u64) - 64;
+pub const MAX_FETCH: u64 = frame::u64_from_usize(MAX_FRAME) - 64;
 
 /// One client request against a snapshot.
 #[derive(Debug, Clone, PartialEq)]

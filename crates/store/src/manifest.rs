@@ -20,8 +20,13 @@
 //! The scanner ([`parse_manifest`]) accepts the longest valid prefix
 //! and reports where it ends; a torn append (the only corruption our
 //! single-writer crash model can produce) is recovered by truncating
-//! to that point. The parser is panic-free on arbitrary bytes — it is
-//! part of `ckpt-lint`'s decoder scope.
+//! to that point. The parser is panic-free on arbitrary bytes — this is
+//! a decode module (DESIGN.md §9).
+
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
 
 use crate::failpoint::Durable;
 use crate::store::{GenState, SegRecord};
@@ -138,6 +143,11 @@ pub fn header_bytes() -> [u8; HEADER_LEN] {
 }
 
 /// Frames one record (`len | crc | body`).
+#[expect(
+    clippy::expect_used,
+    clippy::missing_panics_doc,
+    reason = "encoder: a record body is at most 29 bytes, far below CSM1's bound"
+)]
 pub fn encode_record(rec: &Record) -> Vec<u8> {
     let mut body = Writer::with_capacity(40);
     match *rec {
@@ -344,7 +354,7 @@ pub(crate) fn encode_snapshot(next_gen: u64, gens: &BTreeMap<u64, GenState>) -> 
         body.put_u64(g.step);
         body.put_u8(g.format.to_u8());
         body.put_u64(g.base_gen);
-        body.put_u8(g.committed as u8);
+        body.put_u8(u8::from(g.committed));
         body.put_u8(retired_to_u8(g.retired));
         match g.error_bound {
             Some(eps) => {
@@ -378,8 +388,8 @@ fn snapshot_corrupt(why: impl std::fmt::Display) -> StoreError {
 
 /// Parses a snapshot file image back into `(next_gen, gens)`. Strict:
 /// any damage errors so recovery can fall back to log replay. The
-/// parser is panic-free on arbitrary bytes — it is part of
-/// `ckpt-lint`'s decoder scope.
+/// parser is panic-free on arbitrary bytes — this is a decode module
+/// (DESIGN.md §9).
 pub(crate) fn parse_snapshot(bytes: &[u8]) -> Result<(u64, BTreeMap<u64, GenState>)> {
     let mut r = Reader::new(bytes);
     r.expect_header8(&CSM2)?;

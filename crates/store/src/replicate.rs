@@ -30,6 +30,11 @@
 //! never an error: the worst case is redundant work the idempotent
 //! import absorbs.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::layout::CURSOR_FILE;
 use crate::manifest::SegmentFormat;
 use crate::store::{GenHead, SegRecord, Store};
@@ -84,6 +89,11 @@ pub struct PushReport {
 
 /// The cursor file image (`<root>/replication.cursor`): `header8`,
 /// then `gen` sealed with its CRC-32.
+#[expect(
+    clippy::expect_used,
+    clippy::missing_panics_doc,
+    reason = "encoder: the body is one u64, exactly RPC1's bound"
+)]
 pub fn encode_cursor(gen: u64) -> Vec<u8> {
     let mut body = Writer::with_capacity(8);
     body.put_u64(gen);
@@ -160,7 +170,9 @@ impl Store {
         self.guard()?;
         let (step, format, base_gen, error_bound, ranks) = {
             let s = self.view.state(gen)?;
-            (s.step, s.format, s.base_gen, s.error_bound, s.segs.len() as u32)
+            let ranks = u32::try_from(s.segs.len())
+                .map_err(|_| StoreError::Corrupt(format!("gen {gen}: rank count overflows u32")))?;
+            (s.step, s.format, s.base_gen, s.error_bound, ranks)
         };
         let payloads = (0..ranks)
             .map(|rank| self.read_segment(gen, rank))
@@ -183,7 +195,7 @@ impl Store {
             let incoming = put
                 .payloads
                 .iter()
-                .map(|p| Some(SegRecord { payload_len: p.len() as u64, crc: crc32(p) }));
+                .map(|p| Some(SegRecord { payload_len: frame::u64_from_usize(p.len()), crc: crc32(p) }));
             let same = existing.live()
                 && existing.step == put.step
                 && existing.format == put.format

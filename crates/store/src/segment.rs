@@ -6,6 +6,11 @@
 //! a `WCK1` stream stays directly usable with `ckpt info` and friends.
 //! All metadata lives in the manifest.
 
+// Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::panic_in_result_fn, clippy::missing_panics_doc))]
+
 use crate::failpoint::{FailPoint, Renamed, Staged};
 use crate::layout::Layout;
 use crate::manifest::SegmentFormat;
@@ -123,7 +128,7 @@ pub fn read_segment(
         path: path.display().to_string(),
         source: e,
     })?;
-    if bytes.len() as u64 != expect_len {
+    if ckpt_deflate::frame::u64_from_usize(bytes.len()) != expect_len {
         return Err(StoreError::Corrupt(format!(
             "segment gen {gen} rank {rank}: {} bytes on disk, manifest committed {expect_len}",
             bytes.len()
