@@ -123,7 +123,9 @@ impl Compressor {
     }
 
     /// Compresses one f64 mesh array in memory:
-    /// [`Compressor::compress_stream`] into a `Vec`.
+    /// [`Compressor::compress_stream`] into a `Vec`. An array holding a
+    /// NaN or an infinity is refused with [`CkptError::NonFinite`]
+    /// ([`compress_exact`] keeps such arrays bit for bit).
     pub fn compress(&self, tensor: &Tensor<f64>) -> Result<Compressed> {
         let mut bytes = Vec::new();
         match self.compress_stream(tensor, &mut bytes) {
@@ -179,7 +181,7 @@ impl Compressor {
         // 1. Wavelet transformation (includes the working copy, which is
         //    part of the transform cost in the paper's implementation).
         let work = timed(&mut timings.wavelet, || -> Result<Tensor<f64>> {
-            let mut w = tensor.clone();
+            let mut w = finite_copy(tensor)?;
             ml.forward(&mut w)?;
             Ok(w)
         })?;
@@ -190,14 +192,13 @@ impl Compressor {
         let bands = ml.all_subbands(work.shape())?;
         let (low_values, quantized) =
             timed(&mut timings.quantize_encode, || -> Result<(Vec<f64>, Quantized)> {
-                let mut stream = Vec::new();
+                let mut stream = Vec::with_capacity(work.len());
                 let mut low_values = Vec::new();
                 for band in &bands {
-                    let vals = work.read_block(&band.start, &band.size)?;
                     if band.kind == SubbandKind::Low && !cfg.quantize_low_band {
-                        low_values = vals;
+                        low_values = work.read_block(&band.start, &band.size)?;
                     } else {
-                        stream.extend(vals);
+                        work.read_block_into(&band.start, &band.size, &mut stream)?;
                     }
                 }
                 let quantized = ckpt_quant::quantize(&stream, &cfg.quant)?;
@@ -240,6 +241,26 @@ impl Compressor {
         }
         parse_stream(&formatted)
     }
+}
+
+/// A working copy of `tensor`, refused with [`CkptError::NonFinite`] at
+/// its first NaN or infinity. The check rides the copy: each block of
+/// 256 values counts its non-finite ones (a loop the compiler
+/// vectorises) while the block is still in cache, and only a block
+/// that has one is searched.
+fn finite_copy(tensor: &Tensor<f64>) -> Result<Tensor<f64>> {
+    const BLOCK: usize = 256;
+    let values = tensor.as_slice();
+    let mut data = Vec::with_capacity(values.len());
+    for (b, block) in values.chunks(BLOCK).enumerate() {
+        data.extend_from_slice(block);
+        if block.iter().filter(|v| !v.is_finite()).count() != 0 {
+            if let Some((i, &value)) = block.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+                return Err(CkptError::NonFinite { index: b * BLOCK + i, value });
+            }
+        }
+    }
+    Ok(Tensor::from_vec(tensor.dims(), data)?)
 }
 
 /// Packs `tensor` into a **lossless** `WCK1` stream (gzip container):
@@ -691,6 +712,51 @@ mod tests {
 mod exact_tests {
     use super::*;
     use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
+
+    #[test]
+    fn a_non_finite_value_is_refused_by_index() {
+        // One special used to spoil the whole array: a NaN sent a few
+        // hundred of the other values to NaN or far off, and an
+        // infinity made the histogram range infinite, so every value
+        // fell into bin 0.
+        let smooth = || {
+            Tensor::from_fn(&[64, 64], |i| ((i[0] as f64) * 0.1).sin() + ((i[1] as f64) * 0.07).cos())
+                .unwrap()
+        };
+        let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+        for (at, special) in [(0, f64::NAN), (1234, f64::INFINITY), (4095, f64::NEG_INFINITY)] {
+            let mut t = smooth();
+            t.as_mut_slice()[at] = special;
+            t.as_mut_slice()[at + 1..].fill(f64::NAN);
+            match c.compress(&t) {
+                Err(CkptError::NonFinite { index, value }) => {
+                    assert_eq!(index, at);
+                    assert_eq!(value.to_bits(), special.to_bits());
+                }
+                other => panic!("special at {at}: {other:?}"),
+            }
+            // The exact path keeps the same array bit for bit.
+            let back = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Fast).unwrap());
+            let same = back.unwrap().as_slice().iter().zip(t.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same);
+        }
+        assert!(c.compress(&smooth()).is_ok());
+    }
+
+    #[test]
+    fn the_checked_copy_finds_the_first_special_in_any_block() {
+        let mut t = Tensor::full(&[10, 100], 1.0).unwrap();
+        assert_eq!(finite_copy(&t).unwrap(), t);
+        for at in [0, 1, 255, 256, 257, 511, 999] {
+            t.as_mut_slice().fill(1.0);
+            t.as_mut_slice()[at] = f64::INFINITY;
+            t.as_mut_slice()[999] = f64::NAN;
+            assert!(matches!(finite_copy(&t), Err(CkptError::NonFinite { index, .. }) if index == at));
+        }
+        t.as_mut_slice().fill(f64::MAX);
+        t.as_mut_slice()[300] = -f64::MIN_POSITIVE / 2.0;
+        assert_eq!(finite_copy(&t).unwrap(), t);
+    }
 
     #[test]
     fn compress_exact_roundtrips_bit_identically() {

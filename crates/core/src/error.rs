@@ -24,6 +24,10 @@ pub enum CkptError {
     Io(std::io::Error),
     /// Error-bound search could not meet the requested bound.
     BoundUnreachable { requested: f64, achieved: f64 },
+    /// The lossy path takes finite values only: `index` is the first
+    /// NaN or infinity of the array (docs/FORMAT.md, "Non-finite
+    /// values").
+    NonFinite { index: usize, value: f64 },
 }
 
 impl fmt::Display for CkptError {
@@ -38,6 +42,10 @@ impl fmt::Display for CkptError {
             CkptError::BoundUnreachable { requested, achieved } => write!(
                 f,
                 "error bound {requested} unreachable; best achieved {achieved}"
+            ),
+            CkptError::NonFinite { index, value } => write!(
+                f,
+                "value {value} at index {index} is not finite; lossy compression takes finite arrays only"
             ),
         }
     }
@@ -102,6 +110,8 @@ mod tests {
         assert!(e.to_string().contains("bad magic"));
         let e = CkptError::BoundUnreachable { requested: 1e-9, achieved: 1e-3 };
         assert!(e.to_string().contains("unreachable"));
+        let e = CkptError::NonFinite { index: 7, value: f64::NEG_INFINITY };
+        assert!(e.to_string().contains("value -inf at index 7 is not finite"), "{e}");
     }
 
     #[test]

@@ -106,20 +106,17 @@ impl Bitmap {
         Some(b)
     }
 
-    /// Builds a bitmap from one flag per bit using the SIMD pack kernel.
-    /// Equivalent to `set(i, flags[i])` for every `i`, much faster for
-    /// long streams (32 flags per instruction on AVX2).
-    pub fn from_bools(flags: &[bool]) -> Self {
-        // pack_bools emits exactly len.div_ceil(64) words with the tail
-        // bits clear, so the canonical-tail invariant holds by
-        // construction.
-        Bitmap { len: flags.len(), words: ckpt_simd::quant::pack_bools(flags) }
+    /// Wraps LSB-first words (bit `i` in word `i / 64` at position
+    /// `i % 64`). The caller leaves the bits past `len` clear.
+    pub(crate) fn from_words(len: usize, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        debug_assert!(len.is_multiple_of(64) || words.last().is_none_or(|w| w >> (len % 64) == 0));
+        Bitmap { len, words }
     }
 
-    /// Expands the bitmap back to one `bool` per bit (inverse of
-    /// [`Bitmap::from_bools`]).
-    pub fn to_bools(&self) -> Vec<bool> {
-        ckpt_simd::quant::unpack_bools(&self.words, self.len)
+    /// The LSB-first words; the bits past `len` are clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Iterates all bits in order.
@@ -200,19 +197,5 @@ mod tests {
     #[should_panic]
     fn out_of_range_get_panics() {
         Bitmap::zeros(8).get(8);
-    }
-
-    #[test]
-    fn from_bools_matches_bitwise_set() {
-        for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 128, 333] {
-            let flags: Vec<bool> = (0..len).map(|i| (i * 11 + 2) % 7 < 3).collect();
-            let fast = Bitmap::from_bools(&flags);
-            let mut slow = Bitmap::zeros(len);
-            for (i, &f) in flags.iter().enumerate() {
-                slow.set(i, f);
-            }
-            assert_eq!(fast, slow, "len {len}");
-            assert_eq!(fast.to_bools(), flags, "len {len}");
-        }
     }
 }

@@ -21,13 +21,13 @@
 #![forbid(unsafe_code)]
 
 pub mod bitmap;
-pub mod histogram;
+#[cfg(test)]
+mod oracle;
 pub mod simple;
 pub mod spike;
 pub mod types;
 
 pub use bitmap::Bitmap;
-pub use histogram::Histogram;
 pub use types::{Method, QuantConfig, QuantError, Quantized};
 
 /// Quantizes `values` with the configured method.

@@ -11,46 +11,15 @@
 //! encoding for `n <= 256`.
 
 use crate::bitmap::Bitmap;
-use crate::histogram::Histogram;
 use crate::types::{QuantError, Quantized};
+use ckpt_simd::quant::{bin_indexes, min_max};
 
 /// Runs simple quantization with division number `n` (`1..=256`).
 pub fn quantize(values: &[f64], n: usize) -> Result<Quantized, QuantError> {
     if n == 0 || n > 256 {
         return Err(QuantError::BadDivisionNumber(n));
     }
-    if values.is_empty() {
-        return Ok(Quantized {
-            len: 0,
-            bitmap: Bitmap::zeros(0),
-            indexes: Vec::new(),
-            averages: Vec::new(),
-            raw: Vec::new(),
-        });
-    }
-    let hist = Histogram::build(values, n).expect("non-empty values, n >= 1");
-
-    // Compact the average table: empty partitions get no entry. The
-    // sentinel must live outside u8 range — with n = 256 every index
-    // value 0..=255 can be legitimate.
-    const EMPTY: u16 = u16::MAX;
-    let mut remap = vec![EMPTY; n];
-    let mut averages = Vec::new();
-    for (bin, slot) in remap.iter_mut().enumerate() {
-        if let Some(avg) = hist.average(bin) {
-            *slot = averages.len() as u16;
-            averages.push(avg);
-        }
-    }
-
-    // Index encoding bins each value (as `hist.bin_of` does) and
-    // applies the remap table per bin.
-    let mut indexes = Vec::with_capacity(values.len());
-    crate::histogram::for_each_bin(values, hist.lo(), hist.hi(), n, |_, bin| {
-        debug_assert_ne!(remap[bin], EMPTY, "value must land in a non-empty bin");
-        indexes.push(remap[bin] as u8);
-    });
-
+    let (indexes, averages) = encode(values, n);
     Ok(Quantized {
         len: values.len(),
         bitmap: Bitmap::ones(values.len()),
@@ -58,6 +27,39 @@ pub fn quantize(values: &[f64], n: usize) -> Result<Quantized, QuantError> {
         averages,
         raw: Vec::new(),
     })
+}
+
+/// The index stream and compacted average table of `values` in `n`
+/// equal partitions of their own range (`1 <= n <= 256`), in four
+/// passes: the range, one bin per value, counts and sums in stream
+/// order (so every average is the same sum in the same order as a
+/// per-bin accumulation), then the empty-bin remap into index bytes.
+pub(crate) fn encode(values: &[f64], n: usize) -> (Vec<u8>, Vec<f64>) {
+    let Some((lo, hi)) = min_max(values) else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut bins = vec![0u16; values.len()];
+    bin_indexes(values, lo, hi, n, &mut bins);
+
+    let mut counts = [0usize; 256];
+    let mut sums = [0.0f64; 256];
+    for (&v, &b) in values.iter().zip(&bins) {
+        counts[usize::from(b)] += 1;
+        sums[usize::from(b)] += v;
+    }
+
+    // Compact the average table: empty partitions get no entry, and
+    // no value's bin is empty, so every index finds its entry.
+    let mut remap = [0u8; 256];
+    let mut averages = Vec::new();
+    for ((slot, &count), &sum) in remap.iter_mut().zip(&counts).zip(&sums).take(n) {
+        if count != 0 {
+            *slot = averages.len() as u8;
+            averages.push(sum / count as f64);
+        }
+    }
+    let indexes = bins.iter().map(|&b| remap[usize::from(b)]).collect();
+    (indexes, averages)
 }
 
 #[cfg(test)]

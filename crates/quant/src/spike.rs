@@ -15,9 +15,9 @@
 //! format of Figure 5 requires.
 
 use crate::bitmap::Bitmap;
-use crate::histogram::Histogram;
 use crate::simple;
 use crate::types::{QuantError, Quantized};
+use ckpt_simd::quant::{bin_indexes, min_max};
 
 /// Runs the proposed quantization with division number `n` and
 /// spike-detection partition count `d` (Equation 4 threshold).
@@ -30,6 +30,11 @@ pub fn quantize(values: &[f64], n: usize, d: usize) -> Result<Quantized, QuantEr
 /// `multiplier = 1.0` is the paper's Equation 4; the ablation bench
 /// sweeps it (smaller ⇒ quantize more values ⇒ better rate, worse
 /// error).
+///
+/// The passes: the range, one bin per value, the counts, the spike
+/// mask, then one split into bitmap words and the detected and raw
+/// streams, whose sizes the counts already give; the detected stream
+/// then goes through the simple quantizer's passes.
 pub fn quantize_with_threshold(
     values: &[f64],
     n: usize,
@@ -39,10 +44,10 @@ pub fn quantize_with_threshold(
     if n == 0 || n > 256 {
         return Err(QuantError::BadDivisionNumber(n));
     }
-    if d == 0 {
+    if d == 0 || d > u16::MAX.into() {
         return Err(QuantError::BadSpikePartitions(d));
     }
-    if values.is_empty() {
+    let Some((lo, hi)) = min_max(values) else {
         return Ok(Quantized {
             len: 0,
             bitmap: Bitmap::zeros(0),
@@ -50,38 +55,71 @@ pub fn quantize_with_threshold(
             averages: Vec::new(),
             raw: Vec::new(),
         });
-    }
-
-    let hist = Histogram::build(values, d).expect("non-empty values, d >= 1");
-    let spiked = if multiplier == 1.0 {
-        hist.detect_spikes()
-    } else {
-        hist.detect_spikes_scaled(multiplier)
     };
+    let mut bins = vec![0u16; values.len()];
+    bin_indexes(values, lo, hi, d, &mut bins);
 
-    // Split the stream into detected (to be quantized) and pass-through
-    // populations, remembering positions via the bitmap. The
-    // membership flags are packed into bitmap words by the SIMD pack
-    // kernel instead of one `set` call per bit.
-    let mut detected = Vec::new();
-    let mut raw = Vec::new();
-    let mut flags = Vec::with_capacity(values.len());
-    crate::histogram::for_each_bin(values, hist.lo(), hist.hi(), d, |v, b| {
-        let hit = spiked[b];
-        flags.push(hit);
-        if hit {
-            detected.push(v);
-        } else {
-            raw.push(v);
+    let counts = counts(&bins, d);
+    let total = values.len();
+    let spiked: Vec<u8> = if multiplier == 1.0 {
+        // Equation 4 in integers: `count * d >= total`.
+        counts.iter().map(|&c| u8::from(c * d >= total)).collect()
+    } else {
+        assert!(multiplier >= 0.0 && multiplier.is_finite(), "bad threshold multiplier");
+        let threshold = multiplier * total as f64 / d as f64;
+        counts.iter().map(|&c| u8::from(c as f64 >= threshold)).collect()
+    };
+    let hits: usize = counts.iter().zip(&spiked).map(|(&c, &s)| c * usize::from(s)).sum();
+
+    // Branch-free split: every value is stored at the cursor of both
+    // streams and only the cursor of its own stream advances, so each
+    // stream carries one spare slot for the last overwrite.
+    let mut words = vec![0u64; total.div_ceil(64)];
+    let mut detected = vec![0.0; hits + 1];
+    let mut raw = vec![0.0; total - hits + 1];
+    let (mut di, mut ri) = (0, 0);
+    for ((word, vals), bins) in words.iter_mut().zip(values.chunks(64)).zip(bins.chunks(64)) {
+        let mut w = 0u64;
+        for (j, (&v, &b)) in vals.iter().zip(bins).enumerate() {
+            let hit = usize::from(spiked[usize::from(b)]);
+            detected[di] = v;
+            raw[ri] = v;
+            di += hit;
+            ri += 1 - hit;
+            w |= (hit as u64) << j;
         }
-    });
-    let bitmap = Bitmap::from_bools(&flags);
+        *word = w;
+    }
+    detected.truncate(hits);
+    raw.truncate(total - hits);
 
-    // Simple quantization over the detected values only.
-    let inner = simple::quantize(&detected, n)?;
-    debug_assert_eq!(inner.indexes.len(), detected.len());
+    let (indexes, averages) = simple::encode(&detected, n);
+    Ok(Quantized { len: total, bitmap: Bitmap::from_words(total, words), indexes, averages, raw })
+}
 
-    Ok(Quantized { len: values.len(), bitmap, indexes: inner.indexes, averages: inner.averages, raw })
+/// Per-bin counts of `bins` (each below `k`), accumulated in four
+/// interleaved tables so repeats of one bin do not serialize on one
+/// counter.
+fn counts(bins: &[u16], k: usize) -> Vec<usize> {
+    let mut tables = vec![0usize; 4 * k];
+    let (t01, t23) = tables.split_at_mut(2 * k);
+    let (t0, t1) = t01.split_at_mut(k);
+    let (t2, t3) = t23.split_at_mut(k);
+    let mut quads = bins.chunks_exact(4);
+    for q in &mut quads {
+        t0[usize::from(q[0])] += 1;
+        t1[usize::from(q[1])] += 1;
+        t2[usize::from(q[2])] += 1;
+        t3[usize::from(q[3])] += 1;
+    }
+    for &b in quads.remainder() {
+        t0[usize::from(b)] += 1;
+    }
+    for (((a, b), c), d) in t0.iter_mut().zip(&*t1).zip(&*t2).zip(&*t3) {
+        *a += b + c + d;
+    }
+    tables.truncate(k);
+    tables
 }
 
 #[cfg(test)]
@@ -173,6 +211,38 @@ mod tests {
         let q = quantize(&values, 256, 64).unwrap();
         assert!(q.averages.len() <= 256);
         q.validate().unwrap();
+    }
+
+    #[test]
+    fn spike_detection_matches_equation_4() {
+        // 10 values, d = 5 bins, so the threshold is 2 per bin; the bin
+        // counts are [6, 0, 2, 1, 1], so bins 0 and 2 are detected.
+        let values = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.5, 0.52, 0.7, 0.99];
+        let q = quantize(&values, 4, 5).unwrap();
+        let bits: Vec<bool> = q.bitmap.iter().collect();
+        assert_eq!(bits, [true, true, true, true, true, true, true, true, false, false]);
+        assert_eq!(q.raw, [0.7, 0.99]);
+    }
+
+    #[test]
+    fn wide_spike_partitions_use_the_same_rule() {
+        // Bins past 256 (the `--d` flag takes up to 65,535). With more
+        // bins than values every occupied bin passes the rule, as does
+        // the one bin of d = 1.
+        let values: Vec<f64> = spiky(3000)
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 10 == 0 { v + i as f64 / 3000.0 } else { v })
+            .collect();
+        for d in [257usize, 1024] {
+            let q = quantize(&values, 16, d).unwrap();
+            q.validate().unwrap();
+            assert!(q.coverage() > 0.0 && q.coverage() < 1.0, "d={d}");
+        }
+        for d in [1usize, 65_535] {
+            assert_eq!(quantize(&values, 16, d).unwrap().coverage(), 1.0, "d={d}");
+        }
+        assert_eq!(quantize(&values, 16, 65_536), Err(QuantError::BadSpikePartitions(65_536)));
     }
 
     #[test]

@@ -134,18 +134,37 @@ impl Quantized {
         Ok(())
     }
 
-    /// Rebuilds the (lossy) value stream.
+    /// Rebuilds the (lossy) value stream, a bitmap byte at a time: an
+    /// all-ones byte is eight table lookups, an all-zero byte an
+    /// eight-value copy of the raw stream, any other byte bit by bit.
+    ///
+    /// Panics if the stream fails [`Quantized::validate`].
     pub fn reconstruct(&self) -> Vec<f64> {
+        let lookup = |i: &u8| self.averages[usize::from(*i)];
         let mut out = Vec::with_capacity(self.len);
-        let mut qi = 0usize;
-        let mut ri = 0usize;
-        for bit in self.bitmap.iter() {
-            if bit {
-                out.push(self.averages[self.indexes[qi] as usize]);
-                qi += 1;
-            } else {
-                out.push(self.raw[ri]);
-                ri += 1;
+        let (mut qi, mut ri) = (0, 0);
+        for (w, &word) in self.bitmap.words().iter().enumerate() {
+            let bits = (self.len - w * 64).min(64);
+            for at in (0..bits).step_by(8) {
+                let byte = (word >> at) as u8;
+                let m = (bits - at).min(8);
+                if byte == 0xFF {
+                    out.extend(self.indexes[qi..qi + 8].iter().map(lookup));
+                    qi += 8;
+                } else if byte == 0 {
+                    out.extend_from_slice(&self.raw[ri..ri + m]);
+                    ri += m;
+                } else {
+                    for j in 0..m {
+                        if byte >> j & 1 != 0 {
+                            out.push(lookup(&self.indexes[qi]));
+                            qi += 1;
+                        } else {
+                            out.push(self.raw[ri]);
+                            ri += 1;
+                        }
+                    }
+                }
             }
         }
         out

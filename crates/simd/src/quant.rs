@@ -5,12 +5,15 @@
 //!
 //! - [`min_max`] — the histogram/spike range scan, with the serial
 //!   first-seen semantics for NaN and signed zero preserved;
-//! - [`pack_bools`] / [`unpack_bools`] — bitmap pack/unpack between one
-//!   bool per element and LSB-first u64 words.
+//! - [`bin_indexes`] — the equal-width bin of every value, one `u16`
+//!   per value, for the quantizer's histogram and index passes.
 //!
 //! Float kernels never reassociate: `min_max` reduces per-lane
 //! accumulators in lane order with the same strict comparisons the
-//! serial scan uses (plus a signed-zero fixup, see below).
+//! serial scan uses (plus a signed-zero fixup, see below), and
+//! `bin_indexes` runs the scalar formula's subtract, divide and
+//! multiply lane by lane, then clamps with the two compares that give
+//! the saturating cast's answer.
 
 use crate::dispatch::{self, Level};
 
@@ -49,46 +52,34 @@ pub fn min_max_at(level: Level, values: &[f64]) -> Option<(f64, f64)> {
     Some((lo, hi))
 }
 
-/// Packs one bool per bit into LSB-first u64 words (bit `i` of the
-/// result is `flags[i]`, in word `i / 64` at position `i % 64`). The
-/// result always has `flags.len().div_ceil(64)` words with a clear
-/// tail.
-pub fn pack_bools(flags: &[bool]) -> Vec<u64> {
-    pack_bools_at(dispatch::level(), flags)
-}
-
-/// [`pack_bools`] at an explicit tier.
-pub fn pack_bools_at(level: Level, flags: &[bool]) -> Vec<u64> {
-    level.assert_available();
-    match level {
-        Level::Scalar => scalar::pack_bools(flags),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: assert_available above verified AVX2 is present.
-        Level::Avx2 => unsafe { avx2::pack_bools(flags) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => scalar::pack_bools(flags),
-    }
-}
-
-/// Inverse of [`pack_bools`]: expands `len` bits of LSB-first words
-/// into one bool per element.
+/// Writes into `out[i]` the bin of `values[i]` in a `k`-bin
+/// equal-width histogram over `[lo, hi]`:
+/// `clamp(trunc((v − lo) / (hi − lo) · k), 0, k − 1)`, computed with a
+/// saturating cast, so NaN lands in bin 0, `+inf` in bin `k − 1` and
+/// values outside the range clamp to the end bins. A degenerate range
+/// (`hi <= lo`) puts every value in bin 0.
 ///
-/// Panics unless `words.len() == len.div_ceil(64)`.
-pub fn unpack_bools(words: &[u64], len: usize) -> Vec<bool> {
-    unpack_bools_at(dispatch::level(), words, len)
+/// Panics unless `out.len() == values.len()` and `1 <= k <= 65,536`.
+pub fn bin_indexes(values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u16]) {
+    bin_indexes_at(dispatch::level(), values, lo, hi, k, out)
 }
 
-/// [`unpack_bools`] at an explicit tier.
-pub fn unpack_bools_at(level: Level, words: &[u64], len: usize) -> Vec<bool> {
-    assert_eq!(words.len(), len.div_ceil(64), "unpack_bools word count must match len");
+/// [`bin_indexes`] at an explicit tier.
+pub fn bin_indexes_at(level: Level, values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u16]) {
+    assert_eq!(out.len(), values.len(), "bin_indexes needs one slot per value");
+    assert!((1..=1 << 16).contains(&k), "bin count {k} outside 1..=65536");
+    if hi <= lo {
+        out.fill(0);
+        return;
+    }
     level.assert_available();
     match level {
-        Level::Scalar => scalar::unpack_bools(words, len),
+        Level::Scalar => scalar::bin_indexes(values, lo, hi, k, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: assert_available above verified AVX2 is present.
-        Level::Avx2 => unsafe { avx2::unpack_bools(words, len) },
+        Level::Avx2 => unsafe { avx2::bin_indexes(values, lo, hi, k, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => scalar::unpack_bools(words, len),
+        Level::Avx2 => scalar::bin_indexes(values, lo, hi, k, out),
     }
 }
 
@@ -108,18 +99,13 @@ mod scalar {
         (lo, hi)
     }
 
-    pub(super) fn pack_bools(flags: &[bool]) -> Vec<u64> {
-        let mut words = vec![0u64; flags.len().div_ceil(64)];
-        for (i, &f) in flags.iter().enumerate() {
-            if f {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
+    /// The reference bin formula, for `hi > lo` and `k <= 65,536`.
+    pub(super) fn bin_indexes(values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u16]) {
+        for (o, &v) in out.iter_mut().zip(values) {
+            let t = (v - lo) / (hi - lo);
+            let b = (t * k as f64) as isize;
+            *o = b.clamp(0, k as isize - 1) as u16;
         }
-        words
-    }
-
-    pub(super) fn unpack_bools(words: &[u64], len: usize) -> Vec<bool> {
-        (0..len).map(|i| words[i / 64] & (1u64 << (i % 64)) != 0).collect()
     }
 }
 
@@ -180,61 +166,35 @@ mod avx2 {
     }
 
     /// # Safety
-    /// AVX2 must be available. `bool` is guaranteed to be one byte
-    /// holding 0 or 1, so `cmpgt(v, 0)` marks exactly the true flags
-    /// and `movemask` collects them 32 at a time; `i` stays a multiple
-    /// of 32, so each mask lands inside one u64 word.
+    /// AVX2 must be available; `hi > lo`, `1 <= k <= 65,536` and
+    /// `out.len() == values.len()`.
+    ///
+    /// Each lane computes the scalar formula's `(v − lo) / (hi − lo) · k`
+    /// with the same three IEEE ops. The saturating `as isize` plus
+    /// `clamp(0, k − 1)` is then `min(max(x, 0), k − 1)` truncated:
+    /// truncation is monotone and both bounds are integers, so clamping
+    /// before or after it gives the same bin, and `_mm256_max_pd(x, 0)`
+    /// returns its second operand when `x` is NaN — the cast's 0.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pack_bools(flags: &[bool]) -> Vec<u64> {
-        let len = flags.len();
-        let mut words = vec![0u64; len.div_ceil(64)];
-        let p = flags.as_ptr().cast::<u8>();
-        let zero = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 32 <= len {
-            let v = _mm256_loadu_si256(p.add(i).cast::<__m256i>());
-            let m = _mm256_movemask_epi8(_mm256_cmpgt_epi8(v, zero)) as u32 as u64;
-            words[i / 64] |= m << (i % 64);
-            i += 32;
-        }
-        while i < len {
-            if flags[i] {
-                words[i / 64] |= 1u64 << (i % 64);
+    pub(super) unsafe fn bin_indexes(values: &[f64], lo: f64, hi: f64, k: usize, out: &mut [u16]) {
+        let vlo = _mm256_set1_pd(lo);
+        let span = _mm256_set1_pd(hi - lo);
+        let scale = _mm256_set1_pd(k as f64);
+        let top = _mm256_set1_pd((k - 1) as f64);
+        let zero = _mm256_setzero_pd();
+        let mut quads = values.chunks_exact(4);
+        let mut outs = out.chunks_exact_mut(4);
+        for (v, o) in (&mut quads).zip(&mut outs) {
+            let x = _mm256_loadu_pd(v.as_ptr());
+            let t = _mm256_div_pd(_mm256_sub_pd(x, vlo), span);
+            let b = _mm256_min_pd(_mm256_max_pd(_mm256_mul_pd(t, scale), zero), top);
+            let mut lanes = [0u32; 4];
+            _mm_storeu_si128(lanes.as_mut_ptr().cast(), _mm256_cvttpd_epi32(b));
+            for (o, l) in o.iter_mut().zip(lanes) {
+                *o = l as u16;
             }
-            i += 1;
         }
-        words
-    }
-
-    /// # Safety
-    /// AVX2 available; `words.len() == len.div_ceil(64)`. Expands one
-    /// mask byte to 8 bool bytes: broadcast the byte, AND against the
-    /// per-lane bit masks, compare-equal, mask to 0/1 — writing 0/1
-    /// bytes into `Vec<bool>` storage is valid. `i` stays a multiple
-    /// of 8 so each byte comes from a single word.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn unpack_bools(words: &[u64], len: usize) -> Vec<bool> {
-        let mut out = vec![false; len];
-        #[allow(overflowing_literals)]
-        let bits = _mm_set_epi8(
-            0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04,
-            0x02, 0x01,
-        );
-        let one = _mm_set1_epi8(1);
-        let p = out.as_mut_ptr().cast::<u8>();
-        let mut i = 0;
-        while i + 8 <= len {
-            let byte = ((words[i / 64] >> (i % 64)) & 0xFF) as i8;
-            let sel = _mm_and_si128(_mm_set1_epi8(byte), bits);
-            let booleans = _mm_and_si128(_mm_cmpeq_epi8(sel, bits), one);
-            _mm_storel_epi64(p.add(i).cast::<__m128i>(), booleans);
-            i += 8;
-        }
-        while i < len {
-            out[i] = words[i / 64] & (1u64 << (i % 64)) != 0;
-            i += 1;
-        }
-        out
+        super::scalar::bin_indexes(quads.remainder(), lo, hi, k, outs.into_remainder());
     }
 }
 
@@ -269,26 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip_all_tiers() {
-        for len in [0usize, 1, 7, 8, 15, 16, 17, 63, 64, 65, 100, 127, 128, 321] {
-            let flags: Vec<bool> = (0..len).map(|i| (i * 7 + 3) % 5 < 2).collect();
-            let want = scalar_pack(&flags);
-            for level in tiers() {
-                let words = pack_bools_at(level, &flags);
-                assert_eq!(words, want, "pack {} len={len}", level.name());
-                let back = unpack_bools_at(level, &words, len);
-                assert_eq!(back, flags, "unpack {} len={len}", level.name());
-            }
+    fn bin_indexes_clamp_the_specials_like_the_cast() {
+        let vals = [f64::NAN, 0.0, 1.0, 0.5, f64::INFINITY, f64::NEG_INFINITY, -3.0, 0.999_999];
+        for level in tiers() {
+            let mut out = [0u16; 8];
+            bin_indexes_at(level, &vals, 0.0, 1.0, 4, &mut out);
+            assert_eq!(out, [0, 0, 3, 2, 3, 0, 0, 3], "{}", level.name());
+            bin_indexes_at(level, &vals, 1.0, 1.0, 4, &mut out);
+            assert_eq!(out, [0; 8], "degenerate range, {}", level.name());
         }
-    }
-
-    fn scalar_pack(flags: &[bool]) -> Vec<u64> {
-        let mut words = vec![0u64; flags.len().div_ceil(64)];
-        for (i, &f) in flags.iter().enumerate() {
-            if f {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        words
     }
 }

@@ -87,9 +87,17 @@ impl<T: Copy> Tensor<T> {
     /// Copies the elements of an axis-aligned block into a fresh vector,
     /// in row-major order of the block-local index.
     pub fn read_block(&self, start: &[usize], size: &[usize]) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        self.read_block_into(start, size, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::read_block`], appending to `out`: gathering several
+    /// blocks into one vector reserved once copies each value once.
+    pub fn read_block_into(&self, start: &[usize], size: &[usize], out: &mut Vec<T>) -> Result<()> {
         let block = Block::new(self.shape(), start, size)?;
         let (rows, pitch, run) = block.plane(self.shape());
-        let mut out = Vec::with_capacity(block.volume());
+        out.reserve(block.volume());
         let data = self.as_slice();
         block.for_each_plane(self.shape(), |off| {
             let plane = data[off..].chunks(pitch).take(rows);
@@ -101,7 +109,7 @@ impl<T: Copy> Tensor<T> {
                 }
             }
         });
-        Ok(out)
+        Ok(())
     }
 
     /// Writes `src` (row-major block-local order) into an axis-aligned
@@ -177,7 +185,12 @@ mod tests {
         let block = Block::new(t.shape(), start, size).unwrap();
         let mut want = Vec::new();
         block.for_each_offset(t.shape(), |off| want.push(t.as_slice()[off]));
-        prop_assert_eq!(t.read_block(start, size).unwrap(), want);
+        prop_assert_eq!(&t.read_block(start, size).unwrap(), &want);
+        // Appending after what a vector already holds.
+        let mut appended = vec![fresh(usize::MAX); 3];
+        t.read_block_into(start, size, &mut appended).unwrap();
+        prop_assert_eq!(&appended[..3], &[fresh(usize::MAX); 3][..]);
+        prop_assert_eq!(&appended[3..], &want[..]);
 
         let src: Vec<T> = (0..block.volume()).map(fresh).collect();
         let mut got = t.clone();
