@@ -150,7 +150,8 @@ impl Checkpoint {
         r.expect_version(&CKPT)?;
         let step = r.get_u64()?;
         let count = usize::from(r.get_u16()?);
-        let mut entries = Vec::with_capacity(count);
+        // The count is unvouched until its entries parse: grow as they do.
+        let mut entries = Vec::new();
         for _ in 0..count {
             let name = r.get_str()?;
             let mode = match r.get_u8()? {

@@ -500,7 +500,10 @@ fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
 
     let q = Quantized { len: stream_len, bitmap, indexes, averages, raw };
     q.validate()?;
-    let stream = q.reconstruct();
+    // One tensor-sized scratch per decode: the stream is rebuilt into
+    // it, and once the bands are written the inverse ping-pongs with it.
+    let mut stream = Vec::with_capacity(volume);
+    q.reconstruct_into(&mut stream);
 
     // Rebuild the transformed tensor band by band, then invert.
     let plan = WaveletPlan::clamped(levels, &dims);
@@ -527,7 +530,7 @@ fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
     if cursor != stream.len() {
         return Err(CkptError::Format("subband stream underrun".into()));
     }
-    ml.inverse(&mut work)?;
+    ml.inverse_with(&mut work, &mut stream)?;
     Ok(work)
 }
 

@@ -153,14 +153,41 @@ impl<'a> BitReader<'a> {
     /// by exactly the bytes those new bits came from.
     #[inline]
     fn refill(&mut self) {
-        match self.data.get(self.pos..).and_then(|tail| tail.first_chunk::<8>()) {
-            Some(chunk) => {
-                self.acc |= u64::from_le_bytes(*chunk) << self.nbits;
-                self.pos += crate::usize_from_u32((63 - self.nbits) >> 3);
-                self.nbits |= 56;
-            }
-            None => self.refill_tail(),
+        if !self.refill_wide() {
+            self.refill_tail();
         }
+    }
+
+    /// The fast inflate loop's refill: when at least 8 input bytes
+    /// remain, one 8-byte load leaves 56..=63 valid bits buffered and
+    /// this returns `true`; otherwise nothing changes and it returns
+    /// `false`.
+    #[inline]
+    pub(crate) fn refill_wide(&mut self) -> bool {
+        let Some(chunk) = self.data.get(self.pos..).and_then(|tail| tail.first_chunk::<8>()) else {
+            return false;
+        };
+        self.acc |= u64::from_le_bytes(*chunk) << self.nbits;
+        self.pos += crate::usize_from_u32((63 - self.nbits) >> 3);
+        self.nbits |= 56;
+        true
+    }
+
+    /// The buffered bits, next bit lowest: after
+    /// [`BitReader::refill_wide`] the low 56 are all stream bits.
+    #[inline]
+    pub(crate) fn buffered(&self) -> u64 {
+        self.acc
+    }
+
+    /// Drops `count` buffered bits the caller has already decoded from
+    /// [`BitReader::buffered`]; `count` must not exceed what the last
+    /// [`BitReader::refill_wide`] left (the fast loop spends at most 48).
+    #[inline]
+    pub(crate) fn skip(&mut self, count: u32) {
+        debug_assert!(count <= self.nbits);
+        self.acc >>= count;
+        self.nbits -= count;
     }
 
     /// Byte-at-a-time refill for the last < 8 bytes of input.

@@ -32,7 +32,7 @@
     clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
     clippy::panic_in_result_fn, clippy::missing_panics_doc))]
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_extend};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -564,12 +564,17 @@ fn check_crc(stored: u32, body: &[u8]) -> Result<(), FrameError> {
 
 /// The `len | crc` prefix for `body`, refusing bodies above `max_body`.
 fn len_crc_prefix(body: &[u8], max_body: usize) -> Result<[u8; 8], FrameError> {
-    let too_large = FrameError::BodyTooLarge { len: body.len(), max: max_body };
-    if body.len() > max_body {
+    len_crc_prefix_of(body.len(), crc32(body), max_body)
+}
+
+/// The `len | crc` prefix of a `len`-byte body whose CRC-32 is `crc`.
+fn len_crc_prefix_of(len: usize, crc: u32, max_body: usize) -> Result<[u8; 8], FrameError> {
+    let too_large = FrameError::BodyTooLarge { len, max: max_body };
+    if len > max_body {
         return Err(too_large);
     }
-    let [l0, l1, l2, l3] = u32::try_from(body.len()).map_err(|_| too_large)?.to_le_bytes();
-    let [c0, c1, c2, c3] = crc32(body).to_le_bytes();
+    let [l0, l1, l2, l3] = u32::try_from(len).map_err(|_| too_large)?.to_le_bytes();
+    let [c0, c1, c2, c3] = crc.to_le_bytes();
     Ok([l0, l1, l2, l3, c0, c1, c2, c3])
 }
 
@@ -620,16 +625,48 @@ where
     W: Write,
     E: From<io::Error> + From<FrameError>,
 {
-    w.write_all(&len_crc_prefix(body, max_body)?)?;
-    w.write_all(body)?;
+    write_len_crc_parts(w, &[], body, max_body)
+}
+
+/// Writes one `len | crc | body` frame whose body is `head` then
+/// `tail`, and flushes it. The bytes are
+/// [`write_len_crc_body`]'s of the joined body, but the parts are never
+/// joined: the CRC runs on from `head` into `tail`, and `tail` goes to
+/// `w` where it lies.
+pub fn write_len_crc_parts<W, E>(
+    w: &mut W,
+    head: &[u8],
+    tail: &[u8],
+    max_body: usize,
+) -> Result<(), E>
+where
+    W: Write,
+    E: From<io::Error> + From<FrameError>,
+{
+    let len = head
+        .len()
+        .checked_add(tail.len())
+        .ok_or(FrameError::LengthOverflow { count: tail.len() })?;
+    let prefix = len_crc_prefix_of(len, crc32_extend(crc32(head), tail), max_body)?;
+    let mut first = Vec::with_capacity(prefix.len() + head.len());
+    first.extend_from_slice(&prefix);
+    first.extend_from_slice(head);
+    w.write_all(&first)?;
+    w.write_all(tail)?;
     w.flush()?;
     Ok(())
 }
 
+/// The most [`read_len_crc_body`] reserves before a body's bytes
+/// arrive; past it the buffer at most doubles with what has come in.
+const FIRST_RESERVE: usize = 1 << 20;
+
 /// Reads one `len | crc | body` frame from `r`. `Ok(None)` is a clean
 /// end of stream (no prefix byte arrived); a torn prefix or body, a
 /// length above `max_body` and a CRC mismatch are errors. The body
-/// buffer is the only allocation, made after the bound check.
+/// buffer is the only allocation, made after the bound check; it is
+/// filled unzeroed, and it grows with the bytes that arrive, not with
+/// the length the prefix claims.
 pub fn read_len_crc_body<R, E>(r: &mut R, max_body: usize) -> Result<Option<Vec<u8>>, E>
 where
     R: Read,
@@ -648,13 +685,18 @@ where
         got += n;
     }
     let (len, stored) = split_len_crc_prefix(prefix, max_body)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => {
-            E::from(FrameError::Truncated { needed: len, offset: prefix.len(), have: 0 })
+    let mut body = Vec::with_capacity(len.min(FIRST_RESERVE));
+    while body.len() < len {
+        if body.len() == body.capacity() {
+            body.reserve_exact((len - body.len()).min(body.len()));
         }
-        _ => E::from(e),
-    })?;
+        let room = body.capacity().min(len) - body.len();
+        let got = r.by_ref().take(u64_from_usize(room)).read_to_end(&mut body)?;
+        if got < room {
+            let have = body.len();
+            return Err(FrameError::Truncated { needed: len, offset: prefix.len(), have }.into());
+        }
+    }
     check_crc(stored, &body)?;
     Ok(Some(body))
 }
@@ -680,6 +722,59 @@ mod tests {
 
         std::fs::remove_file(&path).unwrap();
         assert_eq!(read_file_bounded(&path, &RPC1).unwrap_err().kind(), io::ErrorKind::NotFound);
+    }
+
+    /// Serves `data` at most `step` bytes a read and records the
+    /// largest buffer it is handed.
+    struct Recording<'a> {
+        data: &'a [u8],
+        step: usize,
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len()).min(self.step);
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_claimed_body_length_reserves_what_has_arrived_not_the_claim() {
+        // A 64 MiB claim followed by 29 bytes: the reader must never be
+        // handed more than the first mebibyte's buffer.
+        let mut input = (64u32 << 20).to_le_bytes().to_vec();
+        input.extend_from_slice(&0u32.to_le_bytes());
+        input.extend_from_slice(&[7u8; 29]);
+        let mut r = Recording { data: &input, step: usize::MAX, largest: 0 };
+        let err = read_len_crc_body::<_, io::Error>(&mut r, 64 << 20).unwrap_err();
+        assert!(r.largest <= 1 << 20, "handed a {}-byte buffer", r.largest);
+        assert!(err.to_string().contains("need 67108864 bytes at offset 8, have 29"), "{err}");
+
+        // A body past the first mebibyte, trickling in, reads whole.
+        let body: Vec<u8> = (0..3u32 << 20).map(|i| (i % 253) as u8).collect();
+        let mut wire = Vec::new();
+        write_len_crc_body::<_, io::Error>(&mut wire, &body, 64 << 20).unwrap();
+        let mut r = Recording { data: &wire, step: 65_536, largest: 0 };
+        let got = read_len_crc_body::<_, io::Error>(&mut r, 64 << 20).unwrap().unwrap();
+        assert!(got == body, "the body read back differs");
+    }
+
+    #[test]
+    fn a_frame_written_in_parts_is_the_frame_of_the_joined_body() {
+        let cases: [(&[u8], &[u8]); 4] =
+            [(b"", b""), (b"\x04abc", b""), (b"", b"xyz"), (b"h", b"tail")];
+        for (head, tail) in cases {
+            let (mut parts, mut joined) = (Vec::new(), Vec::new());
+            write_len_crc_parts::<_, io::Error>(&mut parts, head, tail, 64).unwrap();
+            write_len_crc_body::<_, io::Error>(&mut joined, &[head, tail].concat(), 64).unwrap();
+            assert_eq!(parts, joined);
+        }
+        let err = write_len_crc_parts::<_, io::Error>(&mut Vec::new(), b"ab", b"c", 2).unwrap_err();
+        assert!(err.to_string().contains("exceeds the 2-byte bound"), "{err}");
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   through a two-level table — a 2^9-entry primary resolving every
 //!   code up to 9 bits in one peek, with per-prefix subtables for the
 //!   rare longer codes, so no decode ever walks bits one at a time.
+//!   Each entry carries what its code means in its alphabet: a
+//!   literal, end-of-block, or a length/distance base and its extra-bit
+//!   count.
 
 // Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
@@ -233,13 +236,75 @@ const FAST_MASK: usize = (1 << FAST_BITS) - 1;
 /// Subtable-pointer flag inside a primary entry.
 const SUB_FLAG: u32 = 0x100;
 
-/// Canonical two-level table decoder (zlib `ENOUGH`-style).
+/// Entry flag: the code is a literal byte (or, for
+/// [`Alphabet::Symbols`], a plain symbol), held in the payload.
+pub(crate) const LITERAL: u32 = 0x200;
+
+/// Entry flag: the code is the end-of-block symbol 256.
+pub(crate) const END_OF_BLOCK: u32 = 0x400;
+
+/// Entry flag: the code is a symbol with no meaning in its alphabet
+/// (literal/length 286 and 287, distance 30 and 31), held in the
+/// payload so the decoder can name it.
+pub(crate) const BAD_SYMBOL: u32 = 0x800;
+
+/// An entry with none of these flags (and a nonzero length) is a
+/// length or distance base.
+pub(crate) const NOT_BASE: u32 = LITERAL | END_OF_BLOCK | BAD_SYMBOL;
+
+/// What a decoded symbol means, which fixes the entries the table holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Alphabet {
+    /// Plain symbols: every entry is [`LITERAL`] with the symbol as its
+    /// payload (the code-length alphabet; [`Decoder::read`]).
+    Symbols,
+    /// DEFLATE's literal/length alphabet: literals, end-of-block, and
+    /// the 29 length bases with their extra-bit counts.
+    LitLen,
+    /// DEFLATE's distance alphabet: the 30 distance bases with their
+    /// extra-bit counts.
+    Distance,
+}
+
+impl Alphabet {
+    /// The entry for symbol `s` without its code length.
+    fn entry(self, s: usize) -> Result<u32, DeflateError> {
+        use crate::deflate::{DIST_TABLE, LENGTH_TABLE};
+        // The payload field is 16 bits wide.
+        let sym = u16::try_from(s)
+            .map(u32::from)
+            .map_err(|_| DeflateError::BadHuffmanTable("alphabet too large"))?;
+        let base = |(base, extra): (u16, u8)| (u32::from(base) << 16) | (u32::from(extra) << 12);
+        Ok(match self {
+            Alphabet::Symbols => LITERAL | (sym << 16),
+            Alphabet::LitLen => match sym {
+                0..=255 => LITERAL | (sym << 16),
+                256 => END_OF_BLOCK,
+                _ => s
+                    .checked_sub(257)
+                    .and_then(|i| LENGTH_TABLE.get(i))
+                    .map_or(BAD_SYMBOL | (sym << 16), |&pair| base(pair)),
+            },
+            Alphabet::Distance => {
+                DIST_TABLE.get(s).map_or(BAD_SYMBOL | (sym << 16), |&pair| base(pair))
+            }
+        })
+    }
+}
+
+/// Canonical two-level table decoder (zlib `ENOUGH`-style) whose
+/// entries say what each code means, so the inflate loops branch on
+/// one load.
 ///
 /// `table` entry layout, packed in a `u32`:
-/// * direct entry: `symbol << 16 | code_len` (`code_len` in 1..=15);
+/// * direct entry: `payload << 16 | extra << 12 | kind | code_len`,
+///   `code_len` in 1..=15 (bits 0–7) and `kind` one of `LITERAL`
+///   (bit 9, payload the byte or symbol), `END_OF_BLOCK` (bit 10),
+///   `BAD_SYMBOL` (bit 11, payload the symbol) or none (payload a
+///   length/distance base, `extra` its extra-bit count in bits 12–15);
 /// * primary entry pointing at a subtable: `offset << 16 | SUB_FLAG |
-///   sub_bits`, where the subtable holds `1 << sub_bits` direct entries
-///   indexed by the bits above the primary 9;
+///   sub_bits`, `SUB_FLAG` bit 8, where the subtable holds `1 <<
+///   sub_bits` direct entries indexed by the bits above the primary 9;
 /// * 0: no code with this prefix (invalid stream).
 #[derive(Debug, Clone)]
 pub struct Decoder {
@@ -247,10 +312,16 @@ pub struct Decoder {
 }
 
 impl Decoder {
-    /// Builds a decoder, rejecting over-subscribed tables. Incomplete
-    /// tables are accepted (DEFLATE permits single-code distance trees);
-    /// decoding an unassigned code errors at read time.
+    /// Builds a decoder of plain symbols, read back by [`Decoder::read`].
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, DeflateError> {
+        Self::with_alphabet(lengths, Alphabet::Symbols)
+    }
+
+    /// Builds a decoder whose entries carry `alphabet`'s meaning,
+    /// rejecting over-subscribed tables. Incomplete tables are
+    /// accepted (DEFLATE permits single-code distance trees); decoding
+    /// an unassigned code errors at read time.
+    pub(crate) fn with_alphabet(lengths: &[u8], alphabet: Alphabet) -> Result<Self, DeflateError> {
         // check_kraft also rejects any length above MAX_BITS, so every
         // shift below is in range.
         check_kraft(lengths)?;
@@ -264,9 +335,7 @@ impl Decoder {
             if l == 0 || l > FAST_BITS {
                 continue;
             }
-            let sym = u32::try_from(s)
-                .map_err(|_| DeflateError::BadHuffmanTable("alphabet too large"))?;
-            let entry = (sym << 16) | l;
+            let entry = alphabet.entry(s)? | l;
             let rev = crate::usize_from_u32(reverse_bits(code, l));
             let step = 1usize << l;
             for slot in table.iter_mut().skip(rev).step_by(step) {
@@ -316,9 +385,7 @@ impl Decoder {
                 .get(prefix)
                 .map(|&e| crate::usize_from_u32(e >> 16))
                 .unwrap_or(0);
-            let sym = u32::try_from(s)
-                .map_err(|_| DeflateError::BadHuffmanTable("alphabet too large"))?;
-            let entry = (sym << 16) | l;
+            let entry = alphabet.entry(s)? | l;
             let suffix = rev >> FAST_BITS;
             let step = 1usize << (l - FAST_BITS);
             let span = 1usize << u32::from(head);
@@ -333,28 +400,43 @@ impl Decoder {
         Ok(Decoder { table })
     }
 
-    /// Decodes one symbol from the bit stream.
+    /// The direct entry for the code at the bottom of `bits`, which
+    /// must hold at least [`MAX_BITS`] stream bits (missing trailing
+    /// bits read as zero); 0 if no code has that prefix. Consumes
+    /// nothing.
     #[inline]
-    pub fn read(&self, r: &mut BitReader<'_>) -> Result<u16, DeflateError> {
+    pub(crate) fn lookup(&self, bits: u64) -> u32 {
+        let peek = usize::try_from(bits & 0x7FFF).unwrap_or(0);
+        let entry = self.table.get(peek & FAST_MASK).copied().unwrap_or(0);
+        if entry & SUB_FLAG == 0 {
+            return entry;
+        }
+        let offset = crate::usize_from_u32(entry >> 16);
+        let mask = (1usize << (entry & 0xFF)) - 1;
+        self.table.get(offset + ((peek >> FAST_BITS) & mask)).copied().unwrap_or(0)
+    }
+
+    /// Decodes one code from the bit stream and returns its entry (see
+    /// [`Decoder`] for the layout).
+    #[inline]
+    pub(crate) fn read_entry(&self, r: &mut BitReader<'_>) -> Result<u32, DeflateError> {
         // One peek covers the longest possible code; peek_bits pads
         // missing trailing bits with zeros and `consume` verifies the
         // code's bits were actually present.
-        let peek = usize::try_from(r.peek_bits(MAX_BITS)).unwrap_or(0);
-        let entry = self.table.get(peek & FAST_MASK).copied().unwrap_or(0);
-        let entry = if entry & SUB_FLAG == 0 {
-            entry
-        } else {
-            let offset = crate::usize_from_u32(entry >> 16);
-            let mask = (1usize << (entry & 0xFF)) - 1;
-            let at = offset + ((peek >> FAST_BITS) & mask);
-            self.table.get(at).copied().unwrap_or(0)
-        };
+        let entry = self.lookup(r.peek_bits(MAX_BITS));
         let len = entry & 0xFF;
         if len == 0 {
             return Err(DeflateError::BadHuffmanTable("code not in table"));
         }
         r.consume(len)?;
-        u16::try_from(entry >> 16).map_err(|_| DeflateError::BadHuffmanTable("code not in table"))
+        Ok(entry)
+    }
+
+    /// Decodes one symbol of a decoder built by [`Decoder::from_lengths`].
+    #[inline]
+    pub fn read(&self, r: &mut BitReader<'_>) -> Result<u16, DeflateError> {
+        u16::try_from(self.read_entry(r)? >> 16)
+            .map_err(|_| DeflateError::BadHuffmanTable("code not in table"))
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::bitio::BitReader;
 use crate::deflate::{fixed_dist_lengths, fixed_litlen_lengths, CLCODE_ORDER};
-use crate::huffman::Decoder;
+use crate::huffman::{Alphabet, Decoder};
 use crate::resume::ResumableInflate;
 use crate::DeflateError;
 
@@ -26,8 +26,8 @@ pub(crate) fn fixed_decoders() -> Result<(&'static Decoder, &'static Decoder), D
     use std::sync::OnceLock;
     static FIXED: OnceLock<Result<(Decoder, Decoder), DeflateError>> = OnceLock::new();
     let cached = FIXED.get_or_init(|| {
-        let lit = Decoder::from_lengths(&fixed_litlen_lengths())?;
-        let dist = Decoder::from_lengths(&fixed_dist_lengths())?;
+        let lit = Decoder::with_alphabet(&fixed_litlen_lengths(), Alphabet::LitLen)?;
+        let dist = Decoder::with_alphabet(&fixed_dist_lengths(), Alphabet::Distance)?;
         Ok((lit, dist))
     });
     match cached {

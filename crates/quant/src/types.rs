@@ -140,8 +140,20 @@ impl Quantized {
     ///
     /// Panics if the stream fails [`Quantized::validate`].
     pub fn reconstruct(&self) -> Vec<f64> {
-        let lookup = |i: &u8| self.averages[usize::from(*i)];
         let mut out = Vec::with_capacity(self.len);
+        self.reconstruct_into(&mut out);
+        out
+    }
+
+    /// [`Quantized::reconstruct`] into `out`, replacing what it held,
+    /// so a caller can hand in a buffer with room for more than the
+    /// stream (the decoder lends it to the inverse wavelet next).
+    ///
+    /// Panics if the stream fails [`Quantized::validate`].
+    pub fn reconstruct_into(&self, out: &mut Vec<f64>) {
+        let lookup = |i: &u8| self.averages[usize::from(*i)];
+        out.clear();
+        out.reserve(self.len);
         let (mut qi, mut ri) = (0, 0);
         for (w, &word) in self.bitmap.words().iter().enumerate() {
             let bits = (self.len - w * 64).min(64);
@@ -167,7 +179,6 @@ impl Quantized {
                 }
             }
         }
-        out
     }
 
     /// Fraction of positions that were quantized (1.0 for the simple

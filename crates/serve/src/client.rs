@@ -35,7 +35,7 @@ impl Client {
         proto::write_frame(&mut self.stream, &proto::encode_request(req))?;
         let body = proto::read_frame(&mut self.stream)?
             .ok_or_else(|| ServeError::Proto("server closed mid-request".into()))?;
-        proto::decode_response(&body)
+        proto::decode_response(body)
     }
 
     fn expect<T>(resp: Response, pick: impl FnOnce(Response) -> Option<T>) -> Result<T> {

@@ -124,7 +124,28 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
     frame::read_len_crc_body(r, MAX_FRAME)
 }
 
+/// Writes one response frame. A `Data` response goes out as its 5-byte
+/// head and then the payload where it lies, the CRC run on from one
+/// into the other ([`frame::write_len_crc_parts`]), so the payload is
+/// never copied into a body buffer; the bytes on the wire are
+/// [`write_frame`]'s of [`encode_response`]'s body.
+pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<()> {
+    match resp {
+        Response::Data(bytes) => {
+            frame::write_len_crc_parts(w, &data_head(bytes.len()), bytes, MAX_FRAME)
+        }
+        other => write_frame(w, &encode_response(other)),
+    }
+}
+
 // --------------------------------------------------------------- encoding
+
+/// A `Data` body's head: the tag and the payload's length.
+fn data_head(len: usize) -> [u8; 5] {
+    // `Writer::put_count`'s encoding of the length.
+    let [l0, l1, l2, l3] = u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes();
+    [4, l0, l1, l2, l3]
+}
 
 /// `bound u8, bound_bits u64`: the wire twin of the manifest's `Bound`
 /// record.
@@ -235,8 +256,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
         Response::Data(bytes) => {
-            out.put_u8(4);
-            out.put_count(bytes.len());
+            out.put_bytes(&data_head(bytes.len()));
             out.put_bytes(bytes);
         }
         Response::PutAck { gen, already } => {
@@ -316,9 +336,18 @@ pub fn decode_request(body: &[u8]) -> Result<Request> {
     Ok(req)
 }
 
-/// Parses a response body.
-pub fn decode_response(body: &[u8]) -> Result<Response> {
-    let mut c = Reader::new(body);
+/// Parses a response body. A `Data` response keeps the body's buffer
+/// as its payload, the head drained off the front.
+pub fn decode_response(mut body: Vec<u8>) -> Result<Response> {
+    if body.first() == Some(&4) {
+        let mut c = Reader::at(&body, 1);
+        let len = get_counted_bytes(&mut c)?.len();
+        c.expect_end()?;
+        body.drain(..body.len() - len);
+        return Ok(Response::Data(body));
+    }
+    let mut c = Reader::new(&body);
+    // Tag 4, `Data`, was parsed above.
     let resp = match c.get_u8()? {
         0 => {
             let retryable = c.get_u8()? != 0;
@@ -386,9 +415,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response> {
             }
             Response::Index(GenIndex { gen, step, format, base_gen, error_bound, ranks })
         }
-        4 => {
-            Response::Data(get_counted_bytes(&mut c)?.to_vec())
-        }
         5 => {
             let gen = c.get_u64()?;
             let already = match c.get_u8()? {
@@ -415,7 +441,7 @@ mod tests {
 
     fn roundtrip_response(resp: Response) {
         let body = encode_response(&resp);
-        assert_eq!(decode_response(&body).unwrap(), resp);
+        assert_eq!(decode_response(body).unwrap(), resp);
     }
 
     fn sample_index() -> GenIndex {
@@ -505,12 +531,61 @@ mod tests {
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF at frame boundary");
     }
 
+    /// One response of every kind, `Data` at 0 bytes, 1 byte and 1 MiB.
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Error { retryable: false, not_found: true, message: "gone".into() },
+            Response::Gens(Vec::new()),
+            Response::Latest(Some(3)),
+            Response::Index(sample_index()),
+            Response::Data(Vec::new()),
+            Response::Data(vec![0xA5]),
+            Response::Data((0..1u32 << 20).map(|i| (i * 31 % 251) as u8).collect()),
+            Response::PutAck { gen: 4, already: true },
+        ]
+    }
+
+    #[test]
+    fn write_response_puts_the_bytes_of_the_encoded_frame_on_the_wire() {
+        for resp in every_response() {
+            let (mut parts, mut joined) = (Vec::new(), Vec::new());
+            write_response(&mut parts, &resp).unwrap();
+            write_frame(&mut joined, &encode_response(&resp)).unwrap();
+            assert_eq!(parts, joined, "{:?}", std::mem::discriminant(&resp));
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip_through_the_wire() {
+        let mut wire = Vec::new();
+        for resp in every_response() {
+            write_response(&mut wire, &resp).unwrap();
+        }
+        let mut r = wire.as_slice();
+        for resp in every_response() {
+            let body = read_frame(&mut r).unwrap().unwrap();
+            assert_eq!(decode_response(body).unwrap(), resp);
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_data_body_whose_count_disagrees_with_its_length_is_refused() {
+        let body = encode_response(&Response::Data(vec![1, 2, 3]));
+        for cut in 0..body.len() {
+            assert!(decode_response(body[..cut].to_vec()).is_err(), "cut {cut}");
+        }
+        let mut long = body.clone();
+        long.push(0);
+        assert!(decode_response(long).is_err());
+    }
+
     #[test]
     fn absurd_counts_are_rejected_before_allocation() {
         // A Gens response declaring u32::MAX entries in a tiny body.
         let mut body = vec![1u8];
         body.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_response(&body).is_err());
+        assert!(decode_response(body).is_err());
     }
 
     #[test]
@@ -542,6 +617,7 @@ mod tests {
             encode_request(&Request::PutCommit { gen: 2, metas: vec![(3, 77)] }),
             encode_response(&Response::Index(sample_index())),
             encode_response(&Response::PutAck { gen: 2, already: false }),
+            encode_response(&Response::Data(vec![7; 9])),
             encode_response(&Response::Error {
                 retryable: false,
                 not_found: true,
@@ -551,7 +627,7 @@ mod tests {
         for body in &bodies {
             for cut in 0..body.len() {
                 let _ = decode_request(&body[..cut]);
-                let _ = decode_response(&body[..cut]);
+                let _ = decode_response(body[..cut].to_vec());
             }
         }
     }

@@ -121,7 +121,7 @@ fn handle_connection(stream: UnixStream, store: &Mutex<Store>) -> Result<()> {
                 not_found: false,
                 message: format!("store: {e}"),
             };
-            proto::write_frame(&mut stream, &proto::encode_response(&resp))?;
+            proto::write_response(&mut stream, &resp)?;
             return Ok(());
         }
     };
@@ -138,7 +138,7 @@ fn handle_connection(stream: UnixStream, store: &Mutex<Store>) -> Result<()> {
                 message: format!("bad request: {e}"),
             },
         };
-        proto::write_frame(&mut stream, &proto::encode_response(&resp))?;
+        proto::write_response(&mut stream, &resp)?;
     }
     Ok(())
 }

@@ -241,7 +241,7 @@ fn put_protocol_violations_answer_errors_not_writes() {
     let mut ask = |req: &Request| -> Response {
         proto::write_frame(&mut stream, &proto::encode_request(req)).unwrap();
         let body = proto::read_frame(&mut stream).unwrap().unwrap();
-        proto::decode_response(&body).unwrap()
+        proto::decode_response(body).unwrap()
     };
     let is_err = |r: &Response| matches!(r, Response::Error { .. });
 

@@ -135,6 +135,6 @@ proptest! {
     #[test]
     fn random_bytes_never_decode_as_frames(bytes in pvec(any::<u8>(), 0..256)) {
         let _ = ckpt_serve::proto::decode_request(&bytes);
-        let _ = ckpt_serve::proto::decode_response(&bytes);
+        let _ = ckpt_serve::proto::decode_response(bytes.clone());
     }
 }

@@ -223,8 +223,16 @@ impl Snapshot {
         f.seek(SeekFrom::Start(offset)).map_err(seg_io)?;
         let n = usize::try_from(len)
             .map_err(|_| StoreError::NotFound(format!("range length {len} exceeds memory")))?;
-        let mut buf = vec![0u8; n];
-        f.read_exact(&mut buf).map_err(seg_io)?;
+        // Read into the reservation unfilled: no zero pass ahead of it.
+        let mut buf = Vec::with_capacity(n);
+        f.take(len).read_to_end(&mut buf).map_err(seg_io)?;
+        if buf.len() != n {
+            let short = std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "failed to fill whole buffer",
+            );
+            return Err(seg_io(short));
+        }
         Ok(buf)
     }
 }

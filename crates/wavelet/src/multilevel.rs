@@ -120,6 +120,12 @@ impl MultiLevel {
 
     /// Inverse transform; undoes [`MultiLevel::forward`].
     pub fn inverse(&self, t: &mut Tensor<f64>) -> Result<()> {
+        self.inverse_with(t, &mut Vec::new())
+    }
+
+    /// [`MultiLevel::inverse`] with a caller's buffer as every level's
+    /// scratch ([`transform::inverse_axes_with`]).
+    pub fn inverse_with(&self, t: &mut Tensor<f64>, scratch: &mut Vec<f64>) -> Result<()> {
         let dims = t.dims().to_vec();
         for level in (0..self.plan.levels).rev() {
             let region = low_dims_at_level(&dims, level);
@@ -128,12 +134,12 @@ impl MultiLevel {
             }
             let axes: Vec<usize> = (0..dims.len()).collect();
             if region == dims {
-                transform::inverse_axes(t, &axes, self.kernel)?;
+                transform::inverse_axes_with(t, &axes, self.kernel, scratch)?;
             } else {
                 let zeros = vec![0usize; dims.len()];
                 let vals = t.read_block(&zeros, &region)?;
                 let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::inverse_axes(&mut sub, &axes, self.kernel)?;
+                transform::inverse_axes_with(&mut sub, &axes, self.kernel, scratch)?;
                 t.write_block(&zeros, &region, sub.as_slice())?;
             }
         }

@@ -95,8 +95,12 @@ fn transform_axis(
         return Ok(());
     }
     let lanes = TILE_VALUES.div_ceil(n).max(MIN_TILE_LANES).min(outer);
-    scratch.resize(2 * n * lanes, 0.0);
-    let (tile, done) = scratch.split_at_mut(n * lanes);
+    // Grow only: a longer scratch keeps its length, so a later
+    // leading-axis pass has nothing left to zero-fill.
+    if scratch.len() < 2 * n * lanes {
+        scratch.resize(2 * n * lanes, 0.0);
+    }
+    let (tile, done) = scratch[..2 * n * lanes].split_at_mut(n * lanes);
     for rows in buf.chunks_mut(n * lanes) {
         let w = rows.len() / n;
         let (tile, done) = (&mut tile[..n * w], &mut done[..n * w]);
@@ -129,10 +133,22 @@ pub fn forward_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Resu
 /// Undoes [`forward_axes`] called with the same `axes` and `kernel`
 /// (reverse axis order).
 pub fn inverse_axes(t: &mut Tensor<f64>, axes: &[usize], kernel: Kernel) -> Result<()> {
+    inverse_axes_with(t, axes, kernel, &mut Vec::new())
+}
+
+/// [`inverse_axes`] with a caller's buffer as the passes' scratch: its
+/// contents are overwritten, and a capacity of the tensor's volume
+/// saves the allocation (a leading-axis pass swaps it with the
+/// tensor's buffer, so either may come back in `scratch`).
+pub fn inverse_axes_with(
+    t: &mut Tensor<f64>,
+    axes: &[usize],
+    kernel: Kernel,
+    scratch: &mut Vec<f64>,
+) -> Result<()> {
     validate_axes(t, axes)?;
-    let mut scratch = Vec::new();
     for &axis in axes.iter().rev() {
-        transform_axis(t, axis, kernel.batch_op(false), &mut scratch)?;
+        transform_axis(t, axis, kernel.batch_op(false), scratch)?;
     }
     Ok(())
 }

@@ -357,7 +357,7 @@ fn all_decoders_return(bytes: &[u8]) {
     let _ = gzip::decompress_with_limit(bytes, 1 << 24);
     let _ = lossy_ckpt::deflate::decompress(bytes);
     let _ = proto::decode_request(bytes);
-    let _ = proto::decode_response(bytes);
+    let _ = proto::decode_response(bytes.to_vec());
 }
 
 #[test]

@@ -151,3 +151,51 @@ fn system_gzip_decodes_a_checkpoint_stream_with_stored_runs_that_start_mid_byte(
     assert!(out.stdout == formatted, "system gzip decoded something else");
     assert!(gzip::decompress(&packed).unwrap() == formatted);
 }
+
+/// Runs system `gzip` with `args` over `input`, fed from a thread so
+/// an output that outgrows the pipe cannot stall the write.
+fn system_gzip(args: &[&str], input: &[u8]) -> Vec<u8> {
+    let mut child = Command::new("gzip")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn gzip");
+    let mut stdin = child.stdin.take().unwrap();
+    let feed = input.to_vec();
+    let writer = std::thread::spawn(move || stdin.write_all(&feed));
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap().unwrap();
+    assert!(out.status.success(), "gzip {args:?} failed");
+    out.stdout
+}
+
+#[test]
+fn our_inflate_decodes_system_gzip_recompressions_of_product_streams() {
+    // Stock gzip shapes its blocks, tables and matches its own way at
+    // each level: the inflate loop must decode what it did not shape,
+    // bit for bit, on the two streams a restart inflates.
+    if !system_gzip_available() {
+        eprintln!("skipping: no system gzip");
+        return;
+    }
+    use lossy_ckpt::core::incremental;
+    use lossy_ckpt::prelude::*;
+    let nicam = |seed| {
+        generate(&FieldSpec { dims: vec![1156, 82, 2], ..FieldSpec::small(FieldKind::Temperature, seed) })
+    };
+    let (base, next) = (nicam(11), nicam(12));
+    let none = CompressorConfig::paper_proposed().with_container(Container::None);
+    let formatted = Compressor::new(none).unwrap().compress(&base).unwrap().bytes;
+    let (increment, _) = incremental::increment(&base, &next, Level::Default).unwrap();
+    let inner = gzip::decompress(&increment).unwrap();
+    for (name, input) in [("formatted WCK1", &formatted), ("INC2 inner", &inner)] {
+        for flag in ["-1", "-6", "-9"] {
+            let gz = system_gzip(&["-c", flag], input);
+            let decoded = gzip::decompress(&gz)
+                .unwrap_or_else(|e| panic!("our inflate failed on gzip {flag} of the {name}: {e}"));
+            assert!(decoded == *input, "gzip {flag} of the {name} decoded to something else");
+        }
+    }
+}
