@@ -9,27 +9,27 @@
 //! constant in P; I/O grows linearly; the compressed line is flatter
 //! and crosses below the uncompressed line (paper: around P ≈ 768).
 
-use ckpt_bench::{median_time, ms, temperature_nicam};
+use ckpt_bench::{median_stage_timings, ms, temperature_nicam};
 use ckpt_cluster::{CompressionProfile, IoModel, ScalingTable};
-use ckpt_core::{Compressor, CompressorConfig, Container, StageTimings};
+use ckpt_core::{Compressor, CompressorConfig, Container};
 
 fn main() {
     let t = temperature_nicam();
     let cfg = CompressorConfig::paper_proposed().with_container(Container::TempFileGzip);
     let compressor = Compressor::new(cfg).unwrap();
 
-    // Measure the per-process compression profile (median of 5).
-    let mut timings = StageTimings::new();
+    // Measure the per-process compression profile: each stage's median
+    // over 5 warm runs. The rate is the same on every run.
     let mut rate = 0.0f64;
-    let _ = median_time(5, || {
+    let timings = median_stage_timings(5, || {
         let packed = compressor.compress(&t).unwrap();
-        timings = packed.timings;
         rate = packed.stats.compression_rate() / 100.0;
+        packed.timings
     });
 
     println!("=== Figure 9: overall checkpoint time vs parallelism ===");
     println!();
-    println!("measured per-process compression profile (1.5 MB array):");
+    println!("measured per-process compression profile (1.5 MB array, per-stage median of 5):");
     for (label, d) in timings.breakdown() {
         println!("  {:<30} {:>9} ms", label, ms(d));
     }
@@ -66,10 +66,7 @@ fn main() {
     // eliminated by compressing ... in memory".
     let mem_cfg = CompressorConfig::paper_proposed().with_container(Container::Gzip);
     let mem_comp = Compressor::new(mem_cfg).unwrap();
-    let mut mem_timings = StageTimings::new();
-    let _ = median_time(5, || {
-        mem_timings = mem_comp.compress(&t).unwrap().timings;
-    });
+    let mem_timings = median_stage_timings(5, || mem_comp.compress(&t).unwrap().timings);
     println!();
     println!(
         "ablation (paper's stated future fix): in-memory gzip total = {} ms vs temp-file gzip {} ms",

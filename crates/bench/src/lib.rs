@@ -17,10 +17,10 @@
 //! | `all_arrays`| Section IV-C in-text per-array ranges                 |
 
 use ckpt_core::metrics::RelativeError;
-use ckpt_core::{Compressed, Compressor, CompressorConfig};
+use ckpt_core::{Compressed, Compressor, CompressorConfig, StageTimings};
 use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
 use ckpt_tensor::Tensor;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The paper's default evaluation subject: the temperature array of the
 /// NICAM-shaped mesh (1156 × 82 × 2, 1.5 MB of f64).
@@ -67,20 +67,26 @@ pub fn compress_and_measure(
     (packed, err)
 }
 
-/// Median wall time of `runs` executions of `f` (warm: one discarded
-/// warm-up run).
-pub fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
+/// Each stage's median over `runs` executions of `f` (warm: one
+/// discarded warm-up run), so every bar of a Fig. 9 stack is the middle
+/// sample of its own stage rather than the stages of whichever run came
+/// last. The total of the result is the sum of the stage medians.
+pub fn median_stage_timings(runs: usize, mut f: impl FnMut() -> StageTimings) -> StageTimings {
     assert!(runs >= 1);
     f(); // warm-up
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+    let samples: Vec<StageTimings> = (0..runs).map(|_| f()).collect();
+    let median = |stage: fn(&StageTimings) -> Duration| {
+        let mut values: Vec<Duration> = samples.iter().map(stage).collect();
+        values.sort();
+        values[values.len() / 2]
+    };
+    StageTimings {
+        wavelet: median(|t| t.wavelet),
+        quantize_encode: median(|t| t.quantize_encode),
+        format: median(|t| t.format),
+        temp_file_write: median(|t| t.temp_file_write),
+        gzip: median(|t| t.gzip),
+    }
 }
 
 /// Prints a fixed-width table row to stdout.
@@ -130,11 +136,19 @@ mod tests {
         assert!(err.average < 0.01);
     }
 
+    /// The warm-up run is dropped, and each stage takes the middle of
+    /// its own samples, not the stages of one run.
     #[test]
-    fn median_time_returns_positive() {
-        let d = median_time(3, || {
-            std::hint::black_box((0..10_000).sum::<u64>());
+    fn median_stage_timings_takes_each_stages_middle_sample() {
+        let ms = |v: u64| Duration::from_millis(v);
+        let runs = [(90, 90), (1, 30), (3, 10), (2, 20)].map(|(wavelet, gzip)| StageTimings {
+            wavelet: ms(wavelet),
+            gzip: ms(gzip),
+            ..StageTimings::new()
         });
-        assert!(d >= Duration::ZERO); // just runs
+        let mut next = runs.iter();
+        let median = median_stage_timings(3, || *next.next().unwrap());
+        assert_eq!((median.wavelet, median.gzip), (ms(2), ms(20)));
+        assert_eq!(median.total(), ms(22));
     }
 }

@@ -27,7 +27,6 @@ USAGE:
   ckpt store      save|restore|list|verify|gc|compact … (see `ckpt store help`)
   ckpt serve      <dir> --socket <path> [--for-ms N]
   ckpt fetch      <socket> [--list true | [--gen N] [--rank N] -o out]
-  ckpt replicate  <dir> [--to <socket> | --to-dir <dir> | --adopt <socket>]
 
 Raw array files are row-major little-endian f64.
 
@@ -39,9 +38,6 @@ GC. `ckpt serve` exports a
 store's committed generations over a Unix socket against epoch-pinned
 snapshots (saves and GC keep running underneath); `ckpt fetch` pulls a
 generation from a running server with CRC-verified ranged reads.
-`ckpt replicate` pushes committed generations to a buddy store (local
-dir or served socket) behind a durable replication cursor, or rebuilds
-a lost primary by adopting the buddy's contents.
 
 --threads 1 (the default) writes one gzip member; more threads deflate
 one array's chunks in parallel (gzip switches to a chunked multi-member

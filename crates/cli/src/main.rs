@@ -63,7 +63,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         "store" => store_cmd::dispatch(rest),
         "serve" => serve_cmd::serve(rest),
         "fetch" => serve_cmd::fetch(rest),
-        "replicate" => serve_cmd::replicate(rest),
         "help" | "--help" | "-h" => {
             say!("{}", commands::USAGE);
             Ok(())

@@ -1,10 +1,8 @@
-//! `ckpt serve` / `ckpt fetch` / `ckpt replicate` — serve committed
-//! checkpoints over a Unix-domain socket, fetch them from another
-//! process, and keep a buddy store in sync.
+//! `ckpt serve` / `ckpt fetch` — serve committed checkpoints over a
+//! Unix-domain socket, and fetch them from another process.
 
 use crate::args::Args;
-use ckpt_serve::{Client, RemoteReplica};
-use ckpt_store::{LocalReplica, Store};
+use ckpt_serve::Client;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -25,19 +23,7 @@ fetch connects to a running server. --list prints the generation
 table; otherwise the requested generation's rank payload (latest
 committed by default) is reassembled from ranged reads of --chunk-bytes
 (default 4 MiB) and CRC-verified against the committed manifest before
-being written to -o.
-
-replicate keeps a buddy copy of the store at <dir>:
-  --to <socket>   push live generations above the durable replication
-                  cursor to a served buddy (`ckpt serve` on the peer);
-                  each delivery is verified and committed remotely
-                  before the cursor advances, so a crashed push
-                  resumes where it stopped.
-  --to-dir <dir>  same push into a local buddy store directory.
-  --adopt <socket> rebuild <dir> (a fresh or partial store) from a
-                  served buddy: every live generation the buddy holds
-                  and <dir> lacks is pulled, CRC-verified, and
-                  committed; reruns are idempotent.";
+being written to -o.";
 
 /// Default fetch read granularity; well under the frame bound.
 const DEFAULT_CHUNK: u64 = 4 << 20;
@@ -145,50 +131,6 @@ pub fn fetch(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub fn replicate(argv: &[String]) -> Result<(), String> {
-    if argv.first().map(String::as_str) == Some("help") {
-        say!("{SERVE_USAGE}");
-        return Ok(());
-    }
-    let args = Args::parse(argv, "replicate", &["to", "to-dir", "adopt"])?;
-    let dir = args.one_positional("store dir")?;
-    let modes = [args.get("to"), args.get("to-dir"), args.get("adopt")];
-    if modes.iter().flatten().count() != 1 {
-        return Err("replicate needs exactly one of --to, --to-dir, --adopt".into());
-    }
-
-    if let Some(socket) = args.get("adopt") {
-        let mut dst = crate::store_cmd::open(dir)?;
-        let mut client = Client::connect(Path::new(socket))
-            .map_err(|e| format!("connecting to {socket}: {e}"))?;
-        let imported = client.adopt_into(&mut dst).map_err(|e| e.to_string())?;
-        eprintln!("adopted {} generations from {socket}: {imported:?}", imported.len());
-        return Ok(());
-    }
-
-    let mut primary = crate::store_cmd::open(dir)?;
-    let report = if let Some(socket) = args.get("to") {
-        let mut sink = RemoteReplica::connect(Path::new(socket))
-            .map_err(|e| format!("connecting to {socket}: {e}"))?;
-        primary.push_to(&mut sink).map_err(|e| e.to_string())?
-    } else {
-        let buddy_dir = args.get("to-dir").expect("checked above");
-        let mut buddy = Store::open(buddy_dir)
-            .map_err(|e| format!("opening buddy store {buddy_dir}: {e}"))?;
-        primary.push_to(&mut LocalReplica(&mut buddy)).map_err(|e| e.to_string())?
-    };
-    if !report.skipped.is_empty() {
-        eprintln!("skipped unresolvable chains: {:?}", report.skipped);
-    }
-    eprintln!(
-        "pushed {} generations {:?}, cursor at {:?}",
-        report.pushed.len(),
-        report.pushed,
-        report.cursor
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,70 +216,5 @@ mod tests {
         assert!(fetch(&argv(&["/no/such/socket", "--list", "true"])).is_err());
         serve(&argv(&["help"])).unwrap();
         fetch(&argv(&["help"])).unwrap();
-        replicate(&argv(&["help"])).unwrap();
-        let dir = scratch("repl-args");
-        let d = dir.to_str().unwrap();
-        assert!(replicate(&argv(&[d])).is_err(), "no mode flag");
-        assert!(
-            replicate(&argv(&[d, "--to", "/s", "--adopt", "/s"])).is_err(),
-            "two mode flags"
-        );
-        assert!(replicate(&argv(&[d, "--to", "/no/such/socket"])).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn replicate_pushes_to_a_local_buddy_and_adopts_over_a_socket() {
-        let dir = scratch("repl-primary");
-        let buddy = scratch("repl-buddy");
-        let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 199) as u8).collect();
-        let pf = scratch("repl.payload");
-        std::fs::write(&pf, &payload).unwrap();
-        crate::store_cmd::dispatch(&argv(&[
-            "save",
-            dir.to_str().unwrap(),
-            pf.to_str().unwrap(),
-            "--step",
-            "1",
-        ]))
-        .unwrap();
-
-        // Push into a local buddy dir; a second push is a no-op.
-        replicate(&argv(&[dir.to_str().unwrap(), "--to-dir", buddy.to_str().unwrap()]))
-            .unwrap();
-        replicate(&argv(&[dir.to_str().unwrap(), "--to-dir", buddy.to_str().unwrap()]))
-            .unwrap();
-        let b = Store::open(&buddy).unwrap();
-        assert_eq!(b.read_segment(1, 0).unwrap(), payload);
-        drop(b);
-
-        // Serve the buddy and adopt into a fresh store dir.
-        let socket = scratch("repl.sock");
-        let serve_args = argv(&[
-            buddy.to_str().unwrap(),
-            "--socket",
-            socket.to_str().unwrap(),
-            "--for-ms",
-            "4000",
-        ]);
-        let server = std::thread::spawn(move || serve(&serve_args));
-        for _ in 0..200 {
-            if socket.exists() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        let adopted = scratch("repl-adopted");
-        replicate(&argv(&[adopted.to_str().unwrap(), "--adopt", socket.to_str().unwrap()]))
-            .unwrap();
-        let a = Store::open(&adopted).unwrap();
-        assert_eq!(a.read_segment(1, 0).unwrap(), payload);
-        drop(a);
-        server.join().unwrap().unwrap();
-
-        for p in [dir, buddy, adopted] {
-            let _ = std::fs::remove_dir_all(&p);
-        }
-        let _ = std::fs::remove_file(&pf);
     }
 }

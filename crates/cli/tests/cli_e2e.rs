@@ -142,6 +142,19 @@ fn a_flag_the_verb_does_not_take_fails_by_name() {
     }
 }
 
+/// The buddy-replication verb is gone: a script that still calls it
+/// fails by name and writes nothing, neither the buddy directory nor a
+/// cursor in the store.
+#[test]
+fn the_retired_replicate_verb_is_an_unknown_subcommand() {
+    let (store, buddy) = (tmp("replicate-store"), tmp("replicate-buddy"));
+    let run = bin().arg("replicate").arg(&store).arg("--to-dir").arg(&buddy).output().unwrap();
+    assert!(!run.status.success());
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("unknown subcommand \"replicate\""), "{stderr}");
+    assert!(!store.exists() && !buddy.exists());
+}
+
 /// `ckpt info x | head -1`: the reader takes one line and closes the
 /// pipe. The member table of a many-member WPK1 file is far larger than
 /// a pipe buffer, so the verb's later writes fail with a broken pipe;

@@ -1,7 +1,7 @@
 //! One byte cursor, one set of frame envelopes, one format table.
 //!
 //! Every magic-tagged format in the workspace is either a bespoke
-//! layout read with the [`Reader`] below, or one of three envelopes
+//! layout read with the [`Reader`] below, or one of two envelopes
 //! around a body (docs/FORMAT.md, "Envelopes and version policy"):
 //!
 //! * `header8` — `magic | version u8 | 3 zero bytes`
@@ -9,11 +9,9 @@
 //! * `len | crc | body` — `u32 body_len | u32 crc32(body) | body`
 //!   ([`Writer::put_len_crc_body`] / [`Reader::get_len_crc_body`] over
 //!   slices, [`write_len_crc_body`] / [`read_len_crc_body`] over
-//!   streams),
-//! * `body | crc32` — the body followed by its CRC-32
-//!   ([`Writer::seal`] / [`unseal`]).
+//!   streams).
 //!
-//! Each envelope takes the caller's `max_body` on encode *and* decode,
+//! `len | crc | body` takes the caller's `max_body` on encode *and* decode,
 //! so a length the reader would refuse is never written, and the one
 //! allocation a hostile length prefix could drive (the stream form's
 //! body buffer) is bounded here.
@@ -155,8 +153,6 @@ pub enum Envelope {
     Bespoke,
     /// `u32 body_len | u32 crc32(body) | body`.
     LenCrcBody,
-    /// `body | u32 crc32(body)`.
-    BodyCrc,
 }
 
 impl Envelope {
@@ -166,7 +162,6 @@ impl Envelope {
         match self {
             Envelope::Bespoke => "bespoke",
             Envelope::LenCrcBody => "len | crc | body",
-            Envelope::BodyCrc => "body | crc32",
         }
     }
 }
@@ -207,7 +202,6 @@ impl Format {
             + match self.envelope {
                 Envelope::Bespoke => 0,
                 Envelope::LenCrcBody => 8,
-                Envelope::BodyCrc => 4,
             }
     }
 }
@@ -246,15 +240,6 @@ pub const CSM2: Format = Format {
     envelope: Envelope::LenCrcBody,
     max_body: 64 << 20,
 };
-/// Replication cursor: `header8`, then a sealed u64
-/// (`ckpt_store::replicate`).
-pub const RPC1: Format = Format {
-    magic: *b"RPC1",
-    version: 1,
-    header8: true,
-    envelope: Envelope::BodyCrc,
-    max_body: 8,
-};
 /// Socket request/response frames (`ckpt_serve::proto`).
 pub const SRV1: Format = Format {
     magic: *b"SRV1",
@@ -265,7 +250,7 @@ pub const SRV1: Format = Format {
 };
 
 /// Every magic-tagged format in the workspace.
-pub const FORMATS: [Format; 9] = [WCK1, CKPT, WPK1, INC1, INC2, CSM1, CSM2, RPC1, SRV1];
+pub const FORMATS: [Format; 8] = [WCK1, CKPT, WPK1, INC1, INC2, CSM1, CSM2, SRV1];
 
 // ----------------------------------------------------------------- writer
 
@@ -364,17 +349,6 @@ impl Writer {
     /// Finishes and returns the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Finishes as a `body | crc32` envelope: everything written so far
-    /// is the body, and its CRC-32 is appended.
-    pub fn seal(mut self, max_body: usize) -> Result<Vec<u8>, FrameError> {
-        if self.buf.len() > max_body {
-            return Err(FrameError::BodyTooLarge { len: self.buf.len(), max: max_body });
-        }
-        let crc = crc32(&self.buf);
-        self.put_u32(crc);
-        Ok(self.buf)
     }
 }
 
@@ -589,19 +563,7 @@ fn split_len_crc_prefix(prefix: [u8; 8], max_body: usize) -> Result<(usize, u32)
     Ok((len, u32::from_le_bytes([c0, c1, c2, c3])))
 }
 
-/// Verifies a `body | crc32` envelope and returns the body.
-pub fn unseal(bytes: &[u8], max_body: usize) -> Result<&[u8], FrameError> {
-    let truncated = || FrameError::Truncated { needed: 4, offset: 0, have: bytes.len() };
-    let body_len = bytes.len().checked_sub(4).ok_or_else(truncated)?;
-    if body_len > max_body {
-        return Err(FrameError::BodyTooLarge { len: body_len, max: max_body });
-    }
-    let body = bytes.get(..body_len).ok_or_else(truncated)?;
-    check_crc(Reader::at(bytes, body_len).get_u32()?, body)?;
-    Ok(body)
-}
-
-/// Reads a whole single-frame file of `format` (a cursor, a snapshot).
+/// Reads a whole single-frame file of `format` (a snapshot).
 /// A file longer than any the format can fill is
 /// refused on its length, before a byte of it is read, so the parser's
 /// `max_body` bound also bounds what reaching the parser costs; the
@@ -707,21 +669,22 @@ mod tests {
 
     #[test]
     fn a_file_longer_than_its_format_allows_is_refused_unread() {
+        const TINY: Format = Format { max_body: 8, ..CSM2 };
         let path = std::env::temp_dir().join(format!("ckpt-frame-bounded-{}", std::process::id()));
-        let cursor = [header8(&RPC1).as_slice(), &[0u8; 12]].concat();
-        std::fs::write(&path, &cursor).unwrap();
-        assert_eq!(read_file_bounded(&path, &RPC1).unwrap(), cursor, "the longest valid file reads");
+        let longest = [header8(&TINY).as_slice(), &[0u8; 16]].concat();
+        std::fs::write(&path, &longest).unwrap();
+        assert_eq!(read_file_bounded(&path, &TINY).unwrap(), longest, "the longest valid file reads");
 
         // A sparse 1 GiB file: reading it would cost a 1 GiB buffer.
         // The refusal names the bound, which only the length check
         // ahead of the read can know was crossed.
         std::fs::File::create(&path).unwrap().set_len(1 << 30).unwrap();
-        let err = read_file_bounded(&path, &RPC1).unwrap_err();
+        let err = read_file_bounded(&path, &TINY).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds the 8-byte bound"), "{err}");
 
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(read_file_bounded(&path, &RPC1).unwrap_err().kind(), io::ErrorKind::NotFound);
+        assert_eq!(read_file_bounded(&path, &TINY).unwrap_err().kind(), io::ErrorKind::NotFound);
     }
 
     /// Serves `data` at most `step` bytes a read and records the
@@ -985,37 +948,6 @@ mod tests {
             Reader::new(&wire).get_len_crc_body(CSM2.max_body),
             Err(FrameError::BodyTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn body_crc_enforces_the_bound_both_ways_and_rejects_trailing_bytes() {
-        let mut w = Writer::new();
-        w.put_u64(42);
-        assert_eq!(
-            Writer::new().seal(0).map(|b| b.len()),
-            Ok(4),
-            "an empty body still carries its CRC"
-        );
-        let mut over = Writer::new();
-        over.put_u64(42);
-        assert_eq!(over.seal(7), Err(FrameError::BodyTooLarge { len: 8, max: 7 }));
-        let sealed = w.seal(8).unwrap();
-        assert_eq!(sealed.len(), 12);
-
-        assert_eq!(unseal(&sealed, 8).unwrap(), 42u64.to_le_bytes());
-        assert_eq!(unseal(&sealed, 7), Err(FrameError::BodyTooLarge { len: 8, max: 7 }));
-        for cut in 0..sealed.len() {
-            assert!(unseal(&sealed[..cut], 8).is_err(), "prefix of {cut} bytes");
-        }
-        for at in 0..sealed.len() {
-            let mut bad = sealed.clone();
-            bad[at] ^= 0x20;
-            assert!(matches!(unseal(&bad, 8), Err(FrameError::Checksum { .. })), "flip at {at}");
-        }
-        // A trailing byte shifts the CRC window: never accepted.
-        let mut long = sealed.clone();
-        long.push(0);
-        assert!(unseal(&long, 64).is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   and decompress in parallel,
 //! * [`crc32`] — the checksum (its byte loop is `ckpt_simd::crc32`) and
 //!   the log-time combine,
-//! * [`frame`] — the workspace's one byte cursor, its three frame
+//! * [`frame`] — the workspace's one byte cursor, its two frame
 //!   envelopes, and the table of every magic-tagged format.
 //!
 //! ## Quick use

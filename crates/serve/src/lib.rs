@@ -21,7 +21,7 @@ pub mod proto;
 pub mod server;
 pub mod session;
 
-pub use client::{Client, RemoteReplica};
+pub use client::Client;
 pub use server::Server;
 pub use session::ServeSession;
 

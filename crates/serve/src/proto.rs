@@ -15,12 +15,6 @@
 //!          2 Latest
 //!          3 Index : gen u64
 //!          4 Fetch : gen u64, rank u32, offset u64, len u64
-//!          5 PutBegin : gen u64, step u64, format u8, base_gen u64,
-//!                       ranks u32, bound u8, bound_bits u64
-//!          6 PutSeg : gen u64, rank u32, offset u64, total_len u64,
-//!                     chunk_len u32, chunk bytes
-//!          7 PutCommit : gen u64, rank_count u32, then per rank:
-//!                        payload_len u64, crc u32
 //! Response 0 Error : retryable u8, not_found u8, msg_len u32, msg (UTF-8)
 //!          1 Gens  : count u32, then per gen:
 //!                    gen u64, step u64, format u8, base_gen u64,
@@ -32,15 +26,11 @@
 //!                    member_count u32, then per member:
 //!                    offset u64, compressed_len u64, uncompressed_len u64
 //!          4 Data  : len u32, bytes
-//!          5 PutAck: gen u64, already u8
 //! ```
 //!
-//! The `Put*` triple is the replication push: `PutBegin` announces a
-//! generation, `PutSeg` streams each rank's payload in chunks that fit
-//! a frame, `PutCommit` declares the expected per-rank length + CRC
-//! and asks the server to commit the generation through the store's
-//! two-phase protocol. `PutAck { already: 1 }` means the replica held
-//! an identical copy — the idempotent-import case a resumed push hits.
+//! The protocol is read-only: no request writes the served store.
+//! Request tags 5–7 and response tag 5 belonged to a replication push
+//! that older builds spoke; they decode as any unknown tag does.
 
 // Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
@@ -70,25 +60,6 @@ pub enum Request {
     Index { gen: u64 },
     /// A byte range of one committed segment.
     Fetch { gen: u64, rank: u32, offset: u64, len: u64 },
-    /// Replication push, step 1: announce a generation.
-    PutBegin {
-        gen: u64,
-        step: u64,
-        format: SegmentFormat,
-        base_gen: u64,
-        ranks: u32,
-        error_bound: Option<f64>,
-    },
-    /// Replication push, step 2: one chunk of one rank's payload.
-    /// Chunks for a rank must arrive in order (`offset` equals the
-    /// bytes already received); `total_len` re-declares the rank's
-    /// full payload length so the server can bound its buffer up
-    /// front.
-    PutSeg { gen: u64, rank: u32, offset: u64, total_len: u64, chunk: Vec<u8> },
-    /// Replication push, step 3: commit. `metas` holds each rank's
-    /// expected `(payload_len, crc32)`; the server refuses the commit
-    /// if its accumulated buffers disagree.
-    PutCommit { gen: u64, metas: Vec<(u64, u32)> },
 }
 
 /// The server's answer.
@@ -104,10 +75,6 @@ pub enum Response {
     Index(GenIndex),
     /// Answer to [`Request::Fetch`].
     Data(Vec<u8>),
-    /// Answer to [`Request::PutCommit`]: the generation is durable on
-    /// the replica; `already` is true when an identical copy was
-    /// already there (idempotent re-push).
-    PutAck { gen: u64, already: bool },
 }
 
 // ---------------------------------------------------------------- frames
@@ -171,33 +138,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.put_u64(*offset);
             out.put_u64(*len);
         }
-        Request::PutBegin { gen, step, format, base_gen, ranks, error_bound } => {
-            out.put_u8(5);
-            out.put_u64(*gen);
-            out.put_u64(*step);
-            out.put_u8(format.to_u8());
-            out.put_u64(*base_gen);
-            out.put_u32(*ranks);
-            put_bound(&mut out, *error_bound);
-        }
-        Request::PutSeg { gen, rank, offset, total_len, chunk } => {
-            out.put_u8(6);
-            out.put_u64(*gen);
-            out.put_u32(*rank);
-            out.put_u64(*offset);
-            out.put_u64(*total_len);
-            out.put_count(chunk.len());
-            out.put_bytes(chunk);
-        }
-        Request::PutCommit { gen, metas } => {
-            out.put_u8(7);
-            out.put_u64(*gen);
-            out.put_count(metas.len());
-            for (payload_len, crc) in metas {
-                out.put_u64(*payload_len);
-                out.put_u32(*crc);
-            }
-        }
     }
     out.into_bytes()
 }
@@ -259,11 +199,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.put_bytes(&data_head(bytes.len()));
             out.put_bytes(bytes);
         }
-        Response::PutAck { gen, already } => {
-            out.put_u8(5);
-            out.put_u64(*gen);
-            out.put_u8(u8::from(*already));
-        }
     }
     out.into_bytes()
 }
@@ -305,31 +240,6 @@ pub fn decode_request(body: &[u8]) -> Result<Request> {
             offset: c.get_u64()?,
             len: c.get_u64()?,
         },
-        5 => Request::PutBegin {
-            gen: c.get_u64()?,
-            step: c.get_u64()?,
-            format: parse_format(c.get_u8()?)?,
-            base_gen: c.get_u64()?,
-            ranks: c.get_u32()?,
-            error_bound: get_bound(&mut c)?,
-        },
-        6 => {
-            let gen = c.get_u64()?;
-            let rank = c.get_u32()?;
-            let offset = c.get_u64()?;
-            let total_len = c.get_u64()?;
-            let chunk = get_counted_bytes(&mut c)?.to_vec();
-            Request::PutSeg { gen, rank, offset, total_len, chunk }
-        }
-        7 => {
-            let gen = c.get_u64()?;
-            let count = c.get_count(12)?;
-            let mut metas = Vec::with_capacity(count);
-            for _ in 0..count {
-                metas.push((c.get_u64()?, c.get_u32()?));
-            }
-            Request::PutCommit { gen, metas }
-        }
         t => return Err(ServeError::Proto(format!("bad request tag {t}"))),
     };
     c.expect_end()?;
@@ -415,15 +325,6 @@ pub fn decode_response(mut body: Vec<u8>) -> Result<Response> {
             }
             Response::Index(GenIndex { gen, step, format, base_gen, error_bound, ranks })
         }
-        5 => {
-            let gen = c.get_u64()?;
-            let already = match c.get_u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(ServeError::Proto(format!("bad ack flag {t}"))),
-            };
-            Response::PutAck { gen, already }
-        }
         t => return Err(ServeError::Proto(format!("bad response tag {t}"))),
     };
     c.expect_end()?;
@@ -472,25 +373,6 @@ mod tests {
         roundtrip_request(Request::Latest);
         roundtrip_request(Request::Index { gen: u64::MAX });
         roundtrip_request(Request::Fetch { gen: 3, rank: 2, offset: 100, len: 4096 });
-        roundtrip_request(Request::PutBegin {
-            gen: 12,
-            step: 1200,
-            format: SegmentFormat::Increment,
-            base_gen: 11,
-            ranks: 3,
-            error_bound: Some(1e-4),
-        });
-        roundtrip_request(Request::PutSeg {
-            gen: 12,
-            rank: 2,
-            offset: 4096,
-            total_len: 5000,
-            chunk: vec![9; 904],
-        });
-        roundtrip_request(Request::PutCommit {
-            gen: 12,
-            metas: vec![(5000, 0xFEED_F00D), (1, 2), (0, 0)],
-        });
     }
 
     #[test]
@@ -515,8 +397,6 @@ mod tests {
         roundtrip_response(Response::Latest(Some(17)));
         roundtrip_response(Response::Index(sample_index()));
         roundtrip_response(Response::Data(vec![1, 2, 3, 255]));
-        roundtrip_response(Response::PutAck { gen: 12, already: false });
-        roundtrip_response(Response::PutAck { gen: u64::MAX, already: true });
     }
 
     #[test]
@@ -541,7 +421,6 @@ mod tests {
             Response::Data(Vec::new()),
             Response::Data(vec![0xA5]),
             Response::Data((0..1u32 << 20).map(|i| (i * 31 % 251) as u8).collect()),
-            Response::PutAck { gen: 4, already: true },
         ]
     }
 
@@ -588,6 +467,17 @@ mod tests {
         assert!(decode_response(body).is_err());
     }
 
+    /// The replication push's tags are unknown tags now, on both ends.
+    #[test]
+    fn the_retired_put_tags_are_refused_as_unknown() {
+        for tag in 5..=7u8 {
+            let err = decode_request(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
+            assert_eq!(err.to_string(), format!("protocol: bad request tag {tag}"));
+        }
+        let err = decode_response(vec![5, 0, 0, 0, 0, 0, 0, 0, 0, 1]).unwrap_err();
+        assert_eq!(err.to_string(), "protocol: bad response tag 5");
+    }
+
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut body = encode_request(&Request::List);
@@ -599,24 +489,7 @@ mod tests {
     fn truncated_bodies_never_panic() {
         let bodies = [
             encode_request(&Request::Fetch { gen: 1, rank: 2, offset: 3, len: 4 }),
-            encode_request(&Request::PutBegin {
-                gen: 2,
-                step: 20,
-                format: SegmentFormat::Array,
-                base_gen: 2,
-                ranks: 1,
-                error_bound: Some(0.5),
-            }),
-            encode_request(&Request::PutSeg {
-                gen: 2,
-                rank: 0,
-                offset: 0,
-                total_len: 3,
-                chunk: vec![1, 2, 3],
-            }),
-            encode_request(&Request::PutCommit { gen: 2, metas: vec![(3, 77)] }),
             encode_response(&Response::Index(sample_index())),
-            encode_response(&Response::PutAck { gen: 2, already: false }),
             encode_response(&Response::Data(vec![7; 9])),
             encode_response(&Response::Error {
                 retryable: false,

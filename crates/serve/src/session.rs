@@ -65,14 +65,6 @@ impl ServeSession {
                 }
                 Ok(Response::Data(self.snap.read_segment_range(*gen, *rank, *offset, *len)?))
             }
-            // Puts mutate the store; a session only holds a pinned
-            // read-only snapshot. The server's connection loop
-            // intercepts put frames before they ever reach a session.
-            Request::PutBegin { .. } | Request::PutSeg { .. } | Request::PutCommit { .. } => {
-                Err(ServeError::Proto(
-                    "put requests are handled by the server connection, not a session".into(),
-                ))
-            }
         }
     }
 }

@@ -157,20 +157,20 @@ impl FailPoint {
     /// this takes:
     ///
     /// ```compile_fail,E0308
-    /// # use ckpt_store::{layout::{Layout, CURSOR_FILE}, FailPoint};
+    /// # use ckpt_store::{layout::Layout, FailPoint};
     /// # fn main() -> ckpt_store::Result<()> {
     /// # let (layout, fp) = (Layout::new("store"), FailPoint::unlimited());
-    /// let cursor = b"RPC1 image";
-    /// fp.durable_replace(&layout.cursor, &layout.cursor, cursor)?; // created outside staging
+    /// let snapshot = b"CSM2 image";
+    /// fp.durable_replace(&layout.snapshot, &layout.snapshot, snapshot)?; // created outside staging
     /// # Ok(()) }
     /// ```
     ///
     /// ```no_run
-    /// # use ckpt_store::{layout::{Layout, CURSOR_FILE}, FailPoint};
+    /// # use ckpt_store::{layout::{Layout, SNAPSHOT_FILE}, FailPoint};
     /// # fn main() -> ckpt_store::Result<()> {
     /// # let (layout, fp) = (Layout::new("store"), FailPoint::unlimited());
-    /// let cursor = b"RPC1 image";
-    /// fp.durable_replace(&layout.meta_tmp_path(CURSOR_FILE), &layout.cursor, cursor)?;
+    /// let snapshot = b"CSM2 image";
+    /// fp.durable_replace(&layout.meta_tmp_path(SNAPSHOT_FILE), &layout.snapshot, snapshot)?;
     /// # Ok(()) }
     /// ```
     pub fn durable_replace(&self, at: &Staging, dst: &Path, bytes: &[u8]) -> Result<Durable<()>> {

@@ -11,9 +11,6 @@ pub const MANIFEST_FILE: &str = "manifest";
 /// store state, written by `Store::compact_manifest` so the log can be
 /// truncated.
 pub const SNAPSHOT_FILE: &str = "manifest.snap";
-/// Replication cursor file name (`RPC1`): the highest generation
-/// durably pushed to this store's buddy.
-pub const CURSOR_FILE: &str = "replication.cursor";
 /// Committed segment directory.
 pub const SEGMENTS_DIR: &str = "segments";
 /// Where unreadable or orphaned segments are moved (never deleted).
@@ -28,8 +25,6 @@ pub struct Layout {
     pub manifest: PathBuf,
     /// `CSM2` snapshot (absent until the first `compact_manifest`).
     pub snapshot: PathBuf,
-    /// `RPC1` replication cursor (absent until the first push).
-    pub cursor: PathBuf,
     pub segments: PathBuf,
     pub quarantine: PathBuf,
     pub tmp: PathBuf,
@@ -42,7 +37,6 @@ impl Layout {
         Layout {
             manifest: root.join(MANIFEST_FILE),
             snapshot: root.join(SNAPSHOT_FILE),
-            cursor: root.join(CURSOR_FILE),
             segments: root.join(SEGMENTS_DIR),
             quarantine: root.join(QUARANTINE_DIR),
             tmp: root.join(TMP_DIR),
@@ -51,7 +45,7 @@ impl Layout {
     }
 
     /// Staging path for an atomic rewrite of a root-level metadata file
-    /// (snapshot, cursor): same name, `tmp/` directory — open-time
+    /// (the snapshot): same name, `tmp/` directory — open-time
     /// recovery sweeps abandoned staging files automatically.
     pub fn meta_tmp_path(&self, name: &str) -> Staging {
         Staging::new(self.tmp.join(name))

@@ -77,7 +77,6 @@ mod failpoint;
 pub mod gc;
 pub mod layout;
 pub mod manifest;
-pub mod replicate;
 pub mod segment;
 pub mod snapshot;
 pub mod store;
@@ -88,7 +87,6 @@ pub use gc::GcReport;
 pub use manifest::{RetireReason, SegmentFormat};
 pub use snapshot::{GenIndex, MemberRange, RankIndex, Snapshot};
 pub use compact::ChainCompactReport;
-pub use replicate::{LocalReplica, PushReport, PutGen, ReplicaSink};
 pub use store::{CompactManifestReport, GenInfo, OpenReport, Store, VerifyReport, View};
 
 use std::fmt;

@@ -45,7 +45,7 @@ pub(crate) struct GenState {
 /// What a generation about to be committed says about itself: the
 /// fields of its `Begin` and `Bound` records.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GenHead {
+struct GenHead {
     pub gen: u64,
     pub step: u64,
     pub format: SegmentFormat,
@@ -307,7 +307,7 @@ impl Store {
         self.poisoned
     }
 
-    pub(crate) fn guard(&self) -> Result<()> {
+    fn guard(&self) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
@@ -462,7 +462,7 @@ impl Store {
         self.commit_generation(head, stream_segments)
     }
 
-    /// Commits slice-fed payloads under a fresh generation id.
+    /// Commits one payload slice per rank as the next generation.
     pub(crate) fn save(
         &mut self,
         step: u64,
@@ -472,18 +472,6 @@ impl Store {
         threads: usize,
         error_bound: Option<f64>,
     ) -> Result<u64> {
-        let gen = self.next_gen;
-        let base_gen = if format == SegmentFormat::Increment { base_gen } else { gen };
-        self.commit_payloads(GenHead { gen, step, format, base_gen, error_bound }, payloads, threads)
-    }
-
-    /// Commits one payload slice per rank as generation `head.gen`.
-    pub(crate) fn commit_payloads(
-        &mut self,
-        head: GenHead,
-        payloads: &[&[u8]],
-        threads: usize,
-    ) -> Result<u64> {
         self.guard()?;
         if payloads.is_empty() {
             return Err(StoreError::NotFound("a save needs at least one rank payload".into()));
@@ -491,7 +479,8 @@ impl Store {
         if payloads.len() > u32::MAX as usize {
             return Err(StoreError::Chain("rank count exceeds the u32 manifest field".into()));
         }
-        let gen = head.gen;
+        let gen = self.next_gen;
+        let base_gen = if format == SegmentFormat::Increment { base_gen } else { gen };
         // Phase 1: one segment per rank, fanned over pool workers
         // (clamped to the host so oversubscription never pays for idle
         // threads). Each payload is handed to its writer as the slice
@@ -511,7 +500,7 @@ impl Store {
             }
             Ok(renamed)
         };
-        self.commit_generation(head, write_segments)
+        self.commit_generation(GenHead { gen, step, format, base_gen, error_bound }, write_segments)
     }
 
     /// The one generation-commit body. `write_segments` is phase 1: it
@@ -960,6 +949,44 @@ mod first_open_tests {
         // Nine byte budgets, then a barrier before each of the staged
         // header's fsync, rename and directory fsync.
         assert_eq!(kills, header.len() + 1 + 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod replay_tests {
+    use super::*;
+
+    /// Older builds could commit a generation under an id the caller
+    /// chose (a buddy's import), so a log on disk may hold `Begin`
+    /// records whose ids skip. Replay takes them as they are: the gaps
+    /// stay gaps, every chain resolves, and the next save is numbered
+    /// above the highest id.
+    #[test]
+    fn a_log_with_non_contiguous_generation_ids_replays() {
+        let dir = std::env::temp_dir().join(format!("ckpt-store-id-gaps-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let payload = |gen: u64| -> Vec<u8> { (0..300u64).map(|i| (i * 7 + gen) as u8).collect() };
+        let mut store = Store::open(&dir).unwrap();
+        let (full, inc) = (SegmentFormat::Array, SegmentFormat::Increment);
+        for (gen, format, base_gen) in [(3, full, 3), (9, full, 9), (12, inc, 9)] {
+            let bytes = payload(gen);
+            let write = |layout: &Layout, fp: &FailPoint| {
+                Ok(vec![segment::write_payload(layout, gen, 0, &bytes, fp)?])
+            };
+            let head = GenHead { gen, step: gen * 10, format, base_gen, error_bound: None };
+            store.commit_generation(head, write).unwrap();
+        }
+        drop(store);
+
+        let mut store = Store::open(&dir).unwrap();
+        let gens: Vec<u64> = store.generations().iter().map(|g| g.gen).collect();
+        assert_eq!(gens, [3, 9, 12]);
+        for gen in gens {
+            assert_eq!(store.read_segment(gen, 0).unwrap(), payload(gen), "gen {gen}");
+        }
+        assert_eq!(store.resolve_chain(12).unwrap(), [9, 12]);
+        assert_eq!(store.save_full(130, SegmentFormat::Array, &[&payload(13)], 1).unwrap(), 13);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
-//! Manifest compaction (`CSM2` snapshot + log truncation), chain
-//! compaction, and replication: state-equivalence and recovery
+//! Manifest compaction (`CSM2` snapshot + log truncation) and chain
+//! compaction: state-equivalence and recovery
 //! behavior at the store level. The exhaustive kill sweeps live in the
 //! workspace-level `tests/store_crash.rs`.
 

@@ -284,16 +284,6 @@ fn main() {
 
     // First damaged entries for the formats that had unit tests only.
 
-    // 27. RPC1 cursor with a flipped byte in the generation field.
-    let mut rpc1 = sample(&frame::RPC1);
-    rpc1[9] ^= 0x04;
-    write("rpc1_crc_flip.bin", &rpc1);
-
-    // 28. RPC1 cursor with a nonzero reserved header byte.
-    let mut rpc1 = sample(&frame::RPC1);
-    rpc1[6] = 1;
-    write("rpc1_reserved_nonzero.bin", &rpc1);
-
     // 31. SRV1 frame torn inside its body.
     let srv1 = sample(&frame::SRV1);
     write("srv1_torn_body.bin", &srv1[..srv1.len() - 5]);

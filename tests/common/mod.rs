@@ -12,7 +12,7 @@ use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::quant::Bitmap;
 use lossy_ckpt::serve::proto::{self, Request};
-use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store};
+use lossy_ckpt::store::{SegmentFormat, Store};
 use lossy_ckpt::wavelet::{Kernel, MultiLevel};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -126,13 +126,12 @@ pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
 
 /// The files of a deterministic three-generation store — a full array,
 /// an `INC1` increment on it (through [`inc1_increment`], so the files
-/// are the ones checked in), a manifest compaction, one more full under an
-/// error bound, then a push to a buddy: `(manifest, manifest.snap,
-/// replication.cursor, [segment of gen 1, of gen 2, of gen 3])`.
+/// are the ones checked in), a manifest compaction, and one more full
+/// under an error bound: `(manifest, manifest.snap, [segment of gen 1,
+/// of gen 2, of gen 3])`.
 pub struct StoreFiles {
     pub manifest: Vec<u8>,
     pub snapshot: Vec<u8>,
-    pub cursor: Vec<u8>,
     pub segments: [Vec<u8>; 3],
 }
 
@@ -146,20 +145,17 @@ pub fn store_files() -> StoreFiles {
     let (full, base, next) = tiny_states();
     let inc = inc1_increment(&base, &next, Level::Default);
 
-    let mut store = Store::open(dir.join("primary")).unwrap();
+    let mut store = Store::open(&dir).unwrap();
     let g1 = store.save_full(10, SegmentFormat::Array, &[&full], 1).unwrap();
     store.save_increment(20, g1, &[&inc], 1).unwrap();
     store.compact_manifest().unwrap();
     store.save_full_bounded(30, SegmentFormat::Array, &[&full], 1, 1e-3).unwrap();
-    let mut buddy = Store::open(dir.join("buddy")).unwrap();
-    store.push_to(&mut LocalReplica(&mut buddy)).unwrap();
-    drop((store, buddy));
+    drop(store);
 
-    let read = |rel: &str| fs::read(dir.join("primary").join(rel)).unwrap();
+    let read = |rel: &str| fs::read(dir.join(rel)).unwrap();
     let files = StoreFiles {
         manifest: read("manifest"),
         snapshot: read("manifest.snap"),
-        cursor: read("replication.cursor"),
         segments: [1, 2, 3].map(|g| read(&format!("segments/{g:08}.0.seg"))),
     };
     let _ = fs::remove_dir_all(&dir);
@@ -264,7 +260,6 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
     fs::create_dir_all(dir.join("segments")).unwrap();
     fs::write(dir.join("manifest"), &files.manifest).unwrap();
     fs::write(dir.join("manifest.snap"), &files.snapshot).unwrap();
-    fs::write(dir.join("replication.cursor"), &files.cursor).unwrap();
     for (seg, gen) in files.segments.iter().zip(1..) {
         fs::write(dir.join(format!("segments/{gen:08}.0.seg")), seg).unwrap();
     }
@@ -294,7 +289,6 @@ pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
         (*b"INC2", inc2),
         (*b"CSM1", store.manifest),
         (*b"CSM2", store.snapshot),
-        (*b"RPC1", store.cursor),
         (*b"SRV1", srv1),
     ]
 }

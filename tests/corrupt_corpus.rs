@@ -27,7 +27,7 @@ use lossy_ckpt::deflate::frame::{Format, FORMATS};
 use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::serve::proto;
-use lossy_ckpt::store::{manifest, replicate, SegmentFormat, Store};
+use lossy_ckpt::store::{manifest, SegmentFormat, Store};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::fs;
@@ -141,10 +141,6 @@ fn harness(f: &Format) -> Harness {
         b"INC2" => strict(|b| decode_increment(b, Layout::Planes)),
         b"CSM1" => Harness { decode: decode_csm1, policy: Policy::PrefixBeforeDamage },
         b"CSM2" => strict(decode_csm2),
-        b"RPC1" => strict(|b| {
-            let gen = replicate::parse_cursor(b).ok_or("no cursor")?;
-            Ok(gen.to_le_bytes().to_vec())
-        }),
         b"SRV1" => strict(decode_srv1),
         _ => panic!("frame::FORMATS lists {}; give it a harness here", f.name()),
     }
@@ -171,6 +167,45 @@ fn corpus_files(prefix: &str) -> Vec<(String, Vec<u8>)> {
         .collect();
     out.sort();
     out
+}
+
+/// Corpus fixtures that belong to no one row of `frame::FORMATS`.
+const NON_FORMAT_FAMILIES: [&str; 4] = ["golden_", "gzip_", "noise", "retired_"];
+
+/// The names in `names` that neither a format in `formats` nor a
+/// [`NON_FORMAT_FAMILIES`] prefix owns. A format owns `valid_<name>.bin`,
+/// its damaged entries `<name>_*` and its `decode_only_<name>_*`
+/// samples, `<name>` being its magic in lower case.
+fn unowned_corpus_files<'a>(names: &[&'a str], formats: &[Format]) -> Vec<&'a str> {
+    let owned = |name: &str| {
+        formats.iter().any(|f| {
+            let fmt = f.name().to_lowercase();
+            name == format!("valid_{fmt}.bin")
+                || name.starts_with(&format!("{fmt}_"))
+                || name.starts_with(&format!("decode_only_{fmt}_"))
+        })
+    };
+    let family = |name: &str| NON_FORMAT_FAMILIES.iter().any(|p| name.starts_with(p));
+    names.iter().copied().filter(|name| !owned(name) && !family(name)).collect()
+}
+
+/// A format that leaves the table takes its fixtures with it: the
+/// corpus-freshness check (`gen_corpus` then `git diff`) cannot see a
+/// file nothing writes any more, so every file here must name a format
+/// still in `frame::FORMATS` or belong to a fixed non-format family.
+#[test]
+fn every_corpus_file_belongs_to_a_format_in_the_table_or_a_fixed_family() {
+    let names: Vec<String> = fs::read_dir(common::corpus_dir())
+        .expect("tests/corpus")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let orphans = unowned_corpus_files(&names, &FORMATS);
+    assert!(orphans.is_empty(), "corpus files no format owns: {orphans:?}");
+
+    // The files a retired format left behind are caught by name.
+    let leftovers = ["valid_rpc1.bin", "rpc1_crc_flip.bin", "decode_only_rpc1_old.bin"];
+    assert_eq!(unowned_corpus_files(&leftovers, &FORMATS), leftovers);
 }
 
 /// Entries that must die on one particular check, as a substring of
@@ -256,31 +291,20 @@ fn the_range_index_refuses_every_geometry_the_decoder_refuses() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Resource totality one level up: a sparse 1 GiB file planted where a
-/// cursor or a snapshot belongs is refused on its length
+/// Resource totality one level up: a sparse 1 GiB file planted where
+/// the snapshot belongs is refused on its length
 /// (`frame::read_file_bounded`), and what follows is what follows any
-/// other damaged file there — the cursor reads as absent and the next
-/// push re-sends, the snapshot is quarantined and the log replayed.
+/// other damaged snapshot — it is quarantined and the log replayed.
 #[test]
 fn a_gibibyte_file_at_each_metadata_path_is_treated_as_damage() {
-    use lossy_ckpt::store::LocalReplica;
-    let plant = |path: &std::path::Path| {
-        fs::File::create(path).unwrap().set_len(1 << 30).unwrap();
-    };
     let dir = scratch_dir("gib-files");
-    common::plant_store(&dir.join("primary"), &common::store_files());
+    common::plant_store(&dir, &common::store_files());
 
-    plant(&dir.join("primary/manifest.snap"));
-    let mut store = Store::open(dir.join("primary")).unwrap();
+    fs::File::create(dir.join("manifest.snap")).unwrap().set_len(1 << 30).unwrap();
+    let store = Store::open(&dir).unwrap();
     assert!(store.open_report().snapshot_fallback && !store.open_report().snapshot_used);
-    assert!(dir.join("primary/quarantine/manifest.snap").exists());
+    assert!(dir.join("quarantine/manifest.snap").exists());
     assert_eq!(store.latest_committed(), Some(3), "the log tail replays");
-
-    plant(&dir.join("primary/replication.cursor"));
-    assert_eq!(store.replication_cursor(), None);
-    let mut buddy = Store::open(dir.join("buddy")).unwrap();
-    let report = store.push_to(&mut LocalReplica(&mut buddy)).unwrap();
-    assert_eq!((report.cursor, store.replication_cursor()), (Some(3), Some(3)));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -403,21 +427,32 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
     );
 }
 
+/// `replication.cursor` as the builds with buddy replication left it
+/// in this store after pushing its three generations: `RPC1`'s
+/// `header8`, generation 3, its CRC-32. No build reads or writes it
+/// now; stores on disk may still hold one.
+const PARENT_CURSOR: [u8; 20] = [
+    b'R', b'P', b'C', b'1', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0x8a, 0xd8, 0xad, 0xeb,
+];
+
 /// Plants the store the checked-in samples were cut from — a full, an
-/// `INC1` link on it, a bounded full — in a fresh directory.
+/// `INC1` link on it, a bounded full, and the replication cursor older
+/// builds left beside them — in a fresh directory.
 fn plant_parent_store(tag: &str) -> PathBuf {
     let files = common::StoreFiles {
         manifest: parent_sample(b"CSM1"),
         snapshot: parent_sample(b"CSM2"),
-        cursor: parent_sample(b"RPC1"),
         segments: [parent_sample(b"WCK1"), parent_sample(b"INC1"), parent_sample(b"WCK1")],
     };
     let dir = scratch_dir(tag);
     common::plant_store(&dir, &files);
+    fs::write(dir.join("replication.cursor"), PARENT_CURSOR).unwrap();
     dir
 }
 
-/// A whole store written by the parent opens, verifies and restores.
+/// A whole store written by the parent opens, verifies and restores,
+/// and the replication cursor it holds is a stray file that is left
+/// where it is, byte for byte: never quarantined, never deleted.
 #[test]
 fn parent_written_store_opens_verifies_and_restores() {
     let dir = plant_parent_store("parent-store");
@@ -428,8 +463,10 @@ fn parent_written_store_opens_verifies_and_restores() {
     let gens = store.generations();
     assert_eq!(gens.iter().map(|g| g.gen).collect::<Vec<_>>(), [1, 2, 3]);
     assert_eq!(gens[2].error_bound, Some(1e-3), "the Bound record in the log tail");
-    assert_eq!(store.replication_cursor(), Some(3));
     assert_eq!(store.restore_array(2, 0).unwrap(), common::tiny_states().2);
+    drop(store);
+    assert_eq!(fs::read(dir.join("replication.cursor")).unwrap(), PARENT_CURSOR);
+    assert_eq!(fs::read_dir(dir.join("quarantine")).unwrap().count(), 0);
     let _ = fs::remove_dir_all(&dir);
 }
 

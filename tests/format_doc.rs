@@ -5,7 +5,7 @@
 //! magic, version, `header8` or envelope, so neither can drift without
 //! the other being updated in the same commit.
 
-use ckpt_deflate::frame::{Envelope, Format, CSM2, FORMATS, RPC1, SRV1};
+use ckpt_deflate::frame::{Envelope, Format, CSM2, FORMATS, SRV1, WCK1};
 
 /// One `## \`XXXX\` …` section of docs/FORMAT.md.
 struct Section<'a> {
@@ -97,9 +97,9 @@ prose, not a format section: magic "ZZZZ"
 
 Envelope: `len | crc | body` behind header8("CSM2", 1).
 
-## `RPC1` — replication cursor
+## `WCK1` — lossy wavelet container
 
-Envelope: `body | crc32` behind header8("RPC1", 1).
+Envelope: `bespoke`, magic "WCK1", version (= 1).
 
 ## `SRV1` — socket framing
 
@@ -108,25 +108,25 @@ Envelope: `len | crc | body`, untagged.
 
 #[test]
 fn a_matching_doc_is_clean() {
-    let v = check(DOC_TEXT, &[CSM2, RPC1, SRV1]);
+    let v = check(DOC_TEXT, &[CSM2, WCK1, SRV1]);
     assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]
 fn version_and_envelope_drift_are_flagged() {
-    let drifted = DOC_TEXT.replace("header8(\"RPC1\", 1)", "header8(\"RPC1\", 2)");
-    let v = check(&drifted, &[CSM2, RPC1, SRV1]);
-    assert!(v.iter().any(|v| v.contains("header8(\"RPC1\", 1)")), "{v:?}");
-    let v = check(&DOC_TEXT.replace("`body | crc32`", "`len | crc | body`"), &[RPC1]);
-    assert!(v.iter().any(|v| v.contains("body | crc32")), "{v:?}");
+    let drifted = DOC_TEXT.replace("version (= 1)", "version (= 2)");
+    let v = check(&drifted, &[CSM2, WCK1, SRV1]);
+    assert!(v.iter().any(|v| v.contains("version (= 1)")), "{v:?}");
+    let v = check(&DOC_TEXT.replace("`bespoke`", "`len | crc | body`"), &[WCK1]);
+    assert!(v.iter().any(|v| v.contains("Envelope: `bespoke`")), "{v:?}");
     let v = check(&DOC_TEXT.replace("header8(\"CSM2\", 1)", "an 8-byte header"), &[CSM2]);
     assert!(v.iter().any(|v| v.contains("header8")), "{v:?}");
 }
 
 #[test]
 fn a_format_missing_on_either_side_is_flagged() {
-    let v = check(DOC_TEXT, &[CSM2, RPC1]);
+    let v = check(DOC_TEXT, &[CSM2, WCK1]);
     assert!(v.iter().any(|v| v.contains("section `SRV1` names no format")), "{v:?}");
-    let v = check(&DOC_TEXT.replace("## `SRV1`", "## SRV1"), &[CSM2, RPC1, SRV1]);
+    let v = check(&DOC_TEXT.replace("## `SRV1`", "## SRV1"), &[CSM2, WCK1, SRV1]);
     assert!(v.iter().any(|v| v.contains("lists `SRV1`")), "{v:?}");
 }

@@ -479,14 +479,13 @@ impl lossy_ckpt::deflate::chunked::StreamSink for Scattered {
 }
 
 // ---------------------------------------------------------------------------
-// Store maintenance equivalences: chain compaction, CSM2 snapshots, and
-// buddy replication must all be invisible to readers — same generations,
-// same bytes (every `read_segment` is CRC-verified on the way out).
+// Store maintenance equivalences: chain compaction and CSM2 snapshots
+// must be invisible to readers — same generations, same bytes (every `read_segment` is CRC-verified on the way out).
 
 mod store_equivalence {
     use lossy_ckpt::core::{incremental, Compressor, CompressorConfig};
     use lossy_ckpt::deflate::Level;
-    use lossy_ckpt::store::{LocalReplica, PutGen, SegmentFormat, Store};
+    use lossy_ckpt::store::{SegmentFormat, Store};
     use lossy_ckpt::tensor::Tensor;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
@@ -516,7 +515,6 @@ mod store_equivalence {
         Full,
         Bounded,
         Increment(u8),
-        Import,
         Gc(usize),
         CompactChains(usize),
         CompactManifest,
@@ -555,32 +553,17 @@ mod store_equivalence {
         let mut expected = Vec::new();
         for (step, &op) in steps.iter().enumerate() {
             let step = step0 + step as u64;
-            let stands_alone = matches!(op, Step::Full | Step::Bounded | Step::Import);
+            let stands_alone = matches!(op, Step::Full | Step::Bounded);
             let op = if step == step0 && !stands_alone { Step::Full } else { op };
             match op {
-                Step::Full | Step::Bounded | Step::Import => {
+                Step::Full | Step::Bounded => {
                     let packed = comp.compress(&state).unwrap().bytes;
                     state = Compressor::decompress(&packed).unwrap();
                     let format = SegmentFormat::Array;
-                    prev_gen = match op {
-                        Step::Full => store.save_full(step, format, &[&packed], 1).unwrap(),
-                        Step::Bounded => {
-                            store.save_full_bounded(step, format, &[&packed], 1, 1e-3).unwrap()
-                        }
-                        _ => {
-                            // An explicit id, as a replica receives it.
-                            let gen = store.generations().last().map_or(1, |g| g.gen) + 3;
-                            let put = PutGen {
-                                gen,
-                                step,
-                                format,
-                                base_gen: gen,
-                                error_bound: Some(0.5),
-                                payloads: vec![packed],
-                            };
-                            assert!(store.import_generation(&put).unwrap());
-                            gen
-                        }
+                    prev_gen = if matches!(op, Step::Full) {
+                        store.save_full(step, format, &[&packed], 1).unwrap()
+                    } else {
+                        store.save_full_bounded(step, format, &[&packed], 1, 1e-3).unwrap()
                     };
                     expected.push((step, state.clone()));
                 }
@@ -670,13 +653,13 @@ mod store_equivalence {
         }
 
         /// Memory equals replay after every operation of a generation's
-        /// life — save, bounded save, increment, import, `gc`,
+        /// life — save, bounded save, increment, `gc`,
         /// `compact_chains`, `compact_manifest` in any order (`drive`
         /// compares against a reopen after each) — and the newest state
         /// survives the whole history bit for bit.
         #[test]
         fn memory_equals_replay_after_every_operation(
-            ops in pvec((0u8..10, any::<u8>()), 2..16),
+            ops in pvec((0u8..9, any::<u8>()), 2..16),
             seed in any::<u64>(),
         ) {
             let steps: Vec<Step> = ops
@@ -684,10 +667,9 @@ mod store_equivalence {
                 .map(|&(kind, arg)| match kind {
                     0 => Step::Full,
                     1 => Step::Bounded,
-                    2 => Step::Import,
-                    3 => Step::Gc(1 + arg as usize % 3),
-                    4 => Step::CompactChains(1 + arg as usize % 3),
-                    5 => Step::CompactManifest,
+                    2 => Step::Gc(1 + arg as usize % 3),
+                    3 => Step::CompactChains(1 + arg as usize % 3),
+                    4 => Step::CompactManifest,
                     _ => Step::Increment(arg),
                 })
                 .collect();
@@ -736,51 +718,6 @@ mod store_equivalence {
                             "snapshot open diverged from log replay");
             prop_assert!(snapped.verify().unwrap().clean());
             let _ = fs::remove_dir_all(&dir);
-        }
-
-        /// After cursor catch-up — including a second batch of saves
-        /// pushed through the recorded cursor — the replica holds
-        /// byte-identical segments for every live generation, and a
-        /// replica promoted to primary restores the same states.
-        #[test]
-        fn replica_catches_up_byte_identically(
-            ops in pvec((any::<bool>(), any::<u8>()), 2..10),
-            more in pvec((any::<bool>(), any::<u8>()), 1..6),
-            seed in any::<u64>(),
-        ) {
-            let pdir = scratch("repl-primary");
-            let bdir = scratch("repl-buddy");
-            let mut primary = Store::open(&pdir).unwrap();
-            let mut buddy = Store::open(&bdir).unwrap();
-
-            let mut expected = apply_ops(&mut primary, &ops, seed, 0);
-            let first = primary.push_to(&mut LocalReplica(&mut buddy)).unwrap();
-            prop_assert!(first.skipped.is_empty());
-            prop_assert!(!first.pushed.is_empty());
-
-            // More saves, then catch-up: only the new gens travel —
-            // the recorded cursor keeps the first batch off the wire.
-            expected.extend(apply_ops(&mut primary, &more, seed, ops.len() as u64));
-            let report = primary.push_to(&mut LocalReplica(&mut buddy)).unwrap();
-            prop_assert!(report.skipped.is_empty());
-            prop_assert!(
-                report.pushed.iter().all(|g| !first.pushed.contains(g)),
-                "catch-up re-sent generations below the cursor"
-            );
-            let second = primary.push_to(&mut LocalReplica(&mut buddy)).unwrap();
-            prop_assert!(second.pushed.is_empty(), "catch-up must be idempotent");
-
-            prop_assert_eq!(live_bytes(&buddy), live_bytes(&primary),
-                            "replica bytes diverged from the primary");
-            let (last_step, last_tensor) = expected.last().unwrap();
-            let latest = buddy.latest_committed().unwrap();
-            let info = buddy.generations().into_iter().find(|g| g.gen == latest).unwrap();
-            prop_assert_eq!(info.step, *last_step);
-            prop_assert!(buddy.restore_array(latest, 0).unwrap() == *last_tensor,
-                         "promoted replica restores a different state");
-            prop_assert!(buddy.verify().unwrap().clean());
-            let _ = fs::remove_dir_all(&pdir);
-            let _ = fs::remove_dir_all(&bdir);
         }
 
         /// A chain whose links mix both increment layouts — `INC1` from

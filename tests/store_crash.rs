@@ -9,7 +9,7 @@ use lossy_ckpt::core::{incremental, Compressor, CompressorConfig};
 use lossy_ckpt::deflate::Level;
 use lossy_ckpt::sim::failure::{run_with_failures_sink, CheckpointSink, FailureInjector};
 use lossy_ckpt::sim::{ClimateSim, SimConfig};
-use lossy_ckpt::store::{LocalReplica, SegmentFormat, Store, StoreError};
+use lossy_ckpt::store::{SegmentFormat, Store, StoreError};
 use lossy_ckpt::tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fs;
@@ -499,81 +499,6 @@ fn kill_at_every_byte_of_gc() {
         "live increments stranded on a retired base after a kill at bytes {stranded_at:?}"
     );
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// Kill-at-every-byte sweep over the replication push: the primary's
-/// durable cursor writes die at every byte. The cursor file is always
-/// whole-or-absent (its parser is total), the replica never holds a
-/// torn generation, and a retried push converges to a byte-identical
-/// mirror with the cursor at the top.
-#[test]
-fn kill_at_every_byte_of_replication_cursor_writes() {
-    let primary_dir = scratch("push-measure");
-    let (mut primary, _, _, _) = maintenance_fixture(&primary_dir);
-    let buddy_dir = scratch("push-measure-buddy");
-    let mut buddy = Store::open(&buddy_dir).unwrap();
-    primary.set_failpoint(None);
-    primary.push_to(&mut LocalReplica(&mut buddy)).unwrap();
-    let total = primary.bytes_written();
-    assert!(total > 0, "a push must write cursor bytes");
-    drop(primary);
-    drop(buddy);
-    let _ = fs::remove_dir_all(&primary_dir);
-    let _ = fs::remove_dir_all(&buddy_dir);
-
-    let primary_dir = scratch("push-sweep");
-    let buddy_dir = scratch("push-sweep-buddy");
-    for k in 0..=total {
-        let (mut primary, step, _, newest_t) = maintenance_fixture(&primary_dir);
-        let _ = fs::remove_dir_all(&buddy_dir);
-        let mut buddy = Store::open(&buddy_dir).unwrap();
-        primary.set_failpoint(Some(k));
-        let outcome = primary.push_to(&mut LocalReplica(&mut buddy));
-        if outcome.is_err() {
-            assert!(primary.poisoned(), "k={k}: a failed push must poison the primary");
-        }
-        drop(primary);
-        drop(buddy);
-
-        // The replica is always a valid store holding a prefix of the
-        // primary's live set — never a torn generation.
-        let buddy = Store::open(&buddy_dir).unwrap_or_else(|e| panic!("k={k}: buddy open: {e}"));
-        assert!(buddy.verify().unwrap().clean(), "k={k}: buddy verify");
-        drop(buddy);
-
-        // The reopened primary's cursor is whole or absent, and a
-        // retried push converges to a byte-identical mirror.
-        let mut primary = Store::open(&primary_dir).unwrap();
-        if let Some(cursor) = primary.replication_cursor() {
-            assert!(
-                primary.generations().iter().any(|g| g.gen == cursor),
-                "k={k}: cursor {cursor} names an unknown generation"
-            );
-        }
-        let mut buddy = Store::open(&buddy_dir).unwrap();
-        let report = primary
-            .push_to(&mut LocalReplica(&mut buddy))
-            .unwrap_or_else(|e| panic!("k={k}: retry push failed: {e}"));
-        assert!(report.skipped.is_empty(), "k={k}: every live chain must resolve");
-        let live: Vec<_> = primary
-            .generations()
-            .into_iter()
-            .filter(|g| g.committed && g.retired.is_none())
-            .collect();
-        assert_eq!(report.cursor, live.last().map(|g| g.gen), "k={k}: cursor at the top");
-        for info in &live {
-            for rank in 0..info.ranks {
-                let a = primary.read_segment(info.gen, rank).unwrap();
-                let b = buddy
-                    .read_segment(info.gen, rank)
-                    .unwrap_or_else(|e| panic!("k={k}: buddy gen {} rank {rank}: {e}", info.gen));
-                assert_eq!(a, b, "k={k}: replica of gen {} rank {rank} diverged", info.gen);
-            }
-        }
-        assert_newest_intact(&buddy, step, &newest_t, &format!("k={k} buddy"));
-    }
-    let _ = fs::remove_dir_all(&primary_dir);
-    let _ = fs::remove_dir_all(&buddy_dir);
 }
 
 /// A durable sink whose saves can be killed mid-write by a schedule of
