@@ -8,15 +8,18 @@
 //! searched, indexed or tokenized. The ranges between go
 //! through the LZ77 matcher, whose tokens stream straight into a segment
 //! encoder (fused tokenize→encode: no whole-input `Vec<Token>`). The
-//! encoder buffers one segment of at most [`SEGMENT_BYTES`] source bytes
+//! encoder buffers one block of at most [`SEGMENT_BYTES`] source bytes
 //! as packed `u32` tokens while accumulating symbol histograms and
-//! extra-bit counts, then emits the segment as whichever block type is
+//! extra-bit counts, then emits the block as whichever type is
 //! cheapest — stored, fixed-Huffman, or dynamic-Huffman (stored blocks
-//! chunk at the 65 535-byte limit). A segment also ends where a gated
-//! run begins, so block cuts fall where the statistics change.
-//! Per-segment Huffman tables matter for checkpoint streams, whose
+//! chunk at the 65 535-byte limit). Block cuts fall where the statistics
+//! change: every [`SPLIT_CHECK_BYTES`] of source the newest chunk is
+//! costed against the open block (an integer order-0 cost, the same on
+//! every host), and a block ends before a chunk whose own table would
+//! save more than a dynamic header; a block also ends where a gated run
+//! begins. Per-block Huffman tables matter for checkpoint streams, whose
 //! sections have very different statistics (f64 byte planes, then
-//! one-byte quantizer indexes, then a bitmap).
+//! one-byte quantizer indexes subband by subband, then a bitmap).
 //!
 //! Length and distance symbols resolve through precomputed tables
 //! (`LEN_CODE`, `DIST_SYM_LO`/`DIST_SYM_HI`) instead of per-token
@@ -375,10 +378,19 @@ fn write_stored_chunks(w: &mut BitWriter, data: &[u8], bfinal: bool) {
     }
 }
 
-/// Source bytes per emitted block: large enough to amortize dynamic
-/// headers, small enough that sections with different statistics get
-/// their own Huffman tables.
+/// Source bytes per emitted block at most: large enough to amortize
+/// dynamic headers, small enough that sections with different statistics
+/// get their own Huffman tables even where the split rule sees no seam.
 pub const SEGMENT_BYTES: usize = 128 * 1024;
+
+/// The block-split rule's unit: every this many source bytes taken into
+/// a block, the newest chunk is costed against the block before it.
+pub const SPLIT_CHECK_BYTES: usize = 8 * 1024;
+
+/// A chunk starts a block of its own when its own order-0 code would
+/// save more than this many bits over sharing the block's: about what a
+/// dynamic block header costs.
+const SPLIT_GAIN_BITS: u64 = 128 * 8;
 
 /// The noise gate's unit: every full, aligned block of this many source
 /// bytes is classified by its histograms before the matcher sees it.
@@ -390,18 +402,23 @@ const GATE_PER_MILLE: u64 = 985;
 
 /// No symbol of a noise block is this frequent: with one byte value on
 /// a sixteenth of the block, the flattest histogram left costs 7.83
-/// bits a byte, under the gate's 7.88. It bounds [`LOG2_Q16`].
+/// bits a byte, under the gate's 7.88.
 const GATE_MAX_COUNT: usize = GATE_BLOCK / 16;
 
-/// `LOG2_Q16[f]` = log2(f) in 16.16 fixed point, by repeated squaring of
-/// the mantissa — integer arithmetic, so the gate decides the same on
-/// every host. Entry 0 is unused (an absent symbol costs nothing).
-const LOG2_Q16: [u32; GATE_MAX_COUNT] = build_log2_q16();
+/// Entries of [`LOG2_Q16`]: the gate's counts index it directly, larger
+/// counts through their top 12 bits.
+const LOG2_ENTRIES: usize = 4096;
 
-const fn build_log2_q16() -> [u32; GATE_MAX_COUNT] {
-    let mut t = [0u32; GATE_MAX_COUNT];
+/// `LOG2_Q16[f]` = log2(f) in 16.16 fixed point, by repeated squaring of
+/// the mantissa — integer arithmetic, so the gate and the split rule
+/// decide the same on every host. Entry 0 is unused (an absent symbol
+/// costs nothing).
+const LOG2_Q16: [u32; LOG2_ENTRIES] = build_log2_q16();
+
+const fn build_log2_q16() -> [u32; LOG2_ENTRIES] {
+    let mut t = [0u32; LOG2_ENTRIES];
     let mut f = 1usize;
-    while f < GATE_MAX_COUNT {
+    while f < LOG2_ENTRIES {
         let e = (f as u32).ilog2();
         // Mantissa in [1, 2) as 1.31 fixed point.
         let mut y = (f as u64) << (31 - e);
@@ -421,6 +438,14 @@ const fn build_log2_q16() -> [u32; GATE_MAX_COUNT] {
     t
 }
 
+/// f·log2(f) in 16.16 bits (0 for 0). Counts past the table keep their
+/// top 12 bits, which reads log2 low by at most 0.0007.
+fn xlog2_q16(f: u64) -> u64 {
+    let shift = (64 - f.leading_zeros()).saturating_sub(LOG2_ENTRIES.ilog2());
+    let log = LOG2_Q16[(f >> shift) as usize] + (shift << 16);
+    f * u64::from(log)
+}
+
 /// Would an ideal order-0 code save less than 1.5% of these bytes?
 fn order0_flat(bytes: &[u8; GATE_BLOCK]) -> bool {
     // Four histograms, so runs of one value do not serialize on a
@@ -437,8 +462,10 @@ fn order0_flat(bytes: &[u8; GATE_BLOCK]) -> bool {
     let [a, b, c, d] = &lanes;
     for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
         let f = (a + b + c + d) as usize;
-        let Some(&log_f) = LOG2_Q16.get(f) else { return false };
-        cost += f as u64 * (log_n - u64::from(log_f));
+        if f >= GATE_MAX_COUNT {
+            return false;
+        }
+        cost += f as u64 * (log_n - u64::from(LOG2_Q16[f]));
     }
     cost * 1000 >= ((8 * GATE_BLOCK as u64) << 16) * GATE_PER_MILLE
 }
@@ -464,26 +491,80 @@ fn is_noise(block: &[u8]) -> bool {
     order0_flat(&steps)
 }
 
+/// The symbols of a run of tokens: the two histograms a block's tables
+/// are built from, and the extra bits its matches carry.
+struct Symbols {
+    lit: [u64; NUM_LITLEN],
+    dist: [u64; NUM_DIST],
+    extra_bits: u64,
+}
+
+impl Symbols {
+    const EMPTY: Symbols = Symbols { lit: [0; NUM_LITLEN], dist: [0; NUM_DIST], extra_bits: 0 };
+
+    fn add(&mut self, other: &Symbols) {
+        for (a, b) in self.lit.iter_mut().zip(&other.lit) {
+            *a += b;
+        }
+        for (a, b) in self.dist.iter_mut().zip(&other.dist) {
+            *a += b;
+        }
+        self.extra_bits += other.extra_bits;
+    }
+}
+
+/// What one order-0 code over `a` and `b` together costs beyond one for
+/// each, in 16.16 bits. With `mix(x, y) = xlog2(x + y) − xlog2(x) −
+/// xlog2(y)`, that is Σ over both alphabets of `mix(Na, Nb) − Σ_s
+/// mix(a_s, b_s)`. The extra bits cost the same either way and drop out.
+fn split_gain_q16(a: &Symbols, b: &Symbols) -> i64 {
+    fn alphabet(a: &[u64], b: &[u64]) -> i64 {
+        let mix = |x: u64, y: u64| {
+            xlog2_q16(x + y) as i64 - xlog2_q16(x) as i64 - xlog2_q16(y) as i64
+        };
+        let mut gain = mix(a.iter().sum(), b.iter().sum());
+        for (&x, &y) in a.iter().zip(b) {
+            gain -= mix(x, y);
+        }
+        gain
+    }
+    alphabet(&a.lit, &b.lit) + alphabet(&a.dist, &b.dist)
+}
+
 /// Streaming segment encoder: the [`TokenSink`] the LZ77 matcher feeds.
-/// Buffers packed tokens for the current segment and keeps histograms
-/// and extra-bit counts current, so segment emission needs no extra
-/// pass over the tokens for costing.
+/// Buffers packed tokens for the open block and keeps its histograms and
+/// extra-bit counts current, so emission needs no extra pass over the
+/// tokens for costing.
+///
+/// Where a block ends is decided every [`SPLIT_CHECK_BYTES`] of source:
+/// the newest chunk's symbols are kept apart from the rest of the open
+/// block's, and when one order-0 code over both would cost more than a
+/// code each by over [`SPLIT_GAIN_BITS`], the block ends before the
+/// chunk, which opens the next. Otherwise the chunk joins the block. A
+/// block also ends at [`SEGMENT_BYTES`] and where a gated run begins.
 struct SegmentEncoder<'a> {
     w: BitWriter,
     data: &'a [u8],
+    /// The open block's tokens, its newest chunk's last.
     tokens: Vec<u32>,
-    lit_freq: [u64; NUM_LITLEN],
-    dist_freq: [u64; NUM_DIST],
-    extra_bits: u64,
-    /// Source offset where the current segment starts.
+    /// Symbols of the open block before its newest chunk.
+    settled: Symbols,
+    /// Symbols of the newest chunk: `tokens[chunk_at..]`.
+    chunk: Symbols,
+    chunk_at: usize,
+    /// Source offset where the open block starts.
     seg_start: usize,
-    /// Source bytes covered by the buffered tokens.
+    /// Source bytes covered by the buffered tokens, and by the chunk's.
     covered: usize,
-    /// Segment reached SEGMENT_BYTES: flush before the next token so
-    /// the final segment (whatever its size) carries BFINAL.
+    chunk_covered: usize,
+    /// Block reached SEGMENT_BYTES: flush before the next token so
+    /// the final block (whatever its size) carries BFINAL.
     boundary: bool,
     /// A stored run carried BFINAL: the stream is complete.
     ended: bool,
+    /// Source offset where each block ended, for the split tests.
+    #[cfg(test)]
+    block_ends: Vec<usize>,
 }
 
 impl<'a> SegmentEncoder<'a> {
@@ -494,13 +575,16 @@ impl<'a> SegmentEncoder<'a> {
             w: BitWriter::with_capacity(data.len() + data.len() / 1024 + 64),
             data,
             tokens: Vec::with_capacity(data.len().min(SEGMENT_BYTES)),
-            lit_freq: [0; NUM_LITLEN],
-            dist_freq: [0; NUM_DIST],
-            extra_bits: 0,
+            settled: Symbols::EMPTY,
+            chunk: Symbols::EMPTY,
+            chunk_at: 0,
             seg_start: 0,
             covered: 0,
+            chunk_covered: 0,
             boundary: false,
             ended: false,
+            #[cfg(test)]
+            block_ends: Vec::new(),
         }
     }
 
@@ -511,51 +595,85 @@ impl<'a> SegmentEncoder<'a> {
         }
     }
 
-    /// Emits the buffered segment as the cheapest block type. An empty
-    /// segment is a block only where the stream needs one to end on.
+    /// Books `n` source bytes the last token covered: the split rule
+    /// runs where a chunk fills, the cap where the block does.
+    #[inline]
+    fn took(&mut self, n: usize) {
+        self.covered += n;
+        self.chunk_covered += n;
+        if self.chunk_covered >= SPLIT_CHECK_BYTES {
+            self.settle_chunk();
+        }
+        if self.covered >= SEGMENT_BYTES {
+            self.boundary = true;
+        }
+    }
+
+    /// Ends the open block before its full chunk if the chunk's own
+    /// table pays for a header; joins the chunk to the block otherwise.
+    fn settle_chunk(&mut self) {
+        let settled_covered = self.covered - self.chunk_covered;
+        if settled_covered > 0
+            && split_gain_q16(&self.settled, &self.chunk) > (SPLIT_GAIN_BITS << 16) as i64
+        {
+            let mut settled = std::mem::replace(&mut self.settled, Symbols::EMPTY);
+            self.emit(&mut settled, self.chunk_at, settled_covered, false);
+            self.tokens.drain(..self.chunk_at);
+            self.seg_start += settled_covered;
+            self.covered = self.chunk_covered;
+            std::mem::swap(&mut self.settled, &mut self.chunk);
+        } else {
+            self.settled.add(&self.chunk);
+            self.chunk = Symbols::EMPTY;
+        }
+        self.chunk_at = self.tokens.len();
+        self.chunk_covered = 0;
+    }
+
+    /// Emits the buffered block as the cheapest block type. An empty
+    /// block is written only where the stream needs one to end on.
     fn flush(&mut self, bfinal: bool) {
         if self.covered == 0 && !bfinal {
             return;
         }
-        self.lit_freq[END_OF_BLOCK] += 1;
-        let src = &self.data[self.seg_start..self.seg_start + self.covered];
-        let plan = plan_dynamic(&self.lit_freq, &self.dist_freq);
-        let dynamic_cost = 3
-            + plan.header_bits as u64
-            + body_cost_from_freqs(
-                &self.lit_freq,
-                &self.dist_freq,
-                self.extra_bits,
-                &plan.lit_lens,
-                &plan.dist_lens,
-            );
-        let fixed_cost = 3 + body_cost_from_freqs(
-            &self.lit_freq,
-            &self.dist_freq,
-            self.extra_bits,
-            &FIXED_LITLEN,
-            &FIXED_DIST,
-        );
+        let mut all = std::mem::replace(&mut self.settled, Symbols::EMPTY);
+        all.add(&self.chunk);
+        self.emit(&mut all, self.tokens.len(), self.covered, bfinal);
+        self.seg_start += self.covered;
+        self.covered = 0;
+        self.chunk_covered = 0;
+        self.chunk_at = 0;
+        self.boundary = false;
+        self.tokens.clear();
+        self.chunk = Symbols::EMPTY;
+    }
+
+    /// Writes `tokens[..ntokens]`, which cover `data[seg_start..][..len]`
+    /// and whose symbols are `sym`, as one block of the cheapest type.
+    fn emit(&mut self, sym: &mut Symbols, ntokens: usize, len: usize, bfinal: bool) {
+        sym.lit[END_OF_BLOCK] += 1;
+        let src = &self.data[self.seg_start..self.seg_start + len];
+        let tokens = &self.tokens[..ntokens];
+        let plan = plan_dynamic(&sym.lit, &sym.dist);
+        let body_cost = |lit_lens: &[u8], dist_lens: &[u8]| {
+            body_cost_from_freqs(&sym.lit, &sym.dist, sym.extra_bits, lit_lens, dist_lens)
+        };
+        let dynamic_cost = 3 + plan.header_bits as u64 + body_cost(&plan.lit_lens, &plan.dist_lens);
+        let fixed_cost = 3 + body_cost(&FIXED_LITLEN, &FIXED_DIST);
         let stored_cost = (src.chunks(65_535).count().max(1) * (3 + 32) + src.len() * 8 + 7) as u64;
 
         if stored_cost < dynamic_cost && stored_cost < fixed_cost {
             write_stored_chunks(&mut self.w, src, bfinal);
         } else if fixed_cost <= dynamic_cost {
-            write_fixed_block(&mut self.w, &self.tokens, bfinal);
+            write_fixed_block(&mut self.w, tokens, bfinal);
         } else {
-            write_dynamic_block(&mut self.w, &plan, &self.tokens, bfinal);
+            write_dynamic_block(&mut self.w, &plan, tokens, bfinal);
         }
-
-        self.seg_start += self.covered;
-        self.covered = 0;
-        self.boundary = false;
-        self.tokens.clear();
-        self.lit_freq = [0; NUM_LITLEN];
-        self.dist_freq = [0; NUM_DIST];
-        self.extra_bits = 0;
+        #[cfg(test)]
+        self.block_ends.push(self.seg_start + len);
     }
 
-    /// Ends the pending segment and stores `data[seg_start..end]` — a
+    /// Ends the pending block and stores `data[seg_start..end]` — a
     /// run of gated blocks the matcher never saw — behind it.
     fn store_until(&mut self, end: usize) {
         self.flush(false);
@@ -577,30 +695,24 @@ impl TokenSink for SegmentEncoder<'_> {
     fn literal(&mut self, byte: u8) {
         self.pre_token();
         self.tokens.push(u32::from(byte));
-        self.lit_freq[byte as usize] += 1;
-        self.covered += 1;
-        if self.covered >= SEGMENT_BYTES {
-            self.boundary = true;
-        }
+        self.chunk.lit[byte as usize] += 1;
+        self.took(1);
     }
 
-    /// Bulk literal run: one segment-boundary check per piece instead
-    /// of per byte. Splitting at `SEGMENT_BYTES - covered` reproduces
-    /// the per-byte segmentation cuts exactly.
+    /// Bulk literal run: one boundary check per piece instead of per
+    /// byte. Cutting the run where the chunk or the block fills
+    /// reproduces the per-byte cuts exactly.
     fn literals(&mut self, bytes: &[u8]) {
         let mut rest = bytes;
         while !rest.is_empty() {
             self.pre_token();
-            let take = rest.len().min(SEGMENT_BYTES - self.covered);
-            let (now, later) = rest.split_at(take);
+            let room = (SEGMENT_BYTES - self.covered).min(SPLIT_CHECK_BYTES - self.chunk_covered);
+            let (now, later) = rest.split_at(rest.len().min(room));
             self.tokens.extend(now.iter().map(|&b| u32::from(b)));
             for &b in now {
-                self.lit_freq[b as usize] += 1;
+                self.chunk.lit[b as usize] += 1;
             }
-            self.covered += take;
-            if self.covered >= SEGMENT_BYTES {
-                self.boundary = true;
-            }
+            self.took(now.len());
             rest = later;
         }
     }
@@ -616,13 +728,10 @@ impl TokenSink for SegmentEncoder<'_> {
         } else {
             DIST_SYM_HI[(d - 1) >> 7] as usize
         };
-        self.lit_freq[257 + li as usize] += 1;
-        self.dist_freq[di] += 1;
-        self.extra_bits += u64::from(le) + u64::from(DIST_TABLE[di].1);
-        self.covered += len as usize;
-        if self.covered >= SEGMENT_BYTES {
-            self.boundary = true;
-        }
+        self.chunk.lit[257 + li as usize] += 1;
+        self.chunk.dist[di] += 1;
+        self.chunk.extra_bits += u64::from(le) + u64::from(DIST_TABLE[di].1);
+        self.took(len as usize);
     }
 }
 
@@ -638,6 +747,14 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
         write_stored_chunks(&mut w, data, true);
         return w.finish();
     };
+    // The matcher's chains are freed after `finish`, not before: the
+    // other order leaves glibc trimming the heap on every call, and the
+    // next call's stored runs fault their pages back in.
+    encode(data, &mut matcher).finish()
+}
+
+/// Walks `data` in gate runs into a segment encoder, stored or matched.
+fn encode<'a>(data: &'a [u8], matcher: &mut Matcher) -> SegmentEncoder<'a> {
     let mut enc = SegmentEncoder::new(data);
     let noise_at = |at: usize| data.get(at..at + GATE_BLOCK).is_some_and(is_noise);
     let (mut at, mut noise) = (0, noise_at(0));
@@ -660,7 +777,7 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
         }
         (at, noise) = (end, next);
     }
-    enc.finish()
+    enc
 }
 
 #[cfg(test)]
@@ -826,6 +943,14 @@ mod tests {
             let exact = (f as f64).log2() * 65536.0;
             assert!((f64::from(q16) - exact).abs() < 2.0, "log2({f}) = {q16} vs {exact}");
         }
+        // Past the table, f·log2 f reads low by at most 0.0007 bits a count.
+        for f in [4096u64, 4097, 10_000, 131_071, 1 << 20, 3_000_001] {
+            let exact = f as f64 * (f as f64).log2() * 65536.0;
+            let got = xlog2_q16(f) as f64;
+            let slack = f as f64 * 65536.0;
+            assert!(got <= exact + slack / 32768.0 && exact - got <= slack * 0.0008, "{f}");
+        }
+        assert_eq!(xlog2_q16(0), 0);
     }
 
     #[test]
@@ -835,6 +960,57 @@ mod tests {
         assert_eq!(enc.w.bit_len(), 0);
         enc.flush(true);
         assert_eq!(enc.w.bit_len(), 10, "an empty fixed block: header and end-of-block");
+    }
+
+    /// Where each block of `data`'s stream ends, as source offsets.
+    fn block_ends(data: &[u8], level: Level) -> Vec<usize> {
+        let mut enc = encode(data, &mut Matcher::new(level).unwrap());
+        enc.flush(true);
+        enc.block_ends
+    }
+
+    #[test]
+    fn a_seam_between_two_statistics_ends_a_block_within_one_check_of_it() {
+        // 48 KiB over sixteen low values, then 48 KiB over sixteen high
+        // ones: half a byte each, never gated, one table each.
+        let seam = 48 * 1024;
+        let data: Vec<u8> = lcg(2 * seam, 4)
+            .iter()
+            .enumerate()
+            .map(|(i, b)| if i < seam { b & 0x0F } else { 0xF0 | b >> 4 })
+            .collect();
+        for level in [Level::Fast, Level::Default] {
+            let ends = block_ends(&data, level);
+            assert_eq!(ends.len(), 2, "{level:?}: {ends:?}");
+            assert!(ends[0].abs_diff(seam) <= SPLIT_CHECK_BYTES, "{level:?}: {ends:?}");
+            assert_eq!(crate::inflate::inflate(&compress(&data, level)).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn a_stationary_input_ends_blocks_only_at_the_segment_cap() {
+        let data: Vec<u8> = lcg(3 * SEGMENT_BYTES + 5000, 5).iter().map(|b| b & 0x0F).collect();
+        for level in [Level::Fast, Level::Default] {
+            let ends = block_ends(&data, level);
+            assert_eq!(ends.len(), data.len().div_ceil(SEGMENT_BYTES), "{level:?}: {ends:?}");
+            for (k, &end) in ends.iter().enumerate().take(ends.len() - 1) {
+                let cap = (k + 1) * SEGMENT_BYTES;
+                assert!((cap..cap + crate::lz77::MAX_MATCH).contains(&end), "{level:?}: {ends:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_split_cost_is_zero_for_one_histogram_and_large_for_two() {
+        let mut a = Symbols::EMPTY;
+        a.lit[..16].fill(512);
+        assert!(split_gain_q16(&a, &a) <= 1 << 16, "the same statistics twice");
+        let mut b = Symbols::EMPTY;
+        b.lit[240..256].fill(512);
+        // Apart, each half costs 4 bits a symbol; together, 5: one bit
+        // on each of 16,384 symbols.
+        let gain = split_gain_q16(&a, &b) >> 16;
+        assert!(gain.abs_diff(16_384) <= 8, "{gain} bits");
     }
 
     #[test]

@@ -62,46 +62,60 @@ pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
     }
     leaves.sort_unstable();
 
-    // `is_leaf[level]` flags the items of that level's list, lightest
-    // first; the first list is the leaves alone. Only the weights of
-    // the list below are needed to build the next one.
+    // Every level's merged list as leaf/package flags, lightest first,
+    // back to back from `starts[level]`; the first list is the leaves
+    // alone. Only the weights of the list below are needed to build the
+    // next one. Both weight lists end in sentinels no real weight
+    // reaches, so the merge needs no end tests and compiles to selects:
+    // past the last package the next one weighs `u64::MAX`, past the
+    // last leaf the next leaf does.
     let levels = max_len as usize;
-    let mut is_leaf: Vec<Vec<bool>> = Vec::with_capacity(levels);
-    is_leaf.push(vec![true; m]);
-    let mut below: Vec<u64> = leaves.iter().map(|&(w, _)| w).collect();
-    let mut weights: Vec<u64> = Vec::with_capacity(2 * m);
+    let mut leaf_weights: Vec<u64> = leaves.iter().map(|&(w, _)| w).collect();
+    leaf_weights.push(u64::MAX);
+    let mut is_leaf: Vec<bool> = Vec::with_capacity(levels * 2 * m);
+    is_leaf.resize(m, true);
+    let mut starts = Vec::with_capacity(levels);
+    starts.push(0);
+    let mut below = leaf_weights.clone();
+    below.resize(2 * m + 2, u64::MAX);
+    let mut below_len = m;
+    let mut weights = vec![u64::MAX; 2 * m + 2];
     for _ in 1..levels {
-        let packages = below.len() / 2;
-        let mut flags = Vec::with_capacity(m + packages);
+        let start = is_leaf.len();
+        starts.push(start);
+        let n = m + below_len / 2;
+        is_leaf.resize(start + n, false);
         let (mut p, mut l) = (0usize, 0usize);
-        while p < packages || l < m {
-            let package = if p < packages { below[2 * p] + below[2 * p + 1] } else { 0 };
+        for (weight, flag) in weights[..n].iter_mut().zip(&mut is_leaf[start..]) {
+            let package = below[2 * p].saturating_add(below[2 * p + 1]);
             // A package goes ahead of a leaf of the same weight.
-            let leaf = p == packages || (l < m && leaves[l].0 < package);
-            if leaf {
-                weights.push(leaves[l].0);
-                l += 1;
-            } else {
-                weights.push(package);
-                p += 1;
-            }
-            flags.push(leaf);
+            let leaf = leaf_weights[l] < package;
+            *weight = if leaf { leaf_weights[l] } else { package };
+            *flag = leaf;
+            l += usize::from(leaf);
+            p += usize::from(!leaf);
         }
-        is_leaf.push(flags);
+        weights[n..n + 2].fill(u64::MAX);
+        below_len = n;
         std::mem::swap(&mut below, &mut weights);
-        weights.clear();
     }
 
     // The optimal solution selects the first 2m-2 items of the last
     // list. Each leaf among the items taken from a list adds one bit to
     // its symbol; each package takes two more items from the list below.
+    // Leaves are taken lightest first, so the leaf of rank r gains one
+    // bit from every list that takes more than r leaves.
+    let mut lists_taking = vec![0u8; m + 1];
     let mut take = 2 * m - 2;
-    for flags in is_leaf.iter().rev() {
-        let taken = flags[..take].iter().filter(|&&leaf| leaf).count();
-        for &(_, s) in &leaves[..taken] {
-            lengths[s] += 1;
-        }
+    for &start in starts.iter().rev() {
+        let taken: usize = is_leaf[start..start + take].iter().map(|&leaf| usize::from(leaf)).sum();
+        lists_taking[taken] += 1;
         take = 2 * (take - taken);
+    }
+    let mut bits = 0u8;
+    for (r, &(_, s)) in leaves.iter().enumerate().rev() {
+        bits += lists_taking[r + 1];
+        lengths[s] = bits;
     }
     debug_assert!(lengths.iter().all(|&l| l as u32 <= max_len));
     lengths

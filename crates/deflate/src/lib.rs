@@ -12,7 +12,8 @@
 //!   (package-merge construction) and a table-free decoder,
 //! * [`lz77`] — hash-chain match finder producing literal/match tokens,
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
-//!   per-block cost selection),
+//!   per-block cost selection and blocks that end where the symbol
+//!   statistics change),
 //! * [`resume`] — the decoder for all block types: one engine, run to
 //!   the end of the stream,
 //! * [`inflate`] — that engine in one call, and its block-header tables,
@@ -50,15 +51,20 @@ pub mod resume;
 
 use std::fmt;
 
-/// Compression effort.
+/// Compression effort: how hard the LZ77 matcher searches. Every coded
+/// level shares the rest of the encoder — the noise gate, the
+/// entropy-costed block splits and zlib's `TOO_FAR` rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// No compression: stored blocks only (useful as a baseline and for
     /// incompressible data).
     Store,
-    /// Greedy matching with short hash chains.
+    /// Greedy matching over 16 chain links.
     Fast,
-    /// Lazy matching with deeper chains — roughly `gzip -6` effort.
+    /// Lazy matching over 8 chain links: below `gzip -6` effort, and on
+    /// checkpoint streams within 0.2% of its bytes at chain 32 — the
+    /// blocks that end where the statistics change pay for the
+    /// shallower search (DESIGN.md §11).
     Default,
 }
 

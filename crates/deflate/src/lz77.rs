@@ -49,6 +49,12 @@ const WMASK: usize = WINDOW - 1;
 const MISS_SHIFT: u32 = 5;
 const MAX_STRIDE: usize = 8;
 
+/// A match of [`MIN_MATCH`] bytes from further back than this is no
+/// match (zlib's `TOO_FAR`): its distance code and up to 13 extra bits
+/// cost more than the three literals it replaces. The chain walks from
+/// the nearest candidate out, so no nearer match of that length exists.
+const TOO_FAR: usize = 4096;
+
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Token {
@@ -109,7 +115,7 @@ impl Effort {
                 max_lazy: 0,
             }),
             Level::Default => Some(Effort {
-                max_chain: 32,
+                max_chain: 8,
                 lazy: true,
                 good_enough: 64,
                 max_lazy: 16,
@@ -244,7 +250,8 @@ impl Chains {
             cand_code = self.prev[cand & WMASK];
             chain -= 1;
         }
-        if best_len > min_len && best_len >= MIN_MATCH {
+        let too_far = best_len == MIN_MATCH && best_dist > TOO_FAR;
+        if best_len > min_len && best_len >= MIN_MATCH && !too_far {
             Some((best_len as u32, best_dist as u32))
         } else {
             None
@@ -536,6 +543,43 @@ mod tests {
         assert!(default <= fast + fast / 10, "default {default} much worse than fast {fast}");
         assert_eq!(resolve(&tokenize(&data, Level::Fast)), data);
         assert_eq!(resolve(&tokenize(&data, Level::Default)), data);
+    }
+
+    #[test]
+    fn a_three_byte_match_counts_only_from_within_too_far() {
+        // A motif no other bytes contain, then `gap - 3` bytes of a
+        // period-20 ramp (matched, so no miss stride is in flight), then
+        // the motif again: the only source the second copy has is the
+        // first, exactly three bytes long.
+        let motif = [250u8, 251, 252];
+        let cases = [(100usize, true), (TOO_FAR, true), (TOO_FAR + 1, false), (5000, false)];
+        for (gap, is_match) in cases {
+            let filler = (0..gap - 3).map(|i| (i % 20) as u8);
+            let data: Vec<u8> =
+                motif.iter().copied().chain(filler).chain(motif).chain([253; 8]).collect();
+            for level in [Level::Fast, Level::Default] {
+                let tokens = tokenize(&data, level);
+                assert_eq!(resolve(&tokens), data);
+                let mut pos = 0usize;
+                let at_copy = tokens
+                    .iter()
+                    .find(|t| {
+                        let here = pos;
+                        pos += match t {
+                            Token::Literal(_) => 1,
+                            Token::Match { len, .. } => *len as usize,
+                        };
+                        here >= gap
+                    })
+                    .copied();
+                let want = if is_match {
+                    Token::Match { len: 3, dist: gap as u16 }
+                } else {
+                    Token::Literal(250)
+                };
+                assert_eq!(at_copy, Some(want), "{level:?}, {gap} back");
+            }
+        }
     }
 
     #[test]

@@ -64,9 +64,13 @@ fn main() {
 
     // The byte anchor of the one WPK1 encoder, reproduced at every
     // thread count and through every sink (`tests/golden_wpk1.rs`).
-    // `decode_only_*.bin` are this file and `valid_wck1.bin` as the
-    // encoder wrote them before the LZ77 miss stride and the transposed
-    // default: kept by hand, read by the tests, written by no build.
+    // `decode_only_*_multichunk.bin` and `decode_only_*_untransposed.bin`
+    // are this file and `valid_wck1.bin` as the encoder wrote them before
+    // the LZ77 miss stride and the transposed default;
+    // `decode_only_<magic>.bin` and `golden_store_*_decode_only.bin` are
+    // the valid samples and store images as the encoder wrote them
+    // before its block-split rule: kept by hand, read by the tests,
+    // written by no build.
     // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
     // to) and `retired_zlib_container.bin`, from the last build that
     // had a Lloyd-Max quantizer and a zlib container.

@@ -16,8 +16,9 @@
 //!   checkpoint/restart,
 //! * [`cluster`] — the weak-scaling checkpoint time model,
 //! * [`store`] — the crash-consistent on-disk checkpoint repository,
-//! * [`serve`] — concurrent checkpoint serving (snapshot sessions,
-//!   the `SRV1` socket protocol, resumable streaming restore).
+//! * [`serve`] — concurrent checkpoint serving (snapshot sessions and
+//!   CRC-verified range reads over the read-only `SRV1` socket
+//!   protocol).
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the paper-to-module
 //! map.

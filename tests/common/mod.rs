@@ -268,9 +268,12 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the LZ77 miss stride and the transposed `WCK1` default: the
-/// `WCK1` sample, and the manifest and snapshot that carry its CRC.) The `INC1` sample is the store's increment, written by the
-/// oracle; the `INC2` one is the same increment as this build writes it.
+/// with the encoder's block-split rule, `TOO_FAR` and the retuned
+/// `Level::Default`: the `WCK1`, `INC1` and `INC2` samples, and the
+/// manifest and snapshot that carry their CRCs; the samples from before
+/// are `decode_only_<magic>.bin`.) The `INC1` sample is the store's
+/// increment, written by the oracle; the `INC2` one is the same
+/// increment as this build writes it.
 pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
     let store = store_files();
     let [wck1, inc1, _] = store.segments;

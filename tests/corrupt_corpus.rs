@@ -6,9 +6,11 @@
 //! --example gen_corpus`) is refused by its format's decoder, the
 //! 1 GiB claims on the guard that spares the allocation; every
 //! checked-in valid sample still decodes and still equals what this
-//! build writes (the gzip-written ones last moved with the LZ77 miss
-//! stride and the transposed default; `decode_only_wck1_untransposed.bin`
-//! is the `WCK1` sample from before both; the `INC1` sample and
+//! build writes (the gzip-written ones last moved with the encoder's
+//! block-split rule, `TOO_FAR` and the retuned `Level::Default`, and
+//! `decode_only_<magic>.bin` is each moved sample from before that;
+//! `decode_only_wck1_untransposed.bin` is the `WCK1` sample from before
+//! the miss stride and the transposed default; the `INC1` sample and
 //! entries come from the test-only copy of the writer no build has any
 //! more, `common::inc1_increment`); and a valid sample cut at
 //! any byte or flipped at any byte is refused too. A format added to
@@ -174,13 +176,15 @@ const NON_FORMAT_FAMILIES: [&str; 4] = ["golden_", "gzip_", "noise", "retired_"]
 
 /// The names in `names` that neither a format in `formats` nor a
 /// [`NON_FORMAT_FAMILIES`] prefix owns. A format owns `valid_<name>.bin`,
-/// its damaged entries `<name>_*` and its `decode_only_<name>_*`
-/// samples, `<name>` being its magic in lower case.
+/// its damaged entries `<name>_*` and its decode-only samples
+/// `decode_only_<name>.bin` and `decode_only_<name>_*`, `<name>` being
+/// its magic in lower case.
 fn unowned_corpus_files<'a>(names: &[&'a str], formats: &[Format]) -> Vec<&'a str> {
     let owned = |name: &str| {
         formats.iter().any(|f| {
             let fmt = f.name().to_lowercase();
             name == format!("valid_{fmt}.bin")
+                || name == format!("decode_only_{fmt}.bin")
                 || name.starts_with(&format!("{fmt}_"))
                 || name.starts_with(&format!("decode_only_{fmt}_"))
         })
@@ -389,10 +393,13 @@ fn every_corpus_file_returns_from_every_decoder() {
     for (name, bytes) in corpus_files("") {
         all_decoders_return(&bytes);
         if decode_csm2(&bytes).is_ok() {
-            assert!(
-                name == "valid_csm2.bin" || name == "golden_store_snap.bin",
-                "{name} opened as a manifest snapshot"
-            );
+            let snapshots = [
+                "valid_csm2.bin",
+                "decode_only_csm2.bin",
+                "golden_store_snap.bin",
+                "golden_store_snap_decode_only.bin",
+            ];
+            assert!(snapshots.contains(&name.as_str()), "{name} opened as a manifest snapshot");
         }
     }
 }
@@ -435,14 +442,22 @@ const PARENT_CURSOR: [u8; 20] = [
     b'R', b'P', b'C', b'1', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0x8a, 0xd8, 0xad, 0xeb,
 ];
 
-/// Plants the store the checked-in samples were cut from — a full, an
-/// `INC1` link on it, a bounded full, and the replication cursor older
-/// builds left beside them — in a fresh directory.
+/// The decode-only sample of the format tagged `magic`: the bytes the
+/// build before the encoder's last byte move wrote for it.
+fn decode_only_sample(magic: &[u8; 4]) -> Vec<u8> {
+    let f = FORMATS.iter().find(|f| &f.magic == magic).expect("a table format");
+    let name = format!("decode_only_{}.bin", f.name().to_lowercase());
+    fs::read(common::corpus_dir().join(&name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// Plants the store an older build wrote — a full, an `INC1` link on
+/// it, a bounded full, and the replication cursor older builds left
+/// beside them — in a fresh directory, from the decode-only samples.
 fn plant_parent_store(tag: &str) -> PathBuf {
     let files = common::StoreFiles {
-        manifest: parent_sample(b"CSM1"),
-        snapshot: parent_sample(b"CSM2"),
-        segments: [parent_sample(b"WCK1"), parent_sample(b"INC1"), parent_sample(b"WCK1")],
+        manifest: decode_only_sample(b"CSM1"),
+        snapshot: decode_only_sample(b"CSM2"),
+        segments: [b"WCK1", b"INC1", b"WCK1"].map(decode_only_sample),
     };
     let dir = scratch_dir(tag);
     common::plant_store(&dir, &files);
@@ -493,11 +508,14 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The record stream is a contract too: the log and snapshot images the
-/// commit before the lifecycle engine wrote for `golden_store_images`'
-/// script (every record kind; retires from GC and from compaction) are
-/// what this build writes, byte for byte — and they replay to the state
-/// the script left in memory.
+/// The record stream is a contract too: the log and snapshot images of
+/// `golden_store_images`' script (every record kind; retires from GC
+/// and from compaction) are what this build writes, byte for byte —
+/// and they replay to the state the script left in memory. The images
+/// as the build before the encoder's last byte move wrote them (the
+/// `Seg` records carry payload CRCs) are kept as `*_decode_only.bin`:
+/// they still parse, in the same retire order, and the snapshot still
+/// seeds a store.
 #[test]
 fn the_parent_written_store_log_is_what_this_build_writes() {
     let read = |name: &str| fs::read(common::corpus_dir().join(name)).unwrap();
@@ -505,15 +523,21 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
     assert!(log == read("golden_store_log.bin"), "the CSM1 record stream moved");
     assert!(snap == read("golden_store_snap.bin"), "the CSM2 snapshot moved");
 
-    let scan = manifest::parse_manifest(&log).unwrap();
-    assert_eq!(scan.valid_len, log.len());
-    let retires: Vec<u64> = scan
-        .records
-        .iter()
-        .filter(|r| matches!(r, manifest::Record::Retire { .. }))
-        .map(|r| r.gen())
-        .collect();
-    assert_eq!(retires, [1, 5, 4, 3, 2], "gc's victim, then compaction's: dependents first");
+    let (old_log, old_snap) =
+        (read("golden_store_log_decode_only.bin"), read("golden_store_snap_decode_only.bin"));
+    assert!(old_log != log && old_snap != snap, "the decode-only images are the current ones");
+    for log in [&log, &old_log] {
+        let scan = manifest::parse_manifest(log).unwrap();
+        assert_eq!(scan.valid_len, log.len());
+        let retires: Vec<u64> = scan
+            .records
+            .iter()
+            .filter(|r| matches!(r, manifest::Record::Retire { .. }))
+            .map(|r| r.gen())
+            .collect();
+        assert_eq!(retires, [1, 5, 4, 3, 2], "gc's victim, then compaction's: dependents first");
+    }
+    decode_csm2(&old_snap).expect("the decode-only snapshot seeds a store");
 }
 
 /// Restored values are a contract as much as bytes are: the forward

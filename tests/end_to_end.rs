@@ -227,3 +227,21 @@ fn fpc_lossless_baseline_is_bit_exact_on_simulation_state() {
     }
     assert!(packed.len() < t.len() * 8, "smooth state must compress");
 }
+
+/// The entropy stage's rate, pinned: the four arrays of a small climate
+/// state at the paper's proposed setting take no more bytes than when
+/// blocks began to end where the symbol statistics change. A match
+/// finder or block rule that gives bytes back fails here by name.
+#[test]
+fn a_small_climate_state_compresses_to_at_most_its_recorded_bytes() {
+    let mut sim = ClimateSim::new(SimConfig::small(2015));
+    sim.run(24);
+    let compressor = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+    let stored: usize = sim
+        .variables()
+        .iter()
+        .map(|(_, field)| compressor.compress(field).unwrap().bytes.len())
+        .sum();
+    // 37,023 B before the split rule, TOO_FAR and the retuned chain.
+    assert!(stored <= 37_019, "{stored} B");
+}

@@ -122,17 +122,22 @@ fn system_gzip_decodes_a_checkpoint_stream_with_stored_runs_that_start_mid_byte(
     let cfg = CompressorConfig::paper_proposed();
     let packed = Compressor::new(cfg).unwrap().compress(&field).unwrap().bytes;
 
-    // A stored run holds its source verbatim behind LEN and NLEN; find
-    // the first gate block that does, and look at the byte its 3-bit
+    // A stored block holds its source verbatim behind LEN and NLEN; find
+    // every gate block that starts one, and look at the byte each 3-bit
     // block header sits in: 0 or 1 only if the header starts the byte.
     let find = |needle: &[u8]| packed.windows(needle.len()).position(|w| w == needle);
-    let run_at = formatted
+    let stored_header = |at: usize| {
+        let (len, nlen) = (&packed[at - 4..at - 2], &packed[at - 2..at]);
+        len.iter().zip(nlen).all(|(l, n)| l ^ n == 0xFF)
+    };
+    let header_bytes: Vec<u8> = formatted
         .chunks_exact(GATE_BLOCK)
-        .find_map(|block| find(&block[..64]))
-        .expect("no block of the stream was stored");
-    let (len, nlen) = (&packed[run_at - 4..run_at - 2], &packed[run_at - 2..run_at]);
-    assert!(len.iter().zip(nlen).all(|(l, n)| l ^ n == 0xFF), "not a stored block header");
-    assert!(packed[run_at - 5] > 1, "the stored run begins on a byte boundary");
+        .filter_map(|block| find(&block[..64]))
+        .filter(|&at| at >= 5 && stored_header(at))
+        .map(|at| packed[at - 5])
+        .collect();
+    assert!(!header_bytes.is_empty(), "no block of the stream was stored");
+    assert!(header_bytes.iter().any(|&b| b > 1), "every stored run begins on a byte boundary");
 
     let mut child = Command::new("gzip")
         .arg("-dc")
