@@ -264,16 +264,6 @@ impl<'a> BitReader<'a> {
         (self.pos * 8 - crate::usize_from_u32(self.nbits)).div_ceil(8)
     }
 
-    /// Exact number of bits consumed so far. Unlike
-    /// [`BitReader::bytes_consumed`] this does not round up: buffered
-    /// bits the caller has not read back out are not counted, so the
-    /// value is a precise stream position a fresh reader can seek to
-    /// (skip `bit_position / 8` bytes, then read `bit_position % 8`
-    /// bits). The inflate engine records where a stream ends with this.
-    pub fn bit_position(&self) -> u64 {
-        crate::u64_from_usize(self.pos) * 8 - u64::from(self.nbits)
-    }
-
     /// Discards buffered bits to the next byte boundary and returns the
     /// remaining byte-aligned tail view (used for stored blocks).
     pub fn align_byte(&mut self) {
@@ -282,23 +272,23 @@ impl<'a> BitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Appends `len` whole bytes, read after alignment, to `out` — a
-    /// stored block lands in the inflate window with no staging buffer.
-    /// On error `out` is unchanged.
-    pub fn read_bytes(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), DeflateError> {
+    /// Fills `out` with whole bytes read after alignment — a stored
+    /// block lands in the inflate output with no staging buffer. On
+    /// error `out` is unchanged.
+    pub fn read_bytes(&mut self, out: &mut [u8]) -> Result<(), DeflateError> {
         debug_assert_eq!(self.nbits % 8, 0, "read_bytes requires byte alignment");
-        if self.bits_remaining() / 8 < len {
+        if self.bits_remaining() / 8 < out.len() {
             return Err(DeflateError::UnexpectedEof);
         }
-        out.reserve(len);
         // Drain whole bytes buffered in the accumulator first…
-        let mut need = len;
-        while need > 0 && self.nbits >= 8 {
+        let mut filled = 0;
+        while self.nbits >= 8 {
+            let Some(slot) = out.get_mut(filled) else { break };
             let [low, ..] = self.acc.to_le_bytes();
-            out.push(low);
+            *slot = low;
             self.acc >>= 8;
             self.nbits -= 8;
-            need -= 1;
+            filled += 1;
         }
         // The wide refill loads 8 bytes but advances `pos` by 7, so the
         // accumulator may hold uncounted bits above `nbits` that mirror
@@ -310,9 +300,10 @@ impl<'a> BitReader<'a> {
             self.acc &= (1u64 << self.nbits) - 1;
         }
         // …then bulk-copy the rest straight from the input.
-        let end = self.pos.checked_add(need).ok_or(DeflateError::UnexpectedEof)?;
+        let rest = out.get_mut(filled..).unwrap_or_default();
+        let end = self.pos.checked_add(rest.len()).ok_or(DeflateError::UnexpectedEof)?;
         let tail = self.data.get(self.pos..end).ok_or(DeflateError::UnexpectedEof)?;
-        out.extend_from_slice(tail);
+        rest.copy_from_slice(tail);
         self.pos = end;
         Ok(())
     }
@@ -450,47 +441,24 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_byte();
-        // Appended after what the caller's buffer already holds.
-        let mut out = vec![0x01];
-        r.read_bytes(2, &mut out).unwrap();
-        assert_eq!(out, vec![0x01, 0xAB, 0xCD]);
+        let mut out = [0u8; 2];
+        r.read_bytes(&mut out).unwrap();
+        assert_eq!(out, [0xAB, 0xCD]);
     }
 
     #[test]
-    fn bit_position_is_exact_and_seekable() {
-        let mut w = BitWriter::new();
-        for i in 0..500u64 {
-            w.write_bits(i % 8, 3);
-        }
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        for i in 0..500u64 {
-            assert_eq!(r.bit_position(), i * 3);
-            // Seek a fresh reader to the recorded position; it must
-            // decode the same next field.
-            let at = r.bit_position();
-            let mut fresh = BitReader::new(&bytes[usize::try_from(at / 8).unwrap()..]);
-            let skip = u32::try_from(at % 8).unwrap();
-            if skip > 0 {
-                fresh.read_bits(skip).unwrap();
-            }
-            assert_eq!(fresh.read_bits(3).unwrap(), i % 8, "seek to bit {at}");
-            assert_eq!(r.read_bits(3).unwrap(), i % 8);
-        }
-    }
-
-    #[test]
-    fn bit_position_counts_aligned_byte_reads() {
+    fn bytes_consumed_counts_aligned_byte_reads() {
         let mut r = BitReader::new(&[0xAA, 0xBB, 0xCC, 0xDD]);
         r.read_bits(3).unwrap();
         r.align_byte();
-        assert_eq!(r.bit_position(), 8);
-        let mut out = Vec::new();
-        r.read_bytes(2, &mut out).unwrap();
-        assert_eq!(r.bit_position(), 24);
-        // Too few bytes left: an error, and nothing appended.
-        assert_eq!(r.read_bytes(2, &mut out), Err(DeflateError::UnexpectedEof));
-        assert_eq!(out, vec![0xBB, 0xCC]);
+        assert_eq!(r.bytes_consumed(), 1);
+        let mut out = [0u8; 2];
+        r.read_bytes(&mut out).unwrap();
+        assert_eq!(r.bytes_consumed(), 3);
+        // Too few bytes left: an error, and nothing written.
+        let mut more = [0x11u8; 2];
+        assert_eq!(r.read_bytes(&mut more), Err(DeflateError::UnexpectedEof));
+        assert_eq!((out, more), ([0xBB, 0xCC], [0x11; 2]));
     }
 
     #[test]

@@ -41,6 +41,7 @@
 use crate::crc32::crc32_combine;
 use crate::frame::{Reader, Writer, WPK1};
 use crate::{gzip, DeflateError, Level};
+use std::io::Cursor;
 use std::sync::{Mutex, PoisonError};
 
 /// Default uncompressed chunk size: 1 MiB balances parallel grain
@@ -302,21 +303,24 @@ fn parse_container(data: &[u8], max_output: usize) -> Result<(Header, Vec<&[u8]>
     Ok((header, members))
 }
 
-/// Decodes the gzip member that is one slot of a container: beyond its
-/// own CRC-32 and ISIZE it must end where the slot ends and inflate to
-/// exactly the `len` bytes the geometry gives its chunk.
-fn decode_slot(member: &[u8], len: usize) -> Result<Vec<u8>, DeflateError> {
-    let (payload, size) = gzip::decompress_member(member, len)?;
+/// Decodes the gzip member that is one slot of a container straight
+/// into `slot`: beyond its own CRC-32 and ISIZE it must end where the
+/// slot ends and inflate to exactly the slot's length, the bytes the
+/// geometry gives its chunk.
+fn decode_slot(member: &[u8], slot: &mut [u8]) -> Result<(), DeflateError> {
+    let len = slot.len();
+    let mut out = Cursor::new(slot);
+    let size = gzip::member_into(member, &mut out, len)?;
     if size != member.len() {
         return Err(DeflateError::BadContainer("trailing bytes inside a member slot"));
     }
-    if payload.len() != len {
+    if out.position() != crate::u64_from_usize(len) {
         return Err(DeflateError::SizeMismatch {
             stored: u32::try_from(len).unwrap_or(u32::MAX),
-            computed: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+            computed: u32::try_from(out.position()).unwrap_or(u32::MAX),
         });
     }
-    Ok(payload)
+    Ok(())
 }
 
 /// Decompresses a WPK1 container, erroring with
@@ -344,9 +348,7 @@ pub fn decompress_chunked_with_limit(
         let (Some(member), Some(slot)) = (members.get(i), slots.get(i)) else {
             return Err(DeflateError::BadContainer("member index outside the container"));
         };
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let payload = decode_slot(member, slot.len())?;
-        slot.copy_from_slice(&payload);
+        decode_slot(member, &mut slot.lock().unwrap_or_else(PoisonError::into_inner))?;
         // decode_slot just verified the member's CRC; reuse the stored
         // value.
         member_stored_crc(member)
@@ -414,11 +416,13 @@ impl ChunkedInfo {
 /// then inflates each member individually to report per-member CRC
 /// status. Unlike [`decompress_chunked`], one damaged member does not
 /// hide the state of the others — this is the diagnostic surface
-/// behind `ckpt info`.
+/// behind `ckpt info`. Every member inflates into one reused scratch
+/// slot.
 pub fn inspect(data: &[u8]) -> Result<ChunkedInfo, DeflateError> {
     let (Header { chunk_count, total, chunk_bytes, stored_crc }, members) =
         parse_container(data, usize::MAX)?;
     let stride = chunk_bytes.max(1);
+    let mut scratch = vec![0u8; stride.min(total)];
     let mut infos = Vec::with_capacity(chunk_count);
     let mut combined = 0u32;
     let mut combined_ok = true;
@@ -427,7 +431,9 @@ pub fn inspect(data: &[u8]) -> Result<ChunkedInfo, DeflateError> {
         let uncompressed_len = remaining.min(stride);
         remaining -= uncompressed_len;
         let stored = member_stored_crc(member).unwrap_or(0);
-        let crc_ok = decode_slot(member, uncompressed_len).is_ok();
+        let crc_ok = scratch
+            .get_mut(..uncompressed_len)
+            .is_some_and(|slot| decode_slot(member, slot).is_ok());
         if crc_ok {
             combined = crc32_combine(combined, stored, crate::u64_from_usize(uncompressed_len));
         } else {
@@ -683,5 +689,51 @@ mod tests {
         let packed = compress_chunked(b"x", Level::Default, 64, 1);
         assert!(is_chunked(&packed));
         assert!(decompress_chunked(b"\x1f\x8b\x08rest-of-gzip", 1).is_err());
+    }
+
+    /// A container whose header, index and bomb guard agree, holding
+    /// `members` for a `total`-byte payload of CRC `crc` cut in
+    /// `chunk_bytes` chunks.
+    fn container(members: &[Vec<u8>], total: usize, chunk_bytes: usize, crc: u32) -> Vec<u8> {
+        let mut head = Writer::with_capacity(HEADER_BYTES);
+        put_header(&mut head, members.len(), total, chunk_bytes, crc);
+        let mut out = head.into_bytes();
+        for member in members {
+            out.extend_from_slice(&(member.len() as u64).to_le_bytes());
+        }
+        out.extend(members.concat());
+        out
+    }
+
+    #[test]
+    fn a_member_must_fill_its_slot_exactly_and_end_where_it_ends() {
+        let (chunk, data) = (1000, lcg_bytes(3000, 31));
+        let crc = crate::crc32::crc32(&data);
+        let good: Vec<Vec<u8>> =
+            data.chunks(chunk).map(|c| gzip::compress(c, Level::Default)).collect();
+        assert_eq!(decompress_chunked(&container(&good, 3000, chunk, crc), 2).unwrap(), data);
+        let over = "decompressed output exceeds limit of 1000 bytes";
+        for i in 0..good.len() {
+            let mine = &data[i * chunk..(i + 1) * chunk];
+            let cases = [
+                // One byte past the slot, through a stored block and
+                // through a match.
+                (gzip::compress(&lcg_bytes(chunk + 1, 32), Level::Default), over),
+                (gzip::compress(&vec![7u8; chunk + 1], Level::Default), over),
+                (gzip::compress(&mine[1..], Level::Default), "size mismatch: stored 1000, computed 999"),
+                ([good[i].as_slice(), &[0]].concat(), "bad container: trailing bytes inside a member slot"),
+            ];
+            for (member, want) in cases {
+                let mut members = good.clone();
+                members[i] = member;
+                let packed = container(&members, data.len(), chunk, crc);
+                for threads in [1, 4] {
+                    let got = decompress_chunked(&packed, threads).unwrap_err().to_string();
+                    assert_eq!(got, want, "member {i}, threads {threads}");
+                }
+                let ok: Vec<bool> = inspect(&packed).unwrap().members.iter().map(|m| m.crc_ok).collect();
+                assert_eq!(ok, (0..3).map(|j| j != i).collect::<Vec<_>>(), "member {i}: {want}");
+            }
+        }
     }
 }

@@ -879,7 +879,7 @@ mod tests {
     fn stored_roundtrip_via_inflate() {
         let data = vec![0xA5u8; 100_000];
         let packed = compress(&data, Level::Store);
-        assert_eq!(crate::inflate::inflate(&packed).unwrap(), data);
+        assert_eq!(crate::decompress(&packed).unwrap(), data);
         // 65535-chunking: two blocks expected, overhead ~10 bytes.
         assert!(packed.len() >= data.len());
         assert!(packed.len() < data.len() + 32);
@@ -906,7 +906,7 @@ mod tests {
                 let chunks = run.div_ceil(65_535) + usize::from(n > run);
                 let packed = compress(&data, level);
                 assert!(packed.len() <= n + 5 * chunks, "{level:?}, {n}: {} bytes", packed.len());
-                assert_eq!(crate::inflate::inflate(&packed).unwrap(), data);
+                assert_eq!(crate::decompress(&packed).unwrap(), data);
             }
         }
     }
@@ -983,7 +983,7 @@ mod tests {
             let ends = block_ends(&data, level);
             assert_eq!(ends.len(), 2, "{level:?}: {ends:?}");
             assert!(ends[0].abs_diff(seam) <= SPLIT_CHECK_BYTES, "{level:?}: {ends:?}");
-            assert_eq!(crate::inflate::inflate(&compress(&data, level)).unwrap(), data);
+            assert_eq!(crate::decompress(&compress(&data, level)).unwrap(), data);
         }
     }
 
@@ -1018,7 +1018,7 @@ mod tests {
         for level in [Level::Store, Level::Fast, Level::Default] {
             let packed = compress(&[], level);
             assert!(!packed.is_empty());
-            assert_eq!(crate::inflate::inflate(&packed).unwrap(), Vec::<u8>::new());
+            assert_eq!(crate::decompress(&packed).unwrap(), Vec::<u8>::new());
         }
     }
 
@@ -1038,7 +1038,7 @@ mod tests {
         }
         for level in [Level::Fast, Level::Default] {
             let packed = compress(&data, level);
-            assert_eq!(crate::inflate::inflate(&packed).unwrap(), data, "{level:?}");
+            assert_eq!(crate::decompress(&packed).unwrap(), data, "{level:?}");
         }
     }
 }

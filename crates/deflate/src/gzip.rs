@@ -8,7 +8,7 @@
 
 use crate::crc32::crc32;
 use crate::frame::Reader;
-use crate::resume::ResumableInflate;
+use crate::inflate::{inflate_into, Output};
 use crate::{deflate, DeflateError, Level};
 
 const MAGIC: [u8; 2] = [0x1F, 0x8B];
@@ -38,7 +38,8 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 /// Decompresses a gzip stream — one member or several concatenated
 /// members (RFC 1952 §2.2 requires accepting both) — verifying each
 /// member's CRC-32 and ISIZE, with a decompression-bomb cap on the
-/// total output size.
+/// total output size. Each member is decoded onto the end of the one
+/// output.
 pub fn decompress_with_limit(data: &[u8], max_output: usize) -> Result<Vec<u8>, DeflateError> {
     if data.is_empty() {
         return Err(DeflateError::BadContainer("too short for gzip"));
@@ -47,14 +48,8 @@ pub fn decompress_with_limit(data: &[u8], max_output: usize) -> Result<Vec<u8>, 
     let mut pos = 0usize;
     while let Some(rest) = data.get(pos..).filter(|r| !r.is_empty()) {
         let budget = max_output.saturating_sub(out.len());
-        let (member, consumed) = decompress_member(rest, budget)?;
         // A member is at least 18 bytes, so `pos` strictly advances.
-        pos = pos.saturating_add(consumed);
-        if out.is_empty() {
-            out = member;
-        } else {
-            out.extend_from_slice(&member);
-        }
+        pos = pos.saturating_add(decompress_member(rest, &mut out, budget)?);
     }
     Ok(out)
 }
@@ -65,25 +60,36 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
     decompress_with_limit(data, usize::MAX)
 }
 
-/// Decompresses exactly one gzip member from the front of `data`,
-/// returning its payload and the member's total size in bytes — the
-/// crate's one member decoder. The trailer's CRC-32 and ISIZE are
-/// checked against the engine's own running accounts, so no second
-/// pass over the output is needed to verify it. Trailing bytes after
-/// the member are left for the caller (the next member of a
-/// concatenated stream, typically).
+/// Decompresses exactly one gzip member from the front of `data` onto
+/// the end of `out`, at most `max_output` bytes of it, and returns the
+/// member's total size in bytes. The member's back-references reach
+/// only its own bytes. Trailing bytes after the member are left for the
+/// caller (the next member of a concatenated stream, typically). On
+/// error `out` keeps its length.
 pub fn decompress_member(
     data: &[u8],
+    out: &mut Vec<u8>,
     max_output: usize,
-) -> Result<(Vec<u8>, usize), DeflateError> {
+) -> Result<usize, DeflateError> {
+    member_into(data, out, max_output)
+}
+
+/// The crate's one member decoder, onto a `Vec` or into a slot. The
+/// trailer's CRC-32 and ISIZE are checked against what inflate reports
+/// it wrote, so no second pass over the output is needed to verify it.
+pub(crate) fn member_into<O: Output>(
+    data: &[u8],
+    out: &mut O,
+    max_output: usize,
+) -> Result<usize, DeflateError> {
     let body_off = member_body_offset(data)?;
     // The body runs at most to the last 8 bytes, which can only be trailer.
     let body_end = data.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
     let body = data.get(body_off..body_end).ok_or(DeflateError::UnexpectedEof)?;
-    let done = ResumableInflate::new().finish(body, max_output)?;
-    let len = crate::u64_from_usize(done.bytes.len());
-    let size = check_trailer(data, body_off, done.consumed, done.crc, len)?;
-    Ok((done.bytes, size))
+    let start = out.end();
+    let (crc, consumed) = inflate_into(body, out, max_output)?;
+    let len = crate::u64_from_usize(out.end() - start);
+    check_trailer(data, body_off, consumed, crc, len).inspect_err(|_| out.set_end(start))
 }
 
 /// Checks the trailer that follows a body of `consumed` bytes — CRC-32,
@@ -248,11 +254,12 @@ mod tests {
         let b = compress(b"second member", Level::Fast);
         let mut stream = a.clone();
         stream.extend_from_slice(&b);
-        let (payload, consumed) = decompress_member(&stream, usize::MAX).unwrap();
-        assert_eq!(payload, b"first member");
+        let mut out = Vec::new();
+        let consumed = decompress_member(&stream, &mut out, usize::MAX).unwrap();
+        assert_eq!(out, b"first member");
         assert_eq!(consumed, a.len());
-        let (payload2, consumed2) = decompress_member(&stream[consumed..], usize::MAX).unwrap();
-        assert_eq!(payload2, b"second member");
+        let consumed2 = decompress_member(&stream[consumed..], &mut out, usize::MAX).unwrap();
+        assert_eq!(out, b"first membersecond member");
         assert_eq!(consumed2, b.len());
     }
 
@@ -282,5 +289,38 @@ mod tests {
             decompress_with_limit(&stream, 1000),
             Err(DeflateError::OutputLimit { .. })
         ));
+    }
+
+    /// Every member starts with no history: a second member that opens
+    /// with a distance-1 match is refused, though the member before it
+    /// left bytes in the output. The trailer records what a decoder that
+    /// reached back would have produced, so only the refusal passes.
+    #[test]
+    fn a_member_cannot_reach_back_into_the_member_before_it() {
+        use crate::bitio::{reverse_bits, BitWriter};
+        let mut w = BitWriter::new();
+        w.write_bits(0, 1); // not final
+        w.write_bits(0b01, 2); // fixed Huffman
+        w.write_bits(u64::from(reverse_bits(1, 7)), 7); // length symbol 257: 3
+        w.write_bits(0, 5); // distance symbol 0: 1
+        w.write_bits(0, 7); // end-of-block
+        // A final stored block, so the body is long enough for the fast
+        // loop to meet the match first.
+        w.write_bits(1, 1);
+        w.write_bits(0b00, 2);
+        w.align_byte();
+        w.write_bits(10, 16);
+        w.write_bits(!10 & 0xFFFF, 16);
+        w.write_bytes(b"0123456789");
+        let reached_back = b"ccc0123456789";
+        let mut stream = compress(b"abc", Level::Default);
+        stream.extend_from_slice(&compress(b"", Level::Default)[..10]);
+        stream.extend_from_slice(&w.finish());
+        stream.extend_from_slice(&crc32(reached_back).to_le_bytes());
+        stream.extend_from_slice(&(reached_back.len() as u32).to_le_bytes());
+        assert_eq!(
+            decompress(&stream).unwrap_err().to_string(),
+            "match distance 1 exceeds available history 0"
+        );
     }
 }

@@ -14,9 +14,8 @@
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
 //!   per-block cost selection and blocks that end where the symbol
 //!   statistics change),
-//! * [`resume`] — the decoder for all block types: one engine, run to
-//!   the end of the stream,
-//! * [`inflate`] — that engine in one call, and its block-header tables,
+//! * `inflate` — the decoder for all block types: one function that
+//!   runs a stream to its end into a buffer its caller owns,
 //! * [`gzip`] — container framing with CRC-32 and the one member decoder,
 //! * [`chunked`] — a multi-member gzip container whose chunks compress
 //!   and decompress in parallel,
@@ -45,9 +44,8 @@ pub mod fpc;
 pub mod frame;
 pub mod gzip;
 pub mod huffman;
-pub mod inflate;
+mod inflate;
 pub mod lz77;
-pub mod resume;
 
 use std::fmt;
 
@@ -147,7 +145,9 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 
 /// Decompresses a raw DEFLATE stream (no container).
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
-    inflate::inflate(data)
+    let mut out = Vec::new();
+    inflate::inflate_into(data, &mut out, usize::MAX)?;
+    Ok(out)
 }
 
 #[cfg(test)]

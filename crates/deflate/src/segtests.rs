@@ -3,9 +3,8 @@
 //! and that every reader of the crate decodes a stream that has them.
 
 use crate::deflate::{compress, GATE_BLOCK, SEGMENT_BYTES};
-use crate::inflate::inflate;
-use crate::resume::ResumableInflate;
-use crate::{chunked, gzip, Level};
+use crate::inflate::inflate_into;
+use crate::{chunked, decompress, gzip, Level};
 
 fn lcg(n: usize, mut s: u64) -> Vec<u8> {
     (0..n)
@@ -22,7 +21,7 @@ fn sizes_around_segment_boundary_roundtrip() {
         let n = (SEGMENT_BYTES as i64 + delta) as usize;
         let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
         let packed = compress(&data, Level::Default);
-        assert_eq!(inflate(&packed).unwrap(), data, "n = {n}");
+        assert_eq!(decompress(&packed).unwrap(), data, "n = {n}");
     }
 }
 
@@ -32,7 +31,7 @@ fn many_segments_roundtrip() {
     let data: Vec<u8> = (0..SEGMENT_BYTES * 4 + 12345).map(|i| ((i / 64) % 200) as u8).collect();
     let packed = compress(&data, Level::Fast);
     assert!(packed.len() < data.len() / 4);
-    assert_eq!(inflate(&packed).unwrap(), data);
+    assert_eq!(decompress(&packed).unwrap(), data);
 }
 
 #[test]
@@ -48,7 +47,7 @@ fn heterogeneous_stream_benefits_from_segmentation() {
     }
     data.extend(std::iter::repeat_n(7u8, 300_000));
     let packed = compress(&data, Level::Default);
-    assert_eq!(inflate(&packed).unwrap(), data);
+    assert_eq!(decompress(&packed).unwrap(), data);
     // The constant tail must compress to almost nothing.
     assert!(
         packed.len() < 320_000 + 16_000,
@@ -67,7 +66,7 @@ fn matches_crossing_segment_boundaries_resolve() {
     }
     for level in [Level::Fast, Level::Default] {
         let packed = compress(&data, level);
-        assert_eq!(inflate(&packed).unwrap(), data, "{level:?}");
+        assert_eq!(decompress(&packed).unwrap(), data, "{level:?}");
         assert!(packed.len() < data.len() / 10, "{level:?}: repeats must compress");
     }
 }
@@ -78,7 +77,7 @@ fn incompressible_multi_segment_falls_back_to_stored_per_segment() {
     let packed = compress(&data, Level::Default);
     // Expansion bounded by stored-block overhead (~5 bytes per 64 KiB).
     assert!(packed.len() <= data.len() + 64);
-    assert_eq!(inflate(&packed).unwrap(), data);
+    assert_eq!(decompress(&packed).unwrap(), data);
 }
 
 /// Low-entropy bytes with matches to find: a period-97 ramp.
@@ -101,16 +100,18 @@ fn sandwich(lead: usize, edge: i64, noise_tail: bool) -> Vec<u8> {
 }
 
 /// Every reader of the crate decodes `data` back: `packed` through
-/// inflate (whose engine must stop on the stream's last byte), and
+/// inflate (which must stop on the stream's last byte), and
 /// `data` written as a gzip member and as a `WPK1` container decoded on
 /// two threads (40 000-byte chunks put the gate's grid somewhere else
 /// in every chunk).
 fn decodes_everywhere(packed: &[u8], data: &[u8], what: &str) {
-    let whole = ResumableInflate::new().finish(packed, data.len()).unwrap();
-    assert!(whole.bytes == data, "{what}: inflate");
-    assert_eq!(whole.consumed, packed.len(), "{what}: where the stream ends");
+    let mut whole = Vec::new();
+    let (_, consumed) = inflate_into(packed, &mut whole, data.len()).unwrap();
+    assert!(whole == data, "{what}: inflate");
+    assert_eq!(consumed, packed.len(), "{what}: where the stream ends");
     let member = gzip::compress(data, Level::Default);
-    let (out, size) = gzip::decompress_member(&member, data.len()).unwrap();
+    let mut out = Vec::new();
+    let size = gzip::decompress_member(&member, &mut out, data.len()).unwrap();
     assert_eq!(size, member.len(), "{what}");
     assert!(out == data, "{what}: gzip member");
     let container = chunked::compress_chunked(data, Level::Default, 40_000, 2);
@@ -164,7 +165,7 @@ fn an_order0_flat_block_that_repeats_inside_the_window_is_stored_not_searched() 
     for level in [Level::Fast, Level::Default] {
         let packed = compress(&data, level);
         assert_eq!(packed.len(), data.len() + 5, "{level:?}: one stored chunk");
-        assert!(inflate(&packed).unwrap() == data);
+        assert!(decompress(&packed).unwrap() == data);
     }
     // Below the gate's unit the copy is the matcher's again.
     let short = [&block[..GATE_BLOCK / 2 - 1], &block[..GATE_BLOCK / 2 - 1]].concat();

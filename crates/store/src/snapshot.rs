@@ -302,11 +302,11 @@ mod tests {
         let mut rebuilt = Vec::new();
         for m in &rank.members {
             let bytes = snap.read_segment_range(gen, 0, m.offset, m.compressed_len).unwrap();
-            let (out, consumed) =
-                ckpt_deflate::gzip::decompress_member(&bytes, data.len()).unwrap();
+            let before = rebuilt.len();
+            let consumed =
+                ckpt_deflate::gzip::decompress_member(&bytes, &mut rebuilt, data.len()).unwrap();
             assert_eq!(consumed as u64, m.compressed_len);
-            assert_eq!(out.len() as u64, m.uncompressed_len);
-            rebuilt.extend_from_slice(&out);
+            assert_eq!((rebuilt.len() - before) as u64, m.uncompressed_len);
         }
         assert_eq!(rebuilt, data);
         let _ = fs::remove_dir_all(&dir);
