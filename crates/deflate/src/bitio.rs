@@ -50,19 +50,16 @@ impl BitWriter {
     /// New empty writer with room reserved (not touched) for `bytes` of
     /// output, so a caller that can bound its stream never reallocates.
     pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter { out: Vec::with_capacity(bytes), ..Self::default() }
+        Self::after(Vec::new(), bytes)
     }
 
-    /// Makes `out[pos..pos + need]` writable: zero-fills a step ahead,
-    /// inside the reservation while it holds what is needed.
-    #[cold]
-    fn grow(&mut self, need: usize) {
-        let want = self.pos + need;
-        let mut len = want.max(self.out.len() + GROW_STEP);
-        if want <= self.out.capacity() {
-            len = len.min(self.out.capacity());
-        }
-        self.out.resize(len, 0);
+    /// A writer whose stream follows the bytes `out` already holds (a
+    /// container header, say), with room reserved for `bytes` more:
+    /// [`BitWriter::finish`] returns those bytes and the stream behind
+    /// them in the one buffer.
+    pub fn after(mut out: Vec<u8>, bytes: usize) -> Self {
+        out.reserve(bytes);
+        BitWriter { pos: out.len(), out, ..Self::default() }
     }
 
     /// Writes the low `count` bits of `bits` (count <= 56 per call).
@@ -73,21 +70,23 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, bits: u64, count: u32) {
         debug_assert!(count <= 56, "bit count {count} too large for accumulator");
-        debug_assert!(count == 64 || bits < (1u64 << count), "extraneous high bits");
-        self.acc |= bits << self.nbits;
-        self.nbits += count;
-        // Store all eight bytes, keep the complete ones. `nbits` stays
-        // < 8 between calls, so `nbits + count <= 63` and the shift
-        // below is always in range; the bytes past the complete ones
-        // are rewritten by the next store.
-        if self.pos + 8 > self.out.len() {
-            self.grow(8);
-        }
-        self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
-        let bytes = self.nbits / 8;
-        self.pos += bytes as usize;
-        self.acc >>= bytes * 8;
-        self.nbits &= 7;
+        self.burst(|b| {
+            b.room(0);
+            b.put(bits, count);
+            b.store();
+        });
+    }
+
+    /// Hands `f` the writer's state as locals — accumulator, bit count,
+    /// write position — and takes it back after, so a hot loop keeps the
+    /// state in registers and checks room once for a run of writes
+    /// ([`Burst::room`]) instead of per write.
+    #[inline]
+    pub(crate) fn burst<R>(&mut self, f: impl FnOnce(&mut Burst<'_>) -> R) -> R {
+        let mut b = Burst { out: &mut self.out, pos: self.pos, acc: self.acc, nbits: self.nbits };
+        let r = f(&mut b);
+        (self.pos, self.acc, self.nbits) = (b.pos, b.acc, b.nbits);
+        r
     }
 
     /// Pads with zero bits to the next byte boundary.
@@ -108,7 +107,7 @@ impl BitWriter {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         assert_eq!(self.nbits, 0, "write_bytes requires byte alignment");
         if self.pos + bytes.len() > self.out.len() {
-            self.grow(bytes.len());
+            grow(&mut self.out, self.pos, bytes.len());
         }
         self.out[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
         self.pos += bytes.len();
@@ -124,6 +123,69 @@ impl BitWriter {
         self.align_byte();
         self.out.truncate(self.pos);
         self.out
+    }
+}
+
+/// Makes `out[pos..pos + need]` writable: zero-fills a step ahead,
+/// inside the reservation while it holds what is needed.
+#[cold]
+fn grow(out: &mut Vec<u8>, pos: usize, need: usize) {
+    let want = pos + need;
+    let mut len = want.max(out.len() + GROW_STEP);
+    if want <= out.capacity() {
+        len = len.min(out.capacity());
+    }
+    out.resize(len, 0);
+}
+
+/// A [`BitWriter`]'s state lent to [`BitWriter::burst`]: fields go into
+/// the accumulator with [`Burst::put`], and [`Burst::store`] writes it
+/// out. Between stores the puts may add at most 56 bits; each store
+/// advances the write position by at most 7 bytes, into room a
+/// [`Burst::room`] call made.
+pub(crate) struct Burst<'a> {
+    out: &'a mut Vec<u8>,
+    pos: usize,
+    acc: u64,
+    nbits: u32,
+}
+
+#[expect(
+    clippy::indexing_slicing,
+    clippy::as_conversions,
+    reason = "encoder: `room` grows the buffer for the stores its caller makes, and a store \
+              that outran it would be an accounting bug, not a property of untrusted bytes"
+)]
+impl Burst<'_> {
+    /// Makes room for stores that advance the write position by `bytes`
+    /// in all.
+    #[inline]
+    pub(crate) fn room(&mut self, bytes: usize) {
+        if self.pos + bytes + 8 > self.out.len() {
+            grow(self.out, self.pos, bytes + 8);
+        }
+    }
+
+    /// Adds the low `count` bits of `bits` above the pending ones.
+    #[inline]
+    pub(crate) fn put(&mut self, bits: u64, count: u32) {
+        debug_assert!(count == 64 || bits < (1u64 << count), "extraneous high bits");
+        self.acc |= bits << self.nbits;
+        self.nbits += count;
+    }
+
+    /// Stores all eight bytes of the accumulator and keeps the complete
+    /// ones. `nbits` is < 8 after a store, so with at most 56 bits put
+    /// since, it is <= 63 here and the shift is in range; the bytes past
+    /// the complete ones are rewritten by the next store.
+    #[inline]
+    pub(crate) fn store(&mut self) {
+        debug_assert!(self.nbits <= 63, "more than 56 bits put since the last store");
+        self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
+        let bytes = self.nbits / 8;
+        self.pos += bytes as usize;
+        self.acc >>= bytes * 8;
+        self.nbits &= 7;
     }
 }
 

@@ -9,8 +9,8 @@
 //! through the LZ77 matcher, whose tokens stream straight into a segment
 //! encoder (fused tokenize→encode: no whole-input `Vec<Token>`). The
 //! encoder buffers one block of at most [`SEGMENT_BYTES`] source bytes
-//! as packed `u32` tokens while accumulating symbol histograms and
-//! extra-bit counts, then emits the block as whichever type is
+//! as packed `u32` tokens while accumulating symbol histograms (the
+//! extra bits follow from those), then emits the block as whichever type is
 //! cheapest — stored, fixed-Huffman, or dynamic-Huffman (stored blocks
 //! chunk at the 65 535-byte limit). Block cuts fall where the statistics
 //! change: every [`SPLIT_CHECK_BYTES`] of source the newest chunk is
@@ -23,9 +23,12 @@
 //!
 //! Length and distance symbols resolve through precomputed tables
 //! (`LEN_CODE`, `DIST_SYM_LO`/`DIST_SYM_HI`) instead of per-token
-//! linear scans, and a match emits its four fields (length code, length
-//! extra, distance code, distance extra — at most 48 bits) with a
-//! single accumulator write.
+//! linear scans; the sink resolves a match's distance symbol once and
+//! keeps it in the token. A block's tables are planned in fixed arrays,
+//! and its body is written with the bit writer's state in locals: each
+//! store takes up to three literals or one match's four fields (length
+//! code, length extra, distance code, distance extra — at most 48
+//! bits), each field a load from a table built per block.
 
 use crate::bitio::BitWriter;
 use crate::huffman::{code_lengths, Encoder};
@@ -141,16 +144,21 @@ pub fn length_symbol(len: u16) -> (usize, u8, u16) {
     (257 + idx as usize, extra, val as u16)
 }
 
+/// The distance symbol of `d` (1..=32768).
+#[inline]
+fn dist_code(d: usize) -> usize {
+    if d <= 256 {
+        DIST_SYM_LO[d - 1] as usize
+    } else {
+        DIST_SYM_HI[(d - 1) >> 7] as usize
+    }
+}
+
 /// Maps a distance (1..=32768) to `(symbol, extra_bits, extra_value)`.
 #[inline]
 pub fn dist_symbol(dist: u16) -> (usize, u8, u16) {
     debug_assert!(dist >= 1);
-    let d = dist as usize;
-    let idx = if d <= 256 {
-        DIST_SYM_LO[d - 1] as usize
-    } else {
-        DIST_SYM_HI[(d - 1) >> 7] as usize
-    };
+    let idx = dist_code(dist as usize);
     let (base, extra) = DIST_TABLE[idx];
     (idx, extra, dist - base)
 }
@@ -184,13 +192,15 @@ fn fixed_encoders() -> &'static (Encoder, Encoder) {
     FIXED.get_or_init(|| (Encoder::from_lengths(&FIXED_LITLEN), Encoder::from_lengths(&FIXED_DIST)))
 }
 
-/// Packed token: literals are the byte value; matches set bit 31 and
-/// carry `len - 3` in bits 16..24 and `dist - 1` in bits 0..16.
+/// Packed token: a run of literals is its length (the bytes are the
+/// source's, where the run covers it); a match sets bit 31 and carries
+/// the distance symbol in bits 24..29, `len - 3` in bits 16..24 and
+/// `dist - 1` in bits 0..16.
 const TOKEN_MATCH: u32 = 1 << 31;
 
 /// Bit cost of the token body (without the 3-bit block header) under
-/// the given code lengths, computed from the segment histograms — the
-/// extra bits were counted while tokenizing, so no token pass is
+/// the given code lengths, computed from the segment histograms (the
+/// extra bits too, [`Symbols::extra_bits`]), so no token pass is
 /// needed.
 fn body_cost_from_freqs(
     lit_freq: &[u64],
@@ -209,46 +219,103 @@ fn body_cost_from_freqs(
     bits
 }
 
-/// Writes the packed token body with prepared encoders. Each match is
-/// one accumulator write: length code + length extra + distance code +
-/// distance extra never exceed 15 + 5 + 15 + 13 = 48 bits.
-fn write_body(w: &mut BitWriter, tokens: &[u32], lit: &Encoder, dist: &Encoder) {
-    for &t in tokens {
-        if t & TOKEN_MATCH == 0 {
-            let e = lit.entry(t as usize);
-            w.write_bits(u64::from(e & 0x00FF_FFFF), e >> 24);
-        } else {
-            let (li, le, lv) = LEN_CODE[(t >> 16) as usize & 0xFF];
-            let e1 = lit.entry(257 + li as usize);
-            let mut acc = u64::from(e1 & 0x00FF_FFFF);
-            let mut n = e1 >> 24;
-            acc |= u64::from(lv) << n;
-            n += u32::from(le);
+/// A block's codes as the body writer takes them: a literal is one
+/// load, a match two, each a `(bits, count)` pair ready for the
+/// accumulator.
+struct BodyCodes {
+    /// Literals 0..256, then match lengths 3..=258: the code, for a
+    /// length with its extra bits behind it, and the bit count in the
+    /// top byte.
+    litlen: [u64; 512],
+    /// Per distance symbol: `(code, code length, base − 1, extra bits)`.
+    dist: [(u32, u32, u32, u32); 32],
+}
 
-            let d = (t & 0xFFFF) as usize + 1;
-            let di = if d <= 256 {
-                DIST_SYM_LO[d - 1] as usize
-            } else {
-                DIST_SYM_HI[(d - 1) >> 7] as usize
-            };
-            let e2 = dist.entry(di);
-            acc |= u64::from(e2 & 0x00FF_FFFF) << n;
-            n += e2 >> 24;
-            let (dbase, dextra) = DIST_TABLE[di];
-            acc |= ((d - dbase as usize) as u64) << n;
-            n += u32::from(dextra);
-
-            w.write_bits(acc, n);
+impl BodyCodes {
+    fn new(lit: &Encoder, dist: &Encoder) -> Self {
+        let mut litlen = [0u64; 512];
+        let (literals, lengths) = litlen.split_at_mut(256);
+        for (slot, byte) in literals.iter_mut().zip(0..) {
+            let e = lit.entry(byte);
+            *slot = u64::from(e & 0x00FF_FFFF) | u64::from(e >> 24) << 56;
         }
+        for (slot, &(li, extra, value)) in lengths.iter_mut().zip(&LEN_CODE) {
+            let e = lit.entry(257 + li as usize);
+            let n = e >> 24;
+            let bits = u64::from(e & 0x00FF_FFFF) | u64::from(value) << n;
+            *slot = bits | u64::from(n + u32::from(extra)) << 56;
+        }
+        let mut codes = [(0, 0, 0, 0); 32];
+        for ((slot, &(base, extra)), sym) in codes.iter_mut().zip(&DIST_TABLE).zip(0..) {
+            let e = dist.entry(sym);
+            *slot = (e & 0x00FF_FFFF, e >> 24, u32::from(base) - 1, u32::from(extra));
+        }
+        BodyCodes { litlen, dist: codes }
     }
+
+    /// The `(bits, count)` of a literal or match length table entry.
+    #[inline]
+    fn unpack(entry: u64) -> (u64, u32) {
+        (entry & ((1 << 56) - 1), (entry >> 56) as u32)
+    }
+}
+
+/// Writes the token body of `src`, the source bytes the tokens cover,
+/// with prepared encoders and the writer's state in locals. A literal
+/// run is coded from `src` three literals (45 bits) a store; a match is
+/// one store of its four fields — length code + length extra +
+/// distance code + distance extra never exceed 15 + 5 + 15 + 13 = 48
+/// bits.
+fn write_body(w: &mut BitWriter, tokens: &[u32], src: &[u8], lit: &Encoder, dist: &Encoder) {
+    let codes = BodyCodes::new(lit, dist);
+    let literal = |byte: u8| BodyCodes::unpack(codes.litlen[usize::from(byte)]);
+    w.burst(|b| {
+        let mut at = 0;
+        for &t in tokens {
+            if t & TOKEN_MATCH == 0 {
+                let run = &src[at..at + t as usize];
+                at += run.len();
+                // At most six bytes a store, a store per three literals.
+                b.room(2 * run.len() + 6);
+                let mut threes = run.chunks_exact(3);
+                for three in threes.by_ref() {
+                    let ((x, nx), (y, ny), (z, nz)) =
+                        (literal(three[0]), literal(three[1]), literal(three[2]));
+                    b.put(x | y << nx | z << (nx + ny), nx + ny + nz);
+                    b.store();
+                }
+                for &byte in threes.remainder() {
+                    let (bits, n) = literal(byte);
+                    b.put(bits, n);
+                }
+                b.store();
+            } else {
+                let (bits, n) = BodyCodes::unpack(codes.litlen[256 | (t >> 16) as usize & 0xFF]);
+                let (code, code_len, base, extra) = codes.dist[(t >> 24) as usize & 0x1F];
+                let d = u64::from(code) | u64::from((t & 0xFFFF) - base) << code_len;
+                b.room(6);
+                b.put(bits | d << n, n + code_len + extra);
+                b.store();
+                at += 3 + ((t >> 16) & 0xFF) as usize;
+            }
+        }
+    });
     let e = lit.entry(END_OF_BLOCK);
     w.write_bits(u64::from(e & 0x00FF_FFFF), e >> 24);
 }
 
+/// Code-length symbols of a dynamic header at most: one per length.
+const MAX_RLE: usize = NUM_LITLEN + NUM_DIST;
+
 /// Run-length-encodes the concatenated code-length arrays into
-/// code-length-code symbols: `(symbol, extra_bits, extra_value)`.
-fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u8, u8)> {
-    let mut out = Vec::new();
+/// code-length-code symbols `(symbol, extra_bits, extra_value)` at the
+/// front of `out`, and returns how many.
+fn rle_code_lengths(lens: &[u8], out: &mut [(u8, u8, u8); MAX_RLE]) -> usize {
+    let mut n = 0;
+    let mut push = |sym: (u8, u8, u8)| {
+        out[n] = sym;
+        n += 1;
+    };
     let mut i = 0usize;
     while i < lens.len() {
         let v = lens[i];
@@ -260,50 +327,53 @@ fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u8, u8)> {
             let mut left = run;
             while left >= 11 {
                 let take = left.min(138);
-                out.push((18, 7, (take - 11) as u8));
+                push((18, 7, (take - 11) as u8));
                 left -= take;
             }
             if left >= 3 {
-                out.push((17, 3, (left - 3) as u8));
+                push((17, 3, (left - 3) as u8));
                 left = 0;
             }
             for _ in 0..left {
-                out.push((0, 0, 0));
+                push((0, 0, 0));
             }
         } else {
-            out.push((v, 0, 0));
+            push((v, 0, 0));
             let mut left = run - 1;
             while left >= 3 {
                 let take = left.min(6);
-                out.push((16, 2, (take - 3) as u8));
+                push((16, 2, (take - 3) as u8));
                 left -= take;
             }
             for _ in 0..left {
-                out.push((v, 0, 0));
+                push((v, 0, 0));
             }
         }
         i += run;
     }
-    out
+    n
 }
 
-/// A prepared dynamic block header. The two tables are whole alphabets
-/// (what the encoders index); the header transmits their first `hlit`
-/// and `hdist` lengths.
+/// A prepared dynamic block header, in fixed arrays. The two tables
+/// are whole alphabets (what the encoders index); the header transmits
+/// their first `hlit` and `hdist` lengths, as `rle[..rle_len]`.
 struct DynamicPlan {
-    lit_lens: Vec<u8>,
-    dist_lens: Vec<u8>,
+    lit_lens: [u8; NUM_LITLEN],
+    dist_lens: [u8; NUM_DIST],
     hlit: usize,
     hdist: usize,
-    rle: Vec<(u8, u8, u8)>,
-    cl_lens: Vec<u8>,
+    rle: [(u8, u8, u8); MAX_RLE],
+    rle_len: usize,
+    cl_lens: [u8; 19],
     hclen: usize,
     header_bits: usize,
 }
 
 fn plan_dynamic(lit_freq: &[u64; NUM_LITLEN], dist_freq: &[u64; NUM_DIST]) -> DynamicPlan {
-    let lit_lens = code_lengths(lit_freq, 15);
-    let dist_lens = code_lengths(dist_freq, 15);
+    let mut lit_lens = [0u8; NUM_LITLEN];
+    let mut dist_lens = [0u8; NUM_DIST];
+    code_lengths(lit_freq, 15, &mut lit_lens);
+    code_lengths(dist_freq, 15, &mut dist_lens);
     // HLIT >= 257, HDIST >= 1: trailing zeros are cut down to the minima.
     let hlit = (257..=NUM_LITLEN).rev().find(|&k| k == 257 || lit_lens[k - 1] != 0).unwrap();
     let hdist = (1..=NUM_DIST).rev().find(|&k| k == 1 || dist_lens[k - 1] != 0).unwrap();
@@ -311,26 +381,34 @@ fn plan_dynamic(lit_freq: &[u64; NUM_LITLEN], dist_freq: &[u64; NUM_DIST]) -> Dy
     let mut all = [0u8; NUM_LITLEN + NUM_DIST];
     all[..hlit].copy_from_slice(&lit_lens[..hlit]);
     all[hlit..hlit + hdist].copy_from_slice(&dist_lens[..hdist]);
-    let rle = rle_code_lengths(&all[..hlit + hdist]);
+    let mut rle = [(0u8, 0u8, 0u8); MAX_RLE];
+    let rle_len = rle_code_lengths(&all[..hlit + hdist], &mut rle);
 
     let mut cl_freq = [0u64; 19];
-    for &(sym, _, _) in &rle {
+    for &(sym, _, _) in &rle[..rle_len] {
         cl_freq[sym as usize] += 1;
     }
-    let cl_lens = code_lengths(&cl_freq, 7);
+    let mut cl_lens = [0u8; 19];
+    code_lengths(&cl_freq, 7, &mut cl_lens);
     let hclen = (4..=19)
         .rev()
         .find(|&k| k == 4 || cl_lens[CLCODE_ORDER[k - 1]] != 0)
         .unwrap();
 
     let mut header_bits = 5 + 5 + 4 + 3 * hclen;
-    for &(sym, extra, _) in &rle {
+    for &(sym, extra, _) in &rle[..rle_len] {
         header_bits += cl_lens[sym as usize] as usize + extra as usize;
     }
-    DynamicPlan { lit_lens, dist_lens, hlit, hdist, rle, cl_lens, hclen, header_bits }
+    DynamicPlan { lit_lens, dist_lens, hlit, hdist, rle, rle_len, cl_lens, hclen, header_bits }
 }
 
-fn write_dynamic_block(w: &mut BitWriter, plan: &DynamicPlan, tokens: &[u32], bfinal: bool) {
+fn write_dynamic_block(
+    w: &mut BitWriter,
+    plan: &DynamicPlan,
+    tokens: &[u32],
+    src: &[u8],
+    bfinal: bool,
+) {
     w.write_bits(bfinal as u64, 1);
     w.write_bits(0b10, 2);
     w.write_bits((plan.hlit - 257) as u64, 5);
@@ -340,7 +418,7 @@ fn write_dynamic_block(w: &mut BitWriter, plan: &DynamicPlan, tokens: &[u32], bf
         w.write_bits(plan.cl_lens[ord] as u64, 3);
     }
     let cl_enc = Encoder::from_lengths(&plan.cl_lens);
-    for &(sym, extra, val) in &plan.rle {
+    for &(sym, extra, val) in &plan.rle[..plan.rle_len] {
         cl_enc.write(w, sym as usize);
         if extra > 0 {
             w.write_bits(val as u64, extra as u32);
@@ -348,14 +426,14 @@ fn write_dynamic_block(w: &mut BitWriter, plan: &DynamicPlan, tokens: &[u32], bf
     }
     let lit = Encoder::from_lengths(&plan.lit_lens);
     let dist = Encoder::from_lengths(&plan.dist_lens);
-    write_body(w, tokens, &lit, &dist);
+    write_body(w, tokens, src, &lit, &dist);
 }
 
-fn write_fixed_block(w: &mut BitWriter, tokens: &[u32], bfinal: bool) {
+fn write_fixed_block(w: &mut BitWriter, tokens: &[u32], src: &[u8], bfinal: bool) {
     w.write_bits(bfinal as u64, 1);
     w.write_bits(0b01, 2);
     let (lit, dist) = fixed_encoders();
-    write_body(w, tokens, lit, dist);
+    write_body(w, tokens, src, lit, dist);
 }
 
 /// Writes `data` as stored blocks (chunked at 65 535 bytes); the last
@@ -446,22 +524,62 @@ fn xlog2_q16(f: u64) -> u64 {
     f * u64::from(log)
 }
 
-/// Would an ideal order-0 code save less than 1.5% of these bytes?
-fn order0_flat(bytes: &[u8; GATE_BLOCK]) -> bool {
-    // Four histograms, so runs of one value do not serialize on a
-    // single counter.
+/// A gate block's byte histogram as four lanes, by position mod 4, so
+/// runs of one value do not serialize on a single counter.
+type Lanes = [[u32; 256]; 4];
+
+/// Each byte value's count: its four lanes summed.
+fn counts(lanes: &Lanes) -> impl Iterator<Item = usize> + '_ {
+    let [a, b, c, d] = lanes;
+    a.iter().zip(b).zip(c).zip(d).map(|(((a, b), c), d)| (a + b + c + d) as usize)
+}
+
+/// The histogram of a block's bytes, or `None` as soon as a quarter of
+/// them holds one value [`GATE_MAX_COUNT`] times: a block
+/// [`order0_flat`] refuses whatever the rest holds, so most compressible
+/// blocks are passed on a quarter of the counting.
+fn byte_lanes(bytes: &[u8; GATE_BLOCK]) -> Option<Lanes> {
     let mut lanes = [[0u32; 256]; 4];
-    for quad in bytes.chunks_exact(4) {
-        for (lane, &b) in lanes.iter_mut().zip(quad) {
-            lane[b as usize] += 1;
+    for part in bytes.chunks_exact(GATE_BLOCK / 4) {
+        for quad in part.chunks_exact(4) {
+            for (lane, &b) in lanes.iter_mut().zip(quad) {
+                lane[b as usize] += 1;
+            }
+        }
+        if counts(&lanes).any(|f| f >= GATE_MAX_COUNT) {
+            return None;
         }
     }
+    Some(lanes)
+}
+
+/// The histogram of a block's first differences — its first byte, then
+/// each byte less the one before — counted as they are taken, with no
+/// copy of the block.
+fn step_lanes(bytes: &[u8; GATE_BLOCK]) -> Lanes {
+    let mut lanes = [[0u32; 256]; 4];
+    let (now, before) = (&bytes[1..], &bytes[..GATE_BLOCK - 1]);
+    let (quads, quads_before) = (now.chunks_exact(4), before.chunks_exact(4));
+    let tail = quads.remainder().iter().zip(quads_before.remainder());
+    for (quad, quad_before) in quads.zip(quads_before) {
+        for ((lane, &b), &a) in lanes.iter_mut().zip(quad).zip(quad_before) {
+            lane[b.wrapping_sub(a) as usize] += 1;
+        }
+    }
+    for (&b, &a) in tail {
+        lanes[0][b.wrapping_sub(a) as usize] += 1;
+    }
+    lanes[0][bytes[0] as usize] += 1;
+    lanes
+}
+
+/// Would an ideal order-0 code save less than 1.5% of the bytes behind
+/// this histogram?
+fn order0_flat(lanes: &Lanes) -> bool {
     // Σ f·(log2 N − log2 f), in 16.16 bits.
     let log_n = u64::from(GATE_BLOCK.ilog2()) << 16;
     let mut cost = 0u64;
-    let [a, b, c, d] = &lanes;
-    for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
-        let f = (a + b + c + d) as usize;
+    for f in counts(lanes) {
         if f >= GATE_MAX_COUNT {
             return false;
         }
@@ -481,26 +599,18 @@ fn order0_flat(bytes: &[u8; GATE_BLOCK]) -> bool {
 /// since only the search that is being skipped could tell.
 fn is_noise(block: &[u8]) -> bool {
     let block: &[u8; GATE_BLOCK] = block.try_into().expect("the gate's unit");
-    if !order0_flat(block) {
-        return false;
-    }
-    let mut steps = *block;
-    for (step, before) in steps[1..].iter_mut().zip(block) {
-        *step = step.wrapping_sub(*before);
-    }
-    order0_flat(&steps)
+    byte_lanes(block).is_some_and(|lanes| order0_flat(&lanes)) && order0_flat(&step_lanes(block))
 }
 
 /// The symbols of a run of tokens: the two histograms a block's tables
-/// are built from, and the extra bits its matches carry.
+/// are built from.
 struct Symbols {
     lit: [u64; NUM_LITLEN],
     dist: [u64; NUM_DIST],
-    extra_bits: u64,
 }
 
 impl Symbols {
-    const EMPTY: Symbols = Symbols { lit: [0; NUM_LITLEN], dist: [0; NUM_DIST], extra_bits: 0 };
+    const EMPTY: Symbols = Symbols { lit: [0; NUM_LITLEN], dist: [0; NUM_DIST] };
 
     fn add(&mut self, other: &Symbols) {
         for (a, b) in self.lit.iter_mut().zip(&other.lit) {
@@ -509,7 +619,15 @@ impl Symbols {
         for (a, b) in self.dist.iter_mut().zip(&other.dist) {
             *a += b;
         }
-        self.extra_bits += other.extra_bits;
+    }
+
+    /// The extra bits the run's matches carry, from the histograms: each
+    /// length and distance symbol fixes its count.
+    fn extra_bits(&self) -> u64 {
+        let bits = |freqs: &[u64], table: &[(u16, u8)]| -> u64 {
+            freqs.iter().zip(table).map(|(&f, &(_, extra))| f * u64::from(extra)).sum()
+        };
+        bits(&self.lit[257..], &LENGTH_TABLE) + bits(&self.dist, &DIST_TABLE)
     }
 }
 
@@ -532,9 +650,8 @@ fn split_gain_q16(a: &Symbols, b: &Symbols) -> i64 {
 }
 
 /// Streaming segment encoder: the [`TokenSink`] the LZ77 matcher feeds.
-/// Buffers packed tokens for the open block and keeps its histograms and
-/// extra-bit counts current, so emission needs no extra pass over the
-/// tokens for costing.
+/// Buffers packed tokens for the open block and keeps its histograms
+/// current, so emission needs no extra pass over the tokens for costing.
 ///
 /// Where a block ends is decided every [`SPLIT_CHECK_BYTES`] of source:
 /// the newest chunk's symbols are kept apart from the rest of the open
@@ -542,6 +659,8 @@ fn split_gain_q16(a: &Symbols, b: &Symbols) -> i64 {
 /// code each by over [`SPLIT_GAIN_BITS`], the block ends before the
 /// chunk, which opens the next. Otherwise the chunk joins the block. A
 /// block also ends at [`SEGMENT_BYTES`] and where a gated run begins.
+/// Both rules wait on one count, `next_check`, so a token books its
+/// bytes with one add and one compare.
 struct SegmentEncoder<'a> {
     w: BitWriter,
     data: &'a [u8],
@@ -554,9 +673,13 @@ struct SegmentEncoder<'a> {
     chunk_at: usize,
     /// Source offset where the open block starts.
     seg_start: usize,
-    /// Source bytes covered by the buffered tokens, and by the chunk's.
+    /// Source bytes covered by the buffered tokens, and by those before
+    /// the newest chunk.
     covered: usize,
-    chunk_covered: usize,
+    settled_covered: usize,
+    /// The `covered` at which the chunk fills or the block reaches
+    /// [`SEGMENT_BYTES`], whichever comes first.
+    next_check: usize,
     /// Block reached SEGMENT_BYTES: flush before the next token so
     /// the final block (whatever its size) carries BFINAL.
     boundary: bool,
@@ -568,11 +691,12 @@ struct SegmentEncoder<'a> {
 }
 
 impl<'a> SegmentEncoder<'a> {
-    fn new(data: &'a [u8]) -> Self {
+    /// An encoder whose stream follows the bytes `out` holds.
+    fn new(data: &'a [u8], out: Vec<u8>) -> Self {
         SegmentEncoder {
             // No block costs more than storing it would: 5 bytes and an
             // alignment per stored chunk. A reservation, not a limit.
-            w: BitWriter::with_capacity(data.len() + data.len() / 1024 + 64),
+            w: BitWriter::after(out, data.len() + data.len() / 1024 + 64),
             data,
             tokens: Vec::with_capacity(data.len().min(SEGMENT_BYTES)),
             settled: Symbols::EMPTY,
@@ -580,7 +704,8 @@ impl<'a> SegmentEncoder<'a> {
             chunk_at: 0,
             seg_start: 0,
             covered: 0,
-            chunk_covered: 0,
+            settled_covered: 0,
+            next_check: SPLIT_CHECK_BYTES,
             boundary: false,
             ended: false,
             #[cfg(test)]
@@ -595,24 +720,33 @@ impl<'a> SegmentEncoder<'a> {
         }
     }
 
-    /// Books `n` source bytes the last token covered: the split rule
-    /// runs where a chunk fills, the cap where the block does.
+    /// Books `n` source bytes the last token covered.
     #[inline]
     fn took(&mut self, n: usize) {
         self.covered += n;
-        self.chunk_covered += n;
-        if self.chunk_covered >= SPLIT_CHECK_BYTES {
+        if self.covered >= self.next_check {
+            self.check();
+        }
+    }
+
+    /// Runs the split rule where the newest chunk has filled and the cap
+    /// where the block has, then sets the count the next check waits on.
+    fn check(&mut self) {
+        if self.covered - self.settled_covered >= SPLIT_CHECK_BYTES {
             self.settle_chunk();
         }
-        if self.covered >= SEGMENT_BYTES {
-            self.boundary = true;
-        }
+        self.boundary = self.covered >= SEGMENT_BYTES;
+        self.next_check = if self.boundary {
+            usize::MAX
+        } else {
+            (self.settled_covered + SPLIT_CHECK_BYTES).min(SEGMENT_BYTES)
+        };
     }
 
     /// Ends the open block before its full chunk if the chunk's own
     /// table pays for a header; joins the chunk to the block otherwise.
     fn settle_chunk(&mut self) {
-        let settled_covered = self.covered - self.chunk_covered;
+        let settled_covered = self.settled_covered;
         if settled_covered > 0
             && split_gain_q16(&self.settled, &self.chunk) > (SPLIT_GAIN_BITS << 16) as i64
         {
@@ -620,14 +754,14 @@ impl<'a> SegmentEncoder<'a> {
             self.emit(&mut settled, self.chunk_at, settled_covered, false);
             self.tokens.drain(..self.chunk_at);
             self.seg_start += settled_covered;
-            self.covered = self.chunk_covered;
+            self.covered -= settled_covered;
             std::mem::swap(&mut self.settled, &mut self.chunk);
         } else {
             self.settled.add(&self.chunk);
             self.chunk = Symbols::EMPTY;
         }
         self.chunk_at = self.tokens.len();
-        self.chunk_covered = 0;
+        self.settled_covered = self.covered;
     }
 
     /// Emits the buffered block as the cheapest block type. An empty
@@ -641,7 +775,8 @@ impl<'a> SegmentEncoder<'a> {
         self.emit(&mut all, self.tokens.len(), self.covered, bfinal);
         self.seg_start += self.covered;
         self.covered = 0;
-        self.chunk_covered = 0;
+        self.settled_covered = 0;
+        self.next_check = SPLIT_CHECK_BYTES;
         self.chunk_at = 0;
         self.boundary = false;
         self.tokens.clear();
@@ -655,8 +790,9 @@ impl<'a> SegmentEncoder<'a> {
         let src = &self.data[self.seg_start..self.seg_start + len];
         let tokens = &self.tokens[..ntokens];
         let plan = plan_dynamic(&sym.lit, &sym.dist);
+        let extra_bits = sym.extra_bits();
         let body_cost = |lit_lens: &[u8], dist_lens: &[u8]| {
-            body_cost_from_freqs(&sym.lit, &sym.dist, sym.extra_bits, lit_lens, dist_lens)
+            body_cost_from_freqs(&sym.lit, &sym.dist, extra_bits, lit_lens, dist_lens)
         };
         let dynamic_cost = 3 + plan.header_bits as u64 + body_cost(&plan.lit_lens, &plan.dist_lens);
         let fixed_cost = 3 + body_cost(&FIXED_LITLEN, &FIXED_DIST);
@@ -665,9 +801,9 @@ impl<'a> SegmentEncoder<'a> {
         if stored_cost < dynamic_cost && stored_cost < fixed_cost {
             write_stored_chunks(&mut self.w, src, bfinal);
         } else if fixed_cost <= dynamic_cost {
-            write_fixed_block(&mut self.w, tokens, bfinal);
+            write_fixed_block(&mut self.w, tokens, src, bfinal);
         } else {
-            write_dynamic_block(&mut self.w, &plan, tokens, bfinal);
+            write_dynamic_block(&mut self.w, &plan, tokens, src, bfinal);
         }
         #[cfg(test)]
         self.block_ends.push(self.seg_start + len);
@@ -691,24 +827,26 @@ impl<'a> SegmentEncoder<'a> {
 }
 
 impl TokenSink for SegmentEncoder<'_> {
+    /// `byte` is the source's next byte: the token records a run of one.
     #[inline]
     fn literal(&mut self, byte: u8) {
         self.pre_token();
-        self.tokens.push(u32::from(byte));
+        self.tokens.push(1);
         self.chunk.lit[byte as usize] += 1;
         self.took(1);
     }
 
-    /// Bulk literal run: one boundary check per piece instead of per
-    /// byte. Cutting the run where the chunk or the block fills
-    /// reproduces the per-byte cuts exactly.
+    /// Bulk literal run: one token and one boundary check per piece
+    /// instead of per byte. Cutting the run where the chunk or the
+    /// block fills reproduces the per-byte cuts exactly.
     fn literals(&mut self, bytes: &[u8]) {
         let mut rest = bytes;
         while !rest.is_empty() {
             self.pre_token();
-            let room = (SEGMENT_BYTES - self.covered).min(SPLIT_CHECK_BYTES - self.chunk_covered);
+            let room = self.next_check - self.covered;
             let (now, later) = rest.split_at(rest.len().min(room));
-            self.tokens.extend(now.iter().map(|&b| u32::from(b)));
+            // A piece is at most a chunk, so its length fits the token.
+            self.tokens.push(now.len() as u32);
             for &b in now {
                 self.chunk.lit[b as usize] += 1;
             }
@@ -720,17 +858,10 @@ impl TokenSink for SegmentEncoder<'_> {
     #[inline]
     fn backref(&mut self, len: u32, dist: u32) {
         self.pre_token();
-        self.tokens.push(TOKEN_MATCH | ((len - 3) << 16) | (dist - 1));
-        let (li, le, _) = LEN_CODE[(len as usize) - 3];
-        let d = dist as usize;
-        let di = if d <= 256 {
-            DIST_SYM_LO[d - 1] as usize
-        } else {
-            DIST_SYM_HI[(d - 1) >> 7] as usize
-        };
-        self.chunk.lit[257 + li as usize] += 1;
+        let di = dist_code(dist as usize);
+        self.tokens.push(TOKEN_MATCH | (di as u32) << 24 | ((len - 3) << 16) | (dist - 1));
+        self.chunk.lit[257 + LEN_CODE[len as usize - 3].0 as usize] += 1;
         self.chunk.dist[di] += 1;
-        self.chunk.extra_bits += u64::from(le) + u64::from(DIST_TABLE[di].1);
         self.took(len as usize);
     }
 }
@@ -742,20 +873,28 @@ impl TokenSink for SegmentEncoder<'_> {
 /// the matcher; everything else (the tail shorter than a block
 /// included) is matched, with the window — noise and all — behind it.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
+    compress_after(Vec::new(), data, level)
+}
+
+/// [`compress`] behind the bytes `out` already holds — a container's
+/// header — in the one buffer, so the stream is never copied into its
+/// container.
+pub(crate) fn compress_after(out: Vec<u8>, data: &[u8], level: Level) -> Vec<u8> {
     let Some(mut matcher) = Matcher::new(level) else {
-        let mut w = BitWriter::with_capacity(data.len() + 5 * data.len().div_ceil(65_535).max(1));
+        let mut w = BitWriter::after(out, data.len() + 5 * data.len().div_ceil(65_535).max(1));
         write_stored_chunks(&mut w, data, true);
         return w.finish();
     };
     // The matcher's chains are freed after `finish`, not before: the
     // other order leaves glibc trimming the heap on every call, and the
     // next call's stored runs fault their pages back in.
-    encode(data, &mut matcher).finish()
+    encode(out, data, &mut matcher).finish()
 }
 
-/// Walks `data` in gate runs into a segment encoder, stored or matched.
-fn encode<'a>(data: &'a [u8], matcher: &mut Matcher) -> SegmentEncoder<'a> {
-    let mut enc = SegmentEncoder::new(data);
+/// Walks `data` in gate runs into a segment encoder writing behind
+/// `out`, stored or matched.
+fn encode<'a>(out: Vec<u8>, data: &'a [u8], matcher: &mut Matcher) -> SegmentEncoder<'a> {
+    let mut enc = SegmentEncoder::new(data, out);
     let noise_at = |at: usize| data.get(at..at + GATE_BLOCK).is_some_and(is_noise);
     let (mut at, mut noise) = (0, noise_at(0));
     while at < data.len() {
@@ -822,19 +961,25 @@ mod tests {
         }
     }
 
+    fn rle_of(lens: &[u8]) -> Vec<(u8, u8, u8)> {
+        let mut out = [(0, 0, 0); MAX_RLE];
+        let n = rle_code_lengths(lens, &mut out);
+        out[..n].to_vec()
+    }
+
     #[test]
     fn rle_encodes_runs() {
         // 20 zeros -> one code-18 run (11-138).
-        let rle = rle_code_lengths(&[0u8; 20]);
+        let rle = rle_of(&[0u8; 20]);
         assert_eq!(rle, vec![(18, 7, 9)]);
         // value then repeat-previous.
-        let rle = rle_code_lengths(&[5u8; 5]);
+        let rle = rle_of(&[5u8; 5]);
         assert_eq!(rle, vec![(5, 0, 0), (16, 2, 1)]);
         // Short zero runs use 17.
-        let rle = rle_code_lengths(&[0u8; 4]);
+        let rle = rle_of(&[0u8; 4]);
         assert_eq!(rle, vec![(17, 3, 1)]);
         // Sub-3 runs are emitted verbatim.
-        let rle = rle_code_lengths(&[7, 7]);
+        let rle = rle_of(&[7, 7]);
         assert_eq!(rle, vec![(7, 0, 0), (7, 0, 0)]);
     }
 
@@ -865,14 +1010,14 @@ mod tests {
                 _ => 12,
             })
             .collect();
-        assert_eq!(rle_expand(&rle_code_lengths(&lens)), lens);
+        assert_eq!(rle_expand(&rle_of(&lens)), lens);
         let sparse = {
             let mut v = vec![0u8; 286];
             v[0] = 1;
             v[255] = 1;
             v
         };
-        assert_eq!(rle_expand(&rle_code_lengths(&sparse)), sparse);
+        assert_eq!(rle_expand(&rle_of(&sparse)), sparse);
     }
 
     #[test]
@@ -926,7 +1071,8 @@ mod tests {
         for (num, den) in [(1usize, 5usize), (9, 2)] {
             let ramp: Vec<u8> = (0..GATE_BLOCK).map(|i| (i * num / den) as u8).collect();
             let block: &[u8; GATE_BLOCK] = ramp.as_slice().try_into().unwrap();
-            assert!(order0_flat(block) && !is_noise(&ramp), "slope {num}/{den}");
+            let flat = byte_lanes(block).is_some_and(|lanes| order0_flat(&lanes));
+            assert!(flat && !is_noise(&ramp), "slope {num}/{den}");
         }
         // Flat but for one value on a sixteenth of the block — the
         // least skew the log table does not cover — is already under it.
@@ -935,6 +1081,21 @@ mod tests {
         assert!(!is_noise(&skewed));
         let ideal = |p: f64, others: f64| -(p * p.log2() + (1.0 - p) * ((1.0 - p) / others).log2());
         assert!(ideal(GATE_MAX_COUNT as f64 / GATE_BLOCK as f64, 255.0) < 8.0 * GATE_PER_MILLE as f64 / 1000.0);
+    }
+
+    #[test]
+    fn the_step_histogram_is_the_histogram_of_the_differenced_block() {
+        let ramp: Vec<u8> = (0..GATE_BLOCK).map(|i| (i * 9 / 2) as u8).collect();
+        for block in [lcg(GATE_BLOCK, 6), ramp, vec![0x5A; GATE_BLOCK]] {
+            let block: &[u8; GATE_BLOCK] = block.as_slice().try_into().unwrap();
+            let mut steps = *block;
+            for (step, before) in steps[1..].iter_mut().zip(block) {
+                *step = step.wrapping_sub(*before);
+            }
+            let mut want = vec![0usize; 256];
+            steps.iter().for_each(|&b| want[b as usize] += 1);
+            assert_eq!(counts(&step_lanes(block)).collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]
@@ -955,7 +1116,7 @@ mod tests {
 
     #[test]
     fn flushing_an_empty_segment_writes_a_block_only_to_end_the_stream() {
-        let mut enc = SegmentEncoder::new(&[]);
+        let mut enc = SegmentEncoder::new(&[], Vec::new());
         enc.flush(false);
         assert_eq!(enc.w.bit_len(), 0);
         enc.flush(true);
@@ -964,7 +1125,7 @@ mod tests {
 
     /// Where each block of `data`'s stream ends, as source offsets.
     fn block_ends(data: &[u8], level: Level) -> Vec<usize> {
-        let mut enc = encode(data, &mut Matcher::new(level).unwrap());
+        let mut enc = encode(Vec::new(), data, &mut Matcher::new(level).unwrap());
         enc.flush(true);
         enc.block_ends
     }

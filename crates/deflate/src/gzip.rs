@@ -15,20 +15,21 @@ const MAGIC: [u8; 2] = [0x1F, 0x8B];
 const CM_DEFLATE: u8 = 8;
 const OS_UNKNOWN: u8 = 255;
 
-/// Compresses `data` into a single-member gzip stream.
+/// Compresses `data` into a single-member gzip stream. The header goes
+/// into the buffer the encoder then writes the body behind, and the
+/// trailer follows the body: the body is never copied.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    let body = deflate::compress(data, level);
-    let mut out = Vec::with_capacity(body.len() + 18);
-    out.extend_from_slice(&MAGIC);
-    out.push(CM_DEFLATE);
-    out.push(0); // FLG: no extra fields
-    out.extend_from_slice(&[0, 0, 0, 0]); // MTIME: unset
-    out.push(match level {
+    let mut header = Vec::with_capacity(10);
+    header.extend_from_slice(&MAGIC);
+    header.push(CM_DEFLATE);
+    header.push(0); // FLG: no extra fields
+    header.extend_from_slice(&[0, 0, 0, 0]); // MTIME: unset
+    header.push(match level {
         Level::Fast | Level::Store => 4,
         Level::Default => 0,
     }); // XFL
-    out.push(OS_UNKNOWN);
-    out.extend_from_slice(&body);
+    header.push(OS_UNKNOWN);
+    let mut out = deflate::compress_after(header, data, level);
     out.extend_from_slice(&crc32(data).to_le_bytes());
     #[expect(clippy::as_conversions, reason = "encoder: ISIZE is the length mod 2^32 (RFC 1952)")]
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());

@@ -1,9 +1,12 @@
 //! Canonical, length-limited Huffman codes.
 //!
 //! * [`code_lengths`] builds optimal length-limited code lengths from
-//!   symbol frequencies with the package-merge algorithm (DEFLATE caps
-//!   literal/length and distance codes at 15 bits, code-length codes at
-//!   7).
+//!   symbol frequencies (DEFLATE caps literal/length and distance codes
+//!   at 15 bits, code-length codes at 7). Huffman's two-queue
+//!   construction gives them in a few microseconds; only a table whose
+//!   Huffman tree is deeper than the limit falls back to package-merge,
+//!   and where the limit does not bind the two agree symbol for symbol,
+//!   so which one ran never shows in the output.
 //! * [`canonical_codes`] assigns the RFC 1951 §3.2.2 canonical codes for
 //!   a set of lengths.
 //! * [`Encoder`] writes symbols to a [`BitWriter`] from a packed
@@ -13,7 +16,9 @@
 //!   rare longer codes, so no decode ever walks bits one at a time.
 //!   Each entry carries what its code means in its alphabet: a
 //!   literal, end-of-block, or a length/distance base and its extra-bit
-//!   count.
+//!   count. A stream's dynamic blocks rebuild one set of decoders in
+//!   place (`Decoder::rebuild`), and the encoder side plans in fixed
+//!   arrays, so a block's tables allocate nothing.
 
 // Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
@@ -22,16 +27,132 @@
 
 use crate::bitio::{reverse_bits, BitReader, BitWriter};
 use crate::DeflateError;
+use std::sync::OnceLock;
 
 /// Maximum code length DEFLATE permits for literal/distance alphabets.
 pub const MAX_BITS: u32 = 15;
 
-/// Computes optimal length-limited code lengths via package-merge.
+/// Code lengths 0..=[`MAX_BITS`]: the size of a table counted by length.
+const LENGTHS: usize = 16;
+
+/// The most symbols an alphabet here has: the fixed literal/length
+/// code's 288. Encoder and decoder tables are arrays of this size.
+pub const MAX_SYMBOLS: usize = 288;
+
+/// Computes optimal length-limited code lengths into `lengths`, one per
+/// entry of `freqs` (at most [`MAX_SYMBOLS`] of them).
 ///
 /// `freqs[s]` is the occurrence count of symbol `s`; symbols with zero
 /// frequency get length 0 (absent). A single active symbol gets length 1
 /// (DEFLATE cannot express 0-bit codes). Panics if the number of active
 /// symbols exceeds `2^max_len` (impossible for DEFLATE alphabets).
+///
+/// Huffman's two-queue construction runs first: the leaves sorted by
+/// (weight, symbol), merged nodes queued in the order they are made
+/// (which is weight order), each merge taking the two lightest heads, a
+/// merged node ahead of a leaf of the same weight. The tree fixes how
+/// many codes each length has; the lengths then go out by rank, the
+/// lightest leaf longest. Only a tree deeper than `max_len` runs
+/// [`package_merge`] instead. Where the limit does not bind, both give
+/// the same lengths, ties included (`tests::reference_code_lengths` is
+/// the oracle), so which one ran never shows in the output.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::as_conversions,
+    clippy::missing_panics_doc,
+    reason = "encoder: a Huffman tree over this build's own symbol counts; every index is below \
+              the number of active symbols, itself at most MAX_SYMBOLS"
+)]
+pub fn code_lengths(freqs: &[u64], max_len: u32, lengths: &mut [u8]) {
+    assert!(freqs.len() <= MAX_SYMBOLS && lengths.len() == freqs.len(), "alphabet size");
+    lengths.fill(0);
+    // (weight << 9 | symbol), lightest first, ties by symbol.
+    let mut keys = [0u64; MAX_SYMBOLS];
+    let mut m = 0;
+    let mut heaviest = 0;
+    for (s, &f) in freqs.iter().enumerate() {
+        if f > 0 {
+            keys[m] = f << 9 | s as u64;
+            heaviest = heaviest.max(f);
+            m += 1;
+        }
+    }
+    if m < 2 {
+        if m == 1 {
+            lengths[(keys[0] & 0x1FF) as usize] = 1;
+        }
+        return;
+    }
+    let deepest = max_len.min(MAX_BITS) as usize;
+    if heaviest >= 1 << 55 || !huffman_lengths(&mut keys[..m], deepest, lengths) {
+        lengths.copy_from_slice(&package_merge(freqs, max_len));
+    }
+    debug_assert!(lengths.iter().all(|&l| l as u32 <= max_len));
+}
+
+/// The two-queue Huffman construction over `keys` (`weight << 9 |
+/// symbol`, weights under 2^55): writes each symbol's length and
+/// returns `true`, or returns `false` with `lengths` untouched if the
+/// tree is deeper than `deepest`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::as_conversions,
+    reason = "encoder: every index is a rank or a merge number below keys.len() <= MAX_SYMBOLS"
+)]
+fn huffman_lengths(keys: &mut [u64], deepest: usize, lengths: &mut [u8]) -> bool {
+    keys.sort_unstable();
+    let m = keys.len();
+    let weight = |key: u64| key >> 9;
+    // Merge k makes node k; `merged` is the second queue, and each
+    // leaf (by rank) and node records the merge that took it.
+    let mut merged = [0u64; MAX_SYMBOLS];
+    let mut leaf_parent = [0u16; MAX_SYMBOLS];
+    let mut node_parent = [0u16; MAX_SYMBOLS];
+    let (mut leaf, mut node) = (0, 0);
+    for k in 0..m - 1 {
+        let mut sum = 0;
+        for _ in 0..2 {
+            // A merged node goes ahead of a leaf of the same weight.
+            if node < k && (leaf == m || merged[node] <= weight(keys[leaf])) {
+                sum += merged[node];
+                node_parent[node] = k as u16;
+                node += 1;
+            } else {
+                sum += weight(keys[leaf]);
+                leaf_parent[leaf] = k as u16;
+                leaf += 1;
+            }
+        }
+        merged[k] = sum;
+    }
+    // Depths from the root (the last merge) down; a parent is always
+    // made after its children.
+    let mut depth = [0u16; MAX_SYMBOLS];
+    for k in (0..m - 2).rev() {
+        depth[k] = depth[node_parent[k] as usize] + 1;
+    }
+    let mut count = [0u16; LENGTHS];
+    for &parent in &leaf_parent[..m] {
+        let d = usize::from(depth[usize::from(parent)]) + 1;
+        if d > deepest {
+            return false;
+        }
+        count[d] += 1;
+    }
+    // Lengths by rank: the lightest leaves take the longest codes.
+    let mut len = deepest;
+    for &key in keys.iter() {
+        while count[len] == 0 {
+            len -= 1;
+        }
+        count[len] -= 1;
+        lengths[(key & 0x1FF) as usize] = len as u8;
+    }
+    true
+}
+
+/// Optimal length-limited code lengths by package-merge, for the tables
+/// whose Huffman tree is deeper than the limit.
 ///
 /// O(m·L) for `m` active symbols and limit `L`: a level keeps, per item
 /// of its merged list, only whether it is a leaf or a package — leaves
@@ -46,7 +167,7 @@ pub const MAX_BITS: u32 = 15;
     reason = "encoder: package-merge over this build's own symbol counts; every index is below \
               a length the loop itself set"
 )]
-pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
+fn package_merge(freqs: &[u64], max_len: u32) -> Vec<u8> {
     // (weight, symbol), lightest first, ties by symbol.
     let mut leaves: Vec<(u64, usize)> =
         freqs.iter().enumerate().filter(|&(_, &f)| f > 0).map(|(s, &f)| (f, s)).collect();
@@ -121,44 +242,35 @@ pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
     lengths
 }
 
-/// Assigns canonical codes (RFC 1951 §3.2.2) for the given lengths.
-/// Returns one code per symbol (0 where the length is 0).
-pub fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let max = usize::from(lengths.iter().copied().max().unwrap_or(0));
-    let mut bl_count = vec![0u32; max + 1];
+/// Assigns canonical codes (RFC 1951 §3.2.2) for the given lengths:
+/// `codes[s]` for each symbol `s` both slices hold, 0 where the length
+/// is 0 or above [`MAX_BITS`].
+pub fn canonical_codes(lengths: &[u8], codes: &mut [u32]) {
+    let mut bl_count = [0u32; LENGTHS];
     for &l in lengths {
         if l > 0 {
-            // `l <= max` by construction of `max`.
             if let Some(c) = bl_count.get_mut(usize::from(l)) {
                 *c += 1;
             }
         }
     }
-    let mut next_code = vec![0u32; max + 2];
+    // next_code[bits] = (next_code[bits - 1] + bl_count[bits - 1]) << 1.
+    let mut next_code = [0u32; LENGTHS];
     let mut code = 0u32;
-    for bits in 1..=max {
-        code = (code + bl_count.get(bits - 1).copied().unwrap_or(0)) << 1;
-        if let Some(slot) = next_code.get_mut(bits) {
-            *slot = code;
-        }
+    for (next, &count) in next_code.iter_mut().skip(1).zip(&bl_count) {
+        code = (code + count) << 1;
+        *next = code;
     }
-    lengths
-        .iter()
-        .map(|&l| {
-            if l == 0 {
-                0
-            } else {
-                match next_code.get_mut(usize::from(l)) {
-                    Some(c) => {
-                        let v = *c;
-                        *c += 1;
-                        v
-                    }
-                    None => 0,
-                }
+    for (c, &l) in codes.iter_mut().zip(lengths) {
+        *c = match next_code.get_mut(usize::from(l)) {
+            Some(next) if l > 0 => {
+                let v = *next;
+                *next += 1;
+                v
             }
-        })
-        .collect()
+            _ => 0,
+        };
+    }
 }
 
 /// Kraft sum check: `Ok(true)` for complete codes, `Ok(false)` for
@@ -188,7 +300,7 @@ pub fn check_kraft(lengths: &[u8]) -> Result<bool, DeflateError> {
 /// write is a single load, shift, and [`BitWriter::write_bits`].
 #[derive(Debug, Clone)]
 pub struct Encoder {
-    entries: Vec<u32>,
+    entries: [u32; MAX_SYMBOLS],
 }
 
 #[expect(
@@ -198,20 +310,16 @@ pub struct Encoder {
               accounting bug, not a data error"
 )]
 impl Encoder {
-    /// Builds an encoder from code lengths.
+    /// Builds an encoder from code lengths (at most [`MAX_SYMBOLS`]).
     pub fn from_lengths(lengths: &[u8]) -> Self {
-        let codes = canonical_codes(lengths);
-        let entries = codes
-            .iter()
-            .zip(lengths)
-            .map(|(&c, &l)| {
-                if l == 0 {
-                    0
-                } else {
-                    reverse_bits(c, u32::from(l)) | (u32::from(l) << 24)
-                }
-            })
-            .collect();
+        let mut codes = [0u32; MAX_SYMBOLS];
+        canonical_codes(lengths, &mut codes);
+        let mut entries = [0u32; MAX_SYMBOLS];
+        for ((e, &c), &l) in entries.iter_mut().zip(&codes).zip(lengths) {
+            if l != 0 {
+                *e = reverse_bits(c, u32::from(l)) | (u32::from(l) << 24);
+            }
+        }
         Encoder { entries }
     }
 
@@ -281,6 +389,21 @@ pub(crate) enum Alphabet {
 }
 
 impl Alphabet {
+    /// Every symbol's entry without its code length, built once per
+    /// process: a table build reads them instead of working each out.
+    fn entries(self) -> &'static [u32; MAX_SYMBOLS] {
+        static TABLES: OnceLock<[[u32; MAX_SYMBOLS]; 3]> = OnceLock::new();
+        let [symbols, litlen, distance] = TABLES.get_or_init(|| {
+            [Alphabet::Symbols, Alphabet::LitLen, Alphabet::Distance]
+                .map(|a| std::array::from_fn(|s| a.entry(s).unwrap_or(0)))
+        });
+        match self {
+            Alphabet::Symbols => symbols,
+            Alphabet::LitLen => litlen,
+            Alphabet::Distance => distance,
+        }
+    }
+
     /// The entry for symbol `s` without its code length.
     fn entry(self, s: usize) -> Result<u32, DeflateError> {
         use crate::deflate::{DIST_TABLE, LENGTH_TABLE};
@@ -320,7 +443,7 @@ impl Alphabet {
 ///   sub_bits`, `SUB_FLAG` bit 8, where the subtable holds `1 <<
 ///   sub_bits` direct entries indexed by the bits above the primary 9;
 /// * 0: no code with this prefix (invalid stream).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Decoder {
     table: Vec<u32>,
 }
@@ -336,25 +459,48 @@ impl Decoder {
     /// accepted (DEFLATE permits single-code distance trees); decoding
     /// an unassigned code errors at read time.
     pub(crate) fn with_alphabet(lengths: &[u8], alphabet: Alphabet) -> Result<Self, DeflateError> {
+        let mut decoder = Decoder::default();
+        decoder.rebuild(lengths, alphabet)?;
+        Ok(decoder)
+    }
+
+    /// [`Decoder::with_alphabet`] in this decoder's own storage: a
+    /// stream's dynamic blocks each rebuild the tables the block before
+    /// them used, and allocate only where a table outgrows them all. On
+    /// error the decoder decodes nothing reliably until rebuilt.
+    pub(crate) fn rebuild(
+        &mut self,
+        lengths: &[u8],
+        alphabet: Alphabet,
+    ) -> Result<(), DeflateError> {
         // check_kraft also rejects any length above MAX_BITS, so every
         // shift below is in range.
         check_kraft(lengths)?;
-        let codes = canonical_codes(lengths);
-        let mut table = vec![0u32; 1 << FAST_BITS];
+        if lengths.len() > MAX_SYMBOLS {
+            return Err(DeflateError::BadHuffmanTable("alphabet too large"));
+        }
+        let mut codes = [0u32; MAX_SYMBOLS];
+        canonical_codes(lengths, &mut codes);
+        let entries = alphabet.entries();
+        let table = &mut self.table;
+        table.clear();
+        table.resize(1 << FAST_BITS, 0);
 
         // Direct entries: replicate each short code across every index
         // whose low `len` bits equal the bit-reversed code.
-        for (s, (&l, &code)) in lengths.iter().zip(&codes).enumerate() {
+        for ((&l, &code), &entry) in lengths.iter().zip(&codes).zip(entries) {
             let l = u32::from(l);
             if l == 0 || l > FAST_BITS {
                 continue;
             }
-            let entry = alphabet.entry(s)? | l;
             let rev = crate::usize_from_u32(reverse_bits(code, l));
             let step = 1usize << l;
             for slot in table.iter_mut().skip(rev).step_by(step) {
-                *slot = entry;
+                *slot = entry | l;
             }
+        }
+        if lengths.iter().all(|&l| u32::from(l) <= FAST_BITS) {
+            return Ok(());
         }
 
         // Long codes: group by their 9-bit primary prefix. First pass
@@ -387,7 +533,7 @@ impl Decoder {
         }
         // Second pass fills the subtable entries, replicating each code
         // across the indexes matching its suffix bits.
-        for (s, (&l, &code)) in lengths.iter().zip(&codes).enumerate() {
+        for ((&l, &code), &entry) in lengths.iter().zip(&codes).zip(entries) {
             let l = u32::from(l);
             if l <= FAST_BITS {
                 continue;
@@ -399,7 +545,7 @@ impl Decoder {
                 .get(prefix)
                 .map(|&e| crate::usize_from_u32(e >> 16))
                 .unwrap_or(0);
-            let entry = alphabet.entry(s)? | l;
+            let entry = entry | l;
             let suffix = rev >> FAST_BITS;
             let step = 1usize << (l - FAST_BITS);
             let span = 1usize << u32::from(head);
@@ -411,7 +557,7 @@ impl Decoder {
                 at += step;
             }
         }
-        Ok(Decoder { table })
+        Ok(())
     }
 
     /// The direct entry for the code at the bottom of `bits`, which
@@ -459,6 +605,20 @@ mod tests {
     use super::*;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
+
+    /// [`code_lengths`] into a fresh `Vec`.
+    pub(super) fn lengths_of(freqs: &[u64], max_len: u32) -> Vec<u8> {
+        let mut lengths = vec![0u8; freqs.len()];
+        code_lengths(freqs, max_len, &mut lengths);
+        lengths
+    }
+
+    /// [`canonical_codes`] into a fresh `Vec`.
+    fn codes_of(lengths: &[u8]) -> Vec<u32> {
+        let mut codes = vec![0u32; lengths.len()];
+        canonical_codes(lengths, &mut codes);
+        codes
+    }
 
     /// The package-merge this crate shipped before the O(m·L) form, kept
     /// as the oracle: every node carries the list of leaves under it and
@@ -542,7 +702,7 @@ mod tests {
         ) {
             for (symbols, max_len) in [(286usize, 15u32), (30, 15), (19, 7)] {
                 let freqs = table(&raw, symbols, shape, zero_every);
-                let got = code_lengths(&freqs, max_len);
+                let got = lengths_of(&freqs, max_len);
                 prop_assert_eq!(&got, &reference_code_lengths(&freqs, max_len), "{:?}", &freqs);
                 prop_assert!(got.iter().all(|&l| u32::from(l) <= max_len));
             }
@@ -552,7 +712,7 @@ mod tests {
     #[test]
     fn lengths_equal_the_reference_where_the_limit_binds_and_at_the_edges() {
         let same = |freqs: &[u64], max_len: u32| {
-            let got = code_lengths(freqs, max_len);
+            let got = lengths_of(freqs, max_len);
             assert_eq!(got, reference_code_lengths(freqs, max_len), "{freqs:?} under {max_len}");
             got
         };
@@ -581,24 +741,69 @@ mod tests {
         same(&[7; 19], 7);
     }
 
+    /// Whether [`code_lengths`] takes the two-queue construction for
+    /// `freqs` rather than falling back to package-merge.
+    fn two_queue_fits(freqs: &[u64], max_len: u32) -> bool {
+        let active = freqs.iter().enumerate().filter(|&(_, &f)| f > 0);
+        let mut keys: Vec<u64> = active.map(|(s, &f)| f << 9 | s as u64).collect();
+        huffman_lengths(&mut keys, max_len.min(MAX_BITS) as usize, &mut vec![0; freqs.len()])
+    }
+
+    /// Tie-heavy tables — all weights equal, powers of two, Fibonacci,
+    /// mostly zeros — at both limits DEFLATE uses: every symbol gets the
+    /// length package-merge gives it, whichever construction ran, and
+    /// both constructions run.
+    #[test]
+    fn two_queue_lengths_equal_package_merge_on_tie_heavy_tables() {
+        let fib = |k: usize| (0..k % 48).fold((1u64, 1u64), |(a, b), _| (b, a + b)).0;
+        let mut tables: Vec<Vec<u64>> = Vec::new();
+        for n in [2usize, 3, 4, 5, 8, 19, 30, 64, 286] {
+            tables.push(vec![7; n]);
+            tables.push((0..n).map(|s| 1 << (s % 12)).collect());
+            tables.push((0..n).map(|s| 1 << (11 - s % 12)).collect());
+            tables.push((0..n).map(|s| 1 << (s % 3)).collect());
+            tables.push((0..n).map(fib).collect());
+            tables.push((0..n).map(|s| fib(n - s)).collect());
+            tables.push((0..n).map(|s| if s % 3 == 0 { fib(s) } else { 0 }).collect());
+            tables.push((0..n).map(|s| if s % 5 == 0 { 3 } else { 0 }).collect());
+            tables.push((0..n).map(|s| [1, 1, 2, 2, 4, 4, 0][s % 7]).collect());
+        }
+        let (mut fast, mut fallback) = (0, 0);
+        for freqs in &tables {
+            for max_len in [7u32, 15] {
+                let active = freqs.iter().filter(|&&f| f > 0).count();
+                if active as u64 > 1 << max_len {
+                    continue;
+                }
+                let got = lengths_of(freqs, max_len);
+                let want = reference_code_lengths(freqs, max_len);
+                assert_eq!(got, want, "{freqs:?} under {max_len}");
+                if active >= 2 {
+                    *if two_queue_fits(freqs, max_len) { &mut fast } else { &mut fallback } += 1;
+                }
+            }
+        }
+        assert!(fast >= 20 && fallback >= 10, "two-queue {fast}, package-merge {fallback}");
+    }
+
     #[test]
     fn canonical_codes_rfc_example() {
         // RFC 1951 §3.2.2 example: lengths (3,3,3,3,3,2,4,4) ->
         // codes 010,011,100,101,110,00,1110,1111.
         let lengths = [3u8, 3, 3, 3, 3, 2, 4, 4];
-        let codes = canonical_codes(&lengths);
+        let codes = codes_of(&lengths);
         assert_eq!(codes, vec![0b010, 0b011, 0b100, 0b101, 0b110, 0b00, 0b1110, 0b1111]);
     }
 
     #[test]
     fn lengths_of_uniform_freqs_are_balanced() {
-        let lens = code_lengths(&[10; 8], 15);
+        let lens = lengths_of(&[10; 8], 15);
         assert!(lens.iter().all(|&l| l == 3));
     }
 
     #[test]
     fn skewed_freqs_get_short_codes() {
-        let lens = code_lengths(&[1000, 1, 1, 1], 15);
+        let lens = lengths_of(&[1000, 1, 1, 1], 15);
         assert_eq!(lens[0], 1);
         assert!(lens[1] >= 2 && lens[2] >= 2 && lens[3] >= 2);
         assert!(check_kraft(&lens).unwrap(), "must be complete");
@@ -618,7 +823,7 @@ mod tests {
             b = c;
         }
         for limit in [5u32, 7, 15] {
-            let lens = code_lengths(&freqs, limit);
+            let lens = lengths_of(&freqs, limit);
             assert!(lens.iter().all(|&l| l as u32 <= limit), "limit {limit}: {lens:?}");
             assert!(check_kraft(&lens).unwrap(), "limit {limit} must yield a complete code");
         }
@@ -626,8 +831,8 @@ mod tests {
 
     #[test]
     fn zero_and_single_symbol_cases() {
-        assert_eq!(code_lengths(&[0, 0, 0], 15), vec![0, 0, 0]);
-        assert_eq!(code_lengths(&[0, 7, 0], 15), vec![0, 1, 0]);
+        assert_eq!(lengths_of(&[0, 0, 0], 15), vec![0, 0, 0]);
+        assert_eq!(lengths_of(&[0, 7, 0], 15), vec![0, 1, 0]);
     }
 
     #[test]
@@ -635,7 +840,7 @@ mod tests {
         // freqs 1,1,2,3,5: optimal Huffman lengths 4,4,3,2,1 (or any
         // permutation with the same multiset), total cost 1*4+1*4+2*3+3*2+5*1 = 25.
         let freqs = [1u64, 1, 2, 3, 5];
-        let lens = code_lengths(&freqs, 15);
+        let lens = lengths_of(&freqs, 15);
         let cost: u64 = freqs.iter().zip(&lens).map(|(&f, &l)| f * l as u64).sum();
         assert_eq!(cost, 25, "lengths {lens:?}");
     }
@@ -643,7 +848,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let freqs: Vec<u64> = (1..=40).map(|i| i * i).collect();
-        let lens = code_lengths(&freqs, 15);
+        let lens = lengths_of(&freqs, 15);
         let enc = Encoder::from_lengths(&lens);
         let dec = Decoder::from_lengths(&lens).unwrap();
         let symbols: Vec<usize> = (0..40).chain((0..40).rev()).chain([39, 0, 17]).collect();
@@ -692,7 +897,7 @@ mod tests {
             *l = 7;
         }
         assert!(check_kraft(&lens).unwrap());
-        let codes = canonical_codes(&lens);
+        let codes = codes_of(&lens);
         assert_eq!(codes[0], 0b0011_0000); // literal 0 -> 00110000
         assert_eq!(codes[256], 0); // end-of-block -> 0000000
         assert_eq!(codes[280], 0b1100_0000);
@@ -701,6 +906,7 @@ mod tests {
 
 #[cfg(test)]
 mod fast_path_tests {
+    use super::tests::lengths_of;
     use super::*;
     use crate::bitio::{BitReader, BitWriter};
 
@@ -717,7 +923,7 @@ mod fast_path_tests {
             a = b;
             b = c;
         }
-        code_lengths(&freqs, 15)
+        lengths_of(&freqs, 15)
     }
 
     #[test]

@@ -124,14 +124,15 @@ fn walk<O: Output>(
     // The output length at which the call has exceeded its cap.
     let stop = start.saturating_add(max_output).saturating_add(1);
     let mut pos = start;
+    let mut tables = DynamicTables::default();
     loop {
         let last = r.read_bits(1)? == 1;
         let block_ended = match r.read_bits(2)? {
             0 => stored_block(r, out, &mut pos, stop)?,
             1 => decode_symbols(r, fixed_decoders()?, out, start, &mut pos, stop)?,
             2 => {
-                let (lit, dist) = read_dynamic_tables(r)?;
-                decode_symbols(r, (&lit, &dist), out, start, &mut pos, stop)?
+                tables.read(r)?;
+                decode_symbols(r, (&tables.lit, &tables.dist), out, start, &mut pos, stop)?
             }
             _ => return Err(DeflateError::BadBlockType),
         };
@@ -412,56 +413,71 @@ fn fixed_decoders() -> Result<(&'static Decoder, &'static Decoder), DeflateError
     cached.as_ref().map(|(lit, dist)| (lit, dist)).map_err(DeflateError::clone)
 }
 
-/// Reads a dynamic block's header and builds the block's
-/// (literal/length, distance) decode tables from the code lengths it
-/// carries.
-fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), DeflateError> {
-    let hlit = r.read_bits_usize(5)? + 257;
-    let hdist = r.read_bits_usize(5)? + 1;
-    let hclen = r.read_bits_usize(4)? + 4;
-    if hlit > 286 || hdist > 30 {
-        return Err(DeflateError::BadHuffmanTable("HLIT/HDIST out of range"));
-    }
-    let mut cl_lens = [0u8; 19];
-    for &ord in CLCODE_ORDER.iter().take(hclen) {
-        // A 3-bit read is < 8 and CLCODE_ORDER entries are < 19 by
-        // construction, so neither access can fail.
-        let bits = u8::try_from(r.read_bits(3)?).unwrap_or(0);
-        if let Some(slot) = cl_lens.get_mut(ord) {
-            *slot = bits;
-        }
-    }
-    let cl = Decoder::from_lengths(&cl_lens)?;
+/// A dynamic block's decode tables. One set serves a stream's every
+/// dynamic block: each block's header rebuilds them in their own
+/// storage.
+#[derive(Default)]
+struct DynamicTables {
+    /// The code-length code the header's lengths are coded in.
+    cl: Decoder,
+    lit: Decoder,
+    dist: Decoder,
+}
 
-    let mut lens = Vec::with_capacity(hlit + hdist);
-    while lens.len() < hlit + hdist {
-        match cl.read(r)? {
-            sym @ 0..=15 => lens.push(u8::try_from(sym).unwrap_or(0)),
-            16 => {
-                let &prev =
-                    lens.last().ok_or(DeflateError::BadHuffmanTable("repeat with no previous"))?;
-                let n = r.read_bits_usize(2)? + 3;
-                lens.extend(std::iter::repeat_n(prev, n));
-            }
-            17 => {
-                let n = r.read_bits_usize(3)? + 3;
-                lens.extend(std::iter::repeat_n(0u8, n));
-            }
-            18 => {
-                let n = r.read_bits_usize(7)? + 11;
-                lens.extend(std::iter::repeat_n(0u8, n));
-            }
-            s => return Err(DeflateError::BadSymbol(s)),
+impl DynamicTables {
+    /// Reads a dynamic block's header and rebuilds the (literal/length,
+    /// distance) decode tables from the code lengths it carries.
+    fn read(&mut self, r: &mut BitReader<'_>) -> Result<(), DeflateError> {
+        let hlit = r.read_bits_usize(5)? + 257;
+        let hdist = r.read_bits_usize(5)? + 1;
+        let hclen = r.read_bits_usize(4)? + 4;
+        if hlit > 286 || hdist > 30 {
+            return Err(DeflateError::BadHuffmanTable("HLIT/HDIST out of range"));
         }
+        let mut cl_lens = [0u8; 19];
+        for &ord in CLCODE_ORDER.iter().take(hclen) {
+            // A 3-bit read is < 8 and CLCODE_ORDER entries are < 19 by
+            // construction, so neither access can fail.
+            let bits = u8::try_from(r.read_bits(3)?).unwrap_or(0);
+            if let Some(slot) = cl_lens.get_mut(ord) {
+                *slot = bits;
+            }
+        }
+        self.cl.rebuild(&cl_lens, Alphabet::Symbols)?;
+
+        // Both tables' lengths back to back; `n` of them read so far.
+        let mut lens = [0u8; 286 + 30];
+        let want = hlit + hdist;
+        let mut n = 0;
+        while n < want {
+            let (value, run) = match self.cl.read(r)? {
+                sym @ 0..=15 => (u8::try_from(sym).unwrap_or(0), 1),
+                16 => {
+                    let prev = n
+                        .checked_sub(1)
+                        .and_then(|last| lens.get(last))
+                        .copied()
+                        .ok_or(DeflateError::BadHuffmanTable("repeat with no previous"))?;
+                    (prev, r.read_bits_usize(2)? + 3)
+                }
+                17 => (0, r.read_bits_usize(3)? + 3),
+                18 => (0, r.read_bits_usize(7)? + 11),
+                s => return Err(DeflateError::BadSymbol(s)),
+            };
+            let run_lens = lens
+                .get_mut(n..n + run)
+                .filter(|_| n + run <= want)
+                .ok_or(DeflateError::BadHuffmanTable("code length overrun"))?;
+            run_lens.fill(value);
+            n += run;
+        }
+        let (lit_lens, dist_lens) = lens
+            .get(..want)
+            .and_then(|lens| lens.split_at_checked(hlit))
+            .ok_or(DeflateError::BadHuffmanTable("code length underrun"))?;
+        self.lit.rebuild(lit_lens, Alphabet::LitLen)?;
+        self.dist.rebuild(dist_lens, Alphabet::Distance)
     }
-    if lens.len() != hlit + hdist {
-        return Err(DeflateError::BadHuffmanTable("code length overrun"));
-    }
-    let (lit_lens, dist_lens) = lens
-        .split_at_checked(hlit)
-        .ok_or(DeflateError::BadHuffmanTable("code length underrun"))?;
-    let lit = Decoder::with_alphabet(lit_lens, Alphabet::LitLen)?;
-    Ok((lit, Decoder::with_alphabet(dist_lens, Alphabet::Distance)?))
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! from first principles as a reproduction substrate:
 //!
 //! * [`bitio`] — LSB-first bit streams (DEFLATE's bit order),
-//! * [`huffman`] — canonical, length-limited Huffman codes
-//!   (package-merge construction) and a table-free decoder,
+//! * [`huffman`] — canonical, length-limited Huffman codes (two-queue
+//!   construction, package-merge where the limit binds) and a
+//!   table-driven decoder,
 //! * [`lz77`] — hash-chain match finder producing literal/match tokens,
 //! * [`deflate`] — block encoder (stored, fixed and dynamic blocks, with
 //!   per-block cost selection and blocks that end where the symbol
