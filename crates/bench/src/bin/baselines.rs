@@ -46,7 +46,7 @@ fn main() {
         compression_rate(full_bytes, gz.len())
     );
 
-    let fpc = ckpt_deflate::fpc::compress(current.as_slice());
+    let fpc = ckpt_bench::fpc::compress(current.as_slice());
     println!(
         "FPC (lossless, paper's [17]) : {:>8} bytes  rate {:>6.2}%",
         fpc.len(),

@@ -2,29 +2,27 @@
 //! parallelism, with the measured compression-stage breakdown.
 //!
 //! Procedure, exactly as Section IV-D: measure the per-process
-//! compression cost (1.5 MB array, temp-file gzip mode — the paper's
-//! implementation gzips via the filesystem) on this host, take the
+//! compression cost (1.5 MB array, gzipped via a temporary file as the
+//! paper's implementation did) on this host, take the
 //! measured compression rate, then combine with the analytical I/O
 //! model (20 GB/s shared PFS, weak scaling). Compression time is
 //! constant in P; I/O grows linearly; the compressed line is flatter
 //! and crosses below the uncompressed line (paper: around P ≈ 768).
 
-use ckpt_bench::{median_stage_timings, ms, temperature_nicam};
-use ckpt_cluster::{CompressionProfile, IoModel, ScalingTable};
+use ckpt_bench::cluster::{CompressionProfile, IoModel, ScalingTable};
+use ckpt_bench::{compress_via_temp_file, median_stage_timings, ms, temperature_nicam};
 use ckpt_core::{Compressor, CompressorConfig, Container};
 
 fn main() {
     let t = temperature_nicam();
-    let cfg = CompressorConfig::paper_proposed().with_container(Container::TempFileGzip);
-    let compressor = Compressor::new(cfg).unwrap();
 
     // Measure the per-process compression profile: each stage's median
     // over 5 warm runs. The rate is the same on every run.
     let mut rate = 0.0f64;
     let timings = median_stage_timings(5, || {
-        let packed = compressor.compress(&t).unwrap();
-        rate = packed.stats.compression_rate() / 100.0;
-        packed.timings
+        let (timings, percent) = compress_via_temp_file(&t, CompressorConfig::paper_proposed());
+        rate = percent / 100.0;
+        timings
     });
 
     println!("=== Figure 9: overall checkpoint time vs parallelism ===");
@@ -37,7 +35,8 @@ fn main() {
     println!("  compression rate               {:>8.2} %", rate * 100.0);
     println!();
 
-    let table = ScalingTable::new(IoModel::paper(), CompressionProfile { rate, timings });
+    let profile = CompressionProfile { rate, compression: timings.total() };
+    let table = ScalingTable::new(IoModel::paper(), profile);
     println!(
         "{:>8}{:>16}{:>16}{:>16}{:>12}",
         "P", "w/o comp [ms]", "comp I/O [ms]", "w/ comp [ms]", "saving"
@@ -66,7 +65,7 @@ fn main() {
     // eliminated by compressing ... in memory".
     let mem_cfg = CompressorConfig::paper_proposed().with_container(Container::Gzip);
     let mem_comp = Compressor::new(mem_cfg).unwrap();
-    let mem_timings = median_stage_timings(5, || mem_comp.compress(&t).unwrap().timings);
+    let mem_timings = median_stage_timings(5, || mem_comp.compress(&t).unwrap().timings.into());
     println!();
     println!(
         "ablation (paper's stated future fix): in-memory gzip total = {} ms vs temp-file gzip {} ms",

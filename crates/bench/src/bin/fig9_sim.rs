@@ -2,16 +2,16 @@
 //!
 //! The paper's Figure 9 is a closed-form estimate (constant compression
 //! time + linear I/O). This harness replays the same scenario through
-//! the fair-share PFS simulator (`ckpt-cluster::pfs`): per-rank
+//! the fair-share PFS simulator (`ckpt_bench::cluster::pfs`): per-rank
 //! compression times measured on this host (with realistic jitter),
 //! each rank starting its write when its compression finishes. The
 //! simulated barrier time should bracket the analytical line — and
 //! shows the one effect the closed form cannot: compression jitter
 //! partially hides behind I/O at scale.
 
+use ckpt_bench::cluster::pfs::{simulate_wave, WriteRequest};
+use ckpt_bench::cluster::IoModel;
 use ckpt_bench::temperature_nicam;
-use ckpt_cluster::pfs::{simulate_wave, WriteRequest};
-use ckpt_cluster::IoModel;
 use ckpt_core::{Compressor, CompressorConfig};
 use ckpt_sim::partition::split_x;
 

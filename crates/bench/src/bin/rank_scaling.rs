@@ -3,10 +3,10 @@
 //! of how many processes compress at once. This harness decomposes the
 //! global mesh into per-rank sub-domains (as a real MPI run would own
 //! them), compresses all ranks concurrently with varying worker
-//! counts, and reports per-rank wall time.
+//! counts, and reports per-rank wall time. Every worker count must
+//! write each rank's bytes as one worker does.
 
 use ckpt_bench::ms;
-use ckpt_cluster::compress_ranks;
 use ckpt_core::{Compressor, CompressorConfig};
 use ckpt_sim::partition::split_x;
 use ckpt_sim::{ClimateSim, SimConfig};
@@ -31,14 +31,20 @@ fn main() {
     println!("{:>10}{:>16}{:>20}", "workers", "wall [ms]", "per-rank [ms]");
 
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // One rank per task, claimed by the next free worker; results come
+    // back in rank order.
+    let compress_all = |workers: usize| -> Vec<Vec<u8>> {
+        ckpt_pool::map_tasks(ranks, workers, |i| compressor.compress(&chunks[i]).unwrap().bytes)
+    };
+    let serial = compress_all(1);
     for workers in [1usize, 2, 4, 8] {
         // Median of 3 runs.
         let mut samples = Vec::new();
         for _ in 0..3 {
             let t0 = Instant::now();
-            let out = compress_ranks(&chunks, &compressor, workers).unwrap();
-            assert_eq!(out.len(), ranks);
+            let out = compress_all(workers);
             samples.push(t0.elapsed());
+            assert!(out == serial, "{workers} workers changed a rank's bytes");
         }
         samples.sort();
         let wall = samples[1];

@@ -5,7 +5,7 @@
 //! plus the Section IV-D analytical model; this binary prints both so
 //! every other figure's context is recorded.
 
-use ckpt_cluster::IoModel;
+use ckpt_bench::cluster::IoModel;
 
 fn read_first_match(path: &str, key: &str) -> Option<String> {
     let text = std::fs::read_to_string(path).ok()?;

@@ -2,25 +2,38 @@
 //!
 //! Shared harness for the figure/table reproduction binaries (one per
 //! figure of the paper's evaluation, see DESIGN.md §4). Throughput is
-//! measured by the `e2e/` benchmark, not here.
+//! measured by the `e2e/` benchmark, not here. The measurement
+//! scaffolding the paper's evaluation leans on lives here too, not in
+//! the product: the Section IV-D scaling model ([`cluster`]), FPC
+//! ([`fpc`], its lossless reference [17]) and the temporary-file gzip
+//! of Fig. 9's stage stack ([`compress_via_temp_file`]).
 //!
 //! Binaries (`cargo run --release -p ckpt-bench --bin <name>`):
 //!
-//! | binary      | reproduces                                            |
-//! |-------------|-------------------------------------------------------|
-//! | `table1`    | Table I (host spec + model parameters)                |
-//! | `fig6`      | Fig. 6: gzip vs lossy (simple/proposed, n = 128)      |
-//! | `fig7`      | Fig. 7: compression rate vs division number           |
-//! | `fig8`      | Fig. 8: average relative error vs division number     |
-//! | `fig9`      | Fig. 9: checkpoint time vs parallelism, stage stack   |
-//! | `fig10`     | Fig. 10: post-restart error evolution                 |
-//! | `all_arrays`| Section IV-C in-text per-array ranges                 |
+//! | binary        | reproduces                                          |
+//! |---------------|-----------------------------------------------------|
+//! | `table1`      | Table I (host spec + model parameters)              |
+//! | `fig6`        | Fig. 6: gzip vs lossy (simple/proposed, n = 128)    |
+//! | `fig7`        | Fig. 7: compression rate vs division number         |
+//! | `fig8`        | Fig. 8: average relative error vs division number   |
+//! | `fig9`        | Fig. 9: checkpoint time vs parallelism, stage stack |
+//! | `fig9_sim`    | Fig. 9 replayed through the fair-share PFS model    |
+//! | `fig10`       | Fig. 10: post-restart error evolution               |
+//! | `all_arrays`  | Section IV-C in-text per-array ranges               |
+//! | `baselines`   | Sections I/V: incremental, gzip, FPC vs lossy       |
+//! | `ablations`   | DESIGN.md §5: each design choice toggled            |
+//! | `rank_scaling`| per-rank compression time at 1–8 workers            |
 
 use ckpt_core::metrics::RelativeError;
-use ckpt_core::{Compressed, Compressor, CompressorConfig, StageTimings};
+use ckpt_core::timing::timed;
+use ckpt_core::{Compressed, Compressor, CompressorConfig, Container, StageTimings};
+use ckpt_deflate::gzip;
 use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
 use ckpt_tensor::Tensor;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+pub mod cluster;
+pub mod fpc;
 
 /// The paper's default evaluation subject: the temperature array of the
 /// NICAM-shaped mesh (1156 × 82 × 2, 1.5 MB of f64).
@@ -67,25 +80,79 @@ pub fn compress_and_measure(
     (packed, err)
 }
 
-/// Each stage's median over `runs` executions of `f` (warm: one
+/// Fig. 9's stage stack: the pipeline's own stages, and the paper's
+/// temporary-file write before gzip, which is no stage of this
+/// pipeline ([`compress_via_temp_file`] times it).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fig9Timings {
+    /// Wavelet, quantization, formatting and gzip.
+    pub stages: StageTimings,
+    /// Writing the formatted stream to a temporary file and reading it
+    /// back.
+    pub temp_file_write: Duration,
+}
+
+impl From<StageTimings> for Fig9Timings {
+    fn from(stages: StageTimings) -> Self {
+        Fig9Timings { stages, temp_file_write: Duration::ZERO }
+    }
+}
+
+impl Fig9Timings {
+    /// Total across all five bars.
+    pub fn total(&self) -> Duration {
+        self.stages.total() + self.temp_file_write
+    }
+
+    /// The paper's Figure 9 labels and values, in its stacking order.
+    pub fn breakdown(&self) -> [(&'static str, Duration); 5] {
+        let [wavelet, quantize, other, gzip] = self.stages.breakdown();
+        [wavelet, quantize, other, ("temporal file write for gzip", self.temp_file_write), gzip]
+    }
+}
+
+/// Compresses `tensor` under `cfg` as the paper's implementation did:
+/// the formatted stream (`cfg` with [`Container::None`]) goes to a
+/// temporary file and is read back, and what was read is gzipped at
+/// `cfg.level` — the bytes the in-memory single-member gzip path
+/// compresses. Returns the timings and the compression rate in percent.
+/// The file, one per process, is removed on every exit.
+pub fn compress_via_temp_file(tensor: &Tensor<f64>, cfg: CompressorConfig) -> (Fig9Timings, f64) {
+    let compressor = Compressor::new(cfg.with_container(Container::None)).expect("valid config");
+    let formatted = compressor.compress(tensor).expect("compression succeeds");
+    let path = std::env::temp_dir().join(format!("ckpt-fig9-{}.bin", std::process::id()));
+    let start = Instant::now();
+    let read_back = std::fs::write(&path, &formatted.bytes).and_then(|()| std::fs::read(&path));
+    let temp_file_write = start.elapsed();
+    let _ = std::fs::remove_file(&path);
+    let read_back = read_back.expect("temporary file round trip");
+    let mut stages = formatted.timings;
+    let packed = timed(&mut stages.gzip, || gzip::compress(&read_back, cfg.level));
+    let rate = ckpt_core::metrics::compression_rate(formatted.stats.original_bytes, packed.len());
+    (Fig9Timings { stages, temp_file_write }, rate)
+}
+
+/// Each bar's median over `runs` executions of `f` (warm: one
 /// discarded warm-up run), so every bar of a Fig. 9 stack is the middle
 /// sample of its own stage rather than the stages of whichever run came
-/// last. The total of the result is the sum of the stage medians.
-pub fn median_stage_timings(runs: usize, mut f: impl FnMut() -> StageTimings) -> StageTimings {
+/// last. The total of the result is the sum of the bar medians.
+pub fn median_stage_timings(runs: usize, mut f: impl FnMut() -> Fig9Timings) -> Fig9Timings {
     assert!(runs >= 1);
     f(); // warm-up
-    let samples: Vec<StageTimings> = (0..runs).map(|_| f()).collect();
-    let median = |stage: fn(&StageTimings) -> Duration| {
+    let samples: Vec<Fig9Timings> = (0..runs).map(|_| f()).collect();
+    let median = |stage: fn(&Fig9Timings) -> Duration| {
         let mut values: Vec<Duration> = samples.iter().map(stage).collect();
         values.sort();
         values[values.len() / 2]
     };
-    StageTimings {
-        wavelet: median(|t| t.wavelet),
-        quantize_encode: median(|t| t.quantize_encode),
-        format: median(|t| t.format),
+    Fig9Timings {
+        stages: StageTimings {
+            wavelet: median(|t| t.stages.wavelet),
+            quantize_encode: median(|t| t.stages.quantize_encode),
+            format: median(|t| t.stages.format),
+            gzip: median(|t| t.stages.gzip),
+        },
         temp_file_write: median(|t| t.temp_file_write),
-        gzip: median(|t| t.gzip),
     }
 }
 
@@ -147,8 +214,8 @@ mod tests {
             ..StageTimings::new()
         });
         let mut next = runs.iter();
-        let median = median_stage_timings(3, || *next.next().unwrap());
-        assert_eq!((median.wavelet, median.gzip), (ms(2), ms(20)));
+        let median = median_stage_timings(3, || (*next.next().unwrap()).into());
+        assert_eq!((median.stages.wavelet, median.stages.gzip), (ms(2), ms(20)));
         assert_eq!(median.total(), ms(22));
     }
 }

@@ -16,7 +16,7 @@ ckpt — wavelet-based lossy checkpoint compression (IPDPS'15 reproduction)
 USAGE:
   ckpt compress   <in.f64> --dims AxBxC [--method proposed|simple] [--n 1..256]
                   [--d 64] [--levels 1] [--kernel haar|cdf53|cdf97]
-                  [--container gzip|tempfile|none]
+                  [--container gzip|none]
                   [--level store|fast|default]
                   [--threads N] [--chunk-bytes BYTES]
                   [--bound FRACTION] [-o out.wck]
@@ -112,9 +112,8 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
     };
     cfg = match args.get("container").unwrap_or("gzip") {
         "gzip" => cfg.with_container(Container::Gzip),
-        "tempfile" => cfg.with_container(Container::TempFileGzip),
         "none" => cfg.with_container(Container::None),
-        other => return Err(format!("unknown --container {other:?} (gzip|tempfile|none)")),
+        other => return Err(format!("unknown --container {other:?} (gzip|none)")),
     };
     cfg = cfg.with_level(parse_level(args.get("level").unwrap_or("default"))?);
     cfg = cfg.with_threads(args.get_or("threads", 1usize)?);
@@ -452,7 +451,8 @@ mod tests {
     fn retired_values_fail_with_the_surviving_ones() {
         for (flag, retired, survivors) in [
             ("--level", "best", "(store|fast|default)"),
-            ("--container", "zlib", "(gzip|tempfile|none)"),
+            ("--container", "zlib", "(gzip|none)"),
+            ("--container", "tempfile", "(gzip|none)"),
             ("--method", "lloyd", "(proposed|simple)"),
         ] {
             let err = cfg(&[flag, retired])

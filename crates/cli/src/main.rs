@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ckpt compress   <in.f64> --dims 1156x82x2 [--method proposed|simple]
-//!                 [--n 128] [--d 64] [--levels 1] [--container gzip|tempfile|none]
+//!                 [--n 128] [--d 64] [--levels 1] [--container gzip|none]
 //!                 [--bound 0.001] [-o out.wck]
 //! ckpt decompress <in.wck> [-o out.f64]
 //! ckpt info       <in.wck>

@@ -311,35 +311,9 @@ fn write_container<S: chunked::StreamSink>(
         // keeping the output byte-identical to earlier versions.
         Container::Gzip => timed(&mut timings.gzip, || gzip::compress(&formatted, level)),
         Container::None => formatted,
-        Container::TempFileGzip => {
-            // The paper's implementation writes the formatted checkpoint
-            // to a temporary file and gzips it through the filesystem;
-            // Figure 9 shows that write as its own bar.
-            let path = temp_path();
-            let out = (|| -> Result<Vec<u8>> {
-                timed(&mut timings.temp_file_write, || std::fs::write(&path, &formatted))?;
-                timed(&mut timings.gzip, || Ok(gzip::compress(&std::fs::read(&path)?, level)))
-            })();
-            // A failed write can leave a partial file behind: remove
-            // it on every exit.
-            let _ = std::fs::remove_file(&path);
-            out?
-        }
     };
     sink.write(&bytes).map_err(StreamError::Sink)?;
     Ok(bytes.len())
-}
-
-fn temp_path() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    // Only the RMW's atomicity makes names unique; it guards no memory.
-    let id = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "ckpt-tmp-{}-{}.bin",
-        std::process::id(),
-        id
-    ))
 }
 
 fn strip_container(bytes: &[u8], max_output: usize, threads: usize) -> Result<Vec<u8>> {
@@ -586,15 +560,12 @@ mod tests {
     #[test]
     fn all_containers_roundtrip() {
         let t = field();
-        for container in [Container::Gzip, Container::TempFileGzip, Container::None] {
+        for container in [Container::Gzip, Container::None] {
             let cfg = CompressorConfig::paper_proposed().with_container(container);
             let c = Compressor::new(cfg).unwrap();
             let packed = c.compress(&t).unwrap();
             let back = Compressor::decompress(&packed.bytes).unwrap();
             assert_eq!(back.dims(), t.dims(), "{container:?}");
-            if container == Container::TempFileGzip {
-                assert!(packed.timings.temp_file_write > std::time::Duration::ZERO);
-            }
         }
     }
 
@@ -918,7 +889,6 @@ mod parallel_tests {
             base.with_threads(1),
             base.with_threads(2),
             base.with_threads(4),
-            base.with_container(Container::TempFileGzip),
             base.with_container(Container::None),
         ];
         for cfg in configs {

@@ -10,9 +10,6 @@ use ckpt_wavelet::{Kernel, WaveletPlan};
 pub enum Container {
     /// gzip, as the paper's implementation uses.
     Gzip,
-    /// gzip via a temporary file, reproducing the paper's measured
-    /// "temporal file write for gzip" overhead bar in Figure 9.
-    TempFileGzip,
     /// No final pass (exposes the formatted size for analysis).
     None,
 }
@@ -190,13 +187,13 @@ mod tests {
             .with_d(32)
             .with_method(Method::Simple)
             .with_levels(2)
-            .with_container(Container::TempFileGzip)
+            .with_container(Container::None)
             .with_level(Level::Fast);
         assert_eq!(c.quant.n, 16);
         assert_eq!(c.quant.d, 32);
         assert_eq!(c.quant.method, Method::Simple);
         assert_eq!(c.plan.levels, 2);
-        assert_eq!(c.container, Container::TempFileGzip);
+        assert_eq!(c.container, Container::None);
         assert_eq!(c.level, Level::Fast);
         c.validate().unwrap();
     }

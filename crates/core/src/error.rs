@@ -20,7 +20,7 @@ pub enum CkptError {
     /// Byte-level framing errors (truncation, length overflow, bad
     /// magic or version, bad UTF-8) from the frame reader/writer.
     Wire(FrameError),
-    /// Filesystem I/O during checkpoint read/write or temp-file gzip.
+    /// Filesystem I/O during checkpoint read/write.
     Io(std::io::Error),
     /// Error-bound search could not meet the requested bound.
     BoundUnreachable { requested: f64, achieved: f64 },

@@ -12,8 +12,7 @@
 //! 4. **Formatting** — the Figure 5 byte layout ([`codec`], over the
 //!    shared [`ckpt_deflate::frame`] cursor),
 //! 5. **gzip** — DEFLATE over the formatted output ([`ckpt_deflate`]),
-//!    optionally via a temporary file to reproduce the paper's measured
-//!    "temporal file write" overhead.
+//!    in memory: the codec writes no files.
 //!
 //! The high-level entry points are [`Compressor`] (single arrays) and
 //! [`checkpoint`] (multi-variable checkpoint files). [`metrics`]

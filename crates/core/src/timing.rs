@@ -1,6 +1,8 @@
 //! Per-stage wall-clock accounting, matching the breakdown of Figure 9:
-//! wavelet transformation, quantization + encoding, temporal file write
-//! for gzip, gzip itself, and other overheads (formatting etc.).
+//! wavelet transformation, quantization + encoding, gzip itself, and
+//! other overheads (formatting etc.). The figure's fifth bar, the
+//! paper's temporary-file write before gzip, is no stage of this
+//! pipeline; `fig9` times it itself.
 
 use std::ops::AddAssign;
 use std::time::Duration;
@@ -14,9 +16,6 @@ pub struct StageTimings {
     pub quantize_encode: Duration,
     /// Byte-level formatting (Figure 5 layout).
     pub format: Duration,
-    /// Temporary-file write preceding gzip (only in
-    /// [`crate::Container::TempFileGzip`] mode).
-    pub temp_file_write: Duration,
     /// The final DEFLATE pass.
     pub gzip: Duration,
 }
@@ -29,16 +28,15 @@ impl StageTimings {
 
     /// Total across all stages.
     pub fn total(&self) -> Duration {
-        self.wavelet + self.quantize_encode + self.format + self.temp_file_write + self.gzip
+        self.wavelet + self.quantize_encode + self.format + self.gzip
     }
 
     /// The paper's Figure 9 labels and values, in its stacking order.
-    pub fn breakdown(&self) -> [(&'static str, Duration); 5] {
+    pub fn breakdown(&self) -> [(&'static str, Duration); 4] {
         [
             ("wavelet transformation", self.wavelet),
             ("quantization and encoding", self.quantize_encode),
             ("other overheads", self.format),
-            ("temporal file write for gzip", self.temp_file_write),
             ("gzip", self.gzip),
         ]
     }
@@ -49,7 +47,6 @@ impl AddAssign for StageTimings {
         self.wavelet += rhs.wavelet;
         self.quantize_encode += rhs.quantize_encode;
         self.format += rhs.format;
-        self.temp_file_write += rhs.temp_file_write;
         self.gzip += rhs.gzip;
     }
 }
@@ -72,11 +69,10 @@ mod tests {
             wavelet: Duration::from_millis(2),
             quantize_encode: Duration::from_millis(3),
             format: Duration::from_millis(1),
-            temp_file_write: Duration::from_millis(4),
-            gzip: Duration::from_millis(10),
+            gzip: Duration::from_millis(14),
         };
         assert_eq!(t.total(), Duration::from_millis(20));
-        assert_eq!(t.breakdown().len(), 5);
+        assert_eq!(t.breakdown().len(), 4);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod bitio;
 pub mod chunked;
 pub mod crc32;
 pub mod deflate;
-pub mod fpc;
 pub mod frame;
 pub mod gzip;
 pub mod huffman;

@@ -8,13 +8,12 @@
 //! downstream users can depend on a single package:
 //!
 //! * [`tensor`] — N-d arrays and synthetic mesh fields,
-//! * [`wavelet`] — Haar transforms,
+//! * [`wavelet`] — Haar, CDF 5/3 and CDF 9/7 transforms,
 //! * [`quant`] — simple and spike-detecting quantizers,
 //! * [`deflate`] — from-scratch DEFLATE/gzip,
 //! * [`core`] — the lossy checkpoint compression pipeline,
 //! * [`sim`] — the NICAM-substitute climate proxy with
 //!   checkpoint/restart,
-//! * [`cluster`] — the weak-scaling checkpoint time model,
 //! * [`store`] — the crash-consistent on-disk checkpoint repository,
 //! * [`serve`] — concurrent checkpoint serving (snapshot sessions and
 //!   CRC-verified range reads over the read-only `SRV1` socket
@@ -25,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use ckpt_cluster as cluster;
 pub use ckpt_core as core;
 pub use ckpt_deflate as deflate;
 pub use ckpt_quant as quant;

@@ -1,8 +1,7 @@
 //! Cross-crate integration: simulation → lossy checkpoint → restart →
-//! continue, plus the full pipeline over every field kind and the
-//! parallel rank driver — the paper's workflow, end to end.
+//! continue, plus the full pipeline over every field kind — the
+//! paper's workflow, end to end.
 
-use lossy_ckpt::cluster::compress_ranks;
 use lossy_ckpt::core::bound::compress_bounded;
 use lossy_ckpt::core::checkpoint::{Checkpoint, CheckpointBuilder};
 use lossy_ckpt::prelude::*;
@@ -133,21 +132,6 @@ fn multi_variable_checkpoint_with_mixed_configs() {
 }
 
 #[test]
-fn parallel_rank_compression_is_deterministic_and_correct() {
-    let ranks: Vec<Tensor<f64>> =
-        (0..6).map(|i| generate(&FieldSpec::small(FieldKind::Pressure, i))).collect();
-    let compressor = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-    let a = compress_ranks(&ranks, &compressor, 2).unwrap();
-    let b = compress_ranks(&ranks, &compressor, 5).unwrap();
-    for ((x, y), original) in a.iter().zip(&b).zip(&ranks) {
-        assert_eq!(x.bytes, y.bytes, "thread count must not change output");
-        let restored = Compressor::decompress(&x.bytes).unwrap();
-        let err = relative_error(original, &restored).unwrap();
-        assert!(err.average < 0.01);
-    }
-}
-
-#[test]
 fn bounded_compression_integrates_with_checkpointing() {
     let field = generate(&FieldSpec::small(FieldKind::WindU, 3));
     let bound = 1e-3;
@@ -220,8 +204,8 @@ fn fpc_lossless_baseline_is_bit_exact_on_simulation_state() {
     let mut sim = ClimateSim::new(SimConfig::small(90));
     sim.run(30);
     let t = sim.variable("temperature").unwrap();
-    let packed = lossy_ckpt::deflate::fpc::compress(t.as_slice());
-    let back = lossy_ckpt::deflate::fpc::decompress(&packed).unwrap();
+    let packed = ckpt_bench::fpc::compress(t.as_slice());
+    let back = ckpt_bench::fpc::decompress(&packed).unwrap();
     for (a, b) in t.as_slice().iter().zip(&back) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

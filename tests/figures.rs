@@ -2,8 +2,7 @@
 //! scale — the same checks the bench harness prints, but enforced in
 //! CI so a regression that flips a paper conclusion fails the build.
 
-use lossy_ckpt::cluster::{CompressionProfile, IoModel, ScalingTable};
-use lossy_ckpt::core::StageTimings;
+use ckpt_bench::cluster::{CompressionProfile, IoModel, ScalingTable};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::sim::{divergence_experiment, SimConfig};
 
@@ -71,10 +70,9 @@ fn fig8_errors_fall_with_n_proposed_below_simple() {
 fn fig9_crossover_exists_and_saving_approaches_asymptote() {
     // Use a synthetic but realistic profile (the shape claim does not
     // depend on this host's speed).
-    let timings =
-        StageTimings { gzip: std::time::Duration::from_millis(40), ..Default::default() };
+    let compression = std::time::Duration::from_millis(40);
     let table =
-        ScalingTable::new(IoModel::paper(), CompressionProfile { rate: 0.25, timings });
+        ScalingTable::new(IoModel::paper(), CompressionProfile { rate: 0.25, compression });
     let crossover = table.crossover(1 << 20).expect("crossover must exist");
     // Below the crossover compression loses; above it wins.
     let below = table.estimate(crossover / 2);
@@ -115,7 +113,7 @@ fn equation_1_viability_condition() {
     let io = IoModel::paper();
     let profile = CompressionProfile {
         rate: packed.stats.compression_rate() / 100.0,
-        timings: packed.timings,
+        compression: packed.timings.total(),
     };
     let table = ScalingTable::new(io, profile);
     // At a million processes the inequality must hold comfortably.

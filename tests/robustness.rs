@@ -68,7 +68,7 @@ fn random_garbage_never_panics() {
         let _ = Compressor::decompress(&garbage);
         let _ = lossy_ckpt::core::checkpoint::Checkpoint::from_bytes(&garbage);
         let _ = lossy_ckpt::deflate::gzip::decompress(&garbage);
-        let _ = lossy_ckpt::deflate::fpc::decompress(&garbage);
+        let _ = ckpt_bench::fpc::decompress(&garbage);
     }
 }
 
