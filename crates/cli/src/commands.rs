@@ -5,7 +5,6 @@ use ckpt_core::bound::compress_bounded;
 #[cfg(test)]
 use ckpt_core::metrics::relative_error;
 use ckpt_core::{Compressor, CompressorConfig, Container};
-use ckpt_deflate::Level;
 use ckpt_quant::Method;
 use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
 use ckpt_tensor::{Shape, Tensor};
@@ -17,7 +16,6 @@ USAGE:
   ckpt compress   <in.f64> --dims AxBxC [--method proposed|simple] [--n 1..256]
                   [--d 64] [--levels 1] [--kernel haar|cdf53|cdf97]
                   [--container gzip|none]
-                  [--level store|fast|default]
                   [--threads N] [--chunk-bytes BYTES]
                   [--bound FRACTION] [-o out.wck]
   ckpt decompress <in.wck> [--threads N] [-o out.f64]
@@ -68,16 +66,6 @@ pub(crate) fn write_raw_tensor(path: &str, t: &Tensor<f64>) -> Result<(), String
     std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// Parses a `--level` value; shared with `ckpt store save`.
-pub(crate) fn parse_level(name: &str) -> Result<Level, String> {
-    match name {
-        "store" => Ok(Level::Store),
-        "fast" => Ok(Level::Fast),
-        "default" => Ok(Level::Default),
-        other => Err(format!("unknown --level {other:?} (store|fast|default)")),
-    }
-}
-
 /// The flags `ckpt compress` takes.
 const COMPRESS_FLAGS: &[&str] = &[
     "dims",
@@ -87,7 +75,6 @@ const COMPRESS_FLAGS: &[&str] = &[
     "levels",
     "kernel",
     "container",
-    "level",
     "threads",
     "chunk-bytes",
     "bound",
@@ -115,7 +102,6 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
         "none" => cfg.with_container(Container::None),
         other => return Err(format!("unknown --container {other:?} (gzip|none)")),
     };
-    cfg = cfg.with_level(parse_level(args.get("level").unwrap_or("default"))?);
     cfg = cfg.with_threads(args.get_or("threads", 1usize)?);
     if let Some(raw) = args.get("chunk-bytes") {
         let chunk: usize =
@@ -443,14 +429,12 @@ mod tests {
         assert!(
             cfg(&["--container", "7z"]).is_err()
         );
-        assert!(cfg(&["--level", "turbo"]).is_err());
         assert!(gen(&["--dims".into(), "4x4".into()]).is_err()); // missing -o
     }
 
     #[test]
     fn retired_values_fail_with_the_surviving_ones() {
         for (flag, retired, survivors) in [
-            ("--level", "best", "(store|fast|default)"),
             ("--container", "zlib", "(gzip|none)"),
             ("--container", "tempfile", "(gzip|none)"),
             ("--method", "lloyd", "(proposed|simple)"),
@@ -468,19 +452,6 @@ mod tests {
         for too_big in ["65536", "65600", "1000000000000"] {
             assert!(d(too_big).unwrap_err().contains("outside 1..=65535"), "--d {too_big}");
         }
-    }
-
-    #[test]
-    fn level_flag_reaches_the_compressor_config() {
-        for (name, level) in
-            [("store", Level::Store), ("fast", Level::Fast), ("default", Level::Default)]
-        {
-            let cfg =
-                cfg(&["--level", name]).unwrap();
-            assert_eq!(cfg.level, level);
-        }
-        let default = cfg(&[]).unwrap();
-        assert_eq!(default.level, Level::Default);
     }
 
     #[test]

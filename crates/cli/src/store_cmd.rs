@@ -8,7 +8,7 @@ pub const STORE_USAGE: &str = "\
 USAGE:
   ckpt store save    <dir> <rank0-file> [rank1-file ...] [--step N]
                      [--format checkpoint|array|auto] [--base GEN]
-                     [--level store|fast|default] [--threads N]
+                     [--threads N]
                      [--error-bound EPS --dims AxBxC]
   ckpt store restore <dir> [--gen N] [--rank N] [--raw true] -o out
   ckpt store list    <dir>
@@ -23,8 +23,7 @@ increments chained onto generation GEN. A --base payload that is not
 already a packed increment (INC2, or the older INC1) of GEN's shape is
 treated as the full current array:
 the store materializes the base generation, computes the increment
-itself, and compresses it at --level (previously the level was fixed
-by whatever built the increment offline). With --error-bound the
+itself, and compresses it. With --error-bound the
 payload files are instead raw little-endian f64 arrays of --dims: each
 rank is compressed with the smallest division number meeting the bound
 (average relative error <= EPS), and the bound is recorded durably in
@@ -91,7 +90,7 @@ fn sniff_format(head: &[u8]) -> SegmentFormat {
 }
 
 fn save(argv: &[String]) -> Result<(), String> {
-    let flags = ["step", "format", "base", "level", "threads", "error-bound", "dims"];
+    let flags = ["step", "format", "base", "threads", "error-bound", "dims"];
     let args = Args::parse(argv, "store save", &flags)?;
     let [dir, files @ ..] = args.positional.as_slice() else {
         return Err("save needs a store dir and at least one payload file".into());
@@ -101,7 +100,6 @@ fn save(argv: &[String]) -> Result<(), String> {
     }
     let step = args.get_or("step", 0u64)?;
     let threads = args.get_or("threads", 1usize)?;
-    let level = crate::commands::parse_level(args.get("level").unwrap_or("default"))?;
 
     let base: Option<u64> = match args.get("base") {
         Some(raw) => {
@@ -116,7 +114,7 @@ fn save(argv: &[String]) -> Result<(), String> {
             return Err("--error-bound cannot be combined with --base".into());
         }
         let eps: f64 = raw.parse().map_err(|_| format!("invalid --error-bound {raw:?}"))?;
-        return save_bounded(&mut store, &args, files, step, threads, level, eps);
+        return save_bounded(&mut store, &args, files, step, threads, eps);
     }
     let Some(base) = base else {
         return save_streamed(&mut store, args.get("format"), files, step);
@@ -126,7 +124,7 @@ fn save(argv: &[String]) -> Result<(), String> {
         .enumerate()
         .map(|(rank, f)| {
             let bytes = std::fs::read(f).map_err(|e| format!("reading {f}: {e}"))?;
-            build_increment(&store, base, rank, bytes, level)
+            build_increment(&store, base, rank, bytes)
         })
         .collect::<Result<Vec<_>, String>>()?;
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
@@ -202,14 +200,13 @@ fn save_bounded(
     files: &[String],
     step: u64,
     threads: usize,
-    level: Level,
     eps: f64,
 ) -> Result<(), String> {
     let dims = crate::args::parse_dims(
         args.get("dims")
             .ok_or("--dims is required with --error-bound (payload files are raw f64 arrays)")?,
     )?;
-    let cfg = ckpt_core::CompressorConfig::paper_proposed().with_level(level);
+    let cfg = ckpt_core::CompressorConfig::paper_proposed();
     let mut payloads = Vec::with_capacity(files.len());
     for (rank, f) in files.iter().enumerate() {
         let tensor = crate::commands::read_raw_tensor(f, &dims)?;
@@ -241,13 +238,12 @@ fn save_bounded(
 /// shape — so the store never commits a link its own restore refuses;
 /// anything else is taken to be the rank's full current array, and the
 /// increment is computed here against the base generation and
-/// compressed at `level`.
+/// compressed.
 fn build_increment(
     store: &Store,
     base_gen: u64,
     rank: usize,
     bytes: Vec<u8>,
-    level: Level,
 ) -> Result<Vec<u8>, String> {
     use ckpt_core::incremental;
     let rank_u32 =
@@ -262,7 +258,7 @@ fn build_increment(
     }
     let current = ckpt_core::Compressor::decompress(&bytes)
         .map_err(|e| format!("rank {rank}: payload is neither an increment nor a decodable array: {e}"))?;
-    let (packed, stats) = incremental::increment(&base, &current, level)
+    let (packed, stats) = incremental::increment(&base, &current, Level::Default)
         .map_err(|e| format!("rank {rank}: building increment: {e}"))?;
     eprintln!(
         "rank {rank}: built increment against gen {base_gen} ({}/{} pages dirty, {} bytes)",
@@ -498,7 +494,7 @@ mod tests {
         let base = ckpt_core::Compressor::decompress(&packed).unwrap();
         let mut cur = base.clone();
         cur.map_inplace(|v| v + 2.0);
-        let (inc, _) = incremental::increment(&base, &cur, Level::Fast).unwrap();
+        let (inc, _) = incremental::increment(&base, &cur, Level::Default).unwrap();
         let incf = tempfile("sniff.inc");
         std::fs::write(&incf, &inc).unwrap();
         dispatch(&argv(&["save", &dir, &incf, "--step", "7", "--base", "2"])).unwrap();
@@ -521,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn save_base_builds_increment_in_store_at_requested_level() {
+    fn save_base_builds_the_increment_in_the_store() {
         let dir = tempdir("level");
         let raw = tempfile("level.f64");
         let wck = tempfile("level.wck");
@@ -538,8 +534,7 @@ mod tests {
         let wck2 = tempfile("level.cur.wck");
         crate::commands::write_raw_tensor(&rawf, &cur).unwrap();
         crate::commands::compress(&argv(&[&rawf, "--dims", "64x16", "-o", &wck2])).unwrap();
-        dispatch(&argv(&["save", &dir, &wck2, "--step", "2", "--base", "1", "--level", "fast"]))
-            .unwrap();
+        dispatch(&argv(&["save", &dir, &wck2, "--step", "2", "--base", "1"])).unwrap();
 
         // The stored segment is a packed INC2 increment, and the chain
         // restores to the lossy image the full array decodes to.
@@ -553,13 +548,6 @@ mod tests {
             bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         let expect = ckpt_core::Compressor::decompress(&std::fs::read(&wck2).unwrap()).unwrap();
         assert_eq!(restored, expect.as_slice());
-
-        // The level knob is validated, and pre-built increments still
-        // pass through untouched (covered by the sniff test too).
-        assert!(dispatch(&argv(&[
-            "save", &dir, &wck2, "--base", "1", "--level", "turbo"
-        ]))
-        .is_err());
 
         for p in [raw, wck, rawf, wck2, out] {
             let _ = std::fs::remove_file(p);

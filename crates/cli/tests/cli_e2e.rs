@@ -125,12 +125,15 @@ fn corrupt_input_reports_cleanly() {
 /// A flag the verb does not take fails the run and is named, instead of
 /// being ignored: `--thread 4` would have compressed on one thread, and
 /// `store restore --resume` would have overwritten `-o` with a plain
-/// restore.
+/// restore. `--level` went with every effort but the default, so a
+/// script that still asks for one is told, not served the default.
 #[test]
 fn a_flag_the_verb_does_not_take_fails_by_name() {
     let out = tmp("unknown-flag.out");
     for (args, flag, verb) in [
         (vec!["compress", "in.f64", "--dims", "16x8x2", "--thread", "4"], "--thread", "compress"),
+        (vec!["compress", "in.f64", "--dims", "16x8x2", "--level", "fast"], "--level", "compress"),
+        (vec!["store", "save", "st", "a.wck", "--level", "store"], "--level", "store save"),
         (vec!["store", "restore", "st", "--stream", "true"], "--stream", "store restore"),
         (vec!["store", "restore", "st", "--resume", "TOKEN"], "--resume", "store restore"),
     ] {

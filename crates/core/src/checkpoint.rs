@@ -17,7 +17,6 @@ use crate::timing::StageTimings;
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, CKPT};
 use ckpt_tensor::Tensor;
-use std::io::Read;
 
 /// Storage mode of one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,13 +166,6 @@ impl Checkpoint {
         Ok(Checkpoint { step, entries })
     }
 
-    /// Reads a checkpoint image from a source (e.g. a file).
-    pub fn read_from<R: Read>(source: &mut R) -> Result<Self> {
-        let mut bytes = Vec::new();
-        source.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-
     /// The application time step this checkpoint captured.
     pub fn step(&self) -> u64 {
         self.step
@@ -292,16 +284,6 @@ mod tests {
         assert!(b.add_raw("", &t).is_err());
         let ck = Checkpoint::from_bytes(&b.into_bytes()).unwrap();
         assert!(ck.restore("missing").is_err());
-    }
-
-    #[test]
-    fn io_write_read_roundtrip() {
-        let (_, t) = fields().remove(0);
-        let mut b = CheckpointBuilder::new(3);
-        b.add_raw("v", &t).unwrap();
-        let buf = b.into_bytes();
-        let ck = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(ck.step(), 3);
     }
 
     #[test]

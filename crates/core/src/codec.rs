@@ -710,7 +710,7 @@ mod exact_tests {
                 other => panic!("special at {at}: {other:?}"),
             }
             // The exact path keeps the same array bit for bit.
-            let back = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Fast).unwrap());
+            let back = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap());
             let same = back.unwrap().as_slice().iter().zip(t.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same);
         }
@@ -757,7 +757,7 @@ mod exact_tests {
             _ => (i[0] as f64).exp(),
         })
         .unwrap();
-        let packed = compress_exact(&t, ckpt_deflate::Level::Fast).unwrap();
+        let packed = compress_exact(&t, ckpt_deflate::Level::Default).unwrap();
         let back = Compressor::decompress(&packed).unwrap();
         for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -785,12 +785,12 @@ mod axis_count_tests {
         let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         let back = Compressor::decompress(&c.compress(&t).unwrap().bytes).unwrap();
         assert_eq!(back.dims(), t.dims());
-        let exact = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Fast).unwrap());
+        let exact = Compressor::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap());
         assert_eq!(exact.unwrap(), t);
 
         let mut next = t.clone();
         next.as_mut_slice()[4] += 1.0;
-        let (inc, _) = incremental::increment(&t, &next, ckpt_deflate::Level::Fast).unwrap();
+        let (inc, _) = incremental::increment(&t, &next, ckpt_deflate::Level::Default).unwrap();
         assert_eq!(incremental::apply(&t, &inc).unwrap(), next);
 
         let mut b = CheckpointBuilder::new(1);
@@ -807,8 +807,8 @@ mod axis_count_tests {
         };
         let c = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         refused(c.compress(&t).map(drop));
-        refused(compress_exact(&t, ckpt_deflate::Level::Fast).map(drop));
-        refused(incremental::increment(&t, &t, ckpt_deflate::Level::Fast).map(drop));
+        refused(compress_exact(&t, ckpt_deflate::Level::Default).map(drop));
+        refused(incremental::increment(&t, &t, ckpt_deflate::Level::Default).map(drop));
         refused(CheckpointBuilder::new(1).add_raw("t", &t));
     }
 }

@@ -106,12 +106,6 @@ impl CompressorConfig {
         self
     }
 
-    /// Sets the DEFLATE effort.
-    pub fn with_level(mut self, level: Level) -> Self {
-        self.level = level;
-        self
-    }
-
     /// Turns byte transposition of the f64 sections on or off.
     pub fn with_byte_shuffle(mut self, on: bool) -> Self {
         self.byte_shuffle = on;
@@ -187,14 +181,12 @@ mod tests {
             .with_d(32)
             .with_method(Method::Simple)
             .with_levels(2)
-            .with_container(Container::None)
-            .with_level(Level::Fast);
+            .with_container(Container::None);
         assert_eq!(c.quant.n, 16);
         assert_eq!(c.quant.d, 32);
         assert_eq!(c.quant.method, Method::Simple);
         assert_eq!(c.plan.levels, 2);
         assert_eq!(c.container, Container::None);
-        assert_eq!(c.level, Level::Fast);
         c.validate().unwrap();
     }
 

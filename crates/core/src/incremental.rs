@@ -339,7 +339,7 @@ mod tests {
         let base = field(4);
         let mut cur = base.clone();
         cur.map_inplace(|v| v * 1.000000001);
-        let (packed, _) = increment(&base, &cur, Level::Fast).unwrap();
+        let (packed, _) = increment(&base, &cur, Level::Default).unwrap();
         let restored = apply(&base, &packed).unwrap();
         for (a, b) in restored.as_slice().iter().zip(cur.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -354,7 +354,7 @@ mod tests {
         base.as_mut_slice()[2 * PAGE_ELEMS] = f64::NAN;
         let mut cur = base.clone();
         cur.as_mut_slice()[5] = -0.0;
-        let (packed, stats) = increment(&base, &cur, Level::Fast).unwrap();
+        let (packed, stats) = increment(&base, &cur, Level::Default).unwrap();
         assert_eq!(stats.dirty_pages, 1, "only the signed zero's page");
         let restored = apply(&base, &packed).unwrap();
         assert!(restored.as_slice()[5].is_sign_negative());
@@ -367,7 +367,7 @@ mod tests {
         for v in cur.as_mut_slice().iter_mut().step_by(3) {
             *v *= 1.0001;
         }
-        let (packed, _) = increment(&base, &cur, Level::Fast).unwrap();
+        let (packed, _) = increment(&base, &cur, Level::Default).unwrap();
         let inc = decode(&packed).unwrap();
         assert_eq!(inc.layout(), Layout::Planes);
         let inner = gzip::decompress(&packed).unwrap();
@@ -380,7 +380,7 @@ mod tests {
         let mut inc1 = b"INC1".to_vec();
         inc1.extend_from_slice(&inner[5..inc.payload]);
         inc1.extend(words.iter().flat_map(|w| w.to_le_bytes()));
-        let old = decode(&gzip::compress(&inc1, Level::Fast)).unwrap();
+        let old = decode(&gzip::compress(&inc1, Level::Default)).unwrap();
         assert_eq!(old.layout(), Layout::Words);
         let (mut a, mut b) = (base.clone(), base.clone());
         inc.xor_into(&mut a).unwrap();
@@ -392,13 +392,13 @@ mod tests {
     #[test]
     fn an_unknown_version_or_magic_is_refused() {
         let t = field(7);
-        let (packed, _) = increment(&t, &t, Level::Fast).unwrap();
+        let (packed, _) = increment(&t, &t, Level::Default).unwrap();
         let mut inner = gzip::decompress(&packed).unwrap();
         inner[4] = 2;
-        let why = decode(&gzip::compress(&inner, Level::Fast)).err().unwrap().to_string();
+        let why = decode(&gzip::compress(&inner, Level::Default)).err().unwrap().to_string();
         assert!(why.contains("unsupported version 2"), "{why}");
         inner[..5].copy_from_slice(b"INC3\x01");
-        let why = decode(&gzip::compress(&inner, Level::Fast)).err().unwrap().to_string();
+        let why = decode(&gzip::compress(&inner, Level::Default)).err().unwrap().to_string();
         assert!(why.contains("bad magic"), "{why}");
     }
 
@@ -406,15 +406,15 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = Tensor::<f64>::zeros(&[8, 8]).unwrap();
         let b = Tensor::<f64>::zeros(&[4, 4]).unwrap();
-        assert!(increment(&a, &b, Level::Fast).is_err());
-        let (packed, _) = increment(&a, &a, Level::Fast).unwrap();
+        assert!(increment(&a, &b, Level::Default).is_err());
+        let (packed, _) = increment(&a, &a, Level::Default).unwrap();
         assert!(apply(&b, &packed).is_err());
     }
 
     #[test]
     fn corrupt_increment_detected() {
         let t = field(5);
-        let (mut packed, _) = increment(&t, &t, Level::Fast).unwrap();
+        let (mut packed, _) = increment(&t, &t, Level::Default).unwrap();
         let n = packed.len();
         packed[n / 2] ^= 0xFF;
         assert!(apply(&t, &packed).is_err());

@@ -880,11 +880,9 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 /// header — in the one buffer, so the stream is never copied into its
 /// container.
 pub(crate) fn compress_after(out: Vec<u8>, data: &[u8], level: Level) -> Vec<u8> {
-    let Some(mut matcher) = Matcher::new(level) else {
-        let mut w = BitWriter::after(out, data.len() + 5 * data.len().div_ceil(65_535).max(1));
-        write_stored_chunks(&mut w, data, true);
-        return w.finish();
-    };
+    // One effort is left; the argument keeps every caller's signature.
+    let Level::Default = level;
+    let mut matcher = Matcher::new();
     // The matcher's chains are freed after `finish`, not before: the
     // other order leaves glibc trimming the heap on every call, and the
     // next call's stored runs fault their pages back in.
@@ -1020,16 +1018,6 @@ mod tests {
         assert_eq!(rle_expand(&rle_of(&sparse)), sparse);
     }
 
-    #[test]
-    fn stored_roundtrip_via_inflate() {
-        let data = vec![0xA5u8; 100_000];
-        let packed = compress(&data, Level::Store);
-        assert_eq!(crate::decompress(&packed).unwrap(), data);
-        // 65535-chunking: two blocks expected, overhead ~10 bytes.
-        assert!(packed.len() >= data.len());
-        assert!(packed.len() < data.len() + 32);
-    }
-
     fn lcg(n: usize, mut state: u64) -> Vec<u8> {
         (0..n)
             .map(|_| {
@@ -1046,13 +1034,11 @@ mod tests {
         // shorter than a block as one more.
         for n in [1usize, 10_000, GATE_BLOCK - 1, GATE_BLOCK, GATE_BLOCK + 1, 65_536, 300_000] {
             let data = lcg(n, n as u64);
-            for level in [Level::Fast, Level::Default] {
-                let run = n - n % GATE_BLOCK;
-                let chunks = run.div_ceil(65_535) + usize::from(n > run);
-                let packed = compress(&data, level);
-                assert!(packed.len() <= n + 5 * chunks, "{level:?}, {n}: {} bytes", packed.len());
-                assert_eq!(crate::decompress(&packed).unwrap(), data);
-            }
+            let run = n - n % GATE_BLOCK;
+            let chunks = run.div_ceil(65_535) + usize::from(n > run);
+            let packed = compress(&data, Level::Default);
+            assert!(packed.len() <= n + 5 * chunks, "{n}: {} bytes", packed.len());
+            assert_eq!(crate::decompress(&packed).unwrap(), data);
         }
     }
 
@@ -1124,8 +1110,8 @@ mod tests {
     }
 
     /// Where each block of `data`'s stream ends, as source offsets.
-    fn block_ends(data: &[u8], level: Level) -> Vec<usize> {
-        let mut enc = encode(Vec::new(), data, &mut Matcher::new(level).unwrap());
+    fn block_ends(data: &[u8]) -> Vec<usize> {
+        let mut enc = encode(Vec::new(), data, &mut Matcher::new());
         enc.flush(true);
         enc.block_ends
     }
@@ -1140,24 +1126,20 @@ mod tests {
             .enumerate()
             .map(|(i, b)| if i < seam { b & 0x0F } else { 0xF0 | b >> 4 })
             .collect();
-        for level in [Level::Fast, Level::Default] {
-            let ends = block_ends(&data, level);
-            assert_eq!(ends.len(), 2, "{level:?}: {ends:?}");
-            assert!(ends[0].abs_diff(seam) <= SPLIT_CHECK_BYTES, "{level:?}: {ends:?}");
-            assert_eq!(crate::decompress(&compress(&data, level)).unwrap(), data);
-        }
+        let ends = block_ends(&data);
+        assert_eq!(ends.len(), 2, "{ends:?}");
+        assert!(ends[0].abs_diff(seam) <= SPLIT_CHECK_BYTES, "{ends:?}");
+        assert_eq!(crate::decompress(&compress(&data, Level::Default)).unwrap(), data);
     }
 
     #[test]
     fn a_stationary_input_ends_blocks_only_at_the_segment_cap() {
         let data: Vec<u8> = lcg(3 * SEGMENT_BYTES + 5000, 5).iter().map(|b| b & 0x0F).collect();
-        for level in [Level::Fast, Level::Default] {
-            let ends = block_ends(&data, level);
-            assert_eq!(ends.len(), data.len().div_ceil(SEGMENT_BYTES), "{level:?}: {ends:?}");
-            for (k, &end) in ends.iter().enumerate().take(ends.len() - 1) {
-                let cap = (k + 1) * SEGMENT_BYTES;
-                assert!((cap..cap + crate::lz77::MAX_MATCH).contains(&end), "{level:?}: {ends:?}");
-            }
+        let ends = block_ends(&data);
+        assert_eq!(ends.len(), data.len().div_ceil(SEGMENT_BYTES), "{ends:?}");
+        for (k, &end) in ends.iter().enumerate().take(ends.len() - 1) {
+            let cap = (k + 1) * SEGMENT_BYTES;
+            assert!((cap..cap + crate::lz77::MAX_MATCH).contains(&end), "{ends:?}");
         }
     }
 
@@ -1176,11 +1158,9 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        for level in [Level::Store, Level::Fast, Level::Default] {
-            let packed = compress(&[], level);
-            assert!(!packed.is_empty());
-            assert_eq!(crate::decompress(&packed).unwrap(), Vec::<u8>::new());
-        }
+        let packed = compress(&[], Level::Default);
+        assert!(!packed.is_empty());
+        assert_eq!(crate::decompress(&packed).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -1197,9 +1177,7 @@ mod tests {
                 data.extend_from_slice(&state.to_le_bytes());
             }
         }
-        for level in [Level::Fast, Level::Default] {
-            let packed = compress(&data, level);
-            assert_eq!(crate::decompress(&packed).unwrap(), data, "{level:?}");
-        }
+        let packed = compress(&data, Level::Default);
+        assert_eq!(crate::decompress(&packed).unwrap(), data);
     }
 }

@@ -287,10 +287,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
@@ -420,11 +416,6 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64, FrameError> {
         Ok(u64::from_le_bytes(self.get_array()?))
-    }
-
-    #[inline]
-    pub fn get_f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_le_bytes(self.get_array()?))
     }
 
     #[inline]
@@ -747,7 +738,6 @@ mod tests {
         w.put_u16(0x1234);
         w.put_u32(0xDEADBEEF);
         w.put_u64(0x0102030405060708);
-        w.put_f64(-1234.5678);
         w.put_str("temperature").unwrap();
         w.put_f64_slice(&[1.5, -2.5]);
         w.put_bytes(&[9, 9, 9]);
@@ -758,7 +748,6 @@ mod tests {
         assert_eq!(r.get_u16().unwrap(), 0x1234);
         assert_eq!(r.get_u32().unwrap(), 0xDEADBEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0102030405060708);
-        assert_eq!(r.get_f64().unwrap(), -1234.5678);
         assert_eq!(r.get_str().unwrap(), "temperature");
         assert_eq!(r.get_f64_slice(2).unwrap(), vec![1.5, -2.5]);
         assert_eq!(r.get_bytes(3).unwrap(), &[9, 9, 9]);
@@ -791,16 +780,12 @@ mod tests {
     #[test]
     fn nan_and_infinity_preserved() {
         let mut w = Writer::new();
-        w.put_f64(f64::NAN);
-        w.put_f64(f64::INFINITY);
-        w.put_f64(f64::NEG_INFINITY);
-        w.put_f64(-0.0);
+        let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -1234.5678];
+        w.put_f64_slice(&values);
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(r.get_f64().unwrap().is_nan());
-        assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
-        assert_eq!(r.get_f64().unwrap(), f64::NEG_INFINITY);
-        assert!(r.get_f64().unwrap().is_sign_negative());
+        let back = Reader::new(&bytes).get_f64_slice(values.len()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
     }
 
     #[test]

@@ -49,20 +49,16 @@ pub mod lz77;
 
 use std::fmt;
 
-/// Compression effort: how hard the LZ77 matcher searches. Every coded
-/// level shares the rest of the encoder — the noise gate, the
-/// entropy-costed block splits and zlib's `TOO_FAR` rule.
+/// Compression effort. One value is left, and it names the one effort
+/// the encoder has: lazy matching over 8 chain links, below `gzip -6`
+/// effort and on checkpoint streams within 0.2% of its bytes at chain
+/// 32 — the blocks that end where the statistics change pay for the
+/// shallower search (DESIGN.md §11). The type stays so that every
+/// caller's `level` argument keeps its signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
-    /// No compression: stored blocks only (useful as a baseline and for
-    /// incompressible data).
-    Store,
-    /// Greedy matching over 16 chain links.
-    Fast,
-    /// Lazy matching over 8 chain links: below `gzip -6` effort, and on
-    /// checkpoint streams within 0.2% of its bytes at chain 32 — the
-    /// blocks that end where the statistics change pay for the
-    /// shallower search (DESIGN.md §11).
+    /// Lazy matching over 8 chain links, with the noise gate, the
+    /// entropy-costed block splits and zlib's `TOO_FAR` rule.
     Default,
 }
 
@@ -157,10 +153,8 @@ mod tests {
     #[test]
     fn doc_example_roundtrip() {
         let data = b"abcabcabcabc".to_vec();
-        for level in [Level::Store, Level::Fast, Level::Default] {
-            let packed = compress(&data, level);
-            assert_eq!(decompress(&packed).unwrap(), data, "{level:?}");
-        }
+        let packed = compress(&data, Level::Default);
+        assert_eq!(decompress(&packed).unwrap(), data);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! LZ77 match finding with hash chains (the engine behind DEFLATE).
 //!
 //! Produces a token stream of literals and back-references within the
-//! 32 KiB DEFLATE window. Matching effort (chain depth, lazy evaluation)
-//! scales with [`Level`].
+//! 32 KiB DEFLATE window, at one effort: lazy matching over
+//! eight chain links.
 //!
 //! The hot path is built for single-thread throughput:
 //! * hash heads and the prev ring are `u32` (half the memory traffic of
@@ -17,8 +17,6 @@
 //! * tokens stream into a [`TokenSink`] (the DEFLATE encoder feeds them
 //!   straight into Huffman coding) instead of materializing a
 //!   `Vec<Token>` for the whole input.
-
-use crate::Level;
 
 /// Minimum back-reference length DEFLATE can encode.
 pub const MIN_MATCH: usize = 3;
@@ -86,43 +84,18 @@ pub trait TokenSink {
     }
 }
 
-/// Matching effort parameters derived from the compression level.
-#[derive(Debug, Clone, Copy)]
-struct Effort {
-    max_chain: usize,
-    lazy: bool,
-    /// Stop searching early once a match of this length is found.
-    good_enough: usize,
-    /// Skip the lazy probe entirely when the current match is at least
-    /// this long (zlib's `max_lazy`) — a long match is almost never
-    /// beaten by one starting a byte later, and the probe is the
-    /// second-most expensive step on compressible data.
-    max_lazy: usize,
-}
-
+/// Chain links a search walks.
+const MAX_CHAIN: usize = 8;
+/// Stop searching early once a match of this length is found.
+const GOOD_ENOUGH: usize = 64;
+/// Skip the lazy probe entirely when the current match is at least this
+/// long (zlib's `max_lazy`) — a long match is almost never beaten by one
+/// starting a byte later, and the probe is the second-most expensive
+/// step on compressible data.
+const MAX_LAZY: usize = 16;
 /// When lazily probing against a current match at least this long, walk
 /// only a quarter of the chain (zlib's `good_length`).
 const GOOD_LENGTH: usize = 8;
-
-impl Effort {
-    fn for_level(level: Level) -> Option<Effort> {
-        match level {
-            Level::Store => None,
-            Level::Fast => Some(Effort {
-                max_chain: 16,
-                lazy: false,
-                good_enough: 32,
-                max_lazy: 0,
-            }),
-            Level::Default => Some(Effort {
-                max_chain: 8,
-                lazy: true,
-                good_enough: 64,
-                max_lazy: 16,
-            }),
-        }
-    }
-}
 
 /// Hashes the 3 bytes at `pos` (caller guarantees `pos + 3 <= len`).
 /// Loads 4 bytes and masks to 24 bits when possible — same 3-byte hash
@@ -170,10 +143,11 @@ fn match_len(data: &[u8], cand: usize, pos: usize, max: usize) -> usize {
     l
 }
 
-/// Hash-chain state over the input buffer. Positions are stored +1 so
-/// that 0 means "empty"; `u32` halves the footprint of the old `usize`
-/// arrays.
-struct Chains {
+/// The match finder: hash-chain state over the input buffer, which
+/// lives across calls so that one input can be tokenized a range at a
+/// time. Positions are stored +1 so that 0 means "empty"; `u32` halves
+/// the footprint of the old `usize` arrays.
+pub(crate) struct Matcher {
     /// head[h] = (most recent position with hash h) + 1, or 0. Boxed
     /// fixed-size arrays: indexing with a masked value needs no bounds
     /// check.
@@ -182,9 +156,10 @@ struct Chains {
     prev: Box<[u32; WINDOW]>,
 }
 
-impl Chains {
-    fn new() -> Self {
-        Chains {
+impl Matcher {
+    /// A matcher with empty chains.
+    pub(crate) fn new() -> Self {
+        Matcher {
             head: vec![0u32; HASH_SIZE].into_boxed_slice().try_into().expect("sized"),
             prev: vec![0u32; WINDOW].into_boxed_slice().try_into().expect("sized"),
         }
@@ -212,7 +187,6 @@ impl Chains {
         data: &[u8],
         pos: usize,
         first: u32,
-        effort: &Effort,
         max_chain: usize,
         min_len: usize,
     ) -> Option<(u32, u32)> {
@@ -241,7 +215,7 @@ impl Chains {
                 if l > best_len {
                     best_len = l;
                     best_dist = pos - cand;
-                    if l >= effort.good_enough || l == max {
+                    if l >= GOOD_ENOUGH || l == max {
                         break;
                     }
                     want = data[pos + best_len];
@@ -259,28 +233,13 @@ impl Chains {
     }
 }
 
-/// The match finder: an effort and the hash chains, which live across
-/// calls so that one input can be tokenized a range at a time.
-pub struct Matcher {
-    effort: Effort,
-    chains: Chains,
-}
-
 impl Matcher {
-    /// A matcher with empty chains; `None` at [`Level::Store`], which
-    /// has nothing to search.
-    pub fn new(level: Level) -> Option<Matcher> {
-        Effort::for_level(level).map(|effort| Matcher { effort, chains: Chains::new() })
-    }
-
     /// Streams the tokens for `data[start..]` into `sink`. Matches reach
     /// back into `data[..start]` wherever an earlier call indexed it and
     /// never run past the end of `data`, so a caller that tokenizes
     /// ranges in ascending order — handing the bytes in between to the
     /// decoder some other way — passes `&data[..end]` for each.
-    pub fn tokenize_into<S: TokenSink>(&mut self, data: &[u8], start: usize, sink: &mut S) {
-        let Matcher { effort, chains } = self;
-        let effort = *effort;
+    pub(crate) fn tokenize_into<S: TokenSink>(&mut self, data: &[u8], start: usize, sink: &mut S) {
         // Positions are stored +1 in u32 chains.
         assert!(data.len() < u32::MAX as usize, "input too large for u32 hash chains");
         let n = data.len();
@@ -300,8 +259,8 @@ impl Matcher {
             let found = match pending.take() {
                 Some(m) => Some(m),
                 None if i < hash_end => {
-                    let first = chains.insert(hash3(data, i), i);
-                    chains.longest_from(data, i, first, &effort, effort.max_chain, MIN_MATCH - 1)
+                    let first = self.insert(hash3(data, i), i);
+                    self.longest_from(data, i, first, MAX_CHAIN, MIN_MATCH - 1)
                 }
                 None => None,
             };
@@ -312,7 +271,7 @@ impl Matcher {
                 misses += 1;
                 let next = i + (1 + (misses >> MISS_SHIFT)).min(MAX_STRIDE);
                 for p in i + 1..next.min(hash_end) {
-                    chains.insert(hash3(data, p), p);
+                    self.insert(hash3(data, p), p);
                 }
                 i = next;
                 continue;
@@ -324,20 +283,16 @@ impl Matcher {
             // reused as the next iteration's match — the old implementation
             // searched every deferred position twice.
             let mut probed = false;
-            if effort.lazy && (len as usize) < effort.max_lazy && i + 1 < hash_end {
-                let first = chains.insert(hash3(data, i + 1), i + 1);
+            if (len as usize) < MAX_LAZY && i + 1 < hash_end {
+                let first = self.insert(hash3(data, i + 1), i + 1);
                 probed = true;
                 // A match that is already good only merits a quarter of the
                 // chain budget on the probe.
-                let budget = if (len as usize) >= GOOD_LENGTH {
-                    effort.max_chain >> 2
-                } else {
-                    effort.max_chain
-                };
+                let budget = if (len as usize) >= GOOD_LENGTH { MAX_CHAIN >> 2 } else { MAX_CHAIN };
                 // Seeding with the pending length means the probe can only
                 // return a strictly longer match.
                 if let Some((len2, dist2)) =
-                    chains.longest_from(data, i + 1, first, &effort, budget, len as usize)
+                    self.longest_from(data, i + 1, first, budget, len as usize)
                 {
                     i += 1;
                     pending = Some((len2, dist2));
@@ -354,7 +309,7 @@ impl Matcher {
             let from = if probed { i + 2 } else { i + 1 };
             let end = (i + len as usize).min(hash_end);
             for p in from..end {
-                chains.insert(hash3(data, p), p);
+                self.insert(hash3(data, p), p);
             }
             i += len as usize;
         }
@@ -380,16 +335,12 @@ impl TokenSink for Collector {
     }
 }
 
-/// Tokenizes `data` at the given level into a materialized token
-/// vector ([`Level::Store`] yields all literals). The compressor proper
-/// drives a [`Matcher`]; this exists for tests and tools that inspect
-/// the token stream.
-pub fn tokenize(data: &[u8], level: Level) -> Vec<Token> {
+/// Tokenizes `data` into a materialized token vector. The compressor
+/// proper drives a `Matcher`; this exists for tests and tools that
+/// inspect the token stream.
+pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut sink = Collector { tokens: Vec::with_capacity(data.len() / 2) };
-    match Matcher::new(level) {
-        Some(mut matcher) => matcher.tokenize_into(data, 0, &mut sink),
-        None => sink.literals(data),
-    }
+    Matcher::new().tokenize_into(data, 0, &mut sink);
     sink.tokens
 }
 
@@ -433,25 +384,21 @@ pub fn resolve(tokens: &[Token]) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn roundtrip(data: &[u8], level: Level) {
-        let tokens = tokenize(data, level);
-        assert_eq!(resolve(&tokens), data, "level {level:?}");
+    fn roundtrip(data: &[u8]) {
+        assert_eq!(resolve(&tokenize(data)), data);
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        for level in [Level::Fast, Level::Default] {
-            roundtrip(b"", level);
-            roundtrip(b"a", level);
-            roundtrip(b"ab", level);
-            roundtrip(b"abc", level);
+        for data in [&b""[..], b"a", b"ab", b"abc"] {
+            roundtrip(data);
         }
     }
 
     #[test]
     fn repetitive_data_produces_matches() {
         let data = b"abcabcabcabcabcabcabcabc";
-        let tokens = tokenize(data, Level::Default);
+        let tokens = tokenize(data);
         assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
         assert_eq!(resolve(&tokens), data);
         // First three literals, then matches of distance 3.
@@ -467,7 +414,7 @@ mod tests {
     fn overlapping_match_replication() {
         // "aaaaaaaa" -> literal 'a' then a dist-1 match (RLE via LZ77).
         let data = vec![b'a'; 300];
-        let tokens = tokenize(&data, Level::Default);
+        let tokens = tokenize(&data);
         assert_eq!(resolve(&tokens), data);
         assert!(tokens.len() <= 4, "RLE should need very few tokens: {}", tokens.len());
         if let Token::Match { len, dist } = tokens[1] {
@@ -481,7 +428,7 @@ mod tests {
     #[test]
     fn match_length_capped_at_258() {
         let data = vec![b'x'; 10_000];
-        for t in tokenize(&data, Level::Default) {
+        for t in tokenize(&data) {
             if let Token::Match { len, .. } = t {
                 assert!(len as usize <= MAX_MATCH);
                 assert!(len as usize >= MIN_MATCH);
@@ -504,7 +451,7 @@ mod tests {
         let mut data = chunk.clone();
         data.extend_from_slice(&filler);
         data.extend_from_slice(&chunk);
-        let tokens = tokenize(&data, Level::Default);
+        let tokens = tokenize(&data);
         assert_eq!(resolve(&tokens), data);
         for t in &tokens {
             if let Token::Match { dist, .. } = t {
@@ -521,28 +468,7 @@ mod tests {
             let v = (i as f64 * 0.001).sin() * 300.0;
             data.extend_from_slice(&v.to_le_bytes());
         }
-        for level in [Level::Fast, Level::Default] {
-            roundtrip(&data, level);
-        }
-    }
-
-    #[test]
-    fn store_level_is_all_literals() {
-        let tokens = tokenize(b"aaaa", Level::Store);
-        assert_eq!(tokens.len(), 4);
-        assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
-    }
-
-    #[test]
-    fn higher_levels_do_not_tokenize_worse() {
-        let data: Vec<u8> = (0..20_000u32)
-            .map(|i| if i % 17 < 9 { (i % 61) as u8 } else { b'z' })
-            .collect();
-        let fast = tokenize(&data, Level::Fast).len();
-        let default = tokenize(&data, Level::Default).len();
-        assert!(default <= fast + fast / 10, "default {default} much worse than fast {fast}");
-        assert_eq!(resolve(&tokenize(&data, Level::Fast)), data);
-        assert_eq!(resolve(&tokenize(&data, Level::Default)), data);
+        roundtrip(&data);
     }
 
     #[test]
@@ -557,28 +483,26 @@ mod tests {
             let filler = (0..gap - 3).map(|i| (i % 20) as u8);
             let data: Vec<u8> =
                 motif.iter().copied().chain(filler).chain(motif).chain([253; 8]).collect();
-            for level in [Level::Fast, Level::Default] {
-                let tokens = tokenize(&data, level);
-                assert_eq!(resolve(&tokens), data);
-                let mut pos = 0usize;
-                let at_copy = tokens
-                    .iter()
-                    .find(|t| {
-                        let here = pos;
-                        pos += match t {
-                            Token::Literal(_) => 1,
-                            Token::Match { len, .. } => *len as usize,
-                        };
-                        here >= gap
-                    })
-                    .copied();
-                let want = if is_match {
-                    Token::Match { len: 3, dist: gap as u16 }
-                } else {
-                    Token::Literal(250)
-                };
-                assert_eq!(at_copy, Some(want), "{level:?}, {gap} back");
-            }
+            let tokens = tokenize(&data);
+            assert_eq!(resolve(&tokens), data);
+            let mut pos = 0usize;
+            let at_copy = tokens
+                .iter()
+                .find(|t| {
+                    let here = pos;
+                    pos += match t {
+                        Token::Literal(_) => 1,
+                        Token::Match { len, .. } => *len as usize,
+                    };
+                    here >= gap
+                })
+                .copied();
+            let want = if is_match {
+                Token::Match { len: 3, dist: gap as u16 }
+            } else {
+                Token::Literal(250)
+            };
+            assert_eq!(at_copy, Some(want), "{gap} back");
         }
     }
 
@@ -632,27 +556,25 @@ mod tests {
         let gap = vec![0xEEu8; 16 * 1024];
         let data = [motif.as_slice(), &gap, &motif, &motif[..300]].concat();
         let (a, b, c) = (motif.len(), motif.len() + gap.len(), 2 * motif.len() + gap.len());
-        for level in [Level::Fast, Level::Default] {
-            let mut matcher = Matcher::new(level).unwrap();
-            let mut sink = Collector { tokens: Vec::new() };
-            matcher.tokenize_into(&data[..a], 0, &mut sink);
-            let first = sink.tokens.len();
-            matcher.tokenize_into(&data[..c], b, &mut sink);
-            let second = &sink.tokens[first..];
-            let covered: usize = second
-                .iter()
-                .map(|t| match t {
-                    Token::Literal(_) => 1,
-                    Token::Match { len, .. } => *len as usize,
-                })
-                .sum();
-            assert_eq!(covered, c - b, "{level:?}: the range's bytes, no more");
-            assert!(second.len() <= 8, "{level:?}: {} tokens for a copy", second.len());
-            assert!(
-                second.iter().all(|t| matches!(t, Token::Match { dist, .. } if *dist as usize == b)),
-                "{level:?}: {second:?}"
-            );
-        }
+        let mut matcher = Matcher::new();
+        let mut sink = Collector { tokens: Vec::new() };
+        matcher.tokenize_into(&data[..a], 0, &mut sink);
+        let first = sink.tokens.len();
+        matcher.tokenize_into(&data[..c], b, &mut sink);
+        let second = &sink.tokens[first..];
+        let covered: usize = second
+            .iter()
+            .map(|t| match t {
+                Token::Literal(_) => 1,
+                Token::Match { len, .. } => *len as usize,
+            })
+            .sum();
+        assert_eq!(covered, c - b, "the range's bytes, no more");
+        assert!(second.len() <= 8, "{} tokens for a copy", second.len());
+        assert!(
+            second.iter().all(|t| matches!(t, Token::Match { dist, .. } if *dist as usize == b)),
+            "{second:?}"
+        );
     }
 
     #[test]
@@ -671,9 +593,9 @@ mod tests {
         let pattern: Vec<u8> = (0..4096).map(|i| (i % 97) as u8).collect();
         let both = [noise.as_slice(), &pattern].concat();
         // (literals, matches) among the tokens that start at or after `from`.
-        let census = |data: &[u8], from: usize, level: Level| {
+        let census = |data: &[u8], from: usize| {
             let (mut pos, mut lits, mut matches) = (0usize, 0usize, 0usize);
-            for t in tokenize(data, level) {
+            for t in tokenize(data) {
                 let len = match t {
                     Token::Literal(_) => 1,
                     Token::Match { len, .. } => len as usize,
@@ -688,16 +610,15 @@ mod tests {
             }
             (lits, matches)
         };
-        for level in [Level::Fast, Level::Default] {
-            roundtrip(&both, level);
-            let (alone_lits, alone_matches) = census(&pattern, 0, level);
-            let (lits, matches) = census(&both, noise.len(), level);
-            assert!(lits <= alone_lits + MAX_STRIDE, "{level:?}: {lits} literals vs {alone_lits} alone");
-            assert!(matches <= alone_matches + 1, "{level:?}: {matches} matches vs {alone_matches} alone");
-            // In bytes: the pattern's share of the stream. 205 is what
-            // the matcher without the stride gave it at every level.
-            let share = crate::compress(&both, level).len() - crate::compress(&noise, level).len();
-            assert!(share <= 205 + 32, "{level:?}: the pattern took {share} bytes");
-        }
+        roundtrip(&both);
+        let (alone_lits, alone_matches) = census(&pattern, 0);
+        let (lits, matches) = census(&both, noise.len());
+        assert!(lits <= alone_lits + MAX_STRIDE, "{lits} literals vs {alone_lits} alone");
+        assert!(matches <= alone_matches + 1, "{matches} matches vs {alone_matches} alone");
+        // In bytes: the pattern's share of the stream. 205 is what the
+        // matcher without the stride gave it.
+        let level = crate::Level::Default;
+        let share = crate::compress(&both, level).len() - crate::compress(&noise, level).len();
+        assert!(share <= 205 + 32, "the pattern took {share} bytes");
     }
 }

@@ -29,7 +29,7 @@ fn sizes_around_segment_boundary_roundtrip() {
 fn many_segments_roundtrip() {
     // > 4 segments of compressible data.
     let data: Vec<u8> = (0..SEGMENT_BYTES * 4 + 12345).map(|i| ((i / 64) % 200) as u8).collect();
-    let packed = compress(&data, Level::Fast);
+    let packed = compress(&data, Level::Default);
     assert!(packed.len() < data.len() / 4);
     assert_eq!(decompress(&packed).unwrap(), data);
 }
@@ -64,11 +64,9 @@ fn matches_crossing_segment_boundaries_resolve() {
     while data.len() < SEGMENT_BYTES * 2 + 500 {
         data.extend_from_slice(&motif);
     }
-    for level in [Level::Fast, Level::Default] {
-        let packed = compress(&data, level);
-        assert_eq!(decompress(&packed).unwrap(), data, "{level:?}");
-        assert!(packed.len() < data.len() / 10, "{level:?}: repeats must compress");
-    }
+    let packed = compress(&data, Level::Default);
+    assert_eq!(decompress(&packed).unwrap(), data);
+    assert!(packed.len() < data.len() / 10, "repeats must compress");
 }
 
 #[test]
@@ -126,13 +124,11 @@ fn stored_runs_beginning_and_ending_around_block_boundaries_decode_everywhere() 
             for noise_tail in [false, true] {
                 let data = sandwich(lead as usize, edge, noise_tail);
                 let what = format!("lead {lead}, edge {edge}, tail {noise_tail}");
-                for level in [Level::Fast, Level::Default] {
-                    let packed = compress(&data, level);
-                    // The two whole blocks inside the noise are stored
-                    // unsearched; the ramps still compress.
-                    assert!(packed.len() < data.len() - 4000, "{what}: {} bytes", packed.len());
-                    decodes_everywhere(&packed, &data, &what);
-                }
+                let packed = compress(&data, Level::Default);
+                // The two whole blocks inside the noise are stored
+                // unsearched; the ramps still compress.
+                assert!(packed.len() < data.len() - 4000, "{what}: {} bytes", packed.len());
+                decodes_everywhere(&packed, &data, &what);
             }
         }
     }
@@ -162,11 +158,9 @@ fn a_stream_that_ends_on_a_stored_run_has_no_trailer_block() {
 fn an_order0_flat_block_that_repeats_inside_the_window_is_stored_not_searched() {
     let block = lcg(GATE_BLOCK, 21);
     let data = [block.as_slice(), &block].concat();
-    for level in [Level::Fast, Level::Default] {
-        let packed = compress(&data, level);
-        assert_eq!(packed.len(), data.len() + 5, "{level:?}: one stored chunk");
-        assert!(decompress(&packed).unwrap() == data);
-    }
+    let packed = compress(&data, Level::Default);
+    assert_eq!(packed.len(), data.len() + 5, "one stored chunk");
+    assert!(decompress(&packed).unwrap() == data);
     // Below the gate's unit the copy is the matcher's again.
     let short = [&block[..GATE_BLOCK / 2 - 1], &block[..GATE_BLOCK / 2 - 1]].concat();
     assert!(compress(&short, Level::Default).len() < GATE_BLOCK / 2 + 300);

@@ -2,31 +2,28 @@
 //!
 //! Every parallel stage runs its work on scoped threads
 //! (`std::thread::scope`, so borrowed slices work without `'static`
-//! bounds) in one of two shapes, and combines the results in index
-//! order so the outcome is independent of scheduling:
+//! bounds) through one fan-out, [`map_tasks`]: every worker claims the
+//! next task index from one counter, and the results come back in index
+//! order, so the outcome is independent of scheduling. Tasks of uneven
+//! cost (gzip members over planes that deflate at very different
+//! speeds) keep every worker busy; work of even cost (a rank's segment,
+//! a chain's links) is cut into `workers` contiguous slices first, one
+//! task each.
 //!
-//! - [`map_shards`] splits the work into `workers` contiguous shards up
-//!   front — for work of even cost (a rank's segment, a chain's links);
-//! - [`map_tasks`] lets every worker claim the next task index from one
-//!   counter — for tasks of uneven cost (gzip members over planes that
-//!   deflate at very different speeds), where a static split would
-//!   leave one worker idle behind another's slow shard.
-//!
-//! The calling thread is always worker 0, so `workers == 1` never
-//! spawns (the serial path stays allocation- and syscall-free) and
-//! `workers == n` spawns `n - 1` threads, not `n` with the caller idle
-//! in a join holding its own working set.
+//! The calling thread is always worker 0 and runs task 0, so
+//! `workers == 1` never spawns (the serial path stays allocation- and
+//! syscall-free) and `workers == n` spawns `n - 1` threads, not `n` with
+//! the caller idle in a join holding its own working set.
 
 #![forbid(unsafe_code)]
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Clamps a requested thread count to something sane: zero is treated
 /// as "unspecified" and becomes 1, and the count is capped by `work`
-/// so no worker starts with an empty shard.
-pub fn effective_workers(requested: usize, work: usize) -> usize {
+/// so no worker starts without a task.
+fn effective_workers(requested: usize, work: usize) -> usize {
     requested.max(1).min(work.max(1))
 }
 
@@ -39,73 +36,15 @@ pub fn host_parallelism() -> usize {
     })
 }
 
-/// [`effective_workers`] with an additional cap at the host's core
-/// count: requesting 8 threads on a 2-core box spawns 2 workers, not 8
+/// The worker count [`map_tasks`] settles on (zero means one, and no
+/// more workers than units of `work`), with an additional cap at the
+/// host's core count: requesting 8 threads on a 2-core box spawns 2 workers, not 8
 /// threads fighting over 2 cores. Use this to size *spawn counts* only
 /// — anything that shapes output bytes (container format, chunk
 /// layout) must key on the requested count so results stay
 /// host-independent.
 pub fn clamp_workers(requested: usize, work: usize) -> usize {
     effective_workers(requested.max(1).min(host_parallelism()), work)
-}
-
-/// Splits `0..n` into `workers` contiguous near-even ranges, in order.
-/// The first `n % workers` ranges are one element longer. Returns
-/// fewer than `workers` ranges only when `n < workers`; `n == 0`
-/// yields a single empty range so callers always get at least one
-/// shard to hand to a worker.
-pub fn partition_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let workers = effective_workers(workers, n);
-    if n == 0 {
-        // One empty range, deliberately: vec![0..0] is the shard list,
-        // not a shorthand for the range's elements.
-        #[allow(clippy::single_range_in_vec_init)]
-        return vec![0..0];
-    }
-    let base = n / workers;
-    let extra = n % workers;
-    let mut out = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
-/// Maps `f` over contiguous shards of `items`, returning one result per
-/// shard in shard order. Shard 0 runs on the calling thread; every
-/// other shard gets a scoped thread. The shard layout depends only on
-/// `items.len()` and `workers`, so combining results in order is
-/// deterministic.
-pub fn map_shards<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    let ranges = partition_ranges(items.len(), workers);
-    if ranges.len() == 1 {
-        return vec![f(0, items)];
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(w, r)| {
-                let shard = &items[r.clone()];
-                scope.spawn(move || f(w, shard))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(ranges.len());
-        out.push(f(0, &items[ranges[0].clone()]));
-        out.extend(handles.into_iter().map(|h| h.join().expect("worker thread panicked")));
-        out
-    })
 }
 
 /// Runs `f(i)` for every `i in 0..tasks` on `workers` threads and
@@ -172,57 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cover_everything_in_order() {
-        for n in [0usize, 1, 2, 5, 7, 64, 1000] {
-            for workers in [1usize, 2, 3, 4, 8, 13] {
-                let ranges = partition_ranges(n, workers);
-                let mut covered = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, covered, "gap at n={n} workers={workers}");
-                    covered = r.end;
-                }
-                assert_eq!(covered, n);
-                if n > 0 {
-                    assert!(ranges.iter().all(|r| !r.is_empty()));
-                    let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                    assert!(max - min <= 1, "uneven split {lens:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_shards_matches_serial_map() {
-        let items: Vec<u64> = (0..997).collect();
-        let serial: u64 = items.iter().sum();
-        for workers in [1usize, 2, 3, 8] {
-            let partials = map_shards(&items, workers, |_, shard| {
-                shard.iter().sum::<u64>()
-            });
-            assert_eq!(partials.iter().sum::<u64>(), serial);
-        }
-    }
-
-    #[test]
-    fn map_shards_runs_shard_0_on_the_caller_and_keeps_shard_order() {
-        let caller = std::thread::current().id();
-        let items: Vec<usize> = (0..64).collect();
-        for workers in 1..=8 {
-            let shards = map_shards(&items, workers, |w, shard| {
-                (w, shard.to_vec(), std::thread::current().id())
-            });
-            assert_eq!(shards.len(), workers);
-            let ranges = partition_ranges(items.len(), workers);
-            for (i, ((w, shard, thread), r)) in shards.iter().zip(&ranges).enumerate() {
-                assert_eq!(*w, i, "workers={workers}: result {i} is shard {w}'s");
-                assert_eq!(shard[..], items[r.clone()], "workers={workers}, shard {i}");
-                assert_eq!(*thread == caller, i == 0, "workers={workers}, shard {i}");
-            }
-        }
-    }
-
-    #[test]
     fn map_tasks_runs_every_index_once_and_returns_them_in_order() {
         for tasks in [0usize, 1, 97] {
             for workers in [1usize, 2, 3, 8] {
@@ -238,12 +126,14 @@ mod tests {
         }
     }
 
+    /// Task 0 is the caller's: the store's chain fold puts the full in
+    /// its first slice, so the full is decoded where it is kept.
     #[test]
-    fn map_tasks_runs_a_task_on_the_caller() {
+    fn map_tasks_runs_task_0_on_the_caller() {
         let caller = std::thread::current().id();
-        for (tasks, workers) in [(1usize, 1usize), (1, 4), (2, 2), (64, 8)] {
+        for (tasks, workers) in [(1usize, 1usize), (1, 4), (2, 2), (3, 3), (64, 8)] {
             let threads = map_tasks(tasks, workers, |_| std::thread::current().id());
-            assert!(threads.contains(&caller), "tasks={tasks} workers={workers}");
+            assert_eq!(threads[0], caller, "tasks={tasks} workers={workers}");
         }
     }
 

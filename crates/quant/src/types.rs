@@ -41,17 +41,6 @@ pub struct QuantConfig {
 }
 
 impl QuantConfig {
-    /// The paper's headline configuration: proposed method, n = 128,
-    /// d = 64.
-    pub fn paper_default() -> Self {
-        QuantConfig { method: Method::Proposed, n: 128, d: 64 }
-    }
-
-    /// Simple method with the paper's n = 128.
-    pub fn simple_default() -> Self {
-        QuantConfig { method: Method::Simple, n: 128, d: 64 }
-    }
-
     /// Validates the parameter ranges.
     pub fn validate(&self) -> Result<(), QuantError> {
         if self.n == 0 || self.n > 256 {
@@ -237,7 +226,7 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(QuantConfig::paper_default().validate().is_ok());
+        assert!(QuantConfig { method: Method::Proposed, n: 128, d: 64 }.validate().is_ok());
         assert!(QuantConfig { method: Method::Simple, n: 0, d: 64 }.validate().is_err());
         assert!(QuantConfig { method: Method::Simple, n: 257, d: 64 }.validate().is_err());
         assert!(QuantConfig { method: Method::Proposed, n: 8, d: 0 }.validate().is_err());

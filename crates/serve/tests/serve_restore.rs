@@ -54,7 +54,7 @@ fn store_with(dir: &Path, payload: &[u8]) -> (Store, u64) {
 fn concurrent_socket_restores_complete_while_saves_commit() {
     let dir = scratch("concurrent");
     let data = test_data(120_000);
-    let payload = chunked::compress_chunked(&data, Level::Fast, 16 << 10, 2);
+    let payload = chunked::compress_chunked(&data, Level::Default, 16 << 10, 2);
     let (store, gen) = store_with(&dir.join("store"), &payload);
     let store = Arc::new(Mutex::new(store));
     let socket = dir.join("ckpt.sock");
@@ -113,7 +113,7 @@ fn concurrent_socket_restores_complete_while_saves_commit() {
     // stream: their pinned snapshot must survive all of it.
     for i in 0..6u64 {
         let extra = test_data(30_000 + (i as usize) * 1000);
-        let p = gzip::compress(&extra, Level::Fast);
+        let p = gzip::compress(&extra, Level::Default);
         let mut guard = store.lock().unwrap();
         guard.save_full(100 + i, SegmentFormat::Array, &[&p], 1).unwrap();
         if i == 3 {

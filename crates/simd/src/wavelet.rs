@@ -7,6 +7,11 @@
 //! becomes one contiguous row operation, and row operations map 1:1
 //! onto SIMD vectors with a scalar tail.
 //!
+//! Tiers: the scalar tier has all six ops. The AVX2 tier has Haar's
+//! two, the kernel every workload runs, and hands CDF 5/3 and 9/7 to
+//! the scalar code (EXPERIMENTS.md pass 25 has what their AVX2 forms
+//! bought before they went).
+//!
 //! Bit-identical contract: every tier performs the per-lane arithmetic
 //! of the reference 1-d kernels in `ckpt-wavelet` (`haar.rs`,
 //! `cdf53.rs`, `cdf97.rs`) in the same association order. Lanes are
@@ -290,13 +295,13 @@ mod scalar {
     }
 }
 
-/// The AVX2 tier: the scalar kernels' structure with each row
+/// The AVX2 tier: Haar, the kernel every workload runs, with each row
 /// operation four lanes wide. All arithmetic rewrites relative to the
 /// scalar reference are the value-preserving ones listed in the module
-/// docs.
+/// docs. CDF 5/3 and 9/7 run the scalar batch code on this tier too.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{reflect, WaveletOp, ALPHA, BETA, DELTA, GAMMA, K};
+    use super::WaveletOp;
     use core::arch::x86_64::*;
 
     const L: usize = 4;
@@ -310,10 +315,7 @@ mod avx2 {
         match op {
             WaveletOp::HaarForward => haar_forward(src, dst, n, w),
             WaveletOp::HaarInverse => haar_inverse(src, dst, n, w),
-            WaveletOp::Cdf53Forward => cdf53_forward(src, dst, n, w),
-            WaveletOp::Cdf53Inverse => cdf53_inverse(src, dst, n, w),
-            WaveletOp::Cdf97Forward => cdf97_forward(src, dst, n, w),
-            WaveletOp::Cdf97Inverse => cdf97_inverse(src, dst, n, w),
+            _ => super::scalar::apply(op, src, dst, n, w),
         }
     }
 
@@ -412,110 +414,6 @@ mod avx2 {
         }
     }
 
-    /// `out[j] = base[j] + (x[j] + y[j]) * c` — the lifting
-    /// step. The reference writes `base + C*(x+y)` (cdf97) and
-    /// `base + (x+y)/4.0` (cdf53, `c = 0.25`); both are this
-    /// expression verbatim.
-    ///
-    /// # Safety
-    /// `base`, `x`, `y`, `out` each point at `w` f64s; `out`
-    /// may alias `base` (in-place lifting) but not `x` or `y`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fused_add_row(
-        base: *const f64,
-        x: *const f64,
-        y: *const f64,
-        c: f64,
-        out: *mut f64,
-        w: usize,
-    ) {
-        let vc = _mm256_set1_pd(c);
-        let mut j = 0;
-        while j + L <= w {
-            let t = _mm256_mul_pd(
-                _mm256_add_pd(_mm256_loadu_pd(x.add(j)), _mm256_loadu_pd(y.add(j))),
-                vc,
-            );
-            _mm256_storeu_pd(out.add(j), _mm256_add_pd(_mm256_loadu_pd(base.add(j)), t));
-            j += L;
-        }
-        while j < w {
-            *out.add(j) = *base.add(j) + (*x.add(j) + *y.add(j)) * c;
-            j += 1;
-        }
-    }
-
-    /// `out[j] = base[j] - (x[j] + y[j]) * c` — the inverse
-    /// lifting step (`base - C*(x+y)` / `base - (x+y)/2.0`).
-    ///
-    /// # Safety
-    /// Same contract as `fused_add_row`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fused_sub_row(
-        base: *const f64,
-        x: *const f64,
-        y: *const f64,
-        c: f64,
-        out: *mut f64,
-        w: usize,
-    ) {
-        let vc = _mm256_set1_pd(c);
-        let mut j = 0;
-        while j + L <= w {
-            let t = _mm256_mul_pd(
-                _mm256_add_pd(_mm256_loadu_pd(x.add(j)), _mm256_loadu_pd(y.add(j))),
-                vc,
-            );
-            _mm256_storeu_pd(out.add(j), _mm256_sub_pd(_mm256_loadu_pd(base.add(j)), t));
-            j += L;
-        }
-        while j < w {
-            *out.add(j) = *base.add(j) - (*x.add(j) + *y.add(j)) * c;
-            j += 1;
-        }
-    }
-
-    /// `out[j] = a[j] / c` — kept as a true division because the
-    /// 9/7 gain `K` is not a power of two.
-    ///
-    /// # Safety
-    /// `a`, `out` each point at `w` f64s.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn div_scalar_row(a: *const f64, c: f64, out: *mut f64, w: usize) {
-        let vc = _mm256_set1_pd(c);
-        let mut j = 0;
-        while j + L <= w {
-            _mm256_storeu_pd(out.add(j), _mm256_div_pd(_mm256_loadu_pd(a.add(j)), vc));
-            j += L;
-        }
-        while j < w {
-            *out.add(j) = *a.add(j) / c;
-            j += 1;
-        }
-    }
-
-    /// `out[j] = a[j] * c`.
-    ///
-    /// # Safety
-    /// `a`, `out` each point at `w` f64s.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_scalar_row(a: *const f64, c: f64, out: *mut f64, w: usize) {
-        let vc = _mm256_set1_pd(c);
-        let mut j = 0;
-        while j + L <= w {
-            _mm256_storeu_pd(out.add(j), _mm256_mul_pd(_mm256_loadu_pd(a.add(j)), vc));
-            j += L;
-        }
-        while j < w {
-            *out.add(j) = *a.add(j) * c;
-            j += 1;
-        }
-    }
-
     /// # Safety
     /// See `apply`; row indices are all `< n` by the band-length
     /// arithmetic, so every `.add(row * w)` stays in bounds.
@@ -550,184 +448,6 @@ mod avx2 {
         }
         if n % 2 == 1 {
             core::ptr::copy_nonoverlapping(sp.add((h - 1) * w), dp.add((n - 1) * w), w);
-        }
-    }
-
-    /// # Safety
-    /// See `apply`. Predict writes high rows reading only `src`;
-    /// update writes low rows reading `src` plus already-written
-    /// high rows of `dst` — no row aliases its inputs.
-    #[target_feature(enable = "avx2")]
-    unsafe fn cdf53_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-        if n == 1 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let h = n.div_ceil(2);
-        let pairs = n / 2;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..pairs {
-            let r = reflect(2 * i as isize + 2, n);
-            fused_sub_row(
-                sp.add((2 * i + 1) * w),
-                sp.add(2 * i * w),
-                sp.add(r * w),
-                0.5,
-                dp.add((h + i) * w),
-                w,
-            );
-        }
-        for i in 0..h {
-            let dprev = if i == 0 { h } else { h + i - 1 };
-            let dhere = if i < pairs { h + i } else { dprev };
-            fused_add_row(
-                sp.add(2 * i * w),
-                dp.add(dprev * w),
-                dp.add(dhere * w),
-                0.25,
-                dp.add(i * w),
-                w,
-            );
-        }
-    }
-
-    /// # Safety
-    /// See `apply`. The undo-update pass writes even rows
-    /// reading only `src`; undo-predict writes odd rows reading
-    /// `src` plus the even `dst` rows written by the first pass.
-    #[target_feature(enable = "avx2")]
-    unsafe fn cdf53_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-        if n == 1 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let h = n.div_ceil(2);
-        let pairs = n / 2;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..h {
-            let dprev = if i == 0 { h } else { h + i - 1 };
-            let dhere = if i < pairs { h + i } else { dprev };
-            fused_sub_row(
-                sp.add(i * w),
-                sp.add(dprev * w),
-                sp.add(dhere * w),
-                0.25,
-                dp.add(2 * i * w),
-                w,
-            );
-        }
-        for i in 0..pairs {
-            let r = reflect(2 * i as isize + 2, n);
-            fused_add_row(
-                sp.add((h + i) * w),
-                dp.add(2 * i * w),
-                dp.add(r * w),
-                0.5,
-                dp.add((2 * i + 1) * w),
-                w,
-            );
-        }
-    }
-
-    /// # Safety
-    /// See `apply`. Lifting passes alternate between the `s` and
-    /// `d` scratch buffers; within a pass each written row reads
-    /// only rows of the *other* buffer, so in-place
-    /// `fused_add_row` (out == base) never aliases `x`/`y`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn cdf97_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-        let ns = n.div_ceil(2);
-        let nd = n / 2;
-        if nd == 0 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let mut s = vec![0.0f64; ns * w];
-        let mut d = vec![0.0f64; nd * w];
-        let sp = src.as_ptr();
-        for i in 0..ns {
-            core::ptr::copy_nonoverlapping(sp.add(2 * i * w), s.as_mut_ptr().add(i * w), w);
-        }
-        for i in 0..nd {
-            core::ptr::copy_nonoverlapping(sp.add((2 * i + 1) * w), d.as_mut_ptr().add(i * w), w);
-        }
-        let spp = s.as_mut_ptr();
-        let dpp = d.as_mut_ptr();
-        for i in 0..nd {
-            let k2 = (i + 1).min(ns - 1);
-            let row = dpp.add(i * w);
-            fused_add_row(row, spp.add(i * w), spp.add(k2 * w), ALPHA, row, w);
-        }
-        for i in 0..ns {
-            let a = i.saturating_sub(1);
-            let b = i.min(nd - 1);
-            let row = spp.add(i * w);
-            fused_add_row(row, dpp.add(a * w), dpp.add(b * w), BETA, row, w);
-        }
-        for i in 0..nd {
-            let k2 = (i + 1).min(ns - 1);
-            let row = dpp.add(i * w);
-            fused_add_row(row, spp.add(i * w), spp.add(k2 * w), GAMMA, row, w);
-        }
-        for i in 0..ns {
-            let a = i.saturating_sub(1);
-            let b = i.min(nd - 1);
-            let row = spp.add(i * w);
-            fused_add_row(row, dpp.add(a * w), dpp.add(b * w), DELTA, row, w);
-        }
-        let dp = dst.as_mut_ptr();
-        div_scalar_row(spp, K, dp, ns * w);
-        mul_scalar_row(dpp, K, dp.add(ns * w), nd * w);
-    }
-
-    /// # Safety
-    /// See `apply` and `cdf97_forward` (same aliasing argument,
-    /// lifting steps reversed with `fused_sub_row`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn cdf97_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
-        let ns = n.div_ceil(2);
-        let nd = n / 2;
-        if nd == 0 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let mut s = vec![0.0f64; ns * w];
-        let mut d = vec![0.0f64; nd * w];
-        let sp = src.as_ptr();
-        mul_scalar_row(sp, K, s.as_mut_ptr(), ns * w);
-        div_scalar_row(sp.add(ns * w), K, d.as_mut_ptr(), nd * w);
-        let spp = s.as_mut_ptr();
-        let dpp = d.as_mut_ptr();
-        for i in 0..ns {
-            let a = i.saturating_sub(1);
-            let b = i.min(nd - 1);
-            let row = spp.add(i * w);
-            fused_sub_row(row, dpp.add(a * w), dpp.add(b * w), DELTA, row, w);
-        }
-        for i in 0..nd {
-            let k2 = (i + 1).min(ns - 1);
-            let row = dpp.add(i * w);
-            fused_sub_row(row, spp.add(i * w), spp.add(k2 * w), GAMMA, row, w);
-        }
-        for i in 0..ns {
-            let a = i.saturating_sub(1);
-            let b = i.min(nd - 1);
-            let row = spp.add(i * w);
-            fused_sub_row(row, dpp.add(a * w), dpp.add(b * w), BETA, row, w);
-        }
-        for i in 0..nd {
-            let k2 = (i + 1).min(ns - 1);
-            let row = dpp.add(i * w);
-            fused_sub_row(row, spp.add(i * w), spp.add(k2 * w), ALPHA, row, w);
-        }
-        let dp = dst.as_mut_ptr();
-        for i in 0..ns {
-            core::ptr::copy_nonoverlapping(spp.add(i * w), dp.add(2 * i * w), w);
-        }
-        for i in 0..nd {
-            core::ptr::copy_nonoverlapping(dpp.add(i * w), dp.add((2 * i + 1) * w), w);
         }
     }
 }

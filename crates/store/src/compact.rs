@@ -229,7 +229,7 @@ mod tests {
             for i in (0..cur.len()).step_by(11 + step as usize) {
                 cur.as_mut_slice()[i] += step as f64 * 0.25;
             }
-            let (delta, _) = incremental::increment(&prev, &cur, Level::Fast).unwrap();
+            let (delta, _) = incremental::increment(&prev, &cur, Level::Default).unwrap();
             let g = store.save_increment(step, *gens.last().unwrap(), &[&delta], 1).unwrap();
             gens.push(g);
             prev = cur;

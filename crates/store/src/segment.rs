@@ -262,7 +262,7 @@ mod tests {
         // Increment.
         let mut cur = field.clone();
         cur.map_inplace(|v| v * 1.0000001);
-        let (inc, _) = incremental::increment(&field, &cur, Level::Fast).unwrap();
+        let (inc, _) = incremental::increment(&field, &cur, Level::Default).unwrap();
         verify_payload(SegmentFormat::Increment, &inc).unwrap();
     }
 
@@ -275,7 +275,7 @@ mod tests {
         assert!(verify_payload(SegmentFormat::Increment, &packed).is_err());
         assert!(verify_payload(SegmentFormat::Array, b"not a stream").is_err());
 
-        let (mut inc, _) = incremental::increment(&field, &field, Level::Fast).unwrap();
+        let (mut inc, _) = incremental::increment(&field, &field, Level::Default).unwrap();
         let n = inc.len();
         inc[n / 2] ^= 0xFF;
         assert!(verify_payload(SegmentFormat::Increment, &inc).is_err());
@@ -286,13 +286,13 @@ mod tests {
         let field = generate(&FieldSpec::small(FieldKind::WindU, 5));
         let mut cur = field.clone();
         cur.map_inplace(|v| v + 1.0);
-        let (packed, _) = incremental::increment(&field, &cur, Level::Fast).unwrap();
+        let (packed, _) = incremental::increment(&field, &cur, Level::Default).unwrap();
         // Flip a dirty bit inside the decompressed image and re-pack:
         // the XOR payload no longer matches the map.
         let mut inner = gzip::decompress(&packed).unwrap();
         let bitmap_at = 4 + 1 + 1 + 8 * field.ndim() + 8; // magic, version, ndim, dims, pages
         inner[bitmap_at] ^= 0x01;
-        let repacked = gzip::compress(&inner, Level::Fast);
+        let repacked = gzip::compress(&inner, Level::Default);
         assert!(verify_payload(SegmentFormat::Increment, &repacked).is_err());
     }
 }

@@ -133,11 +133,6 @@ impl Snapshot {
         Snapshot { view, pins, pin_id }
     }
 
-    /// The generations this snapshot pinned, ascending.
-    pub fn pinned_gens(&self) -> Vec<u64> {
-        self.view.gens.keys().copied().collect()
-    }
-
     /// Builds the range-read index for `gen`: per-rank committed
     /// length/CRC, plus per-member byte ranges for `WPK1` payloads.
     /// Member ranges come from the container's header and chunk index
@@ -264,7 +259,7 @@ mod tests {
         assert_eq!(store.live_snapshots(), 0);
         let snap = store.snapshot().unwrap();
         assert_eq!(store.live_snapshots(), 1);
-        assert_eq!(snap.pinned_gens(), vec![g1]);
+        assert_eq!(snap.view.gens.keys().copied().collect::<Vec<_>>(), vec![g1]);
 
         let g2 = store.save_full(2, SegmentFormat::Array, &[&payload(2)], 1).unwrap();
         // The store moved on; the snapshot did not.
@@ -284,7 +279,7 @@ mod tests {
         // Compressible multi-chunk data: the container gets several
         // members whose ranges must tile the payload exactly.
         let data: Vec<u8> = (0..60_000u32).map(|i| (i / 64) as u8).collect();
-        let wpk1 = chunked::compress_chunked(&data, Level::Fast, 16 * 1024, 2);
+        let wpk1 = chunked::compress_chunked(&data, Level::Default, 16 * 1024, 2);
         assert!(chunked::is_chunked(&wpk1));
 
         let mut store = Store::open(&dir).unwrap();

@@ -8,7 +8,6 @@ use crate::segment;
 use crate::snapshot::{PinSet, Snapshot};
 use std::cmp::Reverse;
 use crate::{Result, StoreError};
-use ckpt_core::checkpoint::Checkpoint;
 use ckpt_core::incremental;
 use ckpt_core::Compressor;
 use ckpt_deflate::frame;
@@ -488,8 +487,9 @@ impl Store {
         let write_segments = |layout: &Layout, fp: &FailPoint| {
             let ranks: Vec<(u32, &[u8])> = (0u32..).zip(payloads.iter().copied()).collect();
             let workers = ckpt_pool::clamp_workers(threads, ranks.len());
-            let shards = ckpt_pool::map_shards(&ranks, workers, |_, shard| {
-                shard
+            let slices: Vec<_> = ranks.chunks(ranks.len().div_ceil(workers)).collect();
+            let shards = ckpt_pool::map_tasks(slices.len(), workers, |i| {
+                slices[i]
                     .iter()
                     .map(|&(rank, payload)| segment::write_payload(layout, gen, rank, payload, fp))
                     .collect::<Result<Vec<Renamed>>>()
@@ -690,20 +690,6 @@ impl Store {
         self.view.resolve_chain(gen)
     }
 
-    /// Reads every payload of the recovery chain, base-first.
-    pub fn restore_chain(&self, gen: u64, rank: u32) -> Result<Vec<Vec<u8>>> {
-        self.resolve_chain(gen)?
-            .into_iter()
-            .map(|g| self.read_segment(g, rank))
-            .collect()
-    }
-
-    /// Restores a full checkpoint image (format `Checkpoint`).
-    pub fn restore_checkpoint(&self, gen: u64, rank: u32) -> Result<Checkpoint> {
-        self.guard()?;
-        self.view.restore_checkpoint(gen, rank)
-    }
-
     /// Materializes an array generation: decompresses the chain's base
     /// `WCK1` stream and applies each increment in order.
     pub fn restore_array(&self, gen: u64, rank: u32) -> Result<Tensor<f64>> {
@@ -813,18 +799,6 @@ impl View {
         Err(StoreError::Chain(format!("chain for generation {gen} exceeds {MAX_CHAIN} links")))
     }
 
-    /// Restores a full checkpoint image (format `Checkpoint`).
-    pub fn restore_checkpoint(&self, gen: u64, rank: u32) -> Result<Checkpoint> {
-        let g = self.state(gen)?;
-        if g.format != SegmentFormat::Checkpoint {
-            return Err(StoreError::Chain(format!(
-                "generation {gen} holds {} payloads, not checkpoint images",
-                g.format.name()
-            )));
-        }
-        Ok(Checkpoint::from_bytes(&self.read_segment(gen, rank)?)?)
-    }
-
     /// Materializes an array generation: decompresses the chain's base
     /// `WCK1` stream and XORs in every increment, its links read,
     /// CRC-checked and decoded on `min(host cores, links)` workers. A
@@ -835,7 +809,8 @@ impl View {
     }
 
     /// [`View::restore_array`] on at most `workers` contiguous shards of
-    /// the chain (the seam tests force 1, 2 and 3 workers through).
+    /// the chain, one `map_tasks` task each (the seam tests force 1, 2
+    /// and 3 workers through).
     /// Shard 0 runs on the calling thread: it decompresses the full and
     /// XORs its own increments straight into it. Every other shard only
     /// decodes, and the caller XORs what it decoded into the full in
@@ -861,9 +836,10 @@ impl View {
                 "chain base generation {base_gen} is not an array generation"
             )));
         }
-        let shards = ckpt_pool::map_shards(&chain, workers, |shard, links| {
+        let slices: Vec<&[u64]> = chain.chunks(chain.len().div_ceil(workers.max(1))).collect();
+        let shards = ckpt_pool::map_tasks(slices.len(), workers, |shard| {
             let mut pending = Vec::new();
-            let outcome = self.restore_shard(links, rank, shard == 0, &mut pending);
+            let outcome = self.restore_shard(slices[shard], rank, shard == 0, &mut pending);
             (pending, outcome)
         });
         let mut shards = shards.into_iter();
@@ -1046,7 +1022,7 @@ mod chain_restore_tests {
             i.iter().fold(seed as f64, |a, &v| a * 1.37 + v as f64).sin() * 300.0
         })
         .unwrap();
-        let full = ckpt_core::compress_exact(&state, Level::Fast).unwrap();
+        let full = ckpt_core::compress_exact(&state, Level::Default).unwrap();
         let mut gen = store.save_full(0, SegmentFormat::Array, &[&full], 1).unwrap();
         let volume = state.len();
         for (k, &mask) in masks.iter().enumerate() {
@@ -1058,7 +1034,7 @@ mod chain_restore_tests {
                     next.as_mut_slice()[at] += 1.0 + k as f64;
                 }
             }
-            let (inc, _) = incremental::increment(&state, &next, Level::Fast).unwrap();
+            let (inc, _) = incremental::increment(&state, &next, Level::Default).unwrap();
             gen = store.save_increment(k as u64 + 1, gen, &[&inc], 1).unwrap();
             state = next;
         }
@@ -1118,8 +1094,8 @@ mod chain_restore_tests {
             let mut next = state.clone();
             next.map_inplace(|v| v * 1.0001 + 1.0);
             let (inc, _) = match d {
-                Some(Damage::WrongDims) => incremental::increment(&other, &other, Level::Fast),
-                _ => incremental::increment(&state, &next, Level::Fast),
+                Some(Damage::WrongDims) => incremental::increment(&other, &other, Level::Default),
+                _ => incremental::increment(&state, &next, Level::Default),
             }
             .unwrap();
             gen = store.save_increment(k as u64, gen, &[&inc], 1).unwrap();

@@ -73,7 +73,7 @@ fn chain_pool() -> &'static Chain {
             for i in (0..cur.len()).step_by(stride) {
                 cur.as_mut_slice()[i] += step as f64 * 0.5;
             }
-            let (packed, _) = incremental::increment(&prev, &cur, Level::Fast).unwrap();
+            let (packed, _) = incremental::increment(&prev, &cur, Level::Default).unwrap();
             incs.push(packed);
             expected.push(cur.clone());
             prev = cur;

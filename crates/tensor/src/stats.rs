@@ -45,11 +45,6 @@ pub fn variance(values: &[f64]) -> Option<f64> {
     Some(values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64)
 }
 
-/// Value range `max - min`; `None` for empty input.
-pub fn value_range(values: &[f64]) -> Option<f64> {
-    min_max(values).map(|(lo, hi)| hi - lo)
-}
-
 impl Tensor<f64> {
     /// `(min, max)` over all elements.
     pub fn min_max(&self) -> (f64, f64) {
@@ -126,10 +121,5 @@ mod tests {
         let u = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 8.0]).unwrap();
         assert!((t.rms_diff(&u) - 2.0).abs() < 1e-12);
         assert_eq!(t.rms_diff(&t), 0.0);
-    }
-
-    #[test]
-    fn value_range_spans() {
-        assert_eq!(value_range(&[2.0, -2.0, 1.0]), Some(4.0));
     }
 }

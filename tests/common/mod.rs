@@ -17,6 +17,28 @@ use lossy_ckpt::wavelet::{Kernel, MultiLevel};
 use std::fs;
 use std::path::{Path, PathBuf};
 
+/// The fixed input of `tests/corpus/golden_*.gz`: an LCG-noise head (poorly compressible), a
+/// text run (dynamic-Huffman friendly), a zero page (RLE matches), and
+/// an f64 table (the checkpoint-like section). Must never change — the
+/// committed fixtures encode exactly these bytes.
+pub fn golden_input() -> Vec<u8> {
+    let mut data = Vec::with_capacity(104 * 1024);
+    let mut state: u64 = 0x00C0_FFEE;
+    for _ in 0..32 * 1024 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        data.push((state >> 33) as u8);
+    }
+    while data.len() < 64 * 1024 {
+        data.extend_from_slice(b"the quick brown fox jumps over the lazy checkpoint. 0123456789 ");
+    }
+    data.truncate(64 * 1024);
+    data.extend(std::iter::repeat_n(0u8, 8 * 1024));
+    for i in 0..4096u32 {
+        data.extend_from_slice(&f64::from(i).sqrt().to_le_bytes());
+    }
+    data
+}
+
 pub fn lcg_bytes(n: usize, mut state: u64) -> Vec<u8> {
     (0..n)
         .map(|_| {
@@ -271,7 +293,10 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// with the encoder's block-split rule, `TOO_FAR` and the retuned
 /// `Level::Default`: the `WCK1`, `INC1` and `INC2` samples, and the
 /// manifest and snapshot that carry their CRCs; the samples from before
-/// are `decode_only_<magic>.bin`.) The `INC1` sample is the store's
+/// are `decode_only_<magic>.bin`. The `WPK1` sample was written at the
+/// retired `Fast` effort: its deflate bodies are the one effort's too,
+/// and only its members' XFL byte went 4 → 0; `decode_only_wpk1.bin`
+/// is the sample from before.) The `INC1` sample is the store's
 /// increment, written by the oracle; the `INC2` one is the same
 /// increment as this build writes it.
 pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
@@ -287,7 +312,7 @@ pub fn valid_samples() -> Vec<([u8; 4], Vec<u8>)> {
     vec![
         (*b"WCK1", wck1),
         (*b"CKPT", ckpt.into_bytes()),
-        (*b"WPK1", chunked::compress_chunked(&lcg_bytes(3000, 5), Level::Fast, 1024, 1)),
+        (*b"WPK1", chunked::compress_chunked(&lcg_bytes(3000, 5), Level::Default, 1024, 1)),
         (*b"INC1", inc1),
         (*b"INC2", inc2),
         (*b"CSM1", store.manifest),

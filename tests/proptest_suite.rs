@@ -25,12 +25,8 @@ proptest! {
 
     #[test]
     fn deflate_roundtrips_arbitrary_bytes(data in pvec(any::<u8>(), 0..20_000)) {
-        for level in [lossy_ckpt::deflate::Level::Store,
-                      lossy_ckpt::deflate::Level::Fast,
-                      lossy_ckpt::deflate::Level::Default] {
-            let packed = lossy_ckpt::deflate::compress(&data, level);
-            prop_assert_eq!(&lossy_ckpt::deflate::decompress(&packed).unwrap(), &data);
-        }
+        let packed = lossy_ckpt::deflate::compress(&data, lossy_ckpt::deflate::Level::Default);
+        prop_assert_eq!(&lossy_ckpt::deflate::decompress(&packed).unwrap(), &data);
     }
 
     /// The matcher's miss stride ramps up inside the noise runs and
@@ -48,12 +44,8 @@ proptest! {
                 data.extend((0..len).map(|j| (j % period) as u8 ^ (seed >> 32) as u8));
             }
         }
-        for level in [lossy_ckpt::deflate::Level::Store,
-                      lossy_ckpt::deflate::Level::Fast,
-                      lossy_ckpt::deflate::Level::Default] {
-            let packed = lossy_ckpt::deflate::compress(&data, level);
-            prop_assert_eq!(&lossy_ckpt::deflate::decompress(&packed).unwrap(), &data);
-        }
+        let packed = lossy_ckpt::deflate::compress(&data, lossy_ckpt::deflate::Level::Default);
+        prop_assert_eq!(&lossy_ckpt::deflate::decompress(&packed).unwrap(), &data);
     }
 
     #[test]
@@ -272,7 +264,7 @@ proptest! {
             let n = cur.len();
             cur.as_mut_slice()[pos % n] += delta;
         }
-        let (packed, stats) = incremental::increment(&base, &cur, lossy_ckpt::deflate::Level::Fast).unwrap();
+        let (packed, stats) = incremental::increment(&base, &cur, lossy_ckpt::deflate::Level::Default).unwrap();
         let restored = incremental::apply(&base, &packed).unwrap();
         for (a, b) in restored.as_slice().iter().zip(cur.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -321,7 +313,7 @@ proptest! {
             .filter(|(a, b)| a.iter().zip(*b).any(|(x, y)| x.to_bits() != y.to_bits()))
             .count();
 
-        let (packed, stats) = incremental::increment(&base, &cur, lossy_ckpt::deflate::Level::Fast).unwrap();
+        let (packed, stats) = incremental::increment(&base, &cur, lossy_ckpt::deflate::Level::Default).unwrap();
         prop_assert_eq!(stats.dirty_pages, dirty);
         let inc = incremental::decode(&packed).unwrap();
         prop_assert_eq!(inc.layout(), Layout::Planes);
@@ -369,8 +361,8 @@ proptest! {
             }
         }
 
-        let (inc2, _) = incremental::increment(&base, &cur, Level::Fast).unwrap();
-        let inc1 = common::inc1_increment(&base, &cur, Level::Fast);
+        let (inc2, _) = incremental::increment(&base, &cur, Level::Default).unwrap();
+        let inc1 = common::inc1_increment(&base, &cur, Level::Default);
         let (planes, words) = (incremental::decode(&inc2).unwrap(), incremental::decode(&inc1).unwrap());
         prop_assert_eq!((planes.layout(), words.layout()), (Layout::Planes, Layout::Words));
         let (mut a, mut b) = (base.clone(), base.clone());
@@ -446,7 +438,7 @@ proptest! {
         chunk_bytes in 1usize..10_000,
     ) {
         use lossy_ckpt::deflate::chunked;
-        let level = lossy_ckpt::deflate::Level::Fast;
+        let level = lossy_ckpt::deflate::Level::Default;
         let reference = chunked::compress_chunked(&data, level, chunk_bytes, 1);
         for threads in [2usize, 4, 8] {
             let packed = chunked::compress_chunked(&data, level, chunk_bytes, threads);
@@ -572,7 +564,7 @@ mod store_equivalence {
                     for i in (0..next.len()).step_by(1 + (bump as usize % 9)) {
                         next.as_mut_slice()[i] += bump as f64 * 0.0625;
                     }
-                    let (delta, _) = incremental::increment(&state, &next, Level::Fast).unwrap();
+                    let (delta, _) = incremental::increment(&state, &next, Level::Default).unwrap();
                     prev_gen = store.save_increment(step, prev_gen, &[&delta], 1).unwrap();
                     state = next;
                     expected.push((step, state.clone()));
@@ -736,15 +728,15 @@ mod store_equivalence {
                 ((ix[0] * 29 + ix[1]) as f64 * 0.13 + seed as f64 * 1e-3).cos() * 80.0 + 300.0
             })
             .unwrap();
-            let full = lossy_ckpt::core::compress_exact(&state, Level::Fast).unwrap();
+            let full = lossy_ckpt::core::compress_exact(&state, Level::Default).unwrap();
             let mut tip = store.save_full(0, SegmentFormat::Array, &[&full], 1).unwrap();
             for (k, &(inc1, _)) in links.iter().enumerate() {
                 let mut next = state.clone();
                 next.map_inplace(|v| v * (1.0 + 1e-4 * (k + 1) as f64));
                 let delta = if inc1 {
-                    crate::common::inc1_increment(&state, &next, Level::Fast)
+                    crate::common::inc1_increment(&state, &next, Level::Default)
                 } else {
-                    incremental::increment(&state, &next, Level::Fast).unwrap().0
+                    incremental::increment(&state, &next, Level::Default).unwrap().0
                 };
                 tip = store.save_increment(k as u64 + 1, tip, &[&delta], 1).unwrap();
                 state = next;

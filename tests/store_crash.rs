@@ -235,7 +235,7 @@ fn maintenance_fixture(dir: &Path) -> (Store, u64, Tensor<f64>, Tensor<f64>) {
         for i in (0..cur.len()).step_by(5) {
             cur.as_mut_slice()[i] += step as f64 * 0.125;
         }
-        let (delta, _) = incremental::increment(&prev, &cur, Level::Fast).unwrap();
+        let (delta, _) = incremental::increment(&prev, &cur, Level::Default).unwrap();
         prev_gen = store.save_increment(step, prev_gen, &[&delta], 1).unwrap();
         prev = cur;
     }
@@ -420,7 +420,7 @@ fn gc_fixture(dir: &Path) -> (Store, u64, [u64; 2], Tensor<f64>) {
         let (mut gens, mut prev) = (vec![gen], base.clone());
         for k in 1..=incs {
             let cur = bump(&prev, k as f64 * 0.125);
-            let (delta, _) = incremental::increment(&prev, &cur, Level::Fast).unwrap();
+            let (delta, _) = incremental::increment(&prev, &cur, Level::Default).unwrap();
             gen = store.save_increment(step + k, gen, &[&delta], 1).unwrap();
             gens.push(gen);
             prev = cur;

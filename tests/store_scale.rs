@@ -53,7 +53,7 @@ fn drive(store: &mut Store, n: usize, full_every: usize, cycle: usize) -> Tensor
             for i in (0..next.len()).step_by(7) {
                 next.as_mut_slice()[i] += (step % 13) as f64 * 0.5;
             }
-            let (delta, _) = incremental::increment(&state, &next, Level::Fast).unwrap();
+            let (delta, _) = incremental::increment(&state, &next, Level::Default).unwrap();
             prev_gen = store.save_increment(step as u64, prev_gen, &[&delta], 1).unwrap();
             state = next;
         }
