@@ -11,9 +11,8 @@
 
 use ckpt_bench::cluster::pfs::{simulate_wave, WriteRequest};
 use ckpt_bench::cluster::IoModel;
-use ckpt_bench::temperature_nicam;
+use ckpt_bench::{split_x, temperature_nicam};
 use ckpt_core::{Compressor, CompressorConfig};
-use ckpt_sim::partition::split_x;
 
 fn main() {
     // Measure real per-rank compression times and sizes on 8 sub-domains.

@@ -6,9 +6,8 @@
 //! counts, and reports per-rank wall time. Every worker count must
 //! write each rank's bytes as one worker does.
 
-use ckpt_bench::ms;
+use ckpt_bench::{ms, split_x};
 use ckpt_core::{Compressor, CompressorConfig};
-use ckpt_sim::partition::split_x;
 use ckpt_sim::{ClimateSim, SimConfig};
 use std::time::Instant;
 

@@ -9,8 +9,8 @@
 //! The generator is xoshiro256++ seeded through SplitMix64 — a
 //! different stream than upstream `StdRng` (ChaCha12), which is fine:
 //! every consumer in this repo treats the stream as an arbitrary
-//! deterministic source (synthetic field phases, failure-injection
-//! draws), never as a cross-implementation fixture.
+//! deterministic source (synthetic field phases, test inputs), never
+//! as a cross-implementation fixture.
 
 use std::ops::{Range, RangeInclusive};
 

@@ -202,6 +202,8 @@ mod scalar {
         }
     }
 
+    /// De-interleaves straight into `dst` (s-half, then d-half) and
+    /// lifts there in place: no scratch buffers.
     fn cdf97_forward(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
         let ns = n.div_ceil(2);
         let nd = n / 2;
@@ -209,8 +211,7 @@ mod scalar {
             dst.copy_from_slice(src);
             return;
         }
-        let mut s = vec![0.0; ns * w];
-        let mut d = vec![0.0; nd * w];
+        let (s, d) = dst.split_at_mut(ns * w);
         for i in 0..ns {
             s[i * w..(i + 1) * w].copy_from_slice(&src[2 * i * w..(2 * i + 1) * w]);
         }
@@ -243,14 +244,16 @@ mod scalar {
                 s[i * w + j] += DELTA * (d[a * w + j] + d[b * w + j]);
             }
         }
-        for (k, &v) in s.iter().enumerate() {
-            dst[k] = v / K;
+        for v in s.iter_mut() {
+            *v /= K;
         }
-        for (k, &v) in d.iter().enumerate() {
-            dst[ns * w + k] = v * K;
+        for v in d.iter_mut() {
+            *v *= K;
         }
     }
 
+    /// Writes the scaled halves into `dst` at their interleaved rows
+    /// (s at even rows, d at odd) and lifts there in place.
     fn cdf97_inverse(src: &[f64], dst: &mut [f64], n: usize, w: usize) {
         let ns = n.div_ceil(2);
         let nd = n / 2;
@@ -258,39 +261,44 @@ mod scalar {
             dst.copy_from_slice(src);
             return;
         }
-        let mut s: Vec<f64> = src[..ns * w].iter().map(|&v| v * K).collect();
-        let mut d: Vec<f64> = src[ns * w..].iter().map(|&v| v / K).collect();
+        // Row `i` of the s-half is `dst` row `2i`, of the d-half row `2i + 1`.
+        let s = |i: usize| 2 * i * w;
+        let d = |i: usize| (2 * i + 1) * w;
+        for i in 0..ns {
+            for j in 0..w {
+                dst[s(i) + j] = src[i * w + j] * K;
+            }
+        }
+        for i in 0..nd {
+            for j in 0..w {
+                dst[d(i) + j] = src[(ns + i) * w + j] / K;
+            }
+        }
         for i in 0..ns {
             let a = i.saturating_sub(1);
             let b = i.min(nd - 1);
             for j in 0..w {
-                s[i * w + j] -= DELTA * (d[a * w + j] + d[b * w + j]);
+                dst[s(i) + j] -= DELTA * (dst[d(a) + j] + dst[d(b) + j]);
             }
         }
         for i in 0..nd {
             let k2 = (i + 1).min(ns - 1);
             for j in 0..w {
-                d[i * w + j] -= GAMMA * (s[i * w + j] + s[k2 * w + j]);
+                dst[d(i) + j] -= GAMMA * (dst[s(i) + j] + dst[s(k2) + j]);
             }
         }
         for i in 0..ns {
             let a = i.saturating_sub(1);
             let b = i.min(nd - 1);
             for j in 0..w {
-                s[i * w + j] -= BETA * (d[a * w + j] + d[b * w + j]);
+                dst[s(i) + j] -= BETA * (dst[d(a) + j] + dst[d(b) + j]);
             }
         }
         for i in 0..nd {
             let k2 = (i + 1).min(ns - 1);
             for j in 0..w {
-                d[i * w + j] -= ALPHA * (s[i * w + j] + s[k2 * w + j]);
+                dst[d(i) + j] -= ALPHA * (dst[s(i) + j] + dst[s(k2) + j]);
             }
-        }
-        for i in 0..ns {
-            dst[2 * i * w..(2 * i + 1) * w].copy_from_slice(&s[i * w..(i + 1) * w]);
-        }
-        for i in 0..nd {
-            dst[(2 * i + 1) * w..(2 * i + 2) * w].copy_from_slice(&d[i * w..(i + 1) * w]);
         }
     }
 }

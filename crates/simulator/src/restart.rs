@@ -12,7 +12,7 @@ use crate::config::SimConfig;
 use crate::model::ClimateSim;
 use ckpt_core::checkpoint::{Checkpoint, CheckpointBuilder};
 use ckpt_core::metrics::relative_error;
-use ckpt_core::{Compressor, Result, StageTimings};
+use ckpt_core::{CkptError, Compressor, Result, StageTimings};
 
 impl ClimateSim {
     /// Writes a checkpoint of all four variables. With a compressor, the
@@ -33,22 +33,30 @@ impl ClimateSim {
     }
 
     /// Restores a simulation from a checkpoint image. The config must
-    /// match the one the checkpoint was taken with (grid shape is
-    /// verified).
+    /// match the one the checkpoint was taken with: every variable's
+    /// grid shape is verified, so a hostile image is an error, not a
+    /// panic.
     pub fn restore(cfg: SimConfig, image: &[u8]) -> Result<ClimateSim> {
         let ck = Checkpoint::from_bytes(image)?;
-        let pressure = ck.restore("pressure")?;
-        let temperature = ck.restore("temperature")?;
-        let wind_u = ck.restore("wind_u")?;
-        let wind_v = ck.restore("wind_v")?;
-        if pressure.dims() != cfg.dims {
-            return Err(ckpt_core::CkptError::Format(format!(
-                "checkpoint grid {:?} does not match config {:?}",
-                pressure.dims(),
-                cfg.dims
-            )));
-        }
-        Ok(ClimateSim::from_state(cfg, ck.step(), pressure, temperature, wind_u, wind_v))
+        let restore = |name: &str| {
+            let t = ck.restore(name)?;
+            if t.dims() != cfg.dims {
+                return Err(CkptError::Format(format!(
+                    "checkpoint {name} grid {:?} does not match config {:?}",
+                    t.dims(),
+                    cfg.dims
+                )));
+            }
+            Ok(t)
+        };
+        Ok(ClimateSim::from_state(
+            cfg,
+            ck.step(),
+            restore("pressure")?,
+            restore("temperature")?,
+            restore("wind_u")?,
+            restore("wind_v")?,
+        ))
     }
 }
 
@@ -161,8 +169,14 @@ mod tests {
         assert!(timings.total() > std::time::Duration::ZERO);
         let restored = ClimateSim::restore(cfg, &image).unwrap();
         for (name, t) in sim.variables() {
-            let e = relative_error(t, restored.variable(name).unwrap()).unwrap();
+            let back = restored.variable(name).unwrap();
+            let e = relative_error(t, back).unwrap();
             assert!(e.average < 0.01, "{name}: avg err {}", e.average);
+            // Section IV-E: the domain integral a lossy restore must not
+            // move (mass for pressure, a thermal-energy proxy for
+            // temperature).
+            let drift = (back.mean() - t.mean()).abs() / t.mean().abs().max(f64::MIN_POSITIVE);
+            assert!(drift < 1e-3, "{name}: domain mean moved {drift}");
         }
         // And the image is much smaller than raw.
         let raw_bytes = 4 * cfg.variable_bytes();
@@ -177,6 +191,21 @@ mod tests {
         let (image, _) = sim.checkpoint(None).unwrap();
         let other = SimConfig::nicam_like(14);
         assert!(ClimateSim::restore(other, &image).is_err());
+
+        // Only one variable off-shape: still an error naming it.
+        let mut builder = CheckpointBuilder::new(5);
+        let [x, lev, lay] = cfg.dims;
+        for (name, t) in sim.variables() {
+            if name == "temperature" {
+                let half = t.as_slice()[..t.len() / 2].to_vec();
+                let off = ckpt_tensor::Tensor::from_vec(&[x / 2, lev, lay], half).unwrap();
+                builder.add_raw(name, &off).unwrap();
+            } else {
+                builder.add_raw(name, t).unwrap();
+            }
+        }
+        let err = ClimateSim::restore(cfg, &builder.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("temperature"), "{err}");
     }
 
     #[test]
