@@ -29,8 +29,8 @@ USAGE:
 Raw array files are row-major little-endian f64.
 
 `ckpt info` on a WPK1 chunked stream additionally prints a per-member
-breakdown (member count, compressed/uncompressed bytes, per-member CRC
-status). `ckpt store` manages a crash-consistent on-disk checkpoint
+breakdown (member count, chunk size, compressed/uncompressed bytes).
+`ckpt store` manages a crash-consistent on-disk checkpoint
 repository with atomic commit, full+incremental generation chains, and
 GC. `ckpt serve` exports a
 store's committed generations over a Unix socket against epoch-pinned
@@ -180,34 +180,23 @@ pub fn info(argv: &[String]) -> Result<(), String> {
     print_chunked_breakdown(&bytes)
 }
 
-/// For WPK1 chunked streams, a per-member table: stored size, expected
-/// inflated size, and whether each member's CRC checks out.
+/// For WPK1 chunked streams, a per-member table of stored and inflated
+/// sizes, read from the container's header and chunk index. The
+/// decompress `info` ran first has checked every member's CRC.
 fn print_chunked_breakdown(bytes: &[u8]) -> Result<(), String> {
+    use ckpt_deflate::chunked::{self, HEADER_BYTES};
     // The container is always outermost: it wraps the WCK1 stream.
-    if !ckpt_deflate::chunked::is_chunked(bytes) {
+    if !chunked::is_chunked(bytes) {
         return Ok(());
     }
-    let Ok(info) = ckpt_deflate::chunked::inspect(bytes) else { return Ok(()) };
-    say!("container       : WPK1 chunked, {} members", info.chunk_count);
-    say!(
-        "chunk bytes     : {} ({} total uncompressed)",
-        info.chunk_bytes, info.total_uncompressed
-    );
-    say!(
-        "combined crc    : {:08x} ({})",
-        info.stored_crc,
-        if info.combined_crc_ok { "ok" } else { "MISMATCH" }
-    );
-    say!("{:>7} {:>12} {:>14} {:>10} crc", "member", "compressed", "uncompressed", "crc32");
-    for m in &info.members {
-        say!(
-            "{:>7} {:>12} {:>14} {:>10} {}",
-            m.index,
-            m.compressed_len,
-            m.uncompressed_len,
-            format!("{:08x}", m.stored_crc),
-            if m.crc_ok { "ok" } else { "BAD" }
-        );
+    let header = chunked::parse_header(bytes).map_err(|e| e.to_string())?;
+    let index = bytes.get(HEADER_BYTES..HEADER_BYTES + header.index_bytes()).unwrap_or_default();
+    let members = header.members(index, bytes.len() as u64).map_err(|e| e.to_string())?;
+    say!("container       : WPK1 chunked, {} members", header.chunk_count);
+    say!("chunk bytes     : {} ({} total uncompressed)", header.chunk_bytes, header.total);
+    say!("{:>7} {:>12} {:>14}", "member", "compressed", "uncompressed");
+    for (i, m) in members.iter().enumerate() {
+        say!("{i:>7} {:>12} {:>14}", m.compressed_len, m.uncompressed_len);
     }
     Ok(())
 }
@@ -392,9 +381,8 @@ mod tests {
         .unwrap();
         let bytes = std::fs::read(&wck).unwrap();
         assert!(ckpt_deflate::chunked::is_chunked(&bytes), "a threaded stream is a WPK1 container");
-        let breakdown = ckpt_deflate::chunked::inspect(&bytes).unwrap();
-        assert!(breakdown.chunk_count > 1, "expected multiple members");
-        assert!(breakdown.all_ok());
+        let header = ckpt_deflate::chunked::parse_header(&bytes).unwrap();
+        assert!(header.chunk_count > 1, "expected multiple members");
         // The print path runs end to end on a real file.
         info(std::slice::from_ref(&wck)).unwrap();
         // Serial gzip output has no container to report.

@@ -174,9 +174,8 @@ pub fn decompress_chunked(data: &[u8], threads: usize) -> Result<Vec<u8>, Deflat
 }
 
 /// The fixed header of a WPK1 container, cross-checked: the one parser
-/// of bytes `0..HEADER_BYTES`, shared by the decoder, [`inspect`] and
-/// the store's range index (which fetches only this prefix and the
-/// chunk index of a segment on disk).
+/// of bytes `0..HEADER_BYTES`, shared by the decoder and `ckpt info`'s
+/// member table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Member count (== chunk count).
@@ -368,94 +367,6 @@ pub fn decompress_chunked_with_limit(
         return Err(DeflateError::ChecksumMismatch { stored: stored_crc, computed: combined });
     }
     Ok(out)
-}
-
-/// Per-member breakdown produced by [`inspect`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemberInfo {
-    /// Member position in the container.
-    pub index: usize,
-    /// Stored (compressed) size of the gzip member.
-    pub compressed_len: usize,
-    /// Uncompressed size this member must inflate to (from the
-    /// container geometry, not the member's own trailer).
-    pub uncompressed_len: usize,
-    /// CRC-32 stored in the member's gzip trailer.
-    pub stored_crc: u32,
-    /// Whether the member actually inflates to `uncompressed_len`
-    /// bytes matching `stored_crc`.
-    pub crc_ok: bool,
-}
-
-/// Container-level breakdown produced by [`inspect`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkedInfo {
-    /// Member count (== chunk count).
-    pub chunk_count: usize,
-    /// Total uncompressed payload length.
-    pub total_uncompressed: usize,
-    /// Uncompressed size of every chunk but the last.
-    pub chunk_bytes: usize,
-    /// Whole-payload CRC-32 stored in the header.
-    pub stored_crc: u32,
-    /// Whether combining the members' verified CRCs reproduces
-    /// `stored_crc`.
-    pub combined_crc_ok: bool,
-    /// One entry per member, in container order.
-    pub members: Vec<MemberInfo>,
-}
-
-impl ChunkedInfo {
-    /// True when every member and the combined CRC check out.
-    pub fn all_ok(&self) -> bool {
-        self.combined_crc_ok && self.members.iter().all(|m| m.crc_ok)
-    }
-}
-
-/// Inspects a WPK1 container: validates the header and chunk index,
-/// then inflates each member individually to report per-member CRC
-/// status. Unlike [`decompress_chunked`], one damaged member does not
-/// hide the state of the others — this is the diagnostic surface
-/// behind `ckpt info`. Every member inflates into one reused scratch
-/// slot.
-pub fn inspect(data: &[u8]) -> Result<ChunkedInfo, DeflateError> {
-    let (Header { chunk_count, total, chunk_bytes, stored_crc }, members) =
-        parse_container(data, usize::MAX)?;
-    let stride = chunk_bytes.max(1);
-    let mut scratch = vec![0u8; stride.min(total)];
-    let mut infos = Vec::with_capacity(chunk_count);
-    let mut combined = 0u32;
-    let mut combined_ok = true;
-    let mut remaining = total;
-    for (index, member) in members.iter().enumerate() {
-        let uncompressed_len = remaining.min(stride);
-        remaining -= uncompressed_len;
-        let stored = member_stored_crc(member).unwrap_or(0);
-        let crc_ok = scratch
-            .get_mut(..uncompressed_len)
-            .is_some_and(|slot| decode_slot(member, slot).is_ok());
-        if crc_ok {
-            combined = crc32_combine(combined, stored, crate::u64_from_usize(uncompressed_len));
-        } else {
-            combined_ok = false;
-        }
-        infos.push(MemberInfo {
-            index,
-            compressed_len: member.len(),
-            uncompressed_len,
-            stored_crc: stored,
-            crc_ok,
-        });
-    }
-    combined_ok = combined_ok && combined == stored_crc;
-    Ok(ChunkedInfo {
-        chunk_count,
-        total_uncompressed: total,
-        chunk_bytes,
-        stored_crc,
-        combined_crc_ok: combined_ok,
-        members: infos,
-    })
 }
 
 #[cfg(test)]
@@ -650,39 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn inspect_reports_members_and_flags_the_damaged_one() {
-        let data = lcg_bytes(10_000, 11);
-        let packed = compress_chunked(&data, Level::Default, 2048, 2);
-        let info = inspect(&packed).unwrap();
-        assert_eq!(info.chunk_count, 5);
-        assert_eq!(info.total_uncompressed, 10_000);
-        assert_eq!(info.chunk_bytes, 2048);
-        assert!(info.all_ok());
-        assert_eq!(info.members.len(), 5);
-        assert_eq!(info.members[4].uncompressed_len, 10_000 - 4 * 2048);
-        assert_eq!(
-            info.members.iter().map(|m| m.compressed_len).sum::<usize>(),
-            packed.len() - HEADER_BYTES - 8 * 5
-        );
-
-        // Flip a byte inside the *last* member: exactly that member
-        // reports bad, the others stay good, combined check fails.
-        let mut bad = packed.clone();
-        let n = bad.len();
-        bad[n - 20] ^= 0x40;
-        let info = inspect(&bad).unwrap();
-        assert!(!info.all_ok());
-        assert!(!info.combined_crc_ok);
-        let bad_members: Vec<usize> =
-            info.members.iter().filter(|m| !m.crc_ok).map(|m| m.index).collect();
-        assert_eq!(bad_members, vec![4]);
-
-        // Structural damage still errors outright.
-        assert!(inspect(&packed[..10]).is_err());
-        assert!(inspect(b"not a container").is_err());
-    }
-
-    #[test]
     fn wrong_magic_is_not_chunked() {
         assert!(!is_chunked(b"WCK1rest"));
         assert!(!is_chunked(b"WP"));
@@ -731,8 +609,6 @@ mod tests {
                     let got = decompress_chunked(&packed, threads).unwrap_err().to_string();
                     assert_eq!(got, want, "member {i}, threads {threads}");
                 }
-                let ok: Vec<bool> = inspect(&packed).unwrap().members.iter().map(|m| m.crc_ok).collect();
-                assert_eq!(ok, (0..3).map(|j| j != i).collect::<Vec<_>>(), "member {i}: {want}");
             }
         }
     }

@@ -20,17 +20,18 @@
 //!                    gen u64, step u64, format u8, base_gen u64,
 //!                    ranks u32, bytes u64, bound u8, bound_bits u64
 //!          2 Latest: present u8, gen u64
-//!          3 Index : gen u64, step u64, format u8, base_gen u64,
-//!                    bound u8, bound_bits u64, rank_count u32, then
-//!                    per rank: rank u32, payload_len u64, crc u32,
-//!                    member_count u32, then per member:
-//!                    offset u64, compressed_len u64, uncompressed_len u64
 //!          4 Data  : len u32, bytes
+//!          6 Index : gen u64, step u64, format u8, base_gen u64,
+//!                    bound u8, bound_bits u64, rank_count u32, then
+//!                    per rank: rank u32, payload_len u64, crc u32
 //! ```
 //!
 //! The protocol is read-only: no request writes the served store.
 //! Request tags 5–7 and response tag 5 belonged to a replication push
-//! that older builds spoke; they decode as any unknown tag does.
+//! that older builds spoke; response tag 3 was an `Index` that also
+//! listed each `WPK1` segment's members. They decode as any unknown
+//! tag does, so peers of different builds fail loudly instead of
+//! misreading each other.
 
 // Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
@@ -39,7 +40,7 @@
 
 use crate::{Result, ServeError};
 use ckpt_deflate::frame::{self, Reader, Writer, SRV1};
-use ckpt_store::{GenIndex, GenInfo, MemberRange, RankIndex, SegmentFormat};
+use ckpt_store::{GenIndex, GenInfo, RankIndex, SegmentFormat};
 use std::io::{Read, Write};
 
 /// Upper bound on one frame's body, checked before allocating.
@@ -176,7 +177,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.put_u64(gen.unwrap_or(0));
         }
         Response::Index(ix) => {
-            out.put_u8(3);
+            out.put_u8(6);
             out.put_u64(ix.gen);
             out.put_u64(ix.step);
             out.put_u8(ix.format.to_u8());
@@ -187,12 +188,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 out.put_u32(r.rank);
                 out.put_u64(r.payload_len);
                 out.put_u32(r.crc);
-                out.put_count(r.members.len());
-                for m in &r.members {
-                    out.put_u64(m.offset);
-                    out.put_u64(m.compressed_len);
-                    out.put_u64(m.uncompressed_len);
-                }
             }
         }
         Response::Data(bytes) => {
@@ -300,28 +295,19 @@ pub fn decode_response(mut body: Vec<u8>) -> Result<Response> {
                 t => return Err(ServeError::Proto(format!("bad latest tag {t}"))),
             }
         }
-        3 => {
+        6 => {
             let gen = c.get_u64()?;
             let step = c.get_u64()?;
             let format = parse_format(c.get_u8()?)?;
             let base_gen = c.get_u64()?;
             let error_bound = get_bound(&mut c)?;
-            let rank_count = c.get_count(20)?;
+            let rank_count = c.get_count(16)?;
             let mut ranks = Vec::with_capacity(rank_count);
             for _ in 0..rank_count {
                 let rank = c.get_u32()?;
                 let payload_len = c.get_u64()?;
                 let crc = c.get_u32()?;
-                let member_count = c.get_count(24)?;
-                let mut members = Vec::with_capacity(member_count);
-                for _ in 0..member_count {
-                    members.push(MemberRange {
-                        offset: c.get_u64()?,
-                        compressed_len: c.get_u64()?,
-                        uncompressed_len: c.get_u64()?,
-                    });
-                }
-                ranks.push(RankIndex { rank, payload_len, crc, members });
+                ranks.push(RankIndex { rank, payload_len, crc });
             }
             Response::Index(GenIndex { gen, step, format, base_gen, error_bound, ranks })
         }
@@ -353,16 +339,8 @@ mod tests {
             base_gen: 42,
             error_bound: Some(1e-3),
             ranks: vec![
-                RankIndex {
-                    rank: 0,
-                    payload_len: 999,
-                    crc: 0xDEAD_BEEF,
-                    members: vec![
-                        MemberRange { offset: 54, compressed_len: 500, uncompressed_len: 700 },
-                        MemberRange { offset: 554, compressed_len: 445, uncompressed_len: 300 },
-                    ],
-                },
-                RankIndex { rank: 1, payload_len: 10, crc: 7, members: vec![] },
+                RankIndex { rank: 0, payload_len: 999, crc: 0xDEAD_BEEF },
+                RankIndex { rank: 1, payload_len: 10, crc: 7 },
             ],
         }
     }
@@ -465,9 +443,18 @@ mod tests {
         let mut body = vec![1u8];
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_response(body).is_err());
+        // An Index response declaring u32::MAX ranks after its fixed
+        // fields.
+        let empty = GenIndex { ranks: vec![], ..sample_index() };
+        let mut body = encode_response(&Response::Index(empty));
+        let count_at = body.len() - 4;
+        body[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_response(body).is_err());
     }
 
-    /// The replication push's tags are unknown tags now, on both ends.
+    /// The replication push's tags are unknown tags now, on both ends,
+    /// and so is the `Index` response tag of the builds whose index
+    /// listed `WPK1` members.
     #[test]
     fn the_retired_put_tags_are_refused_as_unknown() {
         for tag in 5..=7u8 {
@@ -476,6 +463,10 @@ mod tests {
         }
         let err = decode_response(vec![5, 0, 0, 0, 0, 0, 0, 0, 0, 1]).unwrap_err();
         assert_eq!(err.to_string(), "protocol: bad response tag 5");
+        let mut old_index = encode_response(&Response::Index(sample_index()));
+        old_index[0] = 3;
+        let err = decode_response(old_index).unwrap_err();
+        assert_eq!(err.to_string(), "protocol: bad response tag 3");
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl ServeSession {
         ServeSession { snap }
     }
 
-    /// The underlying snapshot, for callers that want direct reads.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snap
-    }
-
     /// Answers one request. Failures become [`Response::Error`] with
     /// the retryable/not-found split a remote client needs — this
     /// method itself never fails, so one bad request cannot take down

@@ -60,8 +60,8 @@ fn concurrent_socket_restores_complete_while_saves_commit() {
     let socket = dir.join("ckpt.sock");
     let mut server = serve_unix(Arc::clone(&store), &socket).unwrap();
 
-    // Two concurrent "restore clients", each reassembling the payload
-    // member by member over the socket, staying connected (and thus
+    // Two concurrent "restore clients", each fetching the payload over
+    // the socket in ranges and decoding it, staying connected (and thus
     // pinned) until the writer is done saving and GCing.
     let writer_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let readers: Vec<_> = (0..2)
@@ -79,17 +79,14 @@ fn concurrent_socket_restores_complete_while_saves_commit() {
                 let mut rounds = 0u32;
                 loop {
                     let ix = client.index(gen).unwrap();
-                    let rank = &ix.ranks[0];
-                    assert!(!rank.members.is_empty());
-                    let mut rebuilt = Vec::new();
-                    for m in &rank.members {
-                        let bytes =
-                            client.fetch(gen, 0, m.offset, m.compressed_len).unwrap();
-                        let used =
-                            gzip::decompress_member(&bytes, &mut rebuilt, expect.len()).unwrap();
-                        assert_eq!(used as u64, m.compressed_len);
-                    }
-                    assert_eq!(rebuilt, expect);
+                    let mut fetched = Vec::new();
+                    client
+                        .fetch_segment(gen, &ix.ranks[0], 4 << 10, |bytes| {
+                            fetched.extend_from_slice(bytes);
+                            Ok(())
+                        })
+                        .unwrap();
+                    assert_eq!(chunked::decompress_chunked(&fetched, 2).unwrap(), expect);
                     rounds += 1;
                     if writer_done.load(std::sync::atomic::Ordering::SeqCst) && rounds >= 2 {
                         break;
@@ -174,12 +171,15 @@ fn a_connections_list_stays_pinned_while_the_writer_saves() {
 /// whatever the range size, the sink receives the payload in order and
 /// whole, and an index whose CRC the bytes do not hash to is refused —
 /// after the sink was fed, which is why callers drop what they kept.
+/// The index is the manifest's, so a segment damaged on disk after its
+/// commit is indexed as committed and refused by the same check.
 #[test]
 fn fetch_segment_feeds_the_sink_in_order_and_checks_the_committed_crc() {
     let dir = scratch("fetch-segment");
     let mut store = Store::open(dir.join("store")).unwrap();
     let payload = packed(5);
     let gen = store.save_full(1, SegmentFormat::Array, &[&payload], 1).unwrap();
+    let seg_path = ckpt_store::layout::Layout::new(dir.join("store")).segment_path(gen, 0);
     let socket = dir.join("s.sock");
     let server = serve_unix(Arc::new(Mutex::new(store)), &socket).unwrap();
 
@@ -215,8 +215,22 @@ fn fetch_segment_feeds_the_sink_in_order_and_checks_the_committed_crc() {
     let err = client.fetch_segment(gen, ri, 64, |_| Err(std::io::Error::other("disk full")));
     assert!(err.unwrap_err().to_string().contains(&full.to_string()));
 
+    let mut damaged = payload.clone();
+    let n = damaged.len();
+    damaged[n - 12] ^= 0x40;
+    damage(&seg_path, &damaged);
+    let mut fresh = Client::connect(&socket).unwrap();
+    assert_eq!(fresh.index(gen).unwrap(), index, "the index is the manifest's");
+    let err = fresh.fetch_segment(gen, ri, 64, |_| Ok(())).unwrap_err();
+    assert!(err.to_string().contains("!= committed"), "{err}");
+
     drop(server);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[expect(clippy::disallowed_methods, reason = "the test damages a committed segment on purpose")]
+fn damage(path: &Path, bytes: &[u8]) {
+    fs::write(path, bytes).unwrap();
 }
 
 /// The bodies of the three replication-push requests exactly as the

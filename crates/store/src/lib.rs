@@ -85,7 +85,7 @@ pub use failpoint::{Durable, FailPoint, Renamed, SegMeta, Staged, Staging, Synce
 pub use segment::SegmentWriter;
 pub use gc::GcReport;
 pub use manifest::{RetireReason, SegmentFormat};
-pub use snapshot::{GenIndex, MemberRange, RankIndex, Snapshot};
+pub use snapshot::{GenIndex, RankIndex, Snapshot};
 pub use compact::ChainCompactReport;
 pub use store::{CompactManifestReport, GenInfo, OpenReport, Store, VerifyReport, View};
 

@@ -13,7 +13,6 @@
 
 use crate::store::{self, View};
 use crate::{Result, StoreError};
-use ckpt_deflate::chunked;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
@@ -66,10 +65,9 @@ impl PinSet {
     }
 }
 
-/// Byte range of one gzip member inside a `WPK1` segment payload.
-pub use ckpt_deflate::chunked::MemberRange;
-
-/// Range-read index for one rank's segment.
+/// One rank's entry in a generation's index: the manifest's `Seg`
+/// record, which is all a client needs to fetch the segment and check
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankIndex {
     pub rank: u32,
@@ -77,14 +75,11 @@ pub struct RankIndex {
     pub payload_len: u64,
     /// Committed payload CRC-32 from the manifest.
     pub crc: u32,
-    /// Per-member byte ranges for `WPK1` chunked payloads; empty for
-    /// every other payload kind (plain gzip, raw, `CKPT`, `INC2`…),
-    /// which have no cheaply addressable sub-structure.
-    pub members: Vec<MemberRange>,
 }
 
-/// Range-read index for a whole generation: what a partial restart
-/// needs to fetch only the ranks/byte-ranges it wants.
+/// Index of a whole generation, from the manifest alone: its step,
+/// format, chain base and error bound, and each rank's committed
+/// length and CRC.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenIndex {
     pub gen: u64,
@@ -133,17 +128,14 @@ impl Snapshot {
         Snapshot { view, pins, pin_id }
     }
 
-    /// Builds the range-read index for `gen`: per-rank committed
-    /// length/CRC, plus per-member byte ranges for `WPK1` payloads.
-    /// Member ranges come from the container's header and chunk index
-    /// alone — nothing is decompressed.
+    /// Builds the index of `gen` from its manifest records: each
+    /// rank's committed length and CRC. No segment file is read.
     pub fn segment_index(&self, gen: u64) -> Result<GenIndex> {
         let g = self.state(gen)?;
         let mut ranks = Vec::with_capacity(g.segs.len());
         for rank in 0..u32::try_from(g.segs.len()).unwrap_or(u32::MAX) {
             let meta = store::seg_record(g, gen, rank)?;
-            let members = self.member_ranges(gen, rank)?;
-            ranks.push(RankIndex { rank, payload_len: meta.payload_len, crc: meta.crc, members });
+            ranks.push(RankIndex { rank, payload_len: meta.payload_len, crc: meta.crc });
         }
         Ok(GenIndex {
             gen,
@@ -155,43 +147,12 @@ impl Snapshot {
         })
     }
 
-    /// Member byte ranges of a `WPK1` segment, from its header and
-    /// chunk index as `chunked::parse_header` reads them — the checks
-    /// the decoder will apply on restore, so the index never advertises
-    /// members of a container the decoder refuses. Non-`WPK1` payloads
-    /// yield an empty list. Only the header and index prefix are
-    /// fetched — nothing is decompressed, which is the whole point of
-    /// the range index.
-    fn member_ranges(&self, gen: u64, rank: u32) -> Result<Vec<MemberRange>> {
-        const HEADER: u64 = chunked::HEADER_BYTES as u64;
-        let meta = store::seg_record(self.state(gen)?, gen, rank)?;
-        if meta.payload_len < HEADER {
-            return Ok(Vec::new());
-        }
-        let head = self.read_segment_range(gen, rank, 0, HEADER)?;
-        if !chunked::is_chunked(&head) {
-            return Ok(Vec::new());
-        }
-        let corrupt =
-            |e| StoreError::Corrupt(format!("gen {gen} rank {rank}: WPK1 chunk index: {e}"));
-        let header = chunked::parse_header(&head).map_err(corrupt)?;
-        let index_len = header.index_bytes() as u64;
-        if index_len > meta.payload_len - HEADER {
-            return Err(StoreError::Corrupt(format!(
-                "gen {gen} rank {rank}: WPK1 chunk index exceeds the payload"
-            )));
-        }
-        let index = self.read_segment_range(gen, rank, HEADER, index_len)?;
-        header.members(&index, meta.payload_len).map_err(corrupt)
-    }
-
-    /// Reads `len` bytes of one committed segment starting at `offset`
-    /// — a partial fetch for range restores. Bounds are validated
-    /// against the committed payload length; the bytes themselves are
-    /// *not* CRC-checked (the manifest CRC covers the whole payload,
-    /// not sub-ranges), so callers needing integrity verify at a
-    /// higher level — e.g. per-member gzip CRCs from
-    /// [`Snapshot::segment_index`].
+    /// Reads `len` bytes of one committed segment starting at `offset`:
+    /// what a `Fetch` serves. Bounds are validated against the committed
+    /// payload length; the bytes themselves are *not* CRC-checked (the
+    /// manifest CRC covers the whole payload, not sub-ranges), so a
+    /// caller that reads the whole payload in ranges checks their
+    /// running CRC against the one [`Snapshot::segment_index`] reports.
     pub fn read_segment_range(
         &self,
         gen: u64,
@@ -236,6 +197,7 @@ impl Snapshot {
 mod tests {
     use crate::manifest::SegmentFormat;
     use crate::{Store, StoreError};
+    use ckpt_deflate::crc32::crc32;
     use ckpt_deflate::{chunked, Level};
     use std::fs;
     use std::path::PathBuf;
@@ -273,48 +235,32 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The index is the manifest's: a byte damaged inside a `WPK1`
+    /// segment's last member on disk leaves the index as committed, and
+    /// it is the whole-payload CRC check after a full-range read (what a
+    /// `Fetch` serves) that reports the damage.
     #[test]
-    fn segment_index_ranges_reassemble_wpk1_members() {
+    #[expect(clippy::disallowed_methods, reason = "the test damages a committed segment on purpose")]
+    fn the_index_comes_from_the_manifest_and_the_fetch_crc_catches_damage() {
         let dir = scratch("wpk1-index");
-        // Compressible multi-chunk data: the container gets several
-        // members whose ranges must tile the payload exactly.
         let data: Vec<u8> = (0..60_000u32).map(|i| (i / 64) as u8).collect();
         let wpk1 = chunked::compress_chunked(&data, Level::Default, 16 * 1024, 2);
-        assert!(chunked::is_chunked(&wpk1));
-
         let mut store = Store::open(&dir).unwrap();
         let gen = store.save_full(1, SegmentFormat::Array, &[&wpk1], 1).unwrap();
+
+        let mut bad = wpk1.clone();
+        let n = bad.len();
+        bad[n - 20] ^= 0x40;
+        fs::write(store.layout().segment_path(gen, 0), &bad).unwrap();
+        assert!(chunked::decompress_chunked(&bad, 2).is_err());
+
         let snap = store.snapshot().unwrap();
         let index = snap.segment_index(gen).unwrap();
-        assert_eq!(index.gen, gen);
-        assert_eq!(index.ranks.len(), 1);
         let rank = &index.ranks[0];
-        assert_eq!(rank.payload_len, wpk1.len() as u64);
-        assert_eq!(rank.members.len(), data.len().div_ceil(16 * 1024));
-
-        // Each member is independently fetchable and decodable; the
-        // concatenation reproduces the original data bit for bit.
-        let mut rebuilt = Vec::new();
-        for m in &rank.members {
-            let bytes = snap.read_segment_range(gen, 0, m.offset, m.compressed_len).unwrap();
-            let before = rebuilt.len();
-            let consumed =
-                ckpt_deflate::gzip::decompress_member(&bytes, &mut rebuilt, data.len()).unwrap();
-            assert_eq!(consumed as u64, m.compressed_len);
-            assert_eq!((rebuilt.len() - before) as u64, m.uncompressed_len);
-        }
-        assert_eq!(rebuilt, data);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn non_wpk1_payloads_have_no_member_ranges() {
-        let dir = scratch("plain-index");
-        let mut store = Store::open(&dir).unwrap();
-        let gen = store.save_full(1, SegmentFormat::Array, &[&payload(3)], 1).unwrap();
-        let snap = store.snapshot().unwrap();
-        let index = snap.segment_index(gen).unwrap();
-        assert!(index.ranks[0].members.is_empty());
+        assert_eq!((rank.payload_len, rank.crc), (wpk1.len() as u64, crc32(&wpk1)));
+        let fetched = snap.read_segment_range(gen, 0, 0, rank.payload_len).unwrap();
+        assert_eq!(fetched, bad);
+        assert_ne!(crc32(&fetched), rank.crc, "the fetch's CRC check must see the damage");
         let _ = fs::remove_dir_all(&dir);
     }
 
