@@ -21,9 +21,10 @@ disconnect. Without --for-ms the server runs until stdin reaches EOF
 
 fetch connects to a running server. --list prints the generation
 table; otherwise the requested generation's rank payload (latest
-committed by default) is reassembled from ranged reads of --chunk-bytes
-(default 4 MiB) and CRC-verified against the committed manifest before
-being written to -o.";
+committed by default: the highest step, see `ckpt store help`) is
+reassembled from ranged reads of --chunk-bytes (default 4 MiB) and
+CRC-verified against the committed manifest before being written to
+-o.";
 
 /// Default fetch read granularity; well under the frame bound.
 const DEFAULT_CHUNK: u64 = 4 << 20;

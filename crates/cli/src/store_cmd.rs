@@ -38,12 +38,18 @@ gc keeps the newest --keep (default 2) full
 generations plus every increment whose whole chain survives;
 unreadable segments are moved to quarantine/, never deleted.
 
+Latest is the live generation with the highest --step, a tie going to
+the later commit: restore, list's \"latest committed\" and `ckpt fetch`
+read it, and gc --keep counts the newest fulls by step. save without
+--step takes one past the highest step list shows (0 when empty).
+
 compact bounds the store's open and restore cost as generations
 accumulate: increment chains deeper than --max-depth (default 8) are
 rewritten into fresh full generations (bit-exact with chain replay)
-and the old links retired, then the live state is written as a CSM2
-manifest snapshot and the CSM1 log truncated, making reopen cost
-O(live generations). --manifest-only true skips the chain rewrite.";
+and the old links retired (a rewrite keeps its tip's step), then the
+live state is written as a CSM2 manifest snapshot and the CSM1 log
+truncated, making reopen cost O(live generations). --manifest-only
+true skips the chain rewrite.";
 
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = argv.split_first() else {
@@ -98,7 +104,6 @@ fn save(argv: &[String]) -> Result<(), String> {
     if files.is_empty() {
         return Err("save needs at least one payload file (one per rank)".into());
     }
-    let step = args.get_or("step", 0u64)?;
     let threads = args.get_or("threads", 1usize)?;
 
     let base: Option<u64> = match args.get("base") {
@@ -109,6 +114,8 @@ fn save(argv: &[String]) -> Result<(), String> {
     };
 
     let mut store = open(dir)?;
+    let next = store.generations().iter().map(|g| g.step.saturating_add(1)).max().unwrap_or(0);
+    let step = args.get_or("step", next)?;
     if let Some(raw) = args.get("error-bound") {
         if base.is_some() {
             return Err("--error-bound cannot be combined with --base".into());
@@ -451,11 +458,16 @@ mod tests {
         dispatch(&argv(&["restore", &dir, "--gen", "1", "--raw", "true", "-o", &seg])).unwrap();
         assert_eq!(std::fs::read(&seg).unwrap(), std::fs::read(&wck).unwrap());
 
-        // GC to one full.
+        // Without --step a save takes one past the highest step; a
+        // later save at a lower step is not latest, and GC keeps the
+        // newest full by step.
+        dispatch(&argv(&["save", &dir, &wck])).unwrap();
+        dispatch(&argv(&["save", &dir, &wck, "--step", "5"])).unwrap();
         dispatch(&argv(&["gc", &dir, "--keep", "1"])).unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.latest_committed(), Some(2));
-        assert!(store.read_segment(1, 0).is_err());
+        assert_eq!(store.generations().iter().map(|g| g.step).collect::<Vec<_>>(), [10, 20, 21, 5]);
+        assert_eq!(store.latest_committed(), Some(3));
+        assert!(store.read_segment(1, 0).is_err() && store.read_segment(4, 0).is_err());
         drop(store);
 
         for p in [raw, wck, back, direct, seg] {

@@ -12,7 +12,7 @@
 //! save path. The old chain is then retired through
 //! [`Store::retire`], the one path GC's victims die by too.
 //!
-//! Three invariants the tests pin down:
+//! Two invariants the tests pin down:
 //!
 //! * **Bit-exactness** — the rewritten full restores to exactly the
 //!   tensor the old chain replayed to, every rank, every bit.
@@ -20,14 +20,10 @@
 //!   surviving live generation's chain needs it and no snapshot pins
 //!   it; a branch hanging off the compacted chain keeps its shared
 //!   prefix alive.
-//! * **Latest is preserved** — after a pass, `latest_committed`
-//!   names the newest application state (highest step). Rewrites take
-//!   fresh (highest) ids, so the pass orders the newest state's own
-//!   rewrite last, or — when the newest generation is not a rewritten
-//!   tip — re-anchors it: copied byte-for-byte under a fresh id above
-//!   the rewrites, the original retired. A crash mid-pass can leave
-//!   an older rewrite holding the highest id; the next pass detects
-//!   the step/id inversion and heals it the same way.
+//!
+//! The pass has no "newest" of its own: a rewrite keeps its tip's step,
+//! and recency is `(step, gen)`, so `latest_committed` names the same
+//! state before, during and after a pass, at every kill point of one.
 
 use crate::manifest::{RetireReason, SegmentFormat};
 use crate::store::Store;
@@ -77,8 +73,7 @@ impl Store {
                 .filter(|(_, g)| g.format == SegmentFormat::Increment)
                 .map(|(_, g)| g.base_gen)
                 .collect();
-            let mut tips = Vec::new();
-            let mut chains: Vec<Vec<u64>> = Vec::new();
+            let mut chains: Vec<(u64, Vec<u64>)> = Vec::new();
             for (gen, g) in s.view.live() {
                 if g.format != SegmentFormat::Increment || bases.contains(&gen) {
                     continue;
@@ -94,66 +89,19 @@ impl Store {
                     report.pinned.extend(chain.iter().filter(|c| pinned.contains(c)));
                     continue;
                 }
-                tips.push(gen);
-                chains.push(chain);
+                chains.push((gen, chain));
             }
             report.pinned.sort_unstable();
             report.pinned.dedup();
-
-            // Rewrites take fresh — highest — generation ids, and id
-            // order is what `latest_committed` (and every
-            // restore-latest reader) means by "newest". The newest
-            // *application state* is the live generation with the
-            // highest step (ties to the highest id) — call it g*. The
-            // pass must end with g*'s state holding the highest id:
-            //
-            // * g* is itself a rewritten tip — order the rewrites so
-            //   g*'s commits last; the invariant then holds for free.
-            // * otherwise — re-anchor: copy g* byte-for-byte under a
-            //   fresh id as the pass's final save and retire the
-            //   original.
-            //
-            // The check runs even with no tips to rewrite: a crash
-            // between an earlier pass's rewrites and its re-anchor can
-            // leave an old chain's rewrite holding the highest id, and
-            // the next pass heals that inversion here. A pinned g*
-            // can't be retired, so a pass that needs the copy defers
-            // instead.
-            let Some(g_star) = s.view.live().max_by_key(|&(gen, g)| (g.step, gen)).map(|(gen, _)| gen)
-            else {
-                return Ok(report);
-            };
-            if let Some(pos) = tips.iter().position(|&t| t == g_star) {
-                let t = tips.remove(pos);
-                let c = chains.remove(pos);
-                tips.push(t);
-                chains.push(c);
-            }
-            let reanchor = if tips.last() == Some(&g_star) {
-                false
-            } else {
-                !tips.is_empty() || s.view.latest_committed() != Some(g_star)
-            };
-            if !reanchor && tips.is_empty() {
-                return Ok(report);
-            }
-            if reanchor && pinned.contains(&g_star) {
-                report.pinned.push(g_star);
-                report.pinned.sort_unstable();
-                report.pinned.dedup();
-                return Ok(report);
-            }
 
             // Rewrite each tip: materialize what the chain replays to
             // and commit it as a lossless full generation (same step;
             // the effective error bound is the chain base's — deltas
             // are exact, so the rewrite carries the base's loss and no
             // more).
-            for (&tip, chain) in tips.iter().zip(&chains) {
-                let (step, ranks) = {
-                    let g = s.view.state(tip)?;
-                    (g.step, g.segs.len() as u32)
-                };
+            for &(tip, ref chain) in &chains {
+                let g = s.view.state(tip)?;
+                let (step, ranks) = (g.step, g.segs.len() as u32);
                 let bound = s.view.state(chain[0])?.error_bound;
                 let mut payloads = Vec::with_capacity(ranks as usize);
                 for rank in 0..ranks {
@@ -165,20 +113,7 @@ impl Store {
                 report.rewritten.push((tip, new_gen));
             }
 
-            let mut candidates: BTreeSet<u64> = chains.iter().flatten().copied().collect();
-            if reanchor {
-                let (step, format, base_gen, bound, ranks) = {
-                    let g = s.view.state(g_star)?;
-                    (g.step, g.format, g.base_gen, g.error_bound, g.segs.len() as u32)
-                };
-                let payloads = (0..ranks)
-                    .map(|rank| s.view.read_segment(g_star, rank))
-                    .collect::<Result<Vec<_>>>()?;
-                let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-                let new_gen = s.save(step, format, base_gen, &refs, threads, bound)?;
-                report.rewritten.push((g_star, new_gen));
-                candidates.insert(g_star);
-            }
+            let candidates: BTreeSet<u64> = chains.into_iter().flat_map(|(_, c)| c).collect();
 
             // Retire what the rewrites made redundant: chain members no
             // surviving live generation's chain passes through. A
@@ -273,18 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn shallow_chains_are_left_alone() {
-        let dir = scratch("shallow");
-        let mut store = Store::open(&dir).unwrap();
-        let (gens, _) = grow_chain(&mut store, 2);
-        let report = store.compact_chains(3, 1).unwrap();
-        assert!(report.rewritten.is_empty());
-        assert!(report.retired.is_empty());
-        assert_eq!(store.latest_committed(), Some(*gens.last().unwrap()));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn branch_keeps_shared_prefix_alive() {
         let dir = scratch("branch");
         let mut store = Store::open(&dir).unwrap();
@@ -295,59 +218,68 @@ mod tests {
         let branch = store.save_increment(99, gens[1], &[&raw], 1).unwrap();
 
         let report = store.compact_chains(3, 1).unwrap();
-        // Only the deep tip is rewritten as a chain (the branch chain
-        // has length 3); the shared prefix gens[0..=1] survives for
-        // the branch. The branch was the newest generation, so it is
-        // re-anchored above the rewrite to keep id order == recency.
-        assert_eq!(report.rewritten.len(), 2);
-        assert_eq!(report.rewritten[0].0, gens[4]);
-        assert_eq!(report.rewritten[1].0, branch);
-        let new_branch = report.rewritten[1].1;
-        assert!(new_branch > report.rewritten[0].1, "latest stays the highest id");
-        assert_eq!(store.latest_committed(), Some(new_branch));
-        for &g in &gens[..2] {
-            assert!(!report.retired.contains(&g), "gen {g} is the branch's prefix");
-        }
-        let mut expected_retired = gens[2..].to_vec();
-        expected_retired.push(branch);
-        assert_eq!(report.retired, expected_retired);
-        assert_eq!(store.resolve_chain(new_branch).unwrap(), vec![gens[0], gens[1], new_branch]);
-        store.restore_array(new_branch, 0).unwrap();
+        // Only the deep tip is rewritten (the branch chain has length
+        // 3); the shared prefix gens[0..=1] survives for the branch,
+        // which keeps its id and, at step 99, stays latest.
+        assert_eq!(report.rewritten.iter().map(|r| r.0).collect::<Vec<_>>(), [gens[4]]);
+        assert_eq!(report.retired, gens[2..].to_vec());
+        assert_eq!(store.latest_committed(), Some(branch));
+        assert_eq!(store.resolve_chain(branch).unwrap(), vec![gens[0], gens[1], branch]);
+        store.restore_array(branch, 0).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A depth-5 chain at steps 0–4, then one full per step of `steps`:
+    /// the directory, the store, the chain's ids and the fulls' ids.
+    fn chain_then_fulls(name: &str, steps: &[u64]) -> (PathBuf, Store, Vec<u64>, Vec<u64>) {
+        let dir = scratch(name);
+        let mut store = Store::open(&dir).unwrap();
+        let (chain, _) = grow_chain(&mut store, 4);
+        let fulls = steps
+            .iter()
+            .map(|&step| store.save_full(step, SegmentFormat::Array, &[b"full"], 1).unwrap())
+            .collect();
+        (dir, store, chain, fulls)
+    }
+
+    #[test]
+    fn a_full_newer_than_the_chain_stays_latest_without_a_copy() {
+        let (dir, mut store, chain, fulls) = chain_then_fulls("newer-full", &[50]);
+        let report = store.compact_chains(2, 1).unwrap();
+        assert_eq!(report.rewritten.len(), 1, "the chain is rewritten, the full is not copied");
+        assert!(report.rewritten[0].1 > fulls[0], "the rewrite takes a higher id");
+        assert_eq!(report.retired, chain, "only the chain is retired");
+        assert_eq!(store.latest_committed(), Some(fulls[0]));
+        drop(store);
+        assert_eq!(Store::open(&dir).unwrap().latest_committed(), Some(fulls[0]));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn latest_generation_is_reanchored_above_rewrites() {
-        let dir = scratch("reanchor");
+    fn gc_after_compaction_keeps_the_newest_fulls_and_prunes_the_rewrite() {
+        let (dir, mut store, _, fulls) = chain_then_fulls("then-gc", &[20, 30]);
+        let rewrite = store.compact_chains(2, 1).unwrap().rewritten[0].1;
+        let report = store.gc(2).unwrap();
+        assert_eq!(report.retained, fulls, "the step-20 and step-30 fulls");
+        assert_eq!(report.pruned, [rewrite], "the step-4 rewrite");
+        assert_eq!(store.latest_committed(), Some(fulls[1]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pass_with_no_chain_to_compact_writes_nothing() {
+        let dir = scratch("shallow");
         let mut store = Store::open(&dir).unwrap();
-        // A deep chain, then a fresh shallow full saved after it: the
-        // full is the newest state and must stay "latest" even though
-        // the deep chain's rewrite takes a fresh id.
-        let (gens, chain_expected) = grow_chain(&mut store, 4);
-        let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-        let newest = Tensor::from_fn(&[9, 7], |ix| (ix[0] + ix[1]) as f64 * 3.25).unwrap();
-        let packed = comp.compress(&newest).unwrap().bytes;
-        let latest = store.save_full(50, SegmentFormat::Array, &[&packed], 1).unwrap();
-        let latest_tensor = store.restore_array(latest, 0).unwrap();
-
-        let report = store.compact_chains(2, 1).unwrap();
-        assert_eq!(report.rewritten.len(), 2, "chain rewrite + latest re-anchor");
-        assert_eq!(report.rewritten[1].0, latest);
-        let new_latest = report.rewritten[1].1;
-        assert_eq!(store.latest_committed(), Some(new_latest));
-        // Byte-identical copy, original retired.
-        assert!(store.restore_array(new_latest, 0).unwrap() == latest_tensor);
-        assert!(report.retired.contains(&latest));
-        // The chain rewrite still restores bit-exactly.
-        let (_, new_full) = report.rewritten[0];
-        assert!(store.restore_array(new_full, 0).unwrap() == chain_expected);
-        assert_eq!(report.retired.iter().filter(|g| gens.contains(g)).count(), gens.len());
-
-        // Durable across reopen: the re-anchored copy is still latest.
-        drop(store);
-        let store = Store::open(&dir).unwrap();
-        assert_eq!(store.latest_committed(), Some(new_latest));
-        assert!(store.restore_array(new_latest, 0).unwrap() == latest_tensor);
+        // A step-100 full saved before a step-0 full and its shallow
+        // chain (steps 0–2): the one chain is within depth.
+        let newest = store.save_full(100, SegmentFormat::Array, &[b"step 100"], 1).unwrap();
+        grow_chain(&mut store, 2);
+        let (before, written) = (store.generations(), store.bytes_written());
+        let report = store.compact_chains(3, 1).unwrap();
+        assert!(report.rewritten.is_empty() && report.retired.is_empty());
+        assert_eq!(store.bytes_written(), written, "no byte written");
+        assert_eq!(store.generations(), before, "no generation id moved");
+        assert_eq!(store.latest_committed(), Some(newest));
         let _ = fs::remove_dir_all(&dir);
     }
 

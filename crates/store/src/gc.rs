@@ -1,5 +1,6 @@
 //! Garbage collection: quarantine unreadable generations, then prune
-//! by the keep-last-K-fulls retention policy.
+//! by the keep-newest-K-fulls retention policy, newest by the order
+//! `latest_committed` reads (`View::newest_first`): highest step first.
 //!
 //! Two invariants the tests pin down:
 //!
@@ -73,10 +74,12 @@ impl Store {
                 }
             }
 
-            // Phase 2: retention over the survivors.
-            let fulls = survivors.iter().filter(|(_, g)| g.format != SegmentFormat::Increment);
+            // Phase 2: retention over the survivors, newest first.
+            let fulls = s.view.newest_first().filter(|(gen, g)| {
+                g.format != SegmentFormat::Increment && !report.quarantined.contains(gen)
+            });
             let mut retained: BTreeSet<u64> =
-                fulls.rev().take(keep_fulls).map(|&(gen, _)| gen).collect();
+                fulls.take(keep_fulls).map(|(gen, _)| gen).collect();
             // Pinned survivors are retained outright — a snapshot is
             // reading them — and seeding them before the chain pass
             // keeps any increment chaining onto a pinned base alive too.

@@ -66,9 +66,11 @@
 //! `WCK1`/`WPK1` compressed array per rank) or *incremental* (an
 //! `INC2` increment per rank against a base generation — or an `INC1`
 //! one an older build wrote — see `ckpt_core::incremental`). Restore
-//! resolves the chain base-first; GC retains the last K fulls plus
+//! resolves the chain base-first; GC retains the newest K fulls plus
 //! every increment whose entire chain is retained, and quarantines
 //! unreadable segments instead of deleting them.
+//! "Newest" is one order, `(step, gen)`: highest step first, a tie to
+//! the later commit; latest, GC and chain rewrites all keep to it.
 
 #![forbid(unsafe_code)]
 

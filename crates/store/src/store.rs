@@ -330,7 +330,8 @@ impl Store {
 
     /// Saves a full generation (one payload per rank) and commits it
     /// atomically. Returns the new generation id. Rank segment writes
-    /// fan out over `threads` pool workers.
+    /// fan out over `threads` pool workers. `step` orders recency
+    /// ([`Store::latest_committed`]).
     pub fn save_full(
         &mut self,
         step: u64,
@@ -663,7 +664,8 @@ impl Store {
         self.pins.live_snapshots()
     }
 
-    /// The newest live generation, if any.
+    /// The newest live generation, if any: the highest step, a tie on
+    /// step going to the later commit.
     pub fn latest_committed(&self) -> Option<u64> {
         self.view.latest_committed()
     }
@@ -735,7 +737,7 @@ impl View {
     }
 
     /// The live set — committed and not retired — ascending.
-    pub(crate) fn live(&self) -> impl DoubleEndedIterator<Item = (u64, &GenState)> + '_ {
+    pub(crate) fn live(&self) -> impl Iterator<Item = (u64, &GenState)> + '_ {
         self.gens.iter().filter(|(_, g)| g.live()).map(|(&gen, g)| (gen, g))
     }
 
@@ -757,14 +759,22 @@ impl View {
             .collect()
     }
 
+    /// The live set, newest first by the store's one recency key,
+    /// `(step, gen)`: "latest" and GC's "newest K fulls" read it.
+    pub(crate) fn newest_first(&self) -> impl Iterator<Item = (u64, &GenState)> + '_ {
+        let mut live: Vec<_> = self.live().collect();
+        live.sort_unstable_by_key(|&(gen, g)| std::cmp::Reverse((g.step, gen)));
+        live.into_iter()
+    }
+
     /// The newest live generation, if any.
     pub fn latest_committed(&self) -> Option<u64> {
-        self.live().next_back().map(|(gen, _)| gen)
+        self.newest_first().next().map(|(gen, _)| gen)
     }
 
     /// The newest live *full* generation (restorable without a chain).
     pub fn latest_full(&self) -> Option<u64> {
-        self.live().rev().find(|(_, g)| g.format != SegmentFormat::Increment).map(|(gen, _)| gen)
+        self.newest_first().find(|(_, g)| g.format != SegmentFormat::Increment).map(|(gen, _)| gen)
     }
 
     /// Reads one committed segment, CRC-checked against the manifest.

@@ -36,12 +36,15 @@ fn payloads(ranks: usize, salt: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Saves `n` fulls, each one step past the highest step the store
+/// lists, so every save is the newest state.
 fn save_n(store: &mut Store, n: usize, ranks: usize) -> Vec<u64> {
     (0..n)
         .map(|i| {
+            let step = store.generations().iter().map(|g| g.step + 1).max().unwrap_or(0);
             let p = payloads(ranks, i as u64);
             let refs: Vec<&[u8]> = p.iter().map(Vec::as_slice).collect();
-            store.save_full(i as u64, SegmentFormat::Array, &refs, 1).unwrap()
+            store.save_full(step, SegmentFormat::Array, &refs, 1).unwrap()
         })
         .collect()
 }

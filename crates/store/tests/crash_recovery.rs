@@ -258,7 +258,10 @@ proptest! {
                 .collect();
             let total: u64 = payloads.iter().map(|p| p.len() as u64).sum();
             store.set_failpoint(Some(kill_sel % (total + 512)));
-            if let Ok(gen) = store.save_full(attempt as u64, SegmentFormat::Array, &payloads, 1) {
+            // Steps carry on past the seeded full's (100): each save is
+            // the newest state, so the last commit is latest.
+            let step = 101 + attempt as u64;
+            if let Ok(gen) = store.save_full(step, SegmentFormat::Array, &payloads, 1) {
                 committed.push((gen, payloads.iter().map(|p| p.to_vec()).collect()));
             }
         }

@@ -69,8 +69,9 @@ fn main() {
     // the LZ77 miss stride and the transposed default;
     // `decode_only_<magic>.bin` and `golden_store_*_decode_only.bin` are
     // the valid samples and store images as the encoder wrote them
-    // before its block-split rule: kept by hand, read by the tests,
-    // written by no build.
+    // before its block-split rule, and `golden_store_*_reanchored_decode_only.bin`
+    // the store images from before recency was ordered by step: kept by
+    // hand, read by the tests, written by no build.
     // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
     // to) and `retired_zlib_container.bin`, from the last build that
     // had a Lloyd-Max quantizer and a zlib container.
@@ -218,9 +219,8 @@ fn main() {
     snap_ver[4] = 9;
     write("csm2_bad_version.bin", &snap_ver);
 
-    // The store's record stream as the commit before the lifecycle
-    // engine wrote it: every later build must reproduce both images
-    // byte for byte (`common::golden_store_images` is the script).
+    // The store's record stream: every later build must reproduce both
+    // images byte for byte (`common::golden_store_images` is the script).
     let (log, snap) = common::golden_store_images();
     write("golden_store_log.bin", &log);
     write("golden_store_snap.bin", &snap);

@@ -188,11 +188,11 @@ pub fn store_files() -> StoreFiles {
 /// a store driven through every record-writing operation: three fulls
 /// (the second saved under an error bound and grown into a depth-3
 /// chain), `gc(2)` pruning the first, `compact_chains(2, 1)` rewriting
-/// the chain (the rewrite carries the base's `Bound`) and re-anchoring
-/// the newest full above it. `tests/corpus/golden_store_{log,snap}.bin`
-/// were written from this script by the commit *before* the store's
-/// lifecycle engine (`Store::log`/`apply`/`retire`) existed; its two
-/// increments are `INC1`, as that commit wrote them.
+/// the chain (the rewrite carries the base's `Bound` and keeps its
+/// tip's step, so the step-30 full stays latest under its own id).
+/// `tests/corpus/golden_store_{log,snap}.bin` are this script's images;
+/// its two increments are `INC1`, as the commit before the store's
+/// lifecycle engine (`Store::log`/`apply`/`retire`) wrote them.
 pub fn golden_store_images() -> (Vec<u8>, Vec<u8>) {
     let dir = std::env::temp_dir().join(format!(
         "ckpt-golden-store-{}-{:?}",
@@ -216,8 +216,9 @@ pub fn golden_store_images() -> (Vec<u8>, Vec<u8>) {
     store.save_full(30, SegmentFormat::Array, &[&full], 1).unwrap();
     assert_eq!(store.gc(2).unwrap().pruned, [1]);
     let report = store.compact_chains(2, 1).unwrap();
-    assert_eq!(report.rewritten, [(4, 6), (5, 7)], "one rewrite, one re-anchor");
-    assert_eq!(report.retired, [2, 3, 4, 5]);
+    assert_eq!(report.rewritten, [(4, 6)], "one rewrite, no copy of the newest full");
+    assert_eq!(report.retired, [2, 3, 4]);
+    assert_eq!(store.latest_committed(), Some(5));
     assert!(store.restore_array(6, 0).unwrap() == last);
     let log = fs::read(dir.join("manifest")).unwrap();
     store.compact_manifest().unwrap();

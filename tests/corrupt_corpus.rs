@@ -396,6 +396,7 @@ fn every_corpus_file_returns_from_every_decoder() {
                 "decode_only_csm2.bin",
                 "golden_store_snap.bin",
                 "golden_store_snap_decode_only.bin",
+                "golden_store_snap_reanchored_decode_only.bin",
             ];
             assert!(snapshots.contains(&name.as_str()), "{name} opened as a manifest snapshot");
         }
@@ -509,11 +510,14 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
 /// The record stream is a contract too: the log and snapshot images of
 /// `golden_store_images`' script (every record kind; retires from GC
 /// and from compaction) are what this build writes, byte for byte —
-/// and they replay to the state the script left in memory. The images
-/// as the build before the encoder's last byte move wrote them (the
-/// `Seg` records carry payload CRCs) are kept as `*_decode_only.bin`:
-/// they still parse, in the same retire order, and the snapshot still
-/// seeds a store.
+/// and they replay to the state the script left in memory. Older
+/// builds' images are kept as decode-only fixtures no build writes:
+/// `*_decode_only.bin` from before the encoder's last byte move (the
+/// `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin`
+/// from before recency was ordered by step, when compaction also copied
+/// the newest full (gen 5) above its rewrite and retired it. They still
+/// parse, in their own retire order, and each snapshot still seeds a
+/// store.
 #[test]
 fn the_parent_written_store_log_is_what_this_build_writes() {
     let read = |name: &str| fs::read(common::corpus_dir().join(name)).unwrap();
@@ -521,21 +525,24 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
     assert!(log == read("golden_store_log.bin"), "the CSM1 record stream moved");
     assert!(snap == read("golden_store_snap.bin"), "the CSM2 snapshot moved");
 
-    let (old_log, old_snap) =
-        (read("golden_store_log_decode_only.bin"), read("golden_store_snap_decode_only.bin"));
-    assert!(old_log != log && old_snap != snap, "the decode-only images are the current ones");
-    for log in [&log, &old_log] {
+    let retires = |log: &[u8]| -> Vec<u64> {
         let scan = manifest::parse_manifest(log).unwrap();
         assert_eq!(scan.valid_len, log.len());
-        let retires: Vec<u64> = scan
-            .records
+        scan.records
             .iter()
             .filter(|r| matches!(r, manifest::Record::Retire { .. }))
             .map(|r| r.gen())
-            .collect();
-        assert_eq!(retires, [1, 5, 4, 3, 2], "gc's victim, then compaction's: dependents first");
+            .collect()
+    };
+    // GC's victim, then compaction's: dependents first.
+    assert_eq!(retires(&log), [1, 4, 3, 2]);
+    for tag in ["decode_only", "reanchored_decode_only"] {
+        let old_log = read(&format!("golden_store_log_{tag}.bin"));
+        let old_snap = read(&format!("golden_store_snap_{tag}.bin"));
+        assert!(old_log != log && old_snap != snap, "{tag}: the images are the current ones");
+        assert_eq!(retires(&old_log), [1, 5, 4, 3, 2], "{tag}: the copied full retired too");
+        decode_csm2(&old_snap).unwrap_or_else(|e| panic!("{tag}: the snapshot seeds no store: {e}"));
     }
-    decode_csm2(&old_snap).expect("the decode-only snapshot seeds a store");
 }
 
 /// Restored values are a contract as much as bytes are: the forward

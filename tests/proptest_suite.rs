@@ -573,7 +573,7 @@ mod store_equivalence {
                     store.gc(keep).unwrap();
                 }
                 Step::CompactChains(depth) => {
-                    // The newest state may move to a fresh id.
+                    // A rewritten tip moves to a fresh id (same step).
                     let report = store.compact_chains(depth, 1).unwrap();
                     if let Some(&(_, new)) = report.rewritten.iter().find(|(old, _)| *old == prev_gen) {
                         prev_gen = new;

@@ -333,12 +333,13 @@ fn kill_at_every_byte_of_manifest_compaction() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Kill-at-every-byte sweep over `compact_chains`: the rewrite saves,
-/// the re-anchor copy, the durable retire append, and the file deletes
-/// each die at every byte. At every kill point the newest application
-/// state stays restorable bit-exactly, and a reopen plus one retried
-/// pass converges to the compacted shape with `latest_committed`
-/// naming the newest step.
+/// Kill-at-every-byte sweep over `compact_chains`: the rewrite save,
+/// the durable retire append, and the file deletes each die at every
+/// byte. At every kill point a reopen names the step-20 full as
+/// latest, and so does a `gc(1)` run on the reopened store: a rewrite
+/// keeps its tip's step, so no kill can leave an older state looking
+/// newer. A reopen plus one retried pass converges to the compacted
+/// shape.
 #[test]
 fn kill_at_every_byte_of_chain_compaction() {
     let dir = scratch("compact-chains-measure");
@@ -352,7 +353,7 @@ fn kill_at_every_byte_of_chain_compaction() {
     let _ = fs::remove_dir_all(&dir);
 
     let dir = scratch("compact-chains-sweep");
-    for k in 0..=total {
+    let kill = |k: u64| {
         let (mut store, step, chain_t, newest_t) = maintenance_fixture(&dir);
         store.set_failpoint(Some(k));
         let outcome = store.compact_chains(2, 1);
@@ -360,12 +361,15 @@ fn kill_at_every_byte_of_chain_compaction() {
             assert!(store.poisoned(), "k={k}: a failed compaction must poison");
         }
         drop(store);
-
-        // Reopen: the newest state is always intact — even when the
-        // kill landed between an old chain's rewrite and the re-anchor
-        // copy, the highest-step generation still restores.
         let store = Store::open(&dir).unwrap_or_else(|e| panic!("k={k}: reopen failed: {e}"));
+        (store, step, chain_t, newest_t)
+    };
+    for k in 0..=total {
+        // Reopen: the newest state is intact and it is what
+        // `latest_committed` names.
+        let (store, step, chain_t, newest_t) = kill(k);
         assert_newest_intact(&store, step, &newest_t, &format!("k={k}"));
+        assert_latest_is_step(&store, step, &format!("k={k}"));
         let report = store.verify().unwrap();
         assert!(report.clean(), "k={k}: verify problems: {:?}", report.problems);
         drop(store);
@@ -374,10 +378,8 @@ fn kill_at_every_byte_of_chain_compaction() {
         // newest step and both surviving states are bit-exact.
         let mut store = Store::open(&dir).unwrap();
         store.compact_chains(2, 1).unwrap_or_else(|e| panic!("k={k}: retry failed: {e}"));
+        assert_latest_is_step(&store, step, &format!("k={k} post-retry"));
         let latest = store.latest_committed().unwrap();
-        let latest_info =
-            store.generations().into_iter().find(|g| g.gen == latest).unwrap();
-        assert_eq!(latest_info.step, step, "k={k}: latest must name the newest step");
         assert!(store.restore_array(latest, 0).unwrap() == newest_t, "k={k}: latest state");
         let tip_state = store
             .generations()
@@ -389,7 +391,22 @@ fn kill_at_every_byte_of_chain_compaction() {
         assert!(tip_state == chain_t, "k={k}: chain tip not bit-exact after retry");
         assert!(store.verify().unwrap().clean(), "k={k}: post-retry verify");
     }
+
+    // The same kill points, then GC on the reopened store: whatever the
+    // kill left, keeping one full keeps the newest state.
+    for k in 0..=total {
+        let (mut store, step, _, newest_t) = kill(k);
+        store.gc(1).unwrap_or_else(|e| panic!("k={k}: gc failed: {e}"));
+        assert_newest_intact(&store, step, &newest_t, &format!("k={k} after gc"));
+    }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `latest_committed` names a generation of `step`.
+fn assert_latest_is_step(store: &Store, step: u64, ctx: &str) {
+    let latest = store.latest_committed().unwrap_or_else(|| panic!("{ctx}: no latest"));
+    let info = store.generations().into_iter().find(|g| g.gen == latest).unwrap();
+    assert_eq!(info.step, step, "{ctx}: latest must name the newest step");
 }
 
 /// Builds the GC sweep's fixture: a full with a flipped segment byte

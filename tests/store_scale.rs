@@ -29,11 +29,17 @@ fn horizon(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Drives `n` generations: every `full_every`-th save starts a fresh
-/// full, the rest chain INC2 increments onto the previous generation.
-/// Every `cycle` saves runs gc + chain compaction + manifest snapshot.
-/// Returns the expected tensor of the final generation.
-fn drive(store: &mut Store, n: usize, full_every: usize, cycle: usize) -> Tensor<f64> {
+/// Drives one generation per step of `steps`: the first and every
+/// `full_every`-th save after it starts a fresh full, the rest chain
+/// INC2 increments onto the previous generation. Every `cycle` saves
+/// runs gc + chain compaction + manifest snapshot. Returns the
+/// expected tensor of the final generation.
+fn drive(
+    store: &mut Store,
+    steps: std::ops::Range<u64>,
+    full_every: usize,
+    cycle: usize,
+) -> Tensor<f64> {
     let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
     let base = Tensor::from_fn(&[12, 5], |ix| {
         ((ix[0] * 5 + ix[1]) as f64 * 0.37).sin() * 40.0 + 160.0
@@ -41,23 +47,23 @@ fn drive(store: &mut Store, n: usize, full_every: usize, cycle: usize) -> Tensor
     .unwrap();
     let mut state = base.clone();
     let mut prev_gen = 0u64;
-    for step in 0..n {
-        if step % full_every == 0 {
+    for (i, step) in steps.enumerate() {
+        if i % full_every == 0 {
             // A fresh full: re-seed the lossy state from its own
             // round-trip so later increments are exact deltas.
             let packed = comp.compress(&state).unwrap().bytes;
             state = Compressor::decompress(&packed).unwrap();
-            prev_gen = store.save_full(step as u64, SegmentFormat::Array, &[&packed], 1).unwrap();
+            prev_gen = store.save_full(step, SegmentFormat::Array, &[&packed], 1).unwrap();
         } else {
             let mut next = state.clone();
-            for i in (0..next.len()).step_by(7) {
-                next.as_mut_slice()[i] += (step % 13) as f64 * 0.5;
+            for j in (0..next.len()).step_by(7) {
+                next.as_mut_slice()[j] += (step % 13) as f64 * 0.5;
             }
             let (delta, _) = incremental::increment(&state, &next, Level::Default).unwrap();
-            prev_gen = store.save_increment(step as u64, prev_gen, &[&delta], 1).unwrap();
+            prev_gen = store.save_increment(step, prev_gen, &[&delta], 1).unwrap();
             state = next;
         }
-        if (step + 1) % cycle == 0 {
+        if (i + 1) % cycle == 0 {
             store.gc(2).unwrap();
             store.compact_chains(4, 1).unwrap();
             store.compact_manifest().unwrap();
@@ -71,10 +77,10 @@ fn drive(store: &mut Store, n: usize, full_every: usize, cycle: usize) -> Tensor
 #[test]
 fn long_horizon_open_cost_stays_bounded() {
     let dir = scratch("horizon");
-    let n = horizon(300);
+    let n = horizon(300) as u64;
     let cycle = 50;
     let mut store = Store::open(&dir).unwrap();
-    let expected = drive(&mut store, n, 10, cycle);
+    let expected = drive(&mut store, 0..n, 10, cycle);
     let tip = store.latest_committed().unwrap();
     assert!(store.restore_array(tip, 0).unwrap() == expected, "tip restores bit-exactly");
 
@@ -121,16 +127,17 @@ fn compaction_cycles_never_lose_the_latest_generation() {
     // snapshots, chain rewrites, and GC interleave with every phase of
     // chain growth at least once.
     let dir = scratch("interleave");
-    let n = horizon(120).min(400);
+    let n = horizon(120).min(400) as u64;
     let mut store = Store::open(&dir).unwrap();
-    let expected = drive(&mut store, n, 7, 10);
+    let expected = drive(&mut store, 0..n, 7, 10);
     let tip = store.latest_committed().unwrap();
     assert!(store.restore_array(tip, 0).unwrap() == expected);
 
-    // And the full save/maintain loop survives a reopen mid-stream.
+    // And the full save/maintain loop survives a reopen mid-stream: the
+    // run carries on from the step it reached.
     drop(store);
     let mut store = Store::open(&dir).unwrap();
-    let expected = drive(&mut store, 40, 7, 10);
+    let expected = drive(&mut store, n..n + 40, 7, 10);
     let tip = store.latest_committed().unwrap();
     assert!(store.restore_array(tip, 0).unwrap() == expected);
     let _ = fs::remove_dir_all(&dir);
