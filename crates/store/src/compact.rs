@@ -93,6 +93,9 @@ impl Store {
             }
             report.pinned.sort_unstable();
             report.pinned.dedup();
+            if chains.is_empty() {
+                return Ok(report);
+            }
 
             // Rewrite each tip: materialize what the chain replays to
             // and commit it as a lossless full generation (same step;

@@ -1,6 +1,5 @@
 //! Garbage collection: quarantine unreadable generations, then prune
-//! by the keep-newest-K-fulls retention policy, newest by the order
-//! `latest_committed` reads (`View::newest_first`): highest step first.
+//! by the keep-newest-K-fulls retention policy, newest by `View::recency`.
 //!
 //! Two invariants the tests pin down:
 //!
@@ -14,7 +13,7 @@
 //!   through [`Store::retire`], the one path a generation dies by.
 
 use crate::manifest::{RetireReason, SegmentFormat};
-use crate::store::Store;
+use crate::store::{Store, View};
 use crate::Result;
 use std::collections::BTreeSet;
 
@@ -74,12 +73,12 @@ impl Store {
                 }
             }
 
-            // Phase 2: retention over the survivors, newest first.
-            let fulls = s.view.newest_first().filter(|(gen, g)| {
-                g.format != SegmentFormat::Increment && !report.quarantined.contains(gen)
-            });
+            // Phase 2: retention over the survivors, newest fulls kept.
+            let mut fulls: Vec<_> =
+                survivors.iter().filter(|(_, g)| g.format != SegmentFormat::Increment).collect();
+            fulls.sort_unstable_by_key(|f| View::recency(f));
             let mut retained: BTreeSet<u64> =
-                fulls.take(keep_fulls).map(|(gen, _)| gen).collect();
+                fulls.iter().rev().take(keep_fulls).map(|&&(gen, _)| gen).collect();
             // Pinned survivors are retained outright — a snapshot is
             // reading them — and seeding them before the chain pass
             // keeps any increment chaining onto a pinned base alive too.

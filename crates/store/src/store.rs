@@ -759,22 +759,20 @@ impl View {
             .collect()
     }
 
-    /// The live set, newest first by the store's one recency key,
-    /// `(step, gen)`: "latest" and GC's "newest K fulls" read it.
-    pub(crate) fn newest_first(&self) -> impl Iterator<Item = (u64, &GenState)> + '_ {
-        let mut live: Vec<_> = self.live().collect();
-        live.sort_unstable_by_key(|&(gen, g)| std::cmp::Reverse((g.step, gen)));
-        live.into_iter()
+    /// The store's one recency key: the higher step is newer, a tie to the later commit.
+    pub(crate) fn recency(&(gen, g): &(u64, &GenState)) -> (u64, u64) {
+        (g.step, gen)
     }
 
     /// The newest live generation, if any.
     pub fn latest_committed(&self) -> Option<u64> {
-        self.newest_first().next().map(|(gen, _)| gen)
+        self.live().max_by_key(Self::recency).map(|(gen, _)| gen)
     }
 
     /// The newest live *full* generation (restorable without a chain).
     pub fn latest_full(&self) -> Option<u64> {
-        self.newest_first().find(|(_, g)| g.format != SegmentFormat::Increment).map(|(gen, _)| gen)
+        let fulls = self.live().filter(|(_, g)| g.format != SegmentFormat::Increment);
+        fulls.max_by_key(Self::recency).map(|(gen, _)| gen)
     }
 
     /// Reads one committed segment, CRC-checked against the manifest.
