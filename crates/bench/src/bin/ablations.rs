@@ -105,9 +105,9 @@ fn main() {
     );
     println!();
 
-    println!("-- byte shuffle of f64 sections (paper future work; product default) --");
+    println!("-- byte shuffle of the value sections, and the grid it carries (product default) --");
     measure(&t, proposed(), "shuffle off (paper's stream)");
-    measure(&t, CompressorConfig::paper_proposed(), "shuffle on (product default)");
+    measure(&t, CompressorConfig::paper_proposed(), "shuffle + grid (product default)");
     println!();
 
     println!("-- container (timings on this host) --");

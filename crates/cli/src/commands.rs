@@ -28,8 +28,11 @@ USAGE:
 
 Raw array files are row-major little-endian f64.
 
-`ckpt info` on a WPK1 chunked stream additionally prints a per-member
-breakdown (member count, chunk size, compressed/uncompressed bytes).
+`ckpt info` prints the stream header's wavelet kernel and levels and
+the step of the grid the low band and pass-through values are on
+(`none` when they are stored as doubles); on a WPK1 chunked stream it
+additionally prints a per-member breakdown (member count, chunk size,
+compressed/uncompressed bytes).
 `ckpt store` manages a crash-consistent on-disk checkpoint
 repository with atomic commit, full+incremental generation chains, and
 GC. `ckpt serve` exports a
@@ -165,8 +168,19 @@ pub fn info(argv: &[String]) -> Result<(), String> {
     let input = args.one_positional("input file")?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let tensor = Compressor::decompress(&bytes).map_err(|e| e.to_string())?;
+    let header = ckpt_core::codec::read_header(&bytes).map_err(|e| e.to_string())?;
     let (lo, hi) = tensor.min_max();
+    let kernel = match header.kernel {
+        ckpt_wavelet::Kernel::Haar => "haar",
+        ckpt_wavelet::Kernel::Cdf53 => "cdf53",
+        ckpt_wavelet::Kernel::Cdf97 => "cdf97",
+    };
     say!("file            : {input}");
+    say!("kernel, levels  : {kernel}, {}", header.levels);
+    match header.grid_exponent {
+        Some(e) => say!("grid step       : 2^{e} ({:e})", 2f64.powi(e.into())),
+        None => say!("grid step       : none"),
+    }
     say!("compressed bytes: {}", bytes.len());
     say!("dims            : {:?}", tensor.dims());
     say!("elements        : {}", tensor.len());

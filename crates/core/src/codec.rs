@@ -2,9 +2,11 @@
 //! format → gzip, and its exact inverse.
 //!
 //! The formatted layout follows Figure 5 of the paper: the low band and
-//! pass-through high-band values as doubles, the one-byte indexes, the
-//! bitmap, and the average table, behind a self-describing header. The
-//! container (gzip or none) wraps the whole formatted buffer.
+//! pass-through high-band values, the one-byte indexes, the bitmap, and
+//! the average table, behind a self-describing header. The container
+//! (gzip or none) wraps the whole formatted buffer. The default writer
+//! stores the low band and the pass-through values as integers on an
+//! error-bounded grid (see [`Grid`]), the paper's as doubles.
 
 // Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
@@ -277,12 +279,15 @@ fn finite_copy(tensor: &Tensor<f64>) -> Result<Tensor<f64>> {
 pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Result<Vec<u8>> {
     let dims = tensor.dims();
     let plan = WaveletPlan::clamped(0, dims);
+    // Nothing is quantized, so there is no bin width to size a grid
+    // from: the low band goes out as exact doubles.
     let q = Quantized {
         len: 0,
         bitmap: Bitmap::zeros(0),
         indexes: Vec::new(),
         averages: Vec::new(),
         raw: Vec::new(),
+        bin_width: 0.0,
     };
     let cfg = CompressorConfig::paper_proposed();
     let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q)?;
@@ -333,6 +338,167 @@ fn strip_container(bytes: &[u8], max_output: usize, threads: usize) -> Result<Ve
     Ok(bytes.to_vec())
 }
 
+/// `WCK1` flags bit 4: the low band and the pass-through values are on
+/// a [`Grid`], whose exponent follows the index count.
+const FLAG_GRID: u8 = 1 << 4;
+
+/// The error-bounded grid the default writer puts the low band and the
+/// pass-through values on: SZ's linear-scaling quantisation, with a
+/// step sized from the quantizer's own bins. A value `v` is stored as
+/// the index `k = round(v / s)` of its nearest grid point `k · s`, for
+/// a step `s = 2^exponent`; a power of two makes `v / s` and `k · s`
+/// exact, so the writer and every reader agree bit for bit, and each
+/// value gains at most `s / 2` of error. Pass-through values store
+/// `zigzag(k)`, the low band `zigzag(k_i - k_{i-1})` in band order
+/// from `k_{-1} = 0`, both as the words of the transposed region.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Grid {
+    exponent: i16,
+    step: f64,
+}
+
+impl Grid {
+    /// Exponents a reader accepts: every power of two a double holds.
+    const EXPONENTS: std::ops::RangeInclusive<i16> = -1074..=1023;
+    /// Exponents the writer uses: `1 / s` is a double, so `v / s` is one
+    /// exact multiplication, and `k · s` is finite for every `|k| < 2^51`.
+    const WRITER_EXPONENTS: std::ops::RangeInclusive<i64> = -1023..=972;
+    /// Indexes stay below this magnitude (2^51): there adding
+    /// [`Grid::ROUND`] rounds them exactly and subtracting it back
+    /// converts them, and the zigzag residual of two of them fits 53
+    /// bits. The reader refuses larger ones.
+    const INDEX_LIMIT: f64 = 2_251_799_813_685_248.0;
+    /// 1.5 · 2^52: for `|x| < 2^51`, `x + ROUND` lies in `[2^52, 2^53)`,
+    /// where doubles are the integers, so the addition rounds `x` to
+    /// the nearest one (ties to even) and the low bits hold it.
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+
+    /// The grid for a quantizer whose bins are `bin_width` wide: the
+    /// step is the largest power of two at or below `bin_width / 64`.
+    /// `None` — the stream stays exact doubles — when the width is not
+    /// positive and finite, the step falls outside
+    /// [`Grid::WRITER_EXPONENTS`], or some value in `sections` lies
+    /// `2^51 - 1` steps or more from zero.
+    fn fitting(bin_width: f64, sections: [&[f64]; 2]) -> Option<Grid> {
+        let target = bin_width / 64.0;
+        if !(target > 0.0 && target.is_finite()) {
+            return None;
+        }
+        let exponent = floor_log2(target);
+        if !Self::WRITER_EXPONENTS.contains(&exponent) {
+            return None;
+        }
+        let grid = Grid::new(i16::try_from(exponent).ok()?)?;
+        // Below `2^51 - 1` steps, so the rounded index stays below
+        // `2^51`; written as `<` so a NaN fails too.
+        let limit = (Self::INDEX_LIMIT - 1.0) * grid.step;
+        sections.iter().all(|s| s.iter().all(|v| v.abs() < limit)).then_some(grid)
+    }
+
+    /// The grid of step `2^exponent`, for an exponent in
+    /// [`Grid::EXPONENTS`].
+    fn new(exponent: i16) -> Option<Grid> {
+        Self::EXPONENTS.contains(&exponent).then(|| Grid { exponent, step: pow2(exponent.into()) })
+    }
+
+    /// The writer's word map for `shuffle::write_words`, on a grid from
+    /// [`Grid::fitting`]: zigzagged indexes, or with `residuals` the
+    /// zigzagged differences of successive indexes.
+    fn words(self, residuals: bool) -> impl FnMut(&f64) -> u64 {
+        let inv = pow2(-i64::from(self.exponent));
+        let mut prev = 0i64;
+        move |&v| {
+            let k = (v * inv + Self::ROUND).to_bits().wrapping_sub(Self::ROUND.to_bits()).cast_signed();
+            let word = zigzag(k.wrapping_sub(prev));
+            if residuals {
+                prev = k;
+            }
+            word
+        }
+    }
+
+    /// Reads columns `at..at + n` of the transposed `region` back to the
+    /// values [`Grid::words`] wrote for them. Refused: a residual sum
+    /// that overflows `i64`, an index of magnitude past `2^51` (the
+    /// writer's bound), and a non-finite `k · s`. The words turn into
+    /// values in place, in one loop that accumulates the checks rather
+    /// than branching on them.
+    fn read(self, region: &[u8], at: usize, n: usize, residuals: bool) -> Result<Vec<f64>> {
+        let mut words = vec![0u64; n];
+        crate::shuffle::gather_words(region, at, &mut words);
+        let (mut overflow, mut wide, mut finite) = (false, 0u64, true);
+        // `k + 2^51` is below `2^52` exactly when `|k|` is in range.
+        let out_of_range = |k: i64| k.wrapping_add(1 << 51).cast_unsigned() >> 52;
+        if residuals {
+            let mut k = 0i64;
+            for word in &mut words {
+                let (sum, o) = k.overflowing_add(unzigzag(*word));
+                k = sum;
+                let v = index_to_f64(k) * self.step;
+                overflow |= o;
+                wide |= out_of_range(k);
+                finite &= v.is_finite();
+                *word = v.to_bits();
+            }
+        } else {
+            for word in &mut words {
+                let k = unzigzag(*word);
+                let v = index_to_f64(k) * self.step;
+                wide |= out_of_range(k);
+                finite &= v.is_finite();
+                *word = v.to_bits();
+            }
+        }
+        let why = if overflow {
+            "grid residual sum overflows i64".to_string()
+        } else if wide != 0 {
+            "grid index beyond 2^51".to_string()
+        } else if !finite {
+            format!("grid index at step 2^{} is not a finite value", self.exponent)
+        } else {
+            return Ok(words.into_iter().map(f64::from_bits).collect());
+        };
+        Err(CkptError::Format(why))
+    }
+}
+
+/// `2^e` for `e` in [`Grid::EXPONENTS`]: a normal double's exponent
+/// field, or below `2^-1022` a subnormal's one mantissa bit.
+fn pow2(e: i64) -> f64 {
+    let biased = e + 1023;
+    if biased > 0 {
+        f64::from_bits(biased.cast_unsigned() << 52)
+    } else {
+        f64::from_bits(1u64 << (biased + 51))
+    }
+}
+
+/// `floor(log2(x))` of a positive finite double, read off its bits.
+fn floor_log2(x: f64) -> i64 {
+    let bits = x.to_bits();
+    match bits >> 52 {
+        0 => i64::from(63 - bits.leading_zeros()) - 1074,
+        biased => biased.cast_signed() - 1023,
+    }
+}
+
+/// Signed to unsigned with small magnitudes small: 0, -1, 1, -2, … →
+/// 0, 1, 2, 3, …, so the high byte planes of small indexes are zero.
+fn zigzag(k: i64) -> u64 {
+    ((k << 1) ^ (k >> 63)).cast_unsigned()
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1).cast_signed() ^ (z & 1).cast_signed().wrapping_neg()
+}
+
+/// `k` as a double, exact for `-2^51 <= k <= 2^51`: the inverse of the
+/// rounding in [`Grid::words`], through the same constant.
+fn index_to_f64(k: i64) -> f64 {
+    f64::from_bits(Grid::ROUND.to_bits().wrapping_add(k.cast_unsigned())) - Grid::ROUND
+}
+
 fn format_stream(
     cfg: &CompressorConfig,
     dims: &[usize],
@@ -340,6 +506,11 @@ fn format_stream(
     low_values: &[f64],
     q: &Quantized,
 ) -> Result<Vec<u8>> {
+    let grid = if cfg.byte_shuffle && !cfg.quantize_low_band {
+        Grid::fitting(q.bin_width, [low_values, &q.raw])
+    } else {
+        None
+    };
     let mut w = Writer::with_capacity(
         64 + dims.len() * 8
             + (low_values.len() + q.raw.len() + q.averages.len()) * 8
@@ -357,8 +528,10 @@ fn format_stream(
         Kernel::Cdf53 => 1,
         Kernel::Cdf97 => 2,
     };
-    let flags =
-        u8::from(cfg.quantize_low_band) | (u8::from(cfg.byte_shuffle) << 1) | (kernel_bits << 2);
+    let flags = u8::from(cfg.quantize_low_band)
+        | (u8::from(cfg.byte_shuffle) << 1)
+        | (kernel_bits << 2)
+        | if grid.is_some() { FLAG_GRID } else { 0 };
     w.put_u8(flags);
     w.put_u8(header_field(plan.levels, "wavelet levels")?);
     w.put_u16(header_field(cfg.quant.n, "division number n")?);
@@ -368,19 +541,26 @@ fn format_stream(
     w.put_u64(frame::u64_from_usize(low_values.len()));
     w.put_u64(frame::u64_from_usize(q.raw.len()));
     w.put_u64(frame::u64_from_usize(q.indexes.len()));
-    // The floating-point sections (low band, raw values, average
-    // table), written straight into the stream: as the eight byte
-    // planes of one transposed region, or value by value.
-    let sections = [low_values, q.raw.as_slice(), q.averages.as_slice()];
+    if let Some(grid) = grid {
+        w.put_bytes(&grid.exponent.to_le_bytes());
+    }
+    // The value sections (low band, raw values, average table), written
+    // straight into the stream: as the eight byte planes of one
+    // transposed region — the first two as grid words when on a grid —
+    // or value by value.
+    let (low, raw) = (low_values.len(), q.raw.len());
     if cfg.byte_shuffle {
-        let region = w.put_region(sections.iter().map(|s| s.len() * 8).sum());
-        let mut at = 0;
-        for section in sections {
-            crate::shuffle::write_planes(region, at, section);
-            at += section.len();
+        let region = w.put_region((low + raw + q.averages.len()) * 8);
+        if let Some(grid) = grid {
+            crate::shuffle::write_words(region, 0, low_values, grid.words(true));
+            crate::shuffle::write_words(region, low, &q.raw, grid.words(false));
+        } else {
+            crate::shuffle::write_planes(region, 0, low_values);
+            crate::shuffle::write_planes(region, low, &q.raw);
         }
+        crate::shuffle::write_planes(region, low + raw, &q.averages);
     } else {
-        for section in sections {
+        for section in [low_values, q.raw.as_slice(), q.averages.as_slice()] {
             w.put_f64_slice(section);
         }
     }
@@ -409,39 +589,106 @@ pub(crate) fn put_dims(w: &mut Writer, dims: &[usize]) -> Result<()> {
     Ok(())
 }
 
-fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
-    let mut r = Reader::new(bytes);
-    r.expect_magic(&WCK1)?;
-    r.expect_version(&WCK1)?;
-    let _method = r.get_u8()?;
-    let flags = r.get_u8()?;
-    let quantize_low = flags & 1 != 0;
-    let shuffled = flags & 2 != 0;
-    let kernel = match (flags >> 2) & 0b11 {
-        0 => Kernel::Haar,
-        1 => Kernel::Cdf53,
-        2 => Kernel::Cdf97,
-        other => {
-            return Err(CkptError::Format(format!("unknown kernel code {other}")));
+/// A `WCK1` header: what the stream says about itself before its
+/// sections (docs/FORMAT.md).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Header {
+    /// Flags bit 0: the low band went through the quantizer.
+    pub quantize_low_band: bool,
+    /// Flags bit 1: the value sections are one byte-transposed region.
+    pub byte_shuffle: bool,
+    /// Flags bits 2-3.
+    pub kernel: Kernel,
+    /// Wavelet levels (clamped to the mesh's depth by the writer).
+    pub levels: usize,
+    /// The array's shape.
+    pub dims: Vec<usize>,
+    /// Entries in the average table.
+    pub avg_count: usize,
+    /// Values in the low band (0 when it was quantized).
+    pub low_count: usize,
+    /// Pass-through high-band values.
+    pub raw_count: usize,
+    /// Quantized positions.
+    pub index_count: usize,
+    /// Flags bit 4: the exponent `e` of the grid step `2^e` the low band
+    /// and the pass-through values are on; `None`, they are doubles.
+    pub grid_exponent: Option<i16>,
+}
+
+impl Header {
+    /// Reads the header of the formatted stream `r` is at, refusing an
+    /// unknown kernel or a grid exponent outside `-1074..=1023`. The
+    /// method byte, `n` and `d` are informational: no decoder reads them.
+    fn read(r: &mut Reader<'_>) -> Result<Header> {
+        r.expect_magic(&WCK1)?;
+        r.expect_version(&WCK1)?;
+        let _method = r.get_u8()?;
+        let flags = r.get_u8()?;
+        let kernel = match (flags >> 2) & 0b11 {
+            0 => Kernel::Haar,
+            1 => Kernel::Cdf53,
+            2 => Kernel::Cdf97,
+            other => {
+                return Err(CkptError::Format(format!("unknown kernel code {other}")));
+            }
+        };
+        let levels = usize::from(r.get_u8()?);
+        let _n = r.get_u16()?;
+        let _d = r.get_u16()?;
+        let ndim = usize::from(r.get_u8()?);
+        let mut dims = Vec::with_capacity(ndim);
+        for _ in 0..ndim {
+            dims.push(frame::usize_len(r.get_u64()?)?);
         }
-    };
-    let levels = usize::from(r.get_u8()?);
-    let _n = r.get_u16()?;
-    let _d = r.get_u16()?;
-    let ndim = usize::from(r.get_u8()?);
-    let mut dims = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        dims.push(frame::usize_len(r.get_u64()?)?);
+        let avg_count = usize::from(r.get_u16()?);
+        let low_count = frame::usize_len(r.get_u64()?)?;
+        let raw_count = frame::usize_len(r.get_u64()?)?;
+        let index_count = frame::usize_len(r.get_u64()?)?;
+        let grid_exponent = if flags & FLAG_GRID != 0 {
+            let e = i16::from_le_bytes(r.get_array()?);
+            if !Grid::EXPONENTS.contains(&e) {
+                return Err(CkptError::Format(format!("grid exponent {e} outside -1074..=1023")));
+            }
+            Some(e)
+        } else {
+            None
+        };
+        Ok(Header {
+            quantize_low_band: flags & 1 != 0,
+            byte_shuffle: flags & 2 != 0,
+            kernel,
+            levels,
+            dims,
+            avg_count,
+            low_count,
+            raw_count,
+            index_count,
+            grid_exponent,
+        })
     }
-    let avg_count = usize::from(r.get_u16()?);
-    let low_count = frame::usize_len(r.get_u64()?)?;
-    let raw_count = frame::usize_len(r.get_u64()?)?;
-    let index_count = frame::usize_len(r.get_u64()?)?;
+}
+
+/// The header of a compressed array: `bytes` as
+/// [`Compressor::decompress`] takes them, container and all.
+pub fn read_header(bytes: &[u8]) -> Result<Header> {
+    let formatted = strip_container(bytes, usize::MAX, 1)?;
+    Header::read(&mut Reader::new(&formatted))
+}
+
+/// Reads a formatted stream's header and sections: the low band and
+/// the validated quantized stream, every count checked against the
+/// header and the bytes there are.
+fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Quantized)> {
+    let mut r = Reader::new(bytes);
+    let header = Header::read(&mut r)?;
+    let Header { byte_shuffle, low_count, raw_count, index_count, avg_count, .. } = header;
 
     // Every count below comes from untrusted bytes: all size
     // arithmetic must be checked so corrupt input errors instead of
     // overflowing.
-    let volume = dims
+    let volume = header
+        .dims
         .iter()
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
         .ok_or_else(|| CkptError::Format("dimension product overflows".into()))?;
@@ -459,12 +706,26 @@ fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
     let region_bytes = f64_total
         .checked_mul(8)
         .ok_or_else(|| CkptError::Format("value region overflows".into()))?;
-    let (low_values, raw, averages) = if shuffled {
-        let region = r.get_bytes(region_bytes)?;
-        let planes = |at, n| crate::shuffle::read_planes(region, at, n);
-        (planes(0, low_count), planes(low_count, raw_count), planes(low_count + raw_count, avg_count))
-    } else {
-        (r.get_f64_slice(low_count)?, r.get_f64_slice(raw_count)?, r.get_f64_slice(avg_count)?)
+    let grid = header.grid_exponent.and_then(Grid::new);
+    let (low_values, raw, averages) = match (byte_shuffle, grid) {
+        (true, grid) => {
+            let region = r.get_bytes(region_bytes)?;
+            let planes = |at, n| crate::shuffle::read_planes(region, at, n);
+            let averages = planes(low_count + raw_count, avg_count);
+            match grid {
+                Some(g) => {
+                    let low = g.read(region, 0, low_count, true)?;
+                    (low, g.read(region, low_count, raw_count, false)?, averages)
+                }
+                None => (planes(0, low_count), planes(low_count, raw_count), averages),
+            }
+        }
+        (false, None) => {
+            (r.get_f64_slice(low_count)?, r.get_f64_slice(raw_count)?, r.get_f64_slice(avg_count)?)
+        }
+        (false, Some(_)) => {
+            return Err(CkptError::Format("grid flag set on an untransposed stream".into()));
+        }
     };
     let indexes = r.get_bytes(index_count)?.to_vec();
     let bitmap_bytes = r.get_bytes(stream_len.div_ceil(8))?;
@@ -472,8 +733,15 @@ fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
         .ok_or_else(|| CkptError::Format("corrupt bitmap".into()))?;
     r.expect_end()?;
 
-    let q = Quantized { len: stream_len, bitmap, indexes, averages, raw };
+    let q = Quantized { len: stream_len, bitmap, indexes, averages, raw, bin_width: 0.0 };
     q.validate()?;
+    Ok((header, low_values, q))
+}
+
+fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
+    let (header, low_values, q) = read_sections(bytes)?;
+    let Header { quantize_low_band: quantize_low, kernel, levels, dims, .. } = header;
+    let volume = q.len + low_values.len();
     // One tensor-sized scratch per decode: the stream is rebuilt into
     // it, and once the bands are written the inverse ping-pongs with it.
     let mut stream = Vec::with_capacity(volume);
@@ -938,19 +1206,29 @@ mod shuffle_tests {
     }
 
     #[test]
-    fn shuffle_changes_bytes_but_not_values() {
+    fn shuffle_changes_bytes_and_moves_values_by_the_grid_only() {
+        // The transposed default also puts the low band and the
+        // pass-through values on the grid, so its values differ from the
+        // untransposed stream's by at most the Haar inverse's gain (2
+        // per split axis, 8 here) times half a step.
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 22));
         let base = CompressorConfig::paper_proposed().with_container(Container::None);
         let plain =
             Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap().bytes;
         let shuf = Compressor::new(base).unwrap().compress(&t).unwrap().bytes;
-        assert_eq!(plain[6] & 2, 0, "flags bit 1 clear");
-        assert_eq!(shuf[6] & 2, 2, "the default writer sets flags bit 1");
-        assert_ne!(plain, shuf);
-        assert_eq!(plain.len(), shuf.len(), "shuffle is a permutation");
+        assert_eq!(plain[6] & (2 | FLAG_GRID), 0, "flags bits 1 and 4 clear");
+        assert_eq!(shuf[6] & (2 | FLAG_GRID), 2 | FLAG_GRID, "the default sets both");
+        assert_eq!(plain.len() + 2, shuf.len(), "a permutation, plus the grid exponent");
+        let e = read_header(&shuf).unwrap().grid_exponent.unwrap();
+        let slack = 8.0 * pow2(e.into()) / 2.0;
         let a = Compressor::decompress(&plain).unwrap();
         let b = Compressor::decompress(&shuf).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            // Plus a few ulps: the inverse rounds each sum it forms.
+            let bound = slack + 8.0 * f64::EPSILON * x.abs().max(y.abs());
+            assert!((x - y).abs() <= bound, "{x} vs {y}, slack {slack}");
+        }
+        assert_ne!(a.as_slice(), b.as_slice(), "the grid moved something");
     }
 
     #[test]
@@ -967,6 +1245,205 @@ mod shuffle_tests {
             shuf.stats.compressed_bytes,
             plain.stats.compressed_bytes
         );
+    }
+}
+
+#[cfg(test)]
+mod grid_tests {
+    use super::*;
+    use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
+
+    /// A deterministic LCG stream.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed | 1;
+        move || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            s
+        }
+    }
+
+    #[test]
+    fn powers_and_logs_of_two_agree_on_every_exponent() {
+        for e in -1074..=1023i64 {
+            let p = pow2(e);
+            assert_eq!(p, 2f64.powi(e.max(-1000) as i32) * 2f64.powi((e + 1000).min(0) as i32));
+            assert_eq!(floor_log2(p), e);
+            // Subnormals below 2^-1070 round 1.75 · 2^e to a power of two.
+            if e > -1070 {
+                assert_eq!(floor_log2(p * 1.75), e, "1.75 · 2^{e}");
+                assert_eq!(floor_log2(f64::from_bits(p.to_bits() - 1)), e - 1, "below 2^{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn zigzag_is_a_bijection_that_keeps_small_magnitudes_small() {
+        for (k, z) in [(0i64, 0u64), (-1, 1), (1, 2), (-2, 3), (2, 4)] {
+            assert_eq!(zigzag(k), z);
+        }
+        for k in [i64::MIN, i64::MIN + 1, -7, 7, i64::MAX - 1, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(k)), k);
+        }
+        let mut next = lcg(3);
+        for _ in 0..10_000 {
+            let z = next();
+            assert_eq!(zigzag(unzigzag(z)), z);
+        }
+    }
+
+    /// `values` through the grid's word map into a region and back.
+    fn roundtrip(grid: Grid, values: &[f64], residuals: bool) -> Result<Vec<f64>> {
+        let mut region = vec![0u8; values.len() * 8];
+        crate::shuffle::write_words(&mut region, 0, values, grid.words(residuals));
+        grid.read(&region, 0, values.len(), residuals)
+    }
+
+    #[test]
+    fn every_gridded_value_lies_within_half_a_step() {
+        let mut next = lcg(11);
+        for &(scale, width) in &[(1.0, 1e-3), (300.0, 0.5), (1e-9, 1e-12), (1e200, 1e190)] {
+            let values: Vec<f64> =
+                (0..1003).map(|_| ((next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale).collect();
+            let grid = Grid::fitting(width, [&values, &[]]).unwrap();
+            assert!(grid.step <= width / 64.0 && grid.step * 2.0 > width / 64.0, "{grid:?}");
+            for residuals in [false, true] {
+                let back = roundtrip(grid, &values, residuals).unwrap();
+                for (v, b) in values.iter().zip(&back) {
+                    assert!((v - b).abs() <= grid.step / 2.0, "{v} -> {b} at {grid:?}");
+                    assert_eq!((b / grid.step).fract(), 0.0, "{b} is off the grid");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_grid_stays_off_where_it_cannot_hold_the_values() {
+        let v = [1.0, -2.0, 3.5];
+        for w in [0.0, -1.0, f64::INFINITY, f64::NAN, f64::MIN_POSITIVE / 1e6] {
+            assert_eq!(Grid::fitting(w, [&v, &v]), None, "width {w}");
+        }
+        // Indexes stay below 2^51.
+        let grid = Grid::fitting(64.0, [&v, &v]).unwrap();
+        assert_eq!(grid.step, 1.0);
+        assert_eq!(Grid::fitting(64.0, [&v, &[Grid::INDEX_LIMIT - 2.0]]), Some(grid));
+        assert_eq!(Grid::fitting(64.0, [&[Grid::INDEX_LIMIT - 1.0], &v]), None);
+        assert_eq!(Grid::fitting(64.0, [&[-Grid::INDEX_LIMIT], &v]), None);
+        assert_eq!(Grid::fitting(64.0, [&v, &[f64::NAN]]), None);
+        assert_eq!(Grid::fitting(f64::MAX, [&v, &v]), None, "2^51 steps must be finite");
+    }
+
+    /// The transformed coefficients [`Compressor::compress`] formats for
+    /// `t`: the low band and the quantized high bands.
+    fn coefficients(cfg: &CompressorConfig, t: &Tensor<f64>) -> (Vec<f64>, Quantized) {
+        let ml = MultiLevel::with_kernel(WaveletPlan::clamped(cfg.plan.levels, t.dims()), cfg.kernel);
+        let mut w = t.clone();
+        ml.forward(&mut w).unwrap();
+        let (mut low, mut high) = (Vec::new(), Vec::new());
+        for band in ml.all_subbands(w.shape()).unwrap() {
+            let into = if band.kind == SubbandKind::Low { &mut low } else { &mut high };
+            w.read_block_into(&band.start, &band.size, into).unwrap();
+        }
+        (low, ckpt_quant::quantize(&high, &cfg.quant).unwrap())
+    }
+
+    #[test]
+    fn a_gridded_stream_holds_every_coefficient_within_half_a_step() {
+        for (kind, seed) in [(FieldKind::Temperature, 4), (FieldKind::WindU, 5), (FieldKind::Pressure, 6)] {
+            let t = generate(&FieldSpec::small(kind, seed));
+            let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
+            let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
+            let (header, low, q) = read_sections(&bytes).unwrap();
+            let (low0, q0) = coefficients(&cfg, &t);
+            let e = header.grid_exponent.expect("the default grids");
+            let step = pow2(e.into());
+            assert_eq!(floor_log2(q0.bin_width / 64.0), i64::from(e), "{kind:?}");
+            let near = |a: &[f64], b: &[f64]| {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= step / 2.0)
+            };
+            assert!(near(&low, &low0), "{kind:?}: low band");
+            assert!(near(&q.raw, &q0.raw), "{kind:?}: pass-through values");
+            assert_eq!((q.indexes, q.averages), (q0.indexes, q0.averages), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn the_exact_and_ablation_paths_never_grid() {
+        let t = generate(&FieldSpec::small(FieldKind::Temperature, 8));
+        let exact = gzip::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap());
+        assert_eq!(exact.unwrap()[6] & FLAG_GRID, 0, "compress_exact");
+        let none = CompressorConfig::paper_proposed().with_container(Container::None);
+        let mut crush = none;
+        crush.quantize_low_band = true;
+        for cfg in [crush, none.with_byte_shuffle(false)] {
+            let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
+            assert_eq!(bytes[6] & FLAG_GRID, 0, "{cfg:?}");
+            assert_eq!(read_header(&bytes).unwrap().grid_exponent, None);
+        }
+    }
+
+    /// `stream` with its grid exponent (the two bytes after the index
+    /// count) replaced.
+    fn with_exponent(stream: &[u8], e: i16) -> Vec<u8> {
+        let at = 13 + 8 * 3 + 2 + 24;
+        let mut bad = stream.to_vec();
+        bad[at..at + 2].copy_from_slice(&e.to_le_bytes());
+        bad
+    }
+
+    #[test]
+    fn hostile_grids_are_refused() {
+        let t = generate(&FieldSpec::small(FieldKind::Temperature, 9));
+        let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
+        let good = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
+        let e = read_header(&good).unwrap().grid_exponent.unwrap();
+        assert_eq!(with_exponent(&good, e), good, "the exponent sits where the test looks");
+        for bad_e in [-1075, 1024, i16::MIN, i16::MAX] {
+            let why = Compressor::decompress(&with_exponent(&good, bad_e)).unwrap_err().to_string();
+            assert!(why.contains("grid exponent"), "{bad_e}: {why}");
+        }
+        let why = Compressor::decompress(&with_exponent(&good, 1023)).unwrap_err().to_string();
+        assert!(why.contains("not a finite value"), "{why}");
+        let mut untransposed = good.clone();
+        untransposed[6] &= !2;
+        let why = Compressor::decompress(&untransposed).unwrap_err().to_string();
+        assert!(why.contains("untransposed"), "{why}");
+        for cut in [good.len() - 1, good.len() / 2, 60, 62] {
+            assert!(Compressor::decompress(&good[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// `words` as the columns of a transposed region.
+    fn region_of(words: &[u64]) -> Vec<u8> {
+        let mut region = vec![0u8; words.len() * 8];
+        crate::shuffle::write_words(&mut region, 0, words, |&z| z);
+        region
+    }
+
+    #[test]
+    fn a_residual_sum_past_i64_is_refused() {
+        // Two low-band residuals of 2^62: their sum overflows.
+        let grid = Grid::new(0).unwrap();
+        let region = region_of(&[zigzag(1 << 62); 2]);
+        let why = grid.read(&region, 0, 2, true).unwrap_err().to_string();
+        assert!(why.contains("overflows i64"), "{why}");
+    }
+
+    #[test]
+    fn indexes_past_2_to_the_51_are_refused_and_those_below_convert_exactly() {
+        let grid = Grid::new(-3).unwrap();
+        let edge = [(1i64 << 51) - 1, -(1 << 51), 0, -1, 1, 12_345_678_901];
+        let back = grid.read(&region_of(&edge.map(zigzag)), 0, edge.len(), false).unwrap();
+        for (k, v) in edge.iter().zip(&back) {
+            assert_eq!(*v, *k as f64 / 8.0, "{k}");
+        }
+        for k in [1i64 << 51, -(1 << 51) - 1, i64::MAX, i64::MIN] {
+            let why = grid.read(&region_of(&[zigzag(k)]), 0, 1, false).unwrap_err().to_string();
+            assert!(why.contains("beyond 2^51"), "{k}: {why}");
+        }
+        // A residual walk that leaves the range refuses too.
+        let steps = [zigzag(1 << 50), zigzag(1 << 50), zigzag(1)];
+        let why = grid.read(&region_of(&steps), 0, 3, true).unwrap_err().to_string();
+        assert!(why.contains("beyond 2^51"), "{why}");
     }
 }
 

@@ -34,6 +34,16 @@ pub struct CompressorConfig {
     /// by default: it keeps mantissa noise out of the match search and
     /// costs less than it saves (DESIGN.md, entropy stage). Off writes
     /// the paper's untransposed stream; every decoder reads both.
+    ///
+    /// On, it also puts the pass-through values and the low band on an
+    /// error-bounded grid (`WCK1` flags bit 4) unless `quantize_low_band`
+    /// is set: each is stored as its nearest multiple `k · s` of a
+    /// power-of-two step `s`, the largest at or below the quantizer's
+    /// own bin width over 64, so the grid follows from the quantizer's
+    /// bins as the spike threshold does and no setting of its own
+    /// exists. Each coefficient gains at most `s / 2` of error; the
+    /// stored `k`s are integers whose high byte planes deflate to
+    /// almost nothing.
     pub byte_shuffle: bool,
     /// Wavelet kernel: the paper's Haar, or CDF 5/3 (JPEG 2000's
     /// lossless kernel) as the "improved algorithm" extension.

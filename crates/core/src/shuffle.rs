@@ -59,6 +59,18 @@ fn columns(region_len: usize, at: usize, n: usize) -> usize {
 /// planes of `region` (`region.len()` must be a multiple of 8 and hold
 /// those columns).
 pub fn write_planes(region: &mut [u8], at: usize, values: &[f64]) {
+    write_words(region, at, values, |v| v.to_bits());
+}
+
+/// [`write_planes`] of the word `word(v)` stands each value for, in
+/// value order, mapped inside the transposing loop: the codec's grid
+/// writes its integers this way with no intermediate word buffer.
+pub(crate) fn write_words<T>(
+    region: &mut [u8],
+    at: usize,
+    values: &[T],
+    mut word: impl FnMut(&T) -> u64,
+) {
     let n = values.len();
     let count = columns(region.len(), at, n);
     // An empty region's planes are zero-wide, which `chunks_exact` refuses.
@@ -69,15 +81,19 @@ pub fn write_planes(region: &mut [u8], at: usize, values: &[f64]) {
     let mut planes: [&mut [u8]; 8] = std::array::from_fn(|_| planes.next().expect("eight planes"));
     let mut cols = 0;
     for eight in values.chunks_exact(8) {
-        let words = transpose8(std::array::from_fn(|k| eight[k].to_bits()));
-        for (plane, word) in planes.iter_mut().zip(words) {
-            plane[cols..cols + 8].copy_from_slice(&word.to_le_bytes());
+        let mut rows = [0u64; 8];
+        for (row, v) in rows.iter_mut().zip(eight) {
+            *row = word(v);
+        }
+        for (plane, w) in planes.iter_mut().zip(transpose8(rows)) {
+            plane[cols..cols + 8].copy_from_slice(&w.to_le_bytes());
         }
         cols += 8;
     }
     for (c, v) in values.iter().enumerate().skip(cols) {
+        let w = word(v);
         for (j, plane) in planes.iter_mut().enumerate() {
-            plane[c] = (v.to_bits() >> (8 * j)) as u8;
+            plane[c] = (w >> (8 * j)) as u8;
         }
     }
 }

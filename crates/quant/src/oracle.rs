@@ -61,6 +61,7 @@ fn empty() -> Quantized {
         indexes: Vec::new(),
         averages: Vec::new(),
         raw: Vec::new(),
+        bin_width: 0.0,
     }
 }
 
@@ -88,6 +89,7 @@ pub(crate) fn simple(values: &[f64], n: usize) -> Result<Quantized, QuantError> 
         indexes,
         averages,
         raw: Vec::new(),
+        bin_width: (hist.hi - hist.lo) / n as f64,
     })
 }
 
@@ -120,7 +122,14 @@ pub(crate) fn spike(
         }
     }
     let inner = simple(&detected, n)?;
-    Ok(Quantized { len: values.len(), bitmap, indexes: inner.indexes, averages: inner.averages, raw })
+    Ok(Quantized {
+        len: values.len(),
+        bitmap,
+        indexes: inner.indexes,
+        averages: inner.averages,
+        raw,
+        bin_width: inner.bin_width,
+    })
 }
 
 pub(crate) fn reconstruct(q: &Quantized) -> Vec<f64> {
@@ -158,6 +167,7 @@ mod tests {
         prop_assert_eq!(bits(&got.averages), bits(&want.averages));
         let raw_bits = |q: &Quantized| q.raw.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(raw_bits(got), raw_bits(want));
+        prop_assert_eq!(bits(&[got.bin_width]), bits(&[want.bin_width]));
         prop_assert_eq!(bits(&got.reconstruct()), bits(&reconstruct(want)));
         Ok(())
     }

@@ -19,24 +19,26 @@ pub fn quantize(values: &[f64], n: usize) -> Result<Quantized, QuantError> {
     if n == 0 || n > 256 {
         return Err(QuantError::BadDivisionNumber(n));
     }
-    let (indexes, averages) = encode(values, n);
+    let (indexes, averages, bin_width) = encode(values, n);
     Ok(Quantized {
         len: values.len(),
         bitmap: Bitmap::ones(values.len()),
         indexes,
         averages,
         raw: Vec::new(),
+        bin_width,
     })
 }
 
 /// The index stream and compacted average table of `values` in `n`
-/// equal partitions of their own range (`1 <= n <= 256`), in four
-/// passes: the range, one bin per value, counts and sums in stream
-/// order (so every average is the same sum in the same order as a
-/// per-bin accumulation), then the empty-bin remap into index bytes.
-pub(crate) fn encode(values: &[f64], n: usize) -> (Vec<u8>, Vec<f64>) {
+/// equal partitions of their own range (`1 <= n <= 256`), and the
+/// partitions' width, in four passes: the range, one bin per value,
+/// counts and sums in stream order (so every average is the same sum in
+/// the same order as a per-bin accumulation), then the empty-bin remap
+/// into index bytes.
+pub(crate) fn encode(values: &[f64], n: usize) -> (Vec<u8>, Vec<f64>, f64) {
     let Some((lo, hi)) = min_max(values) else {
-        return (Vec::new(), Vec::new());
+        return (Vec::new(), Vec::new(), 0.0);
     };
     let mut bins = vec![0u16; values.len()];
     bin_indexes(values, lo, hi, n, &mut bins);
@@ -59,7 +61,7 @@ pub(crate) fn encode(values: &[f64], n: usize) -> (Vec<u8>, Vec<f64>) {
         }
     }
     let indexes = bins.iter().map(|&b| remap[usize::from(b)]).collect();
-    (indexes, averages)
+    (indexes, averages, (hi - lo) / n as f64)
 }
 
 #[cfg(test)]

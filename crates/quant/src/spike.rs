@@ -54,6 +54,7 @@ pub fn quantize_with_threshold(
             indexes: Vec::new(),
             averages: Vec::new(),
             raw: Vec::new(),
+            bin_width: 0.0,
         });
     };
     let mut bins = vec![0u16; values.len()];
@@ -93,8 +94,9 @@ pub fn quantize_with_threshold(
     detected.truncate(hits);
     raw.truncate(total - hits);
 
-    let (indexes, averages) = simple::encode(&detected, n);
-    Ok(Quantized { len: total, bitmap: Bitmap::from_words(total, words), indexes, averages, raw })
+    let (indexes, averages, bin_width) = simple::encode(&detected, n);
+    let bitmap = Bitmap::from_words(total, words);
+    Ok(Quantized { len: total, bitmap, indexes, averages, raw, bin_width })
 }
 
 /// Per-bin counts of `bins` (each below `k`), accumulated in four

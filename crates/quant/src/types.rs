@@ -101,6 +101,11 @@ pub struct Quantized {
     pub averages: Vec<f64>,
     /// Unquantized values, in position order.
     pub raw: Vec<f64>,
+    /// Width of one of the `n` partitions the average table was built
+    /// over: the quantized values' range over `n`, 0 when nothing was
+    /// quantized. The encoder sizes its grid from it; the stream does
+    /// not carry it, so a decoded stream holds 0.
+    pub bin_width: f64,
 }
 
 impl Quantized {
@@ -194,6 +199,7 @@ mod tests {
             indexes: vec![1, 0],
             averages: vec![10.0, 20.0],
             raw: vec![-1.0, -2.0],
+            bin_width: 0.0,
         }
     }
 

@@ -1,5 +1,6 @@
 //! Garbage collection: quarantine unreadable generations, then prune
-//! by the keep-newest-K-fulls retention policy, newest by `View::recency`.
+//! by the keep-newest-K-fulls retention policy, newest by `View::recency`,
+//! never pruning the newest generation or the chain it restores through.
 //!
 //! Two invariants the tests pin down:
 //!
@@ -13,7 +14,7 @@
 //!   through [`Store::retire`], the one path a generation dies by.
 
 use crate::manifest::{RetireReason, SegmentFormat};
-use crate::store::{Store, View};
+use crate::store::{GenState, Store, View};
 use crate::Result;
 use std::collections::BTreeSet;
 
@@ -39,8 +40,9 @@ pub struct GcReport {
 impl Store {
     /// Runs one GC pass: first a readability scan (CRC against the
     /// manifest) that marks damaged generations for quarantine, then
-    /// retention keeping the newest `keep_fulls` full generations plus
-    /// every increment whose whole chain is retained; both sets die in
+    /// retention keeping the newest `keep_fulls` full generations, the
+    /// newest surviving generation's chain down to its full, and every
+    /// increment whose whole chain is retained; both sets die in
     /// one [`Store::retire`]. `keep_fulls` is clamped to at least 1 so
     /// GC can never empty a non-empty store. Like a failed save, an
     /// error poisons the store.
@@ -79,6 +81,9 @@ impl Store {
             fulls.sort_unstable_by_key(|f| View::recency(f));
             let mut retained: BTreeSet<u64> =
                 fulls.iter().rev().take(keep_fulls).map(|&&(gen, _)| gen).collect();
+            // The newest state survives whatever full it chains onto:
+            // its whole chain down to that full is retained.
+            retained.extend(newest_chain(&survivors));
             // Pinned survivors are retained outright — a snapshot is
             // reading them — and seeding them before the chain pass
             // keeps any increment chaining onto a pinned base alive too.
@@ -101,6 +106,22 @@ impl Store {
             Ok(report)
         })
     }
+}
+
+/// The chain of the newest of `survivors` by [`View::recency`], from
+/// it down to its full; empty when a link did not survive.
+fn newest_chain(survivors: &[(u64, &GenState)]) -> Vec<u64> {
+    let find = |gen| survivors.iter().find(|&&(g, _)| g == gen);
+    let mut chain = Vec::new();
+    let mut at = survivors.iter().max_by_key(|s| View::recency(s));
+    while let Some(&(gen, g)) = at {
+        chain.push(gen);
+        if g.format != SegmentFormat::Increment {
+            return chain;
+        }
+        at = find(g.base_gen);
+    }
+    Vec::new()
 }
 
 #[cfg(test)]
@@ -172,6 +193,26 @@ mod tests {
             assert!(store.layout().segment_path(g, 0).exists());
         }
         assert_eq!(store.resolve_chain(i3).unwrap(), vec![f2, i3]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_newest_state_survives_when_it_chains_onto_an_older_full() {
+        // Fulls at steps 10 and 20, then the step-30 state as an
+        // increment on the step-10 full: the newest state is the
+        // increment, and keeping one full must not prune its chain.
+        let dir = scratch("newest-chain");
+        let mut store = Store::open(&dir).unwrap();
+        let f10 = full(&mut store, 10, 1);
+        let f20 = full(&mut store, 20, 2);
+        let i30 = store.save_increment(30, f10, &[&payload(3)], 1).unwrap();
+        assert_eq!(store.latest_committed(), Some(i30));
+        let report = store.gc(1).unwrap();
+        assert_eq!(report.retained, vec![f10, f20, i30]);
+        assert!(report.pruned.is_empty());
+        assert_eq!(store.latest_committed(), Some(i30));
+        assert_eq!(store.resolve_chain(i30).unwrap(), vec![f10, i30]);
+        assert_eq!(store.read_segment(i30, 0).unwrap(), payload(3));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -103,6 +103,19 @@ fn seed_fulls(
     committed
 }
 
+/// Adds to `committed` the generation a killed save of `payloads` was
+/// writing, if recovery committed it: a kill at the barrier in front of
+/// the manifest fsync falls after the commit records were written, and
+/// recovery replays them, as it may after a crash between `write` and
+/// `fsync` (the exhaustive sweep in `tests/store_crash.rs` accepts both
+/// outcomes).
+fn committed_anyway(dir: &PathBuf, committed: &mut Vec<(u64, Vec<Vec<u8>>)>, payloads: Vec<Vec<u8>>) {
+    let latest = Store::open(dir).ok().and_then(|s| s.latest_committed());
+    if let Some(gen) = latest.filter(|g| committed.iter().all(|(c, _)| c != g)) {
+        committed.push((gen, payloads));
+    }
+}
+
 /// Reopens the store and checks the crash-consistency contract.
 fn check_after_crash(dir: &PathBuf, committed: &[(u64, Vec<Vec<u8>>)]) -> Result<(), String> {
     let store = Store::open(dir).map_err(|e| format!("reopen failed: {e}"))?;
@@ -161,10 +174,12 @@ proptest! {
 
         let payloads: Vec<&[u8]> =
             (0..ranks).map(|r| pool[(pre + r) % pool.len()].as_slice()).collect();
-        match store.save_full(900, SegmentFormat::Array, &payloads, threads) {
+        let owned: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_vec()).collect();
+        let killed = match store.save_full(900, SegmentFormat::Array, &payloads, threads) {
             Ok(gen) => {
                 prop_assert!(!store.poisoned());
-                committed.push((gen, payloads.iter().map(|p| p.to_vec()).collect()));
+                committed.push((gen, owned.clone()));
+                false
             }
             Err(StoreError::Killed) => {
                 prop_assert!(store.poisoned());
@@ -172,10 +187,17 @@ proptest! {
                 prop_assert!(matches!(store.read_segment(committed[0].0, 0),
                     Err(StoreError::Poisoned)));
                 prop_assert!(matches!(store.verify(), Err(StoreError::Poisoned)));
+                true
             }
-            Err(other) => prop_assert!(false, "unexpected save error: {other}"),
-        }
+            Err(other) => {
+                prop_assert!(false, "unexpected save error: {other}");
+                false
+            }
+        };
         drop(store);
+        if killed {
+            committed_anyway(&dir, &mut committed, owned);
+        }
 
         if let Err(why) = check_after_crash(&dir, &committed) {
             prop_assert!(false, "kill_at={kill_at}: {why}");
@@ -222,6 +244,12 @@ proptest! {
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                 format!("kill_at={kill_at}: reopen failed: {e}"))),
         };
+        // As in `committed_anyway`: the killed save may have committed
+        // one link deeper.
+        let next = last_ok.map_or((1, 0), |(g, d)| (g + 1, d + 1));
+        if killed && store.latest_committed() == Some(next.0) {
+            last_ok = Some(next);
+        }
         prop_assert_eq!(store.latest_committed(), last_ok.map(|(g, _)| g),
             "kill_at={}", kill_at);
         if let Some((gen, depth)) = last_ok {
@@ -261,8 +289,13 @@ proptest! {
             // Steps carry on past the seeded full's (100): each save is
             // the newest state, so the last commit is latest.
             let step = 101 + attempt as u64;
-            if let Ok(gen) = store.save_full(step, SegmentFormat::Array, &payloads, 1) {
-                committed.push((gen, payloads.iter().map(|p| p.to_vec()).collect()));
+            let owned: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_vec()).collect();
+            match store.save_full(step, SegmentFormat::Array, &payloads, 1) {
+                Ok(gen) => committed.push((gen, owned)),
+                Err(_) => {
+                    drop(store);
+                    committed_anyway(&dir, &mut committed, owned);
+                }
             }
         }
         if let Err(why) = check_after_crash(&dir, &committed) {

@@ -322,4 +322,45 @@ fn main() {
     many.put_u64(0); // indexes
     many.put_f64_slice(&[1.0, 2.0]);
     write("wck1_many_axes.bin", &many.into_bytes());
+
+    // Hostile gridded streams (flags bit 4), bare so no container CRC
+    // stands between the damage and the grid decoder.
+    let bare = CompressorConfig::paper_proposed().with_container(Container::None);
+    let tiny = common::tiny_field(1);
+    let gridded = Compressor::new(bare).unwrap().compress(&tiny).unwrap().bytes;
+    assert_eq!(gridded[6] & 0x12, 0x12, "the default writes a transposed, gridded stream");
+    // Magic, version, method, flags, levels, n, d, ndim, dims, average
+    // count, then the three u64 counts: the exponent follows.
+    let exponent_at = 13 + 8 * tiny.ndim() + 2 + 24;
+
+    // 40. A grid step of 2^1024, which no double holds.
+    let mut bad = gridded.clone();
+    bad[exponent_at..exponent_at + 2].copy_from_slice(&1024i16.to_le_bytes());
+    write("wck1_grid_bad_exponent.bin", &bad);
+
+    // 41. Cut inside the transposed region.
+    write("wck1_grid_truncated.bin", &gridded[..exponent_at + 2 + 100]);
+
+    // 42. A 4-element array, one Haar level: a low band of two values
+    //     whose residuals are 2^62 each, so their sum leaves i64.
+    let zigzag = |k: i64| ((k << 1) ^ (k >> 63)) as u64;
+    let mut overflow = Writer::new();
+    overflow.put_bytes(&frame::WCK1.magic);
+    overflow.put_u8(frame::WCK1.version);
+    overflow.put_u8(1); // method: proposed
+    overflow.put_u8(0x12); // flags: Haar, transposed, gridded
+    overflow.put_u8(1); // levels
+    overflow.put_u16(128); // n
+    overflow.put_u16(64); // d
+    overflow.put_u8(1);
+    overflow.put_u64(4);
+    overflow.put_u16(0); // averages
+    overflow.put_u64(2); // low band values
+    overflow.put_u64(2); // raw values
+    overflow.put_u64(0); // indexes
+    overflow.put_bytes(&0i16.to_le_bytes()); // step 2^0
+    let words = [zigzag(1 << 62), zigzag(1 << 62), 0, 0].map(f64::from_bits);
+    lossy_ckpt::core::shuffle::write_planes(overflow.put_region(32), 0, &words);
+    overflow.put_u8(0); // bitmap: nothing quantized
+    write("wck1_grid_residual_overflow.bin", &overflow.into_bytes());
 }

@@ -136,7 +136,18 @@ pub fn tiny_field(seed: u64) -> Tensor<f64> {
 /// it restores to, and that state nine elements later — the valid
 /// `INC1` sample is the increment between the last two.
 pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
-    let comp = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+    tiny_states_of(CompressorConfig::paper_proposed())
+}
+
+/// [`tiny_states`] as the builds before the grid restored them: the
+/// stream without it, whose values the untransposed writer still
+/// restores bit for bit. The `*_ungridded` fixtures hold these states.
+pub fn ungridded_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    tiny_states_of(CompressorConfig::paper_proposed().with_byte_shuffle(false))
+}
+
+fn tiny_states_of(cfg: CompressorConfig) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    let comp = Compressor::new(cfg).unwrap();
     let full = comp.compress(&tiny_field(1)).unwrap().bytes;
     let base = Compressor::decompress(&full).unwrap();
     let mut next = base.clone();
@@ -291,10 +302,14 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the encoder's block-split rule, `TOO_FAR` and the retuned
-/// `Level::Default`: the `WCK1`, `INC1` and `INC2` samples, and the
-/// manifest and snapshot that carry their CRCs; the samples from before
-/// are `decode_only_<magic>.bin`. The `WPK1` sample was written at the
+/// with the grid: the `WCK1` sample, and the manifest and snapshot that
+/// carry its CRC; the samples from before are
+/// `decode_only_<magic>_ungridded.bin`, and the increments between the
+/// states it restores to kept their bytes. Before that the `WCK1`,
+/// `INC1` and `INC2` samples, the manifest and the snapshot moved with
+/// the encoder's block-split rule, `TOO_FAR` and the retuned
+/// `Level::Default`; the samples from before that are
+/// `decode_only_<magic>.bin`. The `WPK1` sample was written at the
 /// retired `Fast` effort: its deflate bodies are the one effort's too,
 /// and only its members' XFL byte went 4 → 0; `decode_only_wpk1.bin`
 /// is the sample from before.) The `INC1` sample is the store's

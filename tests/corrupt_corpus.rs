@@ -6,7 +6,10 @@
 //! --example gen_corpus`) is refused by its format's decoder, the
 //! 1 GiB claims on the guard that spares the allocation; every
 //! checked-in valid sample still decodes and still equals what this
-//! build writes (the gzip-written ones last moved with the encoder's
+//! build writes (the lossy array's and those that derive from it last
+//! moved with the grid, and `decode_only_<magic>_ungridded.bin` is each
+//! moved sample from before it, decoding to the values it did then;
+//! before that the gzip-written ones moved with the encoder's
 //! block-split rule, `TOO_FAR` and the retuned `Level::Default`, and
 //! `decode_only_<magic>.bin` is each moved sample from before that,
 //! `decode_only_wpk1.bin` the `WPK1` sample written at the retired
@@ -223,6 +226,9 @@ const DIES_ON: &[(&str, &str)] = &[
     ("wpk1_lying_chunk_count.bin", "chunk count does not match geometry"),
     ("wck1_corrupt_body.bin", "checksum mismatch"),
     ("wck1_many_axes.bin", "subband stream overrun"),
+    ("wck1_grid_bad_exponent.bin", "grid exponent 1024 outside"),
+    ("wck1_grid_truncated.bin", "truncated stream"),
+    ("wck1_grid_residual_overflow.bin", "grid residual sum overflows i64"),
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
     ("inc1_claim_1gib.bin", "need 134217728 bytes"),
@@ -395,8 +401,10 @@ fn every_corpus_file_returns_from_every_decoder() {
                 "valid_csm2.bin",
                 "decode_only_csm2.bin",
                 "golden_store_snap.bin",
+                "decode_only_csm2_ungridded.bin",
                 "golden_store_snap_decode_only.bin",
                 "golden_store_snap_reanchored_decode_only.bin",
+                "golden_store_snap_ungridded_decode_only.bin",
             ];
             assert!(snapshots.contains(&name.as_str()), "{name} opened as a manifest snapshot");
         }
@@ -418,15 +426,20 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
         (harness(f).decode)(&on_disk)
             .unwrap_or_else(|why| panic!("valid {} sample refused: {why}", f.name()));
         assert!(ours == on_disk, "{}: this build no longer writes the checked-in bytes", f.name());
-        // The sample as the build before the encoder's last byte move
-        // wrote it, where one is kept: no build writes it, all read it.
-        let kept = common::corpus_dir().join(format!("decode_only_{}.bin", f.name().to_lowercase()));
-        if let Ok(old) = fs::read(&kept) {
-            assert!(old != on_disk, "{}: the decode-only sample is the current one", f.name());
-            (harness(f).decode)(&old)
-                .unwrap_or_else(|why| panic!("decode-only {} sample refused: {why}", f.name()));
+        // The sample as the builds before the encoder's last two byte
+        // moves wrote it, where one is kept: no build writes it, all
+        // read it.
+        for kept in KEPT {
+            let name = format!("decode_only_{}{kept}.bin", f.name().to_lowercase());
+            if let Ok(old) = fs::read(common::corpus_dir().join(&name)) {
+                assert!(old != on_disk, "{name}: the decode-only sample is the current one");
+                (harness(f).decode)(&old).unwrap_or_else(|why| panic!("{name} refused: {why}"));
+            }
         }
     }
+    // The array sample from before the grid restores the state it did.
+    let restored = Compressor::decompress(&decode_only_sample(b"WCK1", "_ungridded")).unwrap();
+    assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
     assert_eq!(
         proto::decode_request(&decode_srv1(&parent_sample(b"SRV1")).unwrap()).unwrap(),
         proto::Request::Fetch { gen: 3, rank: 0, offset: 4096, len: 512 }
@@ -441,22 +454,32 @@ const PARENT_CURSOR: [u8; 20] = [
     b'R', b'P', b'C', b'1', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0x8a, 0xd8, 0xad, 0xeb,
 ];
 
-/// The decode-only sample of the format tagged `magic`: the bytes the
-/// build before the encoder's last byte move wrote for it.
-fn decode_only_sample(magic: &[u8; 4]) -> Vec<u8> {
+/// The suffixes of the kept decode-only samples: `""` the samples from
+/// before the block-split rule, `"_ungridded"` those from before the
+/// grid.
+const KEPT: [&str; 2] = ["", "_ungridded"];
+
+/// The decode-only sample of the format tagged `magic`, `kept` one of
+/// [`KEPT`]: the bytes an older build wrote for it.
+fn decode_only_sample(magic: &[u8; 4], kept: &str) -> Vec<u8> {
     let f = FORMATS.iter().find(|f| &f.magic == magic).expect("a table format");
-    let name = format!("decode_only_{}.bin", f.name().to_lowercase());
+    let name = format!("decode_only_{}{kept}.bin", f.name().to_lowercase());
     fs::read(common::corpus_dir().join(&name)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 /// Plants the store an older build wrote — a full, an `INC1` link on
 /// it, a bounded full, and the replication cursor older builds left
-/// beside them — in a fresh directory, from the decode-only samples.
-fn plant_parent_store(tag: &str) -> PathBuf {
+/// beside them — in a fresh directory, from the decode-only samples
+/// `kept` names.
+fn plant_parent_store(tag: &str, kept: &str) -> PathBuf {
+    // The grid moved no increment's bytes: that store's link is the
+    // valid sample.
+    let link = if kept == "_ungridded" { parent_sample(b"INC1") } else { decode_only_sample(b"INC1", kept) };
+    let full = decode_only_sample(b"WCK1", kept);
     let files = common::StoreFiles {
-        manifest: decode_only_sample(b"CSM1"),
-        snapshot: decode_only_sample(b"CSM2"),
-        segments: [b"WCK1", b"INC1", b"WCK1"].map(decode_only_sample),
+        manifest: decode_only_sample(b"CSM1", kept),
+        snapshot: decode_only_sample(b"CSM2", kept),
+        segments: [full.clone(), link, full],
     };
     let dir = scratch_dir(tag);
     common::plant_store(&dir, &files);
@@ -464,24 +487,29 @@ fn plant_parent_store(tag: &str) -> PathBuf {
     dir
 }
 
-/// A whole store written by the parent opens, verifies and restores,
-/// and the replication cursor it holds is a stray file that is left
-/// where it is, byte for byte: never quarantined, never deleted.
+/// A whole store written by an older build opens, verifies and
+/// restores the states it did then, and the replication cursor it holds
+/// is a stray file that is left where it is, byte for byte: never
+/// quarantined, never deleted.
 #[test]
 fn parent_written_store_opens_verifies_and_restores() {
-    let dir = plant_parent_store("parent-store");
-    let store = Store::open(&dir).unwrap();
-    assert!(store.open_report().snapshot_used && !store.open_report().snapshot_fallback);
-    assert_eq!(store.open_report().truncated_bytes, 0);
-    assert!(store.verify().unwrap().clean());
-    let gens = store.generations();
-    assert_eq!(gens.iter().map(|g| g.gen).collect::<Vec<_>>(), [1, 2, 3]);
-    assert_eq!(gens[2].error_bound, Some(1e-3), "the Bound record in the log tail");
-    assert_eq!(store.restore_array(2, 0).unwrap(), common::tiny_states().2);
-    drop(store);
-    assert_eq!(fs::read(dir.join("replication.cursor")).unwrap(), PARENT_CURSOR);
-    assert_eq!(fs::read_dir(dir.join("quarantine")).unwrap().count(), 0);
-    let _ = fs::remove_dir_all(&dir);
+    let (_, base, next) = common::ungridded_tiny_states();
+    for kept in KEPT {
+        let dir = plant_parent_store("parent-store", kept);
+        let store = Store::open(&dir).unwrap();
+        assert!(store.open_report().snapshot_used && !store.open_report().snapshot_fallback);
+        assert_eq!(store.open_report().truncated_bytes, 0);
+        assert!(store.verify().unwrap().clean());
+        let gens = store.generations();
+        assert_eq!(gens.iter().map(|g| g.gen).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(gens[2].error_bound, Some(1e-3), "the Bound record in the log tail");
+        assert_eq!(store.restore_array(1, 0).unwrap(), base, "{kept}");
+        assert_eq!(store.restore_array(2, 0).unwrap(), next, "{kept}");
+        drop(store);
+        assert_eq!(fs::read(dir.join("replication.cursor")).unwrap(), PARENT_CURSOR);
+        assert_eq!(fs::read_dir(dir.join("quarantine")).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Old chains grow in the new format: `INC2` links this build writes,
@@ -489,22 +517,24 @@ fn parent_written_store_opens_verifies_and_restores() {
 /// at every depth, and the store still verifies.
 #[test]
 fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
-    let dir = plant_parent_store("mixed-chain");
-    let mut store = Store::open(&dir).unwrap();
-    let mut state = common::tiny_states().2;
-    let mut tip = 2;
-    for k in 0..3u32 {
-        let mut next = state.clone();
-        next.map_inplace(|v| v * 1.0001 + f64::from(k));
-        let (inc, _) = incremental::increment(&state, &next, Level::Default).unwrap();
-        tip = store.save_increment(40 + u64::from(k), tip, &[&inc], 1).unwrap();
-        state = next;
-        let restored = store.restore_array(tip, 0).unwrap();
-        assert_eq!(tensor_bytes(&restored), tensor_bytes(&state), "depth {}", k + 2);
+    for kept in KEPT {
+        let dir = plant_parent_store("mixed-chain", kept);
+        let mut store = Store::open(&dir).unwrap();
+        let mut state = common::ungridded_tiny_states().2;
+        let mut tip = 2;
+        for k in 0..3u32 {
+            let mut next = state.clone();
+            next.map_inplace(|v| v * 1.0001 + f64::from(k));
+            let (inc, _) = incremental::increment(&state, &next, Level::Default).unwrap();
+            tip = store.save_increment(40 + u64::from(k), tip, &[&inc], 1).unwrap();
+            state = next;
+            let restored = store.restore_array(tip, 0).unwrap();
+            assert_eq!(tensor_bytes(&restored), tensor_bytes(&state), "{kept} depth {}", k + 2);
+        }
+        assert_eq!(store.resolve_chain(tip).unwrap(), [1, 2, 4, 5, 6]);
+        assert!(store.verify().unwrap().clean());
+        let _ = fs::remove_dir_all(&dir);
     }
-    assert_eq!(store.resolve_chain(tip).unwrap(), [1, 2, 4, 5, 6]);
-    assert!(store.verify().unwrap().clean());
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The record stream is a contract too: the log and snapshot images of
@@ -512,12 +542,12 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
 /// and from compaction) are what this build writes, byte for byte —
 /// and they replay to the state the script left in memory. Older
 /// builds' images are kept as decode-only fixtures no build writes:
-/// `*_decode_only.bin` from before the encoder's last byte move (the
-/// `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin`
-/// from before recency was ordered by step, when compaction also copied
-/// the newest full (gen 5) above its rewrite and retired it. They still
-/// parse, in their own retire order, and each snapshot still seeds a
-/// store.
+/// `*_decode_only.bin` from before the block-split rule and
+/// `*_ungridded_decode_only.bin` from before the grid (the `Seg` records
+/// carry payload CRCs), and `*_reanchored_decode_only.bin` from before
+/// recency was ordered by step, when compaction also copied the newest
+/// full (gen 5) above its rewrite and retired it. They still parse, in
+/// their own retire order, and each snapshot still seeds a store.
 #[test]
 fn the_parent_written_store_log_is_what_this_build_writes() {
     let read = |name: &str| fs::read(common::corpus_dir().join(name)).unwrap();
@@ -536,11 +566,15 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
     };
     // GC's victim, then compaction's: dependents first.
     assert_eq!(retires(&log), [1, 4, 3, 2]);
-    for tag in ["decode_only", "reanchored_decode_only"] {
+    for (tag, retired) in [
+        ("decode_only", &[1, 5, 4, 3, 2][..]),
+        ("reanchored_decode_only", &[1, 5, 4, 3, 2]),
+        ("ungridded_decode_only", &[1, 4, 3, 2]),
+    ] {
         let old_log = read(&format!("golden_store_log_{tag}.bin"));
         let old_snap = read(&format!("golden_store_snap_{tag}.bin"));
         assert!(old_log != log && old_snap != snap, "{tag}: the images are the current ones");
-        assert_eq!(retires(&old_log), [1, 5, 4, 3, 2], "{tag}: the copied full retired too");
+        assert_eq!(retires(&old_log), retired, "{tag}: retire order");
         decode_csm2(&old_snap).unwrap_or_else(|e| panic!("{tag}: the snapshot seeds no store: {e}"));
     }
 }
@@ -563,9 +597,9 @@ fn the_parent_written_wavelet_coefficients_are_what_this_build_computes() {
 
 /// Old archives keep restoring: the `WCK1` sample as the previous
 /// default wrote it — flags bit 1 clear, gzipped by the matcher without
-/// the miss stride — decodes to the values today's transposed sample
-/// decodes to, bit for bit, and `with_byte_shuffle(false)` still writes
-/// its formatted stream byte for byte.
+/// the miss stride — decodes to the values the untransposed stream of
+/// today decodes to, bit for bit, and `with_byte_shuffle(false)` still
+/// writes its formatted stream byte for byte.
 #[test]
 fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
     let old = fs::read(common::corpus_dir().join("decode_only_wck1_untransposed.bin")).unwrap();
@@ -573,7 +607,7 @@ fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
     assert_eq!(formatted[6] & 2, 0, "flags bit 1 clear: the untransposed read path");
     assert_eq!(gzip::decompress(&parent_sample(b"WCK1")).unwrap()[6] & 2, 2);
     let restored = Compressor::decompress(&old).unwrap();
-    assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::tiny_states().1));
+    assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
     let cfg = CompressorConfig::paper_proposed()
         .with_byte_shuffle(false)
         .with_container(Container::None);

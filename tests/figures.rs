@@ -103,6 +103,28 @@ fn fig10_proposed_diverges_less_and_nothing_blows_up() {
     assert!(mean(&ts) < 0.01);
 }
 
+/// Restart safety of the grid: a restart from the gridded default
+/// diverges from the reference run no more than one from the exact
+/// stream the paper wrote (the same quantizer, low band and
+/// pass-through values as doubles), within 10%.
+#[test]
+fn the_grid_does_not_raise_restart_divergence() {
+    let cfg = SimConfig::small(77);
+    let gridded = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
+    let exact = Compressor::new(ckpt_bench::paper_stream(CompressorConfig::paper_proposed())).unwrap();
+    let header = |c: &Compressor| {
+        let bytes = c.compress(&temperature()).unwrap().bytes;
+        lossy_ckpt::core::codec::read_header(&bytes).unwrap().grid_exponent
+    };
+    assert!(header(&gridded).is_some() && header(&exact).is_none(), "one gridded, one not");
+    let mean = |c: &Compressor| {
+        let trace = divergence_experiment(cfg, c, 100, 200, 40).unwrap();
+        trace.iter().map(|p| p.avg_rel_error).sum::<f64>() / trace.len() as f64
+    };
+    let (with_grid, without) = (mean(&gridded), mean(&exact));
+    assert!(with_grid <= 1.1 * without, "gridded {with_grid:e} vs exact {without:e}");
+}
+
 #[test]
 fn equation_1_viability_condition() {
     // C + T_comp < T_orig at large P — the premise of Section II-A,

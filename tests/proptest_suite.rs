@@ -235,8 +235,13 @@ proptest! {
         prop_assert_eq!(hist(&region), hist(&plain));
     }
 
+    /// The transposed default also puts the low band and the
+    /// pass-through values on the grid, each within half a step `s` of
+    /// its exact value, and the quantized values are the same in both
+    /// layouts: so the restored arrays differ by at most the one-level
+    /// 3-d Haar inverse's gain (2 per axis, 8) times `s / 2`.
     #[test]
-    fn shuffled_pipeline_equals_plain_pipeline_values(
+    fn shuffled_pipeline_stays_within_the_grid_of_plain_pipeline_values(
         seed in any::<u64>(),
         n in 1usize..=64,
     ) {
@@ -248,7 +253,13 @@ proptest! {
         prop_assert!(plain.bytes != shuf.bytes, "the default transposes");
         let a = Compressor::decompress(&plain.bytes).unwrap();
         let b = Compressor::decompress(&shuf.bytes).unwrap();
-        prop_assert_eq!(a.as_slice(), b.as_slice());
+        let header = lossy_ckpt::core::codec::read_header(&shuf.bytes).unwrap();
+        let step = header.grid_exponent.map_or(0.0, |e| 2f64.powi(i32::from(e)));
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            // Plus a few ulps: the inverse rounds each sum it forms.
+            let bound = 8.0 * step / 2.0 + 8.0 * f64::EPSILON * x.abs().max(y.abs());
+            prop_assert!((x - y).abs() <= bound, "{x} vs {y}, step {step}");
+        }
     }
 
     #[test]
