@@ -18,7 +18,7 @@ USAGE:
                   [--container gzip|none]
                   [--threads N] [--chunk-bytes BYTES]
                   [--bound FRACTION] [-o out.wck]
-  ckpt decompress <in.wck> [--threads N] [-o out.f64]
+  ckpt decompress <in.wck> [-o out.f64]
   ckpt info       <in.wck>
   ckpt gen        --dims AxBxC [--kind temperature|pressure|wind_u|wind_v]
                   [--seed N] -o out.f64
@@ -40,10 +40,12 @@ store's committed generations over a Unix socket against epoch-pinned
 snapshots (saves and GC keep running underneath); `ckpt fetch` pulls a
 generation from a running server with CRC-verified ranged reads.
 
---threads 1 (the default) writes one gzip member; more threads deflate
-one array's chunks in parallel (gzip switches to a chunked multi-member
-stream so decompression parallelizes too; the wavelet and the quantizer
-are serial, and decompressed values are identical either way).";
+--threads says only how many workers deflate one array's chunks; no
+byte depends on it. A formatted stream longer than --chunk-bytes
+(default 1 MiB) goes out as a chunked multi-member gzip stream whose
+members deflate and inflate in parallel; a shorter one is one gzip
+member. The wavelet and the quantizer are serial. `decompress` inflates
+a chunked stream on the host's cores.";
 
 pub(crate) fn read_raw_tensor(path: &str, dims: &[usize]) -> Result<Tensor<f64>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -148,10 +150,11 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
 }
 
 pub fn decompress(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, "decompress", &["threads", "out"])?;
+    let args = Args::parse(argv, "decompress", &["out"])?;
     let input = args.one_positional("input file")?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
-    let threads = args.get_or("threads", 1usize)?;
+    // A read shapes no bytes, so it keys on the host's cores.
+    let threads = ckpt_pool::host_parallelism();
     let tensor = Compressor::decompress_with(&bytes, threads, usize::MAX)
         .map_err(|e| e.to_string())?;
     let out_path = args
@@ -335,8 +338,9 @@ mod tests {
             wck_p.clone(),
         ])
         .unwrap();
-        decompress(&[wck_p.clone(), "--threads".into(), "4".into(), "-o".into(), back.clone()])
-            .unwrap();
+        decompress(&[wck_p.clone(), "-o".into(), back.clone()]).unwrap();
+        let refused = decompress(&[wck_p.clone(), "--threads".into(), "4".into()]);
+        assert!(refused.unwrap_err().contains("unknown flag --threads"));
 
         let serial = Compressor::decompress(&std::fs::read(&wck_s).unwrap()).unwrap();
         let restored = read_raw_tensor(&back, &[48, 12, 2]).unwrap();

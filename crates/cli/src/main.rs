@@ -5,7 +5,7 @@
 //!                 [--n 128] [--d 64] [--levels 1] [--kernel haar|cdf53|cdf97]
 //!                 [--container gzip|none] [--threads N] [--chunk-bytes BYTES]
 //!                 [--bound 0.001] [-o out.wck]
-//! ckpt decompress <in.wck> [--threads N] [-o out.f64]
+//! ckpt decompress <in.wck> [-o out.f64]
 //! ckpt info       <in.wck>
 //! ckpt gen        --dims 1156x82x2 [--kind temperature] [--seed 7] -o out.f64
 //! ```

@@ -139,11 +139,12 @@ impl Compressor {
 
     /// Compresses one array into `sink` — the one compress path. Every
     /// configuration compresses fully, then writes: with
-    /// `Container::Gzip` and `threads > 1` the WPK1 members deflate on
-    /// the workers and reach the sink as the header and index, then one
-    /// append per member; every other configuration is one append. The
-    /// bytes that reach the sink depend only on the tensor and the
-    /// configuration, never on the sink.
+    /// `Container::Gzip` a formatted stream longer than `chunk_bytes`
+    /// goes out as WPK1, whose members deflate on `threads` workers and
+    /// reach the sink as the header and index, then one append per
+    /// member; every other stream is one append. The bytes that reach
+    /// the sink depend only on the tensor and the configuration's codec
+    /// settings, never on `threads` or the sink.
     ///
     /// On [`StreamError::Sink`] the sink holds a truncated container
     /// and must be discarded (the store's tmp/rename protocol does this
@@ -304,16 +305,15 @@ fn write_container<S: chunked::StreamSink>(
 ) -> std::result::Result<usize, StreamError<S::Error>> {
     let level = cfg.level;
     let bytes = match cfg.container {
-        // With more than one thread the chunked multi-member container
-        // both compresses and decompresses in parallel.
-        Container::Gzip if cfg.threads > 1 => {
+        // A stream longer than one chunk goes out as the chunked
+        // multi-member container, whose members deflate and inflate in
+        // parallel; a shorter one stays a single gzip member.
+        Container::Gzip if formatted.len() > cfg.chunk_bytes => {
             return timed(&mut timings.gzip, || {
                 chunked::compress_chunked_stream(&formatted, level, cfg.chunk_bytes, cfg.threads, sink)
             })
             .map_err(StreamError::Sink);
         }
-        // With one thread the original single-member gzip path runs,
-        // keeping the output byte-identical to earlier versions.
         Container::Gzip => timed(&mut timings.gzip, || gzip::compress(&formatted, level)),
         Container::None => formatted,
     };
@@ -1097,12 +1097,13 @@ mod parallel_tests {
         let t = field();
         let serial = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
         let sv = Compressor::decompress(&serial.compress(&t).unwrap().bytes).unwrap();
+        let chunk_bytes = formatted_len(&t) / 3;
         for threads in [2usize, 4, 8] {
-            let cfg = CompressorConfig::paper_proposed()
-                .with_threads(threads)
-                .with_chunk_bytes(16 << 10);
+            let cfg =
+                CompressorConfig::paper_proposed().with_threads(threads).with_chunk_bytes(chunk_bytes);
             let par = Compressor::new(cfg).unwrap();
             let packed = par.compress(&t).unwrap();
+            assert!(chunked::is_chunked(&packed.bytes), "threads={threads}");
             // Parallel decompression of the chunked stream.
             let pv = Compressor::decompress_with(&packed.bytes, threads, usize::MAX).unwrap();
             assert_eq!(pv.as_slice(), sv.as_slice(), "threads={threads}");
@@ -1112,26 +1113,31 @@ mod parallel_tests {
         }
     }
 
-    #[test]
-    fn one_thread_is_byte_identical_to_default() {
-        let t = field();
-        let a = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-        let b = Compressor::new(CompressorConfig::paper_proposed().with_threads(1)).unwrap();
-        assert_eq!(a.compress(&t).unwrap().bytes, b.compress(&t).unwrap().bytes);
+    /// The formatted stream's length: what `Container::None` writes.
+    fn formatted_len(t: &Tensor<f64>) -> usize {
+        let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
+        Compressor::new(cfg).unwrap().compress(t).unwrap().bytes.len()
     }
 
+    /// No byte depends on the worker count: at every thread count a
+    /// stream longer than one chunk is the chunked container, and one
+    /// that fits in a chunk is a single gzip member.
     #[test]
-    fn parallel_compressed_bytes_depend_on_chunking_not_threads() {
+    fn compressed_bytes_depend_on_the_stream_length_not_threads() {
         let t = field();
-        let bytes_for = |threads: usize| {
-            let cfg = CompressorConfig::paper_proposed()
-                .with_threads(threads)
-                .with_chunk_bytes(16 << 10);
-            Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes
-        };
-        let two = bytes_for(2);
-        for threads in [3usize, 4, 8] {
-            assert_eq!(bytes_for(threads), two, "threads={threads}");
+        let len = formatted_len(&t);
+        for chunk_bytes in [len / 3, len - 1, len] {
+            let bytes_for = |threads: usize| {
+                let cfg = CompressorConfig::paper_proposed()
+                    .with_threads(threads)
+                    .with_chunk_bytes(chunk_bytes);
+                Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes
+            };
+            let one = bytes_for(1);
+            assert_eq!(chunked::is_chunked(&one), len > chunk_bytes, "chunk_bytes={chunk_bytes}");
+            for threads in 2..=8 {
+                assert_eq!(bytes_for(threads), one, "threads={threads} chunk_bytes={chunk_bytes}");
+            }
         }
     }
 
@@ -1152,11 +1158,16 @@ mod parallel_tests {
     #[test]
     fn every_sink_receives_the_same_bytes() {
         let t = field();
-        let base = CompressorConfig::paper_proposed().with_chunk_bytes(16 << 10);
+        let len = formatted_len(&t);
+        // A chunk below the stream's length makes the chunked
+        // container; the default chunk holds the stream in one member.
+        let base = CompressorConfig::paper_proposed().with_chunk_bytes(len / 3);
         let configs = [
             base.with_threads(1),
             base.with_threads(2),
             base.with_threads(4),
+            CompressorConfig::paper_proposed(),
+            CompressorConfig::paper_proposed().with_threads(4),
             base.with_container(Container::None),
         ];
         for cfg in configs {
@@ -1169,8 +1180,9 @@ mod parallel_tests {
             assert_eq!(in_memory.stats.compressed_bytes, in_memory.bytes.len());
             // Only the chunked container takes more than one append:
             // its header and index, then one per member.
-            let chunked = cfg.threads > 1 && cfg.container == Container::Gzip;
-            assert_eq!(sink.appends.len() > 1, chunked, "{cfg:?}");
+            let wpk1 = len > cfg.chunk_bytes && cfg.container == Container::Gzip;
+            assert_eq!(chunked::is_chunked(&in_memory.bytes), wpk1, "{cfg:?}");
+            assert_eq!(sink.appends.len() > 1, wpk1, "{cfg:?}");
             let back = Compressor::decompress(&in_memory.bytes).unwrap();
             assert_eq!(back.dims(), t.dims());
         }

@@ -48,16 +48,16 @@ pub struct CompressorConfig {
     /// Wavelet kernel: the paper's Haar, or CDF 5/3 (JPEG 2000's
     /// lossless kernel) as the "improved algorithm" extension.
     pub kernel: Kernel,
-    /// Worker threads for intra-array parallelism. `1` (the default)
-    /// writes the single-member gzip container; `> 1` switches a gzip
-    /// container to the chunked multi-member format and deflates its
-    /// chunks on scoped threads, so decompression parallelizes too.
-    /// The wavelet and the quantizer are serial at every count.
-    /// Decompressed *values* are identical either way.
+    /// Worker threads that deflate the members of a chunked gzip
+    /// container. It says only how many threads claim members: no
+    /// byte depends on it. The wavelet and the quantizer are serial at
+    /// every count.
     pub threads: usize,
-    /// Uncompressed bytes per chunk of the chunked gzip container
-    /// (used only when `threads > 1` and the container is gzip). The
-    /// compressed bytes depend on this, not on `threads`.
+    /// Uncompressed bytes per chunk of the gzip container: a formatted
+    /// stream longer than this goes out as the chunked multi-member
+    /// format (WPK1), whose members deflate and inflate in parallel;
+    /// a shorter one as a single gzip member. The compressed bytes
+    /// depend on this, not on `threads`.
     pub chunk_bytes: usize,
 }
 

@@ -4,11 +4,11 @@
 //! (`std::thread::scope`, so borrowed slices work without `'static`
 //! bounds) through one fan-out, [`map_tasks`]: every worker claims the
 //! next task index from one counter, and the results come back in index
-//! order, so the outcome is independent of scheduling. Tasks of uneven
-//! cost (gzip members over planes that deflate at very different
-//! speeds) keep every worker busy; work of even cost (a rank's segment,
-//! a chain's links) is cut into `workers` contiguous slices first, one
-//! task each.
+//! order, so the outcome is independent of scheduling. A task is one
+//! natural unit of work — a gzip member, a rank's segment, a chain's
+//! link — so tasks of uneven cost keep every worker busy. The worker
+//! count says only how many threads claim tasks: it never decides where
+//! a task begins or ends, nor any byte of the result.
 //!
 //! The calling thread is always worker 0 and runs task 0, so
 //! `workers == 1` never spawns (the serial path stays allocation- and
@@ -39,10 +39,8 @@ pub fn host_parallelism() -> usize {
 /// The worker count [`map_tasks`] settles on (zero means one, and no
 /// more workers than units of `work`), with an additional cap at the
 /// host's core count: requesting 8 threads on a 2-core box spawns 2 workers, not 8
-/// threads fighting over 2 cores. Use this to size *spawn counts* only
-/// — anything that shapes output bytes (container format, chunk
-/// layout) must key on the requested count so results stay
-/// host-independent.
+/// threads fighting over 2 cores. It sizes spawn counts only: no output
+/// byte depends on it, nor on the requested count.
 pub fn clamp_workers(requested: usize, work: usize) -> usize {
     effective_workers(requested.max(1).min(host_parallelism()), work)
 }
@@ -126,8 +124,8 @@ mod tests {
         }
     }
 
-    /// Task 0 is the caller's: the store's chain fold puts the full in
-    /// its first slice, so the full is decoded where it is kept.
+    /// Task 0 is the caller's: a chain restore's task 0 is the full, so
+    /// the full is decoded where it is kept.
     #[test]
     fn map_tasks_runs_task_0_on_the_caller() {
         let caller = std::thread::current().id();

@@ -481,25 +481,19 @@ impl Store {
         }
         let gen = self.next_gen;
         let base_gen = if format == SegmentFormat::Increment { base_gen } else { gen };
-        // Phase 1: one segment per rank, fanned over pool workers
-        // (clamped to the host so oversubscription never pays for idle
+        // Phase 1: one segment per rank, one pool task each (workers
+        // clamped to the host so oversubscription never pays for idle
         // threads). Each payload is handed to its writer as the slice
         // it is: one append, one CRC pass.
         let write_segments = |layout: &Layout, fp: &FailPoint| {
             let ranks: Vec<(u32, &[u8])> = (0u32..).zip(payloads.iter().copied()).collect();
             let workers = ckpt_pool::clamp_workers(threads, ranks.len());
-            let slices: Vec<_> = ranks.chunks(ranks.len().div_ceil(workers)).collect();
-            let shards = ckpt_pool::map_tasks(slices.len(), workers, |i| {
-                slices[i]
-                    .iter()
-                    .map(|&(rank, payload)| segment::write_payload(layout, gen, rank, payload, fp))
-                    .collect::<Result<Vec<Renamed>>>()
-            });
-            let mut renamed = Vec::with_capacity(ranks.len());
-            for shard in shards {
-                renamed.extend(shard?);
-            }
-            Ok(renamed)
+            ckpt_pool::map_tasks(ranks.len(), workers, |i| {
+                let (rank, payload) = ranks[i];
+                segment::write_payload(layout, gen, rank, payload, fp)
+            })
+            .into_iter()
+            .collect()
         };
         self.commit_generation(GenHead { gen, step, format, base_gen, error_bound }, write_segments)
     }
@@ -816,21 +810,19 @@ impl View {
         self.restore_array_on(gen, rank, ckpt_pool::host_parallelism())
     }
 
-    /// [`View::restore_array`] on at most `workers` contiguous shards of
-    /// the chain, one `map_tasks` task each (the seam tests force 1, 2
-    /// and 3 workers through).
-    /// Shard 0 runs on the calling thread: it decompresses the full and
-    /// XORs its own increments straight into it. Every other shard only
-    /// decodes, and the caller XORs what it decoded into the full in
-    /// shard order. XOR over GF(2) is commutative and associative, so
-    /// the tensor is the serial walk's bit for bit; and since shards are
-    /// contiguous and each stops at its first failure, the first error
-    /// met in shard order is the earliest failing link's.
+    /// [`View::restore_array`] on `workers` threads, one `map_tasks`
+    /// task per link (the seam tests force 1, 2 and 3 workers through).
+    /// Task 0 runs on the calling thread and decompresses the full;
+    /// every other task reads and decodes its increment. The caller then
+    /// XORs the increments into the full in chain order. XOR over GF(2)
+    /// is commutative and associative, so the tensor is the serial
+    /// walk's bit for bit; and the fold stops at the first failing link
+    /// in chain order, so its error is the serial walk's.
     ///
-    /// The other shards hand back decoded increments rather than a
-    /// dense XOR accumulator: an accumulator would be sized from an
-    /// increment's own dims before the full could vouch for them, so a
-    /// hostile header declaring a huge clean array would allocate it.
+    /// The tasks hand back decoded increments rather than a dense XOR
+    /// accumulator: an accumulator would be sized from an increment's
+    /// own dims before the full could vouch for them, so a hostile
+    /// header declaring a huge clean array would allocate it.
     pub(crate) fn restore_array_on(
         &self,
         gen: u64,
@@ -844,51 +836,31 @@ impl View {
                 "chain base generation {base_gen} is not an array generation"
             )));
         }
-        let slices: Vec<&[u64]> = chain.chunks(chain.len().div_ceil(workers.max(1))).collect();
-        let shards = ckpt_pool::map_tasks(slices.len(), workers, |shard| {
-            let mut pending = Vec::new();
-            let outcome = self.restore_shard(slices[shard], rank, shard == 0, &mut pending);
-            (pending, outcome)
+        let links = ckpt_pool::map_tasks(chain.len(), workers, |i| -> Result<Link> {
+            let bytes = self.read_segment(chain[i], rank)?;
+            Ok(match i {
+                0 => Link::Full(Compressor::decompress(&bytes)?),
+                _ => Link::Increment(incremental::decode(&bytes)?),
+            })
         });
-        let mut shards = shards.into_iter();
-        let (_, outcome) = shards.next().ok_or_else(|| StoreError::Chain("empty chain".into()))?;
-        let mut tensor = outcome?.ok_or_else(|| StoreError::Chain("empty chain".into()))?;
-        for (pending, outcome) in shards {
-            for inc in pending {
+        let mut links = links.into_iter();
+        let Some(Link::Full(mut tensor)) = links.next().transpose()? else {
+            return Err(StoreError::Chain("empty chain".into()));
+        };
+        for link in links {
+            if let Link::Increment(inc) = link? {
                 inc.xor_into(&mut tensor)?;
             }
-            outcome?;
         }
         Ok(tensor)
     }
+}
 
-    /// One shard of a chain restore, `links` in chain order, stopping at
-    /// the shard's first failure. In the first shard the first link is
-    /// the full: it is decompressed and every increment after it XORed
-    /// straight in, and the state is returned. Any other shard has no
-    /// full to XOR into, so its increments are decoded into `pending`.
-    fn restore_shard(
-        &self,
-        links: &[u64],
-        rank: u32,
-        first: bool,
-        pending: &mut Vec<incremental::Decoded>,
-    ) -> Result<Option<Tensor<f64>>> {
-        let (mut state, increments) = match links.split_first() {
-            Some((&full, rest)) if first => {
-                (Some(Compressor::decompress(&self.read_segment(full, rank)?)?), rest)
-            }
-            _ => (None, links),
-        };
-        for &g in increments {
-            let inc = incremental::decode(&self.read_segment(g, rank)?)?;
-            match &mut state {
-                Some(tensor) => inc.xor_into(tensor)?,
-                None => pending.push(inc),
-            }
-        }
-        Ok(state)
-    }
+/// One decoded link of a chain restore: the full it starts from, or an
+/// increment to XOR in.
+enum Link {
+    Full(Tensor<f64>),
+    Increment(incremental::Decoded),
 }
 
 /// The `Seg` record of one rank of a generation.

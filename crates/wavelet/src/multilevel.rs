@@ -95,25 +95,21 @@ impl MultiLevel {
         self.kernel
     }
 
+    /// The low region each level transforms, shallowest first: the
+    /// plan's levels down to the first whose every axis is below 2
+    /// (regions only shrink, so no deeper level has a high half).
+    fn regions(&self, dims: &[usize]) -> Vec<Vec<usize>> {
+        (0..self.plan.levels)
+            .map(|level| low_dims_at_level(dims, level))
+            .take_while(|region| region.iter().any(|&d| d >= 2))
+            .collect()
+    }
+
     /// Forward transform: `levels` recursive applications, each on the
     /// previous level's low region.
     pub fn forward(&self, t: &mut Tensor<f64>) -> Result<()> {
-        let dims = t.dims().to_vec();
-        for level in 0..self.plan.levels {
-            let region = low_dims_at_level(&dims, level);
-            if region.iter().all(|&d| d < 2) {
-                break;
-            }
-            let axes: Vec<usize> = (0..dims.len()).collect();
-            if region == dims {
-                transform::forward_axes(t, &axes, self.kernel)?;
-            } else {
-                let zeros = vec![0usize; dims.len()];
-                let vals = t.read_block(&zeros, &region)?;
-                let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::forward_axes(&mut sub, &axes, self.kernel)?;
-                t.write_block(&zeros, &region, sub.as_slice())?;
-            }
+        for region in self.regions(t.dims()) {
+            on_region(t, &region, |sub, axes| transform::forward_axes(sub, axes, self.kernel))?;
         }
         Ok(())
     }
@@ -126,22 +122,10 @@ impl MultiLevel {
     /// [`MultiLevel::inverse`] with a caller's buffer as every level's
     /// scratch ([`transform::inverse_axes_with`]).
     pub fn inverse_with(&self, t: &mut Tensor<f64>, scratch: &mut Vec<f64>) -> Result<()> {
-        let dims = t.dims().to_vec();
-        for level in (0..self.plan.levels).rev() {
-            let region = low_dims_at_level(&dims, level);
-            if region.iter().all(|&d| d < 2) {
-                continue;
-            }
-            let axes: Vec<usize> = (0..dims.len()).collect();
-            if region == dims {
-                transform::inverse_axes_with(t, &axes, self.kernel, scratch)?;
-            } else {
-                let zeros = vec![0usize; dims.len()];
-                let vals = t.read_block(&zeros, &region)?;
-                let mut sub = Tensor::from_vec(&region, vals)?;
-                transform::inverse_axes_with(&mut sub, &axes, self.kernel, scratch)?;
-                t.write_block(&zeros, &region, sub.as_slice())?;
-            }
+        for region in self.regions(t.dims()).iter().rev() {
+            on_region(t, region, |sub, axes| {
+                transform::inverse_axes_with(sub, axes, self.kernel, scratch)
+            })?;
         }
         Ok(())
     }
@@ -163,11 +147,7 @@ impl MultiLevel {
             start: vec![0; dims.len()],
             size: dims.clone(),
         };
-        for level in 0..self.plan.levels {
-            let region = low_dims_at_level(&dims, level);
-            if region.iter().all(|&d| d < 2) {
-                break;
-            }
+        for region in self.regions(&dims) {
             let region_shape = Shape::new(&region)?;
             for band in subband::subbands(&region_shape)? {
                 match band.kind {
@@ -179,6 +159,24 @@ impl MultiLevel {
         out.push(deepest_low);
         Ok(out)
     }
+}
+
+/// Runs `pass` over every axis of `t`'s low region anchored at the
+/// origin: on `t` itself when the region is the whole tensor, else on
+/// a copy of the region written back.
+fn on_region(
+    t: &mut Tensor<f64>,
+    region: &[usize],
+    pass: impl FnOnce(&mut Tensor<f64>, &[usize]) -> Result<()>,
+) -> Result<()> {
+    let axes: Vec<usize> = (0..region.len()).collect();
+    if region == t.dims() {
+        return pass(t, &axes);
+    }
+    let zeros = vec![0usize; region.len()];
+    let mut sub = Tensor::from_vec(region, t.read_block(&zeros, region)?)?;
+    pass(&mut sub, &axes)?;
+    t.write_block(&zeros, region, sub.as_slice())
 }
 
 #[cfg(test)]

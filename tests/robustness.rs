@@ -128,21 +128,25 @@ fn decompress_with_limit_is_exact_on_every_container_and_thread_count() {
     use lossy_ckpt::deflate::DeflateError;
 
     let t = generate(&FieldSpec::small(FieldKind::Temperature, 99));
-    // (container, compressor threads): two threads on the gzip
-    // container is what produces a chunked WPK1 stream.
-    let cases =
-        [(Container::Gzip, 1), (Container::Gzip, 2), (Container::None, 1)];
-    for (container, enc_threads) in cases {
-        let label = format!("{container:?} written on {enc_threads} thread(s)");
-        let cfg =
-            CompressorConfig::paper_proposed().with_threads(enc_threads).with_chunk_bytes(4096);
+    // (container, chunk bytes): a gzip stream longer than one chunk is
+    // the chunked WPK1 container, one that fits a chunk a single gzip
+    // member, whatever the thread count.
+    let cases = [
+        (Container::Gzip, 4096),
+        (Container::Gzip, lossy_ckpt::deflate::chunked::DEFAULT_CHUNK_BYTES),
+        (Container::None, 4096),
+    ];
+    for (container, chunk_bytes) in cases {
+        let label = format!("{container:?} in chunks of {chunk_bytes} bytes");
+        let cfg = CompressorConfig::paper_proposed().with_threads(2).with_chunk_bytes(chunk_bytes);
         let pack = |c| Compressor::new(cfg.with_container(c)).unwrap().compress(&t).unwrap().bytes;
         let stream = pack(container);
         // The limit counts formatted bytes: what `Container::None` emits.
         let exact = pack(Container::None).len();
+        assert!(exact > 4096, "the WPK1 case needs a stream longer than its chunk");
         assert_eq!(
             lossy_ckpt::deflate::chunked::is_chunked(&stream),
-            enc_threads > 1,
+            container == Container::Gzip && exact > chunk_bytes,
             "{label}: unexpected container framing"
         );
 

@@ -120,7 +120,7 @@ fn kill_sweep_full_save(ranks: u64, threads: usize) {
 fn kill_at_every_byte_of_streamed_save_preserves_previous_generation() {
     use lossy_ckpt::core::StreamError;
 
-    // Chunked (threads > 1) config with small chunks so each rank's
+    // Chunked config: 128-byte chunks, so each rank's
     // segment is a WCK1 stream whose WPK1 container has several
     // members — kills land inside the header/index append and inside
     // and between the members.
