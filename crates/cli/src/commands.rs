@@ -184,6 +184,10 @@ pub fn info(argv: &[String]) -> Result<(), String> {
         Some(e) => say!("grid step       : 2^{e} ({:e})", 2f64.powi(e.into())),
         None => say!("grid step       : none"),
     }
+    if let Some(ckpt_core::codec::UniformHeader { high_exponent: e, widths: [low, high] }) = header.uniform {
+        say!("high-band step  : 2^{e} ({:e})", 2f64.powi(e.into()));
+        say!("plane widths    : low band {low}, high band {high}");
+    }
     say!("compressed bytes: {}", bytes.len());
     say!("dims            : {:?}", tensor.dims());
     say!("elements        : {}", tensor.len());

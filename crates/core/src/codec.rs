@@ -1,12 +1,13 @@
 //! The compression pipeline itself: transform → quantize → encode →
 //! format → gzip, and its exact inverse.
 //!
-//! The formatted layout follows Figure 5 of the paper: the low band and
+//! The paper's formatted layout follows its Figure 5: the low band and
 //! pass-through high-band values, the one-byte indexes, the bitmap, and
-//! the average table, behind a self-describing header. The container
-//! (gzip or none) wraps the whole formatted buffer. The default writer
-//! stores the low band and the pass-through values as integers on an
-//! error-bounded grid (see [`Grid`]), the paper's as doubles.
+//! the average table, behind a self-describing header. The default
+//! writer stores instead the low band and every high-band coefficient
+//! as integers on two error-bounded grids ([`Uniform`]), each section
+//! in only the byte planes it uses. The container (gzip or none) wraps
+//! the whole formatted buffer.
 
 // Decoder hardening (DESIGN.md §9): product code here is total on damaged bytes.
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing, clippy::unwrap_used,
@@ -191,34 +192,27 @@ impl Compressor {
 
         // 2+3. Quantization and encoding over the concatenated
         //      high-frequency bands (plus the low band if the ablation
-        //      switch asks for it).
+        //      switch asks for it): the product's grid words, or the
+        //      spike quantizer's output.
         let bands = ml.all_subbands(work.shape())?;
-        let (low_values, quantized) =
-            timed(&mut timings.quantize_encode, || -> Result<(Vec<f64>, Quantized)> {
-                let mut stream = Vec::with_capacity(work.len());
-                let mut low_values = Vec::new();
-                for band in &bands {
-                    if band.kind == SubbandKind::Low && !cfg.quantize_low_band {
-                        low_values = work.read_block(&band.start, &band.size)?;
-                    } else {
-                        work.read_block_into(&band.start, &band.size, &mut stream)?;
-                    }
+        let sections = timed(&mut timings.quantize_encode, || -> Result<Sections> {
+            let mut stream = Vec::with_capacity(work.len());
+            let mut low_values = Vec::new();
+            for band in &bands {
+                if band.kind == SubbandKind::Low && !cfg.quantize_low_band {
+                    low_values = work.read_block(&band.start, &band.size)?;
+                } else {
+                    work.read_block_into(&band.start, &band.size, &mut stream)?;
                 }
-                let quantized = ckpt_quant::quantize(&stream, &cfg.quant)?;
-                quantized.validate()?;
-                Ok((low_values, quantized))
-            })?;
+            }
+            Sections::encode(&cfg, low_values, &stream)
+        })?;
         // Free the transformed copy before formatting.
         drop(work);
 
-        // 4. Formatting (Figure 5 layout).
-        let formatted = timed(&mut timings.format, || {
-            format_stream(&self.cfg, tensor.dims(), plan, &low_values, &quantized)
-        })?;
-
-        #[expect(clippy::as_conversions, reason = "statistics: a fraction in [0, 1], in thousandths")]
-        let coverage_milli = (quantized.coverage() * 1000.0).round() as u32;
-        Ok((formatted, timings, coverage_milli))
+        // 4. Formatting (Figure 5 layout, or the product's grid planes).
+        let formatted = timed(&mut timings.format, || sections.format(&cfg, tensor.dims(), plan))?;
+        Ok((formatted, timings, sections.coverage_milli()))
     }
 
     /// Decompresses bytes produced by [`Compressor::compress`] on one
@@ -280,8 +274,8 @@ fn finite_copy(tensor: &Tensor<f64>) -> Result<Tensor<f64>> {
 pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Result<Vec<u8>> {
     let dims = tensor.dims();
     let plan = WaveletPlan::clamped(0, dims);
-    // Nothing is quantized, so there is no bin width to size a grid
-    // from: the low band goes out as exact doubles.
+    // Nothing is quantized: the spike stream's formatter writes the low
+    // band as exact doubles.
     let q = Quantized {
         len: 0,
         bitmap: Bitmap::zeros(0),
@@ -338,19 +332,24 @@ fn strip_container(bytes: &[u8], max_output: usize, threads: usize) -> Result<Ve
     Ok(bytes.to_vec())
 }
 
-/// `WCK1` flags bit 4: the low band and the pass-through values are on
-/// a [`Grid`], whose exponent follows the index count.
+/// `WCK1` flags bit 4: the low band is on a [`Grid`], whose exponent
+/// follows the index count. Without bit 5 the pass-through values are
+/// on it too: the spike-grid stream, which no build writes any more.
 const FLAG_GRID: u8 = 1 << 4;
 
-/// The error-bounded grid the default writer puts the low band and the
-/// pass-through values on: SZ's linear-scaling quantisation, with a
-/// step sized from the quantizer's own bins. A value `v` is stored as
-/// the index `k = round(v / s)` of its nearest grid point `k · s`, for
-/// a step `s = 2^exponent`; a power of two makes `v / s` and `k · s`
-/// exact, so the writer and every reader agree bit for bit, and each
-/// value gains at most `s / 2` of error. Pass-through values store
-/// `zigzag(k)`, the low band `zigzag(k_i - k_{i-1})` in band order
-/// from `k_{-1} = 0`, both as the words of the transposed region.
+/// `WCK1` flags bit 5, set only with bits 1 and 4: the whole high band
+/// is on a grid of its own, and the two grid sections are stored in
+/// only the byte planes they use. There are no pass-through values,
+/// indexes, bitmap or average table.
+const FLAG_UNIFORM: u8 = 1 << 5;
+
+/// An error-bounded grid: SZ's linear-scaling quantisation. A value `v`
+/// is stored as the index `k = round(v / s)` of its nearest grid point
+/// `k · s`, for a step `s = 2^exponent`; a power of two makes `v / s`
+/// and `k · s` exact, so the writer and every reader agree bit for bit,
+/// and each value gains at most `s / 2` of error. A section stores
+/// `zigzag(k)`, or, for the low band, `zigzag(k_i - k_{i-1})` in band
+/// order from `k_{-1} = 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Grid {
     exponent: i16,
@@ -373,14 +372,10 @@ impl Grid {
     /// the nearest one (ties to even) and the low bits hold it.
     const ROUND: f64 = 6_755_399_441_055_744.0;
 
-    /// The grid for a quantizer whose bins are `bin_width` wide: the
-    /// step is the largest power of two at or below `bin_width / 64`.
-    /// `None` — the stream stays exact doubles — when the width is not
-    /// positive and finite, the step falls outside
-    /// [`Grid::WRITER_EXPONENTS`], or some value in `sections` lies
-    /// `2^51 - 1` steps or more from zero.
-    fn fitting(bin_width: f64, sections: [&[f64]; 2]) -> Option<Grid> {
-        let target = bin_width / 64.0;
+    /// The writer's grid for steps up to `target`: the largest power of
+    /// two at or below it. `None` when `target` is not positive and
+    /// finite or that step falls outside [`Grid::WRITER_EXPONENTS`].
+    fn fitting(target: f64) -> Option<Grid> {
         if !(target > 0.0 && target.is_finite()) {
             return None;
         }
@@ -388,11 +383,7 @@ impl Grid {
         if !Self::WRITER_EXPONENTS.contains(&exponent) {
             return None;
         }
-        let grid = Grid::new(i16::try_from(exponent).ok()?)?;
-        // Below `2^51 - 1` steps, so the rounded index stays below
-        // `2^51`; written as `<` so a NaN fails too.
-        let limit = (Self::INDEX_LIMIT - 1.0) * grid.step;
-        sections.iter().all(|s| s.iter().all(|v| v.abs() < limit)).then_some(grid)
+        Grid::new(i16::try_from(exponent).ok()?)
     }
 
     /// The grid of step `2^exponent`, for an exponent in
@@ -401,31 +392,48 @@ impl Grid {
         Self::EXPONENTS.contains(&exponent).then(|| Grid { exponent, step: pow2(exponent.into()) })
     }
 
-    /// The writer's word map for `shuffle::write_words`, on a grid from
+    /// `values` as a section of this grid's words, on a grid from
     /// [`Grid::fitting`]: zigzagged indexes, or with `residuals` the
-    /// zigzagged differences of successive indexes.
-    fn words(self, residuals: bool) -> impl FnMut(&f64) -> u64 {
+    /// zigzagged differences of successive indexes. `None` when some
+    /// value lies `2^51 - 1` steps or more from zero (written as `<`,
+    /// so a NaN fails too): below that the rounded index stays below
+    /// `2^51`.
+    fn section(self, values: &[f64], residuals: bool) -> Option<Section> {
         let inv = pow2(-i64::from(self.exponent));
-        let mut prev = 0i64;
-        move |&v| {
-            let k = (v * inv + Self::ROUND).to_bits().wrapping_sub(Self::ROUND.to_bits()).cast_signed();
-            let word = zigzag(k.wrapping_sub(prev));
-            if residuals {
-                prev = k;
-            }
-            word
-        }
+        let limit = (Self::INDEX_LIMIT - 1.0) * self.step;
+        let (mut prev, mut fits, mut all) = (0i64, true, 0u64);
+        let words = values
+            .iter()
+            .map(|&v| {
+                fits &= v.abs() < limit;
+                let k = (v * inv + Self::ROUND).to_bits().wrapping_sub(Self::ROUND.to_bits()).cast_signed();
+                let word = zigzag(k.wrapping_sub(prev));
+                if residuals {
+                    prev = k;
+                }
+                all |= word;
+                word
+            })
+            .collect();
+        fits.then(|| Section { grid: self, words, width: byte_width(all) })
     }
 
-    /// Reads columns `at..at + n` of the transposed `region` back to the
-    /// values [`Grid::words`] wrote for them. Refused: a residual sum
-    /// that overflows `i64`, an index of magnitude past `2^51` (the
+    /// Reads columns `at..at + words.len()` of `region`, `planes` byte
+    /// planes, back to the values [`Grid::section`] wrote for them, in
+    /// `words`' own buffer (its capacity is kept). Refused: a residual
+    /// sum that overflows `i64`, an index of magnitude past `2^51` (the
     /// writer's bound), and a non-finite `k · s`. The words turn into
     /// values in place, in one loop that accumulates the checks rather
     /// than branching on them.
-    fn read(self, region: &[u8], at: usize, n: usize, residuals: bool) -> Result<Vec<f64>> {
-        let mut words = vec![0u64; n];
-        crate::shuffle::gather_words(region, at, &mut words);
+    fn read(
+        self,
+        region: &[u8],
+        planes: usize,
+        at: usize,
+        mut words: Vec<u64>,
+        residuals: bool,
+    ) -> Result<Vec<f64>> {
+        crate::shuffle::gather_words(region, planes, at, &mut words);
         let (mut overflow, mut wide, mut finite) = (false, 0u64, true);
         // `k + 2^51` is below `2^52` exactly when `|k|` is in range.
         let out_of_range = |k: i64| k.wrapping_add(1 << 51).cast_unsigned() >> 52;
@@ -462,6 +470,122 @@ impl Grid {
     }
 }
 
+/// `n` zero words in a buffer with room for `capacity`: what
+/// [`Grid::read`] gathers into.
+fn word_buffer(n: usize, capacity: usize) -> Vec<u64> {
+    let mut words = Vec::with_capacity(capacity.max(n));
+    words.resize(n, 0);
+    words
+}
+
+/// A grid section as the writer stores it: its grid, its words, and
+/// `width`, the byte width (1..=8) of the largest, which is how many
+/// byte planes of the transposed words are written.
+#[derive(Debug, Clone, PartialEq)]
+struct Section {
+    grid: Grid,
+    words: Vec<u64>,
+    width: u8,
+}
+
+impl Section {
+    /// Appends the section to `w` as its `width` byte planes.
+    fn put(&self, w: &mut Writer) {
+        let planes = usize::from(self.width);
+        let region = w.put_region(planes * self.words.len());
+        crate::shuffle::write_words(region, planes, 0, &self.words, |&z| z);
+    }
+}
+
+/// The bytes `word` needs, at least one.
+fn byte_width(word: u64) -> u8 {
+    let bytes = (u64::BITS - word.leading_zeros()).div_ceil(8).max(1);
+    u8::try_from(bytes).unwrap_or(8)
+}
+
+/// The product stream's sections (flags bits 1, 4 and 5): the low band
+/// on a grid of step `s`, the largest power of two at or below the
+/// quantizer's bin width `w` over 64, and every high-band coefficient
+/// on a grid of step `q`, the largest power of two at or below
+/// [`high_step_target`]. This is WaveRange's shape: a transform, a
+/// uniform quantiser, then a coder.
+#[derive(Debug, Clone, PartialEq)]
+struct Uniform {
+    low: Section,
+    high: Section,
+}
+
+impl Uniform {
+    /// The sections for a quantizer whose bins are `bin_width` wide.
+    /// `None` — the writer then falls back to the ungridded spike
+    /// stream — when the width is not positive and finite, a step falls
+    /// outside [`Grid::WRITER_EXPONENTS`], or a value lies `2^51 - 1`
+    /// steps or more from zero.
+    fn fitting(method: Method, bin_width: f64, low: &[f64], high: &[f64]) -> Option<Uniform> {
+        Some(Uniform {
+            low: Grid::fitting(bin_width / 64.0)?.section(low, true)?,
+            high: Grid::fitting(high_step_target(method, bin_width))?.section(high, false)?,
+        })
+    }
+}
+
+/// The largest high-band step `q` may be, for a quantizer of `method`
+/// whose bins are `bin_width` wide. The spike quantizer's `w / 2` puts
+/// `q` in `(w/4, w/2]`: at `(w/2, w]` the rounding of the values it
+/// passes through exact raises a restart's mean divergence past 1.1×
+/// the paper stream's (`tests/figures.rs`). The simple quantizer passes
+/// nothing through, so its `q` lies in `(w/2, w]`, still no coarser
+/// than its own bins.
+fn high_step_target(method: Method, bin_width: f64) -> f64 {
+    match method {
+        Method::Simple => bin_width,
+        Method::Proposed => bin_width / 2.0,
+    }
+}
+
+/// What the writer formats: the product stream's grid sections, or the
+/// low band and the spike quantizer's output (the paper's stream, the
+/// low-band ablation, and the product wherever no grid fits).
+enum Sections {
+    Uniform(Uniform),
+    Spike { low: Vec<f64>, q: Quantized },
+}
+
+impl Sections {
+    /// The sections `cfg` stores for the low band `low` and the
+    /// concatenated high bands `high`. The product layout (`byte_shuffle`
+    /// on, `quantize_low_band` off) runs only the quantizer's histogram
+    /// passes, for its bin width.
+    fn encode(cfg: &CompressorConfig, low: Vec<f64>, high: &[f64]) -> Result<Sections> {
+        if cfg.byte_shuffle && !cfg.quantize_low_band {
+            let width = ckpt_quant::bin_width(high, &cfg.quant)?;
+            if let Some(u) = Uniform::fitting(cfg.quant.method, width, &low, high) {
+                return Ok(Sections::Uniform(u));
+            }
+        }
+        let q = ckpt_quant::quantize(high, &cfg.quant)?;
+        q.validate()?;
+        Ok(Sections::Spike { low, q })
+    }
+
+    /// Quantized high-band positions over all of them, in thousandths:
+    /// every one on the uniform grid.
+    #[expect(clippy::as_conversions, reason = "statistics: a fraction in [0, 1], in thousandths")]
+    fn coverage_milli(&self) -> u32 {
+        match self {
+            Sections::Uniform(u) => u32::from(!u.high.words.is_empty()) * 1000,
+            Sections::Spike { q, .. } => (q.coverage() * 1000.0).round() as u32,
+        }
+    }
+
+    fn format(&self, cfg: &CompressorConfig, dims: &[usize], plan: WaveletPlan) -> Result<Vec<u8>> {
+        match self {
+            Sections::Uniform(u) => format_uniform(cfg, dims, plan, u),
+            Sections::Spike { low, q } => format_stream(cfg, dims, plan, low, q),
+        }
+    }
+}
+
 /// `2^e` for `e` in [`Grid::EXPONENTS`]: a normal double's exponent
 /// field, or below `2^-1022` a subnormal's one mantissa bit.
 fn pow2(e: i64) -> f64 {
@@ -494,29 +618,20 @@ fn unzigzag(z: u64) -> i64 {
 }
 
 /// `k` as a double, exact for `-2^51 <= k <= 2^51`: the inverse of the
-/// rounding in [`Grid::words`], through the same constant.
+/// rounding in [`Grid::section`], through the same constant.
 fn index_to_f64(k: i64) -> f64 {
     f64::from_bits(Grid::ROUND.to_bits().wrapping_add(k.cast_unsigned())) - Grid::ROUND
 }
 
-fn format_stream(
+/// Writes the `WCK1` header up to the shape: everything before the
+/// section counts, with `flags` beside the configuration's own bits.
+fn put_header(
+    w: &mut Writer,
     cfg: &CompressorConfig,
     dims: &[usize],
     plan: WaveletPlan,
-    low_values: &[f64],
-    q: &Quantized,
-) -> Result<Vec<u8>> {
-    let grid = if cfg.byte_shuffle && !cfg.quantize_low_band {
-        Grid::fitting(q.bin_width, [low_values, &q.raw])
-    } else {
-        None
-    };
-    let mut w = Writer::with_capacity(
-        64 + dims.len() * 8
-            + (low_values.len() + q.raw.len() + q.averages.len()) * 8
-            + q.indexes.len()
-            + q.len / 8,
-    );
+    flags: u8,
+) -> Result<()> {
     w.put_bytes(&WCK1.magic);
     w.put_u8(WCK1.version);
     w.put_u8(match cfg.quant.method {
@@ -528,36 +643,40 @@ fn format_stream(
         Kernel::Cdf53 => 1,
         Kernel::Cdf97 => 2,
     };
-    let flags = u8::from(cfg.quantize_low_band)
-        | (u8::from(cfg.byte_shuffle) << 1)
-        | (kernel_bits << 2)
-        | if grid.is_some() { FLAG_GRID } else { 0 };
-    w.put_u8(flags);
+    w.put_u8(u8::from(cfg.quantize_low_band) | (u8::from(cfg.byte_shuffle) << 1) | (kernel_bits << 2) | flags);
     w.put_u8(header_field(plan.levels, "wavelet levels")?);
     w.put_u16(header_field(cfg.quant.n, "division number n")?);
     w.put_u16(header_field(cfg.quant.d, "spike partition count d")?);
-    put_dims(&mut w, dims)?;
+    put_dims(w, dims)
+}
+
+/// The spike quantizer's stream (Figure 5): the low band, the
+/// pass-through values and the average table as doubles — one
+/// eight-plane transposed region with `byte_shuffle`, else value by
+/// value — then the indexes and the bitmap.
+fn format_stream(
+    cfg: &CompressorConfig,
+    dims: &[usize],
+    plan: WaveletPlan,
+    low_values: &[f64],
+    q: &Quantized,
+) -> Result<Vec<u8>> {
+    let mut w = Writer::with_capacity(
+        64 + dims.len() * 8
+            + (low_values.len() + q.raw.len() + q.averages.len()) * 8
+            + q.indexes.len()
+            + q.len / 8,
+    );
+    put_header(&mut w, cfg, dims, plan, 0)?;
     w.put_u16(header_field(q.averages.len(), "average count")?);
     w.put_u64(frame::u64_from_usize(low_values.len()));
     w.put_u64(frame::u64_from_usize(q.raw.len()));
     w.put_u64(frame::u64_from_usize(q.indexes.len()));
-    if let Some(grid) = grid {
-        w.put_bytes(&grid.exponent.to_le_bytes());
-    }
-    // The value sections (low band, raw values, average table), written
-    // straight into the stream: as the eight byte planes of one
-    // transposed region — the first two as grid words when on a grid —
-    // or value by value.
     let (low, raw) = (low_values.len(), q.raw.len());
     if cfg.byte_shuffle {
         let region = w.put_region((low + raw + q.averages.len()) * 8);
-        if let Some(grid) = grid {
-            crate::shuffle::write_words(region, 0, low_values, grid.words(true));
-            crate::shuffle::write_words(region, low, &q.raw, grid.words(false));
-        } else {
-            crate::shuffle::write_planes(region, 0, low_values);
-            crate::shuffle::write_planes(region, low, &q.raw);
-        }
+        crate::shuffle::write_planes(region, 0, low_values);
+        crate::shuffle::write_planes(region, low, &q.raw);
         crate::shuffle::write_planes(region, low + raw, &q.averages);
     } else {
         for section in [low_values, q.raw.as_slice(), q.averages.as_slice()] {
@@ -566,6 +685,30 @@ fn format_stream(
     }
     w.put_bytes(&q.indexes);
     w.put_bytes(&q.bitmap.to_bytes());
+    Ok(w.into_bytes())
+}
+
+/// The product stream: the header with zero average, pass-through and
+/// index counts, the two step exponents and plane widths, then the low
+/// band's and the high band's planes.
+fn format_uniform(cfg: &CompressorConfig, dims: &[usize], plan: WaveletPlan, u: &Uniform) -> Result<Vec<u8>> {
+    let (low, high) = (&u.low, &u.high);
+    let mut w = Writer::with_capacity(
+        64 + dims.len() * 8
+            + usize::from(low.width) * low.words.len()
+            + usize::from(high.width) * high.words.len(),
+    );
+    put_header(&mut w, cfg, dims, plan, FLAG_GRID | FLAG_UNIFORM)?;
+    w.put_u16(0);
+    w.put_u64(frame::u64_from_usize(low.words.len()));
+    w.put_u64(0);
+    w.put_u64(0);
+    w.put_bytes(&low.grid.exponent.to_le_bytes());
+    w.put_bytes(&high.grid.exponent.to_le_bytes());
+    w.put_u8(low.width);
+    w.put_u8(high.width);
+    low.put(&mut w);
+    high.put(&mut w);
     Ok(w.into_bytes())
 }
 
@@ -595,7 +738,7 @@ pub(crate) fn put_dims(w: &mut Writer, dims: &[usize]) -> Result<()> {
 pub struct Header {
     /// Flags bit 0: the low band went through the quantizer.
     pub quantize_low_band: bool,
-    /// Flags bit 1: the value sections are one byte-transposed region.
+    /// Flags bit 1: the value sections are byte-transposed.
     pub byte_shuffle: bool,
     /// Flags bits 2-3.
     pub kernel: Kernel,
@@ -612,13 +755,37 @@ pub struct Header {
     /// Quantized positions.
     pub index_count: usize,
     /// Flags bit 4: the exponent `e` of the grid step `2^e` the low band
-    /// and the pass-through values are on; `None`, they are doubles.
+    /// (and, without bit 5, the pass-through values) is on; `None`, they
+    /// are doubles.
     pub grid_exponent: Option<i16>,
+    /// Flags bit 5: the high band's grid and the sections' plane widths;
+    /// `None`, the high band is the spike quantizer's sections.
+    pub uniform: Option<UniformHeader>,
+}
+
+/// The header fields of a uniform-grid stream (`WCK1` flags bit 5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UniformHeader {
+    /// The exponent of the step `2^e` every high-band coefficient is on.
+    pub high_exponent: i16,
+    /// The byte planes the low band's and the high band's words are
+    /// stored in, each 1..=8.
+    pub widths: [u8; 2],
+}
+
+/// A step exponent read from a header, refused outside `-1074..=1023`.
+fn read_exponent(r: &mut Reader<'_>, what: &str) -> Result<i16> {
+    let e = i16::from_le_bytes(r.get_array()?);
+    if !Grid::EXPONENTS.contains(&e) {
+        return Err(CkptError::Format(format!("{what} exponent {e} outside -1074..=1023")));
+    }
+    Ok(e)
 }
 
 impl Header {
     /// Reads the header of the formatted stream `r` is at, refusing an
-    /// unknown kernel or a grid exponent outside `-1074..=1023`. The
+    /// unknown kernel, a step exponent outside `-1074..=1023`, flags
+    /// bit 5 without bits 1 and 4, and a plane width outside 1..=8. The
     /// method byte, `n` and `d` are informational: no decoder reads them.
     fn read(r: &mut Reader<'_>) -> Result<Header> {
         r.expect_magic(&WCK1)?;
@@ -633,6 +800,10 @@ impl Header {
                 return Err(CkptError::Format(format!("unknown kernel code {other}")));
             }
         };
+        let uniform = flags & FLAG_UNIFORM != 0;
+        if uniform && flags & (2 | FLAG_GRID) != 2 | FLAG_GRID {
+            return Err(CkptError::Format("uniform grid flag (bit 5) without bits 1 and 4".into()));
+        }
         let levels = usize::from(r.get_u8()?);
         let _n = r.get_u16()?;
         let _d = r.get_u16()?;
@@ -645,12 +816,15 @@ impl Header {
         let low_count = frame::usize_len(r.get_u64()?)?;
         let raw_count = frame::usize_len(r.get_u64()?)?;
         let index_count = frame::usize_len(r.get_u64()?)?;
-        let grid_exponent = if flags & FLAG_GRID != 0 {
-            let e = i16::from_le_bytes(r.get_array()?);
-            if !Grid::EXPONENTS.contains(&e) {
-                return Err(CkptError::Format(format!("grid exponent {e} outside -1074..=1023")));
+        let grid_exponent =
+            if flags & FLAG_GRID != 0 { Some(read_exponent(r, "grid")?) } else { None };
+        let uniform = if uniform {
+            let high_exponent = read_exponent(r, "high-band step")?;
+            let widths = [r.get_u8()?, r.get_u8()?];
+            if let Some(b) = widths.iter().find(|b| !(1..=8).contains(*b)) {
+                return Err(CkptError::Format(format!("plane width {b} outside 1..=8")));
             }
-            Some(e)
+            Some(UniformHeader { high_exponent, widths })
         } else {
             None
         };
@@ -665,6 +839,7 @@ impl Header {
             raw_count,
             index_count,
             grid_exponent,
+            uniform,
         })
     }
 }
@@ -676,10 +851,22 @@ pub fn read_header(bytes: &[u8]) -> Result<Header> {
     Header::read(&mut Reader::new(&formatted))
 }
 
-/// Reads a formatted stream's header and sections: the low band and
-/// the validated quantized stream, every count checked against the
-/// header and the bytes there are.
-fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Quantized)> {
+/// The grid of a header's exponent, which [`Header::read`] checked.
+fn grid_of(exponent: i16) -> Result<Grid> {
+    Grid::new(exponent).ok_or_else(|| CkptError::Format(format!("grid exponent {exponent}")))
+}
+
+/// Reads a formatted stream's header and sections, every count checked
+/// against the header and the bytes there are: the low band, and the
+/// high-band stream's values in a buffer with room for the whole
+/// tensor (the inverse wavelet's scratch next).
+///
+/// Memory: a uniform-grid stream (flags bit 5) sizes the low band at
+/// `low_count` words and the high band at `volume` words only once both
+/// regions' `b_low · low_count + b_high · (volume - low_count)` bytes
+/// are in hand, and each width `b` is at least 1; a spike stream sizes
+/// nothing its counts' bytes do not cover either.
+fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
     let mut r = Reader::new(bytes);
     let header = Header::read(&mut r)?;
     let Header { byte_shuffle, low_count, raw_count, index_count, avg_count, .. } = header;
@@ -695,10 +882,32 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Quantized)> {
     let stream_len = volume
         .checked_sub(low_count)
         .ok_or_else(|| CkptError::Format("low band larger than tensor".into()))?;
+
+    if let (Some(low_e), Some(UniformHeader { high_exponent: high_e, widths: [low_b, high_b] })) =
+        (header.grid_exponent, header.uniform)
+    {
+        // The high band's count is the dims' volume less the low band.
+        if (raw_count, index_count, avg_count) != (0, 0, 0) {
+            return Err(CkptError::Format(format!(
+                "uniform grid stream declares {raw_count} raw, {index_count} index and \
+                 {avg_count} average values"
+            )));
+        }
+        let (low_b, high_b) = (usize::from(low_b), usize::from(high_b));
+        let region = |count: usize, b: usize| {
+            count.checked_mul(b).ok_or_else(|| CkptError::Format("grid region overflows".into()))
+        };
+        let low_region = r.get_bytes(region(low_count, low_b)?)?;
+        let high_region = r.get_bytes(region(stream_len, high_b)?)?;
+        r.expect_end()?;
+        let low = grid_of(low_e)?.read(low_region, low_b, 0, word_buffer(low_count, 0), true)?;
+        let high = grid_of(high_e)?.read(high_region, high_b, 0, word_buffer(stream_len, volume), false)?;
+        return Ok((header, low, high));
+    }
+
     if raw_count.checked_add(index_count) != Some(stream_len) {
         return Err(CkptError::Format("stream length mismatch".into()));
     }
-
     let f64_total = low_count
         .checked_add(raw_count)
         .and_then(|t| t.checked_add(avg_count))
@@ -706,16 +915,17 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Quantized)> {
     let region_bytes = f64_total
         .checked_mul(8)
         .ok_or_else(|| CkptError::Format("value region overflows".into()))?;
-    let grid = header.grid_exponent.and_then(Grid::new);
-    let (low_values, raw, averages) = match (byte_shuffle, grid) {
+    let (low_values, raw, averages) = match (byte_shuffle, header.grid_exponent) {
         (true, grid) => {
             let region = r.get_bytes(region_bytes)?;
             let planes = |at, n| crate::shuffle::read_planes(region, at, n);
             let averages = planes(low_count + raw_count, avg_count);
             match grid {
-                Some(g) => {
-                    let low = g.read(region, 0, low_count, true)?;
-                    (low, g.read(region, low_count, raw_count, false)?, averages)
+                // The spike-grid stream: decode-only.
+                Some(e) => {
+                    let g = grid_of(e)?;
+                    let low = g.read(region, 8, 0, word_buffer(low_count, 0), true)?;
+                    (low, g.read(region, 8, low_count, word_buffer(raw_count, 0), false)?, averages)
                 }
                 None => (planes(0, low_count), planes(low_count, raw_count), averages),
             }
@@ -735,17 +945,17 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Quantized)> {
 
     let q = Quantized { len: stream_len, bitmap, indexes, averages, raw, bin_width: 0.0 };
     q.validate()?;
-    Ok((header, low_values, q))
+    let mut high = Vec::with_capacity(volume);
+    q.reconstruct_into(&mut high);
+    Ok((header, low_values, high))
 }
 
 fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
-    let (header, low_values, q) = read_sections(bytes)?;
+    // One tensor-sized scratch per decode: the high-band stream is read
+    // into it, and once the bands are written the inverse ping-pongs
+    // with it.
+    let (header, low_values, mut stream) = read_sections(bytes)?;
     let Header { quantize_low_band: quantize_low, kernel, levels, dims, .. } = header;
-    let volume = q.len + low_values.len();
-    // One tensor-sized scratch per decode: the stream is rebuilt into
-    // it, and once the bands are written the inverse ping-pongs with it.
-    let mut stream = Vec::with_capacity(volume);
-    q.reconstruct_into(&mut stream);
 
     // Rebuild the transformed tensor band by band, then invert.
     let plan = WaveletPlan::clamped(levels, &dims);
@@ -1218,29 +1428,31 @@ mod shuffle_tests {
     }
 
     #[test]
-    fn shuffle_changes_bytes_and_moves_values_by_the_grid_only() {
-        // The transposed default also puts the low band and the
-        // pass-through values on the grid, so its values differ from the
-        // untransposed stream's by at most the Haar inverse's gain (2
-        // per split axis, 8 here) times half a step.
+    fn the_default_is_the_uniform_grid_stream_within_its_steps_of_the_input() {
+        // The transposed default puts the low band on the grid of step
+        // `s` and every high-band coefficient on that of step `q`, so its
+        // values lie within the Haar inverse's gain (2 per split axis, 8
+        // here) times `q / 2` of the input; the paper's stream sets none
+        // of the bits.
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 22));
         let base = CompressorConfig::paper_proposed().with_container(Container::None);
         let plain =
             Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap().bytes;
         let shuf = Compressor::new(base).unwrap().compress(&t).unwrap().bytes;
-        assert_eq!(plain[6] & (2 | FLAG_GRID), 0, "flags bits 1 and 4 clear");
-        assert_eq!(shuf[6] & (2 | FLAG_GRID), 2 | FLAG_GRID, "the default sets both");
-        assert_eq!(plain.len() + 2, shuf.len(), "a permutation, plus the grid exponent");
-        let e = read_header(&shuf).unwrap().grid_exponent.unwrap();
-        let slack = 8.0 * pow2(e.into()) / 2.0;
-        let a = Compressor::decompress(&plain).unwrap();
-        let b = Compressor::decompress(&shuf).unwrap();
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        let bits = 2 | FLAG_GRID | FLAG_UNIFORM;
+        assert_eq!(plain[6] & bits, 0, "flags bits 1, 4 and 5 clear");
+        assert_eq!(shuf[6] & bits, bits, "the default sets all three");
+        assert!(shuf.len() < plain.len(), "{} vs {}", shuf.len(), plain.len());
+        let header = read_header(&shuf).unwrap();
+        let q = pow2(header.uniform.unwrap().high_exponent.into());
+        let s = pow2(header.grid_exponent.unwrap().into());
+        assert!(s < q, "s = {s}, q = {q}");
+        let back = Compressor::decompress(&shuf).unwrap();
+        for (x, y) in t.as_slice().iter().zip(back.as_slice()) {
             // Plus a few ulps: the inverse rounds each sum it forms.
-            let bound = slack + 8.0 * f64::EPSILON * x.abs().max(y.abs());
-            assert!((x - y).abs() <= bound, "{x} vs {y}, slack {slack}");
+            let bound = 8.0 * q / 2.0 + 8.0 * f64::EPSILON * x.abs().max(y.abs());
+            assert!((x - y).abs() <= bound, "{x} vs {y}, q {q}");
         }
-        assert_ne!(a.as_slice(), b.as_slice(), "the grid moved something");
     }
 
     #[test]
@@ -1264,6 +1476,7 @@ mod shuffle_tests {
 mod grid_tests {
     use super::*;
     use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
+    use proptest::prelude::*;
 
     /// A deterministic LCG stream.
     fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -1303,21 +1516,29 @@ mod grid_tests {
         }
     }
 
-    /// `values` through the grid's word map into a region and back.
+    /// `section` as the writer stores it, read back by its grid.
+    fn read_back(section: &Section, residuals: bool) -> Result<Vec<f64>> {
+        let mut w = Writer::new();
+        section.put(&mut w);
+        let region = w.into_bytes();
+        assert_eq!(region.len(), usize::from(section.width) * section.words.len());
+        let n = section.words.len();
+        section.grid.read(&region, section.width.into(), 0, word_buffer(n, 0), residuals)
+    }
+
+    /// `values` through the grid's word map, its planes and back.
     fn roundtrip(grid: Grid, values: &[f64], residuals: bool) -> Result<Vec<f64>> {
-        let mut region = vec![0u8; values.len() * 8];
-        crate::shuffle::write_words(&mut region, 0, values, grid.words(residuals));
-        grid.read(&region, 0, values.len(), residuals)
+        read_back(&grid.section(values, residuals).unwrap(), residuals)
     }
 
     #[test]
     fn every_gridded_value_lies_within_half_a_step() {
         let mut next = lcg(11);
-        for &(scale, width) in &[(1.0, 1e-3), (300.0, 0.5), (1e-9, 1e-12), (1e200, 1e190)] {
+        for &(scale, target) in &[(1.0, 1e-3), (300.0, 0.5), (1e-9, 1e-12), (1e200, 1e190)] {
             let values: Vec<f64> =
                 (0..1003).map(|_| ((next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale).collect();
-            let grid = Grid::fitting(width, [&values, &[]]).unwrap();
-            assert!(grid.step <= width / 64.0 && grid.step * 2.0 > width / 64.0, "{grid:?}");
+            let grid = Grid::fitting(target).unwrap();
+            assert!(grid.step <= target && grid.step * 2.0 > target, "{grid:?}");
             for residuals in [false, true] {
                 let back = roundtrip(grid, &values, residuals).unwrap();
                 for (v, b) in values.iter().zip(&back) {
@@ -1331,22 +1552,76 @@ mod grid_tests {
     #[test]
     fn the_grid_stays_off_where_it_cannot_hold_the_values() {
         let v = [1.0, -2.0, 3.5];
+        let methods = [Method::Simple, Method::Proposed];
         for w in [0.0, -1.0, f64::INFINITY, f64::NAN, f64::MIN_POSITIVE / 1e6] {
-            assert_eq!(Grid::fitting(w, [&v, &v]), None, "width {w}");
+            assert_eq!(Grid::fitting(w), None, "target {w}");
+            for m in methods {
+                assert_eq!(Uniform::fitting(m, w, &v, &v), None, "{m:?} width {w}");
+            }
         }
         // Indexes stay below 2^51.
-        let grid = Grid::fitting(64.0, [&v, &v]).unwrap();
+        let grid = Grid::fitting(1.0).unwrap();
         assert_eq!(grid.step, 1.0);
-        assert_eq!(Grid::fitting(64.0, [&v, &[Grid::INDEX_LIMIT - 2.0]]), Some(grid));
-        assert_eq!(Grid::fitting(64.0, [&[Grid::INDEX_LIMIT - 1.0], &v]), None);
-        assert_eq!(Grid::fitting(64.0, [&[-Grid::INDEX_LIMIT], &v]), None);
-        assert_eq!(Grid::fitting(64.0, [&v, &[f64::NAN]]), None);
-        assert_eq!(Grid::fitting(f64::MAX, [&v, &v]), None, "2^51 steps must be finite");
+        assert!(grid.section(&[Grid::INDEX_LIMIT - 2.0], false).is_some());
+        assert_eq!(grid.section(&[Grid::INDEX_LIMIT - 1.0], true), None);
+        assert_eq!(grid.section(&[-Grid::INDEX_LIMIT], false), None);
+        assert_eq!(grid.section(&[f64::NAN], false), None);
+        // Each section must fit its own grid: `q` fits what `s` cannot.
+        let far = [Grid::INDEX_LIMIT];
+        for m in methods {
+            assert!(Uniform::fitting(m, 64.0, &v, &far).is_some());
+            assert_eq!(Uniform::fitting(m, 64.0, &far, &v), None);
+            // `q = 2^1022` or `2^1023` is outside the writer's exponents.
+            assert_eq!(Uniform::fitting(m, f64::MAX, &v, &v), None, "2^51 steps must be finite");
+        }
+    }
+
+    /// The widest word of `b` bytes and the narrowest of `b + 1`.
+    fn edge_words(b: u32) -> (u64, Option<u64>) {
+        let top = u64::MAX >> (64 - 8 * b);
+        (top, (b < 8).then(|| top + 1))
+    }
+
+    #[test]
+    fn every_plane_width_from_one_to_eight_holds_its_words() {
+        let grid = Grid::new(0).unwrap();
+        for b in 1..=8u32 {
+            let (top, next) = edge_words(b);
+            assert_eq!(byte_width(top), b as u8);
+            assert_eq!(byte_width(top >> 1 | 1), b as u8);
+            if let Some(next) = next {
+                assert_eq!(byte_width(next), b as u8 + 1, "2^{} takes one byte more", 8 * b);
+            }
+            // Words of exactly this width (indexes kept below 2^51), as
+            // the writer stores them and the reader takes them back.
+            let words: Vec<u64> = (0..37u64)
+                .map(|i| (top >> (i % 8)).min(zigzag((1 << 51) - 1)) ^ (i & 1))
+                .collect();
+            let width = byte_width(words.iter().fold(0, |a, w| a | w));
+            let section = Section { grid, words, width };
+            assert_eq!(u32::from(section.width), b.min(7), "b = {b}");
+            let back = read_back(&section, false).unwrap();
+            let want: Vec<f64> = section.words.iter().map(|&z| unzigzag(z) as f64).collect();
+            assert_eq!(back, want, "b = {b}");
+        }
+        // A word of exactly 2^(8b) needs b + 1 planes, up to 2^48 (the
+        // zigzag word of 2^47), all on one grid.
+        for b in 1..=5u32 {
+            let k = 1i64 << (8 * b - 1);
+            let section = grid.section(&[k as f64, 0.0, -1.0], false).unwrap();
+            assert_eq!(section.words[0], 1 << (8 * b));
+            assert_eq!(u32::from(section.width), b + 1);
+            assert_eq!(read_back(&section, false).unwrap(), [k as f64, 0.0, -1.0]);
+        }
+        // A section of length 0 takes one plane of no bytes.
+        let empty = grid.section(&[], true).unwrap();
+        assert_eq!((empty.words.len(), empty.width), (0, 1));
+        assert_eq!(read_back(&empty, true).unwrap(), Vec::<f64>::new());
     }
 
     /// The transformed coefficients [`Compressor::compress`] formats for
-    /// `t`: the low band and the quantized high bands.
-    fn coefficients(cfg: &CompressorConfig, t: &Tensor<f64>) -> (Vec<f64>, Quantized) {
+    /// `t`: the low band and the concatenated high bands.
+    fn coefficients(cfg: &CompressorConfig, t: &Tensor<f64>) -> (Vec<f64>, Vec<f64>) {
         let ml = MultiLevel::with_kernel(WaveletPlan::clamped(cfg.plan.levels, t.dims()), cfg.kernel);
         let mut w = t.clone();
         ml.forward(&mut w).unwrap();
@@ -1355,26 +1630,60 @@ mod grid_tests {
             let into = if band.kind == SubbandKind::Low { &mut low } else { &mut high };
             w.read_block_into(&band.start, &band.size, into).unwrap();
         }
-        (low, ckpt_quant::quantize(&high, &cfg.quant).unwrap())
+        (low, high)
+    }
+
+    /// The pointwise bound of a default stream: every high-band
+    /// coefficient within `q / 2` of the writer's, every low-band one
+    /// within `s / 2`, with `q` and `s` the powers of two at or below the
+    /// quantizer's bin width over 2 and over 64.
+    fn assert_within_the_steps(cfg: CompressorConfig, t: &Tensor<f64>) {
+        let cfg = cfg.with_container(Container::None);
+        let bytes = Compressor::new(cfg).unwrap().compress(t).unwrap().bytes;
+        let (header, low, high) = read_sections(&bytes).unwrap();
+        let (low0, high0) = coefficients(&cfg, t);
+        let w = ckpt_quant::quantize(&high0, &cfg.quant).unwrap().bin_width;
+        let q = pow2(header.uniform.expect("the default grids the high band").high_exponent.into());
+        let s = pow2(header.grid_exponent.expect("and the low band").into());
+        let target = high_step_target(cfg.quant.method, w);
+        assert_eq!((q, s), (pow2(floor_log2(target)), pow2(floor_log2(w / 64.0))), "w = {w}");
+        assert!(q > target / 2.0 && q <= target);
+        let within = |a: &[f64], b: &[f64], step: f64| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= step / 2.0)
+        };
+        assert!(within(&low, &low0, s), "low band off its grid by more than s/2 = {}", s / 2.0);
+        assert!(within(&high, &high0, q), "high band off its grid by more than q/2 = {}", q / 2.0);
     }
 
     #[test]
-    fn a_gridded_stream_holds_every_coefficient_within_half_a_step() {
-        for (kind, seed) in [(FieldKind::Temperature, 4), (FieldKind::WindU, 5), (FieldKind::Pressure, 6)] {
-            let t = generate(&FieldSpec::small(kind, seed));
-            let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
-            let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-            let (header, low, q) = read_sections(&bytes).unwrap();
-            let (low0, q0) = coefficients(&cfg, &t);
-            let e = header.grid_exponent.expect("the default grids");
-            let step = pow2(e.into());
-            assert_eq!(floor_log2(q0.bin_width / 64.0), i64::from(e), "{kind:?}");
-            let near = |a: &[f64], b: &[f64]| {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= step / 2.0)
+    fn a_nicam_array_holds_every_coefficient_within_half_its_step() {
+        let t = generate(&FieldSpec::nicam_like(FieldKind::Temperature, 1));
+        assert_within_the_steps(CompressorConfig::paper_proposed(), &t);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48 })]
+
+        #[test]
+        fn a_random_field_holds_every_coefficient_within_half_its_step(
+            seed in any::<u64>(),
+            kind in 0usize..4,
+            dims in (2usize..40, 2usize..24, 1usize..3),
+            noise in 0.0f64..1.0,
+            n in 1usize..=256,
+            method in 0usize..2,
+        ) {
+            let spec = FieldSpec {
+                dims: vec![dims.0, dims.1, dims.2],
+                kind: FieldKind::ALL[kind],
+                seed,
+                harmonics: 4,
+                noise_amp: noise,
             };
-            assert!(near(&low, &low0), "{kind:?}: low band");
-            assert!(near(&q.raw, &q0.raw), "{kind:?}: pass-through values");
-            assert_eq!((q.indexes, q.averages), (q0.indexes, q0.averages), "{kind:?}");
+            let method = [Method::Proposed, Method::Simple][method];
+            let mut cfg = CompressorConfig::paper_proposed().with_n(n);
+            cfg.quant.method = method;
+            assert_within_the_steps(cfg, &generate(&spec));
         }
     }
 
@@ -1382,24 +1691,45 @@ mod grid_tests {
     fn the_exact_and_ablation_paths_never_grid() {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 8));
         let exact = gzip::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap());
-        assert_eq!(exact.unwrap()[6] & FLAG_GRID, 0, "compress_exact");
+        assert_eq!(exact.unwrap()[6] & (FLAG_GRID | FLAG_UNIFORM), 0, "compress_exact");
         let none = CompressorConfig::paper_proposed().with_container(Container::None);
         let mut crush = none;
         crush.quantize_low_band = true;
         for cfg in [crush, none.with_byte_shuffle(false)] {
             let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-            assert_eq!(bytes[6] & FLAG_GRID, 0, "{cfg:?}");
-            assert_eq!(read_header(&bytes).unwrap().grid_exponent, None);
+            assert_eq!(bytes[6] & (FLAG_GRID | FLAG_UNIFORM), 0, "{cfg:?}");
+            let header = read_header(&bytes).unwrap();
+            assert_eq!((header.grid_exponent, header.uniform), (None, None));
         }
     }
 
-    /// `stream` with its grid exponent (the two bytes after the index
-    /// count) replaced.
-    fn with_exponent(stream: &[u8], e: i16) -> Vec<u8> {
-        let at = 13 + 8 * 3 + 2 + 24;
+    #[test]
+    fn where_no_grid_fits_the_default_writes_the_ungridded_spike_stream() {
+        // A constant array: an empty high-band range, so `w = 0`.
+        let t = Tensor::full(&[16, 8], 3.25).unwrap();
+        let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
+        let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
+        assert_eq!(bytes[6] & (2 | FLAG_GRID | FLAG_UNIFORM), 2, "transposed, ungridded");
+        let (low, high) = coefficients(&cfg, &t);
+        let q = ckpt_quant::quantize(&high, &cfg.quant).unwrap();
+        let plan = WaveletPlan::clamped(cfg.plan.levels, t.dims());
+        assert_eq!(bytes, format_stream(&cfg, t.dims(), plan, &low, &q).unwrap());
+        assert_eq!(Compressor::decompress(&bytes).unwrap(), t);
+    }
+
+    /// Where the header's fields sit in a bare default stream of a
+    /// 3-axis array: the low band's exponent after the three counts,
+    /// then the high band's, then the two plane widths.
+    const LOW_EXPONENT_AT: usize = 13 + 8 * 3 + 2 + 24;
+
+    fn patched(stream: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
         let mut bad = stream.to_vec();
-        bad[at..at + 2].copy_from_slice(&e.to_le_bytes());
+        bad[at..at + bytes.len()].copy_from_slice(bytes);
         bad
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        Compressor::decompress(bytes).unwrap_err().to_string()
     }
 
     #[test]
@@ -1407,36 +1737,61 @@ mod grid_tests {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 9));
         let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
         let good = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-        let e = read_header(&good).unwrap().grid_exponent.unwrap();
-        assert_eq!(with_exponent(&good, e), good, "the exponent sits where the test looks");
-        for bad_e in [-1075, 1024, i16::MIN, i16::MAX] {
-            let why = Compressor::decompress(&with_exponent(&good, bad_e)).unwrap_err().to_string();
+        let header = read_header(&good).unwrap();
+        let (e, UniformHeader { high_exponent: q, widths: [low_b, high_b] }) =
+            (header.grid_exponent.unwrap(), header.uniform.unwrap());
+        let at = LOW_EXPONENT_AT;
+        assert_eq!(patched(&good, at, &e.to_le_bytes()), good, "the exponent sits where the test looks");
+        assert_eq!(patched(&good, at + 2, &q.to_le_bytes()), good);
+        assert_eq!(good[at + 4..at + 6], [low_b, high_b]);
+        for bad_e in [-1075i16, 1024, i16::MIN, i16::MAX] {
+            let why = refusal(&patched(&good, at, &bad_e.to_le_bytes()));
             assert!(why.contains("grid exponent"), "{bad_e}: {why}");
+            let why = refusal(&patched(&good, at + 2, &bad_e.to_le_bytes()));
+            assert!(why.contains("high-band step exponent"), "{bad_e}: {why}");
         }
-        let why = Compressor::decompress(&with_exponent(&good, 1023)).unwrap_err().to_string();
-        assert!(why.contains("not a finite value"), "{why}");
-        let mut untransposed = good.clone();
-        untransposed[6] &= !2;
-        let why = Compressor::decompress(&untransposed).unwrap_err().to_string();
-        assert!(why.contains("untransposed"), "{why}");
-        for cut in [good.len() - 1, good.len() / 2, 60, 62] {
+        for (offset, e) in [(0, 1023i16), (2, 1023)] {
+            let why = refusal(&patched(&good, at + offset, &e.to_le_bytes()));
+            assert!(why.contains("not a finite value"), "{why}");
+        }
+        for (offset, b) in [(4, 0u8), (4, 9), (5, 0), (5, 255)] {
+            let why = refusal(&patched(&good, at + offset, &[b]));
+            assert!(why.contains(&format!("plane width {b} outside 1..=8")), "{why}");
+        }
+        // A width that disagrees with the planes there are.
+        assert!(refusal(&patched(&good, at + 5, &[high_b + 1])).contains("truncated"));
+        assert!(refusal(&patched(&good, at + 4, &[low_b - 1])).contains("trailing"));
+        // The counts the uniform layout has no sections for.
+        for count_at in [13 + 24, 13 + 24 + 2 + 8, 13 + 24 + 2 + 16] {
+            let why = refusal(&patched(&good, count_at, &[1]));
+            assert!(why.contains("uniform grid stream declares"), "{count_at}: {why}");
+        }
+        for cleared in [2u8, FLAG_GRID] {
+            let mut bad = good.clone();
+            bad[6] &= !cleared;
+            assert!(refusal(&bad).contains("without bits 1 and 4"), "bit {cleared}");
+        }
+        for cut in [good.len() - 1, good.len() / 2, at + 6, at + 5, 62] {
             assert!(Compressor::decompress(&good[..cut]).is_err(), "cut at {cut}");
         }
     }
 
-    /// `words` as the columns of a transposed region.
+    /// `words` as the columns of an eight-plane transposed region.
     fn region_of(words: &[u64]) -> Vec<u8> {
         let mut region = vec![0u8; words.len() * 8];
-        crate::shuffle::write_words(&mut region, 0, words, |&z| z);
+        crate::shuffle::write_words(&mut region, 8, 0, words, |&z| z);
         region
+    }
+
+    fn read_words(grid: Grid, words: &[u64], residuals: bool) -> Result<Vec<f64>> {
+        grid.read(&region_of(words), 8, 0, word_buffer(words.len(), 0), residuals)
     }
 
     #[test]
     fn a_residual_sum_past_i64_is_refused() {
         // Two low-band residuals of 2^62: their sum overflows.
         let grid = Grid::new(0).unwrap();
-        let region = region_of(&[zigzag(1 << 62); 2]);
-        let why = grid.read(&region, 0, 2, true).unwrap_err().to_string();
+        let why = read_words(grid, &[zigzag(1 << 62); 2], true).unwrap_err().to_string();
         assert!(why.contains("overflows i64"), "{why}");
     }
 
@@ -1444,17 +1799,17 @@ mod grid_tests {
     fn indexes_past_2_to_the_51_are_refused_and_those_below_convert_exactly() {
         let grid = Grid::new(-3).unwrap();
         let edge = [(1i64 << 51) - 1, -(1 << 51), 0, -1, 1, 12_345_678_901];
-        let back = grid.read(&region_of(&edge.map(zigzag)), 0, edge.len(), false).unwrap();
+        let back = read_words(grid, &edge.map(zigzag), false).unwrap();
         for (k, v) in edge.iter().zip(&back) {
             assert_eq!(*v, *k as f64 / 8.0, "{k}");
         }
         for k in [1i64 << 51, -(1 << 51) - 1, i64::MAX, i64::MIN] {
-            let why = grid.read(&region_of(&[zigzag(k)]), 0, 1, false).unwrap_err().to_string();
+            let why = read_words(grid, &[zigzag(k)], false).unwrap_err().to_string();
             assert!(why.contains("beyond 2^51"), "{k}: {why}");
         }
         // A residual walk that leaves the range refuses too.
         let steps = [zigzag(1 << 50), zigzag(1 << 50), zigzag(1)];
-        let why = grid.read(&region_of(&steps), 0, 3, true).unwrap_err().to_string();
+        let why = read_words(grid, &steps, true).unwrap_err().to_string();
         assert!(why.contains("beyond 2^51"), "{why}");
     }
 }

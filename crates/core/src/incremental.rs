@@ -259,7 +259,7 @@ fn xor_planes(page: &mut [f64], planes: &[u8], col: usize) -> Result<()> {
     if !planes.len().is_multiple_of(8) || col.saturating_add(xor.len()) > planes.len() / 8 {
         return Err(outside());
     }
-    gather_words(planes, col, xor);
+    gather_words(planes, 8, col, xor);
     for (slot, &x) in page.iter_mut().zip(xor.iter()) {
         *slot = f64::from_bits(slot.to_bits() ^ x);
     }

@@ -12,9 +12,13 @@ use std::time::Duration;
 pub struct StageTimings {
     /// Haar transform (forward or inverse).
     pub wavelet: Duration,
-    /// Quantization and index encoding.
+    /// Quantization and encoding: gathering the subbands, then for the
+    /// product stream the spike quantizer's bin-width histogram and the
+    /// map of both grid sections to words; for the paper's stream the
+    /// spike (or simple) quantizer and its index encoding.
     pub quantize_encode: Duration,
-    /// Byte-level formatting (Figure 5 layout).
+    /// Byte-level formatting: the header and the sections' byte planes
+    /// (or the Figure 5 layout).
     pub format: Duration,
     /// The final DEFLATE pass.
     pub gzip: Duration,

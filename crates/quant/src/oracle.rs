@@ -3,7 +3,8 @@
 //! own range, one bin formula call per value and pass, a bool per
 //! value packed into the bitmap afterwards, and a bit-at-a-time
 //! reconstruction. The proptest below holds [`crate::simple`],
-//! [`crate::spike`] and [`Quantized::reconstruct`] to them bit for bit.
+//! [`crate::spike`] (their `bin_width`s too) and
+//! [`Quantized::reconstruct`] to them bit for bit.
 
 use crate::bitmap::Bitmap;
 use crate::types::{QuantError, Quantized};
@@ -222,6 +223,12 @@ mod tests {
             same(&crate::simple::quantize(&values, n).unwrap(), &simple(&values, n).unwrap())?;
             let got = crate::spike::quantize_with_threshold(&values, n, d, m).unwrap();
             same(&got, &spike(&values, n, d, m).unwrap())?;
+            // The histogram-only width, on specials and raw bit patterns too.
+            let width = crate::spike::bin_width(&values, n, d).unwrap();
+            let want = spike(&values, n, d, 1.0).unwrap().bin_width;
+            prop_assert_eq!(bits(&[width]), bits(&[want]));
+            let width = crate::simple::bin_width(&values, n).unwrap();
+            prop_assert_eq!(bits(&[width]), bits(&[simple(&values, n).unwrap().bin_width]));
         }
     }
 

@@ -30,6 +30,16 @@ pub fn quantize(values: &[f64], n: usize) -> Result<Quantized, QuantError> {
     })
 }
 
+/// The bin width [`quantize`] reports for `values`
+/// ([`Quantized::bin_width`], bit for bit): their range over `n`, 0 for
+/// an empty stream, from the range scan alone.
+pub fn bin_width(values: &[f64], n: usize) -> Result<f64, QuantError> {
+    if n == 0 || n > 256 {
+        return Err(QuantError::BadDivisionNumber(n));
+    }
+    Ok(min_max(values).map_or(0.0, |(lo, hi)| (hi - lo) / n as f64))
+}
+
 /// The index stream and compacted average table of `values` in `n`
 /// equal partitions of their own range (`1 <= n <= 256`), and the
 /// partitions' width, in four passes: the range, one bin per value,

@@ -31,23 +31,17 @@ pub fn quantize(values: &[f64], n: usize, d: usize) -> Result<Quantized, QuantEr
 /// sweeps it (smaller ⇒ quantize more values ⇒ better rate, worse
 /// error).
 ///
-/// The passes: the range, one bin per value, the counts, the spike
-/// mask, then one split into bitmap words and the detected and raw
-/// streams, whose sizes the counts already give; the detected stream
-/// then goes through the simple quantizer's passes.
+/// The passes: [`spikes`], then one split into bitmap words and the
+/// detected and raw streams, whose sizes the counts already give; the
+/// detected stream then goes through the simple quantizer's passes.
 pub fn quantize_with_threshold(
     values: &[f64],
     n: usize,
     d: usize,
     multiplier: f64,
 ) -> Result<Quantized, QuantError> {
-    if n == 0 || n > 256 {
-        return Err(QuantError::BadDivisionNumber(n));
-    }
-    if d == 0 || d > u16::MAX.into() {
-        return Err(QuantError::BadSpikePartitions(d));
-    }
-    let Some((lo, hi)) = min_max(values) else {
+    check(n, d)?;
+    let Some(Spikes { bins, spiked, hits }) = spikes(values, d, multiplier) else {
         return Ok(Quantized {
             len: 0,
             bitmap: Bitmap::zeros(0),
@@ -57,20 +51,7 @@ pub fn quantize_with_threshold(
             bin_width: 0.0,
         });
     };
-    let mut bins = vec![0u16; values.len()];
-    bin_indexes(values, lo, hi, d, &mut bins);
-
-    let counts = counts(&bins, d);
     let total = values.len();
-    let spiked: Vec<u8> = if multiplier == 1.0 {
-        // Equation 4 in integers: `count * d >= total`.
-        counts.iter().map(|&c| u8::from(c * d >= total)).collect()
-    } else {
-        assert!(multiplier >= 0.0 && multiplier.is_finite(), "bad threshold multiplier");
-        let threshold = multiplier * total as f64 / d as f64;
-        counts.iter().map(|&c| u8::from(c as f64 >= threshold)).collect()
-    };
-    let hits: usize = counts.iter().zip(&spiked).map(|(&c, &s)| c * usize::from(s)).sum();
 
     // Branch-free split: every value is stored at the cursor of both
     // streams and only the cursor of its own stream advances, so each
@@ -97,6 +78,74 @@ pub fn quantize_with_threshold(
     let (indexes, averages, bin_width) = simple::encode(&detected, n);
     let bitmap = Bitmap::from_words(total, words);
     Ok(Quantized { len: total, bitmap, indexes, averages, raw, bin_width })
+}
+
+/// The bin width [`quantize`] reports for `values`
+/// ([`Quantized::bin_width`], bit for bit): the detected values' range
+/// over `n`, 0 when there are none. Only the histogram passes run, then
+/// one scan for the detected range; no bitmap, index or average is
+/// built.
+pub fn bin_width(values: &[f64], n: usize, d: usize) -> Result<f64, QuantError> {
+    check(n, d)?;
+    let Some(Spikes { bins, spiked, .. }) = spikes(values, d, 1.0) else {
+        return Ok(0.0);
+    };
+    // The first-seen strict-compare scan `min_max` makes over the
+    // detected stream, so signed zeros resolve as they do there.
+    let mut detected = values.iter().zip(&bins).filter(|(_, &b)| spiked[usize::from(b)] != 0);
+    let Some((&first, _)) = detected.next() else {
+        return Ok(0.0);
+    };
+    let (mut lo, mut hi) = (first, first);
+    for (&v, _) in detected {
+        if v < lo {
+            lo = v;
+        }
+        if v > hi {
+            hi = v;
+        }
+    }
+    Ok((hi - lo) / n as f64)
+}
+
+fn check(n: usize, d: usize) -> Result<(), QuantError> {
+    if n == 0 || n > 256 {
+        return Err(QuantError::BadDivisionNumber(n));
+    }
+    if d == 0 || d > u16::MAX.into() {
+        return Err(QuantError::BadSpikePartitions(d));
+    }
+    Ok(())
+}
+
+/// The spike histogram of `values`: each value's bin of `d` over their
+/// range, which bins are spiked (1) or not (0), and how many values sit
+/// in spiked bins. `None` for an empty stream.
+struct Spikes {
+    bins: Vec<u16>,
+    spiked: Vec<u8>,
+    hits: usize,
+}
+
+/// The histogram passes [`quantize_with_threshold`] and [`bin_width`]
+/// share: the range, one bin per value, the counts, the spike mask.
+fn spikes(values: &[f64], d: usize, multiplier: f64) -> Option<Spikes> {
+    let (lo, hi) = min_max(values)?;
+    let mut bins = vec![0u16; values.len()];
+    bin_indexes(values, lo, hi, d, &mut bins);
+
+    let counts = counts(&bins, d);
+    let total = values.len();
+    let spiked: Vec<u8> = if multiplier == 1.0 {
+        // Equation 4 in integers: `count * d >= total`.
+        counts.iter().map(|&c| u8::from(c * d >= total)).collect()
+    } else {
+        assert!(multiplier >= 0.0 && multiplier.is_finite(), "bad threshold multiplier");
+        let threshold = multiplier * total as f64 / d as f64;
+        counts.iter().map(|&c| u8::from(c as f64 >= threshold)).collect()
+    };
+    let hits = counts.iter().zip(&spiked).map(|(&c, &s)| c * usize::from(s)).sum();
+    Some(Spikes { bins, spiked, hits })
 }
 
 /// Per-bin counts of `bins` (each below `k`), accumulated in four

@@ -74,7 +74,10 @@ fn main() {
     // hand, read by the tests, written by no build.
     // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
     // to) and `retired_zlib_container.bin`, from the last build that
-    // had a Lloyd-Max quantizer and a zlib container.
+    // had a Lloyd-Max quantizer and a zlib container, and the
+    // `*_spike_grid*` samples and store images (beside the values the
+    // array restores to), from the last build whose default wrote the
+    // spike quantizer's stream on a grid.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,
@@ -323,23 +326,24 @@ fn main() {
     many.put_f64_slice(&[1.0, 2.0]);
     write("wck1_many_axes.bin", &many.into_bytes());
 
-    // Hostile gridded streams (flags bit 4), bare so no container CRC
-    // stands between the damage and the grid decoder.
-    let bare = CompressorConfig::paper_proposed().with_container(Container::None);
+    // Hostile spike-grid streams (flags bit 4 without bit 5), bare so no
+    // container CRC stands between the damage and the grid decoder. No
+    // build writes that stream any more: they are cut from the kept
+    // sample's, so they keep their bytes.
+    let spike_grid = gzip::decompress(&common::spike_grid_sample()).unwrap();
+    assert_eq!(spike_grid[6] & 0x32, 0x12, "a transposed spike-grid stream");
     let tiny = common::tiny_field(1);
-    let gridded = Compressor::new(bare).unwrap().compress(&tiny).unwrap().bytes;
-    assert_eq!(gridded[6] & 0x12, 0x12, "the default writes a transposed, gridded stream");
     // Magic, version, method, flags, levels, n, d, ndim, dims, average
     // count, then the three u64 counts: the exponent follows.
     let exponent_at = 13 + 8 * tiny.ndim() + 2 + 24;
 
     // 40. A grid step of 2^1024, which no double holds.
-    let mut bad = gridded.clone();
+    let mut bad = spike_grid.clone();
     bad[exponent_at..exponent_at + 2].copy_from_slice(&1024i16.to_le_bytes());
     write("wck1_grid_bad_exponent.bin", &bad);
 
     // 41. Cut inside the transposed region.
-    write("wck1_grid_truncated.bin", &gridded[..exponent_at + 2 + 100]);
+    write("wck1_grid_truncated.bin", &spike_grid[..exponent_at + 2 + 100]);
 
     // 42. A 4-element array, one Haar level: a low band of two values
     //     whose residuals are 2^62 each, so their sum leaves i64.
@@ -363,4 +367,40 @@ fn main() {
     lossy_ckpt::core::shuffle::write_planes(overflow.put_region(32), 0, &words);
     overflow.put_u8(0); // bitmap: nothing quantized
     write("wck1_grid_residual_overflow.bin", &overflow.into_bytes());
+
+    // Hostile uniform-grid streams (flags bits 1, 4 and 5): the default
+    // stream of the tiny field, bare. After the low band's exponent come
+    // the high band's and the two plane widths.
+    let bare = CompressorConfig::paper_proposed().with_container(Container::None);
+    let uniform = Compressor::new(bare).unwrap().compress(&tiny).unwrap().bytes;
+    assert_eq!(uniform[6] & 0x32, 0x32, "the default writes the uniform-grid stream");
+    let high_exponent_at = exponent_at + 2;
+    let widths_at = exponent_at + 4;
+
+    // 43. A low-band plane width of 9 bytes.
+    let mut bad = uniform.clone();
+    bad[widths_at] = 9;
+    write("wck1_uniform_bad_width.bin", &bad);
+
+    // 44. A high-band step of 2^1024.
+    let mut bad = uniform.clone();
+    bad[high_exponent_at..high_exponent_at + 2].copy_from_slice(&1024i16.to_le_bytes());
+    write("wck1_uniform_bad_exponent.bin", &bad);
+
+    // 45. One pass-through value declared, which the layout has no
+    //     section for.
+    let raw_count_at = 13 + 8 * tiny.ndim() + 2 + 8;
+    let mut bad = uniform.clone();
+    bad[raw_count_at] = 1;
+    write("wck1_uniform_nonzero_counts.bin", &bad);
+
+    // 46. Cut inside the high band's planes.
+    let low_bytes = usize::from(uniform[widths_at]) * 32; // a 8×4 low band
+    write("wck1_uniform_truncated_planes.bin", &uniform[..widths_at + 2 + low_bytes + 40]);
+
+    // 47. The grid flag on an untransposed stream, a layout no writer
+    //     had: flags bit 1 cleared.
+    let mut bad = spike_grid;
+    bad[6] &= !2;
+    write("wck1_grid_untransposed.bin", &bad);
 }

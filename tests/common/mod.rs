@@ -146,9 +146,25 @@ pub fn ungridded_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     tiny_states_of(CompressorConfig::paper_proposed().with_byte_shuffle(false))
 }
 
+/// `decode_only_wck1_spike_grid.bin`: the `WCK1` sample as the builds
+/// whose default put the spike quantizer's pass-through values on the
+/// grid wrote it. No build writes that stream any more.
+pub fn spike_grid_sample() -> Vec<u8> {
+    fs::read(corpus_dir().join("decode_only_wck1_spike_grid.bin")).unwrap()
+}
+
+/// [`tiny_states`] as those builds restored them: from
+/// [`spike_grid_sample`]. The `*_spike_grid*` fixtures hold these states.
+pub fn spike_grid_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    tiny_states_from(spike_grid_sample())
+}
+
 fn tiny_states_of(cfg: CompressorConfig) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     let comp = Compressor::new(cfg).unwrap();
-    let full = comp.compress(&tiny_field(1)).unwrap().bytes;
+    tiny_states_from(comp.compress(&tiny_field(1)).unwrap().bytes)
+}
+
+fn tiny_states_from(full: Vec<u8>) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     let base = Compressor::decompress(&full).unwrap();
     let mut next = base.clone();
     for v in next.as_mut_slice().iter_mut().take(9) {
@@ -302,10 +318,12 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the grid: the `WCK1` sample, and the manifest and snapshot that
-/// carry its CRC; the samples from before are
-/// `decode_only_<magic>_ungridded.bin`, and the increments between the
-/// states it restores to kept their bytes. Before that the `WCK1`,
+/// with the uniform grid over the high band: the `WCK1` sample, and the
+/// manifest and snapshot that carry its CRC; the samples from before are
+/// `decode_only_<magic>_spike_grid.bin`. Before that they moved the same
+/// way with the grid, and the samples from before it are
+/// `decode_only_<magic>_ungridded.bin`; both times the increments
+/// between the states the array restores to kept their bytes. Before that the `WCK1`,
 /// `INC1` and `INC2` samples, the manifest and the snapshot moved with
 /// the encoder's block-split rule, `TOO_FAR` and the retuned
 /// `Level::Default`; the samples from before that are

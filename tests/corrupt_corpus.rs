@@ -7,9 +7,12 @@
 //! 1 GiB claims on the guard that spares the allocation; every
 //! checked-in valid sample still decodes and still equals what this
 //! build writes (the lossy array's and those that derive from it last
-//! moved with the grid, and `decode_only_<magic>_ungridded.bin` is each
-//! moved sample from before it, decoding to the values it did then;
-//! before that the gzip-written ones moved with the encoder's
+//! moved with the uniform grid over the high band, and
+//! `decode_only_<magic>_spike_grid.bin` is each moved sample from
+//! before it, the array decoding to the values recorded beside it;
+//! before that they moved with the grid, and
+//! `decode_only_<magic>_ungridded.bin` is each moved sample from before
+//! it, decoding to the values it did then; before that the gzip-written ones moved with the encoder's
 //! block-split rule, `TOO_FAR` and the retuned `Level::Default`, and
 //! `decode_only_<magic>.bin` is each moved sample from before that,
 //! `decode_only_wpk1.bin` the `WPK1` sample written at the retired
@@ -228,7 +231,12 @@ const DIES_ON: &[(&str, &str)] = &[
     ("wck1_many_axes.bin", "subband stream overrun"),
     ("wck1_grid_bad_exponent.bin", "grid exponent 1024 outside"),
     ("wck1_grid_truncated.bin", "truncated stream"),
+    ("wck1_grid_untransposed.bin", "grid flag set on an untransposed stream"),
     ("wck1_grid_residual_overflow.bin", "grid residual sum overflows i64"),
+    ("wck1_uniform_bad_width.bin", "plane width 9 outside 1..=8"),
+    ("wck1_uniform_bad_exponent.bin", "high-band step exponent 1024 outside"),
+    ("wck1_uniform_nonzero_counts.bin", "uniform grid stream declares 1 raw"),
+    ("wck1_uniform_truncated_planes.bin", "truncated stream"),
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
     ("inc1_claim_1gib.bin", "need 134217728 bytes"),
@@ -402,9 +410,11 @@ fn every_corpus_file_returns_from_every_decoder() {
                 "decode_only_csm2.bin",
                 "golden_store_snap.bin",
                 "decode_only_csm2_ungridded.bin",
+                "decode_only_csm2_spike_grid.bin",
                 "golden_store_snap_decode_only.bin",
                 "golden_store_snap_reanchored_decode_only.bin",
                 "golden_store_snap_ungridded_decode_only.bin",
+                "golden_store_snap_spike_grid_decode_only.bin",
             ];
             assert!(snapshots.contains(&name.as_str()), "{name} opened as a manifest snapshot");
         }
@@ -437,9 +447,15 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
             }
         }
     }
-    // The array sample from before the grid restores the state it did.
+    // The array sample from before the grid restores the state it did,
+    // and the one from before the uniform grid the values recorded
+    // beside it by the last build that wrote it.
     let restored = Compressor::decompress(&decode_only_sample(b"WCK1", "_ungridded")).unwrap();
     assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
+    let restored = Compressor::decompress(&decode_only_sample(b"WCK1", "_spike_grid")).unwrap();
+    let recorded = fs::read(common::corpus_dir().join("decode_only_wck1_spike_grid.values")).unwrap();
+    let values: Vec<u8> = restored.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert!(values == recorded, "the spike-grid sample no longer restores its recorded values");
     assert_eq!(
         proto::decode_request(&decode_srv1(&parent_sample(b"SRV1")).unwrap()).unwrap(),
         proto::Request::Fetch { gen: 3, rank: 0, offset: 4096, len: 512 }
@@ -456,8 +472,21 @@ const PARENT_CURSOR: [u8; 20] = [
 
 /// The suffixes of the kept decode-only samples: `""` the samples from
 /// before the block-split rule, `"_ungridded"` those from before the
-/// grid.
-const KEPT: [&str; 2] = ["", "_ungridded"];
+/// grid, `"_spike_grid"` those from before the uniform grid over the
+/// high band.
+const KEPT: [&str; 3] = ["", "_ungridded", "_spike_grid"];
+
+/// The tiny states the store a kept sample set belongs to restores:
+/// the `"_spike_grid"` array's, or the ungridded stream's, which the
+/// untransposed writer still writes and which the samples from before
+/// the grid restore to.
+fn kept_states(kept: &str) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    if kept == "_spike_grid" {
+        common::spike_grid_tiny_states()
+    } else {
+        common::ungridded_tiny_states()
+    }
+}
 
 /// The decode-only sample of the format tagged `magic`, `kept` one of
 /// [`KEPT`]: the bytes an older build wrote for it.
@@ -472,9 +501,9 @@ fn decode_only_sample(magic: &[u8; 4], kept: &str) -> Vec<u8> {
 /// beside them — in a fresh directory, from the decode-only samples
 /// `kept` names.
 fn plant_parent_store(tag: &str, kept: &str) -> PathBuf {
-    // The grid moved no increment's bytes: that store's link is the
+    // Neither grid moved an increment's bytes: those stores' link is the
     // valid sample.
-    let link = if kept == "_ungridded" { parent_sample(b"INC1") } else { decode_only_sample(b"INC1", kept) };
+    let link = if kept.is_empty() { decode_only_sample(b"INC1", kept) } else { parent_sample(b"INC1") };
     let full = decode_only_sample(b"WCK1", kept);
     let files = common::StoreFiles {
         manifest: decode_only_sample(b"CSM1", kept),
@@ -493,8 +522,8 @@ fn plant_parent_store(tag: &str, kept: &str) -> PathBuf {
 /// quarantined, never deleted.
 #[test]
 fn parent_written_store_opens_verifies_and_restores() {
-    let (_, base, next) = common::ungridded_tiny_states();
     for kept in KEPT {
+        let (_, base, next) = kept_states(kept);
         let dir = plant_parent_store("parent-store", kept);
         let store = Store::open(&dir).unwrap();
         assert!(store.open_report().snapshot_used && !store.open_report().snapshot_fallback);
@@ -520,7 +549,7 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
     for kept in KEPT {
         let dir = plant_parent_store("mixed-chain", kept);
         let mut store = Store::open(&dir).unwrap();
-        let mut state = common::ungridded_tiny_states().2;
+        let mut state = kept_states(kept).2;
         let mut tip = 2;
         for k in 0..3u32 {
             let mut next = state.clone();
@@ -543,8 +572,9 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
 /// and they replay to the state the script left in memory. Older
 /// builds' images are kept as decode-only fixtures no build writes:
 /// `*_decode_only.bin` from before the block-split rule and
-/// `*_ungridded_decode_only.bin` from before the grid (the `Seg` records
-/// carry payload CRCs), and `*_reanchored_decode_only.bin` from before
+/// `*_ungridded_decode_only.bin` from before the grid and
+/// `*_spike_grid_decode_only.bin` from before the uniform grid over the
+/// high band (the `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin` from before
 /// recency was ordered by step, when compaction also copied the newest
 /// full (gen 5) above its rewrite and retired it. They still parse, in
 /// their own retire order, and each snapshot still seeds a store.
@@ -570,6 +600,7 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
         ("decode_only", &[1, 5, 4, 3, 2][..]),
         ("reanchored_decode_only", &[1, 5, 4, 3, 2]),
         ("ungridded_decode_only", &[1, 4, 3, 2]),
+        ("spike_grid_decode_only", &[1, 4, 3, 2]),
     ] {
         let old_log = read(&format!("golden_store_log_{tag}.bin"));
         let old_snap = read(&format!("golden_store_snap_{tag}.bin"));

@@ -3,7 +3,9 @@
 //! from, and its `## \`MAGIC\`` section in docs/FORMAT.md. This test
 //! fails when the two disagree on which formats exist, on a format's
 //! magic, version, `header8` or envelope, so neither can drift without
-//! the other being updated in the same commit.
+//! the other being updated in the same commit. The `WCK1` section must
+//! also name every flag bit and header field the default writer sets,
+//! and state the memory bound of its layout.
 
 use ckpt_deflate::frame::{Envelope, Format, CSM2, FORMATS, SRV1, WCK1};
 
@@ -129,4 +131,28 @@ fn a_format_missing_on_either_side_is_flagged() {
     assert!(v.iter().any(|v| v.contains("section `SRV1` names no format")), "{v:?}");
     let v = check(&DOC_TEXT.replace("## `SRV1`", "## SRV1"), &[CSM2, WCK1, SRV1]);
     assert!(v.iter().any(|v| v.contains("lists `SRV1`")), "{v:?}");
+}
+
+/// The `WCK1` section names each flags bit the default writer sets
+/// (`bitK <name>` in the header table), the fields the uniform grid adds
+/// and that layout's memory bound: a bit the writer starts setting
+/// without a doc row fails here.
+#[test]
+fn the_wck1_section_documents_every_flag_bit_the_default_writes() {
+    use lossy_ckpt::prelude::*;
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FORMAT.md");
+    let md = std::fs::read_to_string(path).expect("docs/FORMAT.md");
+    let wck1 = sections(&md).into_iter().find(|s| s.name == "WCK1").expect("a WCK1 section");
+    let t = generate(&FieldSpec::small(FieldKind::Temperature, 1));
+    let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
+    let flags = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes[6];
+    for (bit, name) in [(1, "byte_shuffle"), (4, "grid"), (5, "uniform")] {
+        assert!(flags & 1 << bit != 0, "the default sets flags bit {bit}");
+        let row = format!("bit{bit} {name}");
+        assert!(wck1.body.contains(&row), "the WCK1 section does not name `{row}`");
+    }
+    assert_eq!(flags & 0b1100_0001, 0, "a flag bit the doc has no row for: {flags:#010b}");
+    for field in ["high-band step exponent f", "b_low", "b_high", "Memory bound"] {
+        assert!(wck1.body.contains(field), "the WCK1 section does not state `{field}`");
+    }
 }

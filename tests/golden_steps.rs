@@ -6,8 +6,9 @@
 //! plaintext `golden_bitstream.rs` pins through the same member
 //! decoder) and `decode_only_*.bin` (the encoder before the miss stride
 //! and the transposed default, the encoder before the block-split rule,
-//! the lossy array before the grid, the retired Lloyd-Max writer, and
-//! the retired `Fast` effort's `WPK1` sample) —
+//! the lossy array before the grid, the lossy array before the uniform
+//! grid over the high band, the retired Lloyd-Max
+//! writer, and the retired `Fast` effort's `WPK1` sample) —
 //! decodes through `decompress_member` to bytes with the CRC-32 and
 //! ISIZE the member's own trailer records, checked here by the
 //! stand-alone `crc32`, not by the engine's running one.
@@ -57,5 +58,5 @@ fn every_parent_written_member_decodes_to_its_recorded_crc_and_size() {
             assert!(whole == common::golden_wpk1_input(), "{name}: not its generator's bytes");
         }
     }
-    assert_eq!(seen, 12, "golden_{{store,fast,default,best}}.gz and eight decode_only_*.bin");
+    assert_eq!(seen, 13, "golden_{{store,fast,default,best}}.gz and nine decode_only_*.bin");
 }
