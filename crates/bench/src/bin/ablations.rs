@@ -12,8 +12,8 @@
 //!   untransposed stream),
 //! * final container (in-memory gzip vs the paper's temp-file gzip).
 
-use ckpt_bench::{compress_and_measure, compress_via_temp_file, paper_stream, temperature_nicam};
-use ckpt_core::{Compressor, CompressorConfig, Container};
+use ckpt_bench::{compress_and_measure, compress_via_temp_file, temperature_nicam};
+use ckpt_core::{Compressor, CompressorConfig, Container, StreamLayout};
 use ckpt_quant::spike;
 use ckpt_tensor::Tensor;
 
@@ -28,7 +28,7 @@ fn measure(t: &Tensor<f64>, cfg: CompressorConfig, label: &str) {
 
 /// The paper's configuration, writing the paper's stream.
 fn proposed() -> CompressorConfig {
-    paper_stream(CompressorConfig::paper_proposed())
+    CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper)
 }
 
 fn main() {
@@ -37,15 +37,14 @@ fn main() {
     println!();
 
     println!("-- quantizer (paper: simple & proposed) --");
-    measure(&t, paper_stream(CompressorConfig::paper_simple()), "simple (equal-width)");
+    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
+    measure(&t, simple, "simple (equal-width)");
     measure(&t, proposed(), "proposed (spike detection)");
     println!();
 
     println!("-- low band: exact (paper) vs quantized --");
     measure(&t, proposed(), "low band exact (paper)");
-    let mut crush = proposed();
-    crush.quantize_low_band = true;
-    measure(&t, crush, "low band quantized");
+    measure(&t, proposed().with_layout(StreamLayout::QuantizedLowBand), "low band quantized");
     println!();
 
     println!("-- wavelet depth (paper: 1 level) --");

@@ -3,10 +3,13 @@
 //! proposed 13–29%; simple avg error 0.0053–14.56%, proposed
 //! 0.0004–1.19%; max errors up to 56.84% simple vs 5.94% proposed).
 
-use ckpt_bench::{all_nicam_arrays, compress_and_measure, paper_stream};
-use ckpt_core::CompressorConfig;
+use ckpt_bench::{all_nicam_arrays, compress_and_measure};
+use ckpt_core::{CompressorConfig, StreamLayout};
 
 fn main() {
+    // The stream the paper measured: the product's moves every rate.
+    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
+    let proposed = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
     println!("=== Section IV-C: per-array compression rate and relative errors (n = 128) ===");
     println!();
     println!(
@@ -18,8 +21,8 @@ fn main() {
     let mut s_max = f64::NEG_INFINITY;
     let mut p_max = f64::NEG_INFINITY;
     for (name, t) in all_nicam_arrays() {
-        let (cs, es) = compress_and_measure(&t, paper_stream(CompressorConfig::paper_simple()));
-        let (cp, ep) = compress_and_measure(&t, paper_stream(CompressorConfig::paper_proposed()));
+        let (cs, es) = compress_and_measure(&t, simple);
+        let (cp, ep) = compress_and_measure(&t, proposed);
         s_cr = (s_cr.0.min(cs.stats.compression_rate()), s_cr.1.max(cs.stats.compression_rate()));
         p_cr = (p_cr.0.min(cp.stats.compression_rate()), p_cr.1.max(cp.stats.compression_rate()));
         s_max = s_max.max(es.max_percent());

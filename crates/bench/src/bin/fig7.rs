@@ -4,10 +4,13 @@
 //! Paper: simple grows 11.06% → 12.10% and proposed 14.43% → 16.75%
 //! over n = 1..128; both increase gradually, proposed sits higher.
 
-use ckpt_bench::{compress_and_measure, paper_stream, temperature_nicam, DIVISION_NUMBERS};
-use ckpt_core::CompressorConfig;
+use ckpt_bench::{compress_and_measure, temperature_nicam, DIVISION_NUMBERS};
+use ckpt_core::{CompressorConfig, StreamLayout};
 
 fn main() {
+    // The stream the paper measured: the product's moves every rate.
+    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
+    let proposed = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
     let t = temperature_nicam();
     println!("=== Figure 7: compression rate [%] vs division number (temperature) ===");
     println!();
@@ -15,8 +18,8 @@ fn main() {
     let mut simple_rates = Vec::new();
     let mut proposed_rates = Vec::new();
     for &n in &DIVISION_NUMBERS {
-        let (s, _) = compress_and_measure(&t, paper_stream(CompressorConfig::paper_simple().with_n(n)));
-        let (p, _) = compress_and_measure(&t, paper_stream(CompressorConfig::paper_proposed().with_n(n)));
+        let (s, _) = compress_and_measure(&t, simple.with_n(n));
+        let (p, _) = compress_and_measure(&t, proposed.with_n(n));
         simple_rates.push(s.stats.compression_rate());
         proposed_rates.push(p.stats.compression_rate());
         println!(

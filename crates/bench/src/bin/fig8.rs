@@ -4,18 +4,21 @@
 //! Paper: simple falls 0.74% → 0.025%, proposed 0.49% → 0.0056%;
 //! proposed stays below simple at every n.
 
-use ckpt_bench::{compress_and_measure, paper_stream, temperature_nicam, DIVISION_NUMBERS};
-use ckpt_core::CompressorConfig;
+use ckpt_bench::{compress_and_measure, temperature_nicam, DIVISION_NUMBERS};
+use ckpt_core::{CompressorConfig, StreamLayout};
 
 fn main() {
+    // The stream the paper measured: the product's moves every rate.
+    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
+    let proposed = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
     let t = temperature_nicam();
     println!("=== Figure 8: average relative error [%] vs division number (temperature) ===");
     println!();
     println!("{:>10}{:>14}{:>14}", "n", "simple", "proposed");
     let mut ordering_holds = true;
     for &n in &DIVISION_NUMBERS {
-        let (_, es) = compress_and_measure(&t, paper_stream(CompressorConfig::paper_simple().with_n(n)));
-        let (_, ep) = compress_and_measure(&t, paper_stream(CompressorConfig::paper_proposed().with_n(n)));
+        let (_, es) = compress_and_measure(&t, simple.with_n(n));
+        let (_, ep) = compress_and_measure(&t, proposed.with_n(n));
         ordering_holds &= ep.average <= es.average;
         println!(
             "{:>10}{:>13.5}%{:>13.5}%",

@@ -60,15 +60,6 @@ pub fn raw_bytes(t: &Tensor<f64>) -> Vec<u8> {
     out
 }
 
-/// `cfg` writing the stream the paper measured: the f64 region value by
-/// value. The product default (`paper_proposed()`, what `e2e` measures)
-/// byte-transposes it, which moves every compression rate by ~3 points;
-/// the binaries and tests that hold rates against the paper's published
-/// figures go through this, so they keep comparing like with like.
-pub fn paper_stream(cfg: CompressorConfig) -> CompressorConfig {
-    cfg.with_byte_shuffle(false)
-}
-
 /// Compresses and measures the roundtrip error in one call.
 pub fn compress_and_measure(
     tensor: &Tensor<f64>,

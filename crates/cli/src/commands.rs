@@ -2,6 +2,7 @@
 
 use crate::args::{parse_dims, Args};
 use ckpt_core::bound::compress_bounded;
+use ckpt_core::codec::StoredLayout;
 #[cfg(test)]
 use ckpt_core::metrics::relative_error;
 use ckpt_core::{Compressor, CompressorConfig, Container};
@@ -28,10 +29,10 @@ USAGE:
 
 Raw array files are row-major little-endian f64.
 
-`ckpt info` prints the stream header's wavelet kernel and levels and
-the step of the grid the low band and pass-through values are on
-(`none` when they are stored as doubles); on a WPK1 chunked stream it
-additionally prints a per-member breakdown (member count, chunk size,
+`ckpt info` prints the stream header's wavelet kernel and levels, its
+layout, the low band's grid step (`none` for exact doubles) and, on the
+uniform grid, the high band's step and both bands' byte planes; on a
+WPK1 chunked stream a per-member breakdown (member count, chunk size,
 compressed/uncompressed bytes).
 `ckpt store` manages a crash-consistent on-disk checkpoint
 repository with atomic commit, full+incremental generation chains, and
@@ -180,13 +181,16 @@ pub fn info(argv: &[String]) -> Result<(), String> {
     };
     say!("file            : {input}");
     say!("kernel, levels  : {kernel}, {}", header.levels);
-    match header.grid_exponent {
-        Some(e) => say!("grid step       : 2^{e} ({:e})", 2f64.powi(e.into())),
-        None => say!("grid step       : none"),
-    }
-    if let Some(ckpt_core::codec::UniformHeader { high_exponent: e, widths: [low, high] }) = header.uniform {
-        say!("high-band step  : 2^{e} ({:e})", 2f64.powi(e.into()));
-        say!("plane widths    : low band {low}, high band {high}");
+    say!("layout          : {:?}", header.layout);
+    let step = |e: i16| format!("2^{e} ({:e})", 2f64.powi(e.into()));
+    match header.layout {
+        StoredLayout::Spike { .. } => say!("grid step       : none"),
+        StoredLayout::SpikeGrid { exponent: e } => say!("grid step       : {}", step(e)),
+        StoredLayout::Uniform { low_exponent, high_exponent, widths: [low, high] } => {
+            say!("grid step       : {}", step(low_exponent));
+            say!("high-band step  : {}", step(high_exponent));
+            say!("plane widths    : low band {low}, high band {high}");
+        }
     }
     say!("compressed bytes: {}", bytes.len());
     say!("dims            : {:?}", tensor.dims());

@@ -42,6 +42,7 @@ fn full_gen_compress_info_decompress_flow() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("[64, 16, 2]"), "info output: {text}");
     assert!(text.contains("compression rate"));
+    assert!(text.contains("layout          : Uniform {"), "info output: {text}");
 
     let st = bin().arg("decompress").arg(&wck).arg("-o").arg(&back).status().unwrap();
     assert!(st.success());

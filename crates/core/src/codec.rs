@@ -14,7 +14,7 @@
     clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented,
     clippy::panic_in_result_fn, clippy::missing_panics_doc))]
 
-use crate::config::{CompressorConfig, Container};
+use crate::config::{CompressorConfig, Container, StreamLayout};
 use crate::timing::{timed, StageTimings};
 use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, WCK1};
@@ -191,15 +191,15 @@ impl Compressor {
         })?;
 
         // 2+3. Quantization and encoding over the concatenated
-        //      high-frequency bands (plus the low band if the ablation
-        //      switch asks for it): the product's grid words, or the
-        //      spike quantizer's output.
+        //      high-frequency bands (plus the low band in the ablation
+        //      layout): the product's grid words, or the spike
+        //      quantizer's output.
         let bands = ml.all_subbands(work.shape())?;
         let sections = timed(&mut timings.quantize_encode, || -> Result<Sections> {
             let mut stream = Vec::with_capacity(work.len());
             let mut low_values = Vec::new();
             for band in &bands {
-                if band.kind == SubbandKind::Low && !cfg.quantize_low_band {
+                if band.kind == SubbandKind::Low && cfg.layout != StreamLayout::QuantizedLowBand {
                     low_values = work.read_block(&band.start, &band.size)?;
                 } else {
                     work.read_block_into(&band.start, &band.size, &mut stream)?;
@@ -269,13 +269,14 @@ fn finite_copy(tensor: &Tensor<f64>) -> Result<Tensor<f64>> {
 ///
 /// The store's chain compaction uses this to rewrite an increment
 /// chain into one full segment without changing a single bit of the
-/// restored array; the f64 region is byte-transposed like every
-/// default stream, so it still gzips well.
+/// restored array; the f64 region is byte-transposed, so it still
+/// gzips well.
 pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Result<Vec<u8>> {
     let dims = tensor.dims();
     let plan = WaveletPlan::clamped(0, dims);
     // Nothing is quantized: the spike stream's formatter writes the low
-    // band as exact doubles.
+    // band as exact doubles. The configuration gives only the header's
+    // informational method, `n` and `d`, and the Haar kernel code.
     let q = Quantized {
         len: 0,
         bitmap: Bitmap::zeros(0),
@@ -285,7 +286,7 @@ pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Resul
         bin_width: 0.0,
     };
     let cfg = CompressorConfig::paper_proposed();
-    let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q)?;
+    let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q, true)?;
     Ok(gzip::compress(&formatted, level))
 }
 
@@ -331,6 +332,11 @@ fn strip_container(bytes: &[u8], max_output: usize, threads: usize) -> Result<Ve
     }
     Ok(bytes.to_vec())
 }
+
+/// `WCK1` flags bits 0 and 1: the low band went through the spike
+/// quantizer; the value sections are byte-transposed.
+const FLAG_LOW_QUANTIZED: u8 = 1;
+const FLAG_SHUFFLE: u8 = 1 << 1;
 
 /// `WCK1` flags bit 4: the low band is on a [`Grid`], whose exponent
 /// follows the index count. Without bit 5 the pass-through values are
@@ -545,7 +551,8 @@ fn high_step_target(method: Method, bin_width: f64) -> f64 {
 
 /// What the writer formats: the product stream's grid sections, or the
 /// low band and the spike quantizer's output (the paper's stream, the
-/// low-band ablation, and the product wherever no grid fits).
+/// low-band ablation, and the product's transposed fallback wherever no
+/// grid fits).
 enum Sections {
     Uniform(Uniform),
     Spike { low: Vec<f64>, q: Quantized },
@@ -553,11 +560,10 @@ enum Sections {
 
 impl Sections {
     /// The sections `cfg` stores for the low band `low` and the
-    /// concatenated high bands `high`. The product layout (`byte_shuffle`
-    /// on, `quantize_low_band` off) runs only the quantizer's histogram
-    /// passes, for its bin width.
+    /// concatenated high bands `high`. The product layout runs only the
+    /// quantizer's histogram passes, for its bin width.
     fn encode(cfg: &CompressorConfig, low: Vec<f64>, high: &[f64]) -> Result<Sections> {
-        if cfg.byte_shuffle && !cfg.quantize_low_band {
+        if cfg.layout == StreamLayout::Product {
             let width = ckpt_quant::bin_width(high, &cfg.quant)?;
             if let Some(u) = Uniform::fitting(cfg.quant.method, width, &low, high) {
                 return Ok(Sections::Uniform(u));
@@ -581,7 +587,9 @@ impl Sections {
     fn format(&self, cfg: &CompressorConfig, dims: &[usize], plan: WaveletPlan) -> Result<Vec<u8>> {
         match self {
             Sections::Uniform(u) => format_uniform(cfg, dims, plan, u),
-            Sections::Spike { low, q } => format_stream(cfg, dims, plan, low, q),
+            Sections::Spike { low, q } => {
+                format_stream(cfg, dims, plan, low, q, cfg.layout == StreamLayout::Product)
+            }
         }
     }
 }
@@ -624,7 +632,7 @@ fn index_to_f64(k: i64) -> f64 {
 }
 
 /// Writes the `WCK1` header up to the shape: everything before the
-/// section counts, with `flags` beside the configuration's own bits.
+/// section counts, with the layout's `flags` beside the kernel's bits.
 fn put_header(
     w: &mut Writer,
     cfg: &CompressorConfig,
@@ -643,7 +651,7 @@ fn put_header(
         Kernel::Cdf53 => 1,
         Kernel::Cdf97 => 2,
     };
-    w.put_u8(u8::from(cfg.quantize_low_band) | (u8::from(cfg.byte_shuffle) << 1) | (kernel_bits << 2) | flags);
+    w.put_u8(kernel_bits << 2 | flags);
     w.put_u8(header_field(plan.levels, "wavelet levels")?);
     w.put_u16(header_field(cfg.quant.n, "division number n")?);
     w.put_u16(header_field(cfg.quant.d, "spike partition count d")?);
@@ -652,14 +660,16 @@ fn put_header(
 
 /// The spike quantizer's stream (Figure 5): the low band, the
 /// pass-through values and the average table as doubles — one
-/// eight-plane transposed region with `byte_shuffle`, else value by
-/// value — then the indexes and the bitmap.
+/// eight-plane region if `transposed`, else value by value — then the
+/// indexes and the bitmap. The low band is quantized, and `low_values`
+/// empty, in the ablation layout alone.
 fn format_stream(
     cfg: &CompressorConfig,
     dims: &[usize],
     plan: WaveletPlan,
     low_values: &[f64],
     q: &Quantized,
+    transposed: bool,
 ) -> Result<Vec<u8>> {
     let mut w = Writer::with_capacity(
         64 + dims.len() * 8
@@ -667,13 +677,15 @@ fn format_stream(
             + q.indexes.len()
             + q.len / 8,
     );
-    put_header(&mut w, cfg, dims, plan, 0)?;
+    let low_quantized = cfg.layout == StreamLayout::QuantizedLowBand;
+    let flags = if low_quantized { FLAG_LOW_QUANTIZED } else { 0 } | if transposed { FLAG_SHUFFLE } else { 0 };
+    put_header(&mut w, cfg, dims, plan, flags)?;
     w.put_u16(header_field(q.averages.len(), "average count")?);
     w.put_u64(frame::u64_from_usize(low_values.len()));
     w.put_u64(frame::u64_from_usize(q.raw.len()));
     w.put_u64(frame::u64_from_usize(q.indexes.len()));
     let (low, raw) = (low_values.len(), q.raw.len());
-    if cfg.byte_shuffle {
+    if transposed {
         let region = w.put_region((low + raw + q.averages.len()) * 8);
         crate::shuffle::write_planes(region, 0, low_values);
         crate::shuffle::write_planes(region, low, &q.raw);
@@ -698,7 +710,7 @@ fn format_uniform(cfg: &CompressorConfig, dims: &[usize], plan: WaveletPlan, u: 
             + usize::from(low.width) * low.words.len()
             + usize::from(high.width) * high.words.len(),
     );
-    put_header(&mut w, cfg, dims, plan, FLAG_GRID | FLAG_UNIFORM)?;
+    put_header(&mut w, cfg, dims, plan, FLAG_SHUFFLE | FLAG_GRID | FLAG_UNIFORM)?;
     w.put_u16(0);
     w.put_u64(frame::u64_from_usize(low.words.len()));
     w.put_u64(0);
@@ -736,10 +748,6 @@ pub(crate) fn put_dims(w: &mut Writer, dims: &[usize]) -> Result<()> {
 /// sections (docs/FORMAT.md).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
-    /// Flags bit 0: the low band went through the quantizer.
-    pub quantize_low_band: bool,
-    /// Flags bit 1: the value sections are byte-transposed.
-    pub byte_shuffle: bool,
     /// Flags bits 2-3.
     pub kernel: Kernel,
     /// Wavelet levels (clamped to the mesh's depth by the writer).
@@ -754,23 +762,29 @@ pub struct Header {
     pub raw_count: usize,
     /// Quantized positions.
     pub index_count: usize,
-    /// Flags bit 4: the exponent `e` of the grid step `2^e` the low band
-    /// (and, without bit 5, the pass-through values) is on; `None`, they
-    /// are doubles.
-    pub grid_exponent: Option<i16>,
-    /// Flags bit 5: the high band's grid and the sections' plane widths;
-    /// `None`, the high band is the spike quantizer's sections.
-    pub uniform: Option<UniformHeader>,
+    /// Flags bits 0, 1, 4 and 5 and the fields they add: which sections
+    /// follow.
+    pub layout: StoredLayout,
 }
 
-/// The header fields of a uniform-grid stream (`WCK1` flags bit 5).
+/// The sections of a `WCK1` stream as its header names them: what a
+/// [`StreamLayout`] writes, or what an older build wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformHeader {
-    /// The exponent of the step `2^e` every high-band coefficient is on.
-    pub high_exponent: i16,
-    /// The byte planes the low band's and the high band's words are
-    /// stored in, each 1..=8.
-    pub widths: [u8; 2],
+pub enum StoredLayout {
+    /// The spike quantizer's sections: the low band, the pass-through
+    /// values and the average table as doubles — one byte-transposed
+    /// region if `transposed` (flags bit 1) — then the indexes and the
+    /// bitmap; the low band among the quantized values if
+    /// `low_band_quantized` (flags bit 0).
+    Spike { transposed: bool, low_band_quantized: bool },
+    /// Flags bits 1 and 4, which no build writes any more: the
+    /// transposed spike sections with the low band and the pass-through
+    /// values as words on the grid of step `2^exponent`.
+    SpikeGrid { exponent: i16 },
+    /// Flags bits 1, 4 and 5: the low band on the grid of step
+    /// `2^low_exponent`, every high-band coefficient on that of
+    /// `2^high_exponent`, in `widths` (1..=8) byte planes each.
+    Uniform { low_exponent: i16, high_exponent: i16, widths: [u8; 2] },
 }
 
 /// A step exponent read from a header, refused outside `-1074..=1023`.
@@ -784,9 +798,11 @@ fn read_exponent(r: &mut Reader<'_>, what: &str) -> Result<i16> {
 
 impl Header {
     /// Reads the header of the formatted stream `r` is at, refusing an
-    /// unknown kernel, a step exponent outside `-1074..=1023`, flags
-    /// bit 5 without bits 1 and 4, and a plane width outside 1..=8. The
-    /// method byte, `n` and `d` are informational: no decoder reads them.
+    /// unknown kernel, flags no build writes (bits 6 or 7, bit 5 without
+    /// bits 1 and 4, bit 4 without bit 1, bit 0 with bit 4), a step
+    /// exponent outside `-1074..=1023`, and a plane width outside 1..=8.
+    /// The method byte, `n` and `d` are informational: no decoder reads
+    /// them.
     fn read(r: &mut Reader<'_>) -> Result<Header> {
         r.expect_magic(&WCK1)?;
         r.expect_version(&WCK1)?;
@@ -800,9 +816,16 @@ impl Header {
                 return Err(CkptError::Format(format!("unknown kernel code {other}")));
             }
         };
-        let uniform = flags & FLAG_UNIFORM != 0;
-        if uniform && flags & (2 | FLAG_GRID) != 2 | FLAG_GRID {
-            return Err(CkptError::Format("uniform grid flag (bit 5) without bits 1 and 4".into()));
+        let has = |bits: u8| flags & bits == bits;
+        for (refused, why) in [
+            (flags >> 6 != 0, "flags bits 6-7 set: no build writes them"),
+            (has(FLAG_UNIFORM) && !has(FLAG_SHUFFLE | FLAG_GRID), "uniform grid flag (bit 5) without bits 1 and 4"),
+            (has(FLAG_GRID) && !has(FLAG_SHUFFLE), "grid flag set on an untransposed stream"),
+            (has(FLAG_GRID | FLAG_LOW_QUANTIZED), "quantized low band (flags bit 0) on a gridded stream (bit 4)"),
+        ] {
+            if refused {
+                return Err(CkptError::Format(why.into()));
+            }
         }
         let levels = usize::from(r.get_u8()?);
         let _n = r.get_u16()?;
@@ -816,31 +839,20 @@ impl Header {
         let low_count = frame::usize_len(r.get_u64()?)?;
         let raw_count = frame::usize_len(r.get_u64()?)?;
         let index_count = frame::usize_len(r.get_u64()?)?;
-        let grid_exponent =
-            if flags & FLAG_GRID != 0 { Some(read_exponent(r, "grid")?) } else { None };
-        let uniform = if uniform {
+        let layout = if !has(FLAG_GRID) {
+            StoredLayout::Spike { transposed: has(FLAG_SHUFFLE), low_band_quantized: has(FLAG_LOW_QUANTIZED) }
+        } else if has(FLAG_UNIFORM) {
+            let low_exponent = read_exponent(r, "grid")?;
             let high_exponent = read_exponent(r, "high-band step")?;
             let widths = [r.get_u8()?, r.get_u8()?];
             if let Some(b) = widths.iter().find(|b| !(1..=8).contains(*b)) {
                 return Err(CkptError::Format(format!("plane width {b} outside 1..=8")));
             }
-            Some(UniformHeader { high_exponent, widths })
+            StoredLayout::Uniform { low_exponent, high_exponent, widths }
         } else {
-            None
+            StoredLayout::SpikeGrid { exponent: read_exponent(r, "grid")? }
         };
-        Ok(Header {
-            quantize_low_band: flags & 1 != 0,
-            byte_shuffle: flags & 2 != 0,
-            kernel,
-            levels,
-            dims,
-            avg_count,
-            low_count,
-            raw_count,
-            index_count,
-            grid_exponent,
-            uniform,
-        })
+        Ok(Header { kernel, levels, dims, avg_count, low_count, raw_count, index_count, layout })
     }
 }
 
@@ -861,15 +873,15 @@ fn grid_of(exponent: i16) -> Result<Grid> {
 /// high-band stream's values in a buffer with room for the whole
 /// tensor (the inverse wavelet's scratch next).
 ///
-/// Memory: a uniform-grid stream (flags bit 5) sizes the low band at
-/// `low_count` words and the high band at `volume` words only once both
-/// regions' `b_low · low_count + b_high · (volume - low_count)` bytes
-/// are in hand, and each width `b` is at least 1; a spike stream sizes
-/// nothing its counts' bytes do not cover either.
+/// Memory: a uniform-grid stream sizes the low band at `low_count`
+/// words and the high band at `volume` words only once both regions'
+/// `b_low · low_count + b_high · (volume - low_count)` bytes are in
+/// hand, and each width `b` is at least 1; a spike stream sizes nothing
+/// its counts' bytes do not cover either.
 fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
     let mut r = Reader::new(bytes);
     let header = Header::read(&mut r)?;
-    let Header { byte_shuffle, low_count, raw_count, index_count, avg_count, .. } = header;
+    let Header { low_count, raw_count, index_count, avg_count, .. } = header;
 
     // Every count below comes from untrusted bytes: all size
     // arithmetic must be checked so corrupt input errors instead of
@@ -883,27 +895,30 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
         .checked_sub(low_count)
         .ok_or_else(|| CkptError::Format("low band larger than tensor".into()))?;
 
-    if let (Some(low_e), Some(UniformHeader { high_exponent: high_e, widths: [low_b, high_b] })) =
-        (header.grid_exponent, header.uniform)
-    {
-        // The high band's count is the dims' volume less the low band.
-        if (raw_count, index_count, avg_count) != (0, 0, 0) {
-            return Err(CkptError::Format(format!(
-                "uniform grid stream declares {raw_count} raw, {index_count} index and \
-                 {avg_count} average values"
-            )));
+    let (transposed, grid) = match header.layout {
+        StoredLayout::Uniform { low_exponent, high_exponent, widths: [low_b, high_b] } => {
+            // The high band's count is the dims' volume less the low band.
+            if (raw_count, index_count, avg_count) != (0, 0, 0) {
+                return Err(CkptError::Format(format!(
+                    "uniform grid stream declares {raw_count} raw, {index_count} index and \
+                     {avg_count} average values"
+                )));
+            }
+            let (low_b, high_b) = (usize::from(low_b), usize::from(high_b));
+            let region = |count: usize, b: usize| {
+                count.checked_mul(b).ok_or_else(|| CkptError::Format("grid region overflows".into()))
+            };
+            let low_region = r.get_bytes(region(low_count, low_b)?)?;
+            let high_region = r.get_bytes(region(stream_len, high_b)?)?;
+            r.expect_end()?;
+            let low = grid_of(low_exponent)?.read(low_region, low_b, 0, word_buffer(low_count, 0), true)?;
+            let high =
+                grid_of(high_exponent)?.read(high_region, high_b, 0, word_buffer(stream_len, volume), false)?;
+            return Ok((header, low, high));
         }
-        let (low_b, high_b) = (usize::from(low_b), usize::from(high_b));
-        let region = |count: usize, b: usize| {
-            count.checked_mul(b).ok_or_else(|| CkptError::Format("grid region overflows".into()))
-        };
-        let low_region = r.get_bytes(region(low_count, low_b)?)?;
-        let high_region = r.get_bytes(region(stream_len, high_b)?)?;
-        r.expect_end()?;
-        let low = grid_of(low_e)?.read(low_region, low_b, 0, word_buffer(low_count, 0), true)?;
-        let high = grid_of(high_e)?.read(high_region, high_b, 0, word_buffer(stream_len, volume), false)?;
-        return Ok((header, low, high));
-    }
+        StoredLayout::SpikeGrid { exponent } => (true, Some(exponent)),
+        StoredLayout::Spike { transposed, .. } => (transposed, None),
+    };
 
     if raw_count.checked_add(index_count) != Some(stream_len) {
         return Err(CkptError::Format("stream length mismatch".into()));
@@ -915,27 +930,21 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
     let region_bytes = f64_total
         .checked_mul(8)
         .ok_or_else(|| CkptError::Format("value region overflows".into()))?;
-    let (low_values, raw, averages) = match (byte_shuffle, header.grid_exponent) {
-        (true, grid) => {
-            let region = r.get_bytes(region_bytes)?;
-            let planes = |at, n| crate::shuffle::read_planes(region, at, n);
-            let averages = planes(low_count + raw_count, avg_count);
-            match grid {
-                // The spike-grid stream: decode-only.
-                Some(e) => {
-                    let g = grid_of(e)?;
-                    let low = g.read(region, 8, 0, word_buffer(low_count, 0), true)?;
-                    (low, g.read(region, 8, low_count, word_buffer(raw_count, 0), false)?, averages)
-                }
-                None => (planes(0, low_count), planes(low_count, raw_count), averages),
+    let (low_values, raw, averages) = if transposed {
+        let region = r.get_bytes(region_bytes)?;
+        let planes = |at, n| crate::shuffle::read_planes(region, at, n);
+        let averages = planes(low_count + raw_count, avg_count);
+        match grid {
+            // The spike-grid stream: decode-only.
+            Some(e) => {
+                let g = grid_of(e)?;
+                let low = g.read(region, 8, 0, word_buffer(low_count, 0), true)?;
+                (low, g.read(region, 8, low_count, word_buffer(raw_count, 0), false)?, averages)
             }
+            None => (planes(0, low_count), planes(low_count, raw_count), averages),
         }
-        (false, None) => {
-            (r.get_f64_slice(low_count)?, r.get_f64_slice(raw_count)?, r.get_f64_slice(avg_count)?)
-        }
-        (false, Some(_)) => {
-            return Err(CkptError::Format("grid flag set on an untransposed stream".into()));
-        }
+    } else {
+        (r.get_f64_slice(low_count)?, r.get_f64_slice(raw_count)?, r.get_f64_slice(avg_count)?)
     };
     let indexes = r.get_bytes(index_count)?.to_vec();
     let bitmap_bytes = r.get_bytes(stream_len.div_ceil(8))?;
@@ -955,7 +964,8 @@ fn parse_stream(bytes: &[u8]) -> Result<Tensor<f64>> {
     // into it, and once the bands are written the inverse ping-pongs
     // with it.
     let (header, low_values, mut stream) = read_sections(bytes)?;
-    let Header { quantize_low_band: quantize_low, kernel, levels, dims, .. } = header;
+    let Header { kernel, levels, dims, layout, .. } = header;
+    let quantize_low = matches!(layout, StoredLayout::Spike { low_band_quantized: true, .. });
 
     // Rebuild the transformed tensor band by band, then invert.
     let plan = WaveletPlan::clamped(levels, &dims);
@@ -1063,21 +1073,13 @@ mod tests {
     #[test]
     fn quantize_low_band_ablation_roundtrips_with_more_error() {
         let t = field();
-        let keep = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
-        let mut cfg = CompressorConfig::paper_proposed();
-        cfg.quantize_low_band = true;
-        let crush = Compressor::new(cfg).unwrap();
-        let e_keep = relative_error(
-            &t,
-            &Compressor::decompress(&keep.compress(&t).unwrap().bytes).unwrap(),
-        )
-        .unwrap();
-        let e_crush = relative_error(
-            &t,
-            &Compressor::decompress(&crush.compress(&t).unwrap().bytes).unwrap(),
-        )
-        .unwrap();
-        assert!(e_crush.average > e_keep.average, "quantizing LL must hurt accuracy");
+        let error = |layout| {
+            let packed = Compressor::new(CompressorConfig::paper_proposed().with_layout(layout)).unwrap().compress(&t);
+            relative_error(&t, &Compressor::decompress(&packed.unwrap().bytes).unwrap()).unwrap().average
+        };
+        // The ablation against the paper's stream it changes one thing of.
+        let (crush, keep) = (error(StreamLayout::QuantizedLowBand), error(StreamLayout::Paper));
+        assert!(crush > keep, "quantizing LL must hurt accuracy: {crush} vs {keep}");
     }
 
     #[test]
@@ -1413,47 +1415,7 @@ mod parallel_tests {
 #[cfg(test)]
 mod shuffle_tests {
     use super::*;
-    use crate::metrics::relative_error;
     use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
-
-    #[test]
-    fn untransposed_streams_roundtrip() {
-        let t = generate(&FieldSpec::small(FieldKind::Pressure, 21));
-        let cfg = CompressorConfig::paper_proposed().with_byte_shuffle(false);
-        let c = Compressor::new(cfg).unwrap();
-        let packed = c.compress(&t).unwrap();
-        let back = Compressor::decompress(&packed.bytes).unwrap();
-        let e = relative_error(&t, &back).unwrap();
-        assert!(e.average < 1e-3, "avg err {}", e.average);
-    }
-
-    #[test]
-    fn the_default_is_the_uniform_grid_stream_within_its_steps_of_the_input() {
-        // The transposed default puts the low band on the grid of step
-        // `s` and every high-band coefficient on that of step `q`, so its
-        // values lie within the Haar inverse's gain (2 per split axis, 8
-        // here) times `q / 2` of the input; the paper's stream sets none
-        // of the bits.
-        let t = generate(&FieldSpec::small(FieldKind::Temperature, 22));
-        let base = CompressorConfig::paper_proposed().with_container(Container::None);
-        let plain =
-            Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap().bytes;
-        let shuf = Compressor::new(base).unwrap().compress(&t).unwrap().bytes;
-        let bits = 2 | FLAG_GRID | FLAG_UNIFORM;
-        assert_eq!(plain[6] & bits, 0, "flags bits 1, 4 and 5 clear");
-        assert_eq!(shuf[6] & bits, bits, "the default sets all three");
-        assert!(shuf.len() < plain.len(), "{} vs {}", shuf.len(), plain.len());
-        let header = read_header(&shuf).unwrap();
-        let q = pow2(header.uniform.unwrap().high_exponent.into());
-        let s = pow2(header.grid_exponent.unwrap().into());
-        assert!(s < q, "s = {s}, q = {q}");
-        let back = Compressor::decompress(&shuf).unwrap();
-        for (x, y) in t.as_slice().iter().zip(back.as_slice()) {
-            // Plus a few ulps: the inverse rounds each sum it forms.
-            let bound = 8.0 * q / 2.0 + 8.0 * f64::EPSILON * x.abs().max(y.abs());
-            assert!((x - y).abs() <= bound, "{x} vs {y}, q {q}");
-        }
-    }
 
     #[test]
     fn shuffle_reduces_gzipped_size_on_smooth_fields() {
@@ -1461,7 +1423,7 @@ mod shuffle_tests {
         // pass-through values) gzip better that way.
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 23));
         let base = CompressorConfig::paper_proposed();
-        let plain = Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap();
+        let plain = Compressor::new(base.with_layout(StreamLayout::Paper)).unwrap().compress(&t).unwrap();
         let shuf = Compressor::new(base).unwrap().compress(&t).unwrap();
         assert!(
             shuf.stats.compressed_bytes < plain.stats.compressed_bytes,
@@ -1643,8 +1605,10 @@ mod grid_tests {
         let (header, low, high) = read_sections(&bytes).unwrap();
         let (low0, high0) = coefficients(&cfg, t);
         let w = ckpt_quant::quantize(&high0, &cfg.quant).unwrap().bin_width;
-        let q = pow2(header.uniform.expect("the default grids the high band").high_exponent.into());
-        let s = pow2(header.grid_exponent.expect("and the low band").into());
+        let StoredLayout::Uniform { low_exponent, high_exponent, .. } = header.layout else {
+            panic!("the default grids both bands: {:?}", header.layout);
+        };
+        let (q, s) = (pow2(high_exponent.into()), pow2(low_exponent.into()));
         let target = high_step_target(cfg.quant.method, w);
         assert_eq!((q, s), (pow2(floor_log2(target)), pow2(floor_log2(w / 64.0))), "w = {w}");
         assert!(q > target / 2.0 && q <= target);
@@ -1687,19 +1651,28 @@ mod grid_tests {
         }
     }
 
+    /// Each writer sets exactly the flags bits docs/FORMAT.md names for
+    /// its layout, the reader names that layout back, and it restores.
     #[test]
-    fn the_exact_and_ablation_paths_never_grid() {
+    fn every_layout_sets_its_flag_bits_and_reads_back_as_itself() {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 8));
-        let exact = gzip::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap());
-        assert_eq!(exact.unwrap()[6] & (FLAG_GRID | FLAG_UNIFORM), 0, "compress_exact");
-        let none = CompressorConfig::paper_proposed().with_container(Container::None);
-        let mut crush = none;
-        crush.quantize_low_band = true;
-        for cfg in [crush, none.with_byte_shuffle(false)] {
-            let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-            assert_eq!(bytes[6] & (FLAG_GRID | FLAG_UNIFORM), 0, "{cfg:?}");
-            let header = read_header(&bytes).unwrap();
-            assert_eq!((header.grid_exponent, header.uniform), (None, None));
+        let spike = |transposed, low_band_quantized| Some(StoredLayout::Spike { transposed, low_band_quantized });
+        let bare = CompressorConfig::paper_proposed().with_container(Container::None);
+        let written = |layout| Compressor::new(bare.with_layout(layout)).unwrap().compress(&t).unwrap().bytes;
+        let exact = gzip::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap()).unwrap();
+        let rows = [
+            ("paper", written(StreamLayout::Paper), 0, spike(false, false)),
+            ("quantized low band", written(StreamLayout::QuantizedLowBand), FLAG_LOW_QUANTIZED, spike(false, true)),
+            ("product", written(StreamLayout::Product), FLAG_SHUFFLE | FLAG_GRID | FLAG_UNIFORM, None),
+            ("compress_exact", exact, FLAG_SHUFFLE, spike(true, false)),
+        ];
+        for (name, bytes, flags, layout) in rows {
+            // Bits 2-3 are the kernel: Haar, 0. `None` is the uniform grid.
+            assert_eq!(bytes[6], flags, "{name}");
+            let read = read_header(&bytes).unwrap().layout;
+            assert!(layout.map_or(matches!(read, StoredLayout::Uniform { .. }), |l| l == read), "{name}: {read:?}");
+            let back = Compressor::decompress(&bytes).unwrap();
+            assert!(crate::metrics::relative_error(&t, &back).unwrap().average < 1e-3, "{name}");
         }
     }
 
@@ -1709,11 +1682,12 @@ mod grid_tests {
         let t = Tensor::full(&[16, 8], 3.25).unwrap();
         let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
         let bytes = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-        assert_eq!(bytes[6] & (2 | FLAG_GRID | FLAG_UNIFORM), 2, "transposed, ungridded");
+        let layout = read_header(&bytes).unwrap().layout;
+        assert_eq!(layout, StoredLayout::Spike { transposed: true, low_band_quantized: false });
         let (low, high) = coefficients(&cfg, &t);
         let q = ckpt_quant::quantize(&high, &cfg.quant).unwrap();
         let plan = WaveletPlan::clamped(cfg.plan.levels, t.dims());
-        assert_eq!(bytes, format_stream(&cfg, t.dims(), plan, &low, &q).unwrap());
+        assert_eq!(bytes, format_stream(&cfg, t.dims(), plan, &low, &q, true).unwrap());
         assert_eq!(Compressor::decompress(&bytes).unwrap(), t);
     }
 
@@ -1737,9 +1711,11 @@ mod grid_tests {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 9));
         let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
         let good = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-        let header = read_header(&good).unwrap();
-        let (e, UniformHeader { high_exponent: q, widths: [low_b, high_b] }) =
-            (header.grid_exponent.unwrap(), header.uniform.unwrap());
+        let StoredLayout::Uniform { low_exponent: e, high_exponent: q, widths: [low_b, high_b] } =
+            read_header(&good).unwrap().layout
+        else {
+            panic!("the default is the uniform grid stream");
+        };
         let at = LOW_EXPONENT_AT;
         assert_eq!(patched(&good, at, &e.to_le_bytes()), good, "the exponent sits where the test looks");
         assert_eq!(patched(&good, at + 2, &q.to_le_bytes()), good);
@@ -1766,10 +1742,22 @@ mod grid_tests {
             let why = refusal(&patched(&good, count_at, &[1]));
             assert!(why.contains("uniform grid stream declares"), "{count_at}: {why}");
         }
-        for cleared in [2u8, FLAG_GRID] {
+        for cleared in [FLAG_SHUFFLE, FLAG_GRID] {
             let mut bad = good.clone();
             bad[6] &= !cleared;
             assert!(refusal(&bad).contains("without bits 1 and 4"), "bit {cleared}");
+        }
+        // Flags no build writes: bits 6 and 7, and bit 0 with the grid,
+        // with bit 5 (the uniform stream) or without (the spike grid's).
+        for (flags, needle) in [
+            (good[6] | 1 << 6, "flags bits 6-7 set"),
+            (good[6] | 1 << 7, "flags bits 6-7 set"),
+            (good[6] | FLAG_LOW_QUANTIZED, "quantized low band (flags bit 0)"),
+            (FLAG_LOW_QUANTIZED | FLAG_SHUFFLE | FLAG_GRID, "quantized low band (flags bit 0)"),
+            (FLAG_GRID, "grid flag set on an untransposed stream"),
+        ] {
+            let why = read_header(&patched(&good, 6, &[flags])).unwrap_err().to_string();
+            assert!(why.contains(needle), "{flags:#010b}: {why}");
         }
         for cut in [good.len() - 1, good.len() / 2, at + 6, at + 5, 62] {
             assert!(Compressor::decompress(&good[..cut]).is_err(), "cut at {cut}");

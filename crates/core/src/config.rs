@@ -14,6 +14,24 @@ pub enum Container {
     None,
 }
 
+/// Which `WCK1` stream the writer formats; docs/FORMAT.md names the
+/// flags bits each sets. Only `Product` may change what it writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamLayout {
+    /// The stream the paper measured (Figure 5), which the figure
+    /// binaries write so that their rates compare like with like.
+    Paper,
+    /// The default: both bands as integers on power-of-two grids whose
+    /// steps follow from the quantizer's bin width, in only the byte
+    /// planes they use; where no grid fits (a constant array), the
+    /// paper's stream with its doubles byte-transposed.
+    Product,
+    /// The paper's stream with the low band quantized too: the ablation
+    /// that shows why the paper keeps it exact. The product never
+    /// selects it.
+    QuantizedLowBand,
+}
+
 /// Full pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompressorConfig {
@@ -25,26 +43,8 @@ pub struct CompressorConfig {
     pub level: Level,
     /// Which container wraps the formatted bytes.
     pub container: Container,
-    /// Ablation switch: also quantize the low band (the paper keeps it
-    /// exact; turning this on shows why).
-    pub quantize_low_band: bool,
-    /// Byte-transpose the floating-point sections before the container
-    /// (`WCK1` flags bit 1) — the "more appropriate than gzip"
-    /// improvement the paper's Section IV-D sketches as future work. On
-    /// by default: it keeps mantissa noise out of the match search and
-    /// costs less than it saves (DESIGN.md, entropy stage). Off writes
-    /// the paper's untransposed stream; every decoder reads both.
-    ///
-    /// On, it also puts the pass-through values and the low band on an
-    /// error-bounded grid (`WCK1` flags bit 4) unless `quantize_low_band`
-    /// is set: each is stored as its nearest multiple `k · s` of a
-    /// power-of-two step `s`, the largest at or below the quantizer's
-    /// own bin width over 64, so the grid follows from the quantizer's
-    /// bins as the spike threshold does and no setting of its own
-    /// exists. Each coefficient gains at most `s / 2` of error; the
-    /// stored `k`s are integers whose high byte planes deflate to
-    /// almost nothing.
-    pub byte_shuffle: bool,
+    /// Which stream the formatter writes.
+    pub layout: StreamLayout,
     /// Wavelet kernel: the paper's Haar, or CDF 5/3 (JPEG 2000's
     /// lossless kernel) as the "improved algorithm" extension.
     pub kernel: Kernel,
@@ -62,16 +62,15 @@ pub struct CompressorConfig {
 }
 
 impl CompressorConfig {
-    /// The paper's headline configuration: proposed quantizer, n = 128,
-    /// d = 64, single level, gzip.
+    /// The product default: the paper's proposed quantizer at n = 128,
+    /// d = 64, one Haar level and gzip, writing [`StreamLayout::Product`].
     pub fn paper_proposed() -> Self {
         CompressorConfig {
             quant: QuantConfig { method: Method::Proposed, n: 128, d: 64 },
             plan: WaveletPlan::SINGLE,
             level: Level::Default,
             container: Container::Gzip,
-            quantize_low_band: false,
-            byte_shuffle: true,
+            layout: StreamLayout::Product,
             kernel: Kernel::Haar,
             threads: 1,
             chunk_bytes: ckpt_deflate::chunked::DEFAULT_CHUNK_BYTES,
@@ -116,9 +115,9 @@ impl CompressorConfig {
         self
     }
 
-    /// Turns byte transposition of the f64 sections on or off.
-    pub fn with_byte_shuffle(mut self, on: bool) -> Self {
-        self.byte_shuffle = on;
+    /// Selects the stream layout.
+    pub fn with_layout(mut self, layout: StreamLayout) -> Self {
+        self.layout = layout;
         self
     }
 
@@ -128,7 +127,7 @@ impl CompressorConfig {
         self
     }
 
-    /// Sets the worker-thread count for intra-array parallelism.
+    /// Sets how many workers deflate a chunked container's members.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -180,7 +179,7 @@ mod tests {
         assert_eq!(c.quant.d, 64);
         assert_eq!(c.plan.levels, 1);
         assert_eq!(c.container, Container::Gzip);
-        assert!(!c.quantize_low_band);
+        assert_eq!(c.layout, StreamLayout::Product);
         c.validate().unwrap();
     }
 

@@ -7,8 +7,8 @@
 //!    ([`ckpt_wavelet`]),
 //! 2. **Quantization** — simple or spike-detecting proposed method
 //!    ([`ckpt_quant`]),
-//! 3. **Encoding** — one-byte indexes into the average table plus a
-//!    bitmap of quantized positions,
+//! 3. **Encoding** — the paper's one-byte table indexes and bitmap, or
+//!    the product's grid integers ([`StreamLayout`]),
 //! 4. **Formatting** — the Figure 5 byte layout ([`codec`], over the
 //!    shared [`ckpt_deflate::frame`] cursor),
 //! 5. **gzip** — DEFLATE over the formatted output ([`ckpt_deflate`]),
@@ -48,7 +48,7 @@ pub mod timing;
 pub use codec::{
     compress_exact, CompressStats, Compressed, Compressor, StreamError, StreamedCompressed,
 };
-pub use config::{CompressorConfig, Container};
+pub use config::{CompressorConfig, Container, StreamLayout};
 pub use error::CkptError;
 pub use timing::StageTimings;
 

@@ -6,8 +6,10 @@
 //! shuffle filter) is the classic answer for IEEE-754 payloads: group
 //! the k-th byte of every double together, so the sign/exponent bytes
 //! form two highly repetitive planes and the mantissa noise sits in six
-//! contiguous ones instead of being interleaved with them. The default
-//! writer does this ([`crate::CompressorConfig::byte_shuffle`]).
+//! contiguous ones instead of being interleaved with them. The product
+//! layout does this wherever it writes doubles, and stores its grid
+//! words in the low planes of the same transposition
+//! ([`crate::StreamLayout::Product`]).
 //!
 //! A transposed region of `count` doubles is eight planes of `count`
 //! bytes: plane `j` holds little-endian byte `j` of every value. Both

@@ -403,4 +403,33 @@ fn main() {
     let mut bad = spike_grid;
     bad[6] &= !2;
     write("wck1_grid_untransposed.bin", &bad);
+
+    // 48. Flags bit 6, which no build writes, on the default stream. A
+    //     reader that ignored it would restore the values unchanged.
+    let mut bad = uniform;
+    bad[6] |= 1 << 6;
+    write("wck1_unknown_flag_bit.bin", &bad);
+
+    // 49. Flags bit 0 on a uniform-grid stream of a 4-element array with
+    //     no low band: a reader that took the bit would fill both of the
+    //     Haar level's bands from the high band's words.
+    let mut low_quantized = Writer::new();
+    low_quantized.put_bytes(&frame::WCK1.magic);
+    low_quantized.put_u8(frame::WCK1.version);
+    low_quantized.put_u8(1); // method: proposed
+    low_quantized.put_u8(0x33); // flags: Haar, low band quantized, uniform grid
+    low_quantized.put_u8(1); // levels
+    low_quantized.put_u16(128); // n
+    low_quantized.put_u16(64); // d
+    low_quantized.put_u8(1);
+    low_quantized.put_u64(4);
+    low_quantized.put_u16(0); // averages
+    for _ in 0..3 {
+        low_quantized.put_u64(0); // low band, raw and index counts
+    }
+    low_quantized.put_bytes(&0i16.to_le_bytes()); // low band step 2^0
+    low_quantized.put_bytes(&0i16.to_le_bytes()); // high band step 2^0
+    low_quantized.put_bytes(&[1, 1]); // plane widths
+    low_quantized.put_bytes(&[1, 2, 3, 4].map(zigzag).map(|z| z as u8));
+    write("wck1_uniform_low_band_quantized.bin", &low_quantized.into_bytes());
 }

@@ -36,7 +36,9 @@ pub use ckpt_wavelet as wavelet;
 /// The most common entry points, re-exported flat.
 pub mod prelude {
     pub use ckpt_core::metrics::{compression_rate, relative_error, RelativeError};
-    pub use ckpt_core::{CompressStats, Compressed, Compressor, CompressorConfig, Container};
+    pub use ckpt_core::{
+        CompressStats, Compressed, Compressor, CompressorConfig, Container, StreamLayout,
+    };
     pub use ckpt_quant::{Method, QuantConfig};
     pub use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
     pub use ckpt_tensor::Tensor;

@@ -143,7 +143,7 @@ pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
 /// stream without it, whose values the untransposed writer still
 /// restores bit for bit. The `*_ungridded` fixtures hold these states.
 pub fn ungridded_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
-    tiny_states_of(CompressorConfig::paper_proposed().with_byte_shuffle(false))
+    tiny_states_of(CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper))
 }
 
 /// `decode_only_wck1_spike_grid.bin`: the `WCK1` sample as the builds

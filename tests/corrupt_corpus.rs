@@ -237,6 +237,8 @@ const DIES_ON: &[(&str, &str)] = &[
     ("wck1_uniform_bad_exponent.bin", "high-band step exponent 1024 outside"),
     ("wck1_uniform_nonzero_counts.bin", "uniform grid stream declares 1 raw"),
     ("wck1_uniform_truncated_planes.bin", "truncated stream"),
+    ("wck1_unknown_flag_bit.bin", "flags bits 6-7 set"),
+    ("wck1_uniform_low_band_quantized.bin", "quantized low band (flags bit 0)"),
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
     ("inc1_claim_1gib.bin", "need 134217728 bytes"),
@@ -629,8 +631,8 @@ fn the_parent_written_wavelet_coefficients_are_what_this_build_computes() {
 /// Old archives keep restoring: the `WCK1` sample as the previous
 /// default wrote it — flags bit 1 clear, gzipped by the matcher without
 /// the miss stride — decodes to the values the untransposed stream of
-/// today decodes to, bit for bit, and `with_byte_shuffle(false)` still
-/// writes its formatted stream byte for byte.
+/// today decodes to, bit for bit, and the paper's layout still writes
+/// its formatted stream byte for byte.
 #[test]
 fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
     let old = fs::read(common::corpus_dir().join("decode_only_wck1_untransposed.bin")).unwrap();
@@ -640,7 +642,7 @@ fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
     let restored = Compressor::decompress(&old).unwrap();
     assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
     let cfg = CompressorConfig::paper_proposed()
-        .with_byte_shuffle(false)
+        .with_layout(StreamLayout::Paper)
         .with_container(Container::None);
     let rewritten = Compressor::new(cfg).unwrap().compress(&common::tiny_field(1)).unwrap();
     assert!(rewritten.bytes == formatted, "the untransposed writer moved a byte");

@@ -143,11 +143,10 @@ fn bounded_compression_integrates_with_checkpointing() {
 }
 
 #[test]
-fn lossless_wavelet_path_when_low_band_only() {
-    // With quantize_low_band = false and a tensor so small that only the
-    // low band exists (all dims 1 after one level? no: use dims [2,2] ->
-    // high bands exist), verify raw pass-through values are bit-exact by
-    // checking a constant field (all high bands zero, quantized exactly).
+fn a_constant_field_restores_exactly_through_the_no_grid_fallback() {
+    // Every high-band coefficient of a constant field is zero, so the
+    // quantizer's bin width is 0 and no grid fits: the default writes
+    // the transposed spike stream, whose exact low band holds the field.
     let field = Tensor::full(&[64, 32], 273.15).unwrap();
     let compressor = Compressor::new(CompressorConfig::paper_proposed()).unwrap();
     let packed = compressor.compress(&field).unwrap();

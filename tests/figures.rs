@@ -3,6 +3,7 @@
 //! CI so a regression that flips a paper conclusion fails the build.
 
 use ckpt_bench::cluster::{CompressionProfile, IoModel, ScalingTable};
+use lossy_ckpt::core::codec::StoredLayout;
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::sim::{divergence_experiment, SimConfig};
 
@@ -13,7 +14,7 @@ fn temperature() -> Tensor<f64> {
 /// Rate and error of `cfg` on the stream the paper measured
 /// (untransposed; the product default is not what its figures show).
 fn rate_and_error(cfg: CompressorConfig, t: &Tensor<f64>) -> (f64, f64) {
-    let c = Compressor::new(ckpt_bench::paper_stream(cfg)).unwrap();
+    let c = Compressor::new(cfg.with_layout(StreamLayout::Paper)).unwrap();
     let packed = c.compress(t).unwrap();
     let restored = Compressor::decompress(&packed.bytes).unwrap();
     let err = relative_error(t, &restored).unwrap();
@@ -125,14 +126,15 @@ fn the_grid_does_not_raise_restart_divergence() {
     for base in configs.into_iter().chain([CompressorConfig::paper_simple().with_kernel(Kernel::Haar)]) {
         let kernel = (base.quant.method, base.kernel);
         let gridded = Compressor::new(base).unwrap();
-        let paper = Compressor::new(ckpt_bench::paper_stream(base)).unwrap();
-        let header = |c: &Compressor| {
+        let paper = Compressor::new(base.with_layout(StreamLayout::Paper)).unwrap();
+        let layout = |c: &Compressor| {
             let h = lossy_ckpt::core::codec::read_header(&c.compress(&temperature()).unwrap().bytes);
-            let h = h.unwrap();
-            (h.grid_exponent.is_some(), h.uniform.is_some())
+            h.unwrap().layout
         };
-        assert_eq!(header(&gridded), (true, true), "{kernel:?}: the default is the uniform grid");
-        assert_eq!(header(&paper), (false, false), "{kernel:?}: the paper's stream has no grid");
+        let uniform = matches!(layout(&gridded), StoredLayout::Uniform { .. });
+        assert!(uniform, "{kernel:?}: the default is the uniform grid");
+        let spike = StoredLayout::Spike { transposed: false, low_band_quantized: false };
+        assert_eq!(layout(&paper), spike, "{kernel:?}: the paper's stream has no grid");
         streams.push((kernel, gridded, paper));
     }
 
@@ -170,7 +172,7 @@ fn equation_1_viability_condition() {
     // C + T_comp < T_orig at large P — the premise of Section II-A,
     // checked with real measured quantities at small scale.
     let t = temperature();
-    let c = Compressor::new(ckpt_bench::paper_stream(CompressorConfig::paper_proposed())).unwrap();
+    let c = Compressor::new(CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper)).unwrap();
     let packed = c.compress(&t).unwrap();
     let io = IoModel::paper();
     let profile = CompressionProfile {

@@ -133,25 +133,35 @@ fn a_format_missing_on_either_side_is_flagged() {
     assert!(v.iter().any(|v| v.contains("lists `SRV1`")), "{v:?}");
 }
 
-/// The `WCK1` section names each flags bit the default writer sets
-/// (`bitK <name>` in the header table), the fields the uniform grid adds
-/// and that layout's memory bound: a bit the writer starts setting
-/// without a doc row fails here.
+/// The `WCK1` section names each flags bit every layout's writer sets
+/// (`bitK <name>` in the header table) and which layout sets it, the
+/// fields the uniform grid adds and that layout's memory bound: a bit a
+/// writer starts setting without a doc row fails here.
 #[test]
-fn the_wck1_section_documents_every_flag_bit_the_default_writes() {
+fn the_wck1_section_documents_every_flag_bit_each_layout_writes() {
     use lossy_ckpt::prelude::*;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FORMAT.md");
     let md = std::fs::read_to_string(path).expect("docs/FORMAT.md");
     let wck1 = sections(&md).into_iter().find(|s| s.name == "WCK1").expect("a WCK1 section");
     let t = generate(&FieldSpec::small(FieldKind::Temperature, 1));
-    let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
-    let flags = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes[6];
-    for (bit, name) in [(1, "byte_shuffle"), (4, "grid"), (5, "uniform")] {
-        assert!(flags & 1 << bit != 0, "the default sets flags bit {bit}");
-        let row = format!("bit{bit} {name}");
-        assert!(wck1.body.contains(&row), "the WCK1 section does not name `{row}`");
+    let names = [(0, "quantize_low_band"), (1, "byte_shuffle"), (4, "grid"), (5, "uniform")];
+    for (layout, bits) in [
+        (StreamLayout::Paper, &[][..]),
+        (StreamLayout::Product, &[1, 4, 5][..]),
+        (StreamLayout::QuantizedLowBand, &[0][..]),
+    ] {
+        let cfg = CompressorConfig::paper_proposed().with_layout(layout).with_container(Container::None);
+        let flags = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes[6];
+        // Bits 2-3 are the kernel: Haar, 0.
+        let set: Vec<u32> = (0..8).filter(|b| flags & 1 << b != 0).collect();
+        assert_eq!(set, bits, "{layout:?} sets flags {flags:#010b}");
+        for (bit, name) in names.iter().filter(|(b, _)| bits.contains(b)) {
+            let row = format!("bit{bit} {name}");
+            assert!(wck1.body.contains(&row), "the WCK1 section does not name `{row}`");
+        }
+        let named = format!("`StreamLayout::{layout:?}`");
+        assert!(wck1.body.contains(&named), "the WCK1 section does not say what {named} writes");
     }
-    assert_eq!(flags & 0b1100_0001, 0, "a flag bit the doc has no row for: {flags:#010b}");
     for field in ["high-band step exponent f", "b_low", "b_high", "Memory bound"] {
         assert!(wck1.body.contains(field), "the WCK1 section does not state `{field}`");
     }

@@ -249,12 +249,15 @@ proptest! {
         let t = generate(&FieldSpec { dims: vec![24, 10, 2], kind: FieldKind::WindV,
                                       seed, harmonics: 5, noise_amp: 1e-4 });
         let base = CompressorConfig::paper_proposed().with_n(n);
-        let plain = Compressor::new(base.with_byte_shuffle(false)).unwrap().compress(&t).unwrap();
+        let plain = Compressor::new(base.with_layout(StreamLayout::Paper)).unwrap().compress(&t).unwrap();
         let shuf = Compressor::new(base).unwrap().compress(&t).unwrap();
         prop_assert!(plain.bytes != shuf.bytes, "the default transposes");
         let b = Compressor::decompress(&shuf.bytes).unwrap();
-        let header = lossy_ckpt::core::codec::read_header(&shuf.bytes).unwrap();
-        let q = 2f64.powi(header.uniform.expect("the default grids").high_exponent.into());
+        use lossy_ckpt::core::codec::{read_header, StoredLayout};
+        let StoredLayout::Uniform { high_exponent, .. } = read_header(&shuf.bytes).unwrap().layout else {
+            panic!("the default grids");
+        };
+        let q = 2f64.powi(high_exponent.into());
         for (x, y) in t.as_slice().iter().zip(b.as_slice()) {
             // Plus a few ulps: the inverse rounds each sum it forms.
             let bound = 8.0 * q / 2.0 + 8.0 * f64::EPSILON * x.abs().max(y.abs());
