@@ -30,8 +30,9 @@ USAGE:
 Raw array files are row-major little-endian f64.
 
 `ckpt info` prints the stream header's wavelet kernel and levels, its
-layout, the low band's grid step (`none` for exact doubles) and, on the
-uniform grid, the high band's step and both bands' byte planes; on a
+layout (on the uniform grid with the low band's predictor), the low
+band's grid step (`none` for exact doubles) and, on the uniform grid,
+the high band's step and both bands' byte planes; on a
 WPK1 chunked stream a per-member breakdown (member count, chunk size,
 compressed/uncompressed bytes).
 `ckpt store` manages a crash-consistent on-disk checkpoint
@@ -186,7 +187,7 @@ pub fn info(argv: &[String]) -> Result<(), String> {
     match header.layout {
         StoredLayout::Spike { .. } => say!("grid step       : none"),
         StoredLayout::SpikeGrid { exponent: e } => say!("grid step       : {}", step(e)),
-        StoredLayout::Uniform { low_exponent, high_exponent, widths: [low, high] } => {
+        StoredLayout::Uniform { low_exponent, high_exponent, widths: [low, high], .. } => {
             say!("grid step       : {}", step(low_exponent));
             say!("high-band step  : {}", step(high_exponent));
             say!("plane widths    : low band {low}, high band {high}");

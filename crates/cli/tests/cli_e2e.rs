@@ -43,6 +43,7 @@ fn full_gen_compress_info_decompress_flow() {
     assert!(text.contains("[64, 16, 2]"), "info output: {text}");
     assert!(text.contains("compression rate"));
     assert!(text.contains("layout          : Uniform {"), "info output: {text}");
+    assert!(text.contains("low_predictor: Lorenzo }"), "info output: {text}");
 
     let st = bin().arg("decompress").arg(&wck).arg("-o").arg(&back).status().unwrap();
     assert!(st.success());

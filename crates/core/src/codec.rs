@@ -20,7 +20,7 @@ use crate::{CkptError, Result};
 use ckpt_deflate::frame::{self, Reader, Writer, WCK1};
 use ckpt_deflate::{chunked, gzip};
 use ckpt_quant::{Bitmap, Method, Quantized};
-use ckpt_tensor::Tensor;
+use ckpt_tensor::{Shape, Tensor};
 use ckpt_wavelet::{Kernel, MultiLevel, SubbandKind, WaveletPlan};
 
 /// Size accounting for one compressed array.
@@ -197,15 +197,16 @@ impl Compressor {
         let bands = ml.all_subbands(work.shape())?;
         let sections = timed(&mut timings.quantize_encode, || -> Result<Sections> {
             let mut stream = Vec::with_capacity(work.len());
-            let mut low_values = Vec::new();
+            let (mut low_values, mut low_shape) = (Vec::new(), &[][..]);
             for band in &bands {
                 if band.kind == SubbandKind::Low && cfg.layout != StreamLayout::QuantizedLowBand {
                     low_values = work.read_block(&band.start, &band.size)?;
+                    low_shape = &band.size;
                 } else {
                     work.read_block_into(&band.start, &band.size, &mut stream)?;
                 }
             }
-            Sections::encode(&cfg, low_values, &stream)
+            Sections::encode(&cfg, low_values, low_shape, &stream)
         })?;
         // Free the transformed copy before formatting.
         drop(work);
@@ -349,13 +350,20 @@ const FLAG_GRID: u8 = 1 << 4;
 /// indexes, bitmap or average table.
 const FLAG_UNIFORM: u8 = 1 << 5;
 
+/// `WCK1` flags bit 6, set only with bit 5: the low band's words are
+/// residuals against its Lorenzo prediction over the band's own shape
+/// ([`LowPredictor::Lorenzo`]). Without it a uniform stream's are
+/// against the previous index in band order, which no build writes any
+/// more.
+const FLAG_LORENZO: u8 = 1 << 6;
+
 /// An error-bounded grid: SZ's linear-scaling quantisation. A value `v`
 /// is stored as the index `k = round(v / s)` of its nearest grid point
 /// `k · s`, for a step `s = 2^exponent`; a power of two makes `v / s`
 /// and `k · s` exact, so the writer and every reader agree bit for bit,
 /// and each value gains at most `s / 2` of error. A section stores
-/// `zigzag(k)`, or, for the low band, `zigzag(k_i - k_{i-1})` in band
-/// order from `k_{-1} = 0`.
+/// `zigzag(k)`, or, for the low band, the zigzagged residuals of
+/// [`differences`] over a shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Grid {
     exponent: i16,
@@ -399,69 +407,70 @@ impl Grid {
     }
 
     /// `values` as a section of this grid's words, on a grid from
-    /// [`Grid::fitting`]: zigzagged indexes, or with `residuals` the
-    /// zigzagged differences of successive indexes. `None` when some
+    /// [`Grid::fitting`]: zigzagged indexes, or with a `shape` the
+    /// zigzagged residuals of [`differences`] over it. `None` when some
     /// value lies `2^51 - 1` steps or more from zero (written as `<`,
     /// so a NaN fails too): below that the rounded index stays below
-    /// `2^51`.
-    fn section(self, values: &[f64], residuals: bool) -> Option<Section> {
+    /// `2^51`. `None` too when a residual overflows `i64`.
+    fn section(self, values: &[f64], shape: Option<&[usize]>) -> Option<Section> {
         let inv = pow2(-i64::from(self.exponent));
         let limit = (Self::INDEX_LIMIT - 1.0) * self.step;
-        let (mut prev, mut fits, mut all) = (0i64, true, 0u64);
-        let words = values
-            .iter()
-            .map(|&v| {
-                fits &= v.abs() < limit;
-                let k = (v * inv + Self::ROUND).to_bits().wrapping_sub(Self::ROUND.to_bits()).cast_signed();
-                let word = zigzag(k.wrapping_sub(prev));
-                if residuals {
-                    prev = k;
-                }
-                all |= word;
-                word
-            })
-            .collect();
-        fits.then(|| Section { grid: self, words, width: byte_width(all) })
+        let mut fits = true;
+        let mut index = |v: f64| {
+            fits &= v.abs() < limit;
+            (v * inv + Self::ROUND).to_bits().wrapping_sub(Self::ROUND.to_bits()).cast_signed()
+        };
+        let words = match shape {
+            None => values.iter().map(|&v| zigzag(index(v))).collect(),
+            Some(shape) => {
+                let mut words: Vec<u64> = values.iter().map(|&v| index(v).cast_unsigned()).collect();
+                fits &= differences(&mut words, shape);
+                words
+            }
+        };
+        let width = byte_width(words.iter().fold(0, |all, word| all | word));
+        fits.then_some(Section { grid: self, words, width })
     }
 
     /// Reads columns `at..at + words.len()` of `region`, `planes` byte
-    /// planes, back to the values [`Grid::section`] wrote for them, in
-    /// `words`' own buffer (its capacity is kept). Refused: a residual
-    /// sum that overflows `i64`, an index of magnitude past `2^51` (the
-    /// writer's bound), and a non-finite `k · s`. The words turn into
-    /// values in place, in one loop that accumulates the checks rather
-    /// than branching on them.
+    /// planes, back to the values [`Grid::section`] wrote for them with
+    /// the same `shape`, in `words`' own buffer (its capacity is kept).
+    /// Refused: a residual sum that overflows `i64`, an index of
+    /// magnitude past `2^51` (the writer's bound), and a non-finite
+    /// `k · s`. The words turn into values in place, in one loop that
+    /// accumulates the checks rather than branching on them, after
+    /// [`prefix_sums`] where there is a shape.
     fn read(
         self,
         region: &[u8],
         planes: usize,
         at: usize,
         mut words: Vec<u64>,
-        residuals: bool,
+        shape: Option<&[usize]>,
     ) -> Result<Vec<f64>> {
         crate::shuffle::gather_words(region, planes, at, &mut words);
-        let (mut overflow, mut wide, mut finite) = (false, 0u64, true);
-        // `k + 2^51` is below `2^52` exactly when `|k|` is in range.
-        let out_of_range = |k: i64| k.wrapping_add(1 << 51).cast_unsigned() >> 52;
-        if residuals {
-            let mut k = 0i64;
-            for word in &mut words {
-                let (sum, o) = k.overflowing_add(unzigzag(*word));
-                k = sum;
-                let v = index_to_f64(k) * self.step;
-                overflow |= o;
-                wide |= out_of_range(k);
-                finite &= v.is_finite();
-                *word = v.to_bits();
+        match shape {
+            None => self.values(words, unzigzag, false),
+            Some(shape) => {
+                let overflow = !prefix_sums(&mut words, shape);
+                self.values(words, u64::cast_signed, overflow)
             }
-        } else {
-            for word in &mut words {
-                let k = unzigzag(*word);
-                let v = index_to_f64(k) * self.step;
-                wide |= out_of_range(k);
-                finite &= v.is_finite();
-                *word = v.to_bits();
-            }
+        }
+    }
+
+    /// `words` as the values `k · s` of the indexes `k = index(word)`,
+    /// in place, or the refusal of the first check that fails:
+    /// `overflow` (a residual sum past `i64`), an index past `2^51`, a
+    /// non-finite value.
+    fn values(self, mut words: Vec<u64>, index: impl Fn(u64) -> i64, overflow: bool) -> Result<Vec<f64>> {
+        let (mut wide, mut finite) = (0u64, true);
+        for word in &mut words {
+            let k = index(*word);
+            let v = index_to_f64(k) * self.step;
+            // `k + 2^51` is below `2^52` exactly when `|k|` is in range.
+            wide |= k.wrapping_add(1 << 51).cast_unsigned() >> 52;
+            finite &= v.is_finite();
+            *word = v.to_bits();
         }
         let why = if overflow {
             "grid residual sum overflows i64".to_string()
@@ -474,6 +483,97 @@ impl Grid {
         };
         Err(CkptError::Format(why))
     }
+}
+
+/// The axes of the row-major `shape` that [`differences`] and
+/// [`prefix_sums`] pass along: the non-unit ones (a difference along a
+/// unit axis changes nothing), slowest first. The last is the fast
+/// axis, whose rows one walk runs along; each other one's rows are
+/// whole rows of the axes after it.
+fn axes(shape: &[usize]) -> impl DoubleEndedIterator<Item = usize> + '_ {
+    shape.iter().copied().filter(|&n| n > 1)
+}
+
+/// The residuals of the indexes in `words` (two's-complement `i64`s, a
+/// row-major array of `shape`) against their N-D Lorenzo prediction,
+/// zigzagged, in place: one backward first difference along each axis
+/// with zero outside the array, which equals the `2^N - 1`-term
+/// Lorenzo sum. Over `[n]` it is `k_i - k_{i-1}` in order from
+/// `k_{-1} = 0`. Each pass is one walk: a slow axis subtracts each row
+/// from the next, slowest axis first, and the fast axis takes running
+/// differences, fused with the zigzag. `false` when a difference
+/// overflows `i64`; [`prefix_sums`] runs the passes in reverse, so it
+/// meets exactly the values checked here.
+fn differences(words: &mut [u64], shape: &[usize]) -> bool {
+    let mut overflow = false;
+    let mut slow = axes(shape);
+    let fast = slow.next_back().unwrap_or(1);
+    // The words of one block of the axes not passed yet.
+    let mut block = words.len();
+    for n in slow {
+        let stride = (block / n).max(1);
+        for block in words.chunks_exact_mut(n * stride) {
+            let mut rows = block.chunks_exact_mut(stride).rev();
+            let Some(mut row) = rows.next() else { continue };
+            for above in rows {
+                for (k, a) in row.iter_mut().zip(above.iter()) {
+                    let (d, o) = k.cast_signed().overflowing_sub(a.cast_signed());
+                    overflow |= o;
+                    *k = d.cast_unsigned();
+                }
+                row = above;
+            }
+        }
+        block = stride;
+    }
+    for row in words.chunks_exact_mut(fast) {
+        let mut prev = 0i64;
+        for word in row {
+            let k = word.cast_signed();
+            let (d, o) = k.overflowing_sub(prev);
+            overflow |= o;
+            prev = k;
+            *word = zigzag(d);
+        }
+    }
+    !overflow
+}
+
+/// The inverse of [`differences`] over the same `shape`, in place:
+/// zigzagged residuals in, indexes (two's-complement `i64`s) out. The
+/// fast axis is a running sum fused with the unzigzag; then each slow
+/// axis, the fastest first, adds each row into the next. `false` when
+/// a sum overflows `i64`.
+fn prefix_sums(words: &mut [u64], shape: &[usize]) -> bool {
+    let mut overflow = false;
+    let mut slow = axes(shape);
+    let fast = slow.next_back().unwrap_or(1);
+    for row in words.chunks_exact_mut(fast) {
+        let mut k = 0i64;
+        for word in row {
+            let (sum, o) = k.overflowing_add(unzigzag(*word));
+            overflow |= o;
+            k = sum;
+            *word = k.cast_unsigned();
+        }
+    }
+    let mut stride = fast;
+    for n in slow.rev() {
+        for block in words.chunks_exact_mut(n.saturating_mul(stride)) {
+            let mut rows = block.chunks_exact_mut(stride);
+            let Some(mut above) = rows.next() else { continue };
+            for row in rows {
+                for (k, a) in row.iter_mut().zip(above.iter()) {
+                    let (sum, o) = k.cast_signed().overflowing_add(a.cast_signed());
+                    overflow |= o;
+                    *k = sum.cast_unsigned();
+                }
+                above = row;
+            }
+        }
+        stride = stride.saturating_mul(n);
+    }
+    !overflow
 }
 
 /// `n` zero words in a buffer with room for `capacity`: what
@@ -509,9 +609,10 @@ fn byte_width(word: u64) -> u8 {
     u8::try_from(bytes).unwrap_or(8)
 }
 
-/// The product stream's sections (flags bits 1, 4 and 5): the low band
-/// on a grid of step `s`, the largest power of two at or below the
-/// quantizer's bin width `w` over 64, and every high-band coefficient
+/// The product stream's sections (flags bits 1, 4, 5 and 6): the low
+/// band on a grid of step `s`, the largest power of two at or below the
+/// quantizer's bin width `w` over 64, as residuals against its Lorenzo
+/// prediction over its own shape, and every high-band coefficient
 /// on a grid of step `q`, the largest power of two at or below
 /// [`high_step_target`]. This is WaveRange's shape: a transform, a
 /// uniform quantiser, then a coder.
@@ -522,15 +623,16 @@ struct Uniform {
 }
 
 impl Uniform {
-    /// The sections for a quantizer whose bins are `bin_width` wide.
-    /// `None` — the writer then falls back to the ungridded spike
-    /// stream — when the width is not positive and finite, a step falls
-    /// outside [`Grid::WRITER_EXPONENTS`], or a value lies `2^51 - 1`
-    /// steps or more from zero.
-    fn fitting(method: Method, bin_width: f64, low: &[f64], high: &[f64]) -> Option<Uniform> {
+    /// The sections for a quantizer whose bins are `bin_width` wide,
+    /// with `low` the low band of shape `low_shape`. `None` — the writer
+    /// then falls back to the ungridded spike stream — when the width is
+    /// not positive and finite, a step falls outside
+    /// [`Grid::WRITER_EXPONENTS`], a value lies `2^51 - 1` steps or more
+    /// from zero, or a low-band residual overflows `i64`.
+    fn fitting(method: Method, bin_width: f64, low: &[f64], low_shape: &[usize], high: &[f64]) -> Option<Uniform> {
         Some(Uniform {
-            low: Grid::fitting(bin_width / 64.0)?.section(low, true)?,
-            high: Grid::fitting(high_step_target(method, bin_width))?.section(high, false)?,
+            low: Grid::fitting(bin_width / 64.0)?.section(low, Some(low_shape))?,
+            high: Grid::fitting(high_step_target(method, bin_width))?.section(high, None)?,
         })
     }
 }
@@ -559,13 +661,14 @@ enum Sections {
 }
 
 impl Sections {
-    /// The sections `cfg` stores for the low band `low` and the
-    /// concatenated high bands `high`. The product layout runs only the
-    /// quantizer's histogram passes, for its bin width.
-    fn encode(cfg: &CompressorConfig, low: Vec<f64>, high: &[f64]) -> Result<Sections> {
+    /// The sections `cfg` stores for the low band `low`, of shape
+    /// `low_shape`, and the concatenated high bands `high`. The product
+    /// layout runs only the quantizer's histogram passes, for its bin
+    /// width.
+    fn encode(cfg: &CompressorConfig, low: Vec<f64>, low_shape: &[usize], high: &[f64]) -> Result<Sections> {
         if cfg.layout == StreamLayout::Product {
             let width = ckpt_quant::bin_width(high, &cfg.quant)?;
-            if let Some(u) = Uniform::fitting(cfg.quant.method, width, &low, high) {
+            if let Some(u) = Uniform::fitting(cfg.quant.method, width, &low, low_shape, high) {
                 return Ok(Sections::Uniform(u));
             }
         }
@@ -702,7 +805,7 @@ fn format_stream(
 
 /// The product stream: the header with zero average, pass-through and
 /// index counts, the two step exponents and plane widths, then the low
-/// band's and the high band's planes.
+/// band's (Lorenzo residuals) and the high band's planes.
 fn format_uniform(cfg: &CompressorConfig, dims: &[usize], plan: WaveletPlan, u: &Uniform) -> Result<Vec<u8>> {
     let (low, high) = (&u.low, &u.high);
     let mut w = Writer::with_capacity(
@@ -710,7 +813,7 @@ fn format_uniform(cfg: &CompressorConfig, dims: &[usize], plan: WaveletPlan, u: 
             + usize::from(low.width) * low.words.len()
             + usize::from(high.width) * high.words.len(),
     );
-    put_header(&mut w, cfg, dims, plan, FLAG_SHUFFLE | FLAG_GRID | FLAG_UNIFORM)?;
+    put_header(&mut w, cfg, dims, plan, FLAG_SHUFFLE | FLAG_GRID | FLAG_UNIFORM | FLAG_LORENZO)?;
     w.put_u16(0);
     w.put_u64(frame::u64_from_usize(low.words.len()));
     w.put_u64(0);
@@ -762,8 +865,8 @@ pub struct Header {
     pub raw_count: usize,
     /// Quantized positions.
     pub index_count: usize,
-    /// Flags bits 0, 1, 4 and 5 and the fields they add: which sections
-    /// follow.
+    /// Flags bits 0, 1, 4, 5 and 6 and the fields they add: which
+    /// sections follow.
     pub layout: StoredLayout,
 }
 
@@ -782,10 +885,23 @@ pub enum StoredLayout {
     /// values as words on the grid of step `2^exponent`.
     SpikeGrid { exponent: i16 },
     /// Flags bits 1, 4 and 5: the low band on the grid of step
-    /// `2^low_exponent`, every high-band coefficient on that of
-    /// `2^high_exponent`, in `widths` (1..=8) byte planes each.
-    Uniform { low_exponent: i16, high_exponent: i16, widths: [u8; 2] },
+    /// `2^low_exponent`, as residuals against `low_predictor` (flags
+    /// bit 6), every high-band coefficient on that of `2^high_exponent`,
+    /// in `widths` (1..=8) byte planes each.
+    Uniform { low_exponent: i16, high_exponent: i16, widths: [u8; 2], low_predictor: LowPredictor },
 }
+
+/// What a uniform stream's low-band words are residuals against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LowPredictor {
+    /// Flags bit 6 clear, which no build writes any more: the previous
+    /// index in band order, from 0.
+    BandOrder,
+    /// Flags bit 6: the N-D Lorenzo prediction over the band's own
+    /// shape, from zero outside the band.
+    Lorenzo,
+}
+
 
 /// A step exponent read from a header, refused outside `-1074..=1023`.
 fn read_exponent(r: &mut Reader<'_>, what: &str) -> Result<i16> {
@@ -798,8 +914,9 @@ fn read_exponent(r: &mut Reader<'_>, what: &str) -> Result<i16> {
 
 impl Header {
     /// Reads the header of the formatted stream `r` is at, refusing an
-    /// unknown kernel, flags no build writes (bits 6 or 7, bit 5 without
-    /// bits 1 and 4, bit 4 without bit 1, bit 0 with bit 4), a step
+    /// unknown kernel, flags no build writes (bit 7, bit 6 without bit 5,
+    /// bit 5 without bits 1 and 4, bit 4 without bit 1, bit 0 with bit
+    /// 4), a step
     /// exponent outside `-1074..=1023`, and a plane width outside 1..=8.
     /// The method byte, `n` and `d` are informational: no decoder reads
     /// them.
@@ -818,7 +935,8 @@ impl Header {
         };
         let has = |bits: u8| flags & bits == bits;
         for (refused, why) in [
-            (flags >> 6 != 0, "flags bits 6-7 set: no build writes them"),
+            (flags >> 7 != 0, "flags bit 7 set: no build writes it"),
+            (has(FLAG_LORENZO) && !has(FLAG_UNIFORM), "Lorenzo low band (flags bit 6) without bit 5"),
             (has(FLAG_UNIFORM) && !has(FLAG_SHUFFLE | FLAG_GRID), "uniform grid flag (bit 5) without bits 1 and 4"),
             (has(FLAG_GRID) && !has(FLAG_SHUFFLE), "grid flag set on an untransposed stream"),
             (has(FLAG_GRID | FLAG_LOW_QUANTIZED), "quantized low band (flags bit 0) on a gridded stream (bit 4)"),
@@ -848,7 +966,8 @@ impl Header {
             if let Some(b) = widths.iter().find(|b| !(1..=8).contains(*b)) {
                 return Err(CkptError::Format(format!("plane width {b} outside 1..=8")));
             }
-            StoredLayout::Uniform { low_exponent, high_exponent, widths }
+            let low_predictor = if has(FLAG_LORENZO) { LowPredictor::Lorenzo } else { LowPredictor::BandOrder };
+            StoredLayout::Uniform { low_exponent, high_exponent, widths, low_predictor }
         } else {
             StoredLayout::SpikeGrid { exponent: read_exponent(r, "grid")? }
         };
@@ -861,6 +980,18 @@ impl Header {
 pub fn read_header(bytes: &[u8]) -> Result<Header> {
     let formatted = strip_container(bytes, usize::MAX, 1)?;
     Header::read(&mut Reader::new(&formatted))
+}
+
+/// The shape of the low band of a stream with `header`'s plan and
+/// dims, refused where `low_count` disagrees with it.
+fn low_band_shape(header: &Header) -> Result<Vec<usize>> {
+    let plan = WaveletPlan::clamped(header.levels, &header.dims);
+    let bands = MultiLevel::with_kernel(plan, header.kernel).all_subbands(&Shape::new(&header.dims)?)?;
+    bands
+        .into_iter()
+        .find(|band| band.kind == SubbandKind::Low && band.volume() == header.low_count)
+        .map(|band| band.size)
+        .ok_or_else(|| CkptError::Format("low band size mismatch".into()))
 }
 
 /// The grid of a header's exponent, which [`Header::read`] checked.
@@ -896,7 +1027,7 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
         .ok_or_else(|| CkptError::Format("low band larger than tensor".into()))?;
 
     let (transposed, grid) = match header.layout {
-        StoredLayout::Uniform { low_exponent, high_exponent, widths: [low_b, high_b] } => {
+        StoredLayout::Uniform { low_exponent, high_exponent, widths: [low_b, high_b], low_predictor } => {
             // The high band's count is the dims' volume less the low band.
             if (raw_count, index_count, avg_count) != (0, 0, 0) {
                 return Err(CkptError::Format(format!(
@@ -911,9 +1042,15 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
             let low_region = r.get_bytes(region(low_count, low_b)?)?;
             let high_region = r.get_bytes(region(stream_len, high_b)?)?;
             r.expect_end()?;
-            let low = grid_of(low_exponent)?.read(low_region, low_b, 0, word_buffer(low_count, 0), true)?;
+            // The band's shape only once its bytes are in hand: the
+            // subband walk sizes a list by the dims.
+            let low_shape = match low_predictor {
+                LowPredictor::BandOrder => vec![low_count],
+                LowPredictor::Lorenzo => low_band_shape(&header)?,
+            };
+            let low = grid_of(low_exponent)?.read(low_region, low_b, 0, word_buffer(low_count, 0), Some(&low_shape))?;
             let high =
-                grid_of(high_exponent)?.read(high_region, high_b, 0, word_buffer(stream_len, volume), false)?;
+                grid_of(high_exponent)?.read(high_region, high_b, 0, word_buffer(stream_len, volume), None)?;
             return Ok((header, low, high));
         }
         StoredLayout::SpikeGrid { exponent } => (true, Some(exponent)),
@@ -938,8 +1075,8 @@ fn read_sections(bytes: &[u8]) -> Result<(Header, Vec<f64>, Vec<f64>)> {
             // The spike-grid stream: decode-only.
             Some(e) => {
                 let g = grid_of(e)?;
-                let low = g.read(region, 8, 0, word_buffer(low_count, 0), true)?;
-                (low, g.read(region, 8, low_count, word_buffer(raw_count, 0), false)?, averages)
+                let low = g.read(region, 8, 0, word_buffer(low_count, 0), Some(&[low_count]))?;
+                (low, g.read(region, 8, low_count, word_buffer(raw_count, 0), None)?, averages)
             }
             None => (planes(0, low_count), planes(low_count, raw_count), averages),
         }
@@ -1479,18 +1616,18 @@ mod grid_tests {
     }
 
     /// `section` as the writer stores it, read back by its grid.
-    fn read_back(section: &Section, residuals: bool) -> Result<Vec<f64>> {
+    fn read_back(section: &Section, shape: Option<&[usize]>) -> Result<Vec<f64>> {
         let mut w = Writer::new();
         section.put(&mut w);
         let region = w.into_bytes();
         assert_eq!(region.len(), usize::from(section.width) * section.words.len());
         let n = section.words.len();
-        section.grid.read(&region, section.width.into(), 0, word_buffer(n, 0), residuals)
+        section.grid.read(&region, section.width.into(), 0, word_buffer(n, 0), shape)
     }
 
     /// `values` through the grid's word map, its planes and back.
-    fn roundtrip(grid: Grid, values: &[f64], residuals: bool) -> Result<Vec<f64>> {
-        read_back(&grid.section(values, residuals).unwrap(), residuals)
+    fn roundtrip(grid: Grid, values: &[f64], shape: Option<&[usize]>) -> Result<Vec<f64>> {
+        read_back(&grid.section(values, shape).unwrap(), shape)
     }
 
     #[test]
@@ -1501,8 +1638,8 @@ mod grid_tests {
                 (0..1003).map(|_| ((next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale).collect();
             let grid = Grid::fitting(target).unwrap();
             assert!(grid.step <= target && grid.step * 2.0 > target, "{grid:?}");
-            for residuals in [false, true] {
-                let back = roundtrip(grid, &values, residuals).unwrap();
+            for shape in [None, Some(&[1003][..]), Some(&[17, 1, 59][..])] {
+                let back = roundtrip(grid, &values, shape).unwrap();
                 for (v, b) in values.iter().zip(&back) {
                     assert!((v - b).abs() <= grid.step / 2.0, "{v} -> {b} at {grid:?}");
                     assert_eq!((b / grid.step).fract(), 0.0, "{b} is off the grid");
@@ -1518,23 +1655,23 @@ mod grid_tests {
         for w in [0.0, -1.0, f64::INFINITY, f64::NAN, f64::MIN_POSITIVE / 1e6] {
             assert_eq!(Grid::fitting(w), None, "target {w}");
             for m in methods {
-                assert_eq!(Uniform::fitting(m, w, &v, &v), None, "{m:?} width {w}");
+                assert_eq!(Uniform::fitting(m, w, &v, &[3], &v), None, "{m:?} width {w}");
             }
         }
         // Indexes stay below 2^51.
         let grid = Grid::fitting(1.0).unwrap();
         assert_eq!(grid.step, 1.0);
-        assert!(grid.section(&[Grid::INDEX_LIMIT - 2.0], false).is_some());
-        assert_eq!(grid.section(&[Grid::INDEX_LIMIT - 1.0], true), None);
-        assert_eq!(grid.section(&[-Grid::INDEX_LIMIT], false), None);
-        assert_eq!(grid.section(&[f64::NAN], false), None);
+        assert!(grid.section(&[Grid::INDEX_LIMIT - 2.0], None).is_some());
+        assert_eq!(grid.section(&[Grid::INDEX_LIMIT - 1.0], Some(&[1])), None);
+        assert_eq!(grid.section(&[-Grid::INDEX_LIMIT], None), None);
+        assert_eq!(grid.section(&[f64::NAN], None), None);
         // Each section must fit its own grid: `q` fits what `s` cannot.
         let far = [Grid::INDEX_LIMIT];
         for m in methods {
-            assert!(Uniform::fitting(m, 64.0, &v, &far).is_some());
-            assert_eq!(Uniform::fitting(m, 64.0, &far, &v), None);
+            assert!(Uniform::fitting(m, 64.0, &v, &[3], &far).is_some());
+            assert_eq!(Uniform::fitting(m, 64.0, &far, &[1], &v), None);
             // `q = 2^1022` or `2^1023` is outside the writer's exponents.
-            assert_eq!(Uniform::fitting(m, f64::MAX, &v, &v), None, "2^51 steps must be finite");
+            assert_eq!(Uniform::fitting(m, f64::MAX, &v, &[3], &v), None, "2^51 steps must be finite");
         }
     }
 
@@ -1562,7 +1699,7 @@ mod grid_tests {
             let width = byte_width(words.iter().fold(0, |a, w| a | w));
             let section = Section { grid, words, width };
             assert_eq!(u32::from(section.width), b.min(7), "b = {b}");
-            let back = read_back(&section, false).unwrap();
+            let back = read_back(&section, None).unwrap();
             let want: Vec<f64> = section.words.iter().map(|&z| unzigzag(z) as f64).collect();
             assert_eq!(back, want, "b = {b}");
         }
@@ -1570,15 +1707,15 @@ mod grid_tests {
         // zigzag word of 2^47), all on one grid.
         for b in 1..=5u32 {
             let k = 1i64 << (8 * b - 1);
-            let section = grid.section(&[k as f64, 0.0, -1.0], false).unwrap();
+            let section = grid.section(&[k as f64, 0.0, -1.0], None).unwrap();
             assert_eq!(section.words[0], 1 << (8 * b));
             assert_eq!(u32::from(section.width), b + 1);
-            assert_eq!(read_back(&section, false).unwrap(), [k as f64, 0.0, -1.0]);
+            assert_eq!(read_back(&section, None).unwrap(), [k as f64, 0.0, -1.0]);
         }
         // A section of length 0 takes one plane of no bytes.
-        let empty = grid.section(&[], true).unwrap();
+        let empty = grid.section(&[], Some(&[0])).unwrap();
         assert_eq!((empty.words.len(), empty.width), (0, 1));
-        assert_eq!(read_back(&empty, true).unwrap(), Vec::<f64>::new());
+        assert_eq!(read_back(&empty, Some(&[0])).unwrap(), Vec::<f64>::new());
     }
 
     /// The transformed coefficients [`Compressor::compress`] formats for
@@ -1663,14 +1800,16 @@ mod grid_tests {
         let rows = [
             ("paper", written(StreamLayout::Paper), 0, spike(false, false)),
             ("quantized low band", written(StreamLayout::QuantizedLowBand), FLAG_LOW_QUANTIZED, spike(false, true)),
-            ("product", written(StreamLayout::Product), FLAG_SHUFFLE | FLAG_GRID | FLAG_UNIFORM, None),
+            ("product", written(StreamLayout::Product), FLAG_SHUFFLE | FLAG_GRID | FLAG_UNIFORM | FLAG_LORENZO, None),
             ("compress_exact", exact, FLAG_SHUFFLE, spike(true, false)),
         ];
         for (name, bytes, flags, layout) in rows {
-            // Bits 2-3 are the kernel: Haar, 0. `None` is the uniform grid.
+            // Bits 2-3 are the kernel: Haar, 0. `None` is the uniform grid
+            // with the Lorenzo low band.
             assert_eq!(bytes[6], flags, "{name}");
             let read = read_header(&bytes).unwrap().layout;
-            assert!(layout.map_or(matches!(read, StoredLayout::Uniform { .. }), |l| l == read), "{name}: {read:?}");
+            let uniform = matches!(read, StoredLayout::Uniform { low_predictor: LowPredictor::Lorenzo, .. });
+            assert!(layout.map_or(uniform, |l| l == read), "{name}: {read:?}");
             let back = Compressor::decompress(&bytes).unwrap();
             assert!(crate::metrics::relative_error(&t, &back).unwrap().average < 1e-3, "{name}");
         }
@@ -1711,7 +1850,7 @@ mod grid_tests {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 9));
         let cfg = CompressorConfig::paper_proposed().with_container(Container::None);
         let good = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes;
-        let StoredLayout::Uniform { low_exponent: e, high_exponent: q, widths: [low_b, high_b] } =
+        let StoredLayout::Uniform { low_exponent: e, high_exponent: q, widths: [low_b, high_b], .. } =
             read_header(&good).unwrap().layout
         else {
             panic!("the default is the uniform grid stream");
@@ -1747,11 +1886,13 @@ mod grid_tests {
             bad[6] &= !cleared;
             assert!(refusal(&bad).contains("without bits 1 and 4"), "bit {cleared}");
         }
-        // Flags no build writes: bits 6 and 7, and bit 0 with the grid,
-        // with bit 5 (the uniform stream) or without (the spike grid's).
+        // Flags no build writes: bit 7, bit 6 without bit 5, and bit 0
+        // with the grid, with bit 5 (the uniform stream) or without (the
+        // spike grid's).
         for (flags, needle) in [
-            (good[6] | 1 << 6, "flags bits 6-7 set"),
-            (good[6] | 1 << 7, "flags bits 6-7 set"),
+            (good[6] | 1 << 7, "flags bit 7 set"),
+            (good[6] & !FLAG_UNIFORM, "Lorenzo low band (flags bit 6) without bit 5"),
+            (FLAG_LORENZO | FLAG_SHUFFLE | FLAG_GRID, "Lorenzo low band (flags bit 6) without bit 5"),
             (good[6] | FLAG_LOW_QUANTIZED, "quantized low band (flags bit 0)"),
             (FLAG_LOW_QUANTIZED | FLAG_SHUFFLE | FLAG_GRID, "quantized low band (flags bit 0)"),
             (FLAG_GRID, "grid flag set on an untransposed stream"),
@@ -1771,34 +1912,114 @@ mod grid_tests {
         region
     }
 
-    fn read_words(grid: Grid, words: &[u64], residuals: bool) -> Result<Vec<f64>> {
-        grid.read(&region_of(words), 8, 0, word_buffer(words.len(), 0), residuals)
+    fn read_words(grid: Grid, words: &[u64], shape: Option<&[usize]>) -> Result<Vec<f64>> {
+        grid.read(&region_of(words), 8, 0, word_buffer(words.len(), 0), shape)
     }
 
     #[test]
     fn a_residual_sum_past_i64_is_refused() {
-        // Two low-band residuals of 2^62: their sum overflows.
+        // Two low-band residuals of 2^62: their sum overflows, in band
+        // order, and along the slow axis of a 2×1 band.
         let grid = Grid::new(0).unwrap();
-        let why = read_words(grid, &[zigzag(1 << 62); 2], true).unwrap_err().to_string();
+        for shape in [&[2][..], &[2, 1]] {
+            let why = read_words(grid, &[zigzag(1 << 62); 2], Some(shape)).unwrap_err().to_string();
+            assert!(why.contains("overflows i64"), "{shape:?}: {why}");
+        }
+        // On a 2×2 band the fast axis's sums stay in range and the slow
+        // axis's row add leaves it.
+        let words = [zigzag(1 << 62), 0, zigzag(1 << 62), 0];
+        let why = read_words(grid, &words, Some(&[2, 2])).unwrap_err().to_string();
         assert!(why.contains("overflows i64"), "{why}");
+        // The writer's side: a difference that leaves i64 is reported,
+        // and the section falls back.
+        let mut wide = [i64::MIN.cast_unsigned(), i64::MAX.cast_unsigned()];
+        assert!(!differences(&mut wide, &[2]), "i64::MAX - i64::MIN overflows");
     }
 
     #[test]
     fn indexes_past_2_to_the_51_are_refused_and_those_below_convert_exactly() {
         let grid = Grid::new(-3).unwrap();
         let edge = [(1i64 << 51) - 1, -(1 << 51), 0, -1, 1, 12_345_678_901];
-        let back = read_words(grid, &edge.map(zigzag), false).unwrap();
+        let back = read_words(grid, &edge.map(zigzag), None).unwrap();
         for (k, v) in edge.iter().zip(&back) {
             assert_eq!(*v, *k as f64 / 8.0, "{k}");
         }
         for k in [1i64 << 51, -(1 << 51) - 1, i64::MAX, i64::MIN] {
-            let why = read_words(grid, &[zigzag(k)], false).unwrap_err().to_string();
+            let why = read_words(grid, &[zigzag(k)], None).unwrap_err().to_string();
             assert!(why.contains("beyond 2^51"), "{k}: {why}");
         }
-        // A residual walk that leaves the range refuses too.
+        // A residual walk that leaves the range refuses too, in band
+        // order and through a slow axis's row adds.
         let steps = [zigzag(1 << 50), zigzag(1 << 50), zigzag(1)];
-        let why = read_words(grid, &steps, true).unwrap_err().to_string();
+        let why = read_words(grid, &steps, Some(&[3])).unwrap_err().to_string();
         assert!(why.contains("beyond 2^51"), "{why}");
+        let steps = [zigzag(1 << 50), 0, zigzag(1 << 50), 0];
+        let why = read_words(grid, &steps, Some(&[2, 2])).unwrap_err().to_string();
+        assert!(why.contains("beyond 2^51"), "{why}");
+    }
+
+    /// The residuals the builds before the Lorenzo low band wrote:
+    /// `zigzag(k_i - k_{i-1})` in band order from `k_{-1} = 0`.
+    fn band_order_words(k: &[i64]) -> Vec<u64> {
+        let mut prev = 0i64;
+        k.iter()
+            .map(|&k| {
+                let word = zigzag(k.wrapping_sub(prev));
+                prev = k;
+                word
+            })
+            .collect()
+    }
+
+    /// The Lorenzo prediction's residuals by their definition: at each
+    /// position the sum over every nonempty subset `S` of the axes of
+    /// `(-1)^(|S|+1) k[i - 1_S]`, zero outside the array, subtracted
+    /// from `k[i]`.
+    fn lorenzo_by_definition(k: &[i64], shape: &[usize]) -> Vec<u64> {
+        let strides: Vec<usize> = (0..shape.len()).map(|a| shape[a + 1..].iter().product()).collect();
+        (0..k.len())
+            .map(|i| {
+                let at: Vec<usize> = strides.iter().zip(shape).map(|(s, n)| i / s % n).collect();
+                let mut r = k[i] as i128;
+                for subset in 1..1u32 << shape.len() {
+                    let axes = (0..shape.len()).filter(|a| subset >> a & 1 == 1);
+                    if axes.clone().any(|a| at[a] == 0) {
+                        continue;
+                    }
+                    let j = i - axes.clone().map(|a| strides[a]).sum::<usize>();
+                    let sign = if subset.count_ones() % 2 == 1 { -1 } else { 1 };
+                    r += sign * k[j] as i128;
+                }
+                zigzag(i64::try_from(r).unwrap())
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The differences over any shape of rank 1 to 4, unit axes
+        /// included, are the Lorenzo residuals, and the prefix sums
+        /// take them back; over `[n]` they are the band-order words.
+        #[test]
+        fn differences_and_prefix_sums_round_trip_at_every_rank(
+            shape in proptest::collection::vec(1usize..6, 1..5),
+            seed in any::<u64>(),
+            bits in 1u32..=51,
+        ) {
+            let n: usize = shape.iter().product();
+            let mut next = lcg(seed);
+            let limit = 1i64 << (bits - 1);
+            let k: Vec<i64> = (0..n).map(|_| (next() >> 11) as i64 % limit * if next() >> 63 == 0 { 1 } else { -1 }).collect();
+            let mut words: Vec<u64> = k.iter().map(|&k| k.cast_unsigned()).collect();
+            prop_assert!(differences(&mut words, &shape));
+            prop_assert_eq!(&words, &lorenzo_by_definition(&k, &shape));
+            prop_assert!(prefix_sums(&mut words, &shape));
+            prop_assert_eq!(words.iter().map(|w| w.cast_signed()).collect::<Vec<_>>(), k.clone());
+            let mut flat: Vec<u64> = k.iter().map(|&k| k.cast_unsigned()).collect();
+            prop_assert!(differences(&mut flat, &[n]));
+            prop_assert_eq!(flat, band_order_words(&k));
+        }
     }
 }
 

@@ -22,7 +22,8 @@ pub enum StreamLayout {
     /// binaries write so that their rates compare like with like.
     Paper,
     /// The default: both bands as integers on power-of-two grids whose
-    /// steps follow from the quantizer's bin width, in only the byte
+    /// steps follow from the quantizer's bin width, the low band's as
+    /// residuals against its Lorenzo prediction, in only the byte
     /// planes they use; where no grid fits (a constant array), the
     /// paper's stream with its doubles byte-transposed.
     Product,

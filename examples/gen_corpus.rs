@@ -74,10 +74,12 @@ fn main() {
     // hand, read by the tests, written by no build.
     // So are `decode_only_wck1_lloyd.bin` (beside the values it restores
     // to) and `retired_zlib_container.bin`, from the last build that
-    // had a Lloyd-Max quantizer and a zlib container, and the
+    // had a Lloyd-Max quantizer and a zlib container, the
     // `*_spike_grid*` samples and store images (beside the values the
     // array restores to), from the last build whose default wrote the
-    // spike quantizer's stream on a grid.
+    // spike quantizer's stream on a grid, and the `*_uniform*` ones,
+    // from the last build whose default stored the uniform stream's low
+    // band in band order.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,
@@ -368,12 +370,12 @@ fn main() {
     overflow.put_u8(0); // bitmap: nothing quantized
     write("wck1_grid_residual_overflow.bin", &overflow.into_bytes());
 
-    // Hostile uniform-grid streams (flags bits 1, 4 and 5): the default
-    // stream of the tiny field, bare. After the low band's exponent come
-    // the high band's and the two plane widths.
-    let bare = CompressorConfig::paper_proposed().with_container(Container::None);
-    let uniform = Compressor::new(bare).unwrap().compress(&tiny).unwrap().bytes;
-    assert_eq!(uniform[6] & 0x32, 0x32, "the default writes the uniform-grid stream");
+    // Hostile uniform-grid streams (flags bits 1, 4 and 5): the tiny
+    // field's stream with the low band in band order, bare, cut from the
+    // kept sample so they keep their bytes. After the low band's
+    // exponent come the high band's and the two plane widths.
+    let uniform = gzip::decompress(&common::uniform_sample()).unwrap();
+    assert_eq!(uniform[6] & 0x72, 0x32, "a band-order uniform-grid stream");
     let high_exponent_at = exponent_at + 2;
     let widths_at = exponent_at + 4;
 
@@ -400,15 +402,55 @@ fn main() {
 
     // 47. The grid flag on an untransposed stream, a layout no writer
     //     had: flags bit 1 cleared.
-    let mut bad = spike_grid;
+    let mut bad = spike_grid.clone();
     bad[6] &= !2;
     write("wck1_grid_untransposed.bin", &bad);
 
-    // 48. Flags bit 6, which no build writes, on the default stream. A
+    // 48. Flags bit 7, which no build writes, on the default stream. A
     //     reader that ignored it would restore the values unchanged.
-    let mut bad = uniform;
-    bad[6] |= 1 << 6;
+    let bare = CompressorConfig::paper_proposed().with_container(Container::None);
+    let lorenzo = Compressor::new(bare).unwrap().compress(&tiny).unwrap().bytes;
+    assert_eq!(lorenzo[6] & 0x72, 0x72, "the default writes the Lorenzo low band");
+    let mut bad = lorenzo;
+    bad[6] |= 1 << 7;
     write("wck1_unknown_flag_bit.bin", &bad);
+
+    // 50. Flags bit 6 on the spike-grid stream: the Lorenzo low band
+    //     without the uniform grid (bit 5), a layout no writer had.
+    let mut bad = spike_grid;
+    bad[6] |= 1 << 6;
+    write("wck1_lorenzo_without_uniform.bin", &bad);
+
+    // 51-52. A 4×4 array, one Haar level: a 2×2 Lorenzo low band whose
+    //     fast-axis sums stay in range and whose row add along the slow
+    //     axis leaves i64 (`k = 2^62` twice), or walks to `k = 2^51`,
+    //     one past the writer's indexes (`2^50` twice).
+    let lorenzo = |k: i64| {
+        let mut w = Writer::new();
+        w.put_bytes(&frame::WCK1.magic);
+        w.put_u8(frame::WCK1.version);
+        w.put_u8(1); // method: proposed
+        w.put_u8(0x72); // flags: Haar, uniform grid, Lorenzo low band
+        w.put_u8(1); // levels
+        w.put_u16(128); // n
+        w.put_u16(64); // d
+        w.put_u8(2);
+        w.put_u64(4);
+        w.put_u64(4);
+        w.put_u16(0); // averages
+        w.put_u64(4); // low band values
+        w.put_u64(0); // raw values
+        w.put_u64(0); // indexes
+        w.put_bytes(&0i16.to_le_bytes()); // low band step 2^0
+        w.put_bytes(&0i16.to_le_bytes()); // high band step 2^0
+        w.put_bytes(&[8, 1]); // plane widths
+        let words = [zigzag(k), 0, zigzag(k), 0].map(f64::from_bits);
+        lossy_ckpt::core::shuffle::write_planes(w.put_region(32), 0, &words);
+        w.put_bytes(&[0; 12]); // the high band: twelve zero words
+        w.into_bytes()
+    };
+    write("wck1_lorenzo_residual_overflow.bin", &lorenzo(1 << 62));
+    write("wck1_lorenzo_index_past_2_51.bin", &lorenzo(1 << 50));
 
     // 49. Flags bit 0 on a uniform-grid stream of a 4-element array with
     //     no low band: a reader that took the bit would fill both of the

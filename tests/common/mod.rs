@@ -159,6 +159,19 @@ pub fn spike_grid_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     tiny_states_from(spike_grid_sample())
 }
 
+/// `decode_only_wck1_uniform.bin`: the `WCK1` sample as the builds whose
+/// default stored the uniform stream's low band in band order (flags
+/// bit 6 clear) wrote it. No build writes that stream any more.
+pub fn uniform_sample() -> Vec<u8> {
+    fs::read(corpus_dir().join("decode_only_wck1_uniform.bin")).unwrap()
+}
+
+/// [`tiny_states`] as those builds restored them: from
+/// [`uniform_sample`]. The `*_uniform*` fixtures hold these states.
+pub fn uniform_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    tiny_states_from(uniform_sample())
+}
+
 fn tiny_states_of(cfg: CompressorConfig) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     let comp = Compressor::new(cfg).unwrap();
     tiny_states_from(comp.compress(&tiny_field(1)).unwrap().bytes)
@@ -318,11 +331,13 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the uniform grid over the high band: the `WCK1` sample, and the
-/// manifest and snapshot that carry its CRC; the samples from before are
-/// `decode_only_<magic>_spike_grid.bin`. Before that they moved the same
-/// way with the grid, and the samples from before it are
-/// `decode_only_<magic>_ungridded.bin`; both times the increments
+/// with the Lorenzo low band: the `WCK1` sample, and the manifest and
+/// snapshot that carry its CRC; the samples from before are
+/// `decode_only_<magic>_uniform.bin`. Before that they moved the same
+/// way with the uniform grid over the high band, and the samples from
+/// before it are `decode_only_<magic>_spike_grid.bin`, and with the
+/// grid, and those from before it are
+/// `decode_only_<magic>_ungridded.bin`; each time the increments
 /// between the states the array restores to kept their bytes. Before that the `WCK1`,
 /// `INC1` and `INC2` samples, the manifest and the snapshot moved with
 /// the encoder's block-split rule, `TOO_FAR` and the retuned

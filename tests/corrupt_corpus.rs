@@ -7,7 +7,10 @@
 //! 1 GiB claims on the guard that spares the allocation; every
 //! checked-in valid sample still decodes and still equals what this
 //! build writes (the lossy array's and those that derive from it last
-//! moved with the uniform grid over the high band, and
+//! moved with the Lorenzo low band, and `decode_only_<magic>_uniform.bin`
+//! is each moved sample from before it, the array decoding to the values
+//! recorded beside it, which this build's default restores too; before
+//! that they moved with the uniform grid over the high band, and
 //! `decode_only_<magic>_spike_grid.bin` is each moved sample from
 //! before it, the array decoding to the values recorded beside it;
 //! before that they moved with the grid, and
@@ -237,7 +240,10 @@ const DIES_ON: &[(&str, &str)] = &[
     ("wck1_uniform_bad_exponent.bin", "high-band step exponent 1024 outside"),
     ("wck1_uniform_nonzero_counts.bin", "uniform grid stream declares 1 raw"),
     ("wck1_uniform_truncated_planes.bin", "truncated stream"),
-    ("wck1_unknown_flag_bit.bin", "flags bits 6-7 set"),
+    ("wck1_unknown_flag_bit.bin", "flags bit 7 set"),
+    ("wck1_lorenzo_without_uniform.bin", "Lorenzo low band (flags bit 6) without bit 5"),
+    ("wck1_lorenzo_residual_overflow.bin", "grid residual sum overflows i64"),
+    ("wck1_lorenzo_index_past_2_51.bin", "grid index beyond 2^51"),
     ("wck1_uniform_low_band_quantized.bin", "quantized low band (flags bit 0)"),
     ("inc1_crc_flip.bin", "checksum mismatch"),
     ("inc1_bad_page_map.bin", "dirty map implies"),
@@ -413,10 +419,12 @@ fn every_corpus_file_returns_from_every_decoder() {
                 "golden_store_snap.bin",
                 "decode_only_csm2_ungridded.bin",
                 "decode_only_csm2_spike_grid.bin",
+                "decode_only_csm2_uniform.bin",
                 "golden_store_snap_decode_only.bin",
                 "golden_store_snap_reanchored_decode_only.bin",
                 "golden_store_snap_ungridded_decode_only.bin",
                 "golden_store_snap_spike_grid_decode_only.bin",
+                "golden_store_snap_uniform_decode_only.bin",
             ];
             assert!(snapshots.contains(&name.as_str()), "{name} opened as a manifest snapshot");
         }
@@ -450,18 +458,46 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
         }
     }
     // The array sample from before the grid restores the state it did,
-    // and the one from before the uniform grid the values recorded
-    // beside it by the last build that wrote it.
+    // and those from before the uniform grid and before the Lorenzo low
+    // band the values recorded beside them by the last build that wrote
+    // each.
     let restored = Compressor::decompress(&decode_only_sample(b"WCK1", "_ungridded")).unwrap();
     assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
-    let restored = Compressor::decompress(&decode_only_sample(b"WCK1", "_spike_grid")).unwrap();
-    let recorded = fs::read(common::corpus_dir().join("decode_only_wck1_spike_grid.values")).unwrap();
-    let values: Vec<u8> = restored.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
-    assert!(values == recorded, "the spike-grid sample no longer restores its recorded values");
+    for kept in ["_spike_grid", "_uniform"] {
+        let restored = Compressor::decompress(&decode_only_sample(b"WCK1", kept)).unwrap();
+        assert_eq!(restored.dims(), common::tiny_field(1).dims());
+        assert!(le_values(&restored) == recorded_values(kept), "{kept}: not the recorded values");
+    }
     assert_eq!(
         proto::decode_request(&decode_srv1(&parent_sample(b"SRV1")).unwrap()).unwrap(),
         proto::Request::Fetch { gen: 3, rank: 0, offset: 4096, len: 512 }
     );
+}
+
+/// `t`'s values as little-endian bytes, as the `.values` files hold them.
+fn le_values(t: &Tensor<f64>) -> Vec<u8> {
+    t.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// `decode_only_wck1{kept}.values`: the values the last build that wrote
+/// the kept sample restored it to, little-endian.
+fn recorded_values(kept: &str) -> Vec<u8> {
+    fs::read(common::corpus_dir().join(format!("decode_only_wck1{kept}.values"))).unwrap()
+}
+
+/// The Lorenzo low band stores the same grid indexes in other words:
+/// the default stream of the tiny field restores, bit for bit, the
+/// values the band-order stream of the same field was recorded to.
+#[test]
+fn the_lorenzo_default_restores_the_band_order_samples_recorded_values() {
+    let ours = Compressor::new(CompressorConfig::paper_proposed())
+        .unwrap()
+        .compress(&common::tiny_field(1))
+        .unwrap()
+        .bytes;
+    assert!(ours != common::uniform_sample(), "the default still writes the band-order stream");
+    let restored = Compressor::decompress(&ours).unwrap();
+    assert!(le_values(&restored) == recorded_values("_uniform"), "the restored values moved");
 }
 
 /// `replication.cursor` as the builds with buddy replication left it
@@ -475,18 +511,18 @@ const PARENT_CURSOR: [u8; 20] = [
 /// The suffixes of the kept decode-only samples: `""` the samples from
 /// before the block-split rule, `"_ungridded"` those from before the
 /// grid, `"_spike_grid"` those from before the uniform grid over the
-/// high band.
-const KEPT: [&str; 3] = ["", "_ungridded", "_spike_grid"];
+/// high band, `"_uniform"` those from before the Lorenzo low band.
+const KEPT: [&str; 4] = ["", "_ungridded", "_spike_grid", "_uniform"];
 
 /// The tiny states the store a kept sample set belongs to restores:
-/// the `"_spike_grid"` array's, or the ungridded stream's, which the
-/// untransposed writer still writes and which the samples from before
-/// the grid restore to.
+/// the `"_spike_grid"` or `"_uniform"` array's, or the ungridded
+/// stream's, which the untransposed writer still writes and which the
+/// samples from before the grid restore to.
 fn kept_states(kept: &str) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
-    if kept == "_spike_grid" {
-        common::spike_grid_tiny_states()
-    } else {
-        common::ungridded_tiny_states()
+    match kept {
+        "_spike_grid" => common::spike_grid_tiny_states(),
+        "_uniform" => common::uniform_tiny_states(),
+        _ => common::ungridded_tiny_states(),
     }
 }
 
@@ -576,7 +612,8 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
 /// `*_decode_only.bin` from before the block-split rule and
 /// `*_ungridded_decode_only.bin` from before the grid and
 /// `*_spike_grid_decode_only.bin` from before the uniform grid over the
-/// high band (the `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin` from before
+/// high band and `*_uniform_decode_only.bin` from before the Lorenzo low
+/// band (the `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin` from before
 /// recency was ordered by step, when compaction also copied the newest
 /// full (gen 5) above its rewrite and retired it. They still parse, in
 /// their own retire order, and each snapshot still seeds a store.
@@ -603,6 +640,7 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
         ("reanchored_decode_only", &[1, 5, 4, 3, 2]),
         ("ungridded_decode_only", &[1, 4, 3, 2]),
         ("spike_grid_decode_only", &[1, 4, 3, 2]),
+        ("uniform_decode_only", &[1, 4, 3, 2]),
     ] {
         let old_log = read(&format!("golden_store_log_{tag}.bin"));
         let old_snap = read(&format!("golden_store_snap_{tag}.bin"));
@@ -659,8 +697,7 @@ fn the_lloyd_written_sample_still_decodes_bit_exact() {
     let recorded = fs::read(common::corpus_dir().join("decode_only_wck1_lloyd.values")).unwrap();
     let restored = Compressor::decompress(&old).unwrap();
     assert_eq!(restored.dims(), common::tiny_field(1).dims());
-    let values: Vec<u8> = restored.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
-    assert!(values == recorded, "the Lloyd-written stream no longer restores its recorded values");
+    assert!(le_values(&restored) == recorded, "the Lloyd-written stream no longer restores its recorded values");
 }
 
 /// Retired container: the zlib (RFC 1950) wrapping is refused by name,

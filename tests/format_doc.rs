@@ -144,10 +144,10 @@ fn the_wck1_section_documents_every_flag_bit_each_layout_writes() {
     let md = std::fs::read_to_string(path).expect("docs/FORMAT.md");
     let wck1 = sections(&md).into_iter().find(|s| s.name == "WCK1").expect("a WCK1 section");
     let t = generate(&FieldSpec::small(FieldKind::Temperature, 1));
-    let names = [(0, "quantize_low_band"), (1, "byte_shuffle"), (4, "grid"), (5, "uniform")];
+    let names = [(0, "quantize_low_band"), (1, "byte_shuffle"), (4, "grid"), (5, "uniform"), (6, "lorenzo")];
     for (layout, bits) in [
         (StreamLayout::Paper, &[][..]),
-        (StreamLayout::Product, &[1, 4, 5][..]),
+        (StreamLayout::Product, &[1, 4, 5, 6][..]),
         (StreamLayout::QuantizedLowBand, &[0][..]),
     ] {
         let cfg = CompressorConfig::paper_proposed().with_layout(layout).with_container(Container::None);
@@ -162,7 +162,7 @@ fn the_wck1_section_documents_every_flag_bit_each_layout_writes() {
         let named = format!("`StreamLayout::{layout:?}`");
         assert!(wck1.body.contains(&named), "the WCK1 section does not say what {named} writes");
     }
-    for field in ["high-band step exponent f", "b_low", "b_high", "Memory bound"] {
+    for field in ["high-band step exponent f", "b_low", "b_high", "Memory bound", "Flags bit 6", "Lorenzo"] {
         assert!(wck1.body.contains(field), "the WCK1 section does not state `{field}`");
     }
 }
