@@ -9,10 +9,11 @@
 //! * byte transposition of the f64 region (the paper's "more
 //!   appropriate than gzip" future work, and the product default since
 //!   PR 15 — every other row toggles its one choice against the paper's
-//!   untransposed stream),
+//!   untransposed stream; the product row also carries the grid and
+//!   the default's CDF 5/3 kernel),
 //! * final container (in-memory gzip vs the paper's temp-file gzip).
 
-use ckpt_bench::{compress_and_measure, compress_via_temp_file, temperature_nicam};
+use ckpt_bench::{compress_and_measure, compress_via_temp_file, paper_stream, temperature_nicam};
 use ckpt_core::{Compressor, CompressorConfig, Container, StreamLayout};
 use ckpt_quant::spike;
 use ckpt_tensor::Tensor;
@@ -28,7 +29,7 @@ fn measure(t: &Tensor<f64>, cfg: CompressorConfig, label: &str) {
 
 /// The paper's configuration, writing the paper's stream.
 fn proposed() -> CompressorConfig {
-    CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper)
+    paper_stream(CompressorConfig::paper_proposed())
 }
 
 fn main() {
@@ -37,7 +38,7 @@ fn main() {
     println!();
 
     println!("-- quantizer (paper: simple & proposed) --");
-    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
+    let simple = paper_stream(CompressorConfig::paper_simple());
     measure(&t, simple, "simple (equal-width)");
     measure(&t, proposed(), "proposed (spike detection)");
     println!();
@@ -106,7 +107,7 @@ fn main() {
 
     println!("-- byte shuffle of the value sections, and the grid it carries (product default) --");
     measure(&t, proposed(), "shuffle off (paper's stream)");
-    measure(&t, CompressorConfig::paper_proposed(), "shuffle + grid (product default)");
+    measure(&t, CompressorConfig::paper_proposed(), "shuffle + grid + CDF 5/3 (product default)");
     println!();
 
     println!("-- container (timings on this host) --");

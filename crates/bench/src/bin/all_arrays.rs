@@ -3,13 +3,13 @@
 //! proposed 13–29%; simple avg error 0.0053–14.56%, proposed
 //! 0.0004–1.19%; max errors up to 56.84% simple vs 5.94% proposed).
 
-use ckpt_bench::{all_nicam_arrays, compress_and_measure};
-use ckpt_core::{CompressorConfig, StreamLayout};
+use ckpt_bench::{all_nicam_arrays, compress_and_measure, paper_stream};
+use ckpt_core::CompressorConfig;
 
 fn main() {
     // The stream the paper measured: the product's moves every rate.
-    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
-    let proposed = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
+    let simple = paper_stream(CompressorConfig::paper_simple());
+    let proposed = paper_stream(CompressorConfig::paper_proposed());
     println!("=== Section IV-C: per-array compression rate and relative errors (n = 128) ===");
     println!();
     println!(

@@ -4,9 +4,9 @@
 //! Paper values: gzip 86.78%; lossy simple ~12%; lossy proposed ~17%
 //! (temperature array). Lower is better.
 
-use ckpt_bench::{compress_and_measure, raw_bytes, temperature_nicam};
+use ckpt_bench::{compress_and_measure, paper_stream, raw_bytes, temperature_nicam};
 use ckpt_core::metrics::compression_rate;
-use ckpt_core::{CompressorConfig, StreamLayout};
+use ckpt_core::CompressorConfig;
 use ckpt_deflate::{gzip, Level};
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let gzip_rate = compression_rate(raw.len(), gz.len());
 
     // The stream the paper measured: the product's moves every rate.
-    let paper = |cfg: CompressorConfig| compress_and_measure(&t, cfg.with_layout(StreamLayout::Paper)).0;
+    let paper = |cfg: CompressorConfig| compress_and_measure(&t, paper_stream(cfg)).0;
     let simple = paper(CompressorConfig::paper_simple());
     let proposed = paper(CompressorConfig::paper_proposed());
 

@@ -4,13 +4,13 @@
 //! Paper: simple grows 11.06% → 12.10% and proposed 14.43% → 16.75%
 //! over n = 1..128; both increase gradually, proposed sits higher.
 
-use ckpt_bench::{compress_and_measure, temperature_nicam, DIVISION_NUMBERS};
-use ckpt_core::{CompressorConfig, StreamLayout};
+use ckpt_bench::{compress_and_measure, paper_stream, temperature_nicam, DIVISION_NUMBERS};
+use ckpt_core::CompressorConfig;
 
 fn main() {
     // The stream the paper measured: the product's moves every rate.
-    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
-    let proposed = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
+    let simple = paper_stream(CompressorConfig::paper_simple());
+    let proposed = paper_stream(CompressorConfig::paper_proposed());
     let t = temperature_nicam();
     println!("=== Figure 7: compression rate [%] vs division number (temperature) ===");
     println!();

@@ -4,13 +4,13 @@
 //! Paper: simple falls 0.74% → 0.025%, proposed 0.49% → 0.0056%;
 //! proposed stays below simple at every n.
 
-use ckpt_bench::{compress_and_measure, temperature_nicam, DIVISION_NUMBERS};
-use ckpt_core::{CompressorConfig, StreamLayout};
+use ckpt_bench::{compress_and_measure, paper_stream, temperature_nicam, DIVISION_NUMBERS};
+use ckpt_core::CompressorConfig;
 
 fn main() {
     // The stream the paper measured: the product's moves every rate.
-    let simple = CompressorConfig::paper_simple().with_layout(StreamLayout::Paper);
-    let proposed = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
+    let simple = paper_stream(CompressorConfig::paper_simple());
+    let proposed = paper_stream(CompressorConfig::paper_proposed());
     let t = temperature_nicam();
     println!("=== Figure 8: average relative error [%] vs division number (temperature) ===");
     println!();

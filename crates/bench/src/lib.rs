@@ -27,7 +27,9 @@
 
 use ckpt_core::metrics::RelativeError;
 use ckpt_core::timing::timed;
-use ckpt_core::{CkptError, Compressed, Compressor, CompressorConfig, Container, StageTimings};
+use ckpt_core::{
+    CkptError, Compressed, Compressor, CompressorConfig, Container, StageTimings, StreamLayout,
+};
 use ckpt_deflate::gzip;
 use ckpt_tensor::fields::{generate, FieldKind, FieldSpec};
 use ckpt_tensor::Tensor;
@@ -58,6 +60,13 @@ pub fn raw_bytes(t: &Tensor<f64>) -> Vec<u8> {
         out.extend_from_slice(&v.to_le_bytes());
     }
     out
+}
+
+/// `cfg` writing the stream the paper measured: its layout and its
+/// Haar kernel. The figures compare their rates with the paper's, which
+/// the product default's stream and kernel would move.
+pub fn paper_stream(cfg: CompressorConfig) -> CompressorConfig {
+    cfg.with_layout(StreamLayout::Paper).with_kernel(ckpt_wavelet::Kernel::Haar)
 }
 
 /// Compresses and measures the roundtrip error in one call.

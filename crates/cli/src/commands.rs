@@ -15,7 +15,7 @@ ckpt — wavelet-based lossy checkpoint compression (IPDPS'15 reproduction)
 
 USAGE:
   ckpt compress   <in.f64> --dims AxBxC [--method proposed|simple] [--n 1..256]
-                  [--d 64] [--levels 1] [--kernel haar|cdf53|cdf97]
+                  [--d 64] [--levels 1] [--kernel cdf53|haar|cdf97]
                   [--container gzip|none]
                   [--threads N] [--chunk-bytes BYTES]
                   [--bound FRACTION] [-o out.wck]
@@ -98,11 +98,13 @@ fn config_from(args: &Args) -> Result<CompressorConfig, String> {
     cfg = cfg.with_n(args.get_or("n", 128usize)?);
     cfg = cfg.with_d(args.get_or("d", 64usize)?);
     cfg = cfg.with_levels(args.get_or("levels", 1usize)?);
-    cfg = match args.get("kernel").unwrap_or("haar") {
-        "haar" => cfg.with_kernel(ckpt_wavelet::Kernel::Haar),
-        "cdf53" => cfg.with_kernel(ckpt_wavelet::Kernel::Cdf53),
-        "cdf97" => cfg.with_kernel(ckpt_wavelet::Kernel::Cdf97),
-        other => return Err(format!("unknown --kernel {other:?}")),
+    // Without --kernel, the product default's.
+    cfg = match args.get("kernel") {
+        None => cfg,
+        Some("haar") => cfg.with_kernel(ckpt_wavelet::Kernel::Haar),
+        Some("cdf53") => cfg.with_kernel(ckpt_wavelet::Kernel::Cdf53),
+        Some("cdf97") => cfg.with_kernel(ckpt_wavelet::Kernel::Cdf97),
+        Some(other) => return Err(format!("unknown --kernel {other:?} (cdf53|haar|cdf97)")),
     };
     cfg = match args.get("container").unwrap_or("gzip") {
         "gzip" => cfg.with_container(Container::Gzip),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ckpt compress   <in.f64> --dims 1156x82x2 [--method proposed|simple]
-//!                 [--n 128] [--d 64] [--levels 1] [--kernel haar|cdf53|cdf97]
+//!                 [--n 128] [--d 64] [--levels 1] [--kernel cdf53|haar|cdf97]
 //!                 [--container gzip|none] [--threads N] [--chunk-bytes BYTES]
 //!                 [--bound 0.001] [-o out.wck]
 //! ckpt decompress <in.wck> [-o out.f64]

@@ -44,6 +44,8 @@ fn full_gen_compress_info_decompress_flow() {
     assert!(text.contains("compression rate"));
     assert!(text.contains("layout          : Uniform {"), "info output: {text}");
     assert!(text.contains("low_predictor: Lorenzo }"), "info output: {text}");
+    // No --kernel: the product default's.
+    assert!(text.contains("kernel, levels  : cdf53, 1\n"), "info output: {text}");
 
     let st = bin().arg("decompress").arg(&wck).arg("-o").arg(&back).status().unwrap();
     assert!(st.success());

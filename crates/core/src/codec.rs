@@ -277,7 +277,8 @@ pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Resul
     let plan = WaveletPlan::clamped(0, dims);
     // Nothing is quantized: the spike stream's formatter writes the low
     // band as exact doubles. The configuration gives only the header's
-    // informational method, `n` and `d`, and the Haar kernel code.
+    // informational method, `n` and `d`, and the kernel code, Haar's
+    // (no level runs, so the code names no transform).
     let q = Quantized {
         len: 0,
         bitmap: Bitmap::zeros(0),
@@ -286,7 +287,7 @@ pub fn compress_exact(tensor: &Tensor<f64>, level: ckpt_deflate::Level) -> Resul
         raw: Vec::new(),
         bin_width: 0.0,
     };
-    let cfg = CompressorConfig::paper_proposed();
+    let cfg = CompressorConfig::paper_proposed().with_kernel(Kernel::Haar);
     let formatted = format_stream(&cfg, dims, plan, tensor.as_slice(), &q, true)?;
     Ok(gzip::compress(&formatted, level))
 }
@@ -1794,7 +1795,7 @@ mod grid_tests {
     fn every_layout_sets_its_flag_bits_and_reads_back_as_itself() {
         let t = generate(&FieldSpec::small(FieldKind::Temperature, 8));
         let spike = |transposed, low_band_quantized| Some(StoredLayout::Spike { transposed, low_band_quantized });
-        let bare = CompressorConfig::paper_proposed().with_container(Container::None);
+        let bare = CompressorConfig::paper_proposed().with_kernel(Kernel::Haar).with_container(Container::None);
         let written = |layout| Compressor::new(bare.with_layout(layout)).unwrap().compress(&t).unwrap().bytes;
         let exact = gzip::decompress(&compress_exact(&t, ckpt_deflate::Level::Default).unwrap()).unwrap();
         let rows = [

@@ -46,8 +46,8 @@ pub struct CompressorConfig {
     pub container: Container,
     /// Which stream the formatter writes.
     pub layout: StreamLayout,
-    /// Wavelet kernel: the paper's Haar, or CDF 5/3 (JPEG 2000's
-    /// lossless kernel) as the "improved algorithm" extension.
+    /// Wavelet kernel: CDF 5/3 (JPEG 2000's lossless kernel, the
+    /// default), the paper's Haar, or CDF 9/7.
     pub kernel: Kernel,
     /// Worker threads that deflate the members of a chunked gzip
     /// container. It says only how many threads claim members: no
@@ -64,7 +64,10 @@ pub struct CompressorConfig {
 
 impl CompressorConfig {
     /// The product default: the paper's proposed quantizer at n = 128,
-    /// d = 64, one Haar level and gzip, writing [`StreamLayout::Product`].
+    /// d = 64, one CDF 5/3 level and gzip, writing
+    /// [`StreamLayout::Product`]. The paper's own stream is this with
+    /// [`StreamLayout::Paper`] and [`Kernel::Haar`] (DESIGN.md §11 "The
+    /// kernel").
     pub fn paper_proposed() -> Self {
         CompressorConfig {
             quant: QuantConfig { method: Method::Proposed, n: 128, d: 64 },
@@ -72,7 +75,7 @@ impl CompressorConfig {
             level: Level::Default,
             container: Container::Gzip,
             layout: StreamLayout::Product,
-            kernel: Kernel::Haar,
+            kernel: Kernel::Cdf53,
             threads: 1,
             chunk_bytes: ckpt_deflate::chunked::DEFAULT_CHUNK_BYTES,
         }
@@ -181,6 +184,7 @@ mod tests {
         assert_eq!(c.plan.levels, 1);
         assert_eq!(c.container, Container::Gzip);
         assert_eq!(c.layout, StreamLayout::Product);
+        assert_eq!(c.kernel, Kernel::Cdf53);
         c.validate().unwrap();
     }
 

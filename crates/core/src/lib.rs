@@ -3,8 +3,8 @@
 //! The paper's contribution: floating-point lossy compression for
 //! application-level checkpoints (Section III), end to end:
 //!
-//! 1. **Wavelet transformation** — Haar, over every axis
-//!    ([`ckpt_wavelet`]),
+//! 1. **Wavelet transformation** — the paper's Haar, or the product's
+//!    CDF 5/3, over every axis ([`ckpt_wavelet`]),
 //! 2. **Quantization** — simple or spike-detecting proposed method
 //!    ([`ckpt_quant`]),
 //! 3. **Encoding** — the paper's one-byte table indexes and bitmap, or

@@ -85,6 +85,10 @@ pub(crate) fn member_into<O: Output>(
     let body_end = data.len().checked_sub(8).ok_or(DeflateError::UnexpectedEof)?;
     let body = data.get(body_off..body_end).ok_or(DeflateError::UnexpectedEof)?;
     let start = out.end();
+    // The last ISIZE in `data`: this member's when it is the last one,
+    // and only a hint either way, which `reserve_for` caps.
+    let claimed = data.last_chunk().map_or(0, |&size| crate::usize_from_u32(u32::from_le_bytes(size)));
+    out.reserve_for(claimed, body.len(), max_output);
     let (crc, consumed) = inflate_into(body, out, max_output)?;
     let len = crate::u64_from_usize(out.end() - start);
     check_trailer(data, body_off, consumed, crc, len).inspect_err(|_| out.set_end(start))
@@ -177,6 +181,34 @@ mod tests {
         }));
         let packed = compress(&data, Level::Default);
         assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    /// A member reserves what its trailer says it holds, so a full
+    /// decode writes into one allocation; a claim past what its body can
+    /// inflate to reserves no more than DEFLATE's worst case of it.
+    #[test]
+    fn a_member_reserves_its_isize_and_no_more_than_its_body_can_hold() {
+        let data = b"checkpoint data, restored ".repeat(4000);
+        let packed = compress(&data, Level::Default);
+        let mut out = Vec::new();
+        decompress_member(&packed, &mut out, usize::MAX).unwrap();
+        assert_eq!((out.len(), out.capacity()), (data.len(), data.len()), "one allocation of ISIZE");
+
+        let mut lying = compress(b"abc", Level::Default);
+        let n = lying.len();
+        lying[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes()); // ISIZE: 4 GiB
+        let body = n - 10 - 8;
+        let mut out = Vec::new();
+        assert!(matches!(
+            decompress_member(&lying, &mut out, usize::MAX),
+            Err(DeflateError::SizeMismatch { .. })
+        ));
+        assert!(out.is_empty());
+        let cap = body * crate::inflate::MAX_EXPANSION;
+        assert!(out.capacity() <= cap, "reserved {} B over a {body} B body", out.capacity());
+        let mut out = Vec::new();
+        assert!(decompress_member(&lying, &mut out, 100).is_err());
+        assert!(out.capacity() <= 100, "reserved {} B under a 100 B cap", out.capacity());
     }
 
     #[test]

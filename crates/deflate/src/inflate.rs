@@ -28,9 +28,11 @@ use std::sync::OnceLock;
 pub(crate) trait Output {
     /// The output's current length: where a call's bytes begin.
     fn end(&self) -> usize;
-    /// Readies room for a stream of `input` bytes that may inflate to
-    /// `max_output`, if the output can grow.
-    fn reserve_for(&mut self, _input: usize, _max_output: usize) {}
+    /// Readies room for the `claimed` bytes a stream of `input` bytes
+    /// says it inflates to, if the output can grow: no more than
+    /// DEFLATE can expand `input` to, than `max_output`, or than
+    /// [`MAX_RESERVE`], so a lying claim costs no allocation.
+    fn reserve_for(&mut self, _claimed: usize, _input: usize, _max_output: usize) {}
     /// The buffer: what the output holds, then any room past it that a
     /// call writes ahead into.
     fn buf(&mut self) -> &mut [u8];
@@ -45,13 +47,21 @@ pub(crate) trait Output {
 /// capacity reserved up front while that holds the slack.
 const GROW_STEP: usize = 64 * 1024;
 
+/// DEFLATE's worst-case expansion: a 258-byte match costs at least two
+/// bits, so one input byte decodes to at most about 1,032 bytes.
+pub(crate) const MAX_EXPANSION: usize = 1032;
+
+/// The most a `Vec` output reserves up front; past it, it grows.
+const MAX_RESERVE: usize = 1 << 24;
+
 impl Output for Vec<u8> {
     fn end(&self) -> usize {
         self.len()
     }
 
-    fn reserve_for(&mut self, input: usize, max_output: usize) {
-        self.reserve(input.saturating_mul(3).min(max_output).min(1 << 24));
+    fn reserve_for(&mut self, claimed: usize, input: usize, max_output: usize) {
+        let cap = input.saturating_mul(MAX_EXPANSION).min(max_output).min(MAX_RESERVE);
+        self.reserve(claimed.min(cap));
     }
 
     fn buf(&mut self) -> &mut [u8] {
@@ -105,7 +115,6 @@ pub(crate) fn inflate_into<O: Output>(
     max_output: usize,
 ) -> Result<(u32, usize), DeflateError> {
     let start = out.end();
-    out.reserve_for(data.len(), max_output);
     let mut r = BitReader::new(data);
     let walked = walk(&mut r, out, start, max_output);
     out.set_end(*walked.as_ref().unwrap_or(&start));

@@ -64,6 +64,37 @@ fn available_tiers() -> Vec<Level> {
     Level::ALL.into_iter().filter(|l| l.is_available()).collect()
 }
 
+/// The proptests sample short lanes and narrow batches; the mesh's
+/// passes are longer and wider. Every op, on every tier, at every
+/// `n` ∈ {2, 82, 1156} (the 1156 × 82 × 2 mesh's axis lengths) × `w` ∈
+/// {1, 2, 3, 7, 8, 164, 256} (both sides of the 5/3 kernels' switch
+/// from lane sweeps to row loops, the middle axis's 2, the first
+/// axis's 164, a last-axis tile's 256), bit for bit against the 1-d
+/// kernels on finite data.
+#[test]
+fn every_tier_matches_the_reference_on_the_mesh_pass_shapes() {
+    let mut state = 0x2015_u64;
+    for n in [2usize, 82, 1156] {
+        for w in [1usize, 2, 3, 7, 8, 164, 256] {
+            let src: Vec<f64> = (0..n * w)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0e4
+                })
+                .collect();
+            for op in WaveletOp::ALL {
+                let want: Vec<u64> = reference(op, &src, n, w).iter().map(|v| v.to_bits()).collect();
+                for level in available_tiers() {
+                    let mut dst = vec![0.0f64; n * w];
+                    apply_at(level, op, &src, &mut dst, n, w);
+                    let got: Vec<u64> = dst.iter().map(|v| v.to_bits()).collect();
+                    assert!(got == want, "op={op:?} level={level:?} n={n} w={w}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 

@@ -77,9 +77,10 @@ fn main() {
     // had a Lloyd-Max quantizer and a zlib container, the
     // `*_spike_grid*` samples and store images (beside the values the
     // array restores to), from the last build whose default wrote the
-    // spike quantizer's stream on a grid, and the `*_uniform*` ones,
-    // from the last build whose default stored the uniform stream's low
-    // band in band order.
+    // spike quantizer's stream on a grid, the `*_uniform*` ones, from
+    // the last build whose default stored the uniform stream's low band
+    // in band order, and the `*_haar*` ones, from the last build whose
+    // default ran the Haar kernel.
     let golden = chunked::compress_chunked(
         &common::golden_wpk1_input(),
         Level::Default,

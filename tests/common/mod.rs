@@ -140,10 +140,12 @@ pub fn tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
 }
 
 /// [`tiny_states`] as the builds before the grid restored them: the
-/// stream without it, whose values the untransposed writer still
-/// restores bit for bit. The `*_ungridded` fixtures hold these states.
+/// stream without it, at their Haar kernel, whose values the
+/// untransposed writer still restores bit for bit. The `*_ungridded`
+/// fixtures hold these states.
 pub fn ungridded_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
-    tiny_states_of(CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper))
+    let paper = CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper);
+    tiny_states_of(paper.with_kernel(Kernel::Haar))
 }
 
 /// `decode_only_wck1_spike_grid.bin`: the `WCK1` sample as the builds
@@ -170,6 +172,19 @@ pub fn uniform_sample() -> Vec<u8> {
 /// [`uniform_sample`]. The `*_uniform*` fixtures hold these states.
 pub fn uniform_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     tiny_states_from(uniform_sample())
+}
+
+/// `decode_only_wck1_haar.bin`: the `WCK1` sample as the builds whose
+/// default ran the Haar kernel wrote it. `--kernel haar` still writes
+/// these bytes; the default does not.
+pub fn haar_sample() -> Vec<u8> {
+    fs::read(corpus_dir().join("decode_only_wck1_haar.bin")).unwrap()
+}
+
+/// [`tiny_states`] as those builds restored them: from [`haar_sample`].
+/// The `*_haar*` fixtures hold these states.
+pub fn haar_tiny_states() -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
+    tiny_states_from(haar_sample())
 }
 
 fn tiny_states_of(cfg: CompressorConfig) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
@@ -331,10 +346,11 @@ pub fn plant_store(dir: &Path, files: &StoreFiles) {
 /// One valid encoded sample per format, keyed by magic. What
 /// `gen_corpus` writes to [`valid_path`]; a rebuild that still equals
 /// the files checked in shows the bytes did not move. (They last moved
-/// with the Lorenzo low band: the `WCK1` sample, and the manifest and
+/// with the CDF 5/3 default: the `WCK1` sample, and the manifest and
 /// snapshot that carry its CRC; the samples from before are
-/// `decode_only_<magic>_uniform.bin`. Before that they moved the same
-/// way with the uniform grid over the high band, and the samples from
+/// `decode_only_<magic>_haar.bin`. Before that they moved the same way
+/// with the Lorenzo low band, and the samples from before it are
+/// `decode_only_<magic>_uniform.bin`, and with the uniform grid over the high band, and the samples from
 /// before it are `decode_only_<magic>_spike_grid.bin`, and with the
 /// grid, and those from before it are
 /// `decode_only_<magic>_ungridded.bin`; each time the increments

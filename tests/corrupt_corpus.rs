@@ -7,10 +7,13 @@
 //! 1 GiB claims on the guard that spares the allocation; every
 //! checked-in valid sample still decodes and still equals what this
 //! build writes (the lossy array's and those that derive from it last
-//! moved with the Lorenzo low band, and `decode_only_<magic>_uniform.bin`
-//! is each moved sample from before it, the array decoding to the values
-//! recorded beside it, which this build's default restores too; before
-//! that they moved with the uniform grid over the high band, and
+//! moved with the CDF 5/3 default, and `decode_only_<magic>_haar.bin` is
+//! each moved sample from before it, which `--kernel haar` still writes,
+//! the array decoding to the values recorded beside the `_uniform` one;
+//! before that they moved with the Lorenzo low band, and
+//! `decode_only_<magic>_uniform.bin` is each moved sample from before it,
+//! the array decoding to the values recorded beside it, which the Haar
+//! product stream restores too; before that they moved with the uniform grid over the high band, and
 //! `decode_only_<magic>_spike_grid.bin` is each moved sample from
 //! before it, the array decoding to the values recorded beside it;
 //! before that they moved with the grid, and
@@ -41,6 +44,7 @@ use lossy_ckpt::deflate::{chunked, gzip, Level};
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::serve::proto;
 use lossy_ckpt::store::{manifest, SegmentFormat, Store};
+use lossy_ckpt::wavelet::Kernel;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::fs;
@@ -420,11 +424,13 @@ fn every_corpus_file_returns_from_every_decoder() {
                 "decode_only_csm2_ungridded.bin",
                 "decode_only_csm2_spike_grid.bin",
                 "decode_only_csm2_uniform.bin",
+                "decode_only_csm2_haar.bin",
                 "golden_store_snap_decode_only.bin",
                 "golden_store_snap_reanchored_decode_only.bin",
                 "golden_store_snap_ungridded_decode_only.bin",
                 "golden_store_snap_spike_grid_decode_only.bin",
                 "golden_store_snap_uniform_decode_only.bin",
+                "golden_store_snap_haar_decode_only.bin",
             ];
             assert!(snapshots.contains(&name.as_str()), "{name} opened as a manifest snapshot");
         }
@@ -460,13 +466,14 @@ fn parent_written_samples_decode_and_this_build_writes_the_same_bytes() {
     // The array sample from before the grid restores the state it did,
     // and those from before the uniform grid and before the Lorenzo low
     // band the values recorded beside them by the last build that wrote
-    // each.
+    // each. The one from before the CDF 5/3 default holds the same grid
+    // indexes as the band-order one, so it restores that one's values.
     let restored = Compressor::decompress(&decode_only_sample(b"WCK1", "_ungridded")).unwrap();
     assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
-    for kept in ["_spike_grid", "_uniform"] {
+    for (kept, recorded) in [("_spike_grid", "_spike_grid"), ("_uniform", "_uniform"), ("_haar", "_uniform")] {
         let restored = Compressor::decompress(&decode_only_sample(b"WCK1", kept)).unwrap();
         assert_eq!(restored.dims(), common::tiny_field(1).dims());
-        assert!(le_values(&restored) == recorded_values(kept), "{kept}: not the recorded values");
+        assert!(le_values(&restored) == recorded_values(recorded), "{kept}: not the recorded values");
     }
     assert_eq!(
         proto::decode_request(&decode_srv1(&parent_sample(b"SRV1")).unwrap()).unwrap(),
@@ -486,16 +493,17 @@ fn recorded_values(kept: &str) -> Vec<u8> {
 }
 
 /// The Lorenzo low band stores the same grid indexes in other words:
-/// the default stream of the tiny field restores, bit for bit, the
-/// values the band-order stream of the same field was recorded to.
+/// the product stream of the tiny field at the Haar kernel restores,
+/// bit for bit, the values the band-order stream of the same field was
+/// recorded to. It is still the stream the Haar default wrote, byte for
+/// byte; the CDF 5/3 default writes another.
 #[test]
-fn the_lorenzo_default_restores_the_band_order_samples_recorded_values() {
-    let ours = Compressor::new(CompressorConfig::paper_proposed())
-        .unwrap()
-        .compress(&common::tiny_field(1))
-        .unwrap()
-        .bytes;
-    assert!(ours != common::uniform_sample(), "the default still writes the band-order stream");
+fn the_lorenzo_haar_stream_restores_the_band_order_samples_recorded_values() {
+    let haar = CompressorConfig::paper_proposed().with_kernel(Kernel::Haar);
+    let ours = Compressor::new(haar).unwrap().compress(&common::tiny_field(1)).unwrap().bytes;
+    assert!(ours != common::uniform_sample(), "the Haar stream is still the band-order one");
+    assert!(ours == common::haar_sample(), "the Haar product stream moved a byte");
+    assert!(ours != parent_sample(b"WCK1"), "the default still runs the Haar kernel");
     let restored = Compressor::decompress(&ours).unwrap();
     assert!(le_values(&restored) == recorded_values("_uniform"), "the restored values moved");
 }
@@ -511,17 +519,19 @@ const PARENT_CURSOR: [u8; 20] = [
 /// The suffixes of the kept decode-only samples: `""` the samples from
 /// before the block-split rule, `"_ungridded"` those from before the
 /// grid, `"_spike_grid"` those from before the uniform grid over the
-/// high band, `"_uniform"` those from before the Lorenzo low band.
-const KEPT: [&str; 4] = ["", "_ungridded", "_spike_grid", "_uniform"];
+/// high band, `"_uniform"` those from before the Lorenzo low band,
+/// `"_haar"` those from before the CDF 5/3 default.
+const KEPT: [&str; 5] = ["", "_ungridded", "_spike_grid", "_uniform", "_haar"];
 
 /// The tiny states the store a kept sample set belongs to restores:
-/// the `"_spike_grid"` or `"_uniform"` array's, or the ungridded
+/// the `"_spike_grid"`, `"_uniform"` or `"_haar"` array's, or the ungridded
 /// stream's, which the untransposed writer still writes and which the
 /// samples from before the grid restore to.
 fn kept_states(kept: &str) -> (Vec<u8>, Tensor<f64>, Tensor<f64>) {
     match kept {
         "_spike_grid" => common::spike_grid_tiny_states(),
         "_uniform" => common::uniform_tiny_states(),
+        "_haar" => common::haar_tiny_states(),
         _ => common::ungridded_tiny_states(),
     }
 }
@@ -539,8 +549,8 @@ fn decode_only_sample(magic: &[u8; 4], kept: &str) -> Vec<u8> {
 /// beside them — in a fresh directory, from the decode-only samples
 /// `kept` names.
 fn plant_parent_store(tag: &str, kept: &str) -> PathBuf {
-    // Neither grid moved an increment's bytes: those stores' link is the
-    // valid sample.
+    // No change since the block-split rule moved an increment's bytes:
+    // those stores' link is the valid sample.
     let link = if kept.is_empty() { decode_only_sample(b"INC1", kept) } else { parent_sample(b"INC1") };
     let full = decode_only_sample(b"WCK1", kept);
     let files = common::StoreFiles {
@@ -613,7 +623,8 @@ fn inc2_links_on_a_parent_written_inc1_link_restore_bit_exactly() {
 /// `*_ungridded_decode_only.bin` from before the grid and
 /// `*_spike_grid_decode_only.bin` from before the uniform grid over the
 /// high band and `*_uniform_decode_only.bin` from before the Lorenzo low
-/// band (the `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin` from before
+/// band and `*_haar_decode_only.bin` from before the CDF 5/3 default
+/// (the `Seg` records carry payload CRCs), and `*_reanchored_decode_only.bin` from before
 /// recency was ordered by step, when compaction also copied the newest
 /// full (gen 5) above its rewrite and retired it. They still parse, in
 /// their own retire order, and each snapshot still seeds a store.
@@ -641,6 +652,7 @@ fn the_parent_written_store_log_is_what_this_build_writes() {
         ("ungridded_decode_only", &[1, 4, 3, 2]),
         ("spike_grid_decode_only", &[1, 4, 3, 2]),
         ("uniform_decode_only", &[1, 4, 3, 2]),
+        ("haar_decode_only", &[1, 4, 3, 2]),
     ] {
         let old_log = read(&format!("golden_store_log_{tag}.bin"));
         let old_snap = read(&format!("golden_store_snap_{tag}.bin"));
@@ -681,6 +693,7 @@ fn the_untransposed_sample_of_the_previous_default_still_decodes_bit_exact() {
     assert_eq!(tensor_bytes(&restored), tensor_bytes(&common::ungridded_tiny_states().1));
     let cfg = CompressorConfig::paper_proposed()
         .with_layout(StreamLayout::Paper)
+        .with_kernel(Kernel::Haar)
         .with_container(Container::None);
     let rewritten = Compressor::new(cfg).unwrap().compress(&common::tiny_field(1)).unwrap();
     assert!(rewritten.bytes == formatted, "the untransposed writer moved a byte");

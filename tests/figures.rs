@@ -3,6 +3,7 @@
 //! CI so a regression that flips a paper conclusion fails the build.
 
 use ckpt_bench::cluster::{CompressionProfile, IoModel, ScalingTable};
+use ckpt_bench::paper_stream;
 use lossy_ckpt::core::codec::StoredLayout;
 use lossy_ckpt::prelude::*;
 use lossy_ckpt::sim::{divergence_experiment, SimConfig};
@@ -12,9 +13,10 @@ fn temperature() -> Tensor<f64> {
 }
 
 /// Rate and error of `cfg` on the stream the paper measured
-/// (untransposed; the product default is not what its figures show).
+/// (untransposed, Haar; the product default is not what its figures
+/// show).
 fn rate_and_error(cfg: CompressorConfig, t: &Tensor<f64>) -> (f64, f64) {
-    let c = Compressor::new(cfg.with_layout(StreamLayout::Paper)).unwrap();
+    let c = Compressor::new(paper_stream(cfg)).unwrap();
     let packed = c.compress(t).unwrap();
     let restored = Compressor::decompress(&packed.bytes).unwrap();
     let err = relative_error(t, &restored).unwrap();
@@ -111,7 +113,9 @@ fn fig10_proposed_diverges_less_and_nothing_blows_up() {
 /// and the pass-through values as doubles): the mean and the maximum of
 /// the trace's average relative error each within 10% of the paper's,
 /// for the spike quantizer at Haar, CDF 5/3 and CDF 9/7, one level, and
-/// for the simple one, whose step is twice as coarse, at Haar. The runs
+/// for the simple one, whose step is twice as coarse, at Haar. The
+/// default (CDF 5/3, one level) also stays within 10% of the paper
+/// configuration's: Haar, one level, the paper's stream. The runs
 /// share one reference trajectory: one checkpoint image per stream,
 /// restarted side by side.
 #[test]
@@ -135,14 +139,14 @@ fn the_grid_does_not_raise_restart_divergence() {
         assert!(uniform, "{kernel:?}: the default is the uniform grid");
         let spike = StoredLayout::Spike { transposed: false, low_band_quantized: false };
         assert_eq!(layout(&paper), spike, "{kernel:?}: the paper's stream has no grid");
-        streams.push((kernel, gridded, paper));
+        streams.push((base, kernel, gridded, paper));
     }
 
     let mut reference = ClimateSim::new(cfg);
     reference.run(checkpoint_step);
     let mut restarted: Vec<ClimateSim> = streams
         .iter()
-        .flat_map(|(_, gridded, paper)| [gridded, paper])
+        .flat_map(|(_, _, gridded, paper)| [gridded, paper])
         .map(|c| ClimateSim::restore(cfg, &reference.checkpoint(Some(c)).unwrap().0).unwrap())
         .collect();
     let mut traces = vec![Vec::new(); restarted.len()];
@@ -160,11 +164,17 @@ fn the_grid_does_not_raise_restart_divergence() {
         }
     }
     let mean_max = |t: &[f64]| (t.iter().sum::<f64>() / t.len() as f64, t.iter().copied().fold(0.0, f64::max));
-    for ((kernel, ..), pair) in streams.iter().zip(traces.chunks(2)) {
+    for ((_, kernel, ..), pair) in streams.iter().zip(traces.chunks(2)) {
         let ((mean, max), (paper_mean, paper_max)) = (mean_max(&pair[0]), mean_max(&pair[1]));
         assert!(mean <= 1.1 * paper_mean, "{kernel:?}: mean {mean:e} vs the paper's {paper_mean:e}");
         assert!(max <= 1.1 * paper_max, "{kernel:?}: max {max:e} vs the paper's {paper_max:e}");
     }
+    // The default's own stream against the paper configuration's.
+    let at = |cfg: CompressorConfig| streams.iter().position(|s| s.0 == cfg).unwrap();
+    let (mean, max) = mean_max(&traces[2 * at(proposed)]);
+    let (paper_mean, paper_max) = mean_max(&traces[2 * at(proposed.with_kernel(Kernel::Haar)) + 1]);
+    assert!(mean <= 1.1 * paper_mean, "default: mean {mean:e} vs the paper's {paper_mean:e}");
+    assert!(max <= 1.1 * paper_max, "default: max {max:e} vs the paper's {paper_max:e}");
 }
 
 #[test]
@@ -172,7 +182,7 @@ fn equation_1_viability_condition() {
     // C + T_comp < T_orig at large P — the premise of Section II-A,
     // checked with real measured quantities at small scale.
     let t = temperature();
-    let c = Compressor::new(CompressorConfig::paper_proposed().with_layout(StreamLayout::Paper)).unwrap();
+    let c = Compressor::new(paper_stream(CompressorConfig::paper_proposed())).unwrap();
     let packed = c.compress(&t).unwrap();
     let io = IoModel::paper();
     let profile = CompressionProfile {

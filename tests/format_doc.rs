@@ -151,8 +151,9 @@ fn the_wck1_section_documents_every_flag_bit_each_layout_writes() {
         (StreamLayout::QuantizedLowBand, &[0][..]),
     ] {
         let cfg = CompressorConfig::paper_proposed().with_layout(layout).with_container(Container::None);
-        let flags = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes[6];
         // Bits 2-3 are the kernel: Haar, 0.
+        let cfg = cfg.with_kernel(lossy_ckpt::wavelet::Kernel::Haar);
+        let flags = Compressor::new(cfg).unwrap().compress(&t).unwrap().bytes[6];
         let set: Vec<u32> = (0..8).filter(|b| flags & 1 << b != 0).collect();
         assert_eq!(set, bits, "{layout:?} sets flags {flags:#010b}");
         for (bit, name) in names.iter().filter(|(b, _)| bits.contains(b)) {

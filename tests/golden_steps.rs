@@ -8,7 +8,7 @@
 //! and the transposed default, the encoder before the block-split rule,
 //! the lossy array before the grid, the lossy array before the uniform
 //! grid over the high band, the lossy array before the Lorenzo low
-//! band, the retired Lloyd-Max
+//! band, the lossy array before the CDF 5/3 default, the retired Lloyd-Max
 //! writer, and the retired `Fast` effort's `WPK1` sample) —
 //! decodes through `decompress_member` to bytes with the CRC-32 and
 //! ISIZE the member's own trailer records, checked here by the
@@ -59,5 +59,5 @@ fn every_parent_written_member_decodes_to_its_recorded_crc_and_size() {
             assert!(whole == common::golden_wpk1_input(), "{name}: not its generator's bytes");
         }
     }
-    assert_eq!(seen, 14, "golden_{{store,fast,default,best}}.gz and ten decode_only_*.bin");
+    assert_eq!(seen, 15, "golden_{{store,fast,default,best}}.gz and eleven decode_only_*.bin");
 }

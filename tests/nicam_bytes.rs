@@ -68,9 +68,12 @@ fn the_paper_proposed_gzip_stream_keeps_its_bytes() {
     let bytes = packed.compress(&state(0..0)).unwrap().bytes;
     // (236,109 B, CRC 105,130,625 before the grid; 114,634 B, CRC
     // 3,223,725,198 with the spike quantizer on the grid; 114,922 B, CRC
-    // 3,193,060,238 with the low band in band order. This field's noise
-    // is white, so the Lorenzo residuals are wider than band order's.)
-    pin("gzip stream", &bytes, 118_338, 1_566_685_084);
+    // 3,193,060,238 with the low band in band order; 118,338 B, CRC
+    // 1,566,685,084 at the Haar kernel. This field's noise is white, so
+    // the Lorenzo residuals are wider than band order's, and CDF 5/3's
+    // high band, a value less half its two neighbours, is wider than
+    // Haar's half difference.)
+    pin("gzip stream", &bytes, 151_270, 1_369_851_976);
 }
 
 #[test]
@@ -88,8 +91,9 @@ fn its_wpk1_container_keeps_its_bytes() {
     );
     // (236,919 B, CRC 2,000,582,372 before the grid; 115,522 B, CRC
     // 1,744,719,618 with the spike quantizer on the grid; 115,371 B, CRC
-    // 69,037,338 with the low band in band order.)
-    pin("WPK1 container", &container, 118_765, 3_197_324_012);
+    // 69,037,338 with the low band in band order; 118,765 B, CRC
+    // 3,197,324,012 at the Haar kernel.)
+    pin("WPK1 container", &container, 151_238, 738_778_999);
 }
 
 #[test]
